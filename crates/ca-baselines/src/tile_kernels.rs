@@ -14,7 +14,7 @@
 //! application whose `V_top` is the identity (zero stored part).
 
 use ca_kernels::{
-    gemm, getf2, larfb_left_pair, larfg, larft, trsm_left_lower_unit, LuInfo, Trans,
+    gemm, getf2, larfb_left_multi, larfg, larft, trsm_left_lower_unit, LuInfo, Trans, VRest,
 };
 use ca_matrix::{MatView, MatViewMut, Matrix, PivotSeq};
 
@@ -122,11 +122,7 @@ pub fn tsmqr(
     c_top: MatViewMut<'_>,
     c_bot: MatViewMut<'_>,
 ) {
-    let b = c_top.nrows();
-    // A zero stored V_top makes larfb treat it as the unit "triangle" with
-    // no off-diagonal entries — exactly the identity.
-    let v_top = Matrix::zeros(b, b);
-    larfb_left_pair(trans, v_top.view(), v2, t, c_top, c_bot);
+    larfb_left_multi(trans, None, &[v2], VRest::Dense, t, c_top, &mut [c_bot]);
 }
 
 /// GEPP of a diagonal tile (`dgetrf` on one tile), returning tile-local

@@ -229,7 +229,7 @@ fn build(m: usize, n: usize, b: usize) -> (TaskGraph<TiledQrTask>, Ctx, AccessMa
                     TaskLabel::new(TaskKind::Update, k, i, j),
                     flops::tsmqr(ri, wk, wj),
                 )
-                .with_bytes(traffic::larfb(ri + wk, wj, wk))
+                .with_bytes(traffic::larfb_node(ri * wk, ri + wk, wj, wk))
                 .with_priority(pr + 100)
                 .with_class(KernelClass::Larfb);
                 let id = g.add_task(meta, TiledQrTask::Tsmqr { k, i, j });

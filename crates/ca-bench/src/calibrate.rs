@@ -4,8 +4,9 @@
 //! what the kernels actually achieve here — only the core count is virtual
 //! (see DESIGN.md, hardware substitution).
 
+use ca_core::tsqr::{node_apply, node_qr, NodePlan};
 use ca_kernels::flops;
-use ca_matrix::{seeded_rng, Matrix};
+use ca_matrix::{seeded_rng, Matrix, SharedMatrix};
 use ca_sched::KernelClass;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -123,19 +124,35 @@ pub fn calibrate(quick: bool) -> Calibration {
         t.insert(key(KernelClass::Trsm), tput);
     }
 
-    // Larfb: compact-WY application on a tall block.
+    // Larfb: the three shapes CAQR's S tasks take — a tall leaf, a short
+    // leaf whose triangular products weigh as much as its gemms, and a tree
+    // node of two stacked triangles. The class rate is that of running one
+    // of each (total flops over total seconds): a tree pairs every leaf
+    // with about one node, and the tall block's near-gemm number alone
+    // would flatter the short tasks.
     {
-        let mut v = ca_matrix::random_uniform(mt, b, &mut rng);
-        let mut tt = Matrix::zeros(b, b);
-        ca_kernels::geqr3(v.view_mut(), tt.view_mut());
-        let mut c = ca_matrix::random_uniform(mt, b, &mut rng);
-        let fl = flops::larfb(mt, b, b);
-        let tput = time_kernel(
-            || ca_kernels::larfb_left(ca_kernels::Trans::Yes, v.view(), tt.view(), c.view_mut()),
-            fl,
-            min_time,
-        );
-        t.insert(key(KernelClass::Larfb), tput);
+        let (mut total_fl, mut total_s) = (0.0, 0.0);
+        let mut add = |fl: f64, rate: f64| {
+            total_fl += fl;
+            total_s += fl / rate;
+        };
+        for leaf in [mt, 2 * b] {
+            let mut v = ca_matrix::random_uniform(leaf, b, &mut rng);
+            let mut tt = Matrix::zeros(b, b);
+            ca_kernels::geqr3(v.view_mut(), tt.view_mut());
+            let mut c = ca_matrix::random_uniform(leaf, b, &mut rng);
+            let fl = flops::larfb(leaf, b, b);
+            let apply = || ca_kernels::larfb_left(ca_kernels::Trans::Yes, v.view(), tt.view(), c.view_mut());
+            add(fl, time_kernel(apply, fl, min_time));
+        }
+        // `node_qr` reads only the upper triangle of each participant.
+        let stack = SharedMatrix::new(ca_matrix::random_uniform(2 * b, b, &mut rng));
+        let plan = NodePlan { level: 0, participants: vec![0, 1], row_ranges: vec![0..b, b..2 * b], kk: b };
+        let node = node_qr(&stack, 0, b, &plan);
+        let c = SharedMatrix::new(ca_matrix::random_uniform(2 * b, b, &mut rng));
+        let fl = flops::larfb_node(flops::upper_trapezoid_len(b, b), b, b);
+        add(fl, time_kernel(|| node_apply(&node, &c, 0..b, ca_kernels::Trans::Yes), fl, min_time));
+        t.insert(key(KernelClass::Larfb), total_fl / total_s);
     }
 
     // Panel kernels on the tall-panel shape, fresh input per repetition via

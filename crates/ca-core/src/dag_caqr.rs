@@ -147,15 +147,19 @@ pub(crate) fn build(m: usize, n: usize, p: &CaParams) -> CaqrPlan {
             node_qr_ids.push(id);
         }
         for (ni, plan) in plans.iter().enumerate() {
+            // `node_apply` is the structured form: identity top block,
+            // upper-trapezoidal blocks below it.
+            let s: usize = plan.row_ranges.iter().map(|r| r.len()).sum();
+            let v_len: usize =
+                plan.row_ranges[1..].iter().map(|r| flops::upper_trapezoid_len(r.len(), plan.kk)).sum();
             for jblk in step + 1..nb {
                 let jc0 = jblk * b;
                 let wj = b.min(n - jc0);
-                let s: usize = plan.row_ranges.iter().map(|r| r.len()).sum();
                 let meta = TaskMeta::new(
                     TaskLabel::new(TaskKind::Update, step, g + ni, jblk),
-                    flops::larfb(s, wj, plan.kk),
+                    flops::larfb_node(v_len, wj, plan.kk),
                 )
-                .with_bytes(traffic::larfb(s, wj, plan.kk))
+                .with_bytes(traffic::larfb_node(v_len, s, wj, plan.kk))
                 .with_priority(prio(nsteps, step, p.lookahead, TaskKind::Update, jblk))
                 .with_class(KernelClass::Larfb);
                 let id = graph.add_task(meta, CaqrTask::NodeUpdate { step, node: ni, jblk });

@@ -19,7 +19,7 @@
 use crate::params::RowPartition;
 use crate::tree::{reduction_schedule, ReduceNode};
 use crate::params::TreeShape;
-use ca_kernels::{geqr2, geqr3, larfb_left, larfb_left_multi, larft, Kernel, Trans};
+use ca_kernels::{geqr2, geqr3, larfb_left, larfb_left_multi, larft, Kernel, Trans, VRest};
 use ca_matrix::{Matrix, Scalar, SharedMatrix};
 use core::ops::Range;
 
@@ -179,9 +179,13 @@ pub fn node_qr<T: Kernel>(
 ) -> NodeQ<T> {
     let s: usize = plan.row_ranges.iter().map(|r| r.len()).sum();
     let kk = plan.kk;
+    // `node_apply` relies on the structure this gives the reflectors: an
+    // upper-triangular top block keeps V's top block the identity.
+    assert_eq!(plan.row_ranges[0].len(), kk, "first participant must supply exactly kk rows");
     let mut stack = Matrix::zeros(s, w);
+    let mut rows = stack.view_mut();
     let mut off = 0usize;
-    for (pi, range) in plan.row_ranges.iter().enumerate() {
+    for range in &plan.row_ranges {
         let len = range.len();
         // SAFETY: ordered read of the participants' R blocks.
         let blk = unsafe { a.block(range.start, c0, len, w) };
@@ -190,10 +194,7 @@ pub fn node_qr<T: Kernel>(
             // For participant 0 on upper tree levels the R occupies only
             // `len` rows anyway, so trapezoid copy is always correct.
             let imax = (j + 1).min(len);
-            let _ = pi;
-            for i in 0..imax {
-                stack[(off + i, j)] = blk.at(i, j);
-            }
+            rows.col_mut(j)[off..off + imax].copy_from_slice(&blk.col(j)[..imax]);
         }
         off += len;
     }
@@ -214,10 +215,10 @@ pub fn node_qr<T: Kernel>(
         let r0 = plan.row_ranges[0].start;
         // SAFETY: exclusive write ordered by the DAG.
         let mut top = unsafe { a.block_mut(r0, c0, kk, w) };
+        let merged = stack.view();
         for j in 0..w {
-            for i in 0..(j + 1).min(kk) {
-                top.set(i, j, stack[(i, j)]);
-            }
+            let imax = (j + 1).min(kk);
+            top.col_mut(j)[..imax].copy_from_slice(&merged.col(j)[..imax]);
         }
     }
 
@@ -239,7 +240,6 @@ pub fn node_apply<T: Kernel>(
         return;
     }
     let kk = node.kk;
-    let v_top = node.v.block(0, 0, kk, kk);
     let mut v_rest = Vec::with_capacity(node.row_ranges.len() - 1);
     let mut off = kk;
     for range in &node.row_ranges[1..] {
@@ -254,7 +254,9 @@ pub fn node_apply<T: Kernel>(
         .iter()
         .map(|r| unsafe { dst.block_mut(r.start, dcols.start, r.len(), dcols.len()) })
         .collect();
-    larfb_left_multi(trans, v_top, &v_rest, node.t.view(), c_top, &mut c_rest);
+    // `node_qr` stacks only upper trapezoids: V's top block is the identity
+    // and every other block stays upper trapezoidal.
+    larfb_left_multi(trans, None, &v_rest, VRest::UpperTrapezoid, node.t.view(), c_top, &mut c_rest);
 }
 
 /// Applies `op(Q_panel)` for a full panel to columns `dcols` of `dst`:

@@ -61,6 +61,21 @@ pub fn larfb(m: usize, n: usize, k: usize) -> f64 {
     4.0 * m as f64 * n as f64 * k as f64 + (k * k) as f64 * n as f64
 }
 
+/// Stored entries of an `r × k` upper trapezoid (`A[i, j] = 0` for `i > j`).
+pub fn upper_trapezoid_len(r: usize, k: usize) -> usize {
+    (0..k).map(|j| (j + 1).min(r)).sum()
+}
+
+/// Flops of the structured tree-node application
+/// ([`crate::larfb_left_multi`] with an identity top block) onto `n`
+/// columns: two sweeps over the `v_len` stored entries of the lower blocks
+/// of `V` (`r·k` for a dense `r × k` block, [`upper_trapezoid_len`] for a
+/// triangle-on-triangle node) plus the `k²n` multiply by `T`. A node of two
+/// `k × k` triangles comes to `≈3k²n`, against [`larfb`]'s dense `9k²n`.
+pub fn larfb_node(v_len: usize, n: usize, k: usize) -> f64 {
+    (4 * v_len + k * k) as f64 * n as f64
+}
+
 /// Flops of a structured triangle-on-square tile QR (`dtsqrt`): `r × b`
 /// dense tile annihilated against a `b × b` triangle, plus the `T` build.
 pub fn tsqrt(r: usize, b: usize) -> f64 {
@@ -71,7 +86,7 @@ pub fn tsqrt(r: usize, b: usize) -> f64 {
 /// (`dtsmqr`): two rank-`b` sweeps over the `r`-row tile plus the `T`
 /// triangle multiply.
 pub fn tsmqr(r: usize, b: usize, w: usize) -> f64 {
-    4.0 * r as f64 * b as f64 * w as f64 + (b * b) as f64 * w as f64
+    larfb_node(r * b, w, b)
 }
 
 /// Flops of `dtstrf` as implemented here (dense GEPP of the stacked
@@ -109,6 +124,18 @@ mod tests {
         let n = 1000usize;
         assert!((getrf(n, n) - 2.0 / 3.0 * 1e9).abs() < 1e6);
         assert!((geqrf(n, n) - 4.0 / 3.0 * 1e9).abs() < 1e6);
+    }
+
+    #[test]
+    fn node_application_skips_the_known_zeros() {
+        let (k, n) = (64, 100);
+        // Two stacked k x k triangles: ~3k²n, a third of the dense count.
+        let node = larfb_node(upper_trapezoid_len(k, k), n, k);
+        let ratio = node / larfb(2 * k, n, k);
+        assert!(ratio > 0.33 && ratio < 0.35, "ratio {ratio}");
+        // A short last participant holds fewer entries still.
+        assert_eq!(upper_trapezoid_len(2, 4), 1 + 2 + 2 + 2);
+        assert_eq!(tsmqr(30, 20, 10), 4.0 * 30.0 * 20.0 * 10.0 + 400.0 * 10.0);
     }
 
     #[test]

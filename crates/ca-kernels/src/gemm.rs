@@ -215,6 +215,14 @@ pub trait Kernel: Scalar {
     #[doc(hidden)]
     fn with_pack_bufs<R>(f: impl FnOnce(&mut AlignedBuf<Self>, &mut AlignedBuf<Self>) -> R) -> R;
 
+    /// Runs `f` with this thread's kernel workspace for this element type:
+    /// the `W` blocks and densified triangles of [`crate::larfb_left`],
+    /// [`crate::geqr3`] and [`crate::trmm`]. Distinct from the pack
+    /// buffers, so `f` may call [`gemm`]; not re-entrant, so `f` must not
+    /// call another workspace user.
+    #[doc(hidden)]
+    fn with_work_buf<R>(f: impl FnOnce(&mut AlignedBuf<Self>) -> R) -> R;
+
     /// The process-wide dispatched spec (cached feature detection + env
     /// overrides).
     fn spec() -> &'static KernelSpec<Self> {
@@ -255,6 +263,15 @@ macro_rules! impl_kernel {
                     let (a_buf, b_buf) = &mut *bufs;
                     f(a_buf, b_buf)
                 })
+            }
+
+            fn with_work_buf<R>(f: impl FnOnce(&mut AlignedBuf<$t>) -> R) -> R {
+                thread_local! {
+                    /// Per-thread kernel workspace, reused across calls so
+                    /// a task-sized `larfb` doesn't pay an allocation each.
+                    static WORK: RefCell<AlignedBuf<$t>> = const { RefCell::new(AlignedBuf::new()) };
+                }
+                WORK.with(|work| f(&mut work.borrow_mut()))
             }
         }
     };
@@ -342,11 +359,19 @@ pub fn gemm_with_backend<T: Kernel>(
     beta: T,
     c: MatViewMut<'_, T>,
 ) {
+    gemm_on(spec_named(name), ta, tb, alpha, a, b, beta, c);
+}
+
+/// The spec of a named backend from [`gemm_available_backends`].
+///
+/// # Panics
+/// If `name` is not a backend this host supports.
+pub(crate) fn spec_named<T: Kernel>(name: &str) -> &'static KernelSpec<T> {
     let backend = *ALL_BACKENDS
         .iter()
         .find(|&&b| backend_label(b) == name && backend_supported(b))
         .unwrap_or_else(|| panic!("backend {name:?} not available on this host"));
-    gemm_on(T::spec_of(backend), ta, tb, alpha, a, b, beta, c);
+    T::spec_of(backend)
 }
 
 /// Runs the `jr`/`ir` register loops of one packed cache block:
@@ -416,7 +441,7 @@ pub(crate) unsafe fn macro_kernel<T: Scalar>(
 }
 
 #[allow(clippy::too_many_arguments)] // mirrors the 8-operand BLAS dgemm surface
-fn gemm_on<T: Kernel>(
+pub(crate) fn gemm_on<T: Kernel>(
     spec: &KernelSpec<T>,
     ta: Trans,
     tb: Trans,

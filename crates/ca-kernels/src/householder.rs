@@ -6,6 +6,7 @@
 //! Algorithm 2 line 26 of the paper) needs.
 
 use crate::gemm::{gemm, Kernel, Trans};
+use crate::trmm::{densify, tri_gemm, Side, Triangle};
 use ca_matrix::{MatView, MatViewMut, Matrix, Scalar};
 
 /// Generates an elementary reflector `H = I − τ·v·vᵀ` with `v[0] = 1` such
@@ -65,12 +66,13 @@ pub fn larft<T: Scalar>(v: MatView<'_, T>, tau: &[T], mut t: MatViewMut<'_, T>) 
     assert_eq!(tau.len(), k, "tau length must equal reflector count");
     assert!(t.nrows() >= k && t.ncols() >= k, "T must be at least k x k");
 
+    let mut w = vec![T::ZERO; k];
     for (j, &tj) in tau.iter().enumerate() {
         t.set(j, j, tj);
         if j > 0 {
             // w = Vᵀ v_j restricted to columns 0..j, where v_j has an
             // implicit 1 at row j and stored entries below.
-            let mut w = vec![T::ZERO; j];
+            let w = &mut w[..j];
             for (i, wi) in w.iter_mut().enumerate() {
                 let mut s = v.at(j, i); // row j of column i times the implicit 1
                 for r in j + 1..m {
@@ -94,75 +96,16 @@ pub fn larft<T: Scalar>(v: MatView<'_, T>, tau: &[T], mut t: MatViewMut<'_, T>) 
     }
 }
 
-/// In place `W := V₁ᵀ · W` where `V₁` is `k × k` **unit lower** triangular
-/// (stored entries strictly below the diagonal; diagonal implicit 1).
-fn trmv_unit_lower_trans<T: Scalar>(v1: MatView<'_, T>, mut w: MatViewMut<'_, T>) {
-    let k = v1.nrows();
-    debug_assert_eq!(v1.ncols(), k);
-    debug_assert_eq!(w.nrows(), k);
-    for j in 0..w.ncols() {
-        let col = w.col_mut(j);
-        // (V₁ᵀ)[i, :] has 1 at i and V1[r, i] for r > i: process ascending so
-        // each row reads only not-yet-overwritten entries.
-        for i in 0..k {
-            let mut s = col[i];
-            for (r, &cr) in col.iter().enumerate().take(k).skip(i + 1) {
-                s += v1.at(r, i) * cr;
-            }
-            col[i] = s;
-        }
-    }
-}
-
-/// In place `C₁ := C₁ − V₁ · W` where `V₁` is `k × k` unit lower triangular.
-fn sub_unit_lower_mul<T: Scalar>(v1: MatView<'_, T>, w: MatView<'_, T>, mut c1: MatViewMut<'_, T>) {
-    let k = v1.nrows();
-    debug_assert_eq!(w.nrows(), k);
-    debug_assert_eq!(c1.nrows(), k);
-    debug_assert_eq!(c1.ncols(), w.ncols());
-    for j in 0..w.ncols() {
-        let wc = w.col(j);
-        let cc = c1.col_mut(j);
-        for i in 0..k {
-            // (V₁ W)[i] = w[i] + sum_{l<i} V1[i,l] w[l]
-            let mut s = wc[i];
-            for (l, &wl) in wc.iter().enumerate().take(i) {
-                s += v1.at(i, l) * wl;
-            }
-            cc[i] -= s;
-        }
-    }
-}
-
-/// In place `W := op(T) · W` with `T` upper triangular `k × k`.
-fn trmv_upper<T: Scalar>(trans: Trans, t: MatView<'_, T>, mut w: MatViewMut<'_, T>) {
-    let k = t.nrows();
-    debug_assert_eq!(w.nrows(), k);
-    for j in 0..w.ncols() {
-        let col = w.col_mut(j);
-        match trans {
-            Trans::No => {
-                // row i uses rows >= i: ascending is safe in place.
-                for i in 0..k {
-                    let mut s = T::ZERO;
-                    for (l, &cl) in col.iter().enumerate().take(k).skip(i) {
-                        s += t.at(i, l) * cl;
-                    }
-                    col[i] = s;
-                }
-            }
-            Trans::Yes => {
-                // (Tᵀ)[i, :] uses rows <= i: descending is safe in place.
-                for i in (0..k).rev() {
-                    let mut s = T::ZERO;
-                    for (l, &cl) in col.iter().enumerate().take(i + 1) {
-                        s += t.at(l, i) * cl;
-                    }
-                    col[i] = s;
-                }
-            }
-        }
-    }
+/// Shape of the blocks below the top block of a stacked reflector set.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum VRest {
+    /// Dense blocks: what a QR of a dense stack leaves ([`crate::geqr3`],
+    /// and `dtsqrt`'s square tile).
+    Dense,
+    /// Upper-trapezoidal blocks with the zeros below each block's diagonal
+    /// stored: what a QR of stacked upper trapezoids leaves, because
+    /// reflector `j` only ever touches the first `j + 1` rows of each block.
+    UpperTrapezoid,
 }
 
 /// Applies a compact-WY block reflector `Q = I − V·T·Vᵀ` (or its transpose)
@@ -189,30 +132,44 @@ pub fn larfb_left_pair<T: Kernel>(
     c_bot: MatViewMut<'_, T>,
 ) {
     let mut c_rest = [c_bot];
-    larfb_left_multi(trans, v_top, &[v_bot], t, c_top, &mut c_rest);
+    larfb_left_multi(trans, Some(v_top), &[v_bot], VRest::Dense, t, c_top, &mut c_rest);
 }
 
 /// Generalization of [`larfb_left_pair`] to any number of discontiguous row
-/// blocks: applies `op(Q)` with `Q = I − V·T·Vᵀ` where
-/// `V = [V_top; V_rest[0]; V_rest[1]; …]` and the target is the conceptual
-/// stack `[C_top; C_rest[0]; …]`. This is the flat-tree (height-1) TSQR
-/// reduction update, where all `Tr` candidate `R` blocks reduce in one node.
+/// blocks and to the structured reflector sets of reduction trees: applies
+/// `op(Q)` with `Q = I − V·T·Vᵀ` where `V = [V_top; V_rest[0]; V_rest[1]; …]`
+/// and the target is the conceptual stack `[C_top; C_rest[0]; …]`.
+///
+/// `v_top` is `k × k` unit lower triangular as in [`larfb_left_pair`], or
+/// `None` when it is exactly the identity: the QR of a stack whose top block
+/// is an upper triangle (a TSQR tree node, `dtsqrt`) never fills it. `rest`
+/// says whether the blocks of `v_rest` are dense or upper trapezoidal; the
+/// zero parts are skipped, so a node of two `k × k` triangles costs `≈3k²n`
+/// flops ([`crate::flops::larfb_node`]) where the dense form costs `≈9k²n`.
+/// `t` is upper triangular with its strictly-lower part ignored.
+///
+/// Every product runs on the packed GEMM path ([`crate::trmm`]); the result
+/// for a column of `C` does not depend on which other columns are applied
+/// in the same call.
 ///
 /// # Panics
 /// If block shapes are inconsistent or `v_rest.len() != c_rest.len()`.
 pub fn larfb_left_multi<T: Kernel>(
     trans: Trans,
-    v_top: MatView<'_, T>,
+    v_top: Option<MatView<'_, T>>,
     v_rest: &[MatView<'_, T>],
+    rest: VRest,
     t: MatView<'_, T>,
     mut c_top: MatViewMut<'_, T>,
     c_rest: &mut [MatViewMut<'_, T>],
 ) {
-    let k = v_top.nrows();
-    assert_eq!(v_top.ncols(), k, "v_top must be square k x k");
-    assert_eq!(c_top.nrows(), k, "c_top must have k rows");
-    assert_eq!(v_rest.len(), c_rest.len(), "V and C block counts must match");
+    let k = c_top.nrows();
     let n = c_top.ncols();
+    if let Some(v_top) = v_top {
+        assert_eq!((v_top.nrows(), v_top.ncols()), (k, k), "v_top must be square k x k");
+    }
+    assert!(t.nrows() >= k && t.ncols() >= k, "T must be at least k x k");
+    assert_eq!(v_rest.len(), c_rest.len(), "V and C block counts must match");
     for (vb, cb) in v_rest.iter().zip(c_rest.iter()) {
         assert_eq!(vb.ncols(), k, "each V block must have k columns");
         assert_eq!(cb.nrows(), vb.nrows(), "C block rows must match V block");
@@ -221,22 +178,47 @@ pub fn larfb_left_multi<T: Kernel>(
     if n == 0 || k == 0 {
         return;
     }
+    let spec = T::spec();
+    // V_rest[i] (or its transpose) times a k-row block, skipping stored zeros.
+    let rest_mul = |tv, alpha, v: MatView<'_, T>, b: MatView<'_, T>, c: MatViewMut<'_, T>| match rest {
+        VRest::Dense => gemm(tv, Trans::No, alpha, v, b, T::ONE, c),
+        VRest::UpperTrapezoid => tri_gemm(spec, Side::Left, Triangle::Upper, tv, alpha, v, b, T::ONE, c),
+    };
 
-    let mut w = Matrix::zeros(k, n);
-    w.view_mut().copy_from(c_top.as_ref());
-    trmv_unit_lower_trans(v_top, w.view_mut());
-    for (vb, cb) in v_rest.iter().zip(c_rest.iter()) {
-        if vb.nrows() > 0 {
-            gemm(Trans::Yes, Trans::No, T::ONE, *vb, cb.as_ref(), T::ONE, w.view_mut());
+    T::with_work_buf(|work| {
+        let (w, scratch) = work.scratch(2 * k * (n + k)).split_at_mut(k * n);
+        let (w2, scratch) = scratch.split_at_mut(k * n);
+        let (v_dense, t_dense) = scratch.split_at_mut(k * k);
+        let mut w = MatViewMut::from_slice(w, k, n);
+        let mut w2 = MatViewMut::from_slice(w2, k, n);
+        let v_top = v_top.map(|v| densify(Triangle::UnitLower, v, v_dense));
+        let t = densify(Triangle::Upper, t.sub(0, 0, k, k), t_dense);
+
+        // W := Vᵀ C
+        match v_top {
+            Some(v) => tri_gemm(spec, Side::Left, Triangle::UnitLower, Trans::Yes, T::ONE, v, c_top.as_ref(), T::ZERO, w.rb()),
+            None => w.copy_from(c_top.as_ref()),
         }
-    }
-    trmv_upper(trans, t, w.view_mut());
-    sub_unit_lower_mul(v_top, w.view(), c_top.rb());
-    for (vb, cb) in v_rest.iter().zip(c_rest.iter_mut()) {
-        if vb.nrows() > 0 {
-            gemm(Trans::No, Trans::No, -T::ONE, *vb, w.view(), T::ONE, cb.rb());
+        for (vb, cb) in v_rest.iter().zip(c_rest.iter()) {
+            rest_mul(Trans::Yes, T::ONE, *vb, cb.as_ref(), w.rb());
         }
-    }
+        // W₂ := op(T) W
+        tri_gemm(spec, Side::Left, Triangle::Upper, trans, T::ONE, t, w.as_ref(), T::ZERO, w2.rb());
+        // C := C − V W₂
+        match v_top {
+            Some(v) => tri_gemm(spec, Side::Left, Triangle::UnitLower, Trans::No, -T::ONE, v, w2.as_ref(), T::ONE, c_top.rb()),
+            None => {
+                for j in 0..n {
+                    for (c, &x) in c_top.col_mut(j).iter_mut().zip(w2.col(j)) {
+                        *c -= x;
+                    }
+                }
+            }
+        }
+        for (vb, cb) in v_rest.iter().zip(c_rest.iter_mut()) {
+            rest_mul(Trans::No, -T::ONE, *vb, w2.as_ref(), cb.rb());
+        }
+    });
 }
 
 /// Applies `op(Q)` from the left to a contiguous `m × n` block `c`, where

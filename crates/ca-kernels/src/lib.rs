@@ -8,12 +8,13 @@
 //! |---|---|
 //! | `dgemm`  | [`gemm`] |
 //! | `dtrsm`  | [`trsm_right_upper_notrans`] and friends |
+//! | `dtrmm`  | [`trmm`] (out of place, on the packed GEMM path) |
 //! | `dger` / `idamax` | [`ger`], [`iamax`] |
 //! | `dgetf2` | [`getf2`] (BLAS2 GEPP) |
 //! | `rgetf2` | [`rgetf2`] (recursive GEPP, Toledo) |
 //! | `dgeqr2` | [`geqr2`] (BLAS2 Householder QR) |
 //! | `dgeqr3` | [`geqr3`] (recursive QR, Elmroth–Gustavson) |
-//! | `dlarfg`/`dlarf`/`dlarft`/`dlarfb` | [`larfg`], [`larf_left`], [`larft`], [`larfb_left`], [`larfb_left_pair`] |
+//! | `dlarfg`/`dlarf`/`dlarft`/`dlarfb` | [`larfg`], [`larf_left`], [`larft`], [`larfb_left`], [`larfb_left_pair`], [`larfb_left_multi`] (incl. the structured tree-node form) |
 //!
 //! All kernels operate on [`ca_matrix::MatView`]/[`ca_matrix::MatViewMut`]
 //! blocks, so they compose into panel/tile tasks without copying, and all
@@ -49,6 +50,7 @@ mod lu_recursive;
 mod lu_unblocked;
 mod qr_recursive;
 mod qr_unblocked;
+mod trmm;
 mod trsm;
 
 pub use axpy::gemm_axpy;
@@ -60,12 +62,13 @@ pub use ger::{ger, iamax, scal};
 pub use pack::{pack_a, pack_b, PackTrans};
 pub use par_gemm::{gemm_packed, pack_a_slab, pack_b_panel, packed_a_len, packed_b_len, par_gemm};
 pub use householder::{
-    form_q_thin, larf_left, larfb_left, larfb_left_multi, larfb_left_pair, larfg, larft,
+    form_q_thin, larf_left, larfb_left, larfb_left_multi, larfb_left_pair, larfg, larft, VRest,
 };
 pub use lu_recursive::rgetf2;
 pub use lu_unblocked::{getf2, lu_nopiv, LuInfo};
 pub use qr_recursive::geqr3;
 pub use qr_unblocked::geqr2;
+pub use trmm::{trmm, trmm_with_backend, Side, Triangle};
 pub use trsm::{
     trsm_left_lower_trans_unit, trsm_left_lower_unit, trsm_left_upper_notrans,
     trsm_left_upper_trans, trsm_right_upper_notrans,

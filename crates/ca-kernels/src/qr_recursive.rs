@@ -9,7 +9,8 @@
 use crate::gemm::{gemm, Kernel, Trans};
 use crate::householder::{larfb_left, larft};
 use crate::qr_unblocked::geqr2;
-use ca_matrix::{MatView, MatViewMut, Matrix, Scalar};
+use crate::trmm::{densify, tri_gemm, Side, Triangle};
+use ca_matrix::MatViewMut;
 
 /// Column count at which recursion bottoms out into `geqr2` + `larft`.
 const BASE_COLS: usize = 4;
@@ -53,76 +54,37 @@ pub fn geqr3<T: Kernel>(mut a: MatViewMut<'_, T>, mut t: MatViewMut<'_, T>) {
     geqr3(a.sub(n1, n1, m - n1, n2), t.sub(n1, n1, n2, n2));
 
     // T3 = T[0..n1, n1..n] = −T1 · (V1ᵀ V2) · T2, where V2 is embedded in
-    // rows n1..m. V1ᵀV2 = V1[n1.., :]ᵀ · V2 with V2's unit-diagonal top
-    // block materialized explicitly (it is at most BASE-sized relative to b).
+    // rows n1..m: its unit-lower top block L2 meets rows n1..n of V1 as a
+    // triangular product, the rest is a plain gemm (the `dgeqrt3` order).
     {
-        let v2_unit = materialize_unit_lower(a.as_ref().sub(n1, n1, m - n1, n2));
-        let v1_low = a.as_ref().sub(n1, 0, m - n1, n1);
-        let mut w = Matrix::zeros(n1, n2);
-        gemm(Trans::Yes, Trans::No, T::ONE, v1_low, v2_unit.view(), T::ZERO, w.view_mut());
-
-        // w := T1 * w (T1 upper triangular n1×n1)
-        let t1 = t.as_ref().sub(0, 0, n1, n1);
-        trmm_upper_left(t1, w.view_mut());
-        // w := w * T2 (T2 upper triangular n2×n2)
-        let t2 = t.as_ref().sub(n1, n1, n2, n2);
-        trmm_upper_right(t2, w.view_mut());
-
-        let mut t3 = t.sub(0, n1, n1, n2);
-        for j in 0..n2 {
-            for i in 0..n1 {
-                t3.set(i, j, -w[(i, j)]);
+        let (va, vb) = (a.as_ref().sub(n1, 0, n2, n1), a.as_ref().sub(n, 0, m - n, n1));
+        let (l2, v2b) = (a.as_ref().sub(n1, n1, n2, n2), a.as_ref().sub(n, n1, m - n, n2));
+        let (t1, t3, _, t2) = t.into_sub(0, 0, n, n).split_quad(n1, n1);
+        let (t1, t2) = (t1.as_ref(), t2.as_ref());
+        let spec = T::spec();
+        T::with_work_buf(|work| {
+            // n1 <= n2, so an n2 x n2 block holds either densified triangle.
+            let (x, scratch) = work.scratch(2 * n1 * n2 + n2 * n2).split_at_mut(n1 * n2);
+            let (y, tri) = scratch.split_at_mut(n1 * n2);
+            let mut x = MatViewMut::from_slice(x, n1, n2);
+            let mut y = MatViewMut::from_slice(y, n1, n2);
+            // x := V1[n1..n, :]ᵀ
+            for j in 0..n2 {
+                for (i, xi) in x.col_mut(j).iter_mut().enumerate() {
+                    *xi = va.at(j, i);
+                }
             }
-        }
-    }
-}
-
-/// Copies a unit-lower-trapezoidal reflector block into an explicit dense
-/// matrix (upper part zeroed, unit diagonal written).
-fn materialize_unit_lower<T: Scalar>(v: MatView<'_, T>) -> Matrix<T> {
-    let m = v.nrows();
-    let k = v.ncols();
-    Matrix::from_fn(m, k, |i, j| {
-        if i == j {
-            T::ONE
-        } else if i > j {
-            v.at(i, j)
-        } else {
-            T::ZERO
-        }
-    })
-}
-
-/// In place `W := T · W` with `T` upper triangular (non-unit).
-fn trmm_upper_left<T: Scalar>(t: MatView<'_, T>, mut w: MatViewMut<'_, T>) {
-    let k = t.nrows();
-    debug_assert_eq!(w.nrows(), k);
-    for j in 0..w.ncols() {
-        let col = w.col_mut(j);
-        for i in 0..k {
-            let mut s = T::ZERO;
-            for (l, &cl) in col.iter().enumerate().take(k).skip(i) {
-                s += t.at(i, l) * cl;
-            }
-            col[i] = s;
-        }
-    }
-}
-
-/// In place `W := W · T` with `T` upper triangular (non-unit).
-fn trmm_upper_right<T: Scalar>(t: MatView<'_, T>, mut w: MatViewMut<'_, T>) {
-    let k = t.nrows();
-    debug_assert_eq!(w.ncols(), k);
-    let m = w.nrows();
-    // Column j of the result uses columns 0..=j of W: process right-to-left.
-    for j in (0..k).rev() {
-        for i in 0..m {
-            let mut s = T::ZERO;
-            for l in 0..=j {
-                s += w.at(i, l) * t.at(l, j);
-            }
-            w.set(i, j, s);
-        }
+            // y := x·L2 + V1[n.., :]ᵀ·V2[n.., :]
+            let l2 = densify(Triangle::UnitLower, l2, &mut tri[..n2 * n2]);
+            tri_gemm(spec, Side::Right, Triangle::UnitLower, Trans::No, T::ONE, l2, x.as_ref(), T::ZERO, y.rb());
+            gemm(Trans::Yes, Trans::No, T::ONE, vb, v2b, T::ONE, y.rb());
+            // x := −T1·y
+            let t1 = densify(Triangle::Upper, t1, &mut tri[..n1 * n1]);
+            tri_gemm(spec, Side::Left, Triangle::Upper, Trans::No, -T::ONE, t1, y.as_ref(), T::ZERO, x.rb());
+            // T3 := x·T2
+            let t2 = densify(Triangle::Upper, t2, &mut tri[..n2 * n2]);
+            tri_gemm(spec, Side::Right, Triangle::Upper, Trans::No, T::ONE, t2, x.as_ref(), T::ZERO, t3);
+        });
     }
 }
 
@@ -130,7 +92,7 @@ fn trmm_upper_right<T: Scalar>(t: MatView<'_, T>, mut w: MatViewMut<'_, T>) {
 mod tests {
     use super::*;
     use crate::householder::form_q_thin;
-    use ca_matrix::{norm_max, orthogonality, qr_residual};
+    use ca_matrix::{norm_max, orthogonality, qr_residual, Matrix};
 
     fn check(m: usize, n: usize, seed: u64) {
         let a0 = ca_matrix::random_uniform(m, n, &mut ca_matrix::seeded_rng(seed));

@@ -63,6 +63,14 @@ pub fn larfb(m: usize, n: usize, k: usize) -> f64 {
     W * ((m * k) as f64 + (k * k / 2) as f64 + 2.0 * (m * n) as f64 + 2.0 * (k * n) as f64)
 }
 
+/// Structured tree-node application onto `n` columns of the `rows` stacked
+/// rows (top block included): read the `v_len` stored entries of the lower
+/// blocks of `V` (see [`crate::flops::larfb_node`]) and `T`, read+write C,
+/// plus the two `k × n` workspaces.
+pub fn larfb_node(v_len: usize, rows: usize, n: usize, k: usize) -> f64 {
+    W * ((v_len + k * k / 2) as f64 + 2.0 * (rows * n) as f64 + 2.0 * (k * n) as f64)
+}
+
 /// BLAS2 GEPP of an `m × n` panel: the trailing block is re-read and
 /// re-written once per column — `n` passes over O(m·n) data. This is the
 /// term TSLU's single-pass-per-level structure avoids.

@@ -126,7 +126,6 @@ fn trsm_left_lower_unit_base<T: Scalar>(l: MatView<'_, T>, mut b: MatViewMut<'_,
                 }
             }
         }
-        let _ = j;
     }
 }
 

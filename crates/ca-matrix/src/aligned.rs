@@ -78,6 +78,10 @@ impl<T: Scalar> AlignedBuf<T> {
     /// previous user left) — packing code overwrites every element it reads.
     pub fn scratch(&mut self, len: usize) -> &mut [T] {
         self.reserve(len);
+        if len == 0 {
+            // A never-grown buffer has a null `ptr`, which no slice may hold.
+            return &mut [];
+        }
         // SAFETY: `ptr` holds at least `len` initialized (zeroed-at-alloc)
         // elements and we hold `&mut self`.
         unsafe { core::slice::from_raw_parts_mut(self.ptr, len) }
@@ -142,6 +146,7 @@ mod tests {
         let mut b: AlignedBuf = AlignedBuf::new();
         assert!(b.is_empty());
         assert_eq!(&b[..], &[]);
+        assert!(b.scratch(0).is_empty());
         let s = b.scratch(17);
         assert_eq!(s.len(), 17);
         assert!(s.iter().all(|&x| x == 0.0));

@@ -462,3 +462,258 @@ fn par_gemm_bitwise_identical_to_serial_at_every_worker_count() {
     check_par::<f32>(Trans::No, Trans::No, 23);
     check_par::<f32>(Trans::No, Trans::Yes, 24);
 }
+
+// ---------------------------------------------------------------------------
+// Triangular products and the compact-WY applications built on them
+// (DESIGN.md §10 "triangular products"): every `trmm` variant against a dense
+// reference on every backend, column-partition independence of `larfb_left`,
+// `larfb_left_pair` and `node_apply` bit for bit, and the structured
+// tree-node application against an explicit dense `Q`.
+// ---------------------------------------------------------------------------
+
+use ca_factor::core::tsqr::{node_apply, node_qr, NodePlan, NodeQ};
+use ca_factor::kernels::{
+    geqr3, larfb_left, larfb_left_pair, trmm_with_backend, Kernel, Side, Triangle,
+};
+use ca_factor::matrix::SharedMatrix;
+
+/// `op(tri(A))` as an explicit dense f64 matrix: the ignored half dropped,
+/// the unit diagonal written.
+fn explicit_triangle<T: Scalar>(tri: Triangle, trans: Trans, a: &Matrix<T>) -> Matrix {
+    let dense = match tri {
+        Triangle::Upper => a.to_f64().upper(),
+        Triangle::UnitLower => a.to_f64().unit_lower(),
+    };
+    match trans {
+        Trans::No => dense,
+        Trans::Yes => dense.transpose(),
+    }
+}
+
+fn trmm_grid<T: Kernel>(nr: usize) {
+    let backends = gemm_available_backends();
+    let (alpha, beta) = (-1.0, 0.37);
+    let mut rng = seeded_rng(4242);
+    for &k in &[1, 3, 4, 5, 16, 63, 64, 65, 100] {
+        for &n in &[0, 1, nr - 1, nr, nr + 1, 200] {
+            let a = Matrix::<T>::from_f64(&random_uniform(k, k, &mut rng));
+            for side in [Side::Left, Side::Right] {
+                let (br, bc) = if side == Side::Left { (k, n) } else { (n, k) };
+                let b = Matrix::<T>::from_f64(&random_uniform(br, bc, &mut rng));
+                let b64 = b.to_f64();
+                let c0 = Matrix::<T>::from_f64(&random_uniform(br, bc, &mut rng));
+                for tri in [Triangle::Upper, Triangle::UnitLower] {
+                    for trans in TRANS {
+                        let op = explicit_triangle(tri, trans, &a);
+                        let ab = match side {
+                            Side::Left => op.matmul(&b64),
+                            Side::Right => b64.matmul(&op),
+                        };
+                        for name in &backends {
+                            let mut c = c0.clone();
+                            trmm_with_backend(
+                                name,
+                                side,
+                                tri,
+                                trans,
+                                T::from_f64(alpha),
+                                a.view(),
+                                b.view(),
+                                T::from_f64(beta),
+                                c.view_mut(),
+                            );
+                            for j in 0..bc {
+                                for i in 0..br {
+                                    let want = alpha * ab[(i, j)] + beta * c0[(i, j)].to_f64();
+                                    assert!(
+                                        (c[(i, j)].to_f64() - want).abs() <= tol_t::<T>(k),
+                                        "{} {name} {side:?} {tri:?} {trans:?} k={k} n={n} at ({i},{j})",
+                                        T::NAME
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn trmm_every_variant_matches_dense_reference_on_every_backend() {
+    trmm_grid::<f64>(NR);
+    trmm_grid::<f32>(8); // the f32 tiles are 8 columns wide on every backend
+}
+
+fn bits<T: Scalar>(m: &Matrix<T>) -> Vec<u64> {
+    m.as_slice().iter().map(|x| x.to_bits_u64()).collect()
+}
+
+/// A TSQR node over stacked upper trapezoids of the given heights (the
+/// first one `kk` rows), panel width `w`, with its rows scattered over a
+/// taller matrix the way a panel's groups are.
+fn build_node<T: Kernel>(w: usize, lens: &[usize], seed: u64) -> (NodeQ<T>, usize) {
+    let gap = 3;
+    let mut row_ranges = Vec::new();
+    let mut at = 1;
+    for &len in lens {
+        row_ranges.push(at..at + len);
+        at += len + gap;
+    }
+    let rows = at;
+    let full = random_uniform(rows, w, &mut seeded_rng(seed));
+    // Upper trapezoid in each participant's rows; junk (as a leaf's V would
+    // be) below each diagonal and between the participants.
+    let a = Matrix::<T>::from_f64(&full);
+    let total: usize = lens.iter().sum();
+    let plan = NodePlan { level: 0, participants: (0..lens.len()).collect(), row_ranges, kk: total.min(w) };
+    (node_qr(&SharedMatrix::new(a), 0, w, &plan), rows)
+}
+
+#[test]
+fn compact_wy_applications_do_not_depend_on_the_column_partition() {
+    fn check<T: Kernel>() {
+        let (m, k, n, b) = (150, 40, 100, 16);
+        let mut rng = seeded_rng(77);
+        let mut v = Matrix::<T>::from_f64(&random_uniform(m, k, &mut rng));
+        let mut t = Matrix::<T>::zeros(k, k);
+        geqr3(v.view_mut(), t.view_mut());
+        let c0 = Matrix::<T>::from_f64(&random_uniform(m, n, &mut rng));
+
+        for trans in TRANS {
+            // larfb_left, whole width vs b-wide chunks.
+            let mut whole = c0.clone();
+            larfb_left(trans, v.view(), t.view(), whole.view_mut());
+            let mut chunked = c0.clone();
+            for j0 in (0..n).step_by(b) {
+                let wj = b.min(n - j0);
+                larfb_left(trans, v.view(), t.view(), chunked.block_mut(0, j0, m, wj));
+            }
+            assert_eq!(bits(&whole), bits(&chunked), "{} larfb_left {trans:?}", T::NAME);
+
+            // larfb_left_pair on two discontiguous row blocks of C.
+            let (v_top, v_bot) = (v.block(0, 0, k, k), v.block(k, 0, m - k, k));
+            let (top0, bot0) = (c0.block(0, 0, k, n), c0.block(k, 0, m - k, n));
+            let own = |x| Matrix::vstack(&[x]);
+            let (mut wt, mut wb) = (own(top0), own(bot0));
+            larfb_left_pair(trans, v_top, v_bot, t.view(), wt.view_mut(), wb.view_mut());
+            let (mut ct, mut cb) = (own(top0), own(bot0));
+            for j0 in (0..n).step_by(b) {
+                let wj = b.min(n - j0);
+                larfb_left_pair(
+                    trans,
+                    v_top,
+                    v_bot,
+                    t.view(),
+                    ct.block_mut(0, j0, k, wj),
+                    cb.block_mut(0, j0, m - k, wj),
+                );
+            }
+            assert_eq!(bits(&wt), bits(&ct), "{} larfb_left_pair top {trans:?}", T::NAME);
+            assert_eq!(bits(&wb), bits(&cb), "{} larfb_left_pair bottom {trans:?}", T::NAME);
+            // The pair form is the contiguous form on split views.
+            assert_eq!(bits(&whole), bits(&Matrix::vstack(&[wt.view(), wb.view()])));
+
+            // node_apply: the DAG's b-wide S tasks vs caqr_seq's one call.
+            let (node, rows) = build_node::<T>(k, &[k, k, k - 7], 5);
+            let d0 = Matrix::<T>::from_f64(&random_uniform(rows, n, &mut rng));
+            let whole = SharedMatrix::new(d0.clone());
+            node_apply(&node, &whole, 0..n, trans);
+            let chunked = SharedMatrix::new(d0);
+            for j0 in (0..n).step_by(b) {
+                node_apply(&node, &chunked, j0..(j0 + b).min(n), trans);
+            }
+            assert_eq!(
+                bits(&whole.into_inner()),
+                bits(&chunked.into_inner()),
+                "{} node_apply {trans:?}",
+                T::NAME
+            );
+        }
+    }
+    check::<f64>();
+    check::<f32>();
+}
+
+/// `op(Q)·C` for the node's `Q = I − V·T·Vᵀ` formed densely in f64 from the
+/// packed stack (`V` unit lower trapezoidal as stored, `T` upper), applied
+/// to the node's rows of `c`; every other row is left as it was.
+fn node_apply_reference<T: Scalar>(node: &NodeQ<T>, trans: Trans, c: &Matrix<T>) -> Matrix {
+    let (v, t) = (node.v.to_f64().unit_lower(), node.t.to_f64().upper());
+    let s = v.nrows();
+    let t = if trans == Trans::Yes { t.transpose() } else { t };
+    let q = Matrix::identity(s).sub_matrix(&v.matmul(&t).matmul(&v.transpose()));
+    let rows: Vec<usize> = node.row_ranges.iter().flat_map(|r| r.clone()).collect();
+    let c = c.to_f64();
+    let stacked = Matrix::from_fn(s, c.ncols(), |i, j| c[(rows[i], j)]);
+    let applied = q.matmul(&stacked);
+    let mut out = c;
+    for (i, &r) in rows.iter().enumerate() {
+        for j in 0..out.ncols() {
+            out[(r, j)] = applied[(i, j)];
+        }
+    }
+    out
+}
+
+#[test]
+fn structured_node_apply_matches_dense_q() {
+    fn check<T: Kernel>(w: usize, lens: &[usize], seed: u64) {
+        let (node, rows) = build_node::<T>(w, lens, seed);
+        let k = node.kk;
+        // What the structured form relies on: an identity top block and
+        // upper-trapezoidal blocks below it.
+        let mut off = 0;
+        for range in &node.row_ranges {
+            for i in 0..range.len() {
+                for j in 0..i.min(k) {
+                    assert_eq!(node.v[(off + i, j)].to_f64(), 0.0, "V not structured at ({},{j})", off + i);
+                }
+            }
+            off += range.len();
+        }
+        let n = 37;
+        let c0 = Matrix::<T>::from_f64(&random_uniform(rows, n, &mut seeded_rng(seed + 1)));
+        let tol = 64.0 * (k.max(1) as f64) * T::EPSILON.to_f64();
+        for trans in TRANS {
+            let want = node_apply_reference(&node, trans, &c0);
+            let dst = SharedMatrix::new(c0.clone());
+            node_apply(&node, &dst, 0..n, trans);
+            let got = dst.into_inner();
+            for j in 0..n {
+                for i in 0..rows {
+                    assert!(
+                        (got[(i, j)].to_f64() - want[(i, j)]).abs() <= tol,
+                        "{} w={w} lens={lens:?} {trans:?} at ({i},{j}): got {} want {}",
+                        T::NAME,
+                        got[(i, j)],
+                        want[(i, j)]
+                    );
+                }
+            }
+        }
+        // Qᵀ then Q is the identity.
+        let dst = SharedMatrix::new(c0.clone());
+        node_apply(&node, &dst, 0..n, Trans::Yes);
+        node_apply(&node, &dst, 0..n, Trans::No);
+        let back = dst.into_inner();
+        for (x, y) in back.as_slice().iter().zip(c0.as_slice()) {
+            assert!((x.to_f64() - y.to_f64()).abs() <= tol, "{} round trip w={w} lens={lens:?}", T::NAME);
+        }
+    }
+    for (seed, (w, lens)) in [
+        (64, &[64, 64][..]),       // the two-triangle node
+        (40, &[40, 40, 40, 40]),   // TreeShape::Flat: four participants in one node
+        (40, &[40, 13]),           // short last participant
+        (33, &[33, 33, 5]),        // three participants, ragged tail, odd width
+        (12, &[5, 0]),             // kk < w: fewer stacked rows than panel columns
+        (1, &[1, 1]),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        check::<f64>(w, lens, 100 + seed as u64);
+        check::<f32>(w, lens, 200 + seed as u64);
+    }
+}
