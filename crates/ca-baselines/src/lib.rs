@@ -24,6 +24,49 @@ pub mod tile_kernels;
 mod tiled_lu;
 mod tiled_qr;
 
+use ca_matrix::{Matrix, SharedMatrix};
+use ca_sched::{AccessMap, CheckedError, TaskGraph};
+
+/// Runs a tile-algorithm graph over `a` on `threads` workers and returns the
+/// factored matrix. `checked` adds the full verification stack: an
+/// element-rect static soundness proof up front (the tile algorithms split
+/// diagonal tiles element-wise between two kernels, which only
+/// [`ca_sched::Granularity::Rect`] can tell apart), then execution under a
+/// shadow registry whose sub-tile leases audit every access.
+fn run_tiles<S: Copy + Send + Sync>(
+    a: Matrix,
+    b: usize,
+    threads: usize,
+    checked: bool,
+    graph: &TaskGraph<S>,
+    access: &AccessMap,
+    exec: impl Fn(&SharedMatrix, S) + Sync,
+) -> Result<Matrix, CheckedError> {
+    assert!(b > 0 && threads > 0);
+    let (m, n) = (a.nrows(), a.ncols());
+    let registry = if checked {
+        let opts = ca_sched::VerifyOptions {
+            granularity: ca_sched::Granularity::Rect,
+            lint_edges: false,
+        };
+        ca_sched::verify_graph_with(graph, access, &opts).map_err(CheckedError::Soundness)?;
+        Some(ca_sched::build_shadow_registry(graph, access, b, m, n))
+    } else {
+        None
+    };
+    let shared = match &registry {
+        Some(registry) => SharedMatrix::with_shadow(a, registry.clone()),
+        None => SharedMatrix::new(a),
+    };
+    let jobs = graph.map_ref(|_, &spec| {
+        let (exec, shared) = (&exec, &shared);
+        ca_sched::job(move || exec(shared, spec))
+    });
+    let opts = ca_sched::RunOptions { shadow: registry.as_ref(), ..Default::default() };
+    ca_sched::execute(jobs, threads, &opts).into_result()?;
+    Ok(shared.into_inner())
+}
+
 pub use geqrf_blocked::{geqrf_blocked, geqrf_blocked_task_graph, BlockedQr};
 pub use getrf_blocked::{getrf_blocked, getrf_blocked_task_graph, BlockedLu};
 pub use tiled_lu::{

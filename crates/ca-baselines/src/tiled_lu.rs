@@ -15,8 +15,7 @@ use ca_kernels::{trsm_left_upper_notrans, LuInfo};
 use ca_matrix::shadow::ElemRect;
 use ca_matrix::{Matrix, SharedMatrix};
 use ca_sched::{
-    build_shadow_registry, run_graph, try_run_graph_checked, AccessMap, BlockTracker,
-    CheckedError, Job, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta,
+    AccessMap, BlockTracker, CheckedError, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta,
 };
 use std::sync::OnceLock;
 
@@ -267,29 +266,11 @@ fn exec(ctx: &Ctx, a: &SharedMatrix, t: TiledLuTask) {
 }
 
 /// Tiled LU of a square matrix with tile size `b`, on `threads` workers.
+///
+/// # Panics
+/// If a worker task panics.
 pub fn tiled_lu(a: Matrix, b: usize, threads: usize) -> TiledLu {
-    let m = a.nrows();
-    let n = a.ncols();
-    assert!(b > 0 && threads > 0);
-    let (graph, ctx, _access) = build(m, n, b);
-    let shared = SharedMatrix::new(a);
-    let jobs: TaskGraph<Job<'_>> = graph.map_ref(|_, &spec| {
-        let ctx = &ctx;
-        let shared = &shared;
-        ca_sched::job(move || exec(ctx, shared, spec))
-    });
-    run_graph(jobs, threads);
-
-    TiledLu {
-        a: shared.into_inner(),
-        b,
-        diag: ctx.diag.into_iter().map(|d| d.into_inner().expect("diag missing")).collect(),
-        trans: ctx
-            .trans
-            .into_iter()
-            .map(|v| v.into_iter().map(|t| t.into_inner().expect("trans missing")).collect())
-            .collect(),
-    }
+    run(a, b, threads, false).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`tiled_lu`] under the dynamic race detector: every access runs
@@ -306,26 +287,17 @@ pub fn try_tiled_lu_checked(
     b: usize,
     threads: usize,
 ) -> Result<TiledLu, CheckedError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    assert!(b > 0 && threads > 0);
-    let (graph, ctx, access) = build(m, n, b);
-    let opts = ca_sched::VerifyOptions {
-        granularity: ca_sched::Granularity::Rect,
-        lint_edges: false,
-    };
-    ca_sched::verify_graph_with(&graph, &access, &opts).map_err(CheckedError::Soundness)?;
-    let registry = build_shadow_registry(&graph, &access, b, m, n);
-    let shared = SharedMatrix::with_shadow(a, registry.clone());
-    let jobs: TaskGraph<Job<'_>> = graph.map_ref(|_, &spec| {
-        let ctx = &ctx;
-        let shared = &shared;
-        ca_sched::job(move || exec(ctx, shared, spec))
-    });
-    try_run_graph_checked(jobs, threads, &registry)?;
+    run(a, b, threads, true)
+}
+
+fn run(a: Matrix, b: usize, threads: usize, checked: bool) -> Result<TiledLu, CheckedError> {
+    let (graph, ctx, access) = build(a.nrows(), a.ncols(), b);
+    let a = crate::run_tiles(a, b, threads, checked, &graph, &access, |shared, spec| {
+        exec(&ctx, shared, spec)
+    })?;
 
     Ok(TiledLu {
-        a: shared.into_inner(),
+        a,
         b,
         diag: ctx.diag.into_iter().map(|d| d.into_inner().expect("diag missing")).collect(),
         trans: ctx

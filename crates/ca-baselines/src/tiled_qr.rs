@@ -13,8 +13,7 @@ use ca_kernels::{larfb_left, trsm_left_upper_notrans, Trans};
 use ca_matrix::shadow::ElemRect;
 use ca_matrix::{Matrix, SharedMatrix};
 use ca_sched::{
-    build_shadow_registry, run_graph, try_run_graph_checked, AccessMap, BlockTracker,
-    CheckedError, Job, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta,
+    AccessMap, BlockTracker, CheckedError, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta,
 };
 use std::sync::OnceLock;
 
@@ -308,55 +307,28 @@ fn exec(ctx: &Ctx, a: &SharedMatrix, t: TiledQrTask) {
 
 /// Tiled QR of a tall or square matrix with tile size `b`, on `threads`
 /// workers.
+///
+/// # Panics
+/// If a worker task panics.
 pub fn tiled_qr(a: Matrix, b: usize, threads: usize) -> TiledQr {
-    let m = a.nrows();
-    let n = a.ncols();
-    assert!(b > 0 && threads > 0);
-    let (graph, ctx, _access) = build(m, n, b);
-    let shared = SharedMatrix::new(a);
-    let jobs: TaskGraph<Job<'_>> = graph.map_ref(|_, &spec| {
-        let ctx = &ctx;
-        let shared = &shared;
-        ca_sched::job(move || exec(ctx, shared, spec))
-    });
-    run_graph(jobs, threads);
-
-    TiledQr {
-        a: shared.into_inner(),
-        b,
-        t_diag: ctx.t_diag.into_iter().map(|t| t.into_inner().expect("T missing")).collect(),
-        t_ts: ctx
-            .t_ts
-            .into_iter()
-            .map(|v| v.into_iter().map(|t| t.into_inner().expect("T missing")).collect())
-            .collect(),
-    }
+    run(a, b, threads, false).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// [`tiled_qr`] with the full verification stack: element-rect static
 /// soundness proof up front, then execution under a shadow registry with
 /// sub-tile leases auditing every access.
 pub fn try_tiled_qr_checked(a: Matrix, b: usize, threads: usize) -> Result<TiledQr, CheckedError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    assert!(b > 0 && threads > 0);
-    let (graph, ctx, access) = build(m, n, b);
-    let opts = ca_sched::VerifyOptions {
-        granularity: ca_sched::Granularity::Rect,
-        ..Default::default()
-    };
-    ca_sched::verify_graph_with(&graph, &access, &opts).map_err(CheckedError::Soundness)?;
-    let registry = build_shadow_registry(&graph, &access, b, m, n);
-    let shared = SharedMatrix::with_shadow(a, registry.clone());
-    let jobs: TaskGraph<Job<'_>> = graph.map_ref(|_, &spec| {
-        let ctx = &ctx;
-        let shared = &shared;
-        ca_sched::job(move || exec(ctx, shared, spec))
-    });
-    try_run_graph_checked(jobs, threads, &registry)?;
+    run(a, b, threads, true)
+}
+
+fn run(a: Matrix, b: usize, threads: usize, checked: bool) -> Result<TiledQr, CheckedError> {
+    let (graph, ctx, access) = build(a.nrows(), a.ncols(), b);
+    let a = crate::run_tiles(a, b, threads, checked, &graph, &access, |shared, spec| {
+        exec(&ctx, shared, spec)
+    })?;
 
     Ok(TiledQr {
-        a: shared.into_inner(),
+        a,
         b,
         t_diag: ctx.t_diag.into_iter().map(|t| t.into_inner().expect("T missing")).collect(),
         t_ts: ctx

@@ -5,7 +5,7 @@
 //! and EXPERIMENTS.md for paper-vs-measured results.
 //!
 //! Layers:
-//! * [`calibrate`] — measures per-kernel-class throughput on this host;
+//! * [`calibrate()`] — measures per-kernel-class throughput on this host;
 //! * [`MachineModel`] — the simulated 8/16-core machine (hardware
 //!   substitution layer) replaying task graphs with calibrated costs;
 //! * [`Algo`] — uniform simulated/measured access to every contender

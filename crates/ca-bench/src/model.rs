@@ -6,7 +6,7 @@
 //! significant").
 
 use crate::calibrate::Calibration;
-use ca_sched::{profile_simulate, simulate, FaultPlan, Profile, TaskGraph, Timeline};
+use ca_sched::{simulate, simulate_with, Profile, SimOptions, TaskGraph, Timeline};
 
 /// A virtual multicore machine for replaying factorization task graphs.
 #[derive(Clone, Debug)]
@@ -49,10 +49,10 @@ impl MachineModel {
     /// metric, critical-path efficiency, roofline attribution). Same
     /// schedule as [`MachineModel::run`], and fully deterministic.
     pub fn profile<T>(&self, graph: &TaskGraph<T>) -> Profile {
-        let (profile, failure) =
-            profile_simulate(graph, self.cores, |_, meta| self.task_seconds(meta), &FaultPlan::new());
-        debug_assert!(failure.is_none(), "no faults injected");
-        profile
+        let opts = SimOptions { profile: true, ..Default::default() };
+        simulate_with(graph, self.cores, |_, meta| self.task_seconds(meta), &opts)
+            .profile
+            .expect("profiling requested")
     }
 
     /// Replays a task graph and converts to GFlop/s using the *useful*

@@ -5,7 +5,8 @@
 //! `ca-sched` worker pool. Both write LAPACK-`dgetrf`-compatible output:
 //! packed `L\U` in place plus a global interchange sequence.
 
-use crate::dag_calu;
+use crate::dag::{run_plan, FactorOptions};
+use crate::dag_calu::CaluPlan;
 use crate::error::{find_non_finite, FactorError, DEFAULT_GROWTH_LIMIT};
 use crate::params::CaParams;
 use crate::tslu::factor_panel_limited;
@@ -187,14 +188,12 @@ pub fn calu_seq_factor<T: Kernel>(mut a: Matrix<T>, p: &CaParams) -> LuFactors<T
 
 /// Multithreaded CALU (Algorithm 1): builds the task dependency graph and
 /// executes it on `p.threads` workers with the lookahead-of-1 priority rule.
+///
+/// # Panics
+/// If a worker task panics (the `try_*` entry points report that as an
+/// error instead).
 pub fn calu(a: Matrix, p: &CaParams) -> LuFactors {
-    dag_calu::run(a, p).0
-}
-
-/// Like [`calu`], also returning the executor's wall-clock timeline
-/// (usable with [`ca_sched::ascii_gantt`] for real execution traces).
-pub fn calu_with_stats(a: Matrix, p: &CaParams) -> (LuFactors, ca_sched::ExecStats) {
-    dag_calu::run(a, p)
+    run_plan::<CaluPlan>(a, p, &FactorOptions::default()).unwrap_or_else(|e| panic!("{e}")).0
 }
 
 /// TSLU as a standalone factorization of a tall-and-skinny matrix: a single
@@ -237,109 +236,40 @@ fn check_factors<T: Scalar>(f: LuFactors<T>, p: &CaParams) -> Result<LuFactors<T
 /// instability), and reports exact singularity and worker-task failure as
 /// errors instead of poisoned factors.
 pub fn try_calu(a: Matrix, p: &CaParams) -> Result<LuFactors, FactorError> {
-    try_calu_with_stats(a, p).map(|(f, _)| f)
+    try_calu_with(a, p, &FactorOptions::default()).map(|(f, _)| f)
 }
 
-/// Like [`try_calu`], also returning the executor's timeline.
-pub fn try_calu_with_stats(
+/// [`try_calu`] under explicit [`FactorOptions`] — fault injection,
+/// snapshot/replay recovery, checked execution, profiling, in any
+/// combination — also returning the executor's [`ca_sched::RunReport`]
+/// (wall-clock timeline usable with [`ca_sched::ascii_gantt`], and the
+/// profile when requested). The numerical contract is that of [`try_calu`]
+/// whatever the options.
+pub fn try_calu_with(
     a: Matrix,
     p: &CaParams,
-) -> Result<(LuFactors, ca_sched::ExecStats), FactorError> {
-    try_calu_with_faults(a, p, &ca_sched::FaultPlan::new())
-}
-
-/// [`try_calu_with_stats`] executed under a [`ca_sched::FaultPlan`] — the
-/// deterministic fault-injection harness, for testing the recovery paths.
-pub fn try_calu_with_faults(
-    a: Matrix,
-    p: &CaParams,
-    faults: &ca_sched::FaultPlan,
-) -> Result<(LuFactors, ca_sched::ExecStats), FactorError> {
+    opts: &FactorOptions<'_>,
+) -> Result<(LuFactors, ca_sched::RunReport), FactorError> {
     if let Some((row, col)) = find_non_finite(&a) {
         return Err(FactorError::NonFiniteInput { row, col });
     }
     let params = monitored(p);
-    let (f, stats) = dag_calu::try_run(a, &params, faults)?;
-    check_factors(f, &params).map(|f| (f, stats))
+    let (f, report) = run_plan::<CaluPlan>(a, &params, opts)?;
+    check_factors(f, &params).map(|f| (f, report))
 }
 
-/// [`try_calu_with_stats`] on the recovering executor: every task body is
-/// wrapped by [`ca_sched::retrying_job`] so that a failure or panic
-/// restores the task's declared write-set from a pre-attempt snapshot and
-/// replays it under `policy` — fault-free replays are bitwise-identical, so
-/// a recovered run produces exactly the factors of an undisturbed one.
-/// `chaos` injects seeded faults/panics/delays/corruption for testing
-/// (use [`ca_sched::ChaosPlan::quiet`] when none are wanted); observed
-/// recovery activity accumulates into `counters`.
-pub fn try_calu_recovering(
-    a: Matrix,
-    p: &CaParams,
-    policy: ca_sched::RetryPolicy,
-    chaos: &ca_sched::ChaosPlan,
-    counters: &ca_sched::RecoveryCounters,
-) -> Result<(LuFactors, ca_sched::ExecStats), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let params = monitored(p);
-    let (f, stats) = dag_calu::try_run_recovering(a, &params, policy, chaos, counters)?;
-    check_factors(f, &params).map(|f| (f, stats))
-}
-
-/// [`try_calu_recovering`] in checked execution mode: the retry wrapper's
-/// snapshot capture and write-set restores run under the shadow lease
-/// registry, so recovery itself is audited against the declared footprints.
-pub fn try_calu_recovering_checked(
-    a: Matrix,
-    p: &CaParams,
-    policy: ca_sched::RetryPolicy,
-    chaos: &ca_sched::ChaosPlan,
-    counters: &ca_sched::RecoveryCounters,
-) -> Result<(LuFactors, ca_sched::ExecStats), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let params = monitored(p);
-    let (f, stats) = dag_calu::try_run_recovering_checked(a, &params, policy, chaos, counters)?;
-    check_factors(f, &params).map(|f| (f, stats))
-}
-
-/// [`try_calu`] in checked execution mode: the task graph is first proven
-/// sound by the static verifier ([`ca_sched::verify_graph`]), then executed
-/// with every [`ca_matrix::SharedMatrix`] block access audited against the
-/// builder's declared footprints through a [`ca_matrix::ShadowRegistry`].
-/// Any unordered conflict, runtime lease overlap, or out-of-footprint
-/// access is reported as [`FactorError::Soundness`] naming the offending
-/// task labels. Numerical contract is identical to [`try_calu`].
-pub fn try_calu_checked(
-    a: Matrix,
-    p: &CaParams,
-) -> Result<(LuFactors, ca_sched::ExecStats), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let params = monitored(p);
-    let (f, stats) = dag_calu::try_run_checked(a, &params)?;
-    check_factors(f, &params).map(|f| (f, stats))
-}
-
-/// [`try_calu`] on the profiled executor: same numerical contract (NaN/Inf
-/// prescan, growth monitoring, breakdown detection), but returns the
-/// scheduler's full [`ca_sched::Profile`] alongside the factors —
-/// lifecycle records for every task, per-kernel-class flop/byte totals for
-/// roofline attribution, and queue/steal counters. Derive the report with
+/// [`try_calu`] with profiling on, returning the scheduler's full
+/// [`ca_sched::Profile`] alongside the factors — lifecycle records for every
+/// task, per-kernel-class flop/byte totals for roofline attribution, and
+/// queue/steal counters. Derive the report with
 /// [`ca_sched::Profile::metrics`] or a Perfetto-loadable trace with
 /// [`ca_sched::Profile::chrome_trace`].
 pub fn try_calu_profiled(
     a: Matrix,
     p: &CaParams,
 ) -> Result<(LuFactors, ca_sched::Profile), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let params = monitored(p);
-    let (f, profile) = dag_calu::profile_run(a, &params, &ca_sched::FaultPlan::new())?;
-    check_factors(f, &params).map(|f| (f, profile))
+    let opts = FactorOptions { profile: true, ..Default::default() };
+    try_calu_with(a, p, &opts).map(|(f, report)| (f, report.profile.expect("profiling requested")))
 }
 
 /// Fallible sequential CALU with the same contract as [`try_calu`],

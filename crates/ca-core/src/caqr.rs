@@ -6,7 +6,8 @@
 //! `Q` representation (in-place leaf reflectors + per-node scratch), with
 //! `Q`/`Qᵀ` application and thin-`Q` reconstruction.
 
-use crate::dag_caqr;
+use crate::dag::{run_plan, FactorOptions};
+use crate::dag_caqr::CaqrPlan;
 use crate::error::{find_non_finite, FactorError};
 use crate::params::{num_panels, partition_rows, CaParams};
 use crate::tsqr::{leaf_apply, leaf_qr, node_apply, node_qr, panel_apply, plan_panel, PanelQ};
@@ -147,13 +148,12 @@ pub fn caqr_seq<T: Kernel>(a: Matrix<T>, p: &CaParams) -> QrFactors<T> {
 
 /// Multithreaded CAQR (Algorithm 2): task-graph execution with the
 /// lookahead-of-1 priority rule on `p.threads` workers.
+///
+/// # Panics
+/// If a worker task panics (the `try_*` entry points report that as an
+/// error instead).
 pub fn caqr(a: Matrix, p: &CaParams) -> QrFactors {
-    dag_caqr::run(a, p).0
-}
-
-/// Like [`caqr`], also returning the executor's wall-clock timeline.
-pub fn caqr_with_stats(a: Matrix, p: &CaParams) -> (QrFactors, ca_sched::ExecStats) {
-    dag_caqr::run(a, p)
+    run_plan::<CaqrPlan>(a, p, &FactorOptions::default()).unwrap_or_else(|e| panic!("{e}")).0
 }
 
 /// TSQR as a standalone tall-and-skinny factorization: a single panel of
@@ -169,85 +169,33 @@ pub fn tsqr_factor<T: Kernel>(a: Matrix<T>, tr: usize, p: &CaParams) -> QrFactor
 /// failure as [`FactorError::TaskFailed`] instead of panicking. QR needs no
 /// pivot-breakdown handling — orthogonal transforms cannot blow up.
 pub fn try_caqr(a: Matrix, p: &CaParams) -> Result<QrFactors, FactorError> {
-    try_caqr_with_faults(a, p, &ca_sched::FaultPlan::new()).map(|(f, _)| f)
+    try_caqr_with(a, p, &FactorOptions::default()).map(|(f, _)| f)
 }
 
-/// [`try_caqr`] executed under a [`ca_sched::FaultPlan`] (the deterministic
-/// fault-injection harness), also returning the executor's timeline.
-pub fn try_caqr_with_faults(
+/// [`try_caqr`] under explicit [`FactorOptions`] — fault injection,
+/// snapshot/replay recovery, checked execution, profiling, in any
+/// combination — also returning the executor's [`ca_sched::RunReport`] (see
+/// [`crate::try_calu_with`]).
+pub fn try_caqr_with(
     a: Matrix,
     p: &CaParams,
-    faults: &ca_sched::FaultPlan,
-) -> Result<(QrFactors, ca_sched::ExecStats), FactorError> {
+    opts: &FactorOptions<'_>,
+) -> Result<(QrFactors, ca_sched::RunReport), FactorError> {
     if let Some((row, col)) = find_non_finite(&a) {
         return Err(FactorError::NonFiniteInput { row, col });
     }
-    dag_caqr::try_run(a, p, faults)
+    run_plan::<CaqrPlan>(a, p, opts)
 }
 
-/// [`try_caqr_with_faults`] on the recovering executor: every task body is
-/// wrapped by [`ca_sched::retrying_job`] so that a failure or panic
-/// restores the task's declared write-set from a pre-attempt snapshot and
-/// replays it under `policy` — fault-free replays are bitwise-identical.
-/// `chaos` injects seeded faults for testing; recovery activity accumulates
-/// into `counters`.
-pub fn try_caqr_recovering(
-    a: Matrix,
-    p: &CaParams,
-    policy: ca_sched::RetryPolicy,
-    chaos: &ca_sched::ChaosPlan,
-    counters: &ca_sched::RecoveryCounters,
-) -> Result<(QrFactors, ca_sched::ExecStats), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    dag_caqr::try_run_recovering(a, p, policy, chaos, counters)
-}
-
-/// [`try_caqr_recovering`] in checked execution mode: the retry wrapper's
-/// snapshot capture and write-set restores run under the shadow lease
-/// registry, so recovery itself is audited against the declared footprints.
-pub fn try_caqr_recovering_checked(
-    a: Matrix,
-    p: &CaParams,
-    policy: ca_sched::RetryPolicy,
-    chaos: &ca_sched::ChaosPlan,
-    counters: &ca_sched::RecoveryCounters,
-) -> Result<(QrFactors, ca_sched::ExecStats), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    dag_caqr::try_run_recovering_checked(a, p, policy, chaos, counters)
-}
-
-/// [`try_caqr`] in checked execution mode: the task graph is first proven
-/// sound by the static verifier ([`ca_sched::verify_graph`]), then executed
-/// with every [`ca_matrix::SharedMatrix`] block access audited against the
-/// builder's declared footprints through a [`ca_matrix::ShadowRegistry`].
-/// Any unordered conflict, runtime lease overlap, or out-of-footprint
-/// access is reported as [`FactorError::Soundness`] naming the offending
-/// task labels. Numerical contract is identical to [`try_caqr`].
-pub fn try_caqr_checked(
-    a: Matrix,
-    p: &CaParams,
-) -> Result<(QrFactors, ca_sched::ExecStats), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    dag_caqr::try_run_checked(a, p)
-}
-
-/// [`try_caqr`] on the profiled executor: same input prescan, but returns
-/// the scheduler's full [`ca_sched::Profile`] alongside the factors (see
+/// [`try_caqr`] with profiling on, returning the scheduler's full
+/// [`ca_sched::Profile`] alongside the factors (see
 /// [`crate::try_calu_profiled`]).
 pub fn try_caqr_profiled(
     a: Matrix,
     p: &CaParams,
 ) -> Result<(QrFactors, ca_sched::Profile), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    dag_caqr::profile_run(a, p, &ca_sched::FaultPlan::new())
+    let opts = FactorOptions { profile: true, ..Default::default() };
+    try_caqr_with(a, p, &opts).map(|(f, report)| (f, report.profile.expect("profiling requested")))
 }
 
 /// Fallible sequential CAQR with the input pre-scan of [`try_caqr`],

@@ -18,8 +18,8 @@
 //! Priorities implement the lookahead-of-1 rule from §III.
 
 use crate::calu::{LuFactors, LuStats};
-use crate::error::FactorError;
-use ca_sched::{row_blocks, AccessMap, BlockTracker, CheckedError, SoundnessError, VerifyReport};
+use crate::dag::DagPlan;
+use ca_sched::{row_blocks, AccessMap, BlockTracker, SoundnessError, VerifyReport};
 use crate::params::{num_panels, partition_rows, CaParams, RowPartition};
 use crate::tournament::{select, stack_candidates, Selected};
 use crate::tree::{reduction_schedule, ReduceNode};
@@ -29,8 +29,8 @@ use ca_kernels::{
     gemm, gemm_packed, pack_a_slab, pack_b_panel, trsm_left_lower_unit,
     trsm_right_upper_notrans, Trans,
 };
-use ca_matrix::{AlignedBuf, Matrix, PivotSeq, SharedMatrix};
-use ca_sched::{run_graph, ExecStats, Job, KernelClass, TaskGraph, TaskId, TaskKind, TaskLabel, TaskMeta};
+use ca_matrix::{AlignedBuf, PivotSeq, SharedMatrix};
+use ca_sched::{KernelClass, TaskGraph, TaskId, TaskKind, TaskLabel, TaskMeta};
 use std::sync::OnceLock;
 
 /// What a CALU task does (payload of the task graph).
@@ -469,12 +469,30 @@ pub(crate) fn build(m: usize, n: usize, p: &CaParams) -> CaluPlan {
     }
 }
 
-impl CaluPlan {
-    /// Executes one task against the shared matrix (called from workers).
+impl DagPlan for CaluPlan {
+    type Task = CaluTask;
+    type Factors = LuFactors;
+
+    fn build(m: usize, n: usize, p: &CaParams) -> Self {
+        build(m, n, p)
+    }
+
+    fn graph(&self) -> &TaskGraph<CaluTask> {
+        &self.graph
+    }
+
+    fn access(&self) -> &AccessMap {
+        &self.access
+    }
+
+    fn block(&self) -> usize {
+        self.b
+    }
+
     // DAG executor: every access falls inside the footprint declared in
     // build(), which `verify_graph` proves conflict-ordered.
     #[allow(clippy::disallowed_methods)]
-    pub(crate) fn exec(&self, a: &SharedMatrix, t: CaluTask) {
+    fn exec(&self, a: &SharedMatrix, t: CaluTask) {
         let m = self.m;
         let n = self.n;
         let b = self.b;
@@ -600,6 +618,31 @@ impl CaluPlan {
         }
     }
 
+    /// Gathers the per-panel results once every task completed successfully.
+    fn collect(self, shared: SharedMatrix) -> LuFactors {
+        let mut pivots = PivotSeq::new(0);
+        let mut breakdown = None;
+        let mut stats = LuStats::default();
+        for ctx in &self.panels {
+            let pp = ctx.pivots.get().expect("panel pivots missing");
+            pivots.extend(pp);
+            if breakdown.is_none() {
+                if let Some(c) = ctx.breakdown.get().copied().flatten() {
+                    breakdown = Some(ctx.k0 + c);
+                }
+            }
+            let (g, fb) = ctx.growth.get().copied().expect("panel growth missing");
+            stats.panel_growth.push(g);
+            if fb {
+                stats.fallback_panels.push(ctx.k0);
+            }
+        }
+        let lu = shared.into_inner();
+        LuFactors { lu, pivots, breakdown, stats }
+    }
+}
+
+impl CaluPlan {
     /// Root-task epilogue: record pivots, interchange the panel, write the
     /// packed `L_KK\U_KK` block.
     // DAG executor: accesses stay inside the root task's declared footprint.
@@ -630,249 +673,6 @@ impl CaluPlan {
 /// Rebases a pivot sequence to a view starting at global row `k0`.
 fn local_seq(p: &PivotSeq, k0: usize) -> PivotSeq {
     PivotSeq { offset: p.offset - k0, ipiv: p.ipiv.iter().map(|&x| x - k0).collect() }
-}
-
-/// Runs multithreaded CALU, consuming `a`. Returns factors plus executor
-/// statistics (timeline usable for trace figures).
-pub(crate) fn run(a: Matrix, p: &CaParams) -> (LuFactors, ExecStats) {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    let shared = SharedMatrix::new(a);
-
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|_, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        ca_sched::job(move || plan.exec(shared, spec))
-    });
-    let stats = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => run_graph(jobs, p.threads),
-        crate::params::Scheduler::WorkStealing => ca_sched::run_graph_stealing(jobs, p.threads),
-    };
-    (collect_factors(&plan, shared), stats)
-}
-
-/// Fallible variant of [`run`]: executes on the failure-aware pool (under
-/// the given fault plan), mapping a worker failure to
-/// [`FactorError::TaskFailed`] without ever touching the panels'
-/// not-yet-filled result slots.
-pub(crate) fn try_run(
-    a: Matrix,
-    p: &CaParams,
-    faults: &ca_sched::FaultPlan,
-) -> Result<(LuFactors, ExecStats), FactorError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    let shared = SharedMatrix::new(a);
-
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|_, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        ca_sched::job(move || plan.exec(shared, spec))
-    });
-    let result = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => {
-            ca_sched::try_run_graph_with_faults(jobs, p.threads, faults)
-        }
-        crate::params::Scheduler::WorkStealing => {
-            ca_sched::try_run_graph_stealing_with_faults(jobs, p.threads, faults)
-        }
-    };
-    match result {
-        Ok(stats) => Ok((collect_factors(&plan, shared), stats)),
-        Err(e) => Err(FactorError::TaskFailed {
-            label: e.label.to_string(),
-            message: e.to_string(),
-        }),
-    }
-}
-
-/// Checked-mode variant of [`try_run`]: statically verifies the graph +
-/// declared footprints, then executes under the dynamic race detector (a
-/// shadow lease registry auditing every `SharedMatrix` block access). Any
-/// violation maps to [`FactorError::Soundness`].
-pub(crate) fn try_run_checked(
-    a: Matrix,
-    p: &CaParams,
-) -> Result<(LuFactors, ExecStats), FactorError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    ca_sched::verify_graph(&plan.graph, &plan.access)
-        .map_err(|violation| FactorError::Soundness { violation })?;
-    let registry = ca_sched::build_shadow_registry(&plan.graph, &plan.access, plan.b, m, n);
-    let shared = SharedMatrix::with_shadow(a, registry.clone());
-
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|_, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        ca_sched::job(move || plan.exec(shared, spec))
-    });
-    let result = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => {
-            ca_sched::try_run_graph_checked(jobs, p.threads, &registry)
-        }
-        crate::params::Scheduler::WorkStealing => {
-            ca_sched::try_run_graph_stealing_checked(jobs, p.threads, &registry)
-        }
-    };
-    match result {
-        Ok(stats) => Ok((collect_factors(&plan, shared), stats)),
-        Err(CheckedError::Soundness(violation)) => Err(FactorError::Soundness { violation }),
-        Err(CheckedError::Exec(e)) => Err(FactorError::TaskFailed {
-            label: e.label.to_string(),
-            message: e.to_string(),
-        }),
-    }
-}
-
-/// Recovering variant of [`try_run`]: every task body is wrapped by
-/// [`ca_sched::retrying_job`], which snapshots the task's declared
-/// write-set (resolved from the plan's [`AccessMap`]) before each attempt
-/// and, on failure or panic, restores it and replays under `policy`.
-/// Successors are cancelled only once retries are exhausted. `chaos`
-/// injects seeded failures/panics/delays/corruption for testing; pass
-/// [`ca_sched::ChaosPlan::quiet`] for production runs.
-pub(crate) fn try_run_recovering(
-    a: Matrix,
-    p: &CaParams,
-    policy: ca_sched::RetryPolicy,
-    chaos: &ca_sched::ChaosPlan,
-    counters: &ca_sched::RecoveryCounters,
-) -> Result<(LuFactors, ExecStats), FactorError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    let shared = SharedMatrix::new(a);
-
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|id, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        let label = plan.graph.meta(id).label;
-        let writes = ca_sched::write_set(&plan.access, id, plan.b, m, n);
-        ca_sched::retrying_job(label, writes, shared, policy, chaos, counters, move || {
-            plan.exec(shared, spec)
-        })
-    });
-    let result = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => ca_sched::try_run_graph(jobs, p.threads),
-        crate::params::Scheduler::WorkStealing => {
-            ca_sched::try_run_graph_stealing(jobs, p.threads)
-        }
-    };
-    match result {
-        Ok(stats) => Ok((collect_factors(&plan, shared), stats)),
-        Err(e) => Err(FactorError::TaskFailed {
-            label: e.label.to_string(),
-            message: e.to_string(),
-        }),
-    }
-}
-
-/// Checked-mode variant of [`try_run_recovering`]: the retry wrapper runs
-/// under the shadow lease registry, so snapshot capture and write-set
-/// restore are themselves audited against the declared footprints.
-pub(crate) fn try_run_recovering_checked(
-    a: Matrix,
-    p: &CaParams,
-    policy: ca_sched::RetryPolicy,
-    chaos: &ca_sched::ChaosPlan,
-    counters: &ca_sched::RecoveryCounters,
-) -> Result<(LuFactors, ExecStats), FactorError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    ca_sched::verify_graph(&plan.graph, &plan.access)
-        .map_err(|violation| FactorError::Soundness { violation })?;
-    let registry = ca_sched::build_shadow_registry(&plan.graph, &plan.access, plan.b, m, n);
-    let shared = SharedMatrix::with_shadow(a, registry.clone());
-
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|id, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        let label = plan.graph.meta(id).label;
-        let writes = ca_sched::write_set(&plan.access, id, plan.b, m, n);
-        ca_sched::retrying_job(label, writes, shared, policy, chaos, counters, move || {
-            plan.exec(shared, spec)
-        })
-    });
-    let result = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => {
-            ca_sched::try_run_graph_checked(jobs, p.threads, &registry)
-        }
-        crate::params::Scheduler::WorkStealing => {
-            ca_sched::try_run_graph_stealing_checked(jobs, p.threads, &registry)
-        }
-    };
-    match result {
-        Ok(stats) => Ok((collect_factors(&plan, shared), stats)),
-        Err(CheckedError::Soundness(violation)) => Err(FactorError::Soundness { violation }),
-        Err(CheckedError::Exec(e)) => Err(FactorError::TaskFailed {
-            label: e.label.to_string(),
-            message: e.to_string(),
-        }),
-    }
-}
-
-/// Profiling variant of [`try_run`]: executes on the profiled pool matching
-/// `p.scheduler` and returns the factors together with the full
-/// [`ca_sched::Profile`] (lifecycle records, roofline attribution inputs,
-/// queue/steal counters). A task failure maps to
-/// [`FactorError::TaskFailed`] like [`try_run`].
-pub(crate) fn profile_run(
-    a: Matrix,
-    p: &CaParams,
-    faults: &ca_sched::FaultPlan,
-) -> Result<(LuFactors, ca_sched::Profile), FactorError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    let shared = SharedMatrix::new(a);
-
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|_, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        ca_sched::job(move || plan.exec(shared, spec))
-    });
-    let (profile, failure) = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => {
-            ca_sched::profile_run_graph(jobs, p.threads, faults)
-        }
-        crate::params::Scheduler::WorkStealing => {
-            ca_sched::profile_run_graph_stealing(jobs, p.threads, faults)
-        }
-    };
-    match failure {
-        None => Ok((collect_factors(&plan, shared), profile)),
-        Some(e) => Err(FactorError::TaskFailed {
-            label: e.label.to_string(),
-            message: e.to_string(),
-        }),
-    }
-}
-
-/// Gathers the per-panel results once every task completed successfully.
-pub(crate) fn collect_factors(plan: &CaluPlan, shared: SharedMatrix) -> LuFactors {
-    let mut pivots = PivotSeq::new(0);
-    let mut breakdown = None;
-    let mut stats = LuStats::default();
-    for ctx in &plan.panels {
-        let pp = ctx.pivots.get().expect("panel pivots missing");
-        pivots.extend(pp);
-        if breakdown.is_none() {
-            if let Some(c) = ctx.breakdown.get().copied().flatten() {
-                breakdown = Some(ctx.k0 + c);
-            }
-        }
-        let (g, fb) = ctx.growth.get().copied().expect("panel growth missing");
-        stats.panel_growth.push(g);
-        if fb {
-            stats.fallback_panels.push(ctx.k0);
-        }
-    }
-    let lu = shared.into_inner();
-    LuFactors { lu, pivots, breakdown, stats }
 }
 
 /// Builds just the task graph (for the multicore simulator and DAG figures).
@@ -1042,7 +842,8 @@ mod tests {
         // footprint and no two live leases may race.
         let a0 = ca_matrix::random_uniform(160, 160, &mut seeded_rng(33));
         let p = CaParams::new(16, 2, 3).with_par_update_rows(32);
-        let (f, _) = try_run_checked(a0.clone(), &p).expect("checked run");
+        let opts = crate::FactorOptions { checked: true, ..Default::default() };
+        let (f, _) = crate::try_calu_with(a0.clone(), &p, &opts).expect("checked run");
         let fs = calu_seq_factor(a0, &p);
         assert_eq!(f.lu.as_slice(), fs.lu.as_slice());
     }
@@ -1070,17 +871,6 @@ mod tests {
         let f_def = calu(a0.clone(), &p_def);
         let f_off = calu(a0, &p_off);
         assert_eq!(f_def.lu.as_slice(), f_off.lu.as_slice());
-    }
-
-    #[test]
-    fn work_stealing_runtime_gives_identical_results() {
-        let a0 = ca_matrix::random_uniform(150, 150, &mut seeded_rng(22));
-        let p_pq = CaParams::new(30, 4, 4);
-        let p_ws = p_pq.with_work_stealing();
-        let f_pq = calu(a0.clone(), &p_pq);
-        let f_ws = calu(a0, &p_ws);
-        assert_eq!(f_pq.lu.as_slice(), f_ws.lu.as_slice());
-        assert_eq!(f_pq.pivots.ipiv, f_ws.pivots.ipiv);
     }
 
     #[test]

@@ -12,13 +12,14 @@
 //! reduction tree itself drives the trailing update.
 
 use crate::caqr::QrFactors;
-use ca_sched::{row_blocks, AccessMap, BlockTracker, CheckedError, SoundnessError, VerifyReport};
+use crate::dag::DagPlan;
+use ca_sched::{row_blocks, AccessMap, BlockTracker, SoundnessError, VerifyReport};
 use crate::params::{num_panels, partition_rows, CaParams};
 use crate::tsqr::{leaf_apply, leaf_qr, node_apply, node_qr, plan_panel, LeafQ, NodePlan, NodeQ, PanelQ};
 use ca_kernels::{flops, traffic};
 use ca_kernels::Trans;
-use ca_matrix::{Matrix, SharedMatrix};
-use ca_sched::{run_graph, ExecStats, Job, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
+use ca_matrix::SharedMatrix;
+use ca_sched::{KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
 use std::sync::OnceLock;
 
 /// What a CAQR task does (payload of the task graph).
@@ -192,11 +193,30 @@ pub(crate) fn build(m: usize, n: usize, p: &CaParams) -> CaqrPlan {
     CaqrPlan { graph, access: tracker.into_access_map(), panels, n, b }
 }
 
-impl CaqrPlan {
+impl DagPlan for CaqrPlan {
+    type Task = CaqrTask;
+    type Factors = QrFactors;
+
+    fn build(m: usize, n: usize, p: &CaParams) -> Self {
+        build(m, n, p)
+    }
+
+    fn graph(&self) -> &TaskGraph<CaqrTask> {
+        &self.graph
+    }
+
+    fn access(&self) -> &AccessMap {
+        &self.access
+    }
+
+    fn block(&self) -> usize {
+        self.b
+    }
+
     // DAG executor: every access falls inside the footprint declared in
     // build(), which `verify_graph` proves conflict-ordered.
     #[allow(clippy::disallowed_methods)]
-    pub(crate) fn exec(&self, a: &SharedMatrix, t: CaqrTask) {
+    fn exec(&self, a: &SharedMatrix, t: CaqrTask) {
         let b = self.b;
         let n = self.n;
         match t {
@@ -226,235 +246,17 @@ impl CaqrPlan {
             }
         }
     }
-}
 
-/// Runs multithreaded CAQR, consuming `a`.
-pub(crate) fn run(a: Matrix, p: &CaParams) -> (QrFactors, ExecStats) {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    let shared = SharedMatrix::new(a);
-
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|_, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        ca_sched::job(move || plan.exec(shared, spec))
-    });
-    let stats = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => run_graph(jobs, p.threads),
-        crate::params::Scheduler::WorkStealing => ca_sched::run_graph_stealing(jobs, p.threads),
-    };
-    (collect_factors(plan, shared), stats)
-}
-
-/// Fallible variant of [`run`]: executes on the failure-aware pool (under
-/// the given fault plan), mapping a worker failure to
-/// [`FactorError::TaskFailed`] without touching unfilled result slots.
-pub(crate) fn try_run(
-    a: Matrix,
-    p: &CaParams,
-    faults: &ca_sched::FaultPlan,
-) -> Result<(QrFactors, ExecStats), crate::error::FactorError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    let shared = SharedMatrix::new(a);
-
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|_, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        ca_sched::job(move || plan.exec(shared, spec))
-    });
-    let result = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => {
-            ca_sched::try_run_graph_with_faults(jobs, p.threads, faults)
+    /// Gathers the per-panel `Q` representations after a successful run.
+    fn collect(self, shared: SharedMatrix) -> QrFactors {
+        let mut panels = Vec::with_capacity(self.panels.len());
+        for ctx in self.panels {
+            let leaves = ctx.leaves.into_iter().map(|l| l.into_inner().expect("leaf missing")).collect();
+            let nodes = ctx.nodes.into_iter().map(|n| n.into_inner().expect("node missing")).collect();
+            panels.push(PanelQ { k0: ctx.k0, c0: ctx.c0, w: ctx.w, k: ctx.k, leaves, nodes });
         }
-        crate::params::Scheduler::WorkStealing => {
-            ca_sched::try_run_graph_stealing_with_faults(jobs, p.threads, faults)
-        }
-    };
-    match result {
-        Ok(stats) => Ok((collect_factors(plan, shared), stats)),
-        Err(e) => Err(crate::error::FactorError::TaskFailed {
-            label: e.label.to_string(),
-            message: e.to_string(),
-        }),
+        QrFactors { a: shared.into_inner(), panels }
     }
-}
-
-/// Checked-mode variant of [`try_run`]: statically verifies the graph +
-/// declared footprints, then executes under the dynamic race detector. Any
-/// violation maps to [`crate::error::FactorError::Soundness`].
-pub(crate) fn try_run_checked(
-    a: Matrix,
-    p: &CaParams,
-) -> Result<(QrFactors, ExecStats), crate::error::FactorError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    ca_sched::verify_graph(&plan.graph, &plan.access)
-        .map_err(|violation| crate::error::FactorError::Soundness { violation })?;
-    let registry = ca_sched::build_shadow_registry(&plan.graph, &plan.access, plan.b, m, n);
-    let shared = SharedMatrix::with_shadow(a, registry.clone());
-
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|_, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        ca_sched::job(move || plan.exec(shared, spec))
-    });
-    let result = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => {
-            ca_sched::try_run_graph_checked(jobs, p.threads, &registry)
-        }
-        crate::params::Scheduler::WorkStealing => {
-            ca_sched::try_run_graph_stealing_checked(jobs, p.threads, &registry)
-        }
-    };
-    match result {
-        Ok(stats) => Ok((collect_factors(plan, shared), stats)),
-        Err(CheckedError::Soundness(violation)) => {
-            Err(crate::error::FactorError::Soundness { violation })
-        }
-        Err(CheckedError::Exec(e)) => Err(crate::error::FactorError::TaskFailed {
-            label: e.label.to_string(),
-            message: e.to_string(),
-        }),
-    }
-}
-
-/// Recovering variant of [`try_run`]: every task body is wrapped by
-/// [`ca_sched::retrying_job`], which snapshots the task's declared
-/// write-set before each attempt and, on failure or panic, restores it and
-/// replays under `policy`; successors are cancelled only once retries are
-/// exhausted. `chaos` injects seeded faults for testing.
-pub(crate) fn try_run_recovering(
-    a: Matrix,
-    p: &CaParams,
-    policy: ca_sched::RetryPolicy,
-    chaos: &ca_sched::ChaosPlan,
-    counters: &ca_sched::RecoveryCounters,
-) -> Result<(QrFactors, ExecStats), crate::error::FactorError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    let shared = SharedMatrix::new(a);
-
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|id, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        let label = plan.graph.meta(id).label;
-        let writes = ca_sched::write_set(&plan.access, id, plan.b, m, n);
-        ca_sched::retrying_job(label, writes, shared, policy, chaos, counters, move || {
-            plan.exec(shared, spec)
-        })
-    });
-    let result = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => ca_sched::try_run_graph(jobs, p.threads),
-        crate::params::Scheduler::WorkStealing => {
-            ca_sched::try_run_graph_stealing(jobs, p.threads)
-        }
-    };
-    match result {
-        Ok(stats) => Ok((collect_factors(plan, shared), stats)),
-        Err(e) => Err(crate::error::FactorError::TaskFailed {
-            label: e.label.to_string(),
-            message: e.to_string(),
-        }),
-    }
-}
-
-/// Checked-mode variant of [`try_run_recovering`]: the retry wrapper runs
-/// under the shadow lease registry, so snapshot capture and write-set
-/// restore are themselves audited against the declared footprints.
-pub(crate) fn try_run_recovering_checked(
-    a: Matrix,
-    p: &CaParams,
-    policy: ca_sched::RetryPolicy,
-    chaos: &ca_sched::ChaosPlan,
-    counters: &ca_sched::RecoveryCounters,
-) -> Result<(QrFactors, ExecStats), crate::error::FactorError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    ca_sched::verify_graph(&plan.graph, &plan.access)
-        .map_err(|violation| crate::error::FactorError::Soundness { violation })?;
-    let registry = ca_sched::build_shadow_registry(&plan.graph, &plan.access, plan.b, m, n);
-    let shared = SharedMatrix::with_shadow(a, registry.clone());
-
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|id, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        let label = plan.graph.meta(id).label;
-        let writes = ca_sched::write_set(&plan.access, id, plan.b, m, n);
-        ca_sched::retrying_job(label, writes, shared, policy, chaos, counters, move || {
-            plan.exec(shared, spec)
-        })
-    });
-    let result = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => {
-            ca_sched::try_run_graph_checked(jobs, p.threads, &registry)
-        }
-        crate::params::Scheduler::WorkStealing => {
-            ca_sched::try_run_graph_stealing_checked(jobs, p.threads, &registry)
-        }
-    };
-    match result {
-        Ok(stats) => Ok((collect_factors(plan, shared), stats)),
-        Err(CheckedError::Soundness(violation)) => {
-            Err(crate::error::FactorError::Soundness { violation })
-        }
-        Err(CheckedError::Exec(e)) => Err(crate::error::FactorError::TaskFailed {
-            label: e.label.to_string(),
-            message: e.to_string(),
-        }),
-    }
-}
-
-/// Profiling variant of [`try_run`]: executes on the profiled pool matching
-/// `p.scheduler` and returns the factors together with the full
-/// [`ca_sched::Profile`]. A task failure maps to
-/// [`crate::error::FactorError::TaskFailed`] like [`try_run`].
-pub(crate) fn profile_run(
-    a: Matrix,
-    p: &CaParams,
-    faults: &ca_sched::FaultPlan,
-) -> Result<(QrFactors, ca_sched::Profile), crate::error::FactorError> {
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = build(m, n, p);
-    let shared = SharedMatrix::new(a);
-
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|_, &spec| {
-        let plan = &plan;
-        let shared = &shared;
-        ca_sched::job(move || plan.exec(shared, spec))
-    });
-    let (profile, failure) = match p.scheduler {
-        crate::params::Scheduler::PriorityQueue => {
-            ca_sched::profile_run_graph(jobs, p.threads, faults)
-        }
-        crate::params::Scheduler::WorkStealing => {
-            ca_sched::profile_run_graph_stealing(jobs, p.threads, faults)
-        }
-    };
-    match failure {
-        None => Ok((collect_factors(plan, shared), profile)),
-        Some(e) => Err(crate::error::FactorError::TaskFailed {
-            label: e.label.to_string(),
-            message: e.to_string(),
-        }),
-    }
-}
-
-/// Gathers the per-panel `Q` representations after a successful run.
-pub(crate) fn collect_factors(plan: CaqrPlan, shared: SharedMatrix) -> QrFactors {
-    let mut panels = Vec::with_capacity(plan.panels.len());
-    for ctx in plan.panels {
-        let leaves = ctx.leaves.into_iter().map(|l| l.into_inner().expect("leaf missing")).collect();
-        let nodes = ctx.nodes.into_iter().map(|n| n.into_inner().expect("node missing")).collect();
-        panels.push(PanelQ { k0: ctx.k0, c0: ctx.c0, w: ctx.w, k: ctx.k, leaves, nodes });
-    }
-    QrFactors { a: shared.into_inner(), panels }
 }
 
 /// Builds just the task graph (for the multicore simulator and DAG figures).

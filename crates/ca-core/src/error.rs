@@ -119,6 +119,27 @@ impl fmt::Display for FactorError {
 
 impl std::error::Error for FactorError {}
 
+impl From<ca_sched::ExecError> for FactorError {
+    fn from(e: ca_sched::ExecError) -> Self {
+        Self::TaskFailed { label: e.label.to_string(), message: e.to_string() }
+    }
+}
+
+impl From<ca_sched::SoundnessError> for FactorError {
+    fn from(violation: ca_sched::SoundnessError) -> Self {
+        Self::Soundness { violation }
+    }
+}
+
+impl From<ca_sched::CheckedError> for FactorError {
+    fn from(e: ca_sched::CheckedError) -> Self {
+        match e {
+            ca_sched::CheckedError::Exec(e) => e.into(),
+            ca_sched::CheckedError::Soundness(v) => v.into(),
+        }
+    }
+}
+
 /// Position `(row, col)` of the first non-finite entry, scanning in
 /// column-major order, or `None` when every entry is finite.
 pub(crate) fn find_non_finite<T: ca_matrix::Scalar>(a: &Matrix<T>) -> Option<(usize, usize)> {

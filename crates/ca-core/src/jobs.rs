@@ -20,8 +20,10 @@
 use crate::calu::LuFactors;
 use crate::caqr::QrFactors;
 use crate::error::{find_non_finite, FactorError};
+use crate::dag::DagPlan;
+use crate::dag_calu::CaluPlan;
+use crate::dag_caqr::CaqrPlan;
 use crate::params::CaParams;
-use crate::{dag_calu, dag_caqr};
 use ca_matrix::{Matrix, SharedMatrix};
 use ca_sched::{
     ChaosPlan, DynJob, RecoveryCounters, RetryPolicy, TaskFailure, TaskGraph, TaskId, TaskKind,
@@ -92,120 +94,31 @@ fn add_sink(
     sink
 }
 
-/// CALU serve graph: the full multithreaded DAG of [`crate::calu`] with an
-/// owning payload per task and a factor-collecting sink.
-///
-/// Rejects matrices with non-finite entries up front (the service returns
-/// the error synchronously instead of poisoning a running job).
-pub fn calu_serve_graph(
-    a: Matrix,
-    p: &CaParams,
-) -> Result<ServeGraph<LuFactors>, FactorError> {
-    let (graph, _, output) = calu_graph_parts(a, p, None)?;
-    Ok(ServeGraph { graph, output })
-}
-
-/// [`calu_serve_graph`] with every compute task wrapped for write-set
-/// snapshot/restore retry under `rec` (see [`JobRecovery`]).
-pub fn calu_serve_graph_recovering(
-    a: Matrix,
-    p: &CaParams,
-    rec: &JobRecovery,
-) -> Result<ServeGraph<LuFactors>, FactorError> {
-    let (graph, _, output) = calu_graph_parts(a, p, Some(rec))?;
-    Ok(ServeGraph { graph, output })
-}
-
-fn calu_graph_parts(
+/// The full DAG of plan type `P` with an owning payload per task — wrapped
+/// for write-set snapshot/restore retry when `rec` is given — and a
+/// factor-collecting sink.
+fn graph_parts<P: DagPlan>(
     a: Matrix,
     p: &CaParams,
     rec: Option<&JobRecovery>,
-) -> Result<GraphParts<LuFactors>, FactorError> {
+) -> Result<GraphParts<P::Factors>, FactorError> {
     if let Some((row, col)) = find_non_finite(&a) {
         return Err(FactorError::NonFiniteInput { row, col });
     }
     let m = a.nrows();
     let n = a.ncols();
-    let plan = Arc::new(dag_calu::build(m, n, p));
+    let plan = Arc::new(P::build(m, n, p));
     let shared = Arc::new(SharedMatrix::new(a));
     let output = Arc::new(OnceLock::new());
 
-    let mut graph: TaskGraph<DynJob> = plan.graph.map_ref(|id, &spec| {
+    let mut graph: TaskGraph<DynJob> = plan.graph().map_ref(|id, &spec| {
         let plan = Arc::clone(&plan);
         let shared = Arc::clone(&shared);
         match rec {
             None => ca_sched::dyn_job(move || plan.exec(&shared, spec)),
             Some(r) => {
-                let label = plan.graph.meta(id).label;
-                let writes = ca_sched::write_set(&plan.access, id, plan.b, m, n);
-                ca_sched::retrying_dyn_job(
-                    label,
-                    writes,
-                    Arc::clone(&shared),
-                    r.policy,
-                    Arc::clone(&r.chaos),
-                    Arc::clone(&r.counters),
-                    move || plan.exec(&shared, spec),
-                )
-            }
-        }
-    });
-    let sink = {
-        let plan = Arc::clone(&plan);
-        let shared = Arc::clone(&shared);
-        let output = Arc::clone(&output);
-        add_sink(&mut graph, 0.0, move || {
-            let shared = Arc::try_unwrap(shared)
-                .unwrap_or_else(|_| panic!("matrix still referenced at sink"));
-            let _ = output.set(dag_calu::collect_factors(&plan, shared));
-        })
-    };
-    Ok((graph, sink, output))
-}
-
-/// CAQR serve graph: the full multithreaded DAG of [`crate::caqr`] with an
-/// owning payload per task and a factor-collecting sink.
-pub fn caqr_serve_graph(
-    a: Matrix,
-    p: &CaParams,
-) -> Result<ServeGraph<QrFactors>, FactorError> {
-    let (graph, _, output) = caqr_graph_parts(a, p, None)?;
-    Ok(ServeGraph { graph, output })
-}
-
-/// [`caqr_serve_graph`] with every compute task wrapped for write-set
-/// snapshot/restore retry under `rec` (see [`JobRecovery`]).
-pub fn caqr_serve_graph_recovering(
-    a: Matrix,
-    p: &CaParams,
-    rec: &JobRecovery,
-) -> Result<ServeGraph<QrFactors>, FactorError> {
-    let (graph, _, output) = caqr_graph_parts(a, p, Some(rec))?;
-    Ok(ServeGraph { graph, output })
-}
-
-fn caqr_graph_parts(
-    a: Matrix,
-    p: &CaParams,
-    rec: Option<&JobRecovery>,
-) -> Result<GraphParts<QrFactors>, FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = Arc::new(dag_caqr::build(m, n, p));
-    let shared = Arc::new(SharedMatrix::new(a));
-    let output = Arc::new(OnceLock::new());
-
-    let mut graph: TaskGraph<DynJob> = plan.graph.map_ref(|id, &spec| {
-        let plan = Arc::clone(&plan);
-        let shared = Arc::clone(&shared);
-        match rec {
-            None => ca_sched::dyn_job(move || plan.exec(&shared, spec)),
-            Some(r) => {
-                let label = plan.graph.meta(id).label;
-                let writes = ca_sched::write_set(&plan.access, id, plan.b, m, n);
+                let label = plan.graph().meta(id).label;
+                let writes = ca_sched::write_set(plan.access(), id, plan.block(), m, n);
                 ca_sched::retrying_dyn_job(
                     label,
                     writes,
@@ -227,10 +140,38 @@ fn caqr_graph_parts(
                 .unwrap_or_else(|_| panic!("plan still referenced at sink"));
             let shared = Arc::try_unwrap(shared)
                 .unwrap_or_else(|_| panic!("matrix still referenced at sink"));
-            let _ = output.set(dag_caqr::collect_factors(plan, shared));
+            let _ = output.set(plan.collect(shared));
         })
     };
     Ok((graph, sink, output))
+}
+
+/// CALU serve graph: the full multithreaded DAG of [`crate::calu`] with an
+/// owning payload per task and a factor-collecting sink. With `rec`, every
+/// compute task is wrapped for write-set snapshot/restore retry (see
+/// [`JobRecovery`]).
+///
+/// Rejects matrices with non-finite entries up front (the service returns
+/// the error synchronously instead of poisoning a running job).
+pub fn calu_serve_graph(
+    a: Matrix,
+    p: &CaParams,
+    rec: Option<&JobRecovery>,
+) -> Result<ServeGraph<LuFactors>, FactorError> {
+    let (graph, _, output) = graph_parts::<CaluPlan>(a, p, rec)?;
+    Ok(ServeGraph { graph, output })
+}
+
+/// CAQR serve graph: the full multithreaded DAG of [`crate::caqr`] with an
+/// owning payload per task and a factor-collecting sink; `rec` as in
+/// [`calu_serve_graph`].
+pub fn caqr_serve_graph(
+    a: Matrix,
+    p: &CaParams,
+    rec: Option<&JobRecovery>,
+) -> Result<ServeGraph<QrFactors>, FactorError> {
+    let (graph, _, output) = graph_parts::<CaqrPlan>(a, p, rec)?;
+    Ok(ServeGraph { graph, output })
 }
 
 /// Factor-and-solve serve graph for square `A·X = rhs`: the CALU DAG plus a
@@ -238,30 +179,14 @@ fn caqr_graph_parts(
 /// as a failed job (the [`FactorError`] message travels in the
 /// [`ca_sched::ExecError`]); the factors themselves are discarded.
 ///
+/// With `rec`, every compute task is wrapped for write-set snapshot/restore
+/// retry. The solve epilogue itself is not wrapped — it reads only
+/// completed factors and owns its right-hand side.
+///
 /// # Panics
 /// Panics if `A` is not square or `rhs` has the wrong row count (the
 /// service layer validates shapes before building).
 pub fn lu_solve_serve_graph(
-    a: Matrix,
-    rhs: Matrix,
-    p: &CaParams,
-) -> Result<ServeGraph<Matrix>, FactorError> {
-    lu_solve_parts(a, rhs, p, None)
-}
-
-/// [`lu_solve_serve_graph`] with every compute task wrapped for write-set
-/// snapshot/restore retry under `rec`. The solve epilogue itself is not
-/// wrapped — it reads only completed factors and owns its right-hand side.
-pub fn lu_solve_serve_graph_recovering(
-    a: Matrix,
-    rhs: Matrix,
-    p: &CaParams,
-    rec: &JobRecovery,
-) -> Result<ServeGraph<Matrix>, FactorError> {
-    lu_solve_parts(a, rhs, p, Some(rec))
-}
-
-fn lu_solve_parts(
     a: Matrix,
     rhs: Matrix,
     p: &CaParams,
@@ -273,7 +198,7 @@ fn lu_solve_parts(
         return Err(FactorError::NonFiniteInput { row, col });
     }
     let flops = 2.0 * (a.nrows() as f64) * (a.nrows() as f64) * (rhs.ncols() as f64);
-    let (mut graph, fsink, factors) = calu_graph_parts(a, p, rec)?;
+    let (mut graph, fsink, factors) = graph_parts::<CaluPlan>(a, p, rec)?;
     let output = Arc::new(OnceLock::new());
     let out = Arc::clone(&output);
     let solve = graph.add_task(
@@ -297,29 +222,13 @@ fn lu_solve_parts(
 /// DAG plus a sink running [`QrFactors::try_solve_ls`]. Rank deficiency
 /// surfaces as a failed job.
 ///
+/// With `rec`, every compute task is wrapped for write-set snapshot/restore
+/// retry; the least-squares epilogue is not — it reads only completed
+/// factors.
+///
 /// # Panics
 /// Panics if `m < n` or `rhs` has the wrong row count.
 pub fn qr_lstsq_serve_graph(
-    a: Matrix,
-    rhs: Matrix,
-    p: &CaParams,
-) -> Result<ServeGraph<Matrix>, FactorError> {
-    qr_lstsq_parts(a, rhs, p, None)
-}
-
-/// [`qr_lstsq_serve_graph`] with every compute task wrapped for write-set
-/// snapshot/restore retry under `rec`. The least-squares epilogue itself is
-/// not wrapped — it reads only completed factors.
-pub fn qr_lstsq_serve_graph_recovering(
-    a: Matrix,
-    rhs: Matrix,
-    p: &CaParams,
-    rec: &JobRecovery,
-) -> Result<ServeGraph<Matrix>, FactorError> {
-    qr_lstsq_parts(a, rhs, p, Some(rec))
-}
-
-fn qr_lstsq_parts(
     a: Matrix,
     rhs: Matrix,
     p: &CaParams,
@@ -331,7 +240,7 @@ fn qr_lstsq_parts(
         return Err(FactorError::NonFiniteInput { row, col });
     }
     let flops = 2.0 * (a.ncols() as f64) * (a.nrows() as f64) * (rhs.ncols() as f64);
-    let (mut graph, fsink, factors) = caqr_graph_parts(a, p, rec)?;
+    let (mut graph, fsink, factors) = graph_parts::<CaqrPlan>(a, p, rec)?;
     let output = Arc::new(OnceLock::new());
     let out = Arc::clone(&output);
     let solve = graph.add_task(
@@ -366,7 +275,7 @@ mod tests {
         let reference = calu_seq_factor(a.clone(), &p);
 
         let f = MultiFrontier::new(2);
-        let sg = calu_serve_graph(a, &p).expect("finite input");
+        let sg = calu_serve_graph(a, &p, None).expect("finite input");
         let (_, watch) = f.submit(sg.graph, JobOptions::default());
         assert!(watch.wait().outcome.is_completed());
         let lu = sg.output.get().expect("output set");
@@ -382,7 +291,7 @@ mod tests {
         let reference = caqr_seq(a.clone(), &p);
 
         let f = MultiFrontier::new(2);
-        let sg = caqr_serve_graph(a, &p).expect("finite input");
+        let sg = caqr_serve_graph(a, &p, None).expect("finite input");
         let (_, watch) = f.submit(sg.graph, JobOptions::default());
         assert!(watch.wait().outcome.is_completed());
         let qr = sg.output.get().expect("output set");
@@ -399,7 +308,7 @@ mod tests {
         let p = CaParams::new(8, 4, 2);
 
         let f = MultiFrontier::new(2);
-        let sg = lu_solve_serve_graph(a, b, &p).expect("finite input");
+        let sg = lu_solve_serve_graph(a, b, &p, None).expect("finite input");
         let (_, watch) = f.submit(sg.graph, JobOptions::default());
         assert!(watch.wait().outcome.is_completed());
         let x = sg.output.get().expect("solution set");
@@ -414,7 +323,7 @@ mod tests {
             }
         }
         let rhs = ca_matrix::random_uniform(n, 1, &mut seeded_rng(25));
-        let sg = lu_solve_serve_graph(s, rhs, &p).expect("finite input");
+        let sg = lu_solve_serve_graph(s, rhs, &p, None).expect("finite input");
         let (_, watch) = f.submit(sg.graph, JobOptions::default());
         match watch.wait().outcome {
             JobOutcome::Failed(e) => {
@@ -435,7 +344,7 @@ mod tests {
         let reference = caqr_seq(a.clone(), &p).solve_ls(&b);
 
         let f = MultiFrontier::new(2);
-        let sg = qr_lstsq_serve_graph(a, b, &p).expect("finite input");
+        let sg = qr_lstsq_serve_graph(a, b, &p, None).expect("finite input");
         let (_, watch) = f.submit(sg.graph, JobOptions::default());
         assert!(watch.wait().outcome.is_completed());
         let x = sg.output.get().expect("solution set");
@@ -449,11 +358,11 @@ mod tests {
         a[(2, 3)] = f64::INFINITY;
         let p = CaParams::new(4, 2, 1);
         assert!(matches!(
-            calu_serve_graph(a.clone(), &p),
+            calu_serve_graph(a.clone(), &p, None),
             Err(FactorError::NonFiniteInput { row: 2, col: 3 })
         ));
         assert!(matches!(
-            caqr_serve_graph(a, &p),
+            caqr_serve_graph(a, &p, None),
             Err(FactorError::NonFiniteInput { row: 2, col: 3 })
         ));
     }

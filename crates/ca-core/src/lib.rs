@@ -18,21 +18,29 @@
 //!   per-panel element growth (degrading to plain GEPP on tournament
 //!   instability), and surface singularity or worker-task failure as a
 //!   [`FactorError`] instead of poisoned factors or a panic.
-//! * [`try_calu_profiled`] / [`try_caqr_profiled`] — the same runs on the
-//!   profiled executors, returning a [`ca_sched::Profile`] with full task
-//!   lifecycles, roofline attribution inputs, and scheduling diagnostics.
+//! * [`try_calu_with`] / [`try_caqr_with`] — the same fallible runs under
+//!   explicit [`FactorOptions`]: seeded fault injection (`chaos`), task-level
+//!   snapshot/replay recovery (`retry`), checked execution (`checked`: the
+//!   static verifier followed by a run in which every element access is
+//!   audited against the declared footprints by a shadow lease registry) and
+//!   profiling (`profile`), in any combination, returning the executor's
+//!   [`ca_sched::RunReport`] next to the factors. Every DAG factorization
+//!   entry point is a one-line caller of these two, which in turn share one
+//!   build → verify → wrap → [`ca_sched::execute`] → collect path.
+//!   [`try_calu_profiled`] / [`try_caqr_profiled`] are the `profile`
+//!   shorthands returning the [`ca_sched::Profile`] directly.
 //! * [`verify_calu`] / [`verify_caqr`] — static DAG soundness verification:
 //!   prove every conflicting block access in the builder's declared
 //!   footprints is ordered by a happens-before path.
-//! * [`try_calu_checked`] / [`try_caqr_checked`] — checked execution: the
-//!   static verifier followed by a run in which every element access is
-//!   audited against the declared footprints by a shadow lease registry.
+//! * [`jobs`] — the same DAGs as `'static` graphs for the serving tier's
+//!   [`ca_sched::MultiFrontier`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod calu;
 mod caqr;
+mod dag;
 mod dag_calu;
 mod dag_caqr;
 mod error;
@@ -46,22 +54,19 @@ pub mod tslu;
 pub mod tsqr;
 
 pub use calu::{
-    calu, calu_seq, calu_seq_factor, calu_with_stats, try_calu, try_calu_checked,
-    try_calu_profiled, try_calu_recovering, try_calu_recovering_checked, try_calu_seq,
-    try_calu_with_faults, try_calu_with_stats, try_tslu_factor, tslu_factor, LuFactors,
-    LuStats,
+    calu, calu_seq, calu_seq_factor, try_calu, try_calu_profiled, try_calu_seq, try_calu_with,
+    try_tslu_factor, tslu_factor, LuFactors, LuStats,
 };
 pub use caqr::{
-    caqr, caqr_seq, caqr_with_stats, try_caqr, try_caqr_checked, try_caqr_profiled,
-    try_caqr_recovering, try_caqr_recovering_checked, try_caqr_seq, try_caqr_with_faults,
-    try_tsqr_factor, tsqr_factor, QrFactors,
+    caqr, caqr_seq, try_caqr, try_caqr_profiled, try_caqr_seq, try_caqr_with, try_tsqr_factor,
+    tsqr_factor, QrFactors,
 };
+pub use dag::{FactorOptions, Retry};
 pub use error::{FactorError, DEFAULT_GROWTH_LIMIT};
 pub use probe::PROBE_TOL;
 pub use jobs::{
-    calu_serve_graph, calu_serve_graph_recovering, caqr_serve_graph,
-    caqr_serve_graph_recovering, lu_solve_serve_graph, lu_solve_serve_graph_recovering,
-    qr_lstsq_serve_graph, qr_lstsq_serve_graph_recovering, JobRecovery, ServeGraph,
+    calu_serve_graph, caqr_serve_graph, lu_solve_serve_graph, qr_lstsq_serve_graph, JobRecovery,
+    ServeGraph,
 };
 pub use dag_calu::{
     calu_task_graph, calu_task_graph_with_access, verify_calu, verify_calu_with, CaluTask,
@@ -70,4 +75,4 @@ pub use solve::{lu_packed_solve_in_place, RefineInfo};
 pub use dag_caqr::{
     caqr_task_graph, caqr_task_graph_with_access, verify_caqr, verify_caqr_with, CaqrTask,
 };
-pub use params::{num_panels, partition_rows, CaParams, RowPartition, Scheduler, TreeShape};
+pub use params::{num_panels, partition_rows, CaParams, QueueKind, RowPartition, TreeShape};

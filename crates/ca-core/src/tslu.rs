@@ -25,7 +25,7 @@ pub struct PanelOutcome {
     /// selection finally used (post-fallback when one happened).
     pub growth: f64,
     /// Whether tournament instability forced a plain-GEPP refactorization
-    /// of this panel (see [`apply_growth_policy`]).
+    /// of this panel (see `apply_growth_policy`).
     pub fallback: bool,
 }
 
@@ -151,7 +151,7 @@ pub fn factor_panel<T: Kernel>(
 
 /// [`factor_panel`] with growth monitoring: when the tournament winner's
 /// element growth exceeds `growth_limit`, the panel is refactored with
-/// plain GEPP (see [`apply_growth_policy`]) before anything is written.
+/// plain GEPP (see `apply_growth_policy`) before anything is written.
 #[allow(clippy::too_many_arguments)]
 pub fn factor_panel_limited<T: Kernel>(
     mut a: MatViewMut<'_, T>,

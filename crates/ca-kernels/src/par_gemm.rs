@@ -248,7 +248,7 @@ pub fn pack_b_panel<T: Kernel>(tb: Trans, b: MatView<'_, T>, jc: usize, nb: usiz
 ///
 /// A scheduler **tile task**: bitwise identical to the corresponding C
 /// block of serial [`crate::gemm`], because it replays the same
-/// `pc`-ascending [`macro_kernel`] sequence on the same packed images.
+/// `pc`-ascending `macro_kernel` sequence on the same packed images.
 pub fn gemm_packed<T: Kernel>(
     alpha: T,
     apack: &AlignedBuf<T>,

@@ -232,7 +232,7 @@ mod tests {
     fn f32_reads_f64_written_files_with_single_rounding() {
         // A full-precision f64 value read back as f32 must equal the direct
         // rounding of that value to f32.
-        let v = 0.123456789123456789f64;
+        let v = 0.123_456_789_123_456_78_f64;
         let src = format!("%%MatrixMarket matrix array real general\n1 1\n{v:e}\n");
         let a: Matrix<f32> = read_matrix_market(src.as_bytes()).unwrap();
         assert_eq!(a[(0, 0)].to_bits(), (v as f32).to_bits());

@@ -1,4 +1,4 @@
-//! Checked execution mode: every executor, wrapped by the race detector.
+//! Checked execution mode: the executor, wrapped by the race detector.
 //!
 //! A checked run composes three layers:
 //!
@@ -7,24 +7,21 @@
 //! 2. [`build_shadow_registry`] converts the block-level [`AccessMap`] into
 //!    element-level [`TaskFootprint`]s and attaches them to a
 //!    [`ShadowRegistry`];
-//! 3. the `*_checked` executors run each job inside a
-//!    [`ShadowRegistry::enter_task`] scope, so every `SharedMatrix` block
-//!    accessor audits its element range against the task's declaration and
-//!    against every concurrently live lease.
+//! 3. [`crate::execute`] with [`crate::RunOptions::shadow`] set runs each
+//!    job inside a [`ShadowRegistry::enter_task`] scope, so every
+//!    `SharedMatrix` block accessor audits its element range against the
+//!    task's declaration and against every concurrently live lease.
 //!
 //! The discrete-event simulator never touches matrix data, so its checked
-//! twin ([`try_simulate_checked`]) is the static verification plus the
-//! ordinary simulation.
+//! mode ([`crate::SimOptions::access`]) is the static verification plus a
+//! write-exclusion check of the simulated timeline.
 
-use crate::fault::{ExecError, FaultPlan};
+use crate::fault::ExecError;
 use crate::footprint::AccessMap;
 use crate::graph::TaskGraph;
-use crate::pool::{ExecStats, Job};
-use crate::task::{TaskId, TaskMeta};
-use crate::trace::Timeline;
 use crate::verify::SoundnessError;
-use ca_matrix::{ShadowRegistry, ShadowViolation, TaskFootprint};
 use ca_matrix::ElemRect;
+use ca_matrix::{ShadowRegistry, ShadowViolation, TaskFootprint};
 use std::sync::Arc;
 
 /// Failure of a checked run: either the run itself failed (panic/injected
@@ -88,19 +85,8 @@ pub fn build_shadow_registry<T>(
     Arc::new(ShadowRegistry::new(footprints, labels))
 }
 
-/// Wraps each job so it runs inside a shadow task scope.
-fn instrument<'s>(graph: TaskGraph<Job<'s>>, registry: &Arc<ShadowRegistry>) -> TaskGraph<Job<'s>> {
-    graph.map(|id, job| {
-        let reg = Arc::clone(registry);
-        Box::new(move || {
-            let _scope = reg.enter_task(id);
-            job()
-        }) as Job<'s>
-    })
-}
-
 /// Maps the first recorded shadow violation (if any) to a soundness error.
-fn first_violation(registry: &ShadowRegistry) -> Option<SoundnessError> {
+pub(crate) fn first_violation(registry: &ShadowRegistry) -> Option<SoundnessError> {
     registry.take_violations().into_iter().next().map(|v| match v {
         ShadowViolation::Undeclared { label, write, rect, .. } => SoundnessError::UndeclaredAccess {
             task: label,
@@ -126,77 +112,6 @@ fn first_violation(registry: &ShadowRegistry) -> Option<SoundnessError> {
     })
 }
 
-/// [`crate::try_run_graph`] under the dynamic race detector. The
-/// `SharedMatrix` the jobs touch must have been built with
-/// `SharedMatrix::with_shadow(_, registry)` so its accessors report here.
-pub fn try_run_graph_checked<'s>(
-    graph: TaskGraph<Job<'s>>,
-    nthreads: usize,
-    registry: &Arc<ShadowRegistry>,
-) -> Result<ExecStats, CheckedError> {
-    let stats =
-        crate::pool::try_run_graph(instrument(graph, registry), nthreads).map_err(CheckedError::Exec)?;
-    match first_violation(registry) {
-        None => Ok(stats),
-        Some(v) => Err(CheckedError::Soundness(v)),
-    }
-}
-
-/// Panicking variant of [`try_run_graph_checked`].
-pub fn run_graph_checked<'s>(
-    graph: TaskGraph<Job<'s>>,
-    nthreads: usize,
-    registry: &Arc<ShadowRegistry>,
-) -> ExecStats {
-    match try_run_graph_checked(graph, nthreads, registry) {
-        Ok(stats) => stats,
-        Err(e) => panic!("checked execution failed: {e}"),
-    }
-}
-
-/// [`crate::try_run_graph_stealing`] under the dynamic race detector.
-pub fn try_run_graph_stealing_checked<'s>(
-    graph: TaskGraph<Job<'s>>,
-    nthreads: usize,
-    registry: &Arc<ShadowRegistry>,
-) -> Result<ExecStats, CheckedError> {
-    let stats = crate::pool_ws::try_run_graph_stealing(instrument(graph, registry), nthreads)
-        .map_err(CheckedError::Exec)?;
-    match first_violation(registry) {
-        None => Ok(stats),
-        Some(v) => Err(CheckedError::Soundness(v)),
-    }
-}
-
-/// Checked twin of [`crate::try_simulate`]: the simulator executes no matrix
-/// code, so "checked" means the static verifier must accept the graph +
-/// footprints before the timeline is computed — and the produced timeline
-/// must pass the post-hoc write-exclusion check (no two tasks with
-/// overlapping declared write rects scheduled concurrently on different
-/// workers).
-pub fn try_simulate_checked<T>(
-    graph: &TaskGraph<T>,
-    access: &AccessMap,
-    nworkers: usize,
-    cost: impl FnMut(TaskId, &TaskMeta) -> f64,
-) -> Result<Timeline, CheckedError> {
-    crate::verify::verify_graph(graph, access).map_err(CheckedError::Soundness)?;
-    let tl = crate::sim::try_simulate(graph, nworkers, cost, &FaultPlan::new())
-        .map_err(CheckedError::Exec)?;
-    if let Err(e) = tl.check_write_exclusion(access) {
-        let crate::trace::TimelineError::ConcurrentWrites { first, second, rect } = e else {
-            unreachable!("check_write_exclusion only reports ConcurrentWrites")
-        };
-        return Err(CheckedError::Soundness(SoundnessError::Race {
-            first: graph.meta(first).label.to_string(),
-            second: graph.meta(second).label.to_string(),
-            rows: (rect.row0, rect.row1),
-            cols: (rect.col0, rect.col1),
-        }));
-    }
-    Ok(tl)
-}
-
 #[cfg(test)]
 // Tests drive raw block accesses on purpose (including deliberately bad
 // ones) to prove the shadow registry catches them.
@@ -204,13 +119,22 @@ pub fn try_simulate_checked<T>(
 mod tests {
     use super::*;
     use crate::blockdeps::BlockTracker;
-    use crate::pool::job;
-    use crate::task::{TaskKind, TaskLabel};
+    use crate::exec::{execute, job, Job, RunOptions};
+    use crate::task::{TaskKind, TaskLabel, TaskMeta};
     use ca_matrix::{Matrix, SharedMatrix};
     use std::sync::Barrier;
 
     fn meta(kind: TaskKind, step: usize, i: usize) -> TaskMeta {
         TaskMeta::new(TaskLabel::new(kind, step, i, 0), 1.0)
+    }
+
+    fn run_checked<'s>(
+        jobs: TaskGraph<Job<'s>>,
+        nthreads: usize,
+        registry: &'s Arc<ShadowRegistry>,
+    ) -> Result<usize, CheckedError> {
+        let opts = RunOptions { shadow: Some(registry), ..Default::default() };
+        execute(jobs, nthreads, &opts).into_result().map(|report| report.stats.tasks)
     }
 
     #[test]
@@ -238,8 +162,7 @@ mod tests {
                 assert_eq!(v.at(0, 0) + v.at(4, 0), 3.0);
             }),
         });
-        let stats = try_run_graph_checked(jobs, 2, &reg).expect("sound run");
-        assert_eq!(stats.tasks, 3);
+        assert_eq!(run_checked(jobs, 2, &reg).expect("sound run"), 3);
         assert!(reg.accesses() >= 3);
     }
 
@@ -257,7 +180,7 @@ mod tests {
         let jobs = g.map_ref(|_, _| {
             job(move || unsafe { a.block_mut(4, 0, 4, 4).fill(9.0) }) // writes rows 4..8
         });
-        match try_run_graph_checked(jobs, 1, &reg) {
+        match run_checked(jobs, 1, &reg) {
             Err(CheckedError::Soundness(SoundnessError::UndeclaredAccess {
                 task, write, rows, ..
             })) => {
@@ -294,7 +217,7 @@ mod tests {
                 v.fill(1.0);
             })
         });
-        match try_run_graph_checked(jobs, 2, &reg) {
+        match run_checked(jobs, 2, &reg) {
             Err(CheckedError::Soundness(SoundnessError::Race { first, second, .. })) => {
                 let labels = [first, second];
                 assert!(labels.contains(&"P[0,0,0]".to_string()), "labels: {labels:?}");
@@ -302,22 +225,5 @@ mod tests {
             }
             other => panic!("expected Race, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn simulate_checked_rejects_unordered_graph() {
-        let mut g: TaskGraph<()> = TaskGraph::new();
-        let a = g.add_task(meta(TaskKind::Panel, 0, 0), ());
-        let b = g.add_task(meta(TaskKind::Panel, 0, 1), ());
-        let mut access = AccessMap::new(1, 1);
-        access.record_write(a, 0..1, 0..1);
-        access.record_write(b, 0..1, 0..1);
-        match try_simulate_checked(&g, &access, 2, |_, m| m.flops) {
-            Err(CheckedError::Soundness(SoundnessError::UnorderedConflict { .. })) => {}
-            other => panic!("expected UnorderedConflict, got {other:?}"),
-        }
-        // With the ordering edge the same graph simulates fine.
-        g.add_dep(a, b);
-        try_simulate_checked(&g, &access, 2, |_, m| m.flops).expect("ordered graph simulates");
     }
 }

@@ -1,20 +1,14 @@
-//! First-class task-failure semantics and deterministic fault injection.
+//! First-class task-failure semantics.
 //!
-//! Jobs return [`TaskResult`]; a failed (or panicking) task makes the pool
-//! **cancel the transitive successors** of that task instead of running
-//! them on garbage, drain every task that does not depend on the failure,
-//! and report an [`ExecError`] identifying the failed task, its label, the
-//! worker lane it ran on, and the set of cancelled tasks.
-//!
-//! [`FaultPlan`] is the deterministic fault-injection harness used by the
-//! stress tests: it fails, panics, or delays the N-th task matching a label
-//! predicate, so scheduler failure paths can be exercised reproducibly
-//! without bespoke panicking jobs.
+//! Jobs return [`TaskResult`]; a failed (or panicking) task makes the
+//! executor **cancel the transitive successors** of that task instead of
+//! running them on garbage, drain every task that does not depend on the
+//! failure, and report an [`ExecError`] identifying the failed task, its
+//! label, the worker lane it ran on, and the set of cancelled tasks.
+//! Failures are injected for testing with [`crate::ChaosPlan`].
 
 use crate::task::{TaskId, TaskLabel};
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::Duration;
 
 /// Why a single task failed. Jobs return this; panics are caught by the
 /// pool and converted into one.
@@ -91,102 +85,14 @@ impl fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-/// What to inject when a [`FaultPlan`] rule fires.
-#[derive(Clone, Debug)]
-pub enum FaultAction {
-    /// The task does not run; it reports a `TaskFailure`.
-    Fail,
-    /// The task does not run; the worker panics (caught by the pool).
-    Panic,
-    /// The task runs normally after sleeping, stressing drain ordering.
-    Delay(Duration),
-}
-
-struct FaultRule {
-    predicate: Box<dyn Fn(&TaskLabel) -> bool + Send + Sync>,
-    /// 1-based index among the tasks matching `predicate`.
-    nth: usize,
-    action: FaultAction,
-    hits: AtomicUsize,
-}
-
-/// Deterministic fault-injection plan: each rule fires on the N-th task
-/// (in execution-start order) whose label matches its predicate.
-///
-/// Rules keep private hit counters, so a plan is single-use: build a fresh
-/// plan per run.
-#[derive(Default)]
-pub struct FaultPlan {
-    rules: Vec<FaultRule>,
-}
-
-impl FaultPlan {
-    /// An empty plan (injects nothing).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn rule(
-        mut self,
-        nth: usize,
-        action: FaultAction,
-        predicate: impl Fn(&TaskLabel) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        assert!(nth >= 1, "fault rules are 1-based: nth must be >= 1");
-        self.rules.push(FaultRule {
-            predicate: Box::new(predicate),
-            nth,
-            action,
-            hits: AtomicUsize::new(0),
-        });
-        self
-    }
-
-    /// Fails the `nth` task matching `predicate` (1-based).
-    pub fn fail_nth(
-        self,
-        nth: usize,
-        predicate: impl Fn(&TaskLabel) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        self.rule(nth, FaultAction::Fail, predicate)
-    }
-
-    /// Panics on the `nth` task matching `predicate` (1-based).
-    pub fn panic_nth(
-        self,
-        nth: usize,
-        predicate: impl Fn(&TaskLabel) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        self.rule(nth, FaultAction::Panic, predicate)
-    }
-
-    /// Delays the `nth` task matching `predicate` (1-based) by `delay`.
-    pub fn delay_nth(
-        self,
-        nth: usize,
-        delay: Duration,
-        predicate: impl Fn(&TaskLabel) -> bool + Send + Sync + 'static,
-    ) -> Self {
-        self.rule(nth, FaultAction::Delay(delay), predicate)
-    }
-
-    /// Consults the plan as a task starts; returns the action to inject, if
-    /// any. Counts one match per rule per call, atomically.
-    pub fn decide(&self, label: &TaskLabel) -> Option<FaultAction> {
-        for rule in &self.rules {
-            if (rule.predicate)(label) {
-                let hit = rule.hits.fetch_add(1, Ordering::AcqRel) + 1;
-                if hit == rule.nth {
-                    return Some(rule.action.clone());
-                }
-            }
-        }
-        None
-    }
-
-    /// Whether the plan has no rules.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+/// Extracts a human-readable message from a caught panic payload.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "task panicked".to_string()
     }
 }
 
@@ -197,21 +103,6 @@ mod tests {
 
     fn label(step: usize) -> TaskLabel {
         TaskLabel::new(TaskKind::Panel, step, 0, 0)
-    }
-
-    #[test]
-    fn nth_match_fires_once() {
-        let plan = FaultPlan::new().fail_nth(2, |l| l.kind == TaskKind::Panel);
-        assert!(plan.decide(&label(0)).is_none());
-        assert!(matches!(plan.decide(&label(1)), Some(FaultAction::Fail)));
-        assert!(plan.decide(&label(2)).is_none());
-    }
-
-    #[test]
-    fn predicate_filters_labels() {
-        let plan = FaultPlan::new().panic_nth(1, |l| l.step == 7);
-        assert!(plan.decide(&label(3)).is_none());
-        assert!(matches!(plan.decide(&label(7)), Some(FaultAction::Panic)));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The task dependency graph.
 //!
 //! Built by the DAG builders in `ca-core`/`ca-baselines`, executed either by
-//! the threaded worker pool ([`crate::run_graph`]) or by the deterministic
+//! the threaded executor ([`crate::execute`]) or by the deterministic
 //! multicore simulator ([`crate::simulate`]).
 
 use crate::task::{TaskId, TaskMeta};

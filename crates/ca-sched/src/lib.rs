@@ -4,29 +4,37 @@
 //! substrate of multithreaded CALU/CAQR (Donfack, Grigori & Gupta, IPDPS
 //! 2010, §III "Task scheduling").
 //!
-//! Two executors share one [`TaskGraph`] representation:
+//! One [`TaskGraph`] representation, two ways to run it, each one function
+//! whose modes are option values:
 //!
-//! * [`run_graph`] — a real worker pool: a shared priority queue of ready
-//!   tasks, drained by `nthreads` OS threads. Priorities encode the paper's
-//!   lookahead-of-1 rule (panel tasks and the update of block column `K+1`
-//!   outrank other updates).
-//! * [`simulate`] — a deterministic list-scheduling discrete-event simulator
-//!   with `P` virtual cores and a pluggable cost model. This is the
-//!   hardware-substitution layer that stands in for the paper's 8-core Xeon
-//!   and 16-core Opteron machines (see DESIGN.md §2).
+//! * [`execute`]`(graph, nthreads, &`[`RunOptions`]`)` — the threaded
+//!   executor: `nthreads` OS threads run one worker loop over a ready
+//!   queue, either the shared priority heap ([`QueueKind::Central`]; the
+//!   priorities encode the paper's lookahead-of-1 rule, panel tasks and the
+//!   update of block column `K+1` outranking other updates) or work-stealing
+//!   deques ([`QueueKind::Stealing`]). [`run_graph`] is the panicking
+//!   shorthand for the default options.
+//! * [`simulate_with`]`(graph, nworkers, cost, &`[`SimOptions`]`)` — a
+//!   deterministic list-scheduling discrete-event simulator with `P`
+//!   virtual cores and a pluggable cost model; [`simulate`] and
+//!   [`simulate_uniform`] are the shorthands returning just the timeline.
+//!   This is the hardware-substitution layer that stands in for the paper's
+//!   8-core Xeon and 16-core Opteron machines (see DESIGN.md §2).
 //!
-//! Both produce a [`Timeline`] renderable as an ASCII Gantt chart
-//! ([`ascii_gantt`]) in the style of the paper's Figures 2–4.
+//! Both return a [`RunReport`]: statistics with a [`Timeline`] renderable as
+//! an ASCII Gantt chart ([`ascii_gantt`]) in the style of the paper's
+//! Figures 2–4, plus whatever the options asked for. [`MultiFrontier`] is
+//! the long-lived pool multiplexing many graphs for the serving tier.
 //!
 //! ## Failure semantics
 //!
 //! Jobs return [`TaskResult`]; panics are caught and converted into
-//! failures. A failed task never releases its successors — the executors
-//! cancel its **transitive successors**, drain every independent task, and
-//! the `try_*` entry points ([`try_run_graph`], [`try_run_graph_stealing`],
-//! [`try_simulate`]) report the first failure as an [`ExecError`] naming
-//! the failed task, its label, its worker lane, and the cancelled set.
-//! [`FaultPlan`] injects failures deterministically for testing.
+//! failures. A failed task never releases its successors — the executor
+//! cancels its **transitive successors**, drains every independent task,
+//! and reports the first failure in [`RunReport::failure`] as an
+//! [`ExecError`] naming the failed task, its label, its worker lane, and the
+//! cancelled set. [`ChaosPlan`] (the `chaos` option of both runners)
+//! injects failures, panics and delays deterministically for testing.
 //!
 //! ## Recovery
 //!
@@ -34,43 +42,40 @@
 //! the *recover* half: the wrapper snapshots the task's declared write-set
 //! (resolved from the [`AccessMap`] by [`write_set`]), and on failure or
 //! panic restores it and replays the body under a [`RetryPolicy`] —
-//! successors are cancelled only once retries are exhausted. [`ChaosPlan`]
-//! extends the fault harness with seeded rate-based injection of failures,
-//! panics, delays, and silent data corruption.
+//! successors are cancelled only once retries are exhausted. The wrapper
+//! consults the same [`ChaosPlan`], which there can also inject silent data
+//! corruption.
 //!
 //! ## Profiling
 //!
-//! Every executor has a `profile_*` twin ([`profile_run_graph`],
-//! [`profile_run_graph_stealing`], [`profile_simulate`]) that records the
-//! full task lifecycle (ready → dispatch → start → end, steal counters,
-//! queue-depth samples) into a [`Profile`]. [`Profile::metrics`] derives
+//! With the `profile` option set the run records the full task lifecycle
+//! (ready → dispatch → start → end, steal counters, queue-depth samples)
+//! into [`RunReport::profile`]. [`Profile::metrics`] derives
 //! dispatch-latency distributions, per-[`KernelClass`] achieved GFlop/s
 //! (roofline attribution), critical-path scheduling efficiency, and the
 //! lookahead-effectiveness metric; [`Profile::chrome_trace`] emits a Chrome
 //! trace with DAG flow events and counter tracks.
-
+//!
 //! ## Verification
 //!
 //! The builders' block declarations are retained in an [`AccessMap`]
 //! ([`BlockTracker::into_access_map`]); [`verify_graph`] statically proves
-//! every conflicting block pair is ordered by a happens-before path, and
-//! the `*_checked` executors ([`try_run_graph_checked`],
-//! [`try_run_graph_stealing_checked`], [`try_simulate_checked`]) audit the
-//! actual element accesses at run time through a
-//! [`ca_matrix::ShadowRegistry`].
+//! every conflicting block pair is ordered by a happens-before path, and a
+//! run with [`RunOptions::shadow`] set (registry from
+//! [`build_shadow_registry`]) audits the actual element accesses through a
+//! [`ca_matrix::ShadowRegistry`], reporting in [`RunReport::violation`].
+//! [`SimOptions::access`] is the simulator's checked mode.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod blockdeps;
 mod checked;
+mod exec;
 mod fault;
 mod footprint;
 mod graph;
 mod multigraph;
-mod persist;
-mod pool;
-mod pool_ws;
 mod profile;
 mod retry;
 mod sim;
@@ -80,30 +85,19 @@ mod trace;
 mod verify;
 
 pub use blockdeps::{row_blocks, BlockTracker};
-pub use checked::{
-    build_shadow_registry, run_graph_checked, try_run_graph_checked,
-    try_run_graph_stealing_checked, try_simulate_checked, CheckedError,
-};
+pub use checked::{build_shadow_registry, CheckedError};
+pub use exec::{execute, job, run_graph, ExecStats, Job, QueueKind, RunOptions, RunReport};
 pub use footprint::{AccessMap, BlockRegion};
 pub use verify::{
     reduce_transitive_edges, verify_graph, verify_graph_with, ConflictKind, EdgeFinding,
     Granularity, LintReport, ShadowedWrite, SoundnessError, VerifyOptions, VerifyReport,
     CLOSURE_TASK_LIMIT,
 };
-pub use fault::{ExecError, FaultAction, FaultPlan, TaskFailure, TaskResult};
+pub use fault::{ExecError, TaskFailure, TaskResult};
 pub use graph::TaskGraph;
 pub use multigraph::{
     dyn_job, CancelReason, DynJob, JobId, JobOptions, JobOutcome, JobReport, JobWatch,
     MultiFrontier,
-};
-pub use persist::persistent_pool_threads;
-pub use pool::{
-    job, profile_run_graph, run_graph, run_graph_persistent, run_graph_scoped,
-    try_run_graph, try_run_graph_persistent, try_run_graph_with_faults, ExecStats, Job,
-};
-pub use pool_ws::{
-    profile_run_graph_stealing, run_graph_stealing, try_run_graph_stealing,
-    try_run_graph_stealing_persistent, try_run_graph_stealing_with_faults,
 };
 pub use profile::{
     ClassMetrics, KindMetrics, LatencyStats, LookaheadMetrics, PanelWait, Profile, QueueSample,
@@ -113,7 +107,7 @@ pub use retry::{
     retrying_dyn_job, retrying_job, write_set, ChaosAction, ChaosPlan, ChaosProfile,
     PanicHookGuard, RecoveryCounters, RecoveryStats, RetryPolicy, WriteSet,
 };
-pub use sim::{profile_simulate, simulate, simulate_uniform, try_simulate};
+pub use sim::{simulate, simulate_uniform, simulate_with, SimOptions};
 pub use task::{KernelClass, TaskId, TaskKind, TaskLabel, TaskMeta};
 pub use telemetry::{
     record_event, sched_counters, set_thread_recorder, FlightEvent, FlightEventKind,

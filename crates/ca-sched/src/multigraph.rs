@@ -1,8 +1,8 @@
 //! Multi-graph frontier: one persistent worker pool executing many task
 //! graphs ("jobs") concurrently.
 //!
-//! The one-shot executors ([`crate::run_graph`], [`crate::run_graph_stealing`])
-//! run exactly one DAG to quiescence. A serving workload instead has many
+//! The one-shot executor ([`crate::execute`]) runs exactly one DAG to
+//! quiescence. A serving workload instead has many
 //! DAGs in flight at once; the paper's dynamic-scheduling insight — tasks
 //! from *different panel steps* interleave on a shared pool via priorities —
 //! generalizes directly to tasks from *different requests*:
@@ -26,9 +26,8 @@
 //! [`JobOutcome::Cancelled`]. Deadlines are enforced at dispatch points, so
 //! a deadline never preempts a running kernel.
 
-use crate::fault::{ExecError, TaskResult};
+use crate::fault::{panic_message, ExecError, TaskResult};
 use crate::graph::TaskGraph;
-use crate::pool::panic_message;
 use crate::task::{TaskId, TaskLabel, TaskMeta};
 use crate::telemetry::{self, FlightEventKind, FlightRecorder};
 use crate::trace::{Span, Timeline};

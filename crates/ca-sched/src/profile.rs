@@ -21,10 +21,9 @@
 //!   process/thread-name metadata, flow events for DAG edges, and a
 //!   ready-queue counter track.
 //!
-//! Profiles come from [`crate::profile_run_graph`],
-//! [`crate::profile_run_graph_stealing`], and [`crate::profile_simulate`];
-//! the simulator path is fully deterministic, so tests can assert exact
-//! metric values.
+//! Profiles come from [`crate::execute`] and [`crate::simulate_with`] with
+//! their `profile` option set; the simulator path is fully deterministic,
+//! so tests can assert exact metric values.
 
 use crate::task::{KernelClass, TaskId, TaskKind, TaskLabel, TaskMeta};
 use crate::trace::{trace_category, trace_metadata_events, Span, Timeline, TRACE_PID};

@@ -1,8 +1,8 @@
 //! Task-level recovery: write-set snapshots, bounded replay, and a seeded
 //! chaos harness.
 //!
-//! PR 1 gave the executors *fail-fast* semantics: a failed or panicked task
-//! cancels its transitive successors. This module adds the *recover* half.
+//! The executors are *fail-fast*: a failed or panicked task cancels its
+//! transitive successors. This module adds the *recover* half.
 //! A task wrapped by [`retrying_job`] / [`retrying_dyn_job`]:
 //!
 //! 1. snapshots its declared write-set (the per-task block regions the DAG
@@ -21,18 +21,19 @@
 //! are only filled at the very end of a successful body. Fault-free replays
 //! are therefore bitwise-identical to a run that never faulted.
 //!
-//! [`ChaosPlan`] extends [`crate::FaultPlan`] into a seeded harness:
-//! besides the deterministic N-th-match rules it injects failures, panics,
-//! delays *and silent data corruption* at configurable per-task-class
-//! rates. Decisions are a pure function of `(seed, label, occurrence)`, so
-//! they do not depend on thread interleaving; injected failures and panics
-//! fire *before* the body runs (after scribbling garbage over the write-set
-//! to prove restoration works), so replay is always safe.
+//! [`ChaosPlan`] is the one fault-injection harness, for the executors, the
+//! simulator and the retry wrappers alike: deterministic N-th-match rules
+//! plus failures, panics, delays *and silent data corruption* at
+//! configurable per-task-class rates. Decisions are a pure function of
+//! `(seed, label, occurrence)`, so they do not depend on thread
+//! interleaving; injected failures and panics fire *before* the body runs
+//! (after scribbling garbage over the write-set to prove restoration
+//! works), so replay is always safe.
 
-use crate::fault::{TaskFailure, TaskResult};
+use crate::exec::Job;
+use crate::fault::{panic_message, TaskFailure, TaskResult};
 use crate::footprint::AccessMap;
 use crate::multigraph::DynJob;
-use crate::pool::Job;
 use crate::task::{TaskId, TaskKind, TaskLabel};
 use ca_matrix::{MatView, SharedMatrix};
 use std::collections::HashMap;
@@ -70,7 +71,7 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never replays (fail-fast, PR 1 semantics).
+    /// A policy that never replays (fail-fast).
     pub fn none() -> Self {
         Self { max_retries: 0, ..Self::default() }
     }
@@ -184,10 +185,7 @@ struct ChaosRule {
     hits: AtomicUsize,
 }
 
-/// Seeded chaos-injection plan: the [`crate::FaultPlan`] idea extended with
-/// rate-based injection and silent data corruption.
-///
-/// Two mechanisms compose:
+/// Seeded fault-injection plan. Two mechanisms compose:
 ///
 /// * **Rules** fire on the N-th attempt (1-based, in decide order) whose
 ///   label matches a predicate — deterministic regardless of seed, used by
@@ -199,8 +197,8 @@ struct ChaosRule {
 ///   and a *replay* (occurrence + 1) gets a fresh draw, so chaos cannot
 ///   pin a task into an injection loop.
 ///
-/// Like `FaultPlan`, a plan carries private counters and is single-use:
-/// build a fresh plan (same seed) per run to reproduce a schedule.
+/// A plan carries private counters and is single-use: build a fresh plan
+/// (same seed) per run to reproduce a schedule.
 pub struct ChaosPlan {
     seed: u64,
     profile: ChaosProfile,
@@ -215,8 +213,7 @@ impl ChaosPlan {
         Self::with_profile(seed, ChaosProfile::default())
     }
 
-    /// A plan that injects nothing by rate — rules still fire. This is the
-    /// drop-in upgrade path from [`crate::FaultPlan`].
+    /// A plan that injects nothing by rate — rules still fire.
     pub fn quiet(seed: u64) -> Self {
         Self::with_profile(seed, ChaosProfile::quiet())
     }
@@ -324,10 +321,10 @@ impl ChaosPlan {
             *c += 1;
             *c
         };
-        // Every matching rule advances its counter (unlike `FaultPlan`,
-        // which stops at the first firing rule): a retried attempt must be
-        // visible to all rules, or N-th-match injection sequences would
-        // depend on which earlier rule happened to fire.
+        // Every matching rule advances its counter, also past the first one
+        // that fires: a retried attempt must be visible to all rules, or
+        // N-th-match injection sequences would depend on which earlier rule
+        // happened to fire.
         let mut fired = None;
         for rule in &self.rules {
             if (rule.predicate)(label) {
@@ -608,7 +605,13 @@ fn run_recovering(
             std::thread::sleep(policy.delay_for(attempt - 1));
         }
         RecoveryCounters::add(&counters.attempts);
-        let outcome = attempt_once(label, writes, shared, chaos, counters, body);
+        let target = Target { writes, shared, counters };
+        let outcome = guarded(|| {
+            inject(chaos, label, Some(&target), || {
+                body();
+                Ok(())
+            })
+        });
         match outcome {
             Ok(()) => {
                 if attempt > 0 {
@@ -635,48 +638,79 @@ fn run_recovering(
     Err(last)
 }
 
-/// One attempt: consult chaos, run the body under a panic guard.
-fn attempt_once(
-    label: &TaskLabel,
-    writes: &WriteSet,
-    shared: &SharedMatrix,
+/// What an injected fault may damage, and where it is counted: the task's
+/// write-set on its matrix plus the run's recovery counters.
+struct Target<'a> {
+    writes: &'a WriteSet,
+    shared: &'a SharedMatrix,
+    counters: &'a RecoveryCounters,
+}
+
+/// Failure message of an injected fault (also what the simulator reports).
+pub(crate) fn injection_message(panicked: bool, label: &TaskLabel) -> String {
+    let what = if panicked { "panic" } else { "failure" };
+    format!("chaos: injected {what} at {label}")
+}
+
+/// The one place an injected action is carried out: consults `chaos` for
+/// this attempt of `label` and runs `body` accordingly. An injected panic is
+/// a real unwind out of this function, so whichever catch path encloses it
+/// (the executor's or a retry guard's) is exercised, not simulated. Without
+/// a `target` (plain faulted runs, which snapshot nothing) there is nothing
+/// to scribble over or corrupt.
+fn inject(
     chaos: &ChaosPlan,
-    counters: &RecoveryCounters,
-    body: &(dyn Fn() + Send),
+    label: &TaskLabel,
+    target: Option<&Target<'_>>,
+    body: impl FnOnce() -> TaskResult,
 ) -> TaskResult {
     let decision = chaos.decide(label);
     if decision.is_some() {
         crate::telemetry::sched_counters().chaos_injections.inc();
         crate::telemetry::record_event(crate::telemetry::FlightEventKind::Inject, 0, Some(*label));
     }
+    let count = |pick: fn(&RecoveryCounters) -> &AtomicU64| {
+        if let Some(t) = target {
+            RecoveryCounters::add(pick(t.counters));
+        }
+    };
+    let scribble = || {
+        if let Some(t) = target {
+            t.writes.scribble(t.shared);
+        }
+    };
     match decision {
         Some(ChaosAction::Fail) => {
-            RecoveryCounters::add(&counters.injected_failures);
-            writes.scribble(shared);
-            Err(TaskFailure::new(format!("chaos: injected failure at {label}")))
+            count(|c| &c.injected_failures);
+            scribble();
+            Err(TaskFailure::new(injection_message(false, label)))
         }
         Some(ChaosAction::Panic) => {
-            RecoveryCounters::add(&counters.injected_panics);
-            writes.scribble(shared);
-            // Route the injection through a real unwind so the catch path
-            // is exercised, not just simulated.
-            guarded(|| panic!("chaos: injected panic at {label}"))
+            count(|c| &c.injected_panics);
+            scribble();
+            panic!("{}", injection_message(true, label))
         }
         Some(ChaosAction::Delay(d)) => {
-            RecoveryCounters::add(&counters.injected_delays);
+            count(|c| &c.injected_delays);
             std::thread::sleep(d);
-            guarded(body)
+            body()
         }
         Some(ChaosAction::Corrupt) => {
-            let r = guarded(body);
-            if r.is_ok() && !writes.is_empty() {
-                RecoveryCounters::add(&counters.injected_corruptions);
-                writes.corrupt_one(shared, splitmix64(mix(chaos.seed, label, u64::MAX)));
+            let r = body();
+            if let Some(t) = target.filter(|t| r.is_ok() && !t.writes.is_empty()) {
+                count(|c| &c.injected_corruptions);
+                t.writes.corrupt_one(t.shared, splitmix64(mix(chaos.seed, label, u64::MAX)));
             }
             r
         }
-        None => guarded(body),
+        None => body(),
     }
+}
+
+/// Wraps `job` so `chaos` is consulted as it starts — a faulted run without
+/// replay: an injected failure or panic reaches the executor like a real one.
+pub(crate) fn faulted_job<'s>(chaos: &'s ChaosPlan, label: TaskLabel, job: Job<'s>) -> Job<'s> {
+    Box::new(move || inject(chaos, &label, None, job))
 }
 
 thread_local! {
@@ -765,14 +799,11 @@ impl Drop for PanicHookGuard {
 /// Runs `f` converting a panic into a `TaskFailure`. The caller (or an
 /// enclosing scope) is expected to hold a [`PanicHookGuard`] so the unwind
 /// stays silent; without one the panic is still caught, just noisy.
-fn guarded(f: impl FnOnce()) -> TaskResult {
+fn guarded(f: impl FnOnce() -> TaskResult) -> TaskResult {
     let was = IN_GUARDED.with(|g| g.replace(true));
     let r = catch_unwind(AssertUnwindSafe(f));
     IN_GUARDED.with(|g| g.set(was));
-    match r {
-        Ok(()) => Ok(()),
-        Err(payload) => Err(TaskFailure::new(crate::pool::panic_message(&payload))),
-    }
+    r.unwrap_or_else(|payload| Err(TaskFailure::new(panic_message(payload.as_ref()))))
 }
 
 /// Wraps a re-runnable task body as a scoped [`Job`] with snapshot/replay

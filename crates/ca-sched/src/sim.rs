@@ -12,11 +12,15 @@
 //! so schedule-level effects (panel on the critical path, idle-time gaps of
 //! Figure 3, lookahead) are reproduced faithfully.
 
-use crate::fault::{ExecError, FaultAction, FaultPlan};
+use crate::exec::{ExecStats, RunReport};
+use crate::fault::ExecError;
+use crate::footprint::AccessMap;
 use crate::graph::TaskGraph;
 use crate::profile::{Profile, QueueSample, TaskRecord};
-use crate::task::TaskId;
-use crate::trace::{Span, Timeline};
+use crate::retry::{injection_message, ChaosAction, ChaosPlan};
+use crate::task::{TaskId, TaskMeta};
+use crate::trace::{Span, Timeline, TimelineError};
+use crate::verify::SoundnessError;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -74,54 +78,72 @@ impl PartialOrd for Completion {
 pub fn simulate<T>(
     graph: &TaskGraph<T>,
     nworkers: usize,
-    cost: impl FnMut(TaskId, &crate::task::TaskMeta) -> f64,
+    cost: impl FnMut(TaskId, &TaskMeta) -> f64,
 ) -> Timeline {
-    try_simulate(graph, nworkers, cost, &FaultPlan::new())
-        .expect("simulation without injected faults cannot fail")
+    sim_core(graph, nworkers, cost, None, false).0
 }
 
-/// [`simulate`] with deterministic fault injection: tasks `plan` fails (or
-/// "panics") still occupy their core for their full cost, but on completion
-/// cancel their transitive successors instead of releasing them, exactly
-/// like the threaded executors. The rest of the graph drains; the first
-/// failure comes back as an [`ExecError`] whose `lane` is the simulated
-/// core index.
+/// How [`simulate_with`] runs. `Default` is a plain [`simulate`].
+#[derive(Clone, Copy, Default)]
+pub struct SimOptions<'a> {
+    /// Inject this plan's faults: tasks it fails (or "panics") still occupy
+    /// their core for their full cost, but on completion cancel their
+    /// transitive successors instead of releasing them, exactly like the
+    /// threaded executor; a delay extends the task. The rest of the graph
+    /// drains, and the failure's `lane` is the simulated core index.
+    pub chaos: Option<&'a ChaosPlan>,
+    /// Record the full task lifecycle (exact ready/dispatch/start/end in
+    /// simulated seconds, ready-heap depth samples) into
+    /// [`RunReport::profile`].
+    pub profile: bool,
+    /// Checked mode. The simulator executes no matrix code, so "checked"
+    /// means the static verifier must accept the graph with these
+    /// footprints before anything is simulated, and the produced timeline
+    /// must pass the write-exclusion check (no two tasks with overlapping
+    /// declared write rects scheduled concurrently on different cores).
+    pub access: Option<&'a AccessMap>,
+}
+
+/// [`simulate`] with fault injection, profiling and/or checking, reported
+/// like a threaded run. Fully deterministic: tests can assert exact metric
+/// values.
 ///
 /// # Panics
 /// If `nworkers == 0`.
-pub fn try_simulate<T>(
+pub fn simulate_with<T>(
     graph: &TaskGraph<T>,
     nworkers: usize,
-    cost: impl FnMut(TaskId, &crate::task::TaskMeta) -> f64,
-    plan: &FaultPlan,
-) -> Result<Timeline, ExecError> {
-    let (timeline, failure, _) = sim_core(graph, nworkers, cost, plan, false);
-    match failure {
-        None => Ok(timeline),
-        Some(err) => Err(err),
+    cost: impl FnMut(TaskId, &TaskMeta) -> f64,
+    opts: &SimOptions<'_>,
+) -> RunReport {
+    let mut violation =
+        opts.access.and_then(|access| crate::verify::verify_graph(graph, access).err());
+    let (timeline, failure, profile) = if violation.is_none() {
+        sim_core(graph, nworkers, cost, opts.chaos, opts.profile)
+    } else {
+        (Timeline::new(nworkers), None, None)
+    };
+    if let Some(Err(e)) = opts.access.map(|access| timeline.check_write_exclusion(access)) {
+        let TimelineError::ConcurrentWrites { first, second, rect } = e else {
+            unreachable!("check_write_exclusion only reports ConcurrentWrites")
+        };
+        violation = Some(SoundnessError::Race {
+            first: graph.meta(first).label.to_string(),
+            second: graph.meta(second).label.to_string(),
+            rows: (rect.row0, rect.row1),
+            cols: (rect.col0, rect.col1),
+        });
     }
+    let tasks = timeline.lanes.iter().map(Vec::len).sum();
+    let stats = ExecStats { tasks, wall_seconds: timeline.makespan, timeline };
+    RunReport { stats, profile, failure, violation, panic: None }
 }
 
-/// Profiling sibling of [`try_simulate`]: records the full task lifecycle
-/// (exact ready/dispatch/start/end in simulated seconds, ready-heap depth
-/// samples) and returns a [`Profile`] **always** — even when an injected
-/// fault fails a task — with any failure reported on the side. Fully
-/// deterministic: tests can assert exact metric values.
-pub fn profile_simulate<T>(
+pub(crate) fn sim_core<T>(
     graph: &TaskGraph<T>,
     nworkers: usize,
-    cost: impl FnMut(TaskId, &crate::task::TaskMeta) -> f64,
-    plan: &FaultPlan,
-) -> (Profile, Option<ExecError>) {
-    let (_, failure, profile) = sim_core(graph, nworkers, cost, plan, true);
-    (profile.expect("profiling enabled"), failure)
-}
-
-fn sim_core<T>(
-    graph: &TaskGraph<T>,
-    nworkers: usize,
-    mut cost: impl FnMut(TaskId, &crate::task::TaskMeta) -> f64,
-    plan: &FaultPlan,
+    mut cost: impl FnMut(TaskId, &TaskMeta) -> f64,
+    chaos: Option<&ChaosPlan>,
     profile: bool,
 ) -> (Timeline, Option<ExecError>, Option<Profile>) {
     assert!(nworkers > 0, "need at least one simulated core");
@@ -156,14 +178,15 @@ fn sim_core<T>(
             let meta = &graph.metas[entry.id];
             let mut d = cost(entry.id, meta).max(0.0);
             // `failed` is Some(panicked) when a fault fires for this task.
-            let failed = match plan.decide(&meta.label) {
-                Some(FaultAction::Fail) => Some(false),
-                Some(FaultAction::Panic) => Some(true),
-                Some(FaultAction::Delay(extra)) => {
+            let failed = match chaos.and_then(|plan| plan.decide(&meta.label)) {
+                Some(ChaosAction::Fail) => Some(false),
+                Some(ChaosAction::Panic) => Some(true),
+                Some(ChaosAction::Delay(extra)) => {
                     d += extra.as_secs_f64();
                     None
                 }
-                None => None,
+                // No data is simulated, so there is nothing to corrupt.
+                Some(ChaosAction::Corrupt) | None => None,
             };
             timeline.lanes[worker].push(Span {
                 task: entry.id,
@@ -218,8 +241,7 @@ fn sim_core<T>(
                         task: c.task,
                         label: graph.metas[c.task].label,
                         lane: c.worker,
-                        message: if panicked { "injected panic" } else { "injected fault" }
-                            .to_string(),
+                        message: injection_message(panicked, &graph.metas[c.task].label),
                         panicked,
                         cancelled: Vec::new(),
                     });
@@ -277,6 +299,11 @@ mod tests {
 
     fn meta(flops: f64, priority: i64) -> TaskMeta {
         TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), flops).with_priority(priority)
+    }
+
+    fn faulted(g: &TaskGraph<()>, nworkers: usize, plan: &ChaosPlan) -> ExecError {
+        let opts = SimOptions { chaos: Some(plan), ..Default::default() };
+        simulate_with(g, nworkers, |_, m| m.flops, &opts).failure.expect("injected fault")
     }
 
     fn chain(n: usize, flops: f64) -> TaskGraph<()> {
@@ -392,8 +419,8 @@ mod tests {
         // Chain of 10; fail the 4th started task: 6 tasks cancel, the
         // simulation still terminates, and the error names the task.
         let g = chain(10, 1.0);
-        let plan = FaultPlan::new().fail_nth(4, |_| true);
-        let err = try_simulate(&g, 4, |_, m| m.flops, &plan).unwrap_err();
+        let plan = ChaosPlan::quiet(0).fail_nth(4, |_| true);
+        let err = faulted(&g, 4, &plan);
         assert_eq!(err.task, 3);
         assert!(!err.panicked);
         assert_eq!(err.cancelled, vec![4, 5, 6, 7, 8, 9]);
@@ -416,8 +443,8 @@ mod tests {
                 chains.push(id);
             }
         }
-        let plan = FaultPlan::new().panic_nth(1, |l| l.i == 0 && l.step == 1);
-        let err = try_simulate(&g, 2, |_, m| m.flops, &plan).unwrap_err();
+        let plan = ChaosPlan::quiet(0).panic_nth(1, |l| l.i == 0 && l.step == 1);
+        let err = faulted(&g, 2, &plan);
         assert!(err.panicked);
         assert_eq!(err.cancelled.len(), 3, "only the faulty chain's tail cancels");
         // All of chain 1 plus chain 0's steps 0..=1 executed.
@@ -426,10 +453,32 @@ mod tests {
     }
 
     #[test]
-    fn empty_fault_plan_matches_simulate() {
+    fn quiet_plan_matches_simulate() {
         let g = chain(10, 2.0);
         let a = simulate_uniform(&g, 3, 1.0);
-        let b = try_simulate(&g, 3, |_, m| m.flops / 1.0, &FaultPlan::new()).unwrap();
-        assert_eq!(a.makespan, b.makespan);
+        let opts = SimOptions { chaos: Some(&ChaosPlan::quiet(0)), ..Default::default() };
+        let b = simulate_with(&g, 3, |_, m| m.flops, &opts);
+        assert!(b.failure.is_none());
+        assert_eq!(a.makespan, b.stats.timeline.makespan);
+    }
+
+    #[test]
+    fn checked_simulation_rejects_unordered_graph() {
+        let mut g: TaskGraph<()> = TaskGraph::new();
+        let a = g.add_task(meta(1.0, 0), ());
+        let b = g.add_task(meta(1.0, 0), ());
+        let mut access = AccessMap::new(1, 1);
+        access.record_write(a, 0..1, 0..1);
+        access.record_write(b, 0..1, 0..1);
+        let opts = SimOptions { access: Some(&access), ..Default::default() };
+        match simulate_with(&g, 2, |_, m| m.flops, &opts).violation {
+            Some(SoundnessError::UnorderedConflict { .. }) => {}
+            other => panic!("expected UnorderedConflict, got {other:?}"),
+        }
+        // With the ordering edge the same graph simulates fine.
+        g.add_dep(a, b);
+        let report = simulate_with(&g, 2, |_, m| m.flops, &opts);
+        assert!(report.violation.is_none());
+        assert_eq!(report.stats.tasks, 2);
     }
 }

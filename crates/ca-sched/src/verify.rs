@@ -342,8 +342,8 @@ pub struct LintReport {
     pub critical_path_flops: f64,
     /// Critical path with all flagged edges removed.
     pub reduced_critical_path_flops: f64,
-    /// Total panel wait (PR 2 lookahead metric, simulated on
-    /// [`LINT_SIM_WORKERS`] workers) of the graph as built.
+    /// Total panel wait (PR 2 lookahead metric, simulated on 4 workers) of
+    /// the graph as built.
     pub panel_wait_seconds: f64,
     /// Total panel wait with all flagged edges removed.
     pub reduced_panel_wait_seconds: f64,
@@ -891,13 +891,11 @@ fn lint_pass<T>(
     // price the findings, not to execute.
     let critical_path_flops = graph.critical_path_flops();
     let sim = graph.map_ref(|_, _| ());
-    let (profile, _) = crate::sim::profile_simulate(
-        &sim,
-        LINT_SIM_WORKERS,
-        |_, m| m.flops,
-        &crate::fault::FaultPlan::new(),
-    );
-    let panel_wait_seconds = profile.lookahead_metrics().total_wait;
+    let panel_wait = |g: &TaskGraph<()>| {
+        let (_, _, profile) = crate::sim::sim_core(g, LINT_SIM_WORKERS, |_, m| m.flops, None, true);
+        profile.expect("profiling requested").lookahead_metrics().total_wait
+    };
+    let panel_wait_seconds = panel_wait(&sim);
     let (reduced_critical_path_flops, reduced_panel_wait_seconds) =
         if unnecessary_edges.is_empty() && redundant_edges.is_empty() {
             (critical_path_flops, panel_wait_seconds)
@@ -908,13 +906,7 @@ fn lint_pass<T>(
                 #[allow(clippy::disallowed_methods)]
                 reduced.remove_dep(e.from, e.to);
             }
-            let (profile, _) = crate::sim::profile_simulate(
-                &reduced,
-                LINT_SIM_WORKERS,
-                |_, m| m.flops,
-                &crate::fault::FaultPlan::new(),
-            );
-            (reduced.critical_path_flops(), profile.lookahead_metrics().total_wait)
+            (reduced.critical_path_flops(), panel_wait(&reduced))
         };
 
     // Dataflow over the id-order serialization. Forward: reads of

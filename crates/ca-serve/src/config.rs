@@ -180,7 +180,7 @@ impl ChaosConfig {
 pub struct TelemetryConfig {
     /// Write periodic snapshots to this file (Prometheus text format; a
     /// sibling `<file>.json` carries the same snapshot as JSON). `None`
-    /// keeps the registry in-memory only ([`crate::Service::metrics`]).
+    /// keeps the registry in-memory only ([`crate::Service::metrics_snapshot`]).
     pub metrics_file: Option<PathBuf>,
     /// Snapshot-thread period when `metrics_file` is set.
     pub interval: Duration,

@@ -5,10 +5,8 @@ use crate::config::{AdmissionPolicy, ServiceConfig, SubmitOptions};
 use crate::metrics::{ServeMetrics, TenantSeries};
 use crate::stats::{Counters, LatencySummary, ServeError, ServiceStats};
 use ca_core::{
-    calu_serve_graph, calu_serve_graph_recovering, caqr_serve_graph,
-    caqr_serve_graph_recovering, lu_solve_serve_graph, lu_solve_serve_graph_recovering,
-    qr_lstsq_serve_graph, qr_lstsq_serve_graph_recovering, CaParams, FactorError, JobRecovery,
-    LuFactors, QrFactors, ServeGraph,
+    calu_serve_graph, caqr_serve_graph, lu_solve_serve_graph, qr_lstsq_serve_graph, CaParams,
+    FactorError, JobRecovery, LuFactors, QrFactors, ServeGraph,
 };
 use ca_matrix::Matrix;
 use ca_sched::{
@@ -955,7 +953,7 @@ impl Service {
         }
         self.core.admit()?;
         match self.core.recovery_for_attempt() {
-            None => match calu_serve_graph(a, &p) {
+            None => match calu_serve_graph(a, &p, None) {
                 Ok(sg) => Ok(self.submit_direct(sg, &opts, None, "lu")),
                 Err(e) => {
                     self.core.release_one();
@@ -969,8 +967,7 @@ impl Service {
                     Box::new(move |f: &LuFactors| f.verify_integrity(&a0, seed))
                         as Box<dyn Fn(&LuFactors) -> Result<(), FactorError> + Send>
                 });
-                let build =
-                    move |r: &JobRecovery| calu_serve_graph_recovering((*a0).clone(), &p, r);
+                let build = move |r: &JobRecovery| calu_serve_graph((*a0).clone(), &p, Some(r));
                 self.submit_recovering(&opts, rec, build, probe, "lu")
             }
         }
@@ -994,7 +991,7 @@ impl Service {
         }
         self.core.admit()?;
         match self.core.recovery_for_attempt() {
-            None => match caqr_serve_graph(a, &p) {
+            None => match caqr_serve_graph(a, &p, None) {
                 Ok(sg) => Ok(self.submit_direct(sg, &opts, None, "qr")),
                 Err(e) => {
                     self.core.release_one();
@@ -1008,8 +1005,7 @@ impl Service {
                     Box::new(move |f: &QrFactors| f.verify_integrity(&a0, seed))
                         as Box<dyn Fn(&QrFactors) -> Result<(), FactorError> + Send>
                 });
-                let build =
-                    move |r: &JobRecovery| caqr_serve_graph_recovering((*a0).clone(), &p, r);
+                let build = move |r: &JobRecovery| caqr_serve_graph((*a0).clone(), &p, Some(r));
                 self.submit_recovering(&opts, rec, build, probe, "qr")
             }
         }
@@ -1067,7 +1063,7 @@ impl Service {
         let p = self.params_for(&opts);
         self.core.admit()?;
         match self.core.recovery_for_attempt() {
-            None => match lu_solve_serve_graph(a, rhs, &p) {
+            None => match lu_solve_serve_graph(a, rhs, &p, None) {
                 Ok(sg) => Ok(self.submit_direct(sg, &opts, None, "solve")),
                 Err(e) => {
                     self.core.release_one();
@@ -1080,7 +1076,7 @@ impl Service {
                 // No probe on solve jobs: the factors are consumed inside
                 // the graph; task retry + job retry still apply.
                 let build = move |r: &JobRecovery| {
-                    lu_solve_serve_graph_recovering((*a0).clone(), (*r0).clone(), &p, r)
+                    lu_solve_serve_graph((*a0).clone(), (*r0).clone(), &p, Some(r))
                 };
                 self.submit_recovering(&opts, rec, build, None, "solve")
             }
@@ -1101,7 +1097,7 @@ impl Service {
         let p = self.params_for(&opts);
         self.core.admit()?;
         match self.core.recovery_for_attempt() {
-            None => match qr_lstsq_serve_graph(a, rhs, &p) {
+            None => match qr_lstsq_serve_graph(a, rhs, &p, None) {
                 Ok(sg) => Ok(self.submit_direct(sg, &opts, None, "lstsq")),
                 Err(e) => {
                     self.core.release_one();
@@ -1112,7 +1108,7 @@ impl Service {
                 let a0 = Arc::new(a);
                 let r0 = Arc::new(rhs);
                 let build = move |r: &JobRecovery| {
-                    qr_lstsq_serve_graph_recovering((*a0).clone(), (*r0).clone(), &p, r)
+                    qr_lstsq_serve_graph((*a0).clone(), (*r0).clone(), &p, Some(r))
                 };
                 self.submit_recovering(&opts, rec, build, None, "lstsq")
             }

@@ -7,7 +7,7 @@
 //! cargo run --release --example schedule_trace [m] [n] [threads]
 //! ```
 
-use ca_factor::core::calu_with_stats;
+use ca_factor::core::{try_calu_with, FactorOptions};
 use ca_factor::matrix::{random_uniform, seeded_rng};
 use ca_factor::prelude::*;
 use ca_factor::sched::ascii_gantt;
@@ -21,7 +21,9 @@ fn main() {
     for tr in [1usize, threads.max(2)] {
         let a = random_uniform(m, n, &mut seeded_rng(3));
         let params = CaParams::new(100.min(n), tr, threads);
-        let (f, stats) = calu_with_stats(a.clone(), &params);
+        let (f, report) = try_calu_with(a.clone(), &params, &FactorOptions::default())
+            .expect("random matrices factor cleanly");
+        let stats = report.stats;
         println!(
             "CALU {m}x{n}, b={}, Tr={tr}, {threads} threads: {:.3}s over {} tasks, \
              utilization {:.1}%, residual {:.1e}",

@@ -11,7 +11,7 @@
 //!
 //! Matrices are Matrix Market files (dense `array` or sparse `coordinate`).
 
-use ca_factor::core::try_calu_with_stats;
+use ca_factor::core::{try_calu_with, try_caqr_with, FactorOptions};
 use ca_factor::matrix::io::{read_matrix_market_file, write_matrix_market_file};
 use ca_factor::matrix::{norm_one, random_uniform, seeded_rng, Matrix};
 use ca_factor::prelude::*;
@@ -326,6 +326,15 @@ fn parse_opts(args: &[String]) -> Opts {
 }
 
 fn load_matrix(o: &Opts) -> Matrix {
+    let a = read_or_generate(o);
+    if a.nrows() == 0 || a.ncols() == 0 {
+        eprintln!("cafactor: the matrix must be non-empty (got {}x{})", a.nrows(), a.ncols());
+        exit(2)
+    }
+    a
+}
+
+fn read_or_generate(o: &Opts) -> Matrix {
     if let Some(path) = &o.input {
         match read_matrix_market_file(path) {
             Ok(a) => a,
@@ -343,6 +352,12 @@ fn load_matrix(o: &Opts) -> Matrix {
 }
 
 fn params(o: &Opts, n: usize) -> CaParams {
+    for (flag, value) in [("--b", o.b), ("--tr", o.tr), ("--threads", o.threads)] {
+        if value == 0 {
+            eprintln!("cafactor: {flag} must be at least 1");
+            exit(2)
+        }
+    }
     let mut p = CaParams::new(o.b.min(n.max(1)), o.tr, o.threads);
     p.tree = o.tree;
     p
@@ -372,7 +387,7 @@ fn ooc_store_path(o: &Opts) -> (std::path::PathBuf, bool) {
     }
 }
 
-/// `factor lu|qr --out-of-core`: import the matrix into a [`TileStore`],
+/// `factor lu|qr --out-of-core`: import the matrix into a `TileStore`,
 /// run the left-looking driver under `--memory-budget`, and verify with
 /// the streamed `O(n²)` probes instead of a dense residual. Reports the
 /// factorization's measured I/O volume against the sequential
@@ -510,8 +525,9 @@ fn cmd_factor_lu(o: &Opts) {
         report_profile(&profile, trace);
         (f, tasks)
     } else {
-        let (f, stats) = try_calu_with_stats(a.clone(), &p).unwrap_or_else(|e| fail(&e));
-        (f, stats.tasks)
+        let (f, report) = try_calu_with(a.clone(), &p, &FactorOptions::default())
+            .unwrap_or_else(|e| fail(&e));
+        (f, report.stats.tasks)
     };
     let dt = t0.elapsed().as_secs_f64();
     let gf = ca_factor::kernels::flops::getrf(m, n.min(m)) / dt / 1e9;
@@ -709,25 +725,24 @@ fn cmd_verify(sub: &str, o: &Opts) {
         );
         exit(13);
     }
+    let checked = FactorOptions { checked: true, ..Default::default() };
     let t0 = Instant::now();
     match sub {
         "lu" => {
-            let (f, stats) =
-                ca_factor::core::try_calu_checked(a.clone(), &p).unwrap_or_else(|e| fail(&e));
+            let (f, report) = try_calu_with(a.clone(), &p, &checked).unwrap_or_else(|e| fail(&e));
             let dt = t0.elapsed().as_secs_f64();
             println!(
                 "checked CALU run clean: {} tasks, {dt:.3}s, residual={:.2e}",
-                stats.tasks,
+                report.stats.tasks,
                 f.residual(&a),
             );
         }
         "qr" => {
-            let (f, stats) =
-                ca_factor::core::try_caqr_checked(a.clone(), &p).unwrap_or_else(|e| fail(&e));
+            let (f, report) = try_caqr_with(a.clone(), &p, &checked).unwrap_or_else(|e| fail(&e));
             let dt = t0.elapsed().as_secs_f64();
             println!(
                 "checked CAQR run clean: {} tasks, {dt:.3}s, residual={:.2e}",
-                stats.tasks,
+                report.stats.tasks,
                 f.residual(&a),
             );
         }

@@ -2,10 +2,10 @@
 //! NaN/Inf pre-scan, exact-singularity reporting, the GEPP fallback on
 //! tournament instability, and worker-failure surfacing via fault injection.
 
-use ca_factor::core::{try_calu_seq, try_calu_with_faults, DEFAULT_GROWTH_LIMIT};
+use ca_factor::core::{try_calu_seq, try_calu_with, FactorOptions, DEFAULT_GROWTH_LIMIT};
 use ca_factor::matrix::{random_uniform, seeded_rng};
 use ca_factor::prelude::*;
-use ca_factor::sched::FaultPlan;
+use ca_factor::sched::ChaosPlan;
 
 #[test]
 fn nan_input_is_rejected_before_factoring() {
@@ -119,8 +119,9 @@ fn injected_task_failure_surfaces_as_task_failed() {
     // task died instead of hanging or panicking.
     let a = random_uniform(96, 96, &mut seeded_rng(6));
     let p = CaParams::new(16, 4, 4);
-    let faults = FaultPlan::new().panic_nth(2, |l| l.kind == ca_factor::sched::TaskKind::Panel);
-    let err = try_calu_with_faults(a, &p, &faults).expect_err("injected panic must surface");
+    let faults = ChaosPlan::quiet(0).panic_nth(2, |l| l.kind == ca_factor::sched::TaskKind::Panel);
+    let opts = FactorOptions { chaos: Some(&faults), ..Default::default() };
+    let err = try_calu_with(a, &p, &opts).err().expect("injected panic must surface");
     match err {
         FactorError::TaskFailed { label, message } => {
             assert!(label.starts_with('P'), "label {label}");

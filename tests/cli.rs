@@ -291,3 +291,20 @@ fn singular_input_exits_with_breakdown_code() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn zero_valued_flags_exit_2_with_a_one_line_message() {
+    // Each of these used to reach a library assertion and die with a
+    // backtrace (exit 101); they are usage errors like any other bad flag.
+    for (flags, complaint) in [
+        (&["--random", "64", "64", "--threads", "0"][..], "--threads must be at least 1"),
+        (&["--random", "64", "64", "--tr", "0"][..], "--tr must be at least 1"),
+        (&["--random", "64", "64", "--b", "0"][..], "--b must be at least 1"),
+        (&["--random", "0", "0"][..], "the matrix must be non-empty (got 0x0)"),
+    ] {
+        let out = cafactor().args(["factor", "lu"]).args(flags).output().expect("run cafactor");
+        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.trim_end(), format!("cafactor: {complaint}"), "{flags:?}");
+    }
+}

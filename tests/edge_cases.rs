@@ -179,15 +179,16 @@ fn residue_classes_under_checked_executor() {
     // The PR-3 checked executor (static DAG verification + shadow lease
     // registry) must accept the same rim shapes: an out-of-footprint write
     // by an edge kernel would surface here as a lease violation.
-    use ca_factor::core::{try_calu_checked, try_caqr_checked};
+    use ca_factor::core::{try_calu_with, try_caqr_with, FactorOptions};
     use ca_factor::kernels::{MR, NR};
     for r in [0, 1, MR - 1, NR - 1] {
         let (m, n) = (3 * MR + r, 2 * MR + r);
         let a = random_uniform(m, n, &mut seeded_rng(200 + r as u64));
         let p = CaParams::new(MR - 1, 2, 2);
-        let (f, _) = try_calu_checked(a.clone(), &p).expect("checked CALU");
+        let checked = FactorOptions { checked: true, ..Default::default() };
+        let (f, _) = try_calu_with(a.clone(), &p, &checked).expect("checked CALU");
         assert!(f.residual(&a) < 1e-12, "checked CALU residue {r}");
-        let (qr, _) = try_caqr_checked(a.clone(), &p).expect("checked CAQR");
+        let (qr, _) = try_caqr_with(a.clone(), &p, &checked).expect("checked CAQR");
         assert!(qr.residual(&a) < 1e-12, "checked CAQR residue {r}");
     }
 }

@@ -3,10 +3,21 @@
 //! Chrome-trace structure, and the `try_calu_profiled` library surface.
 
 use ca_factor::sched::{
-    job, profile_run_graph, profile_run_graph_stealing, profile_simulate, FaultPlan, Job,
-    Profile, TaskGraph, TaskKind, TaskLabel, TaskMeta,
+    execute, job, simulate_with, ChaosPlan, ExecError, Job, Profile, QueueKind, RunOptions,
+    SimOptions, TaskGraph, TaskKind, TaskLabel, TaskMeta,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
+
+/// A profiled run on `queue`, optionally under a fault plan.
+fn profiled<'s>(
+    g: TaskGraph<Job<'s>>,
+    threads: usize,
+    queue: QueueKind,
+    chaos: Option<&'s ChaosPlan>,
+) -> (Profile, Option<ExecError>) {
+    let report = execute(g, threads, &RunOptions { queue, chaos, profile: true, shadow: None });
+    (report.profile.expect("profiling requested"), report.failure)
+}
 
 /// A layered DAG of `layers * width` trivially-quick jobs that counts
 /// executions into `counter`.
@@ -55,7 +66,7 @@ fn profiled_pool_timeline_is_consistent() {
         let counter = AtomicUsize::new(0);
         let g = layered_jobs(5, 4, &counter);
         let n = g.len();
-        let (profile, err) = profile_run_graph(g, threads, &FaultPlan::new());
+        let (profile, err) = profiled(g, threads, QueueKind::Central, None);
         assert!(err.is_none());
         assert_eq!(counter.load(Ordering::SeqCst), n);
         assert_eq!(profile.scheduler, "priority-queue");
@@ -72,7 +83,7 @@ fn profiled_stealing_pool_timeline_is_consistent() {
         let counter = AtomicUsize::new(0);
         let g = layered_jobs(5, 4, &counter);
         let n = g.len();
-        let (profile, err) = profile_run_graph_stealing(g, threads, &FaultPlan::new());
+        let (profile, err) = profiled(g, threads, QueueKind::Stealing, None);
         assert!(err.is_none());
         assert_eq!(counter.load(Ordering::SeqCst), n);
         assert_eq!(profile.scheduler, "work-stealing");
@@ -100,8 +111,8 @@ fn cancelled_tasks_never_appear_as_records() {
     for pair in ids.windows(2) {
         g.add_dep(pair[0], pair[1]);
     }
-    let plan = FaultPlan::new().fail_nth(1, move |l| l.step == fail_at);
-    let (profile, err) = profile_run_graph(g, 2, &plan);
+    let plan = ChaosPlan::quiet(0).fail_nth(1, move |l| l.step == fail_at);
+    let (profile, err) = profiled(g, 2, QueueKind::Central, Some(&plan));
     let err = err.expect("injected failure must surface");
     assert_eq!(err.task, ids[fail_at]);
     assert_eq!(profile.cancelled, ids[fail_at + 1..].to_vec());
@@ -128,8 +139,10 @@ fn simulator_profile_is_deterministic_and_exact() {
     g.add_dep(a, c);
     g.add_dep(b, d);
     g.add_dep(c, d);
-    let (p1, err) = profile_simulate(&g, 2, |_, _| 1.0, &FaultPlan::new());
-    assert!(err.is_none());
+    let sim = SimOptions { profile: true, ..Default::default() };
+    let report = simulate_with(&g, 2, |_, _| 1.0, &sim);
+    assert!(report.failure.is_none());
+    let p1 = report.profile.expect("profiling requested");
     assert_eq!(p1.scheduler, "simulator");
     assert_eq!(p1.makespan, 3.0);
     let r: Vec<_> = p1.records.iter().map(|r| (r.task, r.ready, r.start, r.end)).collect();
@@ -143,7 +156,7 @@ fn simulator_profile_is_deterministic_and_exact() {
     assert_eq!(m.efficiency, 1.0);
     assert_eq!(m.dispatch_latency.max, 0.0, "simulator dispatch is immediate");
     // Determinism: a second run is bit-identical.
-    let (p2, _) = profile_simulate(&g, 2, |_, _| 1.0, &FaultPlan::new());
+    let p2 = simulate_with(&g, 2, |_, _| 1.0, &sim).profile.expect("profiling requested");
     let r2: Vec<_> = p2.records.iter().map(|r| (r.task, r.ready, r.start, r.end)).collect();
     assert_eq!(r, r2);
 }
@@ -219,7 +232,7 @@ fn recovery_marked_trace_validates_and_carries_marks() {
     use ca_factor::sched::chrome_trace_json_with_marks;
     let counter = AtomicUsize::new(0);
     let g = layered_jobs(4, 3, &counter);
-    let (profile, err) = profile_run_graph(g, 2, &FaultPlan::new());
+    let (profile, err) = profiled(g, 2, QueueKind::Central, None);
     assert!(err.is_none());
     let tl = profile.timeline();
     tl.check().expect("clean timeline");

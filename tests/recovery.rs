@@ -3,24 +3,47 @@
 //! The central property: a task that fails, panics, or is delayed mid-graph
 //! and is replayed from its write-set snapshot leaves **no trace** — the
 //! recovered factorization is bitwise identical to a fault-free run of the
-//! same executor. This holds across the priority-queue pool, the
-//! work-stealing pool, and the checked (shadow-audited) executor, because
-//! recovery wraps task bodies below the scheduler layer.
+//! same executor. This holds on both ready queues (here) and under the
+//! race detector (the `FactorOptions` equivalence matrix in
+//! `tests/cross_crate.rs`), because recovery wraps task bodies below the
+//! scheduler layer.
 //!
 //! Silent corruption is the one fault replay cannot see; the random-vector
 //! integrity probe must catch it after the fact.
 
 use ca_factor::core::{
-    try_calu, try_calu_recovering, try_calu_recovering_checked, try_caqr,
-    try_caqr_recovering, try_caqr_recovering_checked, FactorError,
+    try_calu, try_calu_with, try_caqr, try_caqr_with, FactorError, FactorOptions, LuFactors,
+    Retry,
 };
-use ca_factor::matrix::{random_uniform, seeded_rng};
+use ca_factor::matrix::{random_uniform, seeded_rng, Matrix};
 use ca_factor::prelude::CaParams;
 use ca_factor::sched::{ChaosPlan, ChaosProfile, RecoveryCounters, RetryPolicy, TaskKind};
 use std::time::Duration;
 
 fn params(threads: usize) -> CaParams {
     CaParams::new(16, 4, threads)
+}
+
+fn recovering<'a>(
+    policy: RetryPolicy,
+    chaos: &'a ChaosPlan,
+    counters: &'a RecoveryCounters,
+) -> FactorOptions<'a> {
+    FactorOptions {
+        chaos: Some(chaos),
+        retry: Some(Retry { policy, counters }),
+        ..Default::default()
+    }
+}
+
+fn calu_recovering(
+    a: &Matrix,
+    p: &CaParams,
+    policy: RetryPolicy,
+    chaos: &ChaosPlan,
+    counters: &RecoveryCounters,
+) -> Result<LuFactors, FactorError> {
+    try_calu_with(a.clone(), p, &recovering(policy, chaos, counters)).map(|(f, _)| f)
 }
 
 /// One deterministic injection per kind: fail the first Update, panic the
@@ -44,14 +67,8 @@ fn calu_replay_is_bitwise_identical_across_executors() {
             }
             let reference = try_calu(a.clone(), &p).expect("fault-free run");
             let counters = RecoveryCounters::new();
-            let (f, _) = try_calu_recovering(
-                a.clone(),
-                &p,
-                RetryPolicy::default(),
-                &targeted_plan(1),
-                &counters,
-            )
-            .expect("recovered run");
+            let f = calu_recovering(&a, &p, RetryPolicy::default(), &targeted_plan(1), &counters)
+                .expect("recovered run");
             assert_eq!(
                 f.lu.as_slice(),
                 reference.lu.as_slice(),
@@ -84,14 +101,9 @@ fn caqr_replay_is_bitwise_identical_across_executors() {
             }
             let reference = try_caqr(a.clone(), &p).expect("fault-free run");
             let counters = RecoveryCounters::new();
-            let (f, _) = try_caqr_recovering(
-                a.clone(),
-                &p,
-                RetryPolicy::default(),
-                &targeted_plan(2),
-                &counters,
-            )
-            .expect("recovered run");
+            let plan = targeted_plan(2);
+            let opts = recovering(RetryPolicy::default(), &plan, &counters);
+            let (f, _) = try_caqr_with(a.clone(), &p, &opts).expect("recovered run");
             assert_eq!(
                 f.a.as_slice(),
                 reference.a.as_slice(),
@@ -103,40 +115,6 @@ fn caqr_replay_is_bitwise_identical_across_executors() {
             assert_eq!(s.exhausted_tasks, 0);
         }
     }
-}
-
-#[test]
-fn checked_executor_accepts_recovered_runs() {
-    // The shadow-lease auditor sees every element access of every replay;
-    // snapshot capture/restore must stay inside declared write footprints
-    // or this run would abort with a soundness violation.
-    let a = random_uniform(80, 80, &mut seeded_rng(0xFA03));
-    let p = params(2);
-    let reference = try_calu(a.clone(), &p).expect("fault-free run");
-    let counters = RecoveryCounters::new();
-    let (f, _) = try_calu_recovering_checked(
-        a.clone(),
-        &p,
-        RetryPolicy::default(),
-        &targeted_plan(3),
-        &counters,
-    )
-    .expect("checked recovered run");
-    assert_eq!(f.lu.as_slice(), reference.lu.as_slice());
-    assert!(counters.snapshot().recovered_tasks >= 1);
-
-    let aq = random_uniform(80, 48, &mut seeded_rng(0xFA04));
-    let qr_ref = try_caqr(aq.clone(), &p).expect("fault-free run");
-    let cq = RecoveryCounters::new();
-    let (fq, _) = try_caqr_recovering_checked(
-        aq.clone(),
-        &p,
-        RetryPolicy::default(),
-        &targeted_plan(4),
-        &cq,
-    )
-    .expect("checked recovered QR run");
-    assert_eq!(fq.a.as_slice(), qr_ref.a.as_slice());
 }
 
 #[test]
@@ -153,9 +131,8 @@ fn profile_rate_chaos_recovers_under_both_pools() {
         let reference = try_calu(a.clone(), &p).expect("fault-free run");
         let counters = RecoveryCounters::new();
         let plan = ChaosPlan::with_profile(0xD2, profile);
-        let (f, _) =
-            try_calu_recovering(a.clone(), &p, RetryPolicy::default(), &plan, &counters)
-                .expect("recovered run");
+        let f = calu_recovering(&a, &p, RetryPolicy::default(), &plan, &counters)
+            .expect("recovered run");
         assert_eq!(f.lu.as_slice(), reference.lu.as_slice());
         let s = counters.snapshot();
         assert!(
@@ -175,14 +152,7 @@ fn exhausted_retry_budget_fails_cleanly() {
     let counters = RecoveryCounters::new();
     let plan = ChaosPlan::quiet(0)
         .with_class_profile(TaskKind::Update, ChaosProfile::quiet().with_fail_rate(1.0));
-    let r = try_calu_recovering(
-        a,
-        &p,
-        RetryPolicy::default().with_max_retries(2),
-        &plan,
-        &counters,
-    );
-    match r {
+    match calu_recovering(&a, &p, RetryPolicy::default().with_max_retries(2), &plan, &counters) {
         Err(FactorError::TaskFailed { .. }) => {}
         other => panic!("expected task failure after exhaustion, got {other:?}"),
     }
@@ -202,7 +172,7 @@ fn integrity_probe_catches_injected_corruption() {
     // transform the corrupted block in place (they never recompute it from
     // pristine data), so the corruption propagates into the final factors.
     let plan = ChaosPlan::quiet(0).corrupt_nth(1, |l| l.kind == TaskKind::Update);
-    let (f, _) = try_calu_recovering(a.clone(), &p, RetryPolicy::default(), &plan, &counters)
+    let f = calu_recovering(&a, &p, RetryPolicy::default(), &plan, &counters)
         .expect("corrupted run still completes");
     assert_eq!(counters.snapshot().injected_corruptions, 1);
     match f.verify_integrity(&a, 42) {

@@ -1,16 +1,216 @@
-//! Stress tests of the `ca-sched` runtime: random DAGs executed on real
-//! threads with dependency-order verification, pool-vs-simulator agreement
-//! on task sets, heavy-contention smoke tests, and deterministic
-//! fault-injection runs exercising the failure/cancellation paths.
+//! Stress tests of the `ca-sched` runtime: the executor contract over every
+//! queue × thread count × option, random DAGs executed on real threads with
+//! dependency-order verification, executor-vs-simulator agreement on task
+//! sets, heavy-contention smoke tests, and deterministic fault-injection
+//! runs exercising the failure/cancellation paths.
 
 use ca_factor::sched::{
-    job, run_graph, simulate_uniform, try_run_graph, try_run_graph_stealing_with_faults,
-    try_run_graph_with_faults, FaultPlan, Job, TaskFailure, TaskGraph, TaskKind, TaskLabel,
-    TaskMeta,
+    execute, job, run_graph, simulate_uniform, ChaosPlan, ExecError, Job, QueueKind, RunOptions,
+    TaskFailure, TaskGraph, TaskKind, TaskLabel, TaskMeta,
 };
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
+
+/// Runs `graph` and returns the failure it must have produced.
+fn expect_failure<'s>(
+    graph: TaskGraph<Job<'s>>,
+    threads: usize,
+    opts: &RunOptions<'s>,
+) -> ExecError {
+    execute(graph, threads, opts).failure.expect("the failure must surface as an ExecError")
+}
+
+/// What makes the contract graph's victim task fail, if anything, and what
+/// the run additionally records.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Mode {
+    Plain,
+    /// The victim's body returns `Err`.
+    RealFail,
+    /// The victim's body panics.
+    RealPanic,
+    /// A chaos rule fails the victim before its body runs.
+    ChaosFail,
+    /// A chaos rule panics the victim before its body runs.
+    ChaosPanic,
+    Profiled,
+    /// Profiling with a chaos-failed victim: `Profile::cancelled`.
+    ProfiledChaosFail,
+    /// Under the race detector, every task writing its declared element.
+    Checked,
+}
+
+#[test]
+#[allow(clippy::disallowed_methods)] // Checked mode drives raw block writes on purpose
+fn executor_contract_holds_for_every_queue_thread_count_and_option() {
+    use ca_factor::matrix::{Matrix, SharedMatrix};
+    use ca_factor::sched::{build_shadow_registry, AccessMap};
+
+    // root -> {victim, good} -> join -> tail, plus an independent chain. A
+    // failing victim must cancel exactly {join, tail}; root, good and the
+    // whole chain still run.
+    const CHAIN: usize = 8;
+    let mut shape: TaskGraph<()> = TaskGraph::new();
+    let mut add = |kind, step| {
+        shape.add_task(TaskMeta::new(TaskLabel::new(kind, step, 0, 0), 1.0), ())
+    };
+    let root = add(TaskKind::Panel, 0);
+    let victim = add(TaskKind::Update, 1);
+    let good = add(TaskKind::Panel, 2);
+    let join = add(TaskKind::Panel, 3);
+    let tail = add(TaskKind::Panel, 4);
+    let chain: Vec<usize> = (0..CHAIN).map(|i| add(TaskKind::LBlock, i)).collect();
+    for (a, b) in [(root, victim), (root, good), (victim, join), (good, join), (join, tail)] {
+        shape.add_dep(a, b);
+    }
+    for pair in chain.windows(2) {
+        shape.add_dep(pair[0], pair[1]);
+    }
+    let n = shape.len();
+    let edges: Vec<(usize, usize)> =
+        (0..n).flat_map(|a| shape.successors(a).iter().map(move |&b| (a, b))).collect();
+    let mut access = AccessMap::new(n, 1);
+    for t in 0..n {
+        access.record_write(t, t..t + 1, 0..1);
+    }
+
+    let modes = [
+        Mode::Plain,
+        Mode::RealFail,
+        Mode::RealPanic,
+        Mode::ChaosFail,
+        Mode::ChaosPanic,
+        Mode::Profiled,
+        Mode::ProfiledChaosFail,
+        Mode::Checked,
+    ];
+    for queue in [QueueKind::Central, QueueKind::Stealing] {
+        for threads in [1usize, 2, 8] {
+            for mode in modes {
+                let case = format!("{queue:?} x {threads} threads x {mode:?}");
+                let registry = build_shadow_registry(&shape, &access, 1, n, 1);
+                let shared = SharedMatrix::with_shadow(Matrix::zeros(n, 1), registry.clone());
+                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+                let clock = AtomicU64::new(0);
+                let stamps: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
+                let jobs: TaskGraph<Job<'_>> = shape.map_ref(|id, _| {
+                    let (runs, clock, stamps, shared) = (&runs, &clock, &stamps, &shared);
+                    Box::new(move || {
+                        runs[id].fetch_add(1, Ordering::SeqCst);
+                        stamps[id].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+                        // SAFETY: each task writes only its own element.
+                        unsafe { shared.block_mut(id, 0, 1, 1).fill(1.0) };
+                        match mode {
+                            Mode::RealFail if id == victim => Err(TaskFailure::new("real failure")),
+                            Mode::RealPanic if id == victim => panic!("real panic"),
+                            _ => Ok(()),
+                        }
+                    }) as Job<'_>
+                });
+                let is_victim = move |l: &TaskLabel| l.kind == TaskKind::Update;
+                let plan = match mode {
+                    Mode::ChaosFail | Mode::ProfiledChaosFail => {
+                        Some(ChaosPlan::quiet(0).fail_nth(1, is_victim))
+                    }
+                    Mode::ChaosPanic => Some(ChaosPlan::quiet(0).panic_nth(1, is_victim)),
+                    _ => None,
+                };
+                let opts = RunOptions {
+                    queue,
+                    chaos: plan.as_ref(),
+                    profile: matches!(mode, Mode::Profiled | Mode::ProfiledChaosFail),
+                    shadow: (mode == Mode::Checked).then_some(&registry),
+                };
+                let report = execute(jobs, threads, &opts);
+
+                let fails = !matches!(mode, Mode::Plain | Mode::Profiled | Mode::Checked);
+                let injected =
+                    matches!(mode, Mode::ChaosFail | Mode::ChaosPanic | Mode::ProfiledChaosFail);
+                let cancelled = if fails { vec![join, tail] } else { Vec::new() };
+
+                // Every task runs exactly once, except the cancelled ones and
+                // a victim whose failure was injected ahead of its body.
+                for (t, ran) in runs.iter().enumerate() {
+                    let skipped = cancelled.contains(&t) || (injected && t == victim);
+                    assert_eq!(ran.load(Ordering::SeqCst), usize::from(!skipped), "{case}: task {t}");
+                }
+                // Dependencies respected.
+                for &(a, b) in &edges {
+                    let (ta, tb) = (stamps[a].load(Ordering::SeqCst), stamps[b].load(Ordering::SeqCst));
+                    assert!(tb == u64::MAX || ta < tb, "{case}: {b} ran before {a}");
+                }
+                // The failed task counts as executed; cancelled ones do not.
+                assert_eq!(report.stats.tasks, n - cancelled.len(), "{case}");
+                report.stats.timeline.validate();
+                assert_eq!(report.stats.timeline.lanes.len(), threads, "{case}");
+
+                match &report.failure {
+                    None => assert!(!fails, "{case}: the failure was lost"),
+                    Some(e) => {
+                        assert!(fails, "{case}: unexpected failure {e}");
+                        assert_eq!(e.task, victim, "{case}");
+                        assert_eq!(e.label, TaskLabel::new(TaskKind::Update, 1, 0, 0), "{case}");
+                        assert!(e.lane < threads, "{case}");
+                        let panicked = matches!(mode, Mode::RealPanic | Mode::ChaosPanic);
+                        assert_eq!(e.panicked, panicked, "{case}");
+                        let text = match mode {
+                            Mode::RealFail => "real failure",
+                            Mode::RealPanic => "real panic",
+                            Mode::ChaosPanic => "chaos: injected panic at S[1,0,0]",
+                            _ => "chaos: injected failure at S[1,0,0]",
+                        };
+                        assert!(e.message.contains(text), "{case}: {}", e.message);
+                        assert_eq!(e.cancelled, cancelled, "{case}");
+                    }
+                }
+                match &report.profile {
+                    None => assert!(!opts.profile, "{case}: the profile was lost"),
+                    Some(profile) => {
+                        assert!(opts.profile, "{case}: unrequested profile");
+                        let name = match queue {
+                            QueueKind::Central => "priority-queue",
+                            QueueKind::Stealing => "work-stealing",
+                        };
+                        assert_eq!(profile.scheduler, name, "{case}");
+                        assert_eq!(profile.nworkers, threads, "{case}");
+                        assert_eq!(profile.cancelled, cancelled, "{case}");
+                        assert_eq!(profile.records.len(), n - cancelled.len(), "{case}");
+                    }
+                }
+                assert!(report.violation.is_none(), "{case}: {:?}", report.violation);
+                // Audited accesses prove the jobs ran inside their task scopes.
+                let audited = if mode == Mode::Checked { n } else { 0 };
+                assert_eq!(registry.accesses(), audited, "{case}");
+            }
+        }
+    }
+}
+
+#[test]
+fn central_queue_on_one_thread_runs_in_priority_order() {
+    // All ready at the start; the single worker must take the highest
+    // priority first (work stealing makes no such promise).
+    let order = Mutex::new(Vec::new());
+    let mut g: TaskGraph<Job<'_>> = TaskGraph::new();
+    for (i, p) in [(0usize, 1i64), (1, 5), (2, 3)] {
+        let order = &order;
+        let meta = TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), 1.0).with_priority(p);
+        g.add_task(meta, job(move || order.lock().unwrap().push(i)));
+    }
+    run_graph(g, 1);
+    assert_eq!(order.into_inner().unwrap(), vec![1, 2, 0]);
+}
+
+#[test]
+fn run_graph_reraises_the_first_task_panic() {
+    let mut g: TaskGraph<Job<'_>> = TaskGraph::new();
+    let meta = TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), 1.0);
+    g.add_task(meta, job(|| panic!("boom in task")));
+    let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_graph(g, 2)))
+        .expect_err("the task panic must propagate");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom in task"));
+}
 
 /// Builds a random layered DAG; returns (graph of ids, adjacency list).
 fn random_dag(seed: u64, layers: usize, width: usize, edge_prob: f64) -> TaskGraph<usize> {
@@ -151,9 +351,9 @@ fn injected_panics_never_hang_and_cancel_successors() {
             for pair in ids.windows(2) {
                 g.add_dep(pair[0], pair[1]);
             }
-            let plan = FaultPlan::new().panic_nth(1, move |l| l.step == pos);
-            let err = try_run_graph_with_faults(g, threads, &plan)
-                .expect_err("injected panic must surface as ExecError");
+            let plan = ChaosPlan::quiet(0).panic_nth(1, move |l| l.step == pos);
+            let opts = RunOptions { chaos: Some(&plan), ..Default::default() };
+            let err = expect_failure(g, threads, &opts);
             assert_eq!(err.task, ids[pos]);
             assert_eq!(err.label.step, pos);
             assert!(err.panicked);
@@ -201,7 +401,7 @@ fn random_dag_failure_cancels_exact_transitive_closure() {
                 })
             }
         });
-        let err = try_run_graph(jobs, 4).expect_err("failure must surface");
+        let err = expect_failure(jobs, 4, &RunOptions::default());
         assert_eq!(err.task, fail_at, "seed {seed}");
         assert!(!err.panicked);
         assert!(err.message.contains("synthetic breakdown"));
@@ -234,11 +434,12 @@ fn work_stealing_fault_injection_does_not_hang() {
         }
         // Delay an early task (stressing the idle/steal loop), then fail a
         // later one.
-        let plan = FaultPlan::new()
+        let plan = ChaosPlan::quiet(0)
             .delay_nth(1, Duration::from_millis(5), |l| l.step == 3)
             .fail_nth(1, |l| l.step == 10);
-        let err = try_run_graph_stealing_with_faults(g, threads, &plan)
-            .expect_err("injected failure must surface");
+        let opts =
+            RunOptions { queue: QueueKind::Stealing, chaos: Some(&plan), ..Default::default() };
+        let err = expect_failure(g, threads, &opts);
         assert_eq!(err.task, ids[10]);
         assert_eq!(err.label.step, 10);
         assert!(!err.panicked);

@@ -5,11 +5,15 @@
 //! builders' declared footprints.
 
 use ca_factor::core::{
-    calu_task_graph_with_access, try_calu_checked, try_caqr_checked, verify_calu, verify_caqr,
-    CaParams, TreeShape,
+    calu_task_graph_with_access, try_calu_with, try_caqr_with, verify_calu, verify_caqr,
+    CaParams, FactorOptions, TreeShape,
 };
 use ca_factor::matrix::{random_uniform, seeded_rng};
 use ca_factor::sched::SoundnessError;
+
+fn checked() -> FactorOptions<'static> {
+    FactorOptions { checked: true, ..Default::default() }
+}
 
 fn params(b: usize, tree: TreeShape) -> CaParams {
     let mut p = CaParams::new(b, 4, 4);
@@ -88,9 +92,9 @@ fn checked_calu_reports_zero_violations_on_paper_shapes() {
                 p = p.with_work_stealing();
             }
             let a = random_uniform(m, n, &mut seeded_rng(7));
-            let (f, stats) = try_calu_checked(a.clone(), &p)
+            let (f, report) = try_calu_with(a.clone(), &p, &checked())
                 .unwrap_or_else(|e| panic!("checked CALU {m}x{n} ws={ws}: {e}"));
-            assert!(stats.tasks > 0);
+            assert!(report.stats.tasks > 0);
             assert!(f.residual(&a) < 1e-12, "checked CALU {m}x{n} residual off");
         }
     }
@@ -102,24 +106,12 @@ fn checked_caqr_reports_zero_violations_on_paper_shapes() {
         for tree in [TreeShape::Binary, TreeShape::Flat] {
             let p = params(b, tree);
             let a = random_uniform(m, n, &mut seeded_rng(11));
-            let (f, stats) = try_caqr_checked(a.clone(), &p)
+            let (f, report) = try_caqr_with(a.clone(), &p, &checked())
                 .unwrap_or_else(|e| panic!("checked CAQR {m}x{n} {tree:?}: {e}"));
-            assert!(stats.tasks > 0);
+            assert!(report.stats.tasks > 0);
             assert!(f.residual(&a) < 1e-12, "checked CAQR {m}x{n} residual off");
         }
     }
-}
-
-#[test]
-fn checked_results_match_unchecked_bitwise() {
-    // The shadow registry must be observation-only: checked and unchecked
-    // runs of the same factorization produce identical factors.
-    let p = params(24, TreeShape::Binary);
-    let a = random_uniform(120, 120, &mut seeded_rng(3));
-    let (fc, _) = try_calu_checked(a.clone(), &p).expect("checked");
-    let fu = ca_factor::core::try_calu(a, &p).expect("unchecked");
-    assert_eq!(fc.lu.as_slice(), fu.lu.as_slice());
-    assert_eq!(fc.pivots.ipiv, fu.pivots.ipiv);
 }
 
 #[test]
