@@ -28,29 +28,22 @@ use ca_matrix::{Matrix, SharedMatrix};
 use ca_sched::{AccessMap, CheckedError, TaskGraph};
 
 /// Runs a tile-algorithm graph over `a` on `threads` workers and returns the
-/// factored matrix. `checked` adds the full verification stack: an
-/// element-rect static soundness proof up front (the tile algorithms split
-/// diagonal tiles element-wise between two kernels, which only
-/// [`ca_sched::Granularity::Rect`] can tell apart), then execution under a
-/// shadow registry whose sub-tile leases audit every access.
+/// factored matrix. `checked` adds the full verification stack: the static
+/// soundness proof up front (element-exact, so the diagonal tiles the tile
+/// algorithms split between two kernels verify as declared), then execution
+/// under a shadow registry whose sub-tile leases audit every access.
 fn run_tiles<S: Copy + Send + Sync>(
     a: Matrix,
-    b: usize,
     threads: usize,
     checked: bool,
     graph: &TaskGraph<S>,
     access: &AccessMap,
     exec: impl Fn(&SharedMatrix, S) + Sync,
 ) -> Result<Matrix, CheckedError> {
-    assert!(b > 0 && threads > 0);
-    let (m, n) = (a.nrows(), a.ncols());
+    assert!(threads > 0);
     let registry = if checked {
-        let opts = ca_sched::VerifyOptions {
-            granularity: ca_sched::Granularity::Rect,
-            lint_edges: false,
-        };
-        ca_sched::verify_graph_with(graph, access, &opts).map_err(CheckedError::Soundness)?;
-        Some(ca_sched::build_shadow_registry(graph, access, b, m, n))
+        ca_sched::verify_graph(graph, access).map_err(CheckedError::Soundness)?;
+        Some(ca_sched::build_shadow_registry(graph, access))
     } else {
         None
     };

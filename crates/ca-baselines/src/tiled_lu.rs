@@ -129,8 +129,8 @@ fn build(m: usize, n: usize, b: usize) -> (TaskGraph<TiledLuTask>, Ctx, AccessMa
     // triangle. Declaring those true sub-tile footprints (instead of a
     // phantom grid column standing in for `L`) keeps gessm and tstrf
     // unserialized — the real PLASMA concurrency — while staying inside
-    // the matrix geometry, so rect-granularity verification and checked
-    // execution cover this builder.
+    // the matrix geometry, so static verification and checked execution
+    // cover this builder.
     let mut tracker = BlockTracker::with_geometry(b, m, n);
     let steps = kt as i64;
 
@@ -278,10 +278,7 @@ pub fn tiled_lu(a: Matrix, b: usize, threads: usize) -> TiledLu {
 /// footprints, catching undeclared touches and overlapping live leases.
 ///
 /// The declarations split tile `(k, k)` element-wise between `gessm`
-/// (strict lower) and `tstrf` (upper + diagonal), so the graph only
-/// verifies at rect granularity
-/// ([`ca_sched::Granularity::Rect`]) — block-granularity verification
-/// reports the intentional same-tile concurrency as a conflict.
+/// (strict lower) and `tstrf` (upper + diagonal), which run concurrently.
 pub fn try_tiled_lu_checked(
     a: Matrix,
     b: usize,
@@ -292,7 +289,7 @@ pub fn try_tiled_lu_checked(
 
 fn run(a: Matrix, b: usize, threads: usize, checked: bool) -> Result<TiledLu, CheckedError> {
     let (graph, ctx, access) = build(a.nrows(), a.ncols(), b);
-    let a = crate::run_tiles(a, b, threads, checked, &graph, &access, |shared, spec| {
+    let a = crate::run_tiles(a, threads, checked, &graph, &access, |shared, spec| {
         exec(&ctx, shared, spec)
     })?;
 
@@ -314,13 +311,9 @@ pub fn tiled_lu_task_graph(m: usize, n: usize, b: usize) -> TaskGraph<TiledLuTas
 }
 
 /// [`tiled_lu_task_graph`] plus the builder's retained access
-/// declarations, for the static DAG verifier. The map carries the matrix
-/// geometry and true sub-tile footprints (the `L` / `U` split of the
-/// diagonal tile), so it is meant for
-/// [`ca_sched::verify_graph_with`] at [`ca_sched::Granularity::Rect`];
-/// block-granularity verification widens the split triangles to the whole
-/// tile and reports the intentional gessm ↔ tstrf concurrency as an
-/// unordered conflict.
+/// declarations, for the static DAG verifier ([`ca_sched::verify_graph`]).
+/// The map carries the true sub-tile footprints (the `L` / `U` split of the
+/// diagonal tile) that leave gessm and tstrf of one step unordered.
 pub fn tiled_lu_task_graph_with_access(
     m: usize,
     n: usize,
@@ -385,29 +378,13 @@ mod tests {
     }
 
     #[test]
-    fn task_graph_passes_rect_granularity_verification() {
-        let opts = ca_sched::VerifyOptions {
-            granularity: ca_sched::Granularity::Rect,
-            lint_edges: false,
-        };
+    fn task_graph_passes_static_verification() {
         for (m, n, b) in [(96, 96, 16), (60, 60, 16), (128, 64, 32)] {
             let (g, access) = tiled_lu_task_graph_with_access(m, n, b);
-            let report = ca_sched::verify_graph_with(&g, &access, &opts)
+            let report = ca_sched::verify_graph(&g, &access)
                 .unwrap_or_else(|e| panic!("tiled LU {m}x{n} b={b} unsound: {e}"));
             assert_eq!(report.tasks, g.len());
             assert!(report.conflict_pairs > 0, "expected conflicting pairs to prove ordered");
-        }
-    }
-
-    #[test]
-    fn block_granularity_sees_the_diagonal_tile_split_as_a_conflict() {
-        // gessm (strict lower L) and tstrf (upper U) share tile (k, k)
-        // unordered by design; widening their rects to the whole tile must
-        // surface exactly that as a block-granularity conflict.
-        let (g, access) = tiled_lu_task_graph_with_access(96, 96, 16);
-        match ca_sched::verify_graph(&g, &access) {
-            Err(ca_sched::SoundnessError::UnorderedConflict { .. }) => {}
-            other => panic!("expected a widened same-tile conflict, got {other:?}"),
         }
     }
 

@@ -314,8 +314,8 @@ pub fn tiled_qr(a: Matrix, b: usize, threads: usize) -> TiledQr {
     run(a, b, threads, false).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`tiled_qr`] with the full verification stack: element-rect static
-/// soundness proof up front, then execution under a shadow registry with
+/// [`tiled_qr`] with the full verification stack: static soundness proof
+/// up front, then execution under a shadow registry with
 /// sub-tile leases auditing every access.
 pub fn try_tiled_qr_checked(a: Matrix, b: usize, threads: usize) -> Result<TiledQr, CheckedError> {
     run(a, b, threads, true)
@@ -323,7 +323,7 @@ pub fn try_tiled_qr_checked(a: Matrix, b: usize, threads: usize) -> Result<Tiled
 
 fn run(a: Matrix, b: usize, threads: usize, checked: bool) -> Result<TiledQr, CheckedError> {
     let (graph, ctx, access) = build(a.nrows(), a.ncols(), b);
-    let a = crate::run_tiles(a, b, threads, checked, &graph, &access, |shared, spec| {
+    let a = crate::run_tiles(a, threads, checked, &graph, &access, |shared, spec| {
         exec(&ctx, shared, spec)
     })?;
 
@@ -345,11 +345,9 @@ pub fn tiled_qr_task_graph(m: usize, n: usize, b: usize) -> TaskGraph<TiledQrTas
 }
 
 /// [`tiled_qr_task_graph`] plus the builder's retained access declarations
-/// (block regions plus the diagonal tile's element rects), for the static
-/// DAG soundness verifier. Meant for
-/// [`ca_sched::verify_graph_with`] at [`ca_sched::Granularity::Rect`]:
-/// block granularity conservatively reports the intentional `ormqr`/`tsqrt`
-/// concurrency on the diagonal tile as a conflict.
+/// (including the diagonal tile's `V` / `R` split, which leaves `ormqr` and
+/// `tsqrt` of one step unordered), for the static DAG soundness verifier
+/// ([`ca_sched::verify_graph`]).
 pub fn tiled_qr_task_graph_with_access(
     m: usize,
     n: usize,
@@ -408,32 +406,14 @@ mod tests {
     }
 
     #[test]
-    fn task_graph_passes_rect_granularity_verification() {
-        let opts = ca_sched::VerifyOptions {
-            granularity: ca_sched::Granularity::Rect,
-            ..Default::default()
-        };
+    fn task_graph_passes_static_verification() {
         for (m, n, b) in [(96, 96, 16), (120, 36, 12), (100, 30, 16)] {
             let (g, access) = tiled_qr_task_graph_with_access(m, n, b);
-            let report = ca_sched::verify_graph_with(&g, &access, &opts)
+            let report = ca_sched::verify_graph(&g, &access)
                 .unwrap_or_else(|e| panic!("tiled QR {m}x{n} b={b} unsound: {e}"));
             assert_eq!(report.tasks, g.len());
             assert!(report.conflict_pairs > 0, "expected conflicting pairs to prove ordered");
         }
-    }
-
-    #[test]
-    fn block_granularity_sees_the_diagonal_tile_split_as_a_conflict() {
-        // `ormqr` (reads V) and `tsqrt` (rewrites R) share the diagonal tile
-        // but touch disjoint element sets; the block-level view cannot see
-        // that and must reject the graph.
-        let (g, access) = tiled_qr_task_graph_with_access(96, 96, 16);
-        let err = ca_sched::verify_graph(&g, &access)
-            .expect_err("block granularity should report the V/R split as unordered");
-        assert!(
-            matches!(err, ca_sched::SoundnessError::UnorderedConflict { .. }),
-            "unexpected error: {err}"
-        );
     }
 
     #[test]

@@ -22,10 +22,8 @@ pub(crate) trait DagPlan: Send + Sync + Sized + 'static {
 
     fn build(m: usize, n: usize, p: &CaParams) -> Self;
     fn graph(&self) -> &TaskGraph<Self::Task>;
-    /// Declared block footprints of every task, on a grid of `block()`-sized
-    /// blocks.
+    /// Declared element-rect footprints of every task.
     fn access(&self) -> &AccessMap;
-    fn block(&self) -> usize;
     /// Executes one task against the shared matrix (called from workers).
     fn exec(&self, a: &SharedMatrix, t: Self::Task);
     /// Gathers the result once every task completed successfully.
@@ -78,11 +76,10 @@ pub(crate) fn run_plan<P: DagPlan>(
     p: &CaParams,
     opts: &FactorOptions<'_>,
 ) -> Result<(P::Factors, RunReport), FactorError> {
-    let (m, n) = (a.nrows(), a.ncols());
-    let plan = P::build(m, n, p);
+    let plan = P::build(a.nrows(), a.ncols(), p);
     let registry = if opts.checked {
         ca_sched::verify_graph(plan.graph(), plan.access())?;
-        Some(ca_sched::build_shadow_registry(plan.graph(), plan.access(), plan.block(), m, n))
+        Some(ca_sched::build_shadow_registry(plan.graph(), plan.access()))
     } else {
         None
     };
@@ -99,7 +96,7 @@ pub(crate) fn run_plan<P: DagPlan>(
             None => ca_sched::job(body),
             Some(retry) => ca_sched::retrying_job(
                 plan.graph().meta(id).label,
-                ca_sched::write_set(plan.access(), id, plan.block(), m, n),
+                ca_sched::write_set(plan.access(), id),
                 shared,
                 retry.policy,
                 opts.chaos.unwrap_or(&quiet),

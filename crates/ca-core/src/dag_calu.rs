@@ -13,7 +13,7 @@
 //! * `W` — deferred left-side interchanges, one task per finished block
 //!   column (line 41).
 //!
-//! Dependencies are derived from block-level reads/writes via
+//! Dependencies are derived from declared reads/writes via
 //! [`BlockTracker`], which reproduces the dependency structure of Figure 1.
 //! Priorities implement the lookahead-of-1 rule from §III.
 
@@ -68,10 +68,10 @@ pub enum CaluTask {
 
 /// Tile geometry of the decomposed trailing update: the serial GEMM cache
 /// blocks ([`ca_kernels::MC`] rows × [`ca_kernels::NC`] columns) rounded up
-/// to whole `b`-blocks, so each tile's block footprint is exact —
-/// neighbouring tiles never share a block, block- and rect-granularity
-/// verification agree, and no false serialization edges appear between
-/// tiles of one group.
+/// to whole `b`-blocks, so each tile is declared in block coordinates like
+/// every other CALU task. The rounding is a task-granularity choice, not a
+/// verifier requirement — footprints are element rects, so unaligned tiles
+/// would verify just as well.
 fn par_tile(b: usize) -> (usize, usize) {
     (ca_kernels::MC.next_multiple_of(b), ca_kernels::NC.next_multiple_of(b))
 }
@@ -137,13 +137,13 @@ pub(crate) struct PanelCtx {
 /// Everything needed to execute a built CALU DAG.
 pub(crate) struct CaluPlan {
     pub graph: TaskGraph<CaluTask>,
-    /// Declared block footprints of every task (for verification / checked
+    /// Declared footprints of every task (for verification / checked
     /// execution).
     pub access: AccessMap,
     pub panels: Vec<PanelCtx>,
     m: usize,
     n: usize,
-    pub(crate) b: usize,
+    b: usize,
     recursive_leaves: bool,
     growth_limit: f64,
 }
@@ -178,8 +178,6 @@ pub(crate) fn build(m: usize, n: usize, p: &CaParams) -> CaluPlan {
     let nb = n.div_ceil(b);
 
     let mut graph: TaskGraph<CaluTask> = TaskGraph::new();
-    // Element geometry so the retained footprints support rect-granularity
-    // verification and the minimality lints, not just the block view.
     let mut tracker = BlockTracker::with_geometry(b, m, n);
     let mut panels: Vec<PanelCtx> = Vec::with_capacity(nsteps);
     let mut root_ids: Vec<TaskId> = Vec::with_capacity(nsteps);
@@ -450,9 +448,9 @@ pub(crate) fn build(m: usize, n: usize, p: &CaParams) -> CaluPlan {
         tracker.write(&mut graph, id, row_blocks((jblk + 1) * b..m, b), jblk..jblk + 1);
     }
 
-    // The tracker's per-block reasoning cannot see orderings already implied
-    // by the explicitly added edges (reduction tree, pivot broadcast), so it
-    // over-wires conflict edges a path already covers. Reduce to the minimal
+    // The tracker's per-footprint reasoning cannot see orderings already
+    // implied by the explicitly added edges (reduction tree, pivot broadcast),
+    // so it over-wires conflict edges a path already covers. Reduce to the minimal
     // equivalent DAG: ready times and conflict orderings are unchanged, and
     // the schedulers track fewer dependences.
     ca_sched::reduce_transitive_edges(&mut graph);
@@ -483,10 +481,6 @@ impl DagPlan for CaluPlan {
 
     fn access(&self) -> &AccessMap {
         &self.access
-    }
-
-    fn block(&self) -> usize {
-        self.b
     }
 
     // DAG executor: every access falls inside the footprint declared in
@@ -680,7 +674,7 @@ pub fn calu_task_graph(m: usize, n: usize, p: &CaParams) -> TaskGraph<CaluTask> 
     build(m, n, p).graph
 }
 
-/// Builds the task graph together with the declared block footprints, for
+/// Builds the task graph together with the declared footprints, for
 /// soundness verification ([`ca_sched::verify_graph`]) and checked
 /// simulation.
 pub fn calu_task_graph_with_access(
@@ -693,15 +687,14 @@ pub fn calu_task_graph_with_access(
 }
 
 /// Statically verifies the CALU task graph for an `m × n` factorization:
-/// structural invariants, every conflicting block pair ordered by a
-/// happens-before path, and the §III lookahead priority rule.
+/// structural invariants, every pair of tasks with conflicting footprints
+/// ordered by a happens-before path, and the §III lookahead priority rule.
 pub fn verify_calu(m: usize, n: usize, p: &CaParams) -> Result<VerifyReport, SoundnessError> {
     verify_calu_with(m, n, p, &ca_sched::VerifyOptions::default())
 }
 
-/// [`verify_calu`] with explicit [`ca_sched::VerifyOptions`]: element-rect
-/// conflict enumeration ([`ca_sched::Granularity::Rect`]) and/or the
-/// edge-minimality lint passes.
+/// [`verify_calu`] with explicit [`ca_sched::VerifyOptions`] (the
+/// edge-minimality lint passes).
 pub fn verify_calu_with(
     m: usize,
     n: usize,
@@ -849,13 +842,9 @@ mod tests {
     }
 
     #[test]
-    fn decomposed_graph_verifies_at_block_and_rect_granularity() {
+    fn decomposed_graph_verifies() {
         let p = CaParams::new(16, 2, 4).with_par_update_rows(32);
-        for granularity in [ca_sched::Granularity::Block, ca_sched::Granularity::Rect] {
-            let opts = ca_sched::VerifyOptions { granularity, lint_edges: false };
-            verify_calu_with(256, 192, &p, &opts)
-                .unwrap_or_else(|v| panic!("verify failed at {granularity}: {v}"));
-        }
+        verify_calu(256, 192, &p).unwrap_or_else(|v| panic!("verify failed: {v}"));
     }
 
     #[test]

@@ -54,7 +54,7 @@ pub(crate) struct CaqrPlan {
     pub access: AccessMap,
     pub panels: Vec<PanelCtx>,
     n: usize,
-    pub(crate) b: usize,
+    b: usize,
 }
 
 fn prio(nsteps: usize, step: usize, lookahead: bool, kind: TaskKind, jblk: usize) -> i64 {
@@ -81,8 +81,6 @@ pub(crate) fn build(m: usize, n: usize, p: &CaParams) -> CaqrPlan {
     let nb = n.div_ceil(b);
 
     let mut graph: TaskGraph<CaqrTask> = TaskGraph::new();
-    // Element geometry so the retained footprints support rect-granularity
-    // verification and the minimality lints, not just the block view.
     let mut tracker = BlockTracker::with_geometry(b, m, n);
     let mut panels: Vec<PanelCtx> = Vec::with_capacity(nsteps);
 
@@ -209,10 +207,6 @@ impl DagPlan for CaqrPlan {
         &self.access
     }
 
-    fn block(&self) -> usize {
-        self.b
-    }
-
     // DAG executor: every access falls inside the footprint declared in
     // build(), which `verify_graph` proves conflict-ordered.
     #[allow(clippy::disallowed_methods)]
@@ -264,7 +258,7 @@ pub fn caqr_task_graph(m: usize, n: usize, p: &CaParams) -> TaskGraph<CaqrTask> 
     build(m, n, p).graph
 }
 
-/// Builds the task graph together with the declared block footprints, for
+/// Builds the task graph together with the declared footprints, for
 /// soundness verification ([`ca_sched::verify_graph`]) and checked
 /// simulation.
 pub fn caqr_task_graph_with_access(
@@ -277,15 +271,14 @@ pub fn caqr_task_graph_with_access(
 }
 
 /// Statically verifies the CAQR task graph for an `m × n` factorization:
-/// structural invariants, every conflicting block pair ordered by a
-/// happens-before path, and the §III lookahead priority rule.
+/// structural invariants, every pair of tasks with conflicting footprints
+/// ordered by a happens-before path, and the §III lookahead priority rule.
 pub fn verify_caqr(m: usize, n: usize, p: &CaParams) -> Result<VerifyReport, SoundnessError> {
     verify_caqr_with(m, n, p, &ca_sched::VerifyOptions::default())
 }
 
-/// [`verify_caqr`] with explicit [`ca_sched::VerifyOptions`]: element-rect
-/// conflict enumeration ([`ca_sched::Granularity::Rect`]) and/or the
-/// edge-minimality lint passes.
+/// [`verify_caqr`] with explicit [`ca_sched::VerifyOptions`] (the
+/// edge-minimality lint passes).
 pub fn verify_caqr_with(
     m: usize,
     n: usize,

@@ -105,9 +105,7 @@ fn graph_parts<P: DagPlan>(
     if let Some((row, col)) = find_non_finite(&a) {
         return Err(FactorError::NonFiniteInput { row, col });
     }
-    let m = a.nrows();
-    let n = a.ncols();
-    let plan = Arc::new(P::build(m, n, p));
+    let plan = Arc::new(P::build(a.nrows(), a.ncols(), p));
     let shared = Arc::new(SharedMatrix::new(a));
     let output = Arc::new(OnceLock::new());
 
@@ -118,7 +116,7 @@ fn graph_parts<P: DagPlan>(
             None => ca_sched::dyn_job(move || plan.exec(&shared, spec)),
             Some(r) => {
                 let label = plan.graph().meta(id).label;
-                let writes = ca_sched::write_set(plan.access(), id, plan.block(), m, n);
+                let writes = ca_sched::write_set(plan.access(), id);
                 ca_sched::retrying_dyn_job(
                     label,
                     writes,

@@ -24,8 +24,7 @@
 //! pre-existing call sites compile unchanged. The scheduler-parallel
 //! decomposition of the same loops lives in [`crate::par_gemm`] and shares
 //! [`macro_kernel`], which is what makes parallel results bitwise-identical
-//! to this serial path. The pre-BLIS AXPY-loop kernel survives as
-//! [`crate::gemm_axpy`] — the benchmark baseline and a second test oracle.
+//! to this serial path.
 
 use crate::microkernel as mk;
 use crate::pack::{pack_a, pack_b, PackTrans};

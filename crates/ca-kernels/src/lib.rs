@@ -30,16 +30,13 @@
 //! runs the identical decomposition as worker tasks — bitwise-identical
 //! results at every worker count — and its pack/compute task bodies
 //! ([`pack_a_slab`], [`pack_b_panel`], [`gemm_packed`]) are exported for
-//! the scheduler DAG builders in `ca-core`. The pre-BLIS AXPY-loop kernel
-//! survives as [`gemm_axpy`] — the benchmark baseline and a second test
-//! oracle.
+//! the scheduler DAG builders in `ca-core`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod flops;
 pub mod traffic;
-mod axpy;
 mod gemm;
 mod ger;
 mod microkernel;
@@ -53,7 +50,6 @@ mod qr_unblocked;
 mod trmm;
 mod trsm;
 
-pub use axpy::gemm_axpy;
 pub use gemm::{
     gemm, gemm_available_backends, gemm_backend, gemm_force_scalar, gemm_kernel_name,
     gemm_with_backend, Backend, Kernel, KernelSpec, Trans, KC, MC, MR, NC, NR,

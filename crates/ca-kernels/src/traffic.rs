@@ -119,8 +119,8 @@ pub fn laswp(swaps: usize, n: usize) -> f64 {
 ///   words ≥ 2·m·n + flops_getrf(m, n) / √M
 /// ```
 ///
-/// The `ooc_sweep` bench gates the measured tile-store byte count against
-/// `1.5×` this bound.
+/// `tests/ooc.rs` gates the measured tile-store byte count against `1.5×`
+/// this bound.
 pub fn ooc_lu_lower_bound(m: usize, n: usize, mem_bytes: usize, elem_bytes: usize) -> f64 {
     ooc_lower_bound(m, n, crate::flops::getrf(m, n), mem_bytes, elem_bytes)
 }

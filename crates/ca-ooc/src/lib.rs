@@ -23,8 +23,9 @@
 //!   [`ca_telemetry::Registry`].
 //!
 //! The measured I/O volume of a factorization ([`OocLu::io`] /
-//! [`OocQr::io`]) is gated in the `ooc_sweep` bench against 1.5× the
-//! lower bound ([`ca_kernels::traffic::ooc_lu_lower_bound`]).
+//! [`OocQr::io`]) is gated by `tests/ooc.rs` against 1.5× the lower bound
+//! ([`ca_kernels::traffic::ooc_lu_lower_bound`]) and reported by the
+//! benchmark as `ca-ooc.{lu,qr}_io_ratio`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

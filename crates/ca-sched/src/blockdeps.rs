@@ -1,24 +1,22 @@
-//! Block- and rect-level dependency inference for factorization task graphs.
+//! Dependency inference for factorization task graphs.
 //!
-//! The builders express each task's effect as reads/writes of `b × b` blocks
-//! of the matrix; [`BlockTracker`] turns those into dependency edges
-//! (read-after-write, write-after-write, and write-after-read), which is how
-//! the paper's "task dependency graph constructed on the fly" is realized.
+//! The builders express each task's effect as reads/writes of element
+//! rectangles of the matrix; [`BlockTracker`] turns those into dependency
+//! edges (read-after-write, write-after-write, and write-after-read), which
+//! is how the paper's "task dependency graph constructed on the fly" is
+//! realized.
 //!
-//! Two tracking modes:
+//! Every declaration is an [`ElemRect`]. [`BlockTracker::read`] /
+//! [`BlockTracker::write`] take block coordinates as a convenience and
+//! resolve them to the rect they cover; [`BlockTracker::read_rect`] /
+//! [`BlockTracker::write_rect`] take the rect directly, so sub-tile aliasing
+//! (e.g. the L and U triangles of a factored diagonal tile) produces edges
+//! only where rects actually overlap. Internally every access becomes
+//! per-cell clipped rect entries; the `b × b` cell grid is purely a spatial
+//! index. [`BlockTracker::new`] is the unit-cell case for abstract grids.
 //!
-//! * **Block mode** ([`BlockTracker::new`]) — per-block last-writer /
-//!   readers-since-write bookkeeping. A task's footprint is a set of whole
-//!   blocks.
-//! * **Rect mode** ([`BlockTracker::with_geometry`]) — tasks may additionally
-//!   declare *element-rectangle* footprints ([`BlockTracker::read_rect`] /
-//!   [`BlockTracker::write_rect`]), so sub-tile aliasing (e.g. the L and U
-//!   triangles of a factored diagonal tile) produces edges only where rects
-//!   actually overlap. Internally every access becomes per-block-cell
-//!   clipped rect entries; the block grid is kept purely as a spatial index.
-//!
-//! Both modes infer a *minimal* edge set: a write does not add a WAW edge to
-//! the previous writer where intervening reads already cover the overlap,
+//! The tracker infers a *minimal* edge set: a write does not add a WAW edge
+//! to the previous writer where intervening reads already cover the overlap,
 //! because each covering reader carries a read-after-write edge from that
 //! writer and receives a write-after-read edge here — the WAW ordering is
 //! implied transitively. The static verifier's edge-necessity lint
@@ -29,10 +27,11 @@ use crate::graph::TaskGraph;
 use crate::task::TaskId;
 use ca_matrix::shadow::ElemRect;
 use ca_matrix::RegionSet;
+use core::ops::Range;
 use std::collections::HashSet;
 
-/// One live access in a rect-mode cell: `task` read or wrote `rect` (clipped
-/// to the cell) and no later write has fully superseded it.
+/// One live access in a cell: `task` read or wrote `rect` (clipped to the
+/// cell) and no later write has fully superseded it.
 #[derive(Clone, Debug)]
 struct Entry {
     task: TaskId,
@@ -40,57 +39,46 @@ struct Entry {
     rect: ElemRect,
 }
 
-/// Per-block last-writer / readers-since-write bookkeeping over an `mb × nb`
-/// block grid, or per-cell rect-entry bookkeeping in rect mode.
+/// Per-cell live-entry bookkeeping over the cell grid of an `m × n` matrix.
 ///
-/// Besides inferring edges, the tracker retains every declared region in an
+/// Besides inferring edges, the tracker retains every declared rect in an
 /// [`AccessMap`] so the graph can later be verified ([`crate::verify_graph`])
 /// or executed in checked mode.
 pub struct BlockTracker {
-    mb: usize,
-    nb: usize,
-    geometry: Option<(usize, usize, usize)>,
-    last_writer: Vec<Option<TaskId>>,
-    readers: Vec<Vec<TaskId>>,
     entries: Vec<Vec<Entry>>,
     access: AccessMap,
 }
 
 impl BlockTracker {
-    /// A block-mode tracker over an `mb × nb` block grid with no accesses
-    /// recorded yet.
+    /// A tracker over an abstract `mb × nb` grid of unit cells: block
+    /// coordinates *are* element coordinates.
     pub fn new(mb: usize, nb: usize) -> Self {
-        Self {
-            mb,
-            nb,
-            geometry: None,
-            last_writer: vec![None; mb * nb],
-            readers: vec![Vec::new(); mb * nb],
-            entries: Vec::new(),
-            access: AccessMap::new(mb, nb),
-        }
+        Self::with_geometry(1, mb, nb)
     }
 
-    /// A rect-mode tracker for an `m × n` matrix tiled into `b`-sized
-    /// blocks. Block-level declarations still work (they become one clipped
-    /// rect per declaration); `read_rect`/`write_rect` become available.
+    /// A tracker for an `m × n` matrix tiled into `b`-sized blocks.
     pub fn with_geometry(b: usize, m: usize, n: usize) -> Self {
-        let mb = m.div_ceil(b);
-        let nb = n.div_ceil(b);
-        let mut t = Self::new(mb, nb);
-        t.geometry = Some((b, m, n));
-        t.entries = vec![Vec::new(); mb * nb];
-        t.access.set_geometry(b, m, n);
-        t
+        let access = AccessMap::with_geometry(b, m, n);
+        let (mb, nb) = access.grid();
+        Self { entries: vec![Vec::new(); mb * nb], access }
     }
 
-    #[inline]
-    fn idx(&self, i: usize, j: usize) -> usize {
+    /// The element rect covered by blocks `rows × cols`, clamped to the
+    /// matrix — the one place block coordinates get their element meaning.
+    fn block_rect(&self, rows: Range<usize>, cols: Range<usize>) -> ElemRect {
+        let (b, m, n) = self.access.geometry();
+        let (mb, nb) = self.access.grid();
         // Hard check even in release builds: an out-of-grid declaration means
-        // the builder's footprint arithmetic is wrong, and silently indexing
-        // a neighbouring block would corrupt the dependency structure.
-        assert!(i < self.mb && j < self.nb, "block ({i},{j}) outside {}x{} grid", self.mb, self.nb);
-        i + j * self.mb
+        // the builder's footprint arithmetic is wrong, and silently clamping
+        // it would corrupt the dependency structure.
+        assert!(
+            rows.is_empty() || cols.is_empty() || (rows.end <= mb && cols.end <= nb),
+            "blocks ({rows:?}, {cols:?}) outside {mb}x{nb} grid"
+        );
+        ElemRect::new(
+            (rows.start * b).min(m)..(rows.end * b).min(m),
+            (cols.start * b).min(n)..(cols.end * b).min(n),
+        )
     }
 
     /// Declares that `task` reads blocks `(i, j)` for `i` in `rows`, `j` in
@@ -99,111 +87,43 @@ impl BlockTracker {
         &mut self,
         g: &mut TaskGraph<T>,
         task: TaskId,
-        rows: core::ops::Range<usize>,
-        cols: core::ops::Range<usize>,
+        rows: Range<usize>,
+        cols: Range<usize>,
     ) {
-        self.access.record_read(task, rows.clone(), cols.clone());
-        if let Some((b, m, n)) = self.geometry {
-            let rect = ElemRect::new(
-                (rows.start * b).min(m)..(rows.end * b).min(m),
-                (cols.start * b).min(n)..(cols.end * b).min(n),
-            );
-            // Bounds were checked via the grid clamp; still verify the block
-            // coordinates are inside the grid like block mode does.
-            if !(rows.is_empty() || cols.is_empty()) {
-                self.idx(rows.end - 1, cols.end - 1);
-            }
-            self.touch_rect(g, task, false, rect);
-            return;
-        }
-        let mut deps = HashSet::new();
-        for j in cols {
-            for i in rows.clone() {
-                let x = self.idx(i, j);
-                if let Some(w) = self.last_writer[x] {
-                    if w != task {
-                        deps.insert(w);
-                    }
-                }
-                // Dedup: a task reading overlapping ranges must appear once,
-                // or later writers would get duplicate WAR scans and the
-                // reader list would grow without bound.
-                if self.readers[x].last() != Some(&task) && !self.readers[x].contains(&task) {
-                    self.readers[x].push(task);
-                }
-            }
-        }
-        add_sorted_deps(g, deps, task);
+        let rect = self.block_rect(rows, cols);
+        self.touch_rect(g, task, false, rect);
     }
 
     /// Declares that `task` writes blocks `(i, j)` for `i` in `rows`, `j` in
-    /// `cols`, adding WAW and WAR edges and resetting reader sets.
+    /// `cols`, adding WAW and WAR edges.
     pub fn write<T>(
         &mut self,
         g: &mut TaskGraph<T>,
         task: TaskId,
-        rows: core::ops::Range<usize>,
-        cols: core::ops::Range<usize>,
+        rows: Range<usize>,
+        cols: Range<usize>,
     ) {
-        self.access.record_write(task, rows.clone(), cols.clone());
-        if let Some((b, m, n)) = self.geometry {
-            let rect = ElemRect::new(
-                (rows.start * b).min(m)..(rows.end * b).min(m),
-                (cols.start * b).min(n)..(cols.end * b).min(n),
-            );
-            if !(rows.is_empty() || cols.is_empty()) {
-                self.idx(rows.end - 1, cols.end - 1);
-            }
-            self.touch_rect(g, task, true, rect);
-            return;
-        }
-        let mut deps = HashSet::new();
-        for j in cols {
-            for i in rows.clone() {
-                let x = self.idx(i, j);
-                if let Some(w) = self.last_writer[x] {
-                    // Skip the WAW edge when readers intervened: every
-                    // reader already depends on the writer (RAW) and this
-                    // task gets a WAR edge to each reader below, so the
-                    // ordering w → task is implied transitively. (A reader
-                    // list containing only `task` itself means `task` got
-                    // the RAW edge at its own read.)
-                    if w != task && self.readers[x].is_empty() {
-                        deps.insert(w);
-                    }
-                }
-                for &r in &self.readers[x] {
-                    if r != task {
-                        deps.insert(r);
-                    }
-                }
-                self.readers[x].clear();
-                self.last_writer[x] = Some(task);
-            }
-        }
-        add_sorted_deps(g, deps, task);
-    }
-
-    /// Declares that `task` reads the element rectangle `rect` (rect mode
-    /// only), adding read-after-write edges against overlapping live writes.
-    pub fn read_rect<T>(&mut self, g: &mut TaskGraph<T>, task: TaskId, rect: ElemRect) {
-        assert!(self.geometry.is_some(), "read_rect needs a rect-mode tracker");
-        self.access.record_read_rect(task, rect);
-        self.touch_rect(g, task, false, rect);
-    }
-
-    /// Declares that `task` writes the element rectangle `rect` (rect mode
-    /// only), adding WAW/WAR edges against overlapping live entries.
-    pub fn write_rect<T>(&mut self, g: &mut TaskGraph<T>, task: TaskId, rect: ElemRect) {
-        assert!(self.geometry.is_some(), "write_rect needs a rect-mode tracker");
-        self.access.record_write_rect(task, rect);
+        let rect = self.block_rect(rows, cols);
         self.touch_rect(g, task, true, rect);
     }
 
-    /// Core of rect mode: clips `rect` to each overlapped grid cell and
-    /// updates that cell's live-entry list, collecting dependency edges.
+    /// Declares that `task` reads the element rectangle `rect`, adding
+    /// read-after-write edges against overlapping live writes.
+    pub fn read_rect<T>(&mut self, g: &mut TaskGraph<T>, task: TaskId, rect: ElemRect) {
+        self.touch_rect(g, task, false, rect);
+    }
+
+    /// Declares that `task` writes the element rectangle `rect`, adding
+    /// WAW/WAR edges against overlapping live entries.
+    pub fn write_rect<T>(&mut self, g: &mut TaskGraph<T>, task: TaskId, rect: ElemRect) {
+        self.touch_rect(g, task, true, rect);
+    }
+
+    /// The single inference path: records `rect`, clips it to each
+    /// overlapped grid cell and updates that cell's live-entry list,
+    /// collecting dependency edges.
     fn touch_rect<T>(&mut self, g: &mut TaskGraph<T>, task: TaskId, write: bool, rect: ElemRect) {
-        let (b, m, n) = self.geometry.expect("rect mode");
+        let (b, m, n) = self.access.geometry();
         if rect.is_empty() {
             return;
         }
@@ -211,13 +131,18 @@ impl BlockTracker {
             rect.row1 <= m && rect.col1 <= n,
             "rect {rect} outside {m}×{n} matrix"
         );
+        if write {
+            self.access.record_write(task, rect);
+        } else {
+            self.access.record_read(task, rect);
+        }
+        let (mb, _) = self.access.grid();
         let mut deps: HashSet<TaskId> = HashSet::new();
         for bj in rect.col0 / b..rect.col1.div_ceil(b) {
             for bi in rect.row0 / b..rect.row1.div_ceil(b) {
                 let cell = ElemRect::new(bi * b..(bi + 1) * b, bj * b..(bj + 1) * b);
                 let Some(c) = rect.intersection(&cell) else { continue };
-                let x = self.idx(bi, bj);
-                let entries = &mut self.entries[x];
+                let entries = &mut self.entries[bi + bj * mb];
                 if write {
                     for e in entries.iter() {
                         if e.task == task || !e.rect.overlaps(&c) {
@@ -317,6 +242,10 @@ mod tests {
 
     fn mk(g: &mut TaskGraph<()>) -> TaskId {
         g.add_task(TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), 1.0), ())
+    }
+
+    fn rect(rows: Range<usize>, cols: Range<usize>) -> ElemRect {
+        ElemRect::new(rows, cols)
     }
 
     #[test]
@@ -420,7 +349,7 @@ mod tests {
         t.read(&mut g, r, 0..2, 0..2);
         t.read(&mut g, r, 0..1, 0..1);
         t.read(&mut g, r, 0..2, 0..1);
-        assert_eq!(t.readers[0], vec![r], "reader list must stay deduplicated");
+        assert_eq!(t.entries[0].len(), 1, "reader list must stay deduplicated");
         let w = mk(&mut g);
         t.write(&mut g, w, 0..1, 0..1);
         assert_eq!(g.pred_count(w), 1);
@@ -444,10 +373,9 @@ mod tests {
         let r = mk(&mut g);
         t.read(&mut g, r, 1..2, 0..1);
         let access = t.into_access_map();
-        assert_eq!(access.grid(), (4, 4));
-        assert_eq!(access.writes(w).len(), 1);
-        assert_eq!(access.writes(w)[0].rows, 0..2);
-        assert_eq!(access.reads(r).len(), 1);
+        assert_eq!(access.geometry(), (1, 4, 4));
+        assert_eq!(access.writes(w), &[rect(0..2, 0..1)]);
+        assert_eq!(access.reads(r), &[rect(1..2, 0..1)]);
         assert!(access.writes(r).is_empty());
     }
 
@@ -460,14 +388,25 @@ mod tests {
         assert_eq!(row_blocks(5..5, 100), 0..0);
     }
 
-    // --- rect mode ---
+    // --- element rects and non-unit cells ---
 
-    fn rect(rows: core::ops::Range<usize>, cols: core::ops::Range<usize>) -> ElemRect {
-        ElemRect::new(rows, cols)
+    #[test]
+    fn block_declarations_resolve_to_clamped_rects() {
+        // 10×7 matrix, 4-blocks → 3×2 grid; the last block is ragged both
+        // ways.
+        let mut g = TaskGraph::new();
+        let mut t = BlockTracker::with_geometry(4, 10, 7);
+        let w = mk(&mut g);
+        t.write(&mut g, w, 2..3, 1..2);
+        t.read(&mut g, w, 0..1, 0..2);
+        let access = t.into_access_map();
+        assert_eq!(access.grid(), (3, 2));
+        assert_eq!(access.writes(w), &[rect(8..10, 4..7)]);
+        assert_eq!(access.reads(w), &[rect(0..4, 0..7)]);
     }
 
     #[test]
-    fn rect_mode_block_declarations_match_block_mode() {
+    fn block_declarations_on_a_geometry_infer_block_edges() {
         let mut g = TaskGraph::new();
         let mut t = BlockTracker::with_geometry(4, 8, 8);
         let w = mk(&mut g);
@@ -479,9 +418,6 @@ mod tests {
         assert_eq!(g.successors(w), &[r]);
         assert!(g.successors(u).is_empty());
         assert_eq!(g.pred_count(u), 0);
-        let access = t.into_access_map();
-        assert_eq!(access.geometry(), Some((4, 8, 8)));
-        assert_eq!(access.writes(w).len(), 1, "block regions still recorded");
     }
 
     #[test]
@@ -573,15 +509,51 @@ mod tests {
     }
 
     #[test]
-    fn rect_mode_retains_elem_rects_in_access_map() {
+    fn declared_rects_are_retained_in_the_access_map() {
         let mut g = TaskGraph::new();
         let mut t = BlockTracker::with_geometry(4, 8, 8);
         let a = mk(&mut g);
         t.write_rect(&mut g, a, rect(0..3, 0..1));
         t.read_rect(&mut g, a, rect(4..8, 4..8));
         let access = t.into_access_map();
-        assert_eq!(access.elem_writes(a), &[rect(0..3, 0..1)]);
-        assert_eq!(access.elem_reads(a), &[rect(4..8, 4..8)]);
-        assert_eq!(access.resolved_writes(a), vec![rect(0..3, 0..1)]);
+        assert_eq!(access.writes(a), &[rect(0..3, 0..1)]);
+        assert_eq!(access.reads(a), &[rect(4..8, 4..8)]);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(
+            if cfg!(miri) { 8 } else { 128 }
+        ))]
+
+        /// The unit-cell grid is not a second engine: the same random
+        /// block-aligned declarations infer the same edges whether blocks
+        /// are single elements or `b × b` tiles.
+        #[test]
+        fn unit_cells_and_tiles_infer_identical_edges(seed in 0u64..1_000_000, b in 2usize..6) {
+            const GRID: usize = 4;
+            let mut unit = (TaskGraph::new(), BlockTracker::new(GRID, GRID));
+            let mut tiled = (TaskGraph::new(), BlockTracker::with_geometry(b, GRID * b, GRID * b));
+            for (g, t) in [&mut unit, &mut tiled] {
+                let mut rng = proptest::test_runner::Prng::from_name(&seed.to_string());
+                let mut below = |n: usize| rng.below(n as u64) as usize;
+                for _ in 0..4 + below(12) {
+                    let task = mk(g);
+                    for _ in 0..1 + below(3) {
+                        let (r0, c0) = (below(GRID), below(GRID));
+                        let rows = r0..r0 + 1 + below(GRID - r0);
+                        let cols = c0..c0 + 1 + below(GRID - c0);
+                        if below(2) == 0 {
+                            t.read(g, task, rows, cols);
+                        } else {
+                            t.write(g, task, rows, cols);
+                        }
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(unit.0.len(), tiled.0.len());
+            for id in 0..unit.0.len() {
+                proptest::prop_assert_eq!(unit.0.successors(id), tiled.0.successors(id));
+            }
+        }
     }
 }

@@ -4,9 +4,8 @@
 //!
 //! 1. [`crate::verify_graph`] statically proves the graph + declared
 //!    footprints sound before anything executes;
-//! 2. [`build_shadow_registry`] converts the block-level [`AccessMap`] into
-//!    element-level [`TaskFootprint`]s and attaches them to a
-//!    [`ShadowRegistry`];
+//! 2. [`build_shadow_registry`] hands each task's declared rects
+//!    ([`AccessMap`]) to a [`ShadowRegistry`] as its [`TaskFootprint`];
 //! 3. [`crate::execute`] with [`crate::RunOptions::shadow`] set runs each
 //!    job inside a [`ShadowRegistry::enter_task`] scope, so every
 //!    `SharedMatrix` block accessor audits its element range against the
@@ -20,7 +19,6 @@ use crate::fault::ExecError;
 use crate::footprint::AccessMap;
 use crate::graph::TaskGraph;
 use crate::verify::SoundnessError;
-use ca_matrix::ElemRect;
 use ca_matrix::{ShadowRegistry, ShadowViolation, TaskFootprint};
 use std::sync::Arc;
 
@@ -45,43 +43,16 @@ impl core::fmt::Display for CheckedError {
 
 impl std::error::Error for CheckedError {}
 
-/// Converts the block-level declarations of `access` (on a `b`-sized block
-/// grid over an `m × n` matrix) into an element-level shadow registry for
-/// `graph`'s tasks. Block regions are clamped to the matrix, and regions
-/// that fall entirely outside (virtual bookkeeping columns some builders
-/// use) contribute no element rectangle.
-pub fn build_shadow_registry<T>(
-    graph: &TaskGraph<T>,
-    access: &AccessMap,
-    b: usize,
-    m: usize,
-    n: usize,
-) -> Arc<ShadowRegistry> {
-    let ntasks = graph.len();
-    let to_rects = |regions: &[crate::footprint::BlockRegion]| -> Vec<ElemRect> {
-        regions
-            .iter()
-            .filter_map(|reg| {
-                let rect = ElemRect::new(
-                    (reg.rows.start * b).min(m)..(reg.rows.end * b).min(m),
-                    (reg.cols.start * b).min(n)..(reg.cols.end * b).min(n),
-                );
-                (!rect.is_empty()).then_some(rect)
-            })
-            .collect()
-    };
-    let mut footprints = Vec::with_capacity(ntasks);
-    let mut labels = Vec::with_capacity(ntasks);
-    for t in 0..ntasks {
-        // Element-rect declarations are already in matrix coordinates; they
-        // join the resolved block regions directly.
-        let mut reads = to_rects(access.reads(t));
-        reads.extend(access.elem_reads(t).iter().copied().filter(|r| !r.is_empty()));
-        let mut writes = to_rects(access.writes(t));
-        writes.extend(access.elem_writes(t).iter().copied().filter(|r| !r.is_empty()));
-        footprints.push(TaskFootprint { reads, writes });
-        labels.push(graph.meta(t).label.to_string());
-    }
+/// Builds the element-level shadow registry for `graph`'s tasks from their
+/// declared footprints in `access`.
+pub fn build_shadow_registry<T>(graph: &TaskGraph<T>, access: &AccessMap) -> Arc<ShadowRegistry> {
+    let (footprints, labels) = (0..graph.len())
+        .map(|t| {
+            let footprint =
+                TaskFootprint { reads: access.reads(t).to_vec(), writes: access.writes(t).to_vec() };
+            (footprint, graph.meta(t).label.to_string())
+        })
+        .unzip();
     Arc::new(ShadowRegistry::new(footprints, labels))
 }
 
@@ -121,7 +92,7 @@ mod tests {
     use crate::blockdeps::BlockTracker;
     use crate::exec::{execute, job, Job, RunOptions};
     use crate::task::{TaskKind, TaskLabel, TaskMeta};
-    use ca_matrix::{Matrix, SharedMatrix};
+    use ca_matrix::{ElemRect, Matrix, SharedMatrix};
     use std::sync::Barrier;
 
     fn meta(kind: TaskKind, step: usize, i: usize) -> TaskMeta {
@@ -141,7 +112,7 @@ mod tests {
     fn clean_graph_executes_without_violations() {
         // Two writers of disjoint blocks, then a reader of both.
         let mut g: TaskGraph<()> = TaskGraph::new();
-        let mut t = BlockTracker::new(2, 1);
+        let mut t = BlockTracker::with_geometry(4, 8, 4);
         let w0 = g.add_task(meta(TaskKind::Panel, 0, 0), ());
         t.write(&mut g, w0, 0..1, 0..1);
         let w1 = g.add_task(meta(TaskKind::Panel, 0, 1), ());
@@ -150,8 +121,7 @@ mod tests {
         t.read(&mut g, r, 0..2, 0..1);
         let access = t.into_access_map();
 
-        let b = 4;
-        let reg = build_shadow_registry(&g, &access, b, 8, 4);
+        let reg = build_shadow_registry(&g, &access);
         let shared = SharedMatrix::with_shadow(Matrix::zeros(8, 4), Arc::clone(&reg));
         let a = &shared;
         let jobs = g.map_ref(|id, _| match id {
@@ -169,12 +139,12 @@ mod tests {
     #[test]
     fn out_of_footprint_write_is_reported_with_label() {
         let mut g: TaskGraph<()> = TaskGraph::new();
-        let mut t = BlockTracker::new(2, 1);
+        let mut t = BlockTracker::with_geometry(4, 8, 4);
         let w = g.add_task(meta(TaskKind::Panel, 0, 0), ());
         t.write(&mut g, w, 0..1, 0..1); // declares rows 0..4 only
         let access = t.into_access_map();
 
-        let reg = build_shadow_registry(&g, &access, 4, 8, 4);
+        let reg = build_shadow_registry(&g, &access);
         let shared = SharedMatrix::with_shadow(Matrix::zeros(8, 4), Arc::clone(&reg));
         let a = &shared;
         let jobs = g.map_ref(|_, _| {
@@ -200,11 +170,11 @@ mod tests {
         let mut g: TaskGraph<()> = TaskGraph::new();
         let a_id = g.add_task(meta(TaskKind::Panel, 0, 0), ());
         let b_id = g.add_task(meta(TaskKind::Panel, 0, 1), ());
-        let mut access = AccessMap::new(1, 1);
-        access.record_write(a_id, 0..1, 0..1);
-        access.record_write(b_id, 0..1, 0..1);
+        let mut access = AccessMap::new(4, 4);
+        access.record_write(a_id, ElemRect::new(0..4, 0..4));
+        access.record_write(b_id, ElemRect::new(0..4, 0..4));
 
-        let reg = build_shadow_registry(&g, &access, 4, 4, 4);
+        let reg = build_shadow_registry(&g, &access);
         let shared = SharedMatrix::with_shadow(Matrix::zeros(4, 4), Arc::clone(&reg));
         let a = &shared;
         let barrier = Barrier::new(2);

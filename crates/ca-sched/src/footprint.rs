@@ -1,229 +1,99 @@
 //! First-class task access footprints.
 //!
-//! The DAG builders declare each task's block reads/writes to
-//! [`crate::BlockTracker`] to infer dependency edges. Historically those
-//! declarations were consumed for edges and thrown away; an [`AccessMap`]
-//! retains them, so the static verifier ([`crate::verify_graph`]) can prove
-//! that every conflicting pair of tasks is ordered, and checked execution
-//! mode can audit runtime accesses against the declarations.
+//! The DAG builders declare each task's reads/writes to
+//! [`crate::BlockTracker`] to infer dependency edges. An [`AccessMap`]
+//! retains those declarations, so the static verifier
+//! ([`crate::verify_graph`]) can prove that every conflicting pair of tasks
+//! is ordered, checked execution can audit runtime accesses against them,
+//! and the retry wrapper knows which elements to snapshot.
 //!
-//! Footprints come at two granularities. Block regions ([`BlockRegion`])
-//! name whole `b × b` tiles of the block grid; element rects
-//! ([`ElemRect`]) name exact element rectangles, which lets a task declare a
-//! sub-tile footprint (e.g. only the upper triangle of a factored diagonal
-//! tile). A map carrying element rects must also carry the matrix
-//! *geometry* ([`AccessMap::set_geometry`]) so block regions and rects can
-//! be resolved into one element-coordinate space.
+//! A footprint is a list of element rectangles ([`ElemRect`]) over an
+//! `m × n` element space. Block coordinates are a builder convenience
+//! resolved to rects at declaration time by [`crate::BlockTracker`]; the map
+//! keeps the block size `b` only as the cell size of the spatial index its
+//! consumers bucket rects by. An abstract grid (the unit tests, simulator
+//! graphs) is the unit-cell case `b = 1`.
 
 use crate::task::TaskId;
 use ca_matrix::shadow::ElemRect;
-use core::ops::Range;
 
-/// A rectangular region of the block grid: blocks `(i, j)` for `i` in
-/// `rows`, `j` in `cols`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct BlockRegion {
-    /// Block-row range (half-open).
-    pub rows: Range<usize>,
-    /// Block-column range (half-open).
-    pub cols: Range<usize>,
-}
-
-impl BlockRegion {
-    /// `true` if the region contains no blocks.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty() || self.cols.is_empty()
-    }
-
-    /// The element rectangle this region covers on a matrix of `b`-sized
-    /// blocks, clamped to the `m × n` matrix extent.
-    pub fn to_elem_rect(&self, b: usize, m: usize, n: usize) -> ElemRect {
-        ElemRect::new(
-            (self.rows.start * b).min(m)..(self.rows.end * b).min(m),
-            (self.cols.start * b).min(n)..(self.cols.end * b).min(n),
-        )
-    }
-}
-
-impl core::fmt::Display for BlockRegion {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "blocks ({}..{}, {}..{})",
-            self.rows.start, self.rows.end, self.cols.start, self.cols.end
-        )
-    }
-}
-
-/// Per-task declared read/write regions over an `mb × nb` block grid.
+/// Per-task declared read/write element rects over an `m × n` space.
 ///
-/// Built as a side effect of [`crate::BlockTracker::read`] /
-/// [`crate::BlockTracker::write`]; retrieve it with
-/// [`crate::BlockTracker::into_access_map`] and hand it (together with the
-/// graph) to [`crate::verify_graph`] or to the checked executors.
-#[derive(Clone, Debug, Default)]
+/// Built as a side effect of the [`crate::BlockTracker`] declarations;
+/// retrieve it with [`crate::BlockTracker::into_access_map`] and hand it
+/// (together with the graph) to [`crate::verify_graph`],
+/// [`crate::build_shadow_registry`] or [`crate::write_set`].
+#[derive(Clone, Debug)]
 pub struct AccessMap {
-    mb: usize,
-    nb: usize,
-    geometry: Option<(usize, usize, usize)>,
-    reads: Vec<Vec<BlockRegion>>,
-    writes: Vec<Vec<BlockRegion>>,
-    elem_reads: Vec<Vec<ElemRect>>,
-    elem_writes: Vec<Vec<ElemRect>>,
+    b: usize,
+    m: usize,
+    n: usize,
+    reads: Vec<Vec<ElemRect>>,
+    writes: Vec<Vec<ElemRect>>,
 }
 
 impl AccessMap {
-    /// An empty map over an `mb × nb` block grid.
-    pub fn new(mb: usize, nb: usize) -> Self {
-        Self {
-            mb,
-            nb,
-            geometry: None,
-            reads: Vec::new(),
-            writes: Vec::new(),
-            elem_reads: Vec::new(),
-            elem_writes: Vec::new(),
-        }
+    /// An empty map over an `m × n` space with unit index cells.
+    pub fn new(m: usize, n: usize) -> Self {
+        Self::with_geometry(1, m, n)
     }
 
-    /// Block-grid dimensions `(mb, nb)`.
+    /// An empty map over an `m × n` matrix indexed by `b × b` cells.
+    pub(crate) fn with_geometry(b: usize, m: usize, n: usize) -> Self {
+        assert!(b > 0, "zero cell size");
+        Self { b, m, n, reads: Vec::new(), writes: Vec::new() }
+    }
+
+    /// The geometry `(b, m, n)`: index cell size and element extent.
+    pub fn geometry(&self) -> (usize, usize, usize) {
+        (self.b, self.m, self.n)
+    }
+
+    /// Dimensions `(mb, nb)` of the cell grid `b` induces on `m × n`.
     pub fn grid(&self) -> (usize, usize) {
-        (self.mb, self.nb)
+        (self.m.div_ceil(self.b), self.n.div_ceil(self.b))
     }
 
-    /// Attaches the matrix geometry: block size `b` over an `m × n` matrix.
-    ///
-    /// Required before recording element rects and before any consumer can
-    /// resolve block regions to element coordinates. The block grid must be
-    /// exactly the one `b` induces on `m × n` — a builder using phantom grid
-    /// resources (extra rows/columns that model side storage) cannot attach
-    /// a geometry, because its block coordinates have no element meaning.
-    pub fn set_geometry(&mut self, b: usize, m: usize, n: usize) {
-        assert!(b > 0 && m > 0 && n > 0, "degenerate geometry");
-        assert_eq!(
-            (m.div_ceil(b), n.div_ceil(b)),
-            (self.mb, self.nb),
-            "geometry {m}×{n} / b={b} does not induce the {}×{} block grid",
-            self.mb,
-            self.nb
-        );
-        self.geometry = Some((b, m, n));
-    }
-
-    /// The attached geometry `(b, m, n)`, if any.
-    pub fn geometry(&self) -> Option<(usize, usize, usize)> {
-        self.geometry
-    }
-
-    /// One past the highest task id with any recorded region.
+    /// One past the highest task id with any recorded rect.
     pub fn tasks(&self) -> usize {
-        self.reads
-            .len()
-            .max(self.writes.len())
-            .max(self.elem_reads.len())
-            .max(self.elem_writes.len())
+        self.reads.len().max(self.writes.len())
     }
 
-    /// Total number of recorded block regions (reads + writes).
+    /// Total number of recorded rects (reads + writes).
     pub fn region_count(&self) -> usize {
         self.reads.iter().chain(self.writes.iter()).map(Vec::len).sum()
     }
 
-    /// Total number of recorded element rects (reads + writes).
-    pub fn elem_rect_count(&self) -> usize {
-        self.elem_reads.iter().chain(self.elem_writes.iter()).map(Vec::len).sum()
-    }
-
-    fn slot<R>(vec: &mut Vec<Vec<R>>, task: TaskId) -> &mut Vec<R> {
+    fn record(vec: &mut Vec<Vec<ElemRect>>, task: TaskId, rect: ElemRect) {
+        if rect.is_empty() {
+            return;
+        }
         if task >= vec.len() {
             vec.resize_with(task + 1, Vec::new);
         }
-        &mut vec[task]
+        vec[task].push(rect);
     }
 
-    /// Records that `task` reads the block region `rows × cols`.
-    pub fn record_read(&mut self, task: TaskId, rows: Range<usize>, cols: Range<usize>) {
-        let region = BlockRegion { rows, cols };
-        if !region.is_empty() {
-            Self::slot(&mut self.reads, task).push(region);
-        }
+    /// Records that `task` reads `rect` (empty rects are dropped).
+    pub fn record_read(&mut self, task: TaskId, rect: ElemRect) {
+        Self::record(&mut self.reads, task, rect);
     }
 
-    /// Records that `task` writes the block region `rows × cols`.
-    pub fn record_write(&mut self, task: TaskId, rows: Range<usize>, cols: Range<usize>) {
-        let region = BlockRegion { rows, cols };
-        if !region.is_empty() {
-            Self::slot(&mut self.writes, task).push(region);
-        }
+    /// Records that `task` writes `rect` (empty rects are dropped).
+    pub fn record_write(&mut self, task: TaskId, rect: ElemRect) {
+        Self::record(&mut self.writes, task, rect);
     }
 
-    /// Records that `task` reads the element rectangle `rect` (requires an
-    /// attached geometry).
-    pub fn record_read_rect(&mut self, task: TaskId, rect: ElemRect) {
-        assert!(self.geometry.is_some(), "element rects need a geometry");
-        if !rect.is_empty() {
-            Self::slot(&mut self.elem_reads, task).push(rect);
-        }
-    }
-
-    /// Records that `task` writes the element rectangle `rect` (requires an
-    /// attached geometry).
-    pub fn record_write_rect(&mut self, task: TaskId, rect: ElemRect) {
-        assert!(self.geometry.is_some(), "element rects need a geometry");
-        if !rect.is_empty() {
-            Self::slot(&mut self.elem_writes, task).push(rect);
-        }
-    }
-
-    /// Declared read regions of `task` (empty for tasks that touch no
-    /// blocks, e.g. reduction-tree nodes passing data through side storage).
-    pub fn reads(&self, task: TaskId) -> &[BlockRegion] {
+    /// Declared read rects of `task` (empty for tasks that touch no matrix
+    /// elements, e.g. reduction-tree nodes passing data through side
+    /// storage).
+    pub fn reads(&self, task: TaskId) -> &[ElemRect] {
         self.reads.get(task).map_or(&[], Vec::as_slice)
     }
 
-    /// Declared write regions of `task`.
-    pub fn writes(&self, task: TaskId) -> &[BlockRegion] {
+    /// Declared write rects of `task`.
+    pub fn writes(&self, task: TaskId) -> &[ElemRect] {
         self.writes.get(task).map_or(&[], Vec::as_slice)
-    }
-
-    /// Declared element read rects of `task`.
-    pub fn elem_reads(&self, task: TaskId) -> &[ElemRect] {
-        self.elem_reads.get(task).map_or(&[], Vec::as_slice)
-    }
-
-    /// Declared element write rects of `task`.
-    pub fn elem_writes(&self, task: TaskId) -> &[ElemRect] {
-        self.elem_writes.get(task).map_or(&[], Vec::as_slice)
-    }
-
-    /// The `(b, m, n)` space used to resolve footprints to element
-    /// coordinates: the attached geometry, or the unit-block fallback
-    /// (`b = 1`, matrix = block grid) when none is attached.
-    pub fn resolution_space(&self) -> (usize, usize, usize) {
-        self.geometry.unwrap_or((1, self.mb, self.nb))
-    }
-
-    /// `task`'s full read footprint in element coordinates: block regions
-    /// resolved through [`Self::resolution_space`], plus declared rects.
-    pub fn resolved_reads(&self, task: TaskId) -> Vec<ElemRect> {
-        let (b, m, n) = self.resolution_space();
-        self.reads(task)
-            .iter()
-            .map(|r| r.to_elem_rect(b, m, n))
-            .chain(self.elem_reads(task).iter().copied())
-            .filter(|r| !r.is_empty())
-            .collect()
-    }
-
-    /// `task`'s full write footprint in element coordinates.
-    pub fn resolved_writes(&self, task: TaskId) -> Vec<ElemRect> {
-        let (b, m, n) = self.resolution_space();
-        self.writes(task)
-            .iter()
-            .map(|r| r.to_elem_rect(b, m, n))
-            .chain(self.elem_writes(task).iter().copied())
-            .filter(|r| !r.is_empty())
-            .collect()
     }
 }
 
@@ -232,61 +102,35 @@ mod tests {
     use super::*;
 
     #[test]
-    fn records_and_reports_regions() {
+    fn records_and_reports_rects() {
         let mut m = AccessMap::new(4, 4);
-        m.record_read(0, 0..2, 0..1);
-        m.record_write(0, 2..4, 0..1);
-        m.record_write(2, 0..1, 1..2);
+        m.record_read(0, ElemRect::new(0..2, 0..1));
+        m.record_write(0, ElemRect::new(2..4, 0..1));
+        m.record_write(2, ElemRect::new(0..1, 1..2));
         assert_eq!(m.tasks(), 3);
         assert_eq!(m.region_count(), 3);
-        assert_eq!(m.reads(0), &[BlockRegion { rows: 0..2, cols: 0..1 }]);
-        assert_eq!(m.writes(0), &[BlockRegion { rows: 2..4, cols: 0..1 }]);
+        assert_eq!(m.reads(0), &[ElemRect::new(0..2, 0..1)]);
+        assert_eq!(m.writes(0), &[ElemRect::new(2..4, 0..1)]);
         assert!(m.reads(1).is_empty());
         assert!(m.writes(1).is_empty());
         assert!(m.reads(7).is_empty(), "out-of-range task has empty footprint");
     }
 
     #[test]
-    fn empty_regions_are_dropped() {
+    fn empty_rects_are_dropped() {
         let mut m = AccessMap::new(4, 4);
-        m.record_read(0, 2..2, 0..4);
-        m.record_write(0, 0..4, 1..1);
+        m.record_read(0, ElemRect::new(2..2, 0..4));
+        m.record_write(0, ElemRect::new(0..4, 1..1));
         assert_eq!(m.region_count(), 0);
+        assert_eq!(m.tasks(), 0);
     }
 
     #[test]
-    fn geometry_resolves_blocks_to_clamped_rects() {
-        let mut m = AccessMap::new(3, 2);
-        m.set_geometry(4, 10, 7); // 10×7 matrix, 4-blocks → 3×2 grid
-        m.record_write(0, 2..3, 1..2); // last block both ways: clamped
-        m.record_read_rect(0, ElemRect::new(0..3, 0..1));
-        let w = m.resolved_writes(0);
-        assert_eq!(w, vec![ElemRect::new(8..10, 4..7)]);
-        let r = m.resolved_reads(0);
-        assert_eq!(r, vec![ElemRect::new(0..3, 0..1)]);
-        assert_eq!(m.elem_rect_count(), 1);
-        assert_eq!(m.tasks(), 1);
-    }
-
-    #[test]
-    fn unit_block_fallback_without_geometry() {
-        let mut m = AccessMap::new(4, 4);
-        m.record_read(1, 1..3, 0..2);
-        assert_eq!(m.resolution_space(), (1, 4, 4));
-        assert_eq!(m.resolved_reads(1), vec![ElemRect::new(1..3, 0..2)]);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not induce")]
-    fn mismatched_geometry_is_rejected() {
-        let mut m = AccessMap::new(4, 5); // 5 block cols: a phantom column
-        m.set_geometry(4, 16, 16); // 16/4 = 4 ≠ 5
-    }
-
-    #[test]
-    #[should_panic(expected = "need a geometry")]
-    fn rects_without_geometry_are_rejected() {
-        let mut m = AccessMap::new(4, 4);
-        m.record_read_rect(0, ElemRect::new(0..1, 0..1));
+    fn geometry_induces_the_cell_grid() {
+        let m = AccessMap::with_geometry(4, 10, 7);
+        assert_eq!(m.geometry(), (4, 10, 7));
+        assert_eq!(m.grid(), (3, 2));
+        assert_eq!(AccessMap::new(5, 3).geometry(), (1, 5, 3));
+        assert_eq!(AccessMap::new(5, 3).grid(), (5, 3));
     }
 }

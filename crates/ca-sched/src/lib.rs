@@ -40,8 +40,8 @@
 //!
 //! Wrapping a task body with [`retrying_job`] / [`retrying_dyn_job`] adds
 //! the *recover* half: the wrapper snapshots the task's declared write-set
-//! (resolved from the [`AccessMap`] by [`write_set`]), and on failure or
-//! panic restores it and replays the body under a [`RetryPolicy`] —
+//! (its write rects in the [`AccessMap`], via [`write_set`]), and on failure
+//! or panic restores it and replays the body under a [`RetryPolicy`] —
 //! successors are cancelled only once retries are exhausted. The wrapper
 //! consults the same [`ChaosPlan`], which there can also inject silent data
 //! corruption.
@@ -58,10 +58,12 @@
 //!
 //! ## Verification
 //!
-//! The builders' block declarations are retained in an [`AccessMap`]
+//! A footprint is a list of element rectangles; block coordinates are a
+//! builder convenience [`BlockTracker`] resolves at declaration. The
+//! declarations are retained in an [`AccessMap`]
 //! ([`BlockTracker::into_access_map`]); [`verify_graph`] statically proves
-//! every conflicting block pair is ordered by a happens-before path, and a
-//! run with [`RunOptions::shadow`] set (registry from
+//! every pair of tasks whose rects conflict is ordered by a happens-before
+//! path, and a run with [`RunOptions::shadow`] set (registry from
 //! [`build_shadow_registry`]) audits the actual element accesses through a
 //! [`ca_matrix::ShadowRegistry`], reporting in [`RunReport::violation`].
 //! [`SimOptions::access`] is the simulator's checked mode.
@@ -87,11 +89,10 @@ mod verify;
 pub use blockdeps::{row_blocks, BlockTracker};
 pub use checked::{build_shadow_registry, CheckedError};
 pub use exec::{execute, job, run_graph, ExecStats, Job, QueueKind, RunOptions, RunReport};
-pub use footprint::{AccessMap, BlockRegion};
+pub use footprint::AccessMap;
 pub use verify::{
     reduce_transitive_edges, verify_graph, verify_graph_with, ConflictKind, EdgeFinding,
-    Granularity, LintReport, ShadowedWrite, SoundnessError, VerifyOptions, VerifyReport,
-    CLOSURE_TASK_LIMIT,
+    LintReport, ShadowedWrite, SoundnessError, VerifyOptions, VerifyReport, CLOSURE_TASK_LIMIT,
 };
 pub use fault::{ExecError, TaskFailure, TaskResult};
 pub use graph::TaskGraph;

@@ -35,7 +35,7 @@ use crate::fault::{panic_message, TaskFailure, TaskResult};
 use crate::footprint::AccessMap;
 use crate::multigraph::DynJob;
 use crate::task::{TaskId, TaskKind, TaskLabel};
-use ca_matrix::{MatView, SharedMatrix};
+use ca_matrix::{ElemRect, MatView, SharedMatrix};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -450,32 +450,20 @@ pub struct RecoveryStats {
     pub injected_corruptions: u64,
 }
 
-/// One element rectangle of a task's write-set (half-open ranges).
-#[derive(Clone, Copy, Debug)]
-struct WriteRect {
-    row0: usize,
-    row1: usize,
-    col0: usize,
-    col1: usize,
+fn rows(r: &ElemRect) -> usize {
+    r.row1 - r.row0
 }
 
-impl WriteRect {
-    fn rows(&self) -> usize {
-        self.row1 - self.row0
-    }
-
-    fn cols(&self) -> usize {
-        self.col1 - self.col0
-    }
+fn cols(r: &ElemRect) -> usize {
+    r.col1 - r.col0
 }
 
-/// The element regions a task declared it writes, resolved from block to
-/// element coordinates and clipped to the matrix. Build once per task with
+/// The element rects a task declared it writes. Build once per task with
 /// [`write_set`]; the retry wrapper snapshots and restores exactly these
 /// elements.
 #[derive(Clone, Debug, Default)]
 pub struct WriteSet {
-    rects: Vec<WriteRect>,
+    rects: Vec<ElemRect>,
 }
 
 impl WriteSet {
@@ -488,7 +476,7 @@ impl WriteSet {
     /// Number of elements covered (rectangles may not overlap per the
     /// builders' contract; used for cost accounting).
     pub fn elems(&self) -> usize {
-        self.rects.iter().map(|r| r.rows() * r.cols()).sum()
+        self.rects.iter().map(|r| rows(r) * cols(r)).sum()
     }
 
     /// Copies the current contents of every write rectangle.
@@ -501,7 +489,7 @@ impl WriteSet {
                 // (and this wrapper around it) runs — the same contract the
                 // body itself relies on. Reads within the declared write-set
                 // also satisfy the shadow registry's containment check.
-                unsafe { shared.block(r.row0, r.col0, r.rows(), r.cols()).to_vec() }
+                unsafe { shared.block(r.row0, r.col0, rows(r), cols(r)).to_vec() }
             })
             .collect()
     }
@@ -513,9 +501,9 @@ impl WriteSet {
     #[allow(clippy::disallowed_methods)]
     fn restore(&self, shared: &SharedMatrix, saved: &[Vec<f64>]) {
         for (r, data) in self.rects.iter().zip(saved) {
-            let src = MatView::from_slice(data, r.rows(), r.cols());
+            let src = MatView::from_slice(data, rows(r), cols(r));
             // SAFETY: see `capture` — exclusive access per the graph edges.
-            unsafe { shared.block_mut(r.row0, r.col0, r.rows(), r.cols()).copy_from(src) };
+            unsafe { shared.block_mut(r.row0, r.col0, rows(r), cols(r)).copy_from(src) };
         }
     }
 
@@ -525,7 +513,7 @@ impl WriteSet {
     fn scribble(&self, shared: &SharedMatrix) {
         for r in &self.rects {
             // SAFETY: see `capture` — exclusive access per the graph edges.
-            unsafe { shared.block_mut(r.row0, r.col0, r.rows(), r.cols()).fill(f64::NAN) };
+            unsafe { shared.block_mut(r.row0, r.col0, rows(r), cols(r)).fill(f64::NAN) };
         }
     }
 
@@ -537,40 +525,21 @@ impl WriteSet {
             return;
         }
         let r = &self.rects[(h % self.rects.len() as u64) as usize];
-        let elems = (r.rows() * r.cols()) as u64;
+        let elems = (rows(r) * cols(r)) as u64;
         let idx = (h >> 16) % elems.max(1);
-        let (i, j) = ((idx as usize) % r.rows(), (idx as usize) / r.rows());
+        let (i, j) = ((idx as usize) % rows(r), (idx as usize) / rows(r));
         // SAFETY: see `capture` — exclusive access per the graph edges.
-        let mut block = unsafe { shared.block_mut(r.row0, r.col0, r.rows(), r.cols()) };
+        let mut block = unsafe { shared.block_mut(r.row0, r.col0, rows(r), cols(r)) };
         let v = block.at(i, j);
         let bad = if v.is_finite() { v.mul_add(1.0e6, 1.0e3) } else { 1.0e6 };
         block.set(i, j, bad);
     }
 }
 
-/// Resolves task `task`'s declared write regions from block coordinates
-/// (`access` over a block grid of size `b`) to element rectangles clipped
-/// to the `m × n` matrix. Declared element-rect writes (sub-tile
-/// footprints) are included as-is.
-pub fn write_set(access: &AccessMap, task: TaskId, b: usize, m: usize, n: usize) -> WriteSet {
-    let rects = access
-        .writes(task)
-        .iter()
-        .map(|region| WriteRect {
-            row0: (region.rows.start * b).min(m),
-            row1: (region.rows.end * b).min(m),
-            col0: (region.cols.start * b).min(n),
-            col1: (region.cols.end * b).min(n),
-        })
-        .chain(access.elem_writes(task).iter().map(|r| WriteRect {
-            row0: r.row0,
-            row1: r.row1,
-            col0: r.col0,
-            col1: r.col1,
-        }))
-        .filter(|r| r.row0 < r.row1 && r.col0 < r.col1)
-        .collect();
-    WriteSet { rects }
+/// Task `task`'s declared write rects in `access`, as the set the retry
+/// wrapper snapshots.
+pub fn write_set(access: &AccessMap, task: TaskId) -> WriteSet {
+    WriteSet { rects: access.writes(task).to_vec() }
 }
 
 /// Runs `body` under the retry protocol. Returns `Ok` if any attempt
@@ -849,7 +818,7 @@ mod tests {
     }
 
     fn one_rect_set() -> WriteSet {
-        WriteSet { rects: vec![WriteRect { row0: 0, row1: 4, col0: 0, col1: 4 }] }
+        WriteSet { rects: vec![ElemRect::new(0..4, 0..4)] }
     }
 
     #[test]
@@ -900,12 +869,18 @@ mod tests {
     }
 
     #[test]
-    fn write_set_clips_to_matrix() {
-        let mut access = AccessMap::new(3, 3);
-        access.record_write(0, 1..3, 2..3);
-        let ws = write_set(&access, 0, 10, 25, 25);
+    fn write_set_is_the_declared_write_footprint() {
+        // Ragged 25×25 matrix on 10-blocks: the tracker clamps the block
+        // declaration, the write-set is exactly what it recorded.
+        let mut g: crate::TaskGraph<()> = crate::TaskGraph::new();
+        let mut t = crate::BlockTracker::with_geometry(10, 25, 25);
+        let id = g.add_task(crate::TaskMeta::new(label(TaskKind::Update, 0), 1.0), ());
+        t.read(&mut g, id, 0..1, 0..1);
+        t.write(&mut g, id, 1..3, 2..3);
+        let access = t.into_access_map();
+        let ws = write_set(&access, id);
         assert_eq!(ws.elems(), 15 * 5, "rows 10..25 x cols 20..25");
-        let empty = write_set(&access, 1, 10, 25, 25);
+        let empty = write_set(&access, id + 1);
         assert!(empty.is_empty());
     }
 

@@ -468,8 +468,8 @@ mod tests {
         let a = g.add_task(meta(1.0, 0), ());
         let b = g.add_task(meta(1.0, 0), ());
         let mut access = AccessMap::new(1, 1);
-        access.record_write(a, 0..1, 0..1);
-        access.record_write(b, 0..1, 0..1);
+        access.record_write(a, ca_matrix::ElemRect::new(0..1, 0..1));
+        access.record_write(b, ca_matrix::ElemRect::new(0..1, 0..1));
         let opts = SimOptions { access: Some(&access), ..Default::default() };
         match simulate_with(&g, 2, |_, m| m.flops, &opts).violation {
             Some(SoundnessError::UnorderedConflict { .. }) => {}

@@ -126,25 +126,18 @@ impl Timeline {
             .flat_map(|(lane, l)| l.iter().map(move |s| (lane, s)))
             .collect();
         spans.sort_by(|a, b| a.1.start.total_cmp(&b.1.start));
-        let mut writes: Vec<Option<Vec<ElemRect>>> = Vec::new();
-        let mut writes_of = |t: TaskId| -> Vec<ElemRect> {
-            if t >= writes.len() {
-                writes.resize(t + 1, None);
-            }
-            writes[t].get_or_insert_with(|| access.resolved_writes(t)).clone()
-        };
         // Sweep by start time, keeping the spans still live.
         let mut active: Vec<(usize, &Span)> = Vec::new();
         for (lane, s) in spans {
             active.retain(|(_, a)| a.end > s.start);
-            let sw = writes_of(s.task);
+            let sw = access.writes(s.task);
             if !sw.is_empty() {
                 for &(alane, a) in &active {
                     if alane == lane || s.end <= a.start {
                         continue;
                     }
-                    for ra in writes_of(a.task) {
-                        for rb in &sw {
+                    for ra in access.writes(a.task) {
+                        for rb in sw {
                             if let Some(rect) = ra.intersection(rb) {
                                 return Err(TimelineError::ConcurrentWrites {
                                     first: a.task,
@@ -418,9 +411,9 @@ mod tests {
     #[test]
     fn write_exclusion_flags_concurrent_writers_on_different_lanes() {
         let mut access = AccessMap::new(2, 2);
-        access.record_write(0, 0..1, 0..1);
-        access.record_write(1, 0..1, 0..1); // same block as task 0
-        access.record_write(2, 1..2, 1..2); // disjoint
+        access.record_write(0, ElemRect::new(0..1, 0..1));
+        access.record_write(1, ElemRect::new(0..1, 0..1)); // same element as task 0
+        access.record_write(2, ElemRect::new(1..2, 1..2)); // disjoint
 
         // Tasks 0 and 1 overlap in time on different lanes: race.
         let mut tl = Timeline::new(2);

@@ -1,21 +1,23 @@
 //! Static DAG soundness verifier.
 //!
 //! [`verify_graph`] proves — before a single task runs — that a task graph
-//! plus its declared block footprints ([`AccessMap`]) is safe to execute on
-//! a `SharedMatrix`: every pair of tasks whose declared regions conflict
-//! (W–W, R–W, or W–R on an overlapping block) must be ordered by a
-//! happens-before path in the DAG. It also re-checks structural invariants
-//! (forward-only edges, consistent predecessor counts, every task
-//! releasable) without trusting the builder, and lints the §III scheduling
-//! rule that panel tasks of step `K+1` outrank the trailing updates of step
-//! `K` (lookahead of 1).
+//! plus its declared element-rect footprints ([`AccessMap`]) is safe to
+//! execute on a `SharedMatrix`: every pair of tasks whose declared rects
+//! conflict (W–W, R–W, or W–R on at least one shared element) must be
+//! ordered by a happens-before path in the DAG. Conflicts are element-exact,
+//! so graphs that interleave disjoint sub-tile footprints (L strictly below
+//! the diagonal of a tile, U on and above it) verify as they are. It also
+//! re-checks structural invariants (forward-only edges, consistent
+//! predecessor counts, every task releasable) without trusting the builder,
+//! and lints the §III scheduling rule that panel tasks of step `K+1` outrank
+//! the trailing updates of step `K` (lookahead of 1).
 //!
 //! Happens-before is decided with a bitset transitive closure computed in
 //! reverse topological order (`reach[t] = ∪ reach[s] ∪ {s}` over successors
 //! `s`), `O(E · V/64)` time and `V²/8` bytes; graphs beyond
 //! [`CLOSURE_TASK_LIMIT`] tasks fall back to a per-pair pruned DFS.
 
-use crate::footprint::{AccessMap, BlockRegion};
+use crate::footprint::AccessMap;
 use crate::graph::TaskGraph;
 use crate::task::{TaskId, TaskKind, TaskLabel};
 use ca_matrix::shadow::ElemRect;
@@ -30,46 +32,20 @@ pub const CLOSURE_TASK_LIMIT: usize = 1 << 14;
 /// graph (with and without flagged edges) to report the lookahead metric.
 const LINT_SIM_WORKERS: usize = 4;
 
-/// Resolution at which conflicting accesses are enumerated.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Granularity {
-    /// Whole `b × b` tiles: two tasks conflict if they touch the same block
-    /// cell. Conservative — element rects are widened to the cells they
-    /// overlap, so disjoint sub-tile footprints still count as conflicts.
-    #[default]
-    Block,
-    /// Exact element rectangles: two tasks conflict only if their resolved
-    /// footprints overlap element-wise. Admits graphs that interleave
-    /// disjoint triangles of one tile (e.g. L strictly below the diagonal,
-    /// U on and above it).
-    Rect,
-}
-
-impl core::fmt::Display for Granularity {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        f.write_str(match self {
-            Self::Block => "block",
-            Self::Rect => "rect",
-        })
-    }
-}
-
 /// Options for [`verify_graph_with`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct VerifyOptions {
-    /// Conflict-enumeration resolution.
-    pub granularity: Granularity,
     /// Run the minimality analysis (edge-necessity, transitive-redundancy
     /// and dataflow lints) over the happens-before closure and attach a
     /// [`LintReport`] to the result.
     pub lint_edges: bool,
 }
 
-/// How two tasks' declared accesses of one block conflict. The first mode
-/// belongs to the earlier task (lower id), the second to the later one.
+/// How two tasks' declared accesses of the same elements conflict. The first
+/// mode belongs to the earlier task (lower id), the second to the later one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConflictKind {
-    /// Both tasks write the block.
+    /// Both tasks write the elements.
     WriteWrite,
     /// The earlier task reads, the later writes (anti-dependence).
     ReadWrite,
@@ -124,19 +100,6 @@ pub enum SoundnessError {
         /// Number of tasks in the graph.
         tasks: usize,
     },
-    /// A declared region lies outside the block grid.
-    RegionOutOfGrid {
-        /// The declaring task.
-        task: TaskId,
-        /// Its label.
-        label: TaskLabel,
-        /// The offending region.
-        region: BlockRegion,
-        /// Grid rows.
-        mb: usize,
-        /// Grid columns.
-        nb: usize,
-    },
     /// A declared element rect lies outside the matrix extent.
     RectOutOfMatrix {
         /// The declaring task.
@@ -150,26 +113,9 @@ pub enum SoundnessError {
         /// Matrix columns.
         n: usize,
     },
-    /// Two tasks conflict on a block but no happens-before path orders them
-    /// — executing the graph could race.
+    /// Two tasks' declared footprints overlap but no happens-before path
+    /// orders them — executing the graph could race.
     UnorderedConflict {
-        /// Earlier task (lower id).
-        first: TaskId,
-        /// Its label.
-        first_label: TaskLabel,
-        /// Later task (higher id).
-        second: TaskId,
-        /// Its label.
-        second_label: TaskLabel,
-        /// How the accesses conflict.
-        kind: ConflictKind,
-        /// The contested block `(i, j)`.
-        block: (usize, usize),
-    },
-    /// Two tasks' resolved element footprints overlap but no happens-before
-    /// path orders them (rect-granularity sibling of
-    /// [`Self::UnorderedConflict`]).
-    UnorderedRectConflict {
         /// Earlier task (lower id).
         first: TaskId,
         /// Its label.
@@ -226,25 +172,14 @@ impl core::fmt::Display for SoundnessError {
             Self::UnknownTask { task, tasks } => {
                 write!(f, "access map names task {task} but the graph has only {tasks} tasks")
             }
-            Self::RegionOutOfGrid { task, label, region, mb, nb } => {
-                write!(f, "task {task} ({label}) declares {region} outside the {mb}x{nb} grid")
-            }
             Self::RectOutOfMatrix { task, label, rect, m, n } => {
                 write!(f, "task {task} ({label}) declares {rect} outside the {m}x{n} matrix")
             }
-            Self::UnorderedRectConflict { first, first_label, second, second_label, kind, rect } => {
+            Self::UnorderedConflict { first, first_label, second, second_label, kind, rect } => {
                 write!(
                     f,
                     "{kind} conflict on {rect} between task {first} ({first_label}) and \
                      task {second} ({second_label}) with no happens-before path"
-                )
-            }
-            Self::UnorderedConflict { first, first_label, second, second_label, kind, block } => {
-                write!(
-                    f,
-                    "{kind} conflict on block ({}, {}) between task {first} ({first_label}) and \
-                     task {second} ({second_label}) with no happens-before path",
-                    block.0, block.1
                 )
             }
             Self::Race { first, second, rows, cols } => write!(
@@ -364,16 +299,13 @@ pub struct VerifyReport {
     pub tasks: usize,
     /// Dependency edges.
     pub edges: usize,
-    /// Declared read/write regions (block regions + element rects).
+    /// Declared read/write element rects.
     pub declared_regions: usize,
-    /// Distinct blocks with at least one declared access.
+    /// Distinct index cells with at least one declared access.
     pub blocks_touched: usize,
-    /// Conflicting task pairs proven ordered. At block granularity this
-    /// counts same-cell candidate pairs; at rect granularity only pairs
-    /// whose element footprints actually overlap.
+    /// Conflicting task pairs (element footprints overlap, at least one a
+    /// write) proven ordered.
     pub conflict_pairs: usize,
-    /// Resolution the conflicts were enumerated at.
-    pub granularity: Granularity,
     /// Lookahead-lint findings (§III priority rule). Informational:
     /// the tiled baselines intentionally schedule without lookahead.
     pub lookahead_warnings: Vec<String>,
@@ -393,9 +325,6 @@ impl core::fmt::Display for VerifyReport {
              region(s) on {} block(s)",
             self.tasks, self.edges, self.conflict_pairs, self.declared_regions, self.blocks_touched
         )?;
-        if self.granularity == Granularity::Rect {
-            writeln!(f, "granularity: rect (element-exact conflict enumeration)")?;
-        }
         for w in &self.lookahead_warnings {
             writeln!(f, "warning: {w}")?;
         }
@@ -441,9 +370,9 @@ impl core::fmt::Display for VerifyReport {
 
 /// Verifies that `graph` with declared footprints `access` is sound to
 /// execute on a shared matrix: structurally valid, every task releasable,
-/// and every conflicting block access ordered by a happens-before path.
+/// and every conflicting element access ordered by a happens-before path.
 ///
-/// Equivalent to [`verify_graph_with`] at block granularity with no lints.
+/// Equivalent to [`verify_graph_with`] with no lints.
 pub fn verify_graph<T>(
     graph: &TaskGraph<T>,
     access: &AccessMap,
@@ -452,8 +381,7 @@ pub fn verify_graph<T>(
 }
 
 /// [`verify_graph`] with explicit [`VerifyOptions`]: conflict enumeration
-/// at block or element-rect granularity, optionally followed by the
-/// minimality analysis (see [`LintReport`]).
+/// optionally followed by the minimality analysis (see [`LintReport`]).
 pub fn verify_graph_with<T>(
     graph: &TaskGraph<T>,
     access: &AccessMap,
@@ -505,33 +433,17 @@ pub fn verify_graph_with<T>(
         return Err(SoundnessError::Unreleasable { task, label: graph.meta(task).label });
     }
 
-    // Footprint sanity: known tasks, block regions inside the grid,
-    // element rects inside the matrix extent.
+    // Footprint sanity: known tasks, rects inside the matrix extent.
     let (mb, nb) = access.grid();
-    let (bsz, em, en) = access.resolution_space();
+    let (bsz, em, en) = access.geometry();
     for t in 0..access.tasks() {
         if t >= n {
-            if !access.reads(t).is_empty()
-                || !access.writes(t).is_empty()
-                || !access.elem_reads(t).is_empty()
-                || !access.elem_writes(t).is_empty()
-            {
+            if !access.reads(t).is_empty() || !access.writes(t).is_empty() {
                 return Err(SoundnessError::UnknownTask { task: t, tasks: n });
             }
             continue;
         }
-        for region in access.reads(t).iter().chain(access.writes(t)) {
-            if region.rows.end > mb || region.cols.end > nb {
-                return Err(SoundnessError::RegionOutOfGrid {
-                    task: t,
-                    label: graph.meta(t).label,
-                    region: region.clone(),
-                    mb,
-                    nb,
-                });
-            }
-        }
-        for &rect in access.elem_reads(t).iter().chain(access.elem_writes(t)) {
+        for &rect in access.reads(t).iter().chain(access.writes(t)) {
             if rect.row1 > em || rect.col1 > en {
                 return Err(SoundnessError::RectOutOfMatrix {
                     task: t,
@@ -571,113 +483,50 @@ pub fn verify_graph_with<T>(
         }
     };
 
-    // Conflict enumeration: every conflicting pair must be ordered. Both
-    // modes bucket accesses per block cell (element rects widened to the
-    // cells they overlap); rect mode additionally carries the cell-clipped
-    // rect and confirms element-wise overlap before demanding an ordering.
+    // Conflict enumeration: every conflicting pair must be ordered.
+    // Accesses are bucketed per index cell, each carrying its cell-clipped
+    // rect; two accesses of one cell conflict iff the clips overlap.
     let ntasks = access.tasks().min(n);
     let mut seen_pairs: HashSet<(TaskId, TaskId)> = HashSet::new();
-    let blocks_touched;
-    match opts.granularity {
-        Granularity::Block => {
-            let mut per_block: Vec<Vec<(TaskId, bool)>> = vec![Vec::new(); mb * nb];
-            for t in 0..ntasks {
-                for (regions, write) in [(access.reads(t), false), (access.writes(t), true)] {
-                    for region in regions {
-                        for j in region.cols.clone() {
-                            for i in region.rows.clone() {
-                                per_block[i + j * mb].push((t, write));
-                            }
-                        }
-                    }
-                }
-                for (rects, write) in
-                    [(access.elem_reads(t), false), (access.elem_writes(t), true)]
-                {
-                    for rect in rects {
-                        for bj in rect.col0 / bsz..rect.col1.div_ceil(bsz) {
-                            for bi in rect.row0 / bsz..rect.row1.div_ceil(bsz) {
-                                per_block[bi + bj * mb].push((t, write));
-                            }
-                        }
-                    }
-                }
-            }
-            blocks_touched = per_block.iter().filter(|l| !l.is_empty()).count();
-            for (bidx, list) in per_block.iter().enumerate() {
-                for x in 0..list.len() {
-                    for y in x + 1..list.len() {
-                        let (t1, w1) = list[x];
-                        let (t2, w2) = list[y];
-                        if t1 == t2 || (!w1 && !w2) {
-                            continue;
-                        }
-                        let (a, wa, b, wb) =
-                            if t1 < t2 { (t1, w1, t2, w2) } else { (t2, w2, t1, w1) };
-                        if !seen_pairs.insert((a, b)) {
-                            continue;
-                        }
-                        if !ordered(a, b) {
-                            return Err(SoundnessError::UnorderedConflict {
-                                first: a,
-                                first_label: graph.meta(a).label,
-                                second: b,
-                                second_label: graph.meta(b).label,
-                                kind: conflict_kind(wa, wb),
-                                block: (bidx % mb, bidx / mb),
-                            });
+    let mut per_cell: Vec<Vec<(TaskId, bool, ElemRect)>> = vec![Vec::new(); mb * nb];
+    for t in 0..ntasks {
+        for (rects, write) in [(access.reads(t), false), (access.writes(t), true)] {
+            for rect in rects {
+                for bj in rect.col0 / bsz..rect.col1.div_ceil(bsz) {
+                    for bi in rect.row0 / bsz..rect.row1.div_ceil(bsz) {
+                        let cell =
+                            ElemRect::new(bi * bsz..(bi + 1) * bsz, bj * bsz..(bj + 1) * bsz);
+                        if let Some(clip) = rect.intersection(&cell) {
+                            per_cell[bi + bj * mb].push((t, write, clip));
                         }
                     }
                 }
             }
         }
-        Granularity::Rect => {
-            let mut per_cell: Vec<Vec<(TaskId, bool, ElemRect)>> = vec![Vec::new(); mb * nb];
-            for t in 0..ntasks {
-                for (rects, write) in
-                    [(access.resolved_reads(t), false), (access.resolved_writes(t), true)]
-                {
-                    for rect in rects {
-                        for bj in rect.col0 / bsz..rect.col1.div_ceil(bsz) {
-                            for bi in rect.row0 / bsz..rect.row1.div_ceil(bsz) {
-                                let cell = ElemRect::new(
-                                    bi * bsz..((bi + 1) * bsz).min(em),
-                                    bj * bsz..((bj + 1) * bsz).min(en),
-                                );
-                                if let Some(clip) = rect.intersection(&cell) {
-                                    per_cell[bi + bj * mb].push((t, write, clip));
-                                }
-                            }
-                        }
-                    }
+    }
+    let blocks_touched = per_cell.iter().filter(|l| !l.is_empty()).count();
+    for list in &per_cell {
+        for x in 0..list.len() {
+            for y in x + 1..list.len() {
+                let (t1, w1, r1) = list[x];
+                let (t2, w2, r2) = list[y];
+                if t1 == t2 || (!w1 && !w2) {
+                    continue;
                 }
-            }
-            blocks_touched = per_cell.iter().filter(|l| !l.is_empty()).count();
-            for list in &per_cell {
-                for x in 0..list.len() {
-                    for y in x + 1..list.len() {
-                        let (t1, w1, r1) = list[x];
-                        let (t2, w2, r2) = list[y];
-                        if t1 == t2 || (!w1 && !w2) {
-                            continue;
-                        }
-                        let Some(overlap) = r1.intersection(&r2) else { continue };
-                        let (a, wa, b, wb) =
-                            if t1 < t2 { (t1, w1, t2, w2) } else { (t2, w2, t1, w1) };
-                        if !seen_pairs.insert((a, b)) {
-                            continue;
-                        }
-                        if !ordered(a, b) {
-                            return Err(SoundnessError::UnorderedRectConflict {
-                                first: a,
-                                first_label: graph.meta(a).label,
-                                second: b,
-                                second_label: graph.meta(b).label,
-                                kind: conflict_kind(wa, wb),
-                                rect: overlap,
-                            });
-                        }
-                    }
+                let Some(overlap) = r1.intersection(&r2) else { continue };
+                let (a, wa, b, wb) = if t1 < t2 { (t1, w1, t2, w2) } else { (t2, w2, t1, w1) };
+                if !seen_pairs.insert((a, b)) {
+                    continue;
+                }
+                if !ordered(a, b) {
+                    return Err(SoundnessError::UnorderedConflict {
+                        first: a,
+                        first_label: graph.meta(a).label,
+                        second: b,
+                        second_label: graph.meta(b).label,
+                        kind: conflict_kind(wa, wb),
+                        rect: overlap,
+                    });
                 }
             }
         }
@@ -690,10 +539,9 @@ pub fn verify_graph_with<T>(
     Ok(VerifyReport {
         tasks: n,
         edges,
-        declared_regions: access.region_count() + access.elem_rect_count(),
+        declared_regions: access.region_count(),
         blocks_touched,
         conflict_pairs: seen_pairs.len(),
-        granularity: opts.granularity,
         lookahead_warnings: lookahead_lint(graph),
         lint,
     })
@@ -714,8 +562,8 @@ fn conflict_kind(wa: bool, wb: bool) -> ConflictKind {
 /// edge whose ordering another path already implies, and returns how many
 /// were deleted.
 ///
-/// Builders whose trackers reason per block cannot see orderings implied by
-/// explicitly added edges (reduction trees, pivot broadcasts), so they
+/// Builders whose trackers reason per footprint cannot see orderings implied
+/// by explicitly added edges (reduction trees, pivot broadcasts), so they
 /// over-wire; this pass restores the unique minimal equivalent DAG. Sound
 /// by construction: an edge `(a, b)` is deleted only when some other
 /// successor of `a` still reaches `b`, so the happens-before closure — and
@@ -779,32 +627,22 @@ fn dfs_reaches<T>(graph: &TaskGraph<T>, a: TaskId, b: TaskId) -> bool {
 }
 
 /// The minimality analysis: edge-necessity and transitive-redundancy over
-/// the happens-before relation, plus dataflow lints over the resolved
-/// element footprints. `ordered(a, b)` must answer reachability for
-/// `a < b`. Runs only on graphs that already passed conflict enumeration,
-/// so task-id order is a valid serialization of every conflicting access.
+/// the happens-before relation, plus dataflow lints over the declared
+/// footprints. `ordered(a, b)` must answer reachability for `a < b`. Runs
+/// only on graphs that already passed conflict enumeration, so task-id order
+/// is a valid serialization of every conflicting access.
 fn lint_pass<T>(
     graph: &TaskGraph<T>,
     access: &AccessMap,
     ordered: impl Fn(TaskId, TaskId) -> bool,
 ) -> LintReport {
     let n = graph.len();
-    let ntasks = access.tasks().min(n);
 
-    // Own footprints as region sets, in element coordinates.
-    let own = |resolve: &dyn Fn(TaskId) -> Vec<ElemRect>| -> Vec<RegionSet> {
-        (0..n)
-            .map(|t| {
-                if t < ntasks {
-                    RegionSet::from_rects(resolve(t))
-                } else {
-                    RegionSet::new()
-                }
-            })
-            .collect()
-    };
-    let own_r = own(&|t| access.resolved_reads(t));
-    let own_w = own(&|t| access.resolved_writes(t));
+    // Own footprints as region sets (empty beyond the map's last task).
+    let own_r: Vec<RegionSet> =
+        (0..n).map(|t| RegionSet::from_rects(access.reads(t).iter().copied())).collect();
+    let own_w: Vec<RegionSet> =
+        (0..n).map(|t| RegionSet::from_rects(access.writes(t).iter().copied())).collect();
 
     // Cumulative footprints: up[t] covers t and all its ancestors (topo =
     // id order), down[t] covers t and all its descendants. An edge (a, b)
@@ -1077,9 +915,9 @@ mod tests {
         g.add_dep(r, w1);
         g.add_dep(w0, w1);
         let mut access = AccessMap::new(2, 2);
-        access.record_write(w0, 0..1, 0..1);
-        access.record_read(r, 0..1, 0..1);
-        access.record_write(w1, 0..1, 0..1);
+        access.record_write(w0, ElemRect::new(0..1, 0..1));
+        access.record_read(r, ElemRect::new(0..1, 0..1));
+        access.record_write(w1, ElemRect::new(0..1, 0..1));
         verify_graph(&g, &access).expect("redundant edge is harmless");
         assert!(g.remove_dep(w0, w1));
         verify_graph(&g, &access).expect("transitive path w0 -> r -> w1 still orders the pair");
@@ -1114,25 +952,11 @@ mod tests {
     }
 
     #[test]
-    fn detects_region_outside_grid() {
-        let mut g: TaskGraph<()> = TaskGraph::new();
-        let a = mk(&mut g, TaskKind::Other, 0, 0, ());
-        let mut access = AccessMap::new(2, 2);
-        access.record_write(a, 0..3, 0..1);
-        match verify_graph(&g, &access) {
-            Err(SoundnessError::RegionOutOfGrid { task, mb, nb, .. }) => {
-                assert_eq!((task, mb, nb), (a, 2, 2));
-            }
-            other => panic!("expected RegionOutOfGrid, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn detects_unknown_task_in_access_map() {
         let mut g: TaskGraph<()> = TaskGraph::new();
         mk(&mut g, TaskKind::Other, 0, 0, ());
         let mut access = AccessMap::new(2, 2);
-        access.record_write(5, 0..1, 0..1);
+        access.record_write(5, ElemRect::new(0..1, 0..1));
         assert_eq!(
             verify_graph(&g, &access),
             Err(SoundnessError::UnknownTask { task: 5, tasks: 1 })
@@ -1182,59 +1006,42 @@ mod tests {
         assert!(report.conflict_pairs > 0);
     }
 
-    fn rect_opts() -> VerifyOptions {
-        VerifyOptions { granularity: Granularity::Rect, lint_edges: false }
-    }
-
-    fn lint_opts() -> VerifyOptions {
-        VerifyOptions { granularity: Granularity::Block, lint_edges: true }
-    }
-
     #[test]
-    fn rect_mode_admits_disjoint_subtile_writes() {
-        // Two unordered tasks write disjoint halves of one tile: a block
-        // W-W conflict, but element-disjoint.
+    fn disjoint_subtile_writes_need_no_ordering() {
+        // Two unordered tasks write disjoint halves of one tile.
         let mut g: TaskGraph<()> = TaskGraph::new();
         let a = mk(&mut g, TaskKind::Panel, 0, 0, ());
         let b = mk(&mut g, TaskKind::Panel, 0, 1, ());
-        let mut access = AccessMap::new(1, 1);
-        access.set_geometry(4, 4, 4);
-        access.record_write_rect(a, ElemRect::new(0..2, 0..4));
-        access.record_write_rect(b, ElemRect::new(2..4, 0..4));
-        match verify_graph(&g, &access) {
-            Err(SoundnessError::UnorderedConflict {
-                kind: ConflictKind::WriteWrite, block: (0, 0), ..
-            }) => {}
-            other => panic!("block granularity must widen to a conflict, got {other:?}"),
-        }
-        let report = verify_graph_with(&g, &access, &rect_opts())
-            .expect("element-disjoint halves need no ordering");
+        let mut access = AccessMap::with_geometry(4, 4, 4);
+        access.record_write(a, ElemRect::new(0..2, 0..4));
+        access.record_write(b, ElemRect::new(2..4, 0..4));
+        let report =
+            verify_graph(&g, &access).expect("element-disjoint halves need no ordering");
         assert_eq!(report.conflict_pairs, 0);
-        assert_eq!(report.granularity, Granularity::Rect);
+        assert_eq!(report.blocks_touched, 1);
     }
 
     #[test]
-    fn rect_mode_detects_overlapping_rects() {
+    fn unordered_overlap_names_the_contested_rect() {
         let mut g: TaskGraph<()> = TaskGraph::new();
         let a = mk(&mut g, TaskKind::Panel, 0, 0, ());
         let b = mk(&mut g, TaskKind::Panel, 0, 1, ());
-        let mut access = AccessMap::new(1, 1);
-        access.set_geometry(4, 4, 4);
-        access.record_write_rect(a, ElemRect::new(0..3, 0..4));
-        access.record_write_rect(b, ElemRect::new(2..4, 0..4));
-        match verify_graph_with(&g, &access, &rect_opts()) {
-            Err(SoundnessError::UnorderedRectConflict { first, second, kind, rect, .. }) => {
+        let mut access = AccessMap::with_geometry(4, 4, 4);
+        access.record_write(a, ElemRect::new(0..3, 0..4));
+        access.record_write(b, ElemRect::new(2..4, 0..4));
+        match verify_graph(&g, &access) {
+            Err(SoundnessError::UnorderedConflict { first, second, kind, rect, .. }) => {
                 assert_eq!((first, second), (a, b));
                 assert_eq!(kind, ConflictKind::WriteWrite);
                 assert_eq!(rect, ElemRect::new(2..3, 0..4));
             }
-            other => panic!("expected UnorderedRectConflict, got {other:?}"),
+            other => panic!("expected UnorderedConflict, got {other:?}"),
         }
         let mut g2: TaskGraph<()> = TaskGraph::new();
         mk(&mut g2, TaskKind::Panel, 0, 0, ());
         mk(&mut g2, TaskKind::Panel, 0, 1, ());
         g2.add_dep(a, b);
-        let report = verify_graph_with(&g2, &access, &rect_opts()).expect("edge orders the pair");
+        let report = verify_graph(&g2, &access).expect("edge orders the pair");
         assert_eq!(report.conflict_pairs, 1);
     }
 
@@ -1242,10 +1049,9 @@ mod tests {
     fn detects_rect_outside_matrix() {
         let mut g: TaskGraph<()> = TaskGraph::new();
         let a = mk(&mut g, TaskKind::Other, 0, 0, ());
-        let mut access = AccessMap::new(1, 1);
-        access.set_geometry(4, 4, 4);
-        access.record_write_rect(a, ElemRect::new(0..5, 0..1));
-        match verify_graph_with(&g, &access, &rect_opts()) {
+        let mut access = AccessMap::with_geometry(4, 4, 4);
+        access.record_write(a, ElemRect::new(0..5, 0..1));
+        match verify_graph(&g, &access) {
             Err(SoundnessError::RectOutOfMatrix { task, m, n, .. }) => {
                 assert_eq!((task, m, n), (a, 4, 4));
             }
@@ -1262,9 +1068,9 @@ mod tests {
         let b = mk(&mut g, TaskKind::Update, 0, 1, ());
         g.add_dep(a, b);
         let mut access = AccessMap::new(2, 2);
-        access.record_write(a, 0..1, 0..1);
-        access.record_write(b, 1..2, 1..2);
-        let report = verify_graph_with(&g, &access, &lint_opts()).unwrap();
+        access.record_write(a, ElemRect::new(0..1, 0..1));
+        access.record_write(b, ElemRect::new(1..2, 1..2));
+        let report = verify_graph_with(&g, &access, &VerifyOptions { lint_edges: true }).unwrap();
         let lint = report.lint.expect("lint requested");
         assert_eq!(lint.unnecessary_edges.len(), 1);
         assert_eq!((lint.unnecessary_edges[0].from, lint.unnecessary_edges[0].to), (a, b));
@@ -1288,10 +1094,10 @@ mod tests {
         g.add_dep(r, w1);
         g.add_dep(w0, w1);
         let mut access = AccessMap::new(2, 2);
-        access.record_write(w0, 0..1, 0..1);
-        access.record_read(r, 0..1, 0..1);
-        access.record_write(w1, 0..1, 0..1);
-        let report = verify_graph_with(&g, &access, &lint_opts()).unwrap();
+        access.record_write(w0, ElemRect::new(0..1, 0..1));
+        access.record_read(r, ElemRect::new(0..1, 0..1));
+        access.record_write(w1, ElemRect::new(0..1, 0..1));
+        let report = verify_graph_with(&g, &access, &VerifyOptions { lint_edges: true }).unwrap();
         let lint = report.lint.expect("lint requested");
         assert!(lint.unnecessary_edges.is_empty());
         assert_eq!(lint.redundant_edges.len(), 1);
@@ -1301,7 +1107,7 @@ mod tests {
     #[test]
     fn lint_accepts_minimal_tracker_graph() {
         let (g, access) = tracked_graph();
-        let report = verify_graph_with(&g, &access, &lint_opts()).unwrap();
+        let report = verify_graph_with(&g, &access, &VerifyOptions { lint_edges: true }).unwrap();
         let lint = report.lint.expect("lint requested");
         assert_eq!(lint.minimality_findings(), 0, "tracker output is conflict-minimal");
         assert_eq!(lint.opaque_edges, 0);
@@ -1323,9 +1129,9 @@ mod tests {
         g.add_dep(a, s);
         g.add_dep(s, b);
         let mut access = AccessMap::new(1, 1);
-        access.record_write(a, 0..1, 0..1);
-        access.record_write(b, 0..1, 0..1);
-        let report = verify_graph_with(&g, &access, &lint_opts()).unwrap();
+        access.record_write(a, ElemRect::new(0..1, 0..1));
+        access.record_write(b, ElemRect::new(0..1, 0..1));
+        let report = verify_graph_with(&g, &access, &VerifyOptions { lint_edges: true }).unwrap();
         let lint = report.lint.expect("lint requested");
         assert_eq!(lint.opaque_edges, 2);
         assert!(lint.unnecessary_edges.is_empty());
@@ -1339,10 +1145,10 @@ mod tests {
         let t1 = mk(&mut g, TaskKind::Panel, 1, 0, ());
         g.add_dep(t0, t1);
         let mut access = AccessMap::new(2, 2);
-        access.record_read(t0, 1..2, 0..1); // never written: input load
-        access.record_write(t0, 0..1, 0..1);
-        access.record_write(t1, 0..1, 0..1); // shadows t0's write
-        let report = verify_graph_with(&g, &access, &lint_opts()).unwrap();
+        access.record_read(t0, ElemRect::new(1..2, 0..1)); // never written: input load
+        access.record_write(t0, ElemRect::new(0..1, 0..1));
+        access.record_write(t1, ElemRect::new(0..1, 0..1)); // shadows t0's write
+        let report = verify_graph_with(&g, &access, &VerifyOptions { lint_edges: true }).unwrap();
         let lint = report.lint.expect("lint requested");
         assert_eq!(lint.cold_read_area, 1);
         assert_eq!(lint.shadowed_writes.len(), 1);
@@ -1410,22 +1216,19 @@ mod tests {
         .collect()
     }
 
-    /// Re-declares every resolved footprint as randomly split covering
-    /// element rects.
+    /// Re-declares every footprint as randomly split covering rects.
     fn split_access(access: &AccessMap, ntasks: usize, lcg: &mut Lcg) -> AccessMap {
-        let (mb, nb) = access.grid();
-        let (b, m, n) = access.resolution_space();
-        let mut out = AccessMap::new(mb, nb);
-        out.set_geometry(b, m, n);
+        let (b, m, n) = access.geometry();
+        let mut out = AccessMap::with_geometry(b, m, n);
         for t in 0..ntasks {
-            for rect in access.resolved_reads(t) {
+            for &rect in access.reads(t) {
                 for piece in split_rect(rect, lcg) {
-                    out.record_read_rect(t, piece);
+                    out.record_read(t, piece);
                 }
             }
-            for rect in access.resolved_writes(t) {
+            for &rect in access.writes(t) {
                 for piece in split_rect(rect, lcg) {
-                    out.record_write_rect(t, piece);
+                    out.record_write(t, piece);
                 }
             }
         }
@@ -1440,18 +1243,16 @@ mod tests {
         #![proptest_config(cases())]
 
         #[test]
-        fn splitting_block_footprints_preserves_verdict(seed in 0usize..1_000_000) {
+        fn splitting_footprints_preserves_verdict(seed in 0usize..1_000_000) {
             let mut lcg = Lcg(seed as u64);
             let (g, access) = random_tracked(&mut lcg);
             let split = split_access(&access, g.len(), &mut lcg);
-            let block_orig = verify_graph(&g, &access).is_ok();
-            let rect_orig = verify_graph_with(&g, &access, &rect_opts()).is_ok();
-            let rect_split = verify_graph_with(&g, &split, &rect_opts()).is_ok();
-            // Splitting block footprints into covering rects must not
-            // change the verdict, and whole-block footprints must verify
-            // identically at both granularities.
-            proptest::prop_assert_eq!(rect_orig, rect_split);
-            proptest::prop_assert_eq!(block_orig, rect_orig);
+            // A footprint is the union of its rects: re-declaring it as
+            // covering pieces must not change the verdict.
+            proptest::prop_assert_eq!(
+                verify_graph(&g, &access).is_ok(),
+                verify_graph(&g, &split).is_ok()
+            );
         }
     }
 }

@@ -174,8 +174,8 @@ impl ChaosConfig {
 ///
 /// The metric registry itself is created whenever this config is present;
 /// hot-path updates are single relaxed atomic operations, cheap enough to
-/// leave on in production (the `telemetry_overhead` bench gates the cost at
-/// ≤ 2% on a 1024² CALU serve trace).
+/// leave on in production (the benchmark reports the cost as
+/// `ca-telemetry.overhead_frac`).
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
     /// Write periodic snapshots to this file (Prometheus text format; a

@@ -52,7 +52,7 @@ pub use config::{
     AdmissionPolicy, BatchConfig, ChaosConfig, RetryConfig, ServiceConfig, SubmitOptions,
     TelemetryConfig,
 };
-pub use service::{serialized_baseline, JobHandle, Service};
+pub use service::{JobHandle, Service};
 pub use stats::{LatencySummary, ServeError, ServiceStats};
 
 // Frontier types that surface through the service API.

@@ -13,7 +13,7 @@ use ca_sched::{
     CancelReason, ChaosPlan, DynJob, JobId, JobOptions, JobOutcome, JobReport, JobWatch,
     MultiFrontier, PanicHookGuard, RecoveryCounters, TaskGraph, TaskKind, TaskLabel, TaskMeta,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -1183,22 +1183,6 @@ impl Drop for Service {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// Replays `requests` strictly one at a time on a fresh one-shot runtime
-/// per request — the serialize-every-request baseline the service's
-/// throughput is measured against (used by `serve_sweep`; lives here so
-/// tests and benches share one definition).
-///
-/// Each closure runs a complete factorization the way a standalone CLI
-/// invocation would (spawn pool, run graph, join pool) with no cross-job
-/// overlap; returns total wall seconds.
-pub fn serialized_baseline(requests: VecDeque<Box<dyn FnOnce() + Send>>) -> f64 {
-    let t0 = Instant::now();
-    for job in requests {
-        job();
-    }
-    t0.elapsed().as_secs_f64()
 }
 
 #[cfg(test)]

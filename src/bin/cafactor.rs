@@ -85,9 +85,6 @@ struct Opts {
     /// task-parallel executor is double-precision; `f32` routes `factor`
     /// through the sequential CALU/CAQR path in single precision.
     precision: Precision,
-    /// `verify --granularity={block,rect}`: conflict-enumeration granularity
-    /// for the static soundness pass.
-    granularity: ca_factor::sched::Granularity,
     /// `verify --lint-edges`: run the edge-minimality and dataflow lint
     /// passes on top of the happens-before closure.
     lint_edges: bool,
@@ -148,7 +145,6 @@ impl Default for Opts {
             seed: 42,
             refine: false,
             precision: Precision::F64,
-            granularity: ca_factor::sched::Granularity::Block,
             lint_edges: false,
             profile: None,
             jobs: 32,
@@ -189,12 +185,7 @@ fn usage() -> ! {
                                                   --out-of-core (256 MiB)\n\
                 --store FILE                      tile-store file to keep\n\
                                                   (default: temp, removed)\n\
-         verify: --granularity=block|rect         conflict enumeration:\n\
-                                                  whole blocks (default) or\n\
-                                                  element-exact rects; rect\n\
-                                                  also covers the tiled\n\
-                                                  baseline's sub-tile split\n\
-                --lint-edges                      minimality lints: flag\n\
+         verify: --lint-edges                     minimality lints: flag\n\
                                                   unnecessary / transitively\n\
                                                   redundant edges (exit 13)\n\
                 --profile[=FILE.json]             scheduler profile report +\n\
@@ -266,13 +257,6 @@ fn parse_opts(args: &[String]) -> Opts {
                 o.precision = match next().as_str() {
                     "f32" => Precision::F32,
                     "f64" => Precision::F64,
-                    _ => usage(),
-                }
-            }
-            s if s.starts_with("--granularity=") => {
-                o.granularity = match &s["--granularity=".len()..] {
-                    "block" => ca_factor::sched::Granularity::Block,
-                    "rect" => ca_factor::sched::Granularity::Rect,
                     _ => usage(),
                 }
             }
@@ -352,9 +336,19 @@ fn read_or_generate(o: &Opts) -> Matrix {
 }
 
 fn params(o: &Opts, n: usize) -> CaParams {
-    for (flag, value) in [("--b", o.b), ("--tr", o.tr), ("--threads", o.threads)] {
-        if value == 0 {
-            eprintln!("cafactor: {flag} must be at least 1");
+    let fan_in = match o.tree {
+        TreeShape::Kary(k) => k,
+        TreeShape::Hybrid { flat_width } => flat_width,
+        TreeShape::Binary | TreeShape::Flat => 2,
+    };
+    for (flag, value, min) in [
+        ("--b", o.b, 1),
+        ("--tr", o.tr, 1),
+        ("--threads", o.threads, 1),
+        ("the --tree fan-in", fan_in, 2),
+    ] {
+        if value < min {
+            eprintln!("cafactor: {flag} must be at least {min}");
             exit(2)
         }
     }
@@ -652,19 +646,17 @@ fn cmd_solve(o: &Opts) {
 
 /// `cafactor verify lu|qr`: static DAG soundness verification followed by a
 /// checked execution in which every element access is audited against the
-/// builder's declared footprints. `--granularity=rect` switches the conflict
-/// enumeration to element-exact rects and additionally verifies the tiled
-/// PLASMA-style baseline, whose sub-tile split of the diagonal tile the
-/// block view cannot represent; `--lint-edges` runs the minimality passes.
-/// Exit code 7 for a static violation, 8 for a runtime race, 9 for an
+/// builder's declared footprints. The tiled PLASMA-style baseline of the same
+/// shape is verified alongside (its diagonal tile is split between two
+/// kernels at sub-tile granularity); `--lint-edges` runs the minimality
+/// passes. Exit code 7 for a static violation, 8 for a runtime race, 9 for an
 /// out-of-footprint access, 13 when every graph is sound but the lint
 /// flags removable edges.
 fn cmd_verify(sub: &str, o: &Opts) {
     let a = load_matrix(o);
     let (m, n) = (a.nrows(), a.ncols());
     let p = params(o, n);
-    let vopts =
-        ca_factor::sched::VerifyOptions { granularity: o.granularity, lint_edges: o.lint_edges };
+    let vopts = ca_factor::sched::VerifyOptions { lint_edges: o.lint_edges };
     let report = match sub {
         "lu" => ca_factor::core::verify_calu_with(m, n, &p, &vopts),
         "qr" => ca_factor::core::verify_caqr_with(m, n, &p, &vopts),
@@ -678,45 +670,35 @@ fn cmd_verify(sub: &str, o: &Opts) {
         "static verify {sub} {m}x{n}  b={} Tr={} tree={:?}: {report}",
         p.b, p.tr, p.tree
     );
-    for w in &report.lookahead_warnings {
-        eprintln!("warning: {w}");
-    }
     let mut minimality_findings =
         report.lint.as_ref().map_or(0, |l| l.minimality_findings());
 
-    // The tiled baselines alias the diagonal tile at sub-tile granularity
-    // (L/V below, U/R above), so they are only verifiable at rect
-    // granularity — the block view reports the intentional concurrency as
-    // an unordered conflict.
-    if o.granularity == ca_factor::sched::Granularity::Rect {
-        fn baseline_findings<T>(
-            name: &str,
-            g: &ca_factor::sched::TaskGraph<T>,
-            access: &ca_factor::sched::AccessMap,
-            vopts: &ca_factor::sched::VerifyOptions,
-            m: usize,
-            n: usize,
-            b: usize,
-        ) -> usize {
-            let report =
-                ca_factor::sched::verify_graph_with(g, access, vopts).unwrap_or_else(|v| {
-                    eprintln!("cafactor: static soundness violation ({name} baseline): {v}");
-                    exit(soundness_exit_code(&v))
-                });
-            println!("static verify {name} baseline {m}x{n}  b={b}: {report}");
-            report.lint.as_ref().map_or(0, |l| l.minimality_findings())
+    fn baseline_findings<T>(
+        name: &str,
+        g: &ca_factor::sched::TaskGraph<T>,
+        access: &ca_factor::sched::AccessMap,
+        vopts: &ca_factor::sched::VerifyOptions,
+        m: usize,
+        n: usize,
+        b: usize,
+    ) -> usize {
+        let report = ca_factor::sched::verify_graph_with(g, access, vopts).unwrap_or_else(|v| {
+            eprintln!("cafactor: static soundness violation ({name} baseline): {v}");
+            exit(soundness_exit_code(&v))
+        });
+        println!("static verify {name} baseline {m}x{n}  b={b}: {report}");
+        report.lint.as_ref().map_or(0, |l| l.minimality_findings())
+    }
+    match sub {
+        "lu" => {
+            let (g, access) = ca_factor::baselines::tiled_lu_task_graph_with_access(m, n, p.b);
+            minimality_findings += baseline_findings("tiled LU", &g, &access, &vopts, m, n, p.b);
         }
-        match sub {
-            "lu" => {
-                let (g, access) = ca_factor::baselines::tiled_lu_task_graph_with_access(m, n, p.b);
-                minimality_findings += baseline_findings("tiled LU", &g, &access, &vopts, m, n, p.b);
-            }
-            "qr" if m >= n => {
-                let (g, access) = ca_factor::baselines::tiled_qr_task_graph_with_access(m, n, p.b);
-                minimality_findings += baseline_findings("tiled QR", &g, &access, &vopts, m, n, p.b);
-            }
-            _ => {} // tiled QR handles tall/square matrices only
+        "qr" if m >= n => {
+            let (g, access) = ca_factor::baselines::tiled_qr_task_graph_with_access(m, n, p.b);
+            minimality_findings += baseline_findings("tiled QR", &g, &access, &vopts, m, n, p.b);
         }
+        _ => {} // tiled QR handles tall/square matrices only
     }
     if minimality_findings > 0 {
         eprintln!(
@@ -761,6 +743,10 @@ fn cmd_serve(o: &Opts) {
         BatchConfig, ChaosConfig, RetryConfig, ServeError, Service, ServiceConfig,
         SubmitOptions, TelemetryConfig,
     };
+    if o.capacity == 0 {
+        eprintln!("cafactor: --capacity must be at least 1");
+        exit(2)
+    }
     let mut cfg = ServiceConfig::new(o.threads.max(1))
         .with_capacity(o.capacity)
         .with_admission(o.policy);

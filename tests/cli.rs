@@ -112,6 +112,7 @@ fn verify_subcommand_proves_soundness_and_runs_checked() {
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("static verify lu"), "{text}");
+    assert!(text.contains("static verify tiled LU baseline"), "{text}");
     assert!(text.contains("conflicting pair(s) ordered"), "{text}");
     assert!(text.contains("checked CALU run clean"), "{text}");
 
@@ -122,6 +123,7 @@ fn verify_subcommand_proves_soundness_and_runs_checked() {
     assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("static verify qr"), "{text}");
+    assert!(text.contains("static verify tiled QR baseline"), "{text}");
     assert!(text.contains("checked CAQR run clean"), "{text}");
 }
 
@@ -129,6 +131,12 @@ fn verify_subcommand_proves_soundness_and_runs_checked() {
 fn bad_usage_exits_nonzero() {
     let out = cafactor().args(["bogus"]).output().expect("run cafactor");
     assert!(!out.status.success());
+    // An unknown (or removed) flag: usage text, exit 2.
+    let out = cafactor()
+        .args(["verify", "lu", "--random", "64", "64", "--no-such-flag=rect"])
+        .output()
+        .expect("run cafactor");
+    assert_eq!(out.status.code(), Some(2));
 }
 
 #[test]
@@ -296,15 +304,21 @@ fn singular_input_exits_with_breakdown_code() {
 fn zero_valued_flags_exit_2_with_a_one_line_message() {
     // Each of these used to reach a library assertion and die with a
     // backtrace (exit 101); they are usage errors like any other bad flag.
-    for (flags, complaint) in [
-        (&["--random", "64", "64", "--threads", "0"][..], "--threads must be at least 1"),
-        (&["--random", "64", "64", "--tr", "0"][..], "--tr must be at least 1"),
-        (&["--random", "64", "64", "--b", "0"][..], "--b must be at least 1"),
-        (&["--random", "0", "0"][..], "the matrix must be non-empty (got 0x0)"),
+    const FAN_IN: &str = "the --tree fan-in must be at least 2";
+    for (cmd, complaint) in [
+        ("factor lu --random 64 64 --threads 0", "--threads must be at least 1"),
+        ("factor lu --random 64 64 --tr 0", "--tr must be at least 1"),
+        ("factor lu --random 64 64 --b 0", "--b must be at least 1"),
+        ("factor lu --random 0 0", "the matrix must be non-empty (got 0x0)"),
+        ("factor lu --random 64 64 --b 8 --tr 4 --tree kary:0", FAN_IN),
+        ("factor lu --random 64 64 --b 8 --tr 4 --tree kary:1", FAN_IN),
+        ("factor lu --random 64 64 --b 8 --tr 4 --tree hybrid:0", FAN_IN),
+        ("factor lu --random 64 64 --b 8 --tr 4 --tree hybrid:1", FAN_IN),
+        ("serve --jobs 2 --capacity 0", "--capacity must be at least 1"),
     ] {
-        let out = cafactor().args(["factor", "lu"]).args(flags).output().expect("run cafactor");
-        assert_eq!(out.status.code(), Some(2), "{flags:?}");
+        let out = cafactor().args(cmd.split_whitespace()).output().expect("run cafactor");
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
         let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(err.trim_end(), format!("cafactor: {complaint}"), "{flags:?}");
+        assert_eq!(err.trim_end(), format!("cafactor: {complaint}"), "{cmd}");
     }
 }

@@ -251,6 +251,31 @@ fn io_volume_is_counted_and_superpanel_sweep_shrinks_with_budget() {
 }
 
 #[test]
+fn io_volume_stays_within_one_and_a_half_times_the_lower_bound() {
+    // The deterministic gate of DESIGN.md §16: bytes read + written by a
+    // factorization of a matrix twice the size of fast memory stay within
+    // 1.5× the sequential communication lower bound
+    // `elem_bytes · (2mn + flops/√M)` (arXiv 0806.2159).
+    use ca_factor::kernels::traffic::{ooc_lu_lower_bound, ooc_qr_lower_bound};
+    let (n, b, budget) = (1024, 16, 4 << 20);
+    assert!(n * n * 8 >= 2 * budget);
+    let p = CaParams::new(b, 2, 2);
+    for qr in [false, true] {
+        let a = random_uniform(n, n, &mut seeded_rng(0x00C5EED + qr as u64));
+        let path = tmp(if qr { "gate_qr" } else { "gate_lu" });
+        let store = store_from(&path, &a, b);
+        let (io, bound) = if qr {
+            (ooc_caqr(&store, &p, budget).unwrap().io, ooc_qr_lower_bound(n, n, budget, 8))
+        } else {
+            (ooc_calu(&store, &p, budget).unwrap().io, ooc_lu_lower_bound(n, n, budget, 8))
+        };
+        let _ = std::fs::remove_file(&path);
+        let ratio = (io.bytes_read + io.bytes_written) as f64 / bound;
+        assert!(ratio <= 1.5, "qr={qr}: moved {ratio:.3}x the lower bound ({io:?})");
+    }
+}
+
+#[test]
 fn infeasible_budget_and_store_type_mismatch_error_cleanly() {
     let p = CaParams::new(16, 2, 1);
     let a = random_uniform(64, 64, &mut seeded_rng(51));

@@ -44,7 +44,7 @@ enum Mode {
 #[test]
 #[allow(clippy::disallowed_methods)] // Checked mode drives raw block writes on purpose
 fn executor_contract_holds_for_every_queue_thread_count_and_option() {
-    use ca_factor::matrix::{Matrix, SharedMatrix};
+    use ca_factor::matrix::{ElemRect, Matrix, SharedMatrix};
     use ca_factor::sched::{build_shadow_registry, AccessMap};
 
     // root -> {victim, good} -> join -> tail, plus an independent chain. A
@@ -72,7 +72,7 @@ fn executor_contract_holds_for_every_queue_thread_count_and_option() {
         (0..n).flat_map(|a| shape.successors(a).iter().map(move |&b| (a, b))).collect();
     let mut access = AccessMap::new(n, 1);
     for t in 0..n {
-        access.record_write(t, t..t + 1, 0..1);
+        access.record_write(t, ElemRect::new(t..t + 1, 0..1));
     }
 
     let modes = [
@@ -89,7 +89,7 @@ fn executor_contract_holds_for_every_queue_thread_count_and_option() {
         for threads in [1usize, 2, 8] {
             for mode in modes {
                 let case = format!("{queue:?} x {threads} threads x {mode:?}");
-                let registry = build_shadow_registry(&shape, &access, 1, n, 1);
+                let registry = build_shadow_registry(&shape, &access);
                 let shared = SharedMatrix::with_shadow(Matrix::zeros(n, 1), registry.clone());
                 let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
                 let clock = AtomicU64::new(0);
@@ -533,7 +533,8 @@ fn verifier_rejects_edge_deletions_that_break_ordering() {
                     reachable,
                     "seed {seed}: accepted graph with unordered pair {a}->{b}"
                 ),
-                Err(SoundnessError::UnorderedConflict { first, second, .. }) => {
+                Err(SoundnessError::UnorderedConflict { first, second, rect, .. }) => {
+                    assert!(!rect.is_empty(), "seed {seed}: no overlapping rect named");
                     assert!(
                         !path_exists(&g, first, second) && !path_exists(&g, second, first),
                         "seed {seed}: reported pair {first}/{second} is actually ordered"

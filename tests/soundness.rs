@@ -1,15 +1,20 @@
 //! End-to-end soundness tests: the static DAG verifier over the real
 //! CALU/CAQR builders (paper shapes × reduction trees), seeded-violation
-//! detection on a real factorization graph, and checked-execution
-//! regression runs in which every element access is audited against the
-//! builders' declared footprints.
+//! detection on a real factorization graph, checked-execution regression
+//! runs in which every element access is audited against the builders'
+//! declared footprints, and the pinned edge-for-edge identity of every
+//! builder's graph.
 
+use ca_factor::baselines::{
+    geqrf_blocked_task_graph, getrf_blocked_task_graph, tiled_lu_task_graph_with_access,
+    tiled_qr_task_graph_with_access, try_tiled_lu_checked, try_tiled_qr_checked,
+};
 use ca_factor::core::{
-    calu_task_graph_with_access, try_calu_with, try_caqr_with, verify_calu, verify_caqr,
-    CaParams, FactorOptions, TreeShape,
+    calu_task_graph_with_access, caqr_task_graph_with_access, try_calu_with, try_caqr_with,
+    verify_calu, verify_caqr, CaParams, FactorOptions, TreeShape,
 };
 use ca_factor::matrix::{random_uniform, seeded_rng};
-use ca_factor::sched::SoundnessError;
+use ca_factor::sched::{verify_graph_with, AccessMap, SoundnessError, TaskGraph, VerifyOptions};
 
 fn checked() -> FactorOptions<'static> {
     FactorOptions { checked: true, ..Default::default() }
@@ -65,8 +70,11 @@ fn removing_a_calu_edge_is_caught_and_names_the_conflicting_tasks() {
         assert!(g.remove_dep(a, b));
         match ca_factor::sched::verify_graph(&g, &access) {
             Ok(_) => {}
-            Err(SoundnessError::UnorderedConflict { first, second, first_label, second_label, .. }) => {
+            Err(SoundnessError::UnorderedConflict {
+                first, second, first_label, second_label, rect, ..
+            }) => {
                 assert!(first < second);
+                assert!(!rect.is_empty(), "violation must name the overlapping rect");
                 let (fl, sl) = (first_label.to_string(), second_label.to_string());
                 assert!(
                     fl.contains('[') && sl.contains('['),
@@ -115,37 +123,12 @@ fn checked_caqr_reports_zero_violations_on_paper_shapes() {
 }
 
 #[test]
-fn rect_granularity_accepts_calu_and_caqr_across_shapes_and_trees() {
-    // Element-exact enumeration must agree with the block view on graphs
-    // whose footprints never split a tile.
-    use ca_factor::core::{verify_calu_with, verify_caqr_with};
-    let opts = ca_factor::sched::VerifyOptions {
-        granularity: ca_factor::sched::Granularity::Rect,
-        ..Default::default()
-    };
-    for &(m, n, b) in &[(192usize, 192usize, 32usize), (400, 40, 20), (250, 90, 30)] {
-        for tree in [TreeShape::Binary, TreeShape::Flat] {
-            let p = params(b, tree);
-            let report = verify_calu_with(m, n, &p, &opts)
-                .unwrap_or_else(|e| panic!("CALU {m}x{n} {tree:?} unsound at rect: {e}"));
-            assert!(report.conflict_pairs > 0, "CALU {m}x{n}: no rect conflicts proven");
-            let report = verify_caqr_with(m, n, &p, &opts)
-                .unwrap_or_else(|e| panic!("CAQR {m}x{n} {tree:?} unsound at rect: {e}"));
-            assert!(report.conflict_pairs > 0, "CAQR {m}x{n}: no rect conflicts proven");
-        }
-    }
-}
-
-#[test]
 fn calu_and_caqr_graphs_are_conflict_minimal() {
     // The minimality half of the analysis: no edge of a production graph is
     // unjustified by a footprint conflict, and none is transitively
     // redundant (the builders reduce their graphs before returning).
     use ca_factor::core::{verify_calu_with, verify_caqr_with};
-    let opts = ca_factor::sched::VerifyOptions {
-        granularity: ca_factor::sched::Granularity::Rect,
-        lint_edges: true,
-    };
+    let opts = VerifyOptions { lint_edges: true };
     for &(m, n, b) in &[(192usize, 192usize, 32usize), (256, 96, 32)] {
         for tree in [TreeShape::Binary, TreeShape::Flat] {
             let p = params(b, tree);
@@ -167,45 +150,120 @@ fn calu_and_caqr_graphs_are_conflict_minimal() {
 }
 
 #[test]
-fn rect_granularity_covers_the_tiled_baselines() {
-    // The tiled PLASMA-style baselines alias the diagonal tile at sub-tile
-    // granularity — unverifiable before the region algebra, provable now.
-    let opts = ca_factor::sched::VerifyOptions {
-        granularity: ca_factor::sched::Granularity::Rect,
-        lint_edges: true,
-    };
-    let (g, access) = ca_factor::baselines::tiled_lu_task_graph_with_access(96, 96, 16);
-    let report = ca_factor::sched::verify_graph_with(&g, &access, &opts)
-        .unwrap_or_else(|e| panic!("tiled LU unsound at rect: {e}"));
-    assert_eq!(report.lint.as_ref().expect("lint requested").minimality_findings(), 0);
-
-    let (g, access) = ca_factor::baselines::tiled_qr_task_graph_with_access(120, 96, 16);
-    let report = ca_factor::sched::verify_graph_with(&g, &access, &opts)
-        .unwrap_or_else(|e| panic!("tiled QR unsound at rect: {e}"));
-    assert_eq!(report.lint.as_ref().expect("lint requested").minimality_findings(), 0);
-
-    // Block granularity must still reject the same graphs: the sub-tile
-    // split is invisible to it, which is exactly what the rect mode fixes.
-    let (g, access) = ca_factor::baselines::tiled_lu_task_graph_with_access(96, 96, 16);
-    assert!(matches!(
-        ca_factor::sched::verify_graph(&g, &access),
-        Err(SoundnessError::UnorderedConflict { .. })
-    ));
-}
-
-#[test]
 fn checked_tiled_baselines_run_clean_under_subtile_leases() {
-    // End-to-end: rect verification up front, then execution with per-rect
+    // End-to-end: static verification up front, then execution with per-rect
     // leases audited by the shadow registry.
     let a = random_uniform(96, 96, &mut seeded_rng(21));
-    let f = ca_factor::baselines::try_tiled_lu_checked(a.clone(), 16, 4)
-        .expect("checked tiled LU");
+    let f = try_tiled_lu_checked(a.clone(), 16, 4).expect("checked tiled LU");
     let rhs = random_uniform(96, 2, &mut seeded_rng(23));
     let x = f.solve(&rhs);
     assert!(ca_factor::baselines::TiledLu::solve_residual(&a, &x, &rhs) < 1e-10);
 
     let a = random_uniform(96, 64, &mut seeded_rng(22));
-    let f = ca_factor::baselines::try_tiled_qr_checked(a.clone(), 16, 4)
-        .expect("checked tiled QR");
+    let f = try_tiled_qr_checked(a.clone(), 16, 4).expect("checked tiled QR");
     assert!(f.residual(&a) < 1e-10);
+}
+
+/// `(tasks, edges, FNV-1a of the sorted edge list)` of a task graph.
+fn fingerprint<T>(g: &TaskGraph<T>) -> (usize, usize, u64) {
+    let mut edges: Vec<(usize, usize)> =
+        (0..g.len()).flat_map(|a| g.successors(a).iter().map(move |&b| (a, b))).collect();
+    edges.sort_unstable();
+    let mut h = 0xcbf2_9ce4_8422_2325_u64;
+    for (a, b) in &edges {
+        for byte in (*a as u64).to_le_bytes().into_iter().chain((*b as u64).to_le_bytes()) {
+            h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    (g.len(), edges.len(), h)
+}
+
+/// Which builder a row of the pinned table exercises.
+#[derive(Clone, Copy, Debug)]
+enum Builder {
+    Calu(CaParams),
+    Caqr(CaParams),
+    TiledLu(usize),
+    TiledQr(usize),
+    /// `(nb, strips)`
+    GetrfBlocked(usize, usize),
+    GeqrfBlocked(usize, usize),
+}
+
+#[test]
+fn builder_graphs_are_pinned_minimal_and_run_clean_checked() {
+    // Every builder's graph, edge for edge, as recorded at the commit before
+    // block-granularity tracking was deleted (PR 14): the footprint
+    // representation is not allowed to move a single edge. The blocked
+    // baselines' rows pin the unit-cell tracker every simulated figure
+    // rests on. For the four builders that expose an `AccessMap`, the same
+    // rows must also be conflict-minimal under the lint and run clean under
+    // the race detector.
+    let flat = |mut p: CaParams| {
+        p.tree = TreeShape::Flat;
+        p
+    };
+    let square = CaParams::new(64, 4, 4);
+    let tall = flat(CaParams::new(40, 8, 4));
+    let ragged = CaParams::new(100, 4, 4);
+    let decomposed = CaParams::new(16, 2, 4).with_par_update_rows(32);
+    use Builder::*;
+    let table = [
+        (Calu(square), 1024, 1024, (928, 2092, 12042334302289157145)),
+        (Caqr(square), 1024, 1024, (892, 1950, 3540828738114060795)),
+        (Calu(tall), 1600, 160, (125, 238, 3100536505416186874)),
+        (Caqr(tall), 1600, 160, (90, 158, 18031200927104978915)),
+        (Calu(ragged), 750, 333, (70, 119, 14798602714223970856)),
+        (Caqr(ragged), 750, 333, (64, 104, 7378113826623045790)),
+        (Calu(decomposed), 512, 192, (511, 1033, 7222420284846443653)),
+        (Caqr(decomposed), 512, 192, (234, 464, 8947499842147441168)),
+        (TiledLu(16), 96, 96, (91, 195, 15544026709644574678)),
+        (TiledQr(16), 96, 96, (91, 195, 15544026709644574678)),
+        (TiledLu(100), 750, 333, (70, 142, 15536857450198778301)),
+        (TiledQr(100), 750, 333, (70, 142, 15536857450198778301)),
+        (TiledLu(32), 384, 256, (348, 844, 15929753144330827562)),
+        (TiledQr(32), 384, 256, (348, 844, 15929753144330827562)),
+        (GetrfBlocked(100, 8), 1000, 1000, (304, 792, 713047191643935116)),
+        (GeqrfBlocked(100, 8), 1000, 1000, (51, 86, 6550969670163407739)),
+        (GetrfBlocked(100, 4), 750, 333, (31, 69, 9241594405039084430)),
+        (GeqrfBlocked(100, 4), 750, 333, (10, 12, 558881896670502307)),
+        (GetrfBlocked(50, 16), 4000, 400, (478, 1354, 10522100358611412007)),
+        (GeqrfBlocked(50, 16), 4000, 400, (36, 56, 6825965529718751825)),
+    ];
+
+    fn minimal<T>(g: &TaskGraph<T>, access: &AccessMap) -> (usize, usize, u64) {
+        let report = verify_graph_with(g, access, &VerifyOptions { lint_edges: true })
+            .unwrap_or_else(|e| panic!("unsound: {e}"));
+        let lint = report.lint.expect("lint requested");
+        assert_eq!(lint.minimality_findings(), 0, "{lint:?}");
+        fingerprint(g)
+    }
+    for (builder, m, n, pinned) in table {
+        let a = random_uniform(m, n, &mut seeded_rng(14));
+        let got = match builder {
+            Calu(p) => {
+                let (g, access) = calu_task_graph_with_access(m, n, &p);
+                try_calu_with(a, &p, &checked()).unwrap_or_else(|e| panic!("{builder:?}: {e}"));
+                minimal(&g, &access)
+            }
+            Caqr(p) => {
+                let (g, access) = caqr_task_graph_with_access(m, n, &p);
+                try_caqr_with(a, &p, &checked()).unwrap_or_else(|e| panic!("{builder:?}: {e}"));
+                minimal(&g, &access)
+            }
+            TiledLu(b) => {
+                let (g, access) = tiled_lu_task_graph_with_access(m, n, b);
+                try_tiled_lu_checked(a, b, 4).unwrap_or_else(|e| panic!("{builder:?}: {e}"));
+                minimal(&g, &access)
+            }
+            TiledQr(b) => {
+                let (g, access) = tiled_qr_task_graph_with_access(m, n, b);
+                try_tiled_qr_checked(a, b, 4).unwrap_or_else(|e| panic!("{builder:?}: {e}"));
+                minimal(&g, &access)
+            }
+            GetrfBlocked(nb, strips) => fingerprint(&getrf_blocked_task_graph(m, n, nb, strips)),
+            GeqrfBlocked(nb, strips) => fingerprint(&geqrf_blocked_task_graph(m, n, nb, strips)),
+        };
+        assert_eq!(got, pinned, "{builder:?} {m}x{n}: (tasks, edges, edge hash) moved");
+    }
 }
