@@ -25,10 +25,11 @@
 use crate::checked::{first_violation, CheckedError};
 use crate::fault::{panic_message, ExecError, TaskResult};
 use crate::graph::TaskGraph;
-use crate::profile::{Collector, Profile};
+use crate::log::{LaneLog, Stamps, TaskRec};
+use crate::profile::{Profile, StealStats};
 use crate::retry::ChaosPlan;
 use crate::task::{TaskId, TaskLabel, TaskMeta};
-use crate::trace::{Span, Timeline};
+use crate::trace::Timeline;
 use crate::verify::SoundnessError;
 use ca_matrix::ShadowRegistry;
 use crossbeam::deque::{Injector, Stealer, Worker as Deque};
@@ -37,7 +38,7 @@ use std::any::Any;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering as AtomicOrd};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// A unit of executable work. Borrows from the caller's scope (`'s`), so
@@ -91,7 +92,8 @@ pub struct ExecStats {
     pub tasks: usize,
     /// Wall-clock execution time in seconds.
     pub wall_seconds: f64,
-    /// Wall-clock timeline (always recorded; spans use `Instant` deltas).
+    /// Wall-clock timeline (always recorded; spans use `Instant` deltas):
+    /// the lane-per-worker view of the run's task log.
     pub timeline: Timeline,
 }
 
@@ -100,8 +102,9 @@ pub struct ExecStats {
 pub struct RunReport {
     /// Task count, wall time and timeline of the executed tasks.
     pub stats: ExecStats,
-    /// Lifecycle records, present iff profiling was requested. Cancelled
-    /// tasks appear in [`Profile::cancelled`], never as records.
+    /// The full-lifecycle view of the same task log, present iff profiling
+    /// was requested (ready stamps, queue-depth samples). Cancelled tasks
+    /// appear in [`Profile::cancelled`], never as records.
     pub profile: Option<Profile>,
     /// The first task failure, with every cancelled task.
     pub failure: Option<ExecError>,
@@ -184,10 +187,10 @@ pub fn run_graph(graph: TaskGraph<Job<'_>>, nthreads: usize) -> ExecStats {
     report.stats
 }
 
-/// The run's clock and, when profiling, its lifecycle recorder.
+/// The run's clock and, when profiling, its off-lane stamps.
 struct Probe {
     t0: Instant,
-    collector: Option<Collector>,
+    stamps: Option<Stamps>,
 }
 
 impl Probe {
@@ -202,7 +205,8 @@ trait ReadyQueue: Sync + Sized {
     type Local: Send;
     /// Scheduler name recorded in [`Profile::scheduler`].
     const NAME: &'static str;
-    /// Whether the profile keeps per-worker steal counters.
+    /// Whether workers steal from each other (the profile then keeps
+    /// per-worker steal counters).
     const STEALS: bool;
 
     fn new(nthreads: usize) -> (Self, Vec<Self::Local>);
@@ -212,12 +216,13 @@ trait ReadyQueue: Sync + Sized {
 
     /// Claims a ready task, waiting while none is ready; `None` once
     /// `remaining` (tasks neither executed nor cancelled) reaches zero.
+    /// Steal rounds are counted into the calling lane's `steals`.
     fn pop(
         &self,
-        worker: usize,
         local: &Self::Local,
         remaining: &AtomicUsize,
         probe: &Probe,
+        steals: &mut StealStats,
     ) -> Option<TaskId>;
 
     /// Enqueues tasks the calling worker just made ready.
@@ -264,12 +269,18 @@ impl ReadyQueue for CentralQueue {
         self.push(&(), roots, metas, probe);
     }
 
-    fn pop(&self, _: usize, _: &(), remaining: &AtomicUsize, probe: &Probe) -> Option<TaskId> {
+    fn pop(
+        &self,
+        _: &(),
+        remaining: &AtomicUsize,
+        probe: &Probe,
+        _: &mut StealStats,
+    ) -> Option<TaskId> {
         let mut q = self.ready.lock();
         loop {
             if let Some(e) = q.pop() {
-                if let Some(c) = &probe.collector {
-                    c.sample_queue(probe.now(), q.len());
+                if let Some(s) = &probe.stamps {
+                    s.sample_queue(probe.now(), q.len());
                 }
                 return Some(e.id);
             }
@@ -283,8 +294,8 @@ impl ReadyQueue for CentralQueue {
     fn push(&self, _: &(), ready: &[TaskId], metas: &[TaskMeta], probe: &Probe) {
         let mut q = self.ready.lock();
         q.extend(ready.iter().map(|&id| ReadyEntry { priority: metas[id].priority, id }));
-        if let Some(c) = &probe.collector {
-            c.sample_queue(probe.now(), q.len());
+        if let Some(s) = &probe.stamps {
+            s.sample_queue(probe.now(), q.len());
         }
         drop(q);
         self.cv.notify_all();
@@ -322,10 +333,10 @@ impl ReadyQueue for StealingQueue {
 
     fn pop(
         &self,
-        worker: usize,
         local: &Deque<TaskId>,
         remaining: &AtomicUsize,
-        probe: &Probe,
+        _: &Probe,
+        steals: &mut StealStats,
     ) -> Option<TaskId> {
         let mut idle_spins = 0u32;
         loop {
@@ -340,11 +351,10 @@ impl ReadyQueue for StealingQueue {
                 .and_then(|s| s.success());
                 let counters = crate::telemetry::sched_counters();
                 counters.steal_attempts.inc();
+                steals.attempts += 1;
                 if stolen.is_some() {
                     counters.steal_hits.inc();
-                }
-                if let Some(c) = &probe.collector {
-                    c.count_steal(worker, stolen.is_some());
+                    steals.hits += 1;
                 }
                 stolen
             });
@@ -397,14 +407,17 @@ struct Run<'s, Q> {
     remaining: AtomicUsize,
     queue: Q,
     probe: Probe,
-    lanes: Vec<Mutex<Vec<Span>>>,
     failure: Mutex<Option<FailureRecord>>,
 }
 
 impl<Q: ReadyQueue> Run<'_, Q> {
-    fn worker(&self, w: usize, local: Q::Local) {
+    /// Runs lane `w` to quiescence and returns what it logged: each
+    /// finished task is pushed to exactly this one collection.
+    fn worker(&self, w: usize, local: Q::Local) -> LaneLog {
         let counters = crate::telemetry::sched_counters();
-        while let Some(id) = self.queue.pop(w, &local, &self.remaining, &self.probe) {
+        let mut lane = LaneLog::default();
+        let mut steals = StealStats::default();
+        while let Some(id) = self.queue.pop(&local, &self.remaining, &self.probe, &mut steals) {
             let dispatch = self.probe.now();
             counters.tasks_dispatched.inc();
 
@@ -413,10 +426,7 @@ impl<Q: ReadyQueue> Run<'_, Q> {
             let start = self.probe.now();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
             let end = self.probe.now();
-            self.lanes[w].lock().push(Span { task: id, label, start, end });
-            if let Some(c) = &self.probe.collector {
-                c.record(w, id, &self.metas[id], dispatch, start, end);
-            }
+            lane.tasks.push(TaskRec { task: id, label, dispatch, start, end });
 
             let failure = match outcome {
                 Ok(Ok(())) => None,
@@ -453,9 +463,11 @@ impl<Q: ReadyQueue> Run<'_, Q> {
             };
             if self.remaining.fetch_sub(drained, AtomicOrd::AcqRel) == drained {
                 self.queue.finished();
-                return;
+                break;
             }
         }
+        lane.steals = Q::STEALS.then_some(steals);
+        lane
     }
 
     /// Marks the transitive successors of failed task `id` cancelled and
@@ -491,10 +503,10 @@ impl<Q: ReadyQueue> Run<'_, Q> {
         if ready.is_empty() {
             return;
         }
-        if let Some(c) = &self.probe.collector {
+        if let Some(stamps) = &self.probe.stamps {
             let t = self.probe.now();
             for &s in &ready {
-                c.mark_ready(s, t);
+                stamps.mark_ready(s, t);
             }
         }
         self.queue.push(local, &ready, &self.metas, &self.probe);
@@ -516,13 +528,11 @@ fn run_workers<'s, Q: ReadyQueue>(
         cancelled: (0..n).map(|_| AtomicBool::new(false)).collect(),
         remaining: AtomicUsize::new(n),
         queue,
-        probe: Probe { t0: Instant::now(), collector: profile.then(|| Collector::new(n, nthreads)) },
-        lanes: (0..nthreads).map(|_| Mutex::new(Vec::new())).collect(),
+        probe: Probe { t0: Instant::now(), stamps: profile.then(|| Stamps::new(n)) },
         failure: Mutex::new(None),
         metas,
         succs,
     };
-    // Roots are ready at t = 0, which is what a fresh collector records.
     let roots: Vec<TaskId> = (0..n).filter(|&id| npreds[id] == 0).collect();
     run.queue.seed(&roots, &run.metas, &run.probe);
 
@@ -530,29 +540,29 @@ fn run_workers<'s, Q: ReadyQueue>(
     // nothing.
     let mut locals = locals.into_iter().enumerate();
     let (_, first) = locals.next().expect("nthreads > 0");
+    // Each worker leaves its log in its own slot as it drains; the scope
+    // joins them (and propagates a worker's own panic, which is a bug here:
+    // workers catch their tasks' panics).
+    let logs: Vec<OnceLock<LaneLog>> = (0..nthreads).map(|_| OnceLock::new()).collect();
     std::thread::scope(|scope| {
-        let run = &run;
+        let (run, logs) = (&run, &logs);
         for (w, local) in locals {
-            scope.spawn(move || run.worker(w, local));
+            scope.spawn(move || logs[w].set(run.worker(w, local)));
         }
-        run.worker(0, first);
+        let _ = logs[0].set(run.worker(0, first));
     });
+    let lanes: Vec<LaneLog> =
+        logs.into_iter().map(|l| l.into_inner().expect("every lane ran")).collect();
 
-    let Run { succs, cancelled, probe, lanes, failure, .. } = run;
-    let mut timeline = Timeline::new(nthreads);
-    let mut executed = 0;
-    for (w, lane) in lanes.into_iter().enumerate() {
-        let mut spans = lane.into_inner();
-        spans.sort_by(|a, b| a.start.total_cmp(&b.start));
-        executed += spans.len();
-        timeline.lanes[w] = spans;
-    }
-    timeline.makespan = probe.now();
-
-    let profile = probe.collector.map(|c| {
+    // Both reports are views of the one log the workers just returned.
+    let Run { metas, succs, cancelled, probe, failure, .. } = run;
+    let makespan = probe.now();
+    let timeline = Timeline::from_log(&lanes, makespan);
+    let executed = lanes.iter().map(|l| l.tasks.len()).sum();
+    let profile = probe.stamps.map(|stamps| {
         let cancelled: Vec<TaskId> =
             (0..n).filter(|&id| cancelled[id].load(AtomicOrd::Acquire)).collect();
-        c.finish(Q::NAME, timeline.makespan, &succs, cancelled, Q::STEALS)
+        Profile::from_log(Q::NAME, &lanes, stamps, makespan, &metas, &succs, cancelled)
     });
     let (failure, panic) = match failure.into_inner() {
         None => (None, None),
@@ -571,7 +581,7 @@ fn run_workers<'s, Q: ReadyQueue>(
             (Some(error), rec.payload)
         }
     };
-    let stats = ExecStats { tasks: executed, wall_seconds: timeline.makespan, timeline };
+    let stats = ExecStats { tasks: executed, wall_seconds: makespan, timeline };
     RunReport { stats, profile, failure, violation: None, panic }
 }
 

@@ -26,6 +26,19 @@
 //! Figures 2–4, plus whatever the options asked for. [`MultiFrontier`] is
 //! the long-lived pool multiplexing many graphs for the serving tier.
 //!
+//! ## One recording spine
+//!
+//! Every executor stores a finished task exactly once: a compact measured
+//! record (task, label, dispatch/start/end) pushed to the log of the lane
+//! that ran it. [`ExecStats::timeline`], [`RunReport::profile`],
+//! [`MultiFrontier::timeline`] and [`MultiFrontier::busy_seconds`] are views
+//! built from that log after the fact, and the four Chrome-trace emitters
+//! share one event builder. Counters follow the same rule: the process-wide
+//! [`sched_counters`] and a run's [`RecoveryCounters`] are the only store of
+//! what they count, and a `ca_telemetry::Registry` adopts the handles
+//! ([`register_sched_metrics`], [`RecoveryCounters::register`]) instead of
+//! keeping a copy.
+//!
 //! ## Failure semantics
 //!
 //! Jobs return [`TaskResult`]; panics are caught and converted into
@@ -48,9 +61,10 @@
 //!
 //! ## Profiling
 //!
-//! With the `profile` option set the run records the full task lifecycle
-//! (ready → dispatch → start → end, steal counters, queue-depth samples)
-//! into [`RunReport::profile`]. [`Profile::metrics`] derives
+//! With the `profile` option set the run additionally stamps when each task
+//! became ready and samples the ready-queue depth, and
+//! [`RunReport::profile`] presents the full task lifecycle (ready →
+//! dispatch → start → end, steal counters, queue-depth samples). [`Profile::metrics`] derives
 //! dispatch-latency distributions, per-[`KernelClass`] achieved GFlop/s
 //! (roofline attribution), critical-path scheduling efficiency, and the
 //! lookahead-effectiveness metric; [`Profile::chrome_trace`] emits a Chrome
@@ -77,6 +91,7 @@ mod exec;
 mod fault;
 mod footprint;
 mod graph;
+mod log;
 mod multigraph;
 mod profile;
 mod retry;
@@ -111,8 +126,8 @@ pub use retry::{
 pub use sim::{simulate, simulate_uniform, simulate_with, SimOptions};
 pub use task::{KernelClass, TaskId, TaskKind, TaskLabel, TaskMeta};
 pub use telemetry::{
-    record_event, sched_counters, set_thread_recorder, FlightEvent, FlightEventKind,
-    FlightRecorder, SchedCounters, SchedCountersSnapshot,
+    record_event, register_sched_metrics, sched_counters, set_thread_recorder, FlightEvent,
+    FlightEventKind, FlightRecorder, SchedCounters,
 };
 pub use trace::{
     ascii_gantt, chrome_trace_json, chrome_trace_json_with_marks, Span, Timeline, TimelineError,

@@ -28,9 +28,10 @@
 
 use crate::fault::{panic_message, ExecError, TaskResult};
 use crate::graph::TaskGraph;
+use crate::log::{LaneLog, TaskRec};
 use crate::task::{TaskId, TaskLabel, TaskMeta};
 use crate::telemetry::{self, FlightEventKind, FlightRecorder};
-use crate::trace::{Span, Timeline};
+use crate::trace::Timeline;
 use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -303,15 +304,26 @@ struct State {
 /// Hook invoked (off-lock) with every finalized job's report.
 type CompletionHook = Box<dyn Fn(&JobReport) + Send + Sync>;
 
+/// What one frontier worker logged.
+#[derive(Default)]
+struct Lane {
+    /// The task log [`MultiFrontier::timeline`] is a view of; records are
+    /// pushed only while `tracing` is on (a service runs for days).
+    log: LaneLog,
+    /// Seconds spent in task bodies, traced or not
+    /// ([`MultiFrontier::busy_seconds`]).
+    busy: f64,
+}
+
 struct Inner {
     state: Mutex<State>,
     cv: Condvar,
     epoch: Instant,
     next_job: AtomicU64,
     nworkers: usize,
-    lanes: Vec<Mutex<Vec<Span>>>,
+    /// One lane per worker, written by that worker only.
+    lanes: Vec<Mutex<Lane>>,
     tracing: AtomicBool,
-    busy_nanos: AtomicU64,
     on_complete: Option<CompletionHook>,
     /// Optional flight recorder (attached once via
     /// [`MultiFrontier::set_flight_recorder`]).
@@ -404,9 +416,8 @@ impl MultiFrontier {
             epoch: Instant::now(),
             next_job: AtomicU64::new(0),
             nworkers,
-            lanes: (0..nworkers).map(|_| Mutex::new(Vec::new())).collect(),
+            lanes: (0..nworkers).map(|_| Mutex::default()).collect(),
             tracing: AtomicBool::new(false),
-            busy_nanos: AtomicU64::new(0),
             on_complete,
             recorder: OnceLock::new(),
         });
@@ -586,19 +597,14 @@ impl MultiFrontier {
     /// Snapshot of the recorded execution timeline (spans accumulate while
     /// tracing is enabled; times are seconds since the frontier epoch).
     pub fn timeline(&self) -> Timeline {
-        let mut tl = Timeline::new(self.inner.nworkers);
-        for (w, lane) in self.inner.lanes.iter().enumerate() {
-            let mut spans = lane.lock().expect("lane lock").clone();
-            spans.sort_by(|a, b| a.start.total_cmp(&b.start));
-            tl.lanes[w] = spans;
-        }
-        tl.makespan = self.inner.now();
-        tl
+        let lanes: Vec<LaneLog> =
+            self.inner.lanes.iter().map(|l| l.lock().expect("lane lock").log.clone()).collect();
+        Timeline::from_log(&lanes, self.inner.now())
     }
 
     /// Total seconds workers spent executing task bodies since start.
     pub fn busy_seconds(&self) -> f64 {
-        self.inner.busy_nanos.load(Ordering::Relaxed) as f64 * 1e-9
+        self.inner.lanes.iter().map(|l| l.lock().expect("lane lock").busy).sum()
     }
 
     /// Seconds since the frontier started.
@@ -815,6 +821,8 @@ fn complete_task(
 }
 
 fn worker_loop(inner: &Inner, lane: usize) {
+    // Whether this thread has published the flight recorder as its context.
+    let mut published = false;
     loop {
         // --- Acquire work (or exit on shutdown).
         let mut more_ready = false;
@@ -855,23 +863,27 @@ fn worker_loop(inner: &Inner, lane: usize) {
         let counters = telemetry::sched_counters();
         counters.tasks_dispatched.inc();
         if let Some(rec) = inner.recorder.get() {
-            // Publish the recorder as this thread's context so recovery-layer
-            // events (retry/restore/inject) land on this worker's lane, then
-            // note the dispatch itself.
-            telemetry::set_thread_recorder(Arc::downgrade(rec), lane);
+            // Publish the recorder as this thread's context — once, the
+            // first time it is seen attached — so recovery-layer events
+            // (retry/restore/inject) land on this worker's lane, then note
+            // the dispatch itself.
+            if !published {
+                telemetry::set_thread_recorder(Arc::downgrade(rec), lane);
+                published = true;
+            }
             rec.record(lane, FlightEventKind::Dispatch, jid, Some(label));
         }
         let start = inner.now();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
         let end = inner.now();
-        inner
-            .busy_nanos
-            .fetch_add(((end - start) * 1e9) as u64, Ordering::Relaxed);
-        if inner.tracing.load(Ordering::Relaxed) {
-            inner.lanes[lane]
-                .lock()
-                .expect("lane lock")
-                .push(Span { task, label, start, end });
+        {
+            let mut l = inner.lanes[lane].lock().expect("lane lock");
+            l.busy += end - start;
+            if inner.tracing.load(Ordering::Relaxed) {
+                // The claim happened under the state lock just above; the
+                // frontier takes no separate dispatch stamp.
+                l.log.tasks.push(TaskRec { task, label, dispatch: start, start, end });
+            }
         }
         let failure = match outcome {
             Ok(Ok(())) => None,

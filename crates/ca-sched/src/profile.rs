@@ -25,10 +25,8 @@
 //! their `profile` option set; the simulator path is fully deterministic,
 //! so tests can assert exact metric values.
 
-use crate::task::{KernelClass, TaskId, TaskKind, TaskLabel, TaskMeta};
-use crate::trace::{trace_category, trace_metadata_events, Span, Timeline, TRACE_PID};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
+use crate::task::{KernelClass, TaskId, TaskKind, TaskLabel};
+use crate::trace::{trace_args, Span, Timeline, TraceEvents};
 
 /// The full lifecycle of one executed task.
 #[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
@@ -39,9 +37,9 @@ pub struct TaskRecord {
     pub label: TaskLabel,
     /// Kernel class performing the flops.
     pub class: KernelClass,
-    /// Estimated flops (from [`TaskMeta`]).
+    /// Estimated flops (from [`crate::TaskMeta`]).
     pub flops: f64,
-    /// Estimated memory traffic in bytes (from [`TaskMeta`]).
+    /// Estimated memory traffic in bytes (from [`crate::TaskMeta`]).
     pub bytes: f64,
     /// Worker lane that executed the task.
     pub worker: usize,
@@ -328,66 +326,44 @@ impl Profile {
     /// tracks for ready-queue depth and cumulative completed tasks. Load in
     /// Perfetto or `chrome://tracing`.
     pub fn chrome_trace(&self) -> String {
-        let mut events = trace_metadata_events(self.nworkers, "ca-factor");
-
-        // Span events with profiling args.
+        let mut events = TraceEvents::new((0..self.nworkers).map(|w| format!("core {w}")));
         for r in &self.records {
-            events.push(serde_json::json!({
-                "name": r.label.to_string(),
-                "cat": trace_category(r.label.kind),
-                "ph": "X",
-                "ts": r.start * 1e6,
-                "dur": r.duration() * 1e6,
-                "pid": TRACE_PID,
-                "tid": r.worker,
-                "args": serde_json::json!({
-                    "class": format!("{:?}", r.class),
-                    "flops": r.flops,
-                    "bytes": r.bytes,
-                    "wait_us": r.wait() * 1e6,
-                }),
-            }));
+            let args = serde_json::json!({
+                "class": format!("{:?}", r.class),
+                "flops": r.flops,
+                "bytes": r.bytes,
+                "wait_us": r.wait() * 1e6,
+            });
+            let span = Span { task: r.task, label: r.label, start: r.start, end: r.end };
+            events.span(r.worker, &span, Some(args));
         }
 
-        // Flow events along DAG edges between executed tasks.
-        let mut where_is: std::collections::HashMap<TaskId, (usize, f64, f64)> =
-            std::collections::HashMap::with_capacity(self.records.len());
-        for r in &self.records {
-            where_is.insert(r.task, (r.worker, r.start, r.end));
-        }
-        for (eid, &(a, b)) in self.edges.iter().enumerate() {
-            let (Some(&(wa, _, ea)), Some(&(wb, sb, _))) = (where_is.get(&a), where_is.get(&b))
-            else {
-                continue; // cancelled endpoint: no flow
-            };
-            events.push(serde_json::json!({
-                "name": "dep", "cat": "dep", "ph": "s", "id": eid,
-                "ts": ea * 1e6, "pid": TRACE_PID, "tid": wa,
-            }));
-            events.push(serde_json::json!({
-                "name": "dep", "cat": "dep", "ph": "f", "bp": "e", "id": eid,
-                "ts": sb * 1e6, "pid": TRACE_PID, "tid": wb,
-            }));
+        // Flow events along DAG edges between executed tasks (an edge with a
+        // cancelled endpoint has no flow).
+        let where_is: std::collections::HashMap<TaskId, &TaskRecord> =
+            self.records.iter().map(|r| (r.task, r)).collect();
+        for (eid, (a, b)) in self.edges.iter().enumerate() {
+            if let (Some(a), Some(b)) = (where_is.get(a), where_is.get(b)) {
+                let ends = [("s", a.worker, a.end, None), ("f", b.worker, b.start, Some("e"))];
+                for (ph, tid, t, bp) in ends {
+                    let fields = [("cat", "dep".into()), ("id", eid.into()), ("tid", tid.into())];
+                    let bp = bp.map(|bp| ("bp", bp.into()));
+                    events.push(ph, "dep", Some(t), fields.into_iter().chain(bp));
+                }
+            }
         }
 
-        // Counter track: ready-queue depth over time.
+        // Counter tracks: ready-queue depth and cumulative completed tasks.
         for s in &self.queue_samples {
-            events.push(serde_json::json!({
-                "name": "ready tasks", "ph": "C", "pid": TRACE_PID,
-                "ts": s.t * 1e6, "args": serde_json::json!({"ready": s.depth}),
-            }));
+            events.push("C", "ready tasks", Some(s.t), [trace_args("ready", s.depth.into())]);
         }
-        // Counter track: cumulative completed tasks.
         let mut ends: Vec<f64> = self.records.iter().map(|r| r.end).collect();
         ends.sort_by(f64::total_cmp);
         for (i, &t) in ends.iter().enumerate() {
-            events.push(serde_json::json!({
-                "name": "completed tasks", "ph": "C", "pid": TRACE_PID,
-                "ts": t * 1e6, "args": serde_json::json!({"done": i + 1}),
-            }));
+            events.push("C", "completed tasks", Some(t), [trace_args("done", (i + 1).into())]);
         }
 
-        serde_json::to_string(&events).expect("serializable")
+        serde_json::to_string(&events.0).expect("serializable")
     }
 }
 
@@ -644,108 +620,6 @@ impl SchedMetrics {
 impl core::fmt::Display for SchedMetrics {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.write_str(&self.render())
-    }
-}
-
-/// Shared lifecycle recorder threaded through the threaded executors.
-/// Ready times cross worker threads (the releaser of a task is not its
-/// executor), so they live in per-task atomics; everything else is recorded
-/// by the executing worker into its own lane.
-pub(crate) struct Collector {
-    ready_at: Vec<AtomicU64>,
-    records: Vec<Mutex<Vec<TaskRecord>>>,
-    queue: Mutex<Vec<QueueSample>>,
-    steals: Vec<Mutex<StealStats>>,
-}
-
-impl Collector {
-    pub(crate) fn new(ntasks: usize, nworkers: usize) -> Self {
-        Self {
-            ready_at: (0..ntasks).map(|_| AtomicU64::new(0)).collect(),
-            records: (0..nworkers).map(|_| Mutex::new(Vec::new())).collect(),
-            queue: Mutex::new(Vec::new()),
-            steals: (0..nworkers).map(|_| Mutex::new(StealStats::default())).collect(),
-        }
-    }
-
-    /// Stamps the instant `id` became ready.
-    pub(crate) fn mark_ready(&self, id: TaskId, t: f64) {
-        self.ready_at[id].store(t.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Records the completed lifecycle of a task on `worker`.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn record(
-        &self,
-        worker: usize,
-        id: TaskId,
-        meta: &TaskMeta,
-        dispatch: f64,
-        start: f64,
-        end: f64,
-    ) {
-        let ready = f64::from_bits(self.ready_at[id].load(Ordering::Relaxed));
-        self.records[worker].lock().push(TaskRecord {
-            task: id,
-            label: meta.label,
-            class: meta.class,
-            flops: meta.flops,
-            bytes: meta.bytes,
-            worker,
-            ready,
-            dispatch,
-            start,
-            end,
-        });
-    }
-
-    /// Samples the central ready-queue depth.
-    pub(crate) fn sample_queue(&self, t: f64, depth: usize) {
-        self.queue.lock().push(QueueSample { t, depth });
-    }
-
-    /// Counts one peer-steal round on `worker`.
-    pub(crate) fn count_steal(&self, worker: usize, hit: bool) {
-        let mut s = self.steals[worker].lock();
-        s.attempts += 1;
-        if hit {
-            s.hits += 1;
-        }
-    }
-
-    /// Assembles the final [`Profile`].
-    pub(crate) fn finish(
-        self,
-        scheduler: &str,
-        makespan: f64,
-        succs: &[Vec<TaskId>],
-        cancelled: Vec<TaskId>,
-        keep_steals: bool,
-    ) -> Profile {
-        let mut records: Vec<TaskRecord> =
-            self.records.into_iter().flat_map(|m| m.into_inner()).collect();
-        records.sort_by(|a, b| a.start.total_cmp(&b.start).then(a.task.cmp(&b.task)));
-        let edges = succs
-            .iter()
-            .enumerate()
-            .flat_map(|(a, ss)| ss.iter().map(move |&b| (a, b)))
-            .collect();
-        let mut queue_samples = self.queue.into_inner();
-        queue_samples.sort_by(|a, b| a.t.total_cmp(&b.t));
-        Profile {
-            scheduler: scheduler.to_string(),
-            nworkers: self.steals.len(),
-            makespan,
-            records,
-            edges,
-            queue_samples,
-            steals: if keep_steals {
-                self.steals.into_iter().map(|m| m.into_inner()).collect()
-            } else {
-                Vec::new()
-            },
-            cancelled,
-        }
     }
 }
 

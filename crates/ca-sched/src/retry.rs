@@ -38,7 +38,8 @@ use crate::task::{TaskId, TaskKind, TaskLabel};
 use ca_matrix::{ElemRect, MatView, SharedMatrix};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use ca_telemetry::{Counter, Registry};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -385,19 +386,21 @@ fn unit_draw(h: u64) -> f64 {
 }
 
 /// Counters shared by every recovery wrapper of a run (or of a whole
-/// service). All methods are lock-free; snapshot with
-/// [`RecoveryCounters::snapshot`].
+/// service) — the single store of each task-level recovery fact. All
+/// updates are lock-free; read them per run with
+/// [`RecoveryCounters::snapshot`], or expose them live by letting a
+/// registry adopt the handles ([`RecoveryCounters::register`]).
 #[derive(Debug, Default)]
 pub struct RecoveryCounters {
-    attempts: AtomicU64,
-    retries: AtomicU64,
-    recovered: AtomicU64,
-    exhausted: AtomicU64,
-    restores: AtomicU64,
-    injected_failures: AtomicU64,
-    injected_panics: AtomicU64,
-    injected_delays: AtomicU64,
-    injected_corruptions: AtomicU64,
+    attempts: Arc<Counter>,
+    retries: Arc<Counter>,
+    recovered: Arc<Counter>,
+    exhausted: Arc<Counter>,
+    restores: Arc<Counter>,
+    injected_failures: Arc<Counter>,
+    injected_panics: Arc<Counter>,
+    injected_delays: Arc<Counter>,
+    injected_corruptions: Arc<Counter>,
 }
 
 impl RecoveryCounters {
@@ -406,22 +409,37 @@ impl RecoveryCounters {
         Self::default()
     }
 
-    fn add(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+    /// Registers every counter in `registry` as `<prefix>_<name>_total`
+    /// (names as in [`RecoveryStats`]); snapshots then read the live values.
+    pub fn register(&self, registry: &Registry, prefix: &str) {
+        for (name, handle) in [
+            ("attempts", &self.attempts),
+            ("retries", &self.retries),
+            ("recovered_tasks", &self.recovered),
+            ("exhausted_tasks", &self.exhausted),
+            ("restores", &self.restores),
+            ("injected_failures", &self.injected_failures),
+            ("injected_panics", &self.injected_panics),
+            ("injected_delays", &self.injected_delays),
+            ("injected_corruptions", &self.injected_corruptions),
+        ] {
+            let family = format!("{prefix}_{name}_total");
+            registry.adopt_counter(&family, "Task-level recovery counter", &[], handle.clone());
+        }
     }
 
     /// Point-in-time copy of every counter.
     pub fn snapshot(&self) -> RecoveryStats {
         RecoveryStats {
-            attempts: self.attempts.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
-            recovered_tasks: self.recovered.load(Ordering::Relaxed),
-            exhausted_tasks: self.exhausted.load(Ordering::Relaxed),
-            restores: self.restores.load(Ordering::Relaxed),
-            injected_failures: self.injected_failures.load(Ordering::Relaxed),
-            injected_panics: self.injected_panics.load(Ordering::Relaxed),
-            injected_delays: self.injected_delays.load(Ordering::Relaxed),
-            injected_corruptions: self.injected_corruptions.load(Ordering::Relaxed),
+            attempts: self.attempts.get(),
+            retries: self.retries.get(),
+            recovered_tasks: self.recovered.get(),
+            exhausted_tasks: self.exhausted.get(),
+            restores: self.restores.get(),
+            injected_failures: self.injected_failures.get(),
+            injected_panics: self.injected_panics.get(),
+            injected_delays: self.injected_delays.get(),
+            injected_corruptions: self.injected_corruptions.get(),
         }
     }
 }
@@ -564,8 +582,7 @@ fn run_recovering(
     let mut last = TaskFailure::new("task never attempted");
     for attempt in 0..=policy.max_retries {
         if attempt > 0 {
-            RecoveryCounters::add(&counters.retries);
-            crate::telemetry::sched_counters().task_retries.inc();
+            counters.retries.inc();
             crate::telemetry::record_event(
                 crate::telemetry::FlightEventKind::Retry,
                 0,
@@ -573,7 +590,7 @@ fn run_recovering(
             );
             std::thread::sleep(policy.delay_for(attempt - 1));
         }
-        RecoveryCounters::add(&counters.attempts);
+        counters.attempts.inc();
         let target = Target { writes, shared, counters };
         let outcome = guarded(|| {
             inject(chaos, label, Some(&target), || {
@@ -584,7 +601,7 @@ fn run_recovering(
         match outcome {
             Ok(()) => {
                 if attempt > 0 {
-                    RecoveryCounters::add(&counters.recovered);
+                    counters.recovered.inc();
                 }
                 return Ok(());
             }
@@ -592,8 +609,7 @@ fn run_recovering(
                 last = failure;
                 if let Some(saved) = &snapshot {
                     writes.restore(shared, saved);
-                    RecoveryCounters::add(&counters.restores);
-                    crate::telemetry::sched_counters().task_restores.inc();
+                    counters.restores.inc();
                     crate::telemetry::record_event(
                         crate::telemetry::FlightEventKind::Restore,
                         0,
@@ -603,7 +619,7 @@ fn run_recovering(
             }
         }
     }
-    RecoveryCounters::add(&counters.exhausted);
+    counters.exhausted.inc();
     Err(last)
 }
 
@@ -635,12 +651,11 @@ fn inject(
 ) -> TaskResult {
     let decision = chaos.decide(label);
     if decision.is_some() {
-        crate::telemetry::sched_counters().chaos_injections.inc();
         crate::telemetry::record_event(crate::telemetry::FlightEventKind::Inject, 0, Some(*label));
     }
-    let count = |pick: fn(&RecoveryCounters) -> &AtomicU64| {
+    let count = |pick: fn(&RecoveryCounters) -> &Counter| {
         if let Some(t) = target {
-            RecoveryCounters::add(pick(t.counters));
+            pick(t.counters).inc();
         }
     };
     let scribble = || {

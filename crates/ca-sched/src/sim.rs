@@ -16,10 +16,11 @@ use crate::exec::{ExecStats, RunReport};
 use crate::fault::ExecError;
 use crate::footprint::AccessMap;
 use crate::graph::TaskGraph;
-use crate::profile::{Profile, QueueSample, TaskRecord};
+use crate::log::{LaneLog, Stamps, TaskRec};
+use crate::profile::Profile;
 use crate::retry::{injection_message, ChaosAction, ChaosPlan};
 use crate::task::{TaskId, TaskMeta};
-use crate::trace::{Span, Timeline, TimelineError};
+use crate::trace::{Timeline, TimelineError};
 use crate::verify::SoundnessError;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -158,17 +159,16 @@ pub(crate) fn sim_core<T>(
 
     let mut idle: Vec<usize> = (0..nworkers).rev().collect(); // pop() gives lowest index
     let mut events: BinaryHeap<Completion> = BinaryHeap::new();
-    let mut timeline = Timeline::new(nworkers);
+    // The one task log; the timeline and the profile are views of it.
+    let mut lanes = vec![LaneLog::default(); nworkers];
     let mut t = 0.0f64;
     // Tasks accounted for: executed or cancelled.
     let mut accounted = 0usize;
     let mut cancelled = vec![false; n];
     let mut failure: Option<ExecError> = None;
-    // Profiling state: exact ready instants, lifecycle records, and
-    // ready-heap depth samples (one per assignment round).
-    let mut ready_at = vec![0.0f64; n];
-    let mut records: Vec<TaskRecord> = Vec::new();
-    let mut queue_samples: Vec<QueueSample> = Vec::new();
+    // Profile-only stamps: exact ready instants and ready-heap depth
+    // samples (one per assignment round).
+    let stamps = profile.then(|| Stamps::new(n));
 
     while accounted < n {
         // Start as many ready tasks as there are idle cores, at time t.
@@ -188,30 +188,13 @@ pub(crate) fn sim_core<T>(
                 // No data is simulated, so there is nothing to corrupt.
                 Some(ChaosAction::Corrupt) | None => None,
             };
-            timeline.lanes[worker].push(Span {
-                task: entry.id,
-                label: meta.label,
-                start: t,
-                end: t + d,
-            });
-            if profile {
-                records.push(TaskRecord {
-                    task: entry.id,
-                    label: meta.label,
-                    class: meta.class,
-                    flops: meta.flops,
-                    bytes: meta.bytes,
-                    worker,
-                    ready: ready_at[entry.id],
-                    dispatch: t,
-                    start: t,
-                    end: t + d,
-                });
-            }
+            let rec =
+                TaskRec { task: entry.id, label: meta.label, dispatch: t, start: t, end: t + d };
+            lanes[worker].tasks.push(rec);
             events.push(Completion { time: t + d, worker, task: entry.id, failed });
         }
-        if profile {
-            queue_samples.push(QueueSample { t, depth: ready.len() });
+        if let Some(stamps) = &stamps {
+            stamps.sample_queue(t, ready.len());
         }
 
         // Advance to the next completion, draining any other completions at
@@ -250,7 +233,9 @@ pub(crate) fn sim_core<T>(
                 for &s in &graph.succs[c.task] {
                     preds[s] -= 1;
                     if preds[s] == 0 && !cancelled[s] {
-                        ready_at[s] = t;
+                        if let Some(stamps) = &stamps {
+                            stamps.mark_ready(s, t);
+                        }
                         ready.push(ReadyEntry { priority: graph.metas[s].priority, id: s });
                     }
                 }
@@ -259,31 +244,16 @@ pub(crate) fn sim_core<T>(
         idle.sort_unstable_by(|a, b| b.cmp(a)); // keep lowest-index-on-top
     }
 
-    timeline.makespan = t;
     let cancelled_ids: Vec<TaskId> = (0..n).filter(|&id| cancelled[id]).collect();
-    let profile_out = profile.then(|| {
-        records.sort_by(|a, b| a.start.total_cmp(&b.start).then(a.task.cmp(&b.task)));
-        Profile {
-            scheduler: "simulator".to_string(),
-            nworkers,
-            makespan: t,
-            records,
-            edges: graph
-                .succs
-                .iter()
-                .enumerate()
-                .flat_map(|(a, ss)| ss.iter().map(move |&b| (a, b)))
-                .collect(),
-            queue_samples,
-            steals: Vec::new(),
-            cancelled: cancelled_ids.clone(),
-        }
+    let profile_out = stamps.map(|stamps| {
+        let (metas, succs) = (&graph.metas, &graph.succs);
+        Profile::from_log("simulator", &lanes, stamps, t, metas, succs, cancelled_ids.clone())
     });
     let failure = failure.map(|mut err| {
         err.cancelled = cancelled_ids;
         err
     });
-    (timeline, failure, profile_out)
+    (Timeline::from_log(&lanes, t), failure, profile_out)
 }
 
 /// Convenience: simulate with durations equal to each task's `flops` field

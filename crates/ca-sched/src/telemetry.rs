@@ -4,13 +4,14 @@
 //! Two complementary mechanisms live here:
 //!
 //! 1. **Global scheduler counters** ([`sched_counters`]) — one process-wide
-//!    set of `ca_telemetry` atomic counters incremented by every executor
-//!    (the one-shot pools, the work-stealing pool, [`MultiFrontier`]) and by
-//!    the recovery layer. An increment is a single `Relaxed` `fetch_add`;
-//!    the counters are always on and never reset, so exposition readers
-//!    should report deltas between snapshots. Because the cells are shared
-//!    by every pool in the process, tests assert monotonicity rather than
-//!    exact values.
+//!    set of shared `ca_telemetry` counters: [`MultiFrontier`] and one-shot
+//!    [`crate::execute`] workers bump them as each task (and job, and steal
+//!    round) finishes, and `ca-core` counts probes and graph builds. They are the single store of
+//!    those facts: a [`ca_telemetry::Registry`] *adopts* the handles
+//!    ([`register_sched_metrics`]) and its snapshots read the live atomics,
+//!    so there is no copy to keep in sync. The counters are never reset and
+//!    are shared by every pool in the process, so tests assert monotonicity
+//!    rather than exact values.
 //!
 //! 2. **Flight recorder** ([`FlightRecorder`]) — per-worker bounded rings of
 //!    recent task lifecycle / retry / shed events. A recorder is attached to
@@ -25,12 +26,13 @@
 //! [`MultiFrontier`]: crate::MultiFrontier
 
 use std::cell::Cell;
-use std::sync::{OnceLock, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 
-use ca_telemetry::{Counter, Ring};
+use ca_telemetry::{Counter, Registry, Ring};
 
 use crate::task::TaskLabel;
+use crate::trace::{trace_args, TraceEvents};
 
 // ---------------------------------------------------------------------------
 // Global scheduler counters
@@ -40,118 +42,65 @@ use crate::task::TaskLabel;
 #[derive(Debug, Default)]
 pub struct SchedCounters {
     /// Tasks handed to a worker (all executors).
-    pub tasks_dispatched: Counter,
+    pub tasks_dispatched: Arc<Counter>,
     /// Tasks that ran to completion.
-    pub tasks_completed: Counter,
+    pub tasks_completed: Arc<Counter>,
     /// Tasks whose body returned an error or panicked.
-    pub tasks_failed: Counter,
+    pub tasks_failed: Arc<Counter>,
     /// Steal attempts made by the work-stealing executor.
-    pub steal_attempts: Counter,
+    pub steal_attempts: Arc<Counter>,
     /// Steal attempts that obtained a task.
-    pub steal_hits: Counter,
+    pub steal_hits: Arc<Counter>,
     /// Jobs submitted to a `MultiFrontier`.
-    pub jobs_submitted: Counter,
+    pub jobs_submitted: Arc<Counter>,
     /// Jobs that completed successfully.
-    pub jobs_completed: Counter,
+    pub jobs_completed: Arc<Counter>,
     /// Jobs that failed.
-    pub jobs_failed: Counter,
+    pub jobs_failed: Arc<Counter>,
     /// Jobs cancelled for any reason (user, deadline, shed, shutdown).
-    pub jobs_cancelled: Counter,
+    pub jobs_cancelled: Arc<Counter>,
     /// Jobs cancelled specifically by load shedding.
-    pub jobs_shed: Counter,
+    pub jobs_shed: Arc<Counter>,
     /// Jobs cancelled specifically by deadline expiry.
-    pub jobs_deadline_missed: Counter,
-    /// Task-level recovery replays (PR-6 `run_recovering`).
-    pub task_retries: Counter,
-    /// Write-set restores performed before a replay.
-    pub task_restores: Counter,
-    /// Faults injected by an active chaos plan.
-    pub chaos_injections: Counter,
+    pub jobs_deadline_missed: Arc<Counter>,
     /// Integrity probes executed (ca-core `verify_integrity`).
-    pub probes_run: Counter,
+    pub probes_run: Arc<Counter>,
     /// Integrity probes that detected corruption.
-    pub probe_failures: Counter,
+    pub probe_failures: Arc<Counter>,
     /// Factorization task graphs built (CALU + CAQR).
-    pub factor_graphs_built: Counter,
-}
-
-/// Serializable point-in-time copy of [`SchedCounters`].
-#[derive(Clone, Copy, Debug, Default, serde::Serialize, serde::Deserialize)]
-#[allow(missing_docs)] // field-per-counter mirror of `SchedCounters`
-pub struct SchedCountersSnapshot {
-    pub tasks_dispatched: u64,
-    pub tasks_completed: u64,
-    pub tasks_failed: u64,
-    pub steal_attempts: u64,
-    pub steal_hits: u64,
-    pub jobs_submitted: u64,
-    pub jobs_completed: u64,
-    pub jobs_failed: u64,
-    pub jobs_cancelled: u64,
-    pub jobs_shed: u64,
-    pub jobs_deadline_missed: u64,
-    pub task_retries: u64,
-    pub task_restores: u64,
-    pub chaos_injections: u64,
-    pub probes_run: u64,
-    pub probe_failures: u64,
-    pub factor_graphs_built: u64,
-}
-
-impl SchedCounters {
-    /// Reads every counter at once.
-    pub fn snapshot(&self) -> SchedCountersSnapshot {
-        SchedCountersSnapshot {
-            tasks_dispatched: self.tasks_dispatched.get(),
-            tasks_completed: self.tasks_completed.get(),
-            tasks_failed: self.tasks_failed.get(),
-            steal_attempts: self.steal_attempts.get(),
-            steal_hits: self.steal_hits.get(),
-            jobs_submitted: self.jobs_submitted.get(),
-            jobs_completed: self.jobs_completed.get(),
-            jobs_failed: self.jobs_failed.get(),
-            jobs_cancelled: self.jobs_cancelled.get(),
-            jobs_shed: self.jobs_shed.get(),
-            jobs_deadline_missed: self.jobs_deadline_missed.get(),
-            task_retries: self.task_retries.get(),
-            task_restores: self.task_restores.get(),
-            chaos_injections: self.chaos_injections.get(),
-            probes_run: self.probes_run.get(),
-            probe_failures: self.probe_failures.get(),
-            factor_graphs_built: self.factor_graphs_built.get(),
-        }
-    }
-}
-
-impl SchedCountersSnapshot {
-    /// `(name, value)` pairs for exposition, in declaration order.
-    pub fn pairs(&self) -> Vec<(&'static str, u64)> {
-        vec![
-            ("tasks_dispatched", self.tasks_dispatched),
-            ("tasks_completed", self.tasks_completed),
-            ("tasks_failed", self.tasks_failed),
-            ("steal_attempts", self.steal_attempts),
-            ("steal_hits", self.steal_hits),
-            ("jobs_submitted", self.jobs_submitted),
-            ("jobs_completed", self.jobs_completed),
-            ("jobs_failed", self.jobs_failed),
-            ("jobs_cancelled", self.jobs_cancelled),
-            ("jobs_shed", self.jobs_shed),
-            ("jobs_deadline_missed", self.jobs_deadline_missed),
-            ("task_retries", self.task_retries),
-            ("task_restores", self.task_restores),
-            ("chaos_injections", self.chaos_injections),
-            ("probes_run", self.probes_run),
-            ("probe_failures", self.probe_failures),
-            ("factor_graphs_built", self.factor_graphs_built),
-        ]
-    }
+    pub factor_graphs_built: Arc<Counter>,
 }
 
 /// The process-wide scheduler counter set.
 pub fn sched_counters() -> &'static SchedCounters {
     static COUNTERS: OnceLock<SchedCounters> = OnceLock::new();
     COUNTERS.get_or_init(SchedCounters::default)
+}
+
+/// Registers the global counters in `registry` as `ca_sched_<name>_total`,
+/// so its snapshots and exposition read them live (several registries may
+/// adopt the same handles; each then sees the same monotone values).
+pub fn register_sched_metrics(registry: &Registry) {
+    let c = sched_counters();
+    for (name, handle) in [
+        ("tasks_dispatched", &c.tasks_dispatched),
+        ("tasks_completed", &c.tasks_completed),
+        ("tasks_failed", &c.tasks_failed),
+        ("steal_attempts", &c.steal_attempts),
+        ("steal_hits", &c.steal_hits),
+        ("jobs_submitted", &c.jobs_submitted),
+        ("jobs_completed", &c.jobs_completed),
+        ("jobs_failed", &c.jobs_failed),
+        ("jobs_cancelled", &c.jobs_cancelled),
+        ("jobs_shed", &c.jobs_shed),
+        ("jobs_deadline_missed", &c.jobs_deadline_missed),
+        ("probes_run", &c.probes_run),
+        ("probe_failures", &c.probe_failures),
+        ("factor_graphs_built", &c.factor_graphs_built),
+    ] {
+        let family = format!("ca_sched_{name}_total");
+        registry.adopt_counter(&family, "Process-wide scheduler counter", &[], handle.clone());
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -247,8 +196,9 @@ thread_local! {
 
 /// Publishes `recorder`/`lane` as this thread's flight-recorder context, so
 /// that [`record_event`] calls made anywhere below (e.g. inside the retry
-/// wrapper) land on this worker's ring. Called by `MultiFrontier` workers at
-/// thread start; passing a dead `Weak` clears the context.
+/// wrapper) land on this worker's ring. Called by each `MultiFrontier` worker
+/// once, the first time it sees a recorder attached; passing a dead `Weak`
+/// clears the context.
 pub fn set_thread_recorder(recorder: Weak<FlightRecorder>, lane: usize) {
     CURRENT_LANE.with(|l| l.set(lane));
     CURRENT_RECORDER.with(|r| *r.borrow_mut() = recorder);
@@ -322,41 +272,25 @@ impl FlightRecorder {
     /// failure class that caused the dump. Within each lane, timestamps are
     /// monotone because the ring preserves insertion order.
     pub fn chrome_trace_fragment(&self, trigger: &str) -> String {
-        let mut events = Vec::new();
+        let external = self.lanes.len() - 1;
+        let mut events = TraceEvents::new((0..=external).map(|lane| {
+            if lane == external { "external".to_string() } else { format!("worker-{lane}") }
+        }));
         for (lane, ring) in self.lanes.iter().enumerate() {
-            let lane_name = if lane == self.lanes.len() - 1 {
-                "external".to_string()
-            } else {
-                format!("worker-{lane}")
-            };
-            events.push(serde_json::json!({
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": lane,
-                "args": serde_json::json!({"name": lane_name}),
-            }));
             for ev in ring.snapshot() {
                 let name = match ev.label {
                     Some(l) => format!("{} {}", ev.kind.name(), l),
                     None => ev.kind.name().to_string(),
                 };
-                events.push(serde_json::json!({
-                    "name": name,
-                    "cat": "flight",
-                    "ph": "i",
-                    "s": "t",
-                    "pid": 1,
-                    "tid": lane,
-                    "ts": ev.t * 1e6,
-                    "args": serde_json::json!({"job": ev.job}),
-                }));
+                let on_lane = [("cat", "flight".into()), ("s", "t".into()), ("tid", lane.into())];
+                let fields = on_lane.into_iter().chain([trace_args("job", ev.job.into())]);
+                events.push("i", &name, Some(ev.t), fields);
             }
         }
         let doc = serde_json::Value::Object(vec![
             ("trigger".to_string(), serde_json::Value::from(trigger)),
             ("dropped".to_string(), serde_json::Value::from(self.dropped() as f64)),
-            ("traceEvents".to_string(), serde_json::Value::Array(events)),
+            ("traceEvents".to_string(), serde_json::Value::Array(events.0)),
         ]);
         serde_json::to_string(&doc).expect("flight fragment serializes")
     }
@@ -369,14 +303,23 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn sched_counters_are_monotone() {
-        let before = sched_counters().snapshot();
+    fn registered_sched_counters_are_read_live_and_monotone() {
+        let value = |reg: &Registry| {
+            let snap = reg.snapshot();
+            assert_eq!(snap.families.len(), 14);
+            let fam = snap.families.iter().find(|f| f.name == "ca_sched_tasks_dispatched_total");
+            match fam.expect("family registered").series[0].value {
+                ca_telemetry::SeriesValue::Counter(v) => v,
+                ref other => panic!("unexpected {other:?}"),
+            }
+        };
+        let (a, b) = (Registry::new(), Registry::new());
+        register_sched_metrics(&a);
+        register_sched_metrics(&b);
+        let before = value(&a);
         sched_counters().tasks_dispatched.inc();
-        sched_counters().tasks_completed.inc();
-        let after = sched_counters().snapshot();
-        assert!(after.tasks_dispatched > before.tasks_dispatched);
-        assert!(after.tasks_completed > before.tasks_completed);
-        assert_eq!(after.pairs().len(), 17);
+        assert!(value(&a) > before, "snapshot reads the live atomic");
+        assert!(value(&b) > before, "a second registry adopts the same handle");
     }
 
     #[test]

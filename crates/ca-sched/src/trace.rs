@@ -7,6 +7,7 @@
 use crate::footprint::AccessMap;
 use crate::task::{TaskId, TaskLabel, TaskKind};
 use ca_matrix::ElemRect;
+use serde_json::Value;
 
 /// One executed task occurrence on one worker.
 #[derive(Clone, Copy, Debug, serde::Serialize, serde::Deserialize)]
@@ -251,7 +252,7 @@ pub fn ascii_gantt(tl: &Timeline, width: usize) -> String {
 }
 
 /// Chrome-tracing category string for a task kind.
-pub(crate) fn trace_category(kind: TaskKind) -> &'static str {
+fn trace_category(kind: TaskKind) -> &'static str {
     match kind {
         TaskKind::Panel => "panel",
         TaskKind::LBlock => "l-block",
@@ -262,47 +263,52 @@ pub(crate) fn trace_category(kind: TaskKind) -> &'static str {
     }
 }
 
-/// Process id used for all emitted trace events.
-pub(crate) const TRACE_PID: u32 = 1;
+/// The one Chrome trace-event builder behind [`chrome_trace_json`],
+/// [`chrome_trace_json_with_marks`], [`crate::Profile::chrome_trace`] and
+/// [`crate::FlightRecorder::chrome_trace_fragment`]: track metadata, the
+/// event envelope and spans are each written once, here. Seconds in, µs out.
+pub(crate) struct TraceEvents(pub(crate) Vec<Value>);
 
-/// Metadata events labelling the process and the worker lanes ("core N") so
-/// Perfetto / `chrome://tracing` name the tracks correctly.
-pub(crate) fn trace_metadata_events(nworkers: usize, process: &str) -> Vec<serde_json::Value> {
-    let mut events = Vec::with_capacity(2 * nworkers + 1);
-    events.push(serde_json::json!({
-        "name": "process_name", "ph": "M", "pid": TRACE_PID,
-        "args": serde_json::json!({"name": process}),
-    }));
-    for tid in 0..nworkers {
-        events.push(serde_json::json!({
-            "name": "thread_name", "ph": "M", "pid": TRACE_PID, "tid": tid,
-            "args": serde_json::json!({"name": format!("core {tid}")}),
-        }));
-        events.push(serde_json::json!({
-            "name": "thread_sort_index", "ph": "M", "pid": TRACE_PID, "tid": tid,
-            "args": serde_json::json!({"sort_index": tid}),
-        }));
-    }
-    events
+type Field = (&'static str, Value);
+
+/// The `args` field `{key: value}`.
+pub(crate) fn trace_args(key: &str, value: Value) -> Field {
+    ("args", Value::Object(vec![(key.to_string(), value)]))
 }
 
-/// The complete-span (`ph: "X"`) events of a timeline, in microseconds.
-pub(crate) fn trace_span_events(tl: &Timeline) -> Vec<serde_json::Value> {
-    let mut events = Vec::new();
-    for (tid, lane) in tl.lanes.iter().enumerate() {
-        for s in lane {
-            events.push(serde_json::json!({
-                "name": s.label.to_string(),
-                "cat": trace_category(s.label.kind),
-                "ph": "X",
-                "ts": s.start * 1e6,
-                "dur": (s.end - s.start) * 1e6,
-                "pid": TRACE_PID,
-                "tid": tid,
-            }));
+impl TraceEvents {
+    /// Starts a trace: the process name plus one named, ordered track per lane.
+    pub(crate) fn new(lane_names: impl IntoIterator<Item = String>) -> Self {
+        let mut events = Self(Vec::new());
+        events.push("M", "process_name", None, [trace_args("name", "ca-factor".into())]);
+        for (tid, name) in lane_names.into_iter().enumerate() {
+            let (name, order) = (name.into(), trace_args("sort_index", tid.into()));
+            events.push("M", "thread_name", None, [("tid", tid.into()), trace_args("name", name)]);
+            events.push("M", "thread_sort_index", None, [("tid", tid.into()), order]);
         }
+        events
     }
-    events
+
+    /// One event of phase `ph` at `t` seconds (metadata has no time).
+    pub(crate) fn push(
+        &mut self,
+        ph: &str,
+        name: &str,
+        t: Option<f64>,
+        fields: impl IntoIterator<Item = Field>,
+    ) {
+        let head = [("name", name.into()), ("ph", ph.into()), ("pid", 1.into())];
+        let fields = head.into_iter().chain(t.map(|t| ("ts", (t * 1e6).into()))).chain(fields);
+        self.0.push(Value::Object(fields.map(|(k, v)| (k.to_string(), v)).collect()));
+    }
+
+    /// A complete-span (`ph: "X"`) event for one executed task.
+    pub(crate) fn span(&mut self, tid: usize, s: &Span, args: Option<Value>) {
+        let (cat, dur) = (trace_category(s.label.kind), (s.end - s.start) * 1e6);
+        let fields = [("cat", cat.into()), ("dur", dur.into()), ("tid", tid.into())].into_iter();
+        let name = s.label.to_string();
+        self.push("X", &name, Some(s.start), fields.chain(args.map(|a| ("args", a))));
+    }
 }
 
 /// Serializes the timeline in Chrome tracing ("trace event") JSON format —
@@ -311,29 +317,23 @@ pub(crate) fn trace_span_events(tl: &Timeline) -> Vec<serde_json::Value> {
 /// lanes are labelled "core N"; [`crate::Profile::chrome_trace`] extends
 /// this format with flow events and counter tracks.
 pub fn chrome_trace_json(tl: &Timeline) -> String {
-    let mut events = trace_metadata_events(tl.nworkers(), "ca-factor");
-    events.extend(trace_span_events(tl));
-    serde_json::to_string(&events).expect("serializable")
+    chrome_trace_json_with_marks(tl, &[])
 }
 
-/// Like [`chrome_trace_json`], with additional instant events (`ph: "i"`)
-/// interleaved at the given `(seconds, description)` marks — used by the
-/// serving layer to mark recovery actions (job retries, probe hits) on the
-/// execution timeline.
+/// Like [`chrome_trace_json`], with additional global instant events
+/// (`ph: "i"`) at the given `(seconds, description)` marks — how the serving
+/// layer shows recovery actions (job retries, probe hits) on the timeline.
 pub fn chrome_trace_json_with_marks(tl: &Timeline, marks: &[(f64, String)]) -> String {
-    let mut events = trace_metadata_events(tl.nworkers(), "ca-factor");
-    events.extend(trace_span_events(tl));
-    for (ts, name) in marks {
-        events.push(serde_json::json!({
-            "name": name.as_str(),
-            "cat": "recovery",
-            "ph": "i",
-            "s": "g",
-            "ts": ts * 1e6,
-            "pid": TRACE_PID,
-        }));
+    let mut events = TraceEvents::new((0..tl.nworkers()).map(|w| format!("core {w}")));
+    for (tid, lane) in tl.lanes.iter().enumerate() {
+        for s in lane {
+            events.span(tid, s, None);
+        }
     }
-    serde_json::to_string(&events).expect("serializable")
+    for (t, name) in marks {
+        events.push("i", name, Some(*t), [("cat", "recovery".into()), ("s", "g".into())]);
+    }
+    serde_json::to_string(&events.0).expect("serializable")
 }
 
 #[cfg(test)]

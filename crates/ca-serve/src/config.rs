@@ -167,14 +167,16 @@ impl ChaosConfig {
     }
 }
 
-/// Always-on telemetry for a [`crate::Service`]: a process-wide metrics
-/// registry with per-tenant/per-class families, an optional per-worker
-/// flight recorder, and an optional periodic exposition thread that writes
-/// Prometheus-text and JSON snapshots to a file via atomic rename.
+/// What a [`crate::Service`] does with its telemetry beyond keeping it: an
+/// optional periodic exposition thread that writes Prometheus-text and JSON
+/// snapshots to a file via atomic rename, an optional per-worker flight
+/// recorder, and where its failure dumps go.
 ///
-/// The metric registry itself is created whenever this config is present;
-/// hot-path updates are single relaxed atomic operations, cheap enough to
-/// leave on in production (the benchmark reports the cost as
+/// The metric registry itself is not configurable: every service owns one
+/// (it is where job outcomes and latencies are stored;
+/// [`crate::Service::stats`] and [`crate::Service::metrics_snapshot`] read
+/// it), and its hot-path updates are single relaxed atomic operations (the
+/// benchmark reports the cost of everything this config adds as
 /// `ca-telemetry.overhead_frac`).
 #[derive(Clone, Debug)]
 pub struct TelemetryConfig {
@@ -263,8 +265,8 @@ pub struct ServiceConfig {
     pub retry: Option<RetryConfig>,
     /// Chaos drill; `None` (production) injects nothing.
     pub chaos: Option<ChaosConfig>,
-    /// Always-on telemetry: metrics registry, flight recorder, periodic
-    /// exposition. `None` disables the subsystem entirely.
+    /// Periodic metrics exposition, flight recorder and failure dumps.
+    /// `None` runs none of them; the metrics registry exists either way.
     pub telemetry: Option<TelemetryConfig>,
 }
 
@@ -333,7 +335,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables always-on telemetry.
+    /// Enables the exposition file, flight recorder and failure dumps.
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = Some(telemetry);
         self
@@ -352,8 +354,7 @@ pub struct SubmitOptions {
     pub params: Option<CaParams>,
     /// Allow this request to be coalesced into a batch when eligible.
     pub batchable: bool,
-    /// Tenant attribution for telemetry: when the service runs with a
-    /// [`TelemetryConfig`], this job's submit/outcome counters and latency
+    /// Tenant attribution: this job's submit/outcome counters and latency
     /// histograms are labeled `tenant="…"` in the exposed metrics
     /// (unlabeled submissions aggregate under `tenant=""`).
     pub tenant: Option<Arc<str>>,

@@ -19,8 +19,11 @@
 //!   scheduler's transitive-successor cancellation;
 //! - tiny factorizations (≤ [`BatchConfig::max_dim`]) coalesce into fused
 //!   batch jobs, amortizing per-job scheduling overhead;
-//! - [`Service::stats`] snapshots per-job latency (queue/exec/total),
-//!   throughput, occupancy, and shed/reject/deadline counters, and
+//! - every job outcome, latency sample, retry, probe, rejection and batch
+//!   flush is stored once, in the service's metric registry;
+//!   [`Service::stats`] (per-job latency, throughput, occupancy,
+//!   shed/reject/deadline counters) and [`Service::metrics_snapshot`] (the
+//!   Prometheus/JSON exposition) are views computed from it when read, and
 //!   [`Service::chrome_trace`] reuses the existing chrome-trace pipeline;
 //! - an optional recovery tier ([`RetryConfig`]): task-level replay from
 //!   write-set snapshots inside the running graph, job-level resubmission

@@ -1,66 +1,98 @@
-//! Per-tenant serve metrics: registry families, periodic exposition, and
-//! bounded flight-recorder failure dumps.
+//! The serve tier's one store of job-level facts: registry series, the
+//! exposition built from them, and bounded flight-recorder failure dumps.
 //!
-//! [`ServeMetrics`] is created when the service runs with a
-//! [`crate::TelemetryConfig`]. Submission paths resolve one
-//! [`TenantSeries`] per `(tenant, class)` pair — a one-time registration
-//! behind a lock, after which every update is a single relaxed atomic
-//! operation. Process-wide scheduler and recovery counters are folded into
-//! the registry at snapshot time by delta-addition, so the exposed families
-//! stay monotone even though several services may share the globals.
+//! Every [`crate::Service`] owns a [`ServeMetrics`]. Each attempt outcome,
+//! latency sample, resubmission, probe, rejection and batch flush is
+//! written exactly once, lock-free, to one of its registry series —
+//! per-`(tenant, class)` [`TenantSeries`] for what a job does, unlabelled
+//! counters for what the service does — and everything else is a view
+//! computed when read: [`crate::ServiceStats`] sums the series
+//! ([`ServeMetrics::fill`]); the exposition refreshes its gauges and adds
+//! the derived families ([`ServeMetrics::snapshot`]). A job's *terminal*
+//! outcome is such a view ([`TenantSeries::completed`], [`TenantSeries::failed`]):
+//! attempts minus detections and resubmissions, so an attempt nobody waits
+//! on still counts and nothing is ever decremented. Facts stored elsewhere
+//! (scheduler totals, task-level recovery counters, out-of-core I/O) are
+//! *adopted* into the registry, which reads them live.
 
 use crate::config::TelemetryConfig;
 use crate::stats::ServiceStats;
-use ca_sched::FlightRecorder;
+use ca_sched::{FlightRecorder, RecoveryCounters};
 use ca_telemetry::{
-    write_atomic, Counter, Gauge, Histogram, Registry, LATENCY_BOUNDS,
+    write_atomic, Counter, FamilySnapshot, Gauge, Histogram, MetricKind, Registry,
+    RegistrySnapshot, SeriesSnapshot, SeriesValue, LATENCY_BOUNDS,
 };
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, RwLock};
 
 /// Lock-free metric handles for one `(tenant, class)` label pair, resolved
 /// once at first submission and cached for the service lifetime.
 pub(crate) struct TenantSeries {
+    /// Position in the series table: what a frontier job's tag carries so
+    /// the completion hook finds these handles again.
+    pub index: u32,
+    labels: Vec<(String, String)>,
     pub submitted: Arc<Counter>,
-    pub completed: Arc<Counter>,
-    pub failed: Arc<Counter>,
+    /// How attempts (frontier jobs) ended, counted by the completion hook.
+    pub attempts_completed: Arc<Counter>,
+    pub attempts_failed: Arc<Counter>,
     pub cancelled: Arc<Counter>,
     pub shed: Arc<Counter>,
     pub deadline_missed: Arc<Counter>,
+    /// Completed attempts whose factors a probe voided.
+    pub corruption_detected: Arc<Counter>,
+    /// Attempts (failed or voided) that were resubmitted.
     pub retries: Arc<Counter>,
     pub queue_s: Arc<Histogram>,
     pub exec_s: Arc<Histogram>,
+    pub total_s: Arc<Histogram>,
     /// Useful flops completed under this label pair (gauge: f64 cell).
     pub flops: Arc<Gauge>,
 }
 
-/// The service's telemetry hub: the metric registry, cached per-tenant
-/// series handles, and the bounded flight-dump writer.
+impl TenantSeries {
+    /// Jobs whose terminal outcome is success: completed attempts not voided.
+    pub(crate) fn completed(&self) -> u64 {
+        self.attempts_completed.get().saturating_sub(self.corruption_detected.get())
+    }
+
+    /// Jobs whose terminal outcome is a failure: failed or voided attempts
+    /// not resubmitted (until its handle does, an attempt reads as terminal).
+    pub(crate) fn failed(&self) -> u64 {
+        let ended_badly = self.attempts_failed.get() + self.corruption_detected.get();
+        ended_badly.saturating_sub(self.retries.get())
+    }
+}
+
+/// The `(tenant, class)` series, addressable by label pair (submission) and
+/// by index (completion hook).
+#[derive(Default)]
+struct SeriesTable {
+    by_label: HashMap<(String, &'static str), Arc<TenantSeries>>,
+    all: Vec<Arc<TenantSeries>>,
+}
+
+/// The service's metric registry, cached per-tenant series handles, and the
+/// bounded flight-dump writer.
 pub(crate) struct ServeMetrics {
-    pub(crate) registry: Arc<Registry>,
-    series: Mutex<HashMap<(String, &'static str), Arc<TenantSeries>>>,
-    // Global gauges refreshed by `sync`.
+    registry: Registry,
+    series: RwLock<SeriesTable>,
+    // Service-wide facts, each written at its one site.
+    pub(crate) rejected: Arc<Counter>,
+    pub(crate) jobs_recovered: Arc<Counter>,
+    pub(crate) probes_run: Arc<Counter>,
+    pub(crate) batches_flushed: Arc<Counter>,
+    pub(crate) batched_jobs: Arc<Counter>,
+    /// First failure observation → eventual success, for recovered jobs.
+    pub(crate) mttr_s: Arc<Histogram>,
+    // Gauges refreshed by `snapshot`.
     active_jobs: Arc<Gauge>,
     occupancy: Arc<Gauge>,
     workers: Arc<Gauge>,
     gflops: Arc<Gauge>,
     flops_total: Arc<Gauge>,
-    /// MTTR histogram observed directly at recovery points.
-    pub(crate) mttr_s: Arc<Histogram>,
-    // Monotone counters delta-synced from the service stats.
-    rejected: Arc<Counter>,
-    job_retries: Arc<Counter>,
-    jobs_recovered: Arc<Counter>,
-    corruption_detected: Arc<Counter>,
-    probes_run: Arc<Counter>,
-    /// Task-level recovery counters, aligned with the field order of
-    /// [`ca_sched::RecoveryStats`] as listed in `TASK_RECOVERY_NAMES`.
-    task_recovery: Vec<Arc<Counter>>,
-    /// Process-wide scheduler counters, aligned with
-    /// [`ca_sched::SchedCountersSnapshot::pairs`] order.
-    sched: Vec<Arc<Counter>>,
     // Flight-dump bookkeeping.
     dump_dir: Option<PathBuf>,
     max_dumps: u64,
@@ -69,207 +101,164 @@ pub(crate) struct ServeMetrics {
     dumps_suppressed: Arc<Counter>,
 }
 
-const TASK_RECOVERY_NAMES: [&str; 9] = [
-    "attempts",
-    "retries",
-    "recovered_tasks",
-    "exhausted_tasks",
-    "restores",
-    "injected_failures",
-    "injected_panics",
-    "injected_delays",
-    "injected_corruptions",
-];
-
-fn task_recovery_values(t: &ca_sched::RecoveryStats) -> [u64; 9] {
-    [
-        t.attempts,
-        t.retries,
-        t.recovered_tasks,
-        t.exhausted_tasks,
-        t.restores,
-        t.injected_failures,
-        t.injected_panics,
-        t.injected_delays,
-        t.injected_corruptions,
-    ]
-}
-
-/// Adds `current - handle.get()` so the registry copy of a monotone source
-/// counter catches up without double-counting across syncs.
-fn sync_counter(handle: &Counter, current: u64) {
-    let prev = handle.get();
-    if current > prev {
-        handle.add(current - prev);
-    }
+/// Inserts into `snap`, at its sorted position, a counter family computed
+/// at snapshot time from `(labels, value)` pairs (no counter is behind it).
+fn add_view(
+    snap: &mut RegistrySnapshot,
+    name: &str,
+    help: &str,
+    series: impl Iterator<Item = (Vec<(String, String)>, u64)>,
+) {
+    let mut series: Vec<SeriesSnapshot> = series
+        .map(|(labels, n)| SeriesSnapshot { labels, value: SeriesValue::Counter(n) })
+        .collect();
+    series.sort_by(|a, b| a.labels.cmp(&b.labels));
+    let (name, help) = (name.to_string(), help.to_string());
+    let at = snap.families.partition_point(|f| f.name < name);
+    snap.families.insert(at, FamilySnapshot { name, help, kind: MetricKind::Counter, series });
 }
 
 impl ServeMetrics {
-    pub(crate) fn new(cfg: &TelemetryConfig) -> Arc<Self> {
-        let registry = Arc::new(Registry::new());
-        let r = &registry;
-        // Out-of-core transfer instruments share the process-wide handles,
-        // so `submit_lu_ooc` traffic shows up in every exposition/`top`.
-        ca_ooc::register_ooc_metrics(r);
-        let task_recovery = TASK_RECOVERY_NAMES
-            .iter()
-            .map(|n| {
-                r.counter(
-                    &format!("ca_serve_task_{n}_total"),
-                    "Task-level recovery counter aggregated across jobs",
-                    &[],
-                )
-            })
-            .collect();
-        let sched = ca_sched::sched_counters()
-            .snapshot()
-            .pairs()
-            .iter()
-            .map(|(n, _)| {
-                r.counter(
-                    &format!("ca_sched_{n}_total"),
-                    "Process-wide scheduler counter",
-                    &[],
-                )
-            })
-            .collect();
-        let dump_dir = cfg.dump_dir.clone().or_else(|| {
-            cfg.metrics_file.as_ref().map(|f| {
-                f.parent()
-                    .filter(|p| !p.as_os_str().is_empty())
-                    .map_or_else(|| PathBuf::from("."), Path::to_path_buf)
+    /// `cfg` decides only where (and whether) flight dumps are written;
+    /// `recovery` is the service's task-level recovery counter set.
+    pub(crate) fn new(cfg: Option<&TelemetryConfig>, recovery: &RecoveryCounters) -> Self {
+        let r = Registry::new();
+        // Adopted, not copied: `submit_lu_ooc` traffic, scheduler totals and
+        // task replays show up in every exposition/`top`.
+        ca_ooc::register_ooc_metrics(&r);
+        ca_sched::register_sched_metrics(&r);
+        recovery.register(&r, "ca_serve_task");
+        let dump_dir = cfg.and_then(|cfg| {
+            cfg.dump_dir.clone().or_else(|| {
+                cfg.metrics_file.as_ref().map(|f| {
+                    f.parent()
+                        .filter(|p| !p.as_os_str().is_empty())
+                        .map_or_else(|| PathBuf::from("."), Path::to_path_buf)
+                })
             })
         });
-        Arc::new(Self {
-            series: Mutex::new(HashMap::new()),
-            active_jobs: r.gauge("ca_serve_active_jobs", "Jobs admitted and not yet finished", &[]),
-            occupancy: r.gauge("ca_serve_pool_occupancy", "Worker-pool utilization in [0,1]", &[]),
-            workers: r.gauge("ca_serve_workers", "Worker threads owned by the service", &[]),
-            gflops: r.gauge("ca_serve_gflops", "Achieved GFlop/s over worker busy time", &[]),
-            flops_total: r.gauge("ca_serve_flops_total", "Useful flops completed", &[]),
+        let counter = |name: &str, help: &str| r.counter(name, help, &[]);
+        let gauge = |name: &str, help: &str| r.gauge(name, help, &[]);
+        Self {
+            series: RwLock::default(),
+            rejected: counter("ca_serve_rejected_total", "Submissions refused at admission"),
+            jobs_recovered: counter("ca_serve_jobs_recovered_total", "Jobs recovered by a retry"),
+            probes_run: counter("ca_serve_probes_run_total", "Integrity probes executed"),
+            batches_flushed: counter("ca_serve_batches_flushed_total", "Fused batches submitted"),
+            batched_jobs: counter("ca_serve_batched_jobs_total", "Jobs run inside fused batches"),
             mttr_s: r.histogram(
                 "ca_serve_mttr_seconds",
                 "Time from first failure observation to eventual success",
                 &[],
                 LATENCY_BOUNDS,
             ),
-            rejected: r.counter("ca_serve_rejected_total", "Submissions refused by admission control", &[]),
-            job_retries: r.counter("ca_serve_job_retries_total", "Job-level resubmissions", &[]),
-            jobs_recovered: r.counter(
-                "ca_serve_jobs_recovered_total",
-                "Jobs completed after at least one resubmission",
-                &[],
-            ),
-            corruption_detected: r.counter(
-                "ca_serve_corruption_detected_total",
-                "Integrity-probe hits on completed factors",
-                &[],
-            ),
-            probes_run: r.counter("ca_serve_probes_run_total", "Integrity probes executed", &[]),
-            task_recovery,
-            sched,
+            active_jobs: gauge("ca_serve_active_jobs", "Jobs admitted and not yet finished"),
+            occupancy: gauge("ca_serve_pool_occupancy", "Worker-pool utilization in [0,1]"),
+            workers: gauge("ca_serve_workers", "Worker threads owned by the service"),
+            gflops: gauge("ca_serve_gflops", "Achieved GFlop/s over worker busy time"),
+            flops_total: gauge("ca_serve_flops_total", "Useful flops completed"),
             dump_dir,
-            max_dumps: cfg.max_dumps as u64,
+            max_dumps: cfg.map_or(0, |cfg| cfg.max_dumps as u64),
             dump_seq: AtomicU64::new(0),
-            dumps_written: r.counter(
-                "ca_serve_flight_dumps_written_total",
-                "Flight-recorder dump files written",
-                &[],
-            ),
-            dumps_suppressed: r.counter(
-                "ca_serve_flight_dumps_suppressed_total",
-                "Flight-dump triggers suppressed by the max-dumps cap",
-                &[],
-            ),
-            registry: Arc::clone(&registry),
-        })
+            dumps_written: counter("ca_serve_flight_dumps_written_total", "Flight dumps written"),
+            dumps_suppressed: counter("ca_serve_flight_dumps_suppressed_total", "Dumps over cap"),
+            registry: r,
+        }
     }
 
     /// The cached series handles for `(tenant, class)`, registering the
     /// label pair's families on first use.
     pub(crate) fn series(&self, tenant: &str, class: &'static str) -> Arc<TenantSeries> {
-        let mut cache = self.series.lock().expect("series lock");
-        if let Some(s) = cache.get(&(tenant.to_string(), class)) {
+        let key = (tenant.to_string(), class);
+        if let Some(s) = self.series.read().expect("series table").by_label.get(&key) {
+            return Arc::clone(s);
+        }
+        let mut table = self.series.write().expect("series table");
+        if let Some(s) = table.by_label.get(&key) {
             return Arc::clone(s);
         }
         let labels = [("tenant", tenant), ("class", class)];
         let r = &self.registry;
+        let counter = |name: &str, help: &str| r.counter(name, help, &labels);
+        let latency = |name: &str, help: &str| r.histogram(name, help, &labels, LATENCY_BOUNDS);
         let s = Arc::new(TenantSeries {
-            submitted: r.counter("ca_serve_jobs_submitted_total", "Jobs admitted", &labels),
-            completed: r.counter("ca_serve_jobs_completed_total", "Jobs completed successfully", &labels),
-            failed: r.counter("ca_serve_jobs_failed_total", "Jobs failed", &labels),
-            cancelled: r.counter("ca_serve_jobs_cancelled_total", "Jobs cancelled", &labels),
-            shed: r.counter("ca_serve_jobs_shed_total", "Jobs evicted by shed-oldest admission", &labels),
-            deadline_missed: r.counter(
-                "ca_serve_deadline_missed_total",
-                "Jobs cancelled because their deadline expired",
-                &labels,
-            ),
-            retries: r.counter("ca_serve_retries_total", "Job-level resubmissions", &labels),
-            queue_s: r.histogram(
-                "ca_serve_queue_seconds",
-                "Admission to first task dispatch",
-                &labels,
-                LATENCY_BOUNDS,
-            ),
-            exec_s: r.histogram(
-                "ca_serve_exec_seconds",
-                "First task dispatch to finalization",
-                &labels,
-                LATENCY_BOUNDS,
-            ),
+            index: u32::try_from(table.all.len()).expect("fewer than 2^32 label pairs"),
+            labels: labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect(),
+            submitted: counter("ca_serve_jobs_submitted_total", "Jobs admitted"),
+            attempts_completed: counter("ca_serve_attempts_completed_total", "Attempts completed"),
+            attempts_failed: counter("ca_serve_attempts_failed_total", "Attempts failed by a task"),
+            cancelled: counter("ca_serve_jobs_cancelled_total", "Jobs cancelled"),
+            shed: counter("ca_serve_jobs_shed_total", "Jobs evicted by shed-oldest admission"),
+            deadline_missed: counter("ca_serve_deadline_missed_total", "Jobs past their deadline"),
+            corruption_detected: counter("ca_serve_corruption_detected_total", "Probe hits"),
+            retries: counter("ca_serve_retries_total", "Job-level resubmissions"),
+            queue_s: latency("ca_serve_queue_seconds", "Admission to first task dispatch"),
+            exec_s: latency("ca_serve_exec_seconds", "First task dispatch to finalization"),
+            total_s: latency("ca_serve_total_seconds", "Admission to finalization"),
             flops: r.gauge("ca_serve_flops", "Useful flops completed", &labels),
         });
-        cache.insert((tenant.to_string(), class), Arc::clone(&s));
+        table.by_label.insert(key, Arc::clone(&s));
+        table.all.push(Arc::clone(&s));
         s
     }
 
-    /// Records one finalized job's latency decomposition and flop count
-    /// against its series (called from the completion hook).
-    pub(crate) fn observe_done(&self, series: &TenantSeries, queue: f64, exec: f64, flops: f64) {
-        series.queue_s.observe(queue);
-        series.exec_s.observe(exec);
-        if flops > 0.0 {
-            series.flops.add(flops);
-            self.flops_total.add(flops);
-        }
+    /// The series a frontier job's tag names.
+    pub(crate) fn series_at(&self, index: u32) -> Arc<TenantSeries> {
+        Arc::clone(&self.series.read().expect("series table").all[index as usize])
     }
 
-    /// Refreshes gauges and delta-syncs the monotone counters whose source
-    /// of truth lives outside the registry (service stats, process-wide
-    /// scheduler and recovery counters). Called before each exposition.
-    pub(crate) fn sync(&self, s: &ServiceStats) {
+    /// Fills in every field of `s` that is a view of this registry: label
+    /// sums of the `(tenant, class)` series and the service-wide counters.
+    pub(crate) fn fill(&self, s: &mut ServiceStats) {
+        let empty = || Histogram::new(LATENCY_BOUNDS).snapshot();
+        let (mut queue, mut exec, mut total) = (empty(), empty(), empty());
+        for t in &self.series.read().expect("series table").all {
+            s.submitted += t.submitted.get();
+            s.completed += t.completed();
+            s.failed += t.failed();
+            s.cancelled += t.cancelled.get();
+            s.shed += t.shed.get();
+            s.deadline_missed += t.deadline_missed.get();
+            s.corruption_detected += t.corruption_detected.get();
+            s.job_retries += t.retries.get();
+            queue.merge(&t.queue_s.snapshot());
+            exec.merge(&t.exec_s.snapshot());
+            total.merge(&t.total_s.snapshot());
+        }
+        s.queue_latency = queue.summary().into();
+        s.exec_latency = exec.summary().into();
+        s.total_latency = total.summary().into();
+        s.rejected = self.rejected.get();
+        s.batches_flushed = self.batches_flushed.get();
+        s.batched_jobs = self.batched_jobs.get();
+        s.jobs_recovered = self.jobs_recovered.get();
+        s.probes_run = self.probes_run.get();
+        s.mttr = self.mttr_s.summary().into();
+    }
+
+    /// The exposition view of the service whose statistics are `s`: refreshes
+    /// the gauges, snapshots the registry, and adds the derived families
+    /// (per-series terminal outcomes, the label-summed job-retries rollup).
+    pub(crate) fn snapshot(&self, s: &ServiceStats) -> RegistrySnapshot {
+        let table = self.series.read().expect("series table");
+        let flops: f64 = table.all.iter().map(|t| t.flops.get()).sum();
         self.active_jobs.set(s.active_jobs as f64);
         self.occupancy.set(s.occupancy);
         self.workers.set(s.workers as f64);
+        self.flops_total.set(flops);
         if s.busy_s > 0.0 {
-            self.gflops.set(self.flops_total.get() / s.busy_s / 1e9);
+            self.gflops.set(flops / s.busy_s / 1e9);
         }
-        sync_counter(&self.rejected, s.rejected);
-        sync_counter(&self.job_retries, s.job_retries);
-        sync_counter(&self.jobs_recovered, s.jobs_recovered);
-        sync_counter(&self.corruption_detected, s.corruption_detected);
-        sync_counter(&self.probes_run, s.probes_run);
-        for (h, v) in self.task_recovery.iter().zip(task_recovery_values(&s.task_recovery)) {
-            sync_counter(h, v);
-        }
-        for (h, (_, v)) in
-            self.sched.iter().zip(ca_sched::sched_counters().snapshot().pairs())
-        {
-            sync_counter(h, v);
-        }
-    }
-
-    /// Writes the current registry snapshot to `path` (Prometheus text
-    /// format) and `path.json` (the same snapshot as JSON), each via
-    /// write-to-temp + atomic rename so a scraper never sees a torn file.
-    pub(crate) fn write_snapshot(&self, path: &Path) -> std::io::Result<()> {
-        let snap = self.registry.snapshot();
-        write_atomic(path, snap.render_prometheus().as_bytes())?;
-        let json = serde_json::to_string(&snap)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let sibling = PathBuf::from(format!("{}.json", path.display()));
-        write_atomic(&sibling, json.as_bytes())
+        let mut snap = self.registry.snapshot();
+        let terminal = |value: fn(&TenantSeries) -> u64| {
+            table.all.iter().map(move |t| (t.labels.clone(), value(t)))
+        };
+        let (completed, failed) = (TenantSeries::completed, TenantSeries::failed);
+        add_view(&mut snap, "ca_serve_jobs_completed_total", "Jobs completed", terminal(completed));
+        add_view(&mut snap, "ca_serve_jobs_failed_total", "Jobs failed", terminal(failed));
+        let rollup = std::iter::once((Vec::new(), s.job_retries));
+        add_view(&mut snap, "ca_serve_job_retries_total", "Job-level resubmissions", rollup);
+        snap
     }
 
     /// Dumps the flight recorder's current contents as a chrome-trace
@@ -290,7 +279,17 @@ impl ServeMetrics {
             Err(e) => eprintln!("ca-serve: cannot write flight dump {}: {e}", path.display()),
         }
     }
+}
 
+/// Writes the exposition snapshot `snap` to `path` (Prometheus text
+/// format) and `path.json` (the same snapshot as JSON), each via
+/// write-to-temp + atomic rename so a scraper never sees a torn file.
+pub(crate) fn write_snapshot(path: &Path, snap: &RegistrySnapshot) -> std::io::Result<()> {
+    write_atomic(path, snap.render_prometheus().as_bytes())?;
+    let json = serde_json::to_string(snap)
+        .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
+    let sibling = PathBuf::from(format!("{}.json", path.display()));
+    write_atomic(&sibling, json.as_bytes())
 }
 
 #[cfg(test)]
@@ -309,16 +308,27 @@ mod tests {
         d
     }
 
+    fn metrics(cfg: Option<&TelemetryConfig>) -> ServeMetrics {
+        ServeMetrics::new(cfg, &RecoveryCounters::new())
+    }
+
+    /// Stats with just the fields the gauges read.
+    fn live_stats() -> ServiceStats {
+        ServiceStats { workers: 2, active_jobs: 1, occupancy: 0.25, busy_s: 0.5, ..Default::default() }
+    }
+
     #[test]
-    fn series_handles_are_cached_and_labeled() {
-        let m = ServeMetrics::new(&TelemetryConfig::default());
+    fn series_handles_are_cached_labeled_and_indexed() {
+        let m = metrics(None);
         let a = m.series("acme", "lu");
         let b = m.series("acme", "lu");
         assert!(Arc::ptr_eq(&a, &b), "same label pair must reuse handles");
         a.submitted.inc();
         a.submitted.inc();
-        m.series("acme", "qr").submitted.inc();
-        let prom = m.registry.snapshot().render_prometheus();
+        let q = m.series("acme", "qr");
+        q.submitted.inc();
+        assert!(Arc::ptr_eq(&m.series_at(q.index), &q), "the tag index finds the series");
+        let prom = m.snapshot(&live_stats()).render_prometheus();
         assert!(prom
             .contains("ca_serve_jobs_submitted_total{tenant=\"acme\",class=\"lu\"} 2"));
         assert!(prom
@@ -326,48 +336,57 @@ mod tests {
     }
 
     #[test]
-    fn sync_is_idempotent_for_unchanged_sources() {
-        let m = ServeMetrics::new(&TelemetryConfig::default());
-        let mut s = crate::stats::ServiceStats {
-            workers: 2,
-            queue_capacity: 4,
-            submitted: 0,
-            completed: 0,
-            failed: 0,
-            cancelled: 0,
-            rejected: 7,
-            shed: 0,
-            deadline_missed: 0,
-            batches_flushed: 0,
-            batched_jobs: 0,
-            job_retries: 3,
-            jobs_recovered: 2,
-            corruption_detected: 1,
-            probes_run: 5,
-            task_recovery: ca_sched::RecoveryStats::default(),
-            mttr: Default::default(),
-            active_jobs: 1,
-            elapsed_s: 1.0,
-            busy_s: 0.5,
-            occupancy: 0.25,
-            jobs_per_s: 0.0,
-            queue_latency: Default::default(),
-            exec_latency: Default::default(),
-            total_latency: Default::default(),
-        };
-        m.sync(&s);
-        m.sync(&s);
-        assert_eq!(m.rejected.get(), 7, "double sync must not double-count");
-        assert_eq!(m.job_retries.get(), 3);
-        s.rejected = 9;
-        m.sync(&s);
-        assert_eq!(m.rejected.get(), 9);
+    fn stats_fields_and_the_retries_rollup_are_label_sums() {
+        let m = metrics(None);
+        m.series("a", "lu").retries.add(2);
+        m.series("b", "qr").retries.add(3);
+        m.series("a", "lu").exec_s.observe(0.01);
+        m.series("b", "qr").exec_s.observe(0.02);
+        m.series("b", "qr").flops.add(4e9);
+        let mut s = live_stats();
+        m.fill(&mut s);
+        assert_eq!((s.job_retries, s.exec_latency.count, s.queue_latency.count), (5, 2, 0));
+        let snap = m.snapshot(&s);
+        let names: Vec<&str> = snap.families.iter().map(|f| f.name.as_str()).collect();
+        assert!(names.windows(2).all(|w| w[0] < w[1]), "families stay sorted: {names:?}");
+        let prom = snap.render_prometheus();
+        assert!(prom.contains("ca_serve_job_retries_total 5"), "{prom}");
+        assert!(prom.contains("ca_serve_flops_total 4000000000"), "{prom}");
+        assert!(prom.contains("ca_serve_gflops 8"), "4 GFlop over 0.5 busy seconds: {prom}");
+    }
+
+    #[test]
+    fn terminal_outcomes_are_views_of_attempts_detections_and_retries() {
+        // 4 attempts of tenant a's jobs: one completed clean, one completed
+        // but voided by the probe and resubmitted, one failed and
+        // resubmitted, one failed with nobody resubmitting it.
+        let m = metrics(None);
+        let a = m.series("a", "lu");
+        a.attempts_completed.add(2);
+        a.corruption_detected.inc();
+        a.attempts_failed.add(2);
+        a.retries.add(2);
+        m.series("b", "lu").attempts_completed.inc();
+        assert_eq!((a.completed(), a.failed()), (1, 1));
+        let mut s = live_stats();
+        m.fill(&mut s);
+        assert_eq!((s.completed, s.failed, s.corruption_detected, s.job_retries), (2, 1, 1, 2));
+        let prom = m.snapshot(&s).render_prometheus();
+        for line in [
+            "ca_serve_jobs_completed_total{tenant=\"a\",class=\"lu\"} 1",
+            "ca_serve_jobs_completed_total{tenant=\"b\",class=\"lu\"} 1",
+            "ca_serve_jobs_failed_total{tenant=\"a\",class=\"lu\"} 1",
+            "ca_serve_attempts_completed_total{tenant=\"a\",class=\"lu\"} 2",
+            "# TYPE ca_serve_jobs_failed_total counter",
+        ] {
+            assert!(prom.contains(line), "missing {line:?} in {prom}");
+        }
     }
 
     #[test]
     fn flight_dumps_are_capped() {
         let dir = temp_dir("cap");
-        let m = ServeMetrics::new(&cfg_with_dir(&dir));
+        let m = metrics(Some(&cfg_with_dir(&dir)));
         let rec = FlightRecorder::new(2, 16);
         rec.record(0, ca_sched::FlightEventKind::TaskFail, 1, None);
         for _ in 0..10 {
@@ -387,10 +406,10 @@ mod tests {
     #[test]
     fn snapshot_files_are_written_atomically_with_json_sibling() {
         let dir = temp_dir("snap");
-        let m = ServeMetrics::new(&TelemetryConfig::default());
+        let m = metrics(None);
         m.series("t0", "lu").submitted.inc();
         let path = dir.join("metrics.prom");
-        m.write_snapshot(&path).expect("write snapshot");
+        write_snapshot(&path, &m.snapshot(&live_stats())).expect("write snapshot");
         let prom = std::fs::read_to_string(&path).expect("prom file");
         assert!(prom.contains("# TYPE ca_serve_jobs_submitted_total counter"));
         let json = std::fs::read_to_string(dir.join("metrics.prom.json")).expect("json file");

@@ -3,7 +3,7 @@
 use crate::batch::{BatchTicket, PendingBatch, PendingMember};
 use crate::config::{AdmissionPolicy, ServiceConfig, SubmitOptions};
 use crate::metrics::{ServeMetrics, TenantSeries};
-use crate::stats::{Counters, LatencySummary, ServeError, ServiceStats};
+use crate::stats::{ServeError, ServiceStats};
 use ca_core::{
     calu_serve_graph, caqr_serve_graph, lu_solve_serve_graph, qr_lstsq_serve_graph, CaParams,
     FactorError, JobRecovery, LuFactors, QrFactors, ServeGraph,
@@ -13,7 +13,7 @@ use ca_sched::{
     CancelReason, ChaosPlan, DynJob, JobId, JobOptions, JobOutcome, JobReport, JobWatch,
     MultiFrontier, PanicHookGuard, RecoveryCounters, TaskGraph, TaskKind, TaskLabel, TaskMeta,
 };
-use std::collections::HashMap;
+use ca_telemetry::Ring;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -50,8 +50,6 @@ enum Waiter {
 /// loop must never run past.
 struct RetryState<T> {
     opts: SubmitOptions,
-    /// Job class ("lu", "qr", …) for telemetry attribution of resubmissions.
-    class: &'static str,
     /// Absolute deadline: admission time + the job's deadline, if any.
     deadline_at: Option<Instant>,
     /// Job-level backoff schedule (`max_retries` is the resubmission budget).
@@ -71,12 +69,15 @@ struct RetryState<T> {
 
 /// Handle to a submitted job: poll, wait (with or without timeout), cancel.
 ///
-/// Dropping a handle detaches it — the job keeps running (use
+/// Dropping a handle detaches it — the job keeps running and its outcome is
+/// still counted, but nothing probes or resubmits it (use
 /// [`JobHandle::cancel`] first to abort it).
 pub struct JobHandle<T> {
     core: Arc<ServiceCore>,
     waiter: Waiter,
     output: Arc<OnceLock<T>>,
+    /// The `(tenant, class)` series this job is attributed to.
+    series: Arc<TenantSeries>,
     /// Boxed: the retry state is cold and would otherwise dominate the
     /// handle's (and its `Result`'s) size.
     retry: Option<Box<RetryState<T>>>,
@@ -171,71 +172,50 @@ impl<T> JobHandle<T> {
     /// the updated handle in `Err`) when the outcome is retryable under the
     /// handle's [`RetryState`]: a task failure, or a completed run whose
     /// factors fail the integrity probe. Deadline and shed cancellations
-    /// are never retried.
+    /// are never retried. The completion hook already counted how the
+    /// attempt ended; this adds only what the handle alone learns — probe
+    /// detections and resubmissions — from which the terminal view follows.
     fn settle(mut self, report: JobReport) -> Result<Result<T, ServeError>, Self> {
         match report.outcome {
             JobOutcome::Completed => {
                 let output = std::mem::replace(&mut self.output, Arc::new(OnceLock::new()));
-                let value = match Arc::try_unwrap(output) {
-                    Ok(slot) => match slot.into_inner() {
-                        Some(v) => v,
-                        None => return Ok(Err(ServeError::Lost)),
-                    },
-                    Err(_) => return Ok(Err(ServeError::Lost)),
+                let Some(value) = Arc::try_unwrap(output).ok().and_then(OnceLock::into_inner)
+                else {
+                    return Ok(Err(ServeError::Lost));
                 };
                 if let Some(probe) = self.retry.as_ref().and_then(|r| r.probe.as_ref()) {
-                    self.core.stats.lock().expect("stats lock").probes_run += 1;
+                    self.core.metrics.probes_run.inc();
                     if let Err(FactorError::Corrupted { residual, threshold }) = probe(&value)
                     {
-                        {
-                            let mut s = self.core.stats.lock().expect("stats lock");
-                            s.corruption_detected += 1;
-                            // The completion hook counted this attempt as
-                            // completed, but its result is unusable.
-                            s.completed = s.completed.saturating_sub(1);
-                        }
+                        // This attempt completed, but its result is
+                        // unusable: the detection voids the completion.
+                        self.series.corruption_detected.inc();
                         self.core.mark_recovery(format!(
                             "probe: corrupted factors (residual {residual:.2e})"
                         ));
                         self.core.dump_flight("probe-corrupt");
                         drop(value);
                         return match self.try_resubmit() {
-                            Ok(retried) => Err(retried),
-                            Err(None) => {
-                                Ok(Err(ServeError::Corrupted { residual, threshold }))
-                            }
-                            Err(Some(e)) => Ok(Err(e)),
+                            Ok(()) => Err(self),
+                            Err(e) => Ok(Err(
+                                e.unwrap_or(ServeError::Corrupted { residual, threshold })
+                            )),
                         };
                     }
                 }
                 if let Some(t0) = self.retry.as_ref().and_then(|r| r.first_failure) {
-                    let mttr = t0.elapsed().as_secs_f64();
-                    {
-                        let mut s = self.core.stats.lock().expect("stats lock");
-                        s.jobs_recovered += 1;
-                        s.mttr_s.observe(mttr);
-                    }
-                    if let Some(tm) = &self.core.telemetry {
-                        tm.mttr_s.observe(mttr);
-                    }
+                    self.core.metrics.jobs_recovered.inc();
+                    self.core.metrics.mttr_s.observe(t0.elapsed().as_secs_f64());
                     self.core.mark_recovery("job recovered".into());
                 }
                 Ok(Ok(value))
             }
             JobOutcome::Failed(e) => match self.try_resubmit() {
-                Ok(retried) => {
-                    // The failed attempt was not terminal: undo the
-                    // completion hook's job-level count for it.
-                    let mut s = retried.core.stats.lock().expect("stats lock");
-                    s.failed = s.failed.saturating_sub(1);
-                    drop(s);
-                    Err(retried)
-                }
-                Err(None) => Ok(Err(ServeError::Failed {
+                Ok(()) => Err(self),
+                Err(err) => Ok(Err(err.unwrap_or(ServeError::Failed {
                     label: e.label.to_string(),
                     message: e.message,
-                })),
-                Err(Some(err)) => Ok(Err(err)),
+                }))),
             },
             JobOutcome::Cancelled(reason) => Ok(Err(match reason {
                 CancelReason::Deadline => ServeError::DeadlineExceeded,
@@ -248,17 +228,17 @@ impl<T> JobHandle<T> {
     /// Attempts one job-level resubmission: sleep the backoff (unless that
     /// would cross the job's deadline), re-admit, rebuild the graph from
     /// the retained payload under a fresh chaos seed, and submit it with
-    /// the *remaining* deadline budget. `Err(None)` means no retry is
-    /// available (the caller returns the original error); `Err(Some(e))`
-    /// means the retry itself failed.
-    fn try_resubmit(mut self) -> Result<Self, Option<ServeError>> {
+    /// the *remaining* deadline budget; on success the handle waits on the
+    /// new attempt. `Err(None)` means no retry is available (the caller
+    /// returns the original error); `Err(Some(e))` means the retry itself
+    /// failed.
+    fn try_resubmit(&mut self) -> Result<(), Option<ServeError>> {
         let Some(st) = self.retry.as_mut() else { return Err(None) };
-        if st.rebuild.is_none() || st.used >= st.backoff.max_retries {
+        let Some(rebuild) = st.rebuild.as_ref().filter(|_| st.used < st.backoff.max_retries)
+        else {
             return Err(None);
-        }
-        if st.first_failure.is_none() {
-            st.first_failure = Some(Instant::now());
-        }
+        };
+        st.first_failure.get_or_insert_with(Instant::now);
         let delay = st.backoff.delay_for(st.used);
         if let Some(at) = st.deadline_at {
             // Deadline-aware: never retry past the job's deadline.
@@ -270,8 +250,7 @@ impl<T> JobHandle<T> {
         std::thread::sleep(delay);
         self.core.admit().map_err(Some)?;
         let rec = self.core.recovery_for_attempt().expect("retry implies recovery");
-        let st = self.retry.as_ref().expect("checked above");
-        let sg = match st.rebuild.as_ref().expect("checked above")(&rec) {
+        let sg = match rebuild(&rec) {
             Ok(sg) => sg,
             Err(e) => {
                 self.core.release_one();
@@ -282,70 +261,34 @@ impl<T> JobHandle<T> {
         if let Some(at) = st.deadline_at {
             jopts = jopts.with_deadline(at.saturating_duration_since(Instant::now()));
         }
-        {
-            let mut s = self.core.stats.lock().expect("stats lock");
-            s.job_retries += 1;
-        }
+        self.series.retries.inc();
         self.core.mark_recovery(format!("job retry {}", st.used));
-        let series = self.core.series_for(&st.opts, st.class);
-        if let Some(s) = &series {
-            s.retries.inc();
-        }
-        let (id, watch) = self.core.frontier.submit(sg.graph, jopts);
-        self.core.register_job(id, series);
+        let tag = JobTag { series: self.series.index, members: 1 };
+        let (id, watch) = self.core.frontier.submit(sg.graph, jopts.with_tag(tag.encode()));
         self.output = sg.output;
         self.waiter = Waiter::Direct { id, watch };
-        Ok(self)
+        Ok(())
     }
 }
 
-/// One entry of the job-attribution map. The completion hook and the
-/// submitting thread race on fast jobs: the frontier hands out the job id
-/// only as `submit` returns, so a worker can finalize the job before the
-/// submitter records which tenant it belongs to. Whichever side arrives
-/// second completes the hand-off.
-enum SeriesSlot {
-    /// Submitter arrived first: attribution waiting for the completion hook.
-    Pending(Arc<TenantSeries>),
-    /// Completion hook arrived first: the parked outcome, applied when the
-    /// submitter registers the series.
-    Done { counts: OutcomeCounts, n: u64, queue_s: f64, exec_s: f64, flops: f64 },
-}
-
-/// Which per-tenant outcome counters a finalized job increments.
+/// What a frontier job's [`JobOptions::tag`] carries to the completion hook
+/// (the frontier echoes it verbatim in the [`JobReport`]), so attribution
+/// needs no side table that submitter and hook would race on.
 #[derive(Clone, Copy)]
-enum OutcomeCounts {
-    Completed,
-    Failed,
-    Cancelled { deadline: bool, shed: bool },
+struct JobTag {
+    /// [`TenantSeries::index`] of the job's series.
+    series: u32,
+    /// Member jobs the frontier job stands for (`> 1` for a fused batch).
+    members: u32,
 }
 
-impl OutcomeCounts {
-    fn of(outcome: &JobOutcome) -> Self {
-        match outcome {
-            JobOutcome::Completed => OutcomeCounts::Completed,
-            JobOutcome::Failed(_) => OutcomeCounts::Failed,
-            JobOutcome::Cancelled(reason) => OutcomeCounts::Cancelled {
-                deadline: matches!(reason, ca_sched::CancelReason::Deadline),
-                shed: matches!(reason, ca_sched::CancelReason::Shed),
-            },
-        }
+impl JobTag {
+    fn encode(self) -> u64 {
+        u64::from(self.members) << 32 | u64::from(self.series)
     }
 
-    fn apply(self, series: &TenantSeries, n: u64) {
-        match self {
-            OutcomeCounts::Completed => series.completed.add(n),
-            OutcomeCounts::Failed => series.failed.add(n),
-            OutcomeCounts::Cancelled { deadline, shed } => {
-                series.cancelled.add(n);
-                if deadline {
-                    series.deadline_missed.add(n);
-                }
-                if shed {
-                    series.shed.add(n);
-                }
-            }
-        }
+    fn decode(tag: u64) -> Self {
+        Self { series: tag as u32, members: (tag >> 32) as u32 }
     }
 }
 
@@ -357,24 +300,21 @@ pub(crate) struct ServiceCore {
     /// Admitted-but-unfinished jobs (the bounded queue).
     admission: Mutex<usize>,
     admission_cv: Condvar,
-    pub(crate) stats: Mutex<Counters>,
+    /// The one store of every job-level fact; [`ServiceStats`] and the
+    /// exposition are views of it.
+    metrics: ServeMetrics,
     /// The accumulating batch, if batching is enabled and members pending.
     pending: Mutex<Option<PendingBatch>>,
     flush_cv: Condvar,
     shutdown: AtomicBool,
-    started: Instant,
-    /// Task-level recovery counters, shared by every job's retry wrappers.
+    /// Task-level recovery counters, shared by every job's retry wrappers
+    /// and adopted by the registry.
     recovery: Arc<RecoveryCounters>,
     /// Monotone counter deriving a distinct chaos seed per built graph.
     chaos_jobs: AtomicU64,
-    /// Recovery events `(seconds since start, description)` for the trace.
-    recovery_marks: Mutex<Vec<(f64, String)>>,
-    /// Always-on telemetry hub, when configured.
-    telemetry: Option<Arc<ServeMetrics>>,
-    /// Telemetry attribution for in-flight frontier jobs; entries are
-    /// removed by the completion hook, so the map stays bounded by the
-    /// admission capacity.
-    job_series: Mutex<HashMap<JobId, SeriesSlot>>,
+    /// Recent recovery events `(seconds since the frontier started,
+    /// description)`: the instant marks of [`Service::chrome_trace`].
+    marks: Ring<(f64, String)>,
     /// Exposition-thread gate: set true (and notified) on shutdown.
     metrics_gate: Mutex<bool>,
     metrics_cv: Condvar,
@@ -382,31 +322,48 @@ pub(crate) struct ServiceCore {
 
 impl ServiceCore {
     /// Completion hook: runs on a worker (or shedding/submitting) thread
-    /// for every finalized frontier job, with no frontier lock held.
+    /// for every finalized frontier job (= one attempt of each member job),
+    /// with no frontier lock held. Each fact is written once, per member,
+    /// to the job's series.
     fn on_job_done(&self, r: &JobReport) {
-        // A fused batch carries its member count in the tag; direct jobs
-        // leave it 0.
-        let n = r.tag.max(1);
-        {
-            let mut s = self.stats.lock().expect("stats lock");
-            match &r.outcome {
-                JobOutcome::Completed => s.completed += n,
-                JobOutcome::Failed(_) => s.failed += n,
-                JobOutcome::Cancelled(reason) => {
-                    s.cancelled += n;
-                    match reason {
-                        ca_sched::CancelReason::Deadline => s.deadline_missed += n,
-                        ca_sched::CancelReason::Shed => s.shed += n,
-                        _ => {}
+        let tag = JobTag::decode(r.tag);
+        let n = u64::from(tag.members);
+        let series = self.metrics.series_at(tag.series);
+        let trigger = match &r.outcome {
+            JobOutcome::Completed => {
+                series.attempts_completed.add(n);
+                None
+            }
+            JobOutcome::Failed(_) => {
+                series.attempts_failed.add(n);
+                Some("job-fail")
+            }
+            JobOutcome::Cancelled(reason) => {
+                series.cancelled.add(n);
+                match reason {
+                    CancelReason::Deadline => {
+                        series.deadline_missed.add(n);
+                        Some("deadline")
                     }
+                    CancelReason::Shed => {
+                        series.shed.add(n);
+                        Some("shed")
+                    }
+                    _ => None,
                 }
             }
-            let (q, e, t) = (r.queue_seconds(), r.exec_seconds(), r.total_seconds());
-            for _ in 0..n {
-                s.sample(q, e, t);
-            }
+        };
+        for _ in 0..n {
+            series.queue_s.observe(r.queue_seconds());
+            series.exec_s.observe(r.exec_seconds());
+            series.total_s.observe(r.total_seconds());
         }
-        self.note_telemetry(r, n);
+        if r.flops > 0.0 {
+            series.flops.add(r.flops);
+        }
+        if let Some(trigger) = trigger {
+            self.dump_flight(trigger);
+        }
         {
             let mut active = self.admission.lock().expect("admission lock");
             *active = active.saturating_sub(n as usize);
@@ -414,91 +371,11 @@ impl ServiceCore {
         self.admission_cv.notify_all();
     }
 
-    /// Telemetry half of job finalization: per-tenant outcome counters and
-    /// latency histograms, plus the flight-recorder dump on failure
-    /// classes. All updates are lock-free except the bounded series-map
-    /// removal; a dump does file I/O but is capped by
-    /// [`crate::TelemetryConfig::max_dumps`].
-    fn note_telemetry(&self, r: &JobReport, n: u64) {
-        let Some(tm) = &self.telemetry else { return };
-        let counts = OutcomeCounts::of(&r.outcome);
-        let series = {
-            let mut map = self.job_series.lock().expect("series lock");
-            match map.remove(&r.job) {
-                Some(SeriesSlot::Pending(s)) => Some(s),
-                // The submitter has not registered attribution yet (the job
-                // finished before `submit` returned its id to the caller):
-                // park the outcome for `register_job` to apply.
-                _ => {
-                    map.insert(
-                        r.job,
-                        SeriesSlot::Done {
-                            counts,
-                            n,
-                            queue_s: r.queue_seconds(),
-                            exec_s: r.exec_seconds(),
-                            flops: r.flops,
-                        },
-                    );
-                    None
-                }
-            }
-        };
-        if let Some(series) = &series {
-            counts.apply(series, n);
-            tm.observe_done(series, r.queue_seconds(), r.exec_seconds(), r.flops);
-        }
-        let trigger = match &r.outcome {
-            JobOutcome::Failed(_) => Some("job-fail"),
-            JobOutcome::Cancelled(ca_sched::CancelReason::Deadline) => Some("deadline"),
-            JobOutcome::Cancelled(ca_sched::CancelReason::Shed) => Some("shed"),
-            _ => None,
-        };
-        if let Some(trigger) = trigger {
-            if let Some(rec) = self.frontier.flight_recorder() {
-                tm.dump_flight(&rec, trigger);
-            }
-        }
-    }
-
-    /// The cached telemetry series for `(opts.tenant, class)`, or `None`
-    /// when telemetry is off.
-    fn series_for(&self, opts: &SubmitOptions, class: &'static str) -> Option<Arc<TenantSeries>> {
-        self.telemetry
-            .as_ref()
-            .map(|tm| tm.series(opts.tenant.as_deref().unwrap_or(""), class))
-    }
-
-    /// Remembers a frontier job's telemetry attribution until the
-    /// completion hook consumes it — or, if the hook already fired (fast
-    /// jobs finalize before `submit` returns), applies the parked outcome
-    /// to the series right here.
-    fn register_job(&self, id: JobId, series: Option<Arc<TenantSeries>>) {
-        let Some(series) = series else { return };
-        let parked = {
-            let mut map = self.job_series.lock().expect("series lock");
-            match map.remove(&id) {
-                Some(done @ SeriesSlot::Done { .. }) => Some(done),
-                _ => {
-                    map.insert(id, SeriesSlot::Pending(series.clone()));
-                    None
-                }
-            }
-        };
-        if let (Some(SeriesSlot::Done { counts, n, queue_s, exec_s, flops }), Some(tm)) =
-            (parked, &self.telemetry)
-        {
-            counts.apply(&series, n);
-            tm.observe_done(&series, queue_s, exec_s, flops);
-        }
-    }
-
-    /// Dumps the flight recorder (if both it and telemetry are on).
+    /// Dumps the flight recorder, if one is attached (a dump does file I/O
+    /// but is capped by [`crate::TelemetryConfig::max_dumps`]).
     fn dump_flight(&self, trigger: &str) {
-        if let Some(tm) = &self.telemetry {
-            if let Some(rec) = self.frontier.flight_recorder() {
-                tm.dump_flight(&rec, trigger);
-            }
+        if let Some(rec) = self.frontier.flight_recorder() {
+            self.metrics.dump_flight(&rec, trigger);
         }
     }
 
@@ -517,8 +394,7 @@ impl ServiceCore {
             }
             match self.cfg.admission {
                 AdmissionPolicy::Reject => {
-                    drop(active);
-                    self.stats.lock().expect("stats lock").rejected += 1;
+                    self.metrics.rejected.inc();
                     return Err(ServeError::Rejected);
                 }
                 AdmissionPolicy::Block => {
@@ -530,7 +406,7 @@ impl ServiceCore {
                     // takes this lock to free the victim's slot).
                     drop(active);
                     if self.frontier.shed_oldest_queued().is_none() {
-                        self.stats.lock().expect("stats lock").rejected += 1;
+                        self.metrics.rejected.inc();
                         return Err(ServeError::Rejected);
                     }
                     active = self.admission.lock().expect("admission lock");
@@ -561,12 +437,10 @@ impl ServiceCore {
         Some(JobRecovery { policy, chaos: plan, counters: Arc::clone(&self.recovery) })
     }
 
-    /// Records a recovery event for the chrome trace (bounded).
+    /// Records a recovery event for the chrome trace (bounded: the ring
+    /// keeps the most recent [`MAX_MARKS`]).
     fn mark_recovery(&self, msg: String) {
-        let mut marks = self.recovery_marks.lock().expect("marks lock");
-        if marks.len() < MAX_MARKS {
-            marks.push((self.started.elapsed().as_secs_f64(), msg));
-        }
+        self.marks.push((self.frontier.elapsed_seconds(), msg));
     }
 
     /// Returns an admission slot unused (submission failed after admit).
@@ -606,23 +480,20 @@ impl ServiceCore {
             graph.add_task(m.meta, m.body);
             tickets.push(m.ticket);
         }
-        {
-            let mut s = self.stats.lock().expect("stats lock");
-            s.batches_flushed += 1;
-            s.batched_jobs += n as u64;
-        }
-        // Batched members carry no tenant attribution (they were admitted
-        // individually); the fused job aggregates under class="batch".
-        let series = self.telemetry.as_ref().map(|tm| tm.series("", "batch"));
-        if let Some(s) = &series {
-            s.submitted.add(n as u64);
-        }
-        let (id, watch) =
-            self.frontier.submit(graph, JobOptions::default().with_tag(n as u64));
-        self.register_job(id, series);
+        self.metrics.batches_flushed.inc();
+        self.metrics.batched_jobs.add(n as u64);
+        let tag = JobTag { series: self.batch_series().index, members: n as u32 };
+        let (_, watch) = self.frontier.submit(graph, JobOptions::default().with_tag(tag.encode()));
         for t in tickets {
             t.fulfill(watch.clone());
         }
+    }
+
+    /// Batched members carry no tenant attribution (they were admitted
+    /// individually); they and their fused jobs aggregate under
+    /// `class="batch"`.
+    fn batch_series(&self) -> Arc<TenantSeries> {
+        self.metrics.series("", "batch")
     }
 
     /// Flusher-thread body: wake on enqueue/shutdown, flush once the
@@ -652,69 +523,51 @@ impl ServiceCore {
         }
     }
 
-    /// Point-in-time service statistics (see [`Service::stats`]).
+    /// Point-in-time service statistics (see [`Service::stats`]): computed
+    /// from the registry series and the frontier's task log, nothing is
+    /// stored for it.
     fn stats_snapshot(&self) -> ServiceStats {
-        let active = *self.admission.lock().expect("admission lock");
-        let c = self.stats.lock().expect("stats lock");
-        let elapsed = self.started.elapsed().as_secs_f64();
+        let elapsed = self.frontier.elapsed_seconds();
         let busy = self.frontier.busy_seconds();
         let workers = self.cfg.workers;
-        ServiceStats {
+        let mut s = ServiceStats {
             workers,
             queue_capacity: self.cfg.queue_capacity,
-            submitted: c.submitted,
-            completed: c.completed,
-            failed: c.failed,
-            cancelled: c.cancelled,
-            rejected: c.rejected,
-            shed: c.shed,
-            deadline_missed: c.deadline_missed,
-            batches_flushed: c.batches_flushed,
-            batched_jobs: c.batched_jobs,
-            job_retries: c.job_retries,
-            jobs_recovered: c.jobs_recovered,
-            corruption_detected: c.corruption_detected,
-            probes_run: c.probes_run,
             task_recovery: self.recovery.snapshot(),
-            mttr: LatencySummary::from_histogram(&c.mttr_s),
-            active_jobs: active,
+            active_jobs: *self.admission.lock().expect("admission lock"),
             elapsed_s: elapsed,
             busy_s: busy,
             occupancy: if elapsed > 0.0 { busy / (elapsed * workers as f64) } else { 0.0 },
-            jobs_per_s: if elapsed > 0.0 { c.completed as f64 / elapsed } else { 0.0 },
-            queue_latency: LatencySummary::from_histogram(&c.queue_s),
-            exec_latency: LatencySummary::from_histogram(&c.exec_s),
-            total_latency: LatencySummary::from_histogram(&c.total_s),
-        }
+            ..ServiceStats::default()
+        };
+        self.metrics.fill(&mut s);
+        s.jobs_per_s = if elapsed > 0.0 { s.completed as f64 / elapsed } else { 0.0 };
+        s
     }
 
-    /// Exposition-thread body: sync the registry from the live sources and
-    /// write the snapshot files every `interval` until shutdown (one final
-    /// snapshot is written on the way out, so short-lived runs still leave
-    /// a complete file behind).
+    /// The exposition view (see [`Service::metrics_snapshot`]).
+    fn exposition(&self) -> ca_telemetry::RegistrySnapshot {
+        self.metrics.snapshot(&self.stats_snapshot())
+    }
+
+    /// Exposition-thread body: write the snapshot files every `interval`
+    /// until shutdown, then once more on the way out, so short-lived runs
+    /// still leave a complete file behind.
     fn exposition_loop(&self, path: &std::path::Path, interval: Duration) {
-        let tm = self.telemetry.as_ref().expect("exposition requires telemetry");
+        let mut stopping = false;
         loop {
-            tm.sync(&self.stats_snapshot());
-            if let Err(e) = tm.write_snapshot(path) {
+            if let Err(e) = crate::metrics::write_snapshot(path, &self.exposition()) {
                 eprintln!("ca-serve: cannot write metrics snapshot {}: {e}", path.display());
             }
+            if stopping {
+                return;
+            }
             let gate = self.metrics_gate.lock().expect("metrics gate");
-            if *gate {
-                return;
-            }
-            let (gate, _) =
-                self.metrics_cv.wait_timeout(gate, interval).expect("metrics gate");
-            if *gate {
-                tm.sync(&self.stats_snapshot());
-                if let Err(e) = tm.write_snapshot(path) {
-                    eprintln!(
-                        "ca-serve: cannot write metrics snapshot {}: {e}",
-                        path.display()
-                    );
-                }
-                return;
-            }
+            let (gate, _) = self
+                .metrics_cv
+                .wait_timeout_while(gate, interval, |stop| !*stop)
+                .expect("metrics gate");
+            stopping = *gate;
         }
     }
 }
@@ -749,7 +602,7 @@ impl Service {
         let batch = cfg.batch;
         let hook_guard =
             (cfg.retry.is_some() || cfg.chaos.is_some()).then(PanicHookGuard::new);
-        let telemetry = cfg.telemetry.as_ref().map(ServeMetrics::new);
+        let recovery = Arc::new(RecoveryCounters::new());
         let core = Arc::new_cyclic(|weak: &std::sync::Weak<ServiceCore>| {
             let weak = weak.clone();
             let hook: Box<dyn Fn(&JobReport) + Send + Sync> = Box::new(move |report| {
@@ -759,19 +612,16 @@ impl Service {
             });
             ServiceCore {
                 frontier: MultiFrontier::with_hook(workers, hook),
+                metrics: ServeMetrics::new(cfg.telemetry.as_ref(), &recovery),
                 cfg,
                 admission: Mutex::new(0),
                 admission_cv: Condvar::new(),
-                stats: Mutex::new(Counters::default()),
                 pending: Mutex::new(None),
                 flush_cv: Condvar::new(),
                 shutdown: AtomicBool::new(false),
-                started: Instant::now(),
-                recovery: Arc::new(RecoveryCounters::new()),
+                recovery,
                 chaos_jobs: AtomicU64::new(0),
-                recovery_marks: Mutex::new(Vec::new()),
-                telemetry,
-                job_series: Mutex::new(HashMap::new()),
+                marks: Ring::new(MAX_MARKS),
                 metrics_gate: Mutex::new(false),
                 metrics_cv: Condvar::new(),
             }
@@ -838,17 +688,15 @@ impl Service {
         if let Some(d) = self.deadline_for(opts) {
             jopts = jopts.with_deadline(d);
         }
-        self.core.stats.lock().expect("stats lock").submitted += 1;
-        let series = self.core.series_for(opts, class);
-        if let Some(s) = &series {
-            s.submitted.inc();
-        }
-        let (id, watch) = self.core.frontier.submit(sg.graph, jopts);
-        self.core.register_job(id, series);
+        let series = self.core.metrics.series(opts.tenant.as_deref().unwrap_or(""), class);
+        series.submitted.inc();
+        let tag = JobTag { series: series.index, members: 1 };
+        let (id, watch) = self.core.frontier.submit(sg.graph, jopts.with_tag(tag.encode()));
         JobHandle {
             core: Arc::clone(&self.core),
             waiter: Waiter::Direct { id, watch },
             output: sg.output,
+            series,
             retry,
         }
     }
@@ -875,7 +723,6 @@ impl Service {
             Ok(sg) => {
                 let retry = self.core.cfg.retry.map(|r| Box::new(RetryState {
                     opts: opts.clone(),
-                    class,
                     deadline_at: self.deadline_for(opts).map(|d| Instant::now() + d),
                     backoff: r.job_policy(),
                     used: 0,
@@ -918,12 +765,14 @@ impl Service {
             }),
             ticket: Arc::clone(&ticket),
         };
-        self.core.stats.lock().expect("stats lock").submitted += 1;
+        let series = self.core.batch_series();
+        series.submitted.inc();
         self.core.enqueue_member(member, max_batch);
         JobHandle {
             core: Arc::clone(&self.core),
             waiter: Waiter::Batched(ticket),
             output,
+            series,
             retry: None,
         }
     }
@@ -1136,7 +985,7 @@ impl Service {
     /// one-shot `--profile` path). Recovery events — job retries, probe
     /// hits, recoveries — appear as global instant markers.
     pub fn chrome_trace(&self) -> String {
-        let marks = self.core.recovery_marks.lock().expect("marks lock").clone();
+        let marks = self.core.marks.snapshot();
         ca_sched::chrome_trace_json_with_marks(&self.core.frontier.timeline(), &marks)
     }
 
@@ -1145,16 +994,13 @@ impl Service {
         self.core.stats_snapshot()
     }
 
-    /// Point-in-time snapshot of the telemetry registry (synced from the
-    /// live counters first), or `None` when the service runs without a
-    /// [`crate::TelemetryConfig`]. Render with
+    /// Point-in-time snapshot of the service's metric registry — every
+    /// service owns one; a [`crate::TelemetryConfig`] only adds the periodic
+    /// file, the flight recorder and its dumps. Render with
     /// [`ca_telemetry::RegistrySnapshot::render_prometheus`] or serialize
     /// to JSON.
-    pub fn metrics_snapshot(&self) -> Option<ca_telemetry::RegistrySnapshot> {
-        self.core.telemetry.as_ref().map(|tm| {
-            tm.sync(&self.core.stats_snapshot());
-            tm.registry.snapshot()
-        })
+    pub fn metrics_snapshot(&self) -> ca_telemetry::RegistrySnapshot {
+        self.core.exposition()
     }
 
     /// Shuts the service down: pending batch members are flushed (and run
@@ -1529,8 +1375,10 @@ mod tests {
         assert_eq!(s.job_retries, 2);
         assert_eq!(s.probes_run, 3);
         assert_eq!(s.corruption_detected, 3);
-        // Each attempt's completion count was rolled back on detection.
+        // A probe-voided attempt is a detection, never a completion; the
+        // job's terminal outcome is a failure.
         assert_eq!(s.completed, 0);
+        assert_eq!(s.failed, 1);
         assert!(s.task_recovery.injected_corruptions > 0);
         svc.shutdown();
     }

@@ -1,4 +1,4 @@
-//! Service-level observability: counters, latency distributions, errors.
+//! Service-level observability: the statistics view, latency summaries, errors.
 
 use ca_core::FactorError;
 use ca_sched::CancelReason;
@@ -64,66 +64,6 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Mutable aggregation state behind the service's stats lock.
-///
-/// Latency distributions are fixed-bucket [`ca_telemetry::Histogram`]s —
-/// constant memory regardless of service lifetime, and the same quantile
-/// estimator as every other exposed histogram (no private percentile path).
-pub(crate) struct Counters {
-    pub submitted: u64,
-    pub completed: u64,
-    pub failed: u64,
-    pub cancelled: u64,
-    pub rejected: u64,
-    pub shed: u64,
-    pub deadline_missed: u64,
-    pub batches_flushed: u64,
-    pub batched_jobs: u64,
-    pub job_retries: u64,
-    pub jobs_recovered: u64,
-    pub corruption_detected: u64,
-    pub probes_run: u64,
-    pub queue_s: ca_telemetry::Histogram,
-    pub exec_s: ca_telemetry::Histogram,
-    pub total_s: ca_telemetry::Histogram,
-    /// Recovery durations: first failure observation → eventual success.
-    pub mttr_s: ca_telemetry::Histogram,
-}
-
-impl Default for Counters {
-    fn default() -> Self {
-        let h = || ca_telemetry::Histogram::new(ca_telemetry::LATENCY_BOUNDS);
-        Self {
-            submitted: 0,
-            completed: 0,
-            failed: 0,
-            cancelled: 0,
-            rejected: 0,
-            shed: 0,
-            deadline_missed: 0,
-            batches_flushed: 0,
-            batched_jobs: 0,
-            job_retries: 0,
-            jobs_recovered: 0,
-            corruption_detected: 0,
-            probes_run: 0,
-            queue_s: h(),
-            exec_s: h(),
-            total_s: h(),
-            mttr_s: h(),
-        }
-    }
-}
-
-impl Counters {
-    /// Records one finished job's latency decomposition.
-    pub fn sample(&mut self, queue: f64, exec: f64, total: f64) {
-        self.queue_s.observe(queue);
-        self.exec_s.observe(exec);
-        self.total_s.observe(total);
-    }
-}
-
 /// Summary of one latency distribution (seconds).
 ///
 /// Percentiles are bucket estimates from the shared
@@ -147,12 +87,6 @@ pub struct LatencySummary {
     pub max_s: f64,
 }
 
-impl LatencySummary {
-    pub(crate) fn from_histogram(h: &ca_telemetry::Histogram) -> Self {
-        Self::from(h.summary())
-    }
-}
-
 impl From<ca_telemetry::HistogramSummary> for LatencySummary {
     fn from(s: ca_telemetry::HistogramSummary) -> Self {
         Self {
@@ -166,8 +100,10 @@ impl From<ca_telemetry::HistogramSummary> for LatencySummary {
     }
 }
 
-/// Point-in-time snapshot of the service ([`crate::Service::stats`]).
-#[derive(Clone, Debug)]
+/// Point-in-time snapshot of the service ([`crate::Service::stats`]): a
+/// read-time view computed from the service's registry series (label-summed
+/// per-`(tenant, class)` counters and histograms), never stored itself.
+#[derive(Clone, Debug, Default)]
 #[derive(serde::Serialize, serde::Deserialize)]
 pub struct ServiceStats {
     /// Worker threads.
@@ -176,9 +112,12 @@ pub struct ServiceStats {
     pub queue_capacity: usize,
     /// Jobs admitted (including batched members).
     pub submitted: u64,
-    /// Jobs that completed successfully.
+    /// Jobs whose terminal outcome is success (an attempt that was
+    /// resubmitted, or whose factors a probe voided, does not count).
     pub completed: u64,
-    /// Jobs that failed (task failure / numerical breakdown).
+    /// Jobs whose terminal outcome is a failure: a task failure or
+    /// numerical breakdown with no resubmission left, or factors still
+    /// corrupted when the retry budget ran out.
     pub failed: u64,
     /// Jobs cancelled for any reason (user, deadline, shed, shutdown).
     pub cancelled: u64,
@@ -238,15 +177,14 @@ mod tests {
         for i in 1..=100 {
             h.observe(i as f64 * 1e-3);
         }
-        let s = LatencySummary::from_histogram(&h);
+        let s = LatencySummary::from(h.summary());
         assert_eq!(s.count, 100);
         assert!((s.mean_s - 50.5e-3).abs() < 1e-12, "mean is exact: {}", s.mean_s);
         assert_eq!(s.max_s, 0.1, "max is exact");
         assert!(s.p50_s >= 0.025 && s.p50_s <= 0.1, "p50 estimate {} off", s.p50_s);
         assert!(s.p50_s <= s.p95_s && s.p95_s <= s.p99_s && s.p99_s <= s.max_s);
-        let empty = LatencySummary::from_histogram(&ca_telemetry::Histogram::new(
-            ca_telemetry::LATENCY_BOUNDS,
-        ));
+        let empty =
+            LatencySummary::from(ca_telemetry::Histogram::new(ca_telemetry::LATENCY_BOUNDS).summary());
         assert_eq!(empty.count, 0);
         assert_eq!(empty.max_s, 0.0);
     }

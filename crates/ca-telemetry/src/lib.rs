@@ -15,7 +15,12 @@
 //! - [`Registry`] — a named collection of metric families with label
 //!   dimensions (tenant, job class, …). Registration takes a lock once;
 //!   the returned `Arc` handles are then updated lock-free on hot paths.
-//!   Snapshots render as Prometheus text format or JSON.
+//!   Snapshots render as Prometheus text format or JSON. A registry is
+//!   meant to be the *only* store of what it counts: instruments that must
+//!   live elsewhere (process globals, per-run counter sets) are shared
+//!   `Arc` handles the registry *adopts* ([`Registry::adopt_counter`]) and
+//!   reads live, and aggregate views ([`HistogramSnapshot::merge`]) are
+//!   computed from snapshots — nothing is copied between counters.
 //! - [`Ring`] — a bounded FIFO used for per-worker flight recorders; when
 //!   full, the oldest entry is dropped and counted.
 //! - [`write_atomic`] — write-to-temp + atomic rename so snapshot readers

@@ -224,6 +224,26 @@ impl HistogramSnapshot {
         self.max_s
     }
 
+    /// Adds `other`'s observations to this snapshot — the label-summed view
+    /// of a histogram family, whose quantiles equal those of one histogram
+    /// that had observed every series' samples.
+    ///
+    /// # Panics
+    /// If the two snapshots were taken over different bounds.
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        assert_eq!(self.bounds, other.bounds, "merging histograms over different bounds");
+        if other.count == 0 {
+            return;
+        }
+        self.min_s = if self.count == 0 { other.min_s } else { self.min_s.min(other.min_s) };
+        self.max_s = self.max_s.max(other.max_s);
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.count += other.count;
+        self.sum_s += other.sum_s;
+    }
+
     /// Mean of the observed values (exact, from the running sum).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
@@ -326,6 +346,23 @@ mod tests {
         assert!(s.quantile(0.5) <= 1e-4 + 1e-12);
         let p99 = s.quantile(0.99);
         assert!(p99 > 0.5 && p99 <= 0.9 + 1e-12, "p99={p99}");
+    }
+
+    #[test]
+    fn merged_snapshots_summarize_like_one_histogram() {
+        let (a, b, all) = (Histogram::default(), Histogram::default(), Histogram::default());
+        for (i, v) in [5e-7, 2e-3, 3e-3, 0.3, 0.9, 200.0].into_iter().enumerate() {
+            [&a, &b][i % 2].observe(v);
+            all.observe(v);
+        }
+        let mut merged = Histogram::default().snapshot();
+        merged.merge(&a.snapshot());
+        merged.merge(&b.snapshot());
+        let want = all.snapshot();
+        assert_eq!(merged.counts, want.counts);
+        assert_eq!((merged.count, merged.min_s, merged.max_s), (6, want.min_s, want.max_s));
+        assert_eq!(merged.quantile(0.5), want.quantile(0.5));
+        assert!((merged.mean() - want.mean()).abs() < 1e-9);
     }
 
     #[test]

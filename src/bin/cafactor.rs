@@ -108,7 +108,9 @@ struct Opts {
     retry: Option<usize>,
     /// `serve --chaos[=SEED]`: run the workload as a seeded chaos drill.
     chaos: Option<u64>,
-    /// `serve --metrics[=FILE]`: periodic Prometheus/JSON exposition.
+    /// `serve --metrics[=FILE]`: periodic Prometheus/JSON exposition of the
+    /// service's registry — the same series `ServiceStats` is a view of, so
+    /// label-summed families equal the `serviceStats` of `--profile`.
     metrics: Option<String>,
     /// `serve --metrics-interval MS`: exposition period.
     metrics_interval_ms: u64,
@@ -204,7 +206,9 @@ fn usage() -> ! {
                                                   0.1% silent corruption)\n\
                 --metrics[=FILE]                  periodic Prometheus snapshot\n\
                                                   to FILE + FILE.json (default\n\
-                                                  metrics.prom)\n\
+                                                  metrics.prom) of the series\n\
+                                                  the printed stats are\n\
+                                                  computed from\n\
                 --metrics-interval MS             exposition period (500)\n\
                 --flight-recorder[=DEPTH]         per-worker event ring, dumped\n\
                                                   on failures (depth 256)\n\

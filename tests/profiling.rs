@@ -4,7 +4,7 @@
 
 use ca_factor::sched::{
     execute, job, simulate_with, ChaosPlan, ExecError, Job, Profile, QueueKind, RunOptions,
-    SimOptions, TaskGraph, TaskKind, TaskLabel, TaskMeta,
+    RunReport, SimOptions, TaskGraph, TaskKind, TaskLabel, TaskMeta, Timeline,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -93,6 +93,80 @@ fn profiled_stealing_pool_timeline_is_consistent() {
         assert!(m.steal_attempts >= m.steal_hits);
         assert!(m.steal_hits > 0, "roots always arrive via the injector");
     }
+}
+
+/// Every span of a timeline as `(task, lane, start bits, end bits)`, sorted.
+fn span_set(tl: &Timeline) -> Vec<(usize, usize, u64, u64)> {
+    let mut spans: Vec<_> = tl
+        .lanes
+        .iter()
+        .enumerate()
+        .flat_map(|(lane, l)| l.iter().map(move |s| (s.task, lane, s.start.to_bits(), s.end.to_bits())))
+        .collect();
+    spans.sort_unstable();
+    spans
+}
+
+/// The timeline and the profile of one run are views of one task log, so
+/// they must describe the same executions.
+fn assert_views_agree(report: &RunReport, ntasks: usize, what: &str) {
+    let profile = report.profile.as_ref().expect("profiling requested");
+    assert_eq!(report.stats.tasks, ntasks, "{what}");
+    assert_eq!(report.stats.tasks, profile.records.len(), "{what}");
+    assert_eq!(span_set(&report.stats.timeline), span_set(&profile.timeline()), "{what}");
+    assert_eq!(report.stats.timeline.makespan, profile.makespan, "{what}");
+}
+
+#[test]
+fn timeline_and_profile_views_agree_with_the_task_log() {
+    for queue in [QueueKind::Central, QueueKind::Stealing] {
+        for profile in [true, false] {
+            let counter = AtomicUsize::new(0);
+            let g = layered_jobs(5, 4, &counter);
+            let n = g.len();
+            let report = execute(g, 3, &RunOptions { queue, profile, ..Default::default() });
+            if profile {
+                assert_views_agree(&report, n, &format!("{queue:?}"));
+            } else {
+                // The log is kept either way: only the extra stamps are optional.
+                assert!(report.profile.is_none());
+                assert_eq!(report.stats.tasks, n);
+                assert_eq!(span_set(&report.stats.timeline).len(), n, "{queue:?}");
+                report.stats.timeline.check().expect("clean unprofiled timeline");
+            }
+        }
+    }
+    let counter = AtomicUsize::new(0);
+    let g = layered_jobs(5, 4, &counter).map(|_, _| ());
+    let sim = SimOptions { profile: true, ..Default::default() };
+    assert_views_agree(&simulate_with(&g, 3, |_, m| m.flops, &sim), g.len(), "simulator");
+}
+
+#[test]
+fn frontier_busy_seconds_is_the_sum_of_its_traced_spans() {
+    use ca_factor::sched::{dyn_job, DynJob, JobOptions, MultiFrontier};
+    let frontier = MultiFrontier::new(2);
+    frontier.set_tracing(true);
+    let watches: Vec<_> = (0..3)
+        .map(|j| {
+            let mut g: TaskGraph<DynJob> = TaskGraph::new();
+            for i in 0..20 {
+                let meta = TaskMeta::new(TaskLabel::new(TaskKind::Update, j, i, 0), 1.0);
+                g.add_task(meta, dyn_job(|| std::thread::sleep(std::time::Duration::from_micros(50))));
+            }
+            frontier.submit(g, JobOptions::default()).1
+        })
+        .collect();
+    for w in watches {
+        assert!(w.wait().outcome.is_completed());
+    }
+    let tl = frontier.timeline();
+    tl.check().expect("clean frontier timeline");
+    assert_eq!(tl.lanes.iter().map(Vec::len).sum::<usize>(), 60);
+    let busy = frontier.busy_seconds();
+    assert!(busy > 60.0 * 50e-6, "60 tasks of 50 µs each: {busy}");
+    assert!((busy - tl.busy_time()).abs() <= 1e-9 * busy, "{busy} vs {}", tl.busy_time());
+    frontier.shutdown();
 }
 
 #[test]

@@ -1,11 +1,13 @@
-//! End-to-end tests of the always-on telemetry tier: a service run with a
-//! `TelemetryConfig` must expose the documented metric families with
-//! per-tenant labels, keep its periodic exposition files parseable at any
-//! instant, and bound its flight dumps.
+//! End-to-end tests of the always-on telemetry tier: every service must
+//! expose the documented metric families with per-tenant labels, its
+//! `ServiceStats` view and its exposition must agree (they read the same
+//! series), and a `TelemetryConfig` must keep the periodic exposition files
+//! parseable at any instant and bound the flight dumps.
 
 use ca_factor::matrix::{random_uniform, seeded_rng};
 use ca_factor::serve::{
-    SeriesValue, Service, ServiceConfig, SubmitOptions, TelemetryConfig,
+    BatchConfig, ChaosConfig, ChaosProfile, RetryConfig, SeriesValue, Service, ServiceConfig,
+    SubmitOptions, TelemetryConfig,
 };
 use ca_factor::telemetry::RegistrySnapshot;
 use ca_factor::CaParams;
@@ -59,12 +61,47 @@ const EXPECTED_FAMILIES: &[&str] = &[
     "ca_serve_task_retries_total",
 ];
 
+/// Label-summed value of the counter family `name` (0 if absent).
+fn counter_sum(snap: &RegistrySnapshot, name: &str) -> u64 {
+    snap.families
+        .iter()
+        .filter(|f| f.name == name)
+        .flat_map(|f| &f.series)
+        .map(|s| match s.value {
+            SeriesValue::Counter(c) => c,
+            ref v => panic!("{name} must be a counter, got {v:?}"),
+        })
+        .sum()
+}
+
+/// Label-summed observation count of the histogram family `name`.
+fn histogram_count(snap: &RegistrySnapshot, name: &str) -> u64 {
+    snap.families
+        .iter()
+        .filter(|f| f.name == name)
+        .flat_map(|f| &f.series)
+        .map(|s| match &s.value {
+            SeriesValue::Histogram(h) => h.count,
+            v => panic!("{name} must be a histogram, got {v:?}"),
+        })
+        .sum()
+}
+
 #[test]
 fn metrics_snapshot_exposes_documented_families_with_tenant_labels() {
-    let cfg = ServiceConfig::new(2).with_telemetry(TelemetryConfig::default());
+    assert_documented_families(ServiceConfig::new(2).with_telemetry(TelemetryConfig::default()));
+}
+
+/// The registry is not an option: a plain service exposes the same families.
+#[test]
+fn plain_service_exposes_the_documented_families_too() {
+    assert_documented_families(ServiceConfig::new(2));
+}
+
+fn assert_documented_families(cfg: ServiceConfig) {
     let svc = Service::new(cfg);
     run_jobs(&svc, 6, 3);
-    let snap = svc.metrics_snapshot().expect("telemetry configured");
+    let snap = svc.metrics_snapshot();
     svc.shutdown();
 
     let names: Vec<&str> = snap.families.iter().map(|f| f.name.as_str()).collect();
@@ -89,20 +126,7 @@ fn metrics_snapshot_exposes_documented_families_with_tenant_labels() {
     }
 
     // Completed jobs flowed through the exec-latency histogram.
-    let exec = snap
-        .families
-        .iter()
-        .find(|f| f.name == "ca_serve_exec_seconds")
-        .expect("exec family");
-    let total: u64 = exec
-        .series
-        .iter()
-        .map(|s| match &s.value {
-            SeriesValue::Histogram(h) => h.count,
-            _ => 0,
-        })
-        .sum();
-    assert_eq!(total, 6, "every completion observed once");
+    assert_eq!(histogram_count(&snap, "ca_serve_exec_seconds"), 6, "every completion observed once");
 
     // Prometheus rendering of the same snapshot is well-formed.
     let prom = snap.render_prometheus();
@@ -110,12 +134,121 @@ fn metrics_snapshot_exposes_documented_families_with_tenant_labels() {
     assert!(prom.contains("le=\"+Inf\""), "{prom}");
 }
 
+/// `ServiceStats` and the exposition are two views of the same series, so
+/// after any workload they must agree — including the cases where mirrored
+/// stores used to drift: attempts voided by a probe, resubmissions, fused
+/// batches (counted per member in totals *and* histograms), and handles
+/// dropped without a `wait` (an outcome is recorded by the completion hook,
+/// not by whoever happens to be waiting).
 #[test]
-fn metrics_snapshot_is_none_without_telemetry() {
-    let svc = Service::new(ServiceConfig::new(1));
-    run_jobs(&svc, 1, 0);
-    assert!(svc.metrics_snapshot().is_none(), "plain services expose nothing");
-    svc.shutdown();
+fn service_stats_and_exposition_agree() {
+    let tiny = CaParams::new(16, 2, 1);
+    let quiet = ChaosProfile::quiet();
+    // (what, config, jobs, dim, tenants, wait on the handles?)
+    type Row = (&'static str, ServiceConfig, usize, usize, usize, bool);
+    let rows: [Row; 4] = [
+        (
+            "every attempt corrupted, probe voids each, retry budget exhausted",
+            ServiceConfig::new(2)
+                .with_retry(RetryConfig::default().with_job_retries(2))
+                .with_chaos(ChaosConfig::seeded(13).with_profile(quiet.with_corrupt_rate(1.0))),
+            1,
+            64,
+            0,
+            true,
+        ),
+        (
+            "seeded chaos drill, task + job retries, three tenants",
+            ServiceConfig::new(2)
+                .with_retry(RetryConfig::default().with_task_retries(1).with_job_retries(3))
+                .with_chaos(ChaosConfig::seeded(7).with_profile(quiet.with_fail_rate(0.15))),
+            9,
+            64,
+            3,
+            true,
+        ),
+        (
+            "tiny jobs fused into batches",
+            ServiceConfig::new(2).with_batching(BatchConfig::up_to(64)),
+            8,
+            24,
+            0,
+            true,
+        ),
+        (
+            "retry configured, handles dropped fire-and-forget",
+            ServiceConfig::new(2).with_retry(RetryConfig::default().with_job_retries(2)),
+            4,
+            64,
+            2,
+            false,
+        ),
+    ];
+    for (what, cfg, jobs, dim, tenants, wait) in rows {
+        let svc = Service::new(cfg.with_params(tiny));
+        let mut rng = seeded_rng(17);
+        let handles: Vec<_> = (0..jobs)
+            .map(|i| {
+                let mut opts = SubmitOptions::default();
+                if tenants > 0 {
+                    opts = opts.with_tenant(format!("t{}", i % tenants));
+                }
+                svc.submit_lu(random_uniform(dim, dim, &mut rng), opts).expect("admitted")
+            })
+            .collect();
+        svc.flush();
+        let failures = if wait {
+            handles.into_iter().map(|h| h.wait()).filter(Result::is_err).count()
+        } else {
+            drop(handles);
+            while svc.active_jobs() > 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            0
+        };
+        let stats = svc.stats();
+        let snap = svc.metrics_snapshot();
+        svc.shutdown();
+
+        let sum = |name: &str| counter_sum(&snap, name);
+        assert_eq!(sum("ca_serve_jobs_submitted_total"), stats.submitted, "{what}: submitted");
+        assert_eq!(sum("ca_serve_jobs_completed_total"), stats.completed, "{what}: completed");
+        assert_eq!(sum("ca_serve_jobs_failed_total"), stats.failed, "{what}: failed");
+        assert_eq!(sum("ca_serve_jobs_cancelled_total"), stats.cancelled, "{what}: cancelled");
+        assert_eq!(sum("ca_serve_retries_total"), stats.job_retries, "{what}: retries");
+        assert_eq!(sum("ca_serve_job_retries_total"), stats.job_retries, "{what}: retries rollup");
+        assert_eq!(
+            histogram_count(&snap, "ca_serve_queue_seconds"),
+            stats.queue_latency.count as u64,
+            "{what}: queue samples"
+        );
+        assert_eq!(
+            histogram_count(&snap, "ca_serve_exec_seconds"),
+            stats.exec_latency.count as u64,
+            "{what}: exec samples"
+        );
+        let t = &stats.task_recovery;
+        for (family, want) in [
+            ("attempts", t.attempts),
+            ("retries", t.retries),
+            ("recovered_tasks", t.recovered_tasks),
+            ("exhausted_tasks", t.exhausted_tasks),
+            ("restores", t.restores),
+            ("injected_failures", t.injected_failures),
+            ("injected_panics", t.injected_panics),
+            ("injected_delays", t.injected_delays),
+            ("injected_corruptions", t.injected_corruptions),
+        ] {
+            assert_eq!(sum(&format!("ca_serve_task_{family}_total")), want, "{what}: task {family}");
+        }
+        // Every submitted job reached exactly one terminal outcome, and the
+        // handles saw the same number of failures the series counted.
+        assert_eq!(stats.submitted, jobs as u64, "{what}");
+        assert_eq!(stats.completed + stats.failed + stats.cancelled, stats.submitted, "{what}");
+        assert_eq!(stats.failed as usize, failures, "{what}: failures seen by the handles");
+        // One latency sample per attempt, per member.
+        assert_eq!(stats.exec_latency.count as u64, stats.submitted + stats.job_retries, "{what}");
+    }
 }
 
 #[test]
@@ -140,16 +273,7 @@ fn periodic_exposition_files_parse_at_shutdown_and_midway() {
     // Shutdown writes a final snapshot reflecting all four completions.
     let json = std::fs::read_to_string(dir.join("metrics.prom.json")).expect("final json");
     let snap: RegistrySnapshot = serde_json::from_str(&json).expect("final snapshot parses");
-    let completed: u64 = snap
-        .families
-        .iter()
-        .filter(|f| f.name == "ca_serve_jobs_completed_total")
-        .flat_map(|f| &f.series)
-        .map(|s| match s.value {
-            SeriesValue::Counter(c) => c,
-            _ => 0,
-        })
-        .sum();
+    let completed = counter_sum(&snap, "ca_serve_jobs_completed_total");
     assert_eq!(completed, 4, "final snapshot reflects every completion");
     let prom = std::fs::read_to_string(&path).expect("prom text");
     assert!(prom.contains("ca_serve_jobs_completed_total"), "{prom}");
@@ -167,7 +291,6 @@ fn periodic_exposition_files_parse_at_shutdown_and_midway() {
 fn flight_recorder_attaches_and_failure_dump_is_bounded_chrome_trace() {
     // Chaos at a high fail rate with no retries: jobs fail terminally, each
     // failure triggers a flight dump, and the cap bounds the files.
-    use ca_factor::serve::{ChaosConfig, ChaosProfile};
     let dir = temp_dir("dumps");
     let cfg = ServiceConfig::new(2)
         .with_chaos(ChaosConfig::seeded(5).with_profile(
@@ -187,7 +310,7 @@ fn flight_recorder_attaches_and_failure_dump_is_bounded_chrome_trace() {
         handles.push(svc.submit_lu(random_uniform(48, 48, &mut rng), opts).expect("admitted"));
     }
     let failures = handles.into_iter().map(|h| h.wait()).filter(Result::is_err).count();
-    let snap = svc.metrics_snapshot().expect("telemetry configured");
+    let snap = svc.metrics_snapshot();
     svc.shutdown();
     assert!(failures > 2, "fail-rate 1.0 with no retry must fail jobs, got {failures}");
 
@@ -205,16 +328,7 @@ fn flight_recorder_attaches_and_failure_dump_is_bounded_chrome_trace() {
         assert!(events.iter().any(|e| e["cat"] == "flight"), "{f} has no flight events");
     }
     // The suppression counter accounts for the failures past the cap.
-    let suppressed: u64 = snap
-        .families
-        .iter()
-        .filter(|f| f.name == "ca_serve_flight_dumps_suppressed_total")
-        .flat_map(|f| &f.series)
-        .map(|s| match s.value {
-            SeriesValue::Counter(c) => c,
-            _ => 0,
-        })
-        .sum();
+    let suppressed = counter_sum(&snap, "ca_serve_flight_dumps_suppressed_total");
     assert_eq!(suppressed as usize, failures - 2, "suppressed = failures past the cap");
     let _ = std::fs::remove_dir_all(&dir);
 }
