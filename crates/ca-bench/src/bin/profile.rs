@@ -6,8 +6,8 @@
 //!
 //! By default the task graph is replayed on the deterministic simulated
 //! machine (calibrated costs); with `--measured` the real factorization runs
-//! on the profiled executors instead, so the report reflects actual wall
-//! times, steal counters, and dispatch latencies.
+//! on the profiled executor instead, so the report reflects actual wall
+//! times and dispatch latencies.
 //!
 //! Outputs under `--out` (default `results/`):
 //! * `BENCH_profile_{lu,qr}.json` — the full [`ca_sched::SchedMetrics`]

@@ -261,7 +261,7 @@ pub fn try_calu_with(
 /// [`try_calu`] with profiling on, returning the scheduler's full
 /// [`ca_sched::Profile`] alongside the factors — lifecycle records for every
 /// task, per-kernel-class flop/byte totals for roofline attribution, and
-/// queue/steal counters. Derive the report with
+/// ready-queue depth samples. Derive the report with
 /// [`ca_sched::Profile::metrics`] or a Perfetto-loadable trace with
 /// [`ca_sched::Profile::chrome_trace`].
 pub fn try_calu_profiled(

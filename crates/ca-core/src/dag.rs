@@ -45,7 +45,7 @@ pub struct Retry<'a> {
 }
 
 /// How [`crate::try_calu_with`] / [`crate::try_caqr_with`] run. `Default` is
-/// a plain run. The ready-queue discipline is [`CaParams::scheduler`].
+/// a plain run.
 #[derive(Clone, Copy, Default)]
 pub struct FactorOptions<'a> {
     /// Inject seeded failures/panics/delays (and, under `retry`, silent
@@ -106,7 +106,6 @@ pub(crate) fn run_plan<P: DagPlan>(
         }
     });
     let run = RunOptions {
-        queue: p.scheduler,
         // Under `retry` the wrappers above consult the plan, once per attempt.
         chaos: if opts.retry.is_none() { opts.chaos } else { None },
         profile: opts.profile,

@@ -75,4 +75,4 @@ pub use solve::{lu_packed_solve_in_place, RefineInfo};
 pub use dag_caqr::{
     caqr_task_graph, caqr_task_graph_with_access, verify_caqr, verify_caqr_with, CaqrTask,
 };
-pub use params::{num_panels, partition_rows, CaParams, QueueKind, RowPartition, TreeShape};
+pub use params::{num_panels, partition_rows, CaParams, RowPartition, TreeShape};

@@ -5,8 +5,6 @@
 //! the active rows (from the panel's diagonal down) are divided into at most
 //! `Tr` contiguous groups of whole `b`-blocks — Algorithm 1 lines 5–7.
 
-pub use ca_sched::QueueKind;
-
 /// Shape of the reduction tree used by TSLU/TSQR.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TreeShape {
@@ -40,12 +38,6 @@ pub struct CaParams {
     pub threads: usize,
     /// Whether the scheduler applies the lookahead-of-1 priority rule.
     pub lookahead: bool,
-    /// Which ready-queue discipline the executor's workers claim tasks from:
-    /// the central priority queue with the lookahead rule (the paper's
-    /// dynamic scheduler) or work stealing (Cilk-style depth-first locality,
-    /// no global priorities — the runtime the paper's approach is an
-    /// alternative to).
-    pub scheduler: QueueKind,
     /// Use the BLAS2 `getf2` kernel inside TSLU tournament nodes instead of
     /// the recursive `rgetf2` the paper recommends (ablation knob; QR leaves
     /// always use the recursive kernel when tall).
@@ -87,7 +79,6 @@ impl CaParams {
             tree: TreeShape::Binary,
             threads,
             lookahead: true,
-            scheduler: QueueKind::Central,
             leaf_blas2: false,
             update_blocks: 1,
             par_update_rows: 2 * ca_kernels::MC,
@@ -104,12 +95,6 @@ impl CaParams {
     /// Disables the lookahead priority rule (ablation).
     pub fn without_lookahead(mut self) -> Self {
         self.lookahead = false;
-        self
-    }
-
-    /// Switches execution to the work-stealing runtime (ablation).
-    pub fn with_work_stealing(mut self) -> Self {
-        self.scheduler = QueueKind::Stealing;
         self
     }
 

@@ -4,34 +4,42 @@
 //! substrate of multithreaded CALU/CAQR (Donfack, Grigori & Gupta, IPDPS
 //! 2010, §III "Task scheduling").
 //!
-//! One [`TaskGraph`] representation, two ways to run it, each one function
-//! whose modes are option values:
+//! One [`TaskGraph`] representation and one threaded worker loop — claim the
+//! highest-priority ready task (the priorities encode the paper's
+//! lookahead-of-1 rule: panel tasks and the update of block column `K+1`
+//! outrank other updates), run it under `catch_unwind`, release its
+//! successors or cancel its failure closure, log one record — behind two
+//! front doors:
 //!
-//! * [`execute`]`(graph, nthreads, &`[`RunOptions`]`)` — the threaded
-//!   executor: `nthreads` OS threads run one worker loop over a ready
-//!   queue, either the shared priority heap ([`QueueKind::Central`]; the
-//!   priorities encode the paper's lookahead-of-1 rule, panel tasks and the
-//!   update of block column `K+1` outranking other updates) or work-stealing
-//!   deques ([`QueueKind::Stealing`]). [`run_graph`] is the panicking
-//!   shorthand for the default options.
-//! * [`simulate_with`]`(graph, nworkers, cost, &`[`SimOptions`]`)` — a
-//!   deterministic list-scheduling discrete-event simulator with `P`
-//!   virtual cores and a pluggable cost model; [`simulate`] and
-//!   [`simulate_uniform`] are the shorthands returning just the timeline.
-//!   This is the hardware-substitution layer that stands in for the paper's
-//!   8-core Xeon and 16-core Opteron machines (see DESIGN.md §2).
+//! * [`execute`]`(graph, nthreads, &`[`RunOptions`]`)` — one graph to
+//!   quiescence: the loop's core lives on the caller's stack with that one
+//!   job, lane 0 runs on the calling thread and the rest on scoped threads,
+//!   so jobs may borrow and a single-worker run spawns nothing.
+//!   [`run_graph`] is the panicking shorthand for the default options.
+//! * [`MultiFrontier`] — the same core behind an `Arc` with `n` spawned
+//!   threads, multiplexing many `'static` graphs ("jobs") for the serving
+//!   tier: fair-share dispatch across jobs, per-job cancellation and
+//!   deadlines, a [`JobWatch`] per job.
 //!
-//! Both return a [`RunReport`]: statistics with a [`Timeline`] renderable as
-//! an ASCII Gantt chart ([`ascii_gantt`]) in the style of the paper's
-//! Figures 2–4, plus whatever the options asked for. [`MultiFrontier`] is
-//! the long-lived pool multiplexing many graphs for the serving tier.
+//! [`simulate_with`]`(graph, nworkers, cost, &`[`SimOptions`]`)` replays the
+//! same graph on a deterministic list-scheduling discrete-event simulator
+//! with `P` virtual cores and a pluggable cost model; [`simulate`] and
+//! [`simulate_uniform`] are the shorthands returning just the timeline.
+//! This is the hardware-substitution layer that stands in for the paper's
+//! 8-core Xeon and 16-core Opteron machines (see DESIGN.md §2).
+//!
+//! [`execute`] and [`simulate_with`] return a [`RunReport`]: statistics with
+//! a [`Timeline`] renderable as an ASCII Gantt chart ([`ascii_gantt`]) in
+//! the style of the paper's Figures 2–4, plus whatever the options asked
+//! for.
 //!
 //! ## One recording spine
 //!
 //! Every executor stores a finished task exactly once: a compact measured
-//! record (task, label, dispatch/start/end) pushed to the log of the lane
+//! record (job, task, label, start, end) pushed to the log of the lane
 //! that ran it. [`ExecStats::timeline`], [`RunReport::profile`],
-//! [`MultiFrontier::timeline`] and [`MultiFrontier::busy_seconds`] are views
+//! [`MultiFrontier::timeline`], [`MultiFrontier::job_profile`] and
+//! [`MultiFrontier::busy_seconds`] are views
 //! built from that log after the fact, and the four Chrome-trace emitters
 //! share one event builder. Counters follow the same rule: the process-wide
 //! [`sched_counters`] and a run's [`RecoveryCounters`] are the only store of
@@ -61,10 +69,13 @@
 //!
 //! ## Profiling
 //!
-//! With the `profile` option set the run additionally stamps when each task
-//! became ready and samples the ready-queue depth, and
-//! [`RunReport::profile`] presents the full task lifecycle (ready →
-//! dispatch → start → end, steal counters, queue-depth samples). [`Profile::metrics`] derives
+//! With the `profile` option set — or, on a [`MultiFrontier`], for a job
+//! submitted under [`MultiFrontier::set_tracing`] — the job additionally
+//! stamps when each task became ready and samples its ready-queue depth,
+//! under the state lock the worker already holds, and
+//! [`RunReport::profile`] / [`MultiFrontier::job_profile`] present the full
+//! task lifecycle (ready → dispatch → start → end, queue-depth samples).
+//! [`Profile::metrics`] derives
 //! dispatch-latency distributions, per-[`KernelClass`] achieved GFlop/s
 //! (roofline attribution), critical-path scheduling efficiency, and the
 //! lookahead-effectiveness metric; [`Profile::chrome_trace`] emits a Chrome
@@ -103,7 +114,10 @@ mod verify;
 
 pub use blockdeps::{row_blocks, BlockTracker};
 pub use checked::{build_shadow_registry, CheckedError};
-pub use exec::{execute, job, run_graph, ExecStats, Job, QueueKind, RunOptions, RunReport};
+/// [`job`] under the name [`MultiFrontier`] callers know it by: with a
+/// `'static` closure it builds a [`DynJob`].
+pub use exec::job as dyn_job;
+pub use exec::{execute, job, run_graph, DynJob, ExecStats, Job, RunOptions, RunReport};
 pub use footprint::AccessMap;
 pub use verify::{
     reduce_transitive_edges, verify_graph, verify_graph_with, ConflictKind, EdgeFinding,
@@ -112,12 +126,11 @@ pub use verify::{
 pub use fault::{ExecError, TaskFailure, TaskResult};
 pub use graph::TaskGraph;
 pub use multigraph::{
-    dyn_job, CancelReason, DynJob, JobId, JobOptions, JobOutcome, JobReport, JobWatch,
-    MultiFrontier,
+    CancelReason, JobId, JobOptions, JobOutcome, JobReport, JobWatch, MultiFrontier,
 };
 pub use profile::{
     ClassMetrics, KindMetrics, LatencyStats, LookaheadMetrics, PanelWait, Profile, QueueSample,
-    SchedMetrics, StealStats, TaskRecord,
+    SchedMetrics, TaskRecord,
 };
 pub use retry::{
     retrying_dyn_job, retrying_job, write_set, ChaosAction, ChaosPlan, ChaosProfile,

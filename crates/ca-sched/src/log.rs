@@ -1,28 +1,29 @@
 //! The task log: the one place an executor stores what it ran.
 //!
-//! [`crate::execute`], [`crate::simulate_with`] and the
-//! [`crate::MultiFrontier`] workers push one [`TaskRec`] per finished task
+//! The worker loop behind [`crate::execute`] and [`crate::MultiFrontier`],
+//! and [`crate::simulate_with`], push one [`TaskRec`] per finished task
 //! into the [`LaneLog`] of the lane that ran it, and nothing else.
 //! [`Timeline`] and [`Profile`] are views built from the log after the fact
-//! ([`Timeline::from_log`], [`Profile::from_log`]); a profiled run adds the
+//! ([`Timeline::from_log`], [`Profile::from_log`]); a profiled job adds the
 //! [`Stamps`] that cannot live on a lane.
 
-use crate::profile::{Profile, QueueSample, StealStats, TaskRecord};
+use crate::multigraph::JobId;
+use crate::profile::{Profile, QueueSample, TaskRecord};
 use crate::task::{TaskId, TaskLabel, TaskMeta};
 use crate::trace::{Span, Timeline};
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One finished task exactly as its executor measured it. Class, flops
-/// and bytes are looked up in the graph's [`TaskMeta`] when a [`Profile`]
-/// is built, not copied here; the label does ride along, because a frontier
-/// job's metadata is gone once the job finalizes.
+/// and bytes are looked up in the job's [`TaskMeta`] when a [`Profile`]
+/// is built, not copied here; the label does ride along, because an
+/// untraced job's metadata is gone once the job finalizes.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TaskRec {
+    /// The job the task belongs to (0 outside a [`crate::MultiFrontier`]).
+    pub(crate) job: JobId,
     pub(crate) task: TaskId,
     pub(crate) label: TaskLabel,
-    /// When a worker claimed the task from the ready set.
-    pub(crate) dispatch: f64,
+    /// When the claiming worker entered the body; every executor claims a
+    /// task and starts it in one step, so this is also its dispatch instant.
     pub(crate) start: f64,
     pub(crate) end: f64,
 }
@@ -32,9 +33,6 @@ pub(crate) struct TaskRec {
 pub(crate) struct LaneLog {
     /// Finished tasks, in completion order.
     pub(crate) tasks: Vec<TaskRec>,
-    /// Steal rounds of this lane; `None` under an executor whose ready set
-    /// has nothing to steal from (central queue, simulator, frontier).
-    pub(crate) steals: Option<StealStats>,
 }
 
 impl Timeline {
@@ -56,45 +54,48 @@ impl Timeline {
     }
 }
 
-/// The stamps only a profiled run takes, and that cannot live on a lane:
-/// ready instants cross threads (the releaser of a task is not its
-/// executor) and the central queue is sampled under its own lock.
+/// The stamps only a profiled job takes, and that cannot live on a lane:
+/// a task's ready instant is set by whoever released it, and the ready set
+/// is sampled where it changes. Both happen under the lock that guards the
+/// job's state (the simulator is single-threaded), so these are plain data.
 pub(crate) struct Stamps {
-    ready_at: Vec<AtomicU64>,
-    queue: Mutex<Vec<QueueSample>>,
+    /// The job's clock origin: [`Profile`] times are relative to it.
+    t0: f64,
+    ready_at: Vec<f64>,
+    queue: Vec<QueueSample>,
 }
 
 impl Stamps {
-    /// Roots are ready at t = 0, which is what fresh stamps record.
-    pub(crate) fn new(ntasks: usize) -> Self {
-        Self {
-            ready_at: (0..ntasks).map(|_| AtomicU64::new(0)).collect(),
-            queue: Mutex::new(Vec::new()),
-        }
+    /// Stamps for a job admitted at `t0`, which is when its roots are ready.
+    pub(crate) fn new(ntasks: usize, t0: f64) -> Self {
+        Self { t0, ready_at: vec![t0; ntasks], queue: Vec::new() }
     }
 
     /// Stamps the instant `id` became ready.
-    pub(crate) fn mark_ready(&self, id: TaskId, t: f64) {
-        self.ready_at[id].store(t.to_bits(), Ordering::Relaxed);
+    pub(crate) fn mark_ready(&mut self, id: TaskId, t: f64) {
+        self.ready_at[id] = t;
     }
 
     /// Samples the ready-set depth.
-    pub(crate) fn sample_queue(&self, t: f64, depth: usize) {
-        self.queue.lock().push(QueueSample { t, depth });
+    pub(crate) fn sample_queue(&mut self, t: f64, depth: usize) {
+        self.queue.push(QueueSample { t, depth });
     }
 }
 
 impl Profile {
-    /// The full-lifecycle view of a profiled run's task log.
+    /// The full-lifecycle view of one profiled job: `lanes` holds that
+    /// job's records, `makespan` and every reported time count from the
+    /// job's admission.
     pub(crate) fn from_log(
         scheduler: &str,
         lanes: &[LaneLog],
-        stamps: Stamps,
+        stamps: &Stamps,
         makespan: f64,
         metas: &[TaskMeta],
         succs: &[Vec<TaskId>],
         cancelled: Vec<TaskId>,
     ) -> Profile {
+        let Stamps { t0, ready_at, queue } = stamps;
         let mut records: Vec<TaskRecord> = lanes
             .iter()
             .enumerate()
@@ -108,10 +109,10 @@ impl Profile {
                     flops: meta.flops,
                     bytes: meta.bytes,
                     worker,
-                    ready: f64::from_bits(stamps.ready_at[r.task].load(Ordering::Relaxed)),
-                    dispatch: r.dispatch,
-                    start: r.start,
-                    end: r.end,
+                    ready: ready_at[r.task] - t0,
+                    dispatch: r.start - t0,
+                    start: r.start - t0,
+                    end: r.end - t0,
                 }
             })
             .collect();
@@ -121,7 +122,8 @@ impl Profile {
             .enumerate()
             .flat_map(|(a, ss)| ss.iter().map(move |&b| (a, b)))
             .collect();
-        let mut queue_samples = stamps.queue.into_inner();
+        let mut queue_samples: Vec<QueueSample> =
+            queue.iter().map(|s| QueueSample { t: s.t - t0, depth: s.depth }).collect();
         queue_samples.sort_by(|a, b| a.t.total_cmp(&b.t));
         Profile {
             scheduler: scheduler.to_string(),
@@ -130,9 +132,7 @@ impl Profile {
             records,
             edges,
             queue_samples,
-            steals: lanes.iter().filter_map(|l| l.steals).collect(),
             cancelled,
         }
     }
 }
-

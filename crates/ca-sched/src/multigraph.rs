@@ -1,15 +1,28 @@
-//! Multi-graph frontier: one persistent worker pool executing many task
-//! graphs ("jobs") concurrently.
+//! The frontier core: the one worker loop of `ca-sched`, behind two front
+//! doors.
 //!
-//! The one-shot executor ([`crate::execute`]) runs exactly one DAG to
-//! quiescence. A serving workload instead has many
-//! DAGs in flight at once; the paper's dynamic-scheduling insight — tasks
-//! from *different panel steps* interleave on a shared pool via priorities —
-//! generalizes directly to tasks from *different requests*:
+//! A [`Core`] holds any number of admitted task graphs ("jobs") and `n`
+//! worker lanes. Every lane runs [`Core::worker`] — claim a ready task under
+//! the state lock, run it under `catch_unwind` with the lock released, push
+//! one record to the lane's log, then under the lock again either release
+//! the task's successors or cancel its **transitive successors** and claim
+//! the next task. The two ways to run a graph differ only in who owns the
+//! core and its threads:
+//!
+//! * [`crate::execute`] puts a core on the caller's stack, admits one job
+//!   and closes the core; lane 0 runs on the calling thread and the others
+//!   on scoped threads, so the job may borrow, and the workers return when
+//!   the job finalizes.
+//! * [`MultiFrontier`] keeps a core behind an `Arc` with `n` spawned
+//!   threads that serve `'static` jobs until [`MultiFrontier::shutdown`].
+//!
+//! The paper's dynamic-scheduling insight — tasks from *different panel
+//! steps* interleave on a shared pool via priorities — generalizes directly
+//! to tasks from *different requests*:
 //!
 //! * **Within a job** the paper's lookahead priorities are preserved: each
 //!   job keeps its own ready heap ordered by [`TaskMeta::priority`] (then
-//!   insertion order), exactly like the one-shot priority-queue pool.
+//!   insertion order).
 //! * **Across jobs** dispatch uses stride scheduling (weighted fair
 //!   queueing): every job carries a *pass* value advanced by
 //!   `flops / weight` per dispatched task, and workers always serve the
@@ -18,41 +31,36 @@
 //!   admitted job starts at the current minimum pass so it can neither
 //!   starve nor monopolize.
 //!
-//! Failure semantics match the one-shot pools, scoped per job: a failed or
-//! panicking task cancels its transitive successors *within its own job*
-//! and never affects other jobs. Jobs can also be cancelled as a whole
-//! (user cancel, deadline, load shedding, shutdown): undispatched tasks are
-//! dropped, in-flight tasks run to completion, and the job finalizes with a
-//! [`JobOutcome::Cancelled`]. Deadlines are enforced at dispatch points, so
-//! a deadline never preempts a running kernel.
+//! Failure is scoped per job: a failed or panicking task cancels its
+//! transitive successors *within its own job*, every task that does not
+//! depend on the failure still runs, and other jobs are never affected.
+//! Jobs can also be cancelled as a whole (user cancel, deadline, load
+//! shedding, shutdown): undispatched tasks are dropped, in-flight tasks run
+//! to completion, and the job finalizes with a [`JobOutcome::Cancelled`].
+//! Deadlines are enforced at dispatch points, so a deadline never preempts a
+//! running kernel — and an idle worker has nothing to enforce: it would
+//! have dispatched any ready task, and work in flight ends on its own.
 
-use crate::fault::{panic_message, ExecError, TaskResult};
-use crate::graph::TaskGraph;
-use crate::log::{LaneLog, TaskRec};
+use crate::exec::{DynJob, Job};
+use crate::fault::{panic_message, ExecError};
+use crate::graph::{cancel_closure, ReadyEntry, TaskGraph};
+use crate::log::{LaneLog, Stamps, TaskRec};
+use crate::profile::Profile;
 use crate::task::{TaskId, TaskLabel, TaskMeta};
 use crate::telemetry::{self, FlightEventKind, FlightRecorder};
 use crate::trace::Timeline;
-use std::cmp::Ordering as CmpOrdering;
-use std::collections::{BinaryHeap, HashMap};
+use parking_lot::{Condvar, Mutex};
+use std::any::Any;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-/// Identifies a job (a submitted task graph) for its whole lifetime.
+/// Identifies a job (an admitted task graph) for its whole lifetime.
 pub type JobId = u64;
 
-/// A task body owned by the frontier: unlike the scoped [`crate::Job`],
-/// jobs outlive the submitting call, so bodies must be `'static` (capture
-/// `Arc`s, not references).
-pub type DynJob = Box<dyn FnOnce() -> TaskResult + Send + 'static>;
-
-/// Wraps an infallible closure as a [`DynJob`].
-pub fn dyn_job(f: impl FnOnce() + Send + 'static) -> DynJob {
-    Box::new(move || {
-        f();
-        Ok(())
-    })
-}
+/// What [`Profile::scheduler`] says of a job the worker loop ran.
+pub(crate) const SCHEDULER: &str = "priority-queue";
 
 /// Per-job submission options.
 #[derive(Clone, Copy, Debug)]
@@ -179,6 +187,25 @@ impl JobReport {
     }
 }
 
+/// What a finalized job leaves in its watch.
+pub(crate) struct Finished {
+    pub(crate) report: JobReport,
+    /// Payload of the job's first task panic, for [`crate::run_graph`] to
+    /// re-raise.
+    pub(crate) panic: Option<Box<dyn Any + Send>>,
+    /// What a [`Profile`] of the job needs beyond the lane logs; kept only
+    /// for a job admitted with profiling on.
+    pub(crate) trace: Option<JobTrace>,
+}
+
+/// The part of a profiled job's state that outlives it.
+pub(crate) struct JobTrace {
+    pub(crate) metas: Vec<TaskMeta>,
+    pub(crate) succs: Vec<Vec<TaskId>>,
+    pub(crate) stamps: Stamps,
+    pub(crate) cancelled: Vec<TaskId>,
+}
+
 /// Completion watch for one job: cloneable, fulfilled exactly once.
 #[derive(Clone)]
 pub struct JobWatch {
@@ -186,7 +213,7 @@ pub struct JobWatch {
 }
 
 struct WatchInner {
-    slot: Mutex<Option<JobReport>>,
+    slot: Mutex<Option<Finished>>,
     cv: Condvar,
 }
 
@@ -195,79 +222,63 @@ impl JobWatch {
         Self { inner: Arc::new(WatchInner { slot: Mutex::new(None), cv: Condvar::new() }) }
     }
 
-    fn fulfill(&self, report: JobReport) {
-        let mut slot = self.inner.slot.lock().expect("watch lock");
+    fn fulfill(&self, finished: Finished) {
+        let mut slot = self.inner.slot.lock();
         debug_assert!(slot.is_none(), "job finalized twice");
-        *slot = Some(report);
+        *slot = Some(finished);
         self.inner.cv.notify_all();
+    }
+
+    /// Takes everything the finalized job left, emptying the watch.
+    pub(crate) fn take(&self) -> Option<Finished> {
+        self.inner.slot.lock().take()
     }
 
     /// The report, if the job already finished.
     pub fn try_get(&self) -> Option<JobReport> {
-        self.inner.slot.lock().expect("watch lock").clone()
+        self.inner.slot.lock().as_ref().map(|f| f.report.clone())
     }
 
     /// `true` once the job reached a terminal state.
     pub fn is_done(&self) -> bool {
-        self.inner.slot.lock().expect("watch lock").is_some()
+        self.inner.slot.lock().is_some()
     }
 
     /// Blocks until the job reaches a terminal state.
     pub fn wait(&self) -> JobReport {
-        let mut slot = self.inner.slot.lock().expect("watch lock");
+        let mut slot = self.inner.slot.lock();
         loop {
-            if let Some(r) = slot.as_ref() {
-                return r.clone();
+            if let Some(f) = slot.as_ref() {
+                return f.report.clone();
             }
-            slot = self.inner.cv.wait(slot).expect("watch lock");
+            self.inner.cv.wait(&mut slot);
         }
     }
 
     /// Blocks up to `timeout`; `None` if the job is still running.
     pub fn wait_timeout(&self, timeout: Duration) -> Option<JobReport> {
         let deadline = Instant::now() + timeout;
-        let mut slot = self.inner.slot.lock().expect("watch lock");
+        let mut slot = self.inner.slot.lock();
         loop {
-            if let Some(r) = slot.as_ref() {
-                return Some(r.clone());
+            if let Some(f) = slot.as_ref() {
+                return Some(f.report.clone());
             }
-            let now = Instant::now();
-            if now >= deadline {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
                 return None;
             }
-            let (guard, _) =
-                self.inner.cv.wait_timeout(slot, deadline - now).expect("watch lock");
-            slot = guard;
+            self.inner.cv.wait_for(&mut slot, left);
         }
     }
 }
 
-/// Ready-heap entry: max-heap on priority, then insertion order (lower task
-/// id first) — identical to the one-shot priority pool.
-#[derive(PartialEq, Eq)]
-struct Ready {
-    priority: i64,
-    task: TaskId,
-}
-
-impl Ord for Ready {
-    fn cmp(&self, other: &Self) -> CmpOrdering {
-        self.priority.cmp(&other.priority).then(other.task.cmp(&self.task))
-    }
-}
-
-impl PartialOrd for Ready {
-    fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
-        Some(self.cmp(other))
-    }
-}
-
-struct JobState {
+struct JobState<'s> {
     metas: Vec<TaskMeta>,
-    slots: Vec<Option<DynJob>>,
+    /// Task bodies, each claimed (or dropped) exactly once.
+    slots: Vec<Option<Job<'s>>>,
     succs: Vec<Vec<TaskId>>,
     preds: Vec<usize>,
-    ready: BinaryHeap<Ready>,
+    ready: BinaryHeap<ReadyEntry>,
     cancelled: Vec<bool>,
     /// Tasks not yet accounted (neither run nor dropped). In-flight tasks
     /// still count until their completion is recorded.
@@ -276,38 +287,71 @@ struct JobState {
     /// Stride-scheduling pass value (advanced by flops/weight at dispatch).
     pass: f64,
     weight: f64,
-    tag: u64,
     /// Absolute deadline (seconds since epoch).
     deadline: Option<f64>,
-    submitted: f64,
-    first_dispatch: Option<f64>,
-    tasks_run: usize,
-    tasks_cancelled: usize,
-    flops_done: f64,
-    failure: Option<ExecError>,
+    /// The report as it stands: counts, stamps and the first failure (it
+    /// wins; later ones only extend its cancelled set) accumulate here,
+    /// [`JobState::finish`] adds the finish time and a whole-job cancel.
+    report: JobReport,
+    panic: Option<Box<dyn Any + Send>>,
     cancel_reason: Option<CancelReason>,
+    /// Ready instants and ready-set depth samples, taken under the state
+    /// lock; present iff the job was admitted with profiling on.
+    stamps: Option<Stamps>,
     watch: JobWatch,
 }
 
-impl JobState {
-    /// Whether a worker can dispatch a task of this job right now.
-    fn runnable(&self) -> bool {
-        !self.ready.is_empty()
+impl JobState<'_> {
+    /// Drops every undispatched task (a whole-job cancel).
+    fn drop_undispatched(&mut self) {
+        self.ready.clear();
+        for (t, slot) in self.slots.iter_mut().enumerate() {
+            if slot.take().is_some() {
+                self.cancelled[t] = true;
+                self.report.tasks_cancelled += 1;
+                self.remaining -= 1;
+            }
+        }
+    }
+
+    /// The terminal report of a job whose every task is accounted, with
+    /// what a profiled job keeps for its [`Profile`].
+    fn finish(self, now: f64) -> (Finished, JobWatch) {
+        let mut report = self.report;
+        report.finished = now;
+        if let (JobOutcome::Completed, Some(reason)) = (&report.outcome, self.cancel_reason) {
+            report.outcome = JobOutcome::Cancelled(reason);
+        }
+        let cancelled = self.cancelled;
+        let trace = self.stamps.map(|stamps| JobTrace {
+            metas: self.metas,
+            succs: self.succs,
+            stamps,
+            cancelled: (0..cancelled.len()).filter(|&t| cancelled[t]).collect(),
+        });
+        (Finished { report, panic: self.panic, trace }, self.watch)
     }
 }
 
-struct State {
-    jobs: HashMap<JobId, JobState>,
-    shutdown: bool,
+struct State<'s> {
+    /// Active jobs in admission order (ids count up).
+    jobs: BTreeMap<JobId, JobState<'s>>,
+    /// Active jobs that carry a deadline; dispatch points sweep only then.
+    deadlines: usize,
+    /// No further admissions; workers return once `jobs` is empty.
+    closed: bool,
 }
 
 /// Hook invoked (off-lock) with every finalized job's report.
 type CompletionHook = Box<dyn Fn(&JobReport) + Send + Sync>;
 
-/// What one frontier worker logged.
+/// Finalized jobs on their way to [`Core::deliver`].
+type Done = Vec<(Finished, JobWatch)>;
+
+/// What one worker lane logged.
 #[derive(Default)]
 struct Lane {
-    /// The task log [`MultiFrontier::timeline`] is a view of; records are
+    /// The task log [`Timeline`] and [`Profile`] are views of; records are
     /// pushed only while `tracing` is on (a service runs for days).
     log: LaneLog,
     /// Seconds spent in task bodies, traced or not
@@ -315,12 +359,30 @@ struct Lane {
     busy: f64,
 }
 
-struct Inner {
-    state: Mutex<State>,
+/// A claimed task: what its worker needs to log and account it.
+#[derive(Clone, Copy)]
+struct Claim {
+    job: JobId,
+    task: TaskId,
+    label: TaskLabel,
+    flops: f64,
+}
+
+/// How a task body failed.
+struct Failure {
+    message: String,
+    /// The panic payload, if it panicked rather than returned `Err`.
+    payload: Option<Box<dyn Any + Send>>,
+}
+
+/// Admitted jobs plus the worker lanes that run them (see the module docs).
+pub(crate) struct Core<'s> {
+    state: Mutex<State<'s>>,
+    /// Signalled after a state change that gives a waiting worker something
+    /// to do: tasks became ready, or the closed core ran out of jobs.
     cv: Condvar,
     epoch: Instant,
     next_job: AtomicU64,
-    nworkers: usize,
     /// One lane per worker, written by that worker only.
     lanes: Vec<Mutex<Lane>>,
     tracing: AtomicBool,
@@ -330,9 +392,142 @@ struct Inner {
     recorder: OnceLock<Arc<FlightRecorder>>,
 }
 
-impl Inner {
-    fn now(&self) -> f64 {
+impl<'s> Core<'s> {
+    /// A core with `nworkers` lanes and no thread: the caller decides where
+    /// [`Core::worker`] runs.
+    ///
+    /// # Panics
+    /// If `nworkers == 0`.
+    pub(crate) fn new(nworkers: usize, tracing: bool, on_complete: Option<CompletionHook>) -> Self {
+        assert!(nworkers > 0, "need at least one worker");
+        Self {
+            state: Mutex::new(State { jobs: BTreeMap::new(), deadlines: 0, closed: false }),
+            cv: Condvar::new(),
+            epoch: Instant::now(),
+            next_job: AtomicU64::new(0),
+            lanes: (0..nworkers).map(|_| Mutex::default()).collect(),
+            tracing: AtomicBool::new(tracing),
+            on_complete,
+            recorder: OnceLock::new(),
+        }
+    }
+
+    /// Seconds since the core was created.
+    pub(crate) fn now(&self) -> f64 {
         self.epoch.elapsed().as_secs_f64()
+    }
+
+    /// Admits a job at instant `now`. Its tasks become eligible at once and
+    /// the returned watch resolves when it reaches a terminal state —
+    /// immediately, as [`CancelReason::Shutdown`], if the core is closed.
+    /// With `profile` the job stamps ready instants and ready-set depth and
+    /// keeps a [`JobTrace`] for its [`Profile`].
+    pub(crate) fn admit(
+        &self,
+        graph: TaskGraph<Job<'s>>,
+        opts: JobOptions,
+        profile: bool,
+        now: f64,
+    ) -> (JobId, JobWatch) {
+        assert!(opts.weight > 0.0 && opts.weight.is_finite(), "weight must be positive");
+        let id = self.next_job.fetch_add(1, Ordering::Relaxed);
+        telemetry::sched_counters().jobs_submitted.inc();
+        if let Some(rec) = self.recorder.get() {
+            rec.record(rec.nworkers(), FlightEventKind::JobSubmit, id, None);
+        }
+        let TaskGraph { metas, payloads, succs, npreds } = graph;
+        let n = metas.len();
+        let ready: BinaryHeap<ReadyEntry> = (0..n)
+            .filter(|&t| npreds[t] == 0)
+            .map(|t| ReadyEntry { priority: metas[t].priority, id: t })
+            .collect();
+        let roots = ready.len();
+        let mut stamps = profile.then(|| Stamps::new(n, now));
+        if let Some(s) = &mut stamps {
+            s.sample_queue(now, roots);
+        }
+        let watch = JobWatch::new();
+        let mut job = JobState {
+            metas,
+            slots: payloads.into_iter().map(Some).collect(),
+            succs,
+            preds: npreds,
+            ready,
+            cancelled: vec![false; n],
+            remaining: n,
+            in_flight: 0,
+            pass: 0.0,
+            weight: opts.weight,
+            deadline: opts.deadline.map(|d| now + d.as_secs_f64()),
+            report: JobReport {
+                job: id,
+                tag: opts.tag,
+                outcome: JobOutcome::Completed,
+                submitted: now,
+                first_dispatch: None,
+                finished: now,
+                tasks_run: 0,
+                tasks_cancelled: 0,
+                flops: 0.0,
+            },
+            panic: None,
+            cancel_reason: None,
+            stamps,
+            watch: watch.clone(),
+        };
+
+        let mut done = Done::new();
+        {
+            let mut st = self.state.lock();
+            if st.closed {
+                job.cancel_reason = Some(CancelReason::Shutdown);
+                job.drop_undispatched();
+                done.push(job.finish(now));
+            } else if n == 0 {
+                done.push(job.finish(now));
+            } else {
+                // Stride scheduling: start at the current minimum pass so
+                // the new job neither starves nor sweeps the pool.
+                let base = st.jobs.values().map(|j| j.pass).fold(f64::INFINITY, f64::min);
+                job.pass = if base.is_finite() { base } else { 0.0 };
+                st.deadlines += usize::from(job.deadline.is_some());
+                st.jobs.insert(id, job);
+            }
+        }
+        if done.is_empty() {
+            // Wake one worker per root task (capped at the pool size); the
+            // workers' chained wakeups take it from there.
+            for _ in 0..roots.min(self.lanes.len()) {
+                self.cv.notify_one();
+            }
+        } else {
+            self.deliver(done);
+        }
+        (id, watch)
+    }
+
+    /// Stops admission; every [`Core::worker`] returns once no job is
+    /// active.
+    pub(crate) fn close(&self) {
+        self.state.lock().closed = true;
+        self.cv.notify_all();
+    }
+
+    /// The lane logs, restricted to `job`'s records if one is named.
+    fn lane_logs(&self, job: Option<JobId>) -> Vec<LaneLog> {
+        self.lanes
+            .iter()
+            .map(|lane| {
+                let lane = lane.lock();
+                let of_job = lane.log.tasks.iter().filter(|r| job.is_none_or(|j| r.job == j));
+                LaneLog { tasks: of_job.copied().collect() }
+            })
+            .collect()
+    }
+
+    /// Consumes the core (every worker has returned) into its lane logs.
+    pub(crate) fn into_lane_logs(self) -> Vec<LaneLog> {
+        self.lanes.into_iter().map(|lane| lane.into_inner().log).collect()
     }
 
     /// Counts the job's terminal outcome and records it on the flight
@@ -368,29 +563,270 @@ impl Inner {
         }
     }
 
-    /// Delivers finalized reports: hook first (so aggregated stats are
-    /// current before waiters wake), then the watch. Never called with the
-    /// state lock held.
-    fn deliver(&self, done: Vec<(JobReport, JobWatch)>) {
-        for (report, watch) in done {
-            self.note_job_end(&report);
+    /// Delivers finalized jobs: hook first (so aggregated stats are current
+    /// before waiters wake), then the watch. Never called with the state
+    /// lock held.
+    fn deliver(&self, done: Done) {
+        for (finished, watch) in done {
+            self.note_job_end(&finished.report);
             if let Some(hook) = &self.on_complete {
-                hook(&report);
+                hook(&finished.report);
             }
-            watch.fulfill(report);
+            watch.fulfill(finished);
+        }
+    }
+
+    /// Removes a job whose last task is accounted and queues its report.
+    fn finalize(&self, st: &mut State<'s>, id: JobId, now: f64, done: &mut Done) {
+        let job = st.jobs.remove(&id).expect("finalized job is active");
+        st.deadlines -= usize::from(job.deadline.is_some());
+        done.push(job.finish(now));
+        if st.closed && st.jobs.is_empty() {
+            self.cv.notify_all();
+        }
+    }
+
+    /// Marks a job cancelled: drops every undispatched task, finalizes
+    /// immediately if nothing is in flight. Returns `false` if the job is
+    /// unknown or already cancelled.
+    fn cancel_locked(
+        &self,
+        st: &mut State<'s>,
+        id: JobId,
+        reason: CancelReason,
+        now: f64,
+        done: &mut Done,
+    ) -> bool {
+        let Some(job) = st.jobs.get_mut(&id) else { return false };
+        if job.cancel_reason.is_some() {
+            return false;
+        }
+        job.cancel_reason = Some(reason);
+        job.drop_undispatched();
+        debug_assert_eq!(job.remaining, job.in_flight);
+        if job.remaining == 0 {
+            self.finalize(st, id, now, done);
+        }
+        true
+    }
+
+    fn cancel(&self, id: JobId, reason: CancelReason) -> bool {
+        let mut done = Done::new();
+        let hit = {
+            let mut st = self.state.lock();
+            self.cancel_locked(&mut st, id, reason, self.now(), &mut done)
+        };
+        self.deliver(done);
+        hit
+    }
+
+    /// Cancels jobs whose deadline passed. Called at dispatch points.
+    fn expire_deadlines(&self, st: &mut State<'s>, done: &mut Done) {
+        if st.deadlines == 0 {
+            return;
+        }
+        let now = self.now();
+        let expired: Vec<JobId> = st
+            .jobs
+            .iter()
+            .filter(|(_, j)| j.cancel_reason.is_none() && j.deadline.is_some_and(|d| now >= d))
+            .map(|(&id, _)| id)
+            .collect();
+        for id in expired {
+            self.cancel_locked(st, id, CancelReason::Deadline, now, done);
+        }
+    }
+
+    /// Claims the highest-priority ready task of the min-pass runnable job
+    /// (the older job on a tie).
+    fn claim(&self, st: &mut State<'s>) -> Option<(Claim, Job<'s>)> {
+        let (&jid, job) = st
+            .jobs
+            .iter_mut()
+            .filter(|(_, j)| !j.ready.is_empty())
+            .min_by(|(_, a), (_, b)| a.pass.total_cmp(&b.pass))?;
+        let ReadyEntry { id: task, .. } = job.ready.pop()?;
+        let body = job.slots[task].take().expect("a ready task is claimed once");
+        let TaskMeta { flops, label, .. } = job.metas[task];
+        job.in_flight += 1;
+        job.pass += flops.max(1.0) / job.weight;
+        if job.report.first_dispatch.is_none() || job.stamps.is_some() {
+            let now = self.now();
+            job.report.first_dispatch.get_or_insert(now);
+            if let Some(s) = &mut job.stamps {
+                s.sample_queue(now, job.ready.len());
+            }
+        }
+        Some((Claim { job: jid, task, label, flops }, body))
+    }
+
+    /// Accounts a finished task: releases its successors (or cancels its
+    /// failure closure) and finalizes the job when its last task is
+    /// accounted.
+    fn complete(
+        &self,
+        st: &mut State<'s>,
+        claim: Claim,
+        lane: usize,
+        end: f64,
+        failure: Option<Failure>,
+        done: &mut Done,
+    ) {
+        let Claim { job: jid, task, label, flops } = claim;
+        let job = st.jobs.get_mut(&jid).expect("in-flight job is active");
+        job.in_flight -= 1;
+        job.remaining -= 1;
+        job.report.tasks_run += 1;
+        job.report.flops += flops;
+        match failure {
+            Some(Failure { message, payload }) => {
+                // Every member of the closure is undispatched; a whole-job
+                // cancel that already dropped it also marked it, so the
+                // walk does not return it again.
+                let mut newly = cancel_closure(&job.succs, &mut job.cancelled, task);
+                for &s in &newly {
+                    job.slots[s] = None;
+                }
+                job.report.tasks_cancelled += newly.len();
+                job.remaining -= newly.len();
+                if let JobOutcome::Failed(first) = &mut job.report.outcome {
+                    first.cancelled.extend(newly);
+                    first.cancelled.sort_unstable();
+                } else {
+                    let panicked = payload.is_some();
+                    job.panic = payload;
+                    newly.sort_unstable();
+                    let cancelled = newly;
+                    job.report.outcome = JobOutcome::Failed(ExecError {
+                        task,
+                        label,
+                        lane,
+                        message,
+                        panicked,
+                        cancelled,
+                    });
+                }
+            }
+            None if job.cancel_reason.is_none() => {
+                let now = if job.stamps.is_some() { self.now() } else { end };
+                let mut released = false;
+                for &s in &job.succs[task] {
+                    job.preds[s] -= 1;
+                    // The cancelled check is defensive: a task whose
+                    // predecessors all completed is in no failure closure.
+                    if job.preds[s] == 0 && !job.cancelled[s] {
+                        job.ready.push(ReadyEntry { priority: job.metas[s].priority, id: s });
+                        released = true;
+                        if let Some(stamps) = &mut job.stamps {
+                            stamps.mark_ready(s, now);
+                        }
+                    }
+                }
+                if let Some(stamps) = job.stamps.as_mut().filter(|_| released) {
+                    stamps.sample_queue(now, job.ready.len());
+                }
+            }
+            None => {}
+        }
+        if job.remaining == 0 {
+            self.finalize(st, jid, end, done);
+        }
+    }
+
+    /// The worker loop of lane `lane`: claim a task, run it, account it,
+    /// until the core is closed and out of jobs. Accounting one task and
+    /// claiming the next share one hold of the state lock, which is given up
+    /// only to run a body, to deliver finalized jobs, or to wait — untimed:
+    /// whoever makes a task ready or empties the closed core does so under
+    /// the lock and signals `cv`.
+    pub(crate) fn worker(&self, lane: usize) {
+        let counters = telemetry::sched_counters();
+        // Whether this thread has published the flight recorder as its context.
+        let mut published = false;
+        let mut st = self.state.lock();
+        loop {
+            let mut done = Done::new();
+            self.expire_deadlines(&mut st, &mut done);
+            if !done.is_empty() {
+                drop(st);
+                self.deliver(done);
+                st = self.state.lock();
+                continue;
+            }
+            let Some((claim, body)) = self.claim(&mut st) else {
+                if st.closed && st.jobs.is_empty() {
+                    return;
+                }
+                self.cv.wait(&mut st);
+                continue;
+            };
+            // Whatever is still ready wants a peer each; a signal nobody
+            // waits for costs nothing.
+            let ready: usize = st.jobs.values().map(|j| j.ready.len()).sum();
+            drop(st);
+            for _ in 0..ready.min(self.lanes.len() - 1) {
+                self.cv.notify_one();
+            }
+
+            counters.tasks_dispatched.inc();
+            let Claim { job: jid, task, label, .. } = claim;
+            if let Some(rec) = self.recorder.get() {
+                // Publish the recorder as this thread's context — once, the
+                // first time it is seen attached — so recovery-layer events
+                // (retry/restore/inject) land on this worker's lane, then
+                // note the dispatch itself.
+                if !published {
+                    telemetry::set_thread_recorder(Arc::downgrade(rec), lane);
+                    published = true;
+                }
+                rec.record(lane, FlightEventKind::Dispatch, jid, Some(label));
+            }
+            let start = self.now();
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
+            let end = self.now();
+            {
+                let mut l = self.lanes[lane].lock();
+                l.busy += end - start;
+                if self.tracing.load(Ordering::Relaxed) {
+                    l.log.tasks.push(TaskRec { job: jid, task, label, start, end });
+                }
+            }
+            let failure = match outcome {
+                Ok(Ok(())) => None,
+                Ok(Err(f)) => Some(Failure { message: f.message, payload: None }),
+                Err(p) => Some(Failure { message: panic_message(p.as_ref()), payload: Some(p) }),
+            };
+            let kind = if failure.is_none() {
+                counters.tasks_completed.inc();
+                FlightEventKind::TaskOk
+            } else {
+                counters.tasks_failed.inc();
+                FlightEventKind::TaskFail
+            };
+            if let Some(rec) = self.recorder.get() {
+                rec.record(lane, kind, jid, Some(label));
+            }
+
+            st = self.state.lock();
+            self.complete(&mut st, claim, lane, end, failure, &mut done);
+            if !done.is_empty() {
+                drop(st);
+                self.deliver(done);
+                st = self.state.lock();
+            }
         }
     }
 }
 
-/// A persistent pool of workers multiplexing many task graphs (see the
-/// module docs for the scheduling policy).
+/// A persistent pool of workers multiplexing many task graphs: the core
+/// [`crate::execute`] runs for one job, here behind an `Arc` with the
+/// threads that run its lanes. Within a job tasks dispatch by priority (the
+/// paper's lookahead rule), across jobs by weighted fair share of flops; a
+/// failure cancels only its own job's transitive successors.
 pub struct MultiFrontier {
-    inner: Arc<Inner>,
+    core: Arc<Core<'static>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
-
-/// How long an idle worker sleeps between deadline sweeps.
-const IDLE_SWEEP: Duration = Duration::from_millis(25);
 
 impl MultiFrontier {
     /// Starts `nworkers` dedicated worker threads.
@@ -409,33 +845,22 @@ impl MultiFrontier {
     }
 
     fn build(nworkers: usize, on_complete: Option<CompletionHook>) -> Self {
-        assert!(nworkers > 0, "need at least one worker");
-        let inner = Arc::new(Inner {
-            state: Mutex::new(State { jobs: HashMap::new(), shutdown: false }),
-            cv: Condvar::new(),
-            epoch: Instant::now(),
-            next_job: AtomicU64::new(0),
-            nworkers,
-            lanes: (0..nworkers).map(|_| Mutex::default()).collect(),
-            tracing: AtomicBool::new(false),
-            on_complete,
-            recorder: OnceLock::new(),
-        });
+        let core = Arc::new(Core::new(nworkers, false, on_complete));
         let workers = (0..nworkers)
             .map(|lane| {
-                let inner = Arc::clone(&inner);
+                let core = Arc::clone(&core);
                 std::thread::Builder::new()
                     .name(format!("ca-serve-{lane}"))
-                    .spawn(move || worker_loop(&inner, lane))
+                    .spawn(move || core.worker(lane))
                     .expect("spawn frontier worker")
             })
             .collect();
-        Self { inner, workers: Mutex::new(workers) }
+        Self { core, workers: Mutex::new(workers) }
     }
 
     /// Number of worker threads.
     pub fn nworkers(&self) -> usize {
-        self.inner.nworkers
+        self.core.lanes.len()
     }
 
     /// Attaches a flight recorder retaining the last `depth` events per
@@ -443,95 +868,29 @@ impl MultiFrontier {
     /// returns it. Only the first attach creates a recorder; later calls
     /// return the existing one regardless of `depth`.
     pub fn set_flight_recorder(&self, depth: usize) -> Arc<FlightRecorder> {
-        self.inner
+        self.core
             .recorder
-            .get_or_init(|| Arc::new(FlightRecorder::new(self.inner.nworkers, depth)))
+            .get_or_init(|| Arc::new(FlightRecorder::new(self.nworkers(), depth)))
             .clone()
     }
 
     /// The attached flight recorder, if any.
     pub fn flight_recorder(&self) -> Option<Arc<FlightRecorder>> {
-        self.inner.recorder.get().cloned()
+        self.core.recorder.get().cloned()
     }
 
     /// Submits a job. Tasks become eligible immediately; the returned
     /// [`JobWatch`] resolves when the job reaches a terminal state. If the
     /// frontier is already shut down, the job finalizes immediately with
-    /// [`CancelReason::Shutdown`].
+    /// [`CancelReason::Shutdown`]. A job submitted while tracing is on
+    /// ([`MultiFrontier::set_tracing`]) can be asked for its
+    /// [`MultiFrontier::job_profile`].
+    ///
+    /// # Panics
+    /// If `opts.weight` is not positive and finite.
     pub fn submit(&self, graph: TaskGraph<DynJob>, opts: JobOptions) -> (JobId, JobWatch) {
-        assert!(opts.weight > 0.0 && opts.weight.is_finite(), "weight must be positive");
-        let id = self.inner.next_job.fetch_add(1, Ordering::Relaxed);
-        telemetry::sched_counters().jobs_submitted.inc();
-        if let Some(rec) = self.inner.recorder.get() {
-            rec.record(rec.nworkers(), FlightEventKind::JobSubmit, id, None);
-        }
-        let TaskGraph { metas, payloads, succs, npreds } = graph;
-        let n = metas.len();
-        let now = self.inner.now();
-        let watch = JobWatch::new();
-
-        let mut ready = BinaryHeap::new();
-        for (t, &np) in npreds.iter().enumerate() {
-            if np == 0 {
-                ready.push(Ready { priority: metas[t].priority, task: t });
-            }
-        }
-        let mut job = JobState {
-            metas,
-            slots: payloads.into_iter().map(Some).collect(),
-            succs,
-            preds: npreds,
-            ready,
-            cancelled: vec![false; n],
-            remaining: n,
-            in_flight: 0,
-            pass: 0.0,
-            weight: opts.weight,
-            tag: opts.tag,
-            deadline: opts.deadline.map(|d| now + d.as_secs_f64()),
-            submitted: now,
-            first_dispatch: None,
-            tasks_run: 0,
-            tasks_cancelled: 0,
-            flops_done: 0.0,
-            failure: None,
-            cancel_reason: None,
-            watch: watch.clone(),
-        };
-
-        let roots = job.ready.len();
-        let mut done = Vec::new();
-        {
-            let mut st = self.inner.state.lock().expect("frontier lock");
-            if st.shutdown {
-                job.cancel_reason = Some(CancelReason::Shutdown);
-                job.tasks_cancelled = n;
-                job.slots.clear();
-                job.remaining = 0;
-                done.push((build_report(id, job, now), watch.clone()));
-            } else {
-                // Stride scheduling: start at the current minimum pass so
-                // the new job neither starves nor sweeps the pool.
-                let base =
-                    st.jobs.values().map(|j| j.pass).fold(f64::INFINITY, f64::min);
-                job.pass = if base.is_finite() { base } else { 0.0 };
-                if n == 0 {
-                    done.push((build_report(id, job, now), watch.clone()));
-                } else {
-                    st.jobs.insert(id, job);
-                }
-            }
-        }
-        if done.is_empty() {
-            // Wake one worker per root task (capped at the pool size); the
-            // workers' chained wakeups take it from there.
-            for _ in 0..roots.min(self.inner.nworkers) {
-                self.inner.cv.notify_one();
-            }
-        } else {
-            self.inner.deliver(done);
-        }
-        (id, watch)
+        let tracing = self.core.tracing.load(Ordering::Relaxed);
+        self.core.admit(graph, opts, tracing, self.core.now())
     }
 
     /// Cancels a job: undispatched tasks are dropped, in-flight tasks run
@@ -539,96 +898,90 @@ impl MultiFrontier {
     /// [`JobOutcome::Cancelled`]`(`[`CancelReason::User`]`)`. Returns
     /// `false` if the job already finished or was already cancelled.
     pub fn cancel(&self, id: JobId) -> bool {
-        self.cancel_with(id, CancelReason::User)
-    }
-
-    fn cancel_with(&self, id: JobId, reason: CancelReason) -> bool {
-        let mut done = Vec::new();
-        let hit = {
-            let mut st = self.inner.state.lock().expect("frontier lock");
-            let now = self.inner.now();
-            cancel_job_locked(&mut st, id, reason, now, &mut done)
-        };
-        self.inner.deliver(done);
-        hit
+        self.core.cancel(id, CancelReason::User)
     }
 
     /// Sheds the oldest job that has not yet dispatched any task,
     /// finalizing it with [`CancelReason::Shed`]. Returns its id, or `None`
     /// if every active job already started running.
     pub fn shed_oldest_queued(&self) -> Option<JobId> {
-        let mut done = Vec::new();
+        let mut done = Done::new();
         let victim = {
-            let mut st = self.inner.state.lock().expect("frontier lock");
+            let mut st = self.core.state.lock();
             let victim = st
                 .jobs
                 .iter()
-                .filter(|(_, j)| j.first_dispatch.is_none() && j.cancel_reason.is_none())
-                .min_by(|(ai, a), (bi, b)| {
-                    a.submitted.total_cmp(&b.submitted).then(ai.cmp(bi))
-                })
+                .filter(|(_, j)| j.report.first_dispatch.is_none() && j.cancel_reason.is_none())
+                .min_by(|(_, a), (_, b)| a.report.submitted.total_cmp(&b.report.submitted))
                 .map(|(&id, _)| id);
             if let Some(id) = victim {
-                let now = self.inner.now();
-                cancel_job_locked(&mut st, id, CancelReason::Shed, now, &mut done);
+                let now = self.core.now();
+                self.core.cancel_locked(&mut st, id, CancelReason::Shed, now, &mut done);
             }
             victim
         };
-        self.inner.deliver(done);
+        self.core.deliver(done);
         victim
     }
 
     /// Jobs admitted and not yet finalized.
     pub fn active_jobs(&self) -> usize {
-        self.inner.state.lock().expect("frontier lock").jobs.len()
+        self.core.state.lock().jobs.len()
     }
 
     /// Active jobs that have not dispatched any task yet.
     pub fn queued_jobs(&self) -> usize {
-        let st = self.inner.state.lock().expect("frontier lock");
-        st.jobs.values().filter(|j| j.first_dispatch.is_none()).count()
+        self.core.state.lock().jobs.values().filter(|j| j.report.first_dispatch.is_none()).count()
     }
 
-    /// Enables or disables span recording for [`MultiFrontier::timeline`].
+    /// Enables or disables recording: while on, every finished task is
+    /// logged for [`MultiFrontier::timeline`], and a job submitted while on
+    /// keeps what [`MultiFrontier::job_profile`] needs.
     pub fn set_tracing(&self, on: bool) {
-        self.inner.tracing.store(on, Ordering::Relaxed);
+        self.core.tracing.store(on, Ordering::Relaxed);
     }
 
     /// Snapshot of the recorded execution timeline (spans accumulate while
     /// tracing is enabled; times are seconds since the frontier epoch).
     pub fn timeline(&self) -> Timeline {
-        let lanes: Vec<LaneLog> =
-            self.inner.lanes.iter().map(|l| l.lock().expect("lane lock").log.clone()).collect();
-        Timeline::from_log(&lanes, self.inner.now())
+        Timeline::from_log(&self.core.lane_logs(None), self.core.now())
+    }
+
+    /// The full-lifecycle [`Profile`] of a finished job that was submitted
+    /// and ran under tracing: the job's records in the lane logs joined
+    /// with the metadata, edges and ready stamps its watch retained (freed
+    /// with the last clone of the watch). Times count from the job's
+    /// submission. `None` while the job runs and for an untraced job.
+    pub fn job_profile(&self, watch: &JobWatch) -> Option<Profile> {
+        let slot = watch.inner.slot.lock();
+        let Finished { report, trace, .. } = slot.as_ref()?;
+        let JobTrace { metas, succs, stamps, cancelled } = trace.as_ref()?;
+        let lanes = self.core.lane_logs(Some(report.job));
+        let makespan = report.finished - report.submitted;
+        let cancelled = cancelled.clone();
+        Some(Profile::from_log(SCHEDULER, &lanes, stamps, makespan, metas, succs, cancelled))
     }
 
     /// Total seconds workers spent executing task bodies since start.
     pub fn busy_seconds(&self) -> f64 {
-        self.inner.lanes.iter().map(|l| l.lock().expect("lane lock").busy).sum()
+        self.core.lanes.iter().map(|l| l.lock().busy).sum()
     }
 
     /// Seconds since the frontier started.
     pub fn elapsed_seconds(&self) -> f64 {
-        self.inner.now()
+        self.core.now()
     }
 
     /// Shuts down: cancels every active job with [`CancelReason::Shutdown`]
     /// (in-flight tasks finish), then joins the workers. Idempotent;
     /// submissions after shutdown finalize immediately as cancelled.
     pub fn shutdown(&self) {
-        let mut done = Vec::new();
-        {
-            let mut st = self.inner.state.lock().expect("frontier lock");
-            st.shutdown = true;
-            let ids: Vec<JobId> = st.jobs.keys().copied().collect();
-            let now = self.inner.now();
-            for id in ids {
-                cancel_job_locked(&mut st, id, CancelReason::Shutdown, now, &mut done);
-            }
+        self.core.close();
+        let active: Vec<JobId> = self.core.state.lock().jobs.keys().copied().collect();
+        for id in active {
+            self.core.cancel(id, CancelReason::Shutdown);
         }
-        self.inner.cv.notify_all();
-        self.inner.deliver(done);
-        let workers = std::mem::take(&mut *self.workers.lock().expect("workers lock"));
+        let workers = std::mem::take(&mut *self.workers.lock());
         for w in workers {
             let _ = w.join();
         }
@@ -641,289 +994,14 @@ impl Drop for MultiFrontier {
     }
 }
 
-/// Builds the terminal report for a job (consuming its state).
-fn build_report(id: JobId, job: JobState, now: f64) -> JobReport {
-    let outcome = if let Some(e) = job.failure {
-        JobOutcome::Failed(e)
-    } else if let Some(r) = job.cancel_reason {
-        JobOutcome::Cancelled(r)
-    } else {
-        JobOutcome::Completed
-    };
-    JobReport {
-        job: id,
-        tag: job.tag,
-        outcome,
-        submitted: job.submitted,
-        first_dispatch: job.first_dispatch,
-        finished: now,
-        tasks_run: job.tasks_run,
-        tasks_cancelled: job.tasks_cancelled,
-        flops: job.flops_done,
-    }
-}
-
-/// Marks a job cancelled: drops every undispatched task, finalizes
-/// immediately if nothing is in flight. Returns `false` if the job is
-/// unknown or already cancelled/failed-and-draining.
-fn cancel_job_locked(
-    st: &mut State,
-    id: JobId,
-    reason: CancelReason,
-    now: f64,
-    done: &mut Vec<(JobReport, JobWatch)>,
-) -> bool {
-    let Some(job) = st.jobs.get_mut(&id) else { return false };
-    if job.cancel_reason.is_some() {
-        return false;
-    }
-    job.cancel_reason = Some(reason);
-    job.ready.clear();
-    for t in 0..job.slots.len() {
-        if let Some(body) = job.slots[t].take() {
-            drop(body);
-            job.cancelled[t] = true;
-            job.tasks_cancelled += 1;
-            job.remaining -= 1;
-        }
-    }
-    debug_assert_eq!(job.remaining, job.in_flight);
-    if job.remaining == 0 {
-        let job = st.jobs.remove(&id).expect("job present");
-        let watch = job.watch.clone();
-        done.push((build_report(id, job, now), watch));
-    }
-    true
-}
-
-/// Cancels jobs whose deadline passed. Called at dispatch points.
-fn expire_deadlines(inner: &Inner, st: &mut State, done: &mut Vec<(JobReport, JobWatch)>) {
-    let now = inner.now();
-    let expired: Vec<JobId> = st
-        .jobs
-        .iter()
-        .filter(|(_, j)| j.cancel_reason.is_none() && j.deadline.is_some_and(|d| now >= d))
-        .map(|(&id, _)| id)
-        .collect();
-    for id in expired {
-        cancel_job_locked(st, id, CancelReason::Deadline, now, done);
-    }
-}
-
-/// A dispatched task, ready to run outside the lock.
-struct Dispatch {
-    job: JobId,
-    task: TaskId,
-    label: TaskLabel,
-    flops: f64,
-    body: DynJob,
-}
-
-/// Picks the highest-priority ready task of the min-pass runnable job.
-fn try_dispatch(inner: &Inner, st: &mut State) -> Option<Dispatch> {
-    let jid = st
-        .jobs
-        .iter()
-        .filter(|(_, j)| j.runnable())
-        .min_by(|(ai, a), (bi, b)| a.pass.total_cmp(&b.pass).then(ai.cmp(bi)))
-        .map(|(&id, _)| id)?;
-    let job = st.jobs.get_mut(&jid).expect("job present");
-    let Ready { task, .. } = job.ready.pop().expect("runnable job has a ready task");
-    let body = job.slots[task].take().expect("task dispatched twice");
-    let meta = &job.metas[task];
-    let flops = meta.flops;
-    let label = meta.label;
-    job.in_flight += 1;
-    job.pass += flops.max(1.0) / job.weight;
-    if job.first_dispatch.is_none() {
-        job.first_dispatch = Some(inner.now());
-    }
-    Some(Dispatch { job: jid, task, label, flops, body })
-}
-
-/// Records a finished task: releases successors (or cancels the failure
-/// closure), finalizes the job when its last task is accounted. Returns
-/// how many new tasks became ready.
-#[allow(clippy::too_many_arguments)]
-fn complete_task(
-    st: &mut State,
-    jid: JobId,
-    task: TaskId,
-    label: TaskLabel,
-    flops: f64,
-    lane: usize,
-    failure: Option<(String, bool)>,
-    now: f64,
-    done: &mut Vec<(JobReport, JobWatch)>,
-) -> usize {
-    let job = st.jobs.get_mut(&jid).expect("in-flight job present");
-    job.in_flight -= 1;
-    job.remaining -= 1;
-    job.tasks_run += 1;
-    job.flops_done += flops;
-    let mut released = 0usize;
-    match failure {
-        Some((message, panicked)) => {
-            // Cancel the transitive successors inside this job. Every
-            // member of the closure is undispatched (its path to the failed
-            // task goes through a predecessor that never completed), unless
-            // a whole-job cancel already dropped it.
-            let mut newly = Vec::new();
-            let mut stack: Vec<TaskId> = job.succs[task].clone();
-            while let Some(s) = stack.pop() {
-                if !job.cancelled[s] {
-                    job.cancelled[s] = true;
-                    if job.slots[s].take().is_some() {
-                        job.tasks_cancelled += 1;
-                        job.remaining -= 1;
-                        newly.push(s);
-                    }
-                    stack.extend(job.succs[s].iter().copied());
-                }
-            }
-            match job.failure.as_mut() {
-                None => {
-                    newly.sort_unstable();
-                    job.failure = Some(ExecError {
-                        task,
-                        label,
-                        lane,
-                        message,
-                        panicked,
-                        cancelled: newly,
-                    });
-                }
-                Some(f) => {
-                    f.cancelled.extend(newly);
-                    f.cancelled.sort_unstable();
-                    f.cancelled.dedup();
-                }
-            }
-        }
-        None => {
-            if job.cancel_reason.is_none() {
-                for s in job.succs[task].clone() {
-                    job.preds[s] -= 1;
-                    if job.preds[s] == 0 && !job.cancelled[s] {
-                        job.ready.push(Ready { priority: job.metas[s].priority, task: s });
-                        released += 1;
-                    }
-                }
-            }
-        }
-    }
-    if job.remaining == 0 {
-        let job = st.jobs.remove(&jid).expect("job present");
-        let watch = job.watch.clone();
-        done.push((build_report(jid, job, now), watch));
-    }
-    released
-}
-
-fn worker_loop(inner: &Inner, lane: usize) {
-    // Whether this thread has published the flight recorder as its context.
-    let mut published = false;
-    loop {
-        // --- Acquire work (or exit on shutdown).
-        let mut more_ready = false;
-        let dispatch = {
-            let mut st = inner.state.lock().expect("frontier lock");
-            loop {
-                let mut done = Vec::new();
-                expire_deadlines(inner, &mut st, &mut done);
-                if !done.is_empty() {
-                    drop(st);
-                    inner.deliver(done);
-                    st = inner.state.lock().expect("frontier lock");
-                    continue;
-                }
-                if let Some(d) = try_dispatch(inner, &mut st) {
-                    more_ready = st.jobs.values().any(JobState::runnable);
-                    break Some(d);
-                }
-                if st.shutdown {
-                    break None;
-                }
-                let (guard, _) =
-                    inner.cv.wait_timeout(st, IDLE_SWEEP).expect("frontier lock");
-                st = guard;
-            }
-        };
-        // Chained wakeup: if ready tasks remain beyond the one this worker
-        // took, wake exactly one peer (which wakes the next, and so on)
-        // instead of thundering the whole pool on every transition.
-        if more_ready {
-            inner.cv.notify_one();
-        }
-        let Some(Dispatch { job: jid, task, label, flops, body }) = dispatch else {
-            return;
-        };
-
-        // --- Run the task outside the lock.
-        let counters = telemetry::sched_counters();
-        counters.tasks_dispatched.inc();
-        if let Some(rec) = inner.recorder.get() {
-            // Publish the recorder as this thread's context — once, the
-            // first time it is seen attached — so recovery-layer events
-            // (retry/restore/inject) land on this worker's lane, then note
-            // the dispatch itself.
-            if !published {
-                telemetry::set_thread_recorder(Arc::downgrade(rec), lane);
-                published = true;
-            }
-            rec.record(lane, FlightEventKind::Dispatch, jid, Some(label));
-        }
-        let start = inner.now();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
-        let end = inner.now();
-        {
-            let mut l = inner.lanes[lane].lock().expect("lane lock");
-            l.busy += end - start;
-            if inner.tracing.load(Ordering::Relaxed) {
-                // The claim happened under the state lock just above; the
-                // frontier takes no separate dispatch stamp.
-                l.log.tasks.push(TaskRec { task, label, dispatch: start, start, end });
-            }
-        }
-        let failure = match outcome {
-            Ok(Ok(())) => None,
-            Ok(Err(f)) => Some((f.message, false)),
-            Err(p) => Some((panic_message(p.as_ref()), true)),
-        };
-        if failure.is_none() {
-            counters.tasks_completed.inc();
-        } else {
-            counters.tasks_failed.inc();
-        }
-        if let Some(rec) = inner.recorder.get() {
-            let kind =
-                if failure.is_none() { FlightEventKind::TaskOk } else { FlightEventKind::TaskFail };
-            rec.record(lane, kind, jid, Some(label));
-        }
-
-        // --- Account under the lock, deliver reports off it.
-        let mut done = Vec::new();
-        let released = {
-            let mut st = inner.state.lock().expect("frontier lock");
-            complete_task(&mut st, jid, task, label, flops, lane, failure, end, &mut done)
-        };
-        // This worker loops straight back into dispatch, so it needs no
-        // wakeup itself; wake one peer per additional released task (the
-        // chained wakeup above keeps the pool saturated from there).
-        for _ in 0..released.saturating_sub(1).min(inner.nworkers) {
-            inner.cv.notify_one();
-        }
-        inner.deliver(done);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::fault::TaskFailure;
     use crate::task::{TaskKind, TaskMeta};
+    use crate::dyn_job;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::mpsc;
+    use std::sync::{mpsc, Mutex};
 
     fn meta(priority: i64, flops: f64) -> TaskMeta {
         TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), flops).with_priority(priority)
@@ -1138,6 +1216,36 @@ mod tests {
             JobOutcome::Cancelled(CancelReason::Deadline)
         ));
         assert_eq!(ran.load(Ordering::SeqCst), 0);
+        f.shutdown();
+    }
+
+    #[test]
+    fn deadline_passing_mid_job_cancels_at_the_next_dispatch_point() {
+        // A -> B with a 5 ms deadline; A holds one worker on a channel for
+        // 50 ms while the other idles with nothing to dispatch. Nobody needs
+        // to notice the deadline until A ends: B is then dropped at the
+        // dispatch point instead of running.
+        let f = MultiFrontier::new(2);
+        let (tx, rx) = mpsc::channel::<()>();
+        let b_ran = Arc::new(AtomicUsize::new(0));
+        let mut g: TaskGraph<DynJob> = TaskGraph::new();
+        let a = g.add_task(meta(0, 1.0), dyn_job(move || {
+            rx.recv().unwrap();
+        }));
+        let ran = Arc::clone(&b_ran);
+        let b = g.add_task(meta(0, 1.0), dyn_job(move || {
+            ran.fetch_add(1, Ordering::SeqCst);
+        }));
+        g.add_dep(a, b);
+        let (_, w) =
+            f.submit(g, JobOptions::default().with_deadline(Duration::from_millis(5)));
+        std::thread::sleep(Duration::from_millis(50));
+        tx.send(()).unwrap();
+        let report = w.wait();
+        assert!(matches!(report.outcome, JobOutcome::Cancelled(CancelReason::Deadline)));
+        assert_eq!(report.tasks_run, 1);
+        assert_eq!(report.tasks_cancelled, 1);
+        assert_eq!(b_ran.load(Ordering::SeqCst), 0, "B ran past the deadline");
         f.shutdown();
     }
 

@@ -9,8 +9,7 @@
 //!
 //! * [`Profile`] — one record per executed task (ready → dispatch → start →
 //!   end, worker lane, kernel class, flop/byte estimates), the DAG edges,
-//!   ready-queue depth samples (central queue and simulator), per-worker
-//!   steal counters (work-stealing pool), and the cancelled-task set.
+//!   ready-queue depth samples, and the cancelled-task set.
 //! * [`SchedMetrics`] — the derived report: dispatch-latency distribution,
 //!   per-kind busy breakdown, per-kernel-class achieved GFlop/s and GB/s
 //!   (roofline attribution), critical-path length vs makespan (scheduling
@@ -22,8 +21,9 @@
 //!   ready-queue counter track.
 //!
 //! Profiles come from [`crate::execute`] and [`crate::simulate_with`] with
-//! their `profile` option set; the simulator path is fully deterministic,
-//! so tests can assert exact metric values.
+//! their `profile` option set, and from [`crate::MultiFrontier::job_profile`]
+//! for a job served under tracing; the simulator path is fully
+//! deterministic, so tests can assert exact metric values.
 
 use crate::task::{KernelClass, TaskId, TaskKind, TaskLabel};
 use crate::trace::{trace_args, Span, Timeline, TraceEvents};
@@ -43,9 +43,11 @@ pub struct TaskRecord {
     pub bytes: f64,
     /// Worker lane that executed the task.
     pub worker: usize,
-    /// Time the task became ready (all predecessors complete; roots at 0).
+    /// Time the task became ready (all predecessors complete; roots at 0,
+    /// the job's admission).
     pub ready: f64,
-    /// Time a worker claimed the task from the ready set.
+    /// Time a worker claimed the task from the ready set. Every executor
+    /// claims and starts a task in one step, so this equals `start`.
     pub dispatch: f64,
     /// Execution start time.
     pub start: f64,
@@ -65,8 +67,7 @@ impl TaskRecord {
     }
 }
 
-/// One sample of the ready-set depth (central priority queue or simulator
-/// ready heap), taken at every enqueue/dequeue.
+/// One sample of the job's ready-set depth, taken at every enqueue/dequeue.
 #[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct QueueSample {
     /// Sample time in seconds.
@@ -75,23 +76,13 @@ pub struct QueueSample {
     pub depth: usize,
 }
 
-/// Per-worker steal counters (work-stealing pool only).
-#[derive(Clone, Copy, Debug, Default, serde::Serialize, serde::Deserialize)]
-pub struct StealStats {
-    /// Steal rounds attempted: the worker's local deque was empty and it
-    /// went to the injector / peer deques.
-    pub attempts: u64,
-    /// Rounds that obtained a task from the injector or a peer.
-    pub hits: u64,
-}
-
-/// A complete execution profile, as recorded by one of the `profile_*`
-/// entry points. Serializable, so it can be committed as a benchmark
-/// baseline; [`Profile::metrics`] derives the human-meaningful summary.
+/// A complete execution profile of one job. Serializable, so it can be
+/// committed as a benchmark baseline; [`Profile::metrics`] derives the
+/// human-meaningful summary.
 #[derive(Clone, Debug, serde::Serialize, serde::Deserialize)]
 pub struct Profile {
-    /// Which executor produced the profile: `"priority-queue"`,
-    /// `"work-stealing"`, or `"simulator"`.
+    /// Which executor produced the profile: `"priority-queue"` (the
+    /// threaded worker loop) or `"simulator"`.
     pub scheduler: String,
     /// Number of worker lanes.
     pub nworkers: usize,
@@ -103,11 +94,8 @@ pub struct Profile {
     /// The DAG edges (`before → after`), for flow events and the measured
     /// critical path.
     pub edges: Vec<(TaskId, TaskId)>,
-    /// Ready-set depth samples (empty for the work-stealing pool, whose
-    /// ready set is distributed).
+    /// Ready-set depth samples.
     pub queue_samples: Vec<QueueSample>,
-    /// Per-worker steal counters (empty unless work stealing).
-    pub steals: Vec<StealStats>,
     /// Tasks cancelled because a transitive predecessor failed.
     pub cancelled: Vec<TaskId>,
 }
@@ -237,10 +225,6 @@ impl Profile {
             })
             .collect();
 
-        // Steals.
-        let steal_attempts = self.steals.iter().map(|s| s.attempts).sum();
-        let steal_hits = self.steals.iter().map(|s| s.hits).sum();
-
         // Queue depth.
         let max_queue_depth = self.queue_samples.iter().map(|s| s.depth).max().unwrap_or(0);
         let mean_queue_depth = if self.queue_samples.is_empty() {
@@ -270,8 +254,6 @@ impl Profile {
             dispatch_latency,
             by_kind,
             by_class,
-            steal_attempts,
-            steal_hits,
             max_queue_depth,
             mean_queue_depth,
             critical_path_seconds,
@@ -503,10 +485,6 @@ pub struct SchedMetrics {
     pub by_kind: Vec<KindMetrics>,
     /// Roofline attribution per kernel class.
     pub by_class: Vec<ClassMetrics>,
-    /// Total peer-steal rounds attempted (work-stealing pool).
-    pub steal_attempts: u64,
-    /// Successful peer steals.
-    pub steal_hits: u64,
     /// Deepest observed ready queue.
     pub max_queue_depth: usize,
     /// Mean sampled ready-queue depth.
@@ -575,15 +553,6 @@ impl SchedMetrics {
             la.worst_step,
             fmt_time(la.total_wait),
         );
-        if self.steal_attempts > 0 {
-            let _ = writeln!(
-                out,
-                "  steals: {} attempts, {} hits ({:.1}%)",
-                self.steal_attempts,
-                self.steal_hits,
-                100.0 * self.steal_hits as f64 / self.steal_attempts as f64,
-            );
-        }
         if self.max_queue_depth > 0 {
             let _ = writeln!(
                 out,
@@ -650,7 +619,6 @@ mod tests {
             records,
             edges,
             queue_samples: vec![QueueSample { t: 0.0, depth: 2 }, QueueSample { t: 1.0, depth: 0 }],
-            steals: Vec::new(),
             cancelled: Vec::new(),
         }
     }

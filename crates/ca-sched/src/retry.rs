@@ -30,10 +30,9 @@
 //! (after scribbling garbage over the write-set to prove restoration
 //! works), so replay is always safe.
 
-use crate::exec::Job;
+use crate::exec::{DynJob, Job};
 use crate::fault::{panic_message, TaskFailure, TaskResult};
 use crate::footprint::AccessMap;
-use crate::multigraph::DynJob;
 use crate::task::{TaskId, TaskKind, TaskLabel};
 use ca_matrix::{ElemRect, MatView, SharedMatrix};
 use std::collections::HashMap;

@@ -15,7 +15,7 @@
 use crate::exec::{ExecStats, RunReport};
 use crate::fault::ExecError;
 use crate::footprint::AccessMap;
-use crate::graph::TaskGraph;
+use crate::graph::{cancel_closure, ReadyEntry, TaskGraph};
 use crate::log::{LaneLog, Stamps, TaskRec};
 use crate::profile::Profile;
 use crate::retry::{injection_message, ChaosAction, ChaosPlan};
@@ -24,24 +24,6 @@ use crate::trace::{Timeline, TimelineError};
 use crate::verify::SoundnessError;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-
-#[derive(PartialEq, Eq)]
-struct ReadyEntry {
-    priority: i64,
-    id: TaskId,
-}
-
-impl Ord for ReadyEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.priority.cmp(&other.priority).then(other.id.cmp(&self.id))
-    }
-}
-
-impl PartialOrd for ReadyEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 #[derive(PartialEq)]
 struct Completion {
@@ -168,7 +150,7 @@ pub(crate) fn sim_core<T>(
     let mut failure: Option<ExecError> = None;
     // Profile-only stamps: exact ready instants and ready-heap depth
     // samples (one per assignment round).
-    let stamps = profile.then(|| Stamps::new(n));
+    let mut stamps = profile.then(|| Stamps::new(n, 0.0));
 
     while accounted < n {
         // Start as many ready tasks as there are idle cores, at time t.
@@ -188,12 +170,11 @@ pub(crate) fn sim_core<T>(
                 // No data is simulated, so there is nothing to corrupt.
                 Some(ChaosAction::Corrupt) | None => None,
             };
-            let rec =
-                TaskRec { task: entry.id, label: meta.label, dispatch: t, start: t, end: t + d };
+            let rec = TaskRec { job: 0, task: entry.id, label: meta.label, start: t, end: t + d };
             lanes[worker].tasks.push(rec);
             events.push(Completion { time: t + d, worker, task: entry.id, failed });
         }
-        if let Some(stamps) = &stamps {
+        if let Some(stamps) = &mut stamps {
             stamps.sample_queue(t, ready.len());
         }
 
@@ -210,15 +191,8 @@ pub(crate) fn sim_core<T>(
             idle.push(c.worker);
             accounted += 1;
             if let Some(panicked) = c.failed {
-                // Cancel transitive successors: accounted without running.
-                let mut stack: Vec<TaskId> = graph.succs[c.task].clone();
-                while let Some(s) = stack.pop() {
-                    if !cancelled[s] {
-                        cancelled[s] = true;
-                        accounted += 1;
-                        stack.extend(graph.succs[s].iter().copied());
-                    }
-                }
+                // Cancelled tasks are accounted without running.
+                accounted += cancel_closure(&graph.succs, &mut cancelled, c.task).len();
                 if failure.is_none() {
                     failure = Some(ExecError {
                         task: c.task,
@@ -233,7 +207,7 @@ pub(crate) fn sim_core<T>(
                 for &s in &graph.succs[c.task] {
                     preds[s] -= 1;
                     if preds[s] == 0 && !cancelled[s] {
-                        if let Some(stamps) = &stamps {
+                        if let Some(stamps) = &mut stamps {
                             stamps.mark_ready(s, t);
                         }
                         ready.push(ReadyEntry { priority: graph.metas[s].priority, id: s });
@@ -247,7 +221,7 @@ pub(crate) fn sim_core<T>(
     let cancelled_ids: Vec<TaskId> = (0..n).filter(|&id| cancelled[id]).collect();
     let profile_out = stamps.map(|stamps| {
         let (metas, succs) = (&graph.metas, &graph.succs);
-        Profile::from_log("simulator", &lanes, stamps, t, metas, succs, cancelled_ids.clone())
+        Profile::from_log("simulator", &lanes, &stamps, t, metas, succs, cancelled_ids.clone())
     });
     let failure = failure.map(|mut err| {
         err.cancelled = cancelled_ids;

@@ -4,9 +4,10 @@
 //! Two complementary mechanisms live here:
 //!
 //! 1. **Global scheduler counters** ([`sched_counters`]) — one process-wide
-//!    set of shared `ca_telemetry` counters: [`MultiFrontier`] and one-shot
-//!    [`crate::execute`] workers bump them as each task (and job, and steal
-//!    round) finishes, and `ca-core` counts probes and graph builds. They are the single store of
+//!    set of shared `ca_telemetry` counters: the worker loop behind
+//!    [`MultiFrontier`] and one-shot [`crate::execute`] bumps them as each
+//!    task and job finishes (a one-shot run is one job), and `ca-core`
+//!    counts probes and graph builds. They are the single store of
 //!    those facts: a [`ca_telemetry::Registry`] *adopts* the handles
 //!    ([`register_sched_metrics`]) and its snapshots read the live atomics,
 //!    so there is no copy to keep in sync. The counters are never reset and
@@ -47,11 +48,7 @@ pub struct SchedCounters {
     pub tasks_completed: Arc<Counter>,
     /// Tasks whose body returned an error or panicked.
     pub tasks_failed: Arc<Counter>,
-    /// Steal attempts made by the work-stealing executor.
-    pub steal_attempts: Arc<Counter>,
-    /// Steal attempts that obtained a task.
-    pub steal_hits: Arc<Counter>,
-    /// Jobs submitted to a `MultiFrontier`.
+    /// Jobs admitted: `MultiFrontier` submissions and one-shot runs.
     pub jobs_submitted: Arc<Counter>,
     /// Jobs that completed successfully.
     pub jobs_completed: Arc<Counter>,
@@ -86,8 +83,6 @@ pub fn register_sched_metrics(registry: &Registry) {
         ("tasks_dispatched", &c.tasks_dispatched),
         ("tasks_completed", &c.tasks_completed),
         ("tasks_failed", &c.tasks_failed),
-        ("steal_attempts", &c.steal_attempts),
-        ("steal_hits", &c.steal_hits),
         ("jobs_submitted", &c.jobs_submitted),
         ("jobs_completed", &c.jobs_completed),
         ("jobs_failed", &c.jobs_failed),
@@ -306,7 +301,7 @@ mod tests {
     fn registered_sched_counters_are_read_live_and_monotone() {
         let value = |reg: &Registry| {
             let snap = reg.snapshot();
-            assert_eq!(snap.families.len(), 14);
+            assert_eq!(snap.families.len(), 12);
             let fam = snap.families.iter().find(|f| f.name == "ca_sched_tasks_dispatched_total");
             match fam.expect("family registered").series[0].value {
                 ca_telemetry::SeriesValue::Counter(v) => v,

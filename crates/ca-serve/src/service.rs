@@ -11,7 +11,8 @@ use ca_core::{
 use ca_matrix::Matrix;
 use ca_sched::{
     CancelReason, ChaosPlan, DynJob, JobId, JobOptions, JobOutcome, JobReport, JobWatch,
-    MultiFrontier, PanicHookGuard, RecoveryCounters, TaskGraph, TaskKind, TaskLabel, TaskMeta,
+    MultiFrontier, PanicHookGuard, Profile, RecoveryCounters, TaskGraph, TaskKind, TaskLabel,
+    TaskMeta,
 };
 use ca_telemetry::Ring;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -110,6 +111,20 @@ impl<T> JobHandle<T> {
             Waiter::Direct { id, .. } => self.core.frontier.cancel(*id),
             Waiter::Batched(_) => false,
         }
+    }
+
+    /// Where the time went for this job: blocks until its current attempt
+    /// finishes, then returns the scheduler's [`Profile`] of it (job → panel
+    /// step → task → kernel class, times counted from submission) — the
+    /// same answer a one-shot `try_calu_profiled` gives, plus the sink task.
+    /// `None` unless the job was submitted while [`Service::set_tracing`]
+    /// was on, and for a batched member, which has no job of its own. What
+    /// the profile needs is held by this handle, so ask before
+    /// [`JobHandle::wait`] consumes it.
+    pub fn profile(&self) -> Option<Profile> {
+        let Waiter::Direct { watch, .. } = &self.waiter else { return None };
+        watch.wait();
+        self.core.frontier.job_profile(watch)
     }
 
     /// Blocks until the job finishes — retrying it under the service's
@@ -654,6 +669,17 @@ impl Service {
         }
     }
 
+    /// Claims an admission slot for a job submitted under `opts` — after
+    /// checking them: `weight` is a public field, and a value
+    /// [`JobOptions::with_weight`] would panic on must be refused while no
+    /// slot is held.
+    fn admit(&self, opts: &SubmitOptions) -> Result<(), ServeError> {
+        if !(opts.weight > 0.0 && opts.weight.is_finite()) {
+            return Err(ServeError::InvalidWeight(opts.weight));
+        }
+        self.core.admit()
+    }
+
     fn params_for(&self, opts: &SubmitOptions) -> CaParams {
         opts.params.unwrap_or(self.core.cfg.params)
     }
@@ -792,7 +818,7 @@ impl Service {
             if let Some((row, col)) = find_non_finite(&a) {
                 return Err(ServeError::Invalid(FactorError::NonFiniteInput { row, col }));
             }
-            self.core.admit()?;
+            self.admit(&opts)?;
             let (m, n) = (a.nrows() as f64, a.ncols() as f64);
             let k = m.min(n);
             let flops = m * n * k - (m + n) * k * k / 2.0 + k * k * k / 3.0;
@@ -800,7 +826,7 @@ impl Service {
                 ca_core::calu_seq_factor(a, &p)
             }));
         }
-        self.core.admit()?;
+        self.admit(&opts)?;
         match self.core.recovery_for_attempt() {
             None => match calu_serve_graph(a, &p, None) {
                 Ok(sg) => Ok(self.submit_direct(sg, &opts, None, "lu")),
@@ -833,12 +859,12 @@ impl Service {
             if let Some((row, col)) = find_non_finite(&a) {
                 return Err(ServeError::Invalid(FactorError::NonFiniteInput { row, col }));
             }
-            self.core.admit()?;
+            self.admit(&opts)?;
             let (m, n) = (a.nrows() as f64, a.ncols() as f64);
             let flops = 2.0 * m * n * n - 2.0 * n * n * n / 3.0;
             return Ok(self.submit_batched(flops, move || ca_core::caqr_seq(a, &p)));
         }
-        self.core.admit()?;
+        self.admit(&opts)?;
         match self.core.recovery_for_attempt() {
             None => match caqr_serve_graph(a, &p, None) {
                 Ok(sg) => Ok(self.submit_direct(sg, &opts, None, "qr")),
@@ -881,7 +907,7 @@ impl Service {
         opts: SubmitOptions,
     ) -> Result<JobHandle<ca_ooc::OocLu>, ServeError> {
         let p = self.params_for(&opts);
-        self.core.admit()?;
+        self.admit(&opts)?;
         let (m, n) = (store.nrows() as f64, store.ncols() as f64);
         let k = m.min(n);
         let flops = m * n * k - (m + n) * k * k / 2.0 + k * k * k / 3.0;
@@ -910,7 +936,7 @@ impl Service {
         opts: SubmitOptions,
     ) -> Result<JobHandle<Matrix>, ServeError> {
         let p = self.params_for(&opts);
-        self.core.admit()?;
+        self.admit(&opts)?;
         match self.core.recovery_for_attempt() {
             None => match lu_solve_serve_graph(a, rhs, &p, None) {
                 Ok(sg) => Ok(self.submit_direct(sg, &opts, None, "solve")),
@@ -944,7 +970,7 @@ impl Service {
         opts: SubmitOptions,
     ) -> Result<JobHandle<Matrix>, ServeError> {
         let p = self.params_for(&opts);
-        self.core.admit()?;
+        self.admit(&opts)?;
         match self.core.recovery_for_attempt() {
             None => match qr_lstsq_serve_graph(a, rhs, &p, None) {
                 Ok(sg) => Ok(self.submit_direct(sg, &opts, None, "lstsq")),
@@ -975,7 +1001,9 @@ impl Service {
         *self.core.admission.lock().expect("admission lock")
     }
 
-    /// Enables or disables execution-span tracing for [`Service::chrome_trace`].
+    /// Enables or disables execution-span tracing for
+    /// [`Service::chrome_trace`]; a job submitted while it is on can also be
+    /// asked for its [`JobHandle::profile`].
     pub fn set_tracing(&self, on: bool) {
         self.core.frontier.set_tracing(on);
     }
@@ -1106,6 +1134,36 @@ mod tests {
         }
         drop(r);
         let _ = h.wait();
+        svc.shutdown();
+    }
+
+    #[test]
+    fn bad_weight_is_refused_before_admission() {
+        // `weight` is a public field: zero, negative, NaN and infinite
+        // values must come back as a typed error from every entry point,
+        // leaving the counters and the one queue slot untouched.
+        let svc = Service::new(
+            cfg(1).with_capacity(1).with_admission(AdmissionPolicy::Reject),
+        );
+        let a = || ca_matrix::random_uniform(16, 16, &mut seeded_rng(60));
+        let b = || ca_matrix::random_uniform(16, 2, &mut seeded_rng(61));
+        for weight in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            let opts = || SubmitOptions { weight, ..Default::default() };
+            let results = [
+                svc.submit_lu(a(), opts()).map(drop),
+                svc.submit_qr(a(), opts()).map(drop),
+                svc.submit_solve(a(), b(), opts()).map(drop),
+                svc.submit_lstsq(a(), b(), opts()).map(drop),
+            ];
+            for r in results {
+                assert!(matches!(r, Err(ServeError::InvalidWeight(_))), "weight {weight}: {r:?}");
+            }
+            assert_eq!(svc.stats().submitted, 0, "weight {weight}");
+            assert_eq!(svc.active_jobs(), 0, "weight {weight} leaked a slot");
+        }
+        // The only slot is still free.
+        let h = svc.submit_lu(a(), SubmitOptions::default()).expect("admit");
+        h.wait().expect("completes");
         svc.shutdown();
     }
 

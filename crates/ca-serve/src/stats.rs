@@ -37,6 +37,11 @@ pub enum ServeError {
     },
     /// The request was invalid before any work was scheduled.
     Invalid(FactorError),
+    /// [`crate::SubmitOptions::weight`] is not a positive finite number
+    /// (carries the offending value). Refused before admission: nothing is
+    /// counted and no queue slot is claimed. `cafactor serve` never sets a
+    /// weight; like every unlisted variant it would exit 1.
+    InvalidWeight(f64),
     /// Internal error: the job completed but its output slot is empty.
     Lost,
 }
@@ -57,6 +62,9 @@ impl std::fmt::Display for ServeError {
                 write!(f, "job failed at task {label}: {message}")
             }
             ServeError::Invalid(e) => write!(f, "invalid request: {e}"),
+            ServeError::InvalidWeight(w) => {
+                write!(f, "invalid options: weight must be positive and finite, got {w}")
+            }
             ServeError::Lost => write!(f, "internal: job output missing"),
         }
     }

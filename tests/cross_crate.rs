@@ -123,9 +123,9 @@ fn rectangular_tiled_lu_graph_and_tall_factorization() {
 }
 
 #[test]
-fn factors_are_bitwise_identical_across_every_option_queue_and_thread_count() {
+fn factors_are_bitwise_identical_across_every_option_and_thread_count() {
     // The declared equivalence class of the DAG path: whatever the
-    // `FactorOptions`, the ready queue and the worker count, CALU and CAQR
+    // `FactorOptions` and the worker count, CALU and CAQR
     // produce the bits of the sequential references. Faults that fail a task
     // are only injected under `retry` (without it they fail the run — see
     // tests/breakdown.rs); a delay-only plan exercises the no-retry injection
@@ -158,54 +158,49 @@ fn factors_are_bitwise_identical_across_every_option_queue_and_thread_count() {
         let base = CaParams::new(b, tr, 1).with_par_update_rows(32);
         let lu_ref = calu_seq_factor(a.clone(), &base);
         let qr_ref = caqr_seq(a.clone(), &base);
-        for stealing in [false, true] {
-            for threads in [1usize, 2, 4] {
-                let mut p = CaParams { threads, ..base };
-                if stealing {
-                    p = p.with_work_stealing();
-                }
-                let lu = calu(a.clone(), &p);
-                assert_eq!(lu.lu.as_slice(), lu_ref.lu.as_slice(), "calu {m}x{n} {p:?}");
-                assert_eq!(lu.pivots.ipiv, lu_ref.pivots.ipiv, "calu {m}x{n} {p:?}");
-                assert_eq!(caqr(a.clone(), &p).a.as_slice(), qr_ref.a.as_slice(), "caqr {m}x{n} {p:?}");
+        for threads in [1usize, 2, 4] {
+            let p = CaParams { threads, ..base };
+            let lu = calu(a.clone(), &p);
+            assert_eq!(lu.lu.as_slice(), lu_ref.lu.as_slice(), "calu {m}x{n} {p:?}");
+            assert_eq!(lu.pivots.ipiv, lu_ref.pivots.ipiv, "calu {m}x{n} {p:?}");
+            assert_eq!(caqr(a.clone(), &p).a.as_slice(), qr_ref.a.as_slice(), "caqr {m}x{n} {p:?}");
 
-                for retry in [false, true] {
-                    for checked in [false, true] {
-                        for profile in [false, true] {
-                            for chaos in [Chaos::None, Chaos::Delay, Chaos::Faults] {
-                                if chaos == Chaos::Faults && !retry {
-                                    continue;
-                                }
-                                let case = format!(
-                                    "{m}x{n} stealing={stealing} threads={threads} retry={retry} \
-                                     checked={checked} profile={profile} chaos={chaos:?}"
-                                );
-                                let counters = RecoveryCounters::new();
-                                let retry = retry
-                                    .then_some(Retry { policy: RetryPolicy::default(), counters: &counters });
+            for retry in [false, true] {
+                for checked in [false, true] {
+                    for profile in [false, true] {
+                        for chaos in [Chaos::None, Chaos::Delay, Chaos::Faults] {
+                            if chaos == Chaos::Faults && !retry {
+                                continue;
+                            }
+                            let case = format!(
+                                "{m}x{n} threads={threads} retry={retry} \
+                                 checked={checked} profile={profile} chaos={chaos:?}"
+                            );
+                            let counters = RecoveryCounters::new();
+                            let retry = retry
+                                .then_some(Retry { policy: RetryPolicy::default(), counters: &counters });
 
-                                let chaos_lu = plan(chaos);
-                                let opts =
-                                    FactorOptions { chaos: chaos_lu.as_ref(), retry, checked, profile };
-                                let (f, report) = try_calu_with(a.clone(), &p, &opts)
-                                    .unwrap_or_else(|e| panic!("calu {case}: {e}"));
-                                assert_eq!(f.lu.as_slice(), lu_ref.lu.as_slice(), "calu {case}");
-                                assert_eq!(f.pivots.ipiv, lu_ref.pivots.ipiv, "calu {case}");
-                                assert_eq!(report.profile.is_some(), profile, "calu {case}");
+                            let chaos_lu = plan(chaos);
+                            let opts =
+                                FactorOptions { chaos: chaos_lu.as_ref(), retry, checked, profile };
+                            let (f, report) = try_calu_with(a.clone(), &p, &opts)
+                                .unwrap_or_else(|e| panic!("calu {case}: {e}"));
+                            assert_eq!(f.lu.as_slice(), lu_ref.lu.as_slice(), "calu {case}");
+                            assert_eq!(f.pivots.ipiv, lu_ref.pivots.ipiv, "calu {case}");
+                            assert_eq!(report.profile.is_some(), profile, "calu {case}");
 
-                                let chaos_qr = plan(chaos);
-                                let opts =
-                                    FactorOptions { chaos: chaos_qr.as_ref(), retry, checked, profile };
-                                let (f, report) = try_caqr_with(a.clone(), &p, &opts)
-                                    .unwrap_or_else(|e| panic!("caqr {case}: {e}"));
-                                assert_eq!(f.a.as_slice(), qr_ref.a.as_slice(), "caqr {case}");
-                                assert_eq!(report.profile.is_some(), profile, "caqr {case}");
+                            let chaos_qr = plan(chaos);
+                            let opts =
+                                FactorOptions { chaos: chaos_qr.as_ref(), retry, checked, profile };
+                            let (f, report) = try_caqr_with(a.clone(), &p, &opts)
+                                .unwrap_or_else(|e| panic!("caqr {case}: {e}"));
+                            assert_eq!(f.a.as_slice(), qr_ref.a.as_slice(), "caqr {case}");
+                            assert_eq!(report.profile.is_some(), profile, "caqr {case}");
 
-                                if chaos == Chaos::Faults {
-                                    let s = counters.snapshot();
-                                    assert!(s.recovered_tasks >= 2, "{case}: {s:?}");
-                                    assert_eq!(s.exhausted_tasks, 0, "{case}: {s:?}");
-                                }
+                            if chaos == Chaos::Faults {
+                                let s = counters.snapshot();
+                                assert!(s.recovered_tasks >= 2, "{case}: {s:?}");
+                                assert_eq!(s.exhausted_tasks, 0, "{case}: {s:?}");
                             }
                         }
                     }

@@ -3,19 +3,18 @@
 //! Chrome-trace structure, and the `try_calu_profiled` library surface.
 
 use ca_factor::sched::{
-    execute, job, simulate_with, ChaosPlan, ExecError, Job, Profile, QueueKind, RunOptions,
-    RunReport, SimOptions, TaskGraph, TaskKind, TaskLabel, TaskMeta, Timeline,
+    execute, job, simulate_with, ChaosPlan, ExecError, Job, Profile, RunOptions, RunReport,
+    SimOptions, TaskGraph, TaskKind, TaskLabel, TaskMeta, Timeline,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A profiled run on `queue`, optionally under a fault plan.
+/// A profiled run, optionally under a fault plan.
 fn profiled<'s>(
     g: TaskGraph<Job<'s>>,
     threads: usize,
-    queue: QueueKind,
     chaos: Option<&'s ChaosPlan>,
 ) -> (Profile, Option<ExecError>) {
-    let report = execute(g, threads, &RunOptions { queue, chaos, profile: true, shadow: None });
+    let report = execute(g, threads, &RunOptions { chaos, profile: true, shadow: None });
     (report.profile.expect("profiling requested"), report.failure)
 }
 
@@ -66,32 +65,13 @@ fn profiled_pool_timeline_is_consistent() {
         let counter = AtomicUsize::new(0);
         let g = layered_jobs(5, 4, &counter);
         let n = g.len();
-        let (profile, err) = profiled(g, threads, QueueKind::Central, None);
+        let (profile, err) = profiled(g, threads, None);
         assert!(err.is_none());
         assert_eq!(counter.load(Ordering::SeqCst), n);
         assert_eq!(profile.scheduler, "priority-queue");
         assert_profile_consistent(&profile, threads, n);
-        assert!(profile.steals.is_empty(), "central pool does not steal");
         assert!(!profile.queue_samples.is_empty());
         assert!(!profile.edges.is_empty());
-    }
-}
-
-#[test]
-fn profiled_stealing_pool_timeline_is_consistent() {
-    for &threads in &[1usize, 2, 4] {
-        let counter = AtomicUsize::new(0);
-        let g = layered_jobs(5, 4, &counter);
-        let n = g.len();
-        let (profile, err) = profiled(g, threads, QueueKind::Stealing, None);
-        assert!(err.is_none());
-        assert_eq!(counter.load(Ordering::SeqCst), n);
-        assert_eq!(profile.scheduler, "work-stealing");
-        assert_profile_consistent(&profile, threads, n);
-        assert_eq!(profile.steals.len(), threads, "one steal counter per worker");
-        let m = profile.metrics();
-        assert!(m.steal_attempts >= m.steal_hits);
-        assert!(m.steal_hits > 0, "roots always arrive via the injector");
     }
 }
 
@@ -119,21 +99,19 @@ fn assert_views_agree(report: &RunReport, ntasks: usize, what: &str) {
 
 #[test]
 fn timeline_and_profile_views_agree_with_the_task_log() {
-    for queue in [QueueKind::Central, QueueKind::Stealing] {
-        for profile in [true, false] {
-            let counter = AtomicUsize::new(0);
-            let g = layered_jobs(5, 4, &counter);
-            let n = g.len();
-            let report = execute(g, 3, &RunOptions { queue, profile, ..Default::default() });
-            if profile {
-                assert_views_agree(&report, n, &format!("{queue:?}"));
-            } else {
-                // The log is kept either way: only the extra stamps are optional.
-                assert!(report.profile.is_none());
-                assert_eq!(report.stats.tasks, n);
-                assert_eq!(span_set(&report.stats.timeline).len(), n, "{queue:?}");
-                report.stats.timeline.check().expect("clean unprofiled timeline");
-            }
+    for profile in [true, false] {
+        let counter = AtomicUsize::new(0);
+        let g = layered_jobs(5, 4, &counter);
+        let n = g.len();
+        let report = execute(g, 3, &RunOptions { profile, ..Default::default() });
+        if profile {
+            assert_views_agree(&report, n, "execute");
+        } else {
+            // The log is kept either way: only the extra stamps are optional.
+            assert!(report.profile.is_none());
+            assert_eq!(report.stats.tasks, n);
+            assert_eq!(span_set(&report.stats.timeline).len(), n);
+            report.stats.timeline.check().expect("clean unprofiled timeline");
         }
     }
     let counter = AtomicUsize::new(0);
@@ -186,7 +164,7 @@ fn cancelled_tasks_never_appear_as_records() {
         g.add_dep(pair[0], pair[1]);
     }
     let plan = ChaosPlan::quiet(0).fail_nth(1, move |l| l.step == fail_at);
-    let (profile, err) = profiled(g, 2, QueueKind::Central, Some(&plan));
+    let (profile, err) = profiled(g, 2, Some(&plan));
     let err = err.expect("injected failure must surface");
     assert_eq!(err.task, ids[fail_at]);
     assert_eq!(profile.cancelled, ids[fail_at + 1..].to_vec());
@@ -306,7 +284,7 @@ fn recovery_marked_trace_validates_and_carries_marks() {
     use ca_factor::sched::chrome_trace_json_with_marks;
     let counter = AtomicUsize::new(0);
     let g = layered_jobs(4, 3, &counter);
-    let (profile, err) = profiled(g, 2, QueueKind::Central, None);
+    let (profile, err) = profiled(g, 2, None);
     assert!(err.is_none());
     let tl = profile.timeline();
     tl.check().expect("clean timeline");

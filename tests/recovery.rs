@@ -3,7 +3,7 @@
 //! The central property: a task that fails, panics, or is delayed mid-graph
 //! and is replayed from its write-set snapshot leaves **no trace** — the
 //! recovered factorization is bitwise identical to a fault-free run of the
-//! same executor. This holds on both ready queues (here) and under the
+//! same executor. This holds at every worker count (here) and under the
 //! race detector (the `FactorOptions` equivalence matrix in
 //! `tests/cross_crate.rs`), because recovery wraps task bodies below the
 //! scheduler layer.
@@ -57,89 +57,72 @@ fn targeted_plan(seed: u64) -> ChaosPlan {
 }
 
 #[test]
-fn calu_replay_is_bitwise_identical_across_executors() {
+fn calu_replay_is_bitwise_identical_across_thread_counts() {
     let a = random_uniform(96, 96, &mut seeded_rng(0xFA01));
     for threads in [1, 3] {
-        for stealing in [false, true] {
-            let mut p = params(threads);
-            if stealing {
-                p = p.with_work_stealing();
-            }
-            let reference = try_calu(a.clone(), &p).expect("fault-free run");
-            let counters = RecoveryCounters::new();
-            let f = calu_recovering(&a, &p, RetryPolicy::default(), &targeted_plan(1), &counters)
-                .expect("recovered run");
-            assert_eq!(
-                f.lu.as_slice(),
-                reference.lu.as_slice(),
-                "threads={threads} stealing={stealing}: replayed factors must be bitwise \
-                 identical to fault-free"
-            );
-            assert_eq!(f.pivots.ipiv, reference.pivots.ipiv);
-            let s = counters.snapshot();
-            assert!(s.injected_failures >= 1, "fail rule must have fired: {s:?}");
-            assert!(s.injected_panics >= 1, "panic rule must have fired: {s:?}");
-            assert!(s.recovered_tasks >= 2, "both faulted tasks must recover: {s:?}");
-            // Update tasks carry matrix write-sets and restore on failure;
-            // Panel tasks write the tournament workspace (empty matrix
-            // write-set), so their replay relies on injection-before-body
-            // and counts no restore.
-            assert!(s.restores >= 1, "write-set restores must be counted: {s:?}");
-            assert_eq!(s.exhausted_tasks, 0);
-        }
+        let p = params(threads);
+        let reference = try_calu(a.clone(), &p).expect("fault-free run");
+        let counters = RecoveryCounters::new();
+        let f = calu_recovering(&a, &p, RetryPolicy::default(), &targeted_plan(1), &counters)
+            .expect("recovered run");
+        assert_eq!(
+            f.lu.as_slice(),
+            reference.lu.as_slice(),
+            "threads={threads}: replayed factors must be bitwise identical to fault-free"
+        );
+        assert_eq!(f.pivots.ipiv, reference.pivots.ipiv);
+        let s = counters.snapshot();
+        assert!(s.injected_failures >= 1, "fail rule must have fired: {s:?}");
+        assert!(s.injected_panics >= 1, "panic rule must have fired: {s:?}");
+        assert!(s.recovered_tasks >= 2, "both faulted tasks must recover: {s:?}");
+        // Update tasks carry matrix write-sets and restore on failure;
+        // Panel tasks write the tournament workspace (empty matrix
+        // write-set), so their replay relies on injection-before-body
+        // and counts no restore.
+        assert!(s.restores >= 1, "write-set restores must be counted: {s:?}");
+        assert_eq!(s.exhausted_tasks, 0);
     }
 }
 
 #[test]
-fn caqr_replay_is_bitwise_identical_across_executors() {
+fn caqr_replay_is_bitwise_identical_across_thread_counts() {
     let a = random_uniform(96, 64, &mut seeded_rng(0xFA02));
     for threads in [1, 3] {
-        for stealing in [false, true] {
-            let mut p = params(threads);
-            if stealing {
-                p = p.with_work_stealing();
-            }
-            let reference = try_caqr(a.clone(), &p).expect("fault-free run");
-            let counters = RecoveryCounters::new();
-            let plan = targeted_plan(2);
-            let opts = recovering(RetryPolicy::default(), &plan, &counters);
-            let (f, _) = try_caqr_with(a.clone(), &p, &opts).expect("recovered run");
-            assert_eq!(
-                f.a.as_slice(),
-                reference.a.as_slice(),
-                "threads={threads} stealing={stealing}: replayed QR must be bitwise \
-                 identical to fault-free"
-            );
-            let s = counters.snapshot();
-            assert!(s.recovered_tasks >= 1, "faulted tasks must recover: {s:?}");
-            assert_eq!(s.exhausted_tasks, 0);
-        }
+        let p = params(threads);
+        let reference = try_caqr(a.clone(), &p).expect("fault-free run");
+        let counters = RecoveryCounters::new();
+        let plan = targeted_plan(2);
+        let opts = recovering(RetryPolicy::default(), &plan, &counters);
+        let (f, _) = try_caqr_with(a.clone(), &p, &opts).expect("recovered run");
+        assert_eq!(
+            f.a.as_slice(),
+            reference.a.as_slice(),
+            "threads={threads}: replayed QR must be bitwise identical to fault-free"
+        );
+        let s = counters.snapshot();
+        assert!(s.recovered_tasks >= 1, "faulted tasks must recover: {s:?}");
+        assert_eq!(s.exhausted_tasks, 0);
     }
 }
 
 #[test]
-fn profile_rate_chaos_recovers_under_both_pools() {
+fn profile_rate_chaos_recovers() {
     // Rate-based injection at an aggressive 5% fail / 2% panic across every
     // task class: replay must still converge to the fault-free answer.
     let a = random_uniform(96, 96, &mut seeded_rng(0xFA05));
     let profile = ChaosProfile::quiet().with_fail_rate(0.05).with_panic_rate(0.02);
-    for stealing in [false, true] {
-        let mut p = params(3);
-        if stealing {
-            p = p.with_work_stealing();
-        }
-        let reference = try_calu(a.clone(), &p).expect("fault-free run");
-        let counters = RecoveryCounters::new();
-        let plan = ChaosPlan::with_profile(0xD2, profile);
-        let f = calu_recovering(&a, &p, RetryPolicy::default(), &plan, &counters)
-            .expect("recovered run");
-        assert_eq!(f.lu.as_slice(), reference.lu.as_slice());
-        let s = counters.snapshot();
-        assert!(
-            s.injected_failures + s.injected_panics > 0,
-            "5%/2% rates over a 6-panel graph must inject something: {s:?}"
-        );
-    }
+    let p = params(3);
+    let reference = try_calu(a.clone(), &p).expect("fault-free run");
+    let counters = RecoveryCounters::new();
+    let plan = ChaosPlan::with_profile(0xD2, profile);
+    let f = calu_recovering(&a, &p, RetryPolicy::default(), &plan, &counters)
+        .expect("recovered run");
+    assert_eq!(f.lu.as_slice(), reference.lu.as_slice());
+    let s = counters.snapshot();
+    assert!(
+        s.injected_failures + s.injected_panics > 0,
+        "5%/2% rates over a 6-panel graph must inject something: {s:?}"
+    );
 }
 
 #[test]

@@ -1,12 +1,13 @@
 //! Stress tests of the `ca-sched` runtime: the executor contract over every
-//! queue × thread count × option, random DAGs executed on real threads with
+//! thread count × option, random DAGs executed on real threads with
 //! dependency-order verification, executor-vs-simulator agreement on task
-//! sets, heavy-contention smoke tests, and deterministic fault-injection
-//! runs exercising the failure/cancellation paths.
+//! sets, heavy-contention smoke tests, deterministic fault-injection runs
+//! exercising the failure/cancellation paths, and seeded delay injection
+//! perturbing the schedule of both front doors of the one worker loop.
 
 use ca_factor::sched::{
-    execute, job, run_graph, simulate_uniform, ChaosPlan, ExecError, Job, QueueKind, RunOptions,
-    TaskFailure, TaskGraph, TaskKind, TaskLabel, TaskMeta,
+    execute, job, run_graph, simulate_uniform, ChaosPlan, ExecError, Job, RunOptions, TaskFailure,
+    TaskGraph, TaskKind, TaskLabel, TaskMeta,
 };
 use rand::Rng;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -43,7 +44,7 @@ enum Mode {
 
 #[test]
 #[allow(clippy::disallowed_methods)] // Checked mode drives raw block writes on purpose
-fn executor_contract_holds_for_every_queue_thread_count_and_option() {
+fn executor_contract_holds_for_every_thread_count_and_option() {
     use ca_factor::matrix::{ElemRect, Matrix, SharedMatrix};
     use ca_factor::sched::{build_shadow_registry, AccessMap};
 
@@ -85,121 +86,137 @@ fn executor_contract_holds_for_every_queue_thread_count_and_option() {
         Mode::ProfiledChaosFail,
         Mode::Checked,
     ];
-    for queue in [QueueKind::Central, QueueKind::Stealing] {
-        for threads in [1usize, 2, 8] {
-            for mode in modes {
-                let case = format!("{queue:?} x {threads} threads x {mode:?}");
-                let registry = build_shadow_registry(&shape, &access);
-                let shared = SharedMatrix::with_shadow(Matrix::zeros(n, 1), registry.clone());
-                let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-                let clock = AtomicU64::new(0);
-                let stamps: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
-                let jobs: TaskGraph<Job<'_>> = shape.map_ref(|id, _| {
-                    let (runs, clock, stamps, shared) = (&runs, &clock, &stamps, &shared);
-                    Box::new(move || {
-                        runs[id].fetch_add(1, Ordering::SeqCst);
-                        stamps[id].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
-                        // SAFETY: each task writes only its own element.
-                        unsafe { shared.block_mut(id, 0, 1, 1).fill(1.0) };
-                        match mode {
-                            Mode::RealFail if id == victim => Err(TaskFailure::new("real failure")),
-                            Mode::RealPanic if id == victim => panic!("real panic"),
-                            _ => Ok(()),
-                        }
-                    }) as Job<'_>
-                });
-                let is_victim = move |l: &TaskLabel| l.kind == TaskKind::Update;
-                let plan = match mode {
-                    Mode::ChaosFail | Mode::ProfiledChaosFail => {
-                        Some(ChaosPlan::quiet(0).fail_nth(1, is_victim))
+    for threads in [1usize, 2, 8] {
+        for mode in modes {
+            let case = format!("{threads} threads x {mode:?}");
+            let registry = build_shadow_registry(&shape, &access);
+            let shared = SharedMatrix::with_shadow(Matrix::zeros(n, 1), registry.clone());
+            let runs: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
+            let clock = AtomicU64::new(0);
+            let stamps: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(u64::MAX)).collect();
+            let jobs: TaskGraph<Job<'_>> = shape.map_ref(|id, _| {
+                let (runs, clock, stamps, shared) = (&runs, &clock, &stamps, &shared);
+                Box::new(move || {
+                    runs[id].fetch_add(1, Ordering::SeqCst);
+                    stamps[id].store(clock.fetch_add(1, Ordering::SeqCst), Ordering::SeqCst);
+                    // SAFETY: each task writes only its own element.
+                    unsafe { shared.block_mut(id, 0, 1, 1).fill(1.0) };
+                    match mode {
+                        Mode::RealFail if id == victim => Err(TaskFailure::new("real failure")),
+                        Mode::RealPanic if id == victim => panic!("real panic"),
+                        _ => Ok(()),
                     }
-                    Mode::ChaosPanic => Some(ChaosPlan::quiet(0).panic_nth(1, is_victim)),
-                    _ => None,
-                };
-                let opts = RunOptions {
-                    queue,
-                    chaos: plan.as_ref(),
-                    profile: matches!(mode, Mode::Profiled | Mode::ProfiledChaosFail),
-                    shadow: (mode == Mode::Checked).then_some(&registry),
-                };
-                let report = execute(jobs, threads, &opts);
+                }) as Job<'_>
+            });
+            let is_victim = move |l: &TaskLabel| l.kind == TaskKind::Update;
+            let plan = match mode {
+                Mode::ChaosFail | Mode::ProfiledChaosFail => {
+                    Some(ChaosPlan::quiet(0).fail_nth(1, is_victim))
+                }
+                Mode::ChaosPanic => Some(ChaosPlan::quiet(0).panic_nth(1, is_victim)),
+                _ => None,
+            };
+            let opts = RunOptions {
+                chaos: plan.as_ref(),
+                profile: matches!(mode, Mode::Profiled | Mode::ProfiledChaosFail),
+                shadow: (mode == Mode::Checked).then_some(&registry),
+            };
+            let report = execute(jobs, threads, &opts);
 
-                let fails = !matches!(mode, Mode::Plain | Mode::Profiled | Mode::Checked);
-                let injected =
-                    matches!(mode, Mode::ChaosFail | Mode::ChaosPanic | Mode::ProfiledChaosFail);
-                let cancelled = if fails { vec![join, tail] } else { Vec::new() };
+            let fails = !matches!(mode, Mode::Plain | Mode::Profiled | Mode::Checked);
+            let injected =
+                matches!(mode, Mode::ChaosFail | Mode::ChaosPanic | Mode::ProfiledChaosFail);
+            let cancelled = if fails { vec![join, tail] } else { Vec::new() };
 
-                // Every task runs exactly once, except the cancelled ones and
-                // a victim whose failure was injected ahead of its body.
-                for (t, ran) in runs.iter().enumerate() {
-                    let skipped = cancelled.contains(&t) || (injected && t == victim);
-                    assert_eq!(ran.load(Ordering::SeqCst), usize::from(!skipped), "{case}: task {t}");
-                }
-                // Dependencies respected.
-                for &(a, b) in &edges {
-                    let (ta, tb) = (stamps[a].load(Ordering::SeqCst), stamps[b].load(Ordering::SeqCst));
-                    assert!(tb == u64::MAX || ta < tb, "{case}: {b} ran before {a}");
-                }
-                // The failed task counts as executed; cancelled ones do not.
-                assert_eq!(report.stats.tasks, n - cancelled.len(), "{case}");
-                report.stats.timeline.validate();
-                assert_eq!(report.stats.timeline.lanes.len(), threads, "{case}");
-
-                match &report.failure {
-                    None => assert!(!fails, "{case}: the failure was lost"),
-                    Some(e) => {
-                        assert!(fails, "{case}: unexpected failure {e}");
-                        assert_eq!(e.task, victim, "{case}");
-                        assert_eq!(e.label, TaskLabel::new(TaskKind::Update, 1, 0, 0), "{case}");
-                        assert!(e.lane < threads, "{case}");
-                        let panicked = matches!(mode, Mode::RealPanic | Mode::ChaosPanic);
-                        assert_eq!(e.panicked, panicked, "{case}");
-                        let text = match mode {
-                            Mode::RealFail => "real failure",
-                            Mode::RealPanic => "real panic",
-                            Mode::ChaosPanic => "chaos: injected panic at S[1,0,0]",
-                            _ => "chaos: injected failure at S[1,0,0]",
-                        };
-                        assert!(e.message.contains(text), "{case}: {}", e.message);
-                        assert_eq!(e.cancelled, cancelled, "{case}");
-                    }
-                }
-                match &report.profile {
-                    None => assert!(!opts.profile, "{case}: the profile was lost"),
-                    Some(profile) => {
-                        assert!(opts.profile, "{case}: unrequested profile");
-                        let name = match queue {
-                            QueueKind::Central => "priority-queue",
-                            QueueKind::Stealing => "work-stealing",
-                        };
-                        assert_eq!(profile.scheduler, name, "{case}");
-                        assert_eq!(profile.nworkers, threads, "{case}");
-                        assert_eq!(profile.cancelled, cancelled, "{case}");
-                        assert_eq!(profile.records.len(), n - cancelled.len(), "{case}");
-                    }
-                }
-                assert!(report.violation.is_none(), "{case}: {:?}", report.violation);
-                // Audited accesses prove the jobs ran inside their task scopes.
-                let audited = if mode == Mode::Checked { n } else { 0 };
-                assert_eq!(registry.accesses(), audited, "{case}");
+            // Every task runs exactly once, except the cancelled ones and
+            // a victim whose failure was injected ahead of its body.
+            for (t, ran) in runs.iter().enumerate() {
+                let skipped = cancelled.contains(&t) || (injected && t == victim);
+                assert_eq!(ran.load(Ordering::SeqCst), usize::from(!skipped), "{case}: task {t}");
             }
+            // Dependencies respected.
+            for &(a, b) in &edges {
+                let (ta, tb) = (stamps[a].load(Ordering::SeqCst), stamps[b].load(Ordering::SeqCst));
+                assert!(tb == u64::MAX || ta < tb, "{case}: {b} ran before {a}");
+            }
+            // The failed task counts as executed; cancelled ones do not.
+            assert_eq!(report.stats.tasks, n - cancelled.len(), "{case}");
+            report.stats.timeline.validate();
+            assert_eq!(report.stats.timeline.lanes.len(), threads, "{case}");
+
+            match &report.failure {
+                None => assert!(!fails, "{case}: the failure was lost"),
+                Some(e) => {
+                    assert!(fails, "{case}: unexpected failure {e}");
+                    assert_eq!(e.task, victim, "{case}");
+                    assert_eq!(e.label, TaskLabel::new(TaskKind::Update, 1, 0, 0), "{case}");
+                    assert!(e.lane < threads, "{case}");
+                    let panicked = matches!(mode, Mode::RealPanic | Mode::ChaosPanic);
+                    assert_eq!(e.panicked, panicked, "{case}");
+                    let text = match mode {
+                        Mode::RealFail => "real failure",
+                        Mode::RealPanic => "real panic",
+                        Mode::ChaosPanic => "chaos: injected panic at S[1,0,0]",
+                        _ => "chaos: injected failure at S[1,0,0]",
+                    };
+                    assert!(e.message.contains(text), "{case}: {}", e.message);
+                    assert_eq!(e.cancelled, cancelled, "{case}");
+                }
+            }
+            match &report.profile {
+                None => assert!(!opts.profile, "{case}: the profile was lost"),
+                Some(profile) => {
+                    assert!(opts.profile, "{case}: unrequested profile");
+                    assert_eq!(profile.scheduler, "priority-queue", "{case}");
+                    assert_eq!(profile.nworkers, threads, "{case}");
+                    assert_eq!(profile.cancelled, cancelled, "{case}");
+                    assert_eq!(profile.records.len(), n - cancelled.len(), "{case}");
+                }
+            }
+            assert!(report.violation.is_none(), "{case}: {:?}", report.violation);
+            // Audited accesses prove the jobs ran inside their task scopes.
+            let audited = if mode == Mode::Checked { n } else { 0 };
+            assert_eq!(registry.accesses(), audited, "{case}");
         }
     }
 }
 
 #[test]
-fn central_queue_on_one_thread_runs_in_priority_order() {
-    // All ready at the start; the single worker must take the highest
-    // priority first (work stealing makes no such promise).
-    let order = Mutex::new(Vec::new());
-    let mut g: TaskGraph<Job<'_>> = TaskGraph::new();
-    for (i, p) in [(0usize, 1i64), (1, 5), (2, 3)] {
-        let order = &order;
-        let meta = TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), 1.0).with_priority(p);
-        g.add_task(meta, job(move || order.lock().unwrap().push(i)));
-    }
-    run_graph(g, 1);
-    assert_eq!(order.into_inner().unwrap(), vec![1, 2, 0]);
+fn both_front_doors_dispatch_in_priority_then_id_order() {
+    // The graph of the frontier's `intra_job_priority_is_preserved` unit
+    // test plus a priority tie: a gate that outranks everything, then four
+    // tasks all ready at once. A single worker must take them by priority,
+    // then by id — whether the loop runs inside `execute` or behind a
+    // one-worker `MultiFrontier`.
+    use ca_factor::sched::{JobOptions, MultiFrontier};
+    use std::sync::{mpsc, Arc};
+    let build = |order: &Arc<Mutex<Vec<usize>>>, gate: mpsc::Receiver<()>| {
+        let mut g: TaskGraph<Job<'static>> = TaskGraph::new();
+        let meta =
+            |p| TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), 1.0).with_priority(p);
+        g.add_task(meta(100), job(move || gate.recv().unwrap()));
+        for (i, p) in [(0usize, 1i64), (1, 5), (2, 3), (3, 5)] {
+            let order = Arc::clone(order);
+            g.add_task(meta(p), job(move || order.lock().unwrap().push(i)));
+        }
+        g
+    };
+    let expected = vec![1, 3, 2, 0];
+
+    let order = Arc::new(Mutex::new(Vec::new()));
+    let (tx, rx) = mpsc::channel();
+    tx.send(()).unwrap();
+    run_graph(build(&order, rx), 1);
+    assert_eq!(*order.lock().unwrap(), expected, "execute");
+
+    let order = Arc::new(Mutex::new(Vec::new()));
+    let (tx, rx) = mpsc::channel();
+    let frontier = MultiFrontier::new(1);
+    let (_, watch) = frontier.submit(build(&order, rx), JobOptions::default());
+    tx.send(()).unwrap();
+    assert!(watch.wait().outcome.is_completed());
+    assert_eq!(*order.lock().unwrap(), expected, "MultiFrontier");
+    frontier.shutdown();
 }
 
 #[test]
@@ -415,35 +432,6 @@ fn random_dag_failure_cancels_exact_transitive_closure() {
                 assert_eq!(runs, 1, "task {i} did not run exactly once (seed {seed})");
             }
         }
-    }
-}
-
-#[test]
-fn work_stealing_fault_injection_does_not_hang() {
-    use std::time::Duration;
-    for &threads in &[1usize, 4, 16] {
-        let mut g: TaskGraph<Job<'_>> = TaskGraph::new();
-        let ids: Vec<_> = (0..32)
-            .map(|i| {
-                let meta = TaskMeta::new(TaskLabel::new(TaskKind::Panel, i, 0, 0), 1.0);
-                g.add_task(meta, job(|| {}))
-            })
-            .collect();
-        for pair in ids.windows(2) {
-            g.add_dep(pair[0], pair[1]);
-        }
-        // Delay an early task (stressing the idle/steal loop), then fail a
-        // later one.
-        let plan = ChaosPlan::quiet(0)
-            .delay_nth(1, Duration::from_millis(5), |l| l.step == 3)
-            .fail_nth(1, |l| l.step == 10);
-        let opts =
-            RunOptions { queue: QueueKind::Stealing, chaos: Some(&plan), ..Default::default() };
-        let err = expect_failure(g, threads, &opts);
-        assert_eq!(err.task, ids[10]);
-        assert_eq!(err.label.step, 10);
-        assert!(!err.panicked);
-        assert_eq!(err.cancelled.len(), 21, "{threads} threads");
     }
 }
 
@@ -751,5 +739,162 @@ fn repeated_runs_of_calu_are_stable_under_contention() {
         let f = calu(a.clone(), &p);
         assert_eq!(f.lu.as_slice(), reference.lu.as_slice());
         assert_eq!(f.pivots.ipiv, reference.pivots.ipiv);
+    }
+}
+
+/// A plan that injects nothing but delays: six short sleeps whose target
+/// kind, occurrence and length derive from `seed`, so each seed stalls a
+/// worker at different points of the schedule.
+fn delay_plan(seed: u64) -> ChaosPlan {
+    use std::time::Duration;
+    let mut rng = ca_factor::matrix::seeded_rng(seed);
+    let mut plan = ChaosPlan::quiet(seed);
+    for _ in 0..6 {
+        let kind = [TaskKind::Panel, TaskKind::Update, TaskKind::LBlock][rng.gen_range(0..3usize)];
+        let delay = Duration::from_micros(rng.gen_range(50..450));
+        plan = plan.delay_nth(rng.gen_range(1..6), delay, move |l| l.kind == kind);
+    }
+    plan
+}
+
+#[test]
+fn seeded_delays_never_change_the_factors() {
+    // The schedule diversity a second queue discipline used to provide, now
+    // through the one loop: whatever task a seed stalls, on 2, 3 or 4
+    // threads, CALU and CAQR stay bitwise identical to the undisturbed run.
+    use ca_factor::core::{try_calu_with, try_caqr_with, FactorOptions};
+    use ca_factor::prelude::*;
+    let a = ca_factor::matrix::random_uniform(160, 120, &mut ca_factor::matrix::seeded_rng(21));
+    let reference = CaParams::new(20, 4, 1);
+    let lu0 = calu(a.clone(), &reference);
+    let qr0 = caqr(a.clone(), &reference);
+    for seed in 0..8u64 {
+        for threads in [2usize, 3, 4] {
+            let p = CaParams { threads, ..reference };
+            let plan = delay_plan(seed);
+            let opts = FactorOptions { chaos: Some(&plan), ..Default::default() };
+            let (lu, _) = try_calu_with(a.clone(), &p, &opts).expect("delays fail nothing");
+            assert_eq!(lu.lu.as_slice(), lu0.lu.as_slice(), "CALU seed {seed} x {threads}");
+            assert_eq!(lu.pivots.ipiv, lu0.pivots.ipiv, "CALU seed {seed} x {threads}");
+            let plan = delay_plan(seed);
+            let opts = FactorOptions { chaos: Some(&plan), ..Default::default() };
+            let (qr, _) = try_caqr_with(a.clone(), &p, &opts).expect("delays fail nothing");
+            assert_eq!(qr.r().as_slice(), qr0.r().as_slice(), "CAQR seed {seed} x {threads}");
+        }
+    }
+}
+
+#[test]
+fn multifrontier_survives_interleaved_submit_cancel_shed_and_shutdown() {
+    // Two clients hammer one frontier with submissions, cancels of their own
+    // earlier jobs and sheds, under seeded delays; one of them shuts the
+    // frontier down while the other is still submitting. Whatever the
+    // interleaving: every watch resolves, every task of every job is
+    // accounted exactly once, and a body ran iff the report counts it — so
+    // nothing runs once a job is final, in particular not after a cancel
+    // that found nothing in flight.
+    use ca_factor::matrix::{Matrix, SharedMatrix};
+    use ca_factor::sched::{
+        retrying_dyn_job, CancelReason, DynJob, JobOptions, JobOutcome, MultiFrontier,
+        RecoveryCounters, RetryPolicy, WriteSet,
+    };
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    const CLIENTS: usize = 2;
+    const JOBS_EACH: usize = 16;
+    for seed in 0..8u64 {
+        let frontier = MultiFrontier::new(3);
+        let plan = Arc::new(delay_plan(seed));
+        let shared = Arc::new(SharedMatrix::new(Matrix::zeros(1, 1)));
+        let counters = Arc::new(RecoveryCounters::new());
+        let ran: Vec<Arc<AtomicUsize>> =
+            (0..CLIENTS * JOBS_EACH).map(|_| Arc::new(AtomicUsize::new(0))).collect();
+
+        // Job `j`: a random layered DAG whose bodies count themselves; the
+        // retry wrapper is what consults the delay plan.
+        let build = |j: usize| -> TaskGraph<DynJob> {
+            let kinds = [TaskKind::Panel, TaskKind::Update, TaskKind::LBlock];
+            random_dag(seed * 1000 + j as u64, 3, 3, 0.5).map(|id, _| {
+                let ran = Arc::clone(&ran[j]);
+                retrying_dyn_job(
+                    TaskLabel::new(kinds[id % 3], id, j, 0),
+                    WriteSet::default(),
+                    Arc::clone(&shared),
+                    RetryPolicy::none(),
+                    Arc::clone(&plan),
+                    Arc::clone(&counters),
+                    move || {
+                        ran.fetch_add(1, Ordering::SeqCst);
+                    },
+                )
+            })
+        };
+
+        // Each client reports its jobs as (index, task count, watch) and the
+        // body counts it froze: a cancel that returned `true` and left the
+        // watch already resolved found nothing in flight.
+        let clients: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..CLIENTS)
+                .map(|c| {
+                    let (frontier, build, ran) = (&frontier, &build, &ran);
+                    scope.spawn(move || {
+                        let mut rng = ca_factor::matrix::seeded_rng(seed * 2 + c as u64);
+                        let mut mine = Vec::new();
+                        let mut frozen = Vec::new();
+                        for k in 0..JOBS_EACH {
+                            let j = c * JOBS_EACH + k;
+                            let graph = build(j);
+                            let len = graph.len();
+                            let (id, watch) = frontier.submit(graph, JobOptions::default());
+                            mine.push((j, len, id, watch));
+                            match rng.gen_range(0..4) {
+                                0 => {
+                                    let (vj, _, vid, vwatch) = &mine[rng.gen_range(0..mine.len())];
+                                    if frontier.cancel(*vid) && vwatch.is_done() {
+                                        frozen.push((*vj, ran[*vj].load(Ordering::SeqCst)));
+                                    }
+                                }
+                                1 => drop(frontier.shed_oldest_queued()),
+                                _ => {}
+                            }
+                            // Closed loop, three jobs deep: work gets done
+                            // while the queue stays long enough to shed from.
+                            if let Some((_, _, _, old)) = k.checked_sub(3).map(|i| &mine[i]) {
+                                old.wait_timeout(Duration::from_secs(30)).expect("stalled job");
+                            }
+                            if c == 0 && k == 2 * JOBS_EACH / 3 {
+                                frontier.shutdown();
+                            }
+                        }
+                        (mine, frozen)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().expect("client thread")).collect()
+        });
+        frontier.shutdown();
+
+        for (mine, frozen) in clients {
+            for (j, len, _, watch) in mine {
+                let report = watch
+                    .wait_timeout(Duration::from_secs(30))
+                    .unwrap_or_else(|| panic!("seed {seed}: job {j} never resolved"));
+                let case = format!("seed {seed} job {j}: {:?}", report.outcome);
+                assert_eq!(report.tasks_run + report.tasks_cancelled, len, "{case}");
+                assert_eq!(ran[j].load(Ordering::SeqCst), report.tasks_run, "{case}");
+                match report.outcome {
+                    JobOutcome::Completed => assert_eq!(report.tasks_run, len, "{case}"),
+                    JobOutcome::Cancelled(CancelReason::Shed) => {
+                        assert_eq!(report.tasks_run, 0, "{case}: shed jobs never started")
+                    }
+                    JobOutcome::Cancelled(_) => {}
+                    JobOutcome::Failed(_) => panic!("{case}: delays fail nothing"),
+                }
+            }
+            for (j, count) in frozen {
+                assert_eq!(ran[j].load(Ordering::SeqCst), count, "seed {seed}: job {j} ran on");
+            }
+        }
     }
 }

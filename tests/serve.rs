@@ -315,3 +315,57 @@ fn out_of_core_lu_job_matches_in_core_bitwise() {
     svc.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_traced_served_job_answers_with_the_profile_of_a_one_shot_run() {
+    // One answer to "where did the time go for this job": the served CALU
+    // DAG is the one-shot DAG plus a sink, so under tracing its per-job
+    // profile must carry exactly those task labels, with time attributed to
+    // panels and updates. Untraced, there is nothing to ask for and nothing
+    // kept.
+    use ca_factor::core::try_calu_profiled;
+    use ca_factor::sched::{Profile, TaskKind, TaskLabel};
+    let p = CaParams::new(32, 4, 2);
+    let a = random_uniform(256, 256, &mut seeded_rng(0x9F0));
+    let labels = |profile: &Profile| {
+        let mut l: Vec<_> = profile
+            .records
+            .iter()
+            .map(|r| (r.label.kind.code(), r.label.step, r.label.i, r.label.j))
+            .collect();
+        l.sort_unstable();
+        l
+    };
+    let (_, oneshot) = try_calu_profiled(a.clone(), &p).expect("one-shot run");
+    let mut expected = labels(&oneshot);
+    let sink = TaskLabel::new(TaskKind::Other, 0, 0, 0);
+    expected.push((sink.kind.code(), sink.step, sink.i, sink.j));
+    expected.sort_unstable();
+
+    let svc = Service::new(ServiceConfig::new(2).with_params(p));
+    let untraced = svc.submit_lu(a.clone(), SubmitOptions::default().unbatched()).expect("admits");
+    assert!(untraced.profile().is_none(), "no tracing, no profile");
+    untraced.wait().expect("completes");
+    assert!(!svc.chrome_trace().contains("\"ph\":\"X\""), "an untraced job left spans behind");
+
+    svc.set_tracing(true);
+    let traced = svc.submit_lu(a.clone(), SubmitOptions::default().unbatched()).expect("admits");
+    let profile = traced.profile().expect("submitted under tracing");
+    let f = traced.wait().expect("completes");
+    assert!(f.residual(&a) < 1e-12);
+    assert_eq!(labels(&profile), expected);
+    assert_eq!(profile.nworkers, 2);
+    assert_eq!(profile.scheduler, "priority-queue");
+    assert!(profile.cancelled.is_empty());
+    for r in &profile.records {
+        assert!(0.0 <= r.ready && r.ready <= r.start && r.start <= r.end, "{r:?}");
+        assert!(r.end <= profile.makespan + 1e-9, "{r:?}");
+    }
+    let m = profile.metrics();
+    for kind in ["Panel", "Update"] {
+        let busy = m.by_kind.iter().find(|k| k.kind == kind).map_or(0.0, |k| k.busy_seconds);
+        assert!(busy > 0.0, "no {kind} time attributed: {m}");
+    }
+    assert!(svc.chrome_trace().contains("\"ph\":\"X\""), "the traced job's spans are logged");
+    svc.shutdown();
+}

@@ -92,19 +92,14 @@ fn removing_a_calu_edge_is_caught_and_names_the_conflicting_tasks() {
 fn checked_calu_reports_zero_violations_on_paper_shapes() {
     // Checked execution audits every SharedMatrix element access against
     // the declared footprints; a clean CALU/CAQR must produce zero
-    // violations on both schedulers, square and tall-skinny.
+    // violations, square and tall-skinny.
     for &(m, n, b) in &[(192usize, 192usize, 32usize), (400, 40, 20)] {
-        for ws in [false, true] {
-            let mut p = params(b, TreeShape::Binary);
-            if ws {
-                p = p.with_work_stealing();
-            }
-            let a = random_uniform(m, n, &mut seeded_rng(7));
-            let (f, report) = try_calu_with(a.clone(), &p, &checked())
-                .unwrap_or_else(|e| panic!("checked CALU {m}x{n} ws={ws}: {e}"));
-            assert!(report.stats.tasks > 0);
-            assert!(f.residual(&a) < 1e-12, "checked CALU {m}x{n} residual off");
-        }
+        let p = params(b, TreeShape::Binary);
+        let a = random_uniform(m, n, &mut seeded_rng(7));
+        let (f, report) = try_calu_with(a.clone(), &p, &checked())
+            .unwrap_or_else(|e| panic!("checked CALU {m}x{n}: {e}"));
+        assert!(report.stats.tasks > 0);
+        assert!(f.residual(&a) < 1e-12, "checked CALU {m}x{n} residual off");
     }
 }
 
