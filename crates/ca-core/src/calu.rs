@@ -435,4 +435,51 @@ mod tests {
         let g_gepp = ca_matrix::growth_factor(&a0, &r.upper());
         assert!(g_calu < 4.0 * g_gepp + 4.0, "CALU growth {g_calu} vs GEPP {g_gepp}");
     }
+
+    #[test]
+    fn panel_growth_is_the_full_panel_scan_bit_for_bit() {
+        // The growth estimate's denominator is folded from per-leaf maxima;
+        // it must equal a scan of the whole panel input (what the root task
+        // used to do), NaN entries skipped, on every path.
+        fn scan(values: impl Iterator<Item = f64>) -> f64 {
+            values.fold(0.0f64, |m, x| m.max(x.abs()))
+        }
+        let (m, b) = (96, 16);
+        let mut rng = seeded_rng(50);
+        let random = ca_matrix::random_uniform(m, b, &mut rng);
+        // GEPP's worst case on top (growth 2^(b-1)), small entries below.
+        let wilkinson = Matrix::from_fn(m, b, |i, j| match (i < b, i.cmp(&j)) {
+            (true, _) if j == b - 1 => 1.0,
+            (true, std::cmp::Ordering::Equal) => 1.0,
+            (true, std::cmp::Ordering::Greater) => -1.0,
+            (true, std::cmp::Ordering::Less) => 0.0,
+            (false, _) => 1e-3 * random[(i, j)],
+        });
+        let mut nan = random.clone();
+        nan[(70, 3)] = f64::NAN;
+        nan[(5, 9)] = f64::NAN;
+        for (what, a0) in [("random", &random), ("wilkinson", &wilkinson), ("nan", &nan)] {
+            for tr in [1, 4] {
+                let seq = calu_seq_factor(a0.clone(), &CaParams::new(b, tr, 1));
+                let dag = calu(a0.clone(), &CaParams::new(b, tr, 2));
+                for (path, f) in [("sequential", &seq), ("dag", &dag)] {
+                    // One panel: its input is `a0`, its packed top block the
+                    // first `b` rows of the factors.
+                    let top = scan((0..b).flat_map(|j| (0..b).map(move |i| (i, j))).map(|ij| f.lu[ij]));
+                    let want = top / scan(a0.as_slice().iter().copied());
+                    assert_eq!(f.stats.panel_growth.len(), 1);
+                    assert_eq!(f.stats.panel_growth[0].to_bits(), want.to_bits(), "{what} tr={tr} {path}");
+                }
+            }
+        }
+        assert!(calu_seq_factor(wilkinson.clone(), &CaParams::new(b, 1, 1)).stats.max_growth() > 1e4);
+
+        // Several panels: the DAG records what the sequential path records.
+        let a0 = ca_matrix::random_uniform(200, 120, &mut rng);
+        let seq = calu_seq_factor(a0.clone(), &CaParams::new(32, 4, 1));
+        let dag = calu(a0, &CaParams::new(32, 4, 2));
+        let bits = |s: &LuStats| s.panel_growth.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&seq.stats), bits(&dag.stats));
+        assert_eq!(seq.stats.panel_growth.len(), 4);
+    }
 }

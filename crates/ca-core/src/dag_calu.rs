@@ -21,7 +21,7 @@ use crate::calu::{LuFactors, LuStats};
 use crate::dag::DagPlan;
 use ca_sched::{row_blocks, AccessMap, BlockTracker, SoundnessError, VerifyReport};
 use crate::params::{num_panels, partition_rows, CaParams, RowPartition};
-use crate::tournament::{select, stack_candidates, Selected};
+use crate::tournament::{merge, select, Selected};
 use crate::tree::{reduction_schedule, ReduceNode};
 use crate::tslu::{apply_growth_policy, pivot_seq_from_targets};
 use ca_kernels::{flops, traffic};
@@ -511,8 +511,7 @@ impl DagPlan for CaluPlan {
                     .iter()
                     .map(|&r| ctx.results[r].get().expect("candidate not ready"))
                     .collect();
-                let (stacked, idx) = stack_candidates(&inputs);
-                let sel = select(stacked.view(), &idx, self.recursive_leaves);
+                let sel = merge(&inputs, self.recursive_leaves);
                 if node + 1 == ctx.schedule.len() {
                     self.finish_root(a, step, sel);
                 } else {

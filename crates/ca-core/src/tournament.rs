@@ -8,7 +8,7 @@
 //! factors of the panel's top block (Algorithm 1 line 19).
 
 use ca_kernels::{getf2, rgetf2, Kernel, LuInfo};
-use ca_matrix::{MatView, Matrix, Scalar};
+use ca_matrix::{max_abs, MatView, Matrix, Scalar};
 
 /// The outcome of one tournament node: `k = min(rows, cols)` selected rows.
 #[derive(Clone, Debug)]
@@ -24,6 +24,12 @@ pub struct Selected<T: Scalar = f64> {
     pub packed: Matrix<T>,
     /// First exactly-zero pivot column, if the node input was rank deficient.
     pub breakdown: Option<usize>,
+    /// Largest `|entry|` among the panel rows that entered this node's
+    /// subtree, NaN entries skipped: of its own input for a leaf
+    /// ([`select`]), of all its participants' for an internal node
+    /// ([`merge`]). At the root it is `max|panel input|`, the denominator of
+    /// the growth estimate, so nobody rescans the panel.
+    pub input_max: f64,
 }
 
 /// Runs one tournament node on `stack` (the stacked candidate rows, or a
@@ -35,32 +41,42 @@ pub struct Selected<T: Scalar = f64> {
 /// # Panics
 /// If `idx.len() != stack.nrows()` or `stack` is empty.
 pub fn select<T: Kernel>(stack: MatView<'_, T>, idx: &[usize], recursive: bool) -> Selected<T> {
+    /// Elements copied between two `max_abs` folds: a piece still in L1.
+    const PIECE: usize = 1024;
     let s = stack.nrows();
     let n = stack.ncols();
     assert_eq!(idx.len(), s, "one global index per stacked row");
     assert!(s > 0 && n > 0, "empty tournament node");
 
-    let mut work = Matrix::zeros(s, n);
-    work.view_mut().copy_from(stack);
-    let LuInfo { pivots, first_zero_pivot } = if recursive {
-        rgetf2(work.view_mut())
-    } else {
-        getf2(work.view_mut())
-    };
-    let perm = pivots.to_permutation(s);
-    let k = s.min(n);
-
-    let mut rows = Matrix::zeros(k, n);
-    let mut out_idx = Vec::with_capacity(k);
-    for i in 0..k {
-        let src = perm[i];
-        for j in 0..n {
-            rows[(i, j)] = stack.at(src, j);
+    // The one copy of the input, which GEPP then factors in place.
+    let mut work = Vec::with_capacity(s * n);
+    let mut input_max = T::ZERO;
+    for j in 0..n {
+        for piece in stack.col(j).chunks(PIECE) {
+            work.extend_from_slice(piece);
+            input_max = input_max.max(max_abs(piece));
         }
-        out_idx.push(idx[src]);
     }
-    let packed = Matrix::from_fn(k, n, |i, j| work[(i, j)]);
-    Selected { rows, idx: out_idx, packed, breakdown: first_zero_pivot }
+    let mut work = Matrix::from_vec(work, s, n);
+    let LuInfo { pivots, first_zero_pivot } =
+        if recursive { rgetf2(work.view_mut()) } else { getf2(work.view_mut()) };
+    let perm = pivots.to_permutation(s);
+    let winners = &perm[..s.min(n)];
+    let k = winners.len();
+
+    let (mut rows, mut packed) = (Vec::with_capacity(k * n), Vec::with_capacity(k * n));
+    for j in 0..n {
+        let col = stack.col(j);
+        rows.extend(winners.iter().map(|&src| col[src]));
+        packed.extend_from_slice(&work.view().col(j)[..k]);
+    }
+    Selected {
+        rows: Matrix::from_vec(rows, k, n),
+        idx: winners.iter().map(|&src| idx[src]).collect(),
+        packed: Matrix::from_vec(packed, k, n),
+        breakdown: first_zero_pivot,
+        input_max: input_max.to_f64(),
+    }
 }
 
 /// Stacks the `rows` matrices and `idx` lists of several [`Selected`]
@@ -71,6 +87,14 @@ pub fn stack_candidates<T: Scalar>(parts: &[&Selected<T>]) -> (Matrix<T>, Vec<us
     let stacked = Matrix::vstack(&views);
     let idx = parts.iter().flat_map(|p| p.idx.iter().copied()).collect();
     (stacked, idx)
+}
+
+/// One internal tree node: [`select`] over the stacked candidates of
+/// `parts`, carrying their `input_max` upwards.
+pub fn merge<T: Kernel>(parts: &[&Selected<T>], recursive: bool) -> Selected<T> {
+    let (stacked, idx) = stack_candidates(parts);
+    let input_max = parts.iter().fold(0.0f64, |m, p| m.max(p.input_max));
+    Selected { input_max, ..select(stacked.view(), &idx, recursive) }
 }
 
 #[cfg(test)]

@@ -7,10 +7,10 @@
 //! same steps into tasks; this module is the single source of the numerics.
 
 use crate::params::{partition_rows, RowPartition, TreeShape};
-use crate::tournament::{select, stack_candidates, Selected};
+use crate::tournament::{merge, select, Selected};
 use crate::tree::reduction_schedule;
 use ca_kernels::{trsm_right_upper_notrans, Kernel};
-use ca_matrix::{MatView, MatViewMut, PivotSeq, Scalar};
+use ca_matrix::{MatView, MatViewMut, PivotSeq};
 
 /// Result of factoring one panel.
 #[derive(Clone, Debug)]
@@ -74,24 +74,13 @@ pub fn run_tournament<T: Kernel>(
     for node in reduction_schedule(g, tree) {
         let parts: Vec<&Selected<T>> =
             node.participants.iter().map(|&p| slots[p].as_ref().expect("candidate present")).collect();
-        let (stacked, idx) = stack_candidates(&parts);
-        let merged = select(stacked.view(), &idx, recursive);
+        let merged = merge(&parts, recursive);
         for &p in &node.participants[1..] {
             slots[p] = None;
         }
         slots[node.participants[0]] = Some(merged);
     }
     slots[0].take().expect("tournament winner")
-}
-
-fn max_abs_view<T: Scalar>(v: MatView<'_, T>) -> f64 {
-    let mut mx = 0.0f64;
-    for j in 0..v.ncols() {
-        for i in 0..v.nrows() {
-            mx = mx.max(v.at(i, j).abs().to_f64());
-        }
-    }
-    mx
 }
 
 /// Growth check + GEPP fallback shared by the sequential panel
@@ -113,10 +102,11 @@ pub(crate) fn apply_growth_policy<T: Kernel>(
     limit: f64,
     recursive: bool,
 ) -> (Selected<T>, f64, bool) {
-    let max_in = max_abs_view(active);
+    // `winner.input_max` is the maximum over the whole active region: the
+    // leaves partition it, and every tree node passes the maximum on.
     let growth_of = |s: &Selected<T>| {
-        let g = max_abs_view(s.packed.view());
-        if max_in > 0.0 { g / max_in } else { 0.0 }
+        let g = s.packed.view().max_abs().to_f64();
+        if s.input_max > 0.0 { g / s.input_max } else { 0.0 }
     };
     let growth = growth_of(&winner);
     // A NaN estimate (non-finite input fed through the infallible API) must

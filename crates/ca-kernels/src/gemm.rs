@@ -26,8 +26,10 @@
 //! [`macro_kernel`], which is what makes parallel results bitwise-identical
 //! to this serial path.
 
+use crate::lu_recursive::base as lu_base;
 use crate::microkernel as mk;
 use crate::pack::{pack_a, pack_b, PackTrans};
+use crate::trsm::base as trsm_base;
 use ca_matrix::{AlignedBuf, MatView, MatViewMut, Scalar};
 use core::cell::RefCell;
 use std::sync::OnceLock;
@@ -144,6 +146,57 @@ fn active_backend() -> Backend {
     })
 }
 
+/// Defines `mod $name` with one entry per backend — `scalar`, `avx2`,
+/// `avx512` — each the generic `#[inline(always)] fn $body<T, const FMA:
+/// bool>(args…)` compiled for that instruction set, so plain loops in
+/// `$body` vectorise at the dispatched width. A [`KernelSpec`] carries the
+/// entry of its backend as a function pointer, which also instantiates each
+/// one exactly once, here, instead of once per downstream crate. `FMA` tells
+/// the body whether `mul_add` is one instruction there; a body must use the
+/// same rounding for every element (never an FMA vector loop with a
+/// mul-then-add remainder), which makes its results independent of how
+/// callers partition the operands.
+macro_rules! on_backend {
+    ($(#[$meta:meta])* mod $name:ident = $body:ident($($arg:ident: $ty:ty),* $(,)?)) => {
+        $(#[$meta])*
+        pub(crate) mod $name {
+            use super::*;
+            pub(crate) fn scalar<T: Scalar>($($arg: $ty),*) {
+                $body::<T, false>($($arg),*)
+            }
+            /// # Safety
+            /// The CPU must support AVX2 and FMA.
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2,fma")]
+            pub(crate) unsafe fn avx2<T: Scalar>($($arg: $ty),*) {
+                $body::<T, true>($($arg),*)
+            }
+            /// # Safety
+            /// The CPU must support AVX-512F.
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx512f")]
+            pub(crate) unsafe fn avx512<T: Scalar>($($arg: $ty),*) {
+                $body::<T, true>($($arg),*)
+            }
+        }
+    };
+}
+pub(crate) use on_backend;
+
+/// Elements of the unsplit dimension an [`on_backend`] body carries in
+/// registers per sweep: eight AVX-512 or sixteen AVX2 f64 vectors.
+pub(crate) const LANES: usize = 64;
+
+/// `c - a·b`, fused when `FMA` (see [`on_backend`]).
+#[inline(always)]
+pub(crate) fn nmul_add<T: Scalar, const FMA: bool>(a: T, b: T, c: T) -> T {
+    if FMA {
+        (-a).mul_add(b, c)
+    } else {
+        c - a * b
+    }
+}
+
 /// One microkernel and its register-tile geometry. The packed-panel layout
 /// (and therefore every pack-buffer size) is a function of `(mr, nr)`, so
 /// the spec travels together through the driver, [`crate::par_gemm`], and
@@ -163,25 +216,47 @@ pub struct KernelSpec<T: Scalar> {
     /// points to an `mr × nr` column-major tile with `ldc >= mr` valid for
     /// reads and writes, and the CPU must support the kernel's features.
     pub kernel: unsafe fn(usize, T, *const T, *const T, *mut T, usize),
+    /// Base case of [`crate::trsm`] compiled for this backend (same CPU
+    /// requirement as `kernel`).
+    pub(crate) trsm_base: unsafe fn(crate::trsm::Variant, MatView<'_, T>, MatViewMut<'_, T>),
+    /// Base case of [`crate::rgetf2`] compiled for this backend (same CPU
+    /// requirement as `kernel`).
+    pub(crate) lu_base: unsafe fn(MatViewMut<'_, T>, usize, &mut crate::lu_unblocked::LuInfo),
 }
 
-static F64_SCALAR: KernelSpec<f64> =
-    KernelSpec { mr: mk::MR, nr: mk::NR, name: "scalar-8x4-f64", kernel: mk::kernel_scalar_f64 };
+static F64_SCALAR: KernelSpec<f64> = KernelSpec {
+    mr: mk::MR,
+    nr: mk::NR,
+    name: "scalar-8x4-f64",
+    kernel: mk::kernel_scalar_f64,
+    trsm_base: trsm_base::scalar::<f64>,
+    lu_base: lu_base::scalar::<f64>,
+};
 static F32_SCALAR: KernelSpec<f32> = KernelSpec {
     mr: mk::MR_F32,
     nr: mk::NR_F32,
     name: "scalar-8x8-f32",
     kernel: mk::kernel_scalar_f32,
+    trsm_base: trsm_base::scalar::<f32>,
+    lu_base: lu_base::scalar::<f32>,
 };
 #[cfg(target_arch = "x86_64")]
-static F64_AVX2: KernelSpec<f64> =
-    KernelSpec { mr: mk::MR, nr: mk::NR, name: "avx2-fma-8x4-f64", kernel: mk::kernel_avx2_f64 };
+static F64_AVX2: KernelSpec<f64> = KernelSpec {
+    mr: mk::MR,
+    nr: mk::NR,
+    name: "avx2-fma-8x4-f64",
+    kernel: mk::kernel_avx2_f64,
+    trsm_base: trsm_base::avx2::<f64>,
+    lu_base: lu_base::avx2::<f64>,
+};
 #[cfg(target_arch = "x86_64")]
 static F32_AVX2: KernelSpec<f32> = KernelSpec {
     mr: mk::MR_F32,
     nr: mk::NR_F32,
     name: "avx2-fma-8x8-f32",
     kernel: mk::kernel_avx2_f32,
+    trsm_base: trsm_base::avx2::<f32>,
+    lu_base: lu_base::avx2::<f32>,
 };
 #[cfg(target_arch = "x86_64")]
 static F64_AVX512: KernelSpec<f64> = KernelSpec {
@@ -189,6 +264,8 @@ static F64_AVX512: KernelSpec<f64> = KernelSpec {
     nr: mk::NR_512_F64,
     name: "avx512f-16x4-f64",
     kernel: mk::kernel_avx512_f64,
+    trsm_base: trsm_base::avx512::<f64>,
+    lu_base: lu_base::avx512::<f64>,
 };
 #[cfg(target_arch = "x86_64")]
 static F32_AVX512: KernelSpec<f32> = KernelSpec {
@@ -196,6 +273,8 @@ static F32_AVX512: KernelSpec<f32> = KernelSpec {
     nr: mk::NR_512_F32,
     name: "avx512f-16x8-f32",
     kernel: mk::kernel_avx512_f32,
+    trsm_base: trsm_base::avx512::<f32>,
+    lu_base: lu_base::avx512::<f32>,
 };
 
 /// An element type with a full microkernel dispatch table (`f32`, `f64`).
@@ -218,7 +297,10 @@ pub trait Kernel: Scalar {
     /// the `W` blocks and densified triangles of [`crate::larfb_left`],
     /// [`crate::geqr3`] and [`crate::trmm`]. Distinct from the pack
     /// buffers, so `f` may call [`gemm`]; not re-entrant, so `f` must not
-    /// call another workspace user.
+    /// call another workspace user. Of the nest `rgetf2` → `trsm` → `gemm`
+    /// none takes it ([`crate::trsm`]'s base case works in a stack tile,
+    /// [`crate::rgetf2`] in place), and `gemm` holds the pack buffers only
+    /// for the duration of each call, so all three may run under a holder.
     #[doc(hidden)]
     fn with_work_buf<R>(f: impl FnOnce(&mut AlignedBuf<Self>) -> R) -> R;
 

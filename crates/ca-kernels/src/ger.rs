@@ -1,7 +1,7 @@
 //! Rank-1 update (`dger` equivalent) and column scaling — the BLAS2
 //! building blocks of unblocked Gaussian elimination.
 
-use ca_matrix::{MatViewMut, Scalar};
+use ca_matrix::{max_abs, max_abs_lanes, MatViewMut, Scalar};
 
 /// `A := A + alpha * x * yᵀ` where `x` has `A.nrows()` and `y` has
 /// `A.ncols()` elements.
@@ -30,22 +30,37 @@ pub fn scal<T: Scalar>(alpha: T, x: &mut [T]) {
 }
 
 /// Index of the element of maximum absolute value (`idamax`), or `None` for
-/// an empty slice. NaN entries are treated as not-a-maximum (skipped) unless
-/// every entry is NaN, in which case index 0 is returned.
+/// an empty slice. The first of equal maxima wins; NaN entries are skipped
+/// unless every entry is NaN, in which case index 0 is returned.
 pub fn iamax<T: Scalar>(x: &[T]) -> Option<usize> {
-    if x.is_empty() {
-        return None;
+    const CHUNK: usize = 256;
+    let mut best = (-T::ONE, 0);
+    for (c, chunk) in x.chunks(CHUNK).enumerate() {
+        fold_first_max(&mut best, c * CHUNK, chunk);
     }
-    let mut best = 0usize;
-    let mut best_val = -T::ONE;
-    for (i, &v) in x.iter().enumerate() {
-        let a = v.abs();
-        if a > best_val {
-            best_val = a;
-            best = i;
-        }
+    (!x.is_empty()).then_some(best.1)
+}
+
+/// Folds `chunk`, whose first element has index `at`, into the running
+/// `(|value|, index)` of [`iamax`] (start it at `(-1, 0)`): a vectorised
+/// maximum per chunk, and a search for its position only in the few chunks
+/// that raise the running maximum — out of line, so the search costs the
+/// caller's loop neither registers nor code.
+#[inline(always)]
+pub(crate) fn fold_first_max<T: Scalar>(best: &mut (T, usize), at: usize, chunk: &[T]) {
+    if max_abs_lanes(chunk).iter().any(|&lane| lane > best.0) {
+        raise_first_max(best, at, chunk);
     }
-    Some(best)
+}
+
+#[cold]
+#[inline(never)]
+fn raise_first_max<T: Scalar>(best: &mut (T, usize), at: usize, chunk: &[T]) {
+    let m = max_abs(chunk);
+    // `None` only for an all-NaN chunk, whose `m` is the 0 floor.
+    if let Some(i) = chunk.iter().position(|v| v.abs() == m) {
+        *best = (m, at + i);
+    }
 }
 
 #[cfg(test)]
@@ -76,6 +91,28 @@ mod tests {
         assert_eq!(iamax(&[1.0, f64::NAN, 3.0]), Some(2));
         // Same semantics in f32.
         assert_eq!(iamax(&[1.0f32, f32::NAN, -3.0]), Some(2));
+    }
+
+    #[test]
+    fn iamax_first_maximum_wins_across_chunks_and_nan_is_skipped() {
+        // Longer than two chunks; the maximum appears in the first and the
+        // third, a larger negative one only in the second.
+        let mut x = vec![0.25f64; 700];
+        (x[3], x[600]) = (7.0, 7.0);
+        assert_eq!(iamax(&x), Some(3));
+        x[300] = -9.0;
+        x[301] = 9.0;
+        assert_eq!(iamax(&x), Some(300));
+        // All NaN: index 0; NaN then zeros: the first zero.
+        assert_eq!(iamax(&[f64::NAN; 300]), Some(0));
+        let mut y = vec![f64::NAN; 300];
+        (y[270], y[299]) = (0.0, -0.0);
+        assert_eq!(iamax(&y), Some(270));
+        // Against the plain loop on a random column with ties.
+        let r = ca_matrix::random_uniform(1000, 1, &mut ca_matrix::seeded_rng(3));
+        let v: Vec<f64> = r.as_slice().iter().map(|v| (v * 20.0).round()).collect();
+        let plain = (0..v.len()).fold(0, |b, i| if v[i].abs() > v[b].abs() { i } else { b });
+        assert_eq!(iamax(&v), Some(plain));
     }
 
     #[test]

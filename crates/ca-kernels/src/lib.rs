@@ -7,11 +7,11 @@
 //! | LAPACK/BLAS name | here |
 //! |---|---|
 //! | `dgemm`  | [`gemm`] |
-//! | `dtrsm`  | [`trsm_right_upper_notrans`] and friends |
+//! | `dtrsm`  | [`trsm`] (every side / uplo / trans / diag: slabs, recursion onto `gemm`, a register-blocked base case per backend); [`trsm_right_upper_notrans`] and four more named instances |
 //! | `dtrmm`  | [`trmm`] (out of place, on the packed GEMM path) |
 //! | `dger` / `idamax` | [`ger`], [`iamax`] |
 //! | `dgetf2` | [`getf2`] (BLAS2 GEPP) |
-//! | `rgetf2` | [`rgetf2`] (recursive GEPP, Toledo) |
+//! | `rgetf2` | [`rgetf2`] (recursive GEPP, Toledo; left-looking vectorised base case, `getf2`'s pivots) |
 //! | `dgeqr2` | [`geqr2`] (BLAS2 Householder QR) |
 //! | `dgeqr3` | [`geqr3`] (recursive QR, Elmroth–Gustavson) |
 //! | `dlarfg`/`dlarf`/`dlarft`/`dlarfb` | [`larfg`], [`larf_left`], [`larft`], [`larfb_left`], [`larfb_left_pair`], [`larfb_left_multi`] (incl. the structured tree-node form) |
@@ -64,8 +64,8 @@ pub use lu_recursive::rgetf2;
 pub use lu_unblocked::{getf2, lu_nopiv, LuInfo};
 pub use qr_recursive::geqr3;
 pub use qr_unblocked::geqr2;
-pub use trmm::{trmm, trmm_with_backend, Side, Triangle};
+pub use trmm::{trmm, trmm_with_backend, Diag, Side, Triangle, Uplo};
 pub use trsm::{
-    trsm_left_lower_trans_unit, trsm_left_lower_unit, trsm_left_upper_notrans,
-    trsm_left_upper_trans, trsm_right_upper_notrans,
+    trsm, trsm_left_lower_trans_unit, trsm_left_lower_unit, trsm_left_upper_notrans,
+    trsm_left_upper_trans, trsm_right_upper_notrans, trsm_with_backend, TRSM_BASE, TRSM_SLAB,
 };

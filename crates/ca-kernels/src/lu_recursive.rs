@@ -3,40 +3,59 @@
 //! elimination into BLAS3 (`trsm` + `gemm`) calls, which is why the paper
 //! uses it as the sequential kernel inside TSLU leaves: "the best available
 //! sequential algorithm can be used".
+//!
+//! The recursion stops at [`BASE_COLS`] columns in a left-looking
+//! elimination compiled for the dispatched backend: step `k` makes one
+//! pass over the rows that scales column `k`, brings column `k + 1` — and
+//! only it — up to date with a register-held accumulator, and finds its
+//! pivot on the way. A leaf's 12500-long columns are read about half as
+//! often as by `getf2` (scale, rank-1 update and `iamax` sweeps) and
+//! written `BASE_COLS` times less. Every element sees `getf2`'s updates in
+//! `getf2`'s order and the pivot rule is [`iamax`]'s (first maximum, NaN
+//! skipped), so the pivot sequence is `getf2`'s.
+//!
+//! `rgetf2` holds no thread-local scratch; the `gemm` it and its `trsm`
+//! calls run borrows the pack buffers only for the duration of each call.
 
-use crate::gemm::{gemm, Kernel, Trans};
-use crate::lu_unblocked::{getf2, LuInfo};
+use crate::gemm::{gemm_on, nmul_add, on_backend, Kernel, KernelSpec, Trans, LANES};
+use crate::ger::{fold_first_max, iamax};
+use crate::lu_unblocked::LuInfo;
 use crate::trsm::trsm_left_lower_unit;
-use ca_matrix::{MatViewMut, PivotSeq};
+use ca_matrix::{MatView, MatViewMut, PivotSeq, Scalar};
 
-/// Column count at which recursion bottoms out into BLAS2 `getf2`.
-const BASE_COLS: usize = 8;
+/// Column count at which the recursion stops in the left-looking base case.
+const BASE_COLS: usize = 16;
 
 /// Recursive Gaussian elimination with partial pivoting of an `m × n` view
 /// (`m ≥ n` expected but not required), in place. Pivot indices are
-/// view-local, exactly as [`getf2`] reports them.
+/// view-local, exactly as [`getf2`](crate::getf2) reports them.
 pub fn rgetf2<T: Kernel>(a: MatViewMut<'_, T>) -> LuInfo {
+    let mut info = LuInfo {
+        pivots: PivotSeq { ipiv: Vec::with_capacity(a.nrows().min(a.ncols())), offset: 0 },
+        first_zero_pivot: None,
+    };
+    recurse(T::spec(), a, 0, &mut info);
+    info
+}
+
+/// Factors `a`, whose first row and column are row and column `at` of the
+/// view `info` describes: appends its pivots to `info` in that numbering.
+fn recurse<T: Kernel>(spec: &KernelSpec<T>, mut a: MatViewMut<'_, T>, at: usize, info: &mut LuInfo) {
     let m = a.nrows();
     let n = a.ncols();
     if n <= BASE_COLS || m <= 1 {
-        return getf2(a);
+        // SAFETY: `spec` came from `Kernel::spec`, which checked that this
+        // CPU runs its backend.
+        return unsafe { (spec.lu_base)(a, at, info) };
     }
     // Never split past the row count: for wide views the factorization only
     // involves the first min(m, n) columns, the rest are updated in place.
-    let n1 = (n / 2).min(m);
+    let n1 = (n / 2).next_multiple_of(BASE_COLS).min(m);
 
-    let mut a = a;
-    // Factor the left half A[:, 0..n1].
-    let left_info = {
-        let left = a.sub(0, 0, m, n1);
-        rgetf2(left)
-    };
-
-    // Apply the left pivots to the right half.
-    {
-        let right = a.sub(0, n1, m, n - n1);
-        left_info.pivots.apply(right);
-    }
+    // Factor the left half A[:, 0..n1] and apply its pivots to the right.
+    let done = info.pivots.len();
+    recurse(spec, a.sub(0, 0, m, n1), at, info);
+    swap_rows(&info.pivots.ipiv[done..], at, 0, a.sub(0, n1, m, n - n1));
 
     // U12 := L11⁻¹ A12 ; A22 -= L21 * U12.
     {
@@ -45,36 +64,147 @@ pub fn rgetf2<T: Kernel>(a: MatViewMut<'_, T>) -> LuInfo {
         let l11 = left_cols.as_ref().sub(0, 0, n1, n1);
         trsm_left_lower_unit(l11, u12.rb());
         let l21 = left_cols.as_ref().sub(n1, 0, m - n1, n1);
-        gemm(Trans::No, Trans::No, -T::ONE, l21, u12.as_ref(), T::ONE, a22);
+        gemm_on(spec, Trans::No, Trans::No, -T::ONE, l21, u12.as_ref(), T::ONE, a22);
     }
 
-    // Factor the trailing block A[n1.., n1..].
-    let lower_info = {
-        let trailing = a.sub(n1, n1, m - n1, n - n1);
-        rgetf2(trailing)
+    // Factor the trailing block A[n1.., n1..] and apply its pivots to the
+    // left-bottom block.
+    let done = info.pivots.len();
+    recurse(spec, a.sub(n1, n1, m - n1, n - n1), at + n1, info);
+    swap_rows(&info.pivots.ipiv[done..], at, n1, a.sub(0, 0, m, n1));
+}
+
+/// Applies the interchanges `pivots` (numbered from row `at` of the whole
+/// view), the first of which sits at row `k0` of `a`, to the rows of `a`.
+fn swap_rows<T: Scalar>(pivots: &[usize], at: usize, k0: usize, mut a: MatViewMut<'_, T>) {
+    for (k, &p) in pivots.iter().enumerate() {
+        a.swap_rows(k0 + k, p - at);
+    }
+}
+
+on_backend! {
+    /// GEPP of at most [`BASE_COLS`] columns, left-looking.
+    mod base = base_body(a: MatViewMut<'_, T>, at: usize, info: &mut LuInfo)
+}
+
+/// Reciprocal pivot of each eliminated column; `None` for a zero pivot,
+/// whose column eliminates nothing (as in [`getf2`](crate::getf2)).
+type Pivots<T> = [Option<T>; BASE_COLS];
+
+#[inline(always)]
+fn base_body<T: Scalar, const FMA: bool>(mut a: MatViewMut<'_, T>, at: usize, info: &mut LuInfo) {
+    let (m, n) = (a.nrows(), a.ncols());
+    let kmax = m.min(n);
+    if kmax == 0 {
+        return;
+    }
+    let mut inv: Pivots<T> = [None; BASE_COLS];
+    let mut next = iamax(a.col(0)).unwrap_or(0);
+    for k in 0..kmax {
+        info.pivots.push(at + next);
+        a.swap_rows(k, next);
+        let piv = a.at(k, k);
+        if piv == T::ZERO {
+            info.first_zero_pivot.get_or_insert(at + k);
+        } else {
+            inv[k] = Some(T::ONE / piv);
+        }
+        next = eliminate::<T, FMA>(a.rb(), k, &inv);
+    }
+    // Wide view: the columns past the last pivot only have a `U` part.
+    for j in kmax + 1..n {
+        u_column::<T, FMA>(&mut a, kmax - 1, j, &inv);
+    }
+}
+
+/// Applies steps `0..=k` to rows `0..=k` of the untouched column `j`
+/// (forward substitution with `L`) and returns its `U` entries.
+#[inline(always)]
+fn u_column<T: Scalar, const FMA: bool>(
+    a: &mut MatViewMut<'_, T>,
+    k: usize,
+    j: usize,
+    inv: &Pivots<T>,
+) -> [T; BASE_COLS] {
+    let mut u = [T::ZERO; BASE_COLS];
+    for p in 0..=k {
+        u[p] = a.at(p, j);
+        if inv[p].is_some() {
+            for i in p + 1..=k {
+                a.set(i, j, nmul_add::<T, FMA>(a.at(i, p), u[p], a.at(i, j)));
+            }
+        }
+    }
+    u
+}
+
+/// Step `k` after its row interchange: scales column `k` below the pivot,
+/// applies steps `0..=k` to column `k + 1` and returns that column's pivot
+/// row (`k + 1` when there is no such column or no choice).
+#[inline(always)]
+fn eliminate<T: Scalar, const FMA: bool>(mut a: MatViewMut<'_, T>, k: usize, inv: &Pivots<T>) -> usize {
+    let (m, j) = (a.nrows(), k + 1);
+    let u = if j < a.ncols() { u_column::<T, FMA>(&mut a, k, j, inv) } else { [T::ZERO; BASE_COLS] };
+    let (done, rest) = a.split_at_col(k);
+    let (mut col_k, mut right) = rest.split_at_col(1);
+    let (done, lk) = (done.as_ref(), col_k.col_mut(0));
+    let mut cj = (right.ncols() > 0).then(|| right.col_mut(0));
+    let mut best = (-T::ONE, j);
+    let mut r0 = j;
+    while r0 + LANES <= m {
+        rows::<T, FMA, LANES>(done, lk, cj.as_deref_mut(), r0, k, &u, inv, &mut best);
+        r0 += LANES;
+    }
+    while r0 + 8 <= m {
+        rows::<T, FMA, 8>(done, lk, cj.as_deref_mut(), r0, k, &u, inv, &mut best);
+        r0 += 8;
+    }
+    while r0 < m {
+        rows::<T, FMA, 1>(done, lk, cj.as_deref_mut(), r0, k, &u, inv, &mut best);
+        r0 += 1;
+    }
+    best.1
+}
+
+/// [`eliminate`] on rows `r0..r0 + R`: the new column lives in registers
+/// while the finished ones stream past it.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)] // one step's whole state, inlined away
+fn rows<T: Scalar, const FMA: bool, const R: usize>(
+    done: MatView<'_, T>,
+    lk: &mut [T],
+    cj: Option<&mut [T]>,
+    r0: usize,
+    k: usize,
+    u: &[T; BASE_COLS],
+    inv: &Pivots<T>,
+    best: &mut (T, usize),
+) {
+    let lk: &mut [T; R] = (&mut lk[r0..r0 + R]).try_into().expect("R rows");
+    if let Some(s) = inv[k] {
+        lk.iter_mut().for_each(|v| *v *= s);
+    }
+    let Some(cj) = cj else { return };
+    let mut acc: [T; R] = cj[r0..r0 + R].try_into().expect("R rows");
+    let mut apply = |l: &[T; R], u: T| {
+        for (acc, &l) in acc.iter_mut().zip(l) {
+            *acc = nmul_add::<T, FMA>(l, u, *acc);
+        }
     };
-
-    // Apply the trailing pivots (shifted by n1) to the left-bottom block.
-    {
-        let left_bottom = a.sub(n1, 0, m - n1, n1);
-        lower_info.pivots.apply(left_bottom);
+    for p in (0..k).filter(|&p| inv[p].is_some()) {
+        apply(done.col(p)[r0..r0 + R].try_into().expect("R rows"), u[p]);
     }
-
-    // Merge pivot sequences into view-local indices.
-    let mut pivots = PivotSeq::new(0);
-    pivots.ipiv.extend_from_slice(&left_info.pivots.ipiv);
-    for &p in &lower_info.pivots.ipiv {
-        pivots.ipiv.push(p + n1);
+    if inv[k].is_some() {
+        apply(lk, u[k]);
     }
-    let first_zero_pivot = left_info
-        .first_zero_pivot
-        .or(lower_info.first_zero_pivot.map(|k| k + n1));
-    LuInfo { pivots, first_zero_pivot }
+    cj[r0..r0 + R].copy_from_slice(&acc);
+    fold_first_max(best, r0, &cj[r0..r0 + R]);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lu_unblocked::getf2;
     use ca_matrix::{lu_residual, Matrix};
 
     fn check(m: usize, n: usize, seed: u64) {
@@ -89,18 +219,22 @@ mod tests {
     }
 
     #[test]
-    fn recursive_lu_various_shapes() {
+    fn rgetf2_various_shapes() {
         check(16, 16, 1);
         check(100, 40, 2);
         check(33, 17, 3);
-        check(9, 9, 4); // just above base case
-        check(8, 8, 5); // exactly base case
+        check(BASE_COLS + 1, BASE_COLS + 1, 4); // just above base case
+        check(BASE_COLS, BASE_COLS, 5); // exactly base case
+        check(LANES + BASE_COLS + 9, BASE_COLS, 11); // every row tier of the base case
         check(200, 64, 6);
         check(13, 29, 7); // wide
+        check(20, 29, 8); // wide base case: a 6 x 13 trailing block
+        check(1, 40, 9); // one row
+        check(70, 33, 10); // base case of one column
     }
 
     #[test]
-    fn recursive_matches_blas2_exactly() {
+    fn rgetf2_matches_getf2_on_a_generic_matrix() {
         // Same pivot choices and identical arithmetic order is not
         // guaranteed, but for generic matrices the pivot *sequence* is the
         // same because both pick the max-magnitude entry of the updated
@@ -118,7 +252,7 @@ mod tests {
     }
 
     #[test]
-    fn recursive_handles_singular_input() {
+    fn rgetf2_handles_singular_input() {
         let a0 = Matrix::from_fn(12, 12, |i, j| ((i + 1) * (j + 1)) as f64);
         let mut a = a0.clone();
         let info = rgetf2(a.view_mut());
@@ -126,11 +260,46 @@ mod tests {
     }
 
     #[test]
-    fn recursive_single_column() {
+    fn rgetf2_single_column() {
         let a0 = Matrix::from_rows(4, 1, &[1.0, -4.0, 2.0, 3.0]);
         let mut a = a0.clone();
         let info = rgetf2(a.view_mut());
         assert_eq!(info.pivots.ipiv, vec![1]);
         assert_eq!(a[(0, 0)], -4.0);
+    }
+
+    /// Pivots and zero-pivot report of `rgetf2` against `getf2` on the same input.
+    fn same_pivots(a0: &Matrix, what: &str) {
+        let (mut rec, mut b2) = (a0.clone(), a0.clone());
+        let (i_rec, i_b2) = (rgetf2(rec.view_mut()), getf2(b2.view_mut()));
+        assert_eq!(i_rec.pivots.ipiv, i_b2.pivots.ipiv, "{what}: pivot sequences differ");
+        assert_eq!(i_rec.first_zero_pivot, i_b2.first_zero_pivot, "{what}: breakdown reports differ");
+    }
+
+    #[test]
+    fn rgetf2_pivots_equal_getf2_on_random_tied_and_nan_columns() {
+        let (m, n) = (LANES + 40, BASE_COLS + 8);
+        let mut rng = ca_matrix::seeded_rng(21);
+        same_pivots(&ca_matrix::random_uniform(m, n, &mut rng), "random");
+
+        // Entries in {-1, 0, 1}: the arithmetic is exact in both routines for
+        // this few columns, so every column is full of exact ties and only
+        // the first-maximum rule decides.
+        let r = ca_matrix::random_uniform(m, 10, &mut rng);
+        same_pivots(&Matrix::from_fn(m, 10, |i, j| (r[(i, j)] * 1.5).round()), "tied");
+
+        // NaNs are never pivots while a number is left; an all-NaN column
+        // pivots on its first row; a zero column reports breakdown.
+        let mut a = ca_matrix::random_uniform(m, n, &mut rng);
+        for &(i, j) in &[(0, 0), (5, 0), (m - 1, 3), (17, BASE_COLS), (70, n - 1)] {
+            a[(i, j)] = f64::NAN;
+        }
+        same_pivots(&a, "scattered NaN");
+        let mut a = ca_matrix::random_uniform(m, n, &mut rng);
+        (0..m).for_each(|i| a[(i, 2)] = f64::NAN);
+        same_pivots(&a, "NaN column");
+        let mut a = ca_matrix::random_uniform(m, n, &mut rng);
+        (0..m).for_each(|i| a[(i, BASE_COLS + 1)] = 0.0);
+        same_pivots(&a, "zero column");
     }
 }

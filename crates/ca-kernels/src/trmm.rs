@@ -44,6 +44,26 @@ pub enum Triangle {
     UnitLower,
 }
 
+/// Which half of the stored square block is the triangle of a
+/// [`trsm`](crate::trsm) (the other half is never read).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Uplo {
+    /// Upper triangular.
+    Upper,
+    /// Lower triangular.
+    Lower,
+}
+
+/// Whether the diagonal of a [`trsm`](crate::trsm) triangle is stored, or an
+/// implicit 1 (the stored one is then never read).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Diag {
+    /// Stored diagonal.
+    NonUnit,
+    /// Implicit unit diagonal.
+    Unit,
+}
+
 /// `C := α·op(A)·B + β·C` (`Side::Left`) or `C := α·B·op(A) + β·C`
 /// (`Side::Right`) with `A` a `k × k` triangle of kind `tri`. `beta == 0`
 /// overwrites `C` without reading it, like [`gemm`](crate::gemm).

@@ -1,200 +1,196 @@
 //! Triangular solves with multiple right-hand sides (`dtrsm` equivalents).
 //!
-//! Only the variants the factorizations need are implemented, as standalone
-//! functions with self-describing names rather than a flag-driven monolith.
+//! One routine, [`trsm`], solves `op(A)·X = B` ([`Side::Left`]) or
+//! `X·op(A) = B` ([`Side::Right`]) in place for every `(side, uplo, trans,
+//! diag)`; the five named functions the factorizations call are instances of
+//! it. Like [`crate::trmm`] (DESIGN.md §10, "Triangular solves"): the *free*
+//! dimension of `B` (rows on the right, columns on the left) is walked in
+//! [`TRSM_SLAB`]-wide slabs that stay in L1/L2 through the whole solve; in a
+//! slab the triangle is halved recursively, every off-diagonal block one
+//! [`gemm_on`]; at order ≤ [`TRSM_BASE`] a register-blocked substitution
+//! compiled for the dispatched backend ([`on_backend`]) runs.
 //!
-//! The two hot variants (`trsm_right_upper_notrans` — Task L of CALU — and
-//! `trsm_left_lower_unit` — the `U₁₂` block row) are blocked: the triangle
-//! is carved into `TRSM_NB`-wide diagonal blocks solved by the scalar base
-//! case, and everything off-diagonal becomes a rank-`TRSM_NB` [`gemm`]
-//! update, so the bulk of the arithmetic runs on the packed BLIS-style
-//! GEMM path.
+//! Only the triangle's dimension is split, at points that depend on its order
+//! alone, and every element of the free dimension sees the same operations in
+//! the same order with the same rounding: a solve equals, bit for bit, the
+//! same solve on any partition of its free dimension (`CaluTask::LBlock` row
+//! groups, `CaluTask::URow` column chunks). No data-dependent skips — `0·∞` is
+//! NaN wherever the entry sits — and a zero diagonal yields `inf`/`NaN` as in
+//! BLAS, never a panic. No thread-local scratch is held.
 
-use crate::gemm::{gemm, Kernel, Trans};
+use crate::gemm::{gemm_on, nmul_add, on_backend, spec_named, Kernel, KernelSpec, Trans, LANES};
+use crate::trmm::{Diag, Side, Uplo};
 use ca_matrix::{MatView, MatViewMut, Scalar};
 
-/// Diagonal-block order below which the scalar base-case solver runs.
-const TRSM_NB: usize = 64;
+/// Order at which the recursion stops in one register-blocked substitution:
+/// a multiple of every backend's `mr` and `nr`.
+pub const TRSM_BASE: usize = 16;
+/// Slab width along the free dimension: two `MC` row blocks of the packed
+/// path, about 200 KiB of `B` at order 100 in f64.
+pub const TRSM_SLAB: usize = 2 * crate::gemm::MC;
 
-/// `B := B * U⁻¹` with `U` upper triangular, non-unit diagonal
-/// (`dtrsm('R','U','N','N')`).
-///
-/// This is Task L of multithreaded CALU: `L₂₁ = A₂₁ U₁₁⁻¹`.
-///
-/// Follows BLAS semantics on singular triangles: a zero diagonal entry
-/// produces `inf`/`NaN` in the output rather than a panic (factorizations
-/// report breakdown separately, like LAPACK `info`).
+/// One solve's flags.
+pub(crate) type Variant = (Side, Uplo, Trans, Diag);
+/// The base case's copy of its triangle: `[j][k]` is what solved column `k`
+/// contributes to column `j` of the right-side form `X·M = B`.
+type Table<T> = [[T; TRSM_BASE]; TRSM_BASE];
+
+/// Whether column `j` of that `M` is column `j` of `A` as stored (else row
+/// `j`): `M` is `op(A)` on the right, `op(A)ᵀ` on the left.
+fn direct((side, _, trans, _): Variant) -> bool {
+    (side == Side::Right) == (trans == Trans::No)
+}
+
+/// Whether `M` is upper triangular: substitution runs from index 0 up, and
+/// the head of a split triangle is solved before its tail.
+fn forward(v: Variant) -> bool {
+    (v.1 == Uplo::Upper) == direct(v)
+}
+
+/// Solves `op(A)·X = B` (`Side::Left`) or `X·op(A) = B` (`Side::Right`) in
+/// place, `A` a square triangle of kind `(uplo, diag)`.
 ///
 /// # Panics
-/// If `U` is not square or its order differs from `B`'s column count.
-pub fn trsm_right_upper_notrans<T: Kernel>(u: MatView<'_, T>, mut b: MatViewMut<'_, T>) {
-    let n = u.nrows();
-    assert_eq!(u.ncols(), n, "U must be square");
-    assert_eq!(b.ncols(), n, "B column count must equal order of U");
-    let mut j0 = 0;
-    while j0 < n {
-        let w = TRSM_NB.min(n - j0);
-        if j0 > 0 {
-            // B[:, j0..j0+w] -= B[:, 0..j0] · U[0..j0, j0..j0+w]
-            let m = b.nrows();
-            let (solved, rest) = b.rb().split_at_col(j0);
-            gemm(
-                Trans::No,
-                Trans::No,
-                -T::ONE,
-                solved.as_ref(),
-                u.sub(0, j0, j0, w),
-                T::ONE,
-                rest.into_sub(0, 0, m, w),
-            );
-        }
-        trsm_right_upper_notrans_base(u.sub(j0, j0, w, w), b.sub(0, j0, b.nrows(), w));
-        j0 += w;
-    }
+/// If `A` is not square or its order differs from `B`'s rows (left) or
+/// columns (right).
+pub fn trsm<T: Kernel>(side: Side, uplo: Uplo, trans: Trans, diag: Diag, a: MatView<'_, T>, b: MatViewMut<'_, T>) {
+    slabs(T::spec(), (side, uplo, trans, diag), a, b);
 }
 
-/// Scalar base case of [`trsm_right_upper_notrans`] (one diagonal block).
-fn trsm_right_upper_notrans_base<T: Scalar>(u: MatView<'_, T>, mut b: MatViewMut<'_, T>) {
-    let n = u.nrows();
-    let m = b.nrows();
-    for j in 0..n {
-        // B[:, j] -= sum_{k<j} B[:, k] * U[k, j]
-        let u_col = u.col(j);
-        for (k, &x) in u_col.iter().enumerate().take(j) {
-            if x != T::ZERO {
-                // Split borrow: copy the already-solved column k scale into j.
-                let (bk_ptr, bj) = {
-                    let bk = b.col(k).as_ptr();
-                    (bk, b.col_mut(j))
-                };
-                // SAFETY: columns k and j are disjoint (k < j).
-                let bk = unsafe { core::slice::from_raw_parts(bk_ptr, m) };
-                for i in 0..m {
-                    bj[i] -= x * bk[i];
-                }
-            }
-        }
-        let inv = T::ONE / u_col[j];
-        for x in b.col_mut(j) {
-            *x *= inv;
-        }
-    }
-}
-
-/// `B := L⁻¹ * B` with `L` lower triangular, unit diagonal
-/// (`dtrsm('L','L','N','U')`).
+/// [`trsm`] pinned to a named backend from
+/// [`gemm_available_backends`](crate::gemm_available_backends) — the hook
+/// behind the backend × precision conformance matrix.
 ///
-/// This computes the `U` block row in LU: `U₁₂ = L₁₁⁻¹ A₁₂`.
-pub fn trsm_left_lower_unit<T: Kernel>(l: MatView<'_, T>, mut b: MatViewMut<'_, T>) {
-    let m = l.nrows();
-    assert_eq!(l.ncols(), m, "L must be square");
-    assert_eq!(b.nrows(), m, "B row count must equal order of L");
-    let n = b.ncols();
-    let mut k0 = 0;
-    while k0 < m {
-        let w = TRSM_NB.min(m - k0);
-        trsm_left_lower_unit_base(l.sub(k0, k0, w, w), b.sub(k0, 0, w, n));
-        if k0 + w < m {
-            // B[k0+w.., :] -= L[k0+w.., k0..k0+w] · B[k0..k0+w, :]
-            let (top, below) = b.rb().split_at_row(k0 + w);
-            gemm(
-                Trans::No,
-                Trans::No,
-                -T::ONE,
-                l.sub(k0 + w, k0, m - k0 - w, w),
-                top.as_ref().sub(k0, 0, w, n),
-                T::ONE,
-                below,
-            );
-        }
-        k0 += w;
+/// # Panics
+/// Like [`trsm`], or if `name` is not a backend this host supports.
+pub fn trsm_with_backend<T: Kernel>(
+    name: &str,
+    side: Side,
+    uplo: Uplo,
+    trans: Trans,
+    diag: Diag,
+    a: MatView<'_, T>,
+    b: MatViewMut<'_, T>,
+) {
+    slabs(spec_named(name), (side, uplo, trans, diag), a, b);
+}
+
+fn slabs<T: Kernel>(spec: &KernelSpec<T>, v: Variant, a: MatView<'_, T>, mut b: MatViewMut<'_, T>) {
+    let (n, left) = (a.nrows(), v.0 == Side::Left);
+    assert_eq!(a.ncols(), n, "trsm: triangle must be square");
+    let (free, fixed) = if left { (b.ncols(), b.nrows()) } else { (b.nrows(), b.ncols()) };
+    assert_eq!(fixed, n, "trsm: B must have the triangle's order in rows (left) or columns (right)");
+    for f0 in (0..free).step_by(TRSM_SLAB) {
+        let f = TRSM_SLAB.min(free - f0);
+        solve(spec, v, a, if left { b.sub(0, f0, n, f) } else { b.sub(f0, 0, f, n) });
     }
 }
 
-/// Scalar base case of [`trsm_left_lower_unit`] (one diagonal block).
-fn trsm_left_lower_unit_base<T: Scalar>(l: MatView<'_, T>, mut b: MatViewMut<'_, T>) {
-    let m = l.nrows();
-    let n = b.ncols();
-    for j in 0..n {
-        let bj = b.col_mut(j);
-        for k in 0..m {
-            let x = bj[k];
-            if x != T::ZERO {
-                let l_col = l.col(k);
-                for i in k + 1..m {
-                    bj[i] -= x * l_col[i];
-                }
-            }
-        }
+/// One slab: halve the triangle, solve the half the substitution reaches
+/// first, fold it into the other half with one `gemm`, solve that.
+fn solve<T: Kernel>(spec: &KernelSpec<T>, v: Variant, a: MatView<'_, T>, b: MatViewMut<'_, T>) {
+    let n = a.nrows();
+    if n <= TRSM_BASE {
+        // SAFETY: `spec` came from `Kernel::spec` or `spec_named`, which
+        // both checked that this CPU runs its backend.
+        return unsafe { (spec.trsm_base)(v, a, b) };
     }
+    let (side, uplo, trans, _) = v;
+    let n1 = (n / 2).next_multiple_of(TRSM_BASE);
+    let (a_head, a_tail) = (a.sub(0, 0, n1, n1), a.sub(n1, n1, n - n1, n - n1));
+    let off = if uplo == Uplo::Upper { a.sub(0, n1, n1, n - n1) } else { a.sub(n1, 0, n - n1, n1) };
+    let (head, tail) = if side == Side::Left { b.split_at_row(n1) } else { b.split_at_col(n1) };
+    let (a_src, mut src, a_dst, mut dst) =
+        if forward(v) { (a_head, head, a_tail, tail) } else { (a_tail, tail, a_head, head) };
+    solve(spec, v, a_src, src.rb());
+    match side {
+        Side::Left => gemm_on(spec, trans, Trans::No, -T::ONE, off, src.as_ref(), T::ONE, dst.rb()),
+        Side::Right => gemm_on(spec, Trans::No, trans, -T::ONE, src.as_ref(), off, T::ONE, dst.rb()),
+    }
+    solve(spec, v, a_dst, dst);
 }
 
-/// `B := U⁻¹ * B` with `U` upper triangular, non-unit diagonal
-/// (`dtrsm('L','U','N','N')`) — back substitution for solvers. BLAS
-/// semantics on singular triangles (zero diagonal yields `inf`/`NaN`).
-pub fn trsm_left_upper_notrans<T: Scalar>(u: MatView<'_, T>, mut b: MatViewMut<'_, T>) {
-    let m = u.nrows();
-    assert_eq!(u.ncols(), m, "U must be square");
-    assert_eq!(b.nrows(), m, "B row count must equal order of U");
-    let n = b.ncols();
-    for j in 0..n {
-        let bj = b.col_mut(j);
-        for k in (0..m).rev() {
-            let x = bj[k] / u.at(k, k);
-            bj[k] = x;
-            if x != T::ZERO {
-                let u_col = u.col(k);
-                for i in 0..k {
-                    bj[i] -= x * u_col[i];
-                }
-            }
-        }
-    }
+on_backend! {
+    /// Substitution with a triangle of order ≤ [`TRSM_BASE`] over a whole slab.
+    mod base = base_body(v: Variant, a: MatView<'_, T>, b: MatViewMut<'_, T>)
 }
 
-/// `B := U⁻ᵀ * B` with `U` upper triangular, non-unit diagonal
-/// (`dtrsm('L','U','T','N')`) — forward substitution with `Uᵀ`, used for
-/// transpose solves `AᵀX = B` from an LU factorization. BLAS semantics on
-/// singular triangles.
-pub fn trsm_left_upper_trans<T: Scalar>(u: MatView<'_, T>, mut b: MatViewMut<'_, T>) {
-    let m = u.nrows();
-    assert_eq!(u.ncols(), m, "U must be square");
-    assert_eq!(b.nrows(), m, "B row count must equal order of U");
-    let n = b.ncols();
-    for j in 0..n {
-        let bj = b.col_mut(j);
-        // Uᵀ is lower triangular: forward substitution; (Uᵀ)[i][k] = U[k][i].
-        for k in 0..m {
-            let u_col = u.col(k);
-            let mut s = bj[k];
-            for i in 0..k {
-                s -= u_col[i] * bj[i];
-            }
-            bj[k] = s / u_col[k];
+#[inline(always)]
+fn base_body<T: Scalar, const FMA: bool>(v: Variant, a: MatView<'_, T>, mut b: MatViewMut<'_, T>) {
+    let (w, right, fwd) = (a.nrows(), v.0 == Side::Right, forward(v));
+    let (mut m, mut inv): (Table<T>, _) = ([[T::ZERO; TRSM_BASE]; TRSM_BASE], [T::ONE; TRSM_BASE]);
+    for j in 0..w {
+        for k in if fwd { 0..j } else { j + 1..w } {
+            m[j][k] = if direct(v) { a.at(k, j) } else { a.at(j, k) };
+        }
+        if v.3 == Diag::NonUnit {
+            inv[j] = T::ONE / a.at(j, j);
+        }
+    }
+    let free = if right { b.nrows() } else { b.ncols() };
+    let mut buf = [T::ZERO; LANES * TRSM_BASE];
+    for f0 in (0..free).step_by(LANES) {
+        let f = LANES.min(free - f0);
+        if right && f == LANES {
+            sweep::<T, FMA>(fwd, &m, &inv, b.sub(f0, 0, LANES, w));
+            continue;
+        }
+        // Left side, or a short last chunk: through a `LANES x w` copy,
+        // transposed on the left; lanes past `f` solve stale values nobody
+        // reads.
+        let at = |j: usize, c: usize| if right { (f0 + c, j) } else { (j, f0 + c) };
+        for (j, lane) in buf.chunks_exact_mut(LANES).take(w).enumerate() {
+            (0..f).for_each(|c| lane[c] = b.at(at(j, c).0, at(j, c).1));
+        }
+        sweep::<T, FMA>(fwd, &m, &inv, MatViewMut::from_slice(&mut buf[..LANES * w], LANES, w));
+        for (j, lane) in buf.chunks_exact(LANES).take(w).enumerate() {
+            (0..f).for_each(|c| b.set(at(j, c).0, at(j, c).1, lane[c]));
         }
     }
 }
 
-/// `B := L⁻ᵀ * B` with `L` lower triangular, unit diagonal
-/// (`dtrsm('L','L','T','U')`) — used when solving `AᵀX = B` from an LU
-/// factorization.
-pub fn trsm_left_lower_trans_unit<T: Scalar>(l: MatView<'_, T>, mut b: MatViewMut<'_, T>) {
-    let m = l.nrows();
-    assert_eq!(l.ncols(), m, "L must be square");
-    assert_eq!(b.nrows(), m, "B row count must equal order of L");
-    let n = b.ncols();
-    for j in 0..n {
-        let bj = b.col_mut(j);
-        // Lᵀ is upper triangular with unit diagonal: back substitution.
-        for k in (0..m).rev() {
-            let l_col = l.col(k);
-            let mut s = bj[k];
-            for i in k + 1..m {
-                s -= l_col[i] * bj[i];
+/// Solves `X·M = B` in place for `LANES` rows: each column is loaded once,
+/// takes the solved columns' contributions in registers, is scaled, stored.
+#[inline(always)]
+fn sweep<T: Scalar, const FMA: bool>(fwd: bool, m: &Table<T>, inv: &[T; TRSM_BASE], mut x: MatViewMut<'_, T>) {
+    let w = x.ncols();
+    let col = |s: usize| if fwd { s } else { w - 1 - s };
+    for j in (0..w).map(col) {
+        let mut acc: [T; LANES] = x.col(j).try_into().expect("sweep takes LANES rows");
+        for k in (0..w).map(col).take_while(|&k| k != j) {
+            let xk: &[T; LANES] = x.col(k).try_into().expect("sweep takes LANES rows");
+            for (acc, &xk) in acc.iter_mut().zip(xk) {
+                *acc = nmul_add::<T, FMA>(xk, m[j][k], *acc);
             }
-            bj[k] = s;
         }
+        acc.iter_mut().for_each(|v| *v *= inv[j]);
+        x.col_mut(j).copy_from_slice(&acc);
     }
+}
+
+/// `B := B·U⁻¹`, `U` upper (`dtrsm('R','U','N','N')`) — Task L of CALU: `L₂₁ = A₂₁ U₁₁⁻¹`.
+pub fn trsm_right_upper_notrans<T: Kernel>(u: MatView<'_, T>, b: MatViewMut<'_, T>) {
+    trsm(Side::Right, Uplo::Upper, Trans::No, Diag::NonUnit, u, b);
+}
+
+/// `B := L⁻¹·B`, `L` unit lower (`dtrsm('L','L','N','U')`) — the `U` block row `U₁₂ = L₁₁⁻¹ A₁₂`.
+pub fn trsm_left_lower_unit<T: Kernel>(l: MatView<'_, T>, b: MatViewMut<'_, T>) {
+    trsm(Side::Left, Uplo::Lower, Trans::No, Diag::Unit, l, b);
+}
+
+/// `B := U⁻¹·B`, `U` upper (`dtrsm('L','U','N','N')`) — back substitution for solvers.
+pub fn trsm_left_upper_notrans<T: Kernel>(u: MatView<'_, T>, b: MatViewMut<'_, T>) {
+    trsm(Side::Left, Uplo::Upper, Trans::No, Diag::NonUnit, u, b);
+}
+
+/// `B := U⁻ᵀ·B`, `U` upper (`dtrsm('L','U','T','N')`) — first half of a transpose solve `AᵀX = B`.
+pub fn trsm_left_upper_trans<T: Kernel>(u: MatView<'_, T>, b: MatViewMut<'_, T>) {
+    trsm(Side::Left, Uplo::Upper, Trans::Yes, Diag::NonUnit, u, b);
+}
+
+/// `B := L⁻ᵀ·B`, `L` unit lower (`dtrsm('L','L','T','U')`) — second half of a transpose solve.
+pub fn trsm_left_lower_trans_unit<T: Kernel>(l: MatView<'_, T>, b: MatViewMut<'_, T>) {
+    trsm(Side::Left, Uplo::Lower, Trans::Yes, Diag::Unit, l, b);
 }
 
 #[cfg(test)]
@@ -202,170 +198,200 @@ mod tests {
     use super::*;
     use ca_matrix::{norm_max, Matrix};
 
-    fn random_upper(n: usize, seed: u64) -> Matrix {
-        let mut rng = ca_matrix::seeded_rng(seed);
-        let mut u = ca_matrix::random_uniform(n, n, &mut rng);
-        for i in 0..n {
-            for j in 0..i {
-                u[(i, j)] = 0.0;
+    /// A well-conditioned stored triangle of order `n`: off-diagonal entries
+    /// of size `1/n`, diagonal in `[2, 3)`; NaN wherever `trsm` must not look
+    /// (the other half, and the diagonal when it is implicit).
+    fn stored(n: usize, uplo: Uplo, diag: Diag, seed: u64) -> Matrix {
+        let r = ca_matrix::random_uniform(n, n, &mut ca_matrix::seeded_rng(seed));
+        Matrix::from_fn(n, n, |i, j| match (i == j, (i < j) == (uplo == Uplo::Upper)) {
+            (true, _) if diag == Diag::Unit => f64::NAN,
+            (true, _) => 2.0 + r[(i, j)].abs(),
+            (false, true) => r[(i, j)] / n as f64,
+            (false, false) => f64::NAN,
+        })
+    }
+
+    /// `op(A)` as an explicit dense matrix (zeros and the unit diagonal
+    /// written out).
+    fn dense(a: &Matrix, uplo: Uplo, trans: Trans, diag: Diag) -> Matrix {
+        let n = a.nrows();
+        let t = Matrix::from_fn(n, n, |i, j| match (i == j, (i < j) == (uplo == Uplo::Upper)) {
+            (true, _) if diag == Diag::Unit => 1.0,
+            (true, _) | (false, true) => a[(i, j)],
+            (false, false) => 0.0,
+        });
+        if trans == Trans::Yes { t.transpose() } else { t }
+    }
+
+    /// Plain substitution, no skips: solves `T·X = B` for a dense triangular `T`.
+    fn reference_left(t: &Matrix, b: &Matrix) -> Matrix {
+        let n = t.nrows();
+        let lower = (0..n).all(|i| (i + 1..n).all(|j| t[(i, j)] == 0.0));
+        let mut x = b.clone();
+        for c in 0..b.ncols() {
+            for s in 0..n {
+                let i = if lower { s } else { n - 1 - s };
+                let mut v = x[(i, c)];
+                for k in if lower { 0..i } else { i + 1..n } {
+                    v -= t[(i, k)] * x[(k, c)];
+                }
+                x[(i, c)] = v / t[(i, i)];
             }
-            u[(i, i)] = 2.0 + u[(i, i)].abs(); // well away from zero
         }
-        u
+        x
     }
 
-    fn random_unit_lower(n: usize, seed: u64) -> Matrix {
-        let mut rng = ca_matrix::seeded_rng(seed);
-        let mut l = ca_matrix::random_uniform(n, n, &mut rng);
-        for i in 0..n {
-            for j in i..n {
-                l[(i, j)] = if i == j { 1.0 } else { 0.0 };
+    fn reference(side: Side, t: &Matrix, b: &Matrix) -> Matrix {
+        match side {
+            Side::Left => reference_left(t, b),
+            Side::Right => reference_left(&t.transpose(), &b.transpose()).transpose(),
+        }
+    }
+
+    fn rhs(side: Side, n: usize, free: usize, seed: u64) -> Matrix {
+        let (r, c) = if side == Side::Left { (n, free) } else { (free, n) };
+        ca_matrix::random_uniform(r, c, &mut ca_matrix::seeded_rng(seed))
+    }
+
+    #[test]
+    fn trsm_every_variant_matches_plain_substitution_across_base_and_slab_boundaries() {
+        for &(n, free) in &[(1, 3), (TRSM_BASE - 1, LANES + 1), (TRSM_BASE + 1, 5), (2 * TRSM_BASE + 3, TRSM_SLAB + 1)] {
+            for (side, uplo, trans, diag) in variants() {
+                let a = stored(n, uplo, diag, 7);
+                let b = rhs(side, n, free, 8);
+                let want = reference(side, &dense(&a, uplo, trans, diag), &b);
+                let mut x = b.clone();
+                trsm(side, uplo, trans, diag, a.view(), x.view_mut());
+                let err = norm_max(x.sub_matrix(&want).view());
+                assert!(err < 1e-13 * n as f64, "{side:?} {uplo:?} {trans:?} {diag:?} n={n} free={free}: {err}");
             }
         }
-        l
+    }
+
+    /// Every `(side, uplo, trans, diag)`.
+    fn variants() -> impl Iterator<Item = (Side, Uplo, Trans, Diag)> {
+        let flags = [false, true];
+        flags.into_iter().flat_map(move |s| {
+            flags.into_iter().flat_map(move |u| {
+                flags.into_iter().flat_map(move |t| {
+                    flags.into_iter().map(move |d| {
+                        (
+                            if s { Side::Right } else { Side::Left },
+                            if u { Uplo::Lower } else { Uplo::Upper },
+                            if t { Trans::Yes } else { Trans::No },
+                            if d { Diag::Unit } else { Diag::NonUnit },
+                        )
+                    })
+                })
+            })
+        })
     }
 
     #[test]
-    fn right_upper_solves_xu_eq_b() {
-        let n = 7;
-        let m = 11;
-        let u = random_upper(n, 1);
-        let x_true = ca_matrix::random_uniform(m, n, &mut ca_matrix::seeded_rng(2));
-        let b = x_true.matmul(&u);
-        let mut x = b.clone();
-        trsm_right_upper_notrans(u.view(), x.view_mut());
-        let err = norm_max(x.sub_matrix(&x_true).view());
-        assert!(err < 1e-12, "err {err}");
+    fn trsm_zero_times_infinity_is_nan_wherever_the_entry_sits() {
+        // One infinite off-diagonal entry against an all-zero right-hand
+        // side: the NaNs must be exactly plain substitution's, whether the
+        // entry falls in a base-case block or in a gemm block.
+        for &n in &[TRSM_BASE - 1, TRSM_BASE + 1, 2 * TRSM_BASE + 3] {
+            for (side, uplo, trans, diag) in variants() {
+                for &(lo, hi) in &[(0, 1), (1, n - 1), (n / 2, n - 1)] {
+                    let mut a = stored(n, uplo, diag, 9);
+                    let at = if uplo == Uplo::Upper { (lo, hi) } else { (hi, lo) };
+                    a[at] = f64::INFINITY;
+                    let b = Matrix::zeros(if side == Side::Left { n } else { 3 }, if side == Side::Left { 3 } else { n });
+                    let want = reference(side, &dense(&a, uplo, trans, diag), &b);
+                    let mut x = b.clone();
+                    trsm(side, uplo, trans, diag, a.view(), x.view_mut());
+                    for (g, w) in x.as_slice().iter().zip(want.as_slice()) {
+                        assert_eq!(g.is_nan(), w.is_nan(), "{side:?} {uplo:?} {trans:?} {diag:?} n={n} inf at {at:?}");
+                    }
+                    assert!(want.as_slice().iter().any(|w| w.is_nan()), "the case must produce a NaN");
+                }
+            }
+        }
     }
 
     #[test]
-    fn left_lower_unit_solves_lx_eq_b() {
-        let m = 9;
-        let n = 4;
-        let l = random_unit_lower(m, 3);
-        let x_true = ca_matrix::random_uniform(m, n, &mut ca_matrix::seeded_rng(4));
-        let b = l.matmul(&x_true);
-        let mut x = b.clone();
-        trsm_left_lower_unit(l.view(), x.view_mut());
-        let err = norm_max(x.sub_matrix(&x_true).view());
-        assert!(err < 1e-12, "err {err}");
+    fn trsm_zero_diagonal_yields_non_finite_blas_style() {
+        for &n in &[3, TRSM_BASE + 2] {
+            for (side, uplo, trans, _) in variants() {
+                let mut a = stored(n, uplo, Diag::NonUnit, 10);
+                a[(1, 1)] = 0.0;
+                let mut b = rhs(side, n, 2, 11);
+                trsm(side, uplo, trans, Diag::NonUnit, a.view(), b.view_mut());
+                assert!(b.as_slice().iter().any(|x| !x.is_finite()), "{side:?} {uplo:?} {trans:?} n={n}");
+            }
+        }
     }
 
     #[test]
-    fn left_upper_solves_ux_eq_b() {
-        let m = 8;
-        let n = 3;
-        let u = random_upper(m, 5);
-        let x_true = ca_matrix::random_uniform(m, n, &mut ca_matrix::seeded_rng(6));
-        let b = u.matmul(&x_true);
-        let mut x = b.clone();
-        trsm_left_upper_notrans(u.view(), x.view_mut());
-        let err = norm_max(x.sub_matrix(&x_true).view());
-        assert!(err < 1e-12, "err {err}");
+    fn trsm_does_not_depend_on_how_the_free_dimension_is_partitioned() {
+        let (n, free) = (TRSM_BASE + 5, TRSM_SLAB + LANES + 7);
+        for (side, uplo, trans, diag) in variants() {
+            let a = stored(n, uplo, diag, 12);
+            let b = rhs(side, n, free, 13);
+            let mut whole = b.clone();
+            trsm(side, uplo, trans, diag, a.view(), whole.view_mut());
+            let mut parts = b.clone();
+            for w in [0, 1, 38, LANES + 38, TRSM_SLAB + 3, free].windows(2) {
+                let part = match side {
+                    Side::Left => parts.block_mut(0, w[0], n, w[1] - w[0]),
+                    Side::Right => parts.block_mut(w[0], 0, w[1] - w[0], n),
+                };
+                trsm(side, uplo, trans, diag, a.view(), part);
+            }
+            let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&whole), bits(&parts), "{side:?} {uplo:?} {trans:?} {diag:?}");
+        }
     }
 
     #[test]
-    fn left_upper_trans_solves_ut_x_eq_b() {
-        let m = 7;
-        let u = random_upper(m, 12);
-        let x_true = ca_matrix::random_uniform(m, 3, &mut ca_matrix::seeded_rng(13));
-        let b = u.transpose().matmul(&x_true);
-        let mut x = b.clone();
-        trsm_left_upper_trans(u.view(), x.view_mut());
-        let err = norm_max(x.sub_matrix(&x_true).view());
-        assert!(err < 1e-12, "err {err}");
-    }
-
-    #[test]
-    fn left_lower_trans_solves_lt_x_eq_b() {
-        let m = 6;
-        let l = random_unit_lower(m, 7);
-        let x_true = ca_matrix::random_uniform(m, 2, &mut ca_matrix::seeded_rng(8));
-        let b = l.transpose().matmul(&x_true);
-        let mut x = b.clone();
-        trsm_left_lower_trans_unit(l.view(), x.view_mut());
-        let err = norm_max(x.sub_matrix(&x_true).view());
-        assert!(err < 1e-12, "err {err}");
-    }
-
-    #[test]
-    fn one_by_one_and_empty() {
+    fn trsm_named_instances_empty_shapes_strided_views_and_f32() {
+        // 1x1 and empty.
         let u = Matrix::from_rows(1, 1, &[4.0]);
         let mut b = Matrix::from_rows(3, 1, &[4.0, 8.0, 12.0]);
         trsm_right_upper_notrans(u.view(), b.view_mut());
         assert_eq!(b, Matrix::from_rows(3, 1, &[1.0, 2.0, 3.0]));
-
         let u0: Matrix = Matrix::zeros(0, 0);
-        let mut b0: Matrix = Matrix::zeros(5, 0);
-        trsm_right_upper_notrans(u0.view(), b0.view_mut());
-        let mut b1 = Matrix::zeros(0, 3);
-        trsm_left_lower_unit(u0.view(), b1.view_mut());
-    }
+        trsm_right_upper_notrans(u0.view(), Matrix::zeros(5, 0).view_mut());
+        trsm_left_lower_unit(u0.view(), Matrix::zeros(0, 3).view_mut());
 
-    #[test]
-    fn zero_diagonal_yields_non_finite_blas_style() {
-        let mut u = random_upper(3, 9);
-        u[(1, 1)] = 0.0;
-        let mut b = Matrix::zeros(2, 3);
-        b.view_mut().fill(1.0);
-        trsm_right_upper_notrans(u.view(), b.view_mut());
-        assert!(b.as_slice().iter().any(|x| !x.is_finite()));
-    }
-
-    #[test]
-    fn right_upper_blocked_crosses_nb_boundary() {
-        // Orders straddling TRSM_NB exercise the gemm off-diagonal update.
-        for &n in &[TRSM_NB - 1, TRSM_NB, TRSM_NB + 1, 2 * TRSM_NB + 5] {
-            let u = random_upper(n, 21);
-            let x_true = ca_matrix::random_uniform(33, n, &mut ca_matrix::seeded_rng(22));
-            let b = x_true.matmul(&u);
-            let mut x = b.clone();
-            trsm_right_upper_notrans(u.view(), x.view_mut());
-            let err = norm_max(x.sub_matrix(&x_true).view());
-            assert!(err < 1e-10 * n as f64, "n={n} err {err}");
-        }
-    }
-
-    #[test]
-    fn left_lower_blocked_crosses_nb_boundary() {
-        for &m in &[TRSM_NB - 1, TRSM_NB, TRSM_NB + 1, 2 * TRSM_NB + 5] {
-            let l = random_unit_lower(m, 23);
-            let x_true = ca_matrix::random_uniform(m, 7, &mut ca_matrix::seeded_rng(24));
-            let b = l.matmul(&x_true);
-            let mut x = b.clone();
-            trsm_left_lower_unit(l.view(), x.view_mut());
-            let err = norm_max(x.sub_matrix(&x_true).view());
-            assert!(err < 1e-10 * m as f64, "m={m} err {err}");
-        }
-    }
-
-    #[test]
-    fn f32_right_upper_solves_xu_eq_b() {
-        let n = TRSM_NB + 3; // cross the blocked/gemm boundary in f32 too
-        let u64m = random_upper(n, 31);
-        let x64 = ca_matrix::random_uniform(9, n, &mut ca_matrix::seeded_rng(32));
-        let u: Matrix<f32> = Matrix::from_f64(&u64m);
-        let x_true: Matrix<f32> = Matrix::from_f64(&x64);
-        let b = x_true.to_f64().matmul(&u.to_f64());
-        let mut x: Matrix<f32> = Matrix::from_f64(&b);
-        trsm_right_upper_notrans(u.view(), x.view_mut());
-        let err = norm_max(x.to_f64().sub_matrix(&x_true.to_f64()).view());
-        assert!(err < 1e-3, "err {err}");
-    }
-
-    #[test]
-    fn works_on_strided_views() {
-        let n = 4;
-        let u = random_upper(n, 10);
-        let x_true = ca_matrix::random_uniform(5, n, &mut ca_matrix::seeded_rng(11));
-        let b = x_true.matmul(&u);
+        // An interior block of a larger matrix (ld != rows).
+        let (n, m) = (4, 5);
+        let u = stored(n, Uplo::Upper, Diag::NonUnit, 14);
+        let x_true = ca_matrix::random_uniform(m, n, &mut ca_matrix::seeded_rng(15));
         let mut big = Matrix::zeros(9, 8);
-        big.block_mut(2, 3, 5, n).copy_from(b.view());
-        trsm_right_upper_notrans(u.view(), big.block_mut(2, 3, 5, n));
-        for i in 0..5 {
-            for j in 0..n {
-                assert!((big[(2 + i, 3 + j)] - x_true[(i, j)]).abs() < 1e-12);
-            }
+        big.block_mut(2, 3, m, n).copy_from(x_true.matmul(&u.upper()).view());
+        trsm_right_upper_notrans(u.view(), big.block_mut(2, 3, m, n));
+        let got = Matrix::from_fn(m, n, |i, j| big[(2 + i, 3 + j)]);
+        assert!(norm_max(got.sub_matrix(&x_true).view()) < 1e-13);
+        assert_eq!(big[(1, 3)], 0.0);
+
+        // Each named instance is the `trsm` it documents.
+        let n = TRSM_BASE + 3;
+        type Named = fn(MatView<'_, f64>, MatViewMut<'_, f64>);
+        let named: [(Named, Side, Uplo, Trans, Diag); 5] = [
+            (trsm_right_upper_notrans, Side::Right, Uplo::Upper, Trans::No, Diag::NonUnit),
+            (trsm_left_lower_unit, Side::Left, Uplo::Lower, Trans::No, Diag::Unit),
+            (trsm_left_upper_notrans, Side::Left, Uplo::Upper, Trans::No, Diag::NonUnit),
+            (trsm_left_upper_trans, Side::Left, Uplo::Upper, Trans::Yes, Diag::NonUnit),
+            (trsm_left_lower_trans_unit, Side::Left, Uplo::Lower, Trans::Yes, Diag::Unit),
+        ];
+        for (f, side, uplo, trans, diag) in named {
+            let a = stored(n, uplo, diag, 16);
+            let b = rhs(side, n, 6, 17);
+            let (mut x, mut y) = (b.clone(), b.clone());
+            f(a.view(), x.view_mut());
+            trsm(side, uplo, trans, diag, a.view(), y.view_mut());
+            assert_eq!(x, y, "{side:?} {uplo:?} {trans:?} {diag:?}");
         }
+
+        // f32 across the recursion boundary.
+        let u = stored(n, Uplo::Upper, Diag::NonUnit, 18);
+        let x_true = ca_matrix::random_uniform(9, n, &mut ca_matrix::seeded_rng(19));
+        let u32m: Matrix<f32> = Matrix::from_f64(&u.upper());
+        let mut x: Matrix<f32> = Matrix::from_f64(&x_true.matmul(&u.upper()));
+        trsm_right_upper_notrans(u32m.view(), x.view_mut());
+        assert!(norm_max(x.to_f64().sub_matrix(&x_true).view()) < 1e-4);
     }
 }

@@ -52,4 +52,4 @@ pub use region::RegionSet;
 pub use scalar::Scalar;
 pub use shadow::{ElemRect, ShadowRegistry, ShadowViolation, TaskFootprint, TaskScope};
 pub use shared::SharedMatrix;
-pub use view::{MatView, MatViewMut};
+pub use view::{max_abs, max_abs_lanes, MatView, MatViewMut};

@@ -73,6 +73,10 @@ pub trait Scalar:
     fn abs(self) -> Self;
     /// Square root.
     fn sqrt(self) -> Self;
+    /// Fused `self * a + b` with a single rounding. One instruction only
+    /// inside a function compiled with the `fma` target feature; elsewhere
+    /// a (slow, still exact) library call.
+    fn mul_add(self, a: Self, b: Self) -> Self;
     /// `sqrt(self² + other²)` without intermediate overflow.
     fn hypot(self, other: Self) -> Self;
     /// Magnitude of `self` with the sign of `sign`.
@@ -115,6 +119,10 @@ macro_rules! impl_scalar {
             #[inline(always)]
             fn sqrt(self) -> Self {
                 <$t>::sqrt(self)
+            }
+            #[inline(always)]
+            fn mul_add(self, a: Self, b: Self) -> Self {
+                <$t>::mul_add(self, a, b)
             }
             #[inline(always)]
             fn hypot(self, other: Self) -> Self {

@@ -140,16 +140,38 @@ impl<'a, T: Scalar> MatView<'a, T> {
         out
     }
 
-    /// Maximum absolute value of the elements (`0.0` for an empty view).
+    /// Maximum absolute value of the elements, NaN entries skipped (`0.0`
+    /// for an empty or all-NaN view).
     pub fn max_abs(&self) -> T {
-        let mut m = T::ZERO;
-        for j in 0..self.cols {
-            for &x in self.col(j) {
-                m = m.max(x.abs());
+        (0..self.cols).fold(T::ZERO, |m, j| m.max(max_abs(self.col(j))))
+    }
+}
+
+/// Largest `|x|` over a slice, NaN entries skipped (`0.0` when empty or all
+/// NaN) — [`MatView::max_abs`] for one column.
+#[inline(always)]
+pub fn max_abs<T: Scalar>(x: &[T]) -> T {
+    max_abs_lanes(x).into_iter().fold(T::ZERO, |m, lane| if lane > m { lane } else { m })
+}
+
+/// [`max_abs`] before its final reduction: eight independent running maxima
+/// (element `i` feeds lane `i % 8`), so the scan vectorises instead of
+/// waiting on one compare chain.
+#[inline(always)]
+pub fn max_abs_lanes<T: Scalar>(x: &[T]) -> [T; 8] {
+    let mut lanes = [T::ZERO; 8];
+    let mut chunks = x.chunks_exact(8);
+    let mut take = |chunk: &[T]| {
+        for (lane, &v) in lanes.iter_mut().zip(chunk) {
+            let a = v.abs();
+            if a > *lane {
+                *lane = a;
             }
         }
-        m
-    }
+    };
+    chunks.by_ref().for_each(&mut take);
+    take(chunks.remainder());
+    lanes
 }
 
 impl<'a, T: Scalar> MatViewMut<'a, T> {
@@ -483,6 +505,22 @@ mod tests {
         assert!(v.is_empty());
         assert_eq!(v.max_abs(), 0.0);
         assert_eq!(v.to_vec(), Vec::<f64>::new());
+    }
+
+    #[test]
+    fn max_abs_skips_nan_at_every_length_and_lane() {
+        // Lengths around the 8-lane body, the maximum (negative) and a NaN
+        // visiting every position; an all-NaN slice reads 0.
+        for len in 1..20 {
+            for at in 0..len {
+                let mut x = vec![0.5f64; len];
+                x[at] = -3.0;
+                x[(at + 1) % len] = if len > 1 { f64::NAN } else { -3.0 };
+                assert_eq!(max_abs(&x), 3.0, "len {len} at {at}");
+            }
+            assert_eq!(max_abs(&vec![f32::NAN; len]), 0.0);
+        }
+        assert_eq!(max_abs::<f64>(&[]), 0.0);
     }
 
     #[test]

@@ -717,3 +717,179 @@ fn structured_node_apply_matches_dense_q() {
         check::<f32>(w, lens, 200 + seed as u64);
     }
 }
+
+// ---------------------------------------------------------------------------
+// Triangular solves and the recursive LU panel kernel (DESIGN.md §10,
+// "triangular solves"): every `(side, uplo, trans, diag)` of `trsm` on every
+// backend in both precisions against an f64 substitution; the solve must not
+// depend on how its callers partition the free dimension (the sequential
+// path solves a panel's whole `L` block and whole `U` row, the DAG one row
+// group and one column chunk per task), bit for bit; and `rgetf2` must pick
+// `getf2`'s pivots.
+// ---------------------------------------------------------------------------
+
+use ca_factor::kernels::{getf2, rgetf2, trsm_with_backend, Diag, Uplo, TRSM_BASE, TRSM_SLAB};
+
+const SIDES: [Side; 2] = [Side::Left, Side::Right];
+const UPLOS: [Uplo; 2] = [Uplo::Upper, Uplo::Lower];
+const DIAGS: [Diag; 2] = [Diag::NonUnit, Diag::Unit];
+
+/// A stored triangle of order `n` — off-diagonal entries of size `1/n`,
+/// diagonal in `[2, 3)`, so the solve is well conditioned — with NaN wherever
+/// `trsm` must not look: the other half, and the diagonal when it is
+/// implicit. Entries are f32 values, so one f64 oracle serves both types.
+fn stored_triangle(n: usize, uplo: Uplo, diag: Diag, seed: u64) -> Matrix {
+    let r = random_uniform(n, n, &mut seeded_rng(seed));
+    Matrix::from_fn(n, n, |i, j| match (i == j, (i < j) == (uplo == Uplo::Upper)) {
+        (true, _) if diag == Diag::Unit => f64::NAN,
+        (true, _) => f64::from((2.0 + r[(i, j)].abs()) as f32),
+        (false, true) => f64::from((r[(i, j)] / n as f64) as f32),
+        (false, false) => f64::NAN,
+    })
+}
+
+/// A random right-hand side of f32 values.
+fn f32_valued(rows: usize, cols: usize, seed: u64) -> Matrix {
+    Matrix::<f32>::from_f64(&random_uniform(rows, cols, &mut seeded_rng(seed))).to_f64()
+}
+
+/// `X` with `op(A)·X = B` (left) or `X·op(A) = B` (right) by plain f64
+/// substitution.
+fn trsm_oracle(side: Side, uplo: Uplo, trans: Trans, diag: Diag, a: &Matrix, b: &Matrix) -> Matrix {
+    let n = a.nrows();
+    // Left-side form `M·Y = C`: `M = op(A)`, or its transpose on the right;
+    // `rows[i]` is row `i` of `M`.
+    let direct = (side == Side::Left) == (trans == Trans::No);
+    let lower = (uplo == Uplo::Lower) == direct;
+    let rows: Vec<Vec<f64>> =
+        (0..n).map(|i| (0..n).map(|k| if direct { a[(i, k)] } else { a[(k, i)] }).collect()).collect();
+    let mut y = if side == Side::Left { b.clone() } else { b.transpose() };
+    for col in 0..y.ncols() {
+        let mut y = y.view_mut();
+        let y = y.col_mut(col);
+        for step in 0..n {
+            let i = if lower { step } else { n - 1 - step };
+            let span = if lower { 0..i } else { i + 1..n };
+            let dot: f64 = rows[i][span.clone()].iter().zip(&y[span]).map(|(m, x)| m * x).sum();
+            y[i] = if diag == Diag::Unit { y[i] - dot } else { (y[i] - dot) / rows[i][i] };
+        }
+    }
+    if side == Side::Left { y } else { y.transpose() }
+}
+
+fn trsm_grid<T: Kernel>() {
+    let backends = gemm_available_backends();
+    let mut seed = 900;
+    for &n in &[1, 3, TRSM_BASE - 1, TRSM_BASE, TRSM_BASE + 1, 63, 64, 65, 100] {
+        for &free in &[0, 1, MR - 1, MR, MR + 1, TRSM_SLAB - 1, TRSM_SLAB + 1, 1000] {
+            for side in SIDES {
+                let b = if side == Side::Left { f32_valued(n, free, seed) } else { f32_valued(free, n, seed) };
+                for uplo in UPLOS {
+                    for diag in DIAGS {
+                        seed += 1;
+                        let a = stored_triangle(n, uplo, diag, seed);
+                        for trans in TRANS {
+                            let want = trsm_oracle(side, uplo, trans, diag, &a, &b);
+                            let (a_t, b_t) = (Matrix::<T>::from_f64(&a), Matrix::<T>::from_f64(&b));
+                            for name in &backends {
+                                let mut x = b_t.clone();
+                                trsm_with_backend(name, side, uplo, trans, diag, a_t.view(), x.view_mut());
+                                for (at, (g, w)) in x.as_slice().iter().zip(want.as_slice()).enumerate() {
+                                    assert!(
+                                        (g.to_f64() - w).abs() <= tol_t::<T>(n),
+                                        "{} {name} {side:?} {uplo:?} {trans:?} {diag:?} n={n} free={free} at {at}: got {g} want {w}",
+                                        T::NAME
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+// One test per precision, so the two grids run side by side.
+#[test]
+fn trsm_every_variant_matches_dense_solve_on_every_backend_f64() {
+    trsm_grid::<f64>();
+}
+
+#[test]
+fn trsm_every_variant_matches_dense_solve_on_every_backend_f32() {
+    trsm_grid::<f32>();
+}
+
+#[test]
+fn trsm_does_not_depend_on_the_partition_of_the_free_dimension() {
+    fn check<T: Kernel>() {
+        // One panel of the `tall` shape in small: order 100, and a free
+        // dimension cut where row groups and column chunks cut it — away
+        // from every slab and vector boundary, the last piece ragged.
+        let (n, free) = (100, 2 * TRSM_SLAB + 91);
+        let cuts = [0, 1, 38, TRSM_SLAB - 5, TRSM_SLAB + 3, 2 * TRSM_SLAB + 1, free];
+        for name in gemm_available_backends() {
+            for side in SIDES {
+                let (br, bc) = if side == Side::Left { (n, free) } else { (free, n) };
+                let b = Matrix::<T>::from_f64(&random_uniform(br, bc, &mut seeded_rng(31)));
+                for uplo in UPLOS {
+                    for trans in TRANS {
+                        for diag in DIAGS {
+                            let a = Matrix::<T>::from_f64(&stored_triangle(n, uplo, diag, 32));
+                            let mut whole = b.clone();
+                            trsm_with_backend(name, side, uplo, trans, diag, a.view(), whole.view_mut());
+                            let mut parts = b.clone();
+                            for w in cuts.windows(2) {
+                                let part = match side {
+                                    Side::Left => parts.block_mut(0, w[0], n, w[1] - w[0]),
+                                    Side::Right => parts.block_mut(w[0], 0, w[1] - w[0], n),
+                                };
+                                trsm_with_backend(name, side, uplo, trans, diag, a.view(), part);
+                            }
+                            assert_eq!(
+                                bits(&whole),
+                                bits(&parts),
+                                "{} {name} {side:?} {uplo:?} {trans:?} {diag:?}",
+                                T::NAME
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+    check::<f64>();
+    check::<f32>();
+}
+
+#[test]
+fn rgetf2_picks_the_pivots_of_getf2() {
+    fn same<T: Kernel>(a0: &Matrix, what: &str) {
+        let (mut rec, mut b2) = (Matrix::<T>::from_f64(a0), Matrix::<T>::from_f64(a0));
+        let (i_rec, i_b2) = (rgetf2(rec.view_mut()), getf2(b2.view_mut()));
+        assert_eq!(i_rec.pivots.ipiv, i_b2.pivots.ipiv, "{} {what}: pivot sequences differ", T::NAME);
+        assert_eq!(i_rec.first_zero_pivot, i_b2.first_zero_pivot, "{} {what}", T::NAME);
+    }
+    let (m, n) = (700, 100);
+    let mut rng = seeded_rng(41);
+    let random = random_uniform(m, n, &mut rng);
+    same::<f64>(&random, "random");
+
+    // Entries in {-1, 0, 1} and few columns: exact arithmetic in both
+    // routines and both precisions, every column full of ties.
+    let r = random_uniform(m, 10, &mut rng);
+    let tied = Matrix::from_fn(m, 10, |i, j| (r[(i, j)] * 1.5).round());
+    same::<f64>(&tied, "tied");
+    same::<f32>(&tied, "tied");
+
+    // NaN entries are never pivots while a number is left; an all-NaN
+    // column pivots on its first row.
+    let mut nan = random.clone();
+    for &(i, j) in &[(0, 0), (5, 0), (m - 1, 3), (17, TRSM_BASE), (300, 60), (70, n - 1)] {
+        nan[(i, j)] = f64::NAN;
+    }
+    same::<f64>(&nan, "scattered NaN");
+    (0..m).for_each(|i| nan[(i, 40)] = f64::NAN);
+    same::<f64>(&nan, "NaN column");
+}
