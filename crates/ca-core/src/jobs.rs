@@ -17,13 +17,14 @@
 //! * If any task fails or the job is cancelled, the sink never runs and
 //!   the output slot stays empty; the dropped closures release the `Arc`s.
 
-use crate::calu::LuFactors;
-use crate::caqr::QrFactors;
+use crate::calu::{calu_seq_factor, LuFactors};
+use crate::caqr::{caqr_seq, QrFactors};
 use crate::error::{find_non_finite, FactorError};
 use crate::dag::DagPlan;
 use crate::dag_calu::CaluPlan;
 use crate::dag_caqr::CaqrPlan;
 use crate::params::CaParams;
+use ca_kernels::flops;
 use ca_matrix::{Matrix, SharedMatrix};
 use ca_sched::{
     ChaosPlan, DynJob, RecoveryCounters, RetryPolicy, TaskFailure, TaskGraph, TaskId, TaskKind,
@@ -75,6 +76,64 @@ pub struct ServeGraph<T> {
     pub graph: TaskGraph<DynJob>,
     /// Written by the sink task on successful completion.
     pub output: Arc<OnceLock<T>>,
+}
+
+/// A one-task serve graph: `body` is the job's only task (declared cost
+/// `flops`); its `Ok` value fills the output slot, an `Err` fails the job.
+/// This is the route for work that gains nothing from a DAG — a
+/// factorization too small to split, or one whose bottleneck is the disk
+/// (`ca-ooc`) — so that it is still an ordinary frontier job: it has an id,
+/// a weight and a deadline, and can be cancelled and profiled.
+pub fn one_task_serve_graph<T: Send + Sync + 'static>(
+    flops: f64,
+    body: impl FnOnce() -> Result<T, TaskFailure> + Send + 'static,
+) -> ServeGraph<T> {
+    let output = Arc::new(OnceLock::new());
+    let out = Arc::clone(&output);
+    let mut graph: TaskGraph<DynJob> = TaskGraph::new();
+    graph.add_task(
+        TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), flops),
+        Box::new(move || {
+            let _ = out.set(body()?);
+            Ok(())
+        }),
+    );
+    ServeGraph { graph, output }
+}
+
+/// `a` factored by `factor` as a [`one_task_serve_graph`], after the same
+/// non-finite pre-scan the DAG builders run. `count` is the LAPACK
+/// operation count of the long × short shape (LU and QR counts are
+/// symmetric in `m`, `n`) — the unit the DAG builders' task costs use.
+fn seq_serve_graph<F: Send + Sync + 'static>(
+    a: Matrix,
+    p: &CaParams,
+    count: fn(usize, usize) -> f64,
+    factor: fn(Matrix, &CaParams) -> F,
+) -> Result<ServeGraph<F>, FactorError> {
+    if let Some((row, col)) = find_non_finite(&a) {
+        return Err(FactorError::NonFiniteInput { row, col });
+    }
+    let (m, n, p) = (a.nrows(), a.ncols(), *p);
+    Ok(one_task_serve_graph(count(m.max(n), m.min(n)), move || Ok(factor(a, &p))))
+}
+
+/// CALU as one sequential task ([`calu_seq_factor`]): factors bitwise
+/// identical to [`calu_serve_graph`]'s, without the DAG's per-task
+/// scheduling cost — the route for matrices too small to split.
+pub fn calu_seq_serve_graph(
+    a: Matrix,
+    p: &CaParams,
+) -> Result<ServeGraph<LuFactors>, FactorError> {
+    seq_serve_graph(a, p, flops::getrf, calu_seq_factor)
+}
+
+/// CAQR as one sequential task ([`caqr_seq`]); see [`calu_seq_serve_graph`].
+pub fn caqr_seq_serve_graph(
+    a: Matrix,
+    p: &CaParams,
+) -> Result<ServeGraph<QrFactors>, FactorError> {
+    seq_serve_graph(a, p, flops::geqrf, caqr_seq)
 }
 
 /// Appends `body` as a sink task depending on every current leaf (and thus
@@ -261,8 +320,6 @@ pub fn qr_lstsq_serve_graph(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calu::calu_seq_factor;
-    use crate::caqr::caqr_seq;
     use ca_matrix::{norm_max, seeded_rng};
     use ca_sched::{JobOptions, JobOutcome, MultiFrontier};
 
@@ -351,6 +408,45 @@ mod tests {
     }
 
     #[test]
+    fn one_task_graphs_match_sequential_bitwise_and_count_flops_like_the_dag() {
+        let f = MultiFrontier::new(1);
+        // (m, n, b): a single-panel shape, a multi-panel one, a wide one.
+        for (m, n, b) in [(32, 32, 32), (40, 24, 8), (24, 40, 8)] {
+            let a = ca_matrix::random_uniform(m, n, &mut seeded_rng(29));
+            let p = CaParams::new(b, 2, 1);
+            let lu = calu_seq_serve_graph(a.clone(), &p).expect("finite input");
+            let qr = caqr_seq_serve_graph(a.clone(), &p).expect("finite input");
+            assert_eq!((lu.graph.len(), qr.graph.len()), (1, 1));
+            // Same unit as the DAG route: the LAPACK count, which is what a
+            // single-panel DAG adds up to exactly; a multi-panel DAG adds the
+            // tournament's redundant flops on top.
+            let (lu_flops, qr_flops) = (lu.graph.total_flops(), qr.graph.total_flops());
+            assert_eq!(lu_flops, flops::getrf(m.max(n), m.min(n)));
+            assert_eq!(qr_flops, flops::geqrf(m.max(n), m.min(n)));
+            let lu_dag = calu_serve_graph(a.clone(), &p, None).expect("finite").graph.total_flops();
+            let qr_dag = caqr_serve_graph(a.clone(), &p, None).expect("finite").graph.total_flops();
+            if n <= b {
+                assert_eq!((lu_flops, qr_flops), (lu_dag, qr_dag), "{m}x{n} b={b}");
+            } else {
+                assert!(lu_flops <= lu_dag && lu_dag < 2.0 * lu_flops, "{m}x{n}: {lu_dag}");
+                assert!(qr_flops <= qr_dag && qr_dag < 2.0 * qr_flops, "{m}x{n}: {qr_dag}");
+            }
+
+            let (_, watch) = f.submit(lu.graph, JobOptions::default());
+            assert!(watch.wait().outcome.is_completed());
+            let want = calu_seq_factor(a.clone(), &p);
+            let got = lu.output.get().expect("output set");
+            assert_eq!(got.lu.as_slice(), want.lu.as_slice());
+            assert_eq!(got.pivots.ipiv, want.pivots.ipiv);
+            let (_, watch) = f.submit(qr.graph, JobOptions::default());
+            assert!(watch.wait().outcome.is_completed());
+            let got = qr.output.get().expect("output set");
+            assert_eq!(got.a.as_slice(), caqr_seq(a, &p).a.as_slice());
+        }
+        f.shutdown();
+    }
+
+    #[test]
     fn non_finite_inputs_are_rejected_at_build_time() {
         let mut a = ca_matrix::random_uniform(8, 8, &mut seeded_rng(28));
         a[(2, 3)] = f64::INFINITY;
@@ -360,7 +456,15 @@ mod tests {
             Err(FactorError::NonFiniteInput { row: 2, col: 3 })
         ));
         assert!(matches!(
-            caqr_serve_graph(a, &p, None),
+            caqr_serve_graph(a.clone(), &p, None),
+            Err(FactorError::NonFiniteInput { row: 2, col: 3 })
+        ));
+        assert!(matches!(
+            calu_seq_serve_graph(a.clone(), &p),
+            Err(FactorError::NonFiniteInput { row: 2, col: 3 })
+        ));
+        assert!(matches!(
+            caqr_seq_serve_graph(a, &p),
             Err(FactorError::NonFiniteInput { row: 2, col: 3 })
         ));
     }

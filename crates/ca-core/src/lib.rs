@@ -65,8 +65,8 @@ pub use dag::{FactorOptions, Retry};
 pub use error::{FactorError, DEFAULT_GROWTH_LIMIT};
 pub use probe::PROBE_TOL;
 pub use jobs::{
-    calu_serve_graph, caqr_serve_graph, lu_solve_serve_graph, qr_lstsq_serve_graph, JobRecovery,
-    ServeGraph,
+    calu_seq_serve_graph, calu_serve_graph, caqr_seq_serve_graph, caqr_serve_graph,
+    lu_solve_serve_graph, one_task_serve_graph, qr_lstsq_serve_graph, JobRecovery, ServeGraph,
 };
 pub use dag_calu::{
     calu_task_graph, calu_task_graph_with_access, verify_calu, verify_calu_with, CaluTask,

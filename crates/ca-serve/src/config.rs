@@ -1,4 +1,4 @@
-//! Service configuration: worker pool size, admission control, batching.
+//! Service configuration: worker pool size, admission control, the tiny-job route.
 
 use ca_core::CaParams;
 use std::path::PathBuf;
@@ -20,34 +20,28 @@ pub enum AdmissionPolicy {
     ShedOldest,
 }
 
-/// Small-problem batching: factorization requests at or below
-/// [`BatchConfig::max_dim`] are coalesced into one fused frontier job (one
-/// sequential-kernel task per member), amortizing per-job scheduling
-/// overhead that would otherwise dominate tiny problems.
+/// The tiny-job route: a factorization whose larger dimension is at most
+/// [`BatchConfig::max_dim`] is built as a one-task graph running the
+/// sequential kernels (`calu_seq_factor` / `caqr_seq`) instead of the full
+/// DAG, whose per-task scheduling cost would dominate it. It is submitted
+/// at once, as an ordinary job: same admission, weight, deadline, tenant
+/// series, cancellation and profile as any other, and bitwise the same
+/// factors. Nothing is coalesced: the `batch` names are kept because the
+/// benchmark harness compiles against them.
 ///
-/// Only *plain* submissions batch: a request with a deadline, a non-default
-/// weight, or `batchable = false` always gets its own job.
+/// [`crate::SubmitOptions::unbatched`] opts a request out, and a service
+/// with retry or chaos configured keeps every job on the DAG route.
 #[derive(Clone, Copy, Debug)]
 pub struct BatchConfig {
-    /// Coalesce factorizations whose larger dimension is ≤ this (the
-    /// paper-scale heuristic is the panel width `b`). `0` disables.
+    /// Run factorizations whose larger dimension is ≤ this as one
+    /// sequential task (the paper-scale heuristic is the panel width `b`).
     pub max_dim: usize,
-    /// Flush the pending batch when it reaches this many members.
-    pub max_batch: usize,
-    /// Flush the pending batch once its oldest member has waited this long.
-    pub max_delay: Duration,
-}
-
-impl Default for BatchConfig {
-    fn default() -> Self {
-        Self { max_dim: 0, max_batch: 16, max_delay: Duration::from_millis(2) }
-    }
 }
 
 impl BatchConfig {
-    /// Batching at the given size threshold with default flush parameters.
+    /// The tiny-job route at the given size threshold.
     pub fn up_to(max_dim: usize) -> Self {
-        Self { max_dim, ..Self::default() }
+        Self { max_dim }
     }
 }
 
@@ -251,7 +245,8 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Behavior at capacity.
     pub admission: AdmissionPolicy,
-    /// Small-problem batching; `None` disables coalescing.
+    /// The one-task route for tiny factorizations; `None` sends every job
+    /// down the DAG route.
     pub batch: Option<BatchConfig>,
     /// Default factorization parameters (per-submission override via
     /// [`crate::SubmitOptions::params`]). The `threads` field is ignored —
@@ -260,8 +255,8 @@ pub struct ServiceConfig {
     /// Deadline applied to submissions that don't set their own.
     pub default_deadline: Option<Duration>,
     /// Task- and job-level recovery; `None` disables retry and probing.
-    /// Requests eligible for batching bypass recovery, so batching is
-    /// suppressed while this is set.
+    /// A one-task job has no write sets to replay from, so the tiny-job
+    /// route is not taken while this is set.
     pub retry: Option<RetryConfig>,
     /// Chaos drill; `None` (production) injects nothing.
     pub chaos: Option<ChaosConfig>,
@@ -305,7 +300,7 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables small-problem batching.
+    /// Enables the tiny-job route (see [`BatchConfig`]).
     pub fn with_batching(mut self, batch: BatchConfig) -> Self {
         self.batch = Some(batch);
         self
@@ -352,7 +347,7 @@ pub struct SubmitOptions {
     pub deadline: Option<std::time::Duration>,
     /// Factorization parameters override.
     pub params: Option<CaParams>,
-    /// Allow this request to be coalesced into a batch when eligible.
+    /// Allow this request to take the tiny-job route when eligible.
     pub batchable: bool,
     /// Tenant attribution: this job's submit/outcome counters and latency
     /// histograms are labeled `tenant="…"` in the exposed metrics
@@ -386,7 +381,7 @@ impl SubmitOptions {
         self
     }
 
-    /// Forbids batching for this request.
+    /// Keeps this request on the DAG route whatever its size.
     pub fn unbatched(mut self) -> Self {
         self.batchable = false;
         self

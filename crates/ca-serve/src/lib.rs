@@ -17,10 +17,12 @@
 //!   of [`AdmissionPolicy`]: reject, block, or shed the oldest queued job;
 //! - per-job deadlines cancel expired jobs at dispatch points, reusing the
 //!   scheduler's transitive-successor cancellation;
-//! - tiny factorizations (≤ [`BatchConfig::max_dim`]) coalesce into fused
-//!   batch jobs, amortizing per-job scheduling overhead;
-//! - every job outcome, latency sample, retry, probe, rejection and batch
-//!   flush is stored once, in the service's metric registry;
+//! - a tiny factorization (≤ [`BatchConfig::max_dim`]) is submitted at once
+//!   like any other job, but as a single task on the sequential kernels:
+//!   it skips the DAG's per-task scheduling cost, not the queue, so it
+//!   keeps its id, weight, deadline, tenant and `cancel()`;
+//! - every job outcome, latency sample, retry, probe and rejection is
+//!   stored once, in the service's metric registry;
 //!   [`Service::stats`] (per-job latency, throughput, occupancy,
 //!   shed/reject/deadline counters) and [`Service::metrics_snapshot`] (the
 //!   Prometheus/JSON exposition) are views computed from it when read, and
@@ -45,7 +47,6 @@
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-mod batch;
 mod config;
 mod metrics;
 mod service;

@@ -2,11 +2,10 @@
 //! exposition built from them, and bounded flight-recorder failure dumps.
 //!
 //! Every [`crate::Service`] owns a [`ServeMetrics`]. Each attempt outcome,
-//! latency sample, resubmission, probe, rejection and batch flush is
-//! written exactly once, lock-free, to one of its registry series —
-//! per-`(tenant, class)` [`TenantSeries`] for what a job does, unlabelled
-//! counters for what the service does — and everything else is a view
-//! computed when read: [`crate::ServiceStats`] sums the series
+//! latency sample, resubmission, probe and rejection is written exactly
+//! once, lock-free, to one of its registry series — per-`(tenant, class)`
+//! [`TenantSeries`] for what a job does, unlabelled counters for what the
+//! service does — and everything else is a view computed when read: [`crate::ServiceStats`] sums the series
 //! ([`ServeMetrics::fill`]); the exposition refreshes its gauges and adds
 //! the derived families ([`ServeMetrics::snapshot`]). A job's *terminal*
 //! outcome is such a view ([`TenantSeries::completed`], [`TenantSeries::failed`]):
@@ -83,7 +82,6 @@ pub(crate) struct ServeMetrics {
     pub(crate) rejected: Arc<Counter>,
     pub(crate) jobs_recovered: Arc<Counter>,
     pub(crate) probes_run: Arc<Counter>,
-    pub(crate) batches_flushed: Arc<Counter>,
     pub(crate) batched_jobs: Arc<Counter>,
     /// First failure observation → eventual success, for recovered jobs.
     pub(crate) mttr_s: Arc<Histogram>,
@@ -144,8 +142,7 @@ impl ServeMetrics {
             rejected: counter("ca_serve_rejected_total", "Submissions refused at admission"),
             jobs_recovered: counter("ca_serve_jobs_recovered_total", "Jobs recovered by a retry"),
             probes_run: counter("ca_serve_probes_run_total", "Integrity probes executed"),
-            batches_flushed: counter("ca_serve_batches_flushed_total", "Fused batches submitted"),
-            batched_jobs: counter("ca_serve_batched_jobs_total", "Jobs run inside fused batches"),
+            batched_jobs: counter("ca_serve_batched_jobs_total", "Jobs run as one sequential task"),
             mttr_s: r.histogram(
                 "ca_serve_mttr_seconds",
                 "Time from first failure observation to eventual success",
@@ -229,7 +226,6 @@ impl ServeMetrics {
         s.exec_latency = exec.summary().into();
         s.total_latency = total.summary().into();
         s.rejected = self.rejected.get();
-        s.batches_flushed = self.batches_flushed.get();
         s.batched_jobs = self.batched_jobs.get();
         s.jobs_recovered = self.jobs_recovered.get();
         s.probes_run = self.probes_run.get();

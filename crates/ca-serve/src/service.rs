@@ -1,18 +1,17 @@
 //! The factorization service: one persistent worker pool, many tenants.
 
-use crate::batch::{BatchTicket, PendingBatch, PendingMember};
 use crate::config::{AdmissionPolicy, ServiceConfig, SubmitOptions};
 use crate::metrics::{ServeMetrics, TenantSeries};
 use crate::stats::{ServeError, ServiceStats};
 use ca_core::{
-    calu_serve_graph, caqr_serve_graph, lu_solve_serve_graph, qr_lstsq_serve_graph, CaParams,
-    FactorError, JobRecovery, LuFactors, QrFactors, ServeGraph,
+    calu_seq_serve_graph, calu_serve_graph, caqr_seq_serve_graph, caqr_serve_graph,
+    lu_solve_serve_graph, one_task_serve_graph, qr_lstsq_serve_graph, CaParams, FactorError,
+    JobRecovery, LuFactors, QrFactors, ServeGraph,
 };
 use ca_matrix::Matrix;
 use ca_sched::{
-    CancelReason, ChaosPlan, DynJob, JobId, JobOptions, JobOutcome, JobReport, JobWatch,
-    MultiFrontier, PanicHookGuard, Profile, RecoveryCounters, TaskGraph, TaskKind, TaskLabel,
-    TaskMeta,
+    CancelReason, ChaosPlan, JobId, JobOptions, JobOutcome, JobReport, JobWatch, MultiFrontier,
+    PanicHookGuard, Profile, RecoveryCounters,
 };
 use ca_telemetry::Ring;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -22,35 +21,22 @@ use std::time::{Duration, Instant};
 /// Cap on retained recovery-mark events (chrome-trace annotations).
 const MAX_MARKS: usize = 4096;
 
-/// First non-finite entry of `a` in column-major order, if any.
-fn find_non_finite(a: &Matrix) -> Option<(usize, usize)> {
-    for j in 0..a.ncols() {
-        for i in 0..a.nrows() {
-            if !a[(i, j)].is_finite() {
-                return Some((i, j));
-            }
-        }
-    }
-    None
-}
+/// What a graph build yields (an `Err` refuses the request).
+type Built<T> = Result<ServeGraph<T>, FactorError>;
 
-/// How a handle learns its job finished.
-enum Waiter {
-    /// A job submitted directly to the frontier.
-    Direct {
-        id: JobId,
-        watch: JobWatch,
-    },
-    /// A batched member: the watch materializes when the batch flushes.
-    Batched(Arc<BatchTicket>),
-}
+/// Rebuilds a job's graph from its retained request payload.
+type Rebuild<T> = Box<dyn Fn(&JobRecovery) -> Built<T> + Send>;
+
+/// Integrity probe over a completed result.
+type Probe<T> = Box<dyn Fn(&T) -> Result<(), FactorError> + Send>;
 
 /// Job-level recovery state carried by a handle when the service runs with
 /// a [`crate::RetryConfig`]: the retained request payload (inside
 /// `rebuild`), the backoff schedule, and the absolute deadline the retry
 /// loop must never run past.
 struct RetryState<T> {
-    opts: SubmitOptions,
+    /// Fair-share weight resubmissions keep.
+    weight: f64,
     /// Absolute deadline: admission time + the job's deadline, if any.
     deadline_at: Option<Instant>,
     /// Job-level backoff schedule (`max_retries` is the resubmission budget).
@@ -59,11 +45,9 @@ struct RetryState<T> {
     used: usize,
     /// Rebuilds a fresh graph from the retained owning payload; `None`
     /// when `job_retries` is 0 (probe-only recovery).
-    #[allow(clippy::type_complexity)]
-    rebuild: Option<Box<dyn Fn(&JobRecovery) -> Result<ServeGraph<T>, FactorError> + Send>>,
+    rebuild: Option<Rebuild<T>>,
     /// Integrity probe over the completed result, if configured.
-    #[allow(clippy::type_complexity)]
-    probe: Option<Box<dyn Fn(&T) -> Result<(), FactorError> + Send>>,
+    probe: Option<Probe<T>>,
     /// When the first failed/corrupted attempt was observed (MTTR anchor).
     first_failure: Option<Instant>,
 }
@@ -75,7 +59,9 @@ struct RetryState<T> {
 /// [`JobHandle::cancel`] first to abort it).
 pub struct JobHandle<T> {
     core: Arc<ServiceCore>,
-    waiter: Waiter,
+    /// The current attempt's frontier job (a resubmission replaces both).
+    id: JobId,
+    watch: JobWatch,
     output: Arc<OnceLock<T>>,
     /// The `(tenant, class)` series this job is attributed to.
     series: Arc<TenantSeries>,
@@ -85,32 +71,21 @@ pub struct JobHandle<T> {
 }
 
 impl<T> JobHandle<T> {
-    /// The frontier job id — `None` for a batched member whose batch has
-    /// not flushed yet (batched members share their fused job's id after).
-    pub fn id(&self) -> Option<JobId> {
-        match &self.waiter {
-            Waiter::Direct { id, .. } => Some(*id),
-            Waiter::Batched(t) => t.try_get().and_then(|w| w.try_get()).map(|r| r.job),
-        }
+    /// The frontier job id of the current attempt.
+    pub fn id(&self) -> JobId {
+        self.id
     }
 
     /// `true` once the job reached a terminal state.
     pub fn is_done(&self) -> bool {
-        match &self.waiter {
-            Waiter::Direct { watch, .. } => watch.is_done(),
-            Waiter::Batched(t) => t.try_get().is_some_and(|w| w.is_done()),
-        }
+        self.watch.is_done()
     }
 
     /// Requests cancellation: undispatched tasks are dropped, in-flight
     /// tasks finish, the job finalizes as cancelled. Returns `false` if the
-    /// job already finished — or for a batched member (members cannot be
-    /// cancelled individually without killing their batch-mates).
+    /// job already finished.
     pub fn cancel(&self) -> bool {
-        match &self.waiter {
-            Waiter::Direct { id, .. } => self.core.frontier.cancel(*id),
-            Waiter::Batched(_) => false,
-        }
+        self.core.frontier.cancel(self.id)
     }
 
     /// Where the time went for this job: blocks until its current attempt
@@ -118,24 +93,18 @@ impl<T> JobHandle<T> {
     /// step → task → kernel class, times counted from submission) — the
     /// same answer a one-shot `try_calu_profiled` gives, plus the sink task.
     /// `None` unless the job was submitted while [`Service::set_tracing`]
-    /// was on, and for a batched member, which has no job of its own. What
-    /// the profile needs is held by this handle, so ask before
+    /// was on. What the profile needs is held by this handle, so ask before
     /// [`JobHandle::wait`] consumes it.
     pub fn profile(&self) -> Option<Profile> {
-        let Waiter::Direct { watch, .. } = &self.waiter else { return None };
-        watch.wait();
-        self.core.frontier.job_profile(watch)
+        self.watch.wait();
+        self.core.frontier.job_profile(&self.watch)
     }
 
     /// Blocks until the job finishes — retrying it under the service's
     /// [`crate::RetryConfig`], if any — and returns its result.
     pub fn wait(mut self) -> Result<T, ServeError> {
         loop {
-            let watch = match &self.waiter {
-                Waiter::Direct { watch, .. } => watch.clone(),
-                Waiter::Batched(t) => t.wait(),
-            };
-            let report = watch.wait();
+            let report = self.watch.wait();
             match self.settle(report) {
                 Ok(result) => return result,
                 Err(retried) => self = retried,
@@ -144,36 +113,13 @@ impl<T> JobHandle<T> {
     }
 
     /// Waits up to `timeout`; returns the handle back if the job is still
-    /// running (batched members count flush-waiting time against the
-    /// timeout too, as do retry backoffs and resubmitted attempts).
+    /// running (retry backoffs and resubmitted attempts count against the
+    /// timeout too).
     pub fn wait_for(mut self, timeout: Duration) -> Result<Result<T, ServeError>, Self> {
         let until = Instant::now() + timeout;
         loop {
-            let watch = match &self.waiter {
-                Waiter::Direct { watch, .. } => watch.clone(),
-                Waiter::Batched(t) => match t.try_get() {
-                    Some(w) => w,
-                    None => {
-                        // Poll for the flush within the timeout budget;
-                        // flushes are bounded by the batch max-delay, so
-                        // this resolves fast in practice.
-                        loop {
-                            if let Some(w) = {
-                                let Waiter::Batched(t) = &self.waiter else { unreachable!() };
-                                t.try_get()
-                            } {
-                                break w;
-                            }
-                            if Instant::now() >= until {
-                                return Err(self);
-                            }
-                            std::thread::sleep(Duration::from_micros(200));
-                        }
-                    }
-                },
-            };
             let remaining = until.saturating_duration_since(Instant::now());
-            match watch.wait_timeout(remaining) {
+            match self.watch.wait_timeout(remaining) {
                 None => return Err(self),
                 Some(report) => match self.settle(report) {
                     Ok(result) => return Ok(result),
@@ -272,38 +218,16 @@ impl<T> JobHandle<T> {
                 return Err(Some(ServeError::Invalid(e)));
             }
         };
-        let mut jopts = JobOptions::default().with_weight(st.opts.weight);
+        let mut jopts = JobOptions::default().with_weight(st.weight);
         if let Some(at) = st.deadline_at {
             jopts = jopts.with_deadline(at.saturating_duration_since(Instant::now()));
         }
         self.series.retries.inc();
         self.core.mark_recovery(format!("job retry {}", st.used));
-        let tag = JobTag { series: self.series.index, members: 1 };
-        let (id, watch) = self.core.frontier.submit(sg.graph, jopts.with_tag(tag.encode()));
+        let tag = u64::from(self.series.index);
+        (self.id, self.watch) = self.core.frontier.submit(sg.graph, jopts.with_tag(tag));
         self.output = sg.output;
-        self.waiter = Waiter::Direct { id, watch };
         Ok(())
-    }
-}
-
-/// What a frontier job's [`JobOptions::tag`] carries to the completion hook
-/// (the frontier echoes it verbatim in the [`JobReport`]), so attribution
-/// needs no side table that submitter and hook would race on.
-#[derive(Clone, Copy)]
-struct JobTag {
-    /// [`TenantSeries::index`] of the job's series.
-    series: u32,
-    /// Member jobs the frontier job stands for (`> 1` for a fused batch).
-    members: u32,
-}
-
-impl JobTag {
-    fn encode(self) -> u64 {
-        u64::from(self.members) << 32 | u64::from(self.series)
-    }
-
-    fn decode(tag: u64) -> Self {
-        Self { series: tag as u32, members: (tag >> 32) as u32 }
     }
 }
 
@@ -318,9 +242,6 @@ pub(crate) struct ServiceCore {
     /// The one store of every job-level fact; [`ServiceStats`] and the
     /// exposition are views of it.
     metrics: ServeMetrics,
-    /// The accumulating batch, if batching is enabled and members pending.
-    pending: Mutex<Option<PendingBatch>>,
-    flush_cv: Condvar,
     shutdown: AtomicBool,
     /// Task-level recovery counters, shared by every job's retry wrappers
     /// and adopted by the registry.
@@ -337,53 +258,47 @@ pub(crate) struct ServiceCore {
 
 impl ServiceCore {
     /// Completion hook: runs on a worker (or shedding/submitting) thread
-    /// for every finalized frontier job (= one attempt of each member job),
-    /// with no frontier lock held. Each fact is written once, per member,
-    /// to the job's series.
+    /// for every finalized frontier job (= one attempt of a job), with no
+    /// frontier lock held. Each fact is written once, to the series the
+    /// job's tag names ([`TenantSeries::index`], echoed verbatim in the
+    /// report, so attribution needs no side table that submitter and hook
+    /// would race on), and the attempt's admission slot is released.
     fn on_job_done(&self, r: &JobReport) {
-        let tag = JobTag::decode(r.tag);
-        let n = u64::from(tag.members);
-        let series = self.metrics.series_at(tag.series);
+        let series = self.metrics.series_at(r.tag as u32);
         let trigger = match &r.outcome {
             JobOutcome::Completed => {
-                series.attempts_completed.add(n);
+                series.attempts_completed.inc();
                 None
             }
             JobOutcome::Failed(_) => {
-                series.attempts_failed.add(n);
+                series.attempts_failed.inc();
                 Some("job-fail")
             }
             JobOutcome::Cancelled(reason) => {
-                series.cancelled.add(n);
+                series.cancelled.inc();
                 match reason {
                     CancelReason::Deadline => {
-                        series.deadline_missed.add(n);
+                        series.deadline_missed.inc();
                         Some("deadline")
                     }
                     CancelReason::Shed => {
-                        series.shed.add(n);
+                        series.shed.inc();
                         Some("shed")
                     }
                     _ => None,
                 }
             }
         };
-        for _ in 0..n {
-            series.queue_s.observe(r.queue_seconds());
-            series.exec_s.observe(r.exec_seconds());
-            series.total_s.observe(r.total_seconds());
-        }
+        series.queue_s.observe(r.queue_seconds());
+        series.exec_s.observe(r.exec_seconds());
+        series.total_s.observe(r.total_seconds());
         if r.flops > 0.0 {
             series.flops.add(r.flops);
         }
         if let Some(trigger) = trigger {
             self.dump_flight(trigger);
         }
-        {
-            let mut active = self.admission.lock().expect("admission lock");
-            *active = active.saturating_sub(n as usize);
-        }
-        self.admission_cv.notify_all();
+        self.release_one();
     }
 
     /// Dumps the flight recorder, if one is attached (a dump does file I/O
@@ -396,7 +311,7 @@ impl ServiceCore {
 
     /// Claims one admission slot, applying the configured policy at
     /// capacity. On success the slot is released by the completion hook
-    /// when the job (or its fused batch) finalizes.
+    /// when the job finalizes.
     fn admit(&self) -> Result<(), ServeError> {
         let mut active = self.admission.lock().expect("admission lock");
         loop {
@@ -458,84 +373,14 @@ impl ServiceCore {
         self.marks.push((self.frontier.elapsed_seconds(), msg));
     }
 
-    /// Returns an admission slot unused (submission failed after admit).
+    /// Returns one admission slot: its job finalized, or its submission
+    /// failed after `admit`.
     fn release_one(&self) {
         {
             let mut active = self.admission.lock().expect("admission lock");
             *active = active.saturating_sub(1);
         }
         self.admission_cv.notify_all();
-    }
-
-    /// Appends a member to the pending batch, flushing if it fills up.
-    fn enqueue_member(&self, member: PendingMember, max_batch: usize) {
-        let full = {
-            let mut pending = self.pending.lock().expect("pending lock");
-            let batch = pending.get_or_insert_with(PendingBatch::new);
-            batch.members.push(member);
-            batch.members.len() >= max_batch
-        };
-        if full {
-            self.flush_pending();
-        } else {
-            self.flush_cv.notify_all();
-        }
-    }
-
-    /// Submits the pending batch (if any) as one fused frontier job and
-    /// hands every member its watch.
-    pub(crate) fn flush_pending(&self) {
-        let Some(batch) = self.pending.lock().expect("pending lock").take() else {
-            return;
-        };
-        let n = batch.members.len();
-        let mut graph: TaskGraph<DynJob> = TaskGraph::new();
-        let mut tickets = Vec::with_capacity(n);
-        for m in batch.members {
-            graph.add_task(m.meta, m.body);
-            tickets.push(m.ticket);
-        }
-        self.metrics.batches_flushed.inc();
-        self.metrics.batched_jobs.add(n as u64);
-        let tag = JobTag { series: self.batch_series().index, members: n as u32 };
-        let (_, watch) = self.frontier.submit(graph, JobOptions::default().with_tag(tag.encode()));
-        for t in tickets {
-            t.fulfill(watch.clone());
-        }
-    }
-
-    /// Batched members carry no tenant attribution (they were admitted
-    /// individually); they and their fused jobs aggregate under
-    /// `class="batch"`.
-    fn batch_series(&self) -> Arc<TenantSeries> {
-        self.metrics.series("", "batch")
-    }
-
-    /// Flusher-thread body: wake on enqueue/shutdown, flush once the
-    /// pending batch is older than `max_delay`.
-    fn flusher_loop(&self, max_delay: Duration) {
-        loop {
-            let mut pending = self.pending.lock().expect("pending lock");
-            if self.shutdown.load(Ordering::SeqCst) {
-                return;
-            }
-            let wait_for = match pending.as_ref() {
-                None => Duration::from_millis(50),
-                Some(b) => {
-                    let age = b.opened.elapsed();
-                    if age >= max_delay {
-                        drop(pending);
-                        self.flush_pending();
-                        continue;
-                    }
-                    max_delay - age
-                }
-            };
-            let (guard, _) =
-                self.flush_cv.wait_timeout(pending, wait_for).expect("pending lock");
-            pending = guard;
-            drop(pending);
-        }
     }
 
     /// Point-in-time service statistics (see [`Service::stats`]): computed
@@ -593,11 +438,10 @@ impl ServiceCore {
 /// becomes a job on the shared [`MultiFrontier`], which preserves each
 /// job's DAG dependencies and the paper's lookahead priorities *within* a
 /// job while weighted-fair-sharing worker time *across* jobs. Admission is
-/// bounded ([`ServiceConfig::queue_capacity`]); tiny factorizations can be
-/// coalesced into fused batch jobs ([`ServiceConfig::batch`]).
+/// bounded ([`ServiceConfig::queue_capacity`]); a factorization too small
+/// to split runs as a one-task job ([`ServiceConfig::batch`]).
 pub struct Service {
     core: Arc<ServiceCore>,
-    flusher: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// Periodic metrics-exposition thread, when telemetry writes to a file.
     exposer: Mutex<Option<std::thread::JoinHandle<()>>>,
     /// Keeps the guarded-panic-hook filter installed for the service
@@ -607,14 +451,12 @@ pub struct Service {
 }
 
 impl Service {
-    /// Starts the service: spawns the worker pool (and the batch flusher
-    /// when batching is enabled, and the metrics-exposition thread when
-    /// telemetry writes to a file).
+    /// Starts the service: spawns the worker pool (and the
+    /// metrics-exposition thread when telemetry writes to a file).
     pub fn new(cfg: ServiceConfig) -> Self {
         assert!(cfg.workers > 0, "need at least one worker");
         assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
         let workers = cfg.workers;
-        let batch = cfg.batch;
         let hook_guard =
             (cfg.retry.is_some() || cfg.chaos.is_some()).then(PanicHookGuard::new);
         let recovery = Arc::new(RecoveryCounters::new());
@@ -631,8 +473,6 @@ impl Service {
                 cfg,
                 admission: Mutex::new(0),
                 admission_cv: Condvar::new(),
-                pending: Mutex::new(None),
-                flush_cv: Condvar::new(),
                 shutdown: AtomicBool::new(false),
                 recovery,
                 chaos_jobs: AtomicU64::new(0),
@@ -644,13 +484,6 @@ impl Service {
         if let Some(depth) = core.cfg.telemetry.as_ref().and_then(|t| t.flight_recorder) {
             let _ = core.frontier.set_flight_recorder(depth);
         }
-        let flusher = batch.map(|b| {
-            let core = Arc::clone(&core);
-            std::thread::Builder::new()
-                .name("ca-serve-flush".into())
-                .spawn(move || core.flusher_loop(b.max_delay))
-                .expect("spawn batch flusher")
-        });
         let exposer = core.cfg.telemetry.as_ref().and_then(|t| {
             t.metrics_file.clone().map(|path| {
                 let interval = t.interval;
@@ -661,229 +494,141 @@ impl Service {
                     .expect("spawn metrics exposer")
             })
         });
-        Self {
-            core,
-            flusher: Mutex::new(flusher),
-            exposer: Mutex::new(exposer),
-            _hook_guard: hook_guard,
-        }
-    }
-
-    /// Claims an admission slot for a job submitted under `opts` — after
-    /// checking them: `weight` is a public field, and a value
-    /// [`JobOptions::with_weight`] would panic on must be refused while no
-    /// slot is held.
-    fn admit(&self, opts: &SubmitOptions) -> Result<(), ServeError> {
-        if !(opts.weight > 0.0 && opts.weight.is_finite()) {
-            return Err(ServeError::InvalidWeight(opts.weight));
-        }
-        self.core.admit()
+        Self { core, exposer: Mutex::new(exposer), _hook_guard: hook_guard }
     }
 
     fn params_for(&self, opts: &SubmitOptions) -> CaParams {
         opts.params.unwrap_or(self.core.cfg.params)
     }
 
-    fn deadline_for(&self, opts: &SubmitOptions) -> Option<Duration> {
-        opts.deadline.or(self.core.cfg.default_deadline)
-    }
-
-    /// Whether a factorization of shape `m × n` under `opts` may join the
-    /// pending batch. Batched members run as single fused tasks without
-    /// write-set wrappers or resubmission payloads, so recovery (and chaos)
-    /// suppresses batching entirely.
+    /// Whether a factorization of shape `m × n` under `opts` takes the
+    /// tiny-job route: one task running the sequential kernels instead of
+    /// the DAG. Such a task has no write-set wrappers to replay from, so
+    /// recovery (and chaos) keeps every job on the DAG route.
     fn batchable(&self, m: usize, n: usize, opts: &SubmitOptions) -> bool {
-        let Some(b) = self.core.cfg.batch else { return false };
+        let cfg = &self.core.cfg;
         opts.batchable
-            && opts.weight == 1.0
-            && self.deadline_for(opts).is_none()
-            && self.core.cfg.retry.is_none()
-            && self.core.cfg.chaos.is_none()
-            && b.max_dim > 0
-            && m.max(n) <= b.max_dim
+            && cfg.retry.is_none()
+            && cfg.chaos.is_none()
+            && cfg.batch.is_some_and(|b| m.max(n) <= b.max_dim)
     }
 
-    fn submit_direct<T>(
+    /// The one way from a request to a frontier job: claim an admission
+    /// slot, build the graph under this attempt's recovery context (a build
+    /// error releases the slot), and submit it under the job's weight,
+    /// deadline and `(tenant, class)` series; the completion hook releases
+    /// the slot. With a [`crate::RetryConfig`] the handle also carries a
+    /// [`RetryState`]: `probe`, and — when resubmissions are allowed — a
+    /// clone of `build`, which is what retains the request payload (`build`
+    /// itself is consumed, so a payload nobody else holds moves into the
+    /// graph uncopied).
+    fn submit_job<T, B>(
         &self,
-        sg: ServeGraph<T>,
-        opts: &SubmitOptions,
-        retry: Option<Box<RetryState<T>>>,
+        opts: SubmitOptions,
         class: &'static str,
-    ) -> JobHandle<T> {
-        let mut jopts = JobOptions::default().with_weight(opts.weight);
-        if let Some(d) = self.deadline_for(opts) {
-            jopts = jopts.with_deadline(d);
-        }
-        let series = self.core.metrics.series(opts.tenant.as_deref().unwrap_or(""), class);
-        series.submitted.inc();
-        let tag = JobTag { series: series.index, members: 1 };
-        let (id, watch) = self.core.frontier.submit(sg.graph, jopts.with_tag(tag.encode()));
-        JobHandle {
-            core: Arc::clone(&self.core),
-            waiter: Waiter::Direct { id, watch },
-            output: sg.output,
-            series,
-            retry,
-        }
-    }
-
-    /// The probe seed when integrity probing is configured.
-    fn probe_seed(&self) -> Option<u64> {
-        self.core.cfg.retry.and_then(|r| r.probe.then_some(r.probe_seed))
-    }
-
-    /// Builds and submits a graph under the given recovery context, wiring
-    /// up the handle's [`RetryState`] (rebuild closure retained only when
-    /// `job_retries > 0`). The caller has already claimed an admission
-    /// slot; a build error releases it.
-    #[allow(clippy::type_complexity)]
-    fn submit_recovering<T: Send + Sync + 'static>(
-        &self,
-        opts: &SubmitOptions,
-        rec: JobRecovery,
-        build: impl Fn(&JobRecovery) -> Result<ServeGraph<T>, FactorError> + Send + 'static,
-        probe: Option<Box<dyn Fn(&T) -> Result<(), FactorError> + Send>>,
-        class: &'static str,
-    ) -> Result<JobHandle<T>, ServeError> {
-        match build(&rec) {
-            Ok(sg) => {
-                let retry = self.core.cfg.retry.map(|r| Box::new(RetryState {
-                    opts: opts.clone(),
-                    deadline_at: self.deadline_for(opts).map(|d| Instant::now() + d),
-                    backoff: r.job_policy(),
-                    used: 0,
-                    rebuild: (r.job_retries > 0).then(|| {
-                        Box::new(build)
-                            as Box<
-                                dyn Fn(&JobRecovery) -> Result<ServeGraph<T>, FactorError>
-                                    + Send,
-                            >
-                    }),
-                    probe,
-                    first_failure: None,
-                }));
-                Ok(self.submit_direct(sg, opts, retry, class))
-            }
-            Err(e) => {
-                self.core.release_one();
-                Err(ServeError::Invalid(e))
-            }
-        }
-    }
-
-    fn submit_batched<T, F>(
-        &self,
-        flops: f64,
-        factor: F,
-    ) -> JobHandle<T>
+        build: B,
+        probe: Option<Probe<T>>,
+    ) -> Result<JobHandle<T>, ServeError>
     where
         T: Send + Sync + 'static,
-        F: FnOnce() -> T + Send + 'static,
+        B: FnOnce(Option<&JobRecovery>) -> Built<T> + Clone + Send + 'static,
     {
-        let max_batch = self.core.cfg.batch.expect("batching enabled").max_batch;
-        let output: Arc<OnceLock<T>> = Arc::new(OnceLock::new());
-        let out = Arc::clone(&output);
-        let ticket = Arc::new(BatchTicket::new());
-        let member = PendingMember {
-            meta: TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), flops),
-            body: ca_sched::dyn_job(move || {
-                let _ = out.set(factor());
-            }),
-            ticket: Arc::clone(&ticket),
-        };
-        let series = self.core.batch_series();
-        series.submitted.inc();
-        self.core.enqueue_member(member, max_batch);
-        JobHandle {
-            core: Arc::clone(&self.core),
-            waiter: Waiter::Batched(ticket),
-            output,
-            series,
-            retry: None,
+        // `weight` is a public field: a value `JobOptions::with_weight`
+        // would panic on is refused while no slot is held.
+        if !(opts.weight > 0.0 && opts.weight.is_finite()) {
+            return Err(ServeError::InvalidWeight(opts.weight));
         }
+        let core = &self.core;
+        core.admit()?;
+        let rec = core.recovery_for_attempt();
+        let deadline = opts.deadline.or(core.cfg.default_deadline);
+        let retry = core.cfg.retry.map(|r| {
+            let rebuild = (r.job_retries > 0).then(|| {
+                let build = build.clone();
+                Box::new(move |rec: &JobRecovery| build.clone()(Some(rec))) as Rebuild<T>
+            });
+            Box::new(RetryState {
+                weight: opts.weight,
+                deadline_at: deadline.map(|d| Instant::now() + d),
+                backoff: r.job_policy(),
+                used: 0,
+                rebuild,
+                probe,
+                first_failure: None,
+            })
+        });
+        let sg = match build(rec.as_ref()) {
+            Ok(sg) => sg,
+            Err(e) => {
+                core.release_one();
+                return Err(ServeError::Invalid(e));
+            }
+        };
+        let mut jopts = JobOptions::default().with_weight(opts.weight);
+        if let Some(d) = deadline {
+            jopts = jopts.with_deadline(d);
+        }
+        let series = core.metrics.series(opts.tenant.as_deref().unwrap_or(""), class);
+        series.submitted.inc();
+        let tag = u64::from(series.index);
+        let (id, watch) = core.frontier.submit(sg.graph, jopts.with_tag(tag));
+        Ok(JobHandle { core: Arc::clone(core), id, watch, output: sg.output, series, retry })
+    }
+
+    /// Submits a factorization of `a`: as one sequential task (`seq`) when
+    /// it is [`Self::batchable`], else as the full `dag`; `verify` is the
+    /// integrity probe run on the factors when the retry tier asks for one.
+    fn submit_factor<F: Send + Sync + 'static>(
+        &self,
+        a: Matrix,
+        opts: SubmitOptions,
+        class: &'static str,
+        dag: fn(Matrix, &CaParams, Option<&JobRecovery>) -> Built<F>,
+        seq: fn(Matrix, &CaParams) -> Built<F>,
+        verify: fn(&F, &Matrix, u64) -> Result<(), FactorError>,
+    ) -> Result<JobHandle<F>, ServeError> {
+        let p = self.params_for(&opts);
+        let tiny = self.batchable(a.nrows(), a.ncols(), &opts);
+        let a = Arc::new(a);
+        let probe = self.core.cfg.retry.filter(|r| r.probe).map(|r| {
+            let a0 = Arc::clone(&a);
+            Box::new(move |f: &F| verify(f, &a0, r.probe_seed)) as Probe<F>
+        });
+        let build = move |rec: Option<&JobRecovery>| {
+            let a = Arc::unwrap_or_clone(a);
+            if tiny { seq(a, &p) } else { dag(a, &p, rec) }
+        };
+        let handle = self.submit_job(opts, class, build, probe)?;
+        if tiny {
+            self.core.metrics.batched_jobs.inc();
+        }
+        Ok(handle)
     }
 
     /// Submits an LU (CALU) factorization of `a`.
     ///
-    /// Small matrices may be coalesced into a fused batch job (sequential
-    /// kernels, bitwise-identical factors — see DESIGN.md §11); everything
-    /// else runs the full CALU DAG under fair-share scheduling.
+    /// A matrix no larger than [`crate::BatchConfig::max_dim`] runs as one
+    /// task on the sequential kernels (bitwise-identical factors — see
+    /// DESIGN.md §11); everything else runs the full CALU DAG. Both are
+    /// ordinary jobs under fair-share scheduling.
     pub fn submit_lu(
         &self,
         a: Matrix,
         opts: SubmitOptions,
     ) -> Result<JobHandle<LuFactors>, ServeError> {
-        let p = self.params_for(&opts);
-        if self.batchable(a.nrows(), a.ncols(), &opts) {
-            if let Some((row, col)) = find_non_finite(&a) {
-                return Err(ServeError::Invalid(FactorError::NonFiniteInput { row, col }));
-            }
-            self.admit(&opts)?;
-            let (m, n) = (a.nrows() as f64, a.ncols() as f64);
-            let k = m.min(n);
-            let flops = m * n * k - (m + n) * k * k / 2.0 + k * k * k / 3.0;
-            return Ok(self.submit_batched(flops, move || {
-                ca_core::calu_seq_factor(a, &p)
-            }));
-        }
-        self.admit(&opts)?;
-        match self.core.recovery_for_attempt() {
-            None => match calu_serve_graph(a, &p, None) {
-                Ok(sg) => Ok(self.submit_direct(sg, &opts, None, "lu")),
-                Err(e) => {
-                    self.core.release_one();
-                    Err(ServeError::Invalid(e))
-                }
-            },
-            Some(rec) => {
-                let a0 = Arc::new(a);
-                let probe = self.probe_seed().map(|seed| {
-                    let a0 = Arc::clone(&a0);
-                    Box::new(move |f: &LuFactors| f.verify_integrity(&a0, seed))
-                        as Box<dyn Fn(&LuFactors) -> Result<(), FactorError> + Send>
-                });
-                let build = move |r: &JobRecovery| calu_serve_graph((*a0).clone(), &p, Some(r));
-                self.submit_recovering(&opts, rec, build, probe, "lu")
-            }
-        }
+        let verify = LuFactors::verify_integrity;
+        self.submit_factor(a, opts, "lu", calu_serve_graph, calu_seq_serve_graph, verify)
     }
 
-    /// Submits a QR (CAQR) factorization of `a`.
+    /// Submits a QR (CAQR) factorization of `a`; small matrices as in
+    /// [`Service::submit_lu`].
     pub fn submit_qr(
         &self,
         a: Matrix,
         opts: SubmitOptions,
     ) -> Result<JobHandle<QrFactors>, ServeError> {
-        let p = self.params_for(&opts);
-        if self.batchable(a.nrows(), a.ncols(), &opts) {
-            if let Some((row, col)) = find_non_finite(&a) {
-                return Err(ServeError::Invalid(FactorError::NonFiniteInput { row, col }));
-            }
-            self.admit(&opts)?;
-            let (m, n) = (a.nrows() as f64, a.ncols() as f64);
-            let flops = 2.0 * m * n * n - 2.0 * n * n * n / 3.0;
-            return Ok(self.submit_batched(flops, move || ca_core::caqr_seq(a, &p)));
-        }
-        self.admit(&opts)?;
-        match self.core.recovery_for_attempt() {
-            None => match caqr_serve_graph(a, &p, None) {
-                Ok(sg) => Ok(self.submit_direct(sg, &opts, None, "qr")),
-                Err(e) => {
-                    self.core.release_one();
-                    Err(ServeError::Invalid(e))
-                }
-            },
-            Some(rec) => {
-                let a0 = Arc::new(a);
-                let probe = self.probe_seed().map(|seed| {
-                    let a0 = Arc::clone(&a0);
-                    Box::new(move |f: &QrFactors| f.verify_integrity(&a0, seed))
-                        as Box<dyn Fn(&QrFactors) -> Result<(), FactorError> + Send>
-                });
-                let build = move |r: &JobRecovery| caqr_serve_graph((*a0).clone(), &p, Some(r));
-                self.submit_recovering(&opts, rec, build, probe, "qr")
-            }
-        }
+        let verify = QrFactors::verify_integrity;
+        self.submit_factor(a, opts, "qr", caqr_serve_graph, caqr_seq_serve_graph, verify)
     }
 
     /// Submits an out-of-core LU (left-looking CALU) factorization of the
@@ -899,7 +644,7 @@ impl Service {
     /// factors in place and the handle yields the pivots, plan, and I/O
     /// accounting; on failure ([`FactorError`] rendered into the task
     /// failure) the output slot stays empty and the store's contents are
-    /// unspecified.
+    /// unspecified — which is why the job is never resubmitted.
     pub fn submit_lu_ooc(
         &self,
         store: Arc<ca_ooc::TileStore<f64>>,
@@ -907,21 +652,36 @@ impl Service {
         opts: SubmitOptions,
     ) -> Result<JobHandle<ca_ooc::OocLu>, ServeError> {
         let p = self.params_for(&opts);
-        self.admit(&opts)?;
-        let (m, n) = (store.nrows() as f64, store.ncols() as f64);
-        let k = m.min(n);
-        let flops = m * n * k - (m + n) * k * k / 2.0 + k * k * k / 3.0;
-        let output: Arc<OnceLock<ca_ooc::OocLu>> = Arc::new(OnceLock::new());
-        let out = Arc::clone(&output);
-        let mut graph: TaskGraph<DynJob> = TaskGraph::new();
-        let body: DynJob = Box::new(move || {
-            let f = ca_ooc::ooc_calu(&store, &p, budget_bytes)
-                .map_err(|e| ca_sched::TaskFailure::new(e.to_string()))?;
-            let _ = out.set(f);
-            Ok(())
-        });
-        graph.add_task(TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), flops), body);
-        Ok(self.submit_direct(ServeGraph { graph, output }, &opts, None, "lu_ooc"))
+        let (m, n) = (store.nrows(), store.ncols());
+        let build = move |_: Option<&JobRecovery>| {
+            Ok(one_task_serve_graph(ca_kernels::flops::getrf(m.max(n), m.min(n)), move || {
+                ca_ooc::ooc_calu(&store, &p, budget_bytes)
+                    .map_err(|e| ca_sched::TaskFailure::new(e.to_string()))
+            }))
+        };
+        let mut handle = self.submit_job(opts, "lu_ooc", build, None)?;
+        // In place on the store: a second run would factor the wreck of the first.
+        handle.retry = None;
+        Ok(handle)
+    }
+
+    /// Submits a factorization of `a` followed by a solve against `rhs`
+    /// inside the same graph. No probe: the factors are consumed by the
+    /// graph's epilogue; task retry and job retry still apply.
+    fn submit_with_rhs(
+        &self,
+        a: Matrix,
+        rhs: Matrix,
+        opts: SubmitOptions,
+        class: &'static str,
+        graph: fn(Matrix, Matrix, &CaParams, Option<&JobRecovery>) -> Built<Matrix>,
+    ) -> Result<JobHandle<Matrix>, ServeError> {
+        let p = self.params_for(&opts);
+        let (a, rhs) = (Arc::new(a), Arc::new(rhs));
+        let build = move |rec: Option<&JobRecovery>| {
+            graph(Arc::unwrap_or_clone(a), Arc::unwrap_or_clone(rhs), &p, rec)
+        };
+        self.submit_job(opts, class, build, None)
     }
 
     /// Submits a factor-and-solve job for square `A·X = rhs` (CALU followed
@@ -935,27 +695,7 @@ impl Service {
         rhs: Matrix,
         opts: SubmitOptions,
     ) -> Result<JobHandle<Matrix>, ServeError> {
-        let p = self.params_for(&opts);
-        self.admit(&opts)?;
-        match self.core.recovery_for_attempt() {
-            None => match lu_solve_serve_graph(a, rhs, &p, None) {
-                Ok(sg) => Ok(self.submit_direct(sg, &opts, None, "solve")),
-                Err(e) => {
-                    self.core.release_one();
-                    Err(ServeError::Invalid(e))
-                }
-            },
-            Some(rec) => {
-                let a0 = Arc::new(a);
-                let r0 = Arc::new(rhs);
-                // No probe on solve jobs: the factors are consumed inside
-                // the graph; task retry + job retry still apply.
-                let build = move |r: &JobRecovery| {
-                    lu_solve_serve_graph((*a0).clone(), (*r0).clone(), &p, Some(r))
-                };
-                self.submit_recovering(&opts, rec, build, None, "solve")
-            }
-        }
+        self.submit_with_rhs(a, rhs, opts, "solve", lu_solve_serve_graph)
     }
 
     /// Submits a factor-and-least-squares job for tall `A` (CAQR followed
@@ -969,31 +709,7 @@ impl Service {
         rhs: Matrix,
         opts: SubmitOptions,
     ) -> Result<JobHandle<Matrix>, ServeError> {
-        let p = self.params_for(&opts);
-        self.admit(&opts)?;
-        match self.core.recovery_for_attempt() {
-            None => match qr_lstsq_serve_graph(a, rhs, &p, None) {
-                Ok(sg) => Ok(self.submit_direct(sg, &opts, None, "lstsq")),
-                Err(e) => {
-                    self.core.release_one();
-                    Err(ServeError::Invalid(e))
-                }
-            },
-            Some(rec) => {
-                let a0 = Arc::new(a);
-                let r0 = Arc::new(rhs);
-                let build = move |r: &JobRecovery| {
-                    qr_lstsq_serve_graph((*a0).clone(), (*r0).clone(), &p, Some(r))
-                };
-                self.submit_recovering(&opts, rec, build, None, "lstsq")
-            }
-        }
-    }
-
-    /// Forces the pending batch out immediately (normally the flusher
-    /// handles this after the configured max delay).
-    pub fn flush(&self) {
-        self.core.flush_pending();
+        self.submit_with_rhs(a, rhs, opts, "lstsq", qr_lstsq_serve_graph)
     }
 
     /// Jobs admitted and not yet finished.
@@ -1031,19 +747,13 @@ impl Service {
         self.core.exposition()
     }
 
-    /// Shuts the service down: pending batch members are flushed (and run
-    /// or finalize as cancelled), every still-active job is cancelled with
+    /// Shuts the service down: every still-active job is cancelled with
     /// [`ca_sched::CancelReason::Shutdown`] (in-flight tasks finish), and
-    /// the worker pool is joined (as are the flusher and metrics-exposition
-    /// threads; the exposer writes one final snapshot first). Idempotent.
+    /// the worker pool is joined (as is the metrics-exposition thread,
+    /// which writes one final snapshot first). Idempotent.
     pub fn shutdown(&self) {
         self.core.shutdown.store(true, Ordering::SeqCst);
         self.core.admission_cv.notify_all();
-        self.core.flush_cv.notify_all();
-        if let Some(h) = self.flusher.lock().expect("flusher lock").take() {
-            let _ = h.join();
-        }
-        self.core.flush_pending();
         self.core.frontier.shutdown();
         *self.core.metrics_gate.lock().expect("metrics gate") = true;
         self.core.metrics_cv.notify_all();
@@ -1192,36 +902,135 @@ mod tests {
         let mats: Vec<Matrix> = (0..6)
             .map(|i| ca_matrix::random_uniform(24, 24, &mut seeded_rng(50 + i)))
             .collect();
-        let handles: Vec<_> = mats
-            .iter()
-            .map(|m| svc.submit_lu(m.clone(), SubmitOptions::default()).expect("admit"))
-            .collect();
-        svc.flush();
-        for (m, h) in mats.iter().zip(handles) {
-            let got = h.wait().expect("batched job completes");
+        let submit = |opts: &SubmitOptions| -> Vec<_> {
+            mats.iter().map(|m| svc.submit_lu(m.clone(), opts.clone()).expect("admit")).collect()
+        };
+        let tiny = submit(&SubmitOptions::default());
+        let dag = submit(&SubmitOptions::default().unbatched());
+        for ((m, h), d) in mats.iter().zip(tiny).zip(dag) {
+            let got = h.wait().expect("tiny job completes");
+            let via_dag = d.wait().expect("dag job completes");
             let want = ca_core::calu_seq_factor(m.clone(), &p);
             assert_eq!(got.lu.as_slice(), want.lu.as_slice());
             assert_eq!(got.pivots.ipiv, want.pivots.ipiv);
+            assert_eq!(got.lu.as_slice(), via_dag.lu.as_slice());
+            assert_eq!(got.pivots.ipiv, via_dag.pivots.ipiv);
         }
         let s = svc.stats();
-        assert!(s.batches_flushed >= 1, "batching must have fused jobs");
         assert_eq!(s.batched_jobs, 6);
-        assert_eq!(s.completed, 6);
+        assert_eq!(s.completed, 12);
+        svc.shutdown();
+    }
+
+    /// Holds the only worker of `svc` inside a task until the returned
+    /// sender is dropped, so that whatever is submitted next stays queued.
+    fn occupy_the_worker(svc: &Service) -> std::sync::mpsc::Sender<()> {
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = Arc::new(Mutex::new(release_rx));
+        let build = move |_: Option<&JobRecovery>| {
+            Ok(one_task_serve_graph(0.0, move || {
+                let _ = started_tx.send(());
+                let _ = release_rx.lock().expect("release gate").recv();
+                Ok(())
+            }))
+        };
+        drop(svc.submit_job(SubmitOptions::default(), "blocker", build, None).expect("admit"));
+        started_rx.recv().expect("blocker started");
+        release_tx
+    }
+
+    #[test]
+    fn tiny_job_is_an_ordinary_job_from_the_moment_it_is_submitted() {
+        let svc = Service::new(cfg(1).with_batching(BatchConfig::up_to(32)));
+        let release = occupy_the_worker(&svc);
+        let a = ca_matrix::random_uniform(16, 16, &mut seeded_rng(60));
+        let h = svc.submit_lu(a, SubmitOptions::default()).expect("admit");
+        // Alone, behind a busy worker: already a frontier job, no flush or
+        // second submission needed for it to exist or to run.
+        assert_eq!(svc.core.frontier.queued_jobs(), 1, "job {} is in the frontier", h.id());
+        assert_eq!(svc.active_jobs(), 2);
+        assert!(!h.is_done());
+        drop(release);
+        h.wait().expect("completes on its own");
+        assert_eq!(svc.stats().batched_jobs, 1);
         svc.shutdown();
     }
 
     #[test]
-    fn batch_flushes_by_max_delay_without_manual_flush() {
-        let svc = Service::new(cfg(1).with_batching(BatchConfig {
-            max_dim: 32,
-            max_batch: 1000,
-            max_delay: Duration::from_millis(5),
-        }));
-        let a = ca_matrix::random_uniform(16, 16, &mut seeded_rng(60));
+    fn queued_tiny_job_can_be_cancelled() {
+        let svc = Service::new(cfg(1).with_batching(BatchConfig::up_to(32)));
+        let release = occupy_the_worker(&svc);
+        let a = ca_matrix::random_uniform(16, 16, &mut seeded_rng(62));
         let h = svc.submit_lu(a, SubmitOptions::default()).expect("admit");
-        // No manual flush: the flusher thread must fire within max_delay.
-        let out = h.wait_for(Duration::from_secs(10)).map_err(|_| "timed out");
-        assert!(out.expect("flusher fired").is_ok());
+        assert!(h.cancel(), "a queued tiny job is cancellable");
+        drop(release);
+        match h.wait() {
+            Err(ServeError::Cancelled(CancelReason::User)) => {}
+            other => panic!("expected user cancellation, got {other:?}"),
+        }
+        let s = svc.stats();
+        assert_eq!((s.cancelled, s.batched_jobs), (1, 1));
+        svc.shutdown();
+    }
+
+    #[test]
+    fn tiny_job_deadline_weight_and_tenant_are_honoured() {
+        let svc = Service::new(cfg(1).with_batching(BatchConfig::up_to(32)));
+        let a = || ca_matrix::random_uniform(16, 16, &mut seeded_rng(63));
+        let late = SubmitOptions::default().with_tenant("acme").with_deadline(Duration::ZERO);
+        match svc.submit_lu(a(), late).expect("admit").wait() {
+            Err(ServeError::DeadlineExceeded) => {}
+            other => panic!("expected deadline cancellation, got {other:?}"),
+        }
+        let heavy = SubmitOptions::default().with_tenant("zeta").with_weight(3.0);
+        svc.submit_qr(a(), heavy).expect("admit").wait().expect("completes");
+        let s = svc.stats();
+        assert_eq!((s.deadline_missed, s.completed, s.batched_jobs), (1, 1, 2));
+        // Each outcome sits in its own tenant's series; nothing is
+        // attributed to an anonymous batch class.
+        let prom = svc.metrics_snapshot().render_prometheus();
+        for line in [
+            "ca_serve_deadline_missed_total{tenant=\"acme\",class=\"lu\"} 1",
+            "ca_serve_jobs_completed_total{tenant=\"zeta\",class=\"qr\"} 1",
+        ] {
+            assert!(prom.contains(line), "missing {line:?} in {prom}");
+        }
+        assert!(!prom.contains("class=\"batch\""), "{prom}");
+        svc.shutdown();
+    }
+
+    #[test]
+    fn tiny_job_profile_is_available_under_tracing() {
+        let svc = Service::new(cfg(1).with_batching(BatchConfig::up_to(32)));
+        svc.set_tracing(true);
+        let a = ca_matrix::random_uniform(16, 16, &mut seeded_rng(64));
+        let h = svc.submit_lu(a, SubmitOptions::default()).expect("admit");
+        let profile = h.profile().expect("a tiny job has a job of its own to profile");
+        assert_eq!(profile.records.len(), 1);
+        h.wait().expect("completes");
+        svc.shutdown();
+    }
+
+    #[test]
+    fn batching_service_owns_no_thread_beyond_its_workers() {
+        let svc = Service::new(cfg(2).with_batching(BatchConfig::up_to(32)));
+        // Exhaustive pattern: a new field — a second `JoinHandle`, say —
+        // stops this test compiling.
+        let Service { core, exposer, _hook_guard: _ } = &svc;
+        assert!(exposer.lock().expect("exposer lock").is_none(), "no metrics file configured");
+        assert_eq!(core.frontier.nworkers(), 2);
+        // Of the threads named `ca-serve-*`, the numbered ones are pool
+        // workers; the only other the service may own is the metrics
+        // exposer (`comm` truncates names to 15 bytes).
+        #[cfg(target_os = "linux")]
+        for task in std::fs::read_dir("/proc/self/task").expect("thread list").flatten() {
+            let name = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+            if let Some(role) = name.trim().strip_prefix("ca-serve-") {
+                let worker = role.bytes().all(|b| b.is_ascii_digit());
+                assert!(worker || "metrics".starts_with(role), "unexpected thread {name}");
+            }
+        }
         svc.shutdown();
     }
 

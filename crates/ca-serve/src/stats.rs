@@ -118,7 +118,7 @@ pub struct ServiceStats {
     pub workers: usize,
     /// Bounded-queue capacity (max admitted-but-unfinished jobs).
     pub queue_capacity: usize,
-    /// Jobs admitted (including batched members).
+    /// Jobs admitted.
     pub submitted: u64,
     /// Jobs whose terminal outcome is success (an attempt that was
     /// resubmitted, or whose factors a probe voided, does not count).
@@ -135,9 +135,7 @@ pub struct ServiceStats {
     pub shed: u64,
     /// Jobs cancelled because their deadline expired.
     pub deadline_missed: u64,
-    /// Fused batches submitted.
-    pub batches_flushed: u64,
-    /// Member jobs that ran inside fused batches.
+    /// Jobs that took the tiny-job route (one sequential task, no DAG).
     pub batched_jobs: u64,
     /// Job-level resubmissions performed by the retry layer.
     pub job_retries: u64,

@@ -98,8 +98,8 @@ struct Opts {
     capacity: usize,
     /// `serve`: admission policy at capacity.
     policy: ca_factor::serve::AdmissionPolicy,
-    /// `serve`: coalesce factorizations at or below this dimension
-    /// (`0` disables batching).
+    /// `serve`: run factorizations at or below this dimension as one
+    /// sequential task (`0` = every job takes the DAG route).
     batch: usize,
     /// `serve`: per-job deadline in milliseconds (`0` = none).
     deadline_ms: u64,
@@ -196,7 +196,8 @@ fn usage() -> ! {
          serve: --jobs J                          demo jobs to submit (32)\n\
                 --capacity C                      bounded queue capacity (16)\n\
                 --policy reject|block|shed        admission policy (block)\n\
-                --batch DIM                       coalesce jobs ≤ DIM (0=off)\n\
+                --batch DIM                       run jobs ≤ DIM as one\n\
+                                                  sequential task (0=off)\n\
                 --deadline MS                     per-job deadline (0=none)\n\
                 --retry N                         recovery tier: N job-level\n\
                                                   resubmissions + task replay\n\
@@ -857,8 +858,8 @@ fn cmd_serve(o: &Opts) {
          deadline_missed={} invalid={invalid}",
         s.submitted, s.completed, s.failed, s.cancelled, s.rejected, s.shed, s.deadline_missed,
     );
-    if s.batches_flushed > 0 {
-        println!("  batching: {} fused batch(es) covering {} job(s)", s.batches_flushed, s.batched_jobs);
+    if s.batched_jobs > 0 {
+        println!("  tiny route: {} job(s) ran as one task", s.batched_jobs);
     }
     if o.retry.is_some() || o.chaos.is_some() {
         println!(

@@ -208,9 +208,9 @@ fn expired_deadline_cancels_and_is_counted() {
     svc.shutdown();
 }
 
-/// Batched tiny jobs, interleaved with a large direct job, still match
-/// their sequential references bitwise — fusion must not leak state
-/// between members or across the batch/direct boundary.
+/// Tiny jobs on the one-task route, interleaved with a large DAG job, still
+/// match their sequential references — and the same inputs sent down the
+/// DAG route — bitwise: the route is chosen from the size, never the result.
 #[test]
 fn fused_batches_are_bitwise_correct_next_to_direct_jobs() {
     let svc = Service::new(
@@ -224,24 +224,27 @@ fn fused_batches_are_bitwise_correct_next_to_direct_jobs() {
     let tinies: Vec<Matrix> = (0..8).map(|_| random_uniform(24, 24, &mut rng)).collect();
 
     let h_big = svc.submit_lu(big.clone(), SubmitOptions::default()).expect("admits");
-    let h_tiny: Vec<_> = tinies
-        .iter()
-        .map(|a| svc.submit_lu(a.clone(), SubmitOptions::default()).expect("admits"))
-        .collect();
-    svc.flush();
+    let submit_tinies = |opts: SubmitOptions| -> Vec<_> {
+        tinies.iter().map(|a| svc.submit_lu(a.clone(), opts.clone()).expect("admits")).collect()
+    };
+    let h_tiny = submit_tinies(SubmitOptions::default());
+    let h_dag = submit_tinies(SubmitOptions::default().unbatched());
 
     let got_big = h_big.wait().expect("direct job completes");
     let want_big = calu_seq_factor(big, &p);
     assert_eq!(got_big.lu.as_slice(), want_big.lu.as_slice());
-    for (a, h) in tinies.iter().zip(h_tiny) {
-        let got = h.wait().expect("batched job completes");
+    for ((a, h), d) in tinies.iter().zip(h_tiny).zip(h_dag) {
+        let got = h.wait().expect("one-task job completes");
+        let via_dag = d.wait().expect("dag job completes");
         let want = calu_seq_factor(a.clone(), &p);
         assert_eq!(got.lu.as_slice(), want.lu.as_slice());
         assert_eq!(got.pivots.ipiv, want.pivots.ipiv);
+        assert_eq!(got.lu.as_slice(), via_dag.lu.as_slice());
+        assert_eq!(got.pivots.ipiv, via_dag.pivots.ipiv);
     }
     let s = svc.stats();
     assert_eq!(s.batched_jobs, 8);
-    assert!(s.batches_flushed >= 1);
+    assert_eq!(s.completed, 17);
     svc.shutdown();
 }
 

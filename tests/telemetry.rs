@@ -63,10 +63,17 @@ const EXPECTED_FAMILIES: &[&str] = &[
 
 /// Label-summed value of the counter family `name` (0 if absent).
 fn counter_sum(snap: &RegistrySnapshot, name: &str) -> u64 {
+    tenant_counter_sum(snap, name, None)
+}
+
+/// Value of the counter family `name` summed over the series of `tenant`
+/// (over every series if `None`).
+fn tenant_counter_sum(snap: &RegistrySnapshot, name: &str, tenant: Option<&str>) -> u64 {
     snap.families
         .iter()
         .filter(|f| f.name == name)
         .flat_map(|f| &f.series)
+        .filter(|s| tenant.is_none_or(|t| s.labels.iter().any(|(k, v)| k == "tenant" && v == t)))
         .map(|s| match s.value {
             SeriesValue::Counter(c) => c,
             ref v => panic!("{name} must be a counter, got {v:?}"),
@@ -136,8 +143,8 @@ fn assert_documented_families(cfg: ServiceConfig) {
 
 /// `ServiceStats` and the exposition are two views of the same series, so
 /// after any workload they must agree — including the cases where mirrored
-/// stores used to drift: attempts voided by a probe, resubmissions, fused
-/// batches (counted per member in totals *and* histograms), and handles
+/// stores used to drift: attempts voided by a probe, resubmissions, tiny
+/// jobs on the one-task route (each in its own tenant's series), and handles
 /// dropped without a `wait` (an outcome is recorded by the completion hook,
 /// not by whoever happens to be waiting).
 #[test]
@@ -168,11 +175,11 @@ fn service_stats_and_exposition_agree() {
             true,
         ),
         (
-            "tiny jobs fused into batches",
+            "tiny jobs on the one-task route, two tenants",
             ServiceConfig::new(2).with_batching(BatchConfig::up_to(64)),
             8,
             24,
-            0,
+            2,
             true,
         ),
         (
@@ -185,6 +192,7 @@ fn service_stats_and_exposition_agree() {
         ),
     ];
     for (what, cfg, jobs, dim, tenants, wait) in rows {
+        let tiny_route = cfg.batch.is_some();
         let svc = Service::new(cfg.with_params(tiny));
         let mut rng = seeded_rng(17);
         let handles: Vec<_> = (0..jobs)
@@ -196,7 +204,6 @@ fn service_stats_and_exposition_agree() {
                 svc.submit_lu(random_uniform(dim, dim, &mut rng), opts).expect("admitted")
             })
             .collect();
-        svc.flush();
         let failures = if wait {
             handles.into_iter().map(|h| h.wait()).filter(Result::is_err).count()
         } else {
@@ -246,8 +253,20 @@ fn service_stats_and_exposition_agree() {
         assert_eq!(stats.submitted, jobs as u64, "{what}");
         assert_eq!(stats.completed + stats.failed + stats.cancelled, stats.submitted, "{what}");
         assert_eq!(stats.failed as usize, failures, "{what}: failures seen by the handles");
-        // One latency sample per attempt, per member.
+        // One latency sample per attempt.
         assert_eq!(stats.exec_latency.count as u64, stats.submitted + stats.job_retries, "{what}");
+        // Every job is attributed to its own tenant, whichever route it took.
+        for t in 0..tenants {
+            let tenant = format!("t{t}");
+            let mine = |name: &str| tenant_counter_sum(&snap, name, Some(&tenant));
+            let share = (0..jobs).filter(|i| i % tenants == t).count() as u64;
+            assert_eq!(mine("ca_serve_jobs_submitted_total"), share, "{what}: {tenant}");
+            let ended = mine("ca_serve_jobs_completed_total")
+                + mine("ca_serve_jobs_failed_total")
+                + mine("ca_serve_jobs_cancelled_total");
+            assert_eq!(ended, share, "{what}: {tenant} outcomes");
+        }
+        assert_eq!(stats.batched_jobs, if tiny_route { jobs as u64 } else { 0 }, "{what}");
     }
 }
 
