@@ -4,9 +4,8 @@
 
 use ca_kernels::{flops, traffic};
 use ca_kernels::{geqr2, larfb_left, larft, Trans};
-use ca_matrix::{Matrix, MatView};
+use ca_matrix::Matrix;
 use ca_sched::{row_blocks, BlockTracker, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
-use rayon::prelude::*;
 
 /// Result of blocked QR: per-panel compact-WY `T` factors (reflectors stay
 /// packed in the matrix), enough to apply `Q`/`Qᵀ`.
@@ -71,35 +70,14 @@ pub fn geqrf_blocked(a: &mut Matrix, nb: usize, threads: usize) -> BlockedQr {
             let (panel_cols, trailing) = a.view_mut().split_at_col(k0 + w);
             let v = panel_cols.as_ref().sub(k0, k0, m - k0, kv);
             let c = trailing.into_sub(k0, 0, m - k0, n - k0 - w);
-            par_larfb(v, t.view(), c, threads);
+            crate::for_each_column_strip(c, threads, |_, cj| {
+                larfb_left(Trans::Yes, v, t.view(), cj);
+            });
         }
         panels.push((k0, w, t));
         k0 += w;
     }
     BlockedQr { panels }
-}
-
-/// `C := Qᵀ C` parallelized over column strips.
-fn par_larfb(v: MatView<'_>, t: MatView<'_>, c: ca_matrix::MatViewMut<'_>, threads: usize) {
-    let n = c.ncols();
-    if threads <= 1 || n < 64 {
-        larfb_left(Trans::Yes, v, t, c);
-        return;
-    }
-    let strip = n.div_ceil(threads).max(32);
-    let mut strips = Vec::new();
-    let mut rest = c;
-    let mut j = 0usize;
-    while j < n {
-        let wj = strip.min(n - j);
-        let (head, tail) = rest.split_at_col(wj);
-        strips.push(head);
-        rest = tail;
-        j += wj;
-    }
-    strips.into_par_iter().for_each(|cj| {
-        larfb_left(Trans::Yes, v, t, cj);
-    });
 }
 
 /// Task graph of blocked `dgeqrf` for the multicore simulator.

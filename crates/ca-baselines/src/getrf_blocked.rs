@@ -6,13 +6,12 @@
 //! vendors do not parallelize well, the paper's central observation), row
 //! interchanges applied to both sides, `dtrsm` for the `U` block row, and a
 //! `dgemm` trailing update that we optionally parallelize over column strips
-//! with rayon (standing in for a multithreaded BLAS3).
+//! (standing in for a multithreaded BLAS3).
 
 use ca_kernels::{flops, traffic};
 use ca_kernels::{gemm, getf2, trsm_left_lower_unit, Trans};
 use ca_matrix::{Matrix, PivotSeq};
 use ca_sched::{row_blocks, BlockTracker, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
-use rayon::prelude::*;
 
 /// Result of the blocked factorization: pivots plus LAPACK `info`-style
 /// breakdown column.
@@ -68,41 +67,15 @@ pub fn getrf_blocked(a: &mut Matrix, nb: usize, threads: usize) -> BlockedLu {
                 let l_below = panel_cols.as_ref().sub(k0 + w, k0, m - k0 - w, w);
                 let (u_row, a_below) = trailing.split_at_row(k0 + w);
                 let u_row = u_row.as_ref().sub(k0, 0, w, n - k0 - w);
-                par_gemm_update(l_below, u_row, a_below, threads);
+                crate::for_each_column_strip(a_below, threads, |j, cj| {
+                    let uj = u_row.sub(0, j, w, cj.ncols());
+                    gemm(Trans::No, Trans::No, -1.0, l_below, uj, 1.0, cj);
+                });
             }
         }
         k0 += w;
     }
     BlockedLu { pivots, breakdown }
-}
-
-/// `C -= L · U` parallelized over column strips with rayon.
-pub(crate) fn par_gemm_update(
-    l: ca_matrix::MatView<'_>,
-    u: ca_matrix::MatView<'_>,
-    c: ca_matrix::MatViewMut<'_>,
-    threads: usize,
-) {
-    let n = c.ncols();
-    if threads <= 1 || n < 64 {
-        gemm(Trans::No, Trans::No, -1.0, l, u, 1.0, c);
-        return;
-    }
-    let strip = n.div_ceil(threads).max(32);
-    // Split C (and the matching U columns) into disjoint strips.
-    let mut strips: Vec<(ca_matrix::MatView<'_>, ca_matrix::MatViewMut<'_>)> = Vec::new();
-    let mut rest = c;
-    let mut j = 0usize;
-    while j < n {
-        let wj = strip.min(n - j);
-        let (head, tail) = rest.split_at_col(wj);
-        strips.push((u.sub(0, j, u.nrows(), wj), head));
-        rest = tail;
-        j += wj;
-    }
-    strips.into_par_iter().for_each(|(uj, cj)| {
-        gemm(Trans::No, Trans::No, -1.0, l, uj, 1.0, cj);
-    });
 }
 
 /// Task graph of blocked `dgetrf` for the multicore simulator: one

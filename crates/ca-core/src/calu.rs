@@ -2,16 +2,19 @@
 //!
 //! [`calu_seq`] is the sequential reference (exactly Algorithm 1 executed in
 //! program order); [`calu`] runs the same computation as a task graph on the
-//! `ca-sched` worker pool. Both write LAPACK-`dgetrf`-compatible output:
-//! packed `L\U` in place plus a global interchange sequence.
+//! `ca-sched` worker pool. Both are generic over the working precision and
+//! write LAPACK-`dgetrf`-compatible output: packed `L\U` in place plus a
+//! global interchange sequence.
 
 use crate::dag::{run_plan, FactorOptions};
 use crate::dag_calu::CaluPlan;
 use crate::error::{find_non_finite, FactorError, DEFAULT_GROWTH_LIMIT};
 use crate::params::CaParams;
 use crate::tslu::factor_panel_limited;
-use ca_kernels::{gemm, trsm_left_lower_unit, trsm_left_upper_notrans, Kernel, Trans};
-use ca_matrix::{lu_residual, Matrix, PivotSeq, Scalar};
+use ca_kernels::{
+    gemm, par_gemm, trsm_left_lower_unit, trsm_left_upper_notrans, Kernel, Trans,
+};
+use ca_matrix::{lu_residual, MatViewMut, Matrix, PivotSeq, Scalar};
 
 /// Numerical diagnostics collected while factoring, one entry per panel.
 #[derive(Clone, Debug, Default)]
@@ -107,12 +110,98 @@ impl<T: Kernel> LuFactors<T> {
     }
 }
 
+/// What the CALU panel loop records, accumulated over every column window a
+/// caller feeds to [`calu_panels`]: one for a resident matrix, one per
+/// superpanel out of core.
+#[derive(Clone, Debug, Default)]
+pub struct LuPanelLog {
+    /// Per-panel interchange sequences in panel order (each `offset` is the
+    /// panel's global diagonal).
+    pub panel_pivots: Vec<PivotSeq>,
+    /// First column where a panel hit an exactly-zero pivot, if any.
+    pub breakdown: Option<usize>,
+    /// Per-panel growth estimates and GEPP-fallback record.
+    pub stats: LuStats,
+}
+
+/// The CALU panel loop — Algorithm 1 in program order — over a column
+/// window: `a` holds every row of columns `d0..d0 + a.ncols()` of the matrix
+/// being factored, so the panel at window column `lc` has its diagonal at
+/// global row `d0 + lc`. Per panel: tournament pivoting + packed panel
+/// factorization (TSLU), interchanges applied to the window columns right of
+/// the panel, `U` block row by triangular solve, trailing update by `gemm`
+/// on `workers` threads (`par_gemm` above one; the factors are bitwise the
+/// same at every count).
+///
+/// Interchanges for the columns *left* of each panel are the caller's
+/// business: they commute with everything the loop does, so an in-core
+/// caller applies `log.panel_pivots` once the loop returns and an
+/// out-of-core caller defers them to its fix-up sweep.
+pub fn calu_panels<T: Kernel>(
+    mut a: MatViewMut<'_, T>,
+    d0: usize,
+    p: &CaParams,
+    workers: usize,
+    log: &mut LuPanelLog,
+) {
+    let m = a.nrows();
+    let ws = a.ncols();
+    let mut lc = 0usize;
+    while lc < ws && d0 + lc < m {
+        let k0 = d0 + lc;
+        let w = p.b.min(ws - lc);
+        let k = w.min(m - k0);
+        let trailing_cols = ws - lc - w;
+
+        let outcome = factor_panel_limited(
+            a.sub(0, lc, m, w),
+            k0,
+            p.b,
+            p.tr,
+            p.tree,
+            !p.leaf_blas2,
+            p.growth_limit,
+        );
+        if log.breakdown.is_none() {
+            log.breakdown = outcome.breakdown.map(|c| k0 + c);
+        }
+        log.stats.panel_growth.push(outcome.growth);
+        if outcome.fallback {
+            log.stats.fallback_panels.push(k0);
+        }
+
+        if trailing_cols > 0 {
+            outcome.pivots.apply(a.sub(0, lc + w, m, trailing_cols));
+        }
+
+        // U block row: U[k0..k0+k, right] := L_KK⁻¹ · A[k0..k0+k, right].
+        if trailing_cols > 0 && k > 0 {
+            let (panel_cols, mut trailing) = a.rb().split_at_col(lc + w);
+            let lkk = panel_cols.as_ref().sub(k0, lc, k, k);
+            trsm_left_lower_unit(lkk, trailing.sub(k0, 0, k, trailing_cols));
+
+            // Trailing update: A[k0+k.., right] -= L[k0+k.., panel] · U.
+            if k0 + k < m {
+                let l_below = panel_cols.as_ref().sub(k0 + k, lc, m - k0 - k, k);
+                let (u_row, a_below) = trailing.split_at_row(k0 + k);
+                let u_row = u_row.as_ref().sub(k0, 0, k, trailing_cols);
+                if workers > 1 {
+                    par_gemm(workers, Trans::No, Trans::No, -T::ONE, l_below, u_row, T::ONE, a_below);
+                } else {
+                    gemm(Trans::No, Trans::No, -T::ONE, l_below, u_row, T::ONE, a_below);
+                }
+            }
+        }
+
+        log.panel_pivots.push(outcome.pivots);
+        lc += w;
+    }
+}
+
 /// Sequential CALU, in place. Returns the pivot sequence and breakdown info.
 ///
-/// This is Algorithm 1 run on one thread: for each panel, tournament
-/// pivoting + packed panel factorization (TSLU), interchanges applied to the
-/// columns left and right of the panel, `U` block row by triangular solve,
-/// trailing update by `gemm`.
+/// This is Algorithm 1 run on one thread: [`calu_panels`] over the whole
+/// matrix, then each panel's interchanges applied to the columns left of it.
 pub fn calu_seq<T: Kernel>(a: &mut Matrix<T>, p: &CaParams) -> (PivotSeq, Option<usize>) {
     let (pivots, breakdown, _) = calu_seq_stats(a, p);
     (pivots, breakdown)
@@ -123,60 +212,17 @@ pub(crate) fn calu_seq_stats<T: Kernel>(
     a: &mut Matrix<T>,
     p: &CaParams,
 ) -> (PivotSeq, Option<usize>, LuStats) {
+    let mut log = LuPanelLog::default();
+    calu_panels(a.view_mut(), 0, p, 1, &mut log);
     let m = a.nrows();
-    let n = a.ncols();
-    let kmax = m.min(n);
     let mut pivots = PivotSeq::new(0);
-    let mut breakdown: Option<usize> = None;
-    let mut stats = LuStats::default();
-
-    let mut k0 = 0usize;
-    while k0 < kmax {
-        let w = p.b.min(n - k0);
-        let k = w.min(m - k0);
-
-        // Panel factorization on columns k0..k0+w.
-        let outcome = {
-            let panel = a.block_mut(0, k0, m, w);
-            factor_panel_limited(panel, k0, p.b, p.tr, p.tree, !p.leaf_blas2, p.growth_limit)
-        };
-        if breakdown.is_none() {
-            breakdown = outcome.breakdown.map(|c| k0 + c);
+    for pv in &log.panel_pivots {
+        if pv.offset > 0 {
+            pv.apply(a.block_mut(0, 0, m, pv.offset));
         }
-        stats.panel_growth.push(outcome.growth);
-        if outcome.fallback {
-            stats.fallback_panels.push(k0);
-        }
-
-        // Apply interchanges to the left and right of the panel.
-        if k0 > 0 {
-            outcome.pivots.apply(a.block_mut(0, 0, m, k0));
-        }
-        if k0 + w < n {
-            outcome.pivots.apply(a.block_mut(0, k0 + w, m, n - k0 - w));
-        }
-        pivots.extend(&outcome.pivots);
-
-        // U block row: U[k0..k0+k, k0+w..] := L_KK⁻¹ · A[k0..k0+k, k0+w..].
-        if k0 + w < n && k > 0 {
-            let (panel_cols, trailing) = a.view_mut().split_at_col(k0 + w);
-            let lkk = panel_cols.as_ref().sub(k0, k0, k, k);
-            let mut trailing = trailing;
-            let u_row = trailing.rb().into_sub(k0, 0, k, n - k0 - w);
-            trsm_left_lower_unit(lkk, u_row);
-
-            // Trailing update: A[k0+k.., k0+w..] -= L[k0+k.., k0..k0+k] · U.
-            if k0 + k < m {
-                let l_below = panel_cols.as_ref().sub(k0 + k, k0, m - k0 - k, k);
-                let (u_row, a_below) = trailing.split_at_row(k0 + k);
-                let u_row = u_row.as_ref().sub(k0, 0, k, n - k0 - w);
-                gemm(Trans::No, Trans::No, -T::ONE, l_below, u_row, T::ONE, a_below);
-            }
-        }
-
-        k0 += w;
+        pivots.extend(pv);
     }
-    (pivots, breakdown, stats)
+    (pivots, log.breakdown, log.stats)
 }
 
 /// Sequential CALU returning owned factors (generic over the working
@@ -192,8 +238,8 @@ pub fn calu_seq_factor<T: Kernel>(mut a: Matrix<T>, p: &CaParams) -> LuFactors<T
 /// # Panics
 /// If a worker task panics (the `try_*` entry points report that as an
 /// error instead).
-pub fn calu(a: Matrix, p: &CaParams) -> LuFactors {
-    run_plan::<CaluPlan>(a, p, &FactorOptions::default()).unwrap_or_else(|e| panic!("{e}")).0
+pub fn calu<T: Kernel>(a: Matrix<T>, p: &CaParams) -> LuFactors<T> {
+    run_plan::<T, CaluPlan<T>>(a, p, &FactorOptions::default()).unwrap_or_else(|e| panic!("{e}")).0
 }
 
 /// TSLU as a standalone factorization of a tall-and-skinny matrix: a single
@@ -235,7 +281,7 @@ fn check_factors<T: Scalar>(f: LuFactors<T>, p: &CaParams) -> Result<LuFactors<T
 /// per-panel element growth (falling back to plain GEPP on tournament
 /// instability), and reports exact singularity and worker-task failure as
 /// errors instead of poisoned factors.
-pub fn try_calu(a: Matrix, p: &CaParams) -> Result<LuFactors, FactorError> {
+pub fn try_calu<T: Kernel>(a: Matrix<T>, p: &CaParams) -> Result<LuFactors<T>, FactorError> {
     try_calu_with(a, p, &FactorOptions::default()).map(|(f, _)| f)
 }
 
@@ -245,16 +291,16 @@ pub fn try_calu(a: Matrix, p: &CaParams) -> Result<LuFactors, FactorError> {
 /// (wall-clock timeline usable with [`ca_sched::ascii_gantt`], and the
 /// profile when requested). The numerical contract is that of [`try_calu`]
 /// whatever the options.
-pub fn try_calu_with(
-    a: Matrix,
+pub fn try_calu_with<T: Kernel>(
+    a: Matrix<T>,
     p: &CaParams,
     opts: &FactorOptions<'_>,
-) -> Result<(LuFactors, ca_sched::RunReport), FactorError> {
+) -> Result<(LuFactors<T>, ca_sched::RunReport), FactorError> {
     if let Some((row, col)) = find_non_finite(&a) {
         return Err(FactorError::NonFiniteInput { row, col });
     }
     let params = monitored(p);
-    let (f, report) = run_plan::<CaluPlan>(a, &params, opts)?;
+    let (f, report) = run_plan::<T, CaluPlan<T>>(a, &params, opts)?;
     check_factors(f, &params).map(|f| (f, report))
 }
 
@@ -264,22 +310,12 @@ pub fn try_calu_with(
 /// ready-queue depth samples. Derive the report with
 /// [`ca_sched::Profile::metrics`] or a Perfetto-loadable trace with
 /// [`ca_sched::Profile::chrome_trace`].
-pub fn try_calu_profiled(
-    a: Matrix,
+pub fn try_calu_profiled<T: Kernel>(
+    a: Matrix<T>,
     p: &CaParams,
-) -> Result<(LuFactors, ca_sched::Profile), FactorError> {
+) -> Result<(LuFactors<T>, ca_sched::Profile), FactorError> {
     let opts = FactorOptions { profile: true, ..Default::default() };
     try_calu_with(a, p, &opts).map(|(f, report)| (f, report.profile.expect("profiling requested")))
-}
-
-/// Fallible sequential CALU with the same contract as [`try_calu`],
-/// generic over the working precision.
-pub fn try_calu_seq<T: Kernel>(a: Matrix<T>, p: &CaParams) -> Result<LuFactors<T>, FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let params = monitored(p);
-    check_factors(calu_seq_factor(a, &params), &params)
 }
 
 /// Fallible standalone TSLU with the same contract as [`try_calu`].

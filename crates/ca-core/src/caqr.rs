@@ -1,10 +1,11 @@
 //! CAQR: communication-avoiding QR.
 //!
 //! [`caqr_seq`] is the sequential reference (Algorithm 2 in program order);
-//! [`caqr`] executes the same task decomposition on the worker pool.
-//! Both produce [`QrFactors`]: `R` packed in the matrix plus the TSQR tree's
-//! `Q` representation (in-place leaf reflectors + per-node scratch), with
-//! `Q`/`Qᵀ` application and thin-`Q` reconstruction.
+//! [`caqr`] executes the same task decomposition on the worker pool. Both
+//! are generic over the working precision and produce [`QrFactors`]: `R`
+//! packed in the matrix plus the TSQR tree's `Q` representation (in-place
+//! leaf reflectors + per-node scratch), with `Q`/`Qᵀ` application and
+//! thin-`Q` reconstruction.
 
 use crate::dag::{run_plan, FactorOptions};
 use crate::dag_caqr::CaqrPlan;
@@ -108,41 +109,54 @@ impl<T: Kernel> QrFactors<T> {
     }
 }
 
-/// Sequential CAQR (Algorithm 2 in program order), consuming `a` — generic
-/// over the working precision (`caqr_seq::<f32>` is the single-precision
-/// path).
-pub fn caqr_seq<T: Kernel>(a: Matrix<T>, p: &CaParams) -> QrFactors<T> {
+/// The CAQR panel loop — Algorithm 2 in program order — over a column
+/// window: `a` holds every row of columns `d0..d0 + a.ncols()` of the matrix
+/// being factored, so the panel at window column `lc` has its diagonal at
+/// global row `d0 + lc`. Per panel: leaf QR of each row group, then the
+/// reduction tree's nodes, each applied to the window columns right of the
+/// panel as soon as it is formed. The panels' `Q` representations are
+/// appended to `panels`, with [`PanelQ::c0`] the panel's *global* column.
+pub fn caqr_panels<T: Kernel>(
+    a: &SharedMatrix<T>,
+    d0: usize,
+    p: &CaParams,
+    panels: &mut Vec<PanelQ<T>>,
+) {
     let m = a.nrows();
-    let n = a.ncols();
-    assert!(m > 0 && n > 0, "empty matrix");
-    let nsteps = num_panels(m, n, p.b);
-    let sh = SharedMatrix::new(a);
-    let mut panels = Vec::with_capacity(nsteps);
-
-    for step in 0..nsteps {
-        let k0 = step * p.b;
-        let c0 = k0;
-        let w = p.b.min(n - c0);
+    let ws = a.ncols();
+    let mut lc = 0usize;
+    while lc < ws && d0 + lc < m {
+        let k0 = d0 + lc;
+        let w = p.b.min(ws - lc);
         let part = partition_rows(m, k0, p.b, p.tr);
         let (_leaf_ks, plans) = plan_panel(&part, w, p.tree);
-        let trailing = (c0 + w)..n;
+        let trailing = (lc + w)..ws;
 
         let mut leaves = Vec::with_capacity(part.ngroups());
         for grp in 0..part.ngroups() {
-            let leaf = leaf_qr(&sh, c0, w, part.group(grp));
-            leaf_apply(&sh, c0, &leaf, &sh, trailing.clone(), Trans::Yes);
+            let leaf = leaf_qr(a, lc, w, part.group(grp));
+            leaf_apply(a, lc, &leaf, a, trailing.clone(), Trans::Yes);
             leaves.push(leaf);
         }
         let mut nodes = Vec::with_capacity(plans.len());
         for plan in &plans {
-            let node = node_qr(&sh, c0, w, plan);
-            node_apply(&node, &sh, trailing.clone(), Trans::Yes);
+            let node = node_qr(a, lc, w, plan);
+            node_apply(&node, a, trailing.clone(), Trans::Yes);
             nodes.push(node);
         }
         let k = (m - k0).min(w);
-        panels.push(PanelQ { k0, c0, w, k, leaves, nodes });
+        panels.push(PanelQ { k0, c0: k0, w, k, leaves, nodes });
+        lc += w;
     }
+}
 
+/// Sequential CAQR (Algorithm 2 in program order), consuming `a` — generic
+/// over the working precision: [`caqr_panels`] over the whole matrix.
+pub fn caqr_seq<T: Kernel>(a: Matrix<T>, p: &CaParams) -> QrFactors<T> {
+    assert!(a.nrows() > 0 && a.ncols() > 0, "empty matrix");
+    let mut panels = Vec::with_capacity(num_panels(a.nrows(), a.ncols(), p.b));
+    let sh = SharedMatrix::new(a);
+    caqr_panels(&sh, 0, p, &mut panels);
     QrFactors { a: sh.into_inner(), panels }
 }
 
@@ -152,8 +166,8 @@ pub fn caqr_seq<T: Kernel>(a: Matrix<T>, p: &CaParams) -> QrFactors<T> {
 /// # Panics
 /// If a worker task panics (the `try_*` entry points report that as an
 /// error instead).
-pub fn caqr(a: Matrix, p: &CaParams) -> QrFactors {
-    run_plan::<CaqrPlan>(a, p, &FactorOptions::default()).unwrap_or_else(|e| panic!("{e}")).0
+pub fn caqr<T: Kernel>(a: Matrix<T>, p: &CaParams) -> QrFactors<T> {
+    run_plan::<T, CaqrPlan<T>>(a, p, &FactorOptions::default()).unwrap_or_else(|e| panic!("{e}")).0
 }
 
 /// TSQR as a standalone tall-and-skinny factorization: a single panel of
@@ -168,7 +182,7 @@ pub fn tsqr_factor<T: Kernel>(a: Matrix<T>, tr: usize, p: &CaParams) -> QrFactor
 /// would silently poison the Householder reflectors) and reports worker
 /// failure as [`FactorError::TaskFailed`] instead of panicking. QR needs no
 /// pivot-breakdown handling — orthogonal transforms cannot blow up.
-pub fn try_caqr(a: Matrix, p: &CaParams) -> Result<QrFactors, FactorError> {
+pub fn try_caqr<T: Kernel>(a: Matrix<T>, p: &CaParams) -> Result<QrFactors<T>, FactorError> {
     try_caqr_with(a, p, &FactorOptions::default()).map(|(f, _)| f)
 }
 
@@ -176,35 +190,26 @@ pub fn try_caqr(a: Matrix, p: &CaParams) -> Result<QrFactors, FactorError> {
 /// snapshot/replay recovery, checked execution, profiling, in any
 /// combination — also returning the executor's [`ca_sched::RunReport`] (see
 /// [`crate::try_calu_with`]).
-pub fn try_caqr_with(
-    a: Matrix,
+pub fn try_caqr_with<T: Kernel>(
+    a: Matrix<T>,
     p: &CaParams,
     opts: &FactorOptions<'_>,
-) -> Result<(QrFactors, ca_sched::RunReport), FactorError> {
+) -> Result<(QrFactors<T>, ca_sched::RunReport), FactorError> {
     if let Some((row, col)) = find_non_finite(&a) {
         return Err(FactorError::NonFiniteInput { row, col });
     }
-    run_plan::<CaqrPlan>(a, p, opts)
+    run_plan::<T, CaqrPlan<T>>(a, p, opts)
 }
 
 /// [`try_caqr`] with profiling on, returning the scheduler's full
 /// [`ca_sched::Profile`] alongside the factors (see
 /// [`crate::try_calu_profiled`]).
-pub fn try_caqr_profiled(
-    a: Matrix,
+pub fn try_caqr_profiled<T: Kernel>(
+    a: Matrix<T>,
     p: &CaParams,
-) -> Result<(QrFactors, ca_sched::Profile), FactorError> {
+) -> Result<(QrFactors<T>, ca_sched::Profile), FactorError> {
     let opts = FactorOptions { profile: true, ..Default::default() };
     try_caqr_with(a, p, &opts).map(|(f, report)| (f, report.profile.expect("profiling requested")))
-}
-
-/// Fallible sequential CAQR with the input pre-scan of [`try_caqr`],
-/// generic over the working precision.
-pub fn try_caqr_seq<T: Kernel>(a: Matrix<T>, p: &CaParams) -> Result<QrFactors<T>, FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    Ok(caqr_seq(a, p))
 }
 
 /// Fallible standalone TSQR with the input pre-scan of [`try_caqr`].

@@ -7,14 +7,16 @@
 
 use crate::error::FactorError;
 use crate::params::CaParams;
+use ca_kernels::Kernel;
 use ca_matrix::{Matrix, SharedMatrix};
 use ca_sched::{
     AccessMap, ChaosPlan, Job, RecoveryCounters, RetryPolicy, RunOptions, RunReport, TaskGraph,
 };
 
-/// A built factorization DAG: the graph, the footprints its builder
-/// declared, and how to run one task and gather the result.
-pub(crate) trait DagPlan: Send + Sync + Sized + 'static {
+/// A built factorization DAG over element type `T`: the graph, the
+/// footprints its builder declared (neither depends on `T`), and how to run
+/// one task and gather the result.
+pub(crate) trait DagPlan<T: Kernel>: Send + Sync + Sized + 'static {
     /// Payload of the task graph.
     type Task: Copy + Send + Sync + 'static;
     /// What the factorization returns.
@@ -25,9 +27,9 @@ pub(crate) trait DagPlan: Send + Sync + Sized + 'static {
     /// Declared element-rect footprints of every task.
     fn access(&self) -> &AccessMap;
     /// Executes one task against the shared matrix (called from workers).
-    fn exec(&self, a: &SharedMatrix, t: Self::Task);
+    fn exec(&self, a: &SharedMatrix<T>, t: Self::Task);
     /// Gathers the result once every task completed successfully.
-    fn collect(self, shared: SharedMatrix) -> Self::Factors;
+    fn collect(self, shared: SharedMatrix<T>) -> Self::Factors;
 }
 
 /// Task-level recovery for a one-shot factorization: every task body is
@@ -71,8 +73,8 @@ pub struct FactorOptions<'a> {
 /// Factors `a` through plan type `P`. A worker failure maps to
 /// [`FactorError::TaskFailed`] without ever touching the plan's
 /// not-yet-filled result slots.
-pub(crate) fn run_plan<P: DagPlan>(
-    a: Matrix,
+pub(crate) fn run_plan<T: Kernel, P: DagPlan<T>>(
+    a: Matrix<T>,
     p: &CaParams,
     opts: &FactorOptions<'_>,
 ) -> Result<(P::Factors, RunReport), FactorError> {

@@ -27,9 +27,9 @@ use crate::tslu::{apply_growth_policy, pivot_seq_from_targets};
 use ca_kernels::{flops, traffic};
 use ca_kernels::{
     gemm, gemm_packed, pack_a_slab, pack_b_panel, trsm_left_lower_unit,
-    trsm_right_upper_notrans, Trans,
+    trsm_right_upper_notrans, Kernel, Trans,
 };
-use ca_matrix::{AlignedBuf, PivotSeq, SharedMatrix};
+use ca_matrix::{AlignedBuf, PivotSeq, Scalar, SharedMatrix};
 use ca_sched::{KernelClass, TaskGraph, TaskId, TaskKind, TaskLabel, TaskMeta};
 use std::sync::OnceLock;
 
@@ -81,7 +81,7 @@ fn par_tile(b: usize) -> (usize, usize) {
 /// the tile tasks the graph orders after it. The images are side storage
 /// the block tracker cannot see, which is why `build()` wires every
 /// pack → tile dependence as an explicit graph edge.
-pub(crate) struct ParUpdate {
+pub(crate) struct ParUpdate<T: Scalar> {
     /// Rows per slab (multiple of `b`, see [`par_tile`]).
     slab_h: usize,
     /// Columns per panel (multiple of `b`).
@@ -91,20 +91,20 @@ pub(crate) struct ParUpdate {
     /// the decomposition threshold).
     abase: Vec<usize>,
     /// Packed-A slab images.
-    apacks: Vec<OnceLock<AlignedBuf>>,
+    apacks: Vec<OnceLock<AlignedBuf<T>>>,
     /// `(jblk, base)` pairs: the column chunk at `jblk` keeps its panel `p`
     /// image at `bpacks[base + p]`.
     bbase: Vec<(usize, usize)>,
     /// Packed-B panel images.
-    bpacks: Vec<OnceLock<AlignedBuf>>,
+    bpacks: Vec<OnceLock<AlignedBuf<T>>>,
 }
 
-impl ParUpdate {
-    fn aslot(&self, grp: usize, slab: usize) -> &OnceLock<AlignedBuf> {
+impl<T: Scalar> ParUpdate<T> {
+    fn aslot(&self, grp: usize, slab: usize) -> &OnceLock<AlignedBuf<T>> {
         &self.apacks[self.abase[grp] + slab]
     }
 
-    fn bslot(&self, jblk: usize, panel: usize) -> &OnceLock<AlignedBuf> {
+    fn bslot(&self, jblk: usize, panel: usize) -> &OnceLock<AlignedBuf<T>> {
         let base =
             self.bbase.iter().find(|&&(j, _)| j == jblk).expect("chunk has no packed-B images").1;
         &self.bpacks[base + panel]
@@ -112,7 +112,7 @@ impl ParUpdate {
 }
 
 /// Per-panel shared state filled in by panel tasks at run time.
-pub(crate) struct PanelCtx {
+pub(crate) struct PanelCtx<T: Scalar> {
     k0: usize,
     /// Panel width (columns).
     w: usize,
@@ -121,7 +121,7 @@ pub(crate) struct PanelCtx {
     part: RowPartition,
     schedule: Vec<ReduceNode>,
     /// Candidate dataflow slots: leaves at `0..g`, node `i` at `g + i`.
-    results: Vec<OnceLock<Selected>>,
+    results: Vec<OnceLock<Selected<T>>>,
     /// For each schedule node, the result-slot indices it consumes.
     node_inputs: Vec<Vec<usize>>,
     /// Winning interchanges (offset `k0`), written by the root task.
@@ -131,16 +131,18 @@ pub(crate) struct PanelCtx {
     /// `(growth estimate, GEPP fallback happened)`, written by the root.
     growth: OnceLock<(f64, bool)>,
     /// Pack-image slots of this panel's decomposed trailing updates.
-    par: ParUpdate,
+    par: ParUpdate<T>,
 }
 
-/// Everything needed to execute a built CALU DAG.
-pub(crate) struct CaluPlan {
+/// Everything needed to execute a built CALU DAG on `T` elements. Only the
+/// run-time slots are typed; graph, footprints and geometry are the same for
+/// every `T`.
+pub(crate) struct CaluPlan<T: Scalar> {
     pub graph: TaskGraph<CaluTask>,
     /// Declared footprints of every task (for verification / checked
     /// execution).
     pub access: AccessMap,
-    pub panels: Vec<PanelCtx>,
+    pub panels: Vec<PanelCtx<T>>,
     m: usize,
     n: usize,
     b: usize,
@@ -170,7 +172,7 @@ fn prio(nsteps: usize, step: usize, lookahead: bool, kind: TaskKind, jblk: usize
 }
 
 /// Builds the CALU task graph for an `m × n` matrix with parameters `p`.
-pub(crate) fn build(m: usize, n: usize, p: &CaParams) -> CaluPlan {
+pub(crate) fn build<T: Scalar>(m: usize, n: usize, p: &CaParams) -> CaluPlan<T> {
     assert!(m > 0 && n > 0, "empty matrix");
     ca_sched::sched_counters().factor_graphs_built.inc();
     let b = p.b;
@@ -179,7 +181,7 @@ pub(crate) fn build(m: usize, n: usize, p: &CaParams) -> CaluPlan {
 
     let mut graph: TaskGraph<CaluTask> = TaskGraph::new();
     let mut tracker = BlockTracker::with_geometry(b, m, n);
-    let mut panels: Vec<PanelCtx> = Vec::with_capacity(nsteps);
+    let mut panels: Vec<PanelCtx<T>> = Vec::with_capacity(nsteps);
     let mut root_ids: Vec<TaskId> = Vec::with_capacity(nsteps);
 
     for step in 0..nsteps {
@@ -467,9 +469,9 @@ pub(crate) fn build(m: usize, n: usize, p: &CaParams) -> CaluPlan {
     }
 }
 
-impl DagPlan for CaluPlan {
+impl<T: Kernel> DagPlan<T> for CaluPlan<T> {
     type Task = CaluTask;
-    type Factors = LuFactors;
+    type Factors = LuFactors<T>;
 
     fn build(m: usize, n: usize, p: &CaParams) -> Self {
         build(m, n, p)
@@ -486,7 +488,7 @@ impl DagPlan for CaluPlan {
     // DAG executor: every access falls inside the footprint declared in
     // build(), which `verify_graph` proves conflict-ordered.
     #[allow(clippy::disallowed_methods)]
-    fn exec(&self, a: &SharedMatrix, t: CaluTask) {
+    fn exec(&self, a: &SharedMatrix<T>, t: CaluTask) {
         let m = self.m;
         let n = self.n;
         let b = self.b;
@@ -507,7 +509,7 @@ impl DagPlan for CaluPlan {
             }
             CaluTask::Node { step, node } => {
                 let ctx = &self.panels[step];
-                let inputs: Vec<&Selected> = ctx.node_inputs[node]
+                let inputs: Vec<&Selected<T>> = ctx.node_inputs[node]
                     .iter()
                     .map(|&r| ctx.results[r].get().expect("candidate not ready"))
                     .collect();
@@ -552,7 +554,7 @@ impl DagPlan for CaluPlan {
                 let l = unsafe { a.block(lo, ctx.k0, rows.end - lo, ctx.k) };
                 let u = unsafe { a.block(ctx.k0, jc0, ctx.k, wj) };
                 let c = unsafe { a.block_mut(lo, jc0, rows.end - lo, wj) };
-                gemm(Trans::No, Trans::No, -1.0, l, u, 1.0, c);
+                gemm(Trans::No, Trans::No, -T::ONE, l, u, T::ONE, c);
             }
             CaluTask::UPackA { step, grp, slab } => {
                 let ctx = &self.panels[step];
@@ -596,7 +598,7 @@ impl DagPlan for CaluPlan {
                 // orders against every conflicting task; `beta = 1` makes
                 // the packed path replay the monolithic gemm bitwise.
                 let c = unsafe { a.block_mut(slo, pj0, mb, nbp) };
-                gemm_packed(-1.0, apack, bpack, ctx.k, 1.0, c);
+                gemm_packed(-T::ONE, apack, bpack, ctx.k, T::ONE, c);
             }
             CaluTask::LeftSwap { jblk } => {
                 let jc0 = jblk * b;
@@ -612,7 +614,7 @@ impl DagPlan for CaluPlan {
     }
 
     /// Gathers the per-panel results once every task completed successfully.
-    fn collect(self, shared: SharedMatrix) -> LuFactors {
+    fn collect(self, shared: SharedMatrix<T>) -> LuFactors<T> {
         let mut pivots = PivotSeq::new(0);
         let mut breakdown = None;
         let mut stats = LuStats::default();
@@ -635,12 +637,12 @@ impl DagPlan for CaluPlan {
     }
 }
 
-impl CaluPlan {
+impl<T: Kernel> CaluPlan<T> {
     /// Root-task epilogue: record pivots, interchange the panel, write the
     /// packed `L_KK\U_KK` block.
     // DAG executor: accesses stay inside the root task's declared footprint.
     #[allow(clippy::disallowed_methods)]
-    fn finish_root(&self, a: &SharedMatrix, step: usize, sel: Selected) {
+    fn finish_root(&self, a: &SharedMatrix<T>, step: usize, sel: Selected<T>) {
         let ctx = &self.panels[step];
         let m = self.m;
         // Growth policy before any write-back: the panel's active region
@@ -670,7 +672,7 @@ fn local_seq(p: &PivotSeq, k0: usize) -> PivotSeq {
 
 /// Builds just the task graph (for the multicore simulator and DAG figures).
 pub fn calu_task_graph(m: usize, n: usize, p: &CaParams) -> TaskGraph<CaluTask> {
-    build(m, n, p).graph
+    build::<f64>(m, n, p).graph
 }
 
 /// Builds the task graph together with the declared footprints, for
@@ -681,7 +683,7 @@ pub fn calu_task_graph_with_access(
     n: usize,
     p: &CaParams,
 ) -> (TaskGraph<CaluTask>, AccessMap) {
-    let plan = build(m, n, p);
+    let plan = build::<f64>(m, n, p);
     (plan.graph, plan.access)
 }
 
@@ -700,7 +702,7 @@ pub fn verify_calu_with(
     p: &CaParams,
     opts: &ca_sched::VerifyOptions,
 ) -> Result<VerifyReport, SoundnessError> {
-    let plan = build(m, n, p);
+    let plan = build::<f64>(m, n, p);
     ca_sched::verify_graph_with(&plan.graph, &plan.access, opts)
 }
 

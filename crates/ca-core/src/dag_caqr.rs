@@ -17,8 +17,8 @@ use ca_sched::{row_blocks, AccessMap, BlockTracker, SoundnessError, VerifyReport
 use crate::params::{num_panels, partition_rows, CaParams};
 use crate::tsqr::{leaf_apply, leaf_qr, node_apply, node_qr, plan_panel, LeafQ, NodePlan, NodeQ, PanelQ};
 use ca_kernels::{flops, traffic};
-use ca_kernels::Trans;
-use ca_matrix::SharedMatrix;
+use ca_kernels::{Kernel, Trans};
+use ca_matrix::{Scalar, SharedMatrix};
 use ca_sched::{KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
 use std::sync::OnceLock;
 
@@ -36,23 +36,23 @@ pub enum CaqrTask {
     NodeUpdate { step: usize, node: usize, jblk: usize },
 }
 
-pub(crate) struct PanelCtx {
+pub(crate) struct PanelCtx<T: Scalar> {
     k0: usize,
     c0: usize,
     w: usize,
     k: usize,
     groups: Vec<core::ops::Range<usize>>,
     plans: Vec<NodePlan>,
-    leaves: Vec<OnceLock<LeafQ>>,
-    nodes: Vec<OnceLock<NodeQ>>,
+    leaves: Vec<OnceLock<LeafQ<T>>>,
+    nodes: Vec<OnceLock<NodeQ<T>>>,
 }
 
-pub(crate) struct CaqrPlan {
+pub(crate) struct CaqrPlan<T: Scalar> {
     pub graph: TaskGraph<CaqrTask>,
     /// Declared block footprints of every task (for verification / checked
     /// execution).
     pub access: AccessMap,
-    pub panels: Vec<PanelCtx>,
+    pub panels: Vec<PanelCtx<T>>,
     n: usize,
     b: usize,
 }
@@ -73,7 +73,7 @@ fn prio(nsteps: usize, step: usize, lookahead: bool, kind: TaskKind, jblk: usize
 }
 
 /// Builds the CAQR task graph for an `m × n` matrix with parameters `p`.
-pub(crate) fn build(m: usize, n: usize, p: &CaParams) -> CaqrPlan {
+pub(crate) fn build<T: Scalar>(m: usize, n: usize, p: &CaParams) -> CaqrPlan<T> {
     assert!(m > 0 && n > 0, "empty matrix");
     ca_sched::sched_counters().factor_graphs_built.inc();
     let b = p.b;
@@ -82,7 +82,7 @@ pub(crate) fn build(m: usize, n: usize, p: &CaParams) -> CaqrPlan {
 
     let mut graph: TaskGraph<CaqrTask> = TaskGraph::new();
     let mut tracker = BlockTracker::with_geometry(b, m, n);
-    let mut panels: Vec<PanelCtx> = Vec::with_capacity(nsteps);
+    let mut panels: Vec<PanelCtx<T>> = Vec::with_capacity(nsteps);
 
     for step in 0..nsteps {
         let k0 = step * b;
@@ -191,9 +191,9 @@ pub(crate) fn build(m: usize, n: usize, p: &CaParams) -> CaqrPlan {
     CaqrPlan { graph, access: tracker.into_access_map(), panels, n, b }
 }
 
-impl DagPlan for CaqrPlan {
+impl<T: Kernel> DagPlan<T> for CaqrPlan<T> {
     type Task = CaqrTask;
-    type Factors = QrFactors;
+    type Factors = QrFactors<T>;
 
     fn build(m: usize, n: usize, p: &CaParams) -> Self {
         build(m, n, p)
@@ -210,7 +210,7 @@ impl DagPlan for CaqrPlan {
     // DAG executor: every access falls inside the footprint declared in
     // build(), which `verify_graph` proves conflict-ordered.
     #[allow(clippy::disallowed_methods)]
-    fn exec(&self, a: &SharedMatrix, t: CaqrTask) {
+    fn exec(&self, a: &SharedMatrix<T>, t: CaqrTask) {
         let b = self.b;
         let n = self.n;
         match t {
@@ -242,7 +242,7 @@ impl DagPlan for CaqrPlan {
     }
 
     /// Gathers the per-panel `Q` representations after a successful run.
-    fn collect(self, shared: SharedMatrix) -> QrFactors {
+    fn collect(self, shared: SharedMatrix<T>) -> QrFactors<T> {
         let mut panels = Vec::with_capacity(self.panels.len());
         for ctx in self.panels {
             let leaves = ctx.leaves.into_iter().map(|l| l.into_inner().expect("leaf missing")).collect();
@@ -255,7 +255,7 @@ impl DagPlan for CaqrPlan {
 
 /// Builds just the task graph (for the multicore simulator and DAG figures).
 pub fn caqr_task_graph(m: usize, n: usize, p: &CaParams) -> TaskGraph<CaqrTask> {
-    build(m, n, p).graph
+    build::<f64>(m, n, p).graph
 }
 
 /// Builds the task graph together with the declared footprints, for
@@ -266,7 +266,7 @@ pub fn caqr_task_graph_with_access(
     n: usize,
     p: &CaParams,
 ) -> (TaskGraph<CaqrTask>, AccessMap) {
-    let plan = build(m, n, p);
+    let plan = build::<f64>(m, n, p);
     (plan.graph, plan.access)
 }
 
@@ -285,7 +285,7 @@ pub fn verify_caqr_with(
     p: &CaParams,
     opts: &ca_sched::VerifyOptions,
 ) -> Result<VerifyReport, SoundnessError> {
-    let plan = build(m, n, p);
+    let plan = build::<f64>(m, n, p);
     ca_sched::verify_graph_with(&plan.graph, &plan.access, opts)
 }
 

@@ -24,7 +24,7 @@ use crate::dag::DagPlan;
 use crate::dag_calu::CaluPlan;
 use crate::dag_caqr::CaqrPlan;
 use crate::params::CaParams;
-use ca_kernels::flops;
+use ca_kernels::{flops, Kernel};
 use ca_matrix::{Matrix, SharedMatrix};
 use ca_sched::{
     ChaosPlan, DynJob, RecoveryCounters, RetryPolicy, TaskFailure, TaskGraph, TaskId, TaskKind,
@@ -156,8 +156,8 @@ fn add_sink(
 /// The full DAG of plan type `P` with an owning payload per task — wrapped
 /// for write-set snapshot/restore retry when `rec` is given — and a
 /// factor-collecting sink.
-fn graph_parts<P: DagPlan>(
-    a: Matrix,
+fn graph_parts<T: Kernel, P: DagPlan<T>>(
+    a: Matrix<T>,
     p: &CaParams,
     rec: Option<&JobRecovery>,
 ) -> Result<GraphParts<P::Factors>, FactorError> {
@@ -215,7 +215,7 @@ pub fn calu_serve_graph(
     p: &CaParams,
     rec: Option<&JobRecovery>,
 ) -> Result<ServeGraph<LuFactors>, FactorError> {
-    let (graph, _, output) = graph_parts::<CaluPlan>(a, p, rec)?;
+    let (graph, _, output) = graph_parts::<f64, CaluPlan<f64>>(a, p, rec)?;
     Ok(ServeGraph { graph, output })
 }
 
@@ -227,7 +227,7 @@ pub fn caqr_serve_graph(
     p: &CaParams,
     rec: Option<&JobRecovery>,
 ) -> Result<ServeGraph<QrFactors>, FactorError> {
-    let (graph, _, output) = graph_parts::<CaqrPlan>(a, p, rec)?;
+    let (graph, _, output) = graph_parts::<f64, CaqrPlan<f64>>(a, p, rec)?;
     Ok(ServeGraph { graph, output })
 }
 
@@ -255,7 +255,7 @@ pub fn lu_solve_serve_graph(
         return Err(FactorError::NonFiniteInput { row, col });
     }
     let flops = 2.0 * (a.nrows() as f64) * (a.nrows() as f64) * (rhs.ncols() as f64);
-    let (mut graph, fsink, factors) = graph_parts::<CaluPlan>(a, p, rec)?;
+    let (mut graph, fsink, factors) = graph_parts::<f64, CaluPlan<f64>>(a, p, rec)?;
     let output = Arc::new(OnceLock::new());
     let out = Arc::clone(&output);
     let solve = graph.add_task(
@@ -297,7 +297,7 @@ pub fn qr_lstsq_serve_graph(
         return Err(FactorError::NonFiniteInput { row, col });
     }
     let flops = 2.0 * (a.ncols() as f64) * (a.nrows() as f64) * (rhs.ncols() as f64);
-    let (mut graph, fsink, factors) = graph_parts::<CaqrPlan>(a, p, rec)?;
+    let (mut graph, fsink, factors) = graph_parts::<f64, CaqrPlan<f64>>(a, p, rec)?;
     let output = Arc::new(OnceLock::new());
     let out = Arc::clone(&output);
     let solve = graph.add_task(

@@ -3,12 +3,18 @@
 //! Multithreaded communication-avoiding LU and QR factorizations — the
 //! primary contribution of Donfack, Grigori & Gupta, *"Adapting
 //! communication-avoiding LU and QR factorizations to multicore
-//! architectures"* (IPDPS 2010).
+//! architectures"* (IPDPS 2010). Every factorization entry point is generic
+//! over the working precision (`T: ca_kernels::Kernel`, f32 or f64): one DAG
+//! path and one sequential path per algorithm; graph shape does not depend
+//! on `T`.
 //!
 //! * [`calu`] / [`calu_seq`] — CALU with tournament (ca-)pivoting; panel
 //!   factorization by TSLU over a binary or flat reduction tree.
 //! * [`caqr`] / [`caqr_seq`] — CAQR; panel factorization by TSQR, with the
 //!   reduction tree driving the trailing-matrix update.
+//! * [`calu_panels`] / [`caqr_panels`] — the sequential panel loops the
+//!   `*_seq` entry points run over the whole matrix and `ca-ooc` runs over
+//!   each resident superpanel.
 //! * [`tslu_factor`] / [`tsqr_factor`] — the panel factorizations as
 //!   standalone tall-and-skinny solvers (the paper's TSLU/TSQR benchmarks).
 //! * [`calu_task_graph`] / [`caqr_task_graph`] — the task DAGs alone, for
@@ -54,11 +60,11 @@ pub mod tslu;
 pub mod tsqr;
 
 pub use calu::{
-    calu, calu_seq, calu_seq_factor, try_calu, try_calu_profiled, try_calu_seq, try_calu_with,
-    try_tslu_factor, tslu_factor, LuFactors, LuStats,
+    calu, calu_panels, calu_seq, calu_seq_factor, try_calu, try_calu_profiled, try_calu_with,
+    try_tslu_factor, tslu_factor, LuFactors, LuPanelLog, LuStats,
 };
 pub use caqr::{
-    caqr, caqr_seq, try_caqr, try_caqr_profiled, try_caqr_seq, try_caqr_with, try_tsqr_factor,
+    caqr, caqr_panels, caqr_seq, try_caqr, try_caqr_profiled, try_caqr_with, try_tsqr_factor,
     tsqr_factor, QrFactors,
 };
 pub use dag::{FactorOptions, Retry};

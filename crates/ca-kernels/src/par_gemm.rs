@@ -46,6 +46,12 @@ impl<T: Scalar> Slots<T> {
     fn new(n: usize) -> Self {
         Self((0..n).map(|_| UnsafeCell::new(AlignedBuf::new())).collect())
     }
+
+    /// Raw slot pointer. A method, so closures capture the `Sync` wrapper
+    /// rather than its non-`Sync` field.
+    fn slot(&self, i: usize) -> *mut AlignedBuf<T> {
+        self.0[i].get()
+    }
 }
 
 /// A raw C-matrix base pointer that may cross thread boundaries; tile tasks
@@ -57,6 +63,34 @@ struct SendPtr<T>(*mut T);
 // tile indices off the atomic counter — so no element is aliased.
 unsafe impl<T> Send for SendPtr<T> {}
 unsafe impl<T> Sync for SendPtr<T> {}
+
+impl<T> SendPtr<T> {
+    /// The pointer. A method, so closures capture the `Sync` wrapper rather
+    /// than its raw field.
+    fn get(self) -> *mut T {
+        self.0
+    }
+}
+
+/// One phase of [`par_gemm`]: tasks `0..total` claimed off a shared counter
+/// by `workers` lanes — `workers − 1` scoped threads plus the caller, so one
+/// worker spawns nothing — and joined before returning.
+fn run_lanes(workers: usize, total: usize, task: impl Fn(usize) + Sync) {
+    let next = AtomicUsize::new(0);
+    let lane = || loop {
+        let t = next.fetch_add(1, Ordering::Relaxed);
+        if t >= total {
+            break;
+        }
+        task(t);
+    };
+    std::thread::scope(|s| {
+        for _ in 1..workers.min(total) {
+            s.spawn(lane);
+        }
+        lane();
+    });
+}
 
 /// `C := alpha * op(A) * op(B) + beta * C`, decomposed over `workers`
 /// threads (`workers <= 1` still runs the task decomposition, on the
@@ -103,7 +137,6 @@ pub fn par_gemm<T: Kernel>(
     let b_slots = Slots::<T>::new(npanels);
     let ldc = c.ld();
     let cbase = SendPtr(c.as_mut_ptr());
-    let workers = workers.max(1);
 
     let mut pc = 0;
     let mut first = true;
@@ -111,80 +144,50 @@ pub fn par_gemm<T: Kernel>(
         let kcb = KC.min(k - pc);
 
         // Pack phase: one task per slab / panel image of this pc chunk.
-        let next = AtomicUsize::new(0);
-        let total = nslabs + npanels;
-        std::thread::scope(|s| {
-            for _ in 0..workers.min(total) {
-                let next = &next;
-                let a_slots = &a_slots;
-                let b_slots = &b_slots;
-                s.spawn(move || loop {
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= total {
-                        break;
-                    }
-                    if t < nslabs {
-                        let ic = t * MC;
-                        let mb = MC.min(m - ic);
-                        // SAFETY: this task is the sole claimant of slot t
-                        // (distinct counter values) within this phase.
-                        let buf = unsafe { &mut *a_slots.0[t].get() };
-                        let dst = buf.scratch(mb.next_multiple_of(mr) * kcb);
-                        pack_a(tap, a, ic, mb, pc, kcb, dst, mr);
-                    } else {
-                        let pj = t - nslabs;
-                        let jc = pj * NC;
-                        let nb = NC.min(n - jc);
-                        // SAFETY: sole claimant of slot pj, as above.
-                        let buf = unsafe { &mut *b_slots.0[pj].get() };
-                        let dst = buf.scratch(kcb * nb.next_multiple_of(nr));
-                        pack_b(tbp, b, pc, kcb, jc, nb, dst, nr);
-                    }
-                });
+        run_lanes(workers, nslabs + npanels, |t| {
+            if t < nslabs {
+                let ic = t * MC;
+                let mb = MC.min(m - ic);
+                // SAFETY: this task is the sole claimant of slot t (distinct
+                // counter values) within this phase.
+                let buf = unsafe { &mut *a_slots.slot(t) };
+                let dst = buf.scratch(mb.next_multiple_of(mr) * kcb);
+                pack_a(tap, a, ic, mb, pc, kcb, dst, mr);
+            } else {
+                let pj = t - nslabs;
+                let jc = pj * NC;
+                let nb = NC.min(n - jc);
+                // SAFETY: sole claimant of slot pj, as above.
+                let buf = unsafe { &mut *b_slots.slot(pj) };
+                let dst = buf.scratch(kcb * nb.next_multiple_of(nr));
+                pack_b(tbp, b, pc, kcb, jc, nb, dst, nr);
             }
         });
 
         // Compute phase: one task per (slab, panel) C tile.
-        let next = AtomicUsize::new(0);
-        let total = nslabs * npanels;
-        std::thread::scope(|s| {
-            for _ in 0..workers.min(total) {
-                let next = &next;
-                let a_slots = &a_slots;
-                let b_slots = &b_slots;
-                s.spawn(move || loop {
-                    // Capture the whole SendPtr wrapper, not its raw field
-                    // (disjoint closure capture would otherwise grab the
-                    // non-Send `*mut T` directly).
-                    let cbase = cbase;
-                    let t = next.fetch_add(1, Ordering::Relaxed);
-                    if t >= total {
-                        break;
-                    }
-                    let si = t % nslabs;
-                    let pj = t / nslabs;
-                    let ic = si * MC;
-                    let mb = MC.min(m - ic);
-                    let jc = pj * NC;
-                    let nb = NC.min(n - jc);
-                    // SAFETY: the pack scope joined before this one started,
-                    // so the slots are fully written and only read now.
-                    let apack: &[T] = unsafe { &*a_slots.0[si].get() };
-                    let bpack: &[T] = unsafe { &*b_slots.0[pj].get() };
-                    // SAFETY: tile (si, pj) is claimed by this task alone;
-                    // its (ic, jc)+(mb × nb) window of C is disjoint from
-                    // every other tile and in bounds by construction.
-                    unsafe {
-                        let cp = cbase.0.add(ic + jc * ldc);
-                        if first {
-                            // Fold the one-time beta scaling into the first
-                            // chunk's tile pass (same per-element order as
-                            // the serial driver: scale, then accumulate).
-                            scale(beta, MatViewMut::from_raw_parts(cp, mb, nb, ldc));
-                        }
-                        macro_kernel(spec, mb, nb, kcb, alpha, apack, bpack, cp, ldc);
-                    }
-                });
+        run_lanes(workers, nslabs * npanels, |t| {
+            let si = t % nslabs;
+            let pj = t / nslabs;
+            let ic = si * MC;
+            let mb = MC.min(m - ic);
+            let jc = pj * NC;
+            let nb = NC.min(n - jc);
+            // SAFETY: the pack phase joined before this one started, so the
+            // slots are fully written and only read now.
+            let apack: &[T] = unsafe { &*a_slots.slot(si) };
+            let bpack: &[T] = unsafe { &*b_slots.slot(pj) };
+            // SAFETY: tile (si, pj) is claimed by this task alone; its
+            // (ic, jc)+(mb × nb) window of C is disjoint from every other
+            // tile and in bounds by construction.
+            unsafe {
+                let cp = cbase.get().add(ic + jc * ldc);
+                if first {
+                    // Fold the one-time beta scaling into the first chunk's
+                    // tile pass (same per-element order as the serial
+                    // driver: scale, then accumulate).
+                    scale(beta, MatViewMut::from_raw_parts(cp, mb, nb, ldc));
+                }
+                macro_kernel(spec, mb, nb, kcb, alpha, apack, bpack, cp, ldc);
             }
         });
 
@@ -334,6 +337,24 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn lanes_cover_every_task_once_and_one_worker_stays_on_the_caller() {
+        let caller = std::thread::current().id();
+        for workers in [0, 1] {
+            let seen = AtomicUsize::new(0);
+            run_lanes(workers, 7, |t| {
+                assert_eq!(std::thread::current().id(), caller, "workers={workers} spawned");
+                seen.fetch_add(1 << t, Ordering::Relaxed);
+            });
+            assert_eq!(seen.into_inner(), (1 << 7) - 1);
+        }
+        let seen = AtomicUsize::new(0);
+        run_lanes(4, 9, |t| {
+            seen.fetch_add(1 << t, Ordering::Relaxed);
+        });
+        assert_eq!(seen.into_inner(), (1 << 9) - 1);
     }
 
     #[test]

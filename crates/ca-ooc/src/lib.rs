@@ -1,12 +1,12 @@
 //! Out-of-core sequential CALU/CAQR: factoring matrices larger than RAM.
 //!
-//! The multicore CALU/CAQR algorithms of Donfack–Grigori–Gupta have
-//! sequential out-of-core twins (Demmel–Grigori–Hoemmen–Langou, arXiv
-//! 0806.2159): when the matrix lives on disk and fast memory holds `M`
-//! words, *any* LU/QR schedule must move `Ω(flops/√M)` words across the
-//! disk boundary, and left-looking panel algorithms with `b`-wide
-//! tournament/TSQR panels attain that bound up to a constant. This crate
-//! is that tier:
+//! The multicore CALU/CAQR algorithms of Donfack–Grigori–Gupta are,
+//! sequentially and out of core, the same panel recurrence
+//! (Demmel–Grigori–Hoemmen–Langou, arXiv 0806.2159): when the matrix lives
+//! on disk and fast memory holds `M` words, *any* LU/QR schedule must move
+//! `Ω(flops/√M)` words across the disk boundary, and left-looking panel
+//! algorithms with `b`-wide tournament/TSQR panels attain that bound up to
+//! a constant. This crate is that tier:
 //!
 //! * [`TileStore`] — the matrix as block-column panels in one file, with
 //!   bitwise-exact element encoding and per-transfer byte accounting;
@@ -14,8 +14,8 @@
 //!   (one superpanel + one streamed column chunk, never two panels);
 //! * [`ooc_calu`] / [`ooc_caqr`] — left-looking drivers that replay prior
 //!   panels' updates onto the resident superpanel and then run the in-core
-//!   TSLU/TSQR loops ([`ca_core`]) on it, bitwise-matching the in-core
-//!   sequential factorizations;
+//!   panel loops ([`ca_core::calu_panels`] / [`ca_core::caqr_panels`]) on
+//!   it, bitwise-matching the in-core sequential factorizations;
 //! * [`probe`] — streamed `O(n²)` matvec probes that verify factors too
 //!   large for a full residual;
 //! * [`metrics`] — process-wide `ooc_bytes_{read,written}_total` /

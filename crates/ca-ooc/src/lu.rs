@@ -6,9 +6,8 @@
 //! previously factored inner panel — that panel's interchanges, a `b × b`
 //! unit-lower triangular solve, and a rank-`b` [`ca_kernels::par_gemm`]
 //! update, streamed from disk one column chunk at a time — and then runs
-//! the in-core CALU panel loop (tournament pivoting via
-//! [`ca_core::tslu`]) on the resident columns, exactly mirroring
-//! [`ca_core::calu_seq`]'s program order.
+//! the panel loop [`ca_core::calu_seq`] itself runs,
+//! [`ca_core::calu_panels`], on the resident columns in place.
 //!
 //! Because each inner panel's updates are replayed per panel in ascending
 //! order with the very kernels the in-core path uses (whose per-element
@@ -25,8 +24,7 @@
 use crate::plan::{OocKind, OocPlan};
 use crate::store::{IoSnapshot, TileStore};
 use crate::pivots::apply_pivots_rebased;
-use ca_core::tslu::factor_panel_limited;
-use ca_core::{CaParams, FactorError, LuStats};
+use ca_core::{calu_panels, CaParams, FactorError, LuPanelLog, LuStats};
 use ca_kernels::{par_gemm, trsm_left_lower_unit, Kernel, Trans};
 use ca_matrix::PivotSeq;
 
@@ -62,13 +60,10 @@ pub fn ooc_calu<T: Kernel>(
 ) -> Result<OocLu, FactorError> {
     let m = store.nrows();
     let n = store.ncols();
-    let kmax = m.min(n);
     let plan = OocPlan::solve(OocKind::Lu, m, n, p, T::BYTES, budget_bytes)?;
     let io0 = store.io();
 
-    let mut panel_pivots: Vec<PivotSeq> = Vec::with_capacity(kmax.div_ceil(p.b));
-    let mut breakdown: Option<usize> = None;
-    let mut stats = LuStats::default();
+    let mut log = LuPanelLog::default();
 
     for j in 0..plan.nsuper {
         let c0s = plan.super_start(j);
@@ -79,7 +74,7 @@ pub fn ooc_calu<T: Kernel>(
         // in panel order — interchanges, triangular solve, rank-k update —
         // exactly as calu_seq would have applied them when it reached that
         // panel, restricted to these columns.
-        for pv in &panel_pivots {
+        for pv in &log.panel_pivots {
             let k0 = pv.offset;
             let k = pv.len();
             pv.apply(resident.view_mut());
@@ -96,61 +91,12 @@ pub fn ooc_calu<T: Kernel>(
             }
         }
 
-        // In-core CALU over the resident columns (global diagonal k0).
-        let mut lc = 0usize;
-        while lc < ws {
-            let k0 = c0s + lc;
-            if k0 >= kmax {
-                break;
-            }
-            let w = p.b.min(ws - lc);
-            let k = w.min(m - k0);
-            let outcome = {
-                let panel = resident.block_mut(0, lc, m, w);
-                factor_panel_limited(panel, k0, p.b, p.tr, p.tree, !p.leaf_blas2, p.growth_limit)
-            };
-            if breakdown.is_none() {
-                breakdown = outcome.breakdown.map(|c| k0 + c);
-            }
-            stats.panel_growth.push(outcome.growth);
-            if outcome.fallback {
-                stats.fallback_panels.push(k0);
-            }
-
-            // Interchanges hit the trailing resident columns now. ALL
-            // columns to the left — resident or on disk — are deferred to
-            // the fix-up sweep: the replay of this panel onto later
-            // superpanels must read its `L` rows exactly as they were at
-            // factorization time, so already-factored columns stay
-            // unpermuted on disk until every panel is done.
-            if lc + w < ws {
-                outcome.pivots.apply(resident.block_mut(0, lc + w, m, ws - lc - w));
-            }
-
-            if lc + w < ws && k > 0 {
-                let (panel_cols, mut trailing) = resident.view_mut().split_at_col(lc + w);
-                let lkk = panel_cols.as_ref().sub(k0, lc, k, k);
-                let u_row = trailing.rb().into_sub(k0, 0, k, ws - lc - w);
-                trsm_left_lower_unit(lkk, u_row);
-                if k0 + k < m {
-                    let l_below = panel_cols.as_ref().sub(k0 + k, lc, m - k0 - k, k);
-                    let (u_row, a_below) = trailing.split_at_row(k0 + k);
-                    let u_row = u_row.as_ref().sub(k0, 0, k, ws - lc - w);
-                    par_gemm(
-                        p.threads,
-                        Trans::No,
-                        Trans::No,
-                        -T::ONE,
-                        l_below,
-                        u_row,
-                        T::ONE,
-                        a_below,
-                    );
-                }
-            }
-            panel_pivots.push(outcome.pivots);
-            lc += w;
-        }
+        // The in-core panel loop on the resident columns, in place. It
+        // leaves ALL columns to the left — resident or on disk — to the
+        // fix-up sweep: the replay of a panel onto later superpanels must
+        // read its `L` rows exactly as they were at factorization time, so
+        // already-factored columns stay unpermuted until every panel is done.
+        calu_panels(resident.view_mut(), c0s, p, p.threads, &mut log);
 
         store.write_cols(c0s, 0, &resident)?;
     }
@@ -160,6 +106,7 @@ pub fn ooc_calu<T: Kernel>(
     // the later panels' diagonals, so for panel `q` (diagonal `k0`, width
     // `w`) rows `0..k0+w` on disk are final and only rows `k0+w..m` need
     // one streamed read-swap-write pass.
+    let LuPanelLog { panel_pivots, breakdown, stats } = log;
     for (q, head) in panel_pivots.iter().enumerate() {
         let k0 = head.offset;
         let w = p.b.min(n - k0);

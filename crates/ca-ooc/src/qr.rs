@@ -5,8 +5,8 @@
 //! resident superpanel it first applies every previously factored panel's
 //! `Qᵀ` — leaf reflectors streamed from the store (they live below the
 //! diagonal of the factored panels on disk), tree-node reflectors from the
-//! RAM-held [`PanelQ`] scratch — then runs the in-core TSQR panel loop
-//! ([`ca_core::tsqr`]) on the resident columns.
+//! RAM-held [`PanelQ`] scratch — then runs the panel loop `caqr_seq` itself
+//! runs, [`ca_core::caqr_panels`], on the resident columns in place.
 //!
 //! The Q-tree scratch (`LeafQ::t`, `NodeQ::v`/`t`) stays in RAM for the
 //! whole factorization: a panel's partition has at most `tr` groups, so
@@ -16,9 +16,8 @@
 
 use crate::plan::{OocKind, OocPlan};
 use crate::store::{IoSnapshot, TileStore};
-use ca_core::params::partition_rows;
-use ca_core::tsqr::{leaf_apply, leaf_qr, node_apply, node_qr, plan_panel, LeafQ, PanelQ};
-use ca_core::{CaParams, FactorError};
+use ca_core::tsqr::{node_apply, LeafQ, PanelQ};
+use ca_core::{caqr_panels, CaParams, FactorError};
 use ca_kernels::{larfb_left, Kernel, Trans};
 use ca_matrix::SharedMatrix;
 use core::ops::Range;
@@ -29,8 +28,8 @@ use core::ops::Range;
 #[derive(Debug)]
 pub struct OocQr<T: ca_matrix::Scalar = f64> {
     /// Per-panel `Q` representation in factorization order. `PanelQ::c0`
-    /// holds the panel's *global* column (unlike the in-core path, the
-    /// reflectors are addressed in the store, not a resident matrix).
+    /// is the panel's global column: the reflectors are addressed in the
+    /// store, not in a resident matrix.
     pub panels: Vec<PanelQ<T>>,
     /// The residency plan the factorization ran under.
     pub plan: OocPlan,
@@ -47,11 +46,10 @@ pub fn ooc_caqr<T: Kernel>(
 ) -> Result<OocQr<T>, FactorError> {
     let m = store.nrows();
     let n = store.ncols();
-    let kmax = m.min(n);
     let plan = OocPlan::solve(OocKind::Qr, m, n, p, T::BYTES, budget_bytes)?;
     let io0 = store.io();
 
-    let mut panels: Vec<PanelQ<T>> = Vec::with_capacity(kmax.div_ceil(p.b));
+    let mut panels: Vec<PanelQ<T>> = Vec::with_capacity(m.min(n).div_ceil(p.b));
 
     for j in 0..plan.nsuper {
         let c0s = plan.super_start(j);
@@ -65,34 +63,7 @@ pub fn ooc_caqr<T: Kernel>(
             apply_panel_from_store(store, panel, &sh, 0..ws, Trans::Yes)?;
         }
 
-        // In-core TSQR over the resident columns (global diagonal k0).
-        let mut lc = 0usize;
-        while lc < ws {
-            let k0 = c0s + lc;
-            if k0 >= kmax {
-                break;
-            }
-            let w = p.b.min(ws - lc);
-            let part = partition_rows(m, k0, p.b, p.tr);
-            let (_leaf_ks, plans) = plan_panel(&part, w, p.tree);
-            let trailing = (lc + w)..ws;
-
-            let mut leaves = Vec::with_capacity(part.ngroups());
-            for grp in 0..part.ngroups() {
-                let leaf = leaf_qr(&sh, lc, w, part.group(grp));
-                leaf_apply(&sh, lc, &leaf, &sh, trailing.clone(), Trans::Yes);
-                leaves.push(leaf);
-            }
-            let mut nodes = Vec::with_capacity(plans.len());
-            for node_plan in &plans {
-                let node = node_qr(&sh, lc, w, node_plan);
-                node_apply(&node, &sh, trailing.clone(), Trans::Yes);
-                nodes.push(node);
-            }
-            let k = (m - k0).min(w);
-            panels.push(PanelQ { k0, c0: c0s + lc, w, k, leaves, nodes });
-            lc += w;
-        }
+        caqr_panels(&sh, c0s, p, &mut panels);
 
         store.write_cols(c0s, 0, &sh.into_inner())?;
     }

@@ -34,7 +34,7 @@ use crate::exec::{DynJob, Job};
 use crate::fault::{panic_message, TaskFailure, TaskResult};
 use crate::footprint::AccessMap;
 use crate::task::{TaskId, TaskKind, TaskLabel};
-use ca_matrix::{ElemRect, MatView, SharedMatrix};
+use ca_matrix::{ElemRect, MatView, Scalar, SharedMatrix};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use ca_telemetry::{Counter, Registry};
@@ -497,7 +497,7 @@ impl WriteSet {
     }
 
     /// Copies the current contents of every write rectangle.
-    fn capture(&self, shared: &SharedMatrix) -> Vec<Vec<f64>> {
+    fn capture<T: Scalar>(&self, shared: &SharedMatrix<T>) -> Vec<Vec<T>> {
         self.rects
             .iter()
             .map(|r| {
@@ -516,7 +516,7 @@ impl WriteSet {
     // body: the restore touches only this task's declared write regions,
     // while the task holds exclusive access to them per the graph edges.
     #[allow(clippy::disallowed_methods)]
-    fn restore(&self, shared: &SharedMatrix, saved: &[Vec<f64>]) {
+    fn restore<T: Scalar>(&self, shared: &SharedMatrix<T>, saved: &[Vec<T>]) {
         for (r, data) in self.rects.iter().zip(saved) {
             let src = MatView::from_slice(data, rows(r), cols(r));
             // SAFETY: see `capture` — exclusive access per the graph edges.
@@ -527,17 +527,17 @@ impl WriteSet {
     /// Overwrites the write-set with garbage (what a task dying mid-kernel
     /// leaves behind) so injected faults genuinely exercise restoration.
     #[allow(clippy::disallowed_methods)]
-    fn scribble(&self, shared: &SharedMatrix) {
+    fn scribble<T: Scalar>(&self, shared: &SharedMatrix<T>) {
         for r in &self.rects {
             // SAFETY: see `capture` — exclusive access per the graph edges.
-            unsafe { shared.block_mut(r.row0, r.col0, rows(r), cols(r)).fill(f64::NAN) };
+            unsafe { shared.block_mut(r.row0, r.col0, rows(r), cols(r)).fill(T::from_f64(f64::NAN)) };
         }
     }
 
     /// Perturbs one element (chosen by `h`) by a large finite factor — the
     /// silent-corruption model: plausible data, wrong value.
     #[allow(clippy::disallowed_methods)]
-    fn corrupt_one(&self, shared: &SharedMatrix, h: u64) {
+    fn corrupt_one<T: Scalar>(&self, shared: &SharedMatrix<T>, h: u64) {
         if self.rects.is_empty() {
             return;
         }
@@ -548,7 +548,8 @@ impl WriteSet {
         // SAFETY: see `capture` — exclusive access per the graph edges.
         let mut block = unsafe { shared.block_mut(r.row0, r.col0, rows(r), cols(r)) };
         let v = block.at(i, j);
-        let bad = if v.is_finite() { v.mul_add(1.0e6, 1.0e3) } else { 1.0e6 };
+        let (big, off) = (T::from_f64(1.0e6), T::from_f64(1.0e3));
+        let bad = if v.is_finite() { v.mul_add(big, off) } else { big };
         block.set(i, j, bad);
     }
 }
@@ -561,10 +562,10 @@ pub fn write_set(access: &AccessMap, task: TaskId) -> WriteSet {
 
 /// Runs `body` under the retry protocol. Returns `Ok` if any attempt
 /// succeeds; `Err` (with the last failure) once retries are exhausted.
-fn run_recovering(
+fn run_recovering<T: Scalar>(
     label: &TaskLabel,
     writes: &WriteSet,
-    shared: &SharedMatrix,
+    shared: &SharedMatrix<T>,
     policy: &RetryPolicy,
     chaos: &ChaosPlan,
     counters: &RecoveryCounters,
@@ -624,9 +625,9 @@ fn run_recovering(
 
 /// What an injected fault may damage, and where it is counted: the task's
 /// write-set on its matrix plus the run's recovery counters.
-struct Target<'a> {
+struct Target<'a, T: Scalar> {
     writes: &'a WriteSet,
-    shared: &'a SharedMatrix,
+    shared: &'a SharedMatrix<T>,
     counters: &'a RecoveryCounters,
 }
 
@@ -642,10 +643,10 @@ pub(crate) fn injection_message(panicked: bool, label: &TaskLabel) -> String {
 /// (the executor's or a retry guard's) is exercised, not simulated. Without
 /// a `target` (plain faulted runs, which snapshot nothing) there is nothing
 /// to scribble over or corrupt.
-fn inject(
+fn inject<T: Scalar>(
     chaos: &ChaosPlan,
     label: &TaskLabel,
-    target: Option<&Target<'_>>,
+    target: Option<&Target<'_, T>>,
     body: impl FnOnce() -> TaskResult,
 ) -> TaskResult {
     let decision = chaos.decide(label);
@@ -693,7 +694,7 @@ fn inject(
 /// Wraps `job` so `chaos` is consulted as it starts — a faulted run without
 /// replay: an injected failure or panic reaches the executor like a real one.
 pub(crate) fn faulted_job<'s>(chaos: &'s ChaosPlan, label: TaskLabel, job: Job<'s>) -> Job<'s> {
-    Box::new(move || inject(chaos, &label, None, job))
+    Box::new(move || inject(chaos, &label, None::<&Target<'_, f64>>, job))
 }
 
 thread_local! {
@@ -794,10 +795,10 @@ fn guarded(f: impl FnOnce() -> TaskResult) -> TaskResult {
 /// inputs from state that the write-set restore returns to the pre-attempt
 /// image — true for every DAG-builder kernel closure in this workspace.
 #[allow(clippy::too_many_arguments)]
-pub fn retrying_job<'s>(
+pub fn retrying_job<'s, T: Scalar>(
     label: TaskLabel,
     writes: WriteSet,
-    shared: &'s SharedMatrix,
+    shared: &'s SharedMatrix<T>,
     policy: RetryPolicy,
     chaos: &'s ChaosPlan,
     counters: &'s RecoveryCounters,
@@ -809,10 +810,10 @@ pub fn retrying_job<'s>(
 /// Owning variant of [`retrying_job`] for [`crate::MultiFrontier`] graphs:
 /// captures `Arc`s so the job can outlive the submitting call.
 #[allow(clippy::too_many_arguments)]
-pub fn retrying_dyn_job(
+pub fn retrying_dyn_job<T: Scalar>(
     label: TaskLabel,
     writes: WriteSet,
-    shared: Arc<SharedMatrix>,
+    shared: Arc<SharedMatrix<T>>,
     policy: RetryPolicy,
     chaos: Arc<ChaosPlan>,
     counters: Arc<RecoveryCounters>,

@@ -12,6 +12,7 @@
 //! Matrices are Matrix Market files (dense `array` or sparse `coordinate`).
 
 use ca_factor::core::{try_calu_with, try_caqr_with, FactorOptions};
+use ca_factor::kernels::Kernel;
 use ca_factor::matrix::io::{read_matrix_market_file, write_matrix_market_file};
 use ca_factor::matrix::{norm_one, random_uniform, seeded_rng, Matrix};
 use ca_factor::prelude::*;
@@ -81,9 +82,8 @@ struct Opts {
     tree: TreeShape,
     seed: u64,
     refine: bool,
-    /// `--precision f32|f64`: element type the factorization runs in. The
-    /// task-parallel executor is double-precision; `f32` routes `factor`
-    /// through the sequential CALU/CAQR path in single precision.
+    /// `--precision f32|f64`: element type `factor` runs in, on the same
+    /// path either way. `solve`, `serve` and `verify` are f64-only.
     precision: Precision,
     /// `verify --lint-edges`: run the edge-minimality and dataflow lint
     /// passes on top of the happens-before closure.
@@ -178,8 +178,8 @@ fn usage() -> ! {
                 --b B --tr TR --threads T         CALU/CAQR parameters\n\
                 --tree binary|flat|kary:K|hybrid:W  reduction tree\n\
                 --seed S --refine\n\
-                --precision f32|f64               working precision (f64);\n\
-                                                  f32 factors sequentially\n\
+                --precision f32|f64               working precision of\n\
+                                                  factor (f64)\n\
                 --out-of-core                     factor through an on-disk\n\
                                                   tile store (left-looking,\n\
                                                   bitwise-identical factors)\n\
@@ -314,6 +314,15 @@ fn parse_opts(args: &[String]) -> Opts {
     o
 }
 
+/// Exit 2 with `why` if `--precision f32` was given to an f64-only command.
+fn f64_only(o: Opts, why: &str) -> Opts {
+    if o.precision == Precision::F32 {
+        eprintln!("cafactor: {why}");
+        exit(2)
+    }
+    o
+}
+
 fn load_matrix(o: &Opts) -> Matrix {
     let a = read_or_generate(o);
     if a.nrows() == 0 || a.ncols() == 0 {
@@ -396,7 +405,7 @@ fn cmd_factor_ooc(o: &Opts, qr: bool) {
     let p = params(o, a.ncols());
     let (path, keep) = ooc_store_path(o);
 
-    fn run<T: ca_factor::kernels::Kernel>(
+    fn run<T: Kernel>(
         a: &Matrix<T>,
         o: &Opts,
         p: &CaParams,
@@ -485,116 +494,62 @@ fn cmd_factor_ooc(o: &Opts, qr: bool) {
     match o.precision {
         Precision::F64 => run::<f64>(&a, o, &p, &path, keep, qr),
         Precision::F32 => {
-            let a32 = ca_factor::matrix::Matrix::<f32>::from_f64(&a);
-            run::<f32>(&a32, o, &p, &path, keep, qr)
+            run::<f32>(&Matrix::<f32>::from_f64(&a), o, &p, &path, keep, qr)
         }
     }
 }
 
-fn cmd_factor_lu(o: &Opts) {
+/// `factor lu|qr`: one body for both algorithms and both precisions.
+fn cmd_factor(o: &Opts, qr: bool) {
     if o.out_of_core {
-        return cmd_factor_ooc(o, false);
+        return cmd_factor_ooc(o, qr);
+    }
+    fn run<T: Kernel>(a: &Matrix<T>, o: &Opts, qr: bool) {
+        use ca_factor::kernels::flops::{geqrf, getrf};
+        let (m, n) = (a.nrows(), a.ncols());
+        let p = params(o, n);
+        let opts = FactorOptions { profile: o.profile.is_some(), ..Default::default() };
+        let t0 = Instant::now();
+        // Factor, stop the clock, then measure: (executor report, seconds,
+        // accuracy columns, what `--output` writes).
+        let (report, dt, accuracy, (what, out)) = if qr {
+            let (f, report) = try_caqr_with(a.clone(), &p, &opts).unwrap_or_else(|e| fail(&e));
+            let dt = t0.elapsed().as_secs_f64();
+            let accuracy =
+                format!("residual={:.2e}  orthogonality={:.2e}", f.residual(a), f.orthogonality());
+            (report, dt, accuracy, ("R", f.r()))
+        } else {
+            let (f, report) = try_calu_with(a.clone(), &p, &opts).unwrap_or_else(|e| fail(&e));
+            let dt = t0.elapsed().as_secs_f64();
+            if !f.stats.fallback_panels.is_empty() {
+                eprintln!(
+                    "note: {} panel(s) refactored with plain GEPP (tournament instability), max growth {:.2e}",
+                    f.stats.fallback_panels.len(),
+                    f.stats.max_growth()
+                );
+            }
+            (report, dt, format!("residual={:.2e}", f.residual(a)), ("packed L\\U", f.lu))
+        };
+        if let (Some(profile), Some(trace)) = (&report.profile, &o.profile) {
+            report_profile(profile, trace);
+        }
+        let name = if qr { "CAQR" } else { "CALU" };
+        let tag = if T::NAME == "f64" { String::new() } else { format!("[{}]", T::NAME) };
+        let gf = if qr { geqrf(m, n.min(m)) } else { getrf(m, n.min(m)) } / dt / 1e9;
+        println!(
+            "{name}{tag} {m}x{n}  b={} Tr={} tree={:?} threads={}  {dt:.3}s  {gf:.2} GFlop/s  \
+             tasks={}  {accuracy}",
+            p.b, p.tr, p.tree, p.threads, report.stats.tasks,
+        );
+        if let Some(path) = &o.output {
+            write_matrix_market_file(path, &out.to_f64()).expect("write output");
+            println!("{what} written to {path}");
+        }
     }
     let a = load_matrix(o);
-    let (m, n) = (a.nrows(), a.ncols());
-    let p = params(o, n);
-    if o.precision == Precision::F32 {
-        let a32 = ca_factor::matrix::Matrix::<f32>::from_f64(&a);
-        let t0 = Instant::now();
-        let f = ca_factor::core::try_calu_seq(a32.clone(), &p).unwrap_or_else(|e| fail(&e));
-        let dt = t0.elapsed().as_secs_f64();
-        let gf = ca_factor::kernels::flops::getrf(m, n.min(m)) / dt / 1e9;
-        println!(
-            "CALU[f32] {m}x{n}  b={} Tr={} tree={:?} sequential  {dt:.3}s  {gf:.2} GFlop/s  \
-             residual={:.2e}",
-            p.b, p.tr, p.tree,
-            f.residual(&a32)
-        );
-        if let Some(out) = &o.output {
-            write_matrix_market_file(out, &f.lu.to_f64()).expect("write output");
-            println!("packed L\\U written to {out}");
-        }
-        return;
-    }
-    let t0 = Instant::now();
-    let (f, tasks) = if let Some(trace) = &o.profile {
-        let (f, profile) =
-            ca_factor::core::try_calu_profiled(a.clone(), &p).unwrap_or_else(|e| fail(&e));
-        let tasks = profile.records.len();
-        report_profile(&profile, trace);
-        (f, tasks)
-    } else {
-        let (f, report) = try_calu_with(a.clone(), &p, &FactorOptions::default())
-            .unwrap_or_else(|e| fail(&e));
-        (f, report.stats.tasks)
-    };
-    let dt = t0.elapsed().as_secs_f64();
-    let gf = ca_factor::kernels::flops::getrf(m, n.min(m)) / dt / 1e9;
-    println!(
-        "CALU {m}x{n}  b={} Tr={} tree={:?} threads={}  {dt:.3}s  {gf:.2} GFlop/s  \
-         tasks={tasks}  residual={:.2e}",
-        p.b, p.tr, p.tree, p.threads, f.residual(&a)
-    );
-    if !f.stats.fallback_panels.is_empty() {
-        eprintln!(
-            "note: {} panel(s) refactored with plain GEPP (tournament instability), max growth {:.2e}",
-            f.stats.fallback_panels.len(),
-            f.stats.max_growth()
-        );
-    }
-    if let Some(out) = &o.output {
-        write_matrix_market_file(out, &f.lu).expect("write output");
-        println!("packed L\\U written to {out}");
-    }
-}
-
-fn cmd_factor_qr(o: &Opts) {
-    if o.out_of_core {
-        return cmd_factor_ooc(o, true);
-    }
-    let a = load_matrix(o);
-    let (m, n) = (a.nrows(), a.ncols());
-    let p = params(o, n);
-    if o.precision == Precision::F32 {
-        let a32 = ca_factor::matrix::Matrix::<f32>::from_f64(&a);
-        let t0 = Instant::now();
-        let f = ca_factor::core::try_caqr_seq(a32.clone(), &p).unwrap_or_else(|e| fail(&e));
-        let dt = t0.elapsed().as_secs_f64();
-        let gf = ca_factor::kernels::flops::geqrf(m, n.min(m)) / dt / 1e9;
-        println!(
-            "CAQR[f32] {m}x{n}  b={} Tr={} tree={:?} sequential  {dt:.3}s  {gf:.2} GFlop/s  \
-             residual={:.2e}  orthogonality={:.2e}",
-            p.b, p.tr, p.tree,
-            f.residual(&a32),
-            f.orthogonality()
-        );
-        if let Some(out) = &o.output {
-            write_matrix_market_file(out, &f.r().to_f64()).expect("write output");
-            println!("R written to {out}");
-        }
-        return;
-    }
-    let t0 = Instant::now();
-    let f = if let Some(trace) = &o.profile {
-        let (f, profile) =
-            ca_factor::core::try_caqr_profiled(a.clone(), &p).unwrap_or_else(|e| fail(&e));
-        report_profile(&profile, trace);
-        f
-    } else {
-        ca_factor::core::try_caqr(a.clone(), &p).unwrap_or_else(|e| fail(&e))
-    };
-    let dt = t0.elapsed().as_secs_f64();
-    let gf = ca_factor::kernels::flops::geqrf(m, n.min(m)) / dt / 1e9;
-    println!(
-        "CAQR {m}x{n}  b={} Tr={} tree={:?} threads={}  {dt:.3}s  {gf:.2} GFlop/s  \
-         residual={:.2e}  orthogonality={:.2e}",
-        p.b, p.tr, p.tree, p.threads,
-        f.residual(&a),
-        f.orthogonality()
-    );
-    if let Some(out) = &o.output {
-        write_matrix_market_file(out, &f.r()).expect("write output");
-        println!("R written to {out}");
+    match o.precision {
+        Precision::F64 => run(&a, o, qr),
+        Precision::F32 => run(&Matrix::<f32>::from_f64(&a), o, qr),
     }
 }
 
@@ -1003,21 +958,18 @@ fn main() {
             ("factor", Some((sub, rest2))) => {
                 let o = parse_opts(rest2);
                 match sub.as_str() {
-                    "lu" => cmd_factor_lu(&o),
-                    "qr" => cmd_factor_qr(&o),
+                    "lu" => cmd_factor(&o, false),
+                    "qr" => cmd_factor(&o, true),
                     _ => usage(),
                 }
             }
-            ("verify", Some((sub, rest2))) => cmd_verify(sub, &parse_opts(rest2)),
-            ("solve", _) => {
-                let o = parse_opts(rest);
-                if o.precision == Precision::F32 {
-                    eprintln!("solve runs in f64 (iterative refinement contract)");
-                    exit(2);
-                }
-                cmd_solve(&o)
+            ("verify", Some((sub, rest2))) => {
+                cmd_verify(sub, &f64_only(parse_opts(rest2), "verify runs in f64 (the graph it proves does not depend on the precision)"))
             }
-            ("serve", _) => cmd_serve(&parse_opts(rest)),
+            ("solve", _) => {
+                cmd_solve(&f64_only(parse_opts(rest), "solve runs in f64 (iterative refinement contract)"))
+            }
+            ("serve", _) => cmd_serve(&f64_only(parse_opts(rest), "serve jobs are f64 by contract")),
             ("info", _) => cmd_info(&parse_opts(rest)),
             ("top", Some((file, _))) => cmd_top(file),
             _ => usage(),

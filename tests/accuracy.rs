@@ -138,8 +138,8 @@ fn accuracy_is_backend_independent() {
     assert!(qr.residual(&a) < bound && qr.orthogonality() < bound);
 }
 
-/// `c · max(m,n) · eps_f32` acceptance threshold for the single-precision
-/// sequential path (`calu_seq_factor::<f32>` / `caqr_seq::<f32>`). The
+/// `c · max(m,n) · eps_f32` acceptance threshold for single precision
+/// (`try_calu::<f32>` / `try_caqr::<f32>` at 1 and 4 workers). The
 /// diagnostics themselves (residual, orthogonality) are f64-bridged, so the
 /// statistic measures true f32 backward error against f64 reference
 /// arithmetic.
@@ -156,13 +156,14 @@ fn calu_f32_backward_error_both_trees() {
             &mut seeded_rng((m * 17 + n) as u64),
         ));
         for tree in trees() {
-            let mut p = CaParams::new(16, 4, 1);
-            p.tree = tree;
-            let f = ca_factor::core::calu_seq_factor(a.clone(), &p);
-            assert!(f.breakdown.is_none(), "unexpected f32 breakdown {m}x{n}");
-            let res = f.residual(&a);
-            let b = bound_f32(m, n);
-            assert!(res < b, "CALU f32 {m}x{n} {tree:?}: residual {res} vs {b}");
+            for threads in [1, 4] {
+                let mut p = CaParams::new(16, 4, threads);
+                p.tree = tree;
+                let f = try_calu(a.clone(), &p).expect("random f32 input must factor");
+                let res = f.residual(&a);
+                let b = bound_f32(m, n);
+                assert!(res < b, "CALU f32 {m}x{n} {tree:?} x{threads}: residual {res} vs {b}");
+            }
         }
     }
 }
@@ -176,14 +177,16 @@ fn caqr_f32_backward_error_and_orthogonality_both_trees() {
             &mut seeded_rng((m * 19 + n) as u64),
         ));
         for tree in trees() {
-            let mut p = CaParams::new(16, 4, 1);
-            p.tree = tree;
-            let f = ca_factor::core::caqr_seq(a.clone(), &p);
-            let res = f.residual(&a);
-            let orth = f.orthogonality();
-            let b = bound_f32(m, n);
-            assert!(res < b, "CAQR f32 {m}x{n} {tree:?}: residual {res} vs {b}");
-            assert!(orth < b, "CAQR f32 {m}x{n} {tree:?}: orthogonality {orth} vs {b}");
+            for threads in [1, 4] {
+                let mut p = CaParams::new(16, 4, threads);
+                p.tree = tree;
+                let f = try_caqr(a.clone(), &p).expect("random f32 input must factor");
+                let res = f.residual(&a);
+                let orth = f.orthogonality();
+                let b = bound_f32(m, n);
+                assert!(res < b, "CAQR f32 {m}x{n} {tree:?} x{threads}: residual {res} vs {b}");
+                assert!(orth < b, "CAQR f32 {m}x{n} {tree:?} x{threads}: orthogonality {orth} vs {b}");
+            }
         }
     }
 }
@@ -191,20 +194,20 @@ fn caqr_f32_backward_error_and_orthogonality_both_trees() {
 #[test]
 fn f32_fallible_path_accepts_clean_and_rejects_non_finite() {
     let a = ca_factor::matrix::Matrix::<f32>::from_f64(&random_uniform(64, 48, &mut seeded_rng(5)));
-    let p = CaParams::new(16, 2, 1);
-    let f = ca_factor::core::try_calu_seq(a.clone(), &p).expect("clean f32 input must factor");
+    let p = CaParams::new(16, 2, 2);
+    let f = try_calu(a.clone(), &p).expect("clean f32 input must factor");
     assert!(f.residual(&a) < bound_f32(64, 48));
-    let q = ca_factor::core::try_caqr_seq(a.clone(), &p).expect("clean f32 input must factor");
+    let q = try_caqr(a.clone(), &p).expect("clean f32 input must factor");
     assert!(q.residual(&a) < bound_f32(64, 48));
 
     let mut bad = a;
     bad[(3, 2)] = f32::NAN;
     assert!(matches!(
-        ca_factor::core::try_calu_seq(bad.clone(), &p),
+        try_calu(bad.clone(), &p),
         Err(ca_factor::core::FactorError::NonFiniteInput { row: 3, col: 2 })
     ));
     assert!(matches!(
-        ca_factor::core::try_caqr_seq(bad, &p),
+        try_caqr(bad, &p),
         Err(ca_factor::core::FactorError::NonFiniteInput { row: 3, col: 2 })
     ));
 }

@@ -2,7 +2,7 @@
 //! NaN/Inf pre-scan, exact-singularity reporting, the GEPP fallback on
 //! tournament instability, and worker-failure surfacing via fault injection.
 
-use ca_factor::core::{try_calu_seq, try_calu_with, FactorOptions, DEFAULT_GROWTH_LIMIT};
+use ca_factor::core::{try_calu_with, FactorOptions, DEFAULT_GROWTH_LIMIT};
 use ca_factor::matrix::{random_uniform, seeded_rng};
 use ca_factor::prelude::*;
 use ca_factor::sched::ChaosPlan;
@@ -40,9 +40,9 @@ fn exactly_singular_matrix_returns_zero_pivot() {
     let p = CaParams::new(6, 2, 2);
     let err = try_calu(a.clone(), &p).expect_err("singular matrix must error");
     assert!(matches!(err, FactorError::ZeroPivot { .. }), "{err:?}");
-    // Sequential path agrees.
-    let err_seq = try_calu_seq(a.clone(), &p).expect_err("singular matrix must error");
-    assert_eq!(err, err_seq);
+    // Sequential path agrees on the column.
+    let col = calu_seq_factor(a.clone(), &p).breakdown.expect("singular matrix must break down");
+    assert_eq!(err, FactorError::ZeroPivot { col });
     // The infallible API still returns factors with the breakdown recorded
     // (LAPACK `info` semantics are preserved).
     let f = calu(a, &p);

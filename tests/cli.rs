@@ -104,6 +104,45 @@ fn factor_lu_profile_reports_and_writes_trace() {
 }
 
 #[test]
+fn precision_f32_is_honoured_by_factor_and_refused_elsewhere() {
+    // `factor` runs the same DAG path in either precision: threads and
+    // profile are honoured, the trace parses.
+    let dir = std::env::temp_dir().join("cafactor_cli_f32");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (sub, name) in [("lu", "CALU[f32] 300x90"), ("qr", "CAQR[f32] 300x90")] {
+        let trace_path = dir.join(format!("{sub}.json"));
+        let out = cafactor()
+            .args(["factor", sub, "--random", "300", "90", "--b", "30", "--tr", "4"])
+            .args(["--precision", "f32", "--threads", "2"])
+            .arg(format!("--profile={}", trace_path.display()))
+            .output()
+            .expect("run cafactor");
+        assert!(out.status.success(), "stderr: {}", String::from_utf8_lossy(&out.stderr));
+        let text = String::from_utf8_lossy(&out.stdout);
+        for want in [name, "threads=2", "tasks=", "profile: priority-queue scheduler"] {
+            assert!(text.contains(want), "{sub}: missing {want:?} in {text}");
+        }
+        let raw = std::fs::read_to_string(&trace_path).expect("trace file written");
+        let v: serde_json::Value = serde_json::from_str(&raw).expect("trace parses");
+        assert!(v.as_array().unwrap().iter().any(|e| e["ph"] == "X"), "{sub}: no spans");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+
+    // The f64-only commands say so instead of silently ignoring the flag.
+    for cmd in [
+        "serve --jobs 2 --precision f32",
+        "verify lu --random 64 64 --precision f32",
+        "solve --random 64 64 --precision f32",
+    ] {
+        let out = cafactor().args(cmd.split_whitespace()).output().expect("run cafactor");
+        assert_eq!(out.status.code(), Some(2), "{cmd}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "{cmd}: {err}");
+        assert!(err.starts_with("cafactor: ") && err.contains("f64"), "{cmd}: {err}");
+    }
+}
+
+#[test]
 fn verify_subcommand_proves_soundness_and_runs_checked() {
     let out = cafactor()
         .args(["verify", "lu", "--random", "128", "128", "--b", "32", "--threads", "2"])

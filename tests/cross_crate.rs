@@ -124,12 +124,17 @@ fn rectangular_tiled_lu_graph_and_tall_factorization() {
 
 #[test]
 fn factors_are_bitwise_identical_across_every_option_and_thread_count() {
-    // The declared equivalence class of the DAG path: whatever the
-    // `FactorOptions` and the worker count, CALU and CAQR
-    // produce the bits of the sequential references. Faults that fail a task
-    // are only injected under `retry` (without it they fail the run — see
-    // tests/breakdown.rs); a delay-only plan exercises the no-retry injection
-    // path.
+    equivalence_class_of_the_dag_path::<f64>();
+    equivalence_class_of_the_dag_path::<f32>();
+}
+
+/// The declared equivalence class of the DAG path: whatever the element
+/// type, the `FactorOptions` and the worker count, CALU and CAQR produce the
+/// bits of the sequential references. Faults that fail a task are only
+/// injected under `retry` (without it they fail the run — see
+/// tests/breakdown.rs); a delay-only plan exercises the no-retry injection
+/// path.
+fn equivalence_class_of_the_dag_path<T: ca_factor::kernels::Kernel>() {
     use ca_factor::core::{try_calu_with, try_caqr_with, FactorOptions, Retry};
     use ca_factor::sched::{ChaosPlan, RecoveryCounters, RetryPolicy, TaskKind};
     use std::time::Duration;
@@ -154,7 +159,7 @@ fn factors_are_bitwise_identical_across_every_option_and_thread_count() {
 
     // Square multi-panel, tall single-panel, ragged wide.
     for &(m, n, b, tr) in &[(96usize, 96usize, 16usize, 4usize), (200, 16, 16, 4), (50, 90, 16, 3)] {
-        let a = random_uniform(m, n, &mut seeded_rng(0xE0 + m as u64));
+        let a = Matrix::<T>::from_f64(&random_uniform(m, n, &mut seeded_rng(0xE0 + m as u64)));
         let base = CaParams::new(b, tr, 1).with_par_update_rows(32);
         let lu_ref = calu_seq_factor(a.clone(), &base);
         let qr_ref = caqr_seq(a.clone(), &base);
@@ -173,8 +178,9 @@ fn factors_are_bitwise_identical_across_every_option_and_thread_count() {
                                 continue;
                             }
                             let case = format!(
-                                "{m}x{n} threads={threads} retry={retry} \
-                                 checked={checked} profile={profile} chaos={chaos:?}"
+                                "{} {m}x{n} threads={threads} retry={retry} \
+                                 checked={checked} profile={profile} chaos={chaos:?}",
+                                T::NAME
                             );
                             let counters = RecoveryCounters::new();
                             let retry = retry

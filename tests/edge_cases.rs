@@ -6,7 +6,7 @@ use ca_factor::prelude::*;
 
 #[test]
 fn one_by_one_matrices() {
-    let a = Matrix::from_rows(1, 1, &[3.0]);
+    let a: Matrix = Matrix::from_rows(1, 1, &[3.0]);
     let f = calu(a.clone(), &CaParams::new(1, 1, 1));
     assert_eq!(f.lu[(0, 0)], 3.0);
     assert!(f.residual(&a) < 1e-15);

@@ -644,7 +644,7 @@ fn multifrontier_chaos_exhaustion_is_isolated_from_recovering_peers() {
     let frontier = MultiFrontier::new(3);
     // Substrate for the retry wrappers; these chain tasks pass data through
     // accumulators (empty write-sets), like Panel tasks and their workspace.
-    let shared = Arc::new(SharedMatrix::new(Matrix::zeros(1, 1)));
+    let shared = Arc::new(SharedMatrix::new(Matrix::<f64>::zeros(1, 1)));
     let mut watches = Vec::new();
     let mut accs = Vec::new();
     let mut counters_by_job = Vec::new();
@@ -806,7 +806,7 @@ fn multifrontier_survives_interleaved_submit_cancel_shed_and_shutdown() {
     for seed in 0..8u64 {
         let frontier = MultiFrontier::new(3);
         let plan = Arc::new(delay_plan(seed));
-        let shared = Arc::new(SharedMatrix::new(Matrix::zeros(1, 1)));
+        let shared = Arc::new(SharedMatrix::new(Matrix::<f64>::zeros(1, 1)));
         let counters = Arc::new(RecoveryCounters::new());
         let ran: Vec<Arc<AtomicUsize>> =
             (0..CLIENTS * JOBS_EACH).map(|_| Arc::new(AtomicUsize::new(0))).collect();

@@ -161,8 +161,11 @@ fn checked_tiled_baselines_run_clean_under_subtile_leases() {
 
 /// `(tasks, edges, FNV-1a of the sorted edge list)` of a task graph.
 fn fingerprint<T>(g: &TaskGraph<T>) -> (usize, usize, u64) {
-    let mut edges: Vec<(usize, usize)> =
-        (0..g.len()).flat_map(|a| g.successors(a).iter().map(move |&b| (a, b))).collect();
+    let edges = (0..g.len()).flat_map(|a| g.successors(a).iter().map(move |&b| (a, b))).collect();
+    fingerprint_of(g.len(), edges)
+}
+
+fn fingerprint_of(tasks: usize, mut edges: Vec<(usize, usize)>) -> (usize, usize, u64) {
     edges.sort_unstable();
     let mut h = 0xcbf2_9ce4_8422_2325_u64;
     for (a, b) in &edges {
@@ -170,7 +173,7 @@ fn fingerprint<T>(g: &TaskGraph<T>) -> (usize, usize, u64) {
             h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
-    (g.len(), edges.len(), h)
+    (tasks, edges.len(), h)
 }
 
 /// Which builder a row of the pinned table exercises.
@@ -185,15 +188,11 @@ enum Builder {
     GeqrfBlocked(usize, usize),
 }
 
-#[test]
-fn builder_graphs_are_pinned_minimal_and_run_clean_checked() {
-    // Every builder's graph, edge for edge, as recorded at the commit before
-    // block-granularity tracking was deleted (PR 14): the footprint
-    // representation is not allowed to move a single edge. The blocked
-    // baselines' rows pin the unit-cell tracker every simulated figure
-    // rests on. For the four builders that expose an `AccessMap`, the same
-    // rows must also be conflict-minimal under the lint and run clean under
-    // the race detector.
+/// A pinned row: `(builder, m, n, (tasks, edges, edge hash))`.
+type PinnedRow = (Builder, usize, usize, (usize, usize, u64));
+
+/// The pinned CALU/CAQR rows.
+fn pinned_ca_rows() -> [PinnedRow; 8] {
     let flat = |mut p: CaParams| {
         p.tree = TreeShape::Flat;
         p
@@ -203,7 +202,7 @@ fn builder_graphs_are_pinned_minimal_and_run_clean_checked() {
     let ragged = CaParams::new(100, 4, 4);
     let decomposed = CaParams::new(16, 2, 4).with_par_update_rows(32);
     use Builder::*;
-    let table = [
+    [
         (Calu(square), 1024, 1024, (928, 2092, 12042334302289157145)),
         (Caqr(square), 1024, 1024, (892, 1950, 3540828738114060795)),
         (Calu(tall), 1600, 160, (125, 238, 3100536505416186874)),
@@ -212,6 +211,39 @@ fn builder_graphs_are_pinned_minimal_and_run_clean_checked() {
         (Caqr(ragged), 750, 333, (64, 104, 7378113826623045790)),
         (Calu(decomposed), 512, 192, (511, 1033, 7222420284846443653)),
         (Caqr(decomposed), 512, 192, (234, 464, 8947499842147441168)),
+    ]
+}
+
+#[test]
+fn f32_plans_execute_the_pinned_f64_graphs() {
+    // Graph shape does not depend on the element type: the DAG an f32
+    // factorization actually ran (read back from its profile) is, edge for
+    // edge, the pinned row of the f64 builder.
+    use ca_factor::core::{try_calu_profiled, try_caqr_profiled};
+    for (builder, m, n, pinned) in pinned_ca_rows() {
+        let a = ca_factor::Matrix::<f32>::from_f64(&random_uniform(m, n, &mut seeded_rng(14)));
+        let profile = match builder {
+            Builder::Calu(p) => try_calu_profiled(a, &p).map(|(_, profile)| profile),
+            Builder::Caqr(p) => try_caqr_profiled(a, &p).map(|(_, profile)| profile),
+            _ => unreachable!("CALU/CAQR rows only"),
+        }
+        .unwrap_or_else(|e| panic!("{builder:?}: {e}"));
+        let got = fingerprint_of(profile.records.len(), profile.edges);
+        assert_eq!(got, pinned, "{builder:?} {m}x{n} in f32");
+    }
+}
+
+#[test]
+fn builder_graphs_are_pinned_minimal_and_run_clean_checked() {
+    // Every builder's graph, edge for edge, as recorded at the commit before
+    // block-granularity tracking was deleted (PR 14): the footprint
+    // representation is not allowed to move a single edge. The blocked
+    // baselines' rows pin the unit-cell tracker every simulated figure
+    // rests on. For the four builders that expose an `AccessMap`, the same
+    // rows must also be conflict-minimal under the lint and run clean under
+    // the race detector.
+    use Builder::*;
+    let baselines = [
         (TiledLu(16), 96, 96, (91, 195, 15544026709644574678)),
         (TiledQr(16), 96, 96, (91, 195, 15544026709644574678)),
         (TiledLu(100), 750, 333, (70, 142, 15536857450198778301)),
@@ -233,7 +265,7 @@ fn builder_graphs_are_pinned_minimal_and_run_clean_checked() {
         assert_eq!(lint.minimality_findings(), 0, "{lint:?}");
         fingerprint(g)
     }
-    for (builder, m, n, pinned) in table {
+    for (builder, m, n, pinned) in pinned_ca_rows().into_iter().chain(baselines) {
         let a = random_uniform(m, n, &mut seeded_rng(14));
         let got = match builder {
             Calu(p) => {
