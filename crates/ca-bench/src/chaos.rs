@@ -13,8 +13,8 @@
 //!    service (no retry wrappers, no probe, no chaos) stays bounded; the
 //!    headline number is the overhead at a 1% fault rate.
 //!
-//! Writes `results/BENCH_chaos.json`. Flags: `--quick` (shrink sizes),
-//! `--threads W`, `--out DIR`.
+//! `ca-bench chaos-sweep` writes `BENCH_chaos.json` under `--out`; `--quick`
+//! shrinks the sizes, `--threads` sets the service's workers.
 
 use ca_core::CaParams;
 use ca_matrix::{random_uniform, seeded_rng, Matrix};
@@ -107,8 +107,8 @@ fn base_cfg(workers: usize, capacity: usize) -> ServiceConfig {
         .with_admission(AdmissionPolicy::Block)
 }
 
-fn main() {
-    let cli = ca_bench::Cli::parse(std::env::args().skip(1));
+/// Runs the drill; `Ok(false)` when a survival gate failed.
+pub fn chaos_sweep(cli: &crate::Cli) -> std::io::Result<bool> {
     let workers = cli.threads;
     let (njobs, dim, b) = if cli.quick { (12, 64, 32) } else { (32, 256, 64) };
     println!(
@@ -235,16 +235,6 @@ fn main() {
         "survival_gate": if gates_ok { 1.0 } else { 0.0 },
         "rates": rows,
     });
-    if let Err(e) = std::fs::create_dir_all(&cli.out) {
-        eprintln!("warning: could not create {}: {e}", cli.out.display());
-        return;
-    }
-    let path = cli.out.join("BENCH_chaos.json");
-    match std::fs::write(&path, serde_json::to_string_pretty(&report).expect("serializable")) {
-        Ok(()) => println!("saved {}", path.display()),
-        Err(e) => eprintln!("warning: could not save {}: {e}", path.display()),
-    }
-    if !gates_ok {
-        std::process::exit(1);
-    }
+    crate::report::save(&cli.out, "BENCH_chaos.json", &serde_json::to_string_pretty(&report).expect("serializable"))?;
+    Ok(gates_ok)
 }

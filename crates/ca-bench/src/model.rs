@@ -17,11 +17,6 @@ pub struct MachineModel {
     pub calib: Calibration,
     /// Fixed scheduling/dispatch overhead added to every task (seconds).
     pub task_overhead: f64,
-    /// Per-core effective memory bandwidth divisor: with `P` cores sharing
-    /// a memory system, each sees `calib.bandwidth / bandwidth_share`.
-    /// `1.0` (default) models a per-core-private bandwidth (optimistic);
-    /// raise it toward `P / memory_channels` to model contention.
-    pub bandwidth_share: f64,
 }
 
 impl MachineModel {
@@ -29,13 +24,14 @@ impl MachineModel {
     /// defaults to 2 µs per task (measured dispatch cost of the `ca-sched`
     /// pool is of this order).
     pub fn new(cores: usize, calib: Calibration) -> Self {
-        Self { cores, calib, task_overhead: 2e-6, bandwidth_share: 1.0 }
+        Self { cores, calib, task_overhead: 2e-6 }
     }
 
-    /// Per-task duration under the roofline model.
+    /// Per-task duration under the roofline model; every core sees the
+    /// whole calibrated bandwidth (no contention term).
     fn task_seconds(&self, meta: &ca_sched::TaskMeta) -> f64 {
         let compute = meta.flops / self.calib.flops_per_sec(meta.class);
-        let memory = meta.bytes / (self.calib.bandwidth / self.bandwidth_share);
+        let memory = meta.bytes / self.calib.bandwidth;
         compute.max(memory) + self.task_overhead
     }
 
@@ -124,13 +120,6 @@ mod tests {
         // fat:  64e9 / 8e9 = 8 s (bandwidth-bound).
         assert!((spans[0] - 1.25).abs() < 0.01, "lean {}", spans[0]);
         assert!((spans[1] - 8.0).abs() < 0.1, "fat {}", spans[1]);
-        // Contention knob scales the memory-bound task only.
-        let mut contended = MachineModel::new(1, Calibration::reference());
-        contended.bandwidth_share = 4.0;
-        let tl2 = contended.run(&g);
-        let s2: Vec<_> = tl2.lanes[0].iter().map(|s| s.end - s.start).collect();
-        assert!((s2[0] - 1.25).abs() < 0.01);
-        assert!((s2[1] - 32.0).abs() < 0.5);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Output helpers for the figure/table binaries: aligned text tables,
+//! Output helpers and the shared flags of `ca-bench`: aligned text tables,
 //! CSV, and JSON dumps under `results/`.
 
 use std::fmt::Write as _;
@@ -76,11 +76,8 @@ impl Series {
 
     /// Writes `<stem>.csv` and `<stem>.json` under `dir`, creating it.
     pub fn save(&self, dir: &Path, stem: &str) -> std::io::Result<()> {
-        fs::create_dir_all(dir)?;
-        fs::write(dir.join(format!("{stem}.csv")), self.to_csv())?;
-        let json = serde_json::to_string_pretty(self).expect("serializable");
-        fs::write(dir.join(format!("{stem}.json")), json)?;
-        Ok(())
+        save(dir, &format!("{stem}.csv"), &self.to_csv())?;
+        save(dir, &format!("{stem}.json"), &serde_json::to_string_pretty(self).expect("serializable"))
     }
 
     /// Ratio between two named columns at each x (e.g. speedup of CALU over
@@ -92,15 +89,22 @@ impl Series {
     }
 }
 
-/// Minimal CLI flags shared by the figure binaries.
+/// Writes `text` to `dir/name`, creating `dir`, and says so on stdout.
+pub fn save(dir: &Path, name: &str, text: &str) -> std::io::Result<()> {
+    fs::create_dir_all(dir)?;
+    let path = dir.join(name);
+    fs::write(&path, text)?;
+    println!("saved {}", path.display());
+    Ok(())
+}
+
+/// The flags every `ca-bench` subcommand shares.
 #[derive(Clone, Debug)]
 pub struct Cli {
     /// Row-count scale factor applied to the paper's `m`.
     pub scale: f64,
     /// Run real factorizations instead of the simulator.
     pub measured: bool,
-    /// Use the paper's full sizes (overrides the safety default of fig6).
-    pub full: bool,
     /// Simulated core count override.
     pub cores: Option<usize>,
     /// Threads for measured mode.
@@ -118,7 +122,6 @@ impl Default for Cli {
         Self {
             scale: 1.0,
             measured: false,
-            full: false,
             cores: None,
             threads: 4,
             out: std::path::PathBuf::from("results"),
@@ -128,47 +131,62 @@ impl Default for Cli {
     }
 }
 
+/// The value of `flag`: present, readable as a `T`, and accepted by `ok`.
+fn value<T: std::str::FromStr>(
+    flag: &str,
+    v: Option<String>,
+    ok: impl Fn(&T) -> bool,
+) -> Result<T, String> {
+    let v = v.ok_or_else(|| format!("{flag} needs a value"))?;
+    v.parse().ok().filter(ok).ok_or_else(|| format!("{flag}: bad value `{v}`"))
+}
+
 impl Cli {
-    /// Parses `std::env::args`-style flags. Unknown flags abort with usage.
-    pub fn parse(args: impl Iterator<Item = String>) -> Self {
+    /// The usage line printed with every command-line error.
+    pub const USAGE: &'static str = "usage: ca-bench (repro [ID…] | chaos-sweep) [--scale F] \
+        [--measured] [--quick] [--reference-calibration] [--cores N] [--threads N] [--out DIR]";
+
+    /// Splits `std::env::args`-style arguments into positional words and
+    /// flags. A flag that is unknown, lacks its value or has one out of
+    /// range is an `Err` naming it.
+    pub fn parse(args: impl Iterator<Item = String>) -> Result<(Vec<String>, Self), String> {
         let mut cli = Cli::default();
-        let mut it = args.peekable();
+        let mut words = Vec::new();
+        let mut it = args;
         while let Some(a) = it.next() {
             match a.as_str() {
-                "--scale" => {
-                    cli.scale = it.next().expect("--scale VALUE").parse().expect("scale number")
-                }
+                "--scale" => cli.scale = value(&a, it.next(), |s: &f64| s.is_finite() && *s > 0.0)?,
                 "--measured" => cli.measured = true,
-                "--full" => cli.full = true,
                 "--quick" => cli.quick = true,
                 "--reference-calibration" => cli.reference_calibration = true,
-                "--cores" => {
-                    cli.cores = Some(it.next().expect("--cores N").parse().expect("core count"))
-                }
-                "--threads" => {
-                    cli.threads = it.next().expect("--threads N").parse().expect("thread count")
-                }
-                "--out" => cli.out = it.next().expect("--out DIR").into(),
-                other => {
-                    eprintln!(
-                        "unknown flag {other}\nflags: --scale F --measured --full --quick \
-                         --reference-calibration --cores N --threads N --out DIR"
-                    );
-                    std::process::exit(2);
-                }
+                "--cores" => cli.cores = Some(value(&a, it.next(), |&n: &usize| n > 0)?),
+                "--threads" => cli.threads = value(&a, it.next(), |&n: &usize| n > 0)?,
+                "--out" => cli.out = value::<String>(&a, it.next(), |_| true)?.into(),
+                flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+                _ => words.push(a),
             }
         }
-        cli
+        Ok((words, cli))
     }
 
     /// The calibration to use: measured on this host unless
-    /// `--reference-calibration` (or quick mode) requests the fixed one.
+    /// `--reference-calibration` requests the fixed one.
     pub fn calibration(&self) -> crate::calibrate::Calibration {
         if self.reference_calibration {
             crate::calibrate::Calibration::reference()
         } else {
             crate::calibrate::calibrate(self.quick)
         }
+    }
+
+    /// `x · --scale` rows, at least `floor`.
+    pub fn scaled(&self, x: f64, floor: usize) -> usize {
+        ((x * self.scale) as usize).max(floor)
+    }
+
+    /// `"measured"` or `"simulated P-core"`, for captions.
+    pub fn mode(&self, cores: usize) -> String {
+        if self.measured { "measured".into() } else { format!("simulated {cores}-core") }
     }
 }
 
@@ -190,16 +208,19 @@ mod tests {
     }
 
     #[test]
-    fn cli_parses_flags() {
-        let cli = Cli::parse(
-            ["--scale", "0.5", "--measured", "--cores", "16", "--out", "/tmp/x"]
-                .iter()
-                .map(|s| s.to_string()),
-        );
+    fn cli_parses_flags_and_names_the_bad_one() {
+        let parse = |args: &[&str]| Cli::parse(args.iter().map(|s| s.to_string()));
+        let (words, cli) =
+            parse(&["repro", "--scale", "0.5", "fig5", "--measured", "--cores", "16", "--out", "/tmp/x"]).unwrap();
+        assert_eq!(words, ["repro", "fig5"]);
         assert_eq!(cli.scale, 0.5);
         assert!(cli.measured);
         assert_eq!(cli.cores, Some(16));
         assert_eq!(cli.out, std::path::PathBuf::from("/tmp/x"));
+        for bad in [&["--scale", "x"][..], &["--scale", "-1"], &["--cores", "0"], &["--threads"], &["--out"], &["--full"]] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.contains(bad[0]), "{bad:?}: {err}");
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@ use ca_core::{CaParams, TreeShape};
 use ca_kernels::flops;
 use ca_matrix::{seeded_rng, Matrix};
 use ca_sched::{KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
+use std::hint::black_box;
 use std::time::Instant;
 
 /// A factorization algorithm with its tuning parameters.
@@ -82,37 +83,36 @@ impl Algo {
         }
     }
 
+    /// The parameters this variant runs with on `n` columns: its block
+    /// width capped at `n` (TSQR's is `n` itself), its `Tr` and tree. The
+    /// baselines read only the width.
+    fn params(&self, n: usize, workers: usize) -> CaParams {
+        let n = n.max(1);
+        let (b, tr, tree) = match *self {
+            Algo::Calu { b, tr, tree } | Algo::Caqr { b, tr, tree } => (b, tr, tree),
+            Algo::Tsqr { tr, tree } => (n, tr, tree),
+            Algo::BlockedLu { nb: b }
+            | Algo::BlockedQr { nb: b }
+            | Algo::TiledLu { b }
+            | Algo::TiledQr { b } => (b, 1, TreeShape::Binary),
+            Algo::Blas2Lu | Algo::Blas2Qr => (n, 1, TreeShape::Binary),
+        };
+        let mut p = CaParams::new(b.min(n), tr, workers);
+        p.tree = tree;
+        p
+    }
+
     /// Builds the algorithm's task graph for the simulator (`cores` sets
     /// the strip count of the vendor baselines' parallel updates).
     pub fn task_graph(&self, m: usize, n: usize, cores: usize) -> TaskGraph<()> {
+        let p = self.params(n, cores);
         match *self {
-            Algo::Calu { b, tr, tree } => {
-                let mut p = CaParams::new(b.min(n.max(1)), tr, cores);
-                p.tree = tree;
-                ca_core::calu_task_graph(m, n, &p).map(|_, _| ())
-            }
-            Algo::Caqr { b, tr, tree } => {
-                let mut p = CaParams::new(b.min(n.max(1)), tr, cores);
-                p.tree = tree;
-                ca_core::caqr_task_graph(m, n, &p).map(|_, _| ())
-            }
-            Algo::Tsqr { tr, tree } => {
-                let mut p = CaParams::new(n.max(1), tr, cores);
-                p.tree = tree;
-                ca_core::caqr_task_graph(m, n, &p).map(|_, _| ())
-            }
-            Algo::BlockedLu { nb } => {
-                ca_baselines::getrf_blocked_task_graph(m, n, nb.min(n.max(1)), cores)
-            }
-            Algo::BlockedQr { nb } => {
-                ca_baselines::geqrf_blocked_task_graph(m, n, nb.min(n.max(1)), cores)
-            }
-            Algo::TiledLu { b } => {
-                ca_baselines::tiled_lu_task_graph(m, n, b.min(n.max(1))).map(|_, _| ())
-            }
-            Algo::TiledQr { b } => {
-                ca_baselines::tiled_qr_task_graph(m, n, b.min(n.max(1))).map(|_, _| ())
-            }
+            Algo::Calu { .. } => ca_core::calu_task_graph(m, n, &p).map(|_, _| ()),
+            Algo::Caqr { .. } | Algo::Tsqr { .. } => ca_core::caqr_task_graph(m, n, &p).map(|_, _| ()),
+            Algo::BlockedLu { .. } => ca_baselines::getrf_blocked_task_graph(m, n, p.b, cores),
+            Algo::BlockedQr { .. } => ca_baselines::geqrf_blocked_task_graph(m, n, p.b, cores),
+            Algo::TiledLu { .. } => ca_baselines::tiled_lu_task_graph(m, n, p.b).map(|_, _| ()),
+            Algo::TiledQr { .. } => ca_baselines::tiled_qr_task_graph(m, n, p.b).map(|_, _| ()),
             Algo::Blas2Lu => single_task_graph(
                 flops::getrf(m, n.min(m)),
                 ca_kernels::traffic::getf2(m, n.min(m)),
@@ -141,48 +141,21 @@ impl Algo {
     }
 
     /// Runs the real factorization once, returning elapsed seconds.
-    pub fn run_once(&self, a: Matrix, threads: usize) -> f64 {
-        let n = a.ncols();
+    pub fn run_once(&self, mut a: Matrix, threads: usize) -> f64 {
+        let p = self.params(a.ncols(), threads);
         let t0 = Instant::now();
         match *self {
-            Algo::Calu { b, tr, tree } => {
-                let mut p = CaParams::new(b.min(n.max(1)), tr, threads);
-                p.tree = tree;
-                std::hint::black_box(ca_core::calu(a, &p));
-            }
-            Algo::Caqr { b, tr, tree } => {
-                let mut p = CaParams::new(b.min(n.max(1)), tr, threads);
-                p.tree = tree;
-                std::hint::black_box(ca_core::caqr(a, &p));
-            }
-            Algo::Tsqr { tr, tree } => {
-                let mut p = CaParams::new(n.max(1), tr, threads);
-                p.tree = tree;
-                std::hint::black_box(ca_core::caqr(a, &p));
-            }
-            Algo::BlockedLu { nb } => {
-                let mut a = a;
-                std::hint::black_box(ca_baselines::getrf_blocked(&mut a, nb.min(n.max(1)), threads));
-            }
-            Algo::BlockedQr { nb } => {
-                let mut a = a;
-                std::hint::black_box(ca_baselines::geqrf_blocked(&mut a, nb.min(n.max(1)), threads));
-            }
-            Algo::TiledLu { b } => {
-                std::hint::black_box(ca_baselines::tiled_lu(a, b.min(n.max(1)), threads));
-            }
-            Algo::TiledQr { b } => {
-                std::hint::black_box(ca_baselines::tiled_qr(a, b.min(n.max(1)), threads));
-            }
-            Algo::Blas2Lu => {
-                let mut a = a;
-                std::hint::black_box(ca_kernels::getf2(a.view_mut()));
-            }
+            Algo::Calu { .. } => drop(black_box(ca_core::calu(a, &p))),
+            Algo::Caqr { .. } | Algo::Tsqr { .. } => drop(black_box(ca_core::caqr(a, &p))),
+            Algo::BlockedLu { .. } => drop(black_box(ca_baselines::getrf_blocked(&mut a, p.b, threads))),
+            Algo::BlockedQr { .. } => drop(black_box(ca_baselines::geqrf_blocked(&mut a, p.b, threads))),
+            Algo::TiledLu { .. } => drop(black_box(ca_baselines::tiled_lu(a, p.b, threads))),
+            Algo::TiledQr { .. } => drop(black_box(ca_baselines::tiled_qr(a, p.b, threads))),
+            Algo::Blas2Lu => drop(black_box(ca_kernels::getf2(a.view_mut()))),
             Algo::Blas2Qr => {
-                let mut a = a;
                 let mut tau = Vec::new();
                 ca_kernels::geqr2(a.view_mut(), &mut tau);
-                std::hint::black_box(tau.len());
+                black_box(tau.len());
             }
         }
         t0.elapsed().as_secs_f64()

@@ -1,7 +1,7 @@
 //! Real-execution traces: run multithreaded CALU on actual worker threads
 //! and render the wall-clock Gantt chart the scheduler recorded — the live
 //! counterpart of the paper's Figures 3 and 4 (which this workspace also
-//! regenerates on the simulated machine via `ca-bench --bin traces`).
+//! regenerates on the simulated machine via `ca-bench repro fig3 fig4`).
 //!
 //! ```text
 //! cargo run --release --example schedule_trace [m] [n] [threads]
