@@ -40,15 +40,13 @@ impl MachineModel {
         simulate(graph, self.cores, |_, meta| self.task_seconds(meta))
     }
 
-    /// Replays a task graph on the profiled simulator; returns the full
-    /// [`Profile`] (exact lifecycle records in simulated seconds — lookahead
-    /// metric, critical-path efficiency, roofline attribution). Same
-    /// schedule as [`MachineModel::run`], and fully deterministic.
+    /// Replays a task graph; returns the full [`Profile`] (exact lifecycle
+    /// records in simulated seconds — lookahead metric, critical-path
+    /// efficiency, roofline attribution). Same schedule as
+    /// [`MachineModel::run`], and fully deterministic.
     pub fn profile<T>(&self, graph: &TaskGraph<T>) -> Profile {
-        let opts = SimOptions { profile: true, ..Default::default() };
-        simulate_with(graph, self.cores, |_, meta| self.task_seconds(meta), &opts)
-            .profile
-            .expect("profiling requested")
+        let opts = SimOptions::default();
+        simulate_with(graph, self.cores, |_, meta| self.task_seconds(meta), &opts).profile()
     }
 
     /// Replays a task graph and converts to GFlop/s using the *useful*

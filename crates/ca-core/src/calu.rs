@@ -286,11 +286,11 @@ pub fn try_calu<T: Kernel>(a: Matrix<T>, p: &CaParams) -> Result<LuFactors<T>, F
 }
 
 /// [`try_calu`] under explicit [`FactorOptions`] — fault injection,
-/// snapshot/replay recovery, checked execution, profiling, in any
-/// combination — also returning the executor's [`ca_sched::RunReport`]
-/// (wall-clock timeline usable with [`ca_sched::ascii_gantt`], and the
-/// profile when requested). The numerical contract is that of [`try_calu`]
-/// whatever the options.
+/// snapshot/replay recovery, checked execution, in any combination — also
+/// returning the executor's [`ca_sched::RunReport`] (wall-clock timeline
+/// usable with [`ca_sched::ascii_gantt`], and the run's
+/// [`ca_sched::RunReport::profile`]). The numerical contract is that of
+/// [`try_calu`] whatever the options.
 pub fn try_calu_with<T: Kernel>(
     a: Matrix<T>,
     p: &CaParams,
@@ -304,18 +304,18 @@ pub fn try_calu_with<T: Kernel>(
     check_factors(f, &params).map(|f| (f, report))
 }
 
-/// [`try_calu`] with profiling on, returning the scheduler's full
-/// [`ca_sched::Profile`] alongside the factors — lifecycle records for every
-/// task, per-kernel-class flop/byte totals for roofline attribution, and
-/// ready-queue depth samples. Derive the report with
+/// [`try_calu`] returning the scheduler's full [`ca_sched::Profile`] of the
+/// run alongside the factors — lifecycle records for every task,
+/// per-kernel-class flop/byte totals for roofline attribution, and the
+/// ready-queue depth. It is the same run as [`try_calu`] (every run is
+/// recorded) with the profile view built. Derive the report with
 /// [`ca_sched::Profile::metrics`] or a Perfetto-loadable trace with
 /// [`ca_sched::Profile::chrome_trace`].
 pub fn try_calu_profiled<T: Kernel>(
     a: Matrix<T>,
     p: &CaParams,
 ) -> Result<(LuFactors<T>, ca_sched::Profile), FactorError> {
-    let opts = FactorOptions { profile: true, ..Default::default() };
-    try_calu_with(a, p, &opts).map(|(f, report)| (f, report.profile.expect("profiling requested")))
+    try_calu_with(a, p, &FactorOptions::default()).map(|(f, report)| (f, report.profile()))
 }
 
 /// Fallible standalone TSLU with the same contract as [`try_calu`].

@@ -187,8 +187,8 @@ pub fn try_caqr<T: Kernel>(a: Matrix<T>, p: &CaParams) -> Result<QrFactors<T>, F
 }
 
 /// [`try_caqr`] under explicit [`FactorOptions`] — fault injection,
-/// snapshot/replay recovery, checked execution, profiling, in any
-/// combination — also returning the executor's [`ca_sched::RunReport`] (see
+/// snapshot/replay recovery, checked execution, in any combination — also
+/// returning the executor's [`ca_sched::RunReport`] (see
 /// [`crate::try_calu_with`]).
 pub fn try_caqr_with<T: Kernel>(
     a: Matrix<T>,
@@ -201,15 +201,13 @@ pub fn try_caqr_with<T: Kernel>(
     run_plan::<T, CaqrPlan<T>>(a, p, opts)
 }
 
-/// [`try_caqr`] with profiling on, returning the scheduler's full
-/// [`ca_sched::Profile`] alongside the factors (see
-/// [`crate::try_calu_profiled`]).
+/// [`try_caqr`] returning the scheduler's full [`ca_sched::Profile`] of the
+/// run alongside the factors (see [`crate::try_calu_profiled`]).
 pub fn try_caqr_profiled<T: Kernel>(
     a: Matrix<T>,
     p: &CaParams,
 ) -> Result<(QrFactors<T>, ca_sched::Profile), FactorError> {
-    let opts = FactorOptions { profile: true, ..Default::default() };
-    try_caqr_with(a, p, &opts).map(|(f, report)| (f, report.profile.expect("profiling requested")))
+    try_caqr_with(a, p, &FactorOptions::default()).map(|(f, report)| (f, report.profile()))
 }
 
 /// Fallible standalone TSQR with the input pre-scan of [`try_caqr`].

@@ -65,9 +65,6 @@ pub struct FactorOptions<'a> {
     /// is reported as [`FactorError::Soundness`] naming the offending task
     /// labels.
     pub checked: bool,
-    /// Record the scheduler's full [`ca_sched::Profile`] into
-    /// [`RunReport::profile`].
-    pub profile: bool,
 }
 
 /// Factors `a` through plan type `P`. A worker failure maps to
@@ -110,7 +107,6 @@ pub(crate) fn run_plan<T: Kernel, P: DagPlan<T>>(
     let run = RunOptions {
         // Under `retry` the wrappers above consult the plan, once per attempt.
         chaos: if opts.retry.is_none() { opts.chaos } else { None },
-        profile: opts.profile,
         shadow: registry.as_ref(),
     };
     let report = ca_sched::execute(jobs, p.threads, &run).into_result()?;

@@ -28,13 +28,13 @@
 //!   explicit [`FactorOptions`]: seeded fault injection (`chaos`), task-level
 //!   snapshot/replay recovery (`retry`), checked execution (`checked`: the
 //!   static verifier followed by a run in which every element access is
-//!   audited against the declared footprints by a shadow lease registry) and
-//!   profiling (`profile`), in any combination, returning the executor's
-//!   [`ca_sched::RunReport`] next to the factors. Every DAG factorization
-//!   entry point is a one-line caller of these two, which in turn share one
-//!   build → verify → wrap → [`ca_sched::execute`] → collect path.
-//!   [`try_calu_profiled`] / [`try_caqr_profiled`] are the `profile`
-//!   shorthands returning the [`ca_sched::Profile`] directly.
+//!   audited against the declared footprints by a shadow lease registry), in
+//!   any combination, returning the executor's [`ca_sched::RunReport`] —
+//!   and with it the run's profile — next to the factors. Every DAG
+//!   factorization entry point is a one-line caller of these two, which in
+//!   turn share one build → verify → wrap → [`ca_sched::execute`] → collect
+//!   path. [`try_calu_profiled`] / [`try_caqr_profiled`] are the shorthands
+//!   returning the [`ca_sched::Profile`] directly.
 //! * [`verify_calu`] / [`verify_caqr`] — static DAG soundness verification:
 //!   prove every conflicting block access in the builder's declared
 //!   footprints is ordered by a happens-before path.

@@ -57,7 +57,6 @@ fn verdict(residual: f64, m: usize, n: usize) -> Result<(), FactorError> {
         Ok(())
     } else {
         counters.probe_failures.inc();
-        ca_sched::record_event(ca_sched::FlightEventKind::ProbeCorrupt, 0, None);
         Err(FactorError::Corrupted { residual, threshold })
     }
 }

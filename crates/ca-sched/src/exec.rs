@@ -7,7 +7,7 @@
 //! closes it, runs lane 0 on the calling thread and lanes `1..nthreads` on
 //! scoped threads (so a single-worker run spawns nothing and jobs may
 //! borrow from the caller), and assembles a [`RunReport`] from what the
-//! finalized job and the lane logs hold. Ready tasks dispatch by priority —
+//! finalized job left. Ready tasks dispatch by priority —
 //! the paper's lookahead-of-1 policy, which the DAG builders encode — and
 //! among equal priorities by lower task id, which follows submission order.
 //!
@@ -20,7 +20,8 @@
 use crate::checked::{first_violation, CheckedError};
 use crate::fault::{ExecError, TaskResult};
 use crate::graph::TaskGraph;
-use crate::multigraph::{Core, Finished, JobOptions, JobOutcome, JobTrace, SCHEDULER};
+use crate::log::JobLog;
+use crate::multigraph::{Core, Finished, JobOptions, JobOutcome};
 use crate::profile::Profile;
 use crate::retry::ChaosPlan;
 use crate::trace::Timeline;
@@ -56,8 +57,6 @@ pub struct RunOptions<'a> {
     /// this level: an injected failure or panic fails the task like a real
     /// one (wrap bodies with [`crate::retrying_job`] to recover instead).
     pub chaos: Option<&'a ChaosPlan>,
-    /// Record the full task lifecycle into [`RunReport::profile`].
-    pub profile: bool,
     /// Run every job inside a [`ShadowRegistry::enter_task`] scope and report
     /// the first audited violation in [`RunReport::violation`]. The
     /// `SharedMatrix` the jobs touch must have been built with
@@ -72,8 +71,8 @@ pub struct ExecStats {
     pub tasks: usize,
     /// Wall-clock execution time in seconds.
     pub wall_seconds: f64,
-    /// Wall-clock timeline (always recorded; spans use `Instant` deltas):
-    /// the lane-per-worker view of the run's task log.
+    /// Wall-clock timeline (spans use `Instant` deltas): the
+    /// lane-per-worker view of the run's job log.
     pub timeline: Timeline,
 }
 
@@ -82,10 +81,6 @@ pub struct ExecStats {
 pub struct RunReport {
     /// Task count, wall time and timeline of the executed tasks.
     pub stats: ExecStats,
-    /// The full-lifecycle view of the same task log, present iff profiling
-    /// was requested (ready stamps, queue-depth samples). Cancelled tasks
-    /// appear in [`Profile::cancelled`], never as records.
-    pub profile: Option<Profile>,
     /// The first task failure, with every cancelled task.
     pub failure: Option<ExecError>,
     /// The first violation the race detector (or, for the simulator, the
@@ -93,9 +88,18 @@ pub struct RunReport {
     pub violation: Option<SoundnessError>,
     /// Payload of the first panic, for [`run_graph`] to re-raise.
     pub(crate) panic: Option<Box<dyn Any + Send>>,
+    /// What the run's one job left: [`RunReport::profile`] is a view of it.
+    pub(crate) log: JobLog,
 }
 
 impl RunReport {
+    /// The full-lifecycle view of the run's job log (ready stamps, derived
+    /// queue depth, edges), built when asked for. Cancelled tasks appear in
+    /// [`Profile::cancelled`], never as records.
+    pub fn profile(&self) -> Profile {
+        Profile::from_log(&self.log, self.stats.wall_seconds)
+    }
+
     /// `Err` with the task failure if there was one, else with the
     /// soundness violation if there was one.
     pub fn into_result(self) -> Result<Self, CheckedError> {
@@ -143,11 +147,9 @@ pub fn execute<'s>(
     }
     let graph = TaskGraph { metas, payloads, succs, npreds };
 
-    // The run's clock starts with its core, and so does its one job: the
-    // log is always kept (the timeline is a view of it), the stamps only
-    // under `profile`.
-    let core = Core::new(nthreads, true, None);
-    let (_, watch) = core.admit(graph, JobOptions::default(), opts.profile, 0.0);
+    // The run's clock starts with its core, and so does its one job.
+    let core = Core::new(nthreads, None);
+    let (_, watch) = core.admit(graph, JobOptions::default(), 0.0);
     core.close();
     // The scope joins the workers (and propagates a worker's own panic,
     // which is a bug here: workers catch their tasks' panics).
@@ -159,22 +161,17 @@ pub fn execute<'s>(
         core.worker(0);
     });
     let makespan = core.now();
-    let lanes = core.into_lane_logs();
-    let Finished { report, panic, trace } =
+    let Finished { report, panic, log } =
         watch.take().expect("workers of a closed core return once its job is finalized");
 
-    // Both reports are views of the one log the workers just left.
-    let timeline = Timeline::from_log(&lanes, makespan);
-    let profile = trace.map(|JobTrace { metas, succs, stamps, cancelled }| {
-        Profile::from_log(SCHEDULER, &lanes, &stamps, makespan, &metas, &succs, cancelled)
-    });
+    let timeline = Timeline::from_log(&log.recs, nthreads, makespan);
     let failure = match report.outcome {
         JobOutcome::Failed(e) => Some(e),
         JobOutcome::Completed | JobOutcome::Cancelled(_) => None,
     };
     let stats = ExecStats { tasks: report.tasks_run, wall_seconds: makespan, timeline };
     let violation = opts.shadow.and_then(|registry| first_violation(registry));
-    RunReport { stats, profile, failure, violation, panic }
+    RunReport { stats, failure, violation, panic, log }
 }
 
 /// [`execute`] with default options that panics on task failure: after the

@@ -8,8 +8,8 @@
 //! highest-priority ready task (the priorities encode the paper's
 //! lookahead-of-1 rule: panel tasks and the update of block column `K+1`
 //! outrank other updates), run it under `catch_unwind`, release its
-//! successors or cancel its failure closure, log one record — behind two
-//! front doors:
+//! successors or cancel its failure closure, log one record in the task's
+//! job — behind two front doors:
 //!
 //! * [`execute`]`(graph, nthreads, &`[`RunOptions`]`)` — one graph to
 //!   quiescence: the loop's core lives on the caller's stack with that one
@@ -30,18 +30,25 @@
 //!
 //! [`execute`] and [`simulate_with`] return a [`RunReport`]: statistics with
 //! a [`Timeline`] renderable as an ASCII Gantt chart ([`ascii_gantt`]) in
-//! the style of the paper's Figures 2–4, plus whatever the options asked
-//! for.
+//! the style of the paper's Figures 2–4, the run's [`RunReport::profile`],
+//! plus whatever the options asked for.
 //!
 //! ## One recording spine
 //!
-//! Every executor stores a finished task exactly once: a compact measured
-//! record (job, task, label, start, end) pushed to the log of the lane
-//! that ran it. [`ExecStats::timeline`], [`RunReport::profile`],
-//! [`MultiFrontier::timeline`], [`MultiFrontier::job_profile`] and
-//! [`MultiFrontier::busy_seconds`] are views
-//! built from that log after the fact, and the four Chrome-trace emitters
-//! share one event builder. Counters follow the same rule: the process-wide
+//! Every executor stores a finished task exactly once, whether or not
+//! anybody will look: a compact measured record (task, label, lane, start,
+//! end) pushed to the log of the task's *job*, under the state lock its
+//! worker already holds, next to the instant each task became ready. The
+//! log leaves with the finalized job — in the [`RunReport`], or in the
+//! job's [`JobWatch`] until the last clone is dropped — and
+//! [`ExecStats::timeline`], [`RunReport::profile`] and
+//! [`MultiFrontier::job_profile`] are views built from it when they are
+//! read; the four Chrome-trace emitters share one event builder. Two things
+//! are kept beside a job's log, each for a stated reason:
+//! [`MultiFrontier::set_tracing`] retains the records of finalized jobs for
+//! the frontier-wide [`MultiFrontier::timeline`] (off by default: a service
+//! runs for days), and a [`FlightRecorder`] keeps the last moments across
+//! jobs in a bounded ring for fault diagnosis. Counters follow the same rule: the process-wide
 //! [`sched_counters`] and a run's [`RecoveryCounters`] are the only store of
 //! what they count, and a `ca_telemetry::Registry` adopts the handles
 //! ([`register_sched_metrics`], [`RecoveryCounters::register`]) instead of
@@ -69,13 +76,10 @@
 //!
 //! ## Profiling
 //!
-//! With the `profile` option set — or, on a [`MultiFrontier`], for a job
-//! submitted under [`MultiFrontier::set_tracing`] — the job additionally
-//! stamps when each task became ready and samples its ready-queue depth,
-//! under the state lock the worker already holds, and
-//! [`RunReport::profile`] / [`MultiFrontier::job_profile`] present the full
-//! task lifecycle (ready → dispatch → start → end, queue-depth samples).
-//! [`Profile::metrics`] derives
+//! Profiling is not an option: [`RunReport::profile`] /
+//! [`MultiFrontier::job_profile`] present the full task lifecycle of any
+//! finished job (ready → dispatch → start → end, and the ready-queue depth
+//! those stamps determine). [`Profile::metrics`] derives
 //! dispatch-latency distributions, per-[`KernelClass`] achieved GFlop/s
 //! (roofline attribution), critical-path scheduling efficiency, and the
 //! lookahead-effectiveness metric; [`Profile::chrome_trace`] emits a Chrome
@@ -139,8 +143,8 @@ pub use retry::{
 pub use sim::{simulate, simulate_uniform, simulate_with, SimOptions};
 pub use task::{KernelClass, TaskId, TaskKind, TaskLabel, TaskMeta};
 pub use telemetry::{
-    record_event, register_sched_metrics, sched_counters, set_thread_recorder, FlightEvent,
-    FlightEventKind, FlightRecorder, SchedCounters,
+    register_sched_metrics, sched_counters, FlightEvent, FlightEventKind, FlightRecorder,
+    SchedCounters,
 };
 pub use trace::{
     ascii_gantt, chrome_trace_json, chrome_trace_json_with_marks, Span, Timeline, TimelineError,

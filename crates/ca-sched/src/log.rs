@@ -1,106 +1,98 @@
-//! The task log: the one place an executor stores what it ran.
+//! The job log: the one place an executor stores what it ran.
 //!
 //! The worker loop behind [`crate::execute`] and [`crate::MultiFrontier`],
 //! and [`crate::simulate_with`], push one [`TaskRec`] per finished task
-//! into the [`LaneLog`] of the lane that ran it, and nothing else.
-//! [`Timeline`] and [`Profile`] are views built from the log after the fact
-//! ([`Timeline::from_log`], [`Profile::from_log`]); a profiled job adds the
-//! [`Stamps`] that cannot live on a lane.
+//! into the log of the job the task belongs to, next to the instant each
+//! task became ready, and nothing else. When the job ends its [`JobLog`] —
+//! records, ready stamps, metadata, edges, cancelled set — leaves with it,
+//! and [`Timeline`] and [`Profile`] are views built from that log when
+//! somebody reads them ([`Timeline::from_log`], [`Profile::from_log`]):
+//! recording is not an option, looking is.
 
-use crate::multigraph::JobId;
 use crate::profile::{Profile, QueueSample, TaskRecord};
 use crate::task::{TaskId, TaskLabel, TaskMeta};
 use crate::trace::{Span, Timeline};
 
 /// One finished task exactly as its executor measured it. Class, flops
 /// and bytes are looked up in the job's [`TaskMeta`] when a [`Profile`]
-/// is built, not copied here; the label does ride along, because an
-/// untraced job's metadata is gone once the job finalizes.
+/// is built, not copied here; the label does ride along, because the
+/// service-wide timeline of a traced [`crate::MultiFrontier`] keeps the
+/// records of finalized jobs without their metadata.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TaskRec {
-    /// The job the task belongs to (0 outside a [`crate::MultiFrontier`]).
-    pub(crate) job: JobId,
     pub(crate) task: TaskId,
     pub(crate) label: TaskLabel,
+    /// The worker lane that ran the task.
+    pub(crate) lane: usize,
     /// When the claiming worker entered the body; every executor claims a
     /// task and starts it in one step, so this is also its dispatch instant.
     pub(crate) start: f64,
     pub(crate) end: f64,
 }
 
-/// What one worker lane logged. Written by that lane's worker only.
-#[derive(Clone, Debug, Default)]
-pub(crate) struct LaneLog {
+/// Everything one job leaves behind, self-contained: what ran where and
+/// when, when each task became ready, and the graph it ran. Times are on
+/// the executor's clock; [`Profile`] times count from `t0`.
+pub(crate) struct JobLog {
+    /// What [`Profile::scheduler`] says of the executor.
+    pub(crate) scheduler: &'static str,
+    pub(crate) nworkers: usize,
+    /// The job's admission instant, which is when its roots became ready.
+    pub(crate) t0: f64,
     /// Finished tasks, in completion order.
-    pub(crate) tasks: Vec<TaskRec>,
+    pub(crate) recs: Vec<TaskRec>,
+    /// Per task, the end of its last predecessor (`t0` for a root). Only
+    /// meaningful for a task that was released, so for every record.
+    pub(crate) ready_at: Vec<f64>,
+    pub(crate) metas: Vec<TaskMeta>,
+    pub(crate) succs: Vec<Vec<TaskId>>,
+    pub(crate) cancelled: Vec<TaskId>,
 }
 
 impl Timeline {
-    /// The lane-per-worker view of a task log.
-    pub(crate) fn from_log(lanes: &[LaneLog], makespan: f64) -> Timeline {
-        let lanes = lanes
-            .iter()
-            .map(|lane| {
-                let mut spans: Vec<Span> = lane
-                    .tasks
-                    .iter()
-                    .map(|r| Span { task: r.task, label: r.label, start: r.start, end: r.end })
-                    .collect();
-                spans.sort_by(|a, b| a.start.total_cmp(&b.start));
-                spans
-            })
-            .collect();
+    /// The lane-per-worker view of task records, on the records' clock.
+    pub(crate) fn from_log(recs: &[TaskRec], nworkers: usize, makespan: f64) -> Timeline {
+        let mut lanes = vec![Vec::new(); nworkers];
+        for r in recs {
+            lanes[r.lane].push(Span { task: r.task, label: r.label, start: r.start, end: r.end });
+        }
+        for spans in &mut lanes {
+            spans.sort_by(|a, b| a.start.total_cmp(&b.start));
+        }
         Timeline { lanes, makespan }
     }
 }
 
-/// The stamps only a profiled job takes, and that cannot live on a lane:
-/// a task's ready instant is set by whoever released it, and the ready set
-/// is sampled where it changes. Both happen under the lock that guards the
-/// job's state (the simulator is single-threaded), so these are plain data.
-pub(crate) struct Stamps {
-    /// The job's clock origin: [`Profile`] times are relative to it.
-    t0: f64,
-    ready_at: Vec<f64>,
-    queue: Vec<QueueSample>,
-}
-
-impl Stamps {
-    /// Stamps for a job admitted at `t0`, which is when its roots are ready.
-    pub(crate) fn new(ntasks: usize, t0: f64) -> Self {
-        Self { t0, ready_at: vec![t0; ntasks], queue: Vec::new() }
+/// The ready-set depth as the step function the stamps determine: +1 when
+/// a task becomes ready, −1 when it is dispatched, one sample per instant
+/// at which anything changed, holding the depth once everything stamped
+/// with that instant has happened.
+fn queue_depth(records: &[TaskRecord]) -> Vec<QueueSample> {
+    let mut steps: Vec<(f64, isize)> =
+        records.iter().flat_map(|r| [(r.ready, 1), (r.start, -1)]).collect();
+    steps.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let mut samples: Vec<QueueSample> = Vec::new();
+    let mut depth = 0usize;
+    for (t, step) in steps {
+        // A task is ready no later than it starts and the sort is stable,
+        // so every −1 follows its own +1: the depth never saturates.
+        depth = depth.saturating_add_signed(step);
+        match samples.last_mut() {
+            Some(last) if last.t == t => last.depth = depth,
+            _ => samples.push(QueueSample { t, depth }),
+        }
     }
-
-    /// Stamps the instant `id` became ready.
-    pub(crate) fn mark_ready(&mut self, id: TaskId, t: f64) {
-        self.ready_at[id] = t;
-    }
-
-    /// Samples the ready-set depth.
-    pub(crate) fn sample_queue(&mut self, t: f64, depth: usize) {
-        self.queue.push(QueueSample { t, depth });
-    }
+    samples
 }
 
 impl Profile {
-    /// The full-lifecycle view of one profiled job: `lanes` holds that
-    /// job's records, `makespan` and every reported time count from the
-    /// job's admission.
-    pub(crate) fn from_log(
-        scheduler: &str,
-        lanes: &[LaneLog],
-        stamps: &Stamps,
-        makespan: f64,
-        metas: &[TaskMeta],
-        succs: &[Vec<TaskId>],
-        cancelled: Vec<TaskId>,
-    ) -> Profile {
-        let Stamps { t0, ready_at, queue } = stamps;
-        let mut records: Vec<TaskRecord> = lanes
+    /// The full-lifecycle view of one job: `makespan` and every reported
+    /// time count from the job's admission.
+    pub(crate) fn from_log(log: &JobLog, makespan: f64) -> Profile {
+        let JobLog { scheduler, nworkers, t0, recs, ready_at, metas, succs, cancelled } = log;
+        let mut records: Vec<TaskRecord> = recs
             .iter()
-            .enumerate()
-            .flat_map(|(worker, lane)| lane.tasks.iter().map(move |r| (worker, r)))
-            .map(|(worker, r)| {
+            .map(|r| {
                 let meta = &metas[r.task];
                 TaskRecord {
                     task: r.task,
@@ -108,7 +100,7 @@ impl Profile {
                     class: meta.class,
                     flops: meta.flops,
                     bytes: meta.bytes,
-                    worker,
+                    worker: r.lane,
                     ready: ready_at[r.task] - t0,
                     dispatch: r.start - t0,
                     start: r.start - t0,
@@ -122,17 +114,15 @@ impl Profile {
             .enumerate()
             .flat_map(|(a, ss)| ss.iter().map(move |&b| (a, b)))
             .collect();
-        let mut queue_samples: Vec<QueueSample> =
-            queue.iter().map(|s| QueueSample { t: s.t - t0, depth: s.depth }).collect();
-        queue_samples.sort_by(|a, b| a.t.total_cmp(&b.t));
+        let queue_samples = queue_depth(&records);
         Profile {
             scheduler: scheduler.to_string(),
-            nworkers: lanes.len(),
+            nworkers: *nworkers,
             makespan,
             records,
             edges,
             queue_samples,
-            cancelled,
+            cancelled: cancelled.clone(),
         }
     }
 }

@@ -3,9 +3,9 @@
 //!
 //! A [`Core`] holds any number of admitted task graphs ("jobs") and `n`
 //! worker lanes. Every lane runs [`Core::worker`] — claim a ready task under
-//! the state lock, run it under `catch_unwind` with the lock released, push
-//! one record to the lane's log, then under the lock again either release
-//! the task's successors or cancel its **transitive successors** and claim
+//! the state lock, run it under `catch_unwind` with the lock released, then
+//! under the lock again push one record to the task's job, either release
+//! the task's successors or cancel its **transitive successors**, and claim
 //! the next task. The two ways to run a graph differ only in who owns the
 //! core and its threads:
 //!
@@ -44,7 +44,7 @@
 use crate::exec::{DynJob, Job};
 use crate::fault::{panic_message, ExecError};
 use crate::graph::{cancel_closure, ReadyEntry, TaskGraph};
-use crate::log::{LaneLog, Stamps, TaskRec};
+use crate::log::{JobLog, TaskRec};
 use crate::profile::Profile;
 use crate::task::{TaskId, TaskLabel, TaskMeta};
 use crate::telemetry::{self, FlightEventKind, FlightRecorder};
@@ -60,7 +60,7 @@ use std::time::{Duration, Instant};
 pub type JobId = u64;
 
 /// What [`Profile::scheduler`] says of a job the worker loop ran.
-pub(crate) const SCHEDULER: &str = "priority-queue";
+const SCHEDULER: &str = "priority-queue";
 
 /// Per-job submission options.
 #[derive(Clone, Copy, Debug)]
@@ -193,17 +193,9 @@ pub(crate) struct Finished {
     /// Payload of the job's first task panic, for [`crate::run_graph`] to
     /// re-raise.
     pub(crate) panic: Option<Box<dyn Any + Send>>,
-    /// What a [`Profile`] of the job needs beyond the lane logs; kept only
-    /// for a job admitted with profiling on.
-    pub(crate) trace: Option<JobTrace>,
-}
-
-/// The part of a profiled job's state that outlives it.
-pub(crate) struct JobTrace {
-    pub(crate) metas: Vec<TaskMeta>,
-    pub(crate) succs: Vec<Vec<TaskId>>,
-    pub(crate) stamps: Stamps,
-    pub(crate) cancelled: Vec<TaskId>,
+    /// What the job ran: what its [`Profile`] and timeline are views of.
+    /// Freed with the last clone of the watch.
+    pub(crate) log: JobLog,
 }
 
 /// Completion watch for one job: cloneable, fulfilled exactly once.
@@ -295,9 +287,10 @@ struct JobState<'s> {
     report: JobReport,
     panic: Option<Box<dyn Any + Send>>,
     cancel_reason: Option<CancelReason>,
-    /// Ready instants and ready-set depth samples, taken under the state
-    /// lock; present iff the job was admitted with profiling on.
-    stamps: Option<Stamps>,
+    /// One record per finished task and, per task, the instant it became
+    /// ready: the job's log, written under the state lock.
+    recs: Vec<TaskRec>,
+    ready_at: Vec<f64>,
     watch: JobWatch,
 }
 
@@ -315,21 +308,25 @@ impl JobState<'_> {
     }
 
     /// The terminal report of a job whose every task is accounted, with
-    /// what a profiled job keeps for its [`Profile`].
-    fn finish(self, now: f64) -> (Finished, JobWatch) {
+    /// the log it leaves (`nworkers` lanes ran it).
+    fn finish(self, now: f64, nworkers: usize) -> (Finished, JobWatch) {
         let mut report = self.report;
         report.finished = now;
         if let (JobOutcome::Completed, Some(reason)) = (&report.outcome, self.cancel_reason) {
             report.outcome = JobOutcome::Cancelled(reason);
         }
         let cancelled = self.cancelled;
-        let trace = self.stamps.map(|stamps| JobTrace {
+        let log = JobLog {
+            scheduler: SCHEDULER,
+            nworkers,
+            t0: report.submitted,
+            recs: self.recs,
+            ready_at: self.ready_at,
             metas: self.metas,
             succs: self.succs,
-            stamps,
             cancelled: (0..cancelled.len()).filter(|&t| cancelled[t]).collect(),
-        });
-        (Finished { report, panic: self.panic, trace }, self.watch)
+        };
+        (Finished { report, panic: self.panic, log }, self.watch)
     }
 }
 
@@ -348,14 +345,10 @@ type CompletionHook = Box<dyn Fn(&JobReport) + Send + Sync>;
 /// Finalized jobs on their way to [`Core::deliver`].
 type Done = Vec<(Finished, JobWatch)>;
 
-/// What one worker lane logged.
+/// What one worker lane keeps: a task's record belongs to its job.
 #[derive(Default)]
 struct Lane {
-    /// The task log [`Timeline`] and [`Profile`] are views of; records are
-    /// pushed only while `tracing` is on (a service runs for days).
-    log: LaneLog,
-    /// Seconds spent in task bodies, traced or not
-    /// ([`MultiFrontier::busy_seconds`]).
+    /// Seconds spent in task bodies ([`MultiFrontier::busy_seconds`]).
     busy: f64,
 }
 
@@ -385,7 +378,11 @@ pub(crate) struct Core<'s> {
     next_job: AtomicU64,
     /// One lane per worker, written by that worker only.
     lanes: Vec<Mutex<Lane>>,
+    /// Whether finalized jobs' records are kept for the core-wide
+    /// [`MultiFrontier::timeline`]. Off by default because a service runs
+    /// for days; every job has its own log either way.
     tracing: AtomicBool,
+    retained: Mutex<Vec<TaskRec>>,
     on_complete: Option<CompletionHook>,
     /// Optional flight recorder (attached once via
     /// [`MultiFrontier::set_flight_recorder`]).
@@ -398,7 +395,7 @@ impl<'s> Core<'s> {
     ///
     /// # Panics
     /// If `nworkers == 0`.
-    pub(crate) fn new(nworkers: usize, tracing: bool, on_complete: Option<CompletionHook>) -> Self {
+    pub(crate) fn new(nworkers: usize, on_complete: Option<CompletionHook>) -> Self {
         assert!(nworkers > 0, "need at least one worker");
         Self {
             state: Mutex::new(State { jobs: BTreeMap::new(), deadlines: 0, closed: false }),
@@ -406,7 +403,8 @@ impl<'s> Core<'s> {
             epoch: Instant::now(),
             next_job: AtomicU64::new(0),
             lanes: (0..nworkers).map(|_| Mutex::default()).collect(),
-            tracing: AtomicBool::new(tracing),
+            tracing: AtomicBool::new(false),
+            retained: Mutex::default(),
             on_complete,
             recorder: OnceLock::new(),
         }
@@ -420,13 +418,10 @@ impl<'s> Core<'s> {
     /// Admits a job at instant `now`. Its tasks become eligible at once and
     /// the returned watch resolves when it reaches a terminal state —
     /// immediately, as [`CancelReason::Shutdown`], if the core is closed.
-    /// With `profile` the job stamps ready instants and ready-set depth and
-    /// keeps a [`JobTrace`] for its [`Profile`].
     pub(crate) fn admit(
         &self,
         graph: TaskGraph<Job<'s>>,
         opts: JobOptions,
-        profile: bool,
         now: f64,
     ) -> (JobId, JobWatch) {
         assert!(opts.weight > 0.0 && opts.weight.is_finite(), "weight must be positive");
@@ -442,10 +437,6 @@ impl<'s> Core<'s> {
             .map(|t| ReadyEntry { priority: metas[t].priority, id: t })
             .collect();
         let roots = ready.len();
-        let mut stamps = profile.then(|| Stamps::new(n, now));
-        if let Some(s) = &mut stamps {
-            s.sample_queue(now, roots);
-        }
         let watch = JobWatch::new();
         let mut job = JobState {
             metas,
@@ -472,7 +463,8 @@ impl<'s> Core<'s> {
             },
             panic: None,
             cancel_reason: None,
-            stamps,
+            recs: Vec::with_capacity(n),
+            ready_at: vec![now; n],
             watch: watch.clone(),
         };
 
@@ -482,9 +474,9 @@ impl<'s> Core<'s> {
             if st.closed {
                 job.cancel_reason = Some(CancelReason::Shutdown);
                 job.drop_undispatched();
-                done.push(job.finish(now));
+                done.push(job.finish(now, self.lanes.len()));
             } else if n == 0 {
-                done.push(job.finish(now));
+                done.push(job.finish(now, self.lanes.len()));
             } else {
                 // Stride scheduling: start at the current minimum pass so
                 // the new job neither starves nor sweeps the pool.
@@ -511,23 +503,6 @@ impl<'s> Core<'s> {
     pub(crate) fn close(&self) {
         self.state.lock().closed = true;
         self.cv.notify_all();
-    }
-
-    /// The lane logs, restricted to `job`'s records if one is named.
-    fn lane_logs(&self, job: Option<JobId>) -> Vec<LaneLog> {
-        self.lanes
-            .iter()
-            .map(|lane| {
-                let lane = lane.lock();
-                let of_job = lane.log.tasks.iter().filter(|r| job.is_none_or(|j| r.job == j));
-                LaneLog { tasks: of_job.copied().collect() }
-            })
-            .collect()
-    }
-
-    /// Consumes the core (every worker has returned) into its lane logs.
-    pub(crate) fn into_lane_logs(self) -> Vec<LaneLog> {
-        self.lanes.into_iter().map(|lane| lane.into_inner().log).collect()
     }
 
     /// Counts the job's terminal outcome and records it on the flight
@@ -569,6 +544,9 @@ impl<'s> Core<'s> {
     fn deliver(&self, done: Done) {
         for (finished, watch) in done {
             self.note_job_end(&finished.report);
+            if self.tracing.load(Ordering::Relaxed) {
+                self.retained.lock().extend_from_slice(&finished.log.recs);
+            }
             if let Some(hook) = &self.on_complete {
                 hook(&finished.report);
             }
@@ -580,7 +558,7 @@ impl<'s> Core<'s> {
     fn finalize(&self, st: &mut State<'s>, id: JobId, now: f64, done: &mut Done) {
         let job = st.jobs.remove(&id).expect("finalized job is active");
         st.deadlines -= usize::from(job.deadline.is_some());
-        done.push(job.finish(now));
+        done.push(job.finish(now, self.lanes.len()));
         if st.closed && st.jobs.is_empty() {
             self.cv.notify_all();
         }
@@ -650,30 +628,27 @@ impl<'s> Core<'s> {
         let TaskMeta { flops, label, .. } = job.metas[task];
         job.in_flight += 1;
         job.pass += flops.max(1.0) / job.weight;
-        if job.report.first_dispatch.is_none() || job.stamps.is_some() {
-            let now = self.now();
-            job.report.first_dispatch.get_or_insert(now);
-            if let Some(s) = &mut job.stamps {
-                s.sample_queue(now, job.ready.len());
-            }
+        if job.report.first_dispatch.is_none() {
+            job.report.first_dispatch = Some(self.now());
         }
         Some((Claim { job: jid, task, label, flops }, body))
     }
 
-    /// Accounts a finished task: releases its successors (or cancels its
-    /// failure closure) and finalizes the job when its last task is
-    /// accounted.
+    /// Accounts a finished task: logs it in its job, releases its successors
+    /// (or cancels its failure closure) and finalizes the job when its last
+    /// task is accounted.
     fn complete(
         &self,
         st: &mut State<'s>,
         claim: Claim,
         lane: usize,
-        end: f64,
+        (start, end): (f64, f64),
         failure: Option<Failure>,
         done: &mut Done,
     ) {
         let Claim { job: jid, task, label, flops } = claim;
         let job = st.jobs.get_mut(&jid).expect("in-flight job is active");
+        job.recs.push(TaskRec { task, label, lane, start, end });
         job.in_flight -= 1;
         job.remaining -= 1;
         job.report.tasks_run += 1;
@@ -708,22 +683,14 @@ impl<'s> Core<'s> {
                 }
             }
             None if job.cancel_reason.is_none() => {
-                let now = if job.stamps.is_some() { self.now() } else { end };
-                let mut released = false;
                 for &s in &job.succs[task] {
                     job.preds[s] -= 1;
                     // The cancelled check is defensive: a task whose
                     // predecessors all completed is in no failure closure.
                     if job.preds[s] == 0 && !job.cancelled[s] {
                         job.ready.push(ReadyEntry { priority: job.metas[s].priority, id: s });
-                        released = true;
-                        if let Some(stamps) = &mut job.stamps {
-                            stamps.mark_ready(s, now);
-                        }
+                        job.ready_at[s] = end;
                     }
-                }
-                if let Some(stamps) = job.stamps.as_mut().filter(|_| released) {
-                    stamps.sample_queue(now, job.ready.len());
                 }
             }
             None => {}
@@ -769,28 +736,24 @@ impl<'s> Core<'s> {
             }
 
             counters.tasks_dispatched.inc();
-            let Claim { job: jid, task, label, .. } = claim;
+            let Claim { job: jid, label, .. } = claim;
             if let Some(rec) = self.recorder.get() {
                 // Publish the recorder as this thread's context — once, the
-                // first time it is seen attached — so recovery-layer events
-                // (retry/restore/inject) land on this worker's lane, then
-                // note the dispatch itself.
+                // first time it is seen attached — and the claimed task's
+                // job beside it, so recovery-layer events
+                // (retry/restore/inject) land on this worker's lane under
+                // the right job, then note the dispatch itself.
                 if !published {
                     telemetry::set_thread_recorder(Arc::downgrade(rec), lane);
                     published = true;
                 }
+                telemetry::set_thread_job(jid);
                 rec.record(lane, FlightEventKind::Dispatch, jid, Some(label));
             }
             let start = self.now();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
             let end = self.now();
-            {
-                let mut l = self.lanes[lane].lock();
-                l.busy += end - start;
-                if self.tracing.load(Ordering::Relaxed) {
-                    l.log.tasks.push(TaskRec { job: jid, task, label, start, end });
-                }
-            }
+            self.lanes[lane].lock().busy += end - start;
             let failure = match outcome {
                 Ok(Ok(())) => None,
                 Ok(Err(f)) => Some(Failure { message: f.message, payload: None }),
@@ -808,7 +771,7 @@ impl<'s> Core<'s> {
             }
 
             st = self.state.lock();
-            self.complete(&mut st, claim, lane, end, failure, &mut done);
+            self.complete(&mut st, claim, lane, (start, end), failure, &mut done);
             if !done.is_empty() {
                 drop(st);
                 self.deliver(done);
@@ -845,7 +808,7 @@ impl MultiFrontier {
     }
 
     fn build(nworkers: usize, on_complete: Option<CompletionHook>) -> Self {
-        let core = Arc::new(Core::new(nworkers, false, on_complete));
+        let core = Arc::new(Core::new(nworkers, on_complete));
         let workers = (0..nworkers)
             .map(|lane| {
                 let core = Arc::clone(&core);
@@ -882,15 +845,13 @@ impl MultiFrontier {
     /// Submits a job. Tasks become eligible immediately; the returned
     /// [`JobWatch`] resolves when the job reaches a terminal state. If the
     /// frontier is already shut down, the job finalizes immediately with
-    /// [`CancelReason::Shutdown`]. A job submitted while tracing is on
-    /// ([`MultiFrontier::set_tracing`]) can be asked for its
-    /// [`MultiFrontier::job_profile`].
+    /// [`CancelReason::Shutdown`]. Once finished, the job can be asked for
+    /// its [`MultiFrontier::job_profile`].
     ///
     /// # Panics
     /// If `opts.weight` is not positive and finite.
     pub fn submit(&self, graph: TaskGraph<DynJob>, opts: JobOptions) -> (JobId, JobWatch) {
-        let tracing = self.core.tracing.load(Ordering::Relaxed);
-        self.core.admit(graph, opts, tracing, self.core.now())
+        self.core.admit(graph, opts, self.core.now())
     }
 
     /// Cancels a job: undispatched tasks are dropped, in-flight tasks run
@@ -934,32 +895,29 @@ impl MultiFrontier {
         self.core.state.lock().jobs.values().filter(|j| j.report.first_dispatch.is_none()).count()
     }
 
-    /// Enables or disables recording: while on, every finished task is
-    /// logged for [`MultiFrontier::timeline`], and a job submitted while on
-    /// keeps what [`MultiFrontier::job_profile`] needs.
+    /// Enables or disables retention for the frontier-wide
+    /// [`MultiFrontier::timeline`]: while on, the records of every job that
+    /// finalizes are kept after the job is gone. It does not decide whether
+    /// a job has a profile — every job does — and is off by default because
+    /// what it keeps grows for as long as the frontier runs.
     pub fn set_tracing(&self, on: bool) {
         self.core.tracing.store(on, Ordering::Relaxed);
     }
 
-    /// Snapshot of the recorded execution timeline (spans accumulate while
-    /// tracing is enabled; times are seconds since the frontier epoch).
+    /// Snapshot of the frontier-wide execution timeline: the spans of the
+    /// jobs that finalized while tracing was enabled (times are seconds
+    /// since the frontier epoch).
     pub fn timeline(&self) -> Timeline {
-        Timeline::from_log(&self.core.lane_logs(None), self.core.now())
+        Timeline::from_log(&self.core.retained.lock(), self.nworkers(), self.core.now())
     }
 
-    /// The full-lifecycle [`Profile`] of a finished job that was submitted
-    /// and ran under tracing: the job's records in the lane logs joined
-    /// with the metadata, edges and ready stamps its watch retained (freed
-    /// with the last clone of the watch). Times count from the job's
-    /// submission. `None` while the job runs and for an untraced job.
+    /// The full-lifecycle [`Profile`] of a finished job, built from the log
+    /// the job left in its watch (freed with the last clone of the watch).
+    /// Times count from the job's submission. `None` while the job runs.
     pub fn job_profile(&self, watch: &JobWatch) -> Option<Profile> {
         let slot = watch.inner.slot.lock();
-        let Finished { report, trace, .. } = slot.as_ref()?;
-        let JobTrace { metas, succs, stamps, cancelled } = trace.as_ref()?;
-        let lanes = self.core.lane_logs(Some(report.job));
-        let makespan = report.finished - report.submitted;
-        let cancelled = cancelled.clone();
-        Some(Profile::from_log(SCHEDULER, &lanes, stamps, makespan, metas, succs, cancelled))
+        let Finished { report, log, .. } = slot.as_ref()?;
+        Some(Profile::from_log(log, report.finished - report.submitted))
     }
 
     /// Total seconds workers spent executing task bodies since start.

@@ -9,7 +9,8 @@
 //!
 //! * [`Profile`] — one record per executed task (ready → dispatch → start →
 //!   end, worker lane, kernel class, flop/byte estimates), the DAG edges,
-//!   ready-queue depth samples, and the cancelled-task set.
+//!   the ready-queue depth those stamps determine, and the cancelled-task
+//!   set.
 //! * [`SchedMetrics`] — the derived report: dispatch-latency distribution,
 //!   per-kind busy breakdown, per-kernel-class achieved GFlop/s and GB/s
 //!   (roofline attribution), critical-path length vs makespan (scheduling
@@ -20,10 +21,11 @@
 //!   process/thread-name metadata, flow events for DAG edges, and a
 //!   ready-queue counter track.
 //!
-//! Profiles come from [`crate::execute`] and [`crate::simulate_with`] with
-//! their `profile` option set, and from [`crate::MultiFrontier::job_profile`]
-//! for a job served under tracing; the simulator path is fully
-//! deterministic, so tests can assert exact metric values.
+//! Every run has one: [`crate::RunReport::profile`] for
+//! [`crate::execute`] and [`crate::simulate_with`],
+//! [`crate::MultiFrontier::job_profile`] for a served job — each a view,
+//! built when asked for, of the log the job left. The simulator path is
+//! fully deterministic, so tests can assert exact metric values.
 
 use crate::task::{KernelClass, TaskId, TaskKind, TaskLabel};
 use crate::trace::{trace_args, Span, Timeline, TraceEvents};
@@ -67,7 +69,10 @@ impl TaskRecord {
     }
 }
 
-/// One sample of the job's ready-set depth, taken at every enqueue/dequeue.
+/// One step of the job's ready-set depth: the depth from `t` until the next
+/// sample. Derived from the records' `ready` (+1) and `start` (−1) stamps,
+/// one sample per instant at which either happened, so it counts the ready
+/// tasks that went on to run.
 #[derive(Clone, Copy, Debug, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct QueueSample {
     /// Sample time in seconds.
@@ -94,7 +99,7 @@ pub struct Profile {
     /// The DAG edges (`before → after`), for flow events and the measured
     /// critical path.
     pub edges: Vec<(TaskId, TaskId)>,
-    /// Ready-set depth samples.
+    /// Ready-set depth as a step function of time, in time order.
     pub queue_samples: Vec<QueueSample>,
     /// Tasks cancelled because a transitive predecessor failed.
     pub cancelled: Vec<TaskId>,
@@ -225,14 +230,14 @@ impl Profile {
             })
             .collect();
 
-        // Queue depth.
+        // Queue depth: each sample holds until the next one (the last until
+        // the makespan), so the mean weights a depth by how long it lasted.
         let max_queue_depth = self.queue_samples.iter().map(|s| s.depth).max().unwrap_or(0);
-        let mean_queue_depth = if self.queue_samples.is_empty() {
-            0.0
-        } else {
-            self.queue_samples.iter().map(|s| s.depth as f64).sum::<f64>()
-                / self.queue_samples.len() as f64
-        };
+        let until = self.queue_samples.iter().skip(1).map(|s| s.t).chain([self.makespan]);
+        let depth_seconds: f64 =
+            self.queue_samples.iter().zip(until).map(|(s, t)| s.depth as f64 * (t - s.t)).sum();
+        let mean_queue_depth =
+            if self.makespan > 0.0 { depth_seconds / self.makespan } else { 0.0 };
 
         // Scheduling efficiency: makespan against the two lower bounds.
         let critical_path_seconds = self.critical_path_seconds();
@@ -487,7 +492,8 @@ pub struct SchedMetrics {
     pub by_class: Vec<ClassMetrics>,
     /// Deepest observed ready queue.
     pub max_queue_depth: usize,
-    /// Mean sampled ready-queue depth.
+    /// Time-weighted mean ready-queue depth over the makespan: the integral
+    /// of the depth step function divided by `makespan`.
     pub mean_queue_depth: f64,
     /// Critical path through the DAG with measured durations.
     pub critical_path_seconds: f64,
@@ -654,7 +660,8 @@ mod tests {
         assert_eq!(g.class, "Gemm");
         assert!((g.gflops - 2.0).abs() < 1e-9);
         assert!((g.gbytes_per_sec - 1.0).abs() < 1e-9);
-        assert_eq!(m.max_queue_depth, 2);
+        // Depth 2 for the first of the two seconds, 0 for the second.
+        assert_eq!((m.max_queue_depth, m.mean_queue_depth), (2, 1.0));
     }
 
     #[test]

@@ -34,6 +34,7 @@ use crate::exec::{DynJob, Job};
 use crate::fault::{panic_message, TaskFailure, TaskResult};
 use crate::footprint::AccessMap;
 use crate::task::{TaskId, TaskKind, TaskLabel};
+use crate::telemetry::{record_event, FlightEventKind};
 use ca_matrix::{ElemRect, MatView, Scalar, SharedMatrix};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -583,11 +584,7 @@ fn run_recovering<T: Scalar>(
     for attempt in 0..=policy.max_retries {
         if attempt > 0 {
             counters.retries.inc();
-            crate::telemetry::record_event(
-                crate::telemetry::FlightEventKind::Retry,
-                0,
-                Some(*label),
-            );
+            record_event(FlightEventKind::Retry, Some(*label));
             std::thread::sleep(policy.delay_for(attempt - 1));
         }
         counters.attempts.inc();
@@ -610,11 +607,7 @@ fn run_recovering<T: Scalar>(
                 if let Some(saved) = &snapshot {
                     writes.restore(shared, saved);
                     counters.restores.inc();
-                    crate::telemetry::record_event(
-                        crate::telemetry::FlightEventKind::Restore,
-                        0,
-                        Some(*label),
-                    );
+                    record_event(FlightEventKind::Restore, Some(*label));
                 }
             }
         }
@@ -651,7 +644,7 @@ fn inject<T: Scalar>(
 ) -> TaskResult {
     let decision = chaos.decide(label);
     if decision.is_some() {
-        crate::telemetry::record_event(crate::telemetry::FlightEventKind::Inject, 0, Some(*label));
+        record_event(FlightEventKind::Inject, Some(*label));
     }
     let count = |pick: fn(&RecoveryCounters) -> &Counter| {
         if let Some(t) = target {

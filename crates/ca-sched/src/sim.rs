@@ -16,8 +16,7 @@ use crate::exec::{ExecStats, RunReport};
 use crate::fault::ExecError;
 use crate::footprint::AccessMap;
 use crate::graph::{cancel_closure, ReadyEntry, TaskGraph};
-use crate::log::{LaneLog, Stamps, TaskRec};
-use crate::profile::Profile;
+use crate::log::{JobLog, TaskRec};
 use crate::retry::{injection_message, ChaosAction, ChaosPlan};
 use crate::task::{TaskId, TaskMeta};
 use crate::trace::{Timeline, TimelineError};
@@ -63,7 +62,8 @@ pub fn simulate<T>(
     nworkers: usize,
     cost: impl FnMut(TaskId, &TaskMeta) -> f64,
 ) -> Timeline {
-    sim_core(graph, nworkers, cost, None, false).0
+    let run = sim_core(graph, nworkers, cost, None);
+    Timeline::from_log(&run.recs, nworkers, run.makespan)
 }
 
 /// How [`simulate_with`] runs. `Default` is a plain [`simulate`].
@@ -75,10 +75,6 @@ pub struct SimOptions<'a> {
     /// threaded executor; a delay extends the task. The rest of the graph
     /// drains, and the failure's `lane` is the simulated core index.
     pub chaos: Option<&'a ChaosPlan>,
-    /// Record the full task lifecycle (exact ready/dispatch/start/end in
-    /// simulated seconds, ready-heap depth samples) into
-    /// [`RunReport::profile`].
-    pub profile: bool,
     /// Checked mode. The simulator executes no matrix code, so "checked"
     /// means the static verifier must accept the graph with these
     /// footprints before anything is simulated, and the produced timeline
@@ -87,8 +83,9 @@ pub struct SimOptions<'a> {
     pub access: Option<&'a AccessMap>,
 }
 
-/// [`simulate`] with fault injection, profiling and/or checking, reported
-/// like a threaded run. Fully deterministic: tests can assert exact metric
+/// [`simulate`] with fault injection and/or checking, reported like a
+/// threaded run, [`RunReport::profile`] (exact ready/start/end in simulated
+/// seconds) included. Fully deterministic: tests can assert exact metric
 /// values.
 ///
 /// # Panics
@@ -101,11 +98,12 @@ pub fn simulate_with<T>(
 ) -> RunReport {
     let mut violation =
         opts.access.and_then(|access| crate::verify::verify_graph(graph, access).err());
-    let (timeline, failure, profile) = if violation.is_none() {
-        sim_core(graph, nworkers, cost, opts.chaos, opts.profile)
+    let run = if violation.is_none() {
+        sim_core(graph, nworkers, cost, opts.chaos)
     } else {
-        (Timeline::new(nworkers), None, None)
+        SimRun::default()
     };
+    let timeline = Timeline::from_log(&run.recs, nworkers, run.makespan);
     if let Some(Err(e)) = opts.access.map(|access| timeline.check_write_exclusion(access)) {
         let TimelineError::ConcurrentWrites { first, second, rect } = e else {
             unreachable!("check_write_exclusion only reports ConcurrentWrites")
@@ -117,18 +115,40 @@ pub fn simulate_with<T>(
             cols: (rect.col0, rect.col1),
         });
     }
-    let tasks = timeline.lanes.iter().map(Vec::len).sum();
-    let stats = ExecStats { tasks, wall_seconds: timeline.makespan, timeline };
-    RunReport { stats, profile, failure, violation, panic: None }
+    let stats = ExecStats { tasks: run.recs.len(), wall_seconds: run.makespan, timeline };
+    // The graph is borrowed, so the log takes copies of what a threaded
+    // job's log takes by move.
+    let log = JobLog {
+        scheduler: "simulator",
+        nworkers,
+        t0: 0.0,
+        recs: run.recs,
+        ready_at: run.ready_at,
+        metas: graph.metas.clone(),
+        succs: graph.succs.clone(),
+        cancelled: run.cancelled,
+    };
+    RunReport { stats, failure: run.failure, violation, panic: None, log }
 }
 
-pub(crate) fn sim_core<T>(
+/// What one simulated run measured.
+#[derive(Default)]
+struct SimRun {
+    /// One record per simulated task, in start order.
+    recs: Vec<TaskRec>,
+    /// Per task, the simulated instant it became ready (0 for a root).
+    ready_at: Vec<f64>,
+    cancelled: Vec<TaskId>,
+    failure: Option<ExecError>,
+    makespan: f64,
+}
+
+fn sim_core<T>(
     graph: &TaskGraph<T>,
     nworkers: usize,
     mut cost: impl FnMut(TaskId, &TaskMeta) -> f64,
     chaos: Option<&ChaosPlan>,
-    profile: bool,
-) -> (Timeline, Option<ExecError>, Option<Profile>) {
+) -> SimRun {
     assert!(nworkers > 0, "need at least one simulated core");
     let n = graph.len();
     let mut preds: Vec<usize> = graph.npreds.clone();
@@ -141,16 +161,14 @@ pub(crate) fn sim_core<T>(
 
     let mut idle: Vec<usize> = (0..nworkers).rev().collect(); // pop() gives lowest index
     let mut events: BinaryHeap<Completion> = BinaryHeap::new();
-    // The one task log; the timeline and the profile are views of it.
-    let mut lanes = vec![LaneLog::default(); nworkers];
+    // The run's log; the timeline and the profile are views of it.
+    let mut recs = Vec::with_capacity(n);
+    let mut ready_at = vec![0.0f64; n];
     let mut t = 0.0f64;
     // Tasks accounted for: executed or cancelled.
     let mut accounted = 0usize;
     let mut cancelled = vec![false; n];
     let mut failure: Option<ExecError> = None;
-    // Profile-only stamps: exact ready instants and ready-heap depth
-    // samples (one per assignment round).
-    let mut stamps = profile.then(|| Stamps::new(n, 0.0));
 
     while accounted < n {
         // Start as many ready tasks as there are idle cores, at time t.
@@ -170,12 +188,9 @@ pub(crate) fn sim_core<T>(
                 // No data is simulated, so there is nothing to corrupt.
                 Some(ChaosAction::Corrupt) | None => None,
             };
-            let rec = TaskRec { job: 0, task: entry.id, label: meta.label, start: t, end: t + d };
-            lanes[worker].tasks.push(rec);
-            events.push(Completion { time: t + d, worker, task: entry.id, failed });
-        }
-        if let Some(stamps) = &mut stamps {
-            stamps.sample_queue(t, ready.len());
+            let (task, label) = (entry.id, meta.label);
+            recs.push(TaskRec { task, label, lane: worker, start: t, end: t + d });
+            events.push(Completion { time: t + d, worker, task, failed });
         }
 
         // Advance to the next completion, draining any other completions at
@@ -207,9 +222,7 @@ pub(crate) fn sim_core<T>(
                 for &s in &graph.succs[c.task] {
                     preds[s] -= 1;
                     if preds[s] == 0 && !cancelled[s] {
-                        if let Some(stamps) = &mut stamps {
-                            stamps.mark_ready(s, t);
-                        }
+                        ready_at[s] = t;
                         ready.push(ReadyEntry { priority: graph.metas[s].priority, id: s });
                     }
                 }
@@ -218,16 +231,11 @@ pub(crate) fn sim_core<T>(
         idle.sort_unstable_by(|a, b| b.cmp(a)); // keep lowest-index-on-top
     }
 
-    let cancelled_ids: Vec<TaskId> = (0..n).filter(|&id| cancelled[id]).collect();
-    let profile_out = stamps.map(|stamps| {
-        let (metas, succs) = (&graph.metas, &graph.succs);
-        Profile::from_log("simulator", &lanes, &stamps, t, metas, succs, cancelled_ids.clone())
-    });
-    let failure = failure.map(|mut err| {
-        err.cancelled = cancelled_ids;
-        err
-    });
-    (Timeline::from_log(&lanes, t), failure, profile_out)
+    let cancelled: Vec<TaskId> = (0..n).filter(|&id| cancelled[id]).collect();
+    if let Some(err) = &mut failure {
+        err.cancelled.clone_from(&cancelled);
+    }
+    SimRun { recs, ready_at, cancelled, failure, makespan: t }
 }
 
 /// Convenience: simulate with durations equal to each task's `flops` field

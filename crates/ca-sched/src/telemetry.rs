@@ -17,9 +17,14 @@
 //! 2. **Flight recorder** ([`FlightRecorder`]) — per-worker bounded rings of
 //!    recent task lifecycle / retry / shed events. A recorder is attached to
 //!    a `MultiFrontier` (see `set_flight_recorder`); workers then publish
-//!    their lane through a thread-local so that instrumentation deep in the
-//!    recovery layer ([`record_event`]) lands events on the right lane
-//!    without threading a handle through every call. When a job fails, a
+//!    their lane, and the job of each task they claim, through a
+//!    thread-local so that instrumentation deep in the recovery layer
+//!    (`record_event`) lands events on the right lane under the right job
+//!    without threading a handle through every call. The ring keeps its own
+//!    dispatch/ok/fail marks beside the job logs' records because it answers
+//!    a different question — the last moments across jobs, including a task
+//!    that was dispatched and never came back — and is fault-diagnosis
+//!    state, bounded whatever the uptime. When a job fails, a
 //!    probe detects corruption, a deadline is missed, or shed fires, the
 //!    serve tier dumps [`FlightRecorder::chrome_trace_fragment`] — a
 //!    self-contained chrome-trace JSON of the last moments before the event.
@@ -185,6 +190,7 @@ impl std::fmt::Debug for FlightRecorder {
 
 thread_local! {
     static CURRENT_LANE: Cell<usize> = const { Cell::new(usize::MAX) };
+    static CURRENT_JOB: Cell<u64> = const { Cell::new(0) };
     static CURRENT_RECORDER: std::cell::RefCell<Weak<FlightRecorder>> =
         const { std::cell::RefCell::new(Weak::new()) };
 }
@@ -194,20 +200,26 @@ thread_local! {
 /// wrapper) land on this worker's ring. Called by each `MultiFrontier` worker
 /// once, the first time it sees a recorder attached; passing a dead `Weak`
 /// clears the context.
-pub fn set_thread_recorder(recorder: Weak<FlightRecorder>, lane: usize) {
+pub(crate) fn set_thread_recorder(recorder: Weak<FlightRecorder>, lane: usize) {
     CURRENT_LANE.with(|l| l.set(lane));
     CURRENT_RECORDER.with(|r| *r.borrow_mut() = recorder);
 }
 
-/// Records an event on the current thread's lane, if a recorder is attached.
+/// Publishes the job whose task this worker thread is about to run: the
+/// job [`record_event`] attributes its events to. Called once per claim.
+pub(crate) fn set_thread_job(job: u64) {
+    CURRENT_JOB.set(job);
+}
+
+/// Records an event on the current thread's lane, under the job of the task
+/// the thread is running, if a recorder is attached.
 ///
 /// The fast path for uninstrumented threads is a thread-local read and a
 /// `Weak::upgrade` miss; no allocation, no lock.
-pub fn record_event(kind: FlightEventKind, job: u64, label: Option<TaskLabel>) {
+pub(crate) fn record_event(kind: FlightEventKind, label: Option<TaskLabel>) {
     CURRENT_RECORDER.with(|r| {
         if let Some(rec) = r.borrow().upgrade() {
-            let lane = CURRENT_LANE.with(|l| l.get());
-            rec.record(lane, kind, job, label);
+            rec.record(CURRENT_LANE.get(), kind, CURRENT_JOB.get(), label);
         }
     });
 }
@@ -333,9 +345,10 @@ mod tests {
     fn thread_recorder_context_routes_events() {
         let rec = Arc::new(FlightRecorder::new(1, 8));
         set_thread_recorder(Arc::downgrade(&rec), 0);
-        record_event(FlightEventKind::Retry, 42, Some(TaskLabel::new(TaskKind::Panel, 0, 0, 0)));
+        set_thread_job(42);
+        record_event(FlightEventKind::Retry, Some(TaskLabel::new(TaskKind::Panel, 0, 0, 0)));
         set_thread_recorder(Weak::new(), usize::MAX);
-        record_event(FlightEventKind::Retry, 43, None); // no recorder: dropped
+        record_event(FlightEventKind::Retry, None); // no recorder: dropped
         assert_eq!(rec.len(), 1);
         let evs = rec.lanes[0].snapshot();
         assert_eq!(evs[0].job, 42);

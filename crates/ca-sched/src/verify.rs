@@ -730,8 +730,9 @@ fn lint_pass<T>(
     let critical_path_flops = graph.critical_path_flops();
     let sim = graph.map_ref(|_, _| ());
     let panel_wait = |g: &TaskGraph<()>| {
-        let (_, _, profile) = crate::sim::sim_core(g, LINT_SIM_WORKERS, |_, m| m.flops, None, true);
-        profile.expect("profiling requested").lookahead_metrics().total_wait
+        let opts = crate::SimOptions::default();
+        let report = crate::simulate_with(g, LINT_SIM_WORKERS, |_, m| m.flops, &opts);
+        report.profile().lookahead_metrics().total_wait
     };
     let panel_wait_seconds = panel_wait(&sim);
     let (reduced_critical_path_flops, reduced_panel_wait_seconds) =

@@ -11,7 +11,7 @@ use ca_core::{
 use ca_matrix::Matrix;
 use ca_sched::{
     CancelReason, ChaosPlan, JobId, JobOptions, JobOutcome, JobReport, JobWatch, MultiFrontier,
-    PanicHookGuard, Profile, RecoveryCounters,
+    FlightEventKind, PanicHookGuard, Profile, RecoveryCounters,
 };
 use ca_telemetry::Ring;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -92,8 +92,8 @@ impl<T> JobHandle<T> {
     /// finishes, then returns the scheduler's [`Profile`] of it (job → panel
     /// step → task → kernel class, times counted from submission) — the
     /// same answer a one-shot `try_calu_profiled` gives, plus the sink task.
-    /// `None` unless the job was submitted while [`Service::set_tracing`]
-    /// was on. What the profile needs is held by this handle, so ask before
+    /// Every job has one, however it ended and without having been asked in
+    /// advance. What the profile needs is held by this handle, so ask before
     /// [`JobHandle::wait`] consumes it.
     pub fn profile(&self) -> Option<Profile> {
         self.watch.wait();
@@ -154,6 +154,11 @@ impl<T> JobHandle<T> {
                         self.core.mark_recovery(format!(
                             "probe: corrupted factors (residual {residual:.2e})"
                         ));
+                        // The probe ran here, on the client's thread: mark
+                        // the recorder's external lane, under this job.
+                        if let Some(rec) = self.core.frontier.flight_recorder() {
+                            rec.record(rec.nworkers(), FlightEventKind::ProbeCorrupt, self.id, None);
+                        }
                         self.core.dump_flight("probe-corrupt");
                         drop(value);
                         return match self.try_resubmit() {
@@ -717,17 +722,17 @@ impl Service {
         *self.core.admission.lock().expect("admission lock")
     }
 
-    /// Enables or disables execution-span tracing for
-    /// [`Service::chrome_trace`]; a job submitted while it is on can also be
-    /// asked for its [`JobHandle::profile`].
+    /// Enables or disables keeping finished jobs' execution spans for the
+    /// service-wide [`Service::chrome_trace`]. Off by default because a
+    /// service runs for days; [`JobHandle::profile`] does not depend on it.
     pub fn set_tracing(&self, on: bool) {
         self.core.frontier.set_tracing(on);
     }
 
-    /// Chrome-trace JSON of the worker timeline recorded while tracing was
-    /// enabled (`chrome://tracing` / Perfetto format, same pipeline as the
-    /// one-shot `--profile` path). Recovery events — job retries, probe
-    /// hits, recoveries — appear as global instant markers.
+    /// Chrome-trace JSON of the worker timeline of the jobs that finished
+    /// while tracing was enabled (`chrome://tracing` / Perfetto format, same
+    /// pipeline as the one-shot `--profile` path). Recovery events — job
+    /// retries, probe hits, recoveries — appear as global instant markers.
     pub fn chrome_trace(&self) -> String {
         let marks = self.core.marks.snapshot();
         ca_sched::chrome_trace_json_with_marks(&self.core.frontier.timeline(), &marks)
@@ -997,18 +1002,6 @@ mod tests {
             assert!(prom.contains(line), "missing {line:?} in {prom}");
         }
         assert!(!prom.contains("class=\"batch\""), "{prom}");
-        svc.shutdown();
-    }
-
-    #[test]
-    fn tiny_job_profile_is_available_under_tracing() {
-        let svc = Service::new(cfg(1).with_batching(BatchConfig::up_to(32)));
-        svc.set_tracing(true);
-        let a = ca_matrix::random_uniform(16, 16, &mut seeded_rng(64));
-        let h = svc.submit_lu(a, SubmitOptions::default()).expect("admit");
-        let profile = h.profile().expect("a tiny job has a job of its own to profile");
-        assert_eq!(profile.records.len(), 1);
-        h.wait().expect("completes");
         svc.shutdown();
     }
 

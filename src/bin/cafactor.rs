@@ -88,9 +88,9 @@ struct Opts {
     /// `verify --lint-edges`: run the edge-minimality and dataflow lint
     /// passes on top of the happens-before closure.
     lint_edges: bool,
-    /// `--profile[=FILE]`: run on the profiled executor, print the scheduler
-    /// report, and write Chrome-trace JSON to FILE. For `serve`, the file is
-    /// a combined object: `{"serviceStats": …, "traceEvents": […]}`.
+    /// `--profile[=FILE]`: print the run's scheduler report and write its
+    /// Chrome-trace JSON to FILE. For `serve`, the file is a combined
+    /// object: `{"serviceStats": …, "traceEvents": […]}`.
     profile: Option<String>,
     /// `serve`: number of demo jobs to submit.
     jobs: usize,
@@ -508,7 +508,7 @@ fn cmd_factor(o: &Opts, qr: bool) {
         use ca_factor::kernels::flops::{geqrf, getrf};
         let (m, n) = (a.nrows(), a.ncols());
         let p = params(o, n);
-        let opts = FactorOptions { profile: o.profile.is_some(), ..Default::default() };
+        let opts = FactorOptions::default();
         let t0 = Instant::now();
         // Factor, stop the clock, then measure: (executor report, seconds,
         // accuracy columns, what `--output` writes).
@@ -530,8 +530,8 @@ fn cmd_factor(o: &Opts, qr: bool) {
             }
             (report, dt, format!("residual={:.2e}", f.residual(a)), ("packed L\\U", f.lu))
         };
-        if let (Some(profile), Some(trace)) = (&report.profile, &o.profile) {
-            report_profile(profile, trace);
+        if let Some(trace) = &o.profile {
+            report_profile(&report.profile(), trace);
         }
         let name = if qr { "CAQR" } else { "CALU" };
         let tag = if T::NAME == "f64" { String::new() } else { format!("[{}]", T::NAME) };
@@ -692,9 +692,34 @@ fn cmd_verify(sub: &str, o: &Opts) {
     }
 }
 
+/// One line on a size class from its jobs' own profiles: median queue wait
+/// (submission to first task start), median stretch (makespan over the
+/// measured critical path: 1.0 never waited for a worker) and the kernel
+/// class with the most busy seconds. `None` if none of its jobs ran a task.
+fn class_line(n: usize, profiles: &[ca_factor::sched::Profile]) -> Option<String> {
+    let median = |mut v: Vec<f64>| {
+        v.sort_by(f64::total_cmp);
+        v[v.len() / 2]
+    };
+    let mut busy = std::collections::HashMap::new();
+    for r in profiles.iter().flat_map(|p| &p.records) {
+        *busy.entry(r.class).or_insert(0.0) += r.duration();
+    }
+    let (class, secs) = busy.iter().max_by(|a, b| a.1.total_cmp(b.1))?;
+    Some(format!(
+        "  class {n}x{n}: {} job(s)  queue wait p50 {:.2}ms  stretch p50 {:.2}  \
+         busiest kernel {class:?} ({:.1}ms)",
+        profiles.len(),
+        median(profiles.iter().map(|p| p.records[0].start).collect()) * 1e3,
+        median(profiles.iter().map(|p| p.makespan / p.critical_path_seconds()).collect()),
+        secs * 1e3,
+    ))
+}
+
 /// `cafactor serve`: starts a persistent factorization service, replays a
 /// synthetic mixed LU/QR workload (1 in 4 jobs large, the rest small), and
-/// prints the service statistics. With `--profile[=FILE]`, writes a combined
+/// prints the service statistics, then one line per size class from the
+/// jobs' own profiles. With `--profile[=FILE]`, writes a combined
 /// JSON object `{"serviceStats": …, "traceEvents": […]}` — the trace loads
 /// in `chrome://tracing`/Perfetto, and the `serviceStats` member carries the
 /// shed/reject/deadline-miss counters alongside it.
@@ -746,11 +771,13 @@ fn cmd_serve(o: &Opts) {
         svc.set_tracing(true);
     }
     let mut rng = seeded_rng(o.seed);
+    const SIZES: [usize; 2] = [64, 256];
     let mut lu_handles = Vec::new();
     let mut qr_handles = Vec::new();
     let mut invalid = 0u64;
     for i in 0..o.jobs {
-        let n = if i % 4 == 0 { 256 } else { 64 };
+        let class = usize::from(i % 4 == 0);
+        let n = SIZES[class];
         let p = {
             let mut p = CaParams::new(o.b.min(n), o.tr, 1);
             p.tree = o.tree;
@@ -761,9 +788,9 @@ fn cmd_serve(o: &Opts) {
             opts = opts.with_tenant(format!("tenant-{}", i % o.tenants));
         }
         let r = if i % 2 == 0 {
-            svc.submit_lu(random_uniform(n, n, &mut rng), opts).map(|h| lu_handles.push(h))
+            svc.submit_lu(random_uniform(n, n, &mut rng), opts).map(|h| lu_handles.push((class, h)))
         } else {
-            svc.submit_qr(random_uniform(n, n, &mut rng), opts).map(|h| qr_handles.push(h))
+            svc.submit_qr(random_uniform(n, n, &mut rng), opts).map(|h| qr_handles.push((class, h)))
         };
         if let Err(e) = r {
             match e {
@@ -789,10 +816,19 @@ fn cmd_serve(o: &Opts) {
             }
         }
     };
-    for h in lu_handles {
+    // Every job has a profile (of its current attempt) without having been
+    // asked in advance; the handle holds it until `wait` consumes it. A job
+    // shed or cancelled before it ran has nothing to report.
+    let mut classes = SIZES.map(|_| Vec::new());
+    let mut look = |class: usize, profile: Option<ca_factor::sched::Profile>| {
+        classes[class].extend(profile.filter(|p| !p.records.is_empty()));
+    };
+    for (class, h) in lu_handles {
+        look(class, h.profile());
         note(h.wait().map(|_| ()));
     }
-    for h in qr_handles {
+    for (class, h) in qr_handles {
+        look(class, h.profile());
         note(h.wait().map(|_| ()));
     }
     let s = svc.stats();
@@ -852,6 +888,9 @@ fn cmd_serve(o: &Opts) {
         ms(s.exec_latency.p50_s), ms(s.exec_latency.p95_s), ms(s.exec_latency.p99_s),
         ms(s.total_latency.p50_s), ms(s.total_latency.p95_s), ms(s.total_latency.p99_s),
     );
+    for line in SIZES.iter().zip(&classes).filter_map(|(&n, class)| class_line(n, class)) {
+        println!("{line}");
+    }
     if let Some(path) = &o.profile {
         let stats_json = serde_json::to_string(&s).expect("serializable");
         let combined =

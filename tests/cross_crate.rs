@@ -135,7 +135,10 @@ fn factors_are_bitwise_identical_across_every_option_and_thread_count() {
 /// tests/breakdown.rs); a delay-only plan exercises the no-retry injection
 /// path.
 fn equivalence_class_of_the_dag_path<T: ca_factor::kernels::Kernel>() {
-    use ca_factor::core::{try_calu_with, try_caqr_with, FactorOptions, Retry};
+    use ca_factor::core::{
+        calu_task_graph, caqr_task_graph, try_calu, try_calu_profiled, try_calu_with, try_caqr,
+        try_caqr_profiled, try_caqr_with, FactorOptions, Retry,
+    };
     use ca_factor::sched::{ChaosPlan, RecoveryCounters, RetryPolicy, TaskKind};
     use std::time::Duration;
 
@@ -170,44 +173,51 @@ fn equivalence_class_of_the_dag_path<T: ca_factor::kernels::Kernel>() {
             assert_eq!(lu.pivots.ipiv, lu_ref.pivots.ipiv, "calu {m}x{n} {p:?}");
             assert_eq!(caqr(a.clone(), &p).a.as_slice(), qr_ref.a.as_slice(), "caqr {m}x{n} {p:?}");
 
+            // The `*_profiled` entry points are the plain calls plus the
+            // view: same factors, one record per task the run counted.
+            let (f, profile) = try_calu_profiled(a.clone(), &p).expect("calu");
+            assert_eq!(f.lu.as_slice(), try_calu(a.clone(), &p).expect("calu").lu.as_slice());
+            assert_eq!(f.lu.as_slice(), lu_ref.lu.as_slice(), "profiled calu {m}x{n} {p:?}");
+            assert_eq!(profile.records.len(), calu_task_graph(m, n, &p).len());
+            let (f, profile) = try_caqr_profiled(a.clone(), &p).expect("caqr");
+            assert_eq!(f.a.as_slice(), try_caqr(a.clone(), &p).expect("caqr").a.as_slice());
+            assert_eq!(f.a.as_slice(), qr_ref.a.as_slice(), "profiled caqr {m}x{n} {p:?}");
+            assert_eq!(profile.records.len(), caqr_task_graph(m, n, &p).len());
+
             for retry in [false, true] {
                 for checked in [false, true] {
-                    for profile in [false, true] {
-                        for chaos in [Chaos::None, Chaos::Delay, Chaos::Faults] {
-                            if chaos == Chaos::Faults && !retry {
-                                continue;
-                            }
-                            let case = format!(
-                                "{} {m}x{n} threads={threads} retry={retry} \
-                                 checked={checked} profile={profile} chaos={chaos:?}",
-                                T::NAME
-                            );
-                            let counters = RecoveryCounters::new();
-                            let retry = retry
-                                .then_some(Retry { policy: RetryPolicy::default(), counters: &counters });
+                    for chaos in [Chaos::None, Chaos::Delay, Chaos::Faults] {
+                        if chaos == Chaos::Faults && !retry {
+                            continue;
+                        }
+                        let case = format!(
+                            "{} {m}x{n} threads={threads} retry={retry} \
+                             checked={checked} chaos={chaos:?}",
+                            T::NAME
+                        );
+                        let counters = RecoveryCounters::new();
+                        let retry = retry
+                            .then_some(Retry { policy: RetryPolicy::default(), counters: &counters });
 
-                            let chaos_lu = plan(chaos);
-                            let opts =
-                                FactorOptions { chaos: chaos_lu.as_ref(), retry, checked, profile };
-                            let (f, report) = try_calu_with(a.clone(), &p, &opts)
-                                .unwrap_or_else(|e| panic!("calu {case}: {e}"));
-                            assert_eq!(f.lu.as_slice(), lu_ref.lu.as_slice(), "calu {case}");
-                            assert_eq!(f.pivots.ipiv, lu_ref.pivots.ipiv, "calu {case}");
-                            assert_eq!(report.profile.is_some(), profile, "calu {case}");
+                        let chaos_lu = plan(chaos);
+                        let opts = FactorOptions { chaos: chaos_lu.as_ref(), retry, checked };
+                        let (f, report) = try_calu_with(a.clone(), &p, &opts)
+                            .unwrap_or_else(|e| panic!("calu {case}: {e}"));
+                        assert_eq!(f.lu.as_slice(), lu_ref.lu.as_slice(), "calu {case}");
+                        assert_eq!(f.pivots.ipiv, lu_ref.pivots.ipiv, "calu {case}");
+                        assert_eq!(report.profile().records.len(), report.stats.tasks, "calu {case}");
 
-                            let chaos_qr = plan(chaos);
-                            let opts =
-                                FactorOptions { chaos: chaos_qr.as_ref(), retry, checked, profile };
-                            let (f, report) = try_caqr_with(a.clone(), &p, &opts)
-                                .unwrap_or_else(|e| panic!("caqr {case}: {e}"));
-                            assert_eq!(f.a.as_slice(), qr_ref.a.as_slice(), "caqr {case}");
-                            assert_eq!(report.profile.is_some(), profile, "caqr {case}");
+                        let chaos_qr = plan(chaos);
+                        let opts = FactorOptions { chaos: chaos_qr.as_ref(), retry, checked };
+                        let (f, report) = try_caqr_with(a.clone(), &p, &opts)
+                            .unwrap_or_else(|e| panic!("caqr {case}: {e}"));
+                        assert_eq!(f.a.as_slice(), qr_ref.a.as_slice(), "caqr {case}");
+                        assert_eq!(report.profile().records.len(), report.stats.tasks, "caqr {case}");
 
-                            if chaos == Chaos::Faults {
-                                let s = counters.snapshot();
-                                assert!(s.recovered_tasks >= 2, "{case}: {s:?}");
-                                assert_eq!(s.exhausted_tasks, 0, "{case}: {s:?}");
-                            }
+                        if chaos == Chaos::Faults {
+                            let s = counters.snapshot();
+                            assert!(s.recovered_tasks >= 2, "{case}: {s:?}");
+                            assert_eq!(s.exhausted_tasks, 0, "{case}: {s:?}");
                         }
                     }
                 }

@@ -1,5 +1,5 @@
 //! End-to-end tests of the profiling layer: timeline consistency of the
-//! profiled executors, exact profiles from the deterministic simulator,
+//! executors' profiles, exact profiles from the deterministic simulator,
 //! Chrome-trace structure, and the `try_calu_profiled` library surface.
 
 use ca_factor::sched::{
@@ -8,14 +8,14 @@ use ca_factor::sched::{
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A profiled run, optionally under a fault plan.
+/// A run's profile, optionally under a fault plan.
 fn profiled<'s>(
     g: TaskGraph<Job<'s>>,
     threads: usize,
     chaos: Option<&'s ChaosPlan>,
 ) -> (Profile, Option<ExecError>) {
-    let report = execute(g, threads, &RunOptions { chaos, profile: true, shadow: None });
-    (report.profile.expect("profiling requested"), report.failure)
+    let report = execute(g, threads, &RunOptions { chaos, shadow: None });
+    (report.profile(), report.failure)
 }
 
 /// A layered DAG of `layers * width` trivially-quick jobs that counts
@@ -40,8 +40,8 @@ fn layered_jobs<'a>(layers: usize, width: usize, counter: &'a AtomicUsize) -> Ta
     g
 }
 
-/// The invariants every clean profiled run must satisfy, whichever executor
-/// produced it.
+/// The invariants the profile of every clean run must satisfy, whichever
+/// executor produced it.
 fn assert_profile_consistent(profile: &Profile, nthreads: usize, ntasks: usize) {
     assert_eq!(profile.nworkers, nthreads);
     assert_eq!(profile.records.len(), ntasks, "every task gets one record");
@@ -57,6 +57,19 @@ fn assert_profile_consistent(profile: &Profile, nthreads: usize, ntasks: usize) 
         assert!(r.start <= r.end, "negative duration: {r:?}");
         assert!(r.end <= profile.makespan + 1e-9);
     }
+    // A thread starts a task some time after admission, when every root is
+    // ready at once: the derived depth starts at the root count.
+    assert_depth_is_a_ready_set(profile);
+    let roots = profile.records.iter().filter(|r| r.ready == 0.0).count();
+    assert_eq!(profile.queue_samples.first().map(|s| (s.t, s.depth)), Some((0.0, roots)));
+}
+
+/// The derived ready-queue depth of a finished job: one sample per instant
+/// in time order (a `usize`, so never negative), ending at 0.
+fn assert_depth_is_a_ready_set(profile: &Profile) {
+    let depth = &profile.queue_samples;
+    assert!(depth.windows(2).all(|w| w[0].t < w[1].t), "one sample per instant, in order");
+    assert_eq!(depth.last().map(|s| s.depth), Some(0), "every ready task was dispatched");
 }
 
 #[test]
@@ -90,7 +103,7 @@ fn span_set(tl: &Timeline) -> Vec<(usize, usize, u64, u64)> {
 /// The timeline and the profile of one run are views of one task log, so
 /// they must describe the same executions.
 fn assert_views_agree(report: &RunReport, ntasks: usize, what: &str) {
-    let profile = report.profile.as_ref().expect("profiling requested");
+    let profile = report.profile();
     assert_eq!(report.stats.tasks, ntasks, "{what}");
     assert_eq!(report.stats.tasks, profile.records.len(), "{what}");
     assert_eq!(span_set(&report.stats.timeline), span_set(&profile.timeline()), "{what}");
@@ -99,24 +112,13 @@ fn assert_views_agree(report: &RunReport, ntasks: usize, what: &str) {
 
 #[test]
 fn timeline_and_profile_views_agree_with_the_task_log() {
-    for profile in [true, false] {
-        let counter = AtomicUsize::new(0);
-        let g = layered_jobs(5, 4, &counter);
-        let n = g.len();
-        let report = execute(g, 3, &RunOptions { profile, ..Default::default() });
-        if profile {
-            assert_views_agree(&report, n, "execute");
-        } else {
-            // The log is kept either way: only the extra stamps are optional.
-            assert!(report.profile.is_none());
-            assert_eq!(report.stats.tasks, n);
-            assert_eq!(span_set(&report.stats.timeline).len(), n);
-            report.stats.timeline.check().expect("clean unprofiled timeline");
-        }
-    }
+    // Default options on both runners: nothing has to be asked for.
     let counter = AtomicUsize::new(0);
+    let g = layered_jobs(5, 4, &counter);
+    let n = g.len();
+    assert_views_agree(&execute(g, 3, &RunOptions::default()), n, "execute");
     let g = layered_jobs(5, 4, &counter).map(|_, _| ());
-    let sim = SimOptions { profile: true, ..Default::default() };
+    let sim = SimOptions::default();
     assert_views_agree(&simulate_with(&g, 3, |_, m| m.flops, &sim), g.len(), "simulator");
 }
 
@@ -135,8 +137,12 @@ fn frontier_busy_seconds_is_the_sum_of_its_traced_spans() {
             frontier.submit(g, JobOptions::default()).1
         })
         .collect();
-    for w in watches {
+    for w in &watches {
         assert!(w.wait().outcome.is_completed());
+    }
+    for w in &watches {
+        let profile = frontier.job_profile(w).expect("a finished job has a profile");
+        assert_profile_consistent(&profile, 2, 20);
     }
     let tl = frontier.timeline();
     tl.check().expect("clean frontier timeline");
@@ -144,6 +150,30 @@ fn frontier_busy_seconds_is_the_sum_of_its_traced_spans() {
     let busy = frontier.busy_seconds();
     assert!(busy > 60.0 * 50e-6, "60 tasks of 50 µs each: {busy}");
     assert!((busy - tl.busy_time()).abs() <= 1e-9 * busy, "{busy} vs {}", tl.busy_time());
+    frontier.shutdown();
+}
+
+#[test]
+fn an_untraced_frontier_keeps_nothing_of_a_finished_job() {
+    // Each job carries its own log in its watch; with tracing off the
+    // frontier itself retains nothing, however many jobs it ran.
+    use ca_factor::sched::{dyn_job, DynJob, JobOptions, MultiFrontier};
+    let one_task = || {
+        let mut g: TaskGraph<DynJob> = TaskGraph::new();
+        g.add_task(TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), 1.0), dyn_job(|| {}));
+        g
+    };
+    let frontier = MultiFrontier::new(2);
+    for _ in 0..1000 {
+        let (_, w) = frontier.submit(one_task(), JobOptions::default());
+        assert_eq!(w.wait().tasks_run, 1);
+        assert_eq!(frontier.job_profile(&w).expect("finished").records.len(), 1);
+    }
+    assert!(frontier.timeline().lanes.iter().all(Vec::is_empty));
+    // Tracing retains the records of jobs that finalize while it is on.
+    frontier.set_tracing(true);
+    frontier.submit(one_task(), JobOptions::default()).1.wait();
+    assert_eq!(frontier.timeline().lanes.iter().map(Vec::len).sum::<usize>(), 1);
     frontier.shutdown();
 }
 
@@ -191,10 +221,10 @@ fn simulator_profile_is_deterministic_and_exact() {
     g.add_dep(a, c);
     g.add_dep(b, d);
     g.add_dep(c, d);
-    let sim = SimOptions { profile: true, ..Default::default() };
+    let sim = SimOptions::default();
     let report = simulate_with(&g, 2, |_, _| 1.0, &sim);
     assert!(report.failure.is_none());
-    let p1 = report.profile.expect("profiling requested");
+    let p1 = report.profile();
     assert_eq!(p1.scheduler, "simulator");
     assert_eq!(p1.makespan, 3.0);
     let r: Vec<_> = p1.records.iter().map(|r| (r.task, r.ready, r.start, r.end)).collect();
@@ -207,10 +237,63 @@ fn simulator_profile_is_deterministic_and_exact() {
     assert_eq!(m.critical_path_seconds, 3.0);
     assert_eq!(m.efficiency, 1.0);
     assert_eq!(m.dispatch_latency.max, 0.0, "simulator dispatch is immediate");
+    // Two cores never leave a ready task waiting: the depth is 0 throughout.
+    assert_eq!((m.max_queue_depth, m.mean_queue_depth), (0, 0.0));
     // Determinism: a second run is bit-identical.
-    let p2 = simulate_with(&g, 2, |_, _| 1.0, &sim).profile.expect("profiling requested");
+    let p2 = simulate_with(&g, 2, |_, _| 1.0, &sim).profile();
     let r2: Vec<_> = p2.records.iter().map(|r| (r.task, r.ready, r.start, r.end)).collect();
     assert_eq!(r, r2);
+
+    // One core: c waits from t=1 (ready behind b) to t=2, so the depth is
+    // 0, 1, 0, 0 at t = 0, 1, 2, 3 — one ready task for one of the four
+    // seconds.
+    let p = simulate_with(&g, 1, |_, _| 1.0, &sim).profile();
+    let depth: Vec<_> = p.queue_samples.iter().map(|s| (s.t, s.depth)).collect();
+    assert_eq!(depth, vec![(0.0, 0), (1.0, 1), (2.0, 0), (3.0, 0)]);
+    let m = p.metrics();
+    assert_eq!((m.max_queue_depth, m.mean_queue_depth), (1, 0.25));
+}
+
+/// The ready set recounted the slow way: the tasks that are ready but not
+/// yet started once everything stamped `t` has happened.
+fn recount(profile: &Profile, t: f64) -> usize {
+    profile.records.iter().filter(|r| r.ready <= t && t < r.start).count()
+}
+
+#[test]
+fn derived_queue_depth_is_the_ready_set_at_every_event() {
+    // The diamond and a seeded random DAG on the simulator (deterministic):
+    // the derived step function equals a brute-force recount at every event
+    // time, and has a sample exactly where anything became ready or started.
+    let mut diamond: TaskGraph<()> = TaskGraph::new();
+    let meta = |s: usize, flops: f64| TaskMeta::new(TaskLabel::new(TaskKind::Update, s, 0, 0), flops);
+    let ids: Vec<_> = (0..4).map(|s| diamond.add_task(meta(s, 1.0), ())).collect();
+    for (a, b) in [(0, 1), (0, 2), (1, 3), (2, 3)] {
+        diamond.add_dep(ids[a], ids[b]);
+    }
+    let mut random: TaskGraph<()> = TaskGraph::new();
+    let mut rng = ca_factor::matrix::seeded_rng(2024);
+    for t in 0..60usize {
+        use rand::Rng;
+        let id = random.add_task(meta(t, rng.gen_range(1..5) as f64), ());
+        for p in 0..t {
+            if rng.gen_range(0..t) < 2 {
+                random.add_dep(p, id);
+            }
+        }
+    }
+    for (g, what) in [(&diamond, "diamond"), (&random, "random DAG")] {
+        for cores in [1, 2, 3] {
+            let p = simulate_with(g, cores, |_, m| m.flops, &SimOptions::default()).profile();
+            assert_depth_is_a_ready_set(&p);
+            let mut times: Vec<f64> = p.records.iter().flat_map(|r| [r.ready, r.start]).collect();
+            times.sort_by(f64::total_cmp);
+            times.dedup();
+            let derived: Vec<_> = p.queue_samples.iter().map(|s| (s.t, s.depth)).collect();
+            let recounted: Vec<_> = times.iter().map(|&t| (t, recount(&p, t))).collect();
+            assert_eq!(derived, recounted, "{what} on {cores} core(s)");
+        }
+    }
 }
 
 #[test]

@@ -22,8 +22,8 @@ fn expect_failure<'s>(
     execute(graph, threads, opts).failure.expect("the failure must surface as an ExecError")
 }
 
-/// What makes the contract graph's victim task fail, if anything, and what
-/// the run additionally records.
+/// What makes the contract graph's victim task fail, if anything, and
+/// whether the run is audited.
 #[derive(Clone, Copy, Debug, PartialEq)]
 enum Mode {
     Plain,
@@ -35,9 +35,6 @@ enum Mode {
     ChaosFail,
     /// A chaos rule panics the victim before its body runs.
     ChaosPanic,
-    Profiled,
-    /// Profiling with a chaos-failed victim: `Profile::cancelled`.
-    ProfiledChaosFail,
     /// Under the race detector, every task writing its declared element.
     Checked,
 }
@@ -82,8 +79,6 @@ fn executor_contract_holds_for_every_thread_count_and_option() {
         Mode::RealPanic,
         Mode::ChaosFail,
         Mode::ChaosPanic,
-        Mode::Profiled,
-        Mode::ProfiledChaosFail,
         Mode::Checked,
     ];
     for threads in [1usize, 2, 8] {
@@ -110,22 +105,18 @@ fn executor_contract_holds_for_every_thread_count_and_option() {
             });
             let is_victim = move |l: &TaskLabel| l.kind == TaskKind::Update;
             let plan = match mode {
-                Mode::ChaosFail | Mode::ProfiledChaosFail => {
-                    Some(ChaosPlan::quiet(0).fail_nth(1, is_victim))
-                }
+                Mode::ChaosFail => Some(ChaosPlan::quiet(0).fail_nth(1, is_victim)),
                 Mode::ChaosPanic => Some(ChaosPlan::quiet(0).panic_nth(1, is_victim)),
                 _ => None,
             };
             let opts = RunOptions {
                 chaos: plan.as_ref(),
-                profile: matches!(mode, Mode::Profiled | Mode::ProfiledChaosFail),
                 shadow: (mode == Mode::Checked).then_some(&registry),
             };
             let report = execute(jobs, threads, &opts);
 
-            let fails = !matches!(mode, Mode::Plain | Mode::Profiled | Mode::Checked);
-            let injected =
-                matches!(mode, Mode::ChaosFail | Mode::ChaosPanic | Mode::ProfiledChaosFail);
+            let fails = !matches!(mode, Mode::Plain | Mode::Checked);
+            let injected = matches!(mode, Mode::ChaosFail | Mode::ChaosPanic);
             let cancelled = if fails { vec![join, tail] } else { Vec::new() };
 
             // Every task runs exactly once, except the cancelled ones and
@@ -163,16 +154,12 @@ fn executor_contract_holds_for_every_thread_count_and_option() {
                     assert_eq!(e.cancelled, cancelled, "{case}");
                 }
             }
-            match &report.profile {
-                None => assert!(!opts.profile, "{case}: the profile was lost"),
-                Some(profile) => {
-                    assert!(opts.profile, "{case}: unrequested profile");
-                    assert_eq!(profile.scheduler, "priority-queue", "{case}");
-                    assert_eq!(profile.nworkers, threads, "{case}");
-                    assert_eq!(profile.cancelled, cancelled, "{case}");
-                    assert_eq!(profile.records.len(), n - cancelled.len(), "{case}");
-                }
-            }
+            // Every run explains itself, whatever the options.
+            let profile = report.profile();
+            assert_eq!(profile.scheduler, "priority-queue", "{case}");
+            assert_eq!(profile.nworkers, threads, "{case}");
+            assert_eq!(profile.cancelled, cancelled, "{case}");
+            assert_eq!(profile.records.len(), n - cancelled.len(), "{case}");
             assert!(report.violation.is_none(), "{case}: {:?}", report.violation);
             // Audited accesses prove the jobs ran inside their task scopes.
             let audited = if mode == Mode::Checked { n } else { 0 };
@@ -627,11 +614,13 @@ fn multifrontier_chaos_exhaustion_is_isolated_from_recovering_peers() {
     // alone. Two peers run under targeted fail/panic injection with the
     // default replay budget: both must recover and produce their exact
     // checksums — per-job recovery state (plans, counters, budgets) must
-    // never bleed across jobs sharing the worker pool.
-    use ca_factor::matrix::{Matrix, SharedMatrix};
+    // never bleed across jobs sharing the worker pool, and neither may the
+    // flight marks: every retry/restore/inject mark names its task's job
+    // (ids 0, 1 and 2, so a recorder that always says 0 is caught).
+    use ca_factor::matrix::{ElemRect, Matrix, SharedMatrix};
     use ca_factor::sched::{
-        retrying_dyn_job, ChaosPlan, ChaosProfile, DynJob, JobOptions, JobOutcome,
-        MultiFrontier, RecoveryCounters, RetryPolicy, WriteSet,
+        retrying_dyn_job, write_set, AccessMap, ChaosPlan, ChaosProfile, DynJob, JobOptions,
+        JobOutcome, MultiFrontier, RecoveryCounters, RetryPolicy,
     };
     use std::sync::Arc;
     use std::time::Duration;
@@ -642,9 +631,11 @@ fn multifrontier_chaos_exhaustion_is_isolated_from_recovering_peers() {
     let term = |t: usize| (t as u64 + 1).pow(3);
 
     let frontier = MultiFrontier::new(3);
-    // Substrate for the retry wrappers; these chain tasks pass data through
-    // accumulators (empty write-sets), like Panel tasks and their workspace.
-    let shared = Arc::new(SharedMatrix::new(Matrix::<f64>::zeros(1, 1)));
+    let recorder = frontier.set_flight_recorder(1024);
+    // Substrate for the retry wrappers: these chain tasks pass data through
+    // accumulators, and declare their job's own element as their write-set
+    // so a replay has something to restore.
+    let shared = Arc::new(SharedMatrix::new(Matrix::<f64>::zeros(JOBS, 1)));
     let mut watches = Vec::new();
     let mut accs = Vec::new();
     let mut counters_by_job = Vec::new();
@@ -669,6 +660,10 @@ fn multifrontier_chaos_exhaustion_is_isolated_from_recovering_peers() {
         };
         let counters = Arc::new(RecoveryCounters::new());
         counters_by_job.push(counters.clone());
+        let mut access = AccessMap::new(JOBS, 1);
+        for t in 0..CHAIN {
+            access.record_write(t, ElemRect::new(jidx..jidx + 1, 0..1));
+        }
         let mut g: ca_factor::sched::TaskGraph<DynJob> = ca_factor::sched::TaskGraph::new();
         let mut prev = None;
         for t in 0..CHAIN {
@@ -676,7 +671,7 @@ fn multifrontier_chaos_exhaustion_is_isolated_from_recovering_peers() {
             let acc = acc.clone();
             let body = retrying_dyn_job(
                 label,
-                WriteSet::default(),
+                write_set(&access, t),
                 shared.clone(),
                 policy,
                 plan.clone(),
@@ -724,6 +719,23 @@ fn multifrontier_chaos_exhaustion_is_isolated_from_recovering_peers() {
             assert_eq!(s.exhausted_tasks, 0, "job {jidx}: {s:?}");
         }
     }
+
+    // The recovery marks, as a flight dump shows them: "<kind> S[step,i,j]"
+    // with `i` the index of the job that owns the label.
+    let dump: serde_json::Value =
+        serde_json::from_str(&recorder.chrome_trace_fragment("test")).expect("dump parses");
+    let mut marked = [[0usize; 3]; JOBS];
+    for e in dump["traceEvents"].as_array().expect("events") {
+        let name = e["name"].as_str().expect("named event");
+        let Some((kind, label)) = name.split_once(' ') else { continue };
+        let Some(kind) = ["retry", "restore", "inject"].iter().position(|&k| k == kind) else {
+            continue;
+        };
+        let owner: usize = label.split(',').nth(1).and_then(|i| i.parse().ok()).expect("label");
+        assert_eq!(e["args"]["job"].as_u64(), Some(watches[owner].0), "{name} under the wrong job");
+        marked[owner][kind] += 1;
+    }
+    assert!(marked.iter().flatten().all(|&n| n > 0), "a job left no mark of some kind: {marked:?}");
     frontier.shutdown();
 }
 

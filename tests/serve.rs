@@ -319,44 +319,50 @@ fn out_of_core_lu_job_matches_in_core_bitwise() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-#[test]
-fn a_traced_served_job_answers_with_the_profile_of_a_one_shot_run() {
-    // One answer to "where did the time go for this job": the served CALU
-    // DAG is the one-shot DAG plus a sink, so under tracing its per-job
-    // profile must carry exactly those task labels, with time attributed to
-    // panels and updates. Untraced, there is nothing to ask for and nothing
-    // kept.
-    use ca_factor::core::try_calu_profiled;
-    use ca_factor::sched::{Profile, TaskKind, TaskLabel};
-    let p = CaParams::new(32, 4, 2);
-    let a = random_uniform(256, 256, &mut seeded_rng(0x9F0));
-    let labels = |profile: &Profile| {
-        let mut l: Vec<_> = profile
-            .records
-            .iter()
-            .map(|r| (r.label.kind.code(), r.label.step, r.label.i, r.label.j))
-            .collect();
-        l.sort_unstable();
-        l
-    };
-    let (_, oneshot) = try_calu_profiled(a.clone(), &p).expect("one-shot run");
-    let mut expected = labels(&oneshot);
+/// The task labels of a profile, sorted.
+fn task_labels(profile: &ca_factor::sched::Profile) -> Vec<(char, usize, usize, usize)> {
+    let mut l: Vec<_> =
+        profile.records.iter().map(|r| (r.label.kind.code(), r.label.step, r.label.i, r.label.j)).collect();
+    l.sort_unstable();
+    l
+}
+
+/// What a served DAG-route LU of `a` must have run: the one-shot DAG plus
+/// the sink task.
+fn served_lu_labels(a: &Matrix, p: &CaParams) -> Vec<(char, usize, usize, usize)> {
+    use ca_factor::sched::{TaskKind, TaskLabel};
+    let (_, oneshot) = ca_factor::core::try_calu_profiled(a.clone(), p).expect("one-shot run");
+    let mut expected = task_labels(&oneshot);
     let sink = TaskLabel::new(TaskKind::Other, 0, 0, 0);
     expected.push((sink.kind.code(), sink.step, sink.i, sink.j));
     expected.sort_unstable();
+    expected
+}
+
+#[test]
+fn a_traced_served_job_answers_with_the_profile_of_a_one_shot_run() {
+    // One answer to "where did the time go for this job": the served CALU
+    // DAG is the one-shot DAG plus a sink, so its per-job profile must carry
+    // exactly those task labels, with time attributed to panels and updates
+    // — traced or not. Tracing only decides whether the service-wide trace
+    // keeps the job's spans once the job is gone.
+    let p = CaParams::new(32, 4, 2);
+    let a = random_uniform(256, 256, &mut seeded_rng(0x9F0));
+    let expected = served_lu_labels(&a, &p);
 
     let svc = Service::new(ServiceConfig::new(2).with_params(p));
     let untraced = svc.submit_lu(a.clone(), SubmitOptions::default().unbatched()).expect("admits");
-    assert!(untraced.profile().is_none(), "no tracing, no profile");
+    let profile = untraced.profile().expect("every finished job has a profile");
+    assert_eq!(task_labels(&profile), expected);
     untraced.wait().expect("completes");
     assert!(!svc.chrome_trace().contains("\"ph\":\"X\""), "an untraced job left spans behind");
 
     svc.set_tracing(true);
     let traced = svc.submit_lu(a.clone(), SubmitOptions::default().unbatched()).expect("admits");
-    let profile = traced.profile().expect("submitted under tracing");
+    let profile = traced.profile().expect("every finished job has a profile");
     let f = traced.wait().expect("completes");
     assert!(f.residual(&a) < 1e-12);
-    assert_eq!(labels(&profile), expected);
+    assert_eq!(task_labels(&profile), expected);
     assert_eq!(profile.nworkers, 2);
     assert_eq!(profile.scheduler, "priority-queue");
     assert!(profile.cancelled.is_empty());
@@ -370,5 +376,63 @@ fn a_traced_served_job_answers_with_the_profile_of_a_one_shot_run() {
         assert!(busy > 0.0, "no {kind} time attributed: {m}");
     }
     assert!(svc.chrome_trace().contains("\"ph\":\"X\""), "the traced job's spans are logged");
+    svc.shutdown();
+}
+
+#[test]
+fn every_finished_job_has_a_profile_without_having_been_asked_in_advance() {
+    // No service here ever calls `set_tracing`. However a job ends, its
+    // handle answers with a profile of exactly its own tasks: one record per
+    // task that ran, the rest in `cancelled`.
+    use ca_factor::core::calu_task_graph;
+    use ca_factor::sched::ChaosProfile;
+    use ca_factor::serve::ChaosConfig;
+    let p = CaParams::new(16, 4, 1);
+    let dag = SubmitOptions::default().unbatched();
+    let mut rng = seeded_rng(0x9F1);
+    let (big, small) = (random_uniform(192, 192, &mut rng), random_uniform(80, 64, &mut rng));
+
+    // Two DAG-route jobs of different shapes interleaved on the same two
+    // lanes, and a tiny job that is one task.
+    let svc = Service::new(ServiceConfig::new(2).with_params(p).with_batching(BatchConfig::up_to(32)));
+    let handles = [&big, &small].map(|a| svc.submit_lu(a.clone(), dag.clone()).expect("admits"));
+    let tiny = svc.submit_lu(random_uniform(16, 16, &mut rng), SubmitOptions::default()).expect("admits");
+    for (a, h) in [&big, &small].into_iter().zip(handles) {
+        let profile = h.profile().expect("a completed job has a profile");
+        assert_eq!(task_labels(&profile), served_lu_labels(a, &p), "another job's records leaked in");
+        assert!(profile.cancelled.is_empty());
+        h.wait().expect("completes");
+    }
+    let profile = tiny.profile().expect("a tiny job is a job of its own");
+    assert_eq!((profile.records.len(), profile.cancelled.len()), (1, 0));
+    tiny.wait().expect("completes");
+
+    // A cancelled job: whatever ran before the cancel landed is recorded,
+    // everything else is in the cancelled set.
+    let total = calu_task_graph(192, 192, &p).len() + 1;
+    let blocker = svc.submit_lu(big.clone(), dag.clone()).expect("admits");
+    let victim = svc.submit_lu(big.clone(), dag.clone()).expect("admits");
+    victim.cancel();
+    let profile = victim.profile().expect("a cancelled job has a profile");
+    assert_eq!(profile.records.len() + profile.cancelled.len(), total);
+    match victim.wait() {
+        Err(ServeError::Cancelled(CancelReason::User)) => assert!(!profile.cancelled.is_empty()),
+        Ok(_) => assert!(profile.cancelled.is_empty(), "raced to completion"),
+        other => panic!("unexpected terminal state for cancelled job: {other:?}"),
+    }
+    blocker.wait().expect("completes");
+    svc.shutdown();
+
+    // A job failed by a seeded chaos plan (no retry tier: the first injected
+    // failure fails the job). Decisions are per task label, so the same
+    // tasks fail on every run.
+    let chaos = ChaosConfig::seeded(5).with_profile(ChaosProfile::quiet().with_fail_rate(0.05));
+    let svc = Service::new(ServiceConfig::new(2).with_params(p).with_chaos(chaos));
+    let failed = svc.submit_lu(big.clone(), dag).expect("admits");
+    let profile = failed.profile().expect("a failed job has a profile");
+    assert!(!profile.cancelled.is_empty(), "the failure closure is in the profile");
+    assert_eq!(profile.records.len() + profile.cancelled.len(), total);
+    assert!(profile.records.iter().all(|r| !profile.cancelled.contains(&r.task)));
+    assert!(matches!(failed.wait(), Err(ServeError::Failed { .. })));
     svc.shutdown();
 }

@@ -351,3 +351,36 @@ fn flight_recorder_attaches_and_failure_dump_is_bounded_chrome_trace() {
     assert_eq!(suppressed as usize, failures - 2, "suppressed = failures past the cap");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn probe_corruption_dump_holds_a_mark_naming_the_job() {
+    // Every task corrupts an element it wrote and nothing is retried: each
+    // job completes, fails its integrity probe on the client's thread, and
+    // dumps the flight recorder. The dump must hold that job's own
+    // `probe_corrupt` mark — two jobs, so the ids 0 and 1 are both named.
+    let dir = temp_dir("probe-dumps");
+    let cfg = ServiceConfig::new(2)
+        .with_retry(RetryConfig::default().with_job_retries(0))
+        .with_chaos(ChaosConfig::seeded(9).with_profile(ChaosProfile::quiet().with_corrupt_rate(1.0)))
+        .with_telemetry(TelemetryConfig::default().with_flight_recorder(256).with_dump_dir(&dir));
+    let svc = Service::new(cfg);
+    let mut rng = seeded_rng(17);
+    for n in 0..2 {
+        let opts = SubmitOptions::default().with_params(CaParams::new(16, 2, 1)).unbatched();
+        let h = svc.submit_lu(random_uniform(48, 48, &mut rng), opts).expect("admitted");
+        let id = h.id();
+        assert!(h.wait().is_err(), "corrupted factors must not be returned");
+        let path = dir.join(format!("flight-{n:03}-probe-corrupt.json"));
+        let raw = std::fs::read_to_string(&path).expect("the probe hit dumped the recorder");
+        let v: serde_json::Value = serde_json::from_str(&raw).expect("dump parses");
+        let marks = v["traceEvents"]
+            .as_array()
+            .expect("traceEvents")
+            .iter()
+            .filter(|e| e["name"] == "probe_corrupt" && e["args"]["job"].as_u64() == Some(id))
+            .count();
+        assert_eq!(marks, 1, "job {id}: {raw}");
+    }
+    svc.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
