@@ -1,11 +1,15 @@
 //! LAPACK-style blocked Householder QR — the vendor (`MKL_dgeqrf`)
-//! stand-in: BLAS2 `dgeqr2` panel + `dlarft`, then `dlarfb` trailing update
-//! (optionally parallelized over column strips like a multithreaded BLAS).
+//! stand-in: per step one BLAS2 `dgeqr2` + `dlarft` panel task, then one
+//! `dlarfb` task per column strip of the trailing matrix (the multithreaded
+//! BLAS3 update), as a [`ca_sched::DagPlan`].
 
+use crate::{add_task, column_strips, BlockedPlan};
 use ca_kernels::{flops, traffic};
 use ca_kernels::{geqr2, larfb_left, larft, Trans};
+use ca_matrix::shadow::ElemRect;
 use ca_matrix::Matrix;
-use ca_sched::{row_blocks, BlockTracker, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
+use ca_sched::{BlockTracker, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
+use std::sync::OnceLock;
 
 /// Result of blocked QR: per-panel compact-WY `T` factors (reflectors stay
 /// packed in the matrix), enough to apply `Q`/`Qᵀ`.
@@ -46,91 +50,98 @@ impl BlockedQr {
     }
 }
 
-/// Blocked `dgeqrf` in place with panel width `nb`; `threads > 1`
-/// parallelizes the `dlarfb` trailing update over column strips.
-pub fn geqrf_blocked(a: &mut Matrix, nb: usize, threads: usize) -> BlockedQr {
-    assert!(nb > 0, "panel width must be positive");
-    let m = a.nrows();
-    let n = a.ncols();
-    let kmax = m.min(n);
-    let mut panels = Vec::new();
+/// The task DAG of blocked `dgeqrf`; a panel task leaves its
+/// `(k0, width, T)` for the strips of its step.
+pub type BlockedQrPlan = BlockedPlan<(usize, usize, Matrix), BlockedQr>;
 
-    let mut k0 = 0usize;
-    while k0 < kmax {
-        let w = nb.min(kmax - k0);
-        // BLAS2 panel.
-        let mut tau = Vec::new();
-        geqr2(a.block_mut(k0, k0, m - k0, w), &mut tau);
-        let kv = tau.len();
-        let mut t = Matrix::zeros(kv, kv);
-        larft(a.block(k0, k0, m - k0, kv), &tau, t.view_mut());
+impl BlockedQrPlan {
+    /// Plan for an `m × n` matrix with panel width `nb`, the trailing update
+    /// of each step cut into at most `strips` block-aligned column strips.
+    // Task bodies: every access falls inside the footprint declared right
+    // after the body, which `verify_graph` proves conflict-ordered.
+    #[allow(clippy::disallowed_methods)]
+    pub fn build(m: usize, n: usize, nb: usize, strips: usize) -> Self {
+        assert!(nb > 0, "panel width must be positive");
+        let kmax = m.min(n);
+        let nsteps = kmax.div_ceil(nb);
+        let (mut g, mut bodies) = (TaskGraph::new(), Vec::new());
+        let mut tracker = BlockTracker::with_geometry(nb, m, n);
 
-        // Trailing update: C := Qᵀ C over column strips.
-        if k0 + w < n {
-            let (panel_cols, trailing) = a.view_mut().split_at_col(k0 + w);
-            let v = panel_cols.as_ref().sub(k0, k0, m - k0, kv);
-            let c = trailing.into_sub(k0, 0, m - k0, n - k0 - w);
-            crate::for_each_column_strip(c, threads, |_, cj| {
-                larfb_left(Trans::Yes, v, t.view(), cj);
+        for step in 0..nsteps {
+            let k0 = step * nb;
+            let w = nb.min(kmax - k0);
+            let pr = ((nsteps - step) as i64) * 1000;
+            // Panel: BLAS2, on the critical path, single task.
+            let meta = TaskMeta::new(
+                TaskLabel::new(TaskKind::Panel, step, 0, step),
+                flops::geqrf(m - k0, w),
+            )
+            .with_bytes(traffic::geqr2(m - k0, w))
+            .with_priority(pr + 900)
+            .with_class(KernelClass::QrBlas2);
+            let panel = add_task(&mut g, &mut bodies, meta, move |a, panels| {
+                // SAFETY: the DAG orders this after every update of these
+                // columns and before every reader of the panel.
+                let mut panel = unsafe { a.block_mut(k0, k0, m - k0, w) };
+                let mut tau = Vec::new();
+                geqr2(panel.rb(), &mut tau);
+                let kv = tau.len();
+                let mut t = Matrix::zeros(kv, kv);
+                larft(panel.as_ref().sub(0, 0, m - k0, kv), &tau, t.view_mut());
+                panels[step].set((k0, w, t)).expect("panel ran twice");
             });
-        }
-        panels.push((k0, w, t));
-        k0 += w;
-    }
-    BlockedQr { panels }
-}
+            tracker.write_rect(&mut g, panel, ElemRect::new(k0..m, k0..k0 + w));
 
-/// Task graph of blocked `dgeqrf` for the multicore simulator.
-pub fn geqrf_blocked_task_graph(m: usize, n: usize, nb: usize, strips: usize) -> TaskGraph<()> {
-    let kmax = m.min(n);
-    let nsteps = kmax.div_ceil(nb);
-    let nbk = n.div_ceil(nb);
-    let mbk = m.div_ceil(nb);
-    let mut g: TaskGraph<()> = TaskGraph::new();
-    let mut tracker = BlockTracker::new(mbk, nbk);
-
-    for step in 0..nsteps {
-        let k0 = step * nb;
-        let w = nb.min(kmax - k0);
-        let meta = TaskMeta::new(
-            TaskLabel::new(TaskKind::Panel, step, 0, step),
-            flops::geqrf(m - k0, w),
-        )
-        .with_bytes(traffic::geqr2(m - k0, w))
-        .with_priority(((nsteps - step) as i64) * 1000 + 900)
-        .with_class(KernelClass::QrBlas2);
-        let panel = g.add_task(meta, ());
-        tracker.write(&mut g, panel, row_blocks(k0..m, nb), step..step + 1);
-
-        if k0 + w < n {
-            // Column strips of the dlarfb update, block-grid aligned so the
-            // strips of one panel write disjoint blocks.
-            let cols = k0 + w..n;
-            let strip_cols = cols.len().div_ceil(strips).div_ceil(nb).max(1) * nb;
-            let mut c0 = cols.start;
-            while c0 < cols.end {
-                let c1 = (c0 + strip_cols).min(cols.end);
+            for cols in column_strips(k0 + w..n, nb, strips) {
+                let (c0, wc) = (cols.start, cols.len());
                 let meta = TaskMeta::new(
                     TaskLabel::new(TaskKind::Update, step, 0, c0 / nb),
-                    flops::larfb(m - k0, c1 - c0, w),
+                    flops::larfb(m - k0, wc, w),
                 )
-                .with_bytes(traffic::larfb(m - k0, c1 - c0, w))
-                .with_priority(((nsteps - step) as i64) * 1000 + 100)
+                .with_bytes(traffic::larfb(m - k0, wc, w))
+                .with_priority(pr + 100)
                 .with_class(KernelClass::Larfb);
-                let s = g.add_task(meta, ());
-                tracker.read(&mut g, s, row_blocks(k0..m, nb), step..step + 1);
-                tracker.write(&mut g, s, row_blocks(k0..m, nb), (c0 / nb)..c1.div_ceil(nb));
-                c0 = c1;
+                let id = add_task(&mut g, &mut bodies, meta, move |a, panels| {
+                    let (_, _, t) = panels[step].get().expect("panel T not ready");
+                    // SAFETY: reads the finished panel, writes only this strip.
+                    let v = unsafe { a.block(k0, k0, m - k0, t.nrows()) };
+                    let c = unsafe { a.block_mut(k0, c0, m - k0, wc) };
+                    larfb_left(Trans::Yes, v, t.view(), c);
+                });
+                tracker.read_rect(&mut g, id, ElemRect::new(k0..m, k0..k0 + w));
+                tracker.write_rect(&mut g, id, ElemRect::new(k0..m, cols));
             }
         }
+
+        // A strip wider than a block reaches the next step's strips both
+        // directly and through that step's panel; keep the minimal DAG.
+        ca_sched::reduce_transitive_edges(&mut g);
+
+        Self {
+            graph: g,
+            access: tracker.into_access_map(),
+            bodies,
+            panels: (0..nsteps).map(|_| OnceLock::new()).collect(),
+            gather: |panels| BlockedQr { panels },
+        }
     }
-    g
+}
+
+/// Blocked `dgeqrf` in place with panel width `nb` on `threads` workers:
+/// the `dlarfb` trailing update of each step runs as up to `threads` column
+/// strips; the panel factorization is always one sequential BLAS2 task.
+///
+/// # Panics
+/// If a worker task panics.
+pub fn geqrf_blocked(a: &mut Matrix, nb: usize, threads: usize) -> BlockedQr {
+    crate::run_in_place(BlockedQrPlan::build(a.nrows(), a.ncols(), nb, threads), a, threads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ca_matrix::{orthogonality, qr_residual, seeded_rng};
+    use ca_sched::DagPlan;
 
     fn check(m: usize, n: usize, nb: usize, threads: usize, seed: u64) {
         let a0 = ca_matrix::random_uniform(m, n, &mut seeded_rng(seed));
@@ -177,7 +188,8 @@ mod tests {
 
     #[test]
     fn task_graph_valid() {
-        let g = geqrf_blocked_task_graph(1000, 500, 100, 8);
+        let plan = BlockedQrPlan::build(1000, 500, 100, 8);
+        let g = plan.graph();
         g.validate();
         assert!(g.total_flops() >= flops::geqrf(1000, 500) * 0.95);
     }

@@ -1,17 +1,22 @@
 //! LAPACK-style blocked right-looking LU with partial pivoting — the
 //! vendor-library (`MKL_dgetrf` / `ACML_dgetrf`) stand-in.
 //!
-//! Structure (exactly LAPACK `dgetrf`): per panel, a BLAS2 `dgetf2`
-//! factorization of the *whole* panel (one thread — the panel is the part
-//! vendors do not parallelize well, the paper's central observation), row
-//! interchanges applied to both sides, `dtrsm` for the `U` block row, and a
-//! `dgemm` trailing update that we optionally parallelize over column strips
-//! (standing in for a multithreaded BLAS3).
+//! Structure (LAPACK `dgetrf` under a multithreaded BLAS3), as a
+//! [`ca_sched::DagPlan`]: per panel, one BLAS2 `dgetf2` task over the
+//! *whole* panel (one thread — the panel is the part vendors do not
+//! parallelize well, the paper's central observation); then per column
+//! strip of the trailing matrix one task applying the row interchanges and
+//! the `dtrsm` of the `U` block row, and one `dgemm` update task. The
+//! interchanges left of the panel are deferred to one task per finished
+//! block column, like CALU's.
 
+use crate::{add_task, column_strips, BlockedPlan};
 use ca_kernels::{flops, traffic};
-use ca_kernels::{gemm, getf2, trsm_left_lower_unit, Trans};
+use ca_kernels::{gemm, getf2, trsm_left_lower_unit, LuInfo, Trans};
+use ca_matrix::shadow::ElemRect;
 use ca_matrix::{Matrix, PivotSeq};
-use ca_sched::{row_blocks, BlockTracker, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
+use ca_sched::{BlockTracker, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
+use std::sync::OnceLock;
 
 /// Result of the blocked factorization: pivots plus LAPACK `info`-style
 /// breakdown column.
@@ -22,133 +27,149 @@ pub struct BlockedLu {
     pub breakdown: Option<usize>,
 }
 
-/// Blocked `dgetrf` in place with panel width `nb`. `threads > 1`
-/// parallelizes the trailing update over column strips (vendor-BLAS
-/// stand-in); the panel factorization is always sequential BLAS2.
-pub fn getrf_blocked(a: &mut Matrix, nb: usize, threads: usize) -> BlockedLu {
-    assert!(nb > 0, "panel width must be positive");
-    let m = a.nrows();
-    let n = a.ncols();
-    let kmax = m.min(n);
-    let mut pivots = PivotSeq::new(0);
-    let mut breakdown = None;
+/// The task DAG of blocked `dgetrf`; a panel task leaves its `dgetf2`
+/// outcome (panel-local pivots) for the strips of its step.
+pub type BlockedLuPlan = BlockedPlan<LuInfo, BlockedLu>;
 
-    let mut k0 = 0usize;
-    while k0 < kmax {
-        let w = nb.min(kmax - k0);
+impl BlockedLuPlan {
+    /// Plan for an `m × n` matrix with panel width `nb`, the trailing update
+    /// of each step cut into at most `strips` block-aligned column strips.
+    // Task bodies: every access falls inside the footprint declared right
+    // after the body, which `verify_graph` proves conflict-ordered.
+    #[allow(clippy::disallowed_methods)]
+    pub fn build(m: usize, n: usize, nb: usize, strips: usize) -> Self {
+        assert!(nb > 0, "panel width must be positive");
+        let kmax = m.min(n);
+        let nsteps = kmax.div_ceil(nb);
+        let (mut g, mut bodies) = (TaskGraph::new(), Vec::new());
+        let mut tracker = BlockTracker::with_geometry(nb, m, n);
+        let mut panel_ids = Vec::with_capacity(nsteps);
 
-        // BLAS2 panel factorization of columns k0..k0+w, rows k0..m.
-        let info = getf2(a.block_mut(k0, k0, m - k0, w));
-        if breakdown.is_none() {
-            breakdown = info.first_zero_pivot.map(|c| k0 + c);
-        }
-        // Globalize pivots and apply to both sides.
-        let mut seq = PivotSeq::new(k0);
-        for &p in &info.pivots.ipiv {
-            seq.push(p + k0);
-        }
-        if k0 > 0 {
-            seq.apply(a.block_mut(0, 0, m, k0));
-        }
-        if k0 + w < n {
-            seq.apply(a.block_mut(0, k0 + w, m, n - k0 - w));
-        }
-        pivots.extend(&seq);
-
-        if k0 + w < n {
-            // U block row.
-            let (panel_cols, trailing) = a.view_mut().split_at_col(k0 + w);
-            let lkk = panel_cols.as_ref().sub(k0, k0, w, w);
-            let mut trailing = trailing;
-            trsm_left_lower_unit(lkk, trailing.rb().into_sub(k0, 0, w, n - k0 - w));
-
-            // Trailing update, parallel over column strips.
-            if k0 + w < m {
-                let l_below = panel_cols.as_ref().sub(k0 + w, k0, m - k0 - w, w);
-                let (u_row, a_below) = trailing.split_at_row(k0 + w);
-                let u_row = u_row.as_ref().sub(k0, 0, w, n - k0 - w);
-                crate::for_each_column_strip(a_below, threads, |j, cj| {
-                    let uj = u_row.sub(0, j, w, cj.ncols());
-                    gemm(Trans::No, Trans::No, -1.0, l_below, uj, 1.0, cj);
-                });
-            }
-        }
-        k0 += w;
-    }
-    BlockedLu { pivots, breakdown }
-}
-
-/// Task graph of blocked `dgetrf` for the multicore simulator: one
-/// (sequential, BLAS2) panel task per step, `dtrsm` + strip `dgemm` tasks in
-/// between — the task structure the paper ascribes to the vendor libraries.
-pub fn getrf_blocked_task_graph(m: usize, n: usize, nb: usize, strips: usize) -> TaskGraph<()> {
-    let kmax = m.min(n);
-    let nsteps = kmax.div_ceil(nb);
-    let nbk = n.div_ceil(nb);
-    let mbk = m.div_ceil(nb);
-    let mut g: TaskGraph<()> = TaskGraph::new();
-    let mut tracker = BlockTracker::new(mbk, nbk);
-
-    for step in 0..nsteps {
-        let k0 = step * nb;
-        let w = nb.min(kmax - k0);
-        // Panel: BLAS2, on the critical path, single task.
-        let meta = TaskMeta::new(
-            TaskLabel::new(TaskKind::Panel, step, 0, step),
-            flops::getrf(m - k0, w),
-        )
-        .with_bytes(traffic::getf2(m - k0, w))
-        .with_priority(((nsteps - step) as i64) * 1000 + 900)
-        .with_class(KernelClass::LuBlas2);
-        let panel = g.add_task(meta, ());
-        tracker.write(&mut g, panel, row_blocks(k0..m, nb), step..step + 1);
-
-        for jblk in step + 1..nbk {
-            let jc0 = jblk * nb;
-            let wj = nb.min(n - jc0);
-            // Interchange + U row (one task per trailing block column).
+        for step in 0..nsteps {
+            let k0 = step * nb;
+            let w = nb.min(kmax - k0);
+            let pr = ((nsteps - step) as i64) * 1000;
+            // Panel: BLAS2, on the critical path, single task.
             let meta = TaskMeta::new(
-                TaskLabel::new(TaskKind::URow, step, 0, jblk),
-                flops::trsm_left(w, wj),
+                TaskLabel::new(TaskKind::Panel, step, 0, step),
+                flops::getrf(m - k0, w),
             )
-            .with_bytes(traffic::trsm_left(w, wj) + traffic::laswp(w, wj))
-            .with_priority(((nsteps - step) as i64) * 1000 + 500)
-            .with_class(KernelClass::Trsm);
-            let urow = g.add_task(meta, ());
-            g.add_dep(panel, urow);
-            tracker.write(&mut g, urow, row_blocks(k0..m, nb), jblk..jblk + 1);
+            .with_bytes(traffic::getf2(m - k0, w))
+            .with_priority(pr + 900)
+            .with_class(KernelClass::LuBlas2);
+            let panel = add_task(&mut g, &mut bodies, meta, move |a, panels| {
+                // SAFETY: the DAG orders this after every update of these
+                // columns and before every reader of the panel.
+                let info = getf2(unsafe { a.block_mut(k0, k0, m - k0, w) });
+                panels[step].set(info).expect("panel ran twice");
+            });
+            tracker.write_rect(&mut g, panel, ElemRect::new(k0..m, k0..k0 + w));
+            panel_ids.push(panel);
 
-            // Trailing strips: the multithreaded-BLAS update.
-            if k0 + w < m {
-                let rows = k0 + w..m;
-                // Strip boundaries aligned to the block grid so strips of
-                // one panel write disjoint blocks (and thus run in parallel).
-                let strip_rows = rows.len().div_ceil(strips).div_ceil(nb).max(1) * nb;
-                let mut r0 = rows.start;
-                while r0 < rows.end {
-                    let r1 = (r0 + strip_rows).min(rows.end);
+            for cols in column_strips(k0 + w..n, nb, strips) {
+                let (c0, wc) = (cols.start, cols.len());
+                let meta = TaskMeta::new(
+                    TaskLabel::new(TaskKind::URow, step, 0, c0 / nb),
+                    flops::trsm_left(w, wc),
+                )
+                .with_bytes(traffic::trsm_left(w, wc) + traffic::laswp(w, wc))
+                .with_priority(pr + 500)
+                .with_class(KernelClass::Trsm);
+                let urow = add_task(&mut g, &mut bodies, meta, move |a, panels| {
+                    // SAFETY: rows k0.. of this strip belong to this task
+                    // alone between the previous step's update and this
+                    // step's; L_kk is final.
+                    let mut col = unsafe { a.block_mut(k0, c0, m - k0, wc) };
+                    panels[step].get().expect("panel pivots not ready").pivots.apply(col.rb());
+                    let lkk = unsafe { a.block(k0, k0, w, w) };
+                    trsm_left_lower_unit(lkk, col.into_sub(0, 0, w, wc));
+                });
+                // The pivots reach the strip through side storage.
+                g.add_dep(panel, urow);
+                tracker.read_rect(&mut g, urow, ElemRect::new(k0..k0 + w, k0..k0 + w));
+                tracker.write_rect(&mut g, urow, ElemRect::new(k0..m, cols.clone()));
+
+                if k0 + w < m {
                     let meta = TaskMeta::new(
-                        TaskLabel::new(TaskKind::Update, step, r0 / nb, jblk),
-                        flops::gemm(r1 - r0, wj, w),
+                        TaskLabel::new(TaskKind::Update, step, 0, c0 / nb),
+                        flops::gemm(m - k0 - w, wc, w),
                     )
-                    .with_bytes(traffic::gemm(r1 - r0, wj, w))
-                    .with_priority(((nsteps - step) as i64) * 1000 + 100)
+                    .with_bytes(traffic::gemm(m - k0 - w, wc, w))
+                    .with_priority(pr + 100)
                     .with_class(KernelClass::Gemm);
-                    let s = g.add_task(meta, ());
-                    tracker.read(&mut g, s, row_blocks(r0..r1, nb), step..step + 1);
-                    tracker.write(&mut g, s, row_blocks(r0..r1, nb), jblk..jblk + 1);
-                    r0 = r1;
+                    let id = add_task(&mut g, &mut bodies, meta, move |a, _| {
+                        // SAFETY: reads L (final until the deferred left
+                        // swap) and this strip's finished U row; writes
+                        // only this strip.
+                        let l = unsafe { a.block(k0 + w, k0, m - k0 - w, w) };
+                        let u = unsafe { a.block(k0, c0, w, wc) };
+                        let c = unsafe { a.block_mut(k0 + w, c0, m - k0 - w, wc) };
+                        gemm(Trans::No, Trans::No, -1.0, l, u, 1.0, c);
+                    });
+                    tracker.read_rect(&mut g, id, ElemRect::new(k0 + w..m, k0..k0 + w));
+                    tracker.read_rect(&mut g, id, ElemRect::new(k0..k0 + w, cols.clone()));
+                    tracker.write_rect(&mut g, id, ElemRect::new(k0 + w..m, cols));
                 }
             }
         }
+
+        // Deferred left-side interchanges: block column `jblk` takes the
+        // pivots of every later panel once nothing reads its `L` any more.
+        for jblk in 0..nsteps.saturating_sub(1) {
+            let k1 = (jblk + 1) * nb;
+            let meta = TaskMeta::new(TaskLabel::new(TaskKind::Swap, nsteps, 0, jblk), 0.0)
+                .with_bytes(traffic::laswp(kmax - k1, nb))
+                .with_class(KernelClass::Memory);
+            let id = add_task(&mut g, &mut bodies, meta, move |a, panels| {
+                for (step, panel) in panels.iter().enumerate().skip(jblk + 1) {
+                    // SAFETY: every reader of this block column's L is done
+                    // and every later panel's pivots are set, per the DAG.
+                    let col = unsafe { a.block_mut(step * nb, jblk * nb, m - step * nb, nb) };
+                    panel.get().expect("panel pivots not ready").pivots.apply(col);
+                }
+            });
+            g.add_deps(panel_ids[jblk + 1..].iter().copied(), id);
+            tracker.write_rect(&mut g, id, ElemRect::new(k1..m, jblk * nb..k1));
+        }
+
+        // The tracker cannot see orderings the explicit pivot edges already
+        // imply; drop the conflict edges a path covers.
+        ca_sched::reduce_transitive_edges(&mut g);
+
+        Self {
+            graph: g,
+            access: tracker.into_access_map(),
+            bodies,
+            panels: (0..nsteps).map(|_| OnceLock::new()).collect(),
+            gather: |panels| {
+                let mut f = BlockedLu { pivots: PivotSeq::new(0), breakdown: None };
+                for info in panels {
+                    let k0 = f.pivots.len();
+                    f.pivots.ipiv.extend(info.pivots.ipiv.iter().map(|&r| r + k0));
+                    f.breakdown = f.breakdown.or(info.first_zero_pivot.map(|c| k0 + c));
+                }
+                f
+            },
+        }
     }
-    g
+}
+
+/// Blocked `dgetrf` in place with panel width `nb` on `threads` workers:
+/// the interchange + `dtrsm` + `dgemm` trailing update of each step runs as
+/// up to `threads` column strips (vendor-BLAS stand-in); the panel
+/// factorization is always one sequential BLAS2 task.
+///
+/// # Panics
+/// If a worker task panics.
+pub fn getrf_blocked(a: &mut Matrix, nb: usize, threads: usize) -> BlockedLu {
+    crate::run_in_place(BlockedLuPlan::build(a.nrows(), a.ncols(), nb, threads), a, threads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ca_matrix::{lu_residual, seeded_rng};
+    use ca_sched::DagPlan;
 
     fn check(m: usize, n: usize, nb: usize, threads: usize, seed: u64) {
         let a0 = ca_matrix::random_uniform(m, n, &mut seeded_rng(seed));
@@ -192,7 +213,8 @@ mod tests {
 
     #[test]
     fn task_graph_valid_and_panel_on_critical_path() {
-        let g = getrf_blocked_task_graph(800, 800, 100, 8);
+        let plan = BlockedLuPlan::build(800, 800, 100, 8);
+        let g = plan.graph();
         g.validate();
         // The critical path must include every panel's BLAS2 flops.
         let panel_flops: f64 = (0..8)

@@ -1,19 +1,21 @@
 //! # ca-baselines
 //!
 //! The comparison algorithms of the paper's evaluation, built from the same
-//! `ca-kernels` substrate as CALU/CAQR:
+//! `ca-kernels` substrate as CALU/CAQR and run by the same
+//! [`ca_sched::run_plan`] path:
 //!
 //! * [`getrf_blocked`] / [`geqrf_blocked`] — LAPACK-style blocked
-//!   factorizations with a sequential BLAS2 panel and a strip-parallel
+//!   factorizations with a sequential BLAS2 panel task and a strip-parallel
 //!   BLAS3 trailing update: the `MKL_dgetrf` / `ACML_dgetrf` /
 //!   `MKL_dgeqrf` vendor-library stand-ins.
 //! * `ca_kernels::getf2` / `ca_kernels::geqr2` — the pure BLAS2 routines the
 //!   paper benchmarks as `MKL_dgetf2` / `MKL_dgeqr2`.
 //! * [`tiled_lu`] / [`tiled_qr`] — PLASMA 2.0-style tile algorithms
-//!   (incremental pairwise pivoting LU; flat-tree tile QR), run on the
-//!   `ca-sched` task runtime.
-//! * `*_task_graph` builders — the same algorithms as bare task DAGs for the
-//!   multicore simulator.
+//!   (incremental pairwise pivoting LU; flat-tree tile QR).
+//! * [`BlockedLuPlan`] / [`BlockedQrPlan`] / [`TiledLuPlan`] /
+//!   [`TiledQrPlan`] — each of the four as a [`ca_sched::DagPlan`]: the
+//!   graph the entry point above executes is the graph the multicore
+//!   simulator costs and the static verifier proves.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -24,104 +26,170 @@ pub mod tile_kernels;
 mod tiled_lu;
 mod tiled_qr;
 
-use ca_matrix::{MatViewMut, Matrix, SharedMatrix};
-use ca_sched::{AccessMap, CheckedError, TaskGraph};
+use ca_matrix::shadow::ElemRect;
+use ca_matrix::{Matrix, SharedMatrix};
+use ca_sched::{AccessMap, DagPlan, TaskGraph, TaskId, TaskMeta};
+use std::ops::Range;
+use std::sync::OnceLock;
 
-/// Runs a tile-algorithm graph over `a` on `threads` workers and returns the
-/// factored matrix. `checked` adds the full verification stack: the static
-/// soundness proof up front (element-exact, so the diagonal tiles the tile
-/// algorithms split between two kernels verify as declared), then execution
-/// under a shadow registry whose sub-tile leases audit every access.
-fn run_tiles<S: Copy + Send + Sync>(
-    a: Matrix,
-    threads: usize,
-    checked: bool,
-    graph: &TaskGraph<S>,
-    access: &AccessMap,
-    exec: impl Fn(&SharedMatrix, S) + Sync,
-) -> Result<Matrix, CheckedError> {
-    assert!(threads > 0);
-    let registry = if checked {
-        ca_sched::verify_graph(graph, access).map_err(CheckedError::Soundness)?;
-        Some(ca_sched::build_shadow_registry(graph, access))
-    } else {
-        None
-    };
-    let shared = match &registry {
-        Some(registry) => SharedMatrix::with_shadow(a, registry.clone()),
-        None => SharedMatrix::new(a),
-    };
-    let jobs = graph.map_ref(|_, &spec| {
-        let (exec, shared) = (&exec, &shared);
-        ca_sched::job(move || exec(shared, spec))
-    });
-    let opts = ca_sched::RunOptions { shadow: registry.as_ref(), ..Default::default() };
-    ca_sched::execute(jobs, threads, &opts).into_result()?;
-    Ok(shared.into_inner())
+/// One task of a blocked plan: a closure over the geometry its builder
+/// computed, run against the shared matrix and the per-step panel results.
+type Body<S> = Box<dyn Fn(&SharedMatrix, &[OnceLock<S>]) + Send + Sync>;
+
+/// A blocked factorization as a [`DagPlan`] — [`BlockedLuPlan`] or
+/// [`BlockedQrPlan`]: what the entry point runs and what the simulator costs
+/// as the vendor library. `S` is what the panel task of a step leaves for
+/// the other tasks of that step (pivots; the compact-WY `T`), `F` the
+/// factors gathered from them.
+pub struct BlockedPlan<S, F> {
+    /// Payload: the task's index in `bodies`.
+    graph: TaskGraph<usize>,
+    access: AccessMap,
+    bodies: Vec<Body<S>>,
+    panels: Vec<OnceLock<S>>,
+    gather: fn(Vec<S>) -> F,
 }
 
-/// The multithreaded-BLAS stand-in of the blocked baselines: cuts `c` into
-/// at most `threads` column strips (each at least 32 columns wide; one strip
-/// below 64 columns) and runs `body(first column, strip)` on each — the last
-/// strip on the caller, the others on scoped threads, so no more than
-/// `threads` threads ever compute.
-fn for_each_column_strip<'a>(
-    c: MatViewMut<'a>,
-    threads: usize,
-    body: impl Fn(usize, MatViewMut<'a>) + Sync,
-) {
-    let n = c.ncols();
-    if threads <= 1 || n < 64 {
-        return body(0, c);
+/// Adds a task running `body` to a blocked plan under construction.
+fn add_task<S>(
+    graph: &mut TaskGraph<usize>,
+    bodies: &mut Vec<Body<S>>,
+    meta: TaskMeta,
+    body: impl Fn(&SharedMatrix, &[OnceLock<S>]) + Send + Sync + 'static,
+) -> TaskId {
+    bodies.push(Box::new(body));
+    graph.add_task(meta, bodies.len() - 1)
+}
+
+impl<S: Send + Sync + 'static, F: Send + Sync + 'static> DagPlan<f64> for BlockedPlan<S, F> {
+    type Task = usize;
+    type Factors = (Matrix, F);
+
+    fn graph(&self) -> &TaskGraph<usize> {
+        &self.graph
     }
-    let strip = n.div_ceil(threads).max(32);
-    std::thread::scope(|s| {
-        let (mut rest, mut j) = (c, 0usize);
-        while n - j > strip {
-            let (head, tail) = rest.split_at_col(strip);
-            let body = &body;
-            s.spawn(move || body(j, head));
-            rest = tail;
-            j += strip;
-        }
-        body(j, rest);
-    });
+
+    fn access(&self) -> &AccessMap {
+        &self.access
+    }
+
+    fn exec(&self, a: &SharedMatrix, t: usize) {
+        (self.bodies[t])(a, &self.panels)
+    }
+
+    fn collect(self, shared: SharedMatrix) -> (Matrix, F) {
+        let panels = self.panels.into_iter().map(|p| p.into_inner().expect("panel missing"));
+        (shared.into_inner(), (self.gather)(panels.collect()))
+    }
 }
 
-pub use geqrf_blocked::{geqrf_blocked, geqrf_blocked_task_graph, BlockedQr};
-pub use getrf_blocked::{getrf_blocked, getrf_blocked_task_graph, BlockedLu};
-pub use tiled_lu::{
-    tiled_lu, tiled_lu_task_graph, tiled_lu_task_graph_with_access, try_tiled_lu_checked, TiledLu,
-    TiledLuTask,
-};
-pub use tiled_qr::{
-    tiled_qr, tiled_qr_task_graph, tiled_qr_task_graph_with_access, try_tiled_qr_checked, TiledQr,
-    TiledQrTask,
-};
+/// Runs a blocked plan over `a` in place on `threads` workers.
+fn run_in_place<F>(
+    plan: impl DagPlan<f64, Factors = (Matrix, F)>,
+    a: &mut Matrix,
+    threads: usize,
+) -> F {
+    let owned = std::mem::replace(a, Matrix::zeros(0, 0));
+    let ((factored, f), _) = ca_sched::run_plan(plan, owned, threads, &Default::default())
+        .unwrap_or_else(|e| panic!("{e}"));
+    *a = factored;
+    f
+}
+
+/// The multithreaded-BLAS stand-in of the blocked baselines: cuts the
+/// trailing columns `cols` into at most `strips` strips of whole `nb`-wide
+/// blocks (the last may be ragged), so a strip never shares a block column
+/// with the next panel's neighbours.
+fn column_strips(cols: Range<usize>, nb: usize, strips: usize) -> impl Iterator<Item = Range<usize>> {
+    let width = cols.len().div_ceil(strips).div_ceil(nb).max(1) * nb;
+    cols.clone().step_by(width).map(move |c0| c0..(c0 + width).min(cols.end))
+}
+
+/// Per-column rects of the strictly-lower trapezoid of the `rk × kv`
+/// diagonal tile at origin `k0`: the tile-local `L` (`rk == kv`) that
+/// `gessm` reads, the reflectors `V` that `ormqr` reads.
+fn lower_rects(k0: usize, rk: usize, kv: usize) -> Vec<ElemRect> {
+    (0..kv)
+        .map(|c| ElemRect::new(k0 + c + 1..k0 + rk, k0 + c..k0 + c + 1))
+        .filter(|r| !r.is_empty())
+        .collect()
+}
+
+/// Per-column rects of the upper triangle (diagonal included) of the
+/// `wk × wk` top of the diagonal tile at origin `k0`: the `U` / `R` factor
+/// the `tstrf` / `tsqrt` chain reads and rewrites.
+fn upper_rects(k0: usize, wk: usize) -> Vec<ElemRect> {
+    (0..wk).map(|c| ElemRect::new(k0..k0 + c + 1, k0 + c..k0 + c + 1)).collect()
+}
+
+pub use geqrf_blocked::{geqrf_blocked, BlockedQr, BlockedQrPlan};
+pub use getrf_blocked::{getrf_blocked, BlockedLu, BlockedLuPlan};
+pub use tiled_lu::{tiled_lu, TiledLu, TiledLuPlan, TiledLuTask};
+pub use tiled_qr::{tiled_qr, TiledQr, TiledQrPlan, TiledQrTask};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
-    use std::sync::Mutex;
+    use ca_matrix::{random_uniform, seeded_rng};
+    use ca_sched::{run_plan, AccessMap, DagPlan, FactorOptions, TaskGraph, TaskKind};
+
+    /// Column ranges the `Update` tasks of `step` write, in task order.
+    fn update_strips<T>(g: &TaskGraph<T>, access: &AccessMap, step: usize) -> Vec<(usize, usize)> {
+        (0..g.len())
+            .filter(|&id| {
+                let label = g.meta(id).label;
+                label.kind == TaskKind::Update && label.step == step
+            })
+            .map(|id| (access.writes(id)[0].col0, access.writes(id)[0].col1))
+            .collect()
+    }
 
     #[test]
-    fn column_strips_cover_c_once_on_at_most_threads_threads() {
-        // (columns, threads, strips): one thread per strip, never more
-        // than `threads`; 32-column floor; a single strip below 64 columns.
-        for (n, threads, strips) in [(1000usize, 2usize, 2usize), (1000, 3, 3), (70, 8, 3), (40, 4, 1)] {
-            let mut c = Matrix::zeros(4, n);
-            let ids = Mutex::new(HashSet::new());
-            for_each_column_strip(c.view_mut(), threads, |j, mut cj| {
-                ids.lock().unwrap().insert(std::thread::current().id());
-                for jj in 0..cj.ncols() {
-                    *cj.at_mut(0, jj) += (j + jj) as f64 + 1.0;
+    fn update_strips_cover_the_trailing_columns_once_in_at_most_strips_strips() {
+        // (n, nb, strips, strips of step 0): never more than `strips`, whole
+        // blocks only, a single strip when one block of columns trails.
+        for (n, nb, strips, first) in
+            [(1000usize, 100, 2usize, 2usize), (1000, 100, 3, 3), (1000, 100, 8, 5), (170, 100, 8, 1)]
+        {
+            let lu = BlockedLuPlan::build(n + 50, n, nb, strips);
+            let qr = BlockedQrPlan::build(n + 50, n, nb, strips);
+            for step in 0..n.div_ceil(nb) - 1 {
+                let cols = update_strips(lu.graph(), lu.access(), step);
+                assert_eq!(cols, update_strips(qr.graph(), qr.access(), step));
+                assert!(cols.len() <= strips, "n={n} nb={nb} step {step}: {cols:?}");
+                if step == 0 {
+                    assert_eq!(cols.len(), first, "n={n} nb={nb} strips={strips}");
                 }
-            });
-            assert_eq!(ids.into_inner().unwrap().len(), strips, "n={n} threads={threads}");
-            for j in 0..n {
-                assert_eq!(c[(0, j)], j as f64 + 1.0, "column {j} of {n}");
+                // Contiguous from the panel's right edge to the last column.
+                let mut next = (step + 1) * nb;
+                for (c0, c1) in cols {
+                    assert_eq!(c0, next);
+                    assert!(c1 == n || (c1 - c0) % nb == 0);
+                    next = c1;
+                }
+                assert_eq!(next, n, "n={n} nb={nb} step {step}");
             }
+        }
+    }
+
+    #[test]
+    fn blocked_plans_run_clean_checked() {
+        // Static proof, then every access audited against the declared
+        // footprints — tall, wide and ragged, more strips than blocks.
+        let checked = FactorOptions { checked: true, ..Default::default() };
+        for (m, n, nb, w) in [(150usize, 150usize, 32usize, 4usize), (200, 70, 16, 3), (60, 130, 25, 8)] {
+            let a0 = random_uniform(m, n, &mut seeded_rng(9));
+            let mut plain = a0.clone();
+            let f = getrf_blocked(&mut plain, nb, w);
+            let ((lu, g), _) = run_plan(BlockedLuPlan::build(m, n, nb, w), a0.clone(), w, &checked)
+                .unwrap_or_else(|e| panic!("blocked LU {m}x{n}: {e}"));
+            assert_eq!((lu.as_slice(), &g.pivots), (plain.as_slice(), &f.pivots));
+
+            let mut plain = a0.clone();
+            geqrf_blocked(&mut plain, nb, w);
+            let ((qr, _), _) = run_plan(BlockedQrPlan::build(m, n, nb, w), a0, w, &checked)
+                .unwrap_or_else(|e| panic!("blocked QR {m}x{n}: {e}"));
+            assert_eq!(qr.as_slice(), plain.as_slice());
         }
     }
 }

@@ -8,30 +8,15 @@
 //! matrices, PLASMA catches up as `n` grows).
 
 use crate::tile_kernels::{geqrt, tsmqr, tsqrt};
+use crate::{lower_rects, upper_rects};
 use ca_kernels::{flops, traffic};
 use ca_kernels::{larfb_left, trsm_left_upper_notrans, Trans};
-use ca_matrix::shadow::ElemRect;
 use ca_matrix::{Matrix, SharedMatrix};
 use ca_sched::{
-    AccessMap, BlockTracker, CheckedError, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta,
+    run_plan, AccessMap, BlockTracker, DagPlan, FactorOptions, KernelClass, TaskGraph, TaskKind,
+    TaskLabel, TaskMeta,
 };
 use std::sync::OnceLock;
-
-/// Per-column rects of the strictly-lower reflector trapezoid of the
-/// `rk × kv` diagonal tile at origin `k0`: the `V` factor `ormqr` reads.
-fn v_rects(k0: usize, rk: usize, kv: usize) -> Vec<ElemRect> {
-    (0..kv)
-        .map(|c| ElemRect::new(k0 + c + 1..k0 + rk, k0 + c..k0 + c + 1))
-        .filter(|r| !r.is_empty())
-        .collect()
-}
-
-/// Per-column rects of the upper triangle (diagonal included) of the
-/// `wk × wk` top of the diagonal tile: the `R` factor `tsqrt` reads and
-/// rewrites.
-fn r_rects(k0: usize, wk: usize) -> Vec<ElemRect> {
-    (0..wk).map(|c| ElemRect::new(k0..k0 + c + 1, k0 + c..k0 + c + 1)).collect()
-}
 
 /// Result of the tiled QR factorization.
 pub struct TiledQr {
@@ -150,157 +135,188 @@ pub enum TiledQrTask {
     Tsmqr { k: usize, i: usize, j: usize },
 }
 
-struct Ctx {
-    m: usize,
-    n: usize,
+/// The task DAG of tiled QR: what [`tiled_qr`] runs and what the simulator
+/// costs as `PLASMA_dgeqrf`. Its footprints split the diagonal tile between
+/// `ormqr` (strict lower `V`) and the `tsqrt` chain (upper `R`), which
+/// leaves the two unordered within a step.
+pub struct TiledQrPlan {
+    graph: TaskGraph<TiledQrTask>,
+    access: AccessMap,
     b: usize,
     t_diag: Vec<OnceLock<Matrix>>,
     t_ts: Vec<Vec<OnceLock<Matrix>>>,
 }
 
-fn build(m: usize, n: usize, b: usize) -> (TaskGraph<TiledQrTask>, Ctx, AccessMap) {
-    assert!(m >= n, "tiled QR implemented for tall or square matrices");
-    let mt = m.div_ceil(b);
-    let nt = n.div_ceil(b);
-    let kt = m.min(n).div_ceil(b);
-    let mut g: TaskGraph<TiledQrTask> = TaskGraph::new();
-    // Element geometry lets the diagonal tile split into the strictly-lower
-    // reflector trapezoid `V` (read by `ormqr`) and the upper `R` triangle
-    // (rewritten by the `tsqrt` chain) — the two are disjoint, so `ormqr`
-    // and `tsqrt` of the same step run concurrently.
-    let mut tracker = BlockTracker::with_geometry(b, m, n);
-    let steps = kt as i64;
+impl TiledQrPlan {
+    /// Plan for a tall or square `m × n` matrix cut into `b × b` tiles.
+    pub fn build(m: usize, n: usize, b: usize) -> Self {
+        assert!(m >= n, "tiled QR implemented for tall or square matrices");
+        let mt = m.div_ceil(b);
+        let nt = n.div_ceil(b);
+        let kt = m.min(n).div_ceil(b);
+        let mut g: TaskGraph<TiledQrTask> = TaskGraph::new();
+        // Element geometry lets the diagonal tile split into the strictly-lower
+        // reflector trapezoid `V` (read by `ormqr`) and the upper `R` triangle
+        // (rewritten by the `tsqrt` chain) — the two are disjoint, so `ormqr`
+        // and `tsqrt` of the same step run concurrently.
+        let mut tracker = BlockTracker::with_geometry(b, m, n);
+        let steps = kt as i64;
 
-    for k in 0..kt {
-        let k0 = k * b;
-        let wk = b.min(n - k0);
-        let rk = b.min(m - k0);
-        let kv = wk.min(rk);
-        let pr = (steps - k as i64) * 1000;
-
-        let meta = TaskMeta::new(TaskLabel::new(TaskKind::Panel, k, k, k), flops::geqrf(rk, wk))
-            .with_bytes(traffic::geqr3(rk, wk))
-            .with_priority(pr + 900)
-            .with_class(KernelClass::QrBlas2);
-        let geqrt_id = g.add_task(meta, TiledQrTask::Geqrt { k });
-        tracker.write(&mut g, geqrt_id, k..k + 1, k..k + 1);
-
-        for j in k + 1..nt {
-            let wj = b.min(n - j * b);
-            let meta = TaskMeta::new(
-                TaskLabel::new(TaskKind::URow, k, k, j),
-                flops::larfb(rk, wj, wk),
-            )
-            .with_bytes(traffic::larfb(rk, wj, wk))
-            .with_priority(pr + 500)
-            .with_class(KernelClass::Larfb);
-            let id = g.add_task(meta, TiledQrTask::Ormqr { k, j });
-            let vr = v_rects(k0, rk, kv);
-            if vr.is_empty() {
-                // Degenerate 1-row panel: no reflectors below the diagonal,
-                // but `ormqr` still consumes `T_kk` — keep the side-channel
-                // ordering explicit.
-                g.add_dep(geqrt_id, id);
-            }
-            for r in vr {
-                tracker.read_rect(&mut g, id, r);
-            }
-            tracker.write(&mut g, id, k..k + 1, j..j + 1);
-        }
-        for i in k + 1..mt {
-            let ri = b.min(m - i * b);
-            let meta = TaskMeta::new(
-                TaskLabel::new(TaskKind::Panel, k, i, k),
-                flops::tsqrt(ri, wk),
-            )
-            .with_bytes(traffic::gemm(ri, wk, wk))
-            .with_priority(pr + 700)
-            .with_class(KernelClass::QrBlas2);
-            let id = g.add_task(meta, TiledQrTask::Tsqrt { k, i });
-            for r in r_rects(k0, wk) {
-                tracker.write_rect(&mut g, id, r);
-            }
-            tracker.write(&mut g, id, i..i + 1, k..k + 1);
-
-            for j in k + 1..nt {
-                let wj = b.min(n - j * b);
-                let meta = TaskMeta::new(
-                    TaskLabel::new(TaskKind::Update, k, i, j),
-                    flops::tsmqr(ri, wk, wj),
-                )
-                .with_bytes(traffic::larfb_node(ri * wk, ri + wk, wj, wk))
-                .with_priority(pr + 100)
-                .with_class(KernelClass::Larfb);
-                let id = g.add_task(meta, TiledQrTask::Tsmqr { k, i, j });
-                tracker.read(&mut g, id, i..i + 1, k..k + 1);
-                tracker.write(&mut g, id, k..k + 1, j..j + 1);
-                tracker.write(&mut g, id, i..i + 1, j..j + 1);
-            }
-        }
-    }
-
-    let ctx = Ctx {
-        m,
-        n,
-        b,
-        t_diag: (0..kt).map(|_| OnceLock::new()).collect(),
-        t_ts: (0..kt).map(|k| (k + 1..mt).map(|_| OnceLock::new()).collect()).collect(),
-    };
-    let access = tracker.into_access_map();
-    (g, ctx, access)
-}
-
-// DAG executor: every access falls inside the footprint declared in
-// build(), which `verify_graph` proves conflict-ordered.
-#[allow(clippy::disallowed_methods)]
-fn exec(ctx: &Ctx, a: &SharedMatrix, t: TiledQrTask) {
-    let m = ctx.m;
-    let n = ctx.n;
-    let b = ctx.b;
-    match t {
-        TiledQrTask::Geqrt { k } => {
-            let k0 = k * b;
-            let wk = b.min(n - k0);
-            let rk = b.min(m - k0);
-            // SAFETY: exclusive tile access per the DAG.
-            let tile = unsafe { a.block_mut(k0, k0, rk, wk) };
-            let mut t_out = Matrix::zeros(wk.min(rk), wk.min(rk));
-            geqrt(tile, t_out.view_mut());
-            ctx.t_diag[k].set(t_out).expect("geqrt ran twice");
-        }
-        TiledQrTask::Ormqr { k, j } => {
+        for k in 0..kt {
             let k0 = k * b;
             let wk = b.min(n - k0);
             let rk = b.min(m - k0);
             let kv = wk.min(rk);
-            let t_kk = ctx.t_diag[k].get().expect("T_kk not ready");
-            // Lease only the strictly-lower `V` columns: `larfb_left` treats
-            // the upper triangle as an implicit unit diagonal and never
-            // touches it, so the concurrent `tsqrt` chain owns it.
-            let v = unsafe { a.block_rects(k0, k0, rk, kv, &v_rects(k0, rk, kv)) };
-            let c = unsafe { a.block_mut(k0, j * b, rk, b.min(n - j * b)) };
-            larfb_left(Trans::Yes, v, t_kk.view(), c);
+            let pr = (steps - k as i64) * 1000;
+
+            let meta = TaskMeta::new(TaskLabel::new(TaskKind::Panel, k, k, k), flops::geqrf(rk, wk))
+                .with_bytes(traffic::geqr3(rk, wk))
+                .with_priority(pr + 900)
+                .with_class(KernelClass::QrBlas2);
+            let geqrt_id = g.add_task(meta, TiledQrTask::Geqrt { k });
+            tracker.write(&mut g, geqrt_id, k..k + 1, k..k + 1);
+
+            for j in k + 1..nt {
+                let wj = b.min(n - j * b);
+                let meta = TaskMeta::new(
+                    TaskLabel::new(TaskKind::URow, k, k, j),
+                    flops::larfb(rk, wj, wk),
+                )
+                .with_bytes(traffic::larfb(rk, wj, wk))
+                .with_priority(pr + 500)
+                .with_class(KernelClass::Larfb);
+                let id = g.add_task(meta, TiledQrTask::Ormqr { k, j });
+                let vr = lower_rects(k0, rk, kv);
+                if vr.is_empty() {
+                    // Degenerate 1-row panel: no reflectors below the diagonal,
+                    // but `ormqr` still consumes `T_kk` — keep the side-channel
+                    // ordering explicit.
+                    g.add_dep(geqrt_id, id);
+                }
+                for r in vr {
+                    tracker.read_rect(&mut g, id, r);
+                }
+                tracker.write(&mut g, id, k..k + 1, j..j + 1);
+            }
+            for i in k + 1..mt {
+                let ri = b.min(m - i * b);
+                let meta = TaskMeta::new(
+                    TaskLabel::new(TaskKind::Panel, k, i, k),
+                    flops::tsqrt(ri, wk),
+                )
+                .with_bytes(traffic::gemm(ri, wk, wk))
+                .with_priority(pr + 700)
+                .with_class(KernelClass::QrBlas2);
+                let id = g.add_task(meta, TiledQrTask::Tsqrt { k, i });
+                for r in upper_rects(k0, wk) {
+                    tracker.write_rect(&mut g, id, r);
+                }
+                tracker.write(&mut g, id, i..i + 1, k..k + 1);
+
+                for j in k + 1..nt {
+                    let wj = b.min(n - j * b);
+                    let meta = TaskMeta::new(
+                        TaskLabel::new(TaskKind::Update, k, i, j),
+                        flops::tsmqr(ri, wk, wj),
+                    )
+                    .with_bytes(traffic::larfb_node(ri * wk, ri + wk, wj, wk))
+                    .with_priority(pr + 100)
+                    .with_class(KernelClass::Larfb);
+                    let id = g.add_task(meta, TiledQrTask::Tsmqr { k, i, j });
+                    tracker.read(&mut g, id, i..i + 1, k..k + 1);
+                    tracker.write(&mut g, id, k..k + 1, j..j + 1);
+                    tracker.write(&mut g, id, i..i + 1, j..j + 1);
+                }
+            }
         }
-        TiledQrTask::Tsqrt { k, i } => {
-            let k0 = k * b;
-            let wk = b.min(n - k0);
-            let ri = b.min(m - i * b);
-            let r_kk = unsafe { a.block_mut_rects(k0, k0, wk, wk, &r_rects(k0, wk)) };
-            let a_ik = unsafe { a.block_mut(i * b, k0, ri, wk) };
-            let mut t_out = Matrix::zeros(wk, wk);
-            tsqrt(r_kk, a_ik, t_out.view_mut());
-            ctx.t_ts[k][i - k - 1].set(t_out).expect("tsqrt ran twice");
+
+        Self {
+            graph: g,
+            access: tracker.into_access_map(),
+            b,
+            t_diag: (0..kt).map(|_| OnceLock::new()).collect(),
+            t_ts: (0..kt).map(|k| (k + 1..mt).map(|_| OnceLock::new()).collect()).collect(),
         }
-        TiledQrTask::Tsmqr { k, i, j } => {
-            let k0 = k * b;
-            let wk = b.min(n - k0);
-            let ri = b.min(m - i * b);
-            let wj = b.min(n - j * b);
-            let t_ik = ctx.t_ts[k][i - k - 1].get().expect("T_ik not ready");
-            let v2 = unsafe { a.block(i * b, k0, ri, wk) };
-            let c_top = unsafe { a.block_mut(k0, j * b, wk, wj) };
-            let c_bot = unsafe { a.block_mut(i * b, j * b, ri, wj) };
-            tsmqr(Trans::Yes, v2, t_ik.view(), c_top, c_bot);
+    }
+}
+
+impl DagPlan<f64> for TiledQrPlan {
+    type Task = TiledQrTask;
+    type Factors = TiledQr;
+
+    fn graph(&self) -> &TaskGraph<TiledQrTask> {
+        &self.graph
+    }
+
+    fn access(&self) -> &AccessMap {
+        &self.access
+    }
+
+    // DAG executor: every access falls inside the footprint declared in
+    // build(), which `verify_graph` proves conflict-ordered.
+    #[allow(clippy::disallowed_methods)]
+    fn exec(&self, a: &SharedMatrix, t: TiledQrTask) {
+        let m = a.nrows();
+        let n = a.ncols();
+        let b = self.b;
+        match t {
+            TiledQrTask::Geqrt { k } => {
+                let k0 = k * b;
+                let wk = b.min(n - k0);
+                let rk = b.min(m - k0);
+                // SAFETY: exclusive tile access per the DAG.
+                let tile = unsafe { a.block_mut(k0, k0, rk, wk) };
+                let mut t_out = Matrix::zeros(wk.min(rk), wk.min(rk));
+                geqrt(tile, t_out.view_mut());
+                self.t_diag[k].set(t_out).expect("geqrt ran twice");
+            }
+            TiledQrTask::Ormqr { k, j } => {
+                let k0 = k * b;
+                let wk = b.min(n - k0);
+                let rk = b.min(m - k0);
+                let kv = wk.min(rk);
+                let t_kk = self.t_diag[k].get().expect("T_kk not ready");
+                // Lease only the strictly-lower `V` columns: `larfb_left` treats
+                // the upper triangle as an implicit unit diagonal and never
+                // touches it, so the concurrent `tsqrt` chain owns it.
+                let v = unsafe { a.block_rects(k0, k0, rk, kv, &lower_rects(k0, rk, kv)) };
+                let c = unsafe { a.block_mut(k0, j * b, rk, b.min(n - j * b)) };
+                larfb_left(Trans::Yes, v, t_kk.view(), c);
+            }
+            TiledQrTask::Tsqrt { k, i } => {
+                let k0 = k * b;
+                let wk = b.min(n - k0);
+                let ri = b.min(m - i * b);
+                let r_kk = unsafe { a.block_mut_rects(k0, k0, wk, wk, &upper_rects(k0, wk)) };
+                let a_ik = unsafe { a.block_mut(i * b, k0, ri, wk) };
+                let mut t_out = Matrix::zeros(wk, wk);
+                tsqrt(r_kk, a_ik, t_out.view_mut());
+                self.t_ts[k][i - k - 1].set(t_out).expect("tsqrt ran twice");
+            }
+            TiledQrTask::Tsmqr { k, i, j } => {
+                let k0 = k * b;
+                let wk = b.min(n - k0);
+                let ri = b.min(m - i * b);
+                let wj = b.min(n - j * b);
+                let t_ik = self.t_ts[k][i - k - 1].get().expect("T_ik not ready");
+                let v2 = unsafe { a.block(i * b, k0, ri, wk) };
+                let c_top = unsafe { a.block_mut(k0, j * b, wk, wj) };
+                let c_bot = unsafe { a.block_mut(i * b, j * b, ri, wj) };
+                tsmqr(Trans::Yes, v2, t_ik.view(), c_top, c_bot);
+            }
+        }
+    }
+
+    fn collect(self, shared: SharedMatrix) -> TiledQr {
+        TiledQr {
+            a: shared.into_inner(),
+            b: self.b,
+            t_diag: self.t_diag.into_iter().map(|t| t.into_inner().expect("T missing")).collect(),
+            t_ts: self
+                .t_ts
+                .into_iter()
+                .map(|v| v.into_iter().map(|t| t.into_inner().expect("T missing")).collect())
+                .collect(),
         }
     }
 }
@@ -311,50 +327,8 @@ fn exec(ctx: &Ctx, a: &SharedMatrix, t: TiledQrTask) {
 /// # Panics
 /// If a worker task panics.
 pub fn tiled_qr(a: Matrix, b: usize, threads: usize) -> TiledQr {
-    run(a, b, threads, false).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// [`tiled_qr`] with the full verification stack: static soundness proof
-/// up front, then execution under a shadow registry with
-/// sub-tile leases auditing every access.
-pub fn try_tiled_qr_checked(a: Matrix, b: usize, threads: usize) -> Result<TiledQr, CheckedError> {
-    run(a, b, threads, true)
-}
-
-fn run(a: Matrix, b: usize, threads: usize, checked: bool) -> Result<TiledQr, CheckedError> {
-    let (graph, ctx, access) = build(a.nrows(), a.ncols(), b);
-    let a = crate::run_tiles(a, threads, checked, &graph, &access, |shared, spec| {
-        exec(&ctx, shared, spec)
-    })?;
-
-    Ok(TiledQr {
-        a,
-        b,
-        t_diag: ctx.t_diag.into_iter().map(|t| t.into_inner().expect("T missing")).collect(),
-        t_ts: ctx
-            .t_ts
-            .into_iter()
-            .map(|v| v.into_iter().map(|t| t.into_inner().expect("T missing")).collect())
-            .collect(),
-    })
-}
-
-/// Task graph of tiled QR for the multicore simulator.
-pub fn tiled_qr_task_graph(m: usize, n: usize, b: usize) -> TaskGraph<TiledQrTask> {
-    build(m, n, b).0
-}
-
-/// [`tiled_qr_task_graph`] plus the builder's retained access declarations
-/// (including the diagonal tile's `V` / `R` split, which leaves `ormqr` and
-/// `tsqrt` of one step unordered), for the static DAG soundness verifier
-/// ([`ca_sched::verify_graph`]).
-pub fn tiled_qr_task_graph_with_access(
-    m: usize,
-    n: usize,
-    b: usize,
-) -> (TaskGraph<TiledQrTask>, AccessMap) {
-    let (g, _ctx, access) = build(m, n, b);
-    (g, access)
+    let plan = TiledQrPlan::build(a.nrows(), a.ncols(), b);
+    run_plan(plan, a, threads, &FactorOptions::default()).unwrap_or_else(|e| panic!("{e}")).0
 }
 
 #[cfg(test)]
@@ -408,10 +382,10 @@ mod tests {
     #[test]
     fn task_graph_passes_static_verification() {
         for (m, n, b) in [(96, 96, 16), (120, 36, 12), (100, 30, 16)] {
-            let (g, access) = tiled_qr_task_graph_with_access(m, n, b);
-            let report = ca_sched::verify_graph(&g, &access)
+            let plan = TiledQrPlan::build(m, n, b);
+            let report = ca_sched::verify_graph(plan.graph(), plan.access())
                 .unwrap_or_else(|e| panic!("tiled QR {m}x{n} b={b} unsound: {e}"));
-            assert_eq!(report.tasks, g.len());
+            assert_eq!(report.tasks, plan.graph().len());
             assert!(report.conflict_pairs > 0, "expected conflicting pairs to prove ordered");
         }
     }
@@ -419,7 +393,9 @@ mod tests {
     #[test]
     fn checked_execution_passes_with_subtile_leases() {
         let a0 = ca_matrix::random_uniform(80, 48, &mut seeded_rng(9));
-        let f = try_tiled_qr_checked(a0.clone(), 16, 4).expect("checked tiled QR");
+        let checked = FactorOptions { checked: true, ..Default::default() };
+        let (f, _) = run_plan(TiledQrPlan::build(80, 48, 16), a0.clone(), 4, &checked)
+            .expect("checked tiled QR");
         let res = f.residual(&a0);
         assert!(res < 1e-10, "residual {res}");
     }
@@ -428,10 +404,10 @@ mod tests {
     fn task_graph_valid_and_panel_chain_longer_than_tsqr() {
         // Tiled QR's panel is a sequential tile chain: its critical path
         // exceeds the binary-tree TSQR DAG's for a tall-skinny matrix.
-        let g = tiled_qr_task_graph(1600, 100, 100);
-        g.validate();
+        let plan = TiledQrPlan::build(1600, 100, 100);
+        plan.graph().validate();
         let p = ca_core::CaParams::new(100, 8, 8);
         let gq = ca_core::caqr_task_graph(1600, 100, &p);
-        assert!(g.critical_path_flops() > gq.critical_path_flops());
+        assert!(plan.graph().critical_path_flops() > gq.critical_path_flops());
     }
 }

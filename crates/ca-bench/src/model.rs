@@ -61,6 +61,7 @@ impl MachineModel {
 mod tests {
     use super::*;
     use ca_core::CaParams;
+    use ca_sched::DagPlan;
 
     #[test]
     fn more_cores_never_slower() {
@@ -86,10 +87,10 @@ mod tests {
         let machine = MachineModel::new(8, calib);
         let p = CaParams::new(100, 8, 8);
         let g_calu = ca_core::calu_task_graph(m, n, &p);
-        let g_blocked = ca_baselines::getrf_blocked_task_graph(m, n, 64, 8);
+        let blocked = ca_baselines::BlockedLuPlan::build(m, n, 64, 8);
         let useful = ca_kernels::flops::getrf(m, n);
         let gf_calu = machine.gflops(&g_calu, useful);
-        let gf_blocked = machine.gflops(&g_blocked, useful);
+        let gf_blocked = machine.gflops(blocked.graph(), useful);
         assert!(
             gf_calu > 1.5 * gf_blocked,
             "CALU {gf_calu} GF vs blocked {gf_blocked} GF — expected a clear win"
@@ -129,9 +130,9 @@ mod tests {
         let machine = MachineModel::new(8, calib);
         let p = ca_core::CaParams::new(100, 8, 8);
         let g_calu = ca_core::calu_task_graph(50_000, 100, &p);
-        let g_blk = ca_baselines::getrf_blocked_task_graph(50_000, 100, 64, 8);
+        let blocked = ca_baselines::BlockedLuPlan::build(50_000, 100, 64, 8);
         let useful = ca_kernels::flops::getrf(50_000, 100);
-        let r = machine.gflops(&g_calu, useful) / machine.gflops(&g_blk, useful);
+        let r = machine.gflops(&g_calu, useful) / machine.gflops(blocked.graph(), useful);
         assert!(r > 2.0, "CALU/blocked ratio {r}");
     }
 

@@ -6,7 +6,8 @@ use crate::model::MachineModel;
 use ca_core::{CaParams, TreeShape};
 use ca_kernels::flops;
 use ca_matrix::{seeded_rng, Matrix};
-use ca_sched::{KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
+use ca_baselines::{BlockedLuPlan, BlockedQrPlan, TiledLuPlan, TiledQrPlan};
+use ca_sched::{DagPlan, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -102,17 +103,19 @@ impl Algo {
         p
     }
 
-    /// Builds the algorithm's task graph for the simulator (`cores` sets
-    /// the strip count of the vendor baselines' parallel updates).
+    /// Builds the algorithm's task graph for the simulator: the graph
+    /// [`Algo::run_once`] executes on `cores` workers (which sets the strip
+    /// count of the vendor baselines' parallel updates), from the same
+    /// builder.
     pub fn task_graph(&self, m: usize, n: usize, cores: usize) -> TaskGraph<()> {
         let p = self.params(n, cores);
         match *self {
             Algo::Calu { .. } => ca_core::calu_task_graph(m, n, &p).map(|_, _| ()),
             Algo::Caqr { .. } | Algo::Tsqr { .. } => ca_core::caqr_task_graph(m, n, &p).map(|_, _| ()),
-            Algo::BlockedLu { .. } => ca_baselines::getrf_blocked_task_graph(m, n, p.b, cores),
-            Algo::BlockedQr { .. } => ca_baselines::geqrf_blocked_task_graph(m, n, p.b, cores),
-            Algo::TiledLu { .. } => ca_baselines::tiled_lu_task_graph(m, n, p.b).map(|_, _| ()),
-            Algo::TiledQr { .. } => ca_baselines::tiled_qr_task_graph(m, n, p.b).map(|_, _| ()),
+            Algo::BlockedLu { .. } => bare(&BlockedLuPlan::build(m, n, p.b, cores)),
+            Algo::BlockedQr { .. } => bare(&BlockedQrPlan::build(m, n, p.b, cores)),
+            Algo::TiledLu { .. } => bare(&TiledLuPlan::build(m, n, p.b)),
+            Algo::TiledQr { .. } => bare(&TiledQrPlan::build(m, n, p.b)),
             Algo::Blas2Lu => single_task_graph(
                 flops::getrf(m, n.min(m)),
                 ca_kernels::traffic::getf2(m, n.min(m)),
@@ -160,6 +163,11 @@ impl Algo {
         }
         t0.elapsed().as_secs_f64()
     }
+}
+
+/// The graph of a baseline plan without its payload.
+fn bare<P: DagPlan<f64>>(plan: &P) -> TaskGraph<()> {
+    plan.graph().map_ref(|_, _| ())
 }
 
 fn single_task_graph(fl: f64, bytes: f64, class: KernelClass) -> TaskGraph<()> {

@@ -7,8 +7,8 @@
 //! leaf reflectors + per-node scratch), with `Q`/`Qᵀ` application and
 //! thin-`Q` reconstruction.
 
-use crate::dag::{run_plan, FactorOptions};
-use crate::dag_caqr::CaqrPlan;
+use crate::dag_caqr::build;
+use ca_sched::{run_plan, FactorOptions};
 use crate::error::{find_non_finite, FactorError};
 use crate::params::{num_panels, partition_rows, CaParams};
 use crate::tsqr::{leaf_apply, leaf_qr, node_apply, node_qr, panel_apply, plan_panel, PanelQ};
@@ -167,7 +167,9 @@ pub fn caqr_seq<T: Kernel>(a: Matrix<T>, p: &CaParams) -> QrFactors<T> {
 /// If a worker task panics (the `try_*` entry points report that as an
 /// error instead).
 pub fn caqr<T: Kernel>(a: Matrix<T>, p: &CaParams) -> QrFactors<T> {
-    run_plan::<T, CaqrPlan<T>>(a, p, &FactorOptions::default()).unwrap_or_else(|e| panic!("{e}")).0
+    run_plan(build::<T>(a.nrows(), a.ncols(), p), a, p.threads, &FactorOptions::default())
+        .unwrap_or_else(|e| panic!("{}", FactorError::from(e)))
+        .0
 }
 
 /// TSQR as a standalone tall-and-skinny factorization: a single panel of
@@ -198,7 +200,7 @@ pub fn try_caqr_with<T: Kernel>(
     if let Some((row, col)) = find_non_finite(&a) {
         return Err(FactorError::NonFiniteInput { row, col });
     }
-    run_plan::<T, CaqrPlan<T>>(a, p, opts)
+    Ok(run_plan(build::<T>(a.nrows(), a.ncols(), p), a, p.threads, opts)?)
 }
 
 /// [`try_caqr`] returning the scheduler's full [`ca_sched::Profile`] of the

@@ -18,8 +18,7 @@
 //! Priorities implement the lookahead-of-1 rule from §III.
 
 use crate::calu::{LuFactors, LuStats};
-use crate::dag::DagPlan;
-use ca_sched::{row_blocks, AccessMap, BlockTracker, SoundnessError, VerifyReport};
+use ca_sched::{row_blocks, AccessMap, BlockTracker, DagPlan, SoundnessError, VerifyReport};
 use crate::params::{num_panels, partition_rows, CaParams, RowPartition};
 use crate::tournament::{merge, select, Selected};
 use crate::tree::{reduction_schedule, ReduceNode};
@@ -472,10 +471,6 @@ pub(crate) fn build<T: Scalar>(m: usize, n: usize, p: &CaParams) -> CaluPlan<T> 
 impl<T: Kernel> DagPlan<T> for CaluPlan<T> {
     type Task = CaluTask;
     type Factors = LuFactors<T>;
-
-    fn build(m: usize, n: usize, p: &CaParams) -> Self {
-        build(m, n, p)
-    }
 
     fn graph(&self) -> &TaskGraph<CaluTask> {
         &self.graph

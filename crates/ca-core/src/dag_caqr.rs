@@ -12,8 +12,7 @@
 //! reduction tree itself drives the trailing update.
 
 use crate::caqr::QrFactors;
-use crate::dag::DagPlan;
-use ca_sched::{row_blocks, AccessMap, BlockTracker, SoundnessError, VerifyReport};
+use ca_sched::{row_blocks, AccessMap, BlockTracker, DagPlan, SoundnessError, VerifyReport};
 use crate::params::{num_panels, partition_rows, CaParams};
 use crate::tsqr::{leaf_apply, leaf_qr, node_apply, node_qr, plan_panel, LeafQ, NodePlan, NodeQ, PanelQ};
 use ca_kernels::{flops, traffic};
@@ -194,10 +193,6 @@ pub(crate) fn build<T: Scalar>(m: usize, n: usize, p: &CaParams) -> CaqrPlan<T> 
 impl<T: Kernel> DagPlan<T> for CaqrPlan<T> {
     type Task = CaqrTask;
     type Factors = QrFactors<T>;
-
-    fn build(m: usize, n: usize, p: &CaParams) -> Self {
-        build(m, n, p)
-    }
 
     fn graph(&self) -> &TaskGraph<CaqrTask> {
         &self.graph

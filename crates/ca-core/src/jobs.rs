@@ -20,14 +20,12 @@
 use crate::calu::{calu_seq_factor, LuFactors};
 use crate::caqr::{caqr_seq, QrFactors};
 use crate::error::{find_non_finite, FactorError};
-use crate::dag::DagPlan;
-use crate::dag_calu::CaluPlan;
-use crate::dag_caqr::CaqrPlan;
 use crate::params::CaParams;
+use crate::{dag_calu, dag_caqr};
 use ca_kernels::{flops, Kernel};
 use ca_matrix::{Matrix, SharedMatrix};
 use ca_sched::{
-    ChaosPlan, DynJob, RecoveryCounters, RetryPolicy, TaskFailure, TaskGraph, TaskId, TaskKind,
+    ChaosPlan, DagPlan, DynJob, RecoveryCounters, RetryPolicy, TaskFailure, TaskGraph, TaskId, TaskKind,
     TaskLabel, TaskMeta,
 };
 use std::sync::{Arc, OnceLock};
@@ -55,12 +53,6 @@ impl JobRecovery {
     /// Recovery under a chaos plan (testing / chaos drills).
     pub fn with_chaos(policy: RetryPolicy, chaos: Arc<ChaosPlan>) -> Self {
         Self { policy, chaos, counters: Arc::default() }
-    }
-
-    /// Accumulate into the given (typically service-wide) counters.
-    pub fn with_counters(mut self, counters: Arc<RecoveryCounters>) -> Self {
-        self.counters = counters;
-        self
     }
 }
 
@@ -153,18 +145,18 @@ fn add_sink(
     sink
 }
 
-/// The full DAG of plan type `P` with an owning payload per task — wrapped
-/// for write-set snapshot/restore retry when `rec` is given — and a
-/// factor-collecting sink.
+/// The full DAG of the plan `build` makes for `a`'s shape, with an owning
+/// payload per task — wrapped for write-set snapshot/restore retry when
+/// `rec` is given — and a factor-collecting sink.
 fn graph_parts<T: Kernel, P: DagPlan<T>>(
     a: Matrix<T>,
-    p: &CaParams,
     rec: Option<&JobRecovery>,
+    build: impl FnOnce(usize, usize) -> P,
 ) -> Result<GraphParts<P::Factors>, FactorError> {
     if let Some((row, col)) = find_non_finite(&a) {
         return Err(FactorError::NonFiniteInput { row, col });
     }
-    let plan = Arc::new(P::build(a.nrows(), a.ncols(), p));
+    let plan = Arc::new(build(a.nrows(), a.ncols()));
     let shared = Arc::new(SharedMatrix::new(a));
     let output = Arc::new(OnceLock::new());
 
@@ -215,7 +207,7 @@ pub fn calu_serve_graph(
     p: &CaParams,
     rec: Option<&JobRecovery>,
 ) -> Result<ServeGraph<LuFactors>, FactorError> {
-    let (graph, _, output) = graph_parts::<f64, CaluPlan<f64>>(a, p, rec)?;
+    let (graph, _, output) = graph_parts(a, rec, |m, n| dag_calu::build::<f64>(m, n, p))?;
     Ok(ServeGraph { graph, output })
 }
 
@@ -227,7 +219,7 @@ pub fn caqr_serve_graph(
     p: &CaParams,
     rec: Option<&JobRecovery>,
 ) -> Result<ServeGraph<QrFactors>, FactorError> {
-    let (graph, _, output) = graph_parts::<f64, CaqrPlan<f64>>(a, p, rec)?;
+    let (graph, _, output) = graph_parts(a, rec, |m, n| dag_caqr::build::<f64>(m, n, p))?;
     Ok(ServeGraph { graph, output })
 }
 
@@ -255,7 +247,7 @@ pub fn lu_solve_serve_graph(
         return Err(FactorError::NonFiniteInput { row, col });
     }
     let flops = 2.0 * (a.nrows() as f64) * (a.nrows() as f64) * (rhs.ncols() as f64);
-    let (mut graph, fsink, factors) = graph_parts::<f64, CaluPlan<f64>>(a, p, rec)?;
+    let (mut graph, fsink, factors) = graph_parts(a, rec, |m, n| dag_calu::build::<f64>(m, n, p))?;
     let output = Arc::new(OnceLock::new());
     let out = Arc::clone(&output);
     let solve = graph.add_task(
@@ -297,7 +289,7 @@ pub fn qr_lstsq_serve_graph(
         return Err(FactorError::NonFiniteInput { row, col });
     }
     let flops = 2.0 * (a.ncols() as f64) * (a.nrows() as f64) * (rhs.ncols() as f64);
-    let (mut graph, fsink, factors) = graph_parts::<f64, CaqrPlan<f64>>(a, p, rec)?;
+    let (mut graph, fsink, factors) = graph_parts(a, rec, |m, n| dag_caqr::build::<f64>(m, n, p))?;
     let output = Arc::new(OnceLock::new());
     let out = Arc::clone(&output);
     let solve = graph.add_task(

@@ -33,7 +33,7 @@
 //!   and with it the run's profile — next to the factors. Every DAG
 //!   factorization entry point is a one-line caller of these two, which in
 //!   turn share one build → verify → wrap → [`ca_sched::execute`] → collect
-//!   path. [`try_calu_profiled`] / [`try_caqr_profiled`] are the shorthands
+//!   path ([`ca_sched::run_plan`], which the baselines take too). [`try_calu_profiled`] / [`try_caqr_profiled`] are the shorthands
 //!   returning the [`ca_sched::Profile`] directly.
 //! * [`verify_calu`] / [`verify_caqr`] — static DAG soundness verification:
 //!   prove every conflicting block access in the builder's declared
@@ -46,7 +46,6 @@
 
 mod calu;
 mod caqr;
-mod dag;
 mod dag_calu;
 mod dag_caqr;
 mod error;
@@ -67,7 +66,7 @@ pub use caqr::{
     caqr, caqr_panels, caqr_seq, try_caqr, try_caqr_profiled, try_caqr_with, try_tsqr_factor,
     tsqr_factor, QrFactors,
 };
-pub use dag::{FactorOptions, Retry};
+pub use ca_sched::{FactorOptions, Retry};
 pub use error::{FactorError, DEFAULT_GROWTH_LIMIT};
 pub use probe::PROBE_TOL;
 pub use jobs::{

@@ -128,11 +128,6 @@ impl CaParams {
         self.growth_limit = limit;
         self
     }
-
-    /// The paper's tall-and-skinny default: `b = min(n, 100)`.
-    pub fn paper_default(n: usize, tr: usize, threads: usize) -> Self {
-        Self::new(n.clamp(1, 100), tr, threads)
-    }
 }
 
 /// The row partitioning of the active matrix at one panel iteration.
@@ -253,14 +248,6 @@ mod tests {
         assert_eq!(num_panels(250, 1000, 100), 3);
         assert_eq!(num_panels(100, 100, 100), 1);
         assert_eq!(num_panels(101, 101, 100), 2);
-    }
-
-    #[test]
-    fn paper_default_caps_block_size() {
-        let p = CaParams::paper_default(1000, 8, 8);
-        assert_eq!(p.b, 100);
-        let p = CaParams::paper_default(10, 8, 8);
-        assert_eq!(p.b, 10);
     }
 
     #[test]

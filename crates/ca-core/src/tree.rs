@@ -74,18 +74,6 @@ pub fn reduction_schedule(g: usize, shape: TreeShape) -> Vec<ReduceNode> {
     nodes
 }
 
-/// Nodes grouped by level, for executors that synchronize level by level.
-pub fn schedule_by_level(nodes: &[ReduceNode]) -> Vec<Vec<&ReduceNode>> {
-    let mut out: Vec<Vec<&ReduceNode>> = Vec::new();
-    for n in nodes {
-        while out.len() < n.level {
-            out.push(Vec::new());
-        }
-        out[n.level - 1].push(n);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,8 +165,9 @@ mod tests {
         // 16 leaves, flat_width 4: level 1 reduces 4 groups of 4; winners
         // {0,4,8,12} reduce binarily in 2 more levels.
         let s = reduction_schedule(16, TreeShape::Hybrid { flat_width: 4 });
-        let lv = schedule_by_level(&s);
-        assert_eq!(lv.len(), 3);
+        let lv: Vec<Vec<&ReduceNode>> =
+            (1..=3).map(|l| s.iter().filter(|n| n.level == l).collect()).collect();
+        assert_eq!(s.len(), 4 + 2 + 1);
         assert_eq!(lv[0].len(), 4);
         assert_eq!(lv[0][0].participants.len(), 4);
         assert_eq!(lv[1].len(), 2);
@@ -208,15 +197,5 @@ mod tests {
                 assert!(merged.iter().all(|&x| x), "{shape:?} g={g}: {s:?}");
             }
         }
-    }
-
-    #[test]
-    fn by_level_buckets() {
-        let s = reduction_schedule(8, TreeShape::Binary);
-        let lv = schedule_by_level(&s);
-        assert_eq!(lv.len(), 3);
-        assert_eq!(lv[0].len(), 4);
-        assert_eq!(lv[1].len(), 2);
-        assert_eq!(lv[2].len(), 1);
     }
 }

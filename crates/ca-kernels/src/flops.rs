@@ -41,12 +41,6 @@ pub fn geqrf(m: usize, n: usize) -> f64 {
     2.0 * getrf(m, n)
 }
 
-/// Flops of one tournament-pivoting reduction node: GEPP of the `2b × b`
-/// stacked candidate block.
-pub fn tslu_node(b: usize) -> f64 {
-    getrf(2 * b, b)
-}
-
 /// Flops of one TSQR reduction node: QR of the `2b × b` stacked R pair
 /// (computed densely; a structured triangle-triangle kernel would need
 /// `~(2/3)b³·2`, the dense count is `(10/3)b³`).
@@ -101,20 +95,6 @@ pub fn ssssm(r: usize, b: usize, w: usize) -> f64 {
     trsm_left(b, w) + gemm(r, w, b)
 }
 
-/// Extra flops CALU performs over classic GEPP for an `m × n` factorization
-/// with panel width `b` and `tr` leaf blocks per panel (tournament GEPP
-/// redundancy: each inner node refactors a `2b × b` block; the panel is then
-/// refactored once more). Lower-order compared to `getrf(m, n)`.
-pub fn calu_overhead(m: usize, n: usize, b: usize, tr: usize) -> f64 {
-    let panels = n.div_ceil(b);
-    let nodes_per_panel = tr.saturating_sub(1);
-    let refactor = getrf(2 * b, b) * nodes_per_panel as f64;
-    // Second factorization of the b×b top block per panel.
-    let second = getrf(b, b);
-    let _ = m;
-    panels as f64 * (refactor + second)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -141,21 +121,5 @@ mod tests {
     #[test]
     fn gemm_count() {
         assert_eq!(gemm(2, 3, 4), 48.0);
-    }
-
-    #[test]
-    fn overhead_is_lower_order() {
-        // For a tall-skinny 1e5 x 100 with b=100, Tr=8: overhead « total.
-        let total = getrf(100_000, 100);
-        let extra = calu_overhead(100_000, 100, 100, 8);
-        assert!(extra < 0.05 * total, "extra {extra} vs total {total}");
-    }
-
-    #[test]
-    fn tournament_node_cost_is_cubic_in_b() {
-        let c1 = tslu_node(50);
-        let c2 = tslu_node(100);
-        let ratio = c2 / c1;
-        assert!(ratio > 7.5 && ratio < 8.5, "expected ~8x, got {ratio}");
     }
 }

@@ -89,11 +89,6 @@ impl<T: Scalar> Matrix<T> {
         &mut self.data
     }
 
-    /// Consumes the matrix, returning its buffer.
-    pub fn into_vec(self) -> Vec<T> {
-        self.data
-    }
-
     /// Immutable view of the whole matrix.
     #[inline]
     pub fn view(&self) -> MatView<'_, T> {

@@ -58,13 +58,6 @@ impl PivotSeq {
         }
     }
 
-    /// Applies the interchanges to a row-indexed vector (e.g. a RHS).
-    pub fn apply_vec<T: Scalar>(&self, v: &mut [T]) {
-        for (k, &p) in self.ipiv.iter().enumerate() {
-            v.swap(self.offset + k, p);
-        }
-    }
-
     /// Composes into an explicit permutation `perm` of `0..m`:
     /// after the call, `perm[i]` is the original index of the row that ends
     /// up at position `i` when the interchanges are applied to `0..m`.
@@ -197,19 +190,5 @@ mod tests {
         p1.extend(&p2);
         assert_eq!(p1.len(), 3);
         assert_eq!(p1.ipiv, vec![2, 3, 4]);
-    }
-
-    #[test]
-    fn apply_vec_matches_matrix_apply() {
-        let mut ps = PivotSeq::new(0);
-        ps.push(2);
-        ps.push(3);
-        let mut v = vec![0.0, 1.0, 2.0, 3.0];
-        ps.apply_vec(&mut v);
-        let mut a = Matrix::from_fn(4, 1, |i, _| i as f64);
-        ps.apply(a.view_mut());
-        for i in 0..4 {
-            assert_eq!(v[i], a[(i, 0)]);
-        }
     }
 }

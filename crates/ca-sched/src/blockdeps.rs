@@ -205,11 +205,6 @@ impl BlockTracker {
         add_sorted_deps(g, deps, task);
     }
 
-    /// The declared footprints recorded so far.
-    pub fn access_map(&self) -> &AccessMap {
-        &self.access
-    }
-
     /// Consumes the tracker, yielding the declared footprints — the form the
     /// DAG builders hand to [`crate::verify_graph`] and the checked
     /// executors.

@@ -16,6 +16,9 @@
 //!   job, lane 0 runs on the calling thread and the rest on scoped threads,
 //!   so jobs may borrow and a single-worker run spawns nothing.
 //!   [`run_graph`] is the panicking shorthand for the default options.
+//!   [`run_plan`] is the factorization path on top of it: a [`DagPlan`]
+//!   (graph, declared footprints, `exec`, `collect`) is verified, shadowed
+//!   and retry-wrapped as its [`FactorOptions`] ask, executed, collected.
 //! * [`MultiFrontier`] — the same core behind an `Arc` with `n` spawned
 //!   threads, multiplexing many `'static` graphs ("jobs") for the serving
 //!   tier: fair-share dispatch across jobs, per-job cancellation and
@@ -108,6 +111,7 @@ mod footprint;
 mod graph;
 mod log;
 mod multigraph;
+mod plan;
 mod profile;
 mod retry;
 mod sim;
@@ -132,6 +136,7 @@ pub use graph::TaskGraph;
 pub use multigraph::{
     CancelReason, JobId, JobOptions, JobOutcome, JobReport, JobWatch, MultiFrontier,
 };
+pub use plan::{run_plan, DagPlan, FactorOptions, Retry};
 pub use profile::{
     ClassMetrics, KindMetrics, LatencyStats, LookaheadMetrics, PanelWait, Profile, QueueSample,
     SchedMetrics, TaskRecord,

@@ -55,32 +55,6 @@ impl Timeline {
         self.busy_time() / (self.makespan * self.lanes.len() as f64)
     }
 
-    /// Busy time broken down by task kind, as `(kind, seconds)` pairs in a
-    /// fixed order (P, L, U, S, W, O).
-    pub fn busy_by_kind(&self) -> Vec<(TaskKind, f64)> {
-        let kinds = [
-            TaskKind::Panel,
-            TaskKind::LBlock,
-            TaskKind::URow,
-            TaskKind::Update,
-            TaskKind::Swap,
-            TaskKind::Other,
-        ];
-        kinds
-            .iter()
-            .map(|&k| {
-                let t = self
-                    .lanes
-                    .iter()
-                    .flatten()
-                    .filter(|s| s.label.kind == k)
-                    .map(|s| s.end - s.start)
-                    .sum();
-                (k, t)
-            })
-            .collect()
-    }
-
     /// Checks internal consistency: spans within a lane do not overlap and
     /// are sorted; `makespan` covers every span. Returns the first violation
     /// instead of aborting, so library callers (and the profiler) can report
@@ -371,20 +345,6 @@ mod tests {
         let g = ascii_gantt(&tl, 10);
         assert!(g.contains("PPPPP"));
         assert!(g.contains("....."));
-    }
-
-    #[test]
-    fn busy_by_kind_partitions_time() {
-        let mut tl = Timeline::new(1);
-        tl.lanes[0].push(span(TaskKind::Panel, 0.0, 1.0));
-        tl.lanes[0].push(span(TaskKind::Update, 1.0, 3.0));
-        tl.makespan = 3.0;
-        let by = tl.busy_by_kind();
-        let p: f64 = by.iter().find(|(k, _)| *k == TaskKind::Panel).unwrap().1;
-        let s: f64 = by.iter().find(|(k, _)| *k == TaskKind::Update).unwrap().1;
-        assert_eq!(p, 1.0);
-        assert_eq!(s, 2.0);
-        assert_eq!(tl.busy_time(), 3.0);
     }
 
     #[test]

@@ -152,6 +152,10 @@ fn verify_subcommand_proves_soundness_and_runs_checked() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("static verify lu"), "{text}");
     assert!(text.contains("static verify tiled LU baseline"), "{text}");
+    assert!(text.contains("static verify blocked LU baseline"), "{text}");
+    // The lookahead rule is CALU's claim: a baseline that trips it on
+    // purpose (tiled) or is fork-join (blocked) is reported without it.
+    assert!(!text.contains("lookahead-of-1 is not in effect"), "{text}");
     assert!(text.contains("conflicting pair(s) ordered"), "{text}");
     assert!(text.contains("checked CALU run clean"), "{text}");
 
@@ -163,6 +167,7 @@ fn verify_subcommand_proves_soundness_and_runs_checked() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("static verify qr"), "{text}");
     assert!(text.contains("static verify tiled QR baseline"), "{text}");
+    assert!(text.contains("static verify blocked QR baseline"), "{text}");
     assert!(text.contains("checked CAQR run clean"), "{text}");
 }
 
@@ -354,6 +359,7 @@ fn zero_valued_flags_exit_2_with_a_one_line_message() {
         ("factor lu --random 64 64 --b 8 --tr 4 --tree hybrid:0", FAN_IN),
         ("factor lu --random 64 64 --b 8 --tr 4 --tree hybrid:1", FAN_IN),
         ("serve --jobs 2 --capacity 0", "--capacity must be at least 1"),
+        ("serve --jobs 2 --threads 0", "--threads must be at least 1"),
     ] {
         let out = cafactor().args(cmd.split_whitespace()).output().expect("run cafactor");
         assert_eq!(out.status.code(), Some(2), "{cmd}");

@@ -113,9 +113,10 @@ fn facade_prelude_covers_the_basics() {
 fn rectangular_tiled_lu_graph_and_tall_factorization() {
     // Tall-skinny tiled LU (rectangular grid) — the Figure 5/6/7 PLASMA
     // configuration.
-    let g = ca_factor::baselines::tiled_lu_task_graph(5000, 200, 100);
-    g.validate();
-    assert!(g.total_flops() > 0.0);
+    use ca_factor::sched::DagPlan;
+    let plan = ca_factor::baselines::TiledLuPlan::build(5000, 200, 100);
+    plan.graph().validate();
+    assert!(plan.graph().total_flops() > 0.0);
     // The real factorization on a tall matrix runs and leaves finite values.
     let a = random_uniform(500, 100, &mut seeded_rng(6));
     let f = tiled_lu(a, 50, 2);

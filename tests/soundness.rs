@@ -5,16 +5,18 @@
 //! declared footprints, and the pinned edge-for-edge identity of every
 //! builder's graph.
 
-use ca_factor::baselines::{
-    geqrf_blocked_task_graph, getrf_blocked_task_graph, tiled_lu_task_graph_with_access,
-    tiled_qr_task_graph_with_access, try_tiled_lu_checked, try_tiled_qr_checked,
-};
+use ca_factor::baselines::{BlockedLuPlan, BlockedQrPlan, TiledLuPlan, TiledQrPlan};
+use ca_factor::bench::Algo;
 use ca_factor::core::{
     calu_task_graph_with_access, caqr_task_graph_with_access, try_calu_with, try_caqr_with,
     verify_calu, verify_caqr, CaParams, FactorOptions, TreeShape,
 };
 use ca_factor::matrix::{random_uniform, seeded_rng};
-use ca_factor::sched::{verify_graph_with, AccessMap, SoundnessError, TaskGraph, VerifyOptions};
+use ca_factor::sched::{
+    run_plan, verify_graph_with, AccessMap, DagPlan, Profile, SoundnessError, TaskGraph,
+    VerifyOptions,
+};
+use ca_factor::Matrix;
 
 fn checked() -> FactorOptions<'static> {
     FactorOptions { checked: true, ..Default::default() }
@@ -149,23 +151,33 @@ fn checked_tiled_baselines_run_clean_under_subtile_leases() {
     // End-to-end: static verification up front, then execution with per-rect
     // leases audited by the shadow registry.
     let a = random_uniform(96, 96, &mut seeded_rng(21));
-    let f = try_tiled_lu_checked(a.clone(), 16, 4).expect("checked tiled LU");
+    let (f, _) = run_plan(TiledLuPlan::build(96, 96, 16), a.clone(), 4, &checked())
+        .expect("checked tiled LU");
     let rhs = random_uniform(96, 2, &mut seeded_rng(23));
     let x = f.solve(&rhs);
     assert!(ca_factor::baselines::TiledLu::solve_residual(&a, &x, &rhs) < 1e-10);
 
     let a = random_uniform(96, 64, &mut seeded_rng(22));
-    let f = try_tiled_qr_checked(a.clone(), 16, 4).expect("checked tiled QR");
+    let (f, _) = run_plan(TiledQrPlan::build(96, 64, 16), a.clone(), 4, &checked())
+        .expect("checked tiled QR");
     assert!(f.residual(&a) < 1e-10);
 }
 
-/// `(tasks, edges, FNV-1a of the sorted edge list)` of a task graph.
-fn fingerprint<T>(g: &TaskGraph<T>) -> (usize, usize, u64) {
+/// `(tasks, edges, FNV-1a of the sorted edge list)`.
+type Fingerprint = (usize, usize, u64);
+
+/// Fingerprint of a task graph.
+fn fingerprint<T>(g: &TaskGraph<T>) -> Fingerprint {
     let edges = (0..g.len()).flat_map(|a| g.successors(a).iter().map(move |&b| (a, b))).collect();
     fingerprint_of(g.len(), edges)
 }
 
-fn fingerprint_of(tasks: usize, mut edges: Vec<(usize, usize)>) -> (usize, usize, u64) {
+/// Fingerprint of the graph a run executed, read back from its profile.
+fn executed(profile: Profile) -> Fingerprint {
+    fingerprint_of(profile.records.len(), profile.edges)
+}
+
+fn fingerprint_of(tasks: usize, mut edges: Vec<(usize, usize)>) -> Fingerprint {
     edges.sort_unstable();
     let mut h = 0xcbf2_9ce4_8422_2325_u64;
     for (a, b) in &edges {
@@ -188,11 +200,39 @@ enum Builder {
     GeqrfBlocked(usize, usize),
 }
 
-/// A pinned row: `(builder, m, n, (tasks, edges, edge hash))`.
-type PinnedRow = (Builder, usize, usize, (usize, usize, u64));
+impl Builder {
+    /// The contender the simulated figures cost for this row and the core
+    /// count they cost it at; `None` where the row sets a parameter `Algo`
+    /// does not carry.
+    fn algo(self) -> Option<(Algo, usize)> {
+        use Builder::*;
+        Some(match self {
+            Calu(p) | Caqr(p)
+                if p.par_update_rows != CaParams::new(p.b, p.tr, p.threads).par_update_rows =>
+            {
+                return None
+            }
+            Calu(p) => (Algo::Calu { b: p.b, tr: p.tr, tree: p.tree }, p.threads),
+            Caqr(p) => (Algo::Caqr { b: p.b, tr: p.tr, tree: p.tree }, p.threads),
+            TiledLu(b) => (Algo::TiledLu { b }, 4),
+            TiledQr(b) => (Algo::TiledQr { b }, 4),
+            GetrfBlocked(nb, strips) => (Algo::BlockedLu { nb }, strips),
+            GeqrfBlocked(nb, strips) => (Algo::BlockedQr { nb }, strips),
+        })
+    }
+}
 
-/// The pinned CALU/CAQR rows.
-fn pinned_ca_rows() -> [PinnedRow; 8] {
+/// A pinned row: `(builder, m, n, (tasks, edges, edge hash))`.
+type PinnedRow = (Builder, usize, usize, Fingerprint);
+
+/// Every builder's graph, edge for edge. The CALU/CAQR, tiled and blocked-QR
+/// rows are as recorded at the commit before block-granularity tracking was
+/// deleted (PR 14): the footprint representation is not allowed to move a
+/// single edge. The blocked-LU rows were re-pinned once, when the baseline
+/// started executing its graph (column strips, deferred left interchanges);
+/// the first blocked-QR row lost, at the same time, the one transitively
+/// redundant edge the minimality lint now holds the blocked plans to.
+fn pinned_rows() -> [PinnedRow; 20] {
     let flat = |mut p: CaParams| {
         p.tree = TreeShape::Flat;
         p
@@ -211,61 +251,77 @@ fn pinned_ca_rows() -> [PinnedRow; 8] {
         (Caqr(ragged), 750, 333, (64, 104, 7378113826623045790)),
         (Calu(decomposed), 512, 192, (511, 1033, 7222420284846443653)),
         (Caqr(decomposed), 512, 192, (234, 464, 8947499842147441168)),
-    ]
-}
-
-#[test]
-fn f32_plans_execute_the_pinned_f64_graphs() {
-    // Graph shape does not depend on the element type: the DAG an f32
-    // factorization actually ran (read back from its profile) is, edge for
-    // edge, the pinned row of the f64 builder.
-    use ca_factor::core::{try_calu_profiled, try_caqr_profiled};
-    for (builder, m, n, pinned) in pinned_ca_rows() {
-        let a = ca_factor::Matrix::<f32>::from_f64(&random_uniform(m, n, &mut seeded_rng(14)));
-        let profile = match builder {
-            Builder::Calu(p) => try_calu_profiled(a, &p).map(|(_, profile)| profile),
-            Builder::Caqr(p) => try_caqr_profiled(a, &p).map(|(_, profile)| profile),
-            _ => unreachable!("CALU/CAQR rows only"),
-        }
-        .unwrap_or_else(|e| panic!("{builder:?}: {e}"));
-        let got = fingerprint_of(profile.records.len(), profile.edges);
-        assert_eq!(got, pinned, "{builder:?} {m}x{n} in f32");
-    }
-}
-
-#[test]
-fn builder_graphs_are_pinned_minimal_and_run_clean_checked() {
-    // Every builder's graph, edge for edge, as recorded at the commit before
-    // block-granularity tracking was deleted (PR 14): the footprint
-    // representation is not allowed to move a single edge. The blocked
-    // baselines' rows pin the unit-cell tracker every simulated figure
-    // rests on. For the four builders that expose an `AccessMap`, the same
-    // rows must also be conflict-minimal under the lint and run clean under
-    // the race detector.
-    use Builder::*;
-    let baselines = [
         (TiledLu(16), 96, 96, (91, 195, 15544026709644574678)),
         (TiledQr(16), 96, 96, (91, 195, 15544026709644574678)),
         (TiledLu(100), 750, 333, (70, 142, 15536857450198778301)),
         (TiledQr(100), 750, 333, (70, 142, 15536857450198778301)),
         (TiledLu(32), 384, 256, (348, 844, 15929753144330827562)),
         (TiledQr(32), 384, 256, (348, 844, 15929753144330827562)),
-        (GetrfBlocked(100, 8), 1000, 1000, (304, 792, 713047191643935116)),
-        (GeqrfBlocked(100, 8), 1000, 1000, (51, 86, 6550969670163407739)),
-        (GetrfBlocked(100, 4), 750, 333, (31, 69, 9241594405039084430)),
+        (GetrfBlocked(100, 8), 1000, 1000, (101, 135, 6638520402657136343)),
+        (GeqrfBlocked(100, 8), 1000, 1000, (51, 85, 2641146701078714973)),
+        (GetrfBlocked(100, 4), 750, 333, (19, 21, 14070558630761844350)),
         (GeqrfBlocked(100, 4), 750, 333, (10, 12, 558881896670502307)),
-        (GetrfBlocked(50, 16), 4000, 400, (478, 1354, 10522100358611412007)),
+        (GetrfBlocked(50, 16), 4000, 400, (71, 91, 18229012278643871762)),
         (GeqrfBlocked(50, 16), 4000, 400, (36, 56, 6825965529718751825)),
-    ];
+    ]
+}
 
-    fn minimal<T>(g: &TaskGraph<T>, access: &AccessMap) -> (usize, usize, u64) {
+/// Runs a baseline plan on 4 workers under `opts`; returns what it executed.
+fn run_baseline<P: DagPlan<f64>>(plan: P, a: Matrix, opts: &FactorOptions<'_>) -> Fingerprint {
+    let (_, report) = run_plan(plan, a, 4, opts).unwrap_or_else(|e| panic!("{e}"));
+    executed(report.profile())
+}
+
+#[test]
+fn f32_plans_execute_the_pinned_f64_graphs() {
+    // What a factorization actually ran (read back from its profile) is,
+    // edge for edge, the pinned row of its builder — for CALU/CAQR in f32
+    // too, graph shape does not depend on the element type — and the graph
+    // `Algo::task_graph` hands the simulator for the same contender.
+    use ca_factor::core::{try_calu_profiled, try_caqr_profiled};
+    use Builder::*;
+    for (builder, m, n, pinned) in pinned_rows() {
+        let a = random_uniform(m, n, &mut seeded_rng(14));
+        let a32 = Matrix::<f32>::from_f64(&a);
+        let plain = FactorOptions::default();
+        let got = match builder {
+            Calu(p) => executed(try_calu_profiled(a32, &p).unwrap_or_else(|e| panic!("{e}")).1),
+            Caqr(p) => executed(try_caqr_profiled(a32, &p).unwrap_or_else(|e| panic!("{e}")).1),
+            TiledLu(b) => run_baseline(TiledLuPlan::build(m, n, b), a, &plain),
+            TiledQr(b) => run_baseline(TiledQrPlan::build(m, n, b), a, &plain),
+            GetrfBlocked(nb, strips) => {
+                run_baseline(BlockedLuPlan::build(m, n, nb, strips), a, &plain)
+            }
+            GeqrfBlocked(nb, strips) => {
+                run_baseline(BlockedQrPlan::build(m, n, nb, strips), a, &plain)
+            }
+        };
+        assert_eq!(got, pinned, "{builder:?} {m}x{n}: executed graph");
+        if let Some((algo, cores)) = builder.algo() {
+            let simulated = fingerprint(&algo.task_graph(m, n, cores));
+            assert_eq!(got, simulated, "{builder:?} {m}x{n}: executed vs simulated graph");
+        }
+    }
+}
+
+#[test]
+fn builder_graphs_are_pinned_minimal_and_run_clean_checked() {
+    // Every pinned row must also be conflict-minimal under the lint and run
+    // clean under the race detector.
+    use Builder::*;
+    fn minimal<T>(g: &TaskGraph<T>, access: &AccessMap) -> Fingerprint {
         let report = verify_graph_with(g, access, &VerifyOptions { lint_edges: true })
             .unwrap_or_else(|e| panic!("unsound: {e}"));
         let lint = report.lint.expect("lint requested");
         assert_eq!(lint.minimality_findings(), 0, "{lint:?}");
         fingerprint(g)
     }
-    for (builder, m, n, pinned) in pinned_ca_rows().into_iter().chain(baselines) {
+    fn baseline<P: DagPlan<f64>>(plan: P, a: Matrix) -> Fingerprint {
+        let built = minimal(plan.graph(), plan.access());
+        assert_eq!(run_baseline(plan, a, &checked()), built);
+        built
+    }
+    for (builder, m, n, pinned) in pinned_rows() {
         let a = random_uniform(m, n, &mut seeded_rng(14));
         let got = match builder {
             Calu(p) => {
@@ -278,18 +334,10 @@ fn builder_graphs_are_pinned_minimal_and_run_clean_checked() {
                 try_caqr_with(a, &p, &checked()).unwrap_or_else(|e| panic!("{builder:?}: {e}"));
                 minimal(&g, &access)
             }
-            TiledLu(b) => {
-                let (g, access) = tiled_lu_task_graph_with_access(m, n, b);
-                try_tiled_lu_checked(a, b, 4).unwrap_or_else(|e| panic!("{builder:?}: {e}"));
-                minimal(&g, &access)
-            }
-            TiledQr(b) => {
-                let (g, access) = tiled_qr_task_graph_with_access(m, n, b);
-                try_tiled_qr_checked(a, b, 4).unwrap_or_else(|e| panic!("{builder:?}: {e}"));
-                minimal(&g, &access)
-            }
-            GetrfBlocked(nb, strips) => fingerprint(&getrf_blocked_task_graph(m, n, nb, strips)),
-            GeqrfBlocked(nb, strips) => fingerprint(&geqrf_blocked_task_graph(m, n, nb, strips)),
+            TiledLu(b) => baseline(TiledLuPlan::build(m, n, b), a),
+            TiledQr(b) => baseline(TiledQrPlan::build(m, n, b), a),
+            GetrfBlocked(nb, strips) => baseline(BlockedLuPlan::build(m, n, nb, strips), a),
+            GeqrfBlocked(nb, strips) => baseline(BlockedQrPlan::build(m, n, nb, strips), a),
         };
         assert_eq!(got, pinned, "{builder:?} {m}x{n}: (tasks, edges, edge hash) moved");
     }
