@@ -1,14 +1,14 @@
 //! LAPACK-style blocked Householder QR — the vendor (`MKL_dgeqrf`)
 //! stand-in: per step one BLAS2 `dgeqr2` + `dlarft` panel task, then one
 //! `dlarfb` task per column strip of the trailing matrix (the multithreaded
-//! BLAS3 update), as a [`ca_sched::DagPlan`].
+//! BLAS3 update), as a [`ca_sched::Plan`].
 
-use crate::{add_task, column_strips, BlockedPlan};
+use crate::column_strips;
 use ca_kernels::{flops, traffic};
 use ca_kernels::{geqr2, larfb_left, larft, Trans};
 use ca_matrix::shadow::ElemRect;
 use ca_matrix::Matrix;
-use ca_sched::{BlockTracker, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
+use ca_sched::{KernelClass, Plan, PlanBuilder, TaskKind, TaskLabel, TaskMeta};
 use std::sync::OnceLock;
 
 /// Result of blocked QR: per-panel compact-WY `T` factors (reflectors stay
@@ -50,9 +50,11 @@ impl BlockedQr {
     }
 }
 
-/// The task DAG of blocked `dgeqrf`; a panel task leaves its
-/// `(k0, width, T)` for the strips of its step.
-pub type BlockedQrPlan = BlockedPlan<(usize, usize, Matrix), BlockedQr>;
+/// What a panel task leaves for the strips of its step: `(k0, width, T)`.
+type Panels = Vec<OnceLock<(usize, usize, Matrix)>>;
+
+/// Builder of the task DAG of blocked `dgeqrf`.
+pub struct BlockedQrPlan;
 
 impl BlockedQrPlan {
     /// Plan for an `m × n` matrix with panel width `nb`, the trailing update
@@ -60,12 +62,11 @@ impl BlockedQrPlan {
     // Task bodies: every access falls inside the footprint declared right
     // after the body, which `verify_graph` proves conflict-ordered.
     #[allow(clippy::disallowed_methods)]
-    pub fn build(m: usize, n: usize, nb: usize, strips: usize) -> Self {
+    pub fn build(m: usize, n: usize, nb: usize, strips: usize) -> Plan<f64, Panels, (Matrix, BlockedQr)> {
         assert!(nb > 0, "panel width must be positive");
         let kmax = m.min(n);
         let nsteps = kmax.div_ceil(nb);
-        let (mut g, mut bodies) = (TaskGraph::new(), Vec::new());
-        let mut tracker = BlockTracker::with_geometry(nb, m, n);
+        let mut pb = PlanBuilder::<f64, Panels>::new(nb, m, n);
 
         for step in 0..nsteps {
             let k0 = step * nb;
@@ -79,7 +80,7 @@ impl BlockedQrPlan {
             .with_bytes(traffic::geqr2(m - k0, w))
             .with_priority(pr + 900)
             .with_class(KernelClass::QrBlas2);
-            let panel = add_task(&mut g, &mut bodies, meta, move |a, panels| {
+            let panel = pb.task(meta, move |a, panels| {
                 // SAFETY: the DAG orders this after every update of these
                 // columns and before every reader of the panel.
                 let mut panel = unsafe { a.block_mut(k0, k0, m - k0, w) };
@@ -90,7 +91,7 @@ impl BlockedQrPlan {
                 larft(panel.as_ref().sub(0, 0, m - k0, kv), &tau, t.view_mut());
                 panels[step].set((k0, w, t)).expect("panel ran twice");
             });
-            tracker.write_rect(&mut g, panel, ElemRect::new(k0..m, k0..k0 + w));
+            pb.writes_rect(panel, ElemRect::new(k0..m, k0..k0 + w));
 
             for cols in column_strips(k0 + w..n, nb, strips) {
                 let (c0, wc) = (cols.start, cols.len());
@@ -101,29 +102,26 @@ impl BlockedQrPlan {
                 .with_bytes(traffic::larfb(m - k0, wc, w))
                 .with_priority(pr + 100)
                 .with_class(KernelClass::Larfb);
-                let id = add_task(&mut g, &mut bodies, meta, move |a, panels| {
+                let id = pb.task(meta, move |a, panels| {
                     let (_, _, t) = panels[step].get().expect("panel T not ready");
                     // SAFETY: reads the finished panel, writes only this strip.
                     let v = unsafe { a.block(k0, k0, m - k0, t.nrows()) };
                     let c = unsafe { a.block_mut(k0, c0, m - k0, wc) };
                     larfb_left(Trans::Yes, v, t.view(), c);
                 });
-                tracker.read_rect(&mut g, id, ElemRect::new(k0..m, k0..k0 + w));
-                tracker.write_rect(&mut g, id, ElemRect::new(k0..m, cols));
+                pb.reads_rect(id, ElemRect::new(k0..m, k0..k0 + w));
+                pb.writes_rect(id, ElemRect::new(k0..m, cols));
             }
         }
 
         // A strip wider than a block reaches the next step's strips both
         // directly and through that step's panel; keep the minimal DAG.
-        ca_sched::reduce_transitive_edges(&mut g);
+        ca_sched::reduce_transitive_edges(&mut pb.graph);
 
-        Self {
-            graph: g,
-            access: tracker.into_access_map(),
-            bodies,
-            panels: (0..nsteps).map(|_| OnceLock::new()).collect(),
-            gather: |panels| BlockedQr { panels },
-        }
+        pb.finish((0..nsteps).map(|_| OnceLock::new()).collect(), |a, panels| {
+            let panels = panels.into_iter().map(|p| p.into_inner().expect("panel missing"));
+            (a, BlockedQr { panels: panels.collect() })
+        })
     }
 }
 
@@ -141,7 +139,6 @@ pub fn geqrf_blocked(a: &mut Matrix, nb: usize, threads: usize) -> BlockedQr {
 mod tests {
     use super::*;
     use ca_matrix::{orthogonality, qr_residual, seeded_rng};
-    use ca_sched::DagPlan;
 
     fn check(m: usize, n: usize, nb: usize, threads: usize, seed: u64) {
         let a0 = ca_matrix::random_uniform(m, n, &mut seeded_rng(seed));

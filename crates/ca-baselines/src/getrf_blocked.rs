@@ -2,7 +2,7 @@
 //! vendor-library (`MKL_dgetrf` / `ACML_dgetrf`) stand-in.
 //!
 //! Structure (LAPACK `dgetrf` under a multithreaded BLAS3), as a
-//! [`ca_sched::DagPlan`]: per panel, one BLAS2 `dgetf2` task over the
+//! [`ca_sched::Plan`]: per panel, one BLAS2 `dgetf2` task over the
 //! *whole* panel (one thread — the panel is the part vendors do not
 //! parallelize well, the paper's central observation); then per column
 //! strip of the trailing matrix one task applying the row interchanges and
@@ -10,12 +10,12 @@
 //! interchanges left of the panel are deferred to one task per finished
 //! block column, like CALU's.
 
-use crate::{add_task, column_strips, BlockedPlan};
+use crate::column_strips;
 use ca_kernels::{flops, traffic};
 use ca_kernels::{gemm, getf2, trsm_left_lower_unit, LuInfo, Trans};
 use ca_matrix::shadow::ElemRect;
 use ca_matrix::{Matrix, PivotSeq};
-use ca_sched::{BlockTracker, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
+use ca_sched::{KernelClass, Plan, PlanBuilder, TaskKind, TaskLabel, TaskMeta};
 use std::sync::OnceLock;
 
 /// Result of the blocked factorization: pivots plus LAPACK `info`-style
@@ -27,9 +27,12 @@ pub struct BlockedLu {
     pub breakdown: Option<usize>,
 }
 
-/// The task DAG of blocked `dgetrf`; a panel task leaves its `dgetf2`
-/// outcome (panel-local pivots) for the strips of its step.
-pub type BlockedLuPlan = BlockedPlan<LuInfo, BlockedLu>;
+/// What a panel task leaves for the strips of its step: its `dgetf2`
+/// outcome (panel-local pivots).
+type Panels = Vec<OnceLock<LuInfo>>;
+
+/// Builder of the task DAG of blocked `dgetrf`.
+pub struct BlockedLuPlan;
 
 impl BlockedLuPlan {
     /// Plan for an `m × n` matrix with panel width `nb`, the trailing update
@@ -37,12 +40,11 @@ impl BlockedLuPlan {
     // Task bodies: every access falls inside the footprint declared right
     // after the body, which `verify_graph` proves conflict-ordered.
     #[allow(clippy::disallowed_methods)]
-    pub fn build(m: usize, n: usize, nb: usize, strips: usize) -> Self {
+    pub fn build(m: usize, n: usize, nb: usize, strips: usize) -> Plan<f64, Panels, (Matrix, BlockedLu)> {
         assert!(nb > 0, "panel width must be positive");
         let kmax = m.min(n);
         let nsteps = kmax.div_ceil(nb);
-        let (mut g, mut bodies) = (TaskGraph::new(), Vec::new());
-        let mut tracker = BlockTracker::with_geometry(nb, m, n);
+        let mut pb = PlanBuilder::<f64, Panels>::new(nb, m, n);
         let mut panel_ids = Vec::with_capacity(nsteps);
 
         for step in 0..nsteps {
@@ -57,13 +59,13 @@ impl BlockedLuPlan {
             .with_bytes(traffic::getf2(m - k0, w))
             .with_priority(pr + 900)
             .with_class(KernelClass::LuBlas2);
-            let panel = add_task(&mut g, &mut bodies, meta, move |a, panels| {
+            let panel = pb.task(meta, move |a, panels| {
                 // SAFETY: the DAG orders this after every update of these
                 // columns and before every reader of the panel.
                 let info = getf2(unsafe { a.block_mut(k0, k0, m - k0, w) });
                 panels[step].set(info).expect("panel ran twice");
             });
-            tracker.write_rect(&mut g, panel, ElemRect::new(k0..m, k0..k0 + w));
+            pb.writes_rect(panel, ElemRect::new(k0..m, k0..k0 + w));
             panel_ids.push(panel);
 
             for cols in column_strips(k0 + w..n, nb, strips) {
@@ -75,7 +77,7 @@ impl BlockedLuPlan {
                 .with_bytes(traffic::trsm_left(w, wc) + traffic::laswp(w, wc))
                 .with_priority(pr + 500)
                 .with_class(KernelClass::Trsm);
-                let urow = add_task(&mut g, &mut bodies, meta, move |a, panels| {
+                let urow = pb.task(meta, move |a, panels| {
                     // SAFETY: rows k0.. of this strip belong to this task
                     // alone between the previous step's update and this
                     // step's; L_kk is final.
@@ -85,9 +87,9 @@ impl BlockedLuPlan {
                     trsm_left_lower_unit(lkk, col.into_sub(0, 0, w, wc));
                 });
                 // The pivots reach the strip through side storage.
-                g.add_dep(panel, urow);
-                tracker.read_rect(&mut g, urow, ElemRect::new(k0..k0 + w, k0..k0 + w));
-                tracker.write_rect(&mut g, urow, ElemRect::new(k0..m, cols.clone()));
+                pb.graph.add_dep(panel, urow);
+                pb.reads_rect(urow, ElemRect::new(k0..k0 + w, k0..k0 + w));
+                pb.writes_rect(urow, ElemRect::new(k0..m, cols.clone()));
 
                 if k0 + w < m {
                     let meta = TaskMeta::new(
@@ -97,7 +99,7 @@ impl BlockedLuPlan {
                     .with_bytes(traffic::gemm(m - k0 - w, wc, w))
                     .with_priority(pr + 100)
                     .with_class(KernelClass::Gemm);
-                    let id = add_task(&mut g, &mut bodies, meta, move |a, _| {
+                    let id = pb.task(meta, move |a, _| {
                         // SAFETY: reads L (final until the deferred left
                         // swap) and this strip's finished U row; writes
                         // only this strip.
@@ -106,9 +108,9 @@ impl BlockedLuPlan {
                         let c = unsafe { a.block_mut(k0 + w, c0, m - k0 - w, wc) };
                         gemm(Trans::No, Trans::No, -1.0, l, u, 1.0, c);
                     });
-                    tracker.read_rect(&mut g, id, ElemRect::new(k0 + w..m, k0..k0 + w));
-                    tracker.read_rect(&mut g, id, ElemRect::new(k0..k0 + w, cols.clone()));
-                    tracker.write_rect(&mut g, id, ElemRect::new(k0 + w..m, cols));
+                    pb.reads_rect(id, ElemRect::new(k0 + w..m, k0..k0 + w));
+                    pb.reads_rect(id, ElemRect::new(k0..k0 + w, cols.clone()));
+                    pb.writes_rect(id, ElemRect::new(k0 + w..m, cols));
                 }
             }
         }
@@ -120,7 +122,7 @@ impl BlockedLuPlan {
             let meta = TaskMeta::new(TaskLabel::new(TaskKind::Swap, nsteps, 0, jblk), 0.0)
                 .with_bytes(traffic::laswp(kmax - k1, nb))
                 .with_class(KernelClass::Memory);
-            let id = add_task(&mut g, &mut bodies, meta, move |a, panels| {
+            let id = pb.task(meta, move |a, panels| {
                 for (step, panel) in panels.iter().enumerate().skip(jblk + 1) {
                     // SAFETY: every reader of this block column's L is done
                     // and every later panel's pivots are set, per the DAG.
@@ -128,29 +130,24 @@ impl BlockedLuPlan {
                     panel.get().expect("panel pivots not ready").pivots.apply(col);
                 }
             });
-            g.add_deps(panel_ids[jblk + 1..].iter().copied(), id);
-            tracker.write_rect(&mut g, id, ElemRect::new(k1..m, jblk * nb..k1));
+            pb.graph.add_deps(panel_ids[jblk + 1..].iter().copied(), id);
+            pb.writes_rect(id, ElemRect::new(k1..m, jblk * nb..k1));
         }
 
         // The tracker cannot see orderings the explicit pivot edges already
         // imply; drop the conflict edges a path covers.
-        ca_sched::reduce_transitive_edges(&mut g);
+        ca_sched::reduce_transitive_edges(&mut pb.graph);
 
-        Self {
-            graph: g,
-            access: tracker.into_access_map(),
-            bodies,
-            panels: (0..nsteps).map(|_| OnceLock::new()).collect(),
-            gather: |panels| {
-                let mut f = BlockedLu { pivots: PivotSeq::new(0), breakdown: None };
-                for info in panels {
-                    let k0 = f.pivots.len();
-                    f.pivots.ipiv.extend(info.pivots.ipiv.iter().map(|&r| r + k0));
-                    f.breakdown = f.breakdown.or(info.first_zero_pivot.map(|c| k0 + c));
-                }
-                f
-            },
-        }
+        pb.finish((0..nsteps).map(|_| OnceLock::new()).collect(), |a, panels| {
+            let mut f = BlockedLu { pivots: PivotSeq::new(0), breakdown: None };
+            for info in panels {
+                let info = info.into_inner().expect("panel missing");
+                let k0 = f.pivots.len();
+                f.pivots.ipiv.extend(info.pivots.ipiv.iter().map(|&r| r + k0));
+                f.breakdown = f.breakdown.or(info.first_zero_pivot.map(|c| k0 + c));
+            }
+            (a, f)
+        })
     }
 }
 
@@ -169,7 +166,6 @@ pub fn getrf_blocked(a: &mut Matrix, nb: usize, threads: usize) -> BlockedLu {
 mod tests {
     use super::*;
     use ca_matrix::{lu_residual, seeded_rng};
-    use ca_sched::DagPlan;
 
     fn check(m: usize, n: usize, nb: usize, threads: usize, seed: u64) {
         let a0 = ca_matrix::random_uniform(m, n, &mut seeded_rng(seed));

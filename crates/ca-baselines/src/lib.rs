@@ -13,9 +13,10 @@
 //! * [`tiled_lu`] / [`tiled_qr`] — PLASMA 2.0-style tile algorithms
 //!   (incremental pairwise pivoting LU; flat-tree tile QR).
 //! * [`BlockedLuPlan`] / [`BlockedQrPlan`] / [`TiledLuPlan`] /
-//!   [`TiledQrPlan`] — each of the four as a [`ca_sched::DagPlan`]: the
-//!   graph the entry point above executes is the graph the multicore
-//!   simulator costs and the static verifier proves.
+//!   [`TiledQrPlan`] — `::build(..)` makes each of the four as a
+//!   [`ca_sched::Plan`], every task added once as its footprint and the
+//!   closure that touches it: the graph the entry point above executes is
+//!   the graph the multicore simulator costs and the static verifier proves.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -27,68 +28,13 @@ mod tiled_lu;
 mod tiled_qr;
 
 use ca_matrix::shadow::ElemRect;
-use ca_matrix::{Matrix, SharedMatrix};
-use ca_sched::{AccessMap, DagPlan, TaskGraph, TaskId, TaskMeta};
+use ca_matrix::Matrix;
+use ca_sched::Plan;
 use std::ops::Range;
-use std::sync::OnceLock;
-
-/// One task of a blocked plan: a closure over the geometry its builder
-/// computed, run against the shared matrix and the per-step panel results.
-type Body<S> = Box<dyn Fn(&SharedMatrix, &[OnceLock<S>]) + Send + Sync>;
-
-/// A blocked factorization as a [`DagPlan`] — [`BlockedLuPlan`] or
-/// [`BlockedQrPlan`]: what the entry point runs and what the simulator costs
-/// as the vendor library. `S` is what the panel task of a step leaves for
-/// the other tasks of that step (pivots; the compact-WY `T`), `F` the
-/// factors gathered from them.
-pub struct BlockedPlan<S, F> {
-    /// Payload: the task's index in `bodies`.
-    graph: TaskGraph<usize>,
-    access: AccessMap,
-    bodies: Vec<Body<S>>,
-    panels: Vec<OnceLock<S>>,
-    gather: fn(Vec<S>) -> F,
-}
-
-/// Adds a task running `body` to a blocked plan under construction.
-fn add_task<S>(
-    graph: &mut TaskGraph<usize>,
-    bodies: &mut Vec<Body<S>>,
-    meta: TaskMeta,
-    body: impl Fn(&SharedMatrix, &[OnceLock<S>]) + Send + Sync + 'static,
-) -> TaskId {
-    bodies.push(Box::new(body));
-    graph.add_task(meta, bodies.len() - 1)
-}
-
-impl<S: Send + Sync + 'static, F: Send + Sync + 'static> DagPlan<f64> for BlockedPlan<S, F> {
-    type Task = usize;
-    type Factors = (Matrix, F);
-
-    fn graph(&self) -> &TaskGraph<usize> {
-        &self.graph
-    }
-
-    fn access(&self) -> &AccessMap {
-        &self.access
-    }
-
-    fn exec(&self, a: &SharedMatrix, t: usize) {
-        (self.bodies[t])(a, &self.panels)
-    }
-
-    fn collect(self, shared: SharedMatrix) -> (Matrix, F) {
-        let panels = self.panels.into_iter().map(|p| p.into_inner().expect("panel missing"));
-        (shared.into_inner(), (self.gather)(panels.collect()))
-    }
-}
+use std::sync::Arc;
 
 /// Runs a blocked plan over `a` in place on `threads` workers.
-fn run_in_place<F>(
-    plan: impl DagPlan<f64, Factors = (Matrix, F)>,
-    a: &mut Matrix,
-    threads: usize,
-) -> F {
+fn run_in_place<S: Sync, F>(plan: Plan<f64, S, (Matrix, F)>, a: &mut Matrix, threads: usize) -> F {
     let owned = std::mem::replace(a, Matrix::zeros(0, 0));
     let ((factored, f), _) = ca_sched::run_plan(plan, owned, threads, &Default::default())
         .unwrap_or_else(|e| panic!("{e}"));
@@ -107,8 +53,9 @@ fn column_strips(cols: Range<usize>, nb: usize, strips: usize) -> impl Iterator<
 
 /// Per-column rects of the strictly-lower trapezoid of the `rk × kv`
 /// diagonal tile at origin `k0`: the tile-local `L` (`rk == kv`) that
-/// `gessm` reads, the reflectors `V` that `ormqr` reads.
-fn lower_rects(k0: usize, rk: usize, kv: usize) -> Vec<ElemRect> {
+/// `gessm` reads, the reflectors `V` that `ormqr` reads. Shared between the
+/// declaration and the task bodies that lease exactly these rects.
+fn lower_rects(k0: usize, rk: usize, kv: usize) -> Arc<[ElemRect]> {
     (0..kv)
         .map(|c| ElemRect::new(k0 + c + 1..k0 + rk, k0 + c..k0 + c + 1))
         .filter(|r| !r.is_empty())
@@ -118,20 +65,20 @@ fn lower_rects(k0: usize, rk: usize, kv: usize) -> Vec<ElemRect> {
 /// Per-column rects of the upper triangle (diagonal included) of the
 /// `wk × wk` top of the diagonal tile at origin `k0`: the `U` / `R` factor
 /// the `tstrf` / `tsqrt` chain reads and rewrites.
-fn upper_rects(k0: usize, wk: usize) -> Vec<ElemRect> {
+fn upper_rects(k0: usize, wk: usize) -> Arc<[ElemRect]> {
     (0..wk).map(|c| ElemRect::new(k0..k0 + c + 1, k0 + c..k0 + c + 1)).collect()
 }
 
 pub use geqrf_blocked::{geqrf_blocked, BlockedQr, BlockedQrPlan};
 pub use getrf_blocked::{getrf_blocked, BlockedLu, BlockedLuPlan};
-pub use tiled_lu::{tiled_lu, TiledLu, TiledLuPlan, TiledLuTask};
-pub use tiled_qr::{tiled_qr, TiledQr, TiledQrPlan, TiledQrTask};
+pub use tiled_lu::{tiled_lu, TiledLu, TiledLuPlan};
+pub use tiled_qr::{tiled_qr, TiledQr, TiledQrPlan};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ca_matrix::{random_uniform, seeded_rng};
-    use ca_sched::{run_plan, AccessMap, DagPlan, FactorOptions, TaskGraph, TaskKind};
+    use ca_sched::{run_plan, AccessMap, FactorOptions, TaskGraph, TaskKind};
 
     /// Column ranges the `Update` tasks of `step` write, in task order.
     fn update_strips<T>(g: &TaskGraph<T>, access: &AccessMap, step: usize) -> Vec<(usize, usize)> {

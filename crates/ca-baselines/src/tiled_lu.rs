@@ -13,12 +13,11 @@ use crate::tile_kernels::{gessm, getrf_tile, ssssm, tstrf, TstrfTransform};
 use crate::{lower_rects, upper_rects};
 use ca_kernels::{flops, traffic};
 use ca_kernels::{trsm_left_upper_notrans, LuInfo};
-use ca_matrix::{Matrix, SharedMatrix};
+use ca_matrix::Matrix;
 use ca_sched::{
-    run_plan, AccessMap, BlockTracker, DagPlan, FactorOptions, KernelClass, TaskGraph, TaskKind,
-    TaskLabel, TaskMeta,
+    run_plan, FactorOptions, KernelClass, Plan, PlanBuilder, TaskKind, TaskLabel, TaskMeta,
 };
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Result of the tiled LU: the tiled factors plus the per-step transforms
 /// needed to apply the elimination to a right-hand side.
@@ -78,39 +77,29 @@ impl TiledLu {
     }
 }
 
-/// What a tiled-LU task does.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)] // field names (k/i/j tile coordinates) are the documentation
-pub enum TiledLuTask {
-    /// GEPP of diagonal tile `k`.
-    Getrf { k: usize },
-    /// Pivots + `L⁻¹` on tile `(k, j)`.
-    Gessm { k: usize, j: usize },
-    /// Pairwise elimination of tile `(i, k)` against the diagonal.
-    Tstrf { k: usize, i: usize },
-    /// Pair update of tiles `(k, j)` and `(i, j)`.
-    Ssssm { k: usize, i: usize, j: usize },
-}
-
-/// The task DAG of tiled LU: what [`tiled_lu`] runs and what the simulator
-/// costs as `PLASMA_dgetrf`. Its footprints split the diagonal tile between
-/// `gessm` (strict lower `L`) and `tstrf` (upper `U`), which leaves the two
-/// unordered within a step.
-pub struct TiledLuPlan {
-    graph: TaskGraph<TiledLuTask>,
-    access: AccessMap,
+/// What the tasks of a tiled-LU plan leave behind: the [`TiledLu`] fields,
+/// one slot per task that fills them.
+pub struct TiledLuSlots {
     b: usize,
     diag: Vec<OnceLock<LuInfo>>,
     trans: Vec<Vec<OnceLock<TstrfTransform>>>,
 }
 
+/// Builder of the task DAG of tiled LU: what [`tiled_lu`] runs and what the
+/// simulator costs as `PLASMA_dgetrf`. Its footprints split the diagonal
+/// tile between `gessm` (strict lower `L`) and `tstrf` (upper `U`), which
+/// leaves the two unordered within a step.
+pub struct TiledLuPlan;
+
 impl TiledLuPlan {
     /// Plan for an `m × n` matrix cut into `b × b` tiles.
-    pub fn build(m: usize, n: usize, b: usize) -> Self {
+    // Task bodies: every access falls inside the footprint declared right
+    // after the body, which `verify_graph` proves conflict-ordered.
+    #[allow(clippy::disallowed_methods)]
+    pub fn build(m: usize, n: usize, b: usize) -> Plan<f64, TiledLuSlots, TiledLu> {
         let mt = m.div_ceil(b);
         let nt = n.div_ceil(b);
         let kt = m.min(n).div_ceil(b);
-        let mut g: TaskGraph<TiledLuTask> = TaskGraph::new();
         // The diagonal tile (k, k) splits element-wise: `gessm` reads only the
         // strictly-lower `L` factor, `tstrf` rewrites only the upper `U`
         // triangle. Declaring those true sub-tile footprints (instead of a
@@ -118,23 +107,30 @@ impl TiledLuPlan {
         // unserialized — the real PLASMA concurrency — while staying inside
         // the matrix geometry, so static verification and checked execution
         // cover this builder.
-        let mut tracker = BlockTracker::with_geometry(b, m, n);
+        let mut pb = PlanBuilder::<f64, TiledLuSlots>::new(b, m, n);
         let steps = kt as i64;
 
         for k in 0..kt {
             let k0 = k * b;
             let wk = b.min(n - k0).min(m - k0);
             let pr = (steps - k as i64) * 1000;
+            // What `gessm` leases of the diagonal tile, and what `tstrf` does.
+            let lower = lower_rects(k0, wk, wk);
+            let upper = upper_rects(k0, wk);
 
             let meta = TaskMeta::new(TaskLabel::new(TaskKind::Panel, k, k, k), flops::getrf(wk, wk))
                 .with_bytes(traffic::getf2(wk, wk))
                 .with_priority(pr + 900)
                 .with_class(KernelClass::LuBlas2);
-            let getrf_id = g.add_task(meta, TiledLuTask::Getrf { k });
-            tracker.write(&mut g, getrf_id, k..k + 1, k..k + 1);
+            let getrf_id = pb.task(meta, move |a, s| {
+                // SAFETY: exclusive tile access per the DAG.
+                let info = getrf_tile(unsafe { a.block_mut(k0, k0, wk, wk) });
+                s.diag[k].set(info).expect("getrf ran twice");
+            });
+            pb.writes(getrf_id, k..k + 1, k..k + 1);
 
             for j in k + 1..nt {
-                let wj = b.min(n - j * b);
+                let (j0, wj) = (j * b, b.min(n - j * b));
                 let meta = TaskMeta::new(
                     TaskLabel::new(TaskKind::URow, k, k, j),
                     flops::trsm_left(wk, wj),
@@ -142,20 +138,28 @@ impl TiledLuPlan {
                 .with_bytes(traffic::trsm_left(wk, wj) + traffic::laswp(wk, wj))
                 .with_priority(pr + 500)
                 .with_class(KernelClass::Trsm);
-                let id = g.add_task(meta, TiledLuTask::Gessm { k, j });
-                let lr = lower_rects(k0, wk, wk);
-                if lr.is_empty() {
+                let lr = Arc::clone(&lower);
+                let id = pb.task(meta, move |a, s| {
+                    let info = s.diag[k].get().expect("diag not ready");
+                    // SAFETY: leases only the strictly-lower L columns — the
+                    // upper triangle belongs to tstrf tasks that may run
+                    // concurrently; tile (k, j) is this task's per the DAG.
+                    let lkk = unsafe { a.block_rects(k0, k0, wk, wk, &lr) };
+                    let tile = unsafe { a.block_mut(k0, j0, wk, wj) };
+                    gessm(&info.pivots, lkk, tile);
+                });
+                if lower.is_empty() {
                     // 1×1 diagonal tile: L is empty, but the pivots still
                     // flow from getrf through side storage.
-                    g.add_dep(getrf_id, id);
+                    pb.graph.add_dep(getrf_id, id);
                 }
-                for r in lr {
-                    tracker.read_rect(&mut g, id, r); // L_kk (strict lower)
+                for &r in lower.iter() {
+                    pb.reads_rect(id, r); // L_kk (strict lower)
                 }
-                tracker.write(&mut g, id, k..k + 1, j..j + 1);
+                pb.writes(id, k..k + 1, j..j + 1);
             }
             for i in k + 1..mt {
-                let ri = b.min(m - i * b);
+                let (i0, ri) = (i * b, b.min(m - i * b));
                 let meta = TaskMeta::new(
                     TaskLabel::new(TaskKind::Panel, k, i, k),
                     flops::tstrf(ri, wk),
@@ -163,14 +167,22 @@ impl TiledLuPlan {
                 .with_bytes(traffic::getf2(ri + wk, wk))
                 .with_priority(pr + 700)
                 .with_class(KernelClass::LuBlas2);
-                let id = g.add_task(meta, TiledLuTask::Tstrf { k, i });
-                for r in upper_rects(k0, wk) {
-                    tracker.write_rect(&mut g, id, r); // U_kk (upper + diagonal)
+                let ur = Arc::clone(&upper);
+                let id = pb.task(meta, move |a, s| {
+                    // SAFETY: leases only the upper triangle (with diagonal)
+                    // — the strict lower L is concurrently read by gessm
+                    // tasks; tile (i, k) is this task's per the DAG.
+                    let ukk = unsafe { a.block_mut_rects(k0, k0, wk, wk, &ur) };
+                    let aik = unsafe { a.block_mut(i0, k0, ri, wk) };
+                    s.trans[k][i - k - 1].set(tstrf(ukk, aik)).expect("tstrf ran twice");
+                });
+                for &r in upper.iter() {
+                    pb.writes_rect(id, r); // U_kk (upper + diagonal)
                 }
-                tracker.write(&mut g, id, i..i + 1, k..k + 1);
+                pb.writes(id, i..i + 1, k..k + 1);
 
                 for j in k + 1..nt {
-                    let wj = b.min(n - j * b);
+                    let (j0, wj) = (j * b, b.min(n - j * b));
                     let meta = TaskMeta::new(
                         TaskLabel::new(TaskKind::Update, k, i, j),
                         flops::ssssm(ri, wk, wj),
@@ -178,98 +190,35 @@ impl TiledLuPlan {
                     .with_bytes(traffic::gemm(ri, wj, wk) + traffic::trsm_left(wk, wj))
                     .with_priority(pr + 100)
                     .with_class(KernelClass::Gemm);
-                    let id = g.add_task(meta, TiledLuTask::Ssssm { k, i, j });
-                    tracker.read(&mut g, id, i..i + 1, k..k + 1); // the transform
-                    tracker.write(&mut g, id, k..k + 1, j..j + 1);
-                    tracker.write(&mut g, id, i..i + 1, j..j + 1);
+                    let id = pb.task(meta, move |a, s| {
+                        let tr = s.trans[k][i - k - 1].get().expect("tstrf not ready");
+                        // SAFETY: the tile pair is this task's per the DAG.
+                        let akj = unsafe { a.block_mut(k0, j0, wk, wj) };
+                        let aij = unsafe { a.block_mut(i0, j0, ri, wj) };
+                        ssssm(tr, akj, aij);
+                    });
+                    pb.reads(id, i..i + 1, k..k + 1); // the transform
+                    pb.writes(id, k..k + 1, j..j + 1);
+                    pb.writes(id, i..i + 1, j..j + 1);
                 }
             }
         }
 
-        Self {
-            graph: g,
-            access: tracker.into_access_map(),
+        let slots = TiledLuSlots {
             b,
             diag: (0..kt).map(|_| OnceLock::new()).collect(),
             trans: (0..kt).map(|k| (k + 1..mt).map(|_| OnceLock::new()).collect()).collect(),
-        }
-    }
-}
-
-impl DagPlan<f64> for TiledLuPlan {
-    type Task = TiledLuTask;
-    type Factors = TiledLu;
-
-    fn graph(&self) -> &TaskGraph<TiledLuTask> {
-        &self.graph
-    }
-
-    fn access(&self) -> &AccessMap {
-        &self.access
-    }
-
-    // DAG executor: every access falls inside the footprint declared in
-    // build(), which `verify_graph` proves conflict-ordered.
-    #[allow(clippy::disallowed_methods)]
-    fn exec(&self, a: &SharedMatrix, t: TiledLuTask) {
-        let m = a.nrows();
-        let n = a.ncols();
-        let b = self.b;
-        match t {
-            TiledLuTask::Getrf { k } => {
-                let k0 = k * b;
-                let wk = b.min(n - k0).min(m - k0);
-                // SAFETY: exclusive tile access per the DAG.
-                let tile = unsafe { a.block_mut(k0, k0, wk, wk) };
-                let info = getrf_tile(tile);
-                self.diag[k].set(info).expect("getrf ran twice");
-            }
-            TiledLuTask::Gessm { k, j } => {
-                let k0 = k * b;
-                let wk = b.min(n - k0).min(m - k0);
-                let wj = b.min(n - j * b);
-                let info = self.diag[k].get().expect("diag not ready");
-                // Lease only the strictly-lower L columns: the upper triangle
-                // belongs to tstrf tasks that may run concurrently.
-                let lkk = unsafe { a.block_rects(k0, k0, wk, wk, &lower_rects(k0, wk, wk)) };
-                let tile = unsafe { a.block_mut(k0, j * b, wk, wj) };
-                gessm(&info.pivots, lkk, tile);
-            }
-            TiledLuTask::Tstrf { k, i } => {
-                let k0 = k * b;
-                let wk = b.min(n - k0).min(m - k0);
-                let ri = b.min(m - i * b);
-                // Lease only the upper triangle (with diagonal): the strict
-                // lower L is concurrently read by gessm tasks.
-                let ukk = unsafe { a.block_mut_rects(k0, k0, wk, wk, &upper_rects(k0, wk)) };
-                let aik = unsafe { a.block_mut(i * b, k0, ri, wk) };
-                let tr = tstrf(ukk, aik);
-                self.trans[k][i - k - 1].set(tr).expect("tstrf ran twice");
-            }
-            TiledLuTask::Ssssm { k, i, j } => {
-                let k0 = k * b;
-                let wk = b.min(n - k0).min(m - k0);
-                let ri = b.min(m - i * b);
-                let wj = b.min(n - j * b);
-                let tr = self.trans[k][i - k - 1].get().expect("tstrf not ready");
-                let akj = unsafe { a.block_mut(k0, j * b, wk, wj) };
-                let aij = unsafe { a.block_mut(i * b, j * b, ri, wj) };
-                ssssm(tr, akj, aij);
-            }
-        }
-    }
-
-    fn collect(self, shared: SharedMatrix) -> TiledLu {
-        TiledLu {
-            a: shared.into_inner(),
-            b: self.b,
-            diag: self.diag.into_iter().map(|d| d.into_inner().expect("diag missing")).collect(),
-            trans: self
+        };
+        pb.finish(slots, |a, s| TiledLu {
+            a,
+            b: s.b,
+            diag: s.diag.into_iter().map(|d| d.into_inner().expect("diag missing")).collect(),
+            trans: s
                 .trans
                 .into_iter()
                 .map(|v| v.into_iter().map(|t| t.into_inner().expect("trans missing")).collect())
                 .collect(),
-        }
+        })
     }
 }
 

@@ -11,12 +11,11 @@ use crate::tile_kernels::{geqrt, tsmqr, tsqrt};
 use crate::{lower_rects, upper_rects};
 use ca_kernels::{flops, traffic};
 use ca_kernels::{larfb_left, trsm_left_upper_notrans, Trans};
-use ca_matrix::{Matrix, SharedMatrix};
+use ca_matrix::Matrix;
 use ca_sched::{
-    run_plan, AccessMap, BlockTracker, DagPlan, FactorOptions, KernelClass, TaskGraph, TaskKind,
-    TaskLabel, TaskMeta,
+    run_plan, FactorOptions, KernelClass, Plan, PlanBuilder, TaskKind, TaskLabel, TaskMeta,
 };
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// Result of the tiled QR factorization.
 pub struct TiledQr {
@@ -121,45 +120,35 @@ impl TiledQr {
     }
 }
 
-/// What a tiled-QR task does.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)] // field names (k/i/j tile coordinates) are the documentation
-pub enum TiledQrTask {
-    /// QR of diagonal tile `k`.
-    Geqrt { k: usize },
-    /// Apply the diagonal tile's `Qᵀ` to tile `(k, j)`.
-    Ormqr { k: usize, j: usize },
-    /// Eliminate tile `(i, k)` against the diagonal triangle.
-    Tsqrt { k: usize, i: usize },
-    /// Apply a `tsqrt` elimination to the tile pair `(k, j), (i, j)`.
-    Tsmqr { k: usize, i: usize, j: usize },
-}
-
-/// The task DAG of tiled QR: what [`tiled_qr`] runs and what the simulator
-/// costs as `PLASMA_dgeqrf`. Its footprints split the diagonal tile between
-/// `ormqr` (strict lower `V`) and the `tsqrt` chain (upper `R`), which
-/// leaves the two unordered within a step.
-pub struct TiledQrPlan {
-    graph: TaskGraph<TiledQrTask>,
-    access: AccessMap,
+/// What the tasks of a tiled-QR plan leave behind: the [`TiledQr`] fields,
+/// one slot per task that fills them.
+pub struct TiledQrSlots {
     b: usize,
     t_diag: Vec<OnceLock<Matrix>>,
     t_ts: Vec<Vec<OnceLock<Matrix>>>,
 }
 
+/// Builder of the task DAG of tiled QR: what [`tiled_qr`] runs and what the
+/// simulator costs as `PLASMA_dgeqrf`. Its footprints split the diagonal
+/// tile between `ormqr` (strict lower `V`) and the `tsqrt` chain (upper
+/// `R`), which leaves the two unordered within a step.
+pub struct TiledQrPlan;
+
 impl TiledQrPlan {
     /// Plan for a tall or square `m × n` matrix cut into `b × b` tiles.
-    pub fn build(m: usize, n: usize, b: usize) -> Self {
+    // Task bodies: every access falls inside the footprint declared right
+    // after the body, which `verify_graph` proves conflict-ordered.
+    #[allow(clippy::disallowed_methods)]
+    pub fn build(m: usize, n: usize, b: usize) -> Plan<f64, TiledQrSlots, TiledQr> {
         assert!(m >= n, "tiled QR implemented for tall or square matrices");
         let mt = m.div_ceil(b);
         let nt = n.div_ceil(b);
         let kt = m.min(n).div_ceil(b);
-        let mut g: TaskGraph<TiledQrTask> = TaskGraph::new();
         // Element geometry lets the diagonal tile split into the strictly-lower
         // reflector trapezoid `V` (read by `ormqr`) and the upper `R` triangle
         // (rewritten by the `tsqrt` chain) — the two are disjoint, so `ormqr`
         // and `tsqrt` of the same step run concurrently.
-        let mut tracker = BlockTracker::with_geometry(b, m, n);
+        let mut pb = PlanBuilder::<f64, TiledQrSlots>::new(b, m, n);
         let steps = kt as i64;
 
         for k in 0..kt {
@@ -168,16 +157,25 @@ impl TiledQrPlan {
             let rk = b.min(m - k0);
             let kv = wk.min(rk);
             let pr = (steps - k as i64) * 1000;
+            // What `ormqr` leases of the diagonal tile, and what `tsqrt` does.
+            let lower = lower_rects(k0, rk, kv);
+            let upper = upper_rects(k0, wk);
 
             let meta = TaskMeta::new(TaskLabel::new(TaskKind::Panel, k, k, k), flops::geqrf(rk, wk))
                 .with_bytes(traffic::geqr3(rk, wk))
                 .with_priority(pr + 900)
                 .with_class(KernelClass::QrBlas2);
-            let geqrt_id = g.add_task(meta, TiledQrTask::Geqrt { k });
-            tracker.write(&mut g, geqrt_id, k..k + 1, k..k + 1);
+            let geqrt_id = pb.task(meta, move |a, s| {
+                // SAFETY: exclusive tile access per the DAG.
+                let tile = unsafe { a.block_mut(k0, k0, rk, wk) };
+                let mut t_out = Matrix::zeros(kv, kv);
+                geqrt(tile, t_out.view_mut());
+                s.t_diag[k].set(t_out).expect("geqrt ran twice");
+            });
+            pb.writes(geqrt_id, k..k + 1, k..k + 1);
 
             for j in k + 1..nt {
-                let wj = b.min(n - j * b);
+                let (j0, wj) = (j * b, b.min(n - j * b));
                 let meta = TaskMeta::new(
                     TaskLabel::new(TaskKind::URow, k, k, j),
                     flops::larfb(rk, wj, wk),
@@ -185,21 +183,30 @@ impl TiledQrPlan {
                 .with_bytes(traffic::larfb(rk, wj, wk))
                 .with_priority(pr + 500)
                 .with_class(KernelClass::Larfb);
-                let id = g.add_task(meta, TiledQrTask::Ormqr { k, j });
-                let vr = lower_rects(k0, rk, kv);
-                if vr.is_empty() {
+                let vr = Arc::clone(&lower);
+                let id = pb.task(meta, move |a, s| {
+                    let t_kk = s.t_diag[k].get().expect("T_kk not ready");
+                    // SAFETY: leases only the strictly-lower `V` columns —
+                    // `larfb_left` treats the upper triangle as an implicit
+                    // unit diagonal and never touches it, so the concurrent
+                    // `tsqrt` chain owns it; tile (k, j) is this task's.
+                    let v = unsafe { a.block_rects(k0, k0, rk, kv, &vr) };
+                    let c = unsafe { a.block_mut(k0, j0, rk, wj) };
+                    larfb_left(Trans::Yes, v, t_kk.view(), c);
+                });
+                if lower.is_empty() {
                     // Degenerate 1-row panel: no reflectors below the diagonal,
                     // but `ormqr` still consumes `T_kk` — keep the side-channel
                     // ordering explicit.
-                    g.add_dep(geqrt_id, id);
+                    pb.graph.add_dep(geqrt_id, id);
                 }
-                for r in vr {
-                    tracker.read_rect(&mut g, id, r);
+                for &r in lower.iter() {
+                    pb.reads_rect(id, r);
                 }
-                tracker.write(&mut g, id, k..k + 1, j..j + 1);
+                pb.writes(id, k..k + 1, j..j + 1);
             }
             for i in k + 1..mt {
-                let ri = b.min(m - i * b);
+                let (i0, ri) = (i * b, b.min(m - i * b));
                 let meta = TaskMeta::new(
                     TaskLabel::new(TaskKind::Panel, k, i, k),
                     flops::tsqrt(ri, wk),
@@ -207,14 +214,23 @@ impl TiledQrPlan {
                 .with_bytes(traffic::gemm(ri, wk, wk))
                 .with_priority(pr + 700)
                 .with_class(KernelClass::QrBlas2);
-                let id = g.add_task(meta, TiledQrTask::Tsqrt { k, i });
-                for r in upper_rects(k0, wk) {
-                    tracker.write_rect(&mut g, id, r);
+                let ur = Arc::clone(&upper);
+                let id = pb.task(meta, move |a, s| {
+                    // SAFETY: leases only the upper `R` triangle, which the
+                    // `tsqrt` chain owns; tile (i, k) is this task's.
+                    let r_kk = unsafe { a.block_mut_rects(k0, k0, wk, wk, &ur) };
+                    let a_ik = unsafe { a.block_mut(i0, k0, ri, wk) };
+                    let mut t_out = Matrix::zeros(wk, wk);
+                    tsqrt(r_kk, a_ik, t_out.view_mut());
+                    s.t_ts[k][i - k - 1].set(t_out).expect("tsqrt ran twice");
+                });
+                for &r in upper.iter() {
+                    pb.writes_rect(id, r);
                 }
-                tracker.write(&mut g, id, i..i + 1, k..k + 1);
+                pb.writes(id, i..i + 1, k..k + 1);
 
                 for j in k + 1..nt {
-                    let wj = b.min(n - j * b);
+                    let (j0, wj) = (j * b, b.min(n - j * b));
                     let meta = TaskMeta::new(
                         TaskLabel::new(TaskKind::Update, k, i, j),
                         flops::tsmqr(ri, wk, wj),
@@ -222,102 +238,37 @@ impl TiledQrPlan {
                     .with_bytes(traffic::larfb_node(ri * wk, ri + wk, wj, wk))
                     .with_priority(pr + 100)
                     .with_class(KernelClass::Larfb);
-                    let id = g.add_task(meta, TiledQrTask::Tsmqr { k, i, j });
-                    tracker.read(&mut g, id, i..i + 1, k..k + 1);
-                    tracker.write(&mut g, id, k..k + 1, j..j + 1);
-                    tracker.write(&mut g, id, i..i + 1, j..j + 1);
+                    let id = pb.task(meta, move |a, s| {
+                        let t_ik = s.t_ts[k][i - k - 1].get().expect("T_ik not ready");
+                        // SAFETY: reads the finished reflectors of tile
+                        // (i, k); the tile pair is this task's per the DAG.
+                        let v2 = unsafe { a.block(i0, k0, ri, wk) };
+                        let c_top = unsafe { a.block_mut(k0, j0, wk, wj) };
+                        let c_bot = unsafe { a.block_mut(i0, j0, ri, wj) };
+                        tsmqr(Trans::Yes, v2, t_ik.view(), c_top, c_bot);
+                    });
+                    pb.reads(id, i..i + 1, k..k + 1);
+                    pb.writes(id, k..k + 1, j..j + 1);
+                    pb.writes(id, i..i + 1, j..j + 1);
                 }
             }
         }
 
-        Self {
-            graph: g,
-            access: tracker.into_access_map(),
+        let slots = TiledQrSlots {
             b,
             t_diag: (0..kt).map(|_| OnceLock::new()).collect(),
             t_ts: (0..kt).map(|k| (k + 1..mt).map(|_| OnceLock::new()).collect()).collect(),
-        }
-    }
-}
-
-impl DagPlan<f64> for TiledQrPlan {
-    type Task = TiledQrTask;
-    type Factors = TiledQr;
-
-    fn graph(&self) -> &TaskGraph<TiledQrTask> {
-        &self.graph
-    }
-
-    fn access(&self) -> &AccessMap {
-        &self.access
-    }
-
-    // DAG executor: every access falls inside the footprint declared in
-    // build(), which `verify_graph` proves conflict-ordered.
-    #[allow(clippy::disallowed_methods)]
-    fn exec(&self, a: &SharedMatrix, t: TiledQrTask) {
-        let m = a.nrows();
-        let n = a.ncols();
-        let b = self.b;
-        match t {
-            TiledQrTask::Geqrt { k } => {
-                let k0 = k * b;
-                let wk = b.min(n - k0);
-                let rk = b.min(m - k0);
-                // SAFETY: exclusive tile access per the DAG.
-                let tile = unsafe { a.block_mut(k0, k0, rk, wk) };
-                let mut t_out = Matrix::zeros(wk.min(rk), wk.min(rk));
-                geqrt(tile, t_out.view_mut());
-                self.t_diag[k].set(t_out).expect("geqrt ran twice");
-            }
-            TiledQrTask::Ormqr { k, j } => {
-                let k0 = k * b;
-                let wk = b.min(n - k0);
-                let rk = b.min(m - k0);
-                let kv = wk.min(rk);
-                let t_kk = self.t_diag[k].get().expect("T_kk not ready");
-                // Lease only the strictly-lower `V` columns: `larfb_left` treats
-                // the upper triangle as an implicit unit diagonal and never
-                // touches it, so the concurrent `tsqrt` chain owns it.
-                let v = unsafe { a.block_rects(k0, k0, rk, kv, &lower_rects(k0, rk, kv)) };
-                let c = unsafe { a.block_mut(k0, j * b, rk, b.min(n - j * b)) };
-                larfb_left(Trans::Yes, v, t_kk.view(), c);
-            }
-            TiledQrTask::Tsqrt { k, i } => {
-                let k0 = k * b;
-                let wk = b.min(n - k0);
-                let ri = b.min(m - i * b);
-                let r_kk = unsafe { a.block_mut_rects(k0, k0, wk, wk, &upper_rects(k0, wk)) };
-                let a_ik = unsafe { a.block_mut(i * b, k0, ri, wk) };
-                let mut t_out = Matrix::zeros(wk, wk);
-                tsqrt(r_kk, a_ik, t_out.view_mut());
-                self.t_ts[k][i - k - 1].set(t_out).expect("tsqrt ran twice");
-            }
-            TiledQrTask::Tsmqr { k, i, j } => {
-                let k0 = k * b;
-                let wk = b.min(n - k0);
-                let ri = b.min(m - i * b);
-                let wj = b.min(n - j * b);
-                let t_ik = self.t_ts[k][i - k - 1].get().expect("T_ik not ready");
-                let v2 = unsafe { a.block(i * b, k0, ri, wk) };
-                let c_top = unsafe { a.block_mut(k0, j * b, wk, wj) };
-                let c_bot = unsafe { a.block_mut(i * b, j * b, ri, wj) };
-                tsmqr(Trans::Yes, v2, t_ik.view(), c_top, c_bot);
-            }
-        }
-    }
-
-    fn collect(self, shared: SharedMatrix) -> TiledQr {
-        TiledQr {
-            a: shared.into_inner(),
-            b: self.b,
-            t_diag: self.t_diag.into_iter().map(|t| t.into_inner().expect("T missing")).collect(),
-            t_ts: self
+        };
+        pb.finish(slots, |a, s| TiledQr {
+            a,
+            b: s.b,
+            t_diag: s.t_diag.into_iter().map(|t| t.into_inner().expect("T missing")).collect(),
+            t_ts: s
                 .t_ts
                 .into_iter()
                 .map(|v| v.into_iter().map(|t| t.into_inner().expect("T missing")).collect())
                 .collect(),
-        }
+        })
     }
 }
 

@@ -298,7 +298,7 @@ fn sweep(e: &Experiment, s: &Sweep, run: &Run) -> io::Result<()> {
 
 /// The 4×4-block matrix of Figures 1 and 2: 4 blocks of b=50, Tr=2.
 fn small_dag() -> ca_sched::TaskGraph<()> {
-    calu_task_graph(200, 200, &CaParams::new(50, 2, 4)).map(|_, _| ())
+    calu_task_graph(200, 200, &CaParams::new(50, 2, 4))
 }
 
 fn dag(_: &Run) -> io::Result<()> {

@@ -61,7 +61,6 @@ impl MachineModel {
 mod tests {
     use super::*;
     use ca_core::CaParams;
-    use ca_sched::DagPlan;
 
     #[test]
     fn more_cores_never_slower() {

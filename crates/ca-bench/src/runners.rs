@@ -7,7 +7,7 @@ use ca_core::{CaParams, TreeShape};
 use ca_kernels::flops;
 use ca_matrix::{seeded_rng, Matrix};
 use ca_baselines::{BlockedLuPlan, BlockedQrPlan, TiledLuPlan, TiledQrPlan};
-use ca_sched::{DagPlan, KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
+use ca_sched::{KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -110,12 +110,12 @@ impl Algo {
     pub fn task_graph(&self, m: usize, n: usize, cores: usize) -> TaskGraph<()> {
         let p = self.params(n, cores);
         match *self {
-            Algo::Calu { .. } => ca_core::calu_task_graph(m, n, &p).map(|_, _| ()),
-            Algo::Caqr { .. } | Algo::Tsqr { .. } => ca_core::caqr_task_graph(m, n, &p).map(|_, _| ()),
-            Algo::BlockedLu { .. } => bare(&BlockedLuPlan::build(m, n, p.b, cores)),
-            Algo::BlockedQr { .. } => bare(&BlockedQrPlan::build(m, n, p.b, cores)),
-            Algo::TiledLu { .. } => bare(&TiledLuPlan::build(m, n, p.b)),
-            Algo::TiledQr { .. } => bare(&TiledQrPlan::build(m, n, p.b)),
+            Algo::Calu { .. } => ca_core::calu_task_graph(m, n, &p),
+            Algo::Caqr { .. } | Algo::Tsqr { .. } => ca_core::caqr_task_graph(m, n, &p),
+            Algo::BlockedLu { .. } => BlockedLuPlan::build(m, n, p.b, cores).into_parts().0,
+            Algo::BlockedQr { .. } => BlockedQrPlan::build(m, n, p.b, cores).into_parts().0,
+            Algo::TiledLu { .. } => TiledLuPlan::build(m, n, p.b).into_parts().0,
+            Algo::TiledQr { .. } => TiledQrPlan::build(m, n, p.b).into_parts().0,
             Algo::Blas2Lu => single_task_graph(
                 flops::getrf(m, n.min(m)),
                 ca_kernels::traffic::getf2(m, n.min(m)),
@@ -163,11 +163,6 @@ impl Algo {
         }
         t0.elapsed().as_secs_f64()
     }
-}
-
-/// The graph of a baseline plan without its payload.
-fn bare<P: DagPlan<f64>>(plan: &P) -> TaskGraph<()> {
-    plan.graph().map_ref(|_, _| ())
 }
 
 fn single_task_graph(fl: f64, bytes: f64, class: KernelClass) -> TaskGraph<()> {

@@ -6,7 +6,7 @@
 //! write LAPACK-`dgetrf`-compatible output: packed `L\U` in place plus a
 //! global interchange sequence.
 
-use crate::dag_calu::build;
+use crate::dag_calu::CaluPlan;
 use ca_sched::{run_plan, FactorOptions};
 use crate::error::{find_non_finite, FactorError, DEFAULT_GROWTH_LIMIT};
 use crate::params::CaParams;
@@ -239,7 +239,7 @@ pub fn calu_seq_factor<T: Kernel>(mut a: Matrix<T>, p: &CaParams) -> LuFactors<T
 /// If a worker task panics (the `try_*` entry points report that as an
 /// error instead).
 pub fn calu<T: Kernel>(a: Matrix<T>, p: &CaParams) -> LuFactors<T> {
-    run_plan(build::<T>(a.nrows(), a.ncols(), p), a, p.threads, &FactorOptions::default())
+    run_plan(CaluPlan::build(a.nrows(), a.ncols(), p), a, p.threads, &FactorOptions::default())
         .unwrap_or_else(|e| panic!("{}", FactorError::from(e)))
         .0
 }
@@ -302,7 +302,7 @@ pub fn try_calu_with<T: Kernel>(
         return Err(FactorError::NonFiniteInput { row, col });
     }
     let params = monitored(p);
-    let plan = build::<T>(a.nrows(), a.ncols(), &params);
+    let plan = CaluPlan::build(a.nrows(), a.ncols(), &params);
     let (f, report) = run_plan(plan, a, params.threads, opts)?;
     check_factors(f, &params).map(|f| (f, report))
 }

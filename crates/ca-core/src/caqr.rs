@@ -7,7 +7,7 @@
 //! leaf reflectors + per-node scratch), with `Q`/`Qᵀ` application and
 //! thin-`Q` reconstruction.
 
-use crate::dag_caqr::build;
+use crate::dag_caqr::CaqrPlan;
 use ca_sched::{run_plan, FactorOptions};
 use crate::error::{find_non_finite, FactorError};
 use crate::params::{num_panels, partition_rows, CaParams};
@@ -153,7 +153,6 @@ pub fn caqr_panels<T: Kernel>(
 /// Sequential CAQR (Algorithm 2 in program order), consuming `a` — generic
 /// over the working precision: [`caqr_panels`] over the whole matrix.
 pub fn caqr_seq<T: Kernel>(a: Matrix<T>, p: &CaParams) -> QrFactors<T> {
-    assert!(a.nrows() > 0 && a.ncols() > 0, "empty matrix");
     let mut panels = Vec::with_capacity(num_panels(a.nrows(), a.ncols(), p.b));
     let sh = SharedMatrix::new(a);
     caqr_panels(&sh, 0, p, &mut panels);
@@ -167,7 +166,7 @@ pub fn caqr_seq<T: Kernel>(a: Matrix<T>, p: &CaParams) -> QrFactors<T> {
 /// If a worker task panics (the `try_*` entry points report that as an
 /// error instead).
 pub fn caqr<T: Kernel>(a: Matrix<T>, p: &CaParams) -> QrFactors<T> {
-    run_plan(build::<T>(a.nrows(), a.ncols(), p), a, p.threads, &FactorOptions::default())
+    run_plan(CaqrPlan::build(a.nrows(), a.ncols(), p), a, p.threads, &FactorOptions::default())
         .unwrap_or_else(|e| panic!("{}", FactorError::from(e)))
         .0
 }
@@ -200,7 +199,7 @@ pub fn try_caqr_with<T: Kernel>(
     if let Some((row, col)) = find_non_finite(&a) {
         return Err(FactorError::NonFiniteInput { row, col });
     }
-    Ok(run_plan(build::<T>(a.nrows(), a.ncols(), p), a, p.threads, opts)?)
+    Ok(run_plan(CaqrPlan::build(a.nrows(), a.ncols(), p), a, p.threads, opts)?)
 }
 
 /// [`try_caqr`] returning the scheduler's full [`ca_sched::Profile`] of the

@@ -13,15 +13,16 @@
 //! * `W` — deferred left-side interchanges, one task per finished block
 //!   column (line 41).
 //!
-//! Dependencies are derived from declared reads/writes via
-//! [`BlockTracker`], which reproduces the dependency structure of Figure 1.
-//! Priorities implement the lookahead-of-1 rule from §III.
+//! Every task is added once — its cost, the closure that runs it and the
+//! blocks that closure touches, from the same variables. Dependencies are
+//! derived from the declared reads/writes ([`PlanBuilder`]), which reproduces
+//! the dependency structure of Figure 1. Priorities implement the
+//! lookahead-of-1 rule from §III.
 
 use crate::calu::{LuFactors, LuStats};
-use ca_sched::{row_blocks, AccessMap, BlockTracker, DagPlan, SoundnessError, VerifyReport};
-use crate::params::{num_panels, partition_rows, CaParams, RowPartition};
+use crate::params::{num_panels, partition_rows, CaParams};
 use crate::tournament::{merge, select, Selected};
-use crate::tree::{reduction_schedule, ReduceNode};
+use crate::tree::reduction_schedule;
 use crate::tslu::{apply_growth_policy, pivot_seq_from_targets};
 use ca_kernels::{flops, traffic};
 use ca_kernels::{
@@ -29,41 +30,8 @@ use ca_kernels::{
     trsm_right_upper_notrans, Kernel, Trans,
 };
 use ca_matrix::{AlignedBuf, PivotSeq, Scalar, SharedMatrix};
-use ca_sched::{KernelClass, TaskGraph, TaskId, TaskKind, TaskLabel, TaskMeta};
+use ca_sched::{row_blocks, KernelClass, Plan, PlanBuilder, TaskGraph, TaskId, TaskKind, TaskLabel, TaskMeta};
 use std::sync::OnceLock;
-
-/// What a CALU task does (payload of the task graph).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)] // field names (step/grp/node/jblk) are the documentation
-pub enum CaluTask {
-    /// Leaf GEPP of row group `grp` of panel `step`. When the panel has a
-    /// single group this doubles as the root.
-    Leaf { step: usize, grp: usize },
-    /// Reduction node `node` (index into the panel's schedule); the last
-    /// node is the root and also pivots the panel + writes `L_KK\U_KK`.
-    Node { step: usize, node: usize },
-    /// `L` block of group `grp`.
-    LBlock { step: usize, grp: usize },
-    /// Interchanges + `U` block row for trailing block columns
-    /// `jblk .. jblk + jcnt` (`jcnt > 1` under §V two-level blocking).
-    URow { step: usize, jblk: usize, jcnt: usize },
-    /// Trailing update of (group `grp`) × (block columns `jblk..jblk+jcnt`).
-    Update { step: usize, grp: usize, jblk: usize, jcnt: usize },
-    /// par_gemm sub-DAG: packs slab `slab` of group `grp`'s L block into its
-    /// microkernel image — once per step, shared by every column chunk's
-    /// tile tasks (the "pack A once per `jc` sweep" rule of the BLIS loops).
-    UPackA { step: usize, grp: usize, slab: usize },
-    /// par_gemm sub-DAG: packs panel `panel` of the U row chunk at block
-    /// columns `jblk..jblk+jcnt`, shared by every group's tile tasks.
-    UPackB { step: usize, jblk: usize, jcnt: usize, panel: usize },
-    /// par_gemm sub-DAG: one packed-tile trailing update — (slab `slab` of
-    /// group `grp`) × (panel `panel` of chunk `jblk..jblk+jcnt`). Replaces
-    /// the monolithic [`CaluTask::Update`] when the group's update height
-    /// reaches [`CaParams::par_update_rows`].
-    UTile { step: usize, grp: usize, jblk: usize, jcnt: usize, slab: usize, panel: usize },
-    /// Deferred left-side interchanges for finished block column `jblk`.
-    LeftSwap { jblk: usize },
-}
 
 /// Tile geometry of the decomposed trailing update: the serial GEMM cache
 /// blocks ([`ca_kernels::MC`] rows × [`ca_kernels::NC`] columns) rounded up
@@ -75,78 +43,37 @@ fn par_tile(b: usize) -> (usize, usize) {
     (ca_kernels::MC.next_multiple_of(b), ca_kernels::NC.next_multiple_of(b))
 }
 
-/// Pack-image storage for one panel's decomposed trailing updates. Each
-/// slot is written exactly once by its pack task and then read (shared) by
-/// the tile tasks the graph orders after it. The images are side storage
-/// the block tracker cannot see, which is why `build()` wires every
-/// pack → tile dependence as an explicit graph edge.
-pub(crate) struct ParUpdate<T: Scalar> {
-    /// Rows per slab (multiple of `b`, see [`par_tile`]).
-    slab_h: usize,
-    /// Columns per panel (multiple of `b`).
-    pan_w: usize,
-    /// Per-group slot offsets: group `grp`'s slab images live at
-    /// `apacks[abase[grp]..abase[grp + 1]]` (empty range for groups below
-    /// the decomposition threshold).
-    abase: Vec<usize>,
-    /// Packed-A slab images.
-    apacks: Vec<OnceLock<AlignedBuf<T>>>,
-    /// `(jblk, base)` pairs: the column chunk at `jblk` keeps its panel `p`
-    /// image at `bpacks[base + p]`.
-    bbase: Vec<(usize, usize)>,
-    /// Packed-B panel images.
-    bpacks: Vec<OnceLock<AlignedBuf<T>>>,
+/// `(start, size)` of the `size`-sized pieces (the last may be short) that
+/// `len` rows or columns starting at `lo` are cut into: the slabs of a
+/// group's `L` block, the panels of a column chunk's `U` row.
+fn pieces(lo: usize, len: usize, size: usize) -> impl Iterator<Item = (usize, usize)> {
+    (0..len.div_ceil(size)).map(move |i| (lo + i * size, size.min(len - i * size)))
 }
 
-impl<T: Scalar> ParUpdate<T> {
-    fn aslot(&self, grp: usize, slab: usize) -> &OnceLock<AlignedBuf<T>> {
-        &self.apacks[self.abase[grp] + slab]
-    }
-
-    fn bslot(&self, jblk: usize, panel: usize) -> &OnceLock<AlignedBuf<T>> {
-        let base =
-            self.bbase.iter().find(|&&(j, _)| j == jblk).expect("chunk has no packed-B images").1;
-        &self.bpacks[base + panel]
-    }
-}
-
-/// Per-panel shared state filled in by panel tasks at run time.
-pub(crate) struct PanelCtx<T: Scalar> {
-    k0: usize,
-    /// Panel width (columns).
-    w: usize,
-    /// Factored rows/columns this panel (`min(w, m - k0)`).
-    k: usize,
-    part: RowPartition,
-    schedule: Vec<ReduceNode>,
+/// What the panel tasks of one step leave behind at run time.
+struct PanelSlots<T: Scalar> {
     /// Candidate dataflow slots: leaves at `0..g`, node `i` at `g + i`.
     results: Vec<OnceLock<Selected<T>>>,
-    /// For each schedule node, the result-slot indices it consumes.
-    node_inputs: Vec<Vec<usize>>,
     /// Winning interchanges (offset `k0`), written by the root task.
     pivots: OnceLock<PivotSeq>,
     /// Panel breakdown column (panel-local), written by the root task.
     breakdown: OnceLock<Option<usize>>,
     /// `(growth estimate, GEPP fallback happened)`, written by the root.
     growth: OnceLock<(f64, bool)>,
-    /// Pack-image slots of this panel's decomposed trailing updates.
-    par: ParUpdate<T>,
+    /// Packed-A slab and packed-B panel images of the step's decomposed
+    /// trailing updates. Each slot is written exactly once by its pack task
+    /// and then read (shared) by the tile tasks the graph orders after it.
+    /// The images are side storage the block tracker cannot see, which is
+    /// why `build` wires every pack → tile dependence as an explicit edge.
+    apacks: Vec<OnceLock<AlignedBuf<T>>>,
+    bpacks: Vec<OnceLock<AlignedBuf<T>>>,
 }
 
-/// Everything needed to execute a built CALU DAG on `T` elements. Only the
-/// run-time slots are typed; graph, footprints and geometry are the same for
-/// every `T`.
-pub(crate) struct CaluPlan<T: Scalar> {
-    pub graph: TaskGraph<CaluTask>,
-    /// Declared footprints of every task (for verification / checked
-    /// execution).
-    pub access: AccessMap,
-    pub panels: Vec<PanelCtx<T>>,
-    m: usize,
-    n: usize,
+/// The run-time slots of a CALU plan. Only they are typed; graph, footprints
+/// and geometry are the same for every `T`.
+pub struct CaluSlots<T: Scalar> {
     b: usize,
-    recursive_leaves: bool,
-    growth_limit: f64,
+    panels: Vec<PanelSlots<T>>,
 }
 
 /// Priority scheme (see module docs of `ca-sched`): panel work of step `K`
@@ -170,493 +97,362 @@ fn prio(nsteps: usize, step: usize, lookahead: bool, kind: TaskKind, jblk: usize
     }
 }
 
-/// Builds the CALU task graph for an `m × n` matrix with parameters `p`.
-pub(crate) fn build<T: Scalar>(m: usize, n: usize, p: &CaParams) -> CaluPlan<T> {
-    assert!(m > 0 && n > 0, "empty matrix");
-    ca_sched::sched_counters().factor_graphs_built.inc();
-    let b = p.b;
-    let nsteps = num_panels(m, n, b);
-    let nb = n.div_ceil(b);
+/// Builder of the CALU task DAG.
+pub struct CaluPlan;
 
-    let mut graph: TaskGraph<CaluTask> = TaskGraph::new();
-    let mut tracker = BlockTracker::with_geometry(b, m, n);
-    let mut panels: Vec<PanelCtx<T>> = Vec::with_capacity(nsteps);
-    let mut root_ids: Vec<TaskId> = Vec::with_capacity(nsteps);
-
-    for step in 0..nsteps {
-        let k0 = step * b;
-        let w = b.min(n - k0);
-        let k = w.min(m - k0);
-        let part = partition_rows(m, k0, b, p.tr);
-        let g = part.ngroups();
-        let schedule = reduction_schedule(g, p.tree);
-
-        // --- P tasks: leaves.
-        let mut slot_task: Vec<TaskId> = Vec::with_capacity(g);
-        let mut slot_res: Vec<usize> = (0..g).collect();
-        for grp in 0..g {
-            let rows = part.group(grp);
-            let meta = TaskMeta::new(
-                TaskLabel::new(TaskKind::Panel, step, grp, step),
-                flops::getrf(rows.len(), w),
-            )
-            .with_bytes(if p.leaf_blas2 {
-                traffic::getf2(rows.len(), w)
-            } else {
-                traffic::rgetf2(rows.len(), w)
-            })
-            .with_priority(prio(nsteps, step, p.lookahead, TaskKind::Panel, step))
-            .with_class(if p.leaf_blas2 { KernelClass::LuBlas2 } else { KernelClass::LuRecursive });
-            let id = graph.add_task(meta, CaluTask::Leaf { step, grp });
-            tracker.read(&mut graph, id, row_blocks(rows, b), step..step + 1);
-            slot_task.push(id);
-        }
-
-        // --- P tasks: reduction nodes (last one is the root).
-        let mut node_inputs: Vec<Vec<usize>> = Vec::with_capacity(schedule.len());
-        for (ni, node) in schedule.iter().enumerate() {
-            let stacked_rows: usize = node.participants.len() * k.min(b);
-            let meta = TaskMeta::new(
-                TaskLabel::new(TaskKind::Panel, step, g + ni, step),
-                flops::getrf(stacked_rows.max(1), w),
-            )
-            .with_bytes(traffic::rgetf2(stacked_rows.max(1), w))
-            .with_priority(prio(nsteps, step, p.lookahead, TaskKind::Panel, step))
-            .with_class(KernelClass::LuRecursive);
-            let id = graph.add_task(meta, CaluTask::Node { step, node: ni });
-            node_inputs.push(node.participants.iter().map(|&pt| slot_res[pt]).collect());
-            for &pt in &node.participants {
-                graph.add_dep(slot_task[pt], id);
-            }
-            slot_task[node.participants[0]] = id;
-            slot_res[node.participants[0]] = g + ni;
-            if ni + 1 == schedule.len() {
-                // Root: pivots the panel and writes the packed top block.
-                tracker.write(&mut graph, id, row_blocks(k0..m, b), step..step + 1);
-            }
-        }
-        let root_id = if schedule.is_empty() {
-            // Single group: the leaf is the root; it also writes the panel.
-            let id = slot_task[0];
-            tracker.write(&mut graph, id, row_blocks(k0..m, b), step..step + 1);
-            id
-        } else {
-            slot_task[0]
-        };
-        root_ids.push(root_id);
-
-        // --- L tasks.
-        for grp in 0..g {
-            let rows = part.group(grp);
-            let lo = rows.start.max(k0 + k);
-            if lo >= rows.end || k == 0 {
-                continue;
-            }
-            let meta = TaskMeta::new(
-                TaskLabel::new(TaskKind::LBlock, step, grp, step),
-                flops::trsm_right(rows.end - lo, k),
-            )
-            .with_bytes(traffic::trsm_right(rows.end - lo, k))
-            .with_priority(prio(nsteps, step, p.lookahead, TaskKind::LBlock, step))
-            .with_class(KernelClass::Trsm);
-            let id = graph.add_task(meta, CaluTask::LBlock { step, grp });
-            tracker.read(&mut graph, id, step..step + 1, step..step + 1); // U_KK
-            tracker.write(&mut graph, id, row_blocks(lo..rows.end, b), step..step + 1);
-        }
-
-        // --- U tasks (interchange + triangular solve per trailing column
-        //     chunk; chunk width = p.update_blocks block columns, §V).
-        let mut jblk = step + 1;
-        while jblk < nb {
-            let jcnt = p.update_blocks.min(nb - jblk);
-            let jc0 = jblk * b;
-            let wj = (jcnt * b).min(n - jc0);
-            let meta = TaskMeta::new(
-                TaskLabel::new(TaskKind::URow, step, 0, jblk),
-                flops::trsm_left(k, wj),
-            )
-            .with_bytes(traffic::trsm_left(k, wj) + traffic::laswp(k, wj))
-            .with_priority(prio(nsteps, step, p.lookahead, TaskKind::URow, jblk))
-            .with_class(KernelClass::Trsm);
-            let id = graph.add_task(meta, CaluTask::URow { step, jblk, jcnt });
-            graph.add_dep(root_id, id); // pivots
-            tracker.read(&mut graph, id, step..step + 1, step..step + 1); // L_KK
-            tracker.write(&mut graph, id, row_blocks(k0..m, b), jblk..jblk + jcnt);
-            jblk += jcnt;
-        }
-
-        // --- S tasks (trailing updates, same column chunking). Groups whose
-        //     update height reaches `p.par_update_rows` are decomposed into
-        //     the par_gemm sub-DAG: pack-A once per slab per group (shared
-        //     across every column chunk — pack A once per `jc` sweep),
-        //     pack-B once per panel per chunk (shared across groups), one
-        //     packed-tile GEMM task per slab × panel. Results are bitwise
-        //     identical to the monolithic `dgemm`; only the task
-        //     granularity changes.
+impl CaluPlan {
+    /// Plan for an `m × n` matrix with parameters `p` (an empty matrix gets
+    /// an empty graph).
+    // Task bodies: every access falls inside the footprint declared right
+    // after the body, which `verify_graph` proves conflict-ordered.
+    #[allow(clippy::disallowed_methods)]
+    pub fn build<T: Kernel>(m: usize, n: usize, p: &CaParams) -> Plan<T, CaluSlots<T>, LuFactors<T>> {
+        ca_sched::sched_counters().factor_graphs_built.inc();
+        let b = p.b;
+        let nsteps = num_panels(m, n, b);
+        let nb = n.div_ceil(b);
+        let recursive_leaves = !p.leaf_blas2;
         let (slab_h, pan_w) = par_tile(b);
-        let has_trailing = k > 0 && step + 1 < nb;
-        let decompose: Vec<bool> = (0..g)
-            .map(|grp| {
+
+        let mut pb = PlanBuilder::<T, CaluSlots<T>>::new(b, m, n);
+        let mut panels: Vec<PanelSlots<T>> = Vec::with_capacity(nsteps);
+        let mut root_ids: Vec<TaskId> = Vec::with_capacity(nsteps);
+
+        for step in 0..nsteps {
+            let k0 = step * b;
+            let w = b.min(n - k0);
+            let k = w.min(m - k0);
+            let part = partition_rows(m, k0, b, p.tr);
+            let g = part.ngroups();
+            let schedule = reduction_schedule(g, p.tree);
+            // Root-task epilogue (the last node's, or the only leaf's): record
+            // pivots, interchange the panel, write the packed `L_KK\U_KK` block.
+            let growth_limit = p.growth_limit;
+            let finish_root = move |a: &SharedMatrix<T>, s: &CaluSlots<T>, sel: Selected<T>| {
+                // Growth policy before any write-back: the panel's active region
+                // still holds its pre-interchange values here.
+                let (sel, growth, fallback) = {
+                    // SAFETY: same ordering argument as the writes below — the root
+                    // is ordered after every other reader/writer of the panel.
+                    let active = unsafe { a.block(k0, k0, m - k0, w) };
+                    apply_growth_policy(active, k0, sel, growth_limit, recursive_leaves)
+                };
+                let pivots = pivot_seq_from_targets(k0, &sel.idx);
+                // SAFETY: the root is ordered after every reader/writer of the
+                // panel's active blocks and before every subsequent consumer.
+                let mut panel = unsafe { a.block_mut(k0, k0, m - k0, w) };
+                local_seq(&pivots, k0).apply(panel.rb());
+                panel.sub(0, 0, k, w).copy_from(sel.packed.view());
+                let ctx = &s.panels[step];
+                ctx.breakdown.set(sel.breakdown).expect("root ran twice");
+                ctx.growth.set((growth, fallback)).expect("root ran twice");
+                ctx.pivots.set(pivots).expect("root ran twice");
+            };
+            let panel_prio = prio(nsteps, step, p.lookahead, TaskKind::Panel, step);
+            // `(first row, rows)` of each group's part below the packed
+            // `L_KK\U_KK` block: its `L` block, and the rows it updates.
+            let below: Vec<(usize, usize)> = (0..g)
+                .map(|grp| {
+                    let rows = part.group(grp);
+                    let lo = rows.start.max(k0 + k).min(rows.end);
+                    (lo, rows.end - lo)
+                })
+                .collect();
+            // `(jblk, jcnt, first column, columns)` of each trailing column
+            // chunk; chunk width = p.update_blocks block columns, §V.
+            let chunks: Vec<(usize, usize, usize, usize)> = (step + 1..nb)
+                .step_by(p.update_blocks)
+                .map(|jblk| {
+                    let jcnt = p.update_blocks.min(nb - jblk);
+                    (jblk, jcnt, jblk * b, (jcnt * b).min(n - jblk * b))
+                })
+                .collect();
+
+            // --- P tasks: leaves. With a single group the leaf is the root.
+            let mut slot_task: Vec<TaskId> = Vec::with_capacity(g);
+            let mut slot_res: Vec<usize> = (0..g).collect();
+            for grp in 0..g {
                 let rows = part.group(grp);
-                let lo = rows.start.max(k0 + k);
-                has_trailing && lo < rows.end && rows.end - lo >= p.par_update_rows
-            })
-            .collect();
-
-        // Pack-A tasks and the per-group slot layout. Reading the L slab
-        // orders each pack after the group's LBlock solve via the tracker.
-        let mut abase = vec![0usize; g + 1];
-        let mut apack_ids: Vec<TaskId> = Vec::new();
-        for grp in 0..g {
-            abase[grp] = apack_ids.len();
-            if !decompose[grp] {
-                continue;
+                let (r0, nr) = (rows.start, rows.len());
+                let is_root = schedule.is_empty();
+                let meta = TaskMeta::new(
+                    TaskLabel::new(TaskKind::Panel, step, grp, step),
+                    flops::getrf(nr, w),
+                )
+                .with_bytes(if p.leaf_blas2 { traffic::getf2(nr, w) } else { traffic::rgetf2(nr, w) })
+                .with_priority(panel_prio)
+                .with_class(if p.leaf_blas2 { KernelClass::LuBlas2 } else { KernelClass::LuRecursive });
+                let id = pb.task(meta, move |a, s| {
+                    // SAFETY: the DAG orders this read after the last writer of
+                    // these panel blocks and before any subsequent writer.
+                    let block = unsafe { a.block(r0, k0, nr, w) };
+                    let idx: Vec<usize> = (r0..r0 + nr).collect();
+                    let sel = select(block, &idx, recursive_leaves);
+                    if is_root {
+                        finish_root(a, s, sel);
+                    } else {
+                        s.panels[step].results[grp].set(sel).expect("leaf slot already set");
+                    }
+                });
+                pb.reads(id, row_blocks(rows, b), step..step + 1);
+                slot_task.push(id);
             }
-            let rows = part.group(grp);
-            let lo = rows.start.max(k0 + k);
-            for slab in 0..(rows.end - lo).div_ceil(slab_h) {
-                let slo = lo + slab * slab_h;
-                let mb = slab_h.min(rows.end - slo);
-                let meta = TaskMeta::new(TaskLabel::new(TaskKind::Other, step, grp, slab), 0.0)
-                    .with_bytes(traffic::pack(mb, k))
-                    .with_priority(prio(nsteps, step, p.lookahead, TaskKind::Update, step + 1) + 5)
-                    .with_class(KernelClass::Memory);
-                let id = graph.add_task(meta, CaluTask::UPackA { step, grp, slab });
-                tracker.read(&mut graph, id, row_blocks(slo..slo + mb, b), step..step + 1);
-                apack_ids.push(id);
-            }
-        }
-        abase[g] = apack_ids.len();
-        let any_decomposed = !apack_ids.is_empty();
 
-        let mut bbase: Vec<(usize, usize)> = Vec::new();
-        let mut nbpacks = 0usize;
-        let mut jblk = step + 1;
-        while jblk < nb {
-            let jcnt = p.update_blocks.min(nb - jblk);
-            let jc0 = jblk * b;
-            let wj = (jcnt * b).min(n - jc0);
-            // Pack-B tasks of this chunk; reading the U row orders each
-            // after the chunk's URow solve.
-            let mut bpack_ids: Vec<TaskId> = Vec::new();
-            if any_decomposed {
-                bbase.push((jblk, nbpacks));
-                for panel in 0..wj.div_ceil(pan_w) {
-                    let pj0 = jc0 + panel * pan_w;
-                    let nbp = pan_w.min(jc0 + wj - pj0);
-                    let meta =
-                        TaskMeta::new(TaskLabel::new(TaskKind::Other, step, g + panel, jblk), 0.0)
-                            .with_bytes(traffic::pack(k, nbp))
-                            .with_priority(
-                                prio(nsteps, step, p.lookahead, TaskKind::Update, jblk) + 5,
-                            )
-                            .with_class(KernelClass::Memory);
-                    let id = graph.add_task(meta, CaluTask::UPackB { step, jblk, jcnt, panel });
-                    tracker.read(&mut graph, id, step..step + 1, row_blocks(pj0..pj0 + nbp, b));
-                    bpack_ids.push(id);
+            // --- P tasks: reduction nodes. The last one is the root: it also
+            //     pivots the panel and writes the packed top block.
+            for (ni, node) in schedule.iter().enumerate() {
+                let stacked_rows: usize = node.participants.len() * k.min(b);
+                let is_root = ni + 1 == schedule.len();
+                // The result slots this node consumes.
+                let inputs: Vec<usize> = node.participants.iter().map(|&pt| slot_res[pt]).collect();
+                let meta = TaskMeta::new(
+                    TaskLabel::new(TaskKind::Panel, step, g + ni, step),
+                    flops::getrf(stacked_rows.max(1), w),
+                )
+                .with_bytes(traffic::rgetf2(stacked_rows.max(1), w))
+                .with_priority(panel_prio)
+                .with_class(KernelClass::LuRecursive);
+                let id = pb.task(meta, move |a, s| {
+                    let ctx = &s.panels[step];
+                    let candidates: Vec<&Selected<T>> = inputs
+                        .iter()
+                        .map(|&r| ctx.results[r].get().expect("candidate not ready"))
+                        .collect();
+                    let sel = merge(&candidates, recursive_leaves);
+                    if is_root {
+                        finish_root(a, s, sel);
+                    } else {
+                        ctx.results[g + ni].set(sel).expect("node slot already set");
+                    }
+                });
+                for &pt in &node.participants {
+                    pb.graph.add_dep(slot_task[pt], id);
+                }
+                slot_task[node.participants[0]] = id;
+                slot_res[node.participants[0]] = g + ni;
+            }
+            let root_id = slot_task[0];
+            pb.writes(root_id, row_blocks(k0..m, b), step..step + 1);
+            root_ids.push(root_id);
+
+            // --- L tasks.
+            for (grp, &(lo, mb)) in below.iter().enumerate().filter(|(_, &(_, mb))| mb > 0) {
+                let meta = TaskMeta::new(
+                    TaskLabel::new(TaskKind::LBlock, step, grp, step),
+                    flops::trsm_right(mb, k),
+                )
+                .with_bytes(traffic::trsm_right(mb, k))
+                .with_priority(prio(nsteps, step, p.lookahead, TaskKind::LBlock, step))
+                .with_class(KernelClass::Trsm);
+                let id = pb.task(meta, move |a, _| {
+                    // SAFETY: disjoint from all concurrent tasks per the DAG.
+                    let ukk = unsafe { a.block(k0, k0, k, k) };
+                    let lb = unsafe { a.block_mut(lo, k0, mb, k) };
+                    trsm_right_upper_notrans(ukk, lb);
+                });
+                pb.reads(id, step..step + 1, step..step + 1); // U_KK
+                pb.writes(id, row_blocks(lo..lo + mb, b), step..step + 1);
+            }
+
+            // --- U tasks (interchange + triangular solve per trailing column
+            //     chunk).
+            for &(jblk, jcnt, jc0, wj) in &chunks {
+                let meta = TaskMeta::new(
+                    TaskLabel::new(TaskKind::URow, step, 0, jblk),
+                    flops::trsm_left(k, wj),
+                )
+                .with_bytes(traffic::trsm_left(k, wj) + traffic::laswp(k, wj))
+                .with_priority(prio(nsteps, step, p.lookahead, TaskKind::URow, jblk))
+                .with_class(KernelClass::Trsm);
+                let id = pb.task(meta, move |a, s| {
+                    let pivots = s.panels[step].pivots.get().expect("pivots not ready");
+                    // SAFETY: this task is the only one touching these block
+                    // columns' rows k0.. at this point in the schedule.
+                    let mut col = unsafe { a.block_mut(k0, jc0, m - k0, wj) };
+                    local_seq(pivots, k0).apply(col.rb());
+                    let lkk = unsafe { a.block(k0, k0, k, k) };
+                    trsm_left_lower_unit(lkk, col.into_sub(0, 0, k, wj));
+                });
+                pb.graph.add_dep(root_id, id); // pivots
+                pb.reads(id, step..step + 1, step..step + 1); // L_KK
+                pb.writes(id, row_blocks(k0..m, b), jblk..jblk + jcnt);
+            }
+
+            // --- S tasks (trailing updates, same column chunking). Groups whose
+            //     update height reaches `p.par_update_rows` are decomposed into
+            //     the par_gemm sub-DAG: pack-A once per slab per group (shared
+            //     across every column chunk — pack A once per `jc` sweep),
+            //     pack-B once per panel per chunk (shared across groups), one
+            //     packed-tile GEMM task per slab × panel. Results are bitwise
+            //     identical to the monolithic `dgemm`; only the task
+            //     granularity changes.
+            let decompose: Vec<bool> = below
+                .iter()
+                .map(|&(_, mb)| step + 1 < nb && mb > 0 && mb >= p.par_update_rows)
+                .collect();
+
+            // Pack-A tasks; group `grp`'s slab images live in slots
+            // `abase[grp]..`. Reading the L slab orders each pack after the
+            // group's LBlock solve via the tracker.
+            let mut abase = vec![0usize; g];
+            let mut apack_ids: Vec<TaskId> = Vec::new();
+            for grp in (0..g).filter(|&grp| decompose[grp]) {
+                abase[grp] = apack_ids.len();
+                let (lo, mb) = below[grp];
+                for (slab, (slo, sh)) in pieces(lo, mb, slab_h).enumerate() {
+                    let slot = apack_ids.len();
+                    let meta = TaskMeta::new(TaskLabel::new(TaskKind::Other, step, grp, slab), 0.0)
+                        .with_bytes(traffic::pack(sh, k))
+                        .with_priority(prio(nsteps, step, p.lookahead, TaskKind::Update, step + 1) + 5)
+                        .with_class(KernelClass::Memory);
+                    let id = pb.task(meta, move |a, s| {
+                        // SAFETY: reads the group's final L slab — the DAG orders
+                        // this after the LBlock solve and before any later writer.
+                        let l = unsafe { a.block(slo, k0, sh, k) };
+                        let mut buf = AlignedBuf::new();
+                        pack_a_slab(Trans::No, l, 0, sh, &mut buf);
+                        // Ignore a lost set: a replayed task repacks identical bytes.
+                        let _ = s.panels[step].apacks[slot].set(buf);
+                    });
+                    pb.reads(id, row_blocks(slo..slo + sh, b), step..step + 1);
+                    apack_ids.push(id);
+                }
+            }
+
+            let mut nbpacks = 0usize;
+            for &(jblk, jcnt, jc0, wj) in &chunks {
+                let update_prio = prio(nsteps, step, p.lookahead, TaskKind::Update, jblk);
+                // Pack-B tasks of this chunk, panel `panel`'s image in slot
+                // `nbpacks + panel`; reading the U row orders each after the
+                // chunk's URow solve.
+                let mut bpack_ids: Vec<TaskId> = Vec::new();
+                if !apack_ids.is_empty() {
+                    for (panel, (pj0, pw)) in pieces(jc0, wj, pan_w).enumerate() {
+                        let slot = nbpacks + panel;
+                        let meta =
+                            TaskMeta::new(TaskLabel::new(TaskKind::Other, step, g + panel, jblk), 0.0)
+                                .with_bytes(traffic::pack(k, pw))
+                                .with_priority(update_prio + 5)
+                                .with_class(KernelClass::Memory);
+                        let id = pb.task(meta, move |a, s| {
+                            // SAFETY: reads the final U row panel (after URow's solve).
+                            let u = unsafe { a.block(k0, pj0, k, pw) };
+                            let mut buf = AlignedBuf::new();
+                            pack_b_panel(Trans::No, u, 0, pw, &mut buf);
+                            let _ = s.panels[step].bpacks[slot].set(buf);
+                        });
+                        pb.reads(id, step..step + 1, row_blocks(pj0..pj0 + pw, b));
+                        bpack_ids.push(id);
+                    }
+                }
+                for grp in 0..g {
+                    let (lo, mb) = below[grp];
+                    if mb == 0 {
+                        continue;
+                    }
+                    let label = TaskLabel::new(TaskKind::Update, step, grp, jblk);
+                    if !decompose[grp] {
+                        let meta = TaskMeta::new(label, flops::gemm(mb, wj, k))
+                            .with_bytes(traffic::gemm(mb, wj, k))
+                            .with_priority(update_prio)
+                            .with_class(KernelClass::Gemm);
+                        let id = pb.task(meta, move |a, _| {
+                            // SAFETY: reads L (final) and U (final); writes blocks only
+                            // this task may touch per the DAG.
+                            let l = unsafe { a.block(lo, k0, mb, k) };
+                            let u = unsafe { a.block(k0, jc0, k, wj) };
+                            let c = unsafe { a.block_mut(lo, jc0, mb, wj) };
+                            gemm(Trans::No, Trans::No, -T::ONE, l, u, T::ONE, c);
+                        });
+                        pb.reads(id, row_blocks(lo..lo + mb, b), step..step + 1);
+                        pb.reads(id, step..step + 1, jblk..jblk + jcnt);
+                        pb.writes(id, row_blocks(lo..lo + mb, b), jblk..jblk + jcnt);
+                        continue;
+                    }
+                    for (slab, (slo, sh)) in pieces(lo, mb, slab_h).enumerate() {
+                        for (panel, (pj0, pw)) in pieces(jc0, wj, pan_w).enumerate() {
+                            let (aslot, bslot) = (abase[grp] + slab, nbpacks + panel);
+                            let meta = TaskMeta::new(label, flops::gemm(sh, pw, k))
+                                .with_bytes(traffic::gemm_packed(sh, pw, k))
+                                .with_priority(update_prio)
+                                .with_class(KernelClass::Gemm);
+                            let id = pb.task(meta, move |a, s| {
+                                let ctx = &s.panels[step];
+                                let apack = ctx.apacks[aslot].get().expect("A image not packed");
+                                let bpack = ctx.bpacks[bslot].get().expect("B image not packed");
+                                // SAFETY: writes only this tile's C window, which the DAG
+                                // orders against every conflicting task; `beta = 1` makes
+                                // the packed path replay the monolithic gemm bitwise.
+                                let c = unsafe { a.block_mut(slo, pj0, sh, pw) };
+                                gemm_packed(-T::ONE, apack, bpack, k, T::ONE, c);
+                            });
+                            // The packed images are side storage the tracker
+                            // cannot see — wire the dataflow explicitly.
+                            pb.graph.add_dep(apack_ids[aslot], id);
+                            pb.graph.add_dep(bpack_ids[panel], id);
+                            pb.writes(id, row_blocks(slo..slo + sh, b), row_blocks(pj0..pj0 + pw, b));
+                        }
+                    }
                 }
                 nbpacks += bpack_ids.len();
             }
-            for grp in 0..g {
-                let rows = part.group(grp);
-                let lo = rows.start.max(k0 + k);
-                if lo >= rows.end || k == 0 {
-                    continue;
-                }
-                if decompose[grp] {
-                    for slab in 0..(rows.end - lo).div_ceil(slab_h) {
-                        let slo = lo + slab * slab_h;
-                        let mb = slab_h.min(rows.end - slo);
-                        for (panel, &bid) in bpack_ids.iter().enumerate() {
-                            let pj0 = jc0 + panel * pan_w;
-                            let nbp = pan_w.min(jc0 + wj - pj0);
-                            let meta = TaskMeta::new(
-                                TaskLabel::new(TaskKind::Update, step, grp, jblk),
-                                flops::gemm(mb, nbp, k),
-                            )
-                            .with_bytes(traffic::gemm_packed(mb, nbp, k))
-                            .with_priority(
-                                prio(nsteps, step, p.lookahead, TaskKind::Update, jblk),
-                            )
-                            .with_class(KernelClass::Gemm);
-                            let id = graph.add_task(
-                                meta,
-                                CaluTask::UTile { step, grp, jblk, jcnt, slab, panel },
-                            );
-                            // The packed images are side storage the tracker
-                            // cannot see — wire the dataflow explicitly.
-                            graph.add_dep(apack_ids[abase[grp] + slab], id);
-                            graph.add_dep(bid, id);
-                            tracker.write(
-                                &mut graph,
-                                id,
-                                row_blocks(slo..slo + mb, b),
-                                row_blocks(pj0..pj0 + nbp, b),
-                            );
-                        }
-                    }
-                } else {
-                    let meta = TaskMeta::new(
-                        TaskLabel::new(TaskKind::Update, step, grp, jblk),
-                        flops::gemm(rows.end - lo, wj, k),
-                    )
-                    .with_bytes(traffic::gemm(rows.end - lo, wj, k))
-                    .with_priority(prio(nsteps, step, p.lookahead, TaskKind::Update, jblk))
-                    .with_class(KernelClass::Gemm);
-                    let id = graph.add_task(meta, CaluTask::Update { step, grp, jblk, jcnt });
-                    tracker.read(&mut graph, id, row_blocks(lo..rows.end, b), step..step + 1);
-                    tracker.read(&mut graph, id, step..step + 1, jblk..jblk + jcnt);
-                    tracker.write(&mut graph, id, row_blocks(lo..rows.end, b), jblk..jblk + jcnt);
-                }
-            }
-            jblk += jcnt;
+
+            let slots = |n: usize| (0..n).map(|_| OnceLock::new()).collect();
+            panels.push(PanelSlots {
+                results: (0..g + schedule.len()).map(|_| OnceLock::new()).collect(),
+                pivots: OnceLock::new(),
+                breakdown: OnceLock::new(),
+                growth: OnceLock::new(),
+                apacks: slots(apack_ids.len()),
+                bpacks: slots(nbpacks),
+            });
         }
 
-        let results = (0..g + schedule.len()).map(|_| OnceLock::new()).collect();
-        panels.push(PanelCtx {
-            k0,
-            w,
-            k,
-            part,
-            schedule,
-            results,
-            node_inputs,
-            pivots: OnceLock::new(),
-            breakdown: OnceLock::new(),
-            growth: OnceLock::new(),
-            par: ParUpdate {
-                slab_h,
-                pan_w,
-                abase,
-                apacks: (0..apack_ids.len()).map(|_| OnceLock::new()).collect(),
-                bbase,
-                bpacks: (0..nbpacks).map(|_| OnceLock::new()).collect(),
-            },
-        });
-    }
-
-    // --- Deferred left-side interchanges (Algorithm 1 line 41).
-    for jblk in 0..nsteps.saturating_sub(1) {
-        let swap_rows: usize = (jblk + 1..nsteps).map(|k| b.min(m.min(n) - k * b)).sum();
-        let meta = TaskMeta::new(TaskLabel::new(TaskKind::Swap, nsteps, 0, jblk), 0.0)
-            .with_bytes(traffic::laswp(swap_rows, b.min(n - jblk * b)))
-            .with_class(KernelClass::Memory);
-        let id = graph.add_task(meta, CaluTask::LeftSwap { jblk });
-        for (step, &rid) in root_ids.iter().enumerate().skip(jblk + 1) {
-            let _ = step;
-            graph.add_dep(rid, id);
-        }
-        tracker.write(&mut graph, id, row_blocks((jblk + 1) * b..m, b), jblk..jblk + 1);
-    }
-
-    // The tracker's per-footprint reasoning cannot see orderings already
-    // implied by the explicitly added edges (reduction tree, pivot broadcast),
-    // so it over-wires conflict edges a path already covers. Reduce to the minimal
-    // equivalent DAG: ready times and conflict orderings are unchanged, and
-    // the schedulers track fewer dependences.
-    ca_sched::reduce_transitive_edges(&mut graph);
-
-    CaluPlan {
-        graph,
-        access: tracker.into_access_map(),
-        panels,
-        m,
-        n,
-        b,
-        recursive_leaves: !p.leaf_blas2,
-        growth_limit: p.growth_limit,
-    }
-}
-
-impl<T: Kernel> DagPlan<T> for CaluPlan<T> {
-    type Task = CaluTask;
-    type Factors = LuFactors<T>;
-
-    fn graph(&self) -> &TaskGraph<CaluTask> {
-        &self.graph
-    }
-
-    fn access(&self) -> &AccessMap {
-        &self.access
-    }
-
-    // DAG executor: every access falls inside the footprint declared in
-    // build(), which `verify_graph` proves conflict-ordered.
-    #[allow(clippy::disallowed_methods)]
-    fn exec(&self, a: &SharedMatrix<T>, t: CaluTask) {
-        let m = self.m;
-        let n = self.n;
-        let b = self.b;
-        match t {
-            CaluTask::Leaf { step, grp } => {
-                let ctx = &self.panels[step];
-                let rows = ctx.part.group(grp);
-                // SAFETY: the DAG orders this read after the last writer of
-                // these panel blocks and before any subsequent writer.
-                let block = unsafe { a.block(rows.start, ctx.k0, rows.len(), ctx.w) };
-                let idx: Vec<usize> = rows.collect();
-                let sel = select(block, &idx, self.recursive_leaves);
-                if ctx.schedule.is_empty() {
-                    self.finish_root(a, step, sel);
-                } else {
-                    ctx.results[grp].set(sel).expect("leaf slot already set");
-                }
-            }
-            CaluTask::Node { step, node } => {
-                let ctx = &self.panels[step];
-                let inputs: Vec<&Selected<T>> = ctx.node_inputs[node]
-                    .iter()
-                    .map(|&r| ctx.results[r].get().expect("candidate not ready"))
-                    .collect();
-                let sel = merge(&inputs, self.recursive_leaves);
-                if node + 1 == ctx.schedule.len() {
-                    self.finish_root(a, step, sel);
-                } else {
-                    let g = ctx.part.ngroups();
-                    ctx.results[g + node].set(sel).expect("node slot already set");
-                }
-            }
-            CaluTask::LBlock { step, grp } => {
-                let ctx = &self.panels[step];
-                let rows = ctx.part.group(grp);
-                let lo = rows.start.max(ctx.k0 + ctx.k);
-                // SAFETY: disjoint from all concurrent tasks per the DAG.
-                let ukk = unsafe { a.block(ctx.k0, ctx.k0, ctx.k, ctx.k) };
-                let lb = unsafe { a.block_mut(lo, ctx.k0, rows.end - lo, ctx.k) };
-                trsm_right_upper_notrans(ukk, lb);
-            }
-            CaluTask::URow { step, jblk, jcnt } => {
-                let ctx = &self.panels[step];
-                let jc0 = jblk * b;
-                let wj = (jcnt * b).min(n - jc0);
-                let pivots = ctx.pivots.get().expect("pivots not ready");
-                // SAFETY: this task is the only one touching column block
-                // jblk rows k0.. at this point in the schedule.
-                let mut col = unsafe { a.block_mut(ctx.k0, jc0, m - ctx.k0, wj) };
-                local_seq(pivots, ctx.k0).apply(col.rb());
-                let lkk = unsafe { a.block(ctx.k0, ctx.k0, ctx.k, ctx.k) };
-                let urow = col.into_sub(0, 0, ctx.k, wj);
-                trsm_left_lower_unit(lkk, urow);
-            }
-            CaluTask::Update { step, grp, jblk, jcnt } => {
-                let ctx = &self.panels[step];
-                let jc0 = jblk * b;
-                let wj = (jcnt * b).min(n - jc0);
-                let rows = ctx.part.group(grp);
-                let lo = rows.start.max(ctx.k0 + ctx.k);
-                // SAFETY: reads L (final) and U (final); writes blocks only
-                // this task may touch per the DAG.
-                let l = unsafe { a.block(lo, ctx.k0, rows.end - lo, ctx.k) };
-                let u = unsafe { a.block(ctx.k0, jc0, ctx.k, wj) };
-                let c = unsafe { a.block_mut(lo, jc0, rows.end - lo, wj) };
-                gemm(Trans::No, Trans::No, -T::ONE, l, u, T::ONE, c);
-            }
-            CaluTask::UPackA { step, grp, slab } => {
-                let ctx = &self.panels[step];
-                let rows = ctx.part.group(grp);
-                let lo = rows.start.max(ctx.k0 + ctx.k);
-                let slo = lo + slab * ctx.par.slab_h;
-                let mb = ctx.par.slab_h.min(rows.end - slo);
-                // SAFETY: reads the group's final L slab — the DAG orders
-                // this after the LBlock solve and before any later writer.
-                let l = unsafe { a.block(slo, ctx.k0, mb, ctx.k) };
-                let mut buf = AlignedBuf::new();
-                pack_a_slab(Trans::No, l, 0, mb, &mut buf);
-                // Ignore a lost set: a replayed task repacks identical bytes.
-                let _ = ctx.par.aslot(grp, slab).set(buf);
-            }
-            CaluTask::UPackB { step, jblk, jcnt, panel } => {
-                let ctx = &self.panels[step];
-                let jc0 = jblk * b;
-                let wj = (jcnt * b).min(n - jc0);
-                let pj0 = jc0 + panel * ctx.par.pan_w;
-                let nbp = ctx.par.pan_w.min(jc0 + wj - pj0);
-                // SAFETY: reads the final U row panel (after URow's solve).
-                let u = unsafe { a.block(ctx.k0, pj0, ctx.k, nbp) };
-                let mut buf = AlignedBuf::new();
-                pack_b_panel(Trans::No, u, 0, nbp, &mut buf);
-                let _ = ctx.par.bslot(jblk, panel).set(buf);
-            }
-            CaluTask::UTile { step, grp, jblk, jcnt, slab, panel } => {
-                let ctx = &self.panels[step];
-                let rows = ctx.part.group(grp);
-                let lo = rows.start.max(ctx.k0 + ctx.k);
-                let slo = lo + slab * ctx.par.slab_h;
-                let mb = ctx.par.slab_h.min(rows.end - slo);
-                let jc0 = jblk * b;
-                let wj = (jcnt * b).min(n - jc0);
-                let pj0 = jc0 + panel * ctx.par.pan_w;
-                let nbp = ctx.par.pan_w.min(jc0 + wj - pj0);
-                let apack = ctx.par.aslot(grp, slab).get().expect("A image not packed");
-                let bpack = ctx.par.bslot(jblk, panel).get().expect("B image not packed");
-                // SAFETY: writes only this tile's C window, which the DAG
-                // orders against every conflicting task; `beta = 1` makes
-                // the packed path replay the monolithic gemm bitwise.
-                let c = unsafe { a.block_mut(slo, pj0, mb, nbp) };
-                gemm_packed(-T::ONE, apack, bpack, ctx.k, T::ONE, c);
-            }
-            CaluTask::LeftSwap { jblk } => {
-                let jc0 = jblk * b;
-                let wj = b.min(n - jc0);
-                for ctx in &self.panels[jblk + 1..] {
+        // --- Deferred left-side interchanges (Algorithm 1 line 41).
+        for jblk in 0..nsteps.saturating_sub(1) {
+            let (jc0, wj) = (jblk * b, b.min(n - jblk * b));
+            let swap_rows: usize = (jblk + 1..nsteps).map(|k| b.min(m.min(n) - k * b)).sum();
+            let meta = TaskMeta::new(TaskLabel::new(TaskKind::Swap, nsteps, 0, jblk), 0.0)
+                .with_bytes(traffic::laswp(swap_rows, wj))
+                .with_class(KernelClass::Memory);
+            let id = pb.task(meta, move |a, s| {
+                for (step, ctx) in s.panels.iter().enumerate().skip(jblk + 1) {
+                    let k0 = step * b;
                     let pivots = ctx.pivots.get().expect("pivots not ready");
                     // SAFETY: exclusive writer of this finished column block.
-                    let col = unsafe { a.block_mut(ctx.k0, jc0, m - ctx.k0, wj) };
-                    local_seq(pivots, ctx.k0).apply(col);
+                    let col = unsafe { a.block_mut(k0, jc0, m - k0, wj) };
+                    local_seq(pivots, k0).apply(col);
+                }
+            });
+            pb.graph.add_deps(root_ids[jblk + 1..].iter().copied(), id);
+            pb.writes(id, row_blocks((jblk + 1) * b..m, b), jblk..jblk + 1);
+        }
+
+        // The tracker's per-footprint reasoning cannot see orderings already
+        // implied by the explicitly added edges (reduction tree, pivot broadcast),
+        // so it over-wires conflict edges a path already covers. Reduce to the minimal
+        // equivalent DAG: ready times and conflict orderings are unchanged, and
+        // the schedulers track fewer dependences.
+        ca_sched::reduce_transitive_edges(&mut pb.graph);
+
+        pb.finish(CaluSlots { b, panels }, |lu, s| {
+            let mut pivots = PivotSeq::new(0);
+            let mut breakdown = None;
+            let mut stats = LuStats::default();
+            for (step, ctx) in s.panels.iter().enumerate() {
+                let k0 = step * s.b;
+                pivots.extend(ctx.pivots.get().expect("panel pivots missing"));
+                if breakdown.is_none() {
+                    breakdown = ctx.breakdown.get().copied().flatten().map(|c| k0 + c);
+                }
+                let (g, fb) = ctx.growth.get().copied().expect("panel growth missing");
+                stats.panel_growth.push(g);
+                if fb {
+                    stats.fallback_panels.push(k0);
                 }
             }
-        }
-    }
-
-    /// Gathers the per-panel results once every task completed successfully.
-    fn collect(self, shared: SharedMatrix<T>) -> LuFactors<T> {
-        let mut pivots = PivotSeq::new(0);
-        let mut breakdown = None;
-        let mut stats = LuStats::default();
-        for ctx in &self.panels {
-            let pp = ctx.pivots.get().expect("panel pivots missing");
-            pivots.extend(pp);
-            if breakdown.is_none() {
-                if let Some(c) = ctx.breakdown.get().copied().flatten() {
-                    breakdown = Some(ctx.k0 + c);
-                }
-            }
-            let (g, fb) = ctx.growth.get().copied().expect("panel growth missing");
-            stats.panel_growth.push(g);
-            if fb {
-                stats.fallback_panels.push(ctx.k0);
-            }
-        }
-        let lu = shared.into_inner();
-        LuFactors { lu, pivots, breakdown, stats }
-    }
-}
-
-impl<T: Kernel> CaluPlan<T> {
-    /// Root-task epilogue: record pivots, interchange the panel, write the
-    /// packed `L_KK\U_KK` block.
-    // DAG executor: accesses stay inside the root task's declared footprint.
-    #[allow(clippy::disallowed_methods)]
-    fn finish_root(&self, a: &SharedMatrix<T>, step: usize, sel: Selected<T>) {
-        let ctx = &self.panels[step];
-        let m = self.m;
-        // Growth policy before any write-back: the panel's active region
-        // still holds its pre-interchange values here.
-        let (sel, growth, fallback) = {
-            // SAFETY: same ordering argument as the writes below — the root
-            // is ordered after every other reader/writer of the panel.
-            let active = unsafe { a.block(ctx.k0, ctx.k0, m - ctx.k0, ctx.w) };
-            apply_growth_policy(active, ctx.k0, sel, self.growth_limit, self.recursive_leaves)
-        };
-        let pivots = pivot_seq_from_targets(ctx.k0, &sel.idx);
-        // SAFETY: the root is ordered after every reader/writer of the
-        // panel's active blocks and before every subsequent consumer.
-        let mut panel = unsafe { a.block_mut(ctx.k0, ctx.k0, m - ctx.k0, ctx.w) };
-        local_seq(&pivots, ctx.k0).apply(panel.rb());
-        panel.sub(0, 0, ctx.k, ctx.w).copy_from(sel.packed.view());
-        ctx.breakdown.set(sel.breakdown).expect("root ran twice");
-        ctx.growth.set((growth, fallback)).expect("root ran twice");
-        ctx.pivots.set(pivots).expect("root ran twice");
+            LuFactors { lu, pivots, breakdown, stats }
+        })
     }
 }
 
@@ -666,39 +462,8 @@ fn local_seq(p: &PivotSeq, k0: usize) -> PivotSeq {
 }
 
 /// Builds just the task graph (for the multicore simulator and DAG figures).
-pub fn calu_task_graph(m: usize, n: usize, p: &CaParams) -> TaskGraph<CaluTask> {
-    build::<f64>(m, n, p).graph
-}
-
-/// Builds the task graph together with the declared footprints, for
-/// soundness verification ([`ca_sched::verify_graph`]) and checked
-/// simulation.
-pub fn calu_task_graph_with_access(
-    m: usize,
-    n: usize,
-    p: &CaParams,
-) -> (TaskGraph<CaluTask>, AccessMap) {
-    let plan = build::<f64>(m, n, p);
-    (plan.graph, plan.access)
-}
-
-/// Statically verifies the CALU task graph for an `m × n` factorization:
-/// structural invariants, every pair of tasks with conflicting footprints
-/// ordered by a happens-before path, and the §III lookahead priority rule.
-pub fn verify_calu(m: usize, n: usize, p: &CaParams) -> Result<VerifyReport, SoundnessError> {
-    verify_calu_with(m, n, p, &ca_sched::VerifyOptions::default())
-}
-
-/// [`verify_calu`] with explicit [`ca_sched::VerifyOptions`] (the
-/// edge-minimality lint passes).
-pub fn verify_calu_with(
-    m: usize,
-    n: usize,
-    p: &CaParams,
-    opts: &ca_sched::VerifyOptions,
-) -> Result<VerifyReport, SoundnessError> {
-    let plan = build::<f64>(m, n, p);
-    ca_sched::verify_graph_with(&plan.graph, &plan.access, opts)
+pub fn calu_task_graph(m: usize, n: usize, p: &CaParams) -> TaskGraph<()> {
+    CaluPlan::build::<f64>(m, n, p).into_parts().0
 }
 
 #[cfg(test)]
@@ -840,7 +605,9 @@ mod tests {
     #[test]
     fn decomposed_graph_verifies() {
         let p = CaParams::new(16, 2, 4).with_par_update_rows(32);
-        verify_calu(256, 192, &p).unwrap_or_else(|v| panic!("verify failed: {v}"));
+        let plan = CaluPlan::build::<f64>(256, 192, &p);
+        ca_sched::verify_graph(plan.graph(), plan.access())
+            .unwrap_or_else(|v| panic!("verify failed: {v}"));
     }
 
     #[test]

@@ -12,49 +12,27 @@
 //! reduction tree itself drives the trailing update.
 
 use crate::caqr::QrFactors;
-use ca_sched::{row_blocks, AccessMap, BlockTracker, DagPlan, SoundnessError, VerifyReport};
 use crate::params::{num_panels, partition_rows, CaParams};
-use crate::tsqr::{leaf_apply, leaf_qr, node_apply, node_qr, plan_panel, LeafQ, NodePlan, NodeQ, PanelQ};
+use crate::tsqr::{leaf_apply, leaf_qr, node_apply, node_qr, plan_panel, LeafQ, NodeQ, PanelQ};
 use ca_kernels::{flops, traffic};
 use ca_kernels::{Kernel, Trans};
-use ca_matrix::{Scalar, SharedMatrix};
-use ca_sched::{KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
+use ca_matrix::Scalar;
+use ca_sched::{row_blocks, KernelClass, Plan, PlanBuilder, TaskGraph, TaskKind, TaskLabel, TaskMeta};
 use std::sync::OnceLock;
 
-/// What a CAQR task does (payload of the task graph).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[allow(missing_docs)] // field names (step/grp/node/jblk) are the documentation
-pub enum CaqrTask {
-    /// Leaf QR of row group `grp` of panel `step`.
-    LeafQr { step: usize, grp: usize },
-    /// Leaf trailing update of (group `grp`) × (block column `jblk`).
-    LeafUpdate { step: usize, grp: usize, jblk: usize },
-    /// Reduction-node QR (`node` indexes the panel's plan list).
-    NodeQr { step: usize, node: usize },
-    /// Node trailing update of (node `node`) × (block column `jblk`).
-    NodeUpdate { step: usize, node: usize, jblk: usize },
-}
-
-pub(crate) struct PanelCtx<T: Scalar> {
+/// What the tasks of one panel leave behind at run time: a [`PanelQ`] whose
+/// leaves and nodes are still slots.
+struct PanelSlots<T: Scalar> {
     k0: usize,
-    c0: usize,
     w: usize,
     k: usize,
-    groups: Vec<core::ops::Range<usize>>,
-    plans: Vec<NodePlan>,
     leaves: Vec<OnceLock<LeafQ<T>>>,
     nodes: Vec<OnceLock<NodeQ<T>>>,
 }
 
-pub(crate) struct CaqrPlan<T: Scalar> {
-    pub graph: TaskGraph<CaqrTask>,
-    /// Declared block footprints of every task (for verification / checked
-    /// execution).
-    pub access: AccessMap,
-    pub panels: Vec<PanelCtx<T>>,
-    n: usize,
-    b: usize,
-}
+/// The run-time slots of a CAQR plan, one entry per panel. Only they are
+/// typed; graph, footprints and geometry are the same for every `T`.
+pub struct CaqrSlots<T: Scalar>(Vec<PanelSlots<T>>);
 
 fn prio(nsteps: usize, step: usize, lookahead: bool, kind: TaskKind, jblk: usize) -> i64 {
     let critical = ((nsteps - step) as i64) * 1000;
@@ -71,217 +49,157 @@ fn prio(nsteps: usize, step: usize, lookahead: bool, kind: TaskKind, jblk: usize
     }
 }
 
-/// Builds the CAQR task graph for an `m × n` matrix with parameters `p`.
-pub(crate) fn build<T: Scalar>(m: usize, n: usize, p: &CaParams) -> CaqrPlan<T> {
-    assert!(m > 0 && n > 0, "empty matrix");
-    ca_sched::sched_counters().factor_graphs_built.inc();
-    let b = p.b;
-    let nsteps = num_panels(m, n, b);
-    let nb = n.div_ceil(b);
+/// Builder of the CAQR task DAG.
+pub struct CaqrPlan;
 
-    let mut graph: TaskGraph<CaqrTask> = TaskGraph::new();
-    let mut tracker = BlockTracker::with_geometry(b, m, n);
-    let mut panels: Vec<PanelCtx<T>> = Vec::with_capacity(nsteps);
+impl CaqrPlan {
+    /// Plan for an `m × n` matrix with parameters `p` (an empty matrix gets
+    /// an empty graph). The task bodies are the [`crate::tsqr`] helpers the
+    /// sequential path runs, over the rows and columns declared beside them.
+    pub fn build<T: Kernel>(m: usize, n: usize, p: &CaParams) -> Plan<T, CaqrSlots<T>, QrFactors<T>> {
+        ca_sched::sched_counters().factor_graphs_built.inc();
+        let b = p.b;
+        let nsteps = num_panels(m, n, b);
+        let nb = n.div_ceil(b);
 
-    for step in 0..nsteps {
-        let k0 = step * b;
-        let c0 = k0;
-        let w = b.min(n - c0);
-        let k = w.min(m - k0);
-        let part = partition_rows(m, k0, b, p.tr);
-        let g = part.ngroups();
-        let (leaf_ks, plans) = plan_panel(&part, w, p.tree);
+        let mut pb = PlanBuilder::<T, CaqrSlots<T>>::new(b, m, n);
+        let mut panels: Vec<PanelSlots<T>> = Vec::with_capacity(nsteps);
 
-        // --- Leaf QR tasks + their trailing updates.
-        let mut leaf_qr_ids = Vec::with_capacity(g);
-        for (grp, &leaf_k) in leaf_ks.iter().enumerate() {
-            let rows = part.group(grp);
-            let meta = TaskMeta::new(
-                TaskLabel::new(TaskKind::Panel, step, grp, step),
-                flops::geqrf(rows.len(), leaf_k),
-            )
-            .with_bytes(traffic::geqr3(rows.len(), leaf_k))
-            .with_priority(prio(nsteps, step, p.lookahead, TaskKind::Panel, step))
-            .with_class(KernelClass::QrRecursive);
-            let id = graph.add_task(meta, CaqrTask::LeafQr { step, grp });
-            tracker.write(&mut graph, id, row_blocks(rows, b), step..step + 1);
-            leaf_qr_ids.push(id);
-        }
-        for jblk in step + 1..nb {
-            let jc0 = jblk * b;
-            let wj = b.min(n - jc0);
-            for grp in 0..g {
+        for step in 0..nsteps {
+            let k0 = step * b;
+            let w = b.min(n - k0);
+            let part = partition_rows(m, k0, b, p.tr);
+            let g = part.ngroups();
+            let (leaf_ks, plans) = plan_panel(&part, w, p.tree);
+            let panel_prio = prio(nsteps, step, p.lookahead, TaskKind::Panel, step);
+            // `(jblk, first column, columns, priority)` of each trailing
+            // block column.
+            let trailing: Vec<(usize, usize, usize, i64)> = (step + 1..nb)
+                .map(|jblk| {
+                    let pr = prio(nsteps, step, p.lookahead, TaskKind::Update, jblk);
+                    (jblk, jblk * b, b.min(n - jblk * b), pr)
+                })
+                .collect();
+
+            // --- Leaf QR tasks + their trailing updates.
+            let mut leaf_qr_ids = Vec::with_capacity(g);
+            for (grp, &leaf_k) in leaf_ks.iter().enumerate() {
                 let rows = part.group(grp);
                 let meta = TaskMeta::new(
-                    TaskLabel::new(TaskKind::Update, step, grp, jblk),
-                    flops::larfb(rows.len(), wj, leaf_ks[grp]),
+                    TaskLabel::new(TaskKind::Panel, step, grp, step),
+                    flops::geqrf(rows.len(), leaf_k),
                 )
-                .with_bytes(traffic::larfb(rows.len(), wj, leaf_ks[grp]))
-                .with_priority(prio(nsteps, step, p.lookahead, TaskKind::Update, jblk))
-                .with_class(KernelClass::Larfb);
-                let id = graph.add_task(meta, CaqrTask::LeafUpdate { step, grp, jblk });
-                graph.add_dep(leaf_qr_ids[grp], id); // the LeafQ (T factor)
-                tracker.read(&mut graph, id, row_blocks(rows.clone(), b), step..step + 1);
-                tracker.write(&mut graph, id, row_blocks(rows, b), jblk..jblk + 1);
+                .with_bytes(traffic::geqr3(rows.len(), leaf_k))
+                .with_priority(panel_prio)
+                .with_class(KernelClass::QrRecursive);
+                let leaf_rows = rows.clone();
+                let id = pb.task(meta, move |a, s| {
+                    let leaf = leaf_qr(a, k0, w, leaf_rows.clone());
+                    s.0[step].leaves[grp].set(leaf).expect("leaf ran twice");
+                });
+                pb.writes(id, row_blocks(rows, b), step..step + 1);
+                leaf_qr_ids.push(id);
             }
-        }
-
-        // --- Node QR tasks + their trailing updates.
-        let mut node_qr_ids = Vec::with_capacity(plans.len());
-        for (ni, plan) in plans.iter().enumerate() {
-            let s: usize = plan.row_ranges.iter().map(|r| r.len()).sum();
-            let meta = TaskMeta::new(
-                TaskLabel::new(TaskKind::Panel, step, g + ni, step),
-                flops::geqrf(s.max(plan.kk), plan.kk),
-            )
-            .with_bytes(traffic::geqr3(s.max(plan.kk), plan.kk))
-            .with_priority(prio(nsteps, step, p.lookahead, TaskKind::Panel, step))
-            .with_class(KernelClass::QrRecursive);
-            let id = graph.add_task(meta, CaqrTask::NodeQr { step, node: ni });
-            // Reads + writes the participants' top block rows of the panel.
-            for r in &plan.row_ranges {
-                tracker.write(&mut graph, id, row_blocks(r.clone(), b), step..step + 1);
-            }
-            node_qr_ids.push(id);
-        }
-        for (ni, plan) in plans.iter().enumerate() {
-            // `node_apply` is the structured form: identity top block,
-            // upper-trapezoidal blocks below it.
-            let s: usize = plan.row_ranges.iter().map(|r| r.len()).sum();
-            let v_len: usize =
-                plan.row_ranges[1..].iter().map(|r| flops::upper_trapezoid_len(r.len(), plan.kk)).sum();
-            for jblk in step + 1..nb {
-                let jc0 = jblk * b;
-                let wj = b.min(n - jc0);
-                let meta = TaskMeta::new(
-                    TaskLabel::new(TaskKind::Update, step, g + ni, jblk),
-                    flops::larfb_node(v_len, wj, plan.kk),
-                )
-                .with_bytes(traffic::larfb_node(v_len, s, wj, plan.kk))
-                .with_priority(prio(nsteps, step, p.lookahead, TaskKind::Update, jblk))
-                .with_class(KernelClass::Larfb);
-                let id = graph.add_task(meta, CaqrTask::NodeUpdate { step, node: ni, jblk });
-                graph.add_dep(node_qr_ids[ni], id); // the NodeQ (V, T scratch)
-                for r in &plan.row_ranges {
-                    tracker.write(&mut graph, id, row_blocks(r.clone(), b), jblk..jblk + 1);
+            for &(jblk, jc0, wj, pr) in &trailing {
+                for grp in 0..g {
+                    let rows = part.group(grp);
+                    let meta = TaskMeta::new(
+                        TaskLabel::new(TaskKind::Update, step, grp, jblk),
+                        flops::larfb(rows.len(), wj, leaf_ks[grp]),
+                    )
+                    .with_bytes(traffic::larfb(rows.len(), wj, leaf_ks[grp]))
+                    .with_priority(pr)
+                    .with_class(KernelClass::Larfb);
+                    let id = pb.task(meta, move |a, s| {
+                        let leaf = s.0[step].leaves[grp].get().expect("leaf T not ready");
+                        leaf_apply(a, k0, leaf, a, jc0..jc0 + wj, Trans::Yes);
+                    });
+                    pb.graph.add_dep(leaf_qr_ids[grp], id); // the LeafQ (T factor)
+                    pb.reads(id, row_blocks(rows.clone(), b), step..step + 1);
+                    pb.writes(id, row_blocks(rows, b), jblk..jblk + 1);
                 }
             }
+
+            // --- Node QR tasks + their trailing updates.
+            let mut node_qr_ids = Vec::with_capacity(plans.len());
+            for (ni, plan) in plans.iter().enumerate() {
+                let s: usize = plan.row_ranges.iter().map(|r| r.len()).sum();
+                let meta = TaskMeta::new(
+                    TaskLabel::new(TaskKind::Panel, step, g + ni, step),
+                    flops::geqrf(s.max(plan.kk), plan.kk),
+                )
+                .with_bytes(traffic::geqr3(s.max(plan.kk), plan.kk))
+                .with_priority(panel_prio)
+                .with_class(KernelClass::QrRecursive);
+                let node_plan = plan.clone();
+                let id = pb.task(meta, move |a, s| {
+                    let nq = node_qr(a, k0, w, &node_plan);
+                    s.0[step].nodes[ni].set(nq).expect("node ran twice");
+                });
+                // Reads + writes the participants' top block rows of the panel.
+                for r in &plan.row_ranges {
+                    pb.writes(id, row_blocks(r.clone(), b), step..step + 1);
+                }
+                node_qr_ids.push(id);
+            }
+            for (ni, plan) in plans.iter().enumerate() {
+                // `node_apply` is the structured form: identity top block,
+                // upper-trapezoidal blocks below it.
+                let s: usize = plan.row_ranges.iter().map(|r| r.len()).sum();
+                let v_len: usize =
+                    plan.row_ranges[1..].iter().map(|r| flops::upper_trapezoid_len(r.len(), plan.kk)).sum();
+                for &(jblk, jc0, wj, pr) in &trailing {
+                    let meta = TaskMeta::new(
+                        TaskLabel::new(TaskKind::Update, step, g + ni, jblk),
+                        flops::larfb_node(v_len, wj, plan.kk),
+                    )
+                    .with_bytes(traffic::larfb_node(v_len, s, wj, plan.kk))
+                    .with_priority(pr)
+                    .with_class(KernelClass::Larfb);
+                    let id = pb.task(meta, move |a, s| {
+                        let nq = s.0[step].nodes[ni].get().expect("node V/T not ready");
+                        node_apply(nq, a, jc0..jc0 + wj, Trans::Yes);
+                    });
+                    pb.graph.add_dep(node_qr_ids[ni], id); // the NodeQ (V, T scratch)
+                    for r in &plan.row_ranges {
+                        pb.writes(id, row_blocks(r.clone(), b), jblk..jblk + 1);
+                    }
+                }
+            }
+
+            panels.push(PanelSlots {
+                k0,
+                w,
+                k: w.min(m - k0),
+                leaves: (0..g).map(|_| OnceLock::new()).collect(),
+                nodes: (0..plans.len()).map(|_| OnceLock::new()).collect(),
+            });
         }
 
-        panels.push(PanelCtx {
-            k0,
-            c0,
-            w,
-            k,
-            groups: (0..g).map(|i| part.group(i)).collect(),
-            plans,
-            leaves: (0..g).map(|_| OnceLock::new()).collect(),
-            nodes: (0..node_qr_ids.len()).map(|_| OnceLock::new()).collect(),
-        });
-    }
+        // The tracker's per-block reasoning cannot see orderings already implied
+        // by the explicitly added edges (reduction tree, pivot broadcast), so it
+        // over-wires conflict edges a path already covers. Reduce to the minimal
+        // equivalent DAG: ready times and conflict orderings are unchanged, and
+        // the schedulers track fewer dependences.
+        ca_sched::reduce_transitive_edges(&mut pb.graph);
 
-    // The tracker's per-block reasoning cannot see orderings already implied
-    // by the explicitly added edges (reduction tree, pivot broadcast), so it
-    // over-wires conflict edges a path already covers. Reduce to the minimal
-    // equivalent DAG: ready times and conflict orderings are unchanged, and
-    // the schedulers track fewer dependences.
-    ca_sched::reduce_transitive_edges(&mut graph);
-
-    CaqrPlan { graph, access: tracker.into_access_map(), panels, n, b }
-}
-
-impl<T: Kernel> DagPlan<T> for CaqrPlan<T> {
-    type Task = CaqrTask;
-    type Factors = QrFactors<T>;
-
-    fn graph(&self) -> &TaskGraph<CaqrTask> {
-        &self.graph
-    }
-
-    fn access(&self) -> &AccessMap {
-        &self.access
-    }
-
-    // DAG executor: every access falls inside the footprint declared in
-    // build(), which `verify_graph` proves conflict-ordered.
-    #[allow(clippy::disallowed_methods)]
-    fn exec(&self, a: &SharedMatrix<T>, t: CaqrTask) {
-        let b = self.b;
-        let n = self.n;
-        match t {
-            CaqrTask::LeafQr { step, grp } => {
-                let ctx = &self.panels[step];
-                let leaf = leaf_qr(a, ctx.c0, ctx.w, ctx.groups[grp].clone());
-                ctx.leaves[grp].set(leaf).expect("leaf ran twice");
-            }
-            CaqrTask::LeafUpdate { step, grp, jblk } => {
-                let ctx = &self.panels[step];
-                let leaf = ctx.leaves[grp].get().expect("leaf T not ready");
-                let jc0 = jblk * b;
-                let wj = b.min(n - jc0);
-                leaf_apply(a, ctx.c0, leaf, a, jc0..jc0 + wj, Trans::Yes);
-            }
-            CaqrTask::NodeQr { step, node } => {
-                let ctx = &self.panels[step];
-                let nq = node_qr(a, ctx.c0, ctx.w, &ctx.plans[node]);
-                ctx.nodes[node].set(nq).expect("node ran twice");
-            }
-            CaqrTask::NodeUpdate { step, node, jblk } => {
-                let ctx = &self.panels[step];
-                let nq = ctx.nodes[node].get().expect("node V/T not ready");
-                let jc0 = jblk * b;
-                let wj = b.min(n - jc0);
-                node_apply(nq, a, jc0..jc0 + wj, Trans::Yes);
-            }
-        }
-    }
-
-    /// Gathers the per-panel `Q` representations after a successful run.
-    fn collect(self, shared: SharedMatrix<T>) -> QrFactors<T> {
-        let mut panels = Vec::with_capacity(self.panels.len());
-        for ctx in self.panels {
-            let leaves = ctx.leaves.into_iter().map(|l| l.into_inner().expect("leaf missing")).collect();
-            let nodes = ctx.nodes.into_iter().map(|n| n.into_inner().expect("node missing")).collect();
-            panels.push(PanelQ { k0: ctx.k0, c0: ctx.c0, w: ctx.w, k: ctx.k, leaves, nodes });
-        }
-        QrFactors { a: shared.into_inner(), panels }
+        pb.finish(CaqrSlots(panels), |a, s| {
+            let full = |ctx: PanelSlots<T>| PanelQ {
+                k0: ctx.k0,
+                c0: ctx.k0,
+                w: ctx.w,
+                k: ctx.k,
+                leaves: ctx.leaves.into_iter().map(|l| l.into_inner().expect("leaf missing")).collect(),
+                nodes: ctx.nodes.into_iter().map(|n| n.into_inner().expect("node missing")).collect(),
+            };
+            QrFactors { a, panels: s.0.into_iter().map(full).collect() }
+        })
     }
 }
 
 /// Builds just the task graph (for the multicore simulator and DAG figures).
-pub fn caqr_task_graph(m: usize, n: usize, p: &CaParams) -> TaskGraph<CaqrTask> {
-    build::<f64>(m, n, p).graph
-}
-
-/// Builds the task graph together with the declared footprints, for
-/// soundness verification ([`ca_sched::verify_graph`]) and checked
-/// simulation.
-pub fn caqr_task_graph_with_access(
-    m: usize,
-    n: usize,
-    p: &CaParams,
-) -> (TaskGraph<CaqrTask>, AccessMap) {
-    let plan = build::<f64>(m, n, p);
-    (plan.graph, plan.access)
-}
-
-/// Statically verifies the CAQR task graph for an `m × n` factorization:
-/// structural invariants, every pair of tasks with conflicting footprints
-/// ordered by a happens-before path, and the §III lookahead priority rule.
-pub fn verify_caqr(m: usize, n: usize, p: &CaParams) -> Result<VerifyReport, SoundnessError> {
-    verify_caqr_with(m, n, p, &ca_sched::VerifyOptions::default())
-}
-
-/// [`verify_caqr`] with explicit [`ca_sched::VerifyOptions`] (the
-/// edge-minimality lint passes).
-pub fn verify_caqr_with(
-    m: usize,
-    n: usize,
-    p: &CaParams,
-    opts: &ca_sched::VerifyOptions,
-) -> Result<VerifyReport, SoundnessError> {
-    let plan = build::<f64>(m, n, p);
-    ca_sched::verify_graph_with(&plan.graph, &plan.access, opts)
+pub fn caqr_task_graph(m: usize, n: usize, p: &CaParams) -> TaskGraph<()> {
+    CaqrPlan::build::<f64>(m, n, p).into_parts().0
 }
 
 #[cfg(test)]

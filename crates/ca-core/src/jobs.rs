@@ -21,11 +21,11 @@ use crate::calu::{calu_seq_factor, LuFactors};
 use crate::caqr::{caqr_seq, QrFactors};
 use crate::error::{find_non_finite, FactorError};
 use crate::params::CaParams;
-use crate::{dag_calu, dag_caqr};
+use crate::{CaluPlan, CaqrPlan};
 use ca_kernels::{flops, Kernel};
 use ca_matrix::{Matrix, SharedMatrix};
 use ca_sched::{
-    ChaosPlan, DagPlan, DynJob, RecoveryCounters, RetryPolicy, TaskFailure, TaskGraph, TaskId, TaskKind,
+    ChaosPlan, DynJob, Plan, RecoveryCounters, RetryPolicy, TaskFailure, TaskGraph, TaskId, TaskKind,
     TaskLabel, TaskMeta,
 };
 use std::sync::{Arc, OnceLock};
@@ -148,11 +148,11 @@ fn add_sink(
 /// The full DAG of the plan `build` makes for `a`'s shape, with an owning
 /// payload per task — wrapped for write-set snapshot/restore retry when
 /// `rec` is given — and a factor-collecting sink.
-fn graph_parts<T: Kernel, P: DagPlan<T>>(
+fn graph_parts<T: Kernel, S: Send + Sync + 'static, F: Send + Sync + 'static>(
     a: Matrix<T>,
     rec: Option<&JobRecovery>,
-    build: impl FnOnce(usize, usize) -> P,
-) -> Result<GraphParts<P::Factors>, FactorError> {
+    build: impl FnOnce(usize, usize) -> Plan<T, S, F>,
+) -> Result<GraphParts<F>, FactorError> {
     if let Some((row, col)) = find_non_finite(&a) {
         return Err(FactorError::NonFiniteInput { row, col });
     }
@@ -160,11 +160,11 @@ fn graph_parts<T: Kernel, P: DagPlan<T>>(
     let shared = Arc::new(SharedMatrix::new(a));
     let output = Arc::new(OnceLock::new());
 
-    let mut graph: TaskGraph<DynJob> = plan.graph().map_ref(|id, &spec| {
+    let mut graph: TaskGraph<DynJob> = plan.graph().map_ref(|id, _| {
         let plan = Arc::clone(&plan);
         let shared = Arc::clone(&shared);
         match rec {
-            None => ca_sched::dyn_job(move || plan.exec(&shared, spec)),
+            None => ca_sched::dyn_job(move || plan.run_task(id, &shared)),
             Some(r) => {
                 let label = plan.graph().meta(id).label;
                 let writes = ca_sched::write_set(plan.access(), id);
@@ -175,7 +175,7 @@ fn graph_parts<T: Kernel, P: DagPlan<T>>(
                     r.policy,
                     Arc::clone(&r.chaos),
                     Arc::clone(&r.counters),
-                    move || plan.exec(&shared, spec),
+                    move || plan.run_task(id, &shared),
                 )
             }
         }
@@ -207,7 +207,7 @@ pub fn calu_serve_graph(
     p: &CaParams,
     rec: Option<&JobRecovery>,
 ) -> Result<ServeGraph<LuFactors>, FactorError> {
-    let (graph, _, output) = graph_parts(a, rec, |m, n| dag_calu::build::<f64>(m, n, p))?;
+    let (graph, _, output) = graph_parts(a, rec, |m, n| CaluPlan::build(m, n, p))?;
     Ok(ServeGraph { graph, output })
 }
 
@@ -219,7 +219,7 @@ pub fn caqr_serve_graph(
     p: &CaParams,
     rec: Option<&JobRecovery>,
 ) -> Result<ServeGraph<QrFactors>, FactorError> {
-    let (graph, _, output) = graph_parts(a, rec, |m, n| dag_caqr::build::<f64>(m, n, p))?;
+    let (graph, _, output) = graph_parts(a, rec, |m, n| CaqrPlan::build(m, n, p))?;
     Ok(ServeGraph { graph, output })
 }
 
@@ -247,7 +247,7 @@ pub fn lu_solve_serve_graph(
         return Err(FactorError::NonFiniteInput { row, col });
     }
     let flops = 2.0 * (a.nrows() as f64) * (a.nrows() as f64) * (rhs.ncols() as f64);
-    let (mut graph, fsink, factors) = graph_parts(a, rec, |m, n| dag_calu::build::<f64>(m, n, p))?;
+    let (mut graph, fsink, factors) = graph_parts(a, rec, |m, n| CaluPlan::build(m, n, p))?;
     let output = Arc::new(OnceLock::new());
     let out = Arc::clone(&output);
     let solve = graph.add_task(
@@ -289,7 +289,7 @@ pub fn qr_lstsq_serve_graph(
         return Err(FactorError::NonFiniteInput { row, col });
     }
     let flops = 2.0 * (a.ncols() as f64) * (a.nrows() as f64) * (rhs.ncols() as f64);
-    let (mut graph, fsink, factors) = graph_parts(a, rec, |m, n| dag_caqr::build::<f64>(m, n, p))?;
+    let (mut graph, fsink, factors) = graph_parts(a, rec, |m, n| CaqrPlan::build(m, n, p))?;
     let output = Arc::new(OnceLock::new());
     let out = Arc::clone(&output);
     let solve = graph.add_task(

@@ -17,8 +17,14 @@
 //!   each resident superpanel.
 //! * [`tslu_factor`] / [`tsqr_factor`] — the panel factorizations as
 //!   standalone tall-and-skinny solvers (the paper's TSLU/TSQR benchmarks).
-//! * [`calu_task_graph`] / [`caqr_task_graph`] — the task DAGs alone, for
-//!   the multicore simulator and Figure-1-style renderings.
+//! * [`CaluPlan`] / [`CaqrPlan`] — `::build(m, n, &p)` makes the
+//!   factorization as a [`ca_sched::Plan`]: every task added once as its
+//!   cost, the closure that runs it and the blocks that closure touches.
+//!   [`calu_task_graph`] / [`caqr_task_graph`] are the task DAGs alone, for
+//!   the multicore simulator and Figure-1-style renderings. Static
+//!   soundness verification is [`ca_sched::verify_graph`] over a plan's
+//!   `graph()` and `access()`: it proves every conflicting block access in
+//!   the declared footprints is ordered by a happens-before path.
 //! * [`try_calu`] / [`try_caqr`] / [`try_tslu_factor`] / [`try_tsqr_factor`]
 //!   — fallible entry points that pre-scan inputs for NaN/Inf, monitor
 //!   per-panel element growth (degrading to plain GEPP on tournament
@@ -35,9 +41,6 @@
 //!   turn share one build → verify → wrap → [`ca_sched::execute`] → collect
 //!   path ([`ca_sched::run_plan`], which the baselines take too). [`try_calu_profiled`] / [`try_caqr_profiled`] are the shorthands
 //!   returning the [`ca_sched::Profile`] directly.
-//! * [`verify_calu`] / [`verify_caqr`] — static DAG soundness verification:
-//!   prove every conflicting block access in the builder's declared
-//!   footprints is ordered by a happens-before path.
 //! * [`jobs`] — the same DAGs as `'static` graphs for the serving tier's
 //!   [`ca_sched::MultiFrontier`].
 
@@ -73,11 +76,7 @@ pub use jobs::{
     calu_seq_serve_graph, calu_serve_graph, caqr_seq_serve_graph, caqr_serve_graph,
     lu_solve_serve_graph, one_task_serve_graph, qr_lstsq_serve_graph, JobRecovery, ServeGraph,
 };
-pub use dag_calu::{
-    calu_task_graph, calu_task_graph_with_access, verify_calu, verify_calu_with, CaluTask,
-};
+pub use dag_calu::{calu_task_graph, CaluPlan};
 pub use solve::{lu_packed_solve_in_place, RefineInfo};
-pub use dag_caqr::{
-    caqr_task_graph, caqr_task_graph_with_access, verify_caqr, verify_caqr_with, CaqrTask,
-};
+pub use dag_caqr::{caqr_task_graph, CaqrPlan};
 pub use params::{num_panels, partition_rows, CaParams, RowPartition, TreeShape};

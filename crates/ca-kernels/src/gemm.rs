@@ -14,8 +14,7 @@
 //! * the `jr`/`ir` register loops ([`macro_kernel`]) drive the microkernel
 //!   selected once per process by [`Kernel::spec`]: AVX-512F (16-row tiles),
 //!   AVX2+FMA, or a portable scalar kernel — per element type, checked via
-//!   `is_x86_feature_detected!`, overridable with `CA_KERNELS_FORCE_SCALAR`
-//!   or `CA_KERNELS_BACKEND`;
+//!   `is_x86_feature_detected!`, overridable with `CA_KERNELS_BACKEND`;
 //! * `m % mr` / `n % nr` remainders run the same full-size microkernel on
 //!   zero-padded panels and land in C through a stack tile.
 //!
@@ -123,13 +122,6 @@ const ALL_BACKENDS: &[Backend] = &[
 fn active_backend() -> Backend {
     static CACHE: OnceLock<Backend> = OnceLock::new();
     *CACHE.get_or_init(|| {
-        let forced = match std::env::var("CA_KERNELS_FORCE_SCALAR") {
-            Ok(v) => !v.is_empty() && v != "0",
-            Err(_) => false,
-        };
-        if forced {
-            return Backend::Scalar;
-        }
         if let Ok(name) = std::env::var("CA_KERNELS_BACKEND") {
             // Pin a specific backend (CI dispatch matrix); silently fall
             // back to detection when the host can't run it.
@@ -309,11 +301,6 @@ pub trait Kernel: Scalar {
     fn spec() -> &'static KernelSpec<Self> {
         Self::spec_of(active_backend())
     }
-
-    /// The portable scalar spec (always safe to run).
-    fn scalar_spec() -> &'static KernelSpec<Self> {
-        Self::spec_of(Backend::Scalar)
-    }
 }
 
 macro_rules! impl_kernel {
@@ -363,9 +350,8 @@ impl_kernel!(f32, F32_SCALAR, F32_AVX2, F32_AVX512);
 
 /// Name of the microkernel backend `gemm` dispatches to on this host:
 /// `"avx512f"`, `"avx2-fma"` or `"scalar"`. Scalar is selected when the CPU
-/// lacks the SIMD features or when the `CA_KERNELS_FORCE_SCALAR`
-/// environment variable is set (to anything but `0`);
-/// `CA_KERNELS_BACKEND=<name>` pins a specific supported backend. The
+/// lacks the SIMD features; the `CA_KERNELS_BACKEND=<name>` environment
+/// variable pins a specific supported backend (`scalar` always is). The
 /// choice is made once per process and shared by both element types.
 pub fn gemm_backend() -> &'static str {
     backend_label(active_backend())
@@ -408,24 +394,10 @@ pub fn gemm<T: Kernel>(
     gemm_on(T::spec(), ta, tb, alpha, a, b, beta, c);
 }
 
-/// [`gemm`] forced onto the portable scalar microkernel, regardless of CPU
-/// features or `CA_KERNELS_FORCE_SCALAR`. A testing hook: the conformance
-/// suite and the ASan job use it to exercise the fallback path in-process
-/// next to the dispatched one.
-pub fn gemm_force_scalar<T: Kernel>(
-    ta: Trans,
-    tb: Trans,
-    alpha: T,
-    a: MatView<'_, T>,
-    b: MatView<'_, T>,
-    beta: T,
-    c: MatViewMut<'_, T>,
-) {
-    gemm_on(T::scalar_spec(), ta, tb, alpha, a, b, beta, c);
-}
-
 /// [`gemm`] pinned to a named backend from [`gemm_available_backends`] —
-/// the in-process hook behind the backend × precision conformance matrix.
+/// the in-process hook behind the backend × precision conformance matrix
+/// (`"scalar"` runs the portable fallback next to the dispatched kernel
+/// whatever the CPU).
 ///
 /// # Panics
 /// If `name` is not a backend this host supports.

@@ -25,8 +25,8 @@
 //! three cache loops over [`NC`]/[`KC`]/[`MC`] around a register-tiled
 //! microkernel, runtime-dispatched per element type between AVX-512F,
 //! AVX2+FMA and a portable scalar fallback ([`gemm_backend`] reports which;
-//! `CA_KERNELS_FORCE_SCALAR` pins the scalar path and
-//! `CA_KERNELS_BACKEND=<name>` pins any supported backend). [`par_gemm`]
+//! `CA_KERNELS_BACKEND=<name>` pins any supported backend, `scalar`
+//! included). [`par_gemm`]
 //! runs the identical decomposition as worker tasks — bitwise-identical
 //! results at every worker count — and its pack/compute task bodies
 //! ([`pack_a_slab`], [`pack_b_panel`], [`gemm_packed`]) are exported for
@@ -51,7 +51,7 @@ mod trmm;
 mod trsm;
 
 pub use gemm::{
-    gemm, gemm_available_backends, gemm_backend, gemm_force_scalar, gemm_kernel_name,
+    gemm, gemm_available_backends, gemm_backend, gemm_kernel_name,
     gemm_with_backend, Backend, Kernel, KernelSpec, Trans, KC, MC, MR, NC, NR,
 };
 pub use ger::{ger, iamax, scal};

@@ -13,8 +13,8 @@
 //! Only the triangle's dimension is split, at points that depend on its order
 //! alone, and every element of the free dimension sees the same operations in
 //! the same order with the same rounding: a solve equals, bit for bit, the
-//! same solve on any partition of its free dimension (`CaluTask::LBlock` row
-//! groups, `CaluTask::URow` column chunks). No data-dependent skips — `0·∞` is
+//! same solve on any partition of its free dimension (CALU's `L`-block row
+//! groups, its `U`-row column chunks). No data-dependent skips — `0·∞` is
 //! NaN wherever the entry sits — and a zero diagonal yields `inf`/`NaN` as in
 //! BLAS, never a panic. No thread-local scratch is held.
 

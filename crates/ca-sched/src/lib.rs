@@ -16,9 +16,11 @@
 //!   job, lane 0 runs on the calling thread and the rest on scoped threads,
 //!   so jobs may borrow and a single-worker run spawns nothing.
 //!   [`run_graph`] is the panicking shorthand for the default options.
-//!   [`run_plan`] is the factorization path on top of it: a [`DagPlan`]
-//!   (graph, declared footprints, `exec`, `collect`) is verified, shadowed
-//!   and retry-wrapped as its [`FactorOptions`] ask, executed, collected.
+//!   [`run_plan`] is the factorization path on top of it: a [`Plan`] (graph,
+//!   declared footprints, one closure per task written beside the footprint
+//!   it touches, the run-time slots, a gather function — built through a
+//!   [`PlanBuilder`]) is verified, shadowed and retry-wrapped as its
+//!   [`FactorOptions`] ask, executed, gathered.
 //! * [`MultiFrontier`] — the same core behind an `Arc` with `n` spawned
 //!   threads, multiplexing many `'static` graphs ("jobs") for the serving
 //!   tier: fair-share dispatch across jobs, per-job cancellation and
@@ -136,7 +138,7 @@ pub use graph::TaskGraph;
 pub use multigraph::{
     CancelReason, JobId, JobOptions, JobOutcome, JobReport, JobWatch, MultiFrontier,
 };
-pub use plan::{run_plan, DagPlan, FactorOptions, Retry};
+pub use plan::{run_plan, FactorOptions, Plan, PlanBuilder, Retry};
 pub use profile::{
     ClassMetrics, KindMetrics, LatencyStats, LookaheadMetrics, PanelWait, Profile, QueueSample,
     SchedMetrics, TaskRecord,

@@ -545,6 +545,15 @@ impl Service {
         }
         let core = &self.core;
         core.admit()?;
+        // Until the frontier owns the job (whose completion hook frees the
+        // slot), leaving this function — `?`, or `build` unwinding — does.
+        struct Slot<'a>(&'a ServiceCore);
+        impl Drop for Slot<'_> {
+            fn drop(&mut self) {
+                self.0.release_one();
+            }
+        }
+        let slot = Slot(core);
         let rec = core.recovery_for_attempt();
         let deadline = opts.deadline.or(core.cfg.default_deadline);
         let retry = core.cfg.retry.map(|r| {
@@ -562,13 +571,7 @@ impl Service {
                 first_failure: None,
             })
         });
-        let sg = match build(rec.as_ref()) {
-            Ok(sg) => sg,
-            Err(e) => {
-                core.release_one();
-                return Err(ServeError::Invalid(e));
-            }
-        };
+        let sg = build(rec.as_ref()).map_err(ServeError::Invalid)?;
         let mut jopts = JobOptions::default().with_weight(opts.weight);
         if let Some(d) = deadline {
             jopts = jopts.with_deadline(d);
@@ -577,6 +580,7 @@ impl Service {
         series.submitted.inc();
         let tag = u64::from(series.index);
         let (id, watch) = core.frontier.submit(sg.graph, jopts.with_tag(tag));
+        std::mem::forget(slot);
         Ok(JobHandle { core: Arc::clone(core), id, watch, output: sg.output, series, retry })
     }
 
@@ -897,6 +901,30 @@ mod tests {
         let good = ca_matrix::random_uniform(16, 16, &mut seeded_rng(49));
         let h = svc.submit_lu(good, SubmitOptions::default()).expect("admit");
         h.wait().expect("completes");
+        svc.shutdown();
+    }
+
+    #[test]
+    fn empty_matrix_and_unwinding_build_free_the_slot() {
+        // Nothing to factor is not an error: every route returns empty
+        // factors, and the one slot comes back each time.
+        let svc = Service::new(
+            cfg(1).with_capacity(1).with_admission(AdmissionPolicy::Reject),
+        );
+        for (m, n) in [(0usize, 0usize), (0, 5), (5, 0)] {
+            for opts in [SubmitOptions::default(), SubmitOptions::default().unbatched()] {
+                let lu = svc.submit_lu(Matrix::zeros(m, n), opts.clone()).expect("admit");
+                assert!(lu.wait().expect("completes").pivots.ipiv.is_empty(), "lu {m}x{n}");
+                let qr = svc.submit_qr(Matrix::zeros(m, n), opts).expect("admit");
+                assert!(qr.wait().expect("completes").panels.is_empty(), "qr {m}x{n}");
+                assert_eq!(svc.active_jobs(), 0, "{m}x{n} leaked a slot");
+            }
+        }
+        // Nor does a graph build that unwinds keep its slot.
+        let boom = |_: Option<&JobRecovery>| -> Built<()> { panic!("build unwound") };
+        let submit = || svc.submit_job(SubmitOptions::default(), "lu", boom, None).map(drop);
+        assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(submit)).is_err());
+        assert_eq!(svc.active_jobs(), 0, "an unwinding build leaked a slot");
         svc.shutdown();
     }
 

@@ -12,12 +12,12 @@
 //! Matrices are Matrix Market files (dense `array` or sparse `coordinate`).
 
 use ca_factor::baselines::{BlockedLuPlan, BlockedQrPlan, TiledLuPlan, TiledQrPlan};
-use ca_factor::core::{try_calu_with, try_caqr_with, FactorOptions};
+use ca_factor::core::{try_calu_with, try_caqr_with, CaluPlan, CaqrPlan, FactorOptions};
 use ca_factor::kernels::Kernel;
 use ca_factor::matrix::io::{read_matrix_market_file, write_matrix_market_file};
 use ca_factor::matrix::{norm_one, random_uniform, seeded_rng, Matrix};
 use ca_factor::prelude::*;
-use ca_factor::sched::{verify_graph_with, DagPlan, VerifyOptions};
+use ca_factor::sched::{verify_graph_with, Plan, VerifyOptions};
 use std::process::exit;
 use std::time::Instant;
 
@@ -624,52 +624,41 @@ fn cmd_verify(sub: &str, o: &Opts) {
     let (m, n) = (a.nrows(), a.ncols());
     let p = params(o, n);
     let vopts = VerifyOptions { lint_edges: o.lint_edges };
-    let report = match sub {
-        "lu" => ca_factor::core::verify_calu_with(m, n, &p, &vopts),
-        "qr" => ca_factor::core::verify_caqr_with(m, n, &p, &vopts),
-        _ => usage(),
-    }
-    .unwrap_or_else(|v| {
-        eprintln!("cafactor: static soundness violation: {v}");
-        exit(soundness_exit_code(&v))
-    });
-    println!(
-        "static verify {sub} {m}x{n}  b={} Tr={} tree={:?}: {report}",
-        p.b, p.tr, p.tree
-    );
-    let mut minimality_findings =
-        report.lint.as_ref().map_or(0, |l| l.minimality_findings());
 
-    /// Proves one baseline plan; returns its minimality findings. The
-    /// lookahead rule is CALU/CAQR's claim, not the baselines' (the tiled
-    /// ones have no lookahead on purpose, the blocked ones are fork-join),
-    /// so their reports go out without those warnings.
-    fn baseline_findings<P: DagPlan<f64>>(name: &str, plan: P, vopts: &VerifyOptions) -> usize {
-        let (b, m, n) = plan.access().geometry();
+    /// Proves one plan; returns its minimality findings. The lookahead rule
+    /// is CALU/CAQR's claim, not the baselines' (the tiled ones have no
+    /// lookahead on purpose, the blocked ones are fork-join), so a baseline's
+    /// report goes out without those warnings.
+    fn findings<S, F>(name: &str, plan: Plan<f64, S, F>, baseline: bool, vopts: &VerifyOptions) -> usize {
         let mut report = verify_graph_with(plan.graph(), plan.access(), vopts)
             .unwrap_or_else(|v| {
-                eprintln!("cafactor: static soundness violation ({name} baseline): {v}");
+                eprintln!("cafactor: static soundness violation ({name}): {v}");
                 exit(soundness_exit_code(&v))
             });
-        report.lookahead_warnings.clear();
-        println!("static verify {name} baseline {m}x{n}  b={b}: {report}");
+        if baseline {
+            report.lookahead_warnings.clear();
+        }
+        println!("static verify {name}: {report}");
         report.lint.as_ref().map_or(0, |l| l.minimality_findings())
     }
     let (b, strips) = (p.b, p.threads);
-    minimality_findings += match sub {
+    let ca = format!("{sub} {m}x{n}  b={b} Tr={} tree={:?}", p.tr, p.tree);
+    let baseline = |kind: &str| format!("{kind} {} baseline {m}x{n}  b={b}", sub.to_uppercase());
+    let minimality_findings = match sub {
         "lu" => {
-            baseline_findings("tiled LU", TiledLuPlan::build(m, n, b), &vopts)
-                + baseline_findings("blocked LU", BlockedLuPlan::build(m, n, b, strips), &vopts)
+            findings(&ca, CaluPlan::build(m, n, &p), false, &vopts)
+                + findings(&baseline("tiled"), TiledLuPlan::build(m, n, b), true, &vopts)
+                + findings(&baseline("blocked"), BlockedLuPlan::build(m, n, b, strips), true, &vopts)
         }
-        _ => {
+        "qr" => {
+            let mut found = findings(&ca, CaqrPlan::build(m, n, &p), false, &vopts);
             // tiled QR handles tall/square matrices only
-            let tiled = if m >= n {
-                baseline_findings("tiled QR", TiledQrPlan::build(m, n, b), &vopts)
-            } else {
-                0
-            };
-            tiled + baseline_findings("blocked QR", BlockedQrPlan::build(m, n, b, strips), &vopts)
+            if m >= n {
+                found += findings(&baseline("tiled"), TiledQrPlan::build(m, n, b), true, &vopts);
+            }
+            found + findings(&baseline("blocked"), BlockedQrPlan::build(m, n, b, strips), true, &vopts)
         }
+        _ => usage(),
     };
     if minimality_findings > 0 {
         eprintln!(

@@ -121,12 +121,11 @@ fn tiled_qr_baseline_residual_and_orthogonality() {
 
 #[test]
 fn accuracy_is_backend_independent() {
-    // The same factorization under the forced-scalar kernel must meet the
-    // same bounds (run in-process via the force_scalar hook path: CALU/CAQR
-    // call `gemm`, whose backend is dispatch-cached per process — so here we
-    // assert the *bound*, not bitwise equality, under whichever backend the
-    // process selected; CI runs the whole suite again under
-    // `CA_KERNELS_FORCE_SCALAR=1` to pin the other path).
+    // The same factorization under the scalar kernel must meet the same
+    // bounds (CALU/CAQR call `gemm`, whose backend is dispatch-cached per
+    // process — so here we assert the *bound*, not bitwise equality, under
+    // whichever backend the process selected; CI runs the whole suite again
+    // under `CA_KERNELS_BACKEND=scalar` to pin the other path).
     let (m, n) = (200, 56);
     let a = random_uniform(m, n, &mut seeded_rng(77));
     let mut p = CaParams::new(8, 4, 3);

@@ -113,7 +113,6 @@ fn facade_prelude_covers_the_basics() {
 fn rectangular_tiled_lu_graph_and_tall_factorization() {
     // Tall-skinny tiled LU (rectangular grid) — the Figure 5/6/7 PLASMA
     // configuration.
-    use ca_factor::sched::DagPlan;
     let plan = ca_factor::baselines::TiledLuPlan::build(5000, 200, 100);
     plan.graph().validate();
     assert!(plan.graph().total_flops() > 0.0);

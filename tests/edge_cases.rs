@@ -15,6 +15,29 @@ fn one_by_one_matrices() {
 }
 
 #[test]
+fn empty_matrices_factor_to_empty_factors() {
+    // Nothing to factor is not an error, on the DAG path (plain and checked),
+    // the sequential one, or in either precision.
+    use ca_factor::core::{try_calu_with, try_caqr_with, FactorOptions};
+    let p = CaParams::new(4, 2, 2);
+    let checked = FactorOptions { checked: true, ..Default::default() };
+    for (m, n) in [(0usize, 0usize), (0, 7), (7, 0)] {
+        let a: Matrix = Matrix::zeros(m, n);
+        let lu = try_calu(a.clone(), &p).unwrap_or_else(|e| panic!("calu {m}x{n}: {e}"));
+        assert_eq!((lu.lu.nrows(), lu.lu.ncols(), lu.pivots.len()), (m, n, 0));
+        assert_eq!(lu.pivots.ipiv, calu_seq_factor(a.clone(), &p).pivots.ipiv);
+        try_calu_with(a.clone(), &p, &checked).unwrap_or_else(|e| panic!("calu {m}x{n}: {e}"));
+        let qr = try_caqr(a.clone(), &p).unwrap_or_else(|e| panic!("caqr {m}x{n}: {e}"));
+        assert_eq!((qr.a.nrows(), qr.a.ncols(), qr.panels.len()), (m, n, 0));
+        assert!(caqr_seq(a.clone(), &p).panels.is_empty());
+        try_caqr_with(a, &p, &checked).unwrap_or_else(|e| panic!("caqr {m}x{n}: {e}"));
+        let a32 = Matrix::<f32>::zeros(m, n);
+        assert!(try_calu(a32.clone(), &p).expect("calu f32").pivots.ipiv.is_empty());
+        assert!(try_caqr(a32, &p).expect("caqr f32").panels.is_empty());
+    }
+}
+
+#[test]
 fn single_column_and_single_row() {
     let col = random_uniform(50, 1, &mut seeded_rng(1));
     let f = calu(col.clone(), &CaParams::new(1, 4, 2));

@@ -14,7 +14,7 @@
 //!   must produce identical bits (the scheduler replays tasks on arbitrary
 //!   workers, and PR-1 recovery relies on replay determinism).
 
-use ca_factor::kernels::{gemm, gemm_force_scalar, Trans, KC, MR, NR};
+use ca_factor::kernels::{gemm, gemm_backend, gemm_with_backend, Trans, KC, MR, NR};
 use ca_factor::matrix::{random_uniform, seeded_rng, Matrix};
 use proptest::prelude::*;
 
@@ -80,7 +80,7 @@ fn check(ta: Trans, tb: Trans, alpha: f64, beta: f64, m: usize, n: usize, k: usi
     let mut got = c0.clone();
     gemm(ta, tb, alpha, a.view(), b.view(), beta, got.view_mut());
     let mut got_scalar = c0.clone();
-    gemm_force_scalar(ta, tb, alpha, a.view(), b.view(), beta, got_scalar.view_mut());
+    gemm_with_backend("scalar", ta, tb, alpha, a.view(), b.view(), beta, got_scalar.view_mut());
 
     let t = tol(k);
     for j in 0..n {
@@ -160,9 +160,9 @@ fn beta_zero_overwrites_non_finite_garbage() {
     let mut rng = seeded_rng(3);
     let a = random_uniform(MR + 1, 3, &mut rng);
     let b = random_uniform(3, NR + 1, &mut rng);
-    for f in [gemm, gemm_force_scalar] {
+    for backend in [gemm_backend(), "scalar"] {
         let mut c = Matrix::from_fn(MR + 1, NR + 1, |_, _| f64::NAN);
-        f(Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0, c.view_mut());
+        gemm_with_backend(backend, Trans::No, Trans::No, 1.0, a.view(), b.view(), 0.0, c.view_mut());
         let mut want = Matrix::zeros(MR + 1, NR + 1);
         gemm_oracle(Trans::No, Trans::No, 1.0, &a, &b, 0.0, &mut want, 3);
         for j in 0..want.ncols() {
@@ -188,9 +188,10 @@ fn strided_interior_views_leave_frame_intact() {
     let mut want = Matrix::from_fn(m, n, |i, j| pc0[(i + 1, j + 1)]);
     gemm_oracle(Trans::No, Trans::No, 0.37, &a, &b, -1.0, &mut want, k);
 
-    for f in [gemm, gemm_force_scalar] {
+    for backend in [gemm_backend(), "scalar"] {
         let mut pc = pc0.clone();
-        f(
+        gemm_with_backend(
+            backend,
             Trans::No,
             Trans::No,
             0.37,
@@ -272,7 +273,7 @@ proptest! {
 // par_gemm against serial gemm bit for bit at every worker count.
 // ---------------------------------------------------------------------------
 
-use ca_factor::kernels::{gemm_available_backends, gemm_with_backend, par_gemm};
+use ca_factor::kernels::{gemm_available_backends, par_gemm};
 use ca_factor::matrix::Scalar;
 
 /// Random operands for one configuration, generated in f64 and rounded to
@@ -322,7 +323,7 @@ fn check_t<T: Scalar + ca_factor::kernels::Kernel>(
     let mut got = c0.clone();
     gemm(ta, tb, al, a.view(), b.view(), be, got.view_mut());
     let mut got_scalar = c0.clone();
-    gemm_force_scalar(ta, tb, al, a.view(), b.view(), be, got_scalar.view_mut());
+    gemm_with_backend("scalar", ta, tb, al, a.view(), b.view(), be, got_scalar.view_mut());
 
     let t = tol_t::<T>(k);
     for j in 0..n {

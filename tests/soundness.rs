@@ -8,12 +8,11 @@
 use ca_factor::baselines::{BlockedLuPlan, BlockedQrPlan, TiledLuPlan, TiledQrPlan};
 use ca_factor::bench::Algo;
 use ca_factor::core::{
-    calu_task_graph_with_access, caqr_task_graph_with_access, try_calu_with, try_caqr_with,
-    verify_calu, verify_caqr, CaParams, FactorOptions, TreeShape,
+    try_calu_with, try_caqr_with, CaParams, CaluPlan, CaqrPlan, FactorOptions, TreeShape,
 };
-use ca_factor::matrix::{random_uniform, seeded_rng};
+use ca_factor::matrix::{random_uniform, seeded_rng, Scalar};
 use ca_factor::sched::{
-    run_plan, verify_graph_with, AccessMap, DagPlan, Profile, SoundnessError, TaskGraph,
+    run_plan, verify_graph, verify_graph_with, Plan, Profile, SoundnessError, TaskGraph,
     VerifyOptions,
 };
 use ca_factor::Matrix;
@@ -35,7 +34,8 @@ fn static_verifier_accepts_calu_across_shapes_and_trees() {
     for &(m, n, b) in &[(192usize, 192usize, 32usize), (400, 40, 20), (250, 90, 30)] {
         for tree in [TreeShape::Binary, TreeShape::Flat] {
             let p = params(b, tree);
-            let report = verify_calu(m, n, &p)
+            let plan = CaluPlan::build::<f64>(m, n, &p);
+            let report = verify_graph(plan.graph(), plan.access())
                 .unwrap_or_else(|e| panic!("CALU {m}x{n} {tree:?} unsound: {e}"));
             assert!(report.conflict_pairs > 0, "CALU {m}x{n}: no conflicts proven ordered");
         }
@@ -47,7 +47,8 @@ fn static_verifier_accepts_caqr_across_shapes_and_trees() {
     for &(m, n, b) in &[(192usize, 192usize, 32usize), (400, 40, 20), (250, 90, 30)] {
         for tree in [TreeShape::Binary, TreeShape::Flat] {
             let p = params(b, tree);
-            let report = verify_caqr(m, n, &p)
+            let plan = CaqrPlan::build::<f64>(m, n, &p);
+            let report = verify_graph(plan.graph(), plan.access())
                 .unwrap_or_else(|e| panic!("CAQR {m}x{n} {tree:?} unsound: {e}"));
             assert!(report.conflict_pairs > 0, "CAQR {m}x{n}: no conflicts proven ordered");
         }
@@ -62,15 +63,15 @@ fn removing_a_calu_edge_is_caught_and_names_the_conflicting_tasks() {
     // of a conflicting pair (some edges are transitively redundant), and
     // each rejection must name two real tasks by label.
     let p = params(32, TreeShape::Binary);
-    let (g0, _) = calu_task_graph_with_access(96, 96, &p);
+    let (g0, _) = CaluPlan::build::<f64>(96, 96, &p).into_parts();
     let edges: Vec<(usize, usize)> = (0..g0.len())
         .flat_map(|i| g0.successors(i).iter().map(move |&s| (i, s)))
         .collect();
     let mut rejected = 0usize;
     for &(a, b) in &edges {
-        let (mut g, access) = calu_task_graph_with_access(96, 96, &p);
+        let (mut g, access) = CaluPlan::build::<f64>(96, 96, &p).into_parts();
         assert!(g.remove_dep(a, b));
-        match ca_factor::sched::verify_graph(&g, &access) {
+        match verify_graph(&g, &access) {
             Ok(_) => {}
             Err(SoundnessError::UnorderedConflict {
                 first, second, first_label, second_label, rect, ..
@@ -124,24 +125,11 @@ fn calu_and_caqr_graphs_are_conflict_minimal() {
     // The minimality half of the analysis: no edge of a production graph is
     // unjustified by a footprint conflict, and none is transitively
     // redundant (the builders reduce their graphs before returning).
-    use ca_factor::core::{verify_calu_with, verify_caqr_with};
-    let opts = VerifyOptions { lint_edges: true };
     for &(m, n, b) in &[(192usize, 192usize, 32usize), (256, 96, 32)] {
         for tree in [TreeShape::Binary, TreeShape::Flat] {
             let p = params(b, tree);
-            for (name, report) in [
-                ("CALU", verify_calu_with(m, n, &p, &opts).expect("sound")),
-                ("CAQR", verify_caqr_with(m, n, &p, &opts).expect("sound")),
-            ] {
-                let lint = report.lint.as_ref().expect("lint requested");
-                assert_eq!(
-                    lint.minimality_findings(),
-                    0,
-                    "{name} {m}x{n} {tree:?}: {} unnecessary + {} redundant edge(s)",
-                    lint.unnecessary_edges.len(),
-                    lint.redundant_edges.len()
-                );
-            }
+            minimal(&CaluPlan::build::<f64>(m, n, &p));
+            minimal(&CaqrPlan::build::<f64>(m, n, &p));
         }
     }
 }
@@ -266,8 +254,17 @@ fn pinned_rows() -> [PinnedRow; 20] {
     ]
 }
 
-/// Runs a baseline plan on 4 workers under `opts`; returns what it executed.
-fn run_baseline<P: DagPlan<f64>>(plan: P, a: Matrix, opts: &FactorOptions<'_>) -> Fingerprint {
+/// Lint-clean static proof of a plan's graph; returns its fingerprint.
+fn minimal<T: Scalar, S, F>(plan: &Plan<T, S, F>) -> Fingerprint {
+    let report = verify_graph_with(plan.graph(), plan.access(), &VerifyOptions { lint_edges: true })
+        .unwrap_or_else(|e| panic!("unsound: {e}"));
+    let lint = report.lint.expect("lint requested");
+    assert_eq!(lint.minimality_findings(), 0, "{lint:?}");
+    fingerprint(plan.graph())
+}
+
+/// Runs a plan on 4 workers under `opts`; returns what it executed.
+fn run<T: Scalar, S: Sync, F>(plan: Plan<T, S, F>, a: Matrix<T>, opts: &FactorOptions<'_>) -> Fingerprint {
     let (_, report) = run_plan(plan, a, 4, opts).unwrap_or_else(|e| panic!("{e}"));
     executed(report.profile())
 }
@@ -278,23 +275,18 @@ fn f32_plans_execute_the_pinned_f64_graphs() {
     // edge for edge, the pinned row of its builder — for CALU/CAQR in f32
     // too, graph shape does not depend on the element type — and the graph
     // `Algo::task_graph` hands the simulator for the same contender.
-    use ca_factor::core::{try_calu_profiled, try_caqr_profiled};
     use Builder::*;
     for (builder, m, n, pinned) in pinned_rows() {
         let a = random_uniform(m, n, &mut seeded_rng(14));
         let a32 = Matrix::<f32>::from_f64(&a);
         let plain = FactorOptions::default();
         let got = match builder {
-            Calu(p) => executed(try_calu_profiled(a32, &p).unwrap_or_else(|e| panic!("{e}")).1),
-            Caqr(p) => executed(try_caqr_profiled(a32, &p).unwrap_or_else(|e| panic!("{e}")).1),
-            TiledLu(b) => run_baseline(TiledLuPlan::build(m, n, b), a, &plain),
-            TiledQr(b) => run_baseline(TiledQrPlan::build(m, n, b), a, &plain),
-            GetrfBlocked(nb, strips) => {
-                run_baseline(BlockedLuPlan::build(m, n, nb, strips), a, &plain)
-            }
-            GeqrfBlocked(nb, strips) => {
-                run_baseline(BlockedQrPlan::build(m, n, nb, strips), a, &plain)
-            }
+            Calu(p) => run(CaluPlan::build(m, n, &p), a32, &plain),
+            Caqr(p) => run(CaqrPlan::build(m, n, &p), a32, &plain),
+            TiledLu(b) => run(TiledLuPlan::build(m, n, b), a, &plain),
+            TiledQr(b) => run(TiledQrPlan::build(m, n, b), a, &plain),
+            GetrfBlocked(nb, strips) => run(BlockedLuPlan::build(m, n, nb, strips), a, &plain),
+            GeqrfBlocked(nb, strips) => run(BlockedQrPlan::build(m, n, nb, strips), a, &plain),
         };
         assert_eq!(got, pinned, "{builder:?} {m}x{n}: executed graph");
         if let Some((algo, cores)) = builder.algo() {
@@ -309,35 +301,20 @@ fn builder_graphs_are_pinned_minimal_and_run_clean_checked() {
     // Every pinned row must also be conflict-minimal under the lint and run
     // clean under the race detector.
     use Builder::*;
-    fn minimal<T>(g: &TaskGraph<T>, access: &AccessMap) -> Fingerprint {
-        let report = verify_graph_with(g, access, &VerifyOptions { lint_edges: true })
-            .unwrap_or_else(|e| panic!("unsound: {e}"));
-        let lint = report.lint.expect("lint requested");
-        assert_eq!(lint.minimality_findings(), 0, "{lint:?}");
-        fingerprint(g)
-    }
-    fn baseline<P: DagPlan<f64>>(plan: P, a: Matrix) -> Fingerprint {
-        let built = minimal(plan.graph(), plan.access());
-        assert_eq!(run_baseline(plan, a, &checked()), built);
+    fn check<S: Sync, F>(plan: Plan<f64, S, F>, a: Matrix) -> Fingerprint {
+        let built = minimal(&plan);
+        assert_eq!(run(plan, a, &checked()), built);
         built
     }
     for (builder, m, n, pinned) in pinned_rows() {
         let a = random_uniform(m, n, &mut seeded_rng(14));
         let got = match builder {
-            Calu(p) => {
-                let (g, access) = calu_task_graph_with_access(m, n, &p);
-                try_calu_with(a, &p, &checked()).unwrap_or_else(|e| panic!("{builder:?}: {e}"));
-                minimal(&g, &access)
-            }
-            Caqr(p) => {
-                let (g, access) = caqr_task_graph_with_access(m, n, &p);
-                try_caqr_with(a, &p, &checked()).unwrap_or_else(|e| panic!("{builder:?}: {e}"));
-                minimal(&g, &access)
-            }
-            TiledLu(b) => baseline(TiledLuPlan::build(m, n, b), a),
-            TiledQr(b) => baseline(TiledQrPlan::build(m, n, b), a),
-            GetrfBlocked(nb, strips) => baseline(BlockedLuPlan::build(m, n, nb, strips), a),
-            GeqrfBlocked(nb, strips) => baseline(BlockedQrPlan::build(m, n, nb, strips), a),
+            Calu(p) => check(CaluPlan::build(m, n, &p), a),
+            Caqr(p) => check(CaqrPlan::build(m, n, &p), a),
+            TiledLu(b) => check(TiledLuPlan::build(m, n, b), a),
+            TiledQr(b) => check(TiledQrPlan::build(m, n, b), a),
+            GetrfBlocked(nb, strips) => check(BlockedLuPlan::build(m, n, nb, strips), a),
+            GeqrfBlocked(nb, strips) => check(BlockedQrPlan::build(m, n, nb, strips), a),
         };
         assert_eq!(got, pinned, "{builder:?} {m}x{n}: (tasks, edges, edge hash) moved");
     }
