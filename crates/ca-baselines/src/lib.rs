@@ -34,7 +34,11 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// Runs a blocked plan over `a` in place on `threads` workers.
-fn run_in_place<S: Sync, F>(plan: Plan<f64, S, (Matrix, F)>, a: &mut Matrix, threads: usize) -> F {
+fn run_in_place<S: Send + Sync + 'static, F: 'static>(
+    plan: Plan<f64, S, (Matrix, F)>,
+    a: &mut Matrix,
+    threads: usize,
+) -> F {
     let owned = std::mem::replace(a, Matrix::zeros(0, 0));
     let ((factored, f), _) = ca_sched::run_plan(plan, owned, threads, &Default::default())
         .unwrap_or_else(|e| panic!("{e}"));

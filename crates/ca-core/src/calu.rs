@@ -8,7 +8,7 @@
 
 use crate::dag_calu::CaluPlan;
 use ca_sched::{run_plan, FactorOptions};
-use crate::error::{find_non_finite, FactorError, DEFAULT_GROWTH_LIMIT};
+use crate::error::{require_finite, FactorError, DEFAULT_GROWTH_LIMIT};
 use crate::params::CaParams;
 use crate::tslu::factor_panel_limited;
 use ca_kernels::{
@@ -246,28 +246,30 @@ pub fn calu<T: Kernel>(a: Matrix<T>, p: &CaParams) -> LuFactors<T> {
 
 /// TSLU as a standalone factorization of a tall-and-skinny matrix: a single
 /// panel of width `n` (the paper's TSLU benchmark configuration).
-pub fn tslu_factor<T: Kernel>(mut a: Matrix<T>, tr: usize, p: &CaParams) -> LuFactors<T> {
-    let n = a.ncols();
-    let params = CaParams { b: n.max(1), tr, ..*p };
-    let (pivots, breakdown, stats) = calu_seq_stats(&mut a, &params);
-    LuFactors { lu: a, pivots, breakdown, stats }
+pub fn tslu_factor<T: Kernel>(a: Matrix<T>, tr: usize, p: &CaParams) -> LuFactors<T> {
+    let params = CaParams { b: a.ncols().max(1), tr, ..*p };
+    calu_seq_factor(a, &params)
 }
 
-/// Substitutes the finite [`DEFAULT_GROWTH_LIMIT`] when the caller left
-/// growth monitoring disabled — the `try_*` contract always monitors.
-fn monitored(p: &CaParams) -> CaParams {
-    if p.growth_limit.is_finite() {
-        *p
-    } else {
-        p.with_growth_limit(DEFAULT_GROWTH_LIMIT)
-    }
+/// The `try_calu` contract ahead of the run, whoever owns the workers
+/// ([`try_calu_with`] one-shot, [`crate::calu_serve_graph`] served): the
+/// NaN/Inf pre-scan, then the parameters with growth monitoring on — the
+/// finite [`DEFAULT_GROWTH_LIMIT`] substituted when the caller left it
+/// disabled. [`check_factors`] under the same parameters is the half that
+/// follows the run.
+pub(crate) fn monitored<T: Scalar>(a: &Matrix<T>, p: &CaParams) -> Result<CaParams, FactorError> {
+    require_finite(a)?;
+    Ok(if p.growth_limit.is_finite() { *p } else { p.with_growth_limit(DEFAULT_GROWTH_LIMIT) })
 }
 
 /// Maps post-factorization diagnostics to the `try_*` error contract:
 /// exact breakdown wins, then any panel whose growth (even after the GEPP
 /// fallback) broke the limit. A successful fallback is *not* an error —
 /// the degradation is recorded in [`LuStats::fallback_panels`].
-fn check_factors<T: Scalar>(f: LuFactors<T>, p: &CaParams) -> Result<LuFactors<T>, FactorError> {
+pub(crate) fn check_factors<T: Scalar>(
+    f: LuFactors<T>,
+    p: &CaParams,
+) -> Result<LuFactors<T>, FactorError> {
     if let Some(col) = f.breakdown {
         return Err(FactorError::ZeroPivot { col });
     }
@@ -296,12 +298,9 @@ pub fn try_calu<T: Kernel>(a: Matrix<T>, p: &CaParams) -> Result<LuFactors<T>, F
 pub fn try_calu_with<T: Kernel>(
     a: Matrix<T>,
     p: &CaParams,
-    opts: &FactorOptions<'_>,
+    opts: &FactorOptions,
 ) -> Result<(LuFactors<T>, ca_sched::RunReport), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let params = monitored(p);
+    let params = monitored(&a, p)?;
     let plan = CaluPlan::build(a.nrows(), a.ncols(), &params);
     let (f, report) = run_plan(plan, a, params.threads, opts)?;
     check_factors(f, &params).map(|f| (f, report))
@@ -327,11 +326,7 @@ pub fn try_tslu_factor<T: Kernel>(
     tr: usize,
     p: &CaParams,
 ) -> Result<LuFactors<T>, FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let n = a.ncols();
-    let params = monitored(&CaParams { b: n.max(1), tr, ..*p });
+    let params = monitored(&a, &CaParams { b: a.ncols().max(1), tr, ..*p })?;
     check_factors(tslu_factor(a, tr, &params), &params)
 }
 

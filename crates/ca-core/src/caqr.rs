@@ -9,7 +9,7 @@
 
 use crate::dag_caqr::CaqrPlan;
 use ca_sched::{run_plan, FactorOptions};
-use crate::error::{find_non_finite, FactorError};
+use crate::error::{require_finite, FactorError};
 use crate::params::{num_panels, partition_rows, CaParams};
 use crate::tsqr::{leaf_apply, leaf_qr, node_apply, node_qr, panel_apply, plan_panel, PanelQ};
 use ca_kernels::{trsm_left_upper_notrans, Kernel, Trans};
@@ -194,11 +194,9 @@ pub fn try_caqr<T: Kernel>(a: Matrix<T>, p: &CaParams) -> Result<QrFactors<T>, F
 pub fn try_caqr_with<T: Kernel>(
     a: Matrix<T>,
     p: &CaParams,
-    opts: &FactorOptions<'_>,
+    opts: &FactorOptions,
 ) -> Result<(QrFactors<T>, ca_sched::RunReport), FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
+    require_finite(&a)?;
     Ok(run_plan(CaqrPlan::build(a.nrows(), a.ncols(), p), a, p.threads, opts)?)
 }
 
@@ -217,9 +215,7 @@ pub fn try_tsqr_factor<T: Kernel>(
     tr: usize,
     p: &CaParams,
 ) -> Result<QrFactors<T>, FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
+    require_finite(&a)?;
     Ok(tsqr_factor(a, tr, p))
 }
 

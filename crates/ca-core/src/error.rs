@@ -140,17 +140,18 @@ impl From<ca_sched::CheckedError> for FactorError {
     }
 }
 
-/// Position `(row, col)` of the first non-finite entry, scanning in
-/// column-major order, or `None` when every entry is finite.
-pub(crate) fn find_non_finite<T: ca_matrix::Scalar>(a: &Matrix<T>) -> Option<(usize, usize)> {
-    for j in 0..a.ncols() {
-        for i in 0..a.nrows() {
-            if !a[(i, j)].is_finite() {
-                return Some((i, j));
+/// The pre-scan every fallible entry point runs on what it is given:
+/// [`FactorError::NonFiniteInput`] at the first NaN or infinity of `a`,
+/// scanning in column-major order.
+pub(crate) fn require_finite<T: ca_matrix::Scalar>(a: &Matrix<T>) -> Result<(), FactorError> {
+    for col in 0..a.ncols() {
+        for row in 0..a.nrows() {
+            if !a[(row, col)].is_finite() {
+                return Err(FactorError::NonFiniteInput { row, col });
             }
         }
     }
-    None
+    Ok(())
 }
 
 #[cfg(test)]
@@ -180,7 +181,7 @@ mod tests {
         let mut a = Matrix::zeros(4, 4);
         a[(2, 1)] = f64::NAN;
         a[(0, 3)] = f64::INFINITY;
-        assert_eq!(find_non_finite(&a), Some((2, 1)));
-        assert_eq!(find_non_finite(&Matrix::<f64>::zeros(3, 3)), None);
+        assert_eq!(require_finite(&a), Err(FactorError::NonFiniteInput { row: 2, col: 1 }));
+        assert_eq!(require_finite(&Matrix::<f64>::zeros(3, 3)), Ok(()));
     }
 }

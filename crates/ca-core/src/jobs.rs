@@ -1,312 +1,171 @@
-//! `'static` task graphs for the serving runtime (`ca-serve`).
+//! Served jobs: the DAGs of [`crate::calu`] / [`crate::caqr`] on somebody
+//! else's workers.
 //!
-//! The one-shot entry points ([`crate::calu`], [`crate::caqr`]) build jobs
-//! that borrow the plan and matrix from the submitting stack frame — fine
-//! when the caller blocks until the graph drains. A service job outlives
-//! its submission call, so the builders here produce graphs of owning
-//! [`DynJob`] closures (`Arc`-shared plan and matrix) plus a *sink task*
-//! that assembles the result once every compute task has finished:
-//!
-//! * Every compute task holds an `Arc` to the plan and the shared matrix
-//!   and is consumed when it runs (the executor calls the `FnOnce` by
-//!   value), dropping its clones.
-//! * The sink depends on every task without successors — and therefore,
-//!   transitively, on every task of the graph — so when it runs it holds
-//!   the *last* `Arc` and can unwrap the shared matrix to collect factors
-//!   exactly like the one-shot paths do.
-//! * If any task fails or the job is cancelled, the sink never runs and
-//!   the output slot stays empty; the dropped closures release the `Arc`s.
+//! A one-shot entry point and a served job make their jobs the same way —
+//! [`ca_sched::plan_jobs`] over the plan, the matrix and one
+//! [`FactorOptions`] value, inside the same numerical contract — and differ
+//! in who runs them. [`ca_sched::run_plan`] blocks until the graph drains,
+//! then gathers; a service job outlives its submission call, so the builders
+//! here append one *sink task* that gathers instead, and refuses where the
+//! one-shot path returns `Err`. If a task fails or the job is cancelled, no
+//! sink runs and the output slot stays empty.
 
-use crate::calu::{calu_seq_factor, LuFactors};
+use crate::calu::{calu_seq_factor, check_factors, monitored, LuFactors};
 use crate::caqr::{caqr_seq, QrFactors};
-use crate::error::{find_non_finite, FactorError};
+use crate::error::{require_finite, FactorError};
 use crate::params::CaParams;
 use crate::{CaluPlan, CaqrPlan};
 use ca_kernels::{flops, Kernel};
-use ca_matrix::{Matrix, SharedMatrix};
+use ca_matrix::Matrix;
 use ca_sched::{
-    ChaosPlan, DynJob, Plan, RecoveryCounters, RetryPolicy, TaskFailure, TaskGraph, TaskId, TaskKind,
-    TaskLabel, TaskMeta,
+    plan_jobs, DynJob, FactorOptions, Plan, TaskFailure, TaskGraph, TaskId, TaskKind, TaskLabel,
+    TaskMeta,
 };
 use std::sync::{Arc, OnceLock};
 
-/// Recovery context for a serve graph: wraps every *compute* task with
-/// [`ca_sched::retrying_dyn_job`] (sinks and solve epilogues — `FnOnce`
-/// closures that consume `Arc`s — are never wrapped; they only run after
-/// every compute task already succeeded).
-#[derive(Clone)]
-pub struct JobRecovery {
-    /// Per-task retry policy (snapshot/restore + bounded replay).
-    pub policy: RetryPolicy,
-    /// Fault-injection plan; [`ChaosPlan::quiet`] for production graphs.
-    pub chaos: Arc<ChaosPlan>,
-    /// Shared recovery counters, typically service-wide.
-    pub counters: Arc<RecoveryCounters>,
-}
-
-impl JobRecovery {
-    /// Recovery with no fault injection: `policy` plus a quiet chaos plan.
-    pub fn new(policy: RetryPolicy) -> Self {
-        Self { policy, chaos: Arc::new(ChaosPlan::quiet(0)), counters: Arc::default() }
-    }
-
-    /// Recovery under a chaos plan (testing / chaos drills).
-    pub fn with_chaos(policy: RetryPolicy, chaos: Arc<ChaosPlan>) -> Self {
-        Self { policy, chaos, counters: Arc::default() }
-    }
-}
-
-/// Graph, sink task id, and output slot — the pieces a serve-graph builder
-/// assembles before the sink id is discarded or reused by a fused builder.
-type GraphParts<T> = (TaskGraph<DynJob>, TaskId, Arc<OnceLock<T>>);
-
-/// A `'static` job graph plus the handle its sink task deposits the result
-/// into. Submit `graph` to a [`ca_sched::MultiFrontier`]; `output` is
-/// filled iff the job completes (every task succeeded).
-pub struct ServeGraph<T> {
+/// A `'static` job graph plus the slot its last task deposits the result
+/// into: filled iff the job completes (every task succeeded).
+pub struct ServeGraph<R> {
     /// The job graph, ready for [`ca_sched::MultiFrontier::submit`].
     pub graph: TaskGraph<DynJob>,
-    /// Written by the sink task on successful completion.
-    pub output: Arc<OnceLock<T>>,
+    /// Written by the last task on successful completion.
+    pub output: Arc<OnceLock<R>>,
 }
 
-/// A one-task serve graph: `body` is the job's only task (declared cost
-/// `flops`); its `Ok` value fills the output slot, an `Err` fails the job.
-/// This is the route for work that gains nothing from a DAG — a
-/// factorization too small to split, or one whose bottleneck is the disk
-/// (`ca-ooc`) — so that it is still an ordinary frontier job: it has an id,
-/// a weight and a deadline, and can be cancelled and profiled.
-pub fn one_task_serve_graph<T: Send + Sync + 'static>(
+/// What a serve-graph builder yields: an `Err` refuses the request, nothing is scheduled.
+pub type Built<R> = Result<ServeGraph<R>, FactorError>;
+
+/// Appends `body` to `graph` as task `Other[0,0,j]` of cost `flops`, ordered
+/// after every current leaf (and thus after every task): its `Ok` value
+/// fills the output slot, an `Err` fails the job with the error's text.
+fn last_task<R: Send + Sync + 'static>(
+    mut graph: TaskGraph<DynJob>,
+    j: usize,
     flops: f64,
-    body: impl FnOnce() -> Result<T, TaskFailure> + Send + 'static,
-) -> ServeGraph<T> {
+    body: impl FnOnce() -> Result<R, FactorError> + Send + 'static,
+) -> ServeGraph<R> {
+    let leaves: Vec<TaskId> =
+        (0..graph.len()).filter(|&t| graph.successors(t).is_empty()).collect();
     let output = Arc::new(OnceLock::new());
     let out = Arc::clone(&output);
-    let mut graph: TaskGraph<DynJob> = TaskGraph::new();
-    graph.add_task(
-        TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), flops),
+    let last = graph.add_task(
+        TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, j), flops),
         Box::new(move || {
-            let _ = out.set(body()?);
+            let _ = out.set(body().map_err(|e| TaskFailure::new(e.to_string()))?);
             Ok(())
         }),
     );
+    graph.add_deps(leaves, last);
     ServeGraph { graph, output }
 }
 
-/// `a` factored by `factor` as a [`one_task_serve_graph`], after the same
-/// non-finite pre-scan the DAG builders run. `count` is the LAPACK
-/// operation count of the long × short shape (LU and QR counts are
-/// symmetric in `m`, `n`) — the unit the DAG builders' task costs use.
-fn seq_serve_graph<F: Send + Sync + 'static>(
-    a: Matrix,
-    p: &CaParams,
-    count: fn(usize, usize) -> f64,
-    factor: fn(Matrix, &CaParams) -> F,
-) -> Result<ServeGraph<F>, FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let (m, n, p) = (a.nrows(), a.ncols(), *p);
-    Ok(one_task_serve_graph(count(m.max(n), m.min(n)), move || Ok(factor(a, &p))))
-}
-
-/// CALU as one sequential task ([`calu_seq_factor`]): factors bitwise
-/// identical to [`calu_serve_graph`]'s, without the DAG's per-task
-/// scheduling cost — the route for matrices too small to split.
-pub fn calu_seq_serve_graph(
-    a: Matrix,
-    p: &CaParams,
-) -> Result<ServeGraph<LuFactors>, FactorError> {
-    seq_serve_graph(a, p, flops::getrf, calu_seq_factor)
-}
-
-/// CAQR as one sequential task ([`caqr_seq`]); see [`calu_seq_serve_graph`].
-pub fn caqr_seq_serve_graph(
-    a: Matrix,
-    p: &CaParams,
-) -> Result<ServeGraph<QrFactors>, FactorError> {
-    seq_serve_graph(a, p, flops::geqrf, caqr_seq)
-}
-
-/// Appends `body` as a sink task depending on every current leaf (and thus
-/// transitively on every task). Returns the sink's id.
-fn add_sink(
-    graph: &mut TaskGraph<DynJob>,
+/// A serve graph whose only task is `body` (declared cost `flops`): the
+/// route for work that gains nothing from a DAG — a factorization too small
+/// to split, or one whose bottleneck is the disk (`ca-ooc`) — so that it is
+/// still an ordinary frontier job: it has an id, a weight and a deadline,
+/// and can be cancelled and profiled.
+pub fn one_task_serve_graph<R: Send + Sync + 'static>(
     flops: f64,
-    body: impl FnOnce() + Send + 'static,
-) -> TaskId {
-    let leaves: Vec<TaskId> =
-        (0..graph.len()).filter(|&t| graph.successors(t).is_empty()).collect();
-    let sink = graph.add_task(
-        TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), flops),
-        ca_sched::dyn_job(body),
-    );
-    graph.add_deps(leaves, sink);
-    sink
+    body: impl FnOnce() -> Result<R, FactorError> + Send + 'static,
+) -> ServeGraph<R> {
+    last_task(TaskGraph::new(), 0, flops, body)
 }
 
-/// The full DAG of the plan `build` makes for `a`'s shape, with an owning
-/// payload per task — wrapped for write-set snapshot/restore retry when
-/// `rec` is given — and a factor-collecting sink.
-fn graph_parts<T: Kernel, S: Send + Sync + 'static, F: Send + Sync + 'static>(
+/// What a task ordered after every holder of `value` takes over from them;
+/// a holder still alive is a failed job, not a panic on a worker.
+fn sole_owner<V>(value: Option<V>) -> Result<V, FactorError> {
+    let message = "a value handed between tasks of the job is still held elsewhere".into();
+    value.ok_or(FactorError::TaskFailed { label: "sink".into(), message })
+}
+
+/// `plan`'s jobs over `a` under `opts` ([`plan_jobs`] — what
+/// [`ca_sched::run_plan`] executes) plus the one sink that gathers. Every
+/// job gave up its hold on the matrix when it ran, so the sink is the last
+/// owner; a race-detector finding fails the job naming the task, and `check`
+/// has the last word on the factors.
+fn plan_serve_graph<T: Kernel, S: Send + Sync + 'static, F: Send + Sync + 'static>(
+    plan: Plan<T, S, F>,
     a: Matrix<T>,
-    rec: Option<&JobRecovery>,
-    build: impl FnOnce(usize, usize) -> Plan<T, S, F>,
-) -> Result<GraphParts<F>, FactorError> {
-    if let Some((row, col)) = find_non_finite(&a) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let plan = Arc::new(build(a.nrows(), a.ncols()));
-    let shared = Arc::new(SharedMatrix::new(a));
-    let output = Arc::new(OnceLock::new());
-
-    let mut graph: TaskGraph<DynJob> = plan.graph().map_ref(|id, _| {
-        let plan = Arc::clone(&plan);
-        let shared = Arc::clone(&shared);
-        match rec {
-            None => ca_sched::dyn_job(move || plan.run_task(id, &shared)),
-            Some(r) => {
-                let label = plan.graph().meta(id).label;
-                let writes = ca_sched::write_set(plan.access(), id);
-                ca_sched::retrying_dyn_job(
-                    label,
-                    writes,
-                    Arc::clone(&shared),
-                    r.policy,
-                    Arc::clone(&r.chaos),
-                    Arc::clone(&r.counters),
-                    move || plan.run_task(id, &shared),
-                )
-            }
+    opts: &FactorOptions,
+    check: impl FnOnce(F) -> Result<F, FactorError> + Send + 'static,
+) -> Built<F> {
+    let (graph, run) = plan_jobs(plan, a, opts)?;
+    Ok(last_task(graph, 0, 0.0, move || {
+        if let Some(violation) = run.violation() {
+            return Err(violation.into());
         }
-    });
-    let sink = {
-        let output = Arc::clone(&output);
-        add_sink(&mut graph, 0.0, move || {
-            // Last holders standing: every compute task's clone was
-            // consumed before this sink became ready.
-            let plan = Arc::try_unwrap(plan)
-                .unwrap_or_else(|_| panic!("plan still referenced at sink"));
-            let shared = Arc::try_unwrap(shared)
-                .unwrap_or_else(|_| panic!("matrix still referenced at sink"));
-            let _ = output.set(plan.collect(shared));
-        })
-    };
-    Ok((graph, sink, output))
+        check(sole_owner(run.collect())?)
+    }))
 }
 
-/// CALU serve graph: the full multithreaded DAG of [`crate::calu`] with an
-/// owning payload per task and a factor-collecting sink. With `rec`, every
-/// compute task is wrapped for write-set snapshot/restore retry (see
-/// [`JobRecovery`]).
-///
-/// Rejects matrices with non-finite entries up front (the service returns
-/// the error synchronously instead of poisoning a running job).
+/// CALU as a served job under the [`crate::try_calu`] contract: non-finite
+/// input is refused here (synchronously, instead of poisoning a running
+/// job), growth is always monitored, and a zero pivot or growth explosion
+/// fails the job at its last task. With `one_task` that is its only task
+/// ([`calu_seq_factor`]: the same bits without the DAG's per-task scheduling
+/// cost, for matrices too small to split; `opts` do not apply to it);
+/// otherwise the full DAG of [`crate::calu`] under `opts`, plus one sink.
+/// f64 like all serving: a builder generic over the element type would have
+/// its kernels compiled again in the calling crate (−4 % `serve` throughput).
 pub fn calu_serve_graph(
     a: Matrix,
     p: &CaParams,
-    rec: Option<&JobRecovery>,
-) -> Result<ServeGraph<LuFactors>, FactorError> {
-    let (graph, _, output) = graph_parts(a, rec, |m, n| CaluPlan::build(m, n, p))?;
-    Ok(ServeGraph { graph, output })
+    opts: &FactorOptions,
+    one_task: bool,
+) -> Built<LuFactors> {
+    let p = monitored(&a, p)?;
+    let (m, n) = (a.nrows(), a.ncols());
+    let check = move |f| check_factors(f, &p);
+    if one_task {
+        // The LAPACK count of the long × short shape (symmetric in `m`,
+        // `n`): the unit the plan's task costs add up in.
+        let count = flops::getrf(m.max(n), m.min(n));
+        return Ok(one_task_serve_graph(count, move || check(calu_seq_factor(a, &p))));
+    }
+    plan_serve_graph(CaluPlan::build(m, n, &p), a, opts, check)
 }
 
-/// CAQR serve graph: the full multithreaded DAG of [`crate::caqr`] with an
-/// owning payload per task and a factor-collecting sink; `rec` as in
+/// CAQR as a served job under the [`crate::try_caqr`] contract (the
+/// pre-scan; QR has no breakdown to check); routes as in
 /// [`calu_serve_graph`].
 pub fn caqr_serve_graph(
     a: Matrix,
     p: &CaParams,
-    rec: Option<&JobRecovery>,
-) -> Result<ServeGraph<QrFactors>, FactorError> {
-    let (graph, _, output) = graph_parts(a, rec, |m, n| CaqrPlan::build(m, n, p))?;
-    Ok(ServeGraph { graph, output })
+    opts: &FactorOptions,
+    one_task: bool,
+) -> Built<QrFactors> {
+    require_finite(&a)?;
+    let (m, n, p) = (a.nrows(), a.ncols(), *p);
+    if one_task {
+        let count = flops::geqrf(m.max(n), m.min(n));
+        return Ok(one_task_serve_graph(count, move || Ok(caqr_seq(a, &p))));
+    }
+    plan_serve_graph(CaqrPlan::build(m, n, &p), a, opts, Ok)
 }
 
-/// Factor-and-solve serve graph for square `A·X = rhs`: the CALU DAG plus a
-/// solve sink running [`LuFactors::try_solve`]. A pivot breakdown surfaces
-/// as a failed job (the [`FactorError`] message travels in the
-/// [`ca_sched::ExecError`]); the factors themselves are discarded.
-///
-/// With `rec`, every compute task is wrapped for write-set snapshot/restore
-/// retry. The solve epilogue itself is not wrapped — it reads only
-/// completed factors and owns its right-hand side.
-///
-/// # Panics
-/// Panics if `A` is not square or `rhs` has the wrong row count (the
-/// service layer validates shapes before building).
-pub fn lu_solve_serve_graph(
+/// Factor-and-solve serve graph: `factors`' served DAG of `a`
+/// ([`calu_serve_graph`] for square `A·X = rhs`, [`caqr_serve_graph`] for
+/// least squares with `m ≥ n`), then `solve` ([`LuFactors::try_solve`],
+/// [`QrFactors::try_solve_ls`]) as an epilogue task — never retried: it
+/// reads only completed factors and owns its right-hand side. A singular
+/// `A` fails the job at the sink like any served LU, a rank-deficient one in
+/// the epilogue. Shapes are the caller's to check; a mismatch fails the job
+/// in the epilogue.
+pub fn solve_serve_graph<F: Send + Sync + 'static>(
     a: Matrix,
     rhs: Matrix,
     p: &CaParams,
-    rec: Option<&JobRecovery>,
-) -> Result<ServeGraph<Matrix>, FactorError> {
-    assert_eq!(a.nrows(), a.ncols(), "solve requires square A");
-    assert_eq!(rhs.nrows(), a.nrows(), "rhs row mismatch");
-    if let Some((row, col)) = find_non_finite(&rhs) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let flops = 2.0 * (a.nrows() as f64) * (a.nrows() as f64) * (rhs.ncols() as f64);
-    let (mut graph, fsink, factors) = graph_parts(a, rec, |m, n| CaluPlan::build(m, n, p))?;
-    let output = Arc::new(OnceLock::new());
-    let out = Arc::clone(&output);
-    let solve = graph.add_task(
-        TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 1), flops),
-        Box::new(move || {
-            let f = factors.get().expect("factor sink must precede solve");
-            match f.try_solve(&rhs) {
-                Ok(x) => {
-                    let _ = out.set(x);
-                    Ok(())
-                }
-                Err(e) => Err(TaskFailure::new(e.to_string())),
-            }
-        }),
-    );
-    graph.add_dep(fsink, solve);
-    Ok(ServeGraph { graph, output })
-}
-
-/// Factor-and-least-squares serve graph for tall `A` (`m ≥ n`): the CAQR
-/// DAG plus a sink running [`QrFactors::try_solve_ls`]. Rank deficiency
-/// surfaces as a failed job.
-///
-/// With `rec`, every compute task is wrapped for write-set snapshot/restore
-/// retry; the least-squares epilogue is not — it reads only completed
-/// factors.
-///
-/// # Panics
-/// Panics if `m < n` or `rhs` has the wrong row count.
-pub fn qr_lstsq_serve_graph(
-    a: Matrix,
-    rhs: Matrix,
-    p: &CaParams,
-    rec: Option<&JobRecovery>,
-) -> Result<ServeGraph<Matrix>, FactorError> {
-    assert!(a.nrows() >= a.ncols(), "least squares needs a tall matrix");
-    assert_eq!(rhs.nrows(), a.nrows(), "rhs row mismatch");
-    if let Some((row, col)) = find_non_finite(&rhs) {
-        return Err(FactorError::NonFiniteInput { row, col });
-    }
-    let flops = 2.0 * (a.ncols() as f64) * (a.nrows() as f64) * (rhs.ncols() as f64);
-    let (mut graph, fsink, factors) = graph_parts(a, rec, |m, n| CaqrPlan::build(m, n, p))?;
-    let output = Arc::new(OnceLock::new());
-    let out = Arc::clone(&output);
-    let solve = graph.add_task(
-        TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 1), flops),
-        Box::new(move || {
-            let f = factors.get().expect("factor sink must precede solve");
-            match f.try_solve_ls(&rhs) {
-                Ok(x) => {
-                    let _ = out.set(x);
-                    Ok(())
-                }
-                Err(e) => Err(TaskFailure::new(e.to_string())),
-            }
-        }),
-    );
-    graph.add_dep(fsink, solve);
-    Ok(ServeGraph { graph, output })
+    opts: &FactorOptions,
+    factors: fn(Matrix, &CaParams, &FactorOptions, bool) -> Built<F>,
+    solve: fn(&F, &Matrix) -> Result<Matrix, FactorError>,
+) -> Built<Matrix> {
+    require_finite(&rhs)?;
+    let flops = 2.0 * (a.nrows() as f64) * (a.ncols() as f64) * (rhs.ncols() as f64);
+    let ServeGraph { graph, output } = factors(a, p, opts, false)?;
+    // The sink dropped its handle on the slot when it filled it.
+    Ok(last_task(graph, 1, flops, move || {
+        solve(&sole_owner(Arc::into_inner(output).and_then(OnceLock::into_inner))?, &rhs)
+    }))
 }
 
 #[cfg(test)]
@@ -316,52 +175,22 @@ mod tests {
     use ca_sched::{JobOptions, JobOutcome, MultiFrontier};
 
     #[test]
-    fn calu_serve_graph_matches_sequential_bitwise() {
-        let a = ca_matrix::random_uniform(96, 96, &mut seeded_rng(20));
-        let p = CaParams::new(16, 4, 2);
-        let reference = calu_seq_factor(a.clone(), &p);
-
-        let f = MultiFrontier::new(2);
-        let sg = calu_serve_graph(a, &p, None).expect("finite input");
-        let (_, watch) = f.submit(sg.graph, JobOptions::default());
-        assert!(watch.wait().outcome.is_completed());
-        let lu = sg.output.get().expect("output set");
-        assert_eq!(lu.pivots.ipiv, reference.pivots.ipiv);
-        assert_eq!(lu.lu.as_slice(), reference.lu.as_slice());
-        f.shutdown();
-    }
-
-    #[test]
-    fn caqr_serve_graph_matches_sequential_bitwise() {
-        let a = ca_matrix::random_uniform(96, 64, &mut seeded_rng(21));
-        let p = CaParams::new(16, 4, 2);
-        let reference = caqr_seq(a.clone(), &p);
-
-        let f = MultiFrontier::new(2);
-        let sg = caqr_serve_graph(a, &p, None).expect("finite input");
-        let (_, watch) = f.submit(sg.graph, JobOptions::default());
-        assert!(watch.wait().outcome.is_completed());
-        let qr = sg.output.get().expect("output set");
-        assert_eq!(qr.a.as_slice(), reference.a.as_slice());
-        f.shutdown();
-    }
-
-    #[test]
     fn solve_graph_solves_and_reports_breakdown() {
         let n = 48;
         let a = ca_matrix::random_uniform(n, n, &mut seeded_rng(22));
         let x_true = ca_matrix::random_uniform(n, 1, &mut seeded_rng(23));
         let b = a.matmul(&x_true);
-        let p = CaParams::new(8, 4, 2);
+        let (p, plain) = (CaParams::new(8, 4, 2), FactorOptions::default());
 
         let f = MultiFrontier::new(2);
-        let sg = lu_solve_serve_graph(a, b, &p, None).expect("finite input");
+        let sg = solve_serve_graph(a, b, &p, &plain, calu_serve_graph, LuFactors::try_solve).expect("finite input");
         let (_, watch) = f.submit(sg.graph, JobOptions::default());
         assert!(watch.wait().outcome.is_completed());
         let x = sg.output.get().expect("solution set");
         assert!(norm_max(x.sub_matrix(&x_true).view()) < 1e-8);
 
-        // Singular system: the solve sink fails the job with ZeroPivot.
+        // Singular system: the sink fails the job with ZeroPivot, like any
+        // served LU; the solve epilogue is cancelled.
         let mut s = ca_matrix::random_uniform(n, n, &mut seeded_rng(24));
         for i in 0..n {
             let v = s[(i, 0)];
@@ -370,7 +199,7 @@ mod tests {
             }
         }
         let rhs = ca_matrix::random_uniform(n, 1, &mut seeded_rng(25));
-        let sg = lu_solve_serve_graph(s, rhs, &p, None).expect("finite input");
+        let sg = solve_serve_graph(s, rhs, &p, &plain, calu_serve_graph, LuFactors::try_solve).expect("finite input");
         let (_, watch) = f.submit(sg.graph, JobOptions::default());
         match watch.wait().outcome {
             JobOutcome::Failed(e) => {
@@ -387,11 +216,11 @@ mod tests {
         let (m, n) = (80, 24);
         let a = ca_matrix::random_uniform(m, n, &mut seeded_rng(26));
         let b = ca_matrix::random_uniform(m, 1, &mut seeded_rng(27));
-        let p = CaParams::new(8, 4, 2);
+        let (p, plain) = (CaParams::new(8, 4, 2), FactorOptions::default());
         let reference = caqr_seq(a.clone(), &p).solve_ls(&b);
 
         let f = MultiFrontier::new(2);
-        let sg = qr_lstsq_serve_graph(a, b, &p, None).expect("finite input");
+        let sg = solve_serve_graph(a, b, &p, &plain, caqr_serve_graph, QrFactors::try_solve_ls).expect("finite input");
         let (_, watch) = f.submit(sg.graph, JobOptions::default());
         assert!(watch.wait().outcome.is_completed());
         let x = sg.output.get().expect("solution set");
@@ -401,13 +230,13 @@ mod tests {
 
     #[test]
     fn one_task_graphs_match_sequential_bitwise_and_count_flops_like_the_dag() {
-        let f = MultiFrontier::new(1);
+        let (f, plain) = (MultiFrontier::new(1), FactorOptions::default());
         // (m, n, b): a single-panel shape, a multi-panel one, a wide one.
         for (m, n, b) in [(32, 32, 32), (40, 24, 8), (24, 40, 8)] {
             let a = ca_matrix::random_uniform(m, n, &mut seeded_rng(29));
             let p = CaParams::new(b, 2, 1);
-            let lu = calu_seq_serve_graph(a.clone(), &p).expect("finite input");
-            let qr = caqr_seq_serve_graph(a.clone(), &p).expect("finite input");
+            let lu = calu_serve_graph(a.clone(), &p, &plain, true).expect("finite input");
+            let qr = caqr_serve_graph(a.clone(), &p, &plain, true).expect("finite input");
             assert_eq!((lu.graph.len(), qr.graph.len()), (1, 1));
             // Same unit as the DAG route: the LAPACK count, which is what a
             // single-panel DAG adds up to exactly; a multi-panel DAG adds the
@@ -415,8 +244,8 @@ mod tests {
             let (lu_flops, qr_flops) = (lu.graph.total_flops(), qr.graph.total_flops());
             assert_eq!(lu_flops, flops::getrf(m.max(n), m.min(n)));
             assert_eq!(qr_flops, flops::geqrf(m.max(n), m.min(n)));
-            let lu_dag = calu_serve_graph(a.clone(), &p, None).expect("finite").graph.total_flops();
-            let qr_dag = caqr_serve_graph(a.clone(), &p, None).expect("finite").graph.total_flops();
+            let lu_dag = calu_serve_graph(a.clone(), &p, &plain, false).expect("finite").graph.total_flops();
+            let qr_dag = caqr_serve_graph(a.clone(), &p, &plain, false).expect("finite").graph.total_flops();
             if n <= b {
                 assert_eq!((lu_flops, qr_flops), (lu_dag, qr_dag), "{m}x{n} b={b}");
             } else {
@@ -443,21 +272,48 @@ mod tests {
         let mut a = ca_matrix::random_uniform(8, 8, &mut seeded_rng(28));
         a[(2, 3)] = f64::INFINITY;
         let p = CaParams::new(4, 2, 1);
-        assert!(matches!(
-            calu_serve_graph(a.clone(), &p, None),
-            Err(FactorError::NonFiniteInput { row: 2, col: 3 })
-        ));
-        assert!(matches!(
-            caqr_serve_graph(a.clone(), &p, None),
-            Err(FactorError::NonFiniteInput { row: 2, col: 3 })
-        ));
-        assert!(matches!(
-            calu_seq_serve_graph(a.clone(), &p),
-            Err(FactorError::NonFiniteInput { row: 2, col: 3 })
-        ));
-        assert!(matches!(
-            caqr_seq_serve_graph(a, &p),
-            Err(FactorError::NonFiniteInput { row: 2, col: 3 })
-        ));
+        let plain = FactorOptions::default();
+        for one_task in [false, true] {
+            assert!(matches!(
+                calu_serve_graph(a.clone(), &p, &plain, one_task),
+                Err(FactorError::NonFiniteInput { row: 2, col: 3 })
+            ));
+            assert!(matches!(
+                caqr_serve_graph(a.clone(), &p, &plain, one_task),
+                Err(FactorError::NonFiniteInput { row: 2, col: 3 })
+            ));
+        }
+    }
+
+    #[test]
+    #[allow(clippy::disallowed_methods)] // the raw out-of-footprint write is the point
+    fn served_checked_plan_with_an_under_declared_footprint_fails_naming_the_task() {
+        // The served mirror of ca-sched's
+        // `checked::out_of_footprint_write_is_reported_with_label`: the task
+        // declares rows 0..4 and writes rows 4..8, the sink refuses to gather.
+        use ca_sched::PlanBuilder;
+        let mut pb = PlanBuilder::<f64, ()>::new(4, 8, 4);
+        let label = TaskLabel::new(TaskKind::Panel, 0, 0, 0);
+        let w = pb.task(TaskMeta::new(label, 1.0), |a, _| {
+            // SAFETY: the only task of the graph.
+            unsafe { a.block_mut(4, 0, 4, 4).fill(9.0) }
+        });
+        pb.writes(w, 0..1, 0..1);
+        let plan = pb.finish((), |a, ()| a);
+        let checked = FactorOptions { checked: true, ..Default::default() };
+        let sg = plan_serve_graph(plan, Matrix::zeros(8, 4), &checked, Ok).expect("statically sound");
+
+        let f = MultiFrontier::new(1);
+        let (_, watch) = f.submit(sg.graph, JobOptions::default());
+        match watch.wait().outcome {
+            JobOutcome::Failed(e) => {
+                assert_eq!(e.label, TaskLabel::new(TaskKind::Other, 0, 0, 0), "refused at the sink");
+                assert!(e.message.contains(&label.to_string()), "message: {}", e.message);
+                assert!(e.message.contains("4..8"), "message: {}", e.message);
+            }
+            other => panic!("expected a failed job, got {other:?}"),
+        }
+        assert!(sg.output.get().is_none());
+        f.shutdown();
     }
 }

@@ -38,11 +38,13 @@
 //!   any combination, returning the executor's [`ca_sched::RunReport`] —
 //!   and with it the run's profile — next to the factors. Every DAG
 //!   factorization entry point is a one-line caller of these two, which in
-//!   turn share one build → verify → wrap → [`ca_sched::execute`] → collect
-//!   path ([`ca_sched::run_plan`], which the baselines take too). [`try_calu_profiled`] / [`try_caqr_profiled`] are the shorthands
+//!   turn share one build → [`ca_sched::plan_jobs`] → [`ca_sched::execute`] →
+//!   collect path ([`ca_sched::run_plan`], which the baselines take too).
+//!   [`try_calu_profiled`] / [`try_caqr_profiled`] are the shorthands
 //!   returning the [`ca_sched::Profile`] directly.
-//! * [`jobs`] — the same DAGs as `'static` graphs for the serving tier's
-//!   [`ca_sched::MultiFrontier`].
+//! * [`jobs`] — the same plans under the same contract, options and
+//!   [`ca_sched::plan_jobs`], plus one sink task, as served jobs for the
+//!   serving tier's [`ca_sched::MultiFrontier`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -73,8 +75,8 @@ pub use ca_sched::{FactorOptions, Retry};
 pub use error::{FactorError, DEFAULT_GROWTH_LIMIT};
 pub use probe::PROBE_TOL;
 pub use jobs::{
-    calu_seq_serve_graph, calu_serve_graph, caqr_seq_serve_graph, caqr_serve_graph,
-    lu_solve_serve_graph, one_task_serve_graph, qr_lstsq_serve_graph, JobRecovery, ServeGraph,
+    calu_serve_graph, caqr_serve_graph, one_task_serve_graph, solve_serve_graph, Built,
+    ServeGraph,
 };
 pub use dag_calu::{calu_task_graph, CaluPlan};
 pub use solve::{lu_packed_solve_in_place, RefineInfo};

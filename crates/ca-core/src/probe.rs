@@ -37,7 +37,7 @@ fn scaled_residual(lhs: &Matrix, rhs: &Matrix, a0: &Matrix, x: &Matrix) -> f64 {
     let d = lhs.sub_matrix(rhs);
     // norm_max folds with f64::max, which drops NaN operands — a NaN-poisoned
     // factor must register as corrupt, not vanish from the norm.
-    if crate::error::find_non_finite(&d).is_some() {
+    if crate::error::require_finite(&d).is_err() {
         return f64::INFINITY;
     }
     let diff = norm_max(d.view());

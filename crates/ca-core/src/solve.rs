@@ -5,7 +5,7 @@
 
 use crate::calu::LuFactors;
 use crate::caqr::QrFactors;
-use crate::error::{find_non_finite, FactorError};
+use crate::error::{require_finite, FactorError};
 use ca_kernels::{
     trsm_left_lower_trans_unit, trsm_left_lower_unit, trsm_left_upper_notrans,
     trsm_left_upper_trans,
@@ -34,9 +34,7 @@ impl LuFactors {
         if let Some(col) = self.breakdown {
             return Err(FactorError::ZeroPivot { col });
         }
-        if let Some((row, col)) = find_non_finite(rhs) {
-            return Err(FactorError::NonFiniteInput { row, col });
-        }
+        require_finite(rhs)?;
         Ok(self.solve(rhs))
     }
 
@@ -167,9 +165,7 @@ impl QrFactors {
         let n = self.a.ncols();
         assert!(m >= n, "least squares needs a tall matrix");
         assert_eq!(rhs.nrows(), m, "rhs row mismatch");
-        if let Some((row, col)) = find_non_finite(rhs) {
-            return Err(FactorError::NonFiniteInput { row, col });
-        }
+        require_finite(rhs)?;
         for col in 0..n {
             let d = self.a[(col, col)];
             if d == 0.0 || !d.is_finite() {

@@ -6,10 +6,10 @@
 //!    footprints sound before anything executes;
 //! 2. [`build_shadow_registry`] hands each task's declared rects
 //!    ([`AccessMap`]) to a [`ShadowRegistry`] as its [`TaskFootprint`];
-//! 3. [`crate::execute`] with [`crate::RunOptions::shadow`] set runs each
-//!    job inside a [`ShadowRegistry::enter_task`] scope, so every
-//!    `SharedMatrix` block accessor audits its element range against the
-//!    task's declaration and against every concurrently live lease.
+//! 3. each job runs inside a [`ShadowRegistry::enter_task`] scope (put there
+//!    by [`crate::plan_jobs`], or [`crate::RunOptions::shadow`] for a raw
+//!    graph), so every `SharedMatrix` block accessor audits its element range
+//!    against the task's declaration and every concurrently live lease.
 //!
 //! The discrete-event simulator never touches matrix data, so its checked
 //! mode ([`crate::SimOptions::access`]) is the static verification plus a

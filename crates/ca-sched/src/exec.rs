@@ -1,8 +1,8 @@
 //! The one-shot front door: [`execute`] runs one [`TaskGraph`] of [`Job`]s
 //! to quiescence as a single-job run of the frontier core.
 //!
-//! There is no worker loop here. [`execute`] wraps the payloads for the
-//! [`RunOptions`] it was given (fault injection, race detection), puts a
+//! There is no worker loop here. [`execute`] guards the payloads as the
+//! [`RunOptions`] it was given ask (fault injection, race detection), puts a
 //! [`Core`] on its own stack, admits the graph as that core's only job and
 //! closes it, runs lane 0 on the calling thread and lanes `1..nthreads` on
 //! scoped threads (so a single-worker run spawns nothing and jobs may
@@ -23,7 +23,7 @@ use crate::graph::TaskGraph;
 use crate::log::JobLog;
 use crate::multigraph::{Core, Finished, JobOptions, JobOutcome};
 use crate::profile::Profile;
-use crate::retry::ChaosPlan;
+use crate::retry::{guarded_job, ChaosPlan};
 use crate::trace::Timeline;
 use crate::verify::SoundnessError;
 use ca_matrix::ShadowRegistry;
@@ -55,7 +55,7 @@ pub fn job<'s>(f: impl FnOnce() + Send + 's) -> Job<'s> {
 pub struct RunOptions<'a> {
     /// Inject this plan's faults as each task starts. There is no replay at
     /// this level: an injected failure or panic fails the task like a real
-    /// one (wrap bodies with [`crate::retrying_job`] to recover instead).
+    /// one ([`crate::FactorOptions::retry`] recovers a plan's tasks instead).
     pub chaos: Option<&'a ChaosPlan>,
     /// Run every job inside a [`ShadowRegistry::enter_task`] scope and report
     /// the first audited violation in [`RunReport::violation`]. The
@@ -124,27 +124,13 @@ pub fn execute<'s>(
     nthreads: usize,
     opts: &RunOptions<'s>,
 ) -> RunReport {
-    let TaskGraph { metas, mut payloads, succs, npreds } = graph;
-    if let Some(plan) = opts.chaos {
-        payloads = payloads
-            .into_iter()
-            .zip(&metas)
-            .map(|(job, meta)| crate::retry::faulted_job(plan, meta.label, job))
-            .collect();
-    }
-    if let Some(registry) = opts.shadow {
-        payloads = payloads
-            .into_iter()
-            .enumerate()
-            .map(|(id, job)| {
-                let registry = Arc::clone(registry);
-                Box::new(move || {
-                    let _scope = registry.enter_task(id);
-                    job()
-                }) as Job<'s>
-            })
-            .collect();
-    }
+    let TaskGraph { metas, payloads, succs, npreds } = graph;
+    let payloads = payloads
+        .into_iter()
+        .zip(&metas)
+        .enumerate()
+        .map(|(id, (job, meta))| guarded_job(id, meta.label, opts.shadow.cloned(), opts.chaos, job))
+        .collect();
     let graph = TaskGraph { metas, payloads, succs, npreds };
 
     // The run's clock starts with its core, and so does its one job.

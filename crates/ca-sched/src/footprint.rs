@@ -5,7 +5,7 @@
 //! retains those declarations, so the static verifier
 //! ([`crate::verify_graph`]) can prove that every conflicting pair of tasks
 //! is ordered, checked execution can audit runtime accesses against them,
-//! and the retry wrapper knows which elements to snapshot.
+//! and the retry protocol knows which elements to snapshot.
 //!
 //! A footprint is a list of element rectangles ([`ElemRect`]) over an
 //! `m × n` element space. Block coordinates are a builder convenience
@@ -21,8 +21,9 @@ use ca_matrix::shadow::ElemRect;
 ///
 /// Built as a side effect of the [`crate::BlockTracker`] declarations;
 /// retrieve it with [`crate::BlockTracker::into_access_map`] and hand it
-/// (together with the graph) to [`crate::verify_graph`],
-/// [`crate::build_shadow_registry`] or [`crate::write_set`].
+/// (together with the graph) to [`crate::verify_graph`] or
+/// [`crate::build_shadow_registry`]; a [`crate::Plan`] keeps its own, and
+/// its write rects are what [`crate::FactorOptions::retry`] snapshots.
 #[derive(Clone, Debug)]
 pub struct AccessMap {
     b: usize,

@@ -16,15 +16,17 @@
 //!   job, lane 0 runs on the calling thread and the rest on scoped threads,
 //!   so jobs may borrow and a single-worker run spawns nothing.
 //!   [`run_graph`] is the panicking shorthand for the default options.
-//!   [`run_plan`] is the factorization path on top of it: a [`Plan`] (graph,
-//!   declared footprints, one closure per task written beside the footprint
-//!   it touches, the run-time slots, a gather function — built through a
-//!   [`PlanBuilder`]) is verified, shadowed and retry-wrapped as its
-//!   [`FactorOptions`] ask, executed, gathered.
 //! * [`MultiFrontier`] — the same core behind an `Arc` with `n` spawned
 //!   threads, multiplexing many `'static` graphs ("jobs") for the serving
 //!   tier: fair-share dispatch across jobs, per-job cancellation and
 //!   deadlines, a [`JobWatch`] per job.
+//!
+//! A factorization reaches either door through [`plan_jobs`], the one place a
+//! [`Plan`] (graph, declared footprints, one closure per task beside the
+//! footprint it touches, run-time slots, a gather function — built through a
+//! [`PlanBuilder`]) becomes jobs, wrapped as its [`FactorOptions`] ask:
+//! [`run_plan`] hands them to [`execute`] and gathers; a served job is the
+//! same jobs plus one sink, submitted to a [`MultiFrontier`].
 //!
 //! [`simulate_with`]`(graph, nworkers, cost, &`[`SimOptions`]`)` replays the
 //! same graph on a deterministic list-scheduling discrete-event simulator
@@ -71,13 +73,13 @@
 //!
 //! ## Recovery
 //!
-//! Wrapping a task body with [`retrying_job`] / [`retrying_dyn_job`] adds
-//! the *recover* half: the wrapper snapshots the task's declared write-set
-//! (its write rects in the [`AccessMap`], via [`write_set`]), and on failure
-//! or panic restores it and replays the body under a [`RetryPolicy`] —
-//! successors are cancelled only once retries are exhausted. The wrapper
-//! consults the same [`ChaosPlan`], which there can also inject silent data
-//! corruption.
+//! [`FactorOptions::retry`] adds the *recover* half to every task of a plan:
+//! the task's declared write-set (its write rects in the plan's
+//! [`AccessMap`]) is snapshotted, and on failure or panic restored and the
+//! body replayed under a [`RetryPolicy`] — successors are cancelled only once
+//! retries are exhausted. The retry protocol consults the same
+//! [`ChaosPlan`], which there can also scribble over the write-set and
+//! inject silent data corruption.
 //!
 //! ## Profiling
 //!
@@ -138,14 +140,16 @@ pub use graph::TaskGraph;
 pub use multigraph::{
     CancelReason, JobId, JobOptions, JobOutcome, JobReport, JobWatch, MultiFrontier,
 };
-pub use plan::{run_plan, FactorOptions, Plan, PlanBuilder, Retry};
+pub use plan::{
+    plan_jobs, run_plan, FactorOptions, Plan, PlanBuilder, PlanJobs, PlanRun, Retry,
+};
 pub use profile::{
     ClassMetrics, KindMetrics, LatencyStats, LookaheadMetrics, PanelWait, Profile, QueueSample,
     SchedMetrics, TaskRecord,
 };
 pub use retry::{
-    retrying_dyn_job, retrying_job, write_set, ChaosAction, ChaosPlan, ChaosProfile,
-    PanicHookGuard, RecoveryCounters, RecoveryStats, RetryPolicy, WriteSet,
+    ChaosAction, ChaosPlan, ChaosProfile, PanicHookGuard, RecoveryCounters, RecoveryStats,
+    RetryPolicy,
 };
 pub use sim::{simulate, simulate_uniform, simulate_with, SimOptions};
 pub use task::{KernelClass, TaskId, TaskKind, TaskLabel, TaskMeta};

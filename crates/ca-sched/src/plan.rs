@@ -5,22 +5,24 @@
 //! [`TaskMeta`], the element rects it declares and the closure that touches
 //! them, built from the same variables ([`PlanBuilder::task`]) — plus the
 //! run-time slots the closures fill and a function gathering the factors
-//! from them. [`run_plan`] optionally proves the graph sound and attaches the
-//! race detector, optionally wraps every task for snapshot/replay recovery,
-//! hands the jobs to [`crate::execute`], and gathers. CALU, CAQR and the
-//! four baselines are values of this one type.
+//! from them. [`plan_jobs`] is the one way from a plan to runnable jobs,
+//! verified and wrapped as its [`FactorOptions`] ask; whoever owns the
+//! workers runs them: [`run_plan`] on the caller's stack
+//! ([`crate::execute`]), a serving tier on a [`crate::MultiFrontier`]. CALU,
+//! CAQR and the four baselines are values of this one type.
 
 use crate::blockdeps::BlockTracker;
-use crate::checked::{build_shadow_registry, CheckedError};
-use crate::exec::{execute, job, Job, RunOptions, RunReport};
+use crate::checked::{build_shadow_registry, first_violation, CheckedError};
+use crate::exec::{execute, job, DynJob, RunOptions, RunReport};
 use crate::footprint::AccessMap;
 use crate::graph::TaskGraph;
-use crate::retry::{retrying_job, write_set, ChaosPlan, RecoveryCounters, RetryPolicy};
+use crate::retry::{guarded_job, run_recovering, ChaosPlan, RecoveryCounters, RetryPolicy};
 use crate::task::{TaskId, TaskMeta};
-use crate::verify::verify_graph;
+use crate::verify::{verify_graph, SoundnessError};
 use ca_matrix::shadow::ElemRect;
-use ca_matrix::{Matrix, Scalar, SharedMatrix};
+use ca_matrix::{Matrix, Scalar, ShadowRegistry, SharedMatrix};
 use std::ops::Range;
+use std::sync::Arc;
 
 /// One task: touches the shared matrix inside the footprint declared beside
 /// it, and the plan's run-time slots `S`.
@@ -54,16 +56,6 @@ impl<T: Scalar, S, F> Plan<T, S, F> {
     /// verifier.
     pub fn into_parts(self) -> (TaskGraph<()>, AccessMap) {
         (self.graph, self.access)
-    }
-
-    /// Executes task `id` against the shared matrix (called from workers).
-    pub fn run_task(&self, id: TaskId, a: &SharedMatrix<T>) {
-        (self.bodies[id])(a, &self.slots)
-    }
-
-    /// Gathers the factors once every task completed successfully.
-    pub fn collect(self, a: SharedMatrix<T>) -> F {
-        (self.gather)(a.into_inner(), self.slots)
     }
 }
 
@@ -131,82 +123,134 @@ impl<T: Scalar, S> PlanBuilder<T, S> {
     }
 }
 
-/// Task-level recovery for a one-shot factorization: every task body is
-/// wrapped by [`retrying_job`], so a failure or panic restores the task's
-/// declared write-set from a pre-attempt snapshot and replays it under
-/// `policy`; successors are cancelled only once retries are exhausted.
-/// Fault-free replays are bitwise-identical, so a recovered run produces
-/// exactly the factors of an undisturbed one.
-#[derive(Clone, Copy)]
-pub struct Retry<'a> {
+/// Task-level recovery: every task body runs under the retry protocol, so a
+/// failure or panic restores the task's declared write-set from a
+/// pre-attempt snapshot and replays it under `policy`; successors are
+/// cancelled only once retries are exhausted. Fault-free replays are
+/// bitwise-identical, so a recovered run produces exactly the factors of an
+/// undisturbed one.
+#[derive(Clone)]
+pub struct Retry {
     /// How often and how patiently a failed task is replayed.
     pub policy: RetryPolicy,
     /// Where recovery activity (attempts, restores, injections) accumulates.
-    pub counters: &'a RecoveryCounters,
+    pub counters: Arc<RecoveryCounters>,
 }
 
-/// How [`run_plan`] runs. `Default` is a plain run.
-#[derive(Clone, Copy, Default)]
-pub struct FactorOptions<'a> {
-    /// Inject seeded failures/panics/delays (and, under `retry`, silent
-    /// corruption) for testing. Without `retry` an injected failure fails
-    /// the factorization with [`CheckedError::Exec`].
-    pub chaos: Option<&'a ChaosPlan>,
+/// How a plan's tasks run, whoever owns the workers. `Default` is a plain
+/// run. Owned, so the jobs made under it may outlive their maker.
+#[derive(Clone, Default)]
+pub struct FactorOptions {
+    /// Inject seeded failures, panics and delays for testing. Without `retry`
+    /// nothing is snapshotted, so nothing is damaged either: an injected
+    /// failure or panic fires before the body and fails the run
+    /// ([`CheckedError::Exec`]), a corruption draw injects nothing. Under
+    /// `retry` an injected failure first scribbles over the task's write-set
+    /// (the replay restores it), and a corruption draw silently perturbs one
+    /// element a successful task wrote.
+    pub chaos: Option<Arc<ChaosPlan>>,
     /// Snapshot/replay recovery of failed tasks.
-    pub retry: Option<Retry<'a>>,
+    pub retry: Option<Retry>,
     /// Checked execution: the task graph is first proven sound by the
     /// static verifier ([`verify_graph`]), then executed with every
-    /// [`SharedMatrix`] block access — the retry wrapper's snapshots and
+    /// [`SharedMatrix`] block access — the retry protocol's snapshots and
     /// restores included — audited against the builder's declared
     /// footprints through a [`ca_matrix::ShadowRegistry`]. Any unordered
     /// conflict, runtime lease overlap, or out-of-footprint access is
-    /// reported as [`CheckedError::Soundness`] naming the offending task
-    /// labels.
+    /// reported as a [`SoundnessError`] naming the offending task labels.
     pub checked: bool,
 }
 
-/// Factors `a` through `plan` on `threads` workers. A worker failure maps
-/// to [`CheckedError::Exec`] without ever touching the plan's
-/// not-yet-filled result slots.
-pub fn run_plan<T: Scalar, S: Sync, F>(
+/// What the jobs of one plan share — the task bodies and slots, the matrix
+/// they factor in place, the race detector's registry when checked — and
+/// the gathering end of [`plan_jobs`] for whoever runs them.
+pub struct PlanRun<T: Scalar, S, F> {
+    plan: Plan<T, S, F>,
+    matrix: SharedMatrix<T>,
+    registry: Option<Arc<ShadowRegistry>>,
+}
+
+/// What [`plan_jobs`] yields: one owning job per task, and their gatherer.
+pub type PlanJobs<T, S, F> = (TaskGraph<DynJob>, Arc<PlanRun<T, S, F>>);
+
+impl<T: Scalar, S, F> PlanRun<T, S, F> {
+    fn run_task(&self, id: TaskId) {
+        (self.plan.bodies[id])(&self.matrix, &self.plan.slots)
+    }
+
+    /// The first violation the race detector recorded so far (always `None`
+    /// unless the jobs were made `checked`).
+    pub fn violation(&self) -> Option<SoundnessError> {
+        self.registry.as_deref().and_then(first_violation)
+    }
+
+    /// Gathers the factors. A job holds the matrix until it has run or been
+    /// dropped, so this is `None` while any job of the graph is alive; ask
+    /// after the graph drained, or from a task ordered after every other.
+    pub fn collect(self: Arc<Self>) -> Option<F> {
+        let Self { plan, matrix, .. } = Arc::into_inner(self)?;
+        Some((plan.gather)(matrix.into_inner(), plan.slots))
+    }
+}
+
+/// The one way from a plan to runnable jobs: `plan`'s graph with an owning
+/// job per task (same ids, same edges), over `a`, wrapped as `opts` ask.
+/// `checked` proves the graph sound first (an `Err` here) and attaches the
+/// race detector; then each task body runs inside its shadow scope, after
+/// `chaos` was consulted, under `retry`'s snapshot/replay of the write-set
+/// the plan declared for it. Run every job (or drop it), then ask the
+/// [`PlanRun`].
+pub fn plan_jobs<T: Scalar, S: Send + Sync + 'static, F: 'static>(
     plan: Plan<T, S, F>,
     a: Matrix<T>,
-    threads: usize,
-    opts: &FactorOptions<'_>,
-) -> Result<(F, RunReport), CheckedError> {
+    opts: &FactorOptions,
+) -> Result<PlanJobs<T, S, F>, SoundnessError> {
     let registry = if opts.checked {
-        verify_graph(&plan.graph, &plan.access).map_err(CheckedError::Soundness)?;
+        verify_graph(&plan.graph, &plan.access)?;
         Some(build_shadow_registry(&plan.graph, &plan.access))
     } else {
         None
     };
-    let shared = match &registry {
+    let matrix = match &registry {
         Some(registry) => SharedMatrix::with_shadow(a, registry.clone()),
         None => SharedMatrix::new(a),
     };
+    let run = Arc::new(PlanRun { plan, matrix, registry });
 
-    let quiet = ChaosPlan::quiet(0);
-    let jobs: TaskGraph<Job<'_>> = plan.graph.map_ref(|id, _| {
-        let (plan, shared) = (&plan, &shared);
-        let body = move || plan.run_task(id, shared);
-        match opts.retry {
-            None => job(body),
-            Some(retry) => retrying_job(
-                plan.graph.meta(id).label,
-                write_set(&plan.access, id),
-                shared,
-                retry.policy,
-                opts.chaos.unwrap_or(&quiet),
-                retry.counters,
-                body,
-            ),
-        }
+    let jobs = run.plan.graph.map_ref(|id, _| {
+        let (run, chaos, scope) = (Arc::clone(&run), opts.chaos.clone(), run.registry.clone());
+        let label = run.plan.graph.meta(id).label;
+        // Under `retry` the protocol consults the chaos plan itself, once per
+        // attempt; either way snapshots and restores happen inside the scope.
+        let (chaos, task): (_, DynJob) = match opts.retry.clone() {
+            None => (chaos, job(move || run.run_task(id))),
+            Some(Retry { policy, counters }) => {
+                let recovering = move || {
+                    let (writes, chaos) = (run.plan.access.writes(id), chaos.as_deref());
+                    let body = || run.run_task(id);
+                    run_recovering(&label, writes, &run.matrix, &policy, chaos, &counters, &body)
+                };
+                (None, Box::new(recovering))
+            }
+        };
+        guarded_job(id, label, scope, chaos, task)
     });
-    let run = RunOptions {
-        // Under `retry` the wrappers above consult the plan, once per attempt.
-        chaos: if opts.retry.is_none() { opts.chaos } else { None },
-        shadow: registry.as_ref(),
-    };
-    let report = execute(jobs, threads, &run).into_result()?;
-    Ok((plan.collect(shared), report))
+    Ok((jobs, run))
+}
+
+/// Factors `a` through `plan` on `threads` workers of the caller's own
+/// ([`execute`]). A worker failure maps to [`CheckedError::Exec`] without
+/// ever touching the plan's not-yet-filled result slots.
+pub fn run_plan<T: Scalar, S: Send + Sync + 'static, F: 'static>(
+    plan: Plan<T, S, F>,
+    a: Matrix<T>,
+    threads: usize,
+    opts: &FactorOptions,
+) -> Result<(F, RunReport), CheckedError> {
+    let (jobs, run) = plan_jobs(plan, a, opts).map_err(CheckedError::Soundness)?;
+    let mut report = execute(jobs, threads, &RunOptions::default());
+    report.violation = run.violation();
+    let report = report.into_result()?;
+    let factors = run.collect().expect("execute ran or dropped every job, so the run is the last owner");
+    Ok((factors, report))
 }

@@ -2,8 +2,8 @@
 //! chaos harness.
 //!
 //! The executors are *fail-fast*: a failed or panicked task cancels its
-//! transitive successors. This module adds the *recover* half.
-//! A task wrapped by [`retrying_job`] / [`retrying_dyn_job`]:
+//! transitive successors. This module adds the *recover* half. A task that
+//! [`crate::plan_jobs`] wraps under [`crate::FactorOptions::retry`]:
 //!
 //! 1. snapshots its declared write-set (the per-task block regions the DAG
 //!    builder recorded into the [`crate::AccessMap`]) before the first
@@ -22,7 +22,7 @@
 //! are therefore bitwise-identical to a run that never faulted.
 //!
 //! [`ChaosPlan`] is the one fault-injection harness, for the executors, the
-//! simulator and the retry wrappers alike: deterministic N-th-match rules
+//! simulator and the retry protocol alike: deterministic N-th-match rules
 //! plus failures, panics, delays *and silent data corruption* at
 //! configurable per-task-class rates. Decisions are a pure function of
 //! `(seed, label, occurrence)`, so they do not depend on thread
@@ -30,16 +30,16 @@
 //! (after scribbling garbage over the write-set to prove restoration
 //! works), so replay is always safe.
 
-use crate::exec::{DynJob, Job};
+use crate::exec::Job;
 use crate::fault::{panic_message, TaskFailure, TaskResult};
-use crate::footprint::AccessMap;
 use crate::task::{TaskId, TaskKind, TaskLabel};
 use crate::telemetry::{record_event, FlightEventKind};
-use ca_matrix::{ElemRect, MatView, Scalar, SharedMatrix};
+use ca_matrix::{ElemRect, MatView, Scalar, ShadowRegistry, SharedMatrix};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use ca_telemetry::{Counter, Registry};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -72,11 +72,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never replays (fail-fast).
-    pub fn none() -> Self {
-        Self { max_retries: 0, ..Self::default() }
-    }
-
     /// Sets the number of replays.
     pub fn with_max_retries(mut self, n: usize) -> Self {
         self.max_retries = n;
@@ -476,99 +471,77 @@ fn cols(r: &ElemRect) -> usize {
     r.col1 - r.col0
 }
 
-/// The element rects a task declared it writes. Build once per task with
-/// [`write_set`]; the retry wrapper snapshots and restores exactly these
-/// elements.
-#[derive(Clone, Debug, Default)]
-pub struct WriteSet {
-    rects: Vec<ElemRect>,
+/// Copies the current contents of every rect of a task's write-set — the
+/// element rects it declared it writes ([`crate::AccessMap::writes`]; none for
+/// a reduction-tree node passing data through side storage). The retry
+/// protocol snapshots and restores exactly these elements.
+fn capture<T: Scalar>(writes: &[ElemRect], shared: &SharedMatrix<T>) -> Vec<Vec<T>> {
+    writes
+        .iter()
+        .map(|r| {
+            // SAFETY: the executor guarantees no concurrent writer
+            // overlaps this task's declared footprint while the task
+            // (and this wrapper around it) runs — the same contract the
+            // body itself relies on. Reads within the declared write-set
+            // also satisfy the shadow registry's containment check.
+            unsafe { shared.block(r.row0, r.col0, rows(r), cols(r)).to_vec() }
+        })
+        .collect()
 }
 
-impl WriteSet {
-    /// `true` for tasks that write no matrix blocks (reduction-tree nodes
-    /// passing data through side storage).
-    pub fn is_empty(&self) -> bool {
-        self.rects.is_empty()
-    }
-
-    /// Number of elements covered (rectangles may not overlap per the
-    /// builders' contract; used for cost accounting).
-    pub fn elems(&self) -> usize {
-        self.rects.iter().map(|r| rows(r) * cols(r)).sum()
-    }
-
-    /// Copies the current contents of every write rectangle.
-    fn capture<T: Scalar>(&self, shared: &SharedMatrix<T>) -> Vec<Vec<T>> {
-        self.rects
-            .iter()
-            .map(|r| {
-                // SAFETY: the executor guarantees no concurrent writer
-                // overlaps this task's declared footprint while the task
-                // (and this wrapper around it) runs — the same contract the
-                // body itself relies on. Reads within the declared write-set
-                // also satisfy the shadow registry's containment check.
-                unsafe { shared.block(r.row0, r.col0, rows(r), cols(r)).to_vec() }
-            })
-            .collect()
-    }
-
-    /// Writes `saved` (from [`WriteSet::capture`]) back.
-    // Raw block access is sound here for the same reason it is in the task
-    // body: the restore touches only this task's declared write regions,
-    // while the task holds exclusive access to them per the graph edges.
-    #[allow(clippy::disallowed_methods)]
-    fn restore<T: Scalar>(&self, shared: &SharedMatrix<T>, saved: &[Vec<T>]) {
-        for (r, data) in self.rects.iter().zip(saved) {
-            let src = MatView::from_slice(data, rows(r), cols(r));
-            // SAFETY: see `capture` — exclusive access per the graph edges.
-            unsafe { shared.block_mut(r.row0, r.col0, rows(r), cols(r)).copy_from(src) };
-        }
-    }
-
-    /// Overwrites the write-set with garbage (what a task dying mid-kernel
-    /// leaves behind) so injected faults genuinely exercise restoration.
-    #[allow(clippy::disallowed_methods)]
-    fn scribble<T: Scalar>(&self, shared: &SharedMatrix<T>) {
-        for r in &self.rects {
-            // SAFETY: see `capture` — exclusive access per the graph edges.
-            unsafe { shared.block_mut(r.row0, r.col0, rows(r), cols(r)).fill(T::from_f64(f64::NAN)) };
-        }
-    }
-
-    /// Perturbs one element (chosen by `h`) by a large finite factor — the
-    /// silent-corruption model: plausible data, wrong value.
-    #[allow(clippy::disallowed_methods)]
-    fn corrupt_one<T: Scalar>(&self, shared: &SharedMatrix<T>, h: u64) {
-        if self.rects.is_empty() {
-            return;
-        }
-        let r = &self.rects[(h % self.rects.len() as u64) as usize];
-        let elems = (rows(r) * cols(r)) as u64;
-        let idx = (h >> 16) % elems.max(1);
-        let (i, j) = ((idx as usize) % rows(r), (idx as usize) / rows(r));
+/// Writes `saved` (from [`capture`]) back.
+// Raw block access is sound here for the same reason it is in the task
+// body: the restore touches only this task's declared write regions,
+// while the task holds exclusive access to them per the graph edges.
+#[allow(clippy::disallowed_methods)]
+fn restore<T: Scalar>(writes: &[ElemRect], shared: &SharedMatrix<T>, saved: &[Vec<T>]) {
+    for (r, data) in writes.iter().zip(saved) {
+        let src = MatView::from_slice(data, rows(r), cols(r));
         // SAFETY: see `capture` — exclusive access per the graph edges.
-        let mut block = unsafe { shared.block_mut(r.row0, r.col0, rows(r), cols(r)) };
-        let v = block.at(i, j);
-        let (big, off) = (T::from_f64(1.0e6), T::from_f64(1.0e3));
-        let bad = if v.is_finite() { v.mul_add(big, off) } else { big };
-        block.set(i, j, bad);
+        unsafe { shared.block_mut(r.row0, r.col0, rows(r), cols(r)).copy_from(src) };
     }
 }
 
-/// Task `task`'s declared write rects in `access`, as the set the retry
-/// wrapper snapshots.
-pub fn write_set(access: &AccessMap, task: TaskId) -> WriteSet {
-    WriteSet { rects: access.writes(task).to_vec() }
+/// Overwrites the write-set with garbage (what a task dying mid-kernel
+/// leaves behind) so injected faults genuinely exercise restoration.
+#[allow(clippy::disallowed_methods)]
+fn scribble<T: Scalar>(writes: &[ElemRect], shared: &SharedMatrix<T>) {
+    for r in writes {
+        // SAFETY: see `capture` — exclusive access per the graph edges.
+        unsafe { shared.block_mut(r.row0, r.col0, rows(r), cols(r)).fill(T::from_f64(f64::NAN)) };
+    }
+}
+
+/// Perturbs one element (chosen by `h`) by a large finite factor — the
+/// silent-corruption model: plausible data, wrong value.
+#[allow(clippy::disallowed_methods)]
+fn corrupt_one<T: Scalar>(writes: &[ElemRect], shared: &SharedMatrix<T>, h: u64) {
+    if writes.is_empty() {
+        return;
+    }
+    let r = &writes[(h % writes.len() as u64) as usize];
+    let elems = (rows(r) * cols(r)) as u64;
+    let idx = (h >> 16) % elems.max(1);
+    let (i, j) = ((idx as usize) % rows(r), (idx as usize) / rows(r));
+    // SAFETY: see `capture` — exclusive access per the graph edges.
+    let mut block = unsafe { shared.block_mut(r.row0, r.col0, rows(r), cols(r)) };
+    let v = block.at(i, j);
+    let (big, off) = (T::from_f64(1.0e6), T::from_f64(1.0e3));
+    let bad = if v.is_finite() { v.mul_add(big, off) } else { big };
+    block.set(i, j, bad);
 }
 
 /// Runs `body` under the retry protocol. Returns `Ok` if any attempt
-/// succeeds; `Err` (with the last failure) once retries are exhausted.
-fn run_recovering<T: Scalar>(
+/// succeeds; `Err` (with the last failure) once retries are exhausted. The
+/// body must be re-callable and derive all its inputs from state that the
+/// write-set restore returns to the pre-attempt image — true for every
+/// plan-builder kernel closure in this workspace.
+pub(crate) fn run_recovering<T: Scalar>(
     label: &TaskLabel,
-    writes: &WriteSet,
+    writes: &[ElemRect],
     shared: &SharedMatrix<T>,
     policy: &RetryPolicy,
-    chaos: &ChaosPlan,
+    chaos: Option<&ChaosPlan>,
     counters: &RecoveryCounters,
     body: &(dyn Fn() + Send),
 ) -> TaskResult {
@@ -576,7 +549,7 @@ fn run_recovering<T: Scalar>(
     // refcounted, so nested/concurrent recovery scopes share one install.
     let _hook = PanicHookGuard::new();
     let snapshot = if policy.max_retries > 0 && !writes.is_empty() {
-        Some(writes.capture(shared))
+        Some(capture(writes, shared))
     } else {
         None
     };
@@ -605,7 +578,7 @@ fn run_recovering<T: Scalar>(
             Err(failure) => {
                 last = failure;
                 if let Some(saved) = &snapshot {
-                    writes.restore(shared, saved);
+                    restore(writes, shared, saved);
                     counters.restores.inc();
                     record_event(FlightEventKind::Restore, Some(*label));
                 }
@@ -619,7 +592,7 @@ fn run_recovering<T: Scalar>(
 /// What an injected fault may damage, and where it is counted: the task's
 /// write-set on its matrix plus the run's recovery counters.
 struct Target<'a, T: Scalar> {
-    writes: &'a WriteSet,
+    writes: &'a [ElemRect],
     shared: &'a SharedMatrix<T>,
     counters: &'a RecoveryCounters,
 }
@@ -630,18 +603,19 @@ pub(crate) fn injection_message(panicked: bool, label: &TaskLabel) -> String {
     format!("chaos: injected {what} at {label}")
 }
 
-/// The one place an injected action is carried out: consults `chaos` for
-/// this attempt of `label` and runs `body` accordingly. An injected panic is
-/// a real unwind out of this function, so whichever catch path encloses it
-/// (the executor's or a retry guard's) is exercised, not simulated. Without
-/// a `target` (plain faulted runs, which snapshot nothing) there is nothing
-/// to scribble over or corrupt.
+/// The one place an injected action is carried out: consults `chaos` (if
+/// any) for this attempt of `label` and runs `body` accordingly. An injected
+/// panic is a real unwind out of this function, so whichever catch path
+/// encloses it (the executor's or a retry guard's) is exercised, not
+/// simulated. Without a `target` (runs without `retry`, which snapshot
+/// nothing) there is nothing to scribble over or corrupt.
 fn inject<T: Scalar>(
-    chaos: &ChaosPlan,
+    chaos: Option<&ChaosPlan>,
     label: &TaskLabel,
     target: Option<&Target<'_, T>>,
     body: impl FnOnce() -> TaskResult,
 ) -> TaskResult {
+    let Some(chaos) = chaos else { return body() };
     let decision = chaos.decide(label);
     if decision.is_some() {
         record_event(FlightEventKind::Inject, Some(*label));
@@ -651,20 +625,20 @@ fn inject<T: Scalar>(
             pick(t.counters).inc();
         }
     };
-    let scribble = || {
+    let damage = || {
         if let Some(t) = target {
-            t.writes.scribble(t.shared);
+            scribble(t.writes, t.shared);
         }
     };
     match decision {
         Some(ChaosAction::Fail) => {
             count(|c| &c.injected_failures);
-            scribble();
+            damage();
             Err(TaskFailure::new(injection_message(false, label)))
         }
         Some(ChaosAction::Panic) => {
             count(|c| &c.injected_panics);
-            scribble();
+            damage();
             panic!("{}", injection_message(true, label))
         }
         Some(ChaosAction::Delay(d)) => {
@@ -676,7 +650,7 @@ fn inject<T: Scalar>(
             let r = body();
             if let Some(t) = target.filter(|t| r.is_ok() && !t.writes.is_empty()) {
                 count(|c| &c.injected_corruptions);
-                t.writes.corrupt_one(t.shared, splitmix64(mix(chaos.seed, label, u64::MAX)));
+                corrupt_one(t.writes, t.shared, splitmix64(mix(chaos.seed, label, u64::MAX)));
             }
             r
         }
@@ -684,10 +658,25 @@ fn inject<T: Scalar>(
     }
 }
 
-/// Wraps `job` so `chaos` is consulted as it starts — a faulted run without
-/// replay: an injected failure or panic reaches the executor like a real one.
-pub(crate) fn faulted_job<'s>(chaos: &'s ChaosPlan, label: TaskLabel, job: Job<'s>) -> Job<'s> {
-    Box::new(move || inject(chaos, &label, None::<&Target<'_, f64>>, job))
+/// Task `id`'s job as an executor runs it: inside `scope`'s shadow task
+/// scope (so every `SharedMatrix` access of the job is audited against the
+/// task's declared footprint), and with `chaos` consulted as it starts — an
+/// injection without replay: a failure or panic reaches the executor like a
+/// real one. With neither, `job` itself.
+pub(crate) fn guarded_job<'s>(
+    id: TaskId,
+    label: TaskLabel,
+    scope: Option<Arc<ShadowRegistry>>,
+    chaos: Option<impl Deref<Target = ChaosPlan> + Send + 's>,
+    job: Job<'s>,
+) -> Job<'s> {
+    if scope.is_none() && chaos.is_none() {
+        return job;
+    }
+    Box::new(move || {
+        let _scope = scope.as_ref().map(|registry| registry.enter_task(id));
+        inject(chaos.as_deref(), &label, None::<&Target<'_, f64>>, job)
+    })
 }
 
 thread_local! {
@@ -783,38 +772,6 @@ fn guarded(f: impl FnOnce() -> TaskResult) -> TaskResult {
     r.unwrap_or_else(|payload| Err(TaskFailure::new(panic_message(payload.as_ref()))))
 }
 
-/// Wraps a re-runnable task body as a scoped [`Job`] with snapshot/replay
-/// recovery. The body must be `Fn` (re-callable) and must derive all its
-/// inputs from state that the write-set restore returns to the pre-attempt
-/// image — true for every DAG-builder kernel closure in this workspace.
-#[allow(clippy::too_many_arguments)]
-pub fn retrying_job<'s, T: Scalar>(
-    label: TaskLabel,
-    writes: WriteSet,
-    shared: &'s SharedMatrix<T>,
-    policy: RetryPolicy,
-    chaos: &'s ChaosPlan,
-    counters: &'s RecoveryCounters,
-    body: impl Fn() + Send + 's,
-) -> Job<'s> {
-    Box::new(move || run_recovering(&label, &writes, shared, &policy, chaos, counters, &body))
-}
-
-/// Owning variant of [`retrying_job`] for [`crate::MultiFrontier`] graphs:
-/// captures `Arc`s so the job can outlive the submitting call.
-#[allow(clippy::too_many_arguments)]
-pub fn retrying_dyn_job<T: Scalar>(
-    label: TaskLabel,
-    writes: WriteSet,
-    shared: Arc<SharedMatrix<T>>,
-    policy: RetryPolicy,
-    chaos: Arc<ChaosPlan>,
-    counters: Arc<RecoveryCounters>,
-    body: impl Fn() + Send + 'static,
-) -> DynJob {
-    Box::new(move || run_recovering(&label, &writes, &shared, &policy, &chaos, &counters, &body))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -825,8 +782,8 @@ mod tests {
         TaskLabel::new(kind, step, 0, 0)
     }
 
-    fn one_rect_set() -> WriteSet {
-        WriteSet { rects: vec![ElemRect::new(0..4, 0..4)] }
+    fn one_rect() -> [ElemRect; 1] {
+        [ElemRect::new(0..4, 0..4)]
     }
 
     #[test]
@@ -886,21 +843,20 @@ mod tests {
         t.read(&mut g, id, 0..1, 0..1);
         t.write(&mut g, id, 1..3, 2..3);
         let access = t.into_access_map();
-        let ws = write_set(&access, id);
-        assert_eq!(ws.elems(), 15 * 5, "rows 10..25 x cols 20..25");
-        let empty = write_set(&access, id + 1);
-        assert!(empty.is_empty());
+        let elems: usize = access.writes(id).iter().map(|r| rows(r) * cols(r)).sum();
+        assert_eq!(elems, 15 * 5, "rows 10..25 x cols 20..25");
+        assert!(access.writes(id + 1).is_empty());
     }
 
     #[test]
     fn snapshot_restore_round_trips() {
         let shared = SharedMatrix::new(Matrix::from_fn(4, 4, |i, j| (i * 4 + j) as f64));
-        let ws = one_rect_set();
-        let saved = ws.capture(&shared);
-        ws.scribble(&shared);
+        let ws = one_rect();
+        let saved = capture(&ws, &shared);
+        scribble(&ws, &shared);
         // SAFETY: single-threaded test.
         assert!(unsafe { shared.block(0, 0, 4, 4) }.at(1, 1).is_nan());
-        ws.restore(&shared, &saved);
+        restore(&ws, &shared, &saved);
         let m = shared.into_inner();
         assert_eq!(m[(1, 1)], 5.0);
         assert_eq!(m[(3, 3)], 15.0);
@@ -910,7 +866,7 @@ mod tests {
     fn corrupt_one_changes_exactly_one_element() {
         let orig = Matrix::from_fn(4, 4, |i, j| (i + j) as f64 + 1.0);
         let shared = SharedMatrix::new(orig.clone());
-        one_rect_set().corrupt_one(&shared, 0xdeadbeef);
+        corrupt_one(&one_rect(), &shared, 0xdeadbeef);
         let m = shared.into_inner();
         let changed = (0..4)
             .flat_map(|i| (0..4).map(move |j| (i, j)))
@@ -922,7 +878,7 @@ mod tests {
     #[test]
     fn retry_recovers_from_injected_faults() {
         let shared = SharedMatrix::new(Matrix::zeros(4, 4));
-        let ws = one_rect_set();
+        let ws = one_rect();
         let l = label(TaskKind::Update, 0);
         let chaos = ChaosPlan::quiet(0)
             .fail_nth(1, |_| true)
@@ -934,7 +890,7 @@ mod tests {
             &ws,
             &shared,
             &RetryPolicy::default().with_backoff(Duration::ZERO),
-            &chaos,
+            Some(&chaos),
             &counters,
             &|| {
                 runs.fetch_add(1, Ordering::Relaxed);
@@ -961,12 +917,12 @@ mod tests {
     #[test]
     fn exhausted_retries_restore_and_fail() {
         let shared = SharedMatrix::new(Matrix::from_fn(4, 4, |_, _| 7.0));
-        let ws = one_rect_set();
+        let ws = one_rect();
         let l = label(TaskKind::Update, 0);
         let chaos = ChaosPlan::with_profile(0, ChaosProfile::quiet().with_fail_rate(1.0));
         let counters = RecoveryCounters::new();
         let policy = RetryPolicy::default().with_max_retries(2).with_backoff(Duration::ZERO);
-        let result = run_recovering(&l, &ws, &shared, &policy, &chaos, &counters, &|| {});
+        let result = run_recovering(&l, &ws, &shared, &policy, Some(&chaos), &counters, &|| {});
         assert!(result.is_err());
         let stats = counters.snapshot();
         assert_eq!(stats.attempts, 3);

@@ -4,9 +4,8 @@ use crate::config::{AdmissionPolicy, ServiceConfig, SubmitOptions};
 use crate::metrics::{ServeMetrics, TenantSeries};
 use crate::stats::{ServeError, ServiceStats};
 use ca_core::{
-    calu_seq_serve_graph, calu_serve_graph, caqr_seq_serve_graph, caqr_serve_graph,
-    lu_solve_serve_graph, one_task_serve_graph, qr_lstsq_serve_graph, CaParams, FactorError,
-    JobRecovery, LuFactors, QrFactors, ServeGraph,
+    calu_serve_graph, caqr_serve_graph, one_task_serve_graph, solve_serve_graph, Built, CaParams,
+    FactorError, FactorOptions, LuFactors, QrFactors, Retry,
 };
 use ca_matrix::Matrix;
 use ca_sched::{
@@ -21,11 +20,9 @@ use std::time::{Duration, Instant};
 /// Cap on retained recovery-mark events (chrome-trace annotations).
 const MAX_MARKS: usize = 4096;
 
-/// What a graph build yields (an `Err` refuses the request).
-type Built<T> = Result<ServeGraph<T>, FactorError>;
-
-/// Rebuilds a job's graph from its retained request payload.
-type Rebuild<T> = Box<dyn Fn(&JobRecovery) -> Built<T> + Send>;
+/// Rebuilds a job's graph from its retained request payload, under the
+/// options of the new attempt.
+type Rebuild<T> = Box<dyn Fn(&FactorOptions) -> Built<T> + Send>;
 
 /// Integrity probe over a completed result.
 type Probe<T> = Box<dyn Fn(&T) -> Result<(), FactorError> + Send>;
@@ -215,8 +212,7 @@ impl<T> JobHandle<T> {
         st.used += 1;
         std::thread::sleep(delay);
         self.core.admit().map_err(Some)?;
-        let rec = self.core.recovery_for_attempt().expect("retry implies recovery");
-        let sg = match rebuild(&rec) {
+        let sg = match rebuild(&self.core.options_for_attempt()) {
             Ok(sg) => sg,
             Err(e) => {
                 self.core.release_one();
@@ -248,7 +244,7 @@ pub(crate) struct ServiceCore {
     /// exposition are views of it.
     metrics: ServeMetrics,
     shutdown: AtomicBool,
-    /// Task-level recovery counters, shared by every job's retry wrappers
+    /// Task-level recovery counters, shared by every job's retried tasks
     /// and adopted by the registry.
     recovery: Arc<RecoveryCounters>,
     /// Monotone counter deriving a distinct chaos seed per built graph.
@@ -350,26 +346,22 @@ impl ServiceCore {
         }
     }
 
-    /// The recovery context for one graph build, or `None` when neither
-    /// retry nor chaos is configured. Every call under chaos derives a
-    /// fresh plan seed, so a resubmitted job is not pinned into the exact
-    /// injection pattern that killed its previous attempt.
-    fn recovery_for_attempt(&self) -> Option<JobRecovery> {
-        let retry = self.cfg.retry;
-        let chaos = self.cfg.chaos;
-        if retry.is_none() && chaos.is_none() {
-            return None;
-        }
-        let policy = retry.map_or_else(ca_sched::RetryPolicy::none, |r| r.task_policy());
-        let plan = match chaos {
-            Some(c) => {
-                let k = self.chaos_jobs.fetch_add(1, Ordering::Relaxed);
-                let seed = c.seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-                Arc::new(ChaosPlan::with_profile(seed, c.profile))
-            }
-            None => Arc::new(ChaosPlan::quiet(0)),
-        };
-        Some(JobRecovery { policy, chaos: plan, counters: Arc::clone(&self.recovery) })
+    /// How the tasks of one graph build run: the configured task-retry
+    /// policy counting into the service-wide counters, and a chaos plan. Every
+    /// call under chaos derives a fresh plan seed, so a resubmitted job is
+    /// not pinned into the exact injection pattern that killed its previous
+    /// attempt.
+    fn options_for_attempt(&self) -> FactorOptions {
+        let chaos = self.cfg.chaos.map(|c| {
+            let k = self.chaos_jobs.fetch_add(1, Ordering::Relaxed);
+            let seed = c.seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            Arc::new(ChaosPlan::with_profile(seed, c.profile))
+        });
+        let retry = self.cfg.retry.map(|r| Retry {
+            policy: r.task_policy(),
+            counters: Arc::clone(&self.recovery),
+        });
+        FactorOptions { chaos, retry, checked: false }
     }
 
     /// Records a recovery event for the chrome trace (bounded: the ring
@@ -519,7 +511,7 @@ impl Service {
     }
 
     /// The one way from a request to a frontier job: claim an admission
-    /// slot, build the graph under this attempt's recovery context (a build
+    /// slot, build the graph under this attempt's [`FactorOptions`] (a build
     /// error releases the slot), and submit it under the job's weight,
     /// deadline and `(tenant, class)` series; the completion hook releases
     /// the slot. With a [`crate::RetryConfig`] the handle also carries a
@@ -536,7 +528,7 @@ impl Service {
     ) -> Result<JobHandle<T>, ServeError>
     where
         T: Send + Sync + 'static,
-        B: FnOnce(Option<&JobRecovery>) -> Built<T> + Clone + Send + 'static,
+        B: FnOnce(&FactorOptions) -> Built<T> + Clone + Send + 'static,
     {
         // `weight` is a public field: a value `JobOptions::with_weight`
         // would panic on is refused while no slot is held.
@@ -554,12 +546,11 @@ impl Service {
             }
         }
         let slot = Slot(core);
-        let rec = core.recovery_for_attempt();
         let deadline = opts.deadline.or(core.cfg.default_deadline);
         let retry = core.cfg.retry.map(|r| {
             let rebuild = (r.job_retries > 0).then(|| {
                 let build = build.clone();
-                Box::new(move |rec: &JobRecovery| build.clone()(Some(rec))) as Rebuild<T>
+                Box::new(move |fopts: &FactorOptions| build.clone()(fopts)) as Rebuild<T>
             });
             Box::new(RetryState {
                 weight: opts.weight,
@@ -571,7 +562,7 @@ impl Service {
                 first_failure: None,
             })
         });
-        let sg = build(rec.as_ref()).map_err(ServeError::Invalid)?;
+        let sg = build(&core.options_for_attempt()).map_err(ServeError::Invalid)?;
         let mut jopts = JobOptions::default().with_weight(opts.weight);
         if let Some(d) = deadline {
             jopts = jopts.with_deadline(d);
@@ -584,16 +575,16 @@ impl Service {
         Ok(JobHandle { core: Arc::clone(core), id, watch, output: sg.output, series, retry })
     }
 
-    /// Submits a factorization of `a`: as one sequential task (`seq`) when
-    /// it is [`Self::batchable`], else as the full `dag`; `verify` is the
-    /// integrity probe run on the factors when the retry tier asks for one.
+    /// Submits a factorization of `a` built by `graph`: as one sequential
+    /// task when it is [`Self::batchable`], else as the full DAG; `verify` is
+    /// the integrity probe run on the factors when the retry tier asks for
+    /// one.
     fn submit_factor<F: Send + Sync + 'static>(
         &self,
         a: Matrix,
         opts: SubmitOptions,
         class: &'static str,
-        dag: fn(Matrix, &CaParams, Option<&JobRecovery>) -> Built<F>,
-        seq: fn(Matrix, &CaParams) -> Built<F>,
+        graph: fn(Matrix, &CaParams, &FactorOptions, bool) -> Built<F>,
         verify: fn(&F, &Matrix, u64) -> Result<(), FactorError>,
     ) -> Result<JobHandle<F>, ServeError> {
         let p = self.params_for(&opts);
@@ -603,10 +594,7 @@ impl Service {
             let a0 = Arc::clone(&a);
             Box::new(move |f: &F| verify(f, &a0, r.probe_seed)) as Probe<F>
         });
-        let build = move |rec: Option<&JobRecovery>| {
-            let a = Arc::unwrap_or_clone(a);
-            if tiny { seq(a, &p) } else { dag(a, &p, rec) }
-        };
+        let build = move |fopts: &FactorOptions| graph(Arc::unwrap_or_clone(a), &p, fopts, tiny);
         let handle = self.submit_job(opts, class, build, probe)?;
         if tiny {
             self.core.metrics.batched_jobs.inc();
@@ -614,19 +602,23 @@ impl Service {
         Ok(handle)
     }
 
-    /// Submits an LU (CALU) factorization of `a`.
+    /// Submits an LU (CALU) factorization of `a` under the contract of
+    /// [`ca_core::try_calu`] ([`calu_serve_graph`]): non-finite input is
+    /// refused here ([`ServeError::Invalid`]), growth is always monitored, and
+    /// a zero pivot or a growth explosion fails the job — [`ServeError::Failed`]
+    /// carrying the [`FactorError`] text, as [`Service::submit_solve`] reports
+    /// a singular `A` — instead of returning factors with `breakdown` set.
     ///
     /// A matrix no larger than [`crate::BatchConfig::max_dim`] runs as one
     /// task on the sequential kernels (bitwise-identical factors — see
     /// DESIGN.md §11); everything else runs the full CALU DAG. Both are
-    /// ordinary jobs under fair-share scheduling.
+    /// ordinary jobs under fair-share scheduling and the same contract.
     pub fn submit_lu(
         &self,
         a: Matrix,
         opts: SubmitOptions,
     ) -> Result<JobHandle<LuFactors>, ServeError> {
-        let verify = LuFactors::verify_integrity;
-        self.submit_factor(a, opts, "lu", calu_serve_graph, calu_seq_serve_graph, verify)
+        self.submit_factor(a, opts, "lu", calu_serve_graph, LuFactors::verify_integrity)
     }
 
     /// Submits a QR (CAQR) factorization of `a`; small matrices as in
@@ -636,8 +628,7 @@ impl Service {
         a: Matrix,
         opts: SubmitOptions,
     ) -> Result<JobHandle<QrFactors>, ServeError> {
-        let verify = QrFactors::verify_integrity;
-        self.submit_factor(a, opts, "qr", caqr_serve_graph, caqr_seq_serve_graph, verify)
+        self.submit_factor(a, opts, "qr", caqr_serve_graph, QrFactors::verify_integrity)
     }
 
     /// Submits an out-of-core LU (left-looking CALU) factorization of the
@@ -662,10 +653,9 @@ impl Service {
     ) -> Result<JobHandle<ca_ooc::OocLu>, ServeError> {
         let p = self.params_for(&opts);
         let (m, n) = (store.nrows(), store.ncols());
-        let build = move |_: Option<&JobRecovery>| {
+        let build = move |_: &FactorOptions| {
             Ok(one_task_serve_graph(ca_kernels::flops::getrf(m.max(n), m.min(n)), move || {
                 ca_ooc::ooc_calu(&store, &p, budget_bytes)
-                    .map_err(|e| ca_sched::TaskFailure::new(e.to_string()))
             }))
         };
         let mut handle = self.submit_job(opts, "lu_ooc", build, None)?;
@@ -674,51 +664,62 @@ impl Service {
         Ok(handle)
     }
 
-    /// Submits a factorization of `a` followed by a solve against `rhs`
-    /// inside the same graph. No probe: the factors are consumed by the
-    /// graph's epilogue; task retry and job retry still apply.
-    fn submit_with_rhs(
+    /// Submits a factorization of `a` (`factors`) followed by `solve` against
+    /// `rhs` inside the same graph. No probe: the factors are consumed by the
+    /// graph's epilogue; task retry and job retry still apply. A shape the
+    /// solve cannot take is refused here and in the two callers — before a
+    /// slot is claimed, like a bad weight.
+    fn submit_with_rhs<F: Send + Sync + 'static>(
         &self,
         a: Matrix,
         rhs: Matrix,
         opts: SubmitOptions,
         class: &'static str,
-        graph: fn(Matrix, Matrix, &CaParams, Option<&JobRecovery>) -> Built<Matrix>,
+        factors: fn(Matrix, &CaParams, &FactorOptions, bool) -> Built<F>,
+        solve: fn(&F, &Matrix) -> Result<Matrix, FactorError>,
     ) -> Result<JobHandle<Matrix>, ServeError> {
+        if rhs.nrows() != a.nrows() {
+            return Err(ServeError::InvalidShape("rhs and A differ in row count"));
+        }
         let p = self.params_for(&opts);
         let (a, rhs) = (Arc::new(a), Arc::new(rhs));
-        let build = move |rec: Option<&JobRecovery>| {
-            graph(Arc::unwrap_or_clone(a), Arc::unwrap_or_clone(rhs), &p, rec)
+        let build = move |fopts: &FactorOptions| {
+            let (a, rhs) = (Arc::unwrap_or_clone(a), Arc::unwrap_or_clone(rhs));
+            solve_serve_graph(a, rhs, &p, fopts, factors, solve)
         };
         self.submit_job(opts, class, build, None)
     }
 
     /// Submits a factor-and-solve job for square `A·X = rhs` (CALU followed
-    /// by the pivoted triangular solves). A singular `A` fails the job.
-    ///
-    /// # Panics
-    /// Panics if `A` is not square or `rhs` has the wrong row count.
+    /// by the pivoted triangular solves). A singular `A` fails the job; a
+    /// non-square `A` or an `rhs` of another row count is refused with
+    /// [`ServeError::InvalidShape`].
     pub fn submit_solve(
         &self,
         a: Matrix,
         rhs: Matrix,
         opts: SubmitOptions,
     ) -> Result<JobHandle<Matrix>, ServeError> {
-        self.submit_with_rhs(a, rhs, opts, "solve", lu_solve_serve_graph)
+        if a.nrows() != a.ncols() {
+            return Err(ServeError::InvalidShape("solve needs a square A"));
+        }
+        self.submit_with_rhs(a, rhs, opts, "solve", calu_serve_graph, LuFactors::try_solve)
     }
 
     /// Submits a factor-and-least-squares job for tall `A` (CAQR followed
-    /// by `R⁻¹·Qᵀ·rhs`). A rank-deficient `A` fails the job.
-    ///
-    /// # Panics
-    /// Panics if `m < n` or `rhs` has the wrong row count.
+    /// by `R⁻¹·Qᵀ·rhs`). A rank-deficient `A` fails the job; `m < n` or an
+    /// `rhs` of another row count is refused with
+    /// [`ServeError::InvalidShape`].
     pub fn submit_lstsq(
         &self,
         a: Matrix,
         rhs: Matrix,
         opts: SubmitOptions,
     ) -> Result<JobHandle<Matrix>, ServeError> {
-        self.submit_with_rhs(a, rhs, opts, "lstsq", qr_lstsq_serve_graph)
+        if a.nrows() < a.ncols() {
+            return Err(ServeError::InvalidShape("least squares needs m >= n"));
+        }
+        self.submit_with_rhs(a, rhs, opts, "lstsq", caqr_serve_graph, QrFactors::try_solve_ls)
     }
 
     /// Jobs admitted and not yet finished.
@@ -921,7 +922,7 @@ mod tests {
             }
         }
         // Nor does a graph build that unwinds keep its slot.
-        let boom = |_: Option<&JobRecovery>| -> Built<()> { panic!("build unwound") };
+        let boom = |_: &FactorOptions| -> Built<()> { panic!("build unwound") };
         let submit = || svc.submit_job(SubmitOptions::default(), "lu", boom, None).map(drop);
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(submit)).is_err());
         assert_eq!(svc.active_jobs(), 0, "an unwinding build leaked a slot");
@@ -961,7 +962,7 @@ mod tests {
         let (started_tx, started_rx) = std::sync::mpsc::channel();
         let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
         let release_rx = Arc::new(Mutex::new(release_rx));
-        let build = move |_: Option<&JobRecovery>| {
+        let build = move |_: &FactorOptions| {
             Ok(one_task_serve_graph(0.0, move || {
                 let _ = started_tx.send(());
                 let _ = release_rx.lock().expect("release gate").recv();

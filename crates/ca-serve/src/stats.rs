@@ -42,6 +42,9 @@ pub enum ServeError {
     /// counted and no queue slot is claimed. `cafactor serve` never sets a
     /// weight; like every unlisted variant it would exit 1.
     InvalidWeight(f64),
+    /// The matrices of a solve or least-squares request do not fit together
+    /// (carries what is wrong); refused before admission like a bad weight.
+    InvalidShape(&'static str),
     /// Internal error: the job completed but its output slot is empty.
     Lost,
 }
@@ -65,6 +68,7 @@ impl std::fmt::Display for ServeError {
             ServeError::InvalidWeight(w) => {
                 write!(f, "invalid options: weight must be positive and finite, got {w}")
             }
+            ServeError::InvalidShape(why) => write!(f, "invalid request: {why}"),
             ServeError::Lost => write!(f, "internal: job output missing"),
         }
     }

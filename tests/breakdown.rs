@@ -120,7 +120,7 @@ fn injected_task_failure_surfaces_as_task_failed() {
     let a = random_uniform(96, 96, &mut seeded_rng(6));
     let p = CaParams::new(16, 4, 4);
     let faults = ChaosPlan::quiet(0).panic_nth(2, |l| l.kind == ca_factor::sched::TaskKind::Panel);
-    let opts = FactorOptions { chaos: Some(&faults), ..Default::default() };
+    let opts = FactorOptions { chaos: Some(faults.into()), ..Default::default() };
     let err = try_calu_with(a, &p, &opts).err().expect("injected panic must surface");
     match err {
         FactorError::TaskFailed { label, message } => {

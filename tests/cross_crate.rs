@@ -129,17 +129,25 @@ fn factors_are_bitwise_identical_across_every_option_and_thread_count() {
 }
 
 /// The declared equivalence class of the DAG path: whatever the element
-/// type, the `FactorOptions` and the worker count, CALU and CAQR produce the
-/// bits of the sequential references. Faults that fail a task are only
-/// injected under `retry` (without it they fail the run — see
-/// tests/breakdown.rs); a delay-only plan exercises the no-retry injection
+/// type, the `FactorOptions`, the worker count and *whose* workers they are
+/// — `try_*_with` running the plan's jobs itself, or the same plan under the
+/// same options served (`*_serve_graph` on a `MultiFrontier`; f64, as all
+/// serving is) — CALU and CAQR produce the bits of the sequential references
+/// and account the same recovery activity. Faults that fail a task are only
+/// injected under
+/// `retry` (without it they fail the run — see tests/breakdown.rs and
+/// tests/recovery.rs); a delay-only plan exercises the no-retry injection
 /// path.
 fn equivalence_class_of_the_dag_path<T: ca_factor::kernels::Kernel>() {
     use ca_factor::core::{
-        calu_task_graph, caqr_task_graph, try_calu, try_calu_profiled, try_calu_with, try_caqr,
-        try_caqr_profiled, try_caqr_with, FactorOptions, Retry,
+        calu_serve_graph, calu_task_graph, caqr_serve_graph, caqr_task_graph, try_calu,
+        try_calu_profiled, try_calu_with, try_caqr, try_caqr_profiled, try_caqr_with,
+        FactorOptions, Retry,
     };
-    use ca_factor::sched::{ChaosPlan, RecoveryCounters, RetryPolicy, TaskKind};
+    use ca_factor::sched::{
+        ChaosPlan, JobOptions, MultiFrontier, RecoveryCounters, RetryPolicy, TaskKind,
+    };
+    use std::sync::Arc;
     use std::time::Duration;
 
     #[derive(Clone, Copy, Debug, PartialEq)]
@@ -166,6 +174,9 @@ fn equivalence_class_of_the_dag_path<T: ca_factor::kernels::Kernel>() {
         let base = CaParams::new(b, tr, 1).with_par_update_rows(32);
         let lu_ref = calu_seq_factor(a.clone(), &base);
         let qr_ref = caqr_seq(a.clone(), &base);
+        // The served half of the table: (input, LU bits, QR bits) in f64.
+        let served_ref =
+            (T::NAME == "f64").then(|| (a.to_f64(), lu_ref.lu.to_f64(), qr_ref.a.to_f64()));
         for threads in [1usize, 2, 4] {
             let p = CaParams { threads, ..base };
             let lu = calu(a.clone(), &p);
@@ -184,6 +195,7 @@ fn equivalence_class_of_the_dag_path<T: ca_factor::kernels::Kernel>() {
             assert_eq!(f.a.as_slice(), qr_ref.a.as_slice(), "profiled caqr {m}x{n} {p:?}");
             assert_eq!(profile.records.len(), caqr_task_graph(m, n, &p).len());
 
+            let frontier = MultiFrontier::new(threads);
             for retry in [false, true] {
                 for checked in [false, true] {
                     for chaos in [Chaos::None, Chaos::Delay, Chaos::Faults] {
@@ -195,33 +207,69 @@ fn equivalence_class_of_the_dag_path<T: ca_factor::kernels::Kernel>() {
                              checked={checked} chaos={chaos:?}",
                             T::NAME
                         );
-                        let counters = RecoveryCounters::new();
-                        let retry = retry
-                            .then_some(Retry { policy: RetryPolicy::default(), counters: &counters });
+                        // A chaos plan is single-use: every run gets a fresh
+                        // one; each route counts into its own counters.
+                        let counters = [(); 2].map(|()| Arc::new(RecoveryCounters::new()));
+                        let options = |route: usize| FactorOptions {
+                            chaos: plan(chaos).map(Arc::new),
+                            retry: retry.then(|| Retry {
+                                policy: RetryPolicy::default(),
+                                counters: Arc::clone(&counters[route]),
+                            }),
+                            checked,
+                        };
+                        // What a served job of `tasks` plan tasks must have
+                        // run: those plus exactly one sink.
+                        let serve = |graph, tasks: usize| {
+                            let (_, watch) = frontier.submit(graph, JobOptions::default());
+                            let job = watch.wait();
+                            assert!(job.outcome.is_completed(), "served {case}: {:?}", job.outcome);
+                            assert_eq!(job.tasks_run, tasks + 1, "served {case}");
+                        };
 
-                        let chaos_lu = plan(chaos);
-                        let opts = FactorOptions { chaos: chaos_lu.as_ref(), retry, checked };
-                        let (f, report) = try_calu_with(a.clone(), &p, &opts)
+                        let (f, lu_report) = try_calu_with(a.clone(), &p, &options(0))
                             .unwrap_or_else(|e| panic!("calu {case}: {e}"));
                         assert_eq!(f.lu.as_slice(), lu_ref.lu.as_slice(), "calu {case}");
                         assert_eq!(f.pivots.ipiv, lu_ref.pivots.ipiv, "calu {case}");
-                        assert_eq!(report.profile().records.len(), report.stats.tasks, "calu {case}");
+                        let tasks = lu_report.stats.tasks;
+                        assert_eq!(lu_report.profile().records.len(), tasks, "calu {case}");
 
-                        let chaos_qr = plan(chaos);
-                        let opts = FactorOptions { chaos: chaos_qr.as_ref(), retry, checked };
-                        let (f, report) = try_caqr_with(a.clone(), &p, &opts)
+                        let (f, qr_report) = try_caqr_with(a.clone(), &p, &options(0))
                             .unwrap_or_else(|e| panic!("caqr {case}: {e}"));
                         assert_eq!(f.a.as_slice(), qr_ref.a.as_slice(), "caqr {case}");
-                        assert_eq!(report.profile().records.len(), report.stats.tasks, "caqr {case}");
-
+                        let tasks = qr_report.stats.tasks;
+                        assert_eq!(qr_report.profile().records.len(), tasks, "caqr {case}");
                         if chaos == Chaos::Faults {
-                            let s = counters.snapshot();
+                            let s = counters[0].snapshot();
                             assert!(s.recovered_tasks >= 2, "{case}: {s:?}");
                             assert_eq!(s.exhausted_tasks, 0, "{case}: {s:?}");
                         }
+
+                        let Some((a, lu_bits, qr_bits)) = &served_ref else { continue };
+                        let sg = calu_serve_graph(a.clone(), &p, &options(1), false)
+                            .unwrap_or_else(|e| panic!("served calu {case}: {e}"));
+                        serve(sg.graph, lu_report.stats.tasks);
+                        let f = sg.output.get().expect("a completed job filled its output");
+                        assert_eq!(f.lu.as_slice(), lu_bits.as_slice(), "served calu {case}");
+                        assert_eq!(f.pivots.ipiv, lu_ref.pivots.ipiv, "served calu {case}");
+                        let sg = caqr_serve_graph(a.clone(), &p, &options(1), false)
+                            .unwrap_or_else(|e| panic!("served caqr {case}: {e}"));
+                        serve(sg.graph, qr_report.stats.tasks);
+                        let f = sg.output.get().expect("a completed job filled its output");
+                        assert_eq!(f.a.as_slice(), qr_bits.as_slice(), "served caqr {case}");
+
+                        let [mut one_shot, mut served] = counters.map(|c| c.snapshot());
+                        if threads > 1 {
+                            // Which Panel task the N-th-match rule hits, and
+                            // so whether it has a write-set to restore,
+                            // depends on the interleaving.
+                            (one_shot.restores, served.restores) = (0, 0);
+                        }
+                        assert_eq!(one_shot, served, "{case}");
                     }
                 }
             }
+            frontier.shutdown();
         }
     }
 }

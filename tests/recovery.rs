@@ -12,26 +12,30 @@
 //! integrity probe must catch it after the fact.
 
 use ca_factor::core::{
-    try_calu, try_calu_with, try_caqr, try_caqr_with, FactorError, FactorOptions, LuFactors,
-    Retry,
+    calu_serve_graph, try_calu, try_calu_with, try_caqr, try_caqr_with, FactorError,
+    FactorOptions, LuFactors, Retry,
 };
 use ca_factor::matrix::{random_uniform, seeded_rng, Matrix};
 use ca_factor::prelude::CaParams;
-use ca_factor::sched::{ChaosPlan, ChaosProfile, RecoveryCounters, RetryPolicy, TaskKind};
+use ca_factor::sched::{
+    ChaosPlan, ChaosProfile, JobOptions, JobOutcome, MultiFrontier, RecoveryCounters, RetryPolicy,
+    TaskKind,
+};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn params(threads: usize) -> CaParams {
     CaParams::new(16, 4, threads)
 }
 
-fn recovering<'a>(
+fn recovering(
     policy: RetryPolicy,
-    chaos: &'a ChaosPlan,
-    counters: &'a RecoveryCounters,
-) -> FactorOptions<'a> {
+    chaos: ChaosPlan,
+    counters: &Arc<RecoveryCounters>,
+) -> FactorOptions {
     FactorOptions {
-        chaos: Some(chaos),
-        retry: Some(Retry { policy, counters }),
+        chaos: Some(Arc::new(chaos)),
+        retry: Some(Retry { policy, counters: Arc::clone(counters) }),
         ..Default::default()
     }
 }
@@ -40,8 +44,8 @@ fn calu_recovering(
     a: &Matrix,
     p: &CaParams,
     policy: RetryPolicy,
-    chaos: &ChaosPlan,
-    counters: &RecoveryCounters,
+    chaos: ChaosPlan,
+    counters: &Arc<RecoveryCounters>,
 ) -> Result<LuFactors, FactorError> {
     try_calu_with(a.clone(), p, &recovering(policy, chaos, counters)).map(|(f, _)| f)
 }
@@ -62,8 +66,8 @@ fn calu_replay_is_bitwise_identical_across_thread_counts() {
     for threads in [1, 3] {
         let p = params(threads);
         let reference = try_calu(a.clone(), &p).expect("fault-free run");
-        let counters = RecoveryCounters::new();
-        let f = calu_recovering(&a, &p, RetryPolicy::default(), &targeted_plan(1), &counters)
+        let counters = Arc::new(RecoveryCounters::new());
+        let f = calu_recovering(&a, &p, RetryPolicy::default(), targeted_plan(1), &counters)
             .expect("recovered run");
         assert_eq!(
             f.lu.as_slice(),
@@ -90,9 +94,9 @@ fn caqr_replay_is_bitwise_identical_across_thread_counts() {
     for threads in [1, 3] {
         let p = params(threads);
         let reference = try_caqr(a.clone(), &p).expect("fault-free run");
-        let counters = RecoveryCounters::new();
+        let counters = Arc::new(RecoveryCounters::new());
         let plan = targeted_plan(2);
-        let opts = recovering(RetryPolicy::default(), &plan, &counters);
+        let opts = recovering(RetryPolicy::default(), plan, &counters);
         let (f, _) = try_caqr_with(a.clone(), &p, &opts).expect("recovered run");
         assert_eq!(
             f.a.as_slice(),
@@ -113,9 +117,9 @@ fn profile_rate_chaos_recovers() {
     let profile = ChaosProfile::quiet().with_fail_rate(0.05).with_panic_rate(0.02);
     let p = params(3);
     let reference = try_calu(a.clone(), &p).expect("fault-free run");
-    let counters = RecoveryCounters::new();
+    let counters = Arc::new(RecoveryCounters::new());
     let plan = ChaosPlan::with_profile(0xD2, profile);
-    let f = calu_recovering(&a, &p, RetryPolicy::default(), &plan, &counters)
+    let f = calu_recovering(&a, &p, RetryPolicy::default(), plan, &counters)
         .expect("recovered run");
     assert_eq!(f.lu.as_slice(), reference.lu.as_slice());
     let s = counters.snapshot();
@@ -132,10 +136,10 @@ fn exhausted_retry_budget_fails_cleanly() {
     // no hang, no poisoned factors.
     let a = random_uniform(64, 64, &mut seeded_rng(0xFA06));
     let p = params(2);
-    let counters = RecoveryCounters::new();
+    let counters = Arc::new(RecoveryCounters::new());
     let plan = ChaosPlan::quiet(0)
         .with_class_profile(TaskKind::Update, ChaosProfile::quiet().with_fail_rate(1.0));
-    match calu_recovering(&a, &p, RetryPolicy::default().with_max_retries(2), &plan, &counters) {
+    match calu_recovering(&a, &p, RetryPolicy::default().with_max_retries(2), plan, &counters) {
         Err(FactorError::TaskFailed { .. }) => {}
         other => panic!("expected task failure after exhaustion, got {other:?}"),
     }
@@ -150,12 +154,12 @@ fn integrity_probe_catches_injected_corruption() {
     // "succeeds"), factorization completes, and only the probe can tell.
     let a = random_uniform(96, 96, &mut seeded_rng(0xFA07));
     let p = params(2);
-    let counters = RecoveryCounters::new();
+    let counters = Arc::new(RecoveryCounters::new());
     // Target an Update: those carry matrix write-sets, and later tasks
     // transform the corrupted block in place (they never recompute it from
     // pristine data), so the corruption propagates into the final factors.
     let plan = ChaosPlan::quiet(0).corrupt_nth(1, |l| l.kind == TaskKind::Update);
-    let f = calu_recovering(&a, &p, RetryPolicy::default(), &plan, &counters)
+    let f = calu_recovering(&a, &p, RetryPolicy::default(), plan, &counters)
         .expect("corrupted run still completes");
     assert_eq!(counters.snapshot().injected_corruptions, 1);
     match f.verify_integrity(&a, 42) {
@@ -168,4 +172,58 @@ fn integrity_probe_catches_injected_corruption() {
     // The same matrix factored honestly passes the probe.
     let clean = try_calu(a.clone(), &p).expect("honest run");
     clean.verify_integrity(&a, 42).expect("honest factors pass");
+}
+
+#[test]
+fn chaos_without_retry_means_the_same_one_shot_and_served() {
+    // One `FactorOptions` value, two owners of the workers: `try_calu_with`
+    // runs the plan's jobs itself, `calu_serve_graph` hands the same jobs to
+    // a `MultiFrontier`. Without `retry` nothing is snapshotted, so nothing
+    // is damaged either: a corruption draw injects nothing (clean bits on
+    // both routes), and an injected failure fails both the same way.
+    let a = random_uniform(96, 96, &mut seeded_rng(0xFA08));
+    let p = params(2);
+    let reference = try_calu(a.clone(), &p).expect("fault-free run");
+    let frontier = MultiFrontier::new(2);
+    let served = |opts: &FactorOptions| {
+        let sg = calu_serve_graph(a.clone(), &p, opts, false).expect("finite input");
+        let (_, watch) = frontier.submit(sg.graph, JobOptions::default());
+        (watch.wait().outcome, sg.output)
+    };
+    let without_retry = |chaos: ChaosPlan| FactorOptions {
+        chaos: Some(Arc::new(chaos)),
+        ..Default::default()
+    };
+
+    let corrupt = || ChaosPlan::quiet(0).corrupt_nth(1, |l| l.kind == TaskKind::Update);
+    let (f, _) = try_calu_with(a.clone(), &p, &without_retry(corrupt())).expect("nothing fails");
+    assert_eq!(f.lu.as_slice(), reference.lu.as_slice(), "one-shot: nothing to corrupt");
+    let (outcome, output) = served(&without_retry(corrupt()));
+    assert!(outcome.is_completed(), "{outcome:?}");
+    let f = output.get().expect("output set");
+    assert_eq!(f.lu.as_slice(), reference.lu.as_slice(), "served: nothing to corrupt");
+
+    // One task, by label, so both routes hit the same one whatever the
+    // interleaving.
+    let graph = ca_factor::core::calu_task_graph(96, 96, &p);
+    let victim = (0..graph.len())
+        .map(|t| graph.meta(t).label)
+        .filter(|l| l.kind == TaskKind::Update)
+        .nth(3)
+        .expect("the graph has updates");
+    let fail = || ChaosPlan::quiet(0).fail_nth(1, move |l| *l == victim);
+    let one_shot = match try_calu_with(a.clone(), &p, &without_retry(fail())) {
+        Err(FactorError::TaskFailed { label, message }) => (label, message),
+        other => panic!("expected the injected failure, got {:?}", other.map(|(f, _)| f)),
+    };
+    assert!(one_shot.1.contains("chaos: injected failure"), "{}", one_shot.1);
+    match served(&without_retry(fail())) {
+        (JobOutcome::Failed(e), output) => {
+            assert!(one_shot.1.contains(&e.message), "{} vs {}", one_shot.1, e.message);
+            assert_eq!((e.label, e.label.to_string()), (victim, one_shot.0));
+            assert!(output.get().is_none());
+        }
+        (other, _) => panic!("expected the injected failure, got {other:?}"),
+    }
+    frontier.shutdown();
 }

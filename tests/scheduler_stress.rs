@@ -617,10 +617,10 @@ fn multifrontier_chaos_exhaustion_is_isolated_from_recovering_peers() {
     // never bleed across jobs sharing the worker pool, and neither may the
     // flight marks: every retry/restore/inject mark names its task's job
     // (ids 0, 1 and 2, so a recorder that always says 0 is caught).
-    use ca_factor::matrix::{ElemRect, Matrix, SharedMatrix};
+    use ca_factor::matrix::{ElemRect, Matrix};
     use ca_factor::sched::{
-        retrying_dyn_job, write_set, AccessMap, ChaosPlan, ChaosProfile, DynJob, JobOptions,
-        JobOutcome, MultiFrontier, RecoveryCounters, RetryPolicy,
+        plan_jobs, ChaosPlan, ChaosProfile, FactorOptions, JobOptions, JobOutcome, MultiFrontier,
+        PlanBuilder, RecoveryCounters, Retry, RetryPolicy,
     };
     use std::sync::Arc;
     use std::time::Duration;
@@ -632,10 +632,10 @@ fn multifrontier_chaos_exhaustion_is_isolated_from_recovering_peers() {
 
     let frontier = MultiFrontier::new(3);
     let recorder = frontier.set_flight_recorder(1024);
-    // Substrate for the retry wrappers: these chain tasks pass data through
-    // accumulators, and declare their job's own element as their write-set
-    // so a replay has something to restore.
-    let shared = Arc::new(SharedMatrix::new(Matrix::<f64>::zeros(JOBS, 1)));
+    // Each job is a plan of its own: a chain of tasks that pass data through
+    // an accumulator and all declare the job's own element as their
+    // write-set, so a replay has something to restore (and the tracker
+    // infers the chain from the write-after-write conflicts).
     let mut watches = Vec::new();
     let mut accs = Vec::new();
     let mut counters_by_job = Vec::new();
@@ -660,32 +660,24 @@ fn multifrontier_chaos_exhaustion_is_isolated_from_recovering_peers() {
         };
         let counters = Arc::new(RecoveryCounters::new());
         counters_by_job.push(counters.clone());
-        let mut access = AccessMap::new(JOBS, 1);
+        let mut pb = PlanBuilder::<f64, ()>::new(1, JOBS, 1);
         for t in 0..CHAIN {
-            access.record_write(t, ElemRect::new(jidx..jidx + 1, 0..1));
-        }
-        let mut g: ca_factor::sched::TaskGraph<DynJob> = ca_factor::sched::TaskGraph::new();
-        let mut prev = None;
-        for t in 0..CHAIN {
-            let label = TaskLabel::new(TaskKind::Update, t, jidx, 0);
             let acc = acc.clone();
-            let body = retrying_dyn_job(
-                label,
-                write_set(&access, t),
-                shared.clone(),
-                policy,
-                plan.clone(),
-                counters.clone(),
-                move || {
+            let id = pb.task(
+                TaskMeta::new(TaskLabel::new(TaskKind::Update, t, jidx, 0), 1.0),
+                move |_, _| {
                     acc.fetch_add(term(t), Ordering::SeqCst);
                 },
             );
-            let id = g.add_task(TaskMeta::new(label, 1.0), body);
-            if let Some(p) = prev {
-                g.add_dep(p, id);
-            }
-            prev = Some(id);
+            pb.writes_rect(id, ElemRect::new(jidx..jidx + 1, 0..1));
         }
+        let opts = FactorOptions {
+            chaos: Some(plan),
+            retry: Some(Retry { policy, counters }),
+            checked: false,
+        };
+        let (g, _) = plan_jobs(pb.finish((), |a, ()| a), Matrix::zeros(JOBS, 1), &opts)
+            .expect("nothing to verify");
         watches.push(frontier.submit(g, JobOptions::default()));
     }
 
@@ -783,14 +775,14 @@ fn seeded_delays_never_change_the_factors() {
     for seed in 0..8u64 {
         for threads in [2usize, 3, 4] {
             let p = CaParams { threads, ..reference };
-            let plan = delay_plan(seed);
-            let opts = FactorOptions { chaos: Some(&plan), ..Default::default() };
-            let (lu, _) = try_calu_with(a.clone(), &p, &opts).expect("delays fail nothing");
+            let delays = || FactorOptions {
+                chaos: Some(std::sync::Arc::new(delay_plan(seed))),
+                ..Default::default()
+            };
+            let (lu, _) = try_calu_with(a.clone(), &p, &delays()).expect("delays fail nothing");
             assert_eq!(lu.lu.as_slice(), lu0.lu.as_slice(), "CALU seed {seed} x {threads}");
             assert_eq!(lu.pivots.ipiv, lu0.pivots.ipiv, "CALU seed {seed} x {threads}");
-            let plan = delay_plan(seed);
-            let opts = FactorOptions { chaos: Some(&plan), ..Default::default() };
-            let (qr, _) = try_caqr_with(a.clone(), &p, &opts).expect("delays fail nothing");
+            let (qr, _) = try_caqr_with(a.clone(), &p, &delays()).expect("delays fail nothing");
             assert_eq!(qr.r().as_slice(), qr0.r().as_slice(), "CAQR seed {seed} x {threads}");
         }
     }
@@ -805,10 +797,10 @@ fn multifrontier_survives_interleaved_submit_cancel_shed_and_shutdown() {
     // accounted exactly once, and a body ran iff the report counts it — so
     // nothing runs once a job is final, in particular not after a cancel
     // that found nothing in flight.
-    use ca_factor::matrix::{Matrix, SharedMatrix};
+    use ca_factor::matrix::Matrix;
     use ca_factor::sched::{
-        retrying_dyn_job, CancelReason, DynJob, JobOptions, JobOutcome, MultiFrontier,
-        RecoveryCounters, RetryPolicy, WriteSet,
+        plan_jobs, CancelReason, DynJob, FactorOptions, JobOptions, JobOutcome, MultiFrontier,
+        PlanBuilder,
     };
     use std::sync::Arc;
     use std::time::Duration;
@@ -817,30 +809,30 @@ fn multifrontier_survives_interleaved_submit_cancel_shed_and_shutdown() {
     const JOBS_EACH: usize = 16;
     for seed in 0..8u64 {
         let frontier = MultiFrontier::new(3);
-        let plan = Arc::new(delay_plan(seed));
-        let shared = Arc::new(SharedMatrix::new(Matrix::<f64>::zeros(1, 1)));
-        let counters = Arc::new(RecoveryCounters::new());
+        let delays =
+            FactorOptions { chaos: Some(Arc::new(delay_plan(seed))), ..Default::default() };
         let ran: Vec<Arc<AtomicUsize>> =
             (0..CLIENTS * JOBS_EACH).map(|_| Arc::new(AtomicUsize::new(0))).collect();
 
-        // Job `j`: a random layered DAG whose bodies count themselves; the
-        // retry wrapper is what consults the delay plan.
+        // Job `j`: a random layered DAG as a plan whose bodies count
+        // themselves; `plan_jobs` is what makes them consult the delay plan.
         let build = |j: usize| -> TaskGraph<DynJob> {
             let kinds = [TaskKind::Panel, TaskKind::Update, TaskKind::LBlock];
-            random_dag(seed * 1000 + j as u64, 3, 3, 0.5).map(|id, _| {
+            let dag = random_dag(seed * 1000 + j as u64, 3, 3, 0.5);
+            let mut pb = PlanBuilder::<f64, ()>::new(1, 1, 1);
+            for id in 0..dag.len() {
                 let ran = Arc::clone(&ran[j]);
-                retrying_dyn_job(
-                    TaskLabel::new(kinds[id % 3], id, j, 0),
-                    WriteSet::default(),
-                    Arc::clone(&shared),
-                    RetryPolicy::none(),
-                    Arc::clone(&plan),
-                    Arc::clone(&counters),
-                    move || {
-                        ran.fetch_add(1, Ordering::SeqCst);
-                    },
-                )
-            })
+                let label = TaskLabel::new(kinds[id % 3], id, j, 0);
+                pb.task(TaskMeta { label, ..*dag.meta(id) }, move |_, _| {
+                    ran.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            for before in 0..dag.len() {
+                for &after in dag.successors(before) {
+                    pb.graph.add_dep(before, after);
+                }
+            }
+            plan_jobs(pb.finish((), |a, ()| a), Matrix::zeros(1, 1), &delays).expect("unchecked").0
         };
 
         // Each client reports its jobs as (index, task count, watch) and the

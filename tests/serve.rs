@@ -273,6 +273,74 @@ fn solve_and_lstsq_through_the_service_are_accurate() {
     svc.shutdown();
 }
 
+/// A served LU obeys the `try_calu` contract on both routes (the DAG and the
+/// one-task route of a tiny job): what `try_calu` refuses, the job fails
+/// with — as `submit_solve` always reported a singular `A` — and what
+/// `try_calu` degrades (a GEPP fallback panel), the served factors record.
+#[test]
+fn a_served_lu_is_refused_or_degraded_exactly_like_try_calu() {
+    use ca_factor::core::try_calu;
+    use ca_factor::matrix::wilkinson_growth;
+    let svc = Service::new(
+        ServiceConfig::new(2).with_params(params()).with_batching(BatchConfig::up_to(96)),
+    );
+    let routes = [SubmitOptions::default(), SubmitOptions::default().unbatched()];
+    let refused = |a: &Matrix, p: CaParams, what: &str| {
+        let want = try_calu(a.clone(), &p).expect_err("try_calu refuses this input").to_string();
+        assert!(want.contains(what), "{want}");
+        for opts in &routes {
+            match svc.submit_lu(a.clone(), opts.clone().with_params(p)).expect("admits").wait() {
+                Err(ServeError::Failed { message, .. }) => {
+                    assert!(message.contains(&want), "{message} vs {want}")
+                }
+                other => panic!("{what}: expected a failed job, got {:?}", other.map(|f| f.breakdown)),
+            }
+        }
+    };
+    let col = random_uniform(96, 1, &mut seeded_rng(0x5E28));
+    let rank_one = Matrix::from_fn(96, 96, |i, _| col[(i, 0)]);
+    refused(&rank_one, params(), "zero pivot");
+    refused(&wilkinson_growth(64), CaParams::new(8, 4, 1).with_growth_limit(4.0), "growth");
+
+    // The shape of tests/breakdown.rs' fallback input, at a limit the
+    // tournament's first panel breaks and plain GEPP does not.
+    let a = random_uniform(48, 48, &mut seeded_rng(1));
+    let p = CaParams::new(12, 4, 2).with_growth_limit(3.0);
+    let want = try_calu(a.clone(), &p).expect("GEPP stays under the limit");
+    assert_eq!(want.stats.fallback_panels, [0]);
+    for opts in &routes {
+        let got = svc.submit_lu(a.clone(), opts.clone().with_params(p)).expect("admits").wait();
+        let got = got.expect("a degraded panel is not an error");
+        assert_eq!(got.stats.fallback_panels, want.stats.fallback_panels);
+        assert_eq!(got.lu.as_slice(), want.lu.as_slice());
+    }
+    assert_eq!(svc.stats().batched_jobs, 3, "one job of each input took the one-task route");
+    svc.shutdown();
+}
+
+/// A request whose matrices do not fit together is refused with a typed
+/// error before it holds a queue slot — never a panic.
+#[test]
+fn solve_and_lstsq_refuse_a_bad_shape_before_admission() {
+    let svc = Service::new(
+        ServiceConfig::new(1).with_capacity(1).with_admission(AdmissionPolicy::Reject),
+    );
+    let m = |rows, cols| random_uniform(rows, cols, &mut seeded_rng(0x5E29));
+    let refusals = [
+        svc.submit_solve(m(8, 6), m(8, 1), SubmitOptions::default()).map(drop),
+        svc.submit_solve(m(8, 8), m(7, 1), SubmitOptions::default()).map(drop),
+        svc.submit_lstsq(m(6, 8), m(6, 1), SubmitOptions::default()).map(drop),
+        svc.submit_lstsq(m(8, 6), m(9, 1), SubmitOptions::default()).map(drop),
+    ];
+    for r in refusals {
+        assert!(matches!(r, Err(ServeError::InvalidShape(_))), "{r:?}");
+    }
+    assert_eq!((svc.stats().submitted, svc.active_jobs()), (0, 0));
+    // The only slot is still free.
+    svc.submit_solve(m(8, 8), m(8, 1), SubmitOptions::default()).expect("admits").wait().expect("solves");
+    svc.shutdown();
+}
+
 /// The out-of-core submission path: a tile-store-resident matrix factored
 /// under a budget that forces streaming (multiple superpanels) produces
 /// factors bitwise identical to `calu_seq_factor`, through the service.

@@ -17,7 +17,7 @@ use ca_factor::sched::{
 };
 use ca_factor::Matrix;
 
-fn checked() -> FactorOptions<'static> {
+fn checked() -> FactorOptions {
     FactorOptions { checked: true, ..Default::default() }
 }
 
@@ -264,7 +264,11 @@ fn minimal<T: Scalar, S, F>(plan: &Plan<T, S, F>) -> Fingerprint {
 }
 
 /// Runs a plan on 4 workers under `opts`; returns what it executed.
-fn run<T: Scalar, S: Sync, F>(plan: Plan<T, S, F>, a: Matrix<T>, opts: &FactorOptions<'_>) -> Fingerprint {
+fn run<T: Scalar, S: Send + Sync + 'static, F: 'static>(
+    plan: Plan<T, S, F>,
+    a: Matrix<T>,
+    opts: &FactorOptions,
+) -> Fingerprint {
     let (_, report) = run_plan(plan, a, 4, opts).unwrap_or_else(|e| panic!("{e}"));
     executed(report.profile())
 }
@@ -301,7 +305,7 @@ fn builder_graphs_are_pinned_minimal_and_run_clean_checked() {
     // Every pinned row must also be conflict-minimal under the lint and run
     // clean under the race detector.
     use Builder::*;
-    fn check<S: Sync, F>(plan: Plan<f64, S, F>, a: Matrix) -> Fingerprint {
+    fn check<S: Send + Sync + 'static, F: 'static>(plan: Plan<f64, S, F>, a: Matrix) -> Fingerprint {
         let built = minimal(&plan);
         assert_eq!(run(plan, a, &checked()), built);
         built
