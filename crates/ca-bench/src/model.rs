@@ -6,7 +6,7 @@
 //! significant").
 
 use crate::calibrate::Calibration;
-use ca_sched::{simulate, simulate_with, Profile, SimOptions, TaskGraph, Timeline};
+use ca_sched::{simulate, Profile, TaskGraph, Timeline};
 
 /// A virtual multicore machine for replaying factorization task graphs.
 #[derive(Clone, Debug)]
@@ -37,7 +37,7 @@ impl MachineModel {
 
     /// Replays a task graph; returns the full timeline.
     pub fn run<T>(&self, graph: &TaskGraph<T>) -> Timeline {
-        simulate(graph, self.cores, |_, meta| self.task_seconds(meta))
+        simulate(graph, self.cores, |_, meta| self.task_seconds(meta)).stats.timeline
     }
 
     /// Replays a task graph; returns the full [`Profile`] (exact lifecycle
@@ -45,8 +45,7 @@ impl MachineModel {
     /// efficiency, roofline attribution). Same schedule as
     /// [`MachineModel::run`], and fully deterministic.
     pub fn profile<T>(&self, graph: &TaskGraph<T>) -> Profile {
-        let opts = SimOptions::default();
-        simulate_with(graph, self.cores, |_, meta| self.task_seconds(meta), &opts).profile()
+        simulate(graph, self.cores, |_, meta| self.task_seconds(meta)).profile()
     }
 
     /// Replays a task graph and converts to GFlop/s using the *useful*

@@ -122,31 +122,40 @@ impl<T: Scalar> TileStore<T> {
         Ok(Self { file: Mutex::new(file), path, m, n, w, stats: IoVolume::default(), _elem: PhantomData })
     }
 
-    /// Opens an existing store, validating the header against `T`.
+    /// Opens an existing store, validating the header against `T` and the
+    /// file: a nonzero shape and panel width whose body is exactly the
+    /// file's length past the header.
     pub fn open(path: impl AsRef<Path>) -> Result<Self, FactorError> {
         let path = path.as_ref().to_path_buf();
+        let refuse = |message: String| FactorError::Io { op: "open".into(), message };
         let mut file =
             OpenOptions::new().read(true).write(true).open(&path).map_err(|e| err("open", e))?;
         let mut header = [0u8; HEADER_LEN as usize];
         file.read_exact(&mut header).map_err(|e| err("open", e))?;
         if &header[..8] != MAGIC {
-            return Err(FactorError::Io {
-                op: "open".into(),
-                message: format!("{}: not a tile store (bad magic)", path.display()),
-            });
+            return Err(refuse(format!("{}: not a tile store (bad magic)", path.display())));
         }
         let word = |i: usize| {
             let mut b = [0u8; 8];
             b.copy_from_slice(&header[8 + i * 8..16 + i * 8]);
-            u64::from_le_bytes(b) as usize
+            u64::from_le_bytes(b)
         };
         let (eb, m, n, w) = (word(0), word(1), word(2), word(3));
-        if eb != T::BYTES {
-            return Err(FactorError::Io {
-                op: "open".into(),
-                message: format!("element width {eb} in file, {} expected for {}", T::BYTES, T::NAME),
-            });
+        if eb != T::BYTES as u64 {
+            let expected = format!("{} expected for {}", T::BYTES, T::NAME);
+            return Err(refuse(format!("element width {eb} in file, {expected}")));
         }
+        if m == 0 || n == 0 || w == 0 {
+            return Err(refuse(format!("empty shape {m} x {n}, panel width {w}")));
+        }
+        let len = file.metadata().map_err(|e| err("open", e))?.len();
+        let body = m.checked_mul(n).and_then(|mn| mn.checked_mul(eb));
+        if body.and_then(|b| b.checked_add(HEADER_LEN)) != Some(len) {
+            let shape = format!("{m} x {n} of {eb}-byte elements");
+            return Err(refuse(format!("{shape} does not fit a {len}-byte file")));
+        }
+        let dim = |v: u64| usize::try_from(v).map_err(|_| refuse(format!("dimension {v} too large")));
+        let (m, n, w) = (dim(m)?, dim(n)?, dim(w)?);
         Ok(Self { file: Mutex::new(file), path, m, n, w, stats: IoVolume::default(), _elem: PhantomData })
     }
 

@@ -1,19 +1,19 @@
-//! Checked execution mode: the executor, wrapped by the race detector.
+//! Checked execution mode: a plan's jobs, wrapped by the race detector.
 //!
-//! A checked run composes three layers:
+//! A checked run ([`crate::FactorOptions::checked`]) composes three layers,
+//! all applied by [`crate::plan_jobs`]:
 //!
 //! 1. [`crate::verify_graph`] statically proves the graph + declared
 //!    footprints sound before anything executes;
 //! 2. [`build_shadow_registry`] hands each task's declared rects
 //!    ([`AccessMap`]) to a [`ShadowRegistry`] as its [`TaskFootprint`];
-//! 3. each job runs inside a [`ShadowRegistry::enter_task`] scope (put there
-//!    by [`crate::plan_jobs`], or [`crate::RunOptions::shadow`] for a raw
-//!    graph), so every `SharedMatrix` block accessor audits its element range
-//!    against the task's declaration and every concurrently live lease.
+//! 3. each job runs inside a [`ShadowRegistry::enter_task`] scope, so every
+//!    `SharedMatrix` block accessor audits its element range against the
+//!    task's declaration and every concurrently live lease.
 //!
-//! The discrete-event simulator never touches matrix data, so its checked
-//! mode ([`crate::SimOptions::access`]) is the static verification plus a
-//! write-exclusion check of the simulated timeline.
+//! The discrete-event simulator never touches matrix data, so it has no
+//! checked mode of its own: a caller composes [`crate::verify_graph`],
+//! [`crate::simulate`] and [`crate::Timeline::check_write_exclusion`].
 
 use crate::fault::ExecError;
 use crate::footprint::AccessMap;
@@ -45,7 +45,7 @@ impl std::error::Error for CheckedError {}
 
 /// Builds the element-level shadow registry for `graph`'s tasks from their
 /// declared footprints in `access`.
-pub fn build_shadow_registry<T>(graph: &TaskGraph<T>, access: &AccessMap) -> Arc<ShadowRegistry> {
+pub(crate) fn build_shadow_registry<T>(graph: &TaskGraph<T>, access: &AccessMap) -> Arc<ShadowRegistry> {
     let (footprints, labels) = (0..graph.len())
         .map(|t| {
             let footprint =
@@ -89,68 +89,43 @@ pub(crate) fn first_violation(registry: &ShadowRegistry) -> Option<SoundnessErro
 #[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
-    use crate::blockdeps::BlockTracker;
-    use crate::exec::{execute, job, Job, RunOptions};
+    use crate::plan::{run_plan, FactorOptions, PlanBuilder};
     use crate::task::{TaskKind, TaskLabel, TaskMeta};
-    use ca_matrix::{ElemRect, Matrix, SharedMatrix};
-    use std::sync::Barrier;
+    use ca_matrix::{ElemRect, Matrix};
 
     fn meta(kind: TaskKind, step: usize, i: usize) -> TaskMeta {
         TaskMeta::new(TaskLabel::new(kind, step, i, 0), 1.0)
     }
 
-    fn run_checked<'s>(
-        jobs: TaskGraph<Job<'s>>,
-        nthreads: usize,
-        registry: &'s Arc<ShadowRegistry>,
-    ) -> Result<usize, CheckedError> {
-        let opts = RunOptions { shadow: Some(registry), ..Default::default() };
-        execute(jobs, nthreads, &opts).into_result().map(|report| report.stats.tasks)
-    }
+    const CHECKED: FactorOptions = FactorOptions { chaos: None, retry: None, checked: true };
 
     #[test]
-    fn clean_graph_executes_without_violations() {
+    fn clean_plan_runs_checked_without_violations() {
         // Two writers of disjoint blocks, then a reader of both.
-        let mut g: TaskGraph<()> = TaskGraph::new();
-        let mut t = BlockTracker::with_geometry(4, 8, 4);
-        let w0 = g.add_task(meta(TaskKind::Panel, 0, 0), ());
-        t.write(&mut g, w0, 0..1, 0..1);
-        let w1 = g.add_task(meta(TaskKind::Panel, 0, 1), ());
-        t.write(&mut g, w1, 1..2, 0..1);
-        let r = g.add_task(meta(TaskKind::Update, 0, 0), ());
-        t.read(&mut g, r, 0..2, 0..1);
-        let access = t.into_access_map();
-
-        let reg = build_shadow_registry(&g, &access);
-        let shared = SharedMatrix::with_shadow(Matrix::zeros(8, 4), Arc::clone(&reg));
-        let a = &shared;
-        let jobs = g.map_ref(|id, _| match id {
-            0 => job(move || unsafe { a.block_mut(0, 0, 4, 4).fill(1.0) }),
-            1 => job(move || unsafe { a.block_mut(4, 0, 4, 4).fill(2.0) }),
-            _ => job(move || {
-                let v = unsafe { a.block(0, 0, 8, 4) };
-                assert_eq!(v.at(0, 0) + v.at(4, 0), 3.0);
-            }),
+        let mut pb = PlanBuilder::<f64, ()>::new(4, 8, 4);
+        let w0 = pb.task(meta(TaskKind::Panel, 0, 0), |a, _| unsafe { a.block_mut(0, 0, 4, 4).fill(1.0) });
+        pb.writes(w0, 0..1, 0..1);
+        let w1 = pb.task(meta(TaskKind::Panel, 0, 1), |a, _| unsafe { a.block_mut(4, 0, 4, 4).fill(2.0) });
+        pb.writes(w1, 1..2, 0..1);
+        let r = pb.task(meta(TaskKind::Update, 0, 0), |a, _| {
+            let v = unsafe { a.block(0, 0, 8, 4) };
+            assert_eq!(v.at(0, 0) + v.at(4, 0), 3.0);
         });
-        assert_eq!(run_checked(jobs, 2, &reg).expect("sound run"), 3);
-        assert!(reg.accesses() >= 3);
+        pb.reads(r, 0..2, 0..1);
+        let plan = pb.finish((), |a, ()| a);
+        let (a, report) = run_plan(plan, Matrix::zeros(8, 4), 2, &CHECKED).expect("sound run");
+        assert_eq!(report.stats.tasks, 3);
+        assert_eq!((a[(0, 0)], a[(7, 3)]), (1.0, 2.0));
     }
 
     #[test]
     fn out_of_footprint_write_is_reported_with_label() {
-        let mut g: TaskGraph<()> = TaskGraph::new();
-        let mut t = BlockTracker::with_geometry(4, 8, 4);
-        let w = g.add_task(meta(TaskKind::Panel, 0, 0), ());
-        t.write(&mut g, w, 0..1, 0..1); // declares rows 0..4 only
-        let access = t.into_access_map();
-
-        let reg = build_shadow_registry(&g, &access);
-        let shared = SharedMatrix::with_shadow(Matrix::zeros(8, 4), Arc::clone(&reg));
-        let a = &shared;
-        let jobs = g.map_ref(|_, _| {
-            job(move || unsafe { a.block_mut(4, 0, 4, 4).fill(9.0) }) // writes rows 4..8
-        });
-        match run_checked(jobs, 1, &reg) {
+        let mut pb = PlanBuilder::<f64, ()>::new(4, 8, 4);
+        // Declares rows 0..4 only, writes rows 4..8.
+        let w = pb.task(meta(TaskKind::Panel, 0, 0), |a, _| unsafe { a.block_mut(4, 0, 4, 4).fill(9.0) });
+        pb.writes(w, 0..1, 0..1);
+        let plan = pb.finish((), |a, ()| a);
+        match run_plan(plan, Matrix::zeros(8, 4), 1, &CHECKED) {
             Err(CheckedError::Soundness(SoundnessError::UndeclaredAccess {
                 task, write, rows, ..
             })) => {
@@ -158,42 +133,35 @@ mod tests {
                 assert!(write);
                 assert_eq!(rows, (4, 8));
             }
-            other => panic!("expected UndeclaredAccess, got {other:?}"),
+            other => panic!("expected UndeclaredAccess, got {:?}", other.err()),
         }
     }
 
     #[test]
-    fn concurrent_overlapping_writes_are_reported_as_race() {
-        // Two root tasks, no ordering edge, both declaring + performing a
-        // write of block (0,0). A barrier forces their leases to be live
-        // simultaneously so the detection is deterministic.
+    fn overlapping_live_leases_are_reported_as_a_race_on_their_intersection() {
+        // Two unordered tasks both declaring a write of the same block; the
+        // second takes its lease while the first still holds its own.
+        let mut access = AccessMap::new(8, 8);
+        access.record_write(0, ElemRect::new(0..4, 0..4));
+        access.record_write(1, ElemRect::new(2..6, 2..6));
         let mut g: TaskGraph<()> = TaskGraph::new();
-        let a_id = g.add_task(meta(TaskKind::Panel, 0, 0), ());
-        let b_id = g.add_task(meta(TaskKind::Panel, 0, 1), ());
-        let mut access = AccessMap::new(4, 4);
-        access.record_write(a_id, ElemRect::new(0..4, 0..4));
-        access.record_write(b_id, ElemRect::new(0..4, 0..4));
-
+        g.add_task(meta(TaskKind::Panel, 0, 0), ());
+        g.add_task(meta(TaskKind::Panel, 0, 1), ());
         let reg = build_shadow_registry(&g, &access);
-        let shared = SharedMatrix::with_shadow(Matrix::zeros(4, 4), Arc::clone(&reg));
-        let a = &shared;
-        let barrier = Barrier::new(2);
-        let bref = &barrier;
-        let jobs = g.map_ref(|_, _| {
-            job(move || {
-                bref.wait(); // both tasks running
-                let mut v = unsafe { a.block_mut(0, 0, 4, 4) };
-                bref.wait(); // both leases taken before either releases
-                v.fill(1.0);
-            })
-        });
-        match run_checked(jobs, 2, &reg) {
-            Err(CheckedError::Soundness(SoundnessError::Race { first, second, .. })) => {
-                let labels = [first, second];
-                assert!(labels.contains(&"P[0,0,0]".to_string()), "labels: {labels:?}");
-                assert!(labels.contains(&"P[0,1,0]".to_string()), "labels: {labels:?}");
+        let first = reg.enter_task(0);
+        reg.on_access(true, 0..4, 0..4);
+        {
+            let _second = reg.enter_task(1);
+            reg.on_access(true, 2..6, 2..6);
+        }
+        drop(first);
+        match first_violation(&reg) {
+            Some(SoundnessError::Race { first, second, rows, cols }) => {
+                assert_eq!((first.as_str(), second.as_str()), ("P[0,0,0]", "P[0,1,0]"));
+                assert_eq!((rows, cols), ((2, 4), (2, 4)), "the intersection of the leases");
             }
             other => panic!("expected Race, got {other:?}"),
         }
+        assert!(first_violation(&reg).is_none(), "violations are drained");
     }
 }

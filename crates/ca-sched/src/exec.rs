@@ -1,34 +1,30 @@
 //! The one-shot front door: [`execute`] runs one [`TaskGraph`] of [`Job`]s
 //! to quiescence as a single-job run of the frontier core.
 //!
-//! There is no worker loop here. [`execute`] guards the payloads as the
-//! [`RunOptions`] it was given ask (fault injection, race detection), puts a
+//! There is no worker loop here, and no options: [`execute`] puts a
 //! [`Core`] on its own stack, admits the graph as that core's only job and
 //! closes it, runs lane 0 on the calling thread and lanes `1..nthreads` on
 //! scoped threads (so a single-worker run spawns nothing and jobs may
 //! borrow from the caller), and assembles a [`RunReport`] from what the
-//! finalized job left. Ready tasks dispatch by priority —
-//! the paper's lookahead-of-1 policy, which the DAG builders encode — and
-//! among equal priorities by lower task id, which follows submission order.
+//! finalized job left. The jobs run as given: fault injection and the race
+//! detector's task scopes are put around a plan's task bodies by
+//! [`crate::plan_jobs`], the one place they enter a run. Ready tasks
+//! dispatch by priority — the paper's lookahead-of-1 policy, which the DAG
+//! builders encode — and among equal priorities by lower task id, which
+//! follows submission order.
 //!
 //! Failure semantics are the core's: a failed or panicking task never
 //! releases its successors, every task that does not depend on the failure
 //! still runs, and the first failure is reported in [`RunReport::failure`]
-//! with the cancelled set. [`run_graph`] is the panicking convenience over
-//! the default options.
+//! with the cancelled set. [`run_graph`] is the panicking convenience.
 
-use crate::checked::{first_violation, CheckedError};
 use crate::fault::{ExecError, TaskResult};
 use crate::graph::TaskGraph;
 use crate::log::JobLog;
 use crate::multigraph::{Core, Finished, JobOptions, JobOutcome};
 use crate::profile::Profile;
-use crate::retry::{guarded_job, ChaosPlan};
 use crate::trace::Timeline;
-use crate::verify::SoundnessError;
-use ca_matrix::ShadowRegistry;
 use std::any::Any;
-use std::sync::Arc;
 
 /// A unit of executable work. Borrows from the caller's scope (`'s`), so
 /// tasks can capture references to a shared matrix. Returns `Ok(())` on
@@ -50,20 +46,6 @@ pub fn job<'s>(f: impl FnOnce() + Send + 's) -> Job<'s> {
     })
 }
 
-/// How [`execute`] runs a graph. `Default` is a plain run.
-#[derive(Clone, Copy, Default)]
-pub struct RunOptions<'a> {
-    /// Inject this plan's faults as each task starts. There is no replay at
-    /// this level: an injected failure or panic fails the task like a real
-    /// one ([`crate::FactorOptions::retry`] recovers a plan's tasks instead).
-    pub chaos: Option<&'a ChaosPlan>,
-    /// Run every job inside a [`ShadowRegistry::enter_task`] scope and report
-    /// the first audited violation in [`RunReport::violation`]. The
-    /// `SharedMatrix` the jobs touch must have been built with
-    /// `SharedMatrix::with_shadow(_, registry)`.
-    pub shadow: Option<&'a Arc<ShadowRegistry>>,
-}
-
 /// Statistics of one execution.
 #[derive(Clone, Debug)]
 pub struct ExecStats {
@@ -83,9 +65,6 @@ pub struct RunReport {
     pub stats: ExecStats,
     /// The first task failure, with every cancelled task.
     pub failure: Option<ExecError>,
-    /// The first violation the race detector (or, for the simulator, the
-    /// static verifier) found.
-    pub violation: Option<SoundnessError>,
     /// Payload of the first panic, for [`run_graph`] to re-raise.
     pub(crate) panic: Option<Box<dyn Any + Send>>,
     /// What the run's one job left: [`RunReport::profile`] is a view of it.
@@ -99,18 +78,6 @@ impl RunReport {
     pub fn profile(&self) -> Profile {
         Profile::from_log(&self.log, self.stats.wall_seconds)
     }
-
-    /// `Err` with the task failure if there was one, else with the
-    /// soundness violation if there was one.
-    pub fn into_result(self) -> Result<Self, CheckedError> {
-        if let Some(e) = self.failure {
-            return Err(CheckedError::Exec(e));
-        }
-        if let Some(v) = self.violation {
-            return Err(CheckedError::Soundness(v));
-        }
-        Ok(self)
-    }
 }
 
 /// Executes the graph on `nthreads` workers, consuming it, and returns after
@@ -119,20 +86,7 @@ impl RunReport {
 ///
 /// # Panics
 /// If `nthreads == 0`.
-pub fn execute<'s>(
-    graph: TaskGraph<Job<'s>>,
-    nthreads: usize,
-    opts: &RunOptions<'s>,
-) -> RunReport {
-    let TaskGraph { metas, payloads, succs, npreds } = graph;
-    let payloads = payloads
-        .into_iter()
-        .zip(&metas)
-        .enumerate()
-        .map(|(id, (job, meta))| guarded_job(id, meta.label, opts.shadow.cloned(), opts.chaos, job))
-        .collect();
-    let graph = TaskGraph { metas, payloads, succs, npreds };
-
+pub fn execute(graph: TaskGraph<Job<'_>>, nthreads: usize) -> RunReport {
     // The run's clock starts with its core, and so does its one job.
     let core = Core::new(nthreads, None);
     let (_, watch) = core.admit(graph, JobOptions::default(), 0.0);
@@ -156,18 +110,17 @@ pub fn execute<'s>(
         JobOutcome::Completed | JobOutcome::Cancelled(_) => None,
     };
     let stats = ExecStats { tasks: report.tasks_run, wall_seconds: makespan, timeline };
-    let violation = opts.shadow.and_then(|registry| first_violation(registry));
-    RunReport { stats, failure, violation, panic, log }
+    RunReport { stats, failure, panic, log }
 }
 
-/// [`execute`] with default options that panics on task failure: after the
-/// graph has drained, the first task panic is re-raised (a non-panic
-/// `TaskFailure` becomes a panic naming the task).
+/// [`execute`] that panics on task failure: after the graph has drained,
+/// the first task panic is re-raised (a non-panic `TaskFailure` becomes a
+/// panic naming the task).
 ///
 /// # Panics
 /// Propagates the first task panic; panics if `nthreads == 0`.
 pub fn run_graph(graph: TaskGraph<Job<'_>>, nthreads: usize) -> ExecStats {
-    let report = execute(graph, nthreads, &RunOptions::default());
+    let report = execute(graph, nthreads);
     if let Some(payload) = report.panic {
         std::panic::resume_unwind(payload);
     }
@@ -185,7 +138,7 @@ mod tests {
     #[test]
     fn empty_graph_returns_immediately() {
         let g: TaskGraph<Job<'_>> = TaskGraph::new();
-        let report = execute(g, 3, &RunOptions::default());
+        let report = execute(g, 3);
         assert_eq!(report.stats.tasks, 0);
         assert!(report.failure.is_none());
     }

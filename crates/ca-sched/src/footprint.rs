@@ -22,8 +22,9 @@ use ca_matrix::shadow::ElemRect;
 /// Built as a side effect of the [`crate::BlockTracker`] declarations;
 /// retrieve it with [`crate::BlockTracker::into_access_map`] and hand it
 /// (together with the graph) to [`crate::verify_graph`] or
-/// [`crate::build_shadow_registry`]; a [`crate::Plan`] keeps its own, and
-/// its write rects are what [`crate::FactorOptions::retry`] snapshots.
+/// [`crate::Timeline::check_write_exclusion`]; a [`crate::Plan`] keeps its
+/// own, which [`crate::FactorOptions::checked`] audits against and whose
+/// write rects [`crate::FactorOptions::retry`] snapshots.
 #[derive(Clone, Debug)]
 pub struct AccessMap {
     b: usize,

@@ -11,11 +11,11 @@
 //! successors or cancel its failure closure, log one record in the task's
 //! job — behind two front doors:
 //!
-//! * [`execute`]`(graph, nthreads, &`[`RunOptions`]`)` — one graph to
-//!   quiescence: the loop's core lives on the caller's stack with that one
-//!   job, lane 0 runs on the calling thread and the rest on scoped threads,
-//!   so jobs may borrow and a single-worker run spawns nothing.
-//!   [`run_graph`] is the panicking shorthand for the default options.
+//! * [`execute`]`(graph, nthreads)` — one graph to quiescence: the loop's
+//!   core lives on the caller's stack with that one job, lane 0 runs on the
+//!   calling thread and the rest on scoped threads, so jobs may borrow and a
+//!   single-worker run spawns nothing. [`run_graph`] is its panicking
+//!   shorthand.
 //! * [`MultiFrontier`] — the same core behind an `Arc` with `n` spawned
 //!   threads, multiplexing many `'static` graphs ("jobs") for the serving
 //!   tier: fair-share dispatch across jobs, per-job cancellation and
@@ -26,19 +26,19 @@
 //! footprint it touches, run-time slots, a gather function — built through a
 //! [`PlanBuilder`]) becomes jobs, wrapped as its [`FactorOptions`] ask:
 //! [`run_plan`] hands them to [`execute`] and gathers; a served job is the
-//! same jobs plus one sink, submitted to a [`MultiFrontier`].
+//! same jobs plus one sink, submitted to a [`MultiFrontier`]. Fault
+//! injection, the race detector and recovery enter a run there and nowhere
+//! else: neither door takes options.
 //!
-//! [`simulate_with`]`(graph, nworkers, cost, &`[`SimOptions`]`)` replays the
-//! same graph on a deterministic list-scheduling discrete-event simulator
-//! with `P` virtual cores and a pluggable cost model; [`simulate`] and
-//! [`simulate_uniform`] are the shorthands returning just the timeline.
-//! This is the hardware-substitution layer that stands in for the paper's
-//! 8-core Xeon and 16-core Opteron machines (see DESIGN.md §2).
+//! [`simulate`]`(graph, nworkers, cost)` replays the same graph on a
+//! deterministic list-scheduling discrete-event simulator with `P` virtual
+//! cores and a pluggable cost model. This is the hardware-substitution
+//! layer that stands in for the paper's 8-core Xeon and 16-core Opteron
+//! machines (see DESIGN.md §2).
 //!
-//! [`execute`] and [`simulate_with`] return a [`RunReport`]: statistics with
-//! a [`Timeline`] renderable as an ASCII Gantt chart ([`ascii_gantt`]) in
-//! the style of the paper's Figures 2–4, the run's [`RunReport::profile`],
-//! plus whatever the options asked for.
+//! [`execute`] and [`simulate`] return a [`RunReport`]: statistics with a
+//! [`Timeline`] renderable as an ASCII Gantt chart ([`ascii_gantt`]) in the
+//! style of the paper's Figures 2–4, and the run's [`RunReport::profile`].
 //!
 //! ## One recording spine
 //!
@@ -68,8 +68,8 @@
 //! cancels its **transitive successors**, drains every independent task,
 //! and reports the first failure in [`RunReport::failure`] as an
 //! [`ExecError`] naming the failed task, its label, its worker lane, and the
-//! cancelled set. [`ChaosPlan`] (the `chaos` option of both runners)
-//! injects failures, panics and delays deterministically for testing.
+//! cancelled set. [`ChaosPlan`] ([`FactorOptions::chaos`]) injects
+//! failures, panics and delays deterministically for testing.
 //!
 //! ## Recovery
 //!
@@ -99,10 +99,11 @@
 //! declarations are retained in an [`AccessMap`]
 //! ([`BlockTracker::into_access_map`]); [`verify_graph`] statically proves
 //! every pair of tasks whose rects conflict is ordered by a happens-before
-//! path, and a run with [`RunOptions::shadow`] set (registry from
-//! [`build_shadow_registry`]) audits the actual element accesses through a
-//! [`ca_matrix::ShadowRegistry`], reporting in [`RunReport::violation`].
-//! [`SimOptions::access`] is the simulator's checked mode.
+//! path, and a plan run [`FactorOptions::checked`] audits the actual element
+//! accesses through a [`ca_matrix::ShadowRegistry`], reporting a
+//! [`CheckedError::Soundness`]. The simulator runs no task bodies; its
+//! checked mode is [`verify_graph`] before [`simulate`] and
+//! [`Timeline::check_write_exclusion`] after.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -125,11 +126,11 @@ mod trace;
 mod verify;
 
 pub use blockdeps::{row_blocks, BlockTracker};
-pub use checked::{build_shadow_registry, CheckedError};
+pub use checked::CheckedError;
 /// [`job`] under the name [`MultiFrontier`] callers know it by: with a
 /// `'static` closure it builds a [`DynJob`].
 pub use exec::job as dyn_job;
-pub use exec::{execute, job, run_graph, DynJob, ExecStats, Job, RunOptions, RunReport};
+pub use exec::{execute, job, run_graph, DynJob, ExecStats, Job, RunReport};
 pub use footprint::AccessMap;
 pub use verify::{
     reduce_transitive_edges, verify_graph, verify_graph_with, ConflictKind, EdgeFinding,
@@ -151,7 +152,7 @@ pub use retry::{
     ChaosAction, ChaosPlan, ChaosProfile, PanicHookGuard, RecoveryCounters, RecoveryStats,
     RetryPolicy,
 };
-pub use sim::{simulate, simulate_uniform, simulate_with, SimOptions};
+pub use sim::simulate;
 pub use task::{KernelClass, TaskId, TaskKind, TaskLabel, TaskMeta};
 pub use telemetry::{
     register_sched_metrics, sched_counters, FlightEvent, FlightEventKind, FlightRecorder,

@@ -1,7 +1,7 @@
 //! The job log: the one place an executor stores what it ran.
 //!
 //! The worker loop behind [`crate::execute`] and [`crate::MultiFrontier`],
-//! and [`crate::simulate_with`], push one [`TaskRec`] per finished task
+//! and [`crate::simulate`], push one [`TaskRec`] per finished task
 //! into the log of the job the task belongs to, next to the instant each
 //! task became ready, and nothing else. When the job ends its [`JobLog`] —
 //! records, ready stamps, metadata, edges, cancelled set — leaves with it,
@@ -50,16 +50,32 @@ pub(crate) struct JobLog {
 }
 
 impl Timeline {
-    /// The lane-per-worker view of task records, on the records' clock.
-    pub(crate) fn from_log(recs: &[TaskRec], nworkers: usize, makespan: f64) -> Timeline {
+    /// The lane-per-worker view of `(lane, span)` pairs: each span into its
+    /// worker's lane, each lane sorted by start. The one lane builder, so
+    /// the timeline of a log and of its [`Profile`] cannot disagree: spans
+    /// starting together (zero-length ones) are ordered by end, then task,
+    /// not by the order they arrived in.
+    pub(crate) fn from_spans(
+        spans: impl IntoIterator<Item = (usize, Span)>,
+        nworkers: usize,
+        makespan: f64,
+    ) -> Timeline {
         let mut lanes = vec![Vec::new(); nworkers];
-        for r in recs {
-            lanes[r.lane].push(Span { task: r.task, label: r.label, start: r.start, end: r.end });
+        for (lane, span) in spans {
+            lanes[lane].push(span);
         }
         for spans in &mut lanes {
-            spans.sort_by(|a, b| a.start.total_cmp(&b.start));
+            spans.sort_by(|a, b| {
+                a.start.total_cmp(&b.start).then(a.end.total_cmp(&b.end)).then(a.task.cmp(&b.task))
+            });
         }
         Timeline { lanes, makespan }
+    }
+
+    /// The lane-per-worker view of task records, on the records' clock.
+    pub(crate) fn from_log(recs: &[TaskRec], nworkers: usize, makespan: f64) -> Timeline {
+        let span = |r: &TaskRec| Span { task: r.task, label: r.label, start: r.start, end: r.end };
+        Timeline::from_spans(recs.iter().map(|r| (r.lane, span(r))), nworkers, makespan)
     }
 }
 

@@ -13,7 +13,7 @@
 
 use crate::blockdeps::BlockTracker;
 use crate::checked::{build_shadow_registry, first_violation, CheckedError};
-use crate::exec::{execute, job, DynJob, RunOptions, RunReport};
+use crate::exec::{execute, job, DynJob, RunReport};
 use crate::footprint::AccessMap;
 use crate::graph::TaskGraph;
 use crate::retry::{guarded_job, run_recovering, ChaosPlan, RecoveryCounters, RetryPolicy};
@@ -248,9 +248,13 @@ pub fn run_plan<T: Scalar, S: Send + Sync + 'static, F: 'static>(
     opts: &FactorOptions,
 ) -> Result<(F, RunReport), CheckedError> {
     let (jobs, run) = plan_jobs(plan, a, opts).map_err(CheckedError::Soundness)?;
-    let mut report = execute(jobs, threads, &RunOptions::default());
-    report.violation = run.violation();
-    let report = report.into_result()?;
+    let mut report = execute(jobs, threads);
+    if let Some(e) = report.failure.take() {
+        return Err(CheckedError::Exec(e));
+    }
+    if let Some(v) = run.violation() {
+        return Err(CheckedError::Soundness(v));
+    }
     let factors = run.collect().expect("execute ran or dropped every job, so the run is the last owner");
     Ok((factors, report))
 }

@@ -22,7 +22,7 @@
 //!   ready-queue counter track.
 //!
 //! Every run has one: [`crate::RunReport::profile`] for
-//! [`crate::execute`] and [`crate::simulate_with`],
+//! [`crate::execute`] and [`crate::simulate`],
 //! [`crate::MultiFrontier::job_profile`] for a served job — each a view,
 //! built when asked for, of the log the job left. The simulator path is
 //! fully deterministic, so tests can assert exact metric values.
@@ -108,20 +108,9 @@ pub struct Profile {
 impl Profile {
     /// Rebuilds the lane-per-worker [`Timeline`] view of the profile.
     pub fn timeline(&self) -> Timeline {
-        let mut tl = Timeline::new(self.nworkers);
-        for r in &self.records {
-            tl.lanes[r.worker].push(Span {
-                task: r.task,
-                label: r.label,
-                start: r.start,
-                end: r.end,
-            });
-        }
-        for lane in &mut tl.lanes {
-            lane.sort_by(|a, b| a.start.total_cmp(&b.start));
-        }
-        tl.makespan = self.makespan;
-        tl
+        let span = |r: &TaskRecord| Span { task: r.task, label: r.label, start: r.start, end: r.end };
+        let spans = self.records.iter().map(|r| (r.worker, span(r)));
+        Timeline::from_spans(spans, self.nworkers, self.makespan)
     }
 
     /// Length of the critical path through the executed DAG using

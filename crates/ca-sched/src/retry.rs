@@ -21,16 +21,16 @@
 //! are only filled at the very end of a successful body. Fault-free replays
 //! are therefore bitwise-identical to a run that never faulted.
 //!
-//! [`ChaosPlan`] is the one fault-injection harness, for the executors, the
-//! simulator and the retry protocol alike: deterministic N-th-match rules
-//! plus failures, panics, delays *and silent data corruption* at
-//! configurable per-task-class rates. Decisions are a pure function of
-//! `(seed, label, occurrence)`, so they do not depend on thread
-//! interleaving; injected failures and panics fire *before* the body runs
+//! [`ChaosPlan`] is the one fault-injection harness, applied to a plan's
+//! tasks by [`crate::plan_jobs`] with or without the retry protocol:
+//! deterministic N-th-match rules plus failures, panics, delays *and silent
+//! data corruption* at configurable per-task-class rates. Decisions are a
+//! pure function of `(seed, label, occurrence)`, so they do not depend on
+//! thread interleaving; injected failures and panics fire *before* the body runs
 //! (after scribbling garbage over the write-set to prove restoration
 //! works), so replay is always safe.
 
-use crate::exec::Job;
+use crate::exec::DynJob;
 use crate::fault::{panic_message, TaskFailure, TaskResult};
 use crate::task::{TaskId, TaskKind, TaskLabel};
 use crate::telemetry::{record_event, FlightEventKind};
@@ -39,7 +39,6 @@ use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use ca_telemetry::{Counter, Registry};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::ops::Deref;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -597,8 +596,8 @@ struct Target<'a, T: Scalar> {
     counters: &'a RecoveryCounters,
 }
 
-/// Failure message of an injected fault (also what the simulator reports).
-pub(crate) fn injection_message(panicked: bool, label: &TaskLabel) -> String {
+/// Failure message of an injected fault.
+fn injection_message(panicked: bool, label: &TaskLabel) -> String {
     let what = if panicked { "panic" } else { "failure" };
     format!("chaos: injected {what} at {label}")
 }
@@ -658,18 +657,18 @@ fn inject<T: Scalar>(
     }
 }
 
-/// Task `id`'s job as an executor runs it: inside `scope`'s shadow task
-/// scope (so every `SharedMatrix` access of the job is audited against the
-/// task's declared footprint), and with `chaos` consulted as it starts — an
-/// injection without replay: a failure or panic reaches the executor like a
-/// real one. With neither, `job` itself.
-pub(crate) fn guarded_job<'s>(
+/// Task `id`'s job as [`crate::plan_jobs`] hands it out: inside `scope`'s
+/// shadow task scope (so every `SharedMatrix` access of the job is audited
+/// against the task's declared footprint), and with `chaos` consulted as it
+/// starts — an injection without replay: a failure or panic reaches the
+/// executor like a real one. With neither, `job` itself.
+pub(crate) fn guarded_job(
     id: TaskId,
     label: TaskLabel,
     scope: Option<Arc<ShadowRegistry>>,
-    chaos: Option<impl Deref<Target = ChaosPlan> + Send + 's>,
-    job: Job<'s>,
-) -> Job<'s> {
+    chaos: Option<Arc<ChaosPlan>>,
+    job: DynJob,
+) -> DynJob {
     if scope.is_none() && chaos.is_none() {
         return job;
     }

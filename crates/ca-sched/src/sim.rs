@@ -13,14 +13,10 @@
 //! Figure 3, lookahead) are reproduced faithfully.
 
 use crate::exec::{ExecStats, RunReport};
-use crate::fault::ExecError;
-use crate::footprint::AccessMap;
-use crate::graph::{cancel_closure, ReadyEntry, TaskGraph};
+use crate::graph::{ReadyEntry, TaskGraph};
 use crate::log::{JobLog, TaskRec};
-use crate::retry::{injection_message, ChaosAction, ChaosPlan};
 use crate::task::{TaskId, TaskMeta};
-use crate::trace::{Timeline, TimelineError};
-use crate::verify::SoundnessError;
+use crate::trace::Timeline;
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
@@ -29,9 +25,6 @@ struct Completion {
     time: f64,
     worker: usize,
     task: TaskId,
-    /// `Some(panicked)` when an injected fault fails this task on
-    /// completion.
-    failed: Option<bool>,
 }
 
 impl Eq for Completion {}
@@ -53,102 +46,21 @@ impl PartialOrd for Completion {
 /// Simulates executing `graph` on `nworkers` cores; `cost` maps a task id
 /// and its metadata to a duration in seconds.
 ///
-/// Returns the full [`Timeline`]. Deterministic: same inputs, same schedule.
+/// Reported like a threaded run: the [`Timeline`] in
+/// [`RunReport::stats`], and [`RunReport::profile`] with exact
+/// ready/start/end in simulated seconds. No task body runs, so nothing
+/// fails and nothing is audited; a caller wanting the simulator's checked
+/// mode composes [`crate::verify_graph`] before and
+/// [`Timeline::check_write_exclusion`] after. Fully deterministic: same
+/// inputs, same schedule, so tests can assert exact metric values.
 ///
 /// # Panics
 /// If `nworkers == 0`.
 pub fn simulate<T>(
     graph: &TaskGraph<T>,
     nworkers: usize,
-    cost: impl FnMut(TaskId, &TaskMeta) -> f64,
-) -> Timeline {
-    let run = sim_core(graph, nworkers, cost, None);
-    Timeline::from_log(&run.recs, nworkers, run.makespan)
-}
-
-/// How [`simulate_with`] runs. `Default` is a plain [`simulate`].
-#[derive(Clone, Copy, Default)]
-pub struct SimOptions<'a> {
-    /// Inject this plan's faults: tasks it fails (or "panics") still occupy
-    /// their core for their full cost, but on completion cancel their
-    /// transitive successors instead of releasing them, exactly like the
-    /// threaded executor; a delay extends the task. The rest of the graph
-    /// drains, and the failure's `lane` is the simulated core index.
-    pub chaos: Option<&'a ChaosPlan>,
-    /// Checked mode. The simulator executes no matrix code, so "checked"
-    /// means the static verifier must accept the graph with these
-    /// footprints before anything is simulated, and the produced timeline
-    /// must pass the write-exclusion check (no two tasks with overlapping
-    /// declared write rects scheduled concurrently on different cores).
-    pub access: Option<&'a AccessMap>,
-}
-
-/// [`simulate`] with fault injection and/or checking, reported like a
-/// threaded run, [`RunReport::profile`] (exact ready/start/end in simulated
-/// seconds) included. Fully deterministic: tests can assert exact metric
-/// values.
-///
-/// # Panics
-/// If `nworkers == 0`.
-pub fn simulate_with<T>(
-    graph: &TaskGraph<T>,
-    nworkers: usize,
-    cost: impl FnMut(TaskId, &TaskMeta) -> f64,
-    opts: &SimOptions<'_>,
-) -> RunReport {
-    let mut violation =
-        opts.access.and_then(|access| crate::verify::verify_graph(graph, access).err());
-    let run = if violation.is_none() {
-        sim_core(graph, nworkers, cost, opts.chaos)
-    } else {
-        SimRun::default()
-    };
-    let timeline = Timeline::from_log(&run.recs, nworkers, run.makespan);
-    if let Some(Err(e)) = opts.access.map(|access| timeline.check_write_exclusion(access)) {
-        let TimelineError::ConcurrentWrites { first, second, rect } = e else {
-            unreachable!("check_write_exclusion only reports ConcurrentWrites")
-        };
-        violation = Some(SoundnessError::Race {
-            first: graph.meta(first).label.to_string(),
-            second: graph.meta(second).label.to_string(),
-            rows: (rect.row0, rect.row1),
-            cols: (rect.col0, rect.col1),
-        });
-    }
-    let stats = ExecStats { tasks: run.recs.len(), wall_seconds: run.makespan, timeline };
-    // The graph is borrowed, so the log takes copies of what a threaded
-    // job's log takes by move.
-    let log = JobLog {
-        scheduler: "simulator",
-        nworkers,
-        t0: 0.0,
-        recs: run.recs,
-        ready_at: run.ready_at,
-        metas: graph.metas.clone(),
-        succs: graph.succs.clone(),
-        cancelled: run.cancelled,
-    };
-    RunReport { stats, failure: run.failure, violation, panic: None, log }
-}
-
-/// What one simulated run measured.
-#[derive(Default)]
-struct SimRun {
-    /// One record per simulated task, in start order.
-    recs: Vec<TaskRec>,
-    /// Per task, the simulated instant it became ready (0 for a root).
-    ready_at: Vec<f64>,
-    cancelled: Vec<TaskId>,
-    failure: Option<ExecError>,
-    makespan: f64,
-}
-
-fn sim_core<T>(
-    graph: &TaskGraph<T>,
-    nworkers: usize,
     mut cost: impl FnMut(TaskId, &TaskMeta) -> f64,
-    chaos: Option<&ChaosPlan>,
-) -> SimRun {
+) -> RunReport {
     assert!(nworkers > 0, "need at least one simulated core");
     let n = graph.len();
     let mut preds: Vec<usize> = graph.npreds.clone();
@@ -165,32 +77,18 @@ fn sim_core<T>(
     let mut recs = Vec::with_capacity(n);
     let mut ready_at = vec![0.0f64; n];
     let mut t = 0.0f64;
-    // Tasks accounted for: executed or cancelled.
-    let mut accounted = 0usize;
-    let mut cancelled = vec![false; n];
-    let mut failure: Option<ExecError> = None;
+    let mut completed = 0usize;
 
-    while accounted < n {
+    while completed < n {
         // Start as many ready tasks as there are idle cores, at time t.
         while !idle.is_empty() && !ready.is_empty() {
             let entry = ready.pop().expect("nonempty");
             let worker = idle.pop().expect("nonempty");
             let meta = &graph.metas[entry.id];
-            let mut d = cost(entry.id, meta).max(0.0);
-            // `failed` is Some(panicked) when a fault fires for this task.
-            let failed = match chaos.and_then(|plan| plan.decide(&meta.label)) {
-                Some(ChaosAction::Fail) => Some(false),
-                Some(ChaosAction::Panic) => Some(true),
-                Some(ChaosAction::Delay(extra)) => {
-                    d += extra.as_secs_f64();
-                    None
-                }
-                // No data is simulated, so there is nothing to corrupt.
-                Some(ChaosAction::Corrupt) | None => None,
-            };
+            let d = cost(entry.id, meta).max(0.0);
             let (task, label) = (entry.id, meta.label);
             recs.push(TaskRec { task, label, lane: worker, start: t, end: t + d });
-            events.push(Completion { time: t + d, worker, task, failed });
+            events.push(Completion { time: t + d, worker, task });
         }
 
         // Advance to the next completion, draining any other completions at
@@ -204,44 +102,33 @@ fn sim_core<T>(
         }
         for c in batch {
             idle.push(c.worker);
-            accounted += 1;
-            if let Some(panicked) = c.failed {
-                // Cancelled tasks are accounted without running.
-                accounted += cancel_closure(&graph.succs, &mut cancelled, c.task).len();
-                if failure.is_none() {
-                    failure = Some(ExecError {
-                        task: c.task,
-                        label: graph.metas[c.task].label,
-                        lane: c.worker,
-                        message: injection_message(panicked, &graph.metas[c.task].label),
-                        panicked,
-                        cancelled: Vec::new(),
-                    });
-                }
-            } else {
-                for &s in &graph.succs[c.task] {
-                    preds[s] -= 1;
-                    if preds[s] == 0 && !cancelled[s] {
-                        ready_at[s] = t;
-                        ready.push(ReadyEntry { priority: graph.metas[s].priority, id: s });
-                    }
+            completed += 1;
+            for &s in &graph.succs[c.task] {
+                preds[s] -= 1;
+                if preds[s] == 0 {
+                    ready_at[s] = t;
+                    ready.push(ReadyEntry { priority: graph.metas[s].priority, id: s });
                 }
             }
         }
         idle.sort_unstable_by(|a, b| b.cmp(a)); // keep lowest-index-on-top
     }
 
-    let cancelled: Vec<TaskId> = (0..n).filter(|&id| cancelled[id]).collect();
-    if let Some(err) = &mut failure {
-        err.cancelled.clone_from(&cancelled);
-    }
-    SimRun { recs, ready_at, cancelled, failure, makespan: t }
-}
-
-/// Convenience: simulate with durations equal to each task's `flops` field
-/// divided by `flops_per_second`.
-pub fn simulate_uniform<T>(graph: &TaskGraph<T>, nworkers: usize, flops_per_second: f64) -> Timeline {
-    simulate(graph, nworkers, |_, m| m.flops / flops_per_second)
+    let timeline = Timeline::from_log(&recs, nworkers, t);
+    let stats = ExecStats { tasks: recs.len(), wall_seconds: t, timeline };
+    // The graph is borrowed, so the log takes copies of what a threaded
+    // job's log takes by move.
+    let log = JobLog {
+        scheduler: "simulator",
+        nworkers,
+        t0: 0.0,
+        recs,
+        ready_at,
+        metas: graph.metas.clone(),
+        succs: graph.succs.clone(),
+        cancelled: Vec::new(),
+    };
+    RunReport { stats, failure: None, panic: None, log }
 }
 
 #[cfg(test)]
@@ -253,9 +140,9 @@ mod tests {
         TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), flops).with_priority(priority)
     }
 
-    fn faulted(g: &TaskGraph<()>, nworkers: usize, plan: &ChaosPlan) -> ExecError {
-        let opts = SimOptions { chaos: Some(plan), ..Default::default() };
-        simulate_with(g, nworkers, |_, m| m.flops, &opts).failure.expect("injected fault")
+    /// The timeline of `g` on `nworkers` cores, one second per flop.
+    fn uniform(g: &TaskGraph<()>, nworkers: usize) -> Timeline {
+        simulate(g, nworkers, |_, m| m.flops).stats.timeline
     }
 
     fn chain(n: usize, flops: f64) -> TaskGraph<()> {
@@ -274,7 +161,7 @@ mod tests {
     #[test]
     fn chain_is_serial_regardless_of_cores() {
         let g = chain(10, 2.0);
-        let tl = simulate_uniform(&g, 8, 1.0);
+        let tl = uniform(&g, 8);
         assert!((tl.makespan - 20.0).abs() < 1e-12);
         tl.validate();
     }
@@ -285,9 +172,9 @@ mod tests {
         for _ in 0..8 {
             g.add_task(meta(3.0, 0), ());
         }
-        let tl1 = simulate_uniform(&g, 1, 1.0);
-        let tl4 = simulate_uniform(&g, 4, 1.0);
-        let tl8 = simulate_uniform(&g, 8, 1.0);
+        let tl1 = uniform(&g, 1);
+        let tl4 = uniform(&g, 4);
+        let tl8 = uniform(&g, 8);
         assert!((tl1.makespan - 24.0).abs() < 1e-12);
         assert!((tl4.makespan - 6.0).abs() < 1e-12);
         assert!((tl8.makespan - 3.0).abs() < 1e-12);
@@ -310,7 +197,7 @@ mod tests {
             prev_layer = this;
         }
         let p = 4;
-        let tl = simulate_uniform(&g, p, 1.0);
+        let tl = uniform(&g, p);
         tl.validate();
         let total = g.total_flops();
         let cp = g.critical_path_flops();
@@ -325,7 +212,7 @@ mod tests {
         let mut g: TaskGraph<()> = TaskGraph::new();
         let lo = g.add_task(meta(1.0, 0), ());
         let hi = g.add_task(meta(1.0, 10), ());
-        let tl = simulate_uniform(&g, 1, 1.0);
+        let tl = uniform(&g, 1);
         let lane = &tl.lanes[0];
         assert_eq!(lane[0].task, hi);
         assert_eq!(lane[1].task, lo);
@@ -352,7 +239,7 @@ mod tests {
         g.add_dep(root, leaf2);
         g.add_dep(c1, c2);
         g.add_dep(c2, c3);
-        let tl = simulate_uniform(&g, 2, 1.0);
+        let tl = uniform(&g, 2);
         // With chain prioritized: t=1 start c1+leaf1; t=2 c2+leaf2; t=3 c3.
         assert!((tl.makespan - 4.0).abs() < 1e-12, "makespan {}", tl.makespan);
     }
@@ -360,77 +247,40 @@ mod tests {
     #[test]
     fn zero_cost_tasks_do_not_hang() {
         let g = chain(100, 0.0);
-        let tl = simulate_uniform(&g, 2, 1.0);
+        let tl = uniform(&g, 2);
         assert_eq!(tl.makespan, 0.0);
         let spans: usize = tl.lanes.iter().map(|l| l.len()).sum();
         assert_eq!(spans, 100);
     }
 
     #[test]
-    fn injected_fault_cancels_downstream_in_simulation() {
-        // Chain of 10; fail the 4th started task: 6 tasks cancel, the
-        // simulation still terminates, and the error names the task.
-        let g = chain(10, 1.0);
-        let plan = ChaosPlan::quiet(0).fail_nth(4, |_| true);
-        let err = faulted(&g, 4, &plan);
-        assert_eq!(err.task, 3);
-        assert!(!err.panicked);
-        assert_eq!(err.cancelled, vec![4, 5, 6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn independent_work_survives_simulated_fault() {
-        // Two disjoint chains; panic in one must not touch the other.
-        let mut g: TaskGraph<()> = TaskGraph::new();
-        let mut chains = Vec::new();
-        for c in 0..2usize {
-            let mut prev = None;
-            for s in 0..5 {
-                let m = TaskMeta::new(TaskLabel::new(TaskKind::Update, s, c, 0), 1.0);
-                let id = g.add_task(m, ());
-                if let Some(p) = prev {
-                    g.add_dep(p, id);
-                }
-                prev = Some(id);
-                chains.push(id);
-            }
-        }
-        let plan = ChaosPlan::quiet(0).panic_nth(1, |l| l.i == 0 && l.step == 1);
-        let err = faulted(&g, 2, &plan);
-        assert!(err.panicked);
-        assert_eq!(err.cancelled.len(), 3, "only the faulty chain's tail cancels");
-        // All of chain 1 plus chain 0's steps 0..=1 executed.
-        let tl_err = err;
-        assert!(tl_err.cancelled.iter().all(|&id| (2..=4).contains(&id)));
-    }
-
-    #[test]
-    fn quiet_plan_matches_simulate() {
-        let g = chain(10, 2.0);
-        let a = simulate_uniform(&g, 3, 1.0);
-        let opts = SimOptions { chaos: Some(&ChaosPlan::quiet(0)), ..Default::default() };
-        let b = simulate_with(&g, 3, |_, m| m.flops, &opts);
-        assert!(b.failure.is_none());
-        assert_eq!(a.makespan, b.stats.timeline.makespan);
-    }
-
-    #[test]
-    fn checked_simulation_rejects_unordered_graph() {
+    fn checked_simulation_is_verify_then_simulate_then_write_exclusion() {
+        // Two writers of one element: unordered, the verifier refuses the
+        // graph and two cores run them at once; ordered, both checks pass.
+        use crate::footprint::AccessMap;
+        use crate::trace::TimelineError;
+        use crate::verify::{verify_graph, SoundnessError};
         let mut g: TaskGraph<()> = TaskGraph::new();
         let a = g.add_task(meta(1.0, 0), ());
         let b = g.add_task(meta(1.0, 0), ());
         let mut access = AccessMap::new(1, 1);
         access.record_write(a, ca_matrix::ElemRect::new(0..1, 0..1));
         access.record_write(b, ca_matrix::ElemRect::new(0..1, 0..1));
-        let opts = SimOptions { access: Some(&access), ..Default::default() };
-        match simulate_with(&g, 2, |_, m| m.flops, &opts).violation {
-            Some(SoundnessError::UnorderedConflict { .. }) => {}
+        match verify_graph(&g, &access) {
+            Err(SoundnessError::UnorderedConflict { .. }) => {}
             other => panic!("expected UnorderedConflict, got {other:?}"),
         }
-        // With the ordering edge the same graph simulates fine.
+        match uniform(&g, 2).check_write_exclusion(&access) {
+            Err(TimelineError::ConcurrentWrites { first, second, rect }) => {
+                assert_eq!((first, second), (a, b));
+                assert_eq!(rect, ca_matrix::ElemRect::new(0..1, 0..1));
+            }
+            other => panic!("expected ConcurrentWrites, got {other:?}"),
+        }
         g.add_dep(a, b);
-        let report = simulate_with(&g, 2, |_, m| m.flops, &opts);
-        assert!(report.violation.is_none());
+        verify_graph(&g, &access).expect("ordered writers are sound");
+        let report = simulate(&g, 2, |_, m| m.flops);
         assert_eq!(report.stats.tasks, 2);
+        report.stats.timeline.check_write_exclusion(&access).expect("no concurrent writes");
     }
 }

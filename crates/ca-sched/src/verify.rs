@@ -730,8 +730,7 @@ fn lint_pass<T>(
     let critical_path_flops = graph.critical_path_flops();
     let sim = graph.map_ref(|_, _| ());
     let panel_wait = |g: &TaskGraph<()>| {
-        let opts = crate::SimOptions::default();
-        let report = crate::simulate_with(g, LINT_SIM_WORKERS, |_, m| m.flops, &opts);
+        let report = crate::simulate(g, LINT_SIM_WORKERS, |_, m| m.flops);
         report.profile().lookahead_metrics().total_wait
     };
     let panel_wait_seconds = panel_wait(&sim);

@@ -222,14 +222,14 @@ impl ServeMetrics {
             exec.merge(&t.exec_s.snapshot());
             total.merge(&t.total_s.snapshot());
         }
-        s.queue_latency = queue.summary().into();
-        s.exec_latency = exec.summary().into();
-        s.total_latency = total.summary().into();
+        s.queue_latency = queue.summary();
+        s.exec_latency = exec.summary();
+        s.total_latency = total.summary();
         s.rejected = self.rejected.get();
         s.batched_jobs = self.batched_jobs.get();
         s.jobs_recovered = self.jobs_recovered.get();
         s.probes_run = self.probes_run.get();
-        s.mttr = self.mttr_s.summary().into();
+        s.mttr = self.mttr_s.summary();
     }
 
     /// The exposition view of the service whose statistics are `s`: refreshes

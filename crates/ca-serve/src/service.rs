@@ -1200,7 +1200,7 @@ mod tests {
         assert_eq!(s.completed, 4);
         if s.job_retries > 0 {
             assert!(s.jobs_recovered > 0, "retried jobs should be counted recovered");
-            assert!(s.mttr.count as u64 == s.jobs_recovered);
+            assert!(s.mttr.count == s.jobs_recovered);
         }
         svc.shutdown();
     }

@@ -76,41 +76,9 @@ impl std::fmt::Display for ServeError {
 
 impl std::error::Error for ServeError {}
 
-/// Summary of one latency distribution (seconds).
-///
-/// Percentiles are bucket estimates from the shared
-/// [`ca_telemetry::Histogram`] quantile path (see
-/// [`ca_telemetry::HistogramSnapshot::quantile`]); `count`, `mean_s` and
-/// `max_s` are exact.
-#[derive(Clone, Copy, Debug, Default)]
-#[derive(serde::Serialize, serde::Deserialize)]
-pub struct LatencySummary {
-    /// Number of samples.
-    pub count: usize,
-    /// Arithmetic mean.
-    pub mean_s: f64,
-    /// Median.
-    pub p50_s: f64,
-    /// 95th percentile.
-    pub p95_s: f64,
-    /// 99th percentile.
-    pub p99_s: f64,
-    /// Maximum.
-    pub max_s: f64,
-}
-
-impl From<ca_telemetry::HistogramSummary> for LatencySummary {
-    fn from(s: ca_telemetry::HistogramSummary) -> Self {
-        Self {
-            count: s.count as usize,
-            mean_s: s.mean_s,
-            p50_s: s.p50_s,
-            p95_s: s.p95_s,
-            p99_s: s.p99_s,
-            max_s: s.max_s,
-        }
-    }
-}
+/// Summary of one latency distribution (seconds): the telemetry
+/// histogram's own summary, under the name the serve tier knows it by.
+pub use ca_telemetry::HistogramSummary as LatencySummary;
 
 /// Point-in-time snapshot of the service ([`crate::Service::stats`]): a
 /// read-time view computed from the service's registry series (label-summed
@@ -187,14 +155,13 @@ mod tests {
         for i in 1..=100 {
             h.observe(i as f64 * 1e-3);
         }
-        let s = LatencySummary::from(h.summary());
+        let s: LatencySummary = h.summary();
         assert_eq!(s.count, 100);
         assert!((s.mean_s - 50.5e-3).abs() < 1e-12, "mean is exact: {}", s.mean_s);
         assert_eq!(s.max_s, 0.1, "max is exact");
         assert!(s.p50_s >= 0.025 && s.p50_s <= 0.1, "p50 estimate {} off", s.p50_s);
         assert!(s.p50_s <= s.p95_s && s.p95_s <= s.p99_s && s.p99_s <= s.max_s);
-        let empty =
-            LatencySummary::from(ca_telemetry::Histogram::new(ca_telemetry::LATENCY_BOUNDS).summary());
+        let empty = ca_telemetry::Histogram::new(ca_telemetry::LATENCY_BOUNDS).summary();
         assert_eq!(empty.count, 0);
         assert_eq!(empty.max_s, 0.0);
     }

@@ -289,6 +289,38 @@ fn infeasible_budget_and_store_type_mismatch_error_cleanly() {
 }
 
 #[test]
+fn crafted_headers_are_refused_at_open() {
+    // A 4 x 3 f64 store with panel width 2, then one header or body defect
+    // at a time: each is an `open` error, never a panic or a huge allocation
+    // further down.
+    let header = |m: u64, n: u64, w: u64| {
+        let mut h = b"CAOOCTS1".to_vec();
+        for v in [8, m, n, w] {
+            h.extend_from_slice(&v.to_le_bytes());
+        }
+        h
+    };
+    let body = vec![0u8; 4 * 3 * 8];
+    let cases = [
+        ("zero width", header(4, 3, 0), &body[..]),
+        ("zero rows", header(0, 3, 2), &body[..]),
+        ("overflowing shape", header(1 << 62, 1 << 62, 2), &body[..]),
+        ("truncated body", header(4, 3, 2), &body[..body.len() - 8]),
+    ];
+    let path = tmp("crafted");
+    std::fs::write(&path, [header(4, 3, 2), body.clone()].concat()).unwrap();
+    assert_eq!(TileStore::<f64>::open(&path).expect("the well-formed store opens").nrows(), 4);
+    for (what, head, body) in cases {
+        std::fs::write(&path, [&head[..], body].concat()).unwrap();
+        match TileStore::<f64>::open(&path) {
+            Err(FactorError::Io { op, .. }) => assert_eq!(op, "open", "{what}"),
+            other => panic!("{what}: expected an open error, got {other:?}"),
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+#[test]
 fn singular_input_reports_breakdown_like_in_core() {
     let (m, n, b) = (64, 64, 16);
     let p = CaParams::new(b, 2, 1);

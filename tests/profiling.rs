@@ -3,18 +3,14 @@
 //! Chrome-trace structure, and the `try_calu_profiled` library surface.
 
 use ca_factor::sched::{
-    execute, job, simulate_with, ChaosPlan, ExecError, Job, Profile, RunOptions, RunReport,
-    SimOptions, TaskGraph, TaskKind, TaskLabel, TaskMeta, Timeline,
+    execute, job, simulate, ExecError, Job, Profile, RunReport, TaskFailure, TaskGraph, TaskKind,
+    TaskLabel, TaskMeta, Timeline,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A run's profile, optionally under a fault plan.
-fn profiled<'s>(
-    g: TaskGraph<Job<'s>>,
-    threads: usize,
-    chaos: Option<&'s ChaosPlan>,
-) -> (Profile, Option<ExecError>) {
-    let report = execute(g, threads, &RunOptions { chaos, shadow: None });
+/// A run's profile, and its failure if it had one.
+fn profiled(g: TaskGraph<Job<'_>>, threads: usize) -> (Profile, Option<ExecError>) {
+    let report = execute(g, threads);
     (report.profile(), report.failure)
 }
 
@@ -78,7 +74,7 @@ fn profiled_pool_timeline_is_consistent() {
         let counter = AtomicUsize::new(0);
         let g = layered_jobs(5, 4, &counter);
         let n = g.len();
-        let (profile, err) = profiled(g, threads, None);
+        let (profile, err) = profiled(g, threads);
         assert!(err.is_none());
         assert_eq!(counter.load(Ordering::SeqCst), n);
         assert_eq!(profile.scheduler, "priority-queue");
@@ -112,14 +108,13 @@ fn assert_views_agree(report: &RunReport, ntasks: usize, what: &str) {
 
 #[test]
 fn timeline_and_profile_views_agree_with_the_task_log() {
-    // Default options on both runners: nothing has to be asked for.
+    // Neither runner takes options: nothing has to be asked for.
     let counter = AtomicUsize::new(0);
     let g = layered_jobs(5, 4, &counter);
     let n = g.len();
-    assert_views_agree(&execute(g, 3, &RunOptions::default()), n, "execute");
+    assert_views_agree(&execute(g, 3), n, "execute");
     let g = layered_jobs(5, 4, &counter).map(|_, _| ());
-    let sim = SimOptions::default();
-    assert_views_agree(&simulate_with(&g, 3, |_, m| m.flops, &sim), g.len(), "simulator");
+    assert_views_agree(&simulate(&g, 3, |_, m| m.flops), g.len(), "simulator");
 }
 
 #[test]
@@ -187,14 +182,15 @@ fn cancelled_tasks_never_appear_as_records() {
     let ids: Vec<_> = (0..n)
         .map(|i| {
             let meta = TaskMeta::new(TaskLabel::new(TaskKind::Panel, i, 0, 0), 1.0);
-            g.add_task(meta, job(|| {}))
+            let fails = i == fail_at;
+            let body = move || if fails { Err(TaskFailure::new("fails")) } else { Ok(()) };
+            g.add_task(meta, Box::new(body))
         })
         .collect();
     for pair in ids.windows(2) {
         g.add_dep(pair[0], pair[1]);
     }
-    let plan = ChaosPlan::quiet(0).fail_nth(1, move |l| l.step == fail_at);
-    let (profile, err) = profiled(g, 2, Some(&plan));
+    let (profile, err) = profiled(g, 2);
     let err = err.expect("injected failure must surface");
     assert_eq!(err.task, ids[fail_at]);
     assert_eq!(profile.cancelled, ids[fail_at + 1..].to_vec());
@@ -221,8 +217,7 @@ fn simulator_profile_is_deterministic_and_exact() {
     g.add_dep(a, c);
     g.add_dep(b, d);
     g.add_dep(c, d);
-    let sim = SimOptions::default();
-    let report = simulate_with(&g, 2, |_, _| 1.0, &sim);
+    let report = simulate(&g, 2, |_, _| 1.0);
     assert!(report.failure.is_none());
     let p1 = report.profile();
     assert_eq!(p1.scheduler, "simulator");
@@ -240,14 +235,14 @@ fn simulator_profile_is_deterministic_and_exact() {
     // Two cores never leave a ready task waiting: the depth is 0 throughout.
     assert_eq!((m.max_queue_depth, m.mean_queue_depth), (0, 0.0));
     // Determinism: a second run is bit-identical.
-    let p2 = simulate_with(&g, 2, |_, _| 1.0, &sim).profile();
+    let p2 = simulate(&g, 2, |_, _| 1.0).profile();
     let r2: Vec<_> = p2.records.iter().map(|r| (r.task, r.ready, r.start, r.end)).collect();
     assert_eq!(r, r2);
 
     // One core: c waits from t=1 (ready behind b) to t=2, so the depth is
     // 0, 1, 0, 0 at t = 0, 1, 2, 3 — one ready task for one of the four
     // seconds.
-    let p = simulate_with(&g, 1, |_, _| 1.0, &sim).profile();
+    let p = simulate(&g, 1, |_, _| 1.0).profile();
     let depth: Vec<_> = p.queue_samples.iter().map(|s| (s.t, s.depth)).collect();
     assert_eq!(depth, vec![(0.0, 0), (1.0, 1), (2.0, 0), (3.0, 0)]);
     let m = p.metrics();
@@ -284,7 +279,7 @@ fn derived_queue_depth_is_the_ready_set_at_every_event() {
     }
     for (g, what) in [(&diamond, "diamond"), (&random, "random DAG")] {
         for cores in [1, 2, 3] {
-            let p = simulate_with(g, cores, |_, m| m.flops, &SimOptions::default()).profile();
+            let p = simulate(g, cores, |_, m| m.flops).profile();
             assert_depth_is_a_ready_set(&p);
             let mut times: Vec<f64> = p.records.iter().flat_map(|r| [r.ready, r.start]).collect();
             times.sort_by(f64::total_cmp);
@@ -367,7 +362,7 @@ fn recovery_marked_trace_validates_and_carries_marks() {
     use ca_factor::sched::chrome_trace_json_with_marks;
     let counter = AtomicUsize::new(0);
     let g = layered_jobs(4, 3, &counter);
-    let (profile, err) = profiled(g, 2, None);
+    let (profile, err) = profiled(g, 2);
     assert!(err.is_none());
     let tl = profile.timeline();
     tl.check().expect("clean timeline");

@@ -5,7 +5,7 @@
 
 use ca_factor::matrix::{is_permutation, random_uniform, seeded_rng};
 use ca_factor::prelude::*;
-use ca_factor::sched::{simulate_uniform, TaskGraph, TaskKind, TaskLabel, TaskMeta};
+use ca_factor::sched::{simulate, TaskGraph, TaskKind, TaskLabel, TaskMeta};
 use proptest::prelude::*;
 
 fn tree_strategy() -> impl Strategy<Value = TreeShape> {
@@ -133,7 +133,7 @@ proptest! {
             }
             prev = cur;
         }
-        let tl = simulate_uniform(&g, cores, 1.0);
+        let tl = simulate(&g, cores, |_, m| m.flops).stats.timeline;
         tl.validate();
         let total = g.total_flops();
         let cp = g.critical_path_flops();

@@ -226,12 +226,12 @@ fn service_stats_and_exposition_agree() {
         assert_eq!(sum("ca_serve_job_retries_total"), stats.job_retries, "{what}: retries rollup");
         assert_eq!(
             histogram_count(&snap, "ca_serve_queue_seconds"),
-            stats.queue_latency.count as u64,
+            stats.queue_latency.count,
             "{what}: queue samples"
         );
         assert_eq!(
             histogram_count(&snap, "ca_serve_exec_seconds"),
-            stats.exec_latency.count as u64,
+            stats.exec_latency.count,
             "{what}: exec samples"
         );
         let t = &stats.task_recovery;
@@ -254,7 +254,7 @@ fn service_stats_and_exposition_agree() {
         assert_eq!(stats.completed + stats.failed + stats.cancelled, stats.submitted, "{what}");
         assert_eq!(stats.failed as usize, failures, "{what}: failures seen by the handles");
         // One latency sample per attempt.
-        assert_eq!(stats.exec_latency.count as u64, stats.submitted + stats.job_retries, "{what}");
+        assert_eq!(stats.exec_latency.count, stats.submitted + stats.job_retries, "{what}");
         // Every job is attributed to its own tenant, whichever route it took.
         for t in 0..tenants {
             let tenant = format!("t{t}");
