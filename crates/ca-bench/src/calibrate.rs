@@ -38,10 +38,11 @@ impl Calibration {
     /// A fixed reference calibration (used by tests and for reproducible
     /// simulated figures independent of host noise). Ratios follow what the
     /// measured pass typically reports on commodity x86: BLAS3 ≈ 3–5× the
-    /// BLAS2 panels. `Trsm` and `LuRecursive` are set from the measured pass
-    /// on the reference AVX-512 host, as fractions of its `Gemm` rate: the
-    /// Task-L solve at 0.77 of gemm, `rgetf2` on the 20000 x 100 panel (copy
-    /// charged) at 0.44.
+    /// BLAS2 panels. `Trsm`, `LuRecursive`, `QrRecursive` and `QrBlas2` are
+    /// set from the measured pass on the reference AVX-512 host, as fractions
+    /// of its `Gemm` rate: the Task-L solve at 0.77 of gemm, and on the
+    /// 20000 x 100 panel (copy charged) `rgetf2` at 0.44, `geqr3` at 0.26 and
+    /// `geqr2` at 0.067.
     pub fn reference() -> Self {
         let mut t = HashMap::new();
         t.insert(key(KernelClass::Gemm), 3.0e9);
@@ -49,8 +50,8 @@ impl Calibration {
         t.insert(key(KernelClass::Larfb), 2.5e9);
         t.insert(key(KernelClass::LuBlas2), 0.8e9);
         t.insert(key(KernelClass::LuRecursive), 1.3e9);
-        t.insert(key(KernelClass::QrBlas2), 1.0e9);
-        t.insert(key(KernelClass::QrRecursive), 2.0e9);
+        t.insert(key(KernelClass::QrBlas2), 0.2e9);
+        t.insert(key(KernelClass::QrRecursive), 0.8e9);
         t.insert(key(KernelClass::Memory), 1.0e9);
         t.insert(key(KernelClass::Other), 1.0e9);
         Self { throughput: t, bandwidth: 8.0e9 }
@@ -281,6 +282,7 @@ mod tests {
         let c = Calibration::reference();
         assert!(c.flops_per_sec(KernelClass::Gemm) > c.flops_per_sec(KernelClass::LuBlas2));
         assert!(c.flops_per_sec(KernelClass::LuRecursive) > c.flops_per_sec(KernelClass::LuBlas2));
+        assert!(c.flops_per_sec(KernelClass::QrRecursive) > c.flops_per_sec(KernelClass::QrBlas2));
     }
 
     #[test]

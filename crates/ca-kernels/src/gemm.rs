@@ -28,6 +28,7 @@
 use crate::lu_recursive::base as lu_base;
 use crate::microkernel as mk;
 use crate::pack::{pack_a, pack_b, PackTrans};
+use crate::qr_recursive::base as qr_base;
 use crate::trsm::base as trsm_base;
 use ca_matrix::{AlignedBuf, MatView, MatViewMut, Scalar};
 use core::cell::RefCell;
@@ -189,6 +190,16 @@ pub(crate) fn nmul_add<T: Scalar, const FMA: bool>(a: T, b: T, c: T) -> T {
     }
 }
 
+/// `a·b + c`, fused when `FMA` (see [`on_backend`]).
+#[inline(always)]
+pub(crate) fn mul_add<T: Scalar, const FMA: bool>(a: T, b: T, c: T) -> T {
+    if FMA {
+        a.mul_add(b, c)
+    } else {
+        a * b + c
+    }
+}
+
 /// One microkernel and its register-tile geometry. The packed-panel layout
 /// (and therefore every pack-buffer size) is a function of `(mr, nr)`, so
 /// the spec travels together through the driver, [`crate::par_gemm`], and
@@ -214,6 +225,9 @@ pub struct KernelSpec<T: Scalar> {
     /// Base case of [`crate::rgetf2`] compiled for this backend (same CPU
     /// requirement as `kernel`).
     pub(crate) lu_base: unsafe fn(MatViewMut<'_, T>, usize, &mut crate::lu_unblocked::LuInfo),
+    /// Base case of [`crate::geqr3`] compiled for this backend (same CPU
+    /// requirement as `kernel`).
+    pub(crate) qr_base: unsafe fn(MatViewMut<'_, T>, MatViewMut<'_, T>),
 }
 
 static F64_SCALAR: KernelSpec<f64> = KernelSpec {
@@ -223,6 +237,7 @@ static F64_SCALAR: KernelSpec<f64> = KernelSpec {
     kernel: mk::kernel_scalar_f64,
     trsm_base: trsm_base::scalar::<f64>,
     lu_base: lu_base::scalar::<f64>,
+    qr_base: qr_base::scalar::<f64>,
 };
 static F32_SCALAR: KernelSpec<f32> = KernelSpec {
     mr: mk::MR_F32,
@@ -231,6 +246,7 @@ static F32_SCALAR: KernelSpec<f32> = KernelSpec {
     kernel: mk::kernel_scalar_f32,
     trsm_base: trsm_base::scalar::<f32>,
     lu_base: lu_base::scalar::<f32>,
+    qr_base: qr_base::scalar::<f32>,
 };
 #[cfg(target_arch = "x86_64")]
 static F64_AVX2: KernelSpec<f64> = KernelSpec {
@@ -240,6 +256,7 @@ static F64_AVX2: KernelSpec<f64> = KernelSpec {
     kernel: mk::kernel_avx2_f64,
     trsm_base: trsm_base::avx2::<f64>,
     lu_base: lu_base::avx2::<f64>,
+    qr_base: qr_base::avx2::<f64>,
 };
 #[cfg(target_arch = "x86_64")]
 static F32_AVX2: KernelSpec<f32> = KernelSpec {
@@ -249,6 +266,7 @@ static F32_AVX2: KernelSpec<f32> = KernelSpec {
     kernel: mk::kernel_avx2_f32,
     trsm_base: trsm_base::avx2::<f32>,
     lu_base: lu_base::avx2::<f32>,
+    qr_base: qr_base::avx2::<f32>,
 };
 #[cfg(target_arch = "x86_64")]
 static F64_AVX512: KernelSpec<f64> = KernelSpec {
@@ -258,6 +276,7 @@ static F64_AVX512: KernelSpec<f64> = KernelSpec {
     kernel: mk::kernel_avx512_f64,
     trsm_base: trsm_base::avx512::<f64>,
     lu_base: lu_base::avx512::<f64>,
+    qr_base: qr_base::avx512::<f64>,
 };
 #[cfg(target_arch = "x86_64")]
 static F32_AVX512: KernelSpec<f32> = KernelSpec {
@@ -267,6 +286,7 @@ static F32_AVX512: KernelSpec<f32> = KernelSpec {
     kernel: mk::kernel_avx512_f32,
     trsm_base: trsm_base::avx512::<f32>,
     lu_base: lu_base::avx512::<f32>,
+    qr_base: qr_base::avx512::<f32>,
 };
 
 /// An element type with a full microkernel dispatch table (`f32`, `f64`).
@@ -287,12 +307,15 @@ pub trait Kernel: Scalar {
 
     /// Runs `f` with this thread's kernel workspace for this element type:
     /// the `W` blocks and densified triangles of [`crate::larfb_left`],
-    /// [`crate::geqr3`] and [`crate::trmm`]. Distinct from the pack
-    /// buffers, so `f` may call [`gemm`]; not re-entrant, so `f` must not
-    /// call another workspace user. Of the nest `rgetf2` → `trsm` → `gemm`
-    /// none takes it ([`crate::trsm`]'s base case works in a stack tile,
-    /// [`crate::rgetf2`] in place), and `gemm` holds the pack buffers only
-    /// for the duration of each call, so all three may run under a holder.
+    /// [`crate::trmm`] and the `T₃` assembly of [`crate::geqr3`]. Distinct
+    /// from the pack buffers, so `f` may call [`gemm`]; not re-entrant, so
+    /// `f` must not call another workspace user. `geqr3` takes it only
+    /// around `T₃`, between its recursive calls and `larfb`s, never across
+    /// them; its base case works on the stack and in place. Of the nest
+    /// `rgetf2` → `trsm` → `gemm` none takes it ([`crate::trsm`]'s base case
+    /// works in a stack tile, [`crate::rgetf2`] in place), and `gemm` holds
+    /// the pack buffers only for the duration of each call, so all three may
+    /// run under a holder.
     #[doc(hidden)]
     fn with_work_buf<R>(f: impl FnOnce(&mut AlignedBuf<Self>) -> R) -> R;
 

@@ -5,7 +5,7 @@
 //! what the TSQR reduction-tree update (task S at inner tree nodes,
 //! Algorithm 2 line 26 of the paper) needs.
 
-use crate::gemm::{gemm, Kernel, Trans};
+use crate::gemm::{gemm_on, Kernel, KernelSpec, Trans};
 use crate::trmm::{densify, tri_gemm, Side, Triangle};
 use ca_matrix::{MatView, MatViewMut, Matrix, Scalar};
 
@@ -13,23 +13,87 @@ use ca_matrix::{MatView, MatViewMut, Matrix, Scalar};
 /// that `H · [alpha; x] = [beta; 0]`.
 ///
 /// On return `x` holds `v[1..]`; returns `(beta, tau)`. If `x` is zero,
-/// `tau = 0` (H = I) and `beta = alpha`.
+/// `tau = 0` (H = I) and `beta = alpha`. Entries anywhere in the exponent
+/// range are safe: a norm that would overflow or lose digits to underflow is
+/// recomputed scaled, as LAPACK's `dnrm2`/`dlarfg` do.
 pub fn larfg<T: Scalar>(alpha: T, x: &mut [T]) -> (T, T) {
-    let xnorm = x.iter().fold(T::ZERO, |s, &v| s + v * v).sqrt();
-    if xnorm == T::ZERO {
-        return (alpha, T::ZERO);
-    }
-    let mut beta = -(alpha.hypot(xnorm)).copysign(alpha);
-    // Guard against underflow in the scaling factor for tiny beta.
-    if beta == T::ZERO {
-        beta = T::MIN_POSITIVE;
-    }
-    let tau = (beta - alpha) / beta;
-    let scale = T::ONE / (alpha - beta);
+    let ss = x.iter().fold(T::ZERO, |s, &v| s + v * v);
+    let r = reflector(alpha, x, ss);
     for v in x.iter_mut() {
-        *v *= scale;
+        *v *= r.scale;
     }
-    (beta, tau)
+    (r.beta, r.tau)
+}
+
+/// A reflector `H = I − τ·v·vᵀ`, `v = [1; scale·x]`, with
+/// `H · [alpha; x] = [beta; 0]`.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Reflector<T> {
+    pub beta: T,
+    pub tau: T,
+    pub scale: T,
+}
+
+/// The reflector of `[alpha; x]`, given `ss`, the sum of squares of `x` as
+/// the caller accumulated it. `x` is left unscaled — the caller applies
+/// `scale`, in [`larfg`] or in the pass of [`crate::geqr3`]'s base case that
+/// reads `x` anyway — except on the rescaling path, which multiplies `x` by
+/// an exact power of two first (the returned `scale` applies to the result).
+pub(crate) fn reflector<T: Scalar>(alpha: T, x: &mut [T], ss: T) -> Reflector<T> {
+    // NaN propagates through the plain formulas; only a sum that overflowed
+    // or may have lost digits to underflow (zero included) takes the slow path.
+    if !ss.is_nan() && (!ss.is_finite() || ss < safe_min::<T>()) {
+        return rescaled(alpha, x);
+    }
+    finish(alpha, ss.sqrt())
+}
+
+/// `τ` and the scale of `x` from `alpha` and `‖x‖ > 0`.
+fn finish<T: Scalar>(alpha: T, xnorm: T) -> Reflector<T> {
+    let beta = -(alpha.hypot(xnorm)).copysign(alpha);
+    Reflector { beta, tau: (beta - alpha) / beta, scale: T::ONE / (alpha - beta) }
+}
+
+/// LAPACK's `safmin / eps`: a sum of squares below it may have lost digits
+/// to underflow, and a `|β|` below it is scaled up before `1/(α − β)` is
+/// taken. A power of two, so scaling by it is exact.
+fn safe_min<T: Scalar>() -> T {
+    T::MIN_POSITIVE / T::EPSILON
+}
+
+/// `‖x‖` without overflow or underflow: the largest magnitude times the norm
+/// of `x` divided by it.
+fn scaled_norm<T: Scalar>(x: &[T]) -> T {
+    let amax = x.iter().fold(T::ZERO, |m, &v| m.max(v.abs()));
+    if amax == T::ZERO || !amax.is_finite() {
+        return amax;
+    }
+    // Divide rather than multiply by `1/amax`, which overflows for a
+    // subnormal `amax`.
+    amax * x.iter().fold(T::ZERO, |s, &v| s + (v / amax) * (v / amax)).sqrt()
+}
+
+/// [`reflector`] for a sum of squares out of range (`dlarfg`): the norm is
+/// recomputed scaled, and while `|β|` is below [`safe_min`] `x` and `alpha`
+/// are scaled up by its reciprocal, `β` scaled back at the end.
+#[cold]
+#[inline(never)]
+fn rescaled<T: Scalar>(mut alpha: T, x: &mut [T]) -> Reflector<T> {
+    let xnorm = scaled_norm(x);
+    if xnorm == T::ZERO {
+        return Reflector { beta: alpha, tau: T::ZERO, scale: T::ONE };
+    }
+    let (safmin, mut r) = (safe_min::<T>(), finish(alpha, xnorm));
+    let mut knt = 0;
+    while r.beta.abs() < safmin && knt < 20 {
+        let up = T::ONE / safmin;
+        x.iter_mut().for_each(|v| *v *= up);
+        alpha *= up;
+        knt += 1;
+        r = finish(alpha, scaled_norm(x));
+    }
+    (0..knt).for_each(|_| r.beta *= safmin);
+    r
 }
 
 /// Applies `H = I − τ·v·vᵀ` from the left to `c` (`m × n`), where `v` is the
@@ -160,6 +224,21 @@ pub fn larfb_left_multi<T: Kernel>(
     v_rest: &[MatView<'_, T>],
     rest: VRest,
     t: MatView<'_, T>,
+    c_top: MatViewMut<'_, T>,
+    c_rest: &mut [MatViewMut<'_, T>],
+) {
+    multi_on(T::spec(), trans, v_top, v_rest, rest, t, c_top, c_rest);
+}
+
+/// [`larfb_left_multi`] on the products of `spec`.
+#[allow(clippy::too_many_arguments)] // larfb_left_multi's operands plus the spec
+fn multi_on<T: Kernel>(
+    spec: &KernelSpec<T>,
+    trans: Trans,
+    v_top: Option<MatView<'_, T>>,
+    v_rest: &[MatView<'_, T>],
+    rest: VRest,
+    t: MatView<'_, T>,
     mut c_top: MatViewMut<'_, T>,
     c_rest: &mut [MatViewMut<'_, T>],
 ) {
@@ -178,10 +257,9 @@ pub fn larfb_left_multi<T: Kernel>(
     if n == 0 || k == 0 {
         return;
     }
-    let spec = T::spec();
     // V_rest[i] (or its transpose) times a k-row block, skipping stored zeros.
     let rest_mul = |tv, alpha, v: MatView<'_, T>, b: MatView<'_, T>, c: MatViewMut<'_, T>| match rest {
-        VRest::Dense => gemm(tv, Trans::No, alpha, v, b, T::ONE, c),
+        VRest::Dense => gemm_on(spec, tv, Trans::No, alpha, v, b, T::ONE, c),
         VRest::UpperTrapezoid => tri_gemm(spec, Side::Left, Triangle::Upper, tv, alpha, v, b, T::ONE, c),
     };
 
@@ -225,6 +303,17 @@ pub fn larfb_left_multi<T: Kernel>(
 /// the reflectors are stored unit-lower-trapezoidally in `v` (`m × k`),
 /// as produced by [`crate::geqr2`]/[`crate::geqr3`] (`dlarfb`).
 pub fn larfb_left<T: Kernel>(trans: Trans, v: MatView<'_, T>, t: MatView<'_, T>, c: MatViewMut<'_, T>) {
+    larfb_left_on(T::spec(), trans, v, t, c);
+}
+
+/// [`larfb_left`] on the products of `spec`.
+pub(crate) fn larfb_left_on<T: Kernel>(
+    spec: &KernelSpec<T>,
+    trans: Trans,
+    v: MatView<'_, T>,
+    t: MatView<'_, T>,
+    c: MatViewMut<'_, T>,
+) {
     let m = v.nrows();
     let k = v.ncols();
     assert_eq!(c.nrows(), m, "C rows must match V rows");
@@ -232,7 +321,7 @@ pub fn larfb_left<T: Kernel>(trans: Trans, v: MatView<'_, T>, t: MatView<'_, T>,
     let v_top = v.sub(0, 0, k, k);
     let v_bot = v.sub(k, 0, m - k, k);
     let (c_top, c_bot) = c.split_at_row(k);
-    larfb_left_pair(trans, v_top, v_bot, t, c_top, c_bot);
+    multi_on(spec, trans, Some(v_top), &[v_bot], VRest::Dense, t, c_top, &mut [c_bot]);
 }
 
 /// Forms the thin explicit `Q` (`m × k`) from packed reflectors `v` (`m × k`)
@@ -275,6 +364,30 @@ mod tests {
         let (beta, tau) = larfg(7.0, &mut x);
         assert_eq!(beta, 7.0);
         assert_eq!(tau, 0.0);
+    }
+
+    #[test]
+    fn larfg_is_scale_safe() {
+        // H·[3; 4; 0] = [-5; 0; 0] with τ = 1.6 and v = [1; 0.5; 0] at any
+        // power-of-two scale: squares that overflow, that underflow, and
+        // entries that are themselves subnormal.
+        fn check<T: Scalar>(exps: &[i32]) {
+            for &e in exps {
+                // 2^e by exact halving or doubling: `powi` overflows on the
+                // way to a subnormal result.
+                let s = T::from_f64((0..e.abs()).fold(1.0, |x: f64, _| if e < 0 { x / 2.0 } else { x * 2.0 }));
+                let mut x = [T::from_f64(4.0) * s, T::ZERO];
+                let (beta, tau) = larfg(T::from_f64(3.0) * s, &mut x);
+                let near = |got: T, want: f64| (got.to_f64() - want).abs() <= 4.0 * T::EPSILON.to_f64() * want.abs();
+                assert!(near(beta / s, -5.0) && near(tau, 1.6) && near(x[0], 0.5), "{} 2^{e}: {beta} {tau} {x:?}", T::NAME);
+                assert_eq!(x[1], T::ZERO);
+            }
+        }
+        check::<f64>(&[0, 600, -600, -1060]);
+        check::<f32>(&[0, 70, -70, -140]);
+        // A zero tail leaves H = I however small alpha is.
+        let mut x = [0.0; 3];
+        assert_eq!(larfg(f64::MIN_POSITIVE / 8.0, &mut x), (f64::MIN_POSITIVE / 8.0, 0.0));
     }
 
     #[test]

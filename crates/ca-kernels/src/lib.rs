@@ -13,8 +13,8 @@
 //! | `dgetf2` | [`getf2`] (BLAS2 GEPP) |
 //! | `rgetf2` | [`rgetf2`] (recursive GEPP, Toledo; left-looking vectorised base case, `getf2`'s pivots) |
 //! | `dgeqr2` | [`geqr2`] (BLAS2 Householder QR) |
-//! | `dgeqr3` | [`geqr3`] (recursive QR, Elmroth–Gustavson) |
-//! | `dlarfg`/`dlarf`/`dlarft`/`dlarfb` | [`larfg`], [`larf_left`], [`larft`], [`larfb_left`], [`larfb_left_pair`], [`larfb_left_multi`] (incl. the structured tree-node form) |
+//! | `dgeqr3` | [`geqr3`] (recursive QR, Elmroth–Gustavson; splits at multiples of 16 columns into a left-looking vectorised base case that builds `T` as it goes) |
+//! | `dlarfg`/`dlarf`/`dlarft`/`dlarfb` | [`larfg`] (scale-safe, `dnrm2`/`dlarfg` rescaling), [`larf_left`], [`larft`], [`larfb_left`], [`larfb_left_pair`], [`larfb_left_multi`] (incl. the structured tree-node form) |
 //!
 //! All kernels operate on [`ca_matrix::MatView`]/[`ca_matrix::MatViewMut`]
 //! blocks, so they compose into panel/tile tasks without copying, and all
@@ -62,7 +62,7 @@ pub use householder::{
 };
 pub use lu_recursive::rgetf2;
 pub use lu_unblocked::{getf2, lu_nopiv, LuInfo};
-pub use qr_recursive::geqr3;
+pub use qr_recursive::{geqr3, geqr3_with_backend};
 pub use qr_unblocked::geqr2;
 pub use trmm::{trmm, trmm_with_backend, Diag, Side, Triangle, Uplo};
 pub use trsm::{

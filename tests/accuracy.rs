@@ -190,6 +190,53 @@ fn caqr_f32_backward_error_and_orthogonality_both_trees() {
     }
 }
 
+/// `R` of `2^e·A`, divided by `2^e` in f64, against `R` of `A`: scaling by
+/// a power of two is exact, so a scale-safe QR returns the same `R` up to
+/// rounding at any exponent whose products stay in range — here `geqr2`,
+/// `geqr3` and `try_caqr`, far past where squaring the entries over- or
+/// underflows (`2^±520` in f64, `2^±64` in f32).
+fn scale_invariant_r<T: ca_factor::kernels::Kernel>(exps: &[i32]) {
+    use ca_factor::kernels::{geqr2, geqr3};
+    let (m, n) = (200, 40);
+    let a = ca_factor::matrix::Matrix::<T>::from_f64(&random_uniform(m, n, &mut seeded_rng(2026)));
+    let p = CaParams::new(16, 4, 2);
+    type Qr<T> = fn(&ca_factor::matrix::Matrix<T>, &CaParams) -> ca_factor::matrix::Matrix<T>;
+    let kernels: [(&str, Qr<T>); 3] = [
+        ("geqr2", |a, _| {
+            let mut a = a.clone();
+            geqr2(a.view_mut(), &mut Vec::new());
+            a.upper()
+        }),
+        ("geqr3", |a, _| {
+            let mut a = a.clone();
+            let mut t = ca_factor::matrix::Matrix::zeros(a.ncols(), a.ncols());
+            geqr3(a.view_mut(), t.view_mut());
+            a.upper()
+        }),
+        ("try_caqr", |a, p| try_caqr(a.clone(), p).expect("finite input must factor").r()),
+    ];
+    for (name, qr) in kernels {
+        let r0 = qr(&a, &p).to_f64();
+        let bound = C * m.max(n) as f64 * T::EPSILON.to_f64() * ca_factor::matrix::norm_max(r0.view());
+        for &e in exps {
+            let s = T::from_f64(2f64.powi(e));
+            let mut sa = a.clone();
+            sa.as_mut_slice().iter_mut().for_each(|x| *x *= s);
+            assert!(sa.as_slice().iter().zip(a.as_slice()).all(|(&x, &y)| x / s == y), "2^{e} must scale A exactly");
+            let r = qr(&sa, &p).to_f64();
+            assert!(r.as_slice().iter().all(|x| x.is_finite()), "{} {name} at 2^{e}: R not finite", T::NAME);
+            let err = r.as_slice().iter().zip(r0.as_slice()).map(|(x, y)| (x / 2f64.powi(e) - y).abs()).fold(0.0, f64::max);
+            assert!(err <= bound, "{} {name} at 2^{e}: |R(sA)/s - R(A)| = {err:e} vs {bound:e}", T::NAME);
+        }
+    }
+}
+
+#[test]
+fn qr_is_scale_safe_across_the_exponent_range() {
+    scale_invariant_r::<f64>(&[500, -500, 520, -520, 540, -540, 1000, -1000]);
+    scale_invariant_r::<f32>(&[40, -40, 64, -64, 70, -70, 100, -100]);
+}
+
 #[test]
 fn f32_fallible_path_accepts_clean_and_rejects_non_finite() {
     let a = ca_factor::matrix::Matrix::<f32>::from_f64(&random_uniform(64, 48, &mut seeded_rng(5)));

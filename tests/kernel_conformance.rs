@@ -894,3 +894,111 @@ fn rgetf2_picks_the_pivots_of_getf2() {
     (0..m).for_each(|i| nan[(i, 40)] = f64::NAN);
     same::<f64>(&nan, "NaN column");
 }
+
+// ---------------------------------------------------------------------------
+// Recursive QR (DESIGN.md §10, "QR panel"): `geqr3` on every backend in both
+// precisions, with `n` on both sides of the 16-column base case and its
+// splits and `m − n` over every residue of the base case's 8-row dot chunks
+// (plus tails past its 64-row update chunks and 256-row blocks), against the
+// residual and orthogonality gates of `tests/accuracy.rs` and `|R|` of
+// `geqr2`; a zero column (`τ = 0`), a NaN column, and bitwise repeatability
+// across repeats and threads.
+// ---------------------------------------------------------------------------
+
+use ca_factor::kernels::{form_q_thin, geqr2, geqr3_with_backend};
+use ca_factor::matrix::{norm_max, orthogonality, qr_residual};
+
+/// `c` of the `c · max(m,n) · eps` gates in `tests/accuracy.rs`.
+const ACCURACY_C: f64 = 100.0;
+
+/// `geqr3` of `a` on backend `name`: the factored panel and its `T`.
+fn geqr3_on<T: Kernel>(name: &str, a: &Matrix<T>) -> (Matrix<T>, Matrix<T>) {
+    let (mut f, mut t) = (a.clone(), Matrix::zeros(a.ncols(), a.ncols()));
+    geqr3_with_backend(name, f.view_mut(), t.view_mut());
+    (f, t)
+}
+
+/// Residual and orthogonality of a factored panel in f64, against the gate.
+fn assert_qr_gates<T: Kernel>(a: &Matrix<T>, f: &Matrix<T>, t: &Matrix<T>, what: &str) {
+    let (m, n) = (a.nrows(), a.ncols());
+    let q = form_q_thin(f.view(), t.view()).to_f64();
+    let (res, orth) = (qr_residual(&a.to_f64(), &q, &f.upper().to_f64()), orthogonality(&q));
+    let bound = ACCURACY_C * m.max(n) as f64 * T::EPSILON.to_f64();
+    assert!(res < bound && orth < bound, "{} {what}: residual {res:e}, orthogonality {orth:e} vs {bound:e}", T::NAME);
+}
+
+#[test]
+fn geqr3_meets_the_accuracy_gates_on_every_backend() {
+    fn check<T: Kernel>() {
+        let shapes = [1usize, 15, 16, 17, 35, 100].into_iter().flat_map(|n| (0..8).map(move |d| (n + d, n)));
+        let tails = [16usize, 35].into_iter().flat_map(|n| [(n + 64 + 9, n), (n + 256 + 64 + 8 + 3, n)]);
+        for (m, n) in shapes.chain(tails) {
+            let a = Matrix::<T>::from_f64(&random_uniform(m, n, &mut seeded_rng((m * 131 + n) as u64)));
+            let mut g = a.clone();
+            geqr2(g.view_mut(), &mut Vec::new());
+            let r2 = g.upper().to_f64();
+            let bound = ACCURACY_C * m as f64 * T::EPSILON.to_f64() * norm_max(r2.view());
+            for name in gemm_available_backends() {
+                let (f, t) = geqr3_on(name, &a);
+                assert_qr_gates(&a, &f, &t, &format!("{name} {m}x{n}"));
+                // R is unique up to the signs of its rows.
+                for (x, y) in f.upper().to_f64().as_slice().iter().zip(r2.as_slice()) {
+                    assert!((x.abs() - y.abs()).abs() <= bound, "{} {name} {m}x{n}: |R| {x} vs geqr2 {y}", T::NAME);
+                }
+            }
+        }
+    }
+    check::<f64>();
+    check::<f32>();
+}
+
+#[test]
+fn geqr3_zero_and_nan_columns() {
+    fn check<T: Kernel>() {
+        let (m, n) = (90, 35);
+        for name in gemm_available_backends() {
+            // A zero column stays zero under every earlier reflector: τ = 0,
+            // R[j, j] = 0, in the first base case and in one after a split.
+            let mut a = Matrix::<T>::from_f64(&random_uniform(m, n, &mut seeded_rng(61)));
+            for j in [3, 20] {
+                (0..m).for_each(|i| a[(i, j)] = T::ZERO);
+            }
+            let (f, t) = geqr3_on(name, &a);
+            for j in [3, 20] {
+                assert_eq!((t[(j, j)].to_f64(), f[(j, j)].to_f64()), (0.0, 0.0), "{} {name}: column {j}", T::NAME);
+            }
+            assert_qr_gates(&a, &f, &t, &format!("{name} zero columns"));
+
+            // A NaN column propagates into R without a panic.
+            let mut a = Matrix::<T>::from_f64(&random_uniform(m, n, &mut seeded_rng(62)));
+            (0..m).for_each(|i| a[(i, 5)] = T::from_f64(f64::NAN));
+            let (f, _) = geqr3_on(name, &a);
+            assert!((0..=5).any(|i| f[(i, 5)].is_nan()), "{} {name}: NaN column vanished from R", T::NAME);
+        }
+    }
+    check::<f64>();
+    check::<f32>();
+}
+
+#[test]
+fn geqr3_is_bitwise_identical_across_repeats_and_threads() {
+    fn check<T: Kernel>() {
+        let a = Matrix::<T>::from_f64(&random_uniform(300, 100, &mut seeded_rng(63)));
+        for name in gemm_available_backends() {
+            let run = || {
+                let (f, t) = geqr3_on(name, &a);
+                (bits(&f), bits(&t))
+            };
+            let reference = run();
+            assert_eq!(reference, run(), "{} {name}: repeat differs", T::NAME);
+            std::thread::scope(|s| {
+                let handles: Vec<_> = (0..3).map(|_| s.spawn(run)).collect();
+                for h in handles {
+                    assert_eq!(reference, h.join().expect("worker"), "{} {name}: cross-thread bits differ", T::NAME);
+                }
+            });
+        }
+    }
+    check::<f64>();
+    check::<f32>();
+}
