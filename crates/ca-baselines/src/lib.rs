@@ -11,9 +11,12 @@
 //! * `ca_kernels::getf2` / `ca_kernels::geqr2` — the pure BLAS2 routines the
 //!   paper benchmarks as `MKL_dgetf2` / `MKL_dgeqr2`.
 //! * [`tiled_lu`] / [`tiled_qr`] — PLASMA 2.0-style tile algorithms
-//!   (incremental pairwise pivoting LU; flat-tree tile QR).
-//! * [`BlockedLuPlan`] / [`BlockedQrPlan`] / [`TiledLuPlan`] /
-//!   [`TiledQrPlan`] — `::build(..)` makes each of the four as a
+//!   (incremental pairwise pivoting LU; flat-tree tile QR). Tiled QR is
+//!   [`ca_core::CaqrPlan`] over PLASMA's elimination list — one-tile
+//!   groups, a leaf QR on the diagonal tile, a chain of triangle-on-square
+//!   eliminations below it — so it returns CAQR's [`ca_core::QrFactors`].
+//! * [`BlockedLuPlan`] / [`BlockedQrPlan`] / [`TiledLuPlan`] —
+//!   `::build(..)` — and [`tiled_qr_plan`] make each of the four as a
 //!   [`ca_sched::Plan`], every task added once as its footprint and the
 //!   closure that touches it: the graph the entry point above executes is
 //!   the graph the multicore simulator costs and the static verifier proves.
@@ -27,11 +30,9 @@ pub mod tile_kernels;
 mod tiled_lu;
 mod tiled_qr;
 
-use ca_matrix::shadow::ElemRect;
 use ca_matrix::Matrix;
 use ca_sched::Plan;
 use std::ops::Range;
-use std::sync::Arc;
 
 /// Runs a blocked plan over `a` in place on `threads` workers.
 fn run_in_place<S: Send + Sync + 'static, F: 'static>(
@@ -55,28 +56,10 @@ fn column_strips(cols: Range<usize>, nb: usize, strips: usize) -> impl Iterator<
     cols.clone().step_by(width).map(move |c0| c0..(c0 + width).min(cols.end))
 }
 
-/// Per-column rects of the strictly-lower trapezoid of the `rk × kv`
-/// diagonal tile at origin `k0`: the tile-local `L` (`rk == kv`) that
-/// `gessm` reads, the reflectors `V` that `ormqr` reads. Shared between the
-/// declaration and the task bodies that lease exactly these rects.
-fn lower_rects(k0: usize, rk: usize, kv: usize) -> Arc<[ElemRect]> {
-    (0..kv)
-        .map(|c| ElemRect::new(k0 + c + 1..k0 + rk, k0 + c..k0 + c + 1))
-        .filter(|r| !r.is_empty())
-        .collect()
-}
-
-/// Per-column rects of the upper triangle (diagonal included) of the
-/// `wk × wk` top of the diagonal tile at origin `k0`: the `U` / `R` factor
-/// the `tstrf` / `tsqrt` chain reads and rewrites.
-fn upper_rects(k0: usize, wk: usize) -> Arc<[ElemRect]> {
-    (0..wk).map(|c| ElemRect::new(k0..k0 + c + 1, k0 + c..k0 + c + 1)).collect()
-}
-
 pub use geqrf_blocked::{geqrf_blocked, BlockedQr, BlockedQrPlan};
 pub use getrf_blocked::{getrf_blocked, BlockedLu, BlockedLuPlan};
 pub use tiled_lu::{tiled_lu, TiledLu, TiledLuPlan};
-pub use tiled_qr::{tiled_qr, TiledQr, TiledQrPlan};
+pub use tiled_qr::{tiled_qr, tiled_qr_plan};
 
 #[cfg(test)]
 mod tests {

@@ -1,129 +1,12 @@
-//! PLASMA-style tile kernels (Buttari, Langou, Kurzak, Dongarra 2009).
-//!
-//! QR: `geqrt` (tile QR + `T`), `tsqrt` (triangle-on-top-of-square QR),
-//! `tsmqr` (apply `tsqrt` reflectors to a stacked tile pair).
-//! LU (incremental pairwise pivoting): `getrf_tile` (GEPP of the diagonal
-//! tile), `gessm` (apply its pivots + `L⁻¹` to a right tile), `tstrf`
-//! (GEPP of `[U_kk; A_ik]`), `ssssm` (apply the `tstrf` transform to a
-//! stacked tile pair).
-//!
-//! `tsqrt` exploits the triangular top block: reflector `j` has an implicit
-//! `1` at the triangle's diagonal, zeros elsewhere in the triangle, and a
-//! dense column in the square tile — `~2b³` flops instead of the dense
-//! stacked QR's `10/3·b³`. `tsmqr` is then exactly a compact-WY pair
-//! application whose `V_top` is the identity (zero stored part).
+//! PLASMA-style tile kernels of tiled LU (Buttari, Langou, Kurzak,
+//! Dongarra 2009) with incremental pairwise pivoting: `getrf_tile` (GEPP of
+//! the diagonal tile), `gessm` (apply its pivots + `L⁻¹` to a right tile),
+//! `tstrf` (GEPP of `[U_kk; A_ik]`), `ssssm` (apply the `tstrf` transform to
+//! a stacked tile pair). Tiled QR has no kernels of its own: it is CAQR's
+//! plan over PLASMA's tile chain (`crate::tiled_qr`).
 
-use ca_kernels::{
-    gemm, getf2, larfb_left_multi, larfg, larft, trsm_left_lower_unit, LuInfo, Trans, VRest,
-};
+use ca_kernels::{gemm, getf2, trsm_left_lower_unit, LuInfo, Trans};
 use ca_matrix::{MatView, MatViewMut, Matrix, PivotSeq};
-
-/// Tile QR: factor the `r × w` tile in place, returning the compact-WY `T`
-/// (`geqrt` = `geqr3` + `T`). Thin wrapper so the tiled algorithm reads like
-/// the PLASMA kernel list.
-pub fn geqrt(tile: MatViewMut<'_>, t: MatViewMut<'_>) {
-    let r = tile.nrows();
-    let w = tile.ncols();
-    if r >= w {
-        ca_kernels::geqr3(tile, t);
-    } else {
-        let mut tile = tile;
-        let mut tau = Vec::new();
-        ca_kernels::geqr2(tile.rb(), &mut tau);
-        larft(tile.as_ref().sub(0, 0, r, tau.len()), &tau, t);
-    }
-}
-
-/// Triangle-on-square QR (`dtsqrt`): factors the stacked
-/// `[R (upper triangular, b × b); A (dense, r × b)]` in place.
-///
-/// On return `r_kk` holds the updated `R`, `a_ik` holds the dense parts of
-/// the reflectors `V₂` (the top parts are implicit identity columns), and
-/// `t` the `b × b` compact-WY factor.
-pub fn tsqrt(mut r_kk: MatViewMut<'_>, mut a_ik: MatViewMut<'_>, mut t: MatViewMut<'_>) {
-    let b = r_kk.nrows();
-    assert_eq!(r_kk.ncols(), b, "R tile must be square");
-    assert_eq!(a_ik.ncols(), b, "A tile must have b columns");
-    let r = a_ik.nrows();
-    assert!(t.nrows() >= b && t.ncols() >= b, "T must be at least b x b");
-
-    let mut tau = vec![0.0f64; b];
-    for (j, tau_j) in tau.iter_mut().enumerate() {
-        // Reflector j annihilates A[:, j] against R[j, j]; its vector is
-        // e_j (implicit) stacked on v = A[:, j] values.
-        let alpha = r_kk.at(j, j);
-        let (beta, tj) = {
-            let col = a_ik.col_mut(j);
-            larfg(alpha, col)
-        };
-        r_kk.set(j, j, beta);
-        *tau_j = tj;
-        if tj == 0.0 {
-            continue;
-        }
-        // Apply H to remaining columns l > j of the stack:
-        // w = R[j, l] + vᵀ A[:, l]; R[j, l] -= τ w; A[:, l] -= τ v w.
-        for l in j + 1..b {
-            let mut w = r_kk.at(j, l);
-            {
-                let vj = a_ik.col(j);
-                let al = a_ik.col(l);
-                for i in 0..r {
-                    w += vj[i] * al[i];
-                }
-            }
-            let tw = tj * w;
-            *r_kk.at_mut(j, l) -= tw;
-            // Split borrow via raw parts: columns j and l are disjoint.
-            let vj_ptr = a_ik.col(j).as_ptr();
-            let vj = unsafe { core::slice::from_raw_parts(vj_ptr, r) };
-            let al = a_ik.col_mut(l);
-            for i in 0..r {
-                al[i] -= tw * vj[i];
-            }
-        }
-    }
-
-    // Build T: T[j][j] = τ_j; T[0..j, j] = -τ_j T · (V₂[:, 0..j]ᵀ v_j)
-    // (the identity top parts contribute nothing off-diagonal).
-    for (j, &tau_j) in tau.iter().enumerate().take(b) {
-        t.set(j, j, tau_j);
-        for i in j + 1..b {
-            t.set(i, j, 0.0);
-        }
-        if j > 0 && tau_j != 0.0 {
-            let mut w = vec![0.0f64; j];
-            for (i, wi) in w.iter_mut().enumerate() {
-                let vi = a_ik.col(i);
-                let vj = a_ik.col(j);
-                let mut s = 0.0;
-                for row in 0..r {
-                    s += vi[row] * vj[row];
-                }
-                *wi = s;
-            }
-            for i in 0..j {
-                let mut s = 0.0;
-                for (l, wl) in w.iter().enumerate().take(j).skip(i) {
-                    s += t.at(i, l) * wl;
-                }
-                t.set(i, j, -tau_j * s);
-            }
-        }
-    }
-}
-
-/// Applies the `tsqrt` reflectors (`v2`, `t`) to the stacked tile pair
-/// `[C_top; C_bot]` (`dtsmqr`): `V_top` is the implicit identity.
-pub fn tsmqr(
-    trans: Trans,
-    v2: MatView<'_>,
-    t: MatView<'_>,
-    c_top: MatViewMut<'_>,
-    c_bot: MatViewMut<'_>,
-) {
-    larfb_left_multi(trans, None, &[v2], VRest::Dense, t, c_top, &mut [c_bot]);
-}
 
 /// GEPP of a diagonal tile (`dgetrf` on one tile), returning tile-local
 /// pivots (LAPACK-style `LuInfo`).
@@ -238,101 +121,6 @@ pub fn ssssm(tr: &TstrfTransform, mut a_kj: MatViewMut<'_>, mut a_ij: MatViewMut
 mod tests {
     use super::*;
     use ca_matrix::{norm_max, seeded_rng};
-
-    #[test]
-    fn tsqrt_produces_valid_qr_of_stack() {
-        let b = 8;
-        let mut rng = seeded_rng(1);
-        // Build an upper-triangular R and a dense tile.
-        let mut r_kk = ca_matrix::random_uniform(b, b, &mut rng);
-        for i in 0..b {
-            for j in 0..i {
-                r_kk[(i, j)] = 0.0;
-            }
-            r_kk[(i, i)] += 3.0;
-        }
-        let a_ik = ca_matrix::random_uniform(b, b, &mut rng);
-        let stack0 = Matrix::vstack(&[r_kk.view(), a_ik.view()]);
-
-        let mut r_work = r_kk.clone();
-        let mut a_work = a_ik.clone();
-        let mut t = Matrix::zeros(b, b);
-        tsqrt(r_work.view_mut(), a_work.view_mut(), t.view_mut());
-
-        // Compare R with a dense QR of the stack (up to signs).
-        let mut dense = stack0.clone();
-        let mut tau = Vec::new();
-        ca_kernels::geqr2(dense.view_mut(), &mut tau);
-        for i in 0..b {
-            for j in i..b {
-                let x = r_work[(i, j)].abs();
-                let y = dense[(i, j)].abs();
-                assert!((x - y).abs() < 1e-11 * (1.0 + y), "R mismatch at ({i},{j}): {x} vs {y}");
-            }
-        }
-    }
-
-    #[test]
-    fn tsqrt_then_tsmqr_annihilates_stack() {
-        // Applying Qᵀ to the original stack must give [R; 0].
-        let b = 6;
-        let mut rng = seeded_rng(2);
-        let mut r_kk = ca_matrix::random_uniform(b, b, &mut rng);
-        for i in 0..b {
-            for j in 0..i {
-                r_kk[(i, j)] = 0.0;
-            }
-        }
-        let a_ik = ca_matrix::random_uniform(b, b, &mut rng);
-
-        let mut r_work = r_kk.clone();
-        let mut a_work = a_ik.clone();
-        let mut t = Matrix::zeros(b, b);
-        tsqrt(r_work.view_mut(), a_work.view_mut(), t.view_mut());
-
-        let mut c_top = r_kk.clone();
-        let mut c_bot = a_ik.clone();
-        tsmqr(Trans::Yes, a_work.view(), t.view(), c_top.view_mut(), c_bot.view_mut());
-        // Bottom must vanish; top must equal R (exactly the factor).
-        assert!(norm_max(c_bot.view()) < 1e-11, "bottom not annihilated: {}", norm_max(c_bot.view()));
-        let diff = c_top.sub_matrix(&r_work);
-        // Compare only the upper triangle (below lives V junk in r_work? no:
-        // tsqrt keeps R upper and zeros below untouched in r_work).
-        let mut maxerr = 0.0f64;
-        for i in 0..b {
-            for j in i..b {
-                maxerr = maxerr.max(diff[(i, j)].abs());
-            }
-        }
-        assert!(maxerr < 1e-11, "top != R ({maxerr})");
-    }
-
-    #[test]
-    fn tsmqr_qt_q_roundtrip() {
-        let b = 5;
-        let mut rng = seeded_rng(3);
-        let mut r_kk = ca_matrix::random_uniform(b, b, &mut rng);
-        for i in 0..b {
-            for j in 0..i {
-                r_kk[(i, j)] = 0.0;
-            }
-            r_kk[(i, i)] += 2.0;
-        }
-        let a_ik = ca_matrix::random_uniform(b, b, &mut rng);
-        let mut rw = r_kk.clone();
-        let mut aw = a_ik.clone();
-        let mut t = Matrix::zeros(b, b);
-        tsqrt(rw.view_mut(), aw.view_mut(), t.view_mut());
-
-        let c0_top = ca_matrix::random_uniform(b, 3, &mut rng);
-        let c0_bot = ca_matrix::random_uniform(b, 3, &mut rng);
-        let mut ct = c0_top.clone();
-        let mut cb = c0_bot.clone();
-        tsmqr(Trans::Yes, aw.view(), t.view(), ct.view_mut(), cb.view_mut());
-        tsmqr(Trans::No, aw.view(), t.view(), ct.view_mut(), cb.view_mut());
-        assert!(norm_max(ct.sub_matrix(&c0_top).view()) < 1e-12);
-        assert!(norm_max(cb.sub_matrix(&c0_bot).view()) < 1e-12);
-    }
 
     #[test]
     fn tstrf_factors_the_stack() {

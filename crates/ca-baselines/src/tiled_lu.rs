@@ -10,14 +10,32 @@
 //! `ΠA = LU` (hence the dedicated [`TiledLu::solve`]).
 
 use crate::tile_kernels::{gessm, getrf_tile, ssssm, tstrf, TstrfTransform};
-use crate::{lower_rects, upper_rects};
 use ca_kernels::{flops, traffic};
 use ca_kernels::{trsm_left_upper_notrans, LuInfo};
+use ca_matrix::shadow::ElemRect;
 use ca_matrix::Matrix;
 use ca_sched::{
     run_plan, FactorOptions, KernelClass, Plan, PlanBuilder, TaskKind, TaskLabel, TaskMeta,
 };
 use std::sync::{Arc, OnceLock};
+
+/// Per-column rects of the strict lower triangle of the `wk × wk` diagonal
+/// tile at origin `k0`: the tile-local `L` that `gessm` reads. Shared
+/// between the declaration and the task bodies that lease exactly these
+/// rects.
+fn lower_rects(k0: usize, wk: usize) -> Arc<[ElemRect]> {
+    (0..wk)
+        .map(|c| ElemRect::new(k0 + c + 1..k0 + wk, k0 + c..k0 + c + 1))
+        .filter(|r| !r.is_empty())
+        .collect()
+}
+
+/// Per-column rects of the upper triangle (diagonal included) of the
+/// `wk × wk` diagonal tile at origin `k0`: the `U` factor the `tstrf`
+/// chain reads and rewrites.
+fn upper_rects(k0: usize, wk: usize) -> Arc<[ElemRect]> {
+    (0..wk).map(|c| ElemRect::new(k0..k0 + c + 1, k0 + c..k0 + c + 1)).collect()
+}
 
 /// Result of the tiled LU: the tiled factors plus the per-step transforms
 /// needed to apply the elimination to a right-hand side.
@@ -115,7 +133,7 @@ impl TiledLuPlan {
             let wk = b.min(n - k0).min(m - k0);
             let pr = (steps - k as i64) * 1000;
             // What `gessm` leases of the diagonal tile, and what `tstrf` does.
-            let lower = lower_rects(k0, wk, wk);
+            let lower = lower_rects(k0, wk);
             let upper = upper_rects(k0, wk);
 
             let meta = TaskMeta::new(TaskLabel::new(TaskKind::Panel, k, k, k), flops::getrf(wk, wk))

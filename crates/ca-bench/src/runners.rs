@@ -6,7 +6,7 @@ use crate::model::MachineModel;
 use ca_core::{CaParams, TreeShape};
 use ca_kernels::flops;
 use ca_matrix::{seeded_rng, Matrix};
-use ca_baselines::{BlockedLuPlan, BlockedQrPlan, TiledLuPlan, TiledQrPlan};
+use ca_baselines::{tiled_qr_plan, BlockedLuPlan, BlockedQrPlan, TiledLuPlan};
 use ca_sched::{KernelClass, TaskGraph, TaskKind, TaskLabel, TaskMeta};
 use std::hint::black_box;
 use std::time::Instant;
@@ -115,7 +115,7 @@ impl Algo {
             Algo::BlockedLu { .. } => BlockedLuPlan::build(m, n, p.b, cores).into_parts().0,
             Algo::BlockedQr { .. } => BlockedQrPlan::build(m, n, p.b, cores).into_parts().0,
             Algo::TiledLu { .. } => TiledLuPlan::build(m, n, p.b).into_parts().0,
-            Algo::TiledQr { .. } => TiledQrPlan::build(m, n, p.b).into_parts().0,
+            Algo::TiledQr { .. } => tiled_qr_plan::<f64>(m, n, p.b).into_parts().0,
             Algo::Blas2Lu => single_task_graph(
                 flops::getrf(m, n.min(m)),
                 ca_kernels::traffic::getf2(m, n.min(m)),

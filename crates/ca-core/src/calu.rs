@@ -153,15 +153,7 @@ pub fn calu_panels<T: Kernel>(
         let k = w.min(m - k0);
         let trailing_cols = ws - lc - w;
 
-        let outcome = factor_panel_limited(
-            a.sub(0, lc, m, w),
-            k0,
-            p.b,
-            p.tr,
-            p.tree,
-            !p.leaf_blas2,
-            p.growth_limit,
-        );
+        let outcome = factor_panel_limited(a.sub(0, lc, m, w), k0, p.b, p.tr, p.tree, p.growth_limit);
         if log.breakdown.is_none() {
             log.breakdown = outcome.breakdown.map(|c| k0 + c);
         }

@@ -11,7 +11,7 @@ use crate::dag_caqr::CaqrPlan;
 use ca_sched::{run_plan, FactorOptions};
 use crate::error::{require_finite, FactorError};
 use crate::params::{num_panels, partition_rows, CaParams};
-use crate::tsqr::{leaf_apply, leaf_qr, node_apply, node_qr, panel_apply, plan_panel, PanelQ};
+use crate::tsqr::{eliminate, leaf_apply, leaf_qr, node_apply, panel_apply, plan_panel, PanelQ};
 use ca_kernels::{trsm_left_upper_notrans, Kernel, Trans};
 use ca_matrix::{Matrix, Scalar, SharedMatrix};
 
@@ -19,7 +19,8 @@ use ca_matrix::{Matrix, Scalar, SharedMatrix};
 #[derive(Debug)]
 pub struct QrFactors<T: Scalar = f64> {
     /// Factored matrix: `R` in the upper triangle, leaf Householder vectors
-    /// below the diagonal (tree-node reflectors live in [`PanelQ`] scratch).
+    /// below the diagonal (tree-node reflectors live in [`PanelQ`] scratch;
+    /// rows that only a TS node stacked keep their input there).
     pub a: Matrix<T>,
     /// Per-panel `Q` representation, in factorization order.
     pub panels: Vec<PanelQ<T>>,
@@ -129,18 +130,18 @@ pub fn caqr_panels<T: Kernel>(
         let k0 = d0 + lc;
         let w = p.b.min(ws - lc);
         let part = partition_rows(m, k0, p.b, p.tr);
-        let (_leaf_ks, plans) = plan_panel(&part, w, p.tree);
+        let plan = plan_panel(&part, w, p.tree);
         let trailing = (lc + w)..ws;
 
-        let mut leaves = Vec::with_capacity(part.ngroups());
-        for grp in 0..part.ngroups() {
+        let mut leaves = Vec::with_capacity(plan.leaves.len());
+        for &grp in &plan.leaves {
             let leaf = leaf_qr(a, lc, w, part.group(grp));
             leaf_apply(a, lc, &leaf, a, trailing.clone(), Trans::Yes);
             leaves.push(leaf);
         }
-        let mut nodes = Vec::with_capacity(plans.len());
-        for plan in &plans {
-            let node = node_qr(a, lc, w, plan);
+        let mut nodes = Vec::with_capacity(plan.nodes.len());
+        for (node, rest) in &plan.nodes {
+            let node = eliminate(a, lc, w, node, *rest);
             node_apply(&node, a, trailing.clone(), Trans::Yes);
             nodes.push(node);
         }

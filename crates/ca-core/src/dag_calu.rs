@@ -111,7 +111,6 @@ impl CaluPlan {
         let b = p.b;
         let nsteps = num_panels(m, n, b);
         let nb = n.div_ceil(b);
-        let recursive_leaves = !p.leaf_blas2;
         let (slab_h, pan_w) = par_tile(b);
 
         let mut pb = PlanBuilder::<T, CaluSlots<T>>::new(b, m, n);
@@ -135,7 +134,7 @@ impl CaluPlan {
                     // SAFETY: same ordering argument as the writes below — the root
                     // is ordered after every other reader/writer of the panel.
                     let active = unsafe { a.block(k0, k0, m - k0, w) };
-                    apply_growth_policy(active, k0, sel, growth_limit, recursive_leaves)
+                    apply_growth_policy(active, k0, sel, growth_limit)
                 };
                 let pivots = pivot_seq_from_targets(k0, &sel.idx);
                 // SAFETY: the root is ordered after every reader/writer of the
@@ -179,15 +178,15 @@ impl CaluPlan {
                     TaskLabel::new(TaskKind::Panel, step, grp, step),
                     flops::getrf(nr, w),
                 )
-                .with_bytes(if p.leaf_blas2 { traffic::getf2(nr, w) } else { traffic::rgetf2(nr, w) })
+                .with_bytes(traffic::rgetf2(nr, w))
                 .with_priority(panel_prio)
-                .with_class(if p.leaf_blas2 { KernelClass::LuBlas2 } else { KernelClass::LuRecursive });
+                .with_class(KernelClass::LuRecursive);
                 let id = pb.task(meta, move |a, s| {
                     // SAFETY: the DAG orders this read after the last writer of
                     // these panel blocks and before any subsequent writer.
                     let block = unsafe { a.block(r0, k0, nr, w) };
                     let idx: Vec<usize> = (r0..r0 + nr).collect();
-                    let sel = select(block, &idx, recursive_leaves);
+                    let sel = select(block, &idx, true);
                     if is_root {
                         finish_root(a, s, sel);
                     } else {
@@ -218,7 +217,7 @@ impl CaluPlan {
                         .iter()
                         .map(|&r| ctx.results[r].get().expect("candidate not ready"))
                         .collect();
-                    let sel = merge(&candidates, recursive_leaves);
+                    let sel = merge(&candidates);
                     if is_root {
                         finish_root(a, s, sel);
                     } else {

@@ -9,13 +9,15 @@
 //!   application for tree nodes (line 26).
 //!
 //! Unlike CALU there is no second panel factorization and no pivoting: the
-//! reduction tree itself drives the trailing update.
+//! reduction tree itself drives the trailing update. Over PLASMA's tile
+//! chain instead of a tree ([`CaqrPlan::build_with`]), the same builder is
+//! the `PLASMA_dgeqrf` stand-in.
 
 use crate::caqr::QrFactors;
-use crate::params::{num_panels, partition_rows, CaParams};
-use crate::tsqr::{leaf_apply, leaf_qr, node_apply, node_qr, plan_panel, LeafQ, NodeQ, PanelQ};
+use crate::params::{num_panels, partition_rows, CaParams, RowPartition};
+use crate::tsqr::{eliminate, leaf_apply, leaf_qr, node_apply, plan_panel, LeafQ, NodeQ, PanelPlan, PanelQ};
 use ca_kernels::{flops, traffic};
-use ca_kernels::{Kernel, Trans};
+use ca_kernels::{Kernel, Trans, VRest};
 use ca_matrix::Scalar;
 use ca_sched::{row_blocks, KernelClass, Plan, PlanBuilder, TaskGraph, TaskKind, TaskLabel, TaskMeta};
 use std::sync::OnceLock;
@@ -54,9 +56,23 @@ pub struct CaqrPlan;
 
 impl CaqrPlan {
     /// Plan for an `m × n` matrix with parameters `p` (an empty matrix gets
-    /// an empty graph). The task bodies are the [`crate::tsqr`] helpers the
-    /// sequential path runs, over the rows and columns declared beside them.
+    /// an empty graph): every panel eliminated by `p.tree`'s TSQR
+    /// ([`plan_panel`]).
     pub fn build<T: Kernel>(m: usize, n: usize, p: &CaParams) -> Plan<T, CaqrSlots<T>, QrFactors<T>> {
+        Self::build_with(m, n, p, |part, w| plan_panel(part, w, p.tree))
+    }
+
+    /// Plan whose panels follow the elimination lists `elims` makes from
+    /// each panel's row partition and width — CAQR's tree or PLASMA's tile
+    /// chain ([`crate::tsqr::ts_chain`]). The task bodies are the
+    /// [`crate::tsqr`] helpers the sequential path runs, over the rows and
+    /// columns declared beside them.
+    pub fn build_with<T: Kernel>(
+        m: usize,
+        n: usize,
+        p: &CaParams,
+        elims: impl Fn(&RowPartition, usize) -> PanelPlan,
+    ) -> Plan<T, CaqrSlots<T>, QrFactors<T>> {
         ca_sched::sched_counters().factor_graphs_built.inc();
         let b = p.b;
         let nsteps = num_panels(m, n, b);
@@ -70,7 +86,7 @@ impl CaqrPlan {
             let w = b.min(n - k0);
             let part = partition_rows(m, k0, b, p.tr);
             let g = part.ngroups();
-            let (leaf_ks, plans) = plan_panel(&part, w, p.tree);
+            let PanelPlan { leaves, nodes } = elims(&part, w);
             let panel_prio = prio(nsteps, step, p.lookahead, TaskKind::Panel, step);
             // `(jblk, first column, columns, priority)` of each trailing
             // block column.
@@ -82,9 +98,10 @@ impl CaqrPlan {
                 .collect();
 
             // --- Leaf QR tasks + their trailing updates.
-            let mut leaf_qr_ids = Vec::with_capacity(g);
-            for (grp, &leaf_k) in leaf_ks.iter().enumerate() {
+            let mut leaf_qr_ids = Vec::with_capacity(leaves.len());
+            for (li, &grp) in leaves.iter().enumerate() {
                 let rows = part.group(grp);
+                let leaf_k = rows.len().min(w);
                 let meta = TaskMeta::new(
                     TaskLabel::new(TaskKind::Panel, step, grp, step),
                     flops::geqrf(rows.len(), leaf_k),
@@ -95,34 +112,35 @@ impl CaqrPlan {
                 let leaf_rows = rows.clone();
                 let id = pb.task(meta, move |a, s| {
                     let leaf = leaf_qr(a, k0, w, leaf_rows.clone());
-                    s.0[step].leaves[grp].set(leaf).expect("leaf ran twice");
+                    s.0[step].leaves[li].set(leaf).expect("leaf ran twice");
                 });
                 pb.writes(id, row_blocks(rows, b), step..step + 1);
                 leaf_qr_ids.push(id);
             }
             for &(jblk, jc0, wj, pr) in &trailing {
-                for grp in 0..g {
+                for (li, &grp) in leaves.iter().enumerate() {
                     let rows = part.group(grp);
+                    let leaf_k = rows.len().min(w);
                     let meta = TaskMeta::new(
                         TaskLabel::new(TaskKind::Update, step, grp, jblk),
-                        flops::larfb(rows.len(), wj, leaf_ks[grp]),
+                        flops::larfb(rows.len(), wj, leaf_k),
                     )
-                    .with_bytes(traffic::larfb(rows.len(), wj, leaf_ks[grp]))
+                    .with_bytes(traffic::larfb(rows.len(), wj, leaf_k))
                     .with_priority(pr)
                     .with_class(KernelClass::Larfb);
                     let id = pb.task(meta, move |a, s| {
-                        let leaf = s.0[step].leaves[grp].get().expect("leaf T not ready");
+                        let leaf = s.0[step].leaves[li].get().expect("leaf T not ready");
                         leaf_apply(a, k0, leaf, a, jc0..jc0 + wj, Trans::Yes);
                     });
-                    pb.graph.add_dep(leaf_qr_ids[grp], id); // the LeafQ (T factor)
+                    pb.graph.add_dep(leaf_qr_ids[li], id); // the LeafQ (T factor)
                     pb.reads(id, row_blocks(rows.clone(), b), step..step + 1);
                     pb.writes(id, row_blocks(rows, b), jblk..jblk + 1);
                 }
             }
 
             // --- Node QR tasks + their trailing updates.
-            let mut node_qr_ids = Vec::with_capacity(plans.len());
-            for (ni, plan) in plans.iter().enumerate() {
+            let mut node_qr_ids = Vec::with_capacity(nodes.len());
+            for (ni, (plan, rest)) in nodes.iter().enumerate() {
                 let s: usize = plan.row_ranges.iter().map(|r| r.len()).sum();
                 let meta = TaskMeta::new(
                     TaskLabel::new(TaskKind::Panel, step, g + ni, step),
@@ -131,9 +149,9 @@ impl CaqrPlan {
                 .with_bytes(traffic::geqr3(s.max(plan.kk), plan.kk))
                 .with_priority(panel_prio)
                 .with_class(KernelClass::QrRecursive);
-                let node_plan = plan.clone();
+                let (node_plan, rest) = (plan.clone(), *rest);
                 let id = pb.task(meta, move |a, s| {
-                    let nq = node_qr(a, k0, w, &node_plan);
+                    let nq = eliminate(a, k0, w, &node_plan, rest);
                     s.0[step].nodes[ni].set(nq).expect("node ran twice");
                 });
                 // Reads + writes the participants' top block rows of the panel.
@@ -142,12 +160,17 @@ impl CaqrPlan {
                 }
                 node_qr_ids.push(id);
             }
-            for (ni, plan) in plans.iter().enumerate() {
+            for (ni, (plan, rest)) in nodes.iter().enumerate() {
                 // `node_apply` is the structured form: identity top block,
-                // upper-trapezoidal blocks below it.
+                // dense (TS) or upper-trapezoidal (TT) blocks below it.
                 let s: usize = plan.row_ranges.iter().map(|r| r.len()).sum();
-                let v_len: usize =
-                    plan.row_ranges[1..].iter().map(|r| flops::upper_trapezoid_len(r.len(), plan.kk)).sum();
+                let v_len: usize = plan.row_ranges[1..]
+                    .iter()
+                    .map(|r| match rest {
+                        VRest::Dense => r.len() * plan.kk,
+                        VRest::UpperTrapezoid => flops::upper_trapezoid_len(r.len(), plan.kk),
+                    })
+                    .sum();
                 for &(jblk, jc0, wj, pr) in &trailing {
                     let meta = TaskMeta::new(
                         TaskLabel::new(TaskKind::Update, step, g + ni, jblk),
@@ -171,8 +194,8 @@ impl CaqrPlan {
                 k0,
                 w,
                 k: w.min(m - k0),
-                leaves: (0..g).map(|_| OnceLock::new()).collect(),
-                nodes: (0..plans.len()).map(|_| OnceLock::new()).collect(),
+                leaves: (0..leaves.len()).map(|_| OnceLock::new()).collect(),
+                nodes: (0..nodes.len()).map(|_| OnceLock::new()).collect(),
             });
         }
 

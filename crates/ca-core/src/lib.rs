@@ -20,6 +20,8 @@
 //! * [`CaluPlan`] / [`CaqrPlan`] — `::build(m, n, &p)` makes the
 //!   factorization as a [`ca_sched::Plan`]: every task added once as its
 //!   cost, the closure that runs it and the blocks that closure touches.
+//!   [`CaqrPlan::build_with`] takes the panels' elimination lists instead
+//!   of a tree: `ca-baselines`' tiled QR is it over PLASMA's tile chain.
 //!   [`calu_task_graph`] / [`caqr_task_graph`] are the task DAGs alone, for
 //!   the multicore simulator and Figure-1-style renderings. Static
 //!   soundness verification is [`ca_sched::verify_graph`] over a plan's
@@ -80,5 +82,5 @@ pub use jobs::{
 };
 pub use dag_calu::{calu_task_graph, CaluPlan};
 pub use solve::{lu_packed_solve_in_place, RefineInfo};
-pub use dag_caqr::{caqr_task_graph, CaqrPlan};
+pub use dag_caqr::{caqr_task_graph, CaqrPlan, CaqrSlots};
 pub use params::{num_panels, partition_rows, CaParams, RowPartition, TreeShape};

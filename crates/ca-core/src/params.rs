@@ -38,10 +38,6 @@ pub struct CaParams {
     pub threads: usize,
     /// Whether the scheduler applies the lookahead-of-1 priority rule.
     pub lookahead: bool,
-    /// Use the BLAS2 `getf2` kernel inside TSLU tournament nodes instead of
-    /// the recursive `rgetf2` the paper recommends (ablation knob; QR leaves
-    /// always use the recursive kernel when tall).
-    pub leaf_blas2: bool,
     /// Trailing-update task width in **block columns** (the paper's §V
     /// future-work parameter `B = update_blocks · b`): each `U`/`S` task
     /// covers this many panels' worth of columns, reducing task count and
@@ -79,7 +75,6 @@ impl CaParams {
             tree: TreeShape::Binary,
             threads,
             lookahead: true,
-            leaf_blas2: false,
             update_blocks: 1,
             par_update_rows: 2 * ca_kernels::MC,
             growth_limit: f64::INFINITY,
@@ -95,13 +90,6 @@ impl CaParams {
     /// Disables the lookahead priority rule (ablation).
     pub fn without_lookahead(mut self) -> Self {
         self.lookahead = false;
-        self
-    }
-
-    /// Switches TSLU tournament nodes to the BLAS2 `getf2` kernel
-    /// (ablation: the paper's recursive-kernel advantage).
-    pub fn with_blas2_leaves(mut self) -> Self {
-        self.leaf_blas2 = true;
         self
     }
 

@@ -89,12 +89,12 @@ pub fn stack_candidates<T: Scalar>(parts: &[&Selected<T>]) -> (Matrix<T>, Vec<us
     (stacked, idx)
 }
 
-/// One internal tree node: [`select`] over the stacked candidates of
-/// `parts`, carrying their `input_max` upwards.
-pub fn merge<T: Kernel>(parts: &[&Selected<T>], recursive: bool) -> Selected<T> {
+/// One internal tree node: [`select`] (recursive kernel) over the stacked
+/// candidates of `parts`, carrying their `input_max` upwards.
+pub fn merge<T: Kernel>(parts: &[&Selected<T>]) -> Selected<T> {
     let (stacked, idx) = stack_candidates(parts);
     let input_max = parts.iter().fold(0.0f64, |m, p| m.max(p.input_max));
-    Selected { input_max, ..select(stacked.view(), &idx, recursive) }
+    Selected { input_max, ..select(stacked.view(), &idx, true) }
 }
 
 #[cfg(test)]

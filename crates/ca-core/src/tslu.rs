@@ -61,7 +61,6 @@ pub fn run_tournament<T: Kernel>(
     panel: &MatViewMut<'_, T>,
     part: &RowPartition,
     tree: TreeShape,
-    recursive: bool,
 ) -> Selected<T> {
     let g = part.ngroups();
     let mut slots: Vec<Option<Selected<T>>> = Vec::with_capacity(g);
@@ -69,12 +68,12 @@ pub fn run_tournament<T: Kernel>(
         let r = part.group(i);
         let block = panel.as_ref().sub(r.start, 0, r.len(), panel.ncols());
         let idx: Vec<usize> = r.collect();
-        slots.push(Some(select(block, &idx, recursive)));
+        slots.push(Some(select(block, &idx, true)));
     }
     for node in reduction_schedule(g, tree) {
         let parts: Vec<&Selected<T>> =
             node.participants.iter().map(|&p| slots[p].as_ref().expect("candidate present")).collect();
-        let merged = merge(&parts, recursive);
+        let merged = merge(&parts);
         for &p in &node.participants[1..] {
             slots[p] = None;
         }
@@ -100,7 +99,6 @@ pub(crate) fn apply_growth_policy<T: Kernel>(
     row0: usize,
     winner: Selected<T>,
     limit: f64,
-    recursive: bool,
 ) -> (Selected<T>, f64, bool) {
     // `winner.input_max` is the maximum over the whole active region: the
     // leaves partition it, and every tree node passes the maximum on.
@@ -115,7 +113,7 @@ pub(crate) fn apply_growth_policy<T: Kernel>(
         return (winner, growth, false);
     }
     let idx: Vec<usize> = (row0..row0 + active.nrows()).collect();
-    let gepp = select(active, &idx, recursive);
+    let gepp = select(active, &idx, true);
     let growth = growth_of(&gepp);
     (gepp, growth, true)
 }
@@ -124,7 +122,7 @@ pub(crate) fn apply_growth_policy<T: Kernel>(
 ///
 /// * `a` — full-height view of the **panel columns** (width ≤ b);
 /// * `k0` — global row of the panel's diagonal (active rows are `k0..m`);
-/// * `tr`, `tree`, `recursive` — TSLU parameters.
+/// * `tr`, `tree` — TSLU parameters.
 ///
 /// Interchanges are applied to the panel columns only; the caller applies
 /// the returned sequence to the columns left and right of the panel.
@@ -134,22 +132,19 @@ pub fn factor_panel<T: Kernel>(
     b: usize,
     tr: usize,
     tree: TreeShape,
-    recursive: bool,
 ) -> PanelOutcome {
-    factor_panel_limited(a, k0, b, tr, tree, recursive, f64::INFINITY)
+    factor_panel_limited(a, k0, b, tr, tree, f64::INFINITY)
 }
 
 /// [`factor_panel`] with growth monitoring: when the tournament winner's
 /// element growth exceeds `growth_limit`, the panel is refactored with
 /// plain GEPP (see `apply_growth_policy`) before anything is written.
-#[allow(clippy::too_many_arguments)]
 pub fn factor_panel_limited<T: Kernel>(
     mut a: MatViewMut<'_, T>,
     k0: usize,
     b: usize,
     tr: usize,
     tree: TreeShape,
-    recursive: bool,
     growth_limit: f64,
 ) -> PanelOutcome {
     let m = a.nrows();
@@ -159,9 +154,9 @@ pub fn factor_panel_limited<T: Kernel>(
 
     let (winner, growth, fallback) = {
         let panel = a.rb();
-        let winner = run_tournament(&panel, &part, tree, recursive);
+        let winner = run_tournament(&panel, &part, tree);
         let active = panel.as_ref().sub(k0, 0, m - k0, w);
-        apply_growth_policy(active, k0, winner, growth_limit, recursive)
+        apply_growth_policy(active, k0, winner, growth_limit)
     };
     let k = winner.idx.len(); // min(active rows, w)
     debug_assert_eq!(k, (m - k0).min(w));
@@ -223,7 +218,7 @@ mod tests {
     fn check_panel(m: usize, w: usize, tr: usize, tree: TreeShape, seed: u64) {
         let a0 = ca_matrix::random_uniform(m, w, &mut seeded_rng(seed));
         let mut a = a0.clone();
-        let out = factor_panel(a.view_mut(), 0, w.max(1), tr, tree, true);
+        let out = factor_panel(a.view_mut(), 0, w.max(1), tr, tree);
         assert!(out.breakdown.is_none(), "breakdown for {m}x{w} tr={tr}");
         let perm = out.pivots.to_permutation(m);
         let res = lu_residual(&a0, &perm, &a.unit_lower(), &a.upper());
@@ -249,7 +244,7 @@ mod tests {
         let w = 6;
         let a0 = ca_matrix::random_uniform(m, w, &mut seeded_rng(6));
         let mut a = a0.clone();
-        let out = factor_panel(a.view_mut(), 0, w, 1, TreeShape::Binary, false);
+        let out = factor_panel(a.view_mut(), 0, w, 1, TreeShape::Binary);
         let mut r = a0.clone();
         let info = ca_kernels::getf2(r.view_mut());
         // Same pivot positions...
@@ -273,7 +268,7 @@ mod tests {
         let k0 = 10;
         let mut a = ca_matrix::random_uniform(m, w, &mut seeded_rng(7));
         let top_before: Vec<f64> = (0..k0).map(|i| a[(i, 0)]).collect();
-        let out = factor_panel(a.view_mut(), k0, w, 4, TreeShape::Binary, true);
+        let out = factor_panel(a.view_mut(), k0, w, 4, TreeShape::Binary);
         let top_after: Vec<f64> = (0..k0).map(|i| a[(i, 0)]).collect();
         assert_eq!(top_before, top_after, "rows above the panel must not move");
         assert!(out.pivots.ipiv.iter().all(|&p| p >= k0));
@@ -287,7 +282,7 @@ mod tests {
         let m = 256;
         let w = 16;
         let mut a = ca_matrix::random_uniform(m, w, &mut seeded_rng(8));
-        factor_panel(a.view_mut(), 0, w, 8, TreeShape::Binary, true);
+        factor_panel(a.view_mut(), 0, w, 8, TreeShape::Binary);
         let l = a.unit_lower();
         let mut lmax = 0.0f64;
         for j in 0..w {
@@ -305,7 +300,7 @@ mod tests {
         // and flag the breakdown like LAPACK info.
         let a0 = ca_matrix::Matrix::from_fn(16, 4, |i, j| ((i % 2) * (j + 1)) as f64);
         let mut a = a0.clone();
-        let out = factor_panel(a.view_mut(), 0, 4, 4, TreeShape::Binary, false);
+        let out = factor_panel(a.view_mut(), 0, 4, 4, TreeShape::Binary);
         assert!(out.breakdown.is_some());
     }
 }

@@ -12,6 +12,13 @@
 //!   (tasks S of Algorithm 2, lines 11 and 26) — and, later, any matrix the
 //!   caller applies `Q`/`Qᵀ` to.
 //!
+//! Which groups get a leaf and which nodes follow is the panel's
+//! elimination list ([`PanelPlan`]; Dongarra et al., arXiv 1110.1553). A
+//! node is *triangle on triangle* (TT, [`VRest::UpperTrapezoid`]) when it
+//! stacks factored `R`s, as every node of CAQR's tree ([`plan_panel`]) does,
+//! or *triangle on square* (TS, [`VRest::Dense`]) when it stacks raw rows
+//! under the running `R`, as PLASMA's tile chain ([`ts_chain`]) does.
+//!
 //! All operations work through [`SharedMatrix`] block views so the exact
 //! same code runs sequentially, inside the task-parallel executor, and in
 //! the `Q`-replay of [`crate::QrFactors`].
@@ -40,7 +47,7 @@ pub struct LeafQ<T: Scalar = f64> {
 pub struct NodeQ<T: Scalar = f64> {
     /// Global row ranges the node's stacked rows come from. `row_ranges[0]`
     /// has length `kk` (the reflector count); the rest are the other
-    /// participants' `R` row blocks.
+    /// participants' `R` row blocks (TT) or raw row groups (TS).
     pub row_ranges: Vec<Range<usize>>,
     /// Packed stacked factorization (`sum(len) × w`): `R` on top, `V` below.
     pub v: Matrix<T>,
@@ -48,6 +55,8 @@ pub struct NodeQ<T: Scalar = f64> {
     pub t: Matrix<T>,
     /// Number of reflectors: `min(total stacked rows, w)`.
     pub kk: usize,
+    /// Shape of `V` below its identity top block: the node's kernel.
+    pub rest: VRest,
 }
 
 /// Q-representation of a whole panel.
@@ -82,22 +91,63 @@ pub struct NodePlan {
     pub kk: usize,
 }
 
-/// Plans the reduction for a partition: per-leaf reflector counts and the
-/// per-node stacked row ranges.
-pub fn plan_panel(part: &RowPartition, w: usize, tree: TreeShape) -> (Vec<usize>, Vec<NodePlan>) {
+/// One panel's elimination list: the row groups that get a leaf QR, then
+/// the nodes in execution order, each beside its kernel — TT
+/// ([`VRest::UpperTrapezoid`]) or TS ([`VRest::Dense`]).
+#[derive(Clone, Debug)]
+pub struct PanelPlan {
+    /// Groups that get a leaf QR, in order.
+    pub leaves: Vec<usize>,
+    /// The nodes, in execution order.
+    pub nodes: Vec<(NodePlan, VRest)>,
+}
+
+/// CAQR's elimination list: a leaf QR on every group, then the TT nodes of
+/// the reduction tree `tree`.
+pub fn plan_panel(part: &RowPartition, w: usize, tree: TreeShape) -> PanelPlan {
     let g = part.ngroups();
-    let mut slot_k: Vec<usize> = (0..g).map(|i| part.group_rows(i).min(w)).collect();
-    let leaf_k = slot_k.clone();
-    let mut plans = Vec::new();
-    for ReduceNode { level, participants } in reduction_schedule(g, tree) {
-        let mut row_ranges = Vec::with_capacity(participants.len());
-        let mut total = 0usize;
-        for &p in &participants {
-            let start = part.group(p).start;
-            row_ranges.push(start..start + slot_k[p]);
-            total += slot_k[p];
-        }
-        let kk = total.min(w);
+    eliminations(part, w, (0..g).collect(), reduction_schedule(g, tree))
+}
+
+/// PLASMA's elimination list (flat tree, TS kernels): a leaf QR on the
+/// first group only, then a chain of TS nodes `(0, 1), (0, 2), …` that
+/// stacks each further group, raw, under the running `R`. With one-tile
+/// groups this is the tile QR of Buttari et al. (arXiv 0707.3548).
+pub fn ts_chain(part: &RowPartition, w: usize) -> PanelPlan {
+    let chain = (1..part.ngroups()).map(|i| ReduceNode { level: i, participants: vec![0, i] });
+    eliminations(part, w, vec![0], chain)
+}
+
+/// The stacked row ranges of every node of `schedule` once `leaves` are
+/// factored. A group stacks its `R` (TT) once a leaf or node has factored
+/// it, all of its rows (TS) while it is raw.
+fn eliminations(
+    part: &RowPartition,
+    w: usize,
+    leaves: Vec<usize>,
+    schedule: impl IntoIterator<Item = ReduceNode>,
+) -> PanelPlan {
+    // Rows of the `R` each group holds, `None` while it is raw.
+    let mut held: Vec<Option<usize>> = vec![None; part.ngroups()];
+    for &l in &leaves {
+        held[l] = Some(part.group_rows(l).min(w));
+    }
+    let mut nodes = Vec::new();
+    for ReduceNode { level, participants } in schedule {
+        let rest = if held[participants[1]].is_some() { VRest::UpperTrapezoid } else { VRest::Dense };
+        assert!(held[participants[0]].is_some(), "a node stacks under a factored R");
+        assert!(
+            participants[1..].iter().all(|&p| held[p].is_some() == (rest == VRest::UpperTrapezoid)),
+            "a node stacks R factors or raw groups, not both"
+        );
+        let mut row_ranges: Vec<Range<usize>> = participants
+            .iter()
+            .map(|&p| {
+                let rows = part.group(p);
+                rows.start..rows.start + held[p].unwrap_or(rows.len())
+            })
+            .collect();
+        let kk = row_ranges.iter().map(|r| r.len()).sum::<usize>().min(w);
         assert!(
             row_ranges[0].len() >= kk,
             "first participant must hold at least kk rows (got {} < {kk})",
@@ -106,10 +156,10 @@ pub fn plan_panel(part: &RowPartition, w: usize, tree: TreeShape) -> (Vec<usize>
         // The reflector block occupies only the first kk rows of slot 0.
         let s0 = row_ranges[0].start;
         row_ranges[0] = s0..s0 + kk;
-        slot_k[participants[0]] = kk;
-        plans.push(NodePlan { level, participants, row_ranges, kk });
+        held[participants[0]] = Some(kk);
+        nodes.push((NodePlan { level, participants, row_ranges, kk }, rest));
     }
-    (leaf_k, plans)
+    PanelPlan { leaves, nodes }
 }
 
 /// Leaf QR of the group `rows × w` block at panel columns `c0..c0+w`,
@@ -164,18 +214,26 @@ pub fn leaf_apply<T: Kernel>(
     larfb_left(trans, v, leaf.t.view(), c);
 }
 
-/// Reduction-node QR: stacks the participants' current `R` factors (read
-/// from `a` at `plan.row_ranges`, panel columns `c0..c0+w`), refactors them,
-/// writes the merged `R` back into the first participant's rows, and returns
-/// the node's reflectors.
+/// Reduction-node QR of a TSQR tree node: [`eliminate`] with TT stacking.
+pub fn node_qr<T: Kernel>(a: &SharedMatrix<T>, c0: usize, w: usize, plan: &NodePlan) -> NodeQ<T> {
+    eliminate(a, c0, w, plan, VRest::UpperTrapezoid)
+}
+
+/// One elimination: stacks the first participant's `R` over the others'
+/// rows (read from `a` at `plan.row_ranges`, panel columns `c0..c0+w`) —
+/// their `R` trapezoids for `rest = UpperTrapezoid` (TT), their raw rows in
+/// full for `rest = Dense` (TS) — refactors the stack, writes the merged
+/// `R` back into the first participant's rows, and returns the node's
+/// reflectors.
 // TSQR kernel helper: called from DAG executors whose declared
 // footprints `verify_graph` proves conflict-ordered.
 #[allow(clippy::disallowed_methods)]
-pub fn node_qr<T: Kernel>(
+pub fn eliminate<T: Kernel>(
     a: &SharedMatrix<T>,
     c0: usize,
     w: usize,
     plan: &NodePlan,
+    rest: VRest,
 ) -> NodeQ<T> {
     let s: usize = plan.row_ranges.iter().map(|r| r.len()).sum();
     let kk = plan.kk;
@@ -185,15 +243,16 @@ pub fn node_qr<T: Kernel>(
     let mut stack = Matrix::zeros(s, w);
     let mut rows = stack.view_mut();
     let mut off = 0usize;
-    for range in &plan.row_ranges {
+    for (i, range) in plan.row_ranges.iter().enumerate() {
         let len = range.len();
-        // SAFETY: ordered read of the participants' R blocks.
+        let dense = i > 0 && rest == VRest::Dense;
+        // SAFETY: ordered read of the participants' blocks.
         let blk = unsafe { a.block(range.start, c0, len, w) };
         for j in 0..w {
-            // Copy the upper-trapezoid R entries; below lives V junk.
-            // For participant 0 on upper tree levels the R occupies only
-            // `len` rows anyway, so trapezoid copy is always correct.
-            let imax = (j + 1).min(len);
+            // An `R` is its upper trapezoid; below lives V junk. For
+            // participant 0 on upper tree levels the R occupies only `len`
+            // rows anyway, so trapezoid copy is always correct.
+            let imax = if dense { len } else { (j + 1).min(len) };
             rows.col_mut(j)[off..off + imax].copy_from_slice(&blk.col(j)[..imax]);
         }
         off += len;
@@ -222,7 +281,7 @@ pub fn node_qr<T: Kernel>(
         }
     }
 
-    NodeQ { row_ranges: plan.row_ranges.clone(), v: stack, t, kk }
+    NodeQ { row_ranges: plan.row_ranges.clone(), v: stack, t, kk, rest }
 }
 
 /// Applies `op(Q_node)` to columns `dcols` of `dst`, touching only the
@@ -254,9 +313,9 @@ pub fn node_apply<T: Kernel>(
         .iter()
         .map(|r| unsafe { dst.block_mut(r.start, dcols.start, r.len(), dcols.len()) })
         .collect();
-    // `node_qr` stacks only upper trapezoids: V's top block is the identity
-    // and every other block stays upper trapezoidal.
-    larfb_left_multi(trans, None, &v_rest, VRest::UpperTrapezoid, node.t.view(), c_top, &mut c_rest);
+    // `eliminate` stacks under an upper triangle: V's top block is the
+    // identity, and the rest keeps the shape of what was stacked.
+    larfb_left_multi(trans, None, &v_rest, node.rest, node.t.view(), c_top, &mut c_rest);
 }
 
 /// Applies `op(Q_panel)` for a full panel to columns `dcols` of `dst`:
@@ -320,17 +379,9 @@ mod tests {
     ) -> PanelQ {
         let m = a.nrows();
         let part = partition_rows(m, k0, w.max(1), tr);
-        let (leaf_ks, plans) = plan_panel(&part, w, tree);
-        let mut leaves = Vec::new();
-        for (i, &leaf_k) in leaf_ks.iter().enumerate().take(part.ngroups()) {
-            let leaf = leaf_qr(a, c0, w, part.group(i));
-            assert_eq!(leaf.kv, leaf_k);
-            leaves.push(leaf);
-        }
-        let mut nodes = Vec::new();
-        for plan in &plans {
-            nodes.push(node_qr(a, c0, w, plan));
-        }
+        let plan = plan_panel(&part, w, tree);
+        let leaves = plan.leaves.iter().map(|&g| leaf_qr(a, c0, w, part.group(g))).collect();
+        let nodes = plan.nodes.iter().map(|(node, rest)| eliminate(a, c0, w, node, *rest)).collect();
         let k = (m - k0).min(w);
         PanelQ { k0, c0, w, k, leaves, nodes }
     }
@@ -447,9 +498,10 @@ mod tests {
     fn plan_ranges_are_consistent() {
         // 900 active rows in 9 blocks over 4 groups -> 3 groups of 300 rows.
         let part = partition_rows(1000, 100, 100, 4);
-        let (leaf_ks, plans) = plan_panel(&part, 100, TreeShape::Binary);
-        assert_eq!(leaf_ks, vec![100, 100, 100]);
-        for p in &plans {
+        let plan = plan_panel(&part, 100, TreeShape::Binary);
+        assert_eq!(plan.leaves, vec![0, 1, 2]);
+        for (p, rest) in &plan.nodes {
+            assert_eq!(*rest, VRest::UpperTrapezoid);
             assert_eq!(p.row_ranges[0].len(), p.kk);
             for r in &p.row_ranges {
                 assert!(r.start >= 100 && r.end <= 1000);
@@ -461,10 +513,81 @@ mod tests {
     fn ragged_last_group_plans_short_ranges() {
         // 250 rows, b=100, tr=4 -> 3 groups, last has 50 rows.
         let part = partition_rows(250, 0, 100, 4);
-        let (leaf_ks, plans) = plan_panel(&part, 100, TreeShape::Binary);
-        assert_eq!(leaf_ks, vec![100, 100, 50]);
+        let plan = plan_panel(&part, 100, TreeShape::Binary);
         // Node merging group 2 must stack only 50 rows from it.
-        let has_short = plans.iter().any(|p| p.row_ranges.iter().any(|r| r.len() == 50));
-        assert!(has_short, "{plans:?}");
+        let has_short = plan.nodes.iter().any(|(p, _)| p.row_ranges.iter().any(|r| r.len() == 50));
+        assert!(has_short, "{plan:?}");
+    }
+
+    #[test]
+    fn ts_chain_stacks_each_raw_tile_under_the_diagonal_r() {
+        // 250 rows in one-tile groups of 100: a leaf on the diagonal tile,
+        // then (0, 1) and (0, 2), each stacking the whole raw tile.
+        let part = partition_rows(250, 0, 100, 3);
+        let plan = ts_chain(&part, 80);
+        assert_eq!(plan.leaves, vec![0]);
+        let nodes: Vec<_> =
+            plan.nodes.iter().map(|(p, rest)| (p.participants.clone(), p.row_ranges.clone(), *rest)).collect();
+        let want = [(vec![0, 1], vec![0..80, 100..200]), (vec![0, 2], vec![0..80, 200..250])];
+        assert_eq!(nodes, want.map(|(p, r)| (p, r, VRest::Dense)));
+    }
+
+    /// A TS node over `[R; A]`: an upper-triangular `b × b` `R` over a
+    /// dense `r × b` tile, stacked in one matrix. Returns the stack before
+    /// and after, and the node.
+    fn ts_node(b: usize, r: usize, seed: u64) -> (Matrix, Matrix, NodeQ) {
+        let mut rng = seeded_rng(seed);
+        let mut stack = ca_matrix::random_uniform(b + r, b, &mut rng);
+        for i in 0..b {
+            for j in 0..i {
+                stack[(i, j)] = 0.0;
+            }
+            stack[(i, i)] += 3.0;
+        }
+        let plan = NodePlan { level: 1, participants: vec![0, 1], row_ranges: vec![0..b, b..b + r], kk: b };
+        let sh = SharedMatrix::new(stack.clone());
+        let node = eliminate(&sh, 0, b, &plan, VRest::Dense);
+        (stack, sh.into_inner(), node)
+    }
+
+    #[test]
+    fn ts_node_r_matches_a_dense_qr_of_the_stack() {
+        let (b, r) = (8, 11);
+        let (stack0, fac, _) = ts_node(b, r, 1);
+        let mut dense = stack0;
+        geqr2(dense.view_mut(), &mut Vec::new());
+        for i in 0..b {
+            for j in i..b {
+                let (x, y) = (fac[(i, j)].abs(), dense[(i, j)].abs());
+                assert!((x - y).abs() < 1e-11 * (1.0 + y), "R mismatch at ({i},{j}): {x} vs {y}");
+            }
+        }
+    }
+
+    #[test]
+    fn ts_node_qt_annihilates_the_square_block() {
+        // Qᵀ of the original stack is [R; 0].
+        let (b, r) = (6, 6);
+        let (stack0, fac, node) = ts_node(b, r, 2);
+        let dst = SharedMatrix::new(stack0);
+        node_apply(&node, &dst, 0..b, Trans::Yes);
+        let qta = dst.into_inner();
+        assert!(norm_max(qta.block(b, 0, r, b)) < 1e-11, "bottom not annihilated");
+        for j in 0..b {
+            for i in 0..=j {
+                assert!((qta[(i, j)] - fac[(i, j)]).abs() < 1e-11, "top != R at ({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn ts_node_qt_then_q_roundtrips() {
+        let (b, r) = (5, 7);
+        let (_, _, node) = ts_node(b, r, 3);
+        let c0 = ca_matrix::random_uniform(b + r, 3, &mut seeded_rng(4));
+        let dc = SharedMatrix::new(c0.clone());
+        node_apply(&node, &dc, 0..3, Trans::Yes);
+        node_apply(&node, &dc, 0..3, Trans::No);
+        assert!(norm_max(dc.into_inner().sub_matrix(&c0).view()) < 1e-12);
     }
 }

@@ -41,13 +41,6 @@ pub fn geqrf(m: usize, n: usize) -> f64 {
     2.0 * getrf(m, n)
 }
 
-/// Flops of one TSQR reduction node: QR of the `2b × b` stacked R pair
-/// (computed densely; a structured triangle-triangle kernel would need
-/// `~(2/3)b³·2`, the dense count is `(10/3)b³`).
-pub fn tsqr_node_dense(b: usize) -> f64 {
-    geqrf(2 * b, b)
-}
-
 /// Flops of applying a `k`-reflector compact-WY block to an `m × n` block
 /// (`dlarfb`): `4mnk` to leading order (two gemm-like sweeps), plus the
 /// small `k²n` triangular multiply.
@@ -68,19 +61,6 @@ pub fn upper_trapezoid_len(r: usize, k: usize) -> usize {
 /// `k × k` triangles comes to `≈3k²n`, against [`larfb`]'s dense `9k²n`.
 pub fn larfb_node(v_len: usize, n: usize, k: usize) -> f64 {
     (4 * v_len + k * k) as f64 * n as f64
-}
-
-/// Flops of a structured triangle-on-square tile QR (`dtsqrt`): `r × b`
-/// dense tile annihilated against a `b × b` triangle, plus the `T` build.
-pub fn tsqrt(r: usize, b: usize) -> f64 {
-    2.0 * r as f64 * (b * b) as f64 + r as f64 * (b * b) as f64
-}
-
-/// Flops of applying `dtsqrt` reflectors to a stacked tile pair of width `w`
-/// (`dtsmqr`): two rank-`b` sweeps over the `r`-row tile plus the `T`
-/// triangle multiply.
-pub fn tsmqr(r: usize, b: usize, w: usize) -> f64 {
-    larfb_node(r * b, w, b)
 }
 
 /// Flops of `dtstrf` as implemented here (dense GEPP of the stacked
@@ -115,7 +95,6 @@ mod tests {
         assert!(ratio > 0.33 && ratio < 0.35, "ratio {ratio}");
         // A short last participant holds fewer entries still.
         assert_eq!(upper_trapezoid_len(2, 4), 1 + 2 + 2 + 2);
-        assert_eq!(tsmqr(30, 20, 10), 4.0 * 30.0 * 20.0 * 10.0 + 400.0 * 10.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! Matrices are Matrix Market files (dense `array` or sparse `coordinate`).
 
-use ca_factor::baselines::{BlockedLuPlan, BlockedQrPlan, TiledLuPlan, TiledQrPlan};
+use ca_factor::baselines::{tiled_qr_plan, BlockedLuPlan, BlockedQrPlan, TiledLuPlan};
 use ca_factor::core::{try_calu_with, try_caqr_with, CaluPlan, CaqrPlan, FactorOptions};
 use ca_factor::kernels::Kernel;
 use ca_factor::matrix::io::{read_matrix_market_file, write_matrix_market_file};
@@ -613,10 +613,12 @@ fn cmd_solve(o: &Opts) {
 
 /// `cafactor verify lu|qr`: static DAG soundness verification followed by a
 /// checked execution in which every element access is audited against the
-/// builder's declared footprints. The tiled PLASMA-style baseline of the same
-/// shape is verified alongside (its diagonal tile is split between two
-/// kernels at sub-tile granularity); `--lint-edges` runs the minimality
-/// passes. Exit code 7 for a static violation, 8 for a runtime race, 9 for an
+/// builder's declared footprints. The tiled PLASMA-style and blocked
+/// baselines of the same shape, wide ones included, are verified alongside
+/// (tiled LU splits its diagonal tile between two kernels at sub-tile
+/// granularity; tiled QR is CAQR's plan over a tile chain, with CAQR's
+/// block footprints); `--lint-edges` runs the minimality passes. Exit code
+/// 7 for a static violation, 8 for a runtime race, 9 for an
 /// out-of-footprint access, 13 when every graph is sound but the lint
 /// flags removable edges.
 fn cmd_verify(sub: &str, o: &Opts) {
@@ -626,9 +628,9 @@ fn cmd_verify(sub: &str, o: &Opts) {
     let vopts = VerifyOptions { lint_edges: o.lint_edges };
 
     /// Proves one plan; returns its minimality findings. The lookahead rule
-    /// is CALU/CAQR's claim, not the baselines' (the tiled ones have no
-    /// lookahead on purpose, the blocked ones are fork-join), so a baseline's
-    /// report goes out without those warnings.
+    /// is CALU/CAQR's claim, not the baselines' (tiled LU has no lookahead
+    /// on purpose, the blocked ones are fork-join), so a baseline's report
+    /// goes out without those warnings.
     fn findings<S, F>(name: &str, plan: Plan<f64, S, F>, baseline: bool, vopts: &VerifyOptions) -> usize {
         let mut report = verify_graph_with(plan.graph(), plan.access(), vopts)
             .unwrap_or_else(|v| {
@@ -651,12 +653,9 @@ fn cmd_verify(sub: &str, o: &Opts) {
                 + findings(&baseline("blocked"), BlockedLuPlan::build(m, n, b, strips), true, &vopts)
         }
         "qr" => {
-            let mut found = findings(&ca, CaqrPlan::build(m, n, &p), false, &vopts);
-            // tiled QR handles tall/square matrices only
-            if m >= n {
-                found += findings(&baseline("tiled"), TiledQrPlan::build(m, n, b), true, &vopts);
-            }
-            found + findings(&baseline("blocked"), BlockedQrPlan::build(m, n, b, strips), true, &vopts)
+            findings(&ca, CaqrPlan::build(m, n, &p), false, &vopts)
+                + findings(&baseline("tiled"), tiled_qr_plan(m, n, b), true, &vopts)
+                + findings(&baseline("blocked"), BlockedQrPlan::build(m, n, b, strips), true, &vopts)
         }
         _ => usage(),
     };

@@ -108,14 +108,16 @@ fn tiled_lu_baseline_solve_residual() {
 
 #[test]
 fn tiled_qr_baseline_residual_and_orthogonality() {
-    for (m, n) in SHAPES {
+    // Every shape at b = 32, then wide and square with a ragged b.
+    let cases = SHAPES.map(|s| (s, 32)).into_iter().chain([((60, 130), 28), ((130, 130), 28)]);
+    for ((m, n), b) in cases {
         let a0 = random_uniform(m, n, &mut seeded_rng((m * 13 + n) as u64));
-        let f = tiled_qr(a0.clone(), 32, 2);
+        let f = tiled_qr(a0.clone(), b, 2);
         let res = f.residual(&a0);
         let orth = orthogonality(&f.q_thin());
         let bound = residual_threshold(m, n, C);
-        assert!(res < bound, "tiled QR {m}x{n}: residual {res} vs {bound}");
-        assert!(orth < bound, "tiled QR {m}x{n}: orthogonality {orth} vs {bound}");
+        assert!(res < bound, "tiled QR {m}x{n} b={b}: residual {res} vs {bound}");
+        assert!(orth < bound, "tiled QR {m}x{n} b={b}: orthogonality {orth} vs {bound}");
     }
 }
 
@@ -187,6 +189,18 @@ fn caqr_f32_backward_error_and_orthogonality_both_trees() {
                 assert!(orth < b, "CAQR f32 {m}x{n} {tree:?} x{threads}: orthogonality {orth} vs {b}");
             }
         }
+    }
+}
+
+#[test]
+fn tiled_qr_f32_backward_error_and_orthogonality() {
+    for (m, n) in SHAPES {
+        let a64 = random_uniform(m, n, &mut seeded_rng((m * 29 + n) as u64));
+        let a = ca_factor::matrix::Matrix::<f32>::from_f64(&a64);
+        let f = tiled_qr(a.clone(), 32, 2);
+        let (res, orth, b) = (f.residual(&a), f.orthogonality(), bound_f32(m, n));
+        assert!(res < b, "tiled QR f32 {m}x{n}: residual {res} vs {b}");
+        assert!(orth < b, "tiled QR f32 {m}x{n}: orthogonality {orth} vs {b}");
     }
 }
 

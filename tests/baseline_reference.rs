@@ -3,12 +3,13 @@
 //! no strips — must produce the bits `run_plan` produces from the plans, at
 //! one worker and at four, on the shapes `tests/soundness.rs` pins.
 
-use ca_factor::baselines::tile_kernels::{geqrt, gessm, getrf_tile, ssssm, tsmqr, tsqrt, tstrf};
-use ca_factor::baselines::{BlockedLuPlan, BlockedQrPlan, TiledLuPlan, TiledQrPlan};
+use ca_factor::baselines::tile_kernels::{gessm, getrf_tile, ssssm, tstrf};
+use ca_factor::baselines::{tiled_qr_plan, BlockedLuPlan, BlockedQrPlan, TiledLuPlan};
+use ca_factor::core::tsqr::{eliminate, leaf_apply, leaf_qr, node_apply, NodePlan};
 use ca_factor::kernels::{
-    gemm, geqr2, getf2, larfb_left, larft, trsm_left_lower_unit, Trans,
+    gemm, geqr2, getf2, larfb_left, larft, trsm_left_lower_unit, Trans, VRest,
 };
-use ca_factor::matrix::{random_uniform, seeded_rng};
+use ca_factor::matrix::{random_uniform, seeded_rng, SharedMatrix};
 use ca_factor::sched::{run_plan, FactorOptions};
 use ca_factor::Matrix;
 
@@ -44,37 +45,29 @@ fn tiled_lu_reference(a: &mut Matrix, b: usize) -> Vec<Vec<usize>> {
     diag
 }
 
-/// Tiled QR as a loop nest over the tile kernels.
-fn tiled_qr_reference(a: &mut Matrix, b: usize) {
+/// Tiled QR as a loop nest over CAQR's kernels: per step, the diagonal
+/// tile's leaf QR applied along its tile row, then one triangle-on-square
+/// elimination per tile below it, each applied along its tile pair.
+fn tiled_qr_reference(a: Matrix, b: usize) -> Matrix {
     let (m, n) = (a.nrows(), a.ncols());
-    let (mt, nt) = (m.div_ceil(b), n.div_ceil(b));
-    for k in 0..m.min(n).div_ceil(b) {
-        let k0 = k * b;
-        let (wk, rk) = (b.min(n - k0), b.min(m - k0));
-        let kv = wk.min(rk);
-        let mut t_kk = Matrix::zeros(kv, kv);
-        geqrt(a.block_mut(k0, k0, rk, wk), t_kk.view_mut());
-        for j in k + 1..nt {
-            let (left, right) = a.view_mut().split_at_col(j * b);
-            let wj = b.min(right.ncols());
-            let v = left.as_ref().sub(k0, k0, rk, kv);
-            larfb_left(Trans::Yes, v, t_kk.view(), right.into_sub(k0, 0, rk, wj));
+    let a = SharedMatrix::new(a);
+    let tiles = |from: usize, to: usize| (from..to).step_by(b).map(move |t0| t0..(t0 + b).min(to));
+    for k0 in (0..m.min(n)).step_by(b) {
+        let w = b.min(n - k0);
+        let leaf = leaf_qr(&a, k0, w, k0..(k0 + b).min(m));
+        for cols in tiles(k0 + w, n) {
+            leaf_apply(&a, k0, &leaf, &a, cols, Trans::Yes);
         }
-        for i in k + 1..mt {
-            let ri = b.min(m - i * b);
-            let mut t_ik = Matrix::zeros(wk, wk);
-            let (top, bottom) = a.view_mut().split_at_row(i * b);
-            tsqrt(top.into_sub(k0, k0, wk, wk), bottom.into_sub(0, k0, ri, wk), t_ik.view_mut());
-            for j in k + 1..nt {
-                let (left, right) = a.view_mut().split_at_col(j * b);
-                let wj = b.min(right.ncols());
-                let (top, bottom) = right.split_at_row(i * b);
-                let v2 = left.as_ref().sub(i * b, k0, ri, wk);
-                let (c_top, c_bot) = (top.into_sub(k0, 0, wk, wj), bottom.into_sub(0, 0, ri, wj));
-                tsmqr(Trans::Yes, v2, t_ik.view(), c_top, c_bot);
+        for (i, rows) in tiles(k0 + b, m).enumerate() {
+            let (participants, row_ranges) = (vec![0, i + 1], vec![k0..k0 + w, rows]);
+            let plan = NodePlan { level: i + 1, participants, row_ranges, kk: w };
+            let node = eliminate(&a, k0, w, &plan, VRest::Dense);
+            for cols in tiles(k0 + w, n) {
+                node_apply(&node, &a, cols, Trans::Yes);
             }
         }
     }
+    a.into_inner()
 }
 
 /// LAPACK `dgetrf`, one `dtrsm` and one `dgemm` per step over the whole
@@ -137,8 +130,7 @@ fn tiled_plans_match_the_program_order_loop_nest_bitwise() {
 
         let mut lu = a0.clone();
         let diag = tiled_lu_reference(&mut lu, b);
-        let mut qr = a0.clone();
-        tiled_qr_reference(&mut qr, b);
+        let qr = tiled_qr_reference(a0.clone(), b);
         for w in WORKERS {
             let (f, _) = run_plan(TiledLuPlan::build(m, n, b), a0.clone(), w, &FactorOptions::default())
                 .unwrap_or_else(|e| panic!("tiled LU {m}x{n}: {e}"));
@@ -146,10 +138,18 @@ fn tiled_plans_match_the_program_order_loop_nest_bitwise() {
             let got: Vec<_> = f.diag.iter().map(|d| d.pivots.ipiv.clone()).collect();
             assert_eq!(got, diag, "tiled LU {m}x{n} b={b} workers={w}: pivots");
 
-            let (f, _) = run_plan(TiledQrPlan::build(m, n, b), a0.clone(), w, &FactorOptions::default())
+            let (f, _) = run_plan(tiled_qr_plan(m, n, b), a0.clone(), w, &FactorOptions::default())
                 .unwrap_or_else(|e| panic!("tiled QR {m}x{n}: {e}"));
             assert_eq!(f.a.as_slice(), qr.as_slice(), "tiled QR {m}x{n} b={b} workers={w}");
         }
+    }
+    // Tiled QR takes wide input too.
+    let a0 = random_uniform(130, 300, &mut seeded_rng(0xBA5E));
+    let qr = tiled_qr_reference(a0.clone(), 48);
+    for w in WORKERS {
+        let (f, _) = run_plan(tiled_qr_plan(130, 300, 48), a0.clone(), w, &FactorOptions::default())
+            .unwrap_or_else(|e| panic!("tiled QR 130x300: {e}"));
+        assert_eq!(f.a.as_slice(), qr.as_slice(), "tiled QR 130x300 b=48 workers={w}");
     }
 }
 
