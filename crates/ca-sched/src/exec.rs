@@ -5,18 +5,13 @@
 //! [`Core`] on its own stack, admits the graph as that core's only job and
 //! closes it, runs lane 0 on the calling thread and lanes `1..nthreads` on
 //! scoped threads (so a single-worker run spawns nothing and jobs may
-//! borrow from the caller), and assembles a [`RunReport`] from what the
-//! finalized job left. The jobs run as given: fault injection and the race
-//! detector's task scopes are put around a plan's task bodies by
-//! [`crate::plan_jobs`], the one place they enter a run. Ready tasks
-//! dispatch by priority — the paper's lookahead-of-1 policy, which the DAG
-//! builders encode — and among equal priorities by lower task id, which
-//! follows submission order.
-//!
-//! Failure semantics are the core's: a failed or panicking task never
-//! releases its successors, every task that does not depend on the failure
-//! still runs, and the first failure is reported in [`RunReport::failure`]
-//! with the cancelled set. [`run_graph`] is the panicking convenience.
+//! borrow from the caller), and reports what the finalized job left, as
+//! [`crate::simulate`] does. The jobs run as given: fault injection and the
+//! race detector's task scopes are put around a plan's task bodies by
+//! [`crate::plan_jobs`], the one place they enter a run. A failed or
+//! panicking task cancels its transitive successors, and the first failure
+//! is reported in [`RunReport::failure`]; [`run_graph`] is the panicking
+//! convenience.
 
 use crate::fault::{ExecError, TaskResult};
 use crate::graph::TaskGraph;
@@ -72,6 +67,15 @@ pub struct RunReport {
 }
 
 impl RunReport {
+    /// The failure-free report of a run whose one job left `log` and ended
+    /// `makespan` seconds after it started: what [`execute`] and
+    /// [`crate::simulate`] build their reports from.
+    pub(crate) fn new(log: JobLog, makespan: f64) -> Self {
+        let timeline = Timeline::from_log(&log.recs, log.nworkers, makespan);
+        let stats = ExecStats { tasks: log.recs.len(), wall_seconds: makespan, timeline };
+        RunReport { stats, failure: None, panic: None, log }
+    }
+
     /// The full-lifecycle view of the run's job log (ready stamps, derived
     /// queue depth, edges), built when asked for. Cancelled tasks appear in
     /// [`Profile::cancelled`], never as records.
@@ -101,16 +105,12 @@ pub fn execute(graph: TaskGraph<Job<'_>>, nthreads: usize) -> RunReport {
         core.worker(0);
     });
     let makespan = core.now();
+    // The workers of a closed core return only once it has no job left, and
+    // a job leaves only by being finalized, which fulfills its watch.
     let Finished { report, panic, log } =
         watch.take().expect("workers of a closed core return once its job is finalized");
-
-    let timeline = Timeline::from_log(&log.recs, nthreads, makespan);
-    let failure = match report.outcome {
-        JobOutcome::Failed(e) => Some(e),
-        JobOutcome::Completed | JobOutcome::Cancelled(_) => None,
-    };
-    let stats = ExecStats { tasks: report.tasks_run, wall_seconds: makespan, timeline };
-    RunReport { stats, failure, panic, log }
+    let failure = if let JobOutcome::Failed(e) = report.outcome { Some(e) } else { None };
+    RunReport { failure, panic, ..RunReport::new(log, makespan) }
 }
 
 /// [`execute`] that panics on task failure: after the graph has drained,

@@ -5,48 +5,6 @@
 //! multicore simulator ([`crate::simulate`]).
 
 use crate::task::{TaskId, TaskMeta};
-use std::cmp::Ordering;
-
-/// A ready task as every executor's ready heap orders it: higher priority
-/// first (the DAG builders encode the paper's lookahead-of-1 rule there),
-/// then lower task id, which follows submission order.
-#[derive(PartialEq, Eq)]
-pub(crate) struct ReadyEntry {
-    pub(crate) priority: i64,
-    pub(crate) id: TaskId,
-}
-
-impl Ord for ReadyEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.priority.cmp(&other.priority).then(other.id.cmp(&self.id))
-    }
-}
-
-impl PartialOrd for ReadyEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Marks the transitive successors of failed task `id` cancelled and returns
-/// those this call newly marked. Nothing it returns can have started: each
-/// one's path back to `id` goes through a predecessor that never completed.
-pub(crate) fn cancel_closure(
-    succs: &[Vec<TaskId>],
-    cancelled: &mut [bool],
-    id: TaskId,
-) -> Vec<TaskId> {
-    let mut newly = Vec::new();
-    let mut stack: Vec<TaskId> = succs[id].clone();
-    while let Some(s) = stack.pop() {
-        if !cancelled[s] {
-            cancelled[s] = true;
-            newly.push(s);
-            stack.extend(succs[s].iter().copied());
-        }
-    }
-    newly
-}
 
 /// A directed acyclic graph of tasks with payloads of type `T`.
 ///

@@ -4,12 +4,13 @@
 //! substrate of multithreaded CALU/CAQR (Donfack, Grigori & Gupta, IPDPS
 //! 2010, §III "Task scheduling").
 //!
-//! One [`TaskGraph`] representation and one threaded worker loop — claim the
-//! highest-priority ready task (the priorities encode the paper's
+//! One [`TaskGraph`] representation, one dispatch policy — the highest-
+//! priority ready task of a job first (the priorities encode the paper's
 //! lookahead-of-1 rule: panel tasks and the update of block column `K+1`
-//! outrank other updates), run it under `catch_unwind`, release its
-//! successors or cancel its failure closure, log one record in the task's
-//! job — behind two front doors:
+//! outrank other updates), stride-scheduled fair share across jobs — and
+//! one threaded worker loop that picks by it, runs the task under
+//! `catch_unwind`, releases its successors or cancels its failure closure
+//! and logs one record in the task's job, behind two front doors:
 //!
 //! * [`execute`]`(graph, nthreads)` — one graph to quiescence: the loop's
 //!   core lives on the caller's stack with that one job, lane 0 runs on the
@@ -30,8 +31,8 @@
 //! injection, the race detector and recovery enter a run there and nowhere
 //! else: neither door takes options.
 //!
-//! [`simulate`]`(graph, nworkers, cost)` replays the same graph on a
-//! deterministic list-scheduling discrete-event simulator with `P` virtual
+//! [`simulate`]`(graph, nworkers, cost)` replays the same graph through the
+//! same policy on a deterministic discrete-event clock with `P` virtual
 //! cores and a pluggable cost model. This is the hardware-substitution
 //! layer that stands in for the paper's 8-core Xeon and 16-core Opteron
 //! machines (see DESIGN.md §2).
@@ -44,8 +45,9 @@
 //!
 //! Every executor stores a finished task exactly once, whether or not
 //! anybody will look: a compact measured record (task, label, lane, start,
-//! end) pushed to the log of the task's *job*, under the state lock its
-//! worker already holds, next to the instant each task became ready. The
+//! end) pushed to the log of the task's *job* when the policy completes it
+//! (under the state lock a worker already holds), next to the instant each
+//! task became ready. The
 //! log leaves with the finalized job — in the [`RunReport`], or in the
 //! job's [`JobWatch`] until the last clone is dropped — and
 //! [`ExecStats::timeline`], [`RunReport::profile`] and
@@ -113,6 +115,7 @@ mod checked;
 mod exec;
 mod fault;
 mod footprint;
+mod frontier;
 mod graph;
 mod log;
 mod multigraph;

@@ -1,9 +1,10 @@
 //! The job log: the one place an executor stores what it ran.
 //!
-//! The worker loop behind [`crate::execute`] and [`crate::MultiFrontier`],
-//! and [`crate::simulate`], push one [`TaskRec`] per finished task
-//! into the log of the job the task belongs to, next to the instant each
-//! task became ready, and nothing else. When the job ends its [`JobLog`] —
+//! The dispatch policy both executors share — the worker loop behind
+//! [`crate::execute`] and [`crate::MultiFrontier`], and [`crate::simulate`]
+//! — pushes one [`TaskRec`] per completed task into the log of the job the
+//! task belongs to, next to the instant each task became ready, and nothing
+//! else. When the job ends its [`JobLog`] —
 //! records, ready stamps, metadata, edges, cancelled set — leaves with it,
 //! and [`Timeline`] and [`Profile`] are views built from that log when
 //! somebody reads them ([`Timeline::from_log`], [`Profile::from_log`]):

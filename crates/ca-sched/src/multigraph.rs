@@ -1,57 +1,37 @@
-//! The frontier core: the one worker loop of `ca-sched`, behind two front
-//! doors.
+//! The worker loop of `ca-sched`: the frontier's policy on the wall clock,
+//! behind two front doors.
 //!
-//! A [`Core`] holds any number of admitted task graphs ("jobs") and `n`
-//! worker lanes. Every lane runs [`Core::worker`] — claim a ready task under
+//! A [`Core`] holds a [`Frontier`] of admitted task graphs ("jobs") and `n`
+//! worker lanes. Every lane runs [`Core::worker`]: pick a ready task under
 //! the state lock, run it under `catch_unwind` with the lock released, then
-//! under the lock again push one record to the task's job, either release
-//! the task's successors or cancel its **transitive successors**, and claim
-//! the next task. The two ways to run a graph differ only in who owns the
-//! core and its threads:
+//! under the lock again complete it in the frontier and pick the next one.
+//! Which task runs next is the frontier's policy, the one [`crate::simulate`]
+//! replays; the core adds what needs a clock or threads. The two doors
+//! differ only in who owns the core and its threads:
 //!
 //! * [`crate::execute`] puts a core on the caller's stack, admits one job
 //!   and closes the core; lane 0 runs on the calling thread and the others
-//!   on scoped threads, so the job may borrow, and the workers return when
-//!   the job finalizes.
+//!   on scoped threads, so the job may borrow.
 //! * [`MultiFrontier`] keeps a core behind an `Arc` with `n` spawned
 //!   threads that serve `'static` jobs until [`MultiFrontier::shutdown`].
 //!
-//! The paper's dynamic-scheduling insight — tasks from *different panel
-//! steps* interleave on a shared pool via priorities — generalizes directly
-//! to tasks from *different requests*:
-//!
-//! * **Within a job** the paper's lookahead priorities are preserved: each
-//!   job keeps its own ready heap ordered by [`TaskMeta::priority`] (then
-//!   insertion order).
-//! * **Across jobs** dispatch uses stride scheduling (weighted fair
-//!   queueing): every job carries a *pass* value advanced by
-//!   `flops / weight` per dispatched task, and workers always serve the
-//!   runnable job with the smallest pass. A weight-2 job therefore receives
-//!   twice the flops of a weight-1 job while both are runnable, and a newly
-//!   admitted job starts at the current minimum pass so it can neither
-//!   starve nor monopolize.
-//!
-//! Failure is scoped per job: a failed or panicking task cancels its
-//! transitive successors *within its own job*, every task that does not
-//! depend on the failure still runs, and other jobs are never affected.
-//! Jobs can also be cancelled as a whole (user cancel, deadline, load
-//! shedding, shutdown): undispatched tasks are dropped, in-flight tasks run
-//! to completion, and the job finalizes with a [`JobOutcome::Cancelled`].
+//! A job can be cancelled as a whole (user cancel, deadline, load shedding,
+//! shutdown): undispatched tasks are dropped, in-flight tasks run to
+//! completion, and the job finalizes with a [`JobOutcome::Cancelled`].
 //! Deadlines are enforced at dispatch points, so a deadline never preempts a
 //! running kernel — and an idle worker has nothing to enforce: it would
 //! have dispatched any ready task, and work in flight ends on its own.
 
 use crate::exec::{DynJob, Job};
 use crate::fault::{panic_message, ExecError};
-use crate::graph::{cancel_closure, ReadyEntry, TaskGraph};
+use crate::frontier::{Entry, Frontier, Pick};
+use crate::graph::TaskGraph;
 use crate::log::{JobLog, TaskRec};
 use crate::profile::Profile;
-use crate::task::{TaskId, TaskLabel, TaskMeta};
 use crate::telemetry::{self, FlightEventKind, FlightRecorder};
 use crate::trace::Timeline;
 use parking_lot::{Condvar, Mutex};
 use std::any::Any;
-use std::collections::{BTreeMap, BinaryHeap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -165,7 +145,7 @@ pub struct JobReport {
     pub tasks_run: usize,
     /// Tasks dropped without running (failure closure or job cancel).
     pub tasks_cancelled: usize,
-    /// Flops of the executed tasks (per their [`TaskMeta`] estimates).
+    /// Flops of the executed tasks (per their [`crate::TaskMeta`] estimates).
     pub flops: f64,
 }
 
@@ -264,78 +244,25 @@ impl JobWatch {
     }
 }
 
-struct JobState<'s> {
-    metas: Vec<TaskMeta>,
-    /// Task bodies, each claimed (or dropped) exactly once.
-    slots: Vec<Option<Job<'s>>>,
-    succs: Vec<Vec<TaskId>>,
-    preds: Vec<usize>,
-    ready: BinaryHeap<ReadyEntry>,
-    cancelled: Vec<bool>,
-    /// Tasks not yet accounted (neither run nor dropped). In-flight tasks
-    /// still count until their completion is recorded.
-    remaining: usize,
-    in_flight: usize,
-    /// Stride-scheduling pass value (advanced by flops/weight at dispatch).
-    pass: f64,
-    weight: f64,
+/// What the worker loop keeps per job beside the frontier's entry.
+struct JobState {
     /// Absolute deadline (seconds since epoch).
     deadline: Option<f64>,
-    /// The report as it stands: counts, stamps and the first failure (it
-    /// wins; later ones only extend its cancelled set) accumulate here,
-    /// [`JobState::finish`] adds the finish time and a whole-job cancel.
+    /// The report as it stands: stamps and the outcome accumulate here,
+    /// [`Core::finalize`] adds counts, flops and the finish time. The first
+    /// failure wins over a whole-job cancel and over later failures, which
+    /// only extend its cancelled set.
     report: JobReport,
     panic: Option<Box<dyn Any + Send>>,
-    cancel_reason: Option<CancelReason>,
-    /// One record per finished task and, per task, the instant it became
-    /// ready: the job's log, written under the state lock.
-    recs: Vec<TaskRec>,
-    ready_at: Vec<f64>,
     watch: JobWatch,
 }
 
-impl JobState<'_> {
-    /// Drops every undispatched task (a whole-job cancel).
-    fn drop_undispatched(&mut self) {
-        self.ready.clear();
-        for (t, slot) in self.slots.iter_mut().enumerate() {
-            if slot.take().is_some() {
-                self.cancelled[t] = true;
-                self.report.tasks_cancelled += 1;
-                self.remaining -= 1;
-            }
-        }
-    }
-
-    /// The terminal report of a job whose every task is accounted, with
-    /// the log it leaves (`nworkers` lanes ran it).
-    fn finish(self, now: f64, nworkers: usize) -> (Finished, JobWatch) {
-        let mut report = self.report;
-        report.finished = now;
-        if let (JobOutcome::Completed, Some(reason)) = (&report.outcome, self.cancel_reason) {
-            report.outcome = JobOutcome::Cancelled(reason);
-        }
-        let cancelled = self.cancelled;
-        let log = JobLog {
-            scheduler: SCHEDULER,
-            nworkers,
-            t0: report.submitted,
-            recs: self.recs,
-            ready_at: self.ready_at,
-            metas: self.metas,
-            succs: self.succs,
-            cancelled: (0..cancelled.len()).filter(|&t| cancelled[t]).collect(),
-        };
-        (Finished { report, panic: self.panic, log }, self.watch)
-    }
-}
-
 struct State<'s> {
-    /// Active jobs in admission order (ids count up).
-    jobs: BTreeMap<JobId, JobState<'s>>,
+    /// Active jobs, each with the loop's [`JobState`] on its entry.
+    frontier: Frontier<Job<'s>, JobState>,
     /// Active jobs that carry a deadline; dispatch points sweep only then.
     deadlines: usize,
-    /// No further admissions; workers return once `jobs` is empty.
+    /// No further admissions; workers return once no job is active.
     closed: bool,
 }
 
@@ -344,22 +271,6 @@ type CompletionHook = Box<dyn Fn(&JobReport) + Send + Sync>;
 
 /// Finalized jobs on their way to [`Core::deliver`].
 type Done = Vec<(Finished, JobWatch)>;
-
-/// What one worker lane keeps: a task's record belongs to its job.
-#[derive(Default)]
-struct Lane {
-    /// Seconds spent in task bodies ([`MultiFrontier::busy_seconds`]).
-    busy: f64,
-}
-
-/// A claimed task: what its worker needs to log and account it.
-#[derive(Clone, Copy)]
-struct Claim {
-    job: JobId,
-    task: TaskId,
-    label: TaskLabel,
-    flops: f64,
-}
 
 /// How a task body failed.
 struct Failure {
@@ -376,8 +287,9 @@ pub(crate) struct Core<'s> {
     cv: Condvar,
     epoch: Instant,
     next_job: AtomicU64,
-    /// One lane per worker, written by that worker only.
-    lanes: Vec<Mutex<Lane>>,
+    /// Per worker lane, the seconds it spent in task bodies
+    /// ([`MultiFrontier::busy_seconds`]); written by that worker only.
+    lanes: Vec<Mutex<f64>>,
     /// Whether finalized jobs' records are kept for the core-wide
     /// [`MultiFrontier::timeline`]. Off by default because a service runs
     /// for days; every job has its own log either way.
@@ -398,7 +310,7 @@ impl<'s> Core<'s> {
     pub(crate) fn new(nworkers: usize, on_complete: Option<CompletionHook>) -> Self {
         assert!(nworkers > 0, "need at least one worker");
         Self {
-            state: Mutex::new(State { jobs: BTreeMap::new(), deadlines: 0, closed: false }),
+            state: Mutex::new(State { frontier: Frontier::new(), deadlines: 0, closed: false }),
             cv: Condvar::new(),
             epoch: Instant::now(),
             next_job: AtomicU64::new(0),
@@ -430,25 +342,9 @@ impl<'s> Core<'s> {
         if let Some(rec) = self.recorder.get() {
             rec.record(rec.nworkers(), FlightEventKind::JobSubmit, id, None);
         }
-        let TaskGraph { metas, payloads, succs, npreds } = graph;
-        let n = metas.len();
-        let ready: BinaryHeap<ReadyEntry> = (0..n)
-            .filter(|&t| npreds[t] == 0)
-            .map(|t| ReadyEntry { priority: metas[t].priority, id: t })
-            .collect();
-        let roots = ready.len();
+        let n = graph.len();
         let watch = JobWatch::new();
-        let mut job = JobState {
-            metas,
-            slots: payloads.into_iter().map(Some).collect(),
-            succs,
-            preds: npreds,
-            ready,
-            cancelled: vec![false; n],
-            remaining: n,
-            in_flight: 0,
-            pass: 0.0,
-            weight: opts.weight,
+        let job = JobState {
             deadline: opts.deadline.map(|d| now + d.as_secs_f64()),
             report: JobReport {
                 job: id,
@@ -462,30 +358,22 @@ impl<'s> Core<'s> {
                 flops: 0.0,
             },
             panic: None,
-            cancel_reason: None,
-            recs: Vec::with_capacity(n),
-            ready_at: vec![now; n],
             watch: watch.clone(),
         };
+        let entry = Entry::new(graph, opts.weight, now, job);
 
         let mut done = Done::new();
-        {
+        let roots = {
             let mut st = self.state.lock();
+            st.deadlines += usize::from(opts.deadline.is_some());
+            let roots = st.frontier.admit(id, entry);
             if st.closed {
-                job.cancel_reason = Some(CancelReason::Shutdown);
-                job.drop_undispatched();
-                done.push(job.finish(now, self.lanes.len()));
+                self.cancel_locked(&mut st, id, CancelReason::Shutdown, now, &mut done);
             } else if n == 0 {
-                done.push(job.finish(now, self.lanes.len()));
-            } else {
-                // Stride scheduling: start at the current minimum pass so
-                // the new job neither starves nor sweeps the pool.
-                let base = st.jobs.values().map(|j| j.pass).fold(f64::INFINITY, f64::min);
-                job.pass = if base.is_finite() { base } else { 0.0 };
-                st.deadlines += usize::from(job.deadline.is_some());
-                st.jobs.insert(id, job);
+                self.finalize(&mut st, id, now, &mut done);
             }
-        }
+            roots
+        };
         if done.is_empty() {
             // Wake one worker per root task (capped at the pool size); the
             // workers' chained wakeups take it from there.
@@ -556,17 +444,22 @@ impl<'s> Core<'s> {
 
     /// Removes a job whose last task is accounted and queues its report.
     fn finalize(&self, st: &mut State<'s>, id: JobId, now: f64, done: &mut Done) {
-        let job = st.jobs.remove(&id).expect("finalized job is active");
+        let Some((log, job)) = st.frontier.finish(id, SCHEDULER, self.lanes.len()) else { return };
         st.deadlines -= usize::from(job.deadline.is_some());
-        done.push(job.finish(now, self.lanes.len()));
-        if st.closed && st.jobs.is_empty() {
+        let mut report = job.report;
+        report.finished = now;
+        report.tasks_run = log.recs.len();
+        report.tasks_cancelled = log.cancelled.len();
+        report.flops = log.recs.iter().fold(0.0, |f, r| f + log.metas[r.task].flops);
+        done.push((Finished { report, panic: job.panic, log }, job.watch));
+        if st.closed && st.frontier.is_empty() {
             self.cv.notify_all();
         }
     }
 
-    /// Marks a job cancelled: drops every undispatched task, finalizes
-    /// immediately if nothing is in flight. Returns `false` if the job is
-    /// unknown or already cancelled.
+    /// Marks a job cancelled: drops every undispatched task and its
+    /// deadline, finalizes immediately if nothing is in flight. Returns
+    /// `false` if the job is unknown or already cancelled.
     fn cancel_locked(
         &self,
         st: &mut State<'s>,
@@ -575,14 +468,12 @@ impl<'s> Core<'s> {
         now: f64,
         done: &mut Done,
     ) -> bool {
-        let Some(job) = st.jobs.get_mut(&id) else { return false };
-        if job.cancel_reason.is_some() {
-            return false;
+        let Some((job, job_done)) = st.frontier.drop_undispatched(id) else { return false };
+        if job.report.outcome.is_completed() {
+            job.report.outcome = JobOutcome::Cancelled(reason);
         }
-        job.cancel_reason = Some(reason);
-        job.drop_undispatched();
-        debug_assert_eq!(job.remaining, job.in_flight);
-        if job.remaining == 0 {
+        st.deadlines -= usize::from(job.deadline.take().is_some());
+        if job_done {
             self.finalize(st, id, now, done);
         }
         true
@@ -605,102 +496,51 @@ impl<'s> Core<'s> {
         }
         let now = self.now();
         let expired: Vec<JobId> = st
-            .jobs
-            .iter()
-            .filter(|(_, j)| j.cancel_reason.is_none() && j.deadline.is_some_and(|d| now >= d))
-            .map(|(&id, _)| id)
+            .frontier
+            .jobs()
+            .filter(|(_, j)| j.deadline.is_some_and(|d| now >= d))
+            .map(|(id, _)| id)
             .collect();
         for id in expired {
             self.cancel_locked(st, id, CancelReason::Deadline, now, done);
         }
     }
 
-    /// Claims the highest-priority ready task of the min-pass runnable job
-    /// (the older job on a tie).
-    fn claim(&self, st: &mut State<'s>) -> Option<(Claim, Job<'s>)> {
-        let (&jid, job) = st
-            .jobs
-            .iter_mut()
-            .filter(|(_, j)| !j.ready.is_empty())
-            .min_by(|(_, a), (_, b)| a.pass.total_cmp(&b.pass))?;
-        let ReadyEntry { id: task, .. } = job.ready.pop()?;
-        let body = job.slots[task].take().expect("a ready task is claimed once");
-        let TaskMeta { flops, label, .. } = job.metas[task];
-        job.in_flight += 1;
-        job.pass += flops.max(1.0) / job.weight;
-        if job.report.first_dispatch.is_none() {
-            job.report.first_dispatch = Some(self.now());
-        }
-        Some((Claim { job: jid, task, label, flops }, body))
-    }
-
-    /// Accounts a finished task: logs it in its job, releases its successors
-    /// (or cancels its failure closure) and finalizes the job when its last
-    /// task is accounted.
+    /// Accounts a finished task of job `jid`: completes it in the frontier
+    /// (which logs it and releases its successors or cancels its failure
+    /// closure), records a failure in the job's report, and finalizes the job
+    /// when its last task is accounted.
     fn complete(
         &self,
         st: &mut State<'s>,
-        claim: Claim,
-        lane: usize,
-        (start, end): (f64, f64),
+        jid: JobId,
+        rec: TaskRec,
         failure: Option<Failure>,
         done: &mut Done,
     ) {
-        let Claim { job: jid, task, label, flops } = claim;
-        let job = st.jobs.get_mut(&jid).expect("in-flight job is active");
-        job.recs.push(TaskRec { task, label, lane, start, end });
-        job.in_flight -= 1;
-        job.remaining -= 1;
-        job.report.tasks_run += 1;
-        job.report.flops += flops;
-        match failure {
-            Some(Failure { message, payload }) => {
-                // Every member of the closure is undispatched; a whole-job
-                // cancel that already dropped it also marked it, so the
-                // walk does not return it again.
-                let mut newly = cancel_closure(&job.succs, &mut job.cancelled, task);
-                for &s in &newly {
-                    job.slots[s] = None;
-                }
-                job.report.tasks_cancelled += newly.len();
-                job.remaining -= newly.len();
-                if let JobOutcome::Failed(first) = &mut job.report.outcome {
-                    first.cancelled.extend(newly);
-                    first.cancelled.sort_unstable();
-                } else {
-                    let panicked = payload.is_some();
-                    job.panic = payload;
-                    newly.sort_unstable();
-                    let cancelled = newly;
-                    job.report.outcome = JobOutcome::Failed(ExecError {
-                        task,
-                        label,
-                        lane,
-                        message,
-                        panicked,
-                        cancelled,
-                    });
-                }
+        let TaskRec { task, label, lane, end, .. } = rec;
+        let Some((job, mut cancelled, job_done)) = st.frontier.complete(jid, rec, failure.is_some())
+        else {
+            return;
+        };
+        if let Some(Failure { message, payload }) = failure {
+            if let JobOutcome::Failed(first) = &mut job.report.outcome {
+                first.cancelled.extend(cancelled);
+                first.cancelled.sort_unstable();
+            } else {
+                cancelled.sort_unstable();
+                let panicked = payload.is_some();
+                let first = ExecError { task, label, lane, message, panicked, cancelled };
+                job.report.outcome = JobOutcome::Failed(first);
+                job.panic = payload;
             }
-            None if job.cancel_reason.is_none() => {
-                for &s in &job.succs[task] {
-                    job.preds[s] -= 1;
-                    // The cancelled check is defensive: a task whose
-                    // predecessors all completed is in no failure closure.
-                    if job.preds[s] == 0 && !job.cancelled[s] {
-                        job.ready.push(ReadyEntry { priority: job.metas[s].priority, id: s });
-                        job.ready_at[s] = end;
-                    }
-                }
-            }
-            None => {}
         }
-        if job.remaining == 0 {
+        if job_done {
             self.finalize(st, jid, end, done);
         }
     }
 
-    /// The worker loop of lane `lane`: claim a task, run it, account it,
+    /// The worker loop of lane `lane`: pick a task, run it, account it,
     /// until the core is closed and out of jobs. Accounting one task and
     /// claiming the next share one hold of the state lock, which is given up
     /// only to run a body, to deliver finalized jobs, or to wait — untimed:
@@ -711,32 +551,36 @@ impl<'s> Core<'s> {
         // Whether this thread has published the flight recorder as its context.
         let mut published = false;
         let mut st = self.state.lock();
+        let mut done = Done::new();
         loop {
-            let mut done = Done::new();
             self.expire_deadlines(&mut st, &mut done);
             if !done.is_empty() {
                 drop(st);
-                self.deliver(done);
+                self.deliver(std::mem::take(&mut done));
                 st = self.state.lock();
                 continue;
             }
-            let Some((claim, body)) = self.claim(&mut st) else {
-                if st.closed && st.jobs.is_empty() {
+            let Some(Pick { job: jid, task, meta, payload: body, x: job }) = st.frontier.pick()
+            else {
+                if st.closed && st.frontier.is_empty() {
                     return;
                 }
                 self.cv.wait(&mut st);
                 continue;
             };
+            let label = meta.label;
+            if job.report.first_dispatch.is_none() {
+                job.report.first_dispatch = Some(self.now());
+            }
             // Whatever is still ready wants a peer each; a signal nobody
             // waits for costs nothing.
-            let ready: usize = st.jobs.values().map(|j| j.ready.len()).sum();
+            let ready = st.frontier.ready_len();
             drop(st);
             for _ in 0..ready.min(self.lanes.len() - 1) {
                 self.cv.notify_one();
             }
 
             counters.tasks_dispatched.inc();
-            let Claim { job: jid, label, .. } = claim;
             if let Some(rec) = self.recorder.get() {
                 // Publish the recorder as this thread's context — once, the
                 // first time it is seen attached — and the claimed task's
@@ -753,7 +597,7 @@ impl<'s> Core<'s> {
             let start = self.now();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
             let end = self.now();
-            self.lanes[lane].lock().busy += end - start;
+            *self.lanes[lane].lock() += end - start;
             let failure = match outcome {
                 Ok(Ok(())) => None,
                 Ok(Err(f)) => Some(Failure { message: f.message, payload: None }),
@@ -771,12 +615,8 @@ impl<'s> Core<'s> {
             }
 
             st = self.state.lock();
-            self.complete(&mut st, claim, lane, (start, end), failure, &mut done);
-            if !done.is_empty() {
-                drop(st);
-                self.deliver(done);
-                st = self.state.lock();
-            }
+            let rec = TaskRec { task, label, lane, start, end };
+            self.complete(&mut st, jid, rec, failure, &mut done);
         }
     }
 }
@@ -866,33 +706,30 @@ impl MultiFrontier {
     /// finalizing it with [`CancelReason::Shed`]. Returns its id, or `None`
     /// if every active job already started running.
     pub fn shed_oldest_queued(&self) -> Option<JobId> {
+        let mut st = self.core.state.lock();
+        let victim = st
+            .frontier
+            .jobs()
+            .filter(|(_, j)| j.report.first_dispatch.is_none())
+            .min_by(|(_, a), (_, b)| a.report.submitted.total_cmp(&b.report.submitted))
+            .map(|(id, _)| id)?;
         let mut done = Done::new();
-        let victim = {
-            let mut st = self.core.state.lock();
-            let victim = st
-                .jobs
-                .iter()
-                .filter(|(_, j)| j.report.first_dispatch.is_none() && j.cancel_reason.is_none())
-                .min_by(|(_, a), (_, b)| a.report.submitted.total_cmp(&b.report.submitted))
-                .map(|(&id, _)| id);
-            if let Some(id) = victim {
-                let now = self.core.now();
-                self.core.cancel_locked(&mut st, id, CancelReason::Shed, now, &mut done);
-            }
-            victim
-        };
+        let now = self.core.now();
+        self.core.cancel_locked(&mut st, victim, CancelReason::Shed, now, &mut done);
+        drop(st);
         self.core.deliver(done);
-        victim
+        Some(victim)
     }
 
     /// Jobs admitted and not yet finalized.
     pub fn active_jobs(&self) -> usize {
-        self.core.state.lock().jobs.len()
+        self.core.state.lock().frontier.jobs().count()
     }
 
     /// Active jobs that have not dispatched any task yet.
     pub fn queued_jobs(&self) -> usize {
-        self.core.state.lock().jobs.values().filter(|j| j.report.first_dispatch.is_none()).count()
+        let st = self.core.state.lock();
+        st.frontier.jobs().filter(|(_, j)| j.report.first_dispatch.is_none()).count()
     }
 
     /// Enables or disables retention for the frontier-wide
@@ -922,7 +759,7 @@ impl MultiFrontier {
 
     /// Total seconds workers spent executing task bodies since start.
     pub fn busy_seconds(&self) -> f64 {
-        self.core.lanes.iter().map(|l| l.lock().busy).sum()
+        self.core.lanes.iter().map(|l| *l.lock()).sum()
     }
 
     /// Seconds since the frontier started.
@@ -935,7 +772,7 @@ impl MultiFrontier {
     /// submissions after shutdown finalize immediately as cancelled.
     pub fn shutdown(&self) {
         self.core.close();
-        let active: Vec<JobId> = self.core.state.lock().jobs.keys().copied().collect();
+        let active: Vec<JobId> = self.core.state.lock().frontier.jobs().map(|(id, _)| id).collect();
         for id in active {
             self.core.cancel(id, CancelReason::Shutdown);
         }
@@ -956,7 +793,7 @@ impl Drop for MultiFrontier {
 mod tests {
     use super::*;
     use crate::fault::TaskFailure;
-    use crate::task::{TaskKind, TaskMeta};
+    use crate::task::{TaskKind, TaskLabel, TaskMeta};
     use crate::dyn_job;
     use std::sync::atomic::AtomicUsize;
     use std::sync::{mpsc, Mutex};
@@ -1008,71 +845,6 @@ mod tests {
             let sorted: Vec<usize> = (0..steps.len()).collect();
             assert_eq!(steps, sorted, "intra-job order violated for job {tag}");
         }
-        f.shutdown();
-    }
-
-    #[test]
-    fn weighted_fair_sharing_biases_dispatch() {
-        // One worker, two jobs of independent equal-flops tasks: the
-        // weight-3 job must receive about 3× the dispatches of the
-        // weight-1 job over any prefix.
-        let f = MultiFrontier::new(1);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let mk = |tag: usize| {
-            let mut g: TaskGraph<DynJob> = TaskGraph::new();
-            for i in 0..40 {
-                let order = Arc::clone(&order);
-                g.add_task(meta(0, 100.0), dyn_job(move || {
-                    order.lock().unwrap().push((tag, i));
-                }));
-            }
-            g
-        };
-        // Stall the worker so both jobs are admitted before dispatch.
-        let (tx, rx) = mpsc::channel::<()>();
-        let mut gate: TaskGraph<DynJob> = TaskGraph::new();
-        gate.add_task(meta(0, 1.0), dyn_job(move || {
-            rx.recv().unwrap();
-        }));
-        let (_, wg) = f.submit(gate, JobOptions::default());
-        let (_, w1) = f.submit(mk(1), JobOptions::default().with_weight(1.0));
-        let (_, w3) = f.submit(mk(3), JobOptions::default().with_weight(3.0));
-        tx.send(()).unwrap();
-        wg.wait();
-        w1.wait();
-        w3.wait();
-        let o = order.lock().unwrap();
-        let heavy_in_prefix =
-            o.iter().take(40).filter(|(t, _)| *t == 3).count();
-        assert!(
-            (27..=33).contains(&heavy_in_prefix),
-            "weight-3 job got {heavy_in_prefix}/40 of the first dispatches"
-        );
-        drop(o);
-        f.shutdown();
-    }
-
-    #[test]
-    fn intra_job_priority_is_preserved() {
-        // Single worker: within one job, ready tasks dispatch in priority
-        // order exactly like the one-shot pool.
-        let f = MultiFrontier::new(1);
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let (tx, rx) = mpsc::channel::<()>();
-        let mut g: TaskGraph<DynJob> = TaskGraph::new();
-        g.add_task(meta(100, 1.0), dyn_job(move || {
-            rx.recv().unwrap();
-        }));
-        for (i, p) in [(0usize, 1i64), (1, 5), (2, 3)] {
-            let order = Arc::clone(&order);
-            g.add_task(meta(p, 1.0), dyn_job(move || {
-                order.lock().unwrap().push(i);
-            }));
-        }
-        let (_, w) = f.submit(g, JobOptions::default());
-        tx.send(()).unwrap();
-        w.wait();
-        assert_eq!(*order.lock().unwrap(), vec![1, 2, 0]);
         f.shutdown();
     }
 

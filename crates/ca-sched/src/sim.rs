@@ -1,58 +1,34 @@
-//! Deterministic multicore simulator.
+//! Deterministic multicore simulator: the frontier's policy on a virtual
+//! clock.
 //!
-//! Replays a task graph on `P` virtual cores with list scheduling: whenever a
-//! core is idle and tasks are ready, the highest-priority ready task starts
-//! on the lowest-numbered idle core. Task durations come from a caller-
-//! supplied cost model (seconds per task, typically `flops / throughput`
-//! with throughputs measured by `ca-bench`'s calibration on the host).
-//!
-//! This is the hardware-substitution layer documented in DESIGN.md: the
-//! paper's 8-core Xeon and 16-core Opteron are replaced by simulated
-//! machines executing the *same task DAGs* the threaded runtime executes,
-//! so schedule-level effects (panel on the critical path, idle-time gaps of
-//! Figure 3, lookahead) are reproduced faithfully.
+//! Replays a task graph on `P` virtual cores through the frontier the
+//! threaded worker loop dispatches from, with task durations from a
+//! caller-supplied cost model (typically `flops / throughput`, throughputs
+//! from `ca-bench`'s calibration). This is the hardware-substitution layer
+//! of DESIGN.md: the paper's 8-core Xeon and 16-core Opteron become
+//! simulated machines running the *same task DAGs* in the order the same
+//! policy picks, so schedule-level effects (panel on the critical path,
+//! idle-time gaps of Figure 3, lookahead) are reproduced faithfully.
 
-use crate::exec::{ExecStats, RunReport};
-use crate::graph::{ReadyEntry, TaskGraph};
-use crate::log::{JobLog, TaskRec};
+use crate::exec::RunReport;
+use crate::frontier::{Entry, Frontier, Pick};
+use crate::graph::TaskGraph;
+use crate::log::TaskRec;
 use crate::task::{TaskId, TaskMeta};
-use crate::trace::Timeline;
-use std::cmp::Ordering;
-use std::collections::BinaryHeap;
-
-#[derive(PartialEq)]
-struct Completion {
-    time: f64,
-    worker: usize,
-    task: TaskId,
-}
-
-impl Eq for Completion {}
-
-impl Ord for Completion {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Min-heap on (time, worker): earliest completion first. total_cmp
-        // keeps the order total even if a cost model produces NaN.
-        other.time.total_cmp(&self.time).then(other.worker.cmp(&self.worker))
-    }
-}
-
-impl PartialOrd for Completion {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
 
 /// Simulates executing `graph` on `nworkers` cores; `cost` maps a task id
-/// and its metadata to a duration in seconds.
+/// and its metadata to a duration in seconds. While a core is idle and the
+/// frontier picks a task, the task starts on the lowest-numbered idle core;
+/// the earliest completion, with every other one at the same instant,
+/// advances the clock and frees its core.
 ///
-/// Reported like a threaded run: the [`Timeline`] in
+/// Reported like a threaded run: the [`crate::Timeline`] in
 /// [`RunReport::stats`], and [`RunReport::profile`] with exact
 /// ready/start/end in simulated seconds. No task body runs, so nothing
 /// fails and nothing is audited; a caller wanting the simulator's checked
 /// mode composes [`crate::verify_graph`] before and
-/// [`Timeline::check_write_exclusion`] after. Fully deterministic: same
-/// inputs, same schedule, so tests can assert exact metric values.
+/// [`crate::Timeline::check_write_exclusion`] after. Fully deterministic:
+/// same inputs, same schedule, so tests can assert exact metric values.
 ///
 /// # Panics
 /// If `nworkers == 0`.
@@ -62,78 +38,37 @@ pub fn simulate<T>(
     mut cost: impl FnMut(TaskId, &TaskMeta) -> f64,
 ) -> RunReport {
     assert!(nworkers > 0, "need at least one simulated core");
-    let n = graph.len();
-    let mut preds: Vec<usize> = graph.npreds.clone();
-    let mut ready: BinaryHeap<ReadyEntry> = BinaryHeap::new();
-    for (id, &np) in preds.iter().enumerate() {
-        if np == 0 {
-            ready.push(ReadyEntry { priority: graph.metas[id].priority, id });
-        }
-    }
-
-    let mut idle: Vec<usize> = (0..nworkers).rev().collect(); // pop() gives lowest index
-    let mut events: BinaryHeap<Completion> = BinaryHeap::new();
-    // The run's log; the timeline and the profile are views of it.
-    let mut recs = Vec::with_capacity(n);
-    let mut ready_at = vec![0.0f64; n];
+    let mut frontier = Frontier::new();
+    frontier.admit(0, Entry::new(graph.map_ref(|_, _| ()), 1.0, 0.0, ()));
+    // What each core runs; a core is idle while its slot is empty.
+    let mut running: Vec<Option<TaskRec>> = vec![None; nworkers];
     let mut t = 0.0f64;
-    let mut completed = 0usize;
-
-    while completed < n {
-        // Start as many ready tasks as there are idle cores, at time t.
-        while !idle.is_empty() && !ready.is_empty() {
-            let entry = ready.pop().expect("nonempty");
-            let worker = idle.pop().expect("nonempty");
-            let meta = &graph.metas[entry.id];
-            let d = cost(entry.id, meta).max(0.0);
-            let (task, label) = (entry.id, meta.label);
-            recs.push(TaskRec { task, label, lane: worker, start: t, end: t + d });
-            events.push(Completion { time: t + d, worker, task });
+    loop {
+        // Start picked tasks at time t, on the lowest-numbered idle cores.
+        for (lane, slot) in running.iter_mut().enumerate().filter(|(_, s)| s.is_none()) {
+            let Some(Pick { task, meta, .. }) = frontier.pick() else { break };
+            let end = t + cost(task, meta).max(0.0);
+            *slot = Some(TaskRec { task, label: meta.label, lane, start: t, end });
         }
-
-        // Advance to the next completion, draining any other completions at
-        // the same instant so their cores are all available before the next
-        // assignment round.
-        let c = events.pop().expect("deadlock: no running task but graph unfinished");
-        t = c.time;
-        let mut batch = vec![c];
-        while events.peek().map(|e| e.time <= t).unwrap_or(false) {
-            batch.push(events.pop().expect("nonempty"));
+        // Advance to the earliest completion and complete every task that
+        // ends at that instant, core by core, so their cores are all idle
+        // before the next assignment round.
+        let ends = running.iter().flatten().map(|r| r.end);
+        let Some(next) = ends.min_by(f64::total_cmp) else { break };
+        t = next;
+        for rec in running.iter_mut().filter_map(|slot| slot.take_if(|r| r.end <= t)) {
+            frontier.complete(0, rec, false);
         }
-        for c in batch {
-            idle.push(c.worker);
-            completed += 1;
-            for &s in &graph.succs[c.task] {
-                preds[s] -= 1;
-                if preds[s] == 0 {
-                    ready_at[s] = t;
-                    ready.push(ReadyEntry { priority: graph.metas[s].priority, id: s });
-                }
-            }
-        }
-        idle.sort_unstable_by(|a, b| b.cmp(a)); // keep lowest-index-on-top
     }
-
-    let timeline = Timeline::from_log(&recs, nworkers, t);
-    let stats = ExecStats { tasks: recs.len(), wall_seconds: t, timeline };
-    // The graph is borrowed, so the log takes copies of what a threaded
-    // job's log takes by move.
-    let log = JobLog {
-        scheduler: "simulator",
-        nworkers,
-        t0: 0.0,
-        recs,
-        ready_at,
-        metas: graph.metas.clone(),
-        succs: graph.succs.clone(),
-        cancelled: Vec::new(),
-    };
-    RunReport { stats, failure: None, panic: None, log }
+    // Job 0 was admitted above, and this is the one place it is finished.
+    let (log, ()) = frontier.finish(0, "simulator", nworkers).expect("the one job was admitted");
+    RunReport::new(log, t)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Timeline;
     use crate::task::{TaskKind, TaskLabel, TaskMeta};
 
     fn meta(flops: f64, priority: i64) -> TaskMeta {
@@ -204,18 +139,6 @@ mod tests {
         assert!(tl.makespan >= cp - 1e-9, "makespan below critical path");
         assert!(tl.makespan >= total / p as f64 - 1e-9, "makespan below work bound");
         assert!(tl.makespan <= total + 1e-9, "makespan above serial time");
-    }
-
-    #[test]
-    fn priorities_break_ties() {
-        // Two ready tasks, one core: higher priority runs first.
-        let mut g: TaskGraph<()> = TaskGraph::new();
-        let lo = g.add_task(meta(1.0, 0), ());
-        let hi = g.add_task(meta(1.0, 10), ());
-        let tl = uniform(&g, 1);
-        let lane = &tl.lanes[0];
-        assert_eq!(lane[0].task, hi);
-        assert_eq!(lane[1].task, lo);
     }
 
     #[test]

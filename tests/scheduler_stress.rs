@@ -1,9 +1,10 @@
 //! Stress tests of the `ca-sched` runtime: the executor contract over every
 //! thread count × option, random DAGs executed on real threads with
 //! dependency-order verification, executor-vs-simulator agreement on task
-//! sets, heavy-contention smoke tests, deterministic fault-injection runs
-//! exercising the failure/cancellation paths, and seeded delay injection
-//! perturbing the schedule of both front doors of the one worker loop.
+//! sets and, at one worker, on task order, heavy-contention smoke tests,
+//! deterministic fault-injection runs exercising the failure/cancellation
+//! paths, and seeded delay injection perturbing the schedule of both front
+//! doors of the one worker loop.
 
 use ca_factor::sched::{
     execute, job, run_graph, simulate, ChaosPlan, ExecError, Job, TaskFailure, TaskGraph,
@@ -214,20 +215,19 @@ fn executor_contract_holds_for_every_thread_count_and_option() {
 }
 
 #[test]
-fn both_front_doors_dispatch_in_priority_then_id_order() {
-    // The graph of the frontier's `intra_job_priority_is_preserved` unit
-    // test plus a priority tie: a gate that outranks everything, then four
-    // tasks all ready at once. A single worker must take them by priority,
-    // then by id — whether the loop runs inside `execute` or behind a
-    // one-worker `MultiFrontier`.
+fn three_front_doors_dispatch_in_priority_then_id_order() {
+    // A gate that outranks everything, then four tasks all ready at once,
+    // two of them tied. A single worker must take them by priority, then by
+    // id — whether the policy runs inside `execute`, behind a one-worker
+    // `MultiFrontier`, or on the simulator's virtual clock.
     use ca_factor::sched::{JobOptions, MultiFrontier};
     use std::sync::{mpsc, Arc};
+    let meta = |p| TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), 1.0).with_priority(p);
+    let priorities = [(0usize, 1i64), (1, 5), (2, 3), (3, 5)];
     let build = |order: &Arc<Mutex<Vec<usize>>>, gate: mpsc::Receiver<()>| {
         let mut g: TaskGraph<Job<'static>> = TaskGraph::new();
-        let meta =
-            |p| TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), 1.0).with_priority(p);
         g.add_task(meta(100), job(move || gate.recv().unwrap()));
-        for (i, p) in [(0usize, 1i64), (1, 5), (2, 3), (3, 5)] {
+        for (i, p) in priorities {
             let order = Arc::clone(order);
             g.add_task(meta(p), job(move || order.lock().unwrap().push(i)));
         }
@@ -249,6 +249,34 @@ fn both_front_doors_dispatch_in_priority_then_id_order() {
     assert!(watch.wait().outcome.is_completed());
     assert_eq!(*order.lock().unwrap(), expected, "MultiFrontier");
     frontier.shutdown();
+
+    let mut g: TaskGraph<()> = TaskGraph::new();
+    g.add_task(meta(100), ());
+    for (_, p) in priorities {
+        g.add_task(meta(p), ());
+    }
+    let simulated: Vec<usize> =
+        simulate(&g, 1, |_, m| m.flops).profile().records.iter().map(|r| r.task).collect();
+    let gated: Vec<usize> = std::iter::once(0).chain(expected.iter().map(|i| i + 1)).collect();
+    assert_eq!(simulated, gated, "simulate");
+}
+
+#[test]
+fn one_worker_runs_the_order_the_simulator_replays() {
+    // At one worker the schedule is the policy alone: the threaded loop and
+    // the simulator pick from the same ready set at every step, so they run
+    // every random DAG in the same task order. Priorities in -3..3 leave
+    // many ties for the id rule to break.
+    for seed in 0..20u64 {
+        let g = random_dag(seed, 6, 8, 0.4, 3);
+        let jobs: TaskGraph<Job<'_>> = g.map_ref(|_, _| job(|| {}));
+        let order = |p: ca_factor::sched::Profile| -> Vec<usize> {
+            p.records.iter().map(|r| r.task).collect()
+        };
+        let executed = order(execute(jobs, 1).profile());
+        let simulated = order(simulate(&g, 1, |_, m| m.flops).profile());
+        assert_eq!(executed, simulated, "seed {seed}");
+    }
 }
 
 #[test]
@@ -261,8 +289,14 @@ fn run_graph_reraises_the_first_task_panic() {
     assert_eq!(payload.downcast_ref::<&str>(), Some(&"boom in task"));
 }
 
-/// Builds a random layered DAG; returns (graph of ids, adjacency list).
-fn random_dag(seed: u64, layers: usize, width: usize, edge_prob: f64) -> TaskGraph<usize> {
+/// Builds a random layered DAG with priorities in `-prio..prio`.
+fn random_dag(
+    seed: u64,
+    layers: usize,
+    width: usize,
+    edge_prob: f64,
+    prio: i64,
+) -> TaskGraph<usize> {
     let mut rng = ca_factor::matrix::seeded_rng(seed);
     let mut g: TaskGraph<usize> = TaskGraph::new();
     let mut prev: Vec<usize> = Vec::new();
@@ -274,7 +308,7 @@ fn random_dag(seed: u64, layers: usize, width: usize, edge_prob: f64) -> TaskGra
                 TaskLabel::new(TaskKind::Other, l, i, 0),
                 rng.gen_range(1.0..100.0),
             )
-            .with_priority(rng.gen_range(-100..100));
+            .with_priority(rng.gen_range(-prio..prio));
             let id = g.add_task(meta, count);
             count += 1;
             for &p in &prev {
@@ -292,7 +326,7 @@ fn random_dag(seed: u64, layers: usize, width: usize, edge_prob: f64) -> TaskGra
 #[test]
 fn random_dags_execute_in_dependency_order() {
     for seed in 0..6u64 {
-        let g = random_dag(seed, 6, 8, 0.4);
+        let g = random_dag(seed, 6, 8, 0.4, 100);
         let n = g.len();
         // Record a completion stamp per task; verify every edge's order.
         let clock = AtomicU64::new(0);
@@ -328,7 +362,7 @@ fn random_dags_execute_in_dependency_order() {
 
 #[test]
 fn pool_and_simulator_run_the_same_task_set() {
-    let g = random_dag(99, 5, 6, 0.3);
+    let g = random_dag(99, 5, 6, 0.3, 100);
     let n = g.len();
     let executed = Mutex::new(Vec::new());
     let jobs: TaskGraph<Job<'_>> = g.map_ref(|id, _| {
@@ -424,7 +458,7 @@ fn random_dag_failure_cancels_exact_transitive_closure() {
     // the pool must equal the true transitive closure of the failed task,
     // and everything outside it must have run exactly once.
     for seed in 0..4u64 {
-        let g = random_dag(seed + 40, 5, 6, 0.35);
+        let g = random_dag(seed + 40, 5, 6, 0.35, 100);
         let n = g.len();
         let fail_at = (7 * (seed as usize + 1)) % n;
         let mut expected = vec![false; n];
@@ -862,7 +896,7 @@ fn multifrontier_survives_interleaved_submit_cancel_shed_and_shutdown() {
         // themselves; `plan_jobs` is what makes them consult the delay plan.
         let build = |j: usize| -> TaskGraph<DynJob> {
             let kinds = [TaskKind::Panel, TaskKind::Update, TaskKind::LBlock];
-            let dag = random_dag(seed * 1000 + j as u64, 3, 3, 0.5);
+            let dag = random_dag(seed * 1000 + j as u64, 3, 3, 0.5, 100);
             let mut pb = PlanBuilder::<f64, ()>::new(1, 1, 1);
             for id in 0..dag.len() {
                 let ran = Arc::clone(&ran[j]);
