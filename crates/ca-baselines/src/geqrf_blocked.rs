@@ -161,16 +161,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_update_matches_sequential() {
-        let a0 = ca_matrix::random_uniform(150, 150, &mut seeded_rng(5));
-        let mut a1 = a0.clone();
-        let mut a2 = a0.clone();
-        geqrf_blocked(&mut a1, 32, 1);
-        geqrf_blocked(&mut a2, 32, 4);
-        assert_eq!(a1.as_slice(), a2.as_slice());
-    }
-
-    #[test]
     fn qt_q_roundtrip() {
         let a0 = ca_matrix::random_uniform(60, 20, &mut seeded_rng(6));
         let mut a = a0.clone();

@@ -187,17 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_update_matches_sequential() {
-        let a0 = ca_matrix::random_uniform(150, 150, &mut seeded_rng(6));
-        let mut a1 = a0.clone();
-        let mut a2 = a0.clone();
-        let r1 = getrf_blocked(&mut a1, 32, 1);
-        let r2 = getrf_blocked(&mut a2, 32, 4);
-        assert_eq!(r1.pivots.ipiv, r2.pivots.ipiv);
-        assert_eq!(a1.as_slice(), a2.as_slice(), "parallel strips changed the result");
-    }
-
-    #[test]
     fn matches_pure_blas2_pivots() {
         let a0 = ca_matrix::random_uniform(80, 80, &mut seeded_rng(7));
         let mut ab = a0.clone();

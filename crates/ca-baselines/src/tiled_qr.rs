@@ -64,14 +64,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_single_thread_bitwise() {
-        let a0 = ca_matrix::random_uniform(80, 48, &mut seeded_rng(5));
-        let f1 = tiled_qr(a0.clone(), 16, 1);
-        let f4 = tiled_qr(a0, 16, 4);
-        assert_eq!(f1.a.as_slice(), f4.a.as_slice());
-    }
-
-    #[test]
     fn least_squares() {
         let m = 90;
         let n = 24;

@@ -1,8 +1,8 @@
 //! CALU: communication-avoiding LU with tournament pivoting.
 //!
-//! [`calu_seq`] is the sequential reference (exactly Algorithm 1 executed in
-//! program order); [`calu`] runs the same computation as a task graph on the
-//! `ca-sched` worker pool. Both are generic over the working precision and
+//! [`calu_seq_factor`] is the sequential reference (exactly Algorithm 1
+//! executed in program order); [`calu`] runs the same computation as a task
+//! graph on the `ca-sched` worker pool. Both are generic over the working precision and
 //! write LAPACK-`dgetrf`-compatible output: packed `L\U` in place plus a
 //! global interchange sequence.
 
@@ -10,7 +10,7 @@ use crate::dag_calu::CaluPlan;
 use ca_sched::{run_plan, FactorOptions};
 use crate::error::{require_finite, FactorError, DEFAULT_GROWTH_LIMIT};
 use crate::params::CaParams;
-use crate::tslu::factor_panel_limited;
+use crate::tslu::factor_panel;
 use ca_kernels::{
     gemm, par_gemm, trsm_left_lower_unit, trsm_left_upper_notrans, Kernel, Trans,
 };
@@ -153,7 +153,7 @@ pub fn calu_panels<T: Kernel>(
         let k = w.min(m - k0);
         let trailing_cols = ws - lc - w;
 
-        let outcome = factor_panel_limited(a.sub(0, lc, m, w), k0, p.b, p.tr, p.tree, p.growth_limit);
+        let outcome = factor_panel(a.sub(0, lc, m, w), k0, p.b, p.tr, p.tree, p.growth_limit);
         if log.breakdown.is_none() {
             log.breakdown = outcome.breakdown.map(|c| k0 + c);
         }
@@ -190,20 +190,13 @@ pub fn calu_panels<T: Kernel>(
     }
 }
 
-/// Sequential CALU, in place. Returns the pivot sequence and breakdown info.
+/// Sequential CALU, the reference every other route reproduces bit for bit
+/// (generic over the working precision — `calu_seq_factor::<f32>` is the
+/// single-precision path).
 ///
 /// This is Algorithm 1 run on one thread: [`calu_panels`] over the whole
 /// matrix, then each panel's interchanges applied to the columns left of it.
-pub fn calu_seq<T: Kernel>(a: &mut Matrix<T>, p: &CaParams) -> (PivotSeq, Option<usize>) {
-    let (pivots, breakdown, _) = calu_seq_stats(a, p);
-    (pivots, breakdown)
-}
-
-/// [`calu_seq`] also returning the per-panel growth/fallback diagnostics.
-pub(crate) fn calu_seq_stats<T: Kernel>(
-    a: &mut Matrix<T>,
-    p: &CaParams,
-) -> (PivotSeq, Option<usize>, LuStats) {
+pub fn calu_seq_factor<T: Kernel>(mut a: Matrix<T>, p: &CaParams) -> LuFactors<T> {
     let mut log = LuPanelLog::default();
     calu_panels(a.view_mut(), 0, p, 1, &mut log);
     let m = a.nrows();
@@ -214,14 +207,7 @@ pub(crate) fn calu_seq_stats<T: Kernel>(
         }
         pivots.extend(pv);
     }
-    (pivots, log.breakdown, log.stats)
-}
-
-/// Sequential CALU returning owned factors (generic over the working
-/// precision — `calu_seq_factor::<f32>` is the single-precision path).
-pub fn calu_seq_factor<T: Kernel>(mut a: Matrix<T>, p: &CaParams) -> LuFactors<T> {
-    let (pivots, breakdown, stats) = calu_seq_stats(&mut a, p);
-    LuFactors { lu: a, pivots, breakdown, stats }
+    LuFactors { lu: a, pivots, breakdown: log.breakdown, stats: log.stats }
 }
 
 /// Multithreaded CALU (Algorithm 1): builds the task dependency graph and
@@ -376,28 +362,24 @@ mod tests {
         let m = 24;
         let n = 24;
         let a0 = ca_matrix::random_uniform(m, n, &mut seeded_rng(11));
-        let mut a = a0.clone();
-        let (piv, _) = calu_seq(&mut a, &CaParams::new(1, 4, 1));
+        let f = calu_seq_factor(a0.clone(), &CaParams::new(1, 4, 1));
         let mut r = a0.clone();
         let info = ca_kernels::getf2(r.view_mut());
-        assert_eq!(piv.ipiv, info.pivots.ipiv, "pivot sequences differ");
+        assert_eq!(f.pivots.ipiv, info.pivots.ipiv, "pivot sequences differ");
         for j in 0..n {
             for i in 0..m {
-                assert_eq!(a[(i, j)], r[(i, j)], "factors differ at ({i},{j})");
+                assert_eq!(f.lu[(i, j)], r[(i, j)], "factors differ at ({i},{j})");
             }
         }
     }
 
     #[test]
     fn tr_one_gives_partial_pivoting_pivots() {
-        let m = 60;
-        let n = 24;
-        let a0 = ca_matrix::random_uniform(m, n, &mut seeded_rng(12));
-        let mut a = a0.clone();
-        let (piv, _) = calu_seq(&mut a, &CaParams::new(8, 1, 1));
+        let a0 = ca_matrix::random_uniform(60, 24, &mut seeded_rng(12));
+        let f = calu_seq_factor(a0.clone(), &CaParams::new(8, 1, 1));
         let mut r = a0.clone();
         let info = ca_kernels::getf2(r.view_mut());
-        assert_eq!(piv.ipiv, info.pivots.ipiv);
+        assert_eq!(f.pivots.ipiv, info.pivots.ipiv);
     }
 
     #[test]
@@ -498,14 +480,6 @@ mod tests {
                 }
             }
         }
-        assert!(calu_seq_factor(wilkinson.clone(), &CaParams::new(b, 1, 1)).stats.max_growth() > 1e4);
-
-        // Several panels: the DAG records what the sequential path records.
-        let a0 = ca_matrix::random_uniform(200, 120, &mut rng);
-        let seq = calu_seq_factor(a0.clone(), &CaParams::new(32, 4, 1));
-        let dag = calu(a0, &CaParams::new(32, 4, 2));
-        let bits = |s: &LuStats| s.panel_growth.iter().map(|g| g.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&seq.stats), bits(&dag.stats));
-        assert_eq!(seq.stats.panel_growth.len(), 4);
+        assert!(calu_seq_factor(wilkinson, &CaParams::new(b, 1, 1)).stats.max_growth() > 1e4);
     }
 }

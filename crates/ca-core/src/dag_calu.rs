@@ -278,16 +278,16 @@ impl CaluPlan {
             }
 
             // --- S tasks (trailing updates, same column chunking). Groups whose
-            //     update height reaches `p.par_update_rows` are decomposed into
-            //     the par_gemm sub-DAG: pack-A once per slab per group (shared
-            //     across every column chunk — pack A once per `jc` sweep),
-            //     pack-B once per panel per chunk (shared across groups), one
-            //     packed-tile GEMM task per slab × panel. Results are bitwise
-            //     identical to the monolithic `dgemm`; only the task
-            //     granularity changes.
+            //     update spans at least two GEMM cache slabs (`2·MC` rows) are
+            //     decomposed into the par_gemm sub-DAG: pack-A once per slab
+            //     per group (shared across every column chunk — pack A once
+            //     per `jc` sweep), pack-B once per panel per chunk (shared
+            //     across groups), one packed-tile GEMM task per slab × panel.
+            //     Results are bitwise identical to the monolithic `dgemm`;
+            //     only the task granularity changes.
             let decompose: Vec<bool> = below
                 .iter()
-                .map(|&(_, mb)| step + 1 < nb && mb > 0 && mb >= p.par_update_rows)
+                .map(|&(_, mb)| step + 1 < nb && mb >= 2 * ca_kernels::MC)
                 .collect();
 
             // Pack-A tasks; group `grp`'s slab images live in slots
@@ -468,46 +468,6 @@ pub fn calu_task_graph(m: usize, n: usize, p: &CaParams) -> TaskGraph<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::calu::{calu, calu_seq_factor};
-    use crate::params::TreeShape;
-    use ca_matrix::seeded_rng;
-
-    fn check_parallel(m: usize, n: usize, b: usize, tr: usize, threads: usize, tree: TreeShape, seed: u64) {
-        let a0 = ca_matrix::random_uniform(m, n, &mut seeded_rng(seed));
-        let mut p = CaParams::new(b, tr, threads);
-        p.tree = tree;
-        let f = calu(a0.clone(), &p);
-        let res = f.residual(&a0);
-        assert!(res < 1e-12, "residual {res} for {m}x{n} b={b} tr={tr} t={threads}");
-        // Must agree bitwise with the sequential reference: same kernels on
-        // the same blocks, only the interleaving differs.
-        let fs = calu_seq_factor(a0, &p);
-        assert_eq!(f.pivots.ipiv, fs.pivots.ipiv, "pivots differ from sequential");
-        assert_eq!(f.lu.as_slice(), fs.lu.as_slice(), "factors differ from sequential");
-    }
-
-    #[test]
-    fn parallel_matches_sequential_square() {
-        check_parallel(64, 64, 16, 2, 4, TreeShape::Binary, 1);
-        check_parallel(100, 100, 25, 4, 3, TreeShape::Binary, 2);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_tall() {
-        check_parallel(400, 30, 10, 8, 4, TreeShape::Binary, 3);
-        check_parallel(333, 20, 7, 4, 2, TreeShape::Flat, 4);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_wide_and_ragged() {
-        check_parallel(50, 90, 16, 4, 4, TreeShape::Binary, 5);
-        check_parallel(97, 61, 13, 3, 5, TreeShape::Binary, 6);
-    }
-
-    #[test]
-    fn single_thread_single_group() {
-        check_parallel(60, 60, 20, 1, 1, TreeShape::Binary, 7);
-    }
 
     #[test]
     fn graph_is_valid_and_sized_sensibly() {
@@ -532,16 +492,11 @@ mod tests {
     }
 
     #[test]
-    fn two_level_update_blocking_same_results_fewer_tasks() {
-        // The §V future-work feature: B = 4b update tasks must give the
-        // bitwise-same factorization with a smaller task graph.
-        let a0 = ca_matrix::random_uniform(240, 240, &mut seeded_rng(21));
+    fn two_level_update_blocking_shrinks_the_graph() {
+        // The §V future-work feature: B = 4b update tasks make a smaller
+        // task graph (tests/equivalence_table holds it to the same bits).
         let p1 = CaParams::new(20, 4, 4);
         let p4 = p1.with_update_blocking(4);
-        let f1 = calu(a0.clone(), &p1);
-        let f4 = calu(a0.clone(), &p4);
-        assert_eq!(f1.lu.as_slice(), f4.lu.as_slice());
-        assert_eq!(f1.pivots.ipiv, f4.pivots.ipiv);
         let g1 = calu_task_graph(240, 240, &p1);
         let g4 = calu_task_graph(240, 240, &p4);
         g4.validate();
@@ -549,89 +504,13 @@ mod tests {
     }
 
     #[test]
-    fn decomposed_update_matches_plain_and_sequential() {
-        // Force the par_gemm sub-DAG with a tiny threshold: multi-slab
-        // (m = 400 ⇒ 3 slabs of slab_h = 128 at b = 16) and the bitwise
-        // contract against both the monolithic tasks and the sequential
-        // reference, at several worker counts.
-        let a0 = ca_matrix::random_uniform(400, 96, &mut seeded_rng(31));
-        let p_plain = CaParams::new(16, 1, 4).with_par_update_rows(usize::MAX);
-        let p_par = p_plain.with_par_update_rows(32);
-        let g_plain = calu_task_graph(400, 96, &p_plain);
-        let g_par = calu_task_graph(400, 96, &p_par);
-        assert!(g_par.len() > g_plain.len(), "decomposition must add pack/tile tasks");
-        let f_plain = calu(a0.clone(), &p_plain);
-        for threads in [1, 2, 4] {
-            let mut p = p_par;
-            p.threads = threads;
-            let f = calu(a0.clone(), &p);
-            assert_eq!(f.pivots.ipiv, f_plain.pivots.ipiv, "pivots diverged at {threads} threads");
-            assert_eq!(f.lu.as_slice(), f_plain.lu.as_slice(), "factors diverged at {threads} threads");
-        }
-        let fs = calu_seq_factor(a0, &p_par);
-        assert_eq!(f_plain.lu.as_slice(), fs.lu.as_slice());
-    }
-
-    #[test]
-    fn decomposed_update_splits_wide_chunks_into_panels() {
-        // A wide two-level-blocked chunk (wj = 1120 > pan_w = 1024) must
-        // split into two packed-B panels and still factor bitwise-identically.
-        let (m, n, b) = (96, 1200, 16);
-        let a0 = ca_matrix::random_uniform(m, n, &mut seeded_rng(32));
-        let p_plain = CaParams::new(b, 1, 3).with_update_blocking(70);
-        let p_par = p_plain.with_par_update_rows(16);
-        let graph = calu_task_graph(m, n, &p_par);
-        graph.validate();
-        let f_plain = calu(a0.clone(), &p_plain);
-        let f_par = calu(a0, &p_par);
-        assert_eq!(f_par.lu.as_slice(), f_plain.lu.as_slice());
-        assert_eq!(f_par.pivots.ipiv, f_plain.pivots.ipiv);
-    }
-
-    #[test]
-    fn decomposed_update_passes_checked_execution() {
-        // Static verify + shadow-lease audited execution with the sub-DAG
-        // enabled: every pack/tile access must stay inside its declared
-        // footprint and no two live leases may race.
-        let a0 = ca_matrix::random_uniform(160, 160, &mut seeded_rng(33));
-        let p = CaParams::new(16, 2, 3).with_par_update_rows(32);
-        let opts = crate::FactorOptions { checked: true, ..Default::default() };
-        let (f, _) = crate::try_calu_with(a0.clone(), &p, &opts).expect("checked run");
-        let fs = calu_seq_factor(a0, &p);
-        assert_eq!(f.lu.as_slice(), fs.lu.as_slice());
-    }
-
-    #[test]
     fn decomposed_graph_verifies() {
-        let p = CaParams::new(16, 2, 4).with_par_update_rows(32);
-        let plan = CaluPlan::build::<f64>(256, 192, &p);
+        // 256-row groups: the second group's update is split into pack and
+        // tile tasks at the first step.
+        let p = CaParams::new(16, 2, 4);
+        let plan = CaluPlan::build::<f64>(512, 192, &p);
+        assert!((0..plan.graph().len()).any(|t| plan.graph().meta(t).label.kind == TaskKind::Other));
         ca_sched::verify_graph(plan.graph(), plan.access())
             .unwrap_or_else(|v| panic!("verify failed: {v}"));
-    }
-
-    #[test]
-    fn disabled_threshold_reproduces_monolithic_graph() {
-        let p_def = CaParams::new(16, 1, 4); // default threshold 2·MC = 256
-        let p_off = p_def.with_par_update_rows(usize::MAX);
-        // 400-row groups exceed the default threshold, so the default graph
-        // decomposes while usize::MAX must not.
-        let g_def = calu_task_graph(400, 96, &p_def);
-        let g_off = calu_task_graph(400, 96, &p_off);
-        assert!(g_def.len() > g_off.len());
-        let a0 = ca_matrix::random_uniform(400, 96, &mut seeded_rng(34));
-        let f_def = calu(a0.clone(), &p_def);
-        let f_off = calu(a0, &p_off);
-        assert_eq!(f_def.lu.as_slice(), f_off.lu.as_slice());
-    }
-
-    #[test]
-    fn lookahead_changes_priorities_not_results() {
-        let a0 = ca_matrix::random_uniform(120, 120, &mut seeded_rng(8));
-        let p1 = CaParams::new(30, 4, 4);
-        let p2 = p1.without_lookahead();
-        let f1 = calu(a0.clone(), &p1);
-        let f2 = calu(a0.clone(), &p2);
-        assert_eq!(f1.lu.as_slice(), f2.lu.as_slice());
-        assert_eq!(f1.pivots.ipiv, f2.pivots.ipiv);
     }
 }

@@ -228,40 +228,8 @@ pub fn caqr_task_graph(m: usize, n: usize, p: &CaParams) -> TaskGraph<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::caqr::{caqr, caqr_seq};
-    use crate::params::TreeShape;
+    use crate::caqr::caqr;
     use ca_matrix::seeded_rng;
-
-    fn check_parallel(m: usize, n: usize, b: usize, tr: usize, threads: usize, tree: TreeShape, seed: u64) {
-        let a0 = ca_matrix::random_uniform(m, n, &mut seeded_rng(seed));
-        let mut p = CaParams::new(b, tr, threads);
-        p.tree = tree;
-        let f = caqr(a0.clone(), &p);
-        let scale = 1e-12 * (m.max(n) as f64);
-        let res = f.residual(&a0);
-        assert!(res < scale, "residual {res} for {m}x{n} b={b} tr={tr} t={threads}");
-        // Bitwise agreement with the sequential reference.
-        let fs = caqr_seq(a0, &p);
-        assert_eq!(f.a.as_slice(), fs.a.as_slice(), "factored matrix differs from sequential");
-    }
-
-    #[test]
-    fn parallel_matches_sequential_square() {
-        check_parallel(64, 64, 16, 2, 4, TreeShape::Binary, 1);
-        check_parallel(96, 96, 24, 4, 3, TreeShape::Flat, 2);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_tall() {
-        check_parallel(400, 30, 10, 8, 4, TreeShape::Binary, 3);
-        check_parallel(250, 20, 10, 4, 2, TreeShape::Flat, 4);
-    }
-
-    #[test]
-    fn parallel_matches_sequential_ragged() {
-        check_parallel(97, 53, 13, 3, 5, TreeShape::Binary, 5);
-        check_parallel(130, 70, 32, 4, 4, TreeShape::Binary, 6);
-    }
 
     #[test]
     fn graph_is_valid() {

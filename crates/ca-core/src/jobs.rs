@@ -229,14 +229,15 @@ mod tests {
     }
 
     #[test]
-    fn one_task_graphs_match_sequential_bitwise_and_count_flops_like_the_dag() {
-        let (f, plain) = (MultiFrontier::new(1), FactorOptions::default());
+    fn one_task_graphs_count_flops_like_the_dag() {
+        let plain = FactorOptions::default();
         // (m, n, b): a single-panel shape, a multi-panel one, a wide one.
         for (m, n, b) in [(32, 32, 32), (40, 24, 8), (24, 40, 8)] {
             let a = ca_matrix::random_uniform(m, n, &mut seeded_rng(29));
             let p = CaParams::new(b, 2, 1);
             let lu = calu_serve_graph(a.clone(), &p, &plain, true).expect("finite input");
             let qr = caqr_serve_graph(a.clone(), &p, &plain, true).expect("finite input");
+            // (tests/equivalence_table holds both routes to the sequential bits.)
             assert_eq!((lu.graph.len(), qr.graph.len()), (1, 1));
             // Same unit as the DAG route: the LAPACK count, which is what a
             // single-panel DAG adds up to exactly; a multi-panel DAG adds the
@@ -252,19 +253,7 @@ mod tests {
                 assert!(lu_flops <= lu_dag && lu_dag < 2.0 * lu_flops, "{m}x{n}: {lu_dag}");
                 assert!(qr_flops <= qr_dag && qr_dag < 2.0 * qr_flops, "{m}x{n}: {qr_dag}");
             }
-
-            let (_, watch) = f.submit(lu.graph, JobOptions::default());
-            assert!(watch.wait().outcome.is_completed());
-            let want = calu_seq_factor(a.clone(), &p);
-            let got = lu.output.get().expect("output set");
-            assert_eq!(got.lu.as_slice(), want.lu.as_slice());
-            assert_eq!(got.pivots.ipiv, want.pivots.ipiv);
-            let (_, watch) = f.submit(qr.graph, JobOptions::default());
-            assert!(watch.wait().outcome.is_completed());
-            let got = qr.output.get().expect("output set");
-            assert_eq!(got.a.as_slice(), caqr_seq(a, &p).a.as_slice());
         }
-        f.shutdown();
     }
 
     #[test]

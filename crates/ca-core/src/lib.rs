@@ -8,8 +8,8 @@
 //! path and one sequential path per algorithm; graph shape does not depend
 //! on `T`.
 //!
-//! * [`calu`] / [`calu_seq`] — CALU with tournament (ca-)pivoting; panel
-//!   factorization by TSLU over a binary or flat reduction tree.
+//! * [`calu`] / [`calu_seq_factor`] — CALU with tournament (ca-)pivoting;
+//!   panel factorization by TSLU over a binary or flat reduction tree.
 //! * [`caqr`] / [`caqr_seq`] — CAQR; panel factorization by TSQR, with the
 //!   reduction tree driving the trailing-matrix update.
 //! * [`calu_panels`] / [`caqr_panels`] — the sequential panel loops the
@@ -66,7 +66,7 @@ pub mod tslu;
 pub mod tsqr;
 
 pub use calu::{
-    calu, calu_panels, calu_seq, calu_seq_factor, try_calu, try_calu_profiled, try_calu_with,
+    calu, calu_panels, calu_seq_factor, try_calu, try_calu_profiled, try_calu_with,
     try_tslu_factor, tslu_factor, LuFactors, LuPanelLog, LuStats,
 };
 pub use caqr::{

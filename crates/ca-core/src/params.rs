@@ -44,14 +44,6 @@ pub struct CaParams {
     /// improving BLAS3 granularity at some loss of parallel slack. `1`
     /// reproduces the published algorithm.
     pub update_blocks: usize,
-    /// Minimum trailing-update height (rows) at which a group's `S` task is
-    /// decomposed into the scheduler-parallel GEMM sub-DAG (pack-A per slab,
-    /// pack-B per panel, one packed-tile multiply per slab × panel — the
-    /// BLIS cache loops as graph tasks). Groups below the threshold keep the
-    /// single monolithic `dgemm` task; `usize::MAX` disables decomposition
-    /// entirely. Both paths are bitwise identical, so this is purely a task
-    /// granularity knob.
-    pub par_update_rows: usize,
     /// Ceiling on the per-panel element-growth estimate
     /// `max|L_KK\U_KK| / max|panel input|`. When a tournament's winner
     /// exceeds it, the panel is refactored with plain partial pivoting
@@ -76,7 +68,6 @@ impl CaParams {
             threads,
             lookahead: true,
             update_blocks: 1,
-            par_update_rows: 2 * ca_kernels::MC,
             growth_limit: f64::INFINITY,
         }
     }
@@ -98,14 +89,6 @@ impl CaParams {
     pub fn with_update_blocking(mut self, blocks: usize) -> Self {
         assert!(blocks > 0, "update width must be positive");
         self.update_blocks = blocks;
-        self
-    }
-
-    /// Sets the trailing-update decomposition threshold (see
-    /// [`CaParams::par_update_rows`]); `usize::MAX` disables the sub-DAG.
-    pub fn with_par_update_rows(mut self, rows: usize) -> Self {
-        assert!(rows > 0, "decomposition threshold must be positive");
-        self.par_update_rows = rows;
         self
     }
 

@@ -122,24 +122,14 @@ pub(crate) fn apply_growth_policy<T: Kernel>(
 ///
 /// * `a` — full-height view of the **panel columns** (width ≤ b);
 /// * `k0` — global row of the panel's diagonal (active rows are `k0..m`);
-/// * `tr`, `tree` — TSLU parameters.
+/// * `tr`, `tree` — TSLU parameters;
+/// * `growth_limit` — when the tournament winner's element growth exceeds
+///   it, the panel is refactored with plain GEPP (see `apply_growth_policy`)
+///   before anything is written; `f64::INFINITY` never falls back.
 ///
 /// Interchanges are applied to the panel columns only; the caller applies
 /// the returned sequence to the columns left and right of the panel.
 pub fn factor_panel<T: Kernel>(
-    a: MatViewMut<'_, T>,
-    k0: usize,
-    b: usize,
-    tr: usize,
-    tree: TreeShape,
-) -> PanelOutcome {
-    factor_panel_limited(a, k0, b, tr, tree, f64::INFINITY)
-}
-
-/// [`factor_panel`] with growth monitoring: when the tournament winner's
-/// element growth exceeds `growth_limit`, the panel is refactored with
-/// plain GEPP (see `apply_growth_policy`) before anything is written.
-pub fn factor_panel_limited<T: Kernel>(
     mut a: MatViewMut<'_, T>,
     k0: usize,
     b: usize,
@@ -218,7 +208,7 @@ mod tests {
     fn check_panel(m: usize, w: usize, tr: usize, tree: TreeShape, seed: u64) {
         let a0 = ca_matrix::random_uniform(m, w, &mut seeded_rng(seed));
         let mut a = a0.clone();
-        let out = factor_panel(a.view_mut(), 0, w.max(1), tr, tree);
+        let out = factor_panel(a.view_mut(), 0, w.max(1), tr, tree, f64::INFINITY);
         assert!(out.breakdown.is_none(), "breakdown for {m}x{w} tr={tr}");
         let perm = out.pivots.to_permutation(m);
         let res = lu_residual(&a0, &perm, &a.unit_lower(), &a.upper());
@@ -244,7 +234,7 @@ mod tests {
         let w = 6;
         let a0 = ca_matrix::random_uniform(m, w, &mut seeded_rng(6));
         let mut a = a0.clone();
-        let out = factor_panel(a.view_mut(), 0, w, 1, TreeShape::Binary);
+        let out = factor_panel(a.view_mut(), 0, w, 1, TreeShape::Binary, f64::INFINITY);
         let mut r = a0.clone();
         let info = ca_kernels::getf2(r.view_mut());
         // Same pivot positions...
@@ -268,7 +258,7 @@ mod tests {
         let k0 = 10;
         let mut a = ca_matrix::random_uniform(m, w, &mut seeded_rng(7));
         let top_before: Vec<f64> = (0..k0).map(|i| a[(i, 0)]).collect();
-        let out = factor_panel(a.view_mut(), k0, w, 4, TreeShape::Binary);
+        let out = factor_panel(a.view_mut(), k0, w, 4, TreeShape::Binary, f64::INFINITY);
         let top_after: Vec<f64> = (0..k0).map(|i| a[(i, 0)]).collect();
         assert_eq!(top_before, top_after, "rows above the panel must not move");
         assert!(out.pivots.ipiv.iter().all(|&p| p >= k0));
@@ -282,7 +272,7 @@ mod tests {
         let m = 256;
         let w = 16;
         let mut a = ca_matrix::random_uniform(m, w, &mut seeded_rng(8));
-        factor_panel(a.view_mut(), 0, w, 8, TreeShape::Binary);
+        factor_panel(a.view_mut(), 0, w, 8, TreeShape::Binary, f64::INFINITY);
         let l = a.unit_lower();
         let mut lmax = 0.0f64;
         for j in 0..w {
@@ -300,7 +290,7 @@ mod tests {
         // and flag the breakdown like LAPACK info.
         let a0 = ca_matrix::Matrix::from_fn(16, 4, |i, j| ((i % 2) * (j + 1)) as f64);
         let mut a = a0.clone();
-        let out = factor_panel(a.view_mut(), 0, 4, 4, TreeShape::Binary);
+        let out = factor_panel(a.view_mut(), 0, 4, 4, TreeShape::Binary, f64::INFINITY);
         assert!(out.breakdown.is_some());
     }
 }

@@ -6,7 +6,7 @@
 //! previously factored inner panel — that panel's interchanges, a `b × b`
 //! unit-lower triangular solve, and a rank-`b` [`ca_kernels::par_gemm`]
 //! update, streamed from disk one column chunk at a time — and then runs
-//! the panel loop [`ca_core::calu_seq`] itself runs,
+//! the panel loop [`ca_core::calu_seq_factor`] itself runs,
 //! [`ca_core::calu_panels`], on the resident columns in place.
 //!
 //! Because each inner panel's updates are replayed per panel in ascending
@@ -14,8 +14,8 @@
 //! accumulation order does not depend on how many trailing columns a call
 //! covers — `par_gemm` is documented bitwise-identical to the serial
 //! `gemm` at every worker count), the factors written back to the store
-//! are **bitwise identical** to `calu_seq` output at the same `b`/`tr`,
-//! which the `ooc` test suite asserts.
+//! are **bitwise identical** to `calu_seq_factor` output at the same
+//! `b`/`tr`, which tests/equivalence_table asserts.
 //!
 //! Interchanges for columns *left* of the resident superpanel (already on
 //! disk) are deferred — pure row swaps commute with nothing that touches
@@ -72,7 +72,7 @@ pub fn ooc_calu<T: Kernel>(
 
         // Replay every previously factored panel onto the resident columns,
         // in panel order — interchanges, triangular solve, rank-k update —
-        // exactly as calu_seq would have applied them when it reached that
+        // exactly as calu_seq_factor would have applied them when it reached that
         // panel, restricted to these columns.
         for pv in &log.panel_pivots {
             let k0 = pv.offset;

@@ -23,8 +23,9 @@
 //!
 //! [`ChaosPlan`] is the one fault-injection harness, applied to a plan's
 //! tasks by [`crate::plan_jobs`] with or without the retry protocol:
-//! deterministic N-th-match rules plus failures, panics, delays *and silent
-//! data corruption* at configurable per-task-class rates. Decisions are a
+//! deterministic N-th-match rules (failure, panic, delay, corruption) plus
+//! seeded per-task-class rates of failures, panics *and silent data
+//! corruption*. Decisions are a
 //! pure function of `(seed, label, occurrence)`, so they do not depend on
 //! thread interleaving; injected failures and panics fire *before* the body runs
 //! (after scribbling garbage over the write-set to prove restoration
@@ -115,38 +116,22 @@ pub struct ChaosProfile {
     pub fail_rate: f64,
     /// Probability of an injected panic.
     pub panic_rate: f64,
-    /// Probability of an injected delay of [`ChaosProfile::delay`].
-    pub delay_rate: f64,
-    /// Sleep injected when the delay draw fires.
-    pub delay: Duration,
     /// Probability of silent corruption of one written element.
     pub corrupt_rate: f64,
 }
 
 impl Default for ChaosProfile {
     /// The default chaos profile of the acceptance gate: 1% failures,
-    /// 0.5% panics, 0.1% silent corruption, no delays.
+    /// 0.5% panics, 0.1% silent corruption.
     fn default() -> Self {
-        Self {
-            fail_rate: 0.01,
-            panic_rate: 0.005,
-            delay_rate: 0.0,
-            delay: Duration::from_micros(50),
-            corrupt_rate: 0.001,
-        }
+        Self { fail_rate: 0.01, panic_rate: 0.005, corrupt_rate: 0.001 }
     }
 }
 
 impl ChaosProfile {
     /// A profile that injects nothing (for rule-only plans).
     pub fn quiet() -> Self {
-        Self {
-            fail_rate: 0.0,
-            panic_rate: 0.0,
-            delay_rate: 0.0,
-            delay: Duration::ZERO,
-            corrupt_rate: 0.0,
-        }
+        Self { fail_rate: 0.0, panic_rate: 0.0, corrupt_rate: 0.0 }
     }
 
     /// Profile with the given failure rate (other rates unchanged).
@@ -168,7 +153,7 @@ impl ChaosProfile {
     }
 
     fn total(&self) -> f64 {
-        self.fail_rate + self.panic_rate + self.delay_rate + self.corrupt_rate
+        self.fail_rate + self.panic_rate + self.corrupt_rate
     }
 }
 
@@ -346,14 +331,7 @@ impl ChaosPlan {
             return Some(ChaosAction::Panic);
         }
         edge += p.corrupt_rate;
-        if u < edge {
-            return Some(ChaosAction::Corrupt);
-        }
-        edge += p.delay_rate;
-        if u < edge {
-            return Some(ChaosAction::Delay(p.delay));
-        }
-        None
+        (u < edge).then_some(ChaosAction::Corrupt)
     }
 }
 

@@ -456,30 +456,13 @@ pub fn verify_graph_with<T>(
         }
     }
 
-    // Happens-before: bitset transitive closure in reverse topological
-    // order. reach[id] holds a bit per task reachable from id.
-    let words = n.div_ceil(64);
-    let use_closure = n <= CLOSURE_TASK_LIMIT;
-    let mut reach: Vec<u64> = if use_closure { vec![0u64; n * words] } else { Vec::new() };
-    if use_closure {
-        for id in (0..n).rev() {
-            let (head, tail) = reach.split_at_mut((id + 1) * words);
-            let row = &mut head[id * words..];
-            for &s in graph.successors(id) {
-                row[s / 64] |= 1u64 << (s % 64);
-                let srow = &tail[(s - id - 1) * words..(s - id) * words];
-                for (d, &w) in row.iter_mut().zip(srow) {
-                    *d |= w;
-                }
-            }
-        }
-    }
+    // Happens-before: the bitset closure, or per-pair DFS above its limit.
+    let closure = Closure::of(graph);
     let ordered = |a: TaskId, b: TaskId| -> bool {
         debug_assert!(a < b);
-        if use_closure {
-            reach[a * words + b / 64] & (1u64 << (b % 64)) != 0
-        } else {
-            dfs_reaches(graph, a, b)
+        match &closure {
+            Some(c) => c.reaches(a, b),
+            None => dfs_reaches(graph, a, b),
         }
     };
 
@@ -573,31 +556,12 @@ fn conflict_kind(wa: bool, wb: bool) -> ConflictKind {
 ///
 /// Graphs above [`CLOSURE_TASK_LIMIT`] are left untouched (returns 0).
 pub fn reduce_transitive_edges<T>(graph: &mut TaskGraph<T>) -> usize {
-    let n = graph.len();
-    if n == 0 || n > CLOSURE_TASK_LIMIT {
-        return 0;
-    }
-    // Same reverse-topological bitset closure as `verify_graph_with`.
-    let words = n.div_ceil(64);
-    let mut reach: Vec<u64> = vec![0u64; n * words];
-    for id in (0..n).rev() {
-        let (head, tail) = reach.split_at_mut((id + 1) * words);
-        let row = &mut head[id * words..];
-        for &s in graph.successors(id) {
-            row[s / 64] |= 1u64 << (s % 64);
-            let srow = &tail[(s - id - 1) * words..(s - id) * words];
-            for (w, sw) in row.iter_mut().zip(srow) {
-                *w |= sw;
-            }
-        }
-    }
-    let ordered =
-        |a: TaskId, b: TaskId| -> bool { reach[a * words + b / 64] & (1u64 << (b % 64)) != 0 };
+    let Some(closure) = Closure::of(graph) else { return 0 };
     let mut removed = 0;
-    for a in 0..n {
+    for a in 0..graph.len() {
         let succs: Vec<TaskId> = graph.successors(a).to_vec();
         for &b in &succs {
-            if succs.iter().any(|&s| s != b && ordered(s, b)) {
+            if succs.iter().any(|&s| s != b && closure.reaches(s, b)) {
                 #[allow(clippy::disallowed_methods)] // this is the verified removal path
                 let was_present = graph.remove_dep(a, b);
                 debug_assert!(was_present);
@@ -606,6 +570,43 @@ pub fn reduce_transitive_edges<T>(graph: &mut TaskGraph<T>) -> usize {
         }
     }
     removed
+}
+
+/// The happens-before closure of the module docs, shared by the verifier and
+/// [`reduce_transitive_edges`]: bit `b` of row `a` is set iff a path leads
+/// from `a` to `b`.
+struct Closure {
+    words: usize,
+    reach: Vec<u64>,
+}
+
+impl Closure {
+    /// The closure of `graph`, or `None` above [`CLOSURE_TASK_LIMIT`] tasks.
+    fn of<T>(graph: &TaskGraph<T>) -> Option<Self> {
+        let n = graph.len();
+        if n > CLOSURE_TASK_LIMIT {
+            return None;
+        }
+        let words = n.div_ceil(64);
+        let mut reach = vec![0u64; n * words];
+        for id in (0..n).rev() {
+            let (head, tail) = reach.split_at_mut((id + 1) * words);
+            let row = &mut head[id * words..];
+            for &s in graph.successors(id) {
+                row[s / 64] |= 1u64 << (s % 64);
+                let srow = &tail[(s - id - 1) * words..(s - id) * words];
+                for (w, sw) in row.iter_mut().zip(srow) {
+                    *w |= sw;
+                }
+            }
+        }
+        Some(Self { words, reach })
+    }
+
+    /// Whether a path leads from `a` to `b`.
+    fn reaches(&self, a: TaskId, b: TaskId) -> bool {
+        self.reach[a * self.words + b / 64] & (1u64 << (b % 64)) != 0
+    }
 }
 
 /// Pruned DFS reachability `a → b` (only ids in `(a, b]` can be on a path,

@@ -1,14 +1,15 @@
 //! Out-of-core CALU/CAQR conformance: the left-looking drivers against the
 //! in-core sequential references.
 //!
-//! The strongest claim under test is **bitwise identity**: `ooc_calu` and
-//! `ooc_caqr` replay prior panels' updates per inner panel with the very
-//! kernels `calu_seq`/`caqr_seq` use, so the factors written back to the
-//! tile store must equal the in-core packed output bit for bit at the same
-//! `b`/`tr` — no epsilon. On top of that: residual gates under the
-//! accuracy suite's thresholds, streamed-probe consistency, pivot/permutation
-//! equality, f32 coverage, deferred-pivot fix-up across many superpanels,
-//! and the planner's error paths.
+//! The strongest claim — the factors written back to the tile store equal
+//! the in-core `calu_seq_factor`/`caqr_seq` output bit for bit, in both
+//! precisions, through a deferred-pivot fix-up across many superpanels — is
+//! the `Ooc` parts of the equivalence matrix (tests/equivalence_table).
+//! Beside it: residual gates under the accuracy suite's thresholds,
+//! streamed-probe consistency, I/O volume, breakdown reporting, and the
+//! planner's and the store's error paths.
+
+mod equivalence_table;
 
 use ca_factor::matrix::{
     random_uniform, residual_threshold, seeded_rng, Matrix, Scalar,
@@ -17,6 +18,7 @@ use ca_factor::ooc::{
     ooc_calu, ooc_caqr, probe, OocKind, OocPlan, TileStore,
 };
 use ca_factor::prelude::*;
+use equivalence_table::Part;
 
 const C: f64 = 100.0;
 
@@ -27,35 +29,16 @@ fn tmp(name: &str) -> std::path::PathBuf {
 /// A budget that forces `nsuper` superpanels for an `m × n` f64 matrix
 /// with the given plan kind and parameters (found by search so the tests
 /// stay honest if the planner's reserves change).
-fn budget_for_nsuper_elem(
-    kind: OocKind,
-    m: usize,
-    n: usize,
-    p: &CaParams,
-    elem: usize,
-    nsuper: usize,
-) -> usize {
-    let mut lo = 0usize;
-    let mut hi = 64 << 20;
-    // Find the smallest budget whose plan needs at most `nsuper` sweeps.
-    let mut budget = hi;
+fn budget_for_nsuper(kind: OocKind, m: usize, n: usize, p: &CaParams, nsuper: usize) -> usize {
+    let sweeps = |budget| OocPlan::solve(kind, m, n, p, 8, budget).map(|plan| plan.nsuper);
+    // The smallest budget whose plan needs at most `nsuper` sweeps.
+    let (mut lo, mut hi) = (0usize, 64 << 20);
     while lo + 1 < hi {
         let mid = (lo + hi) / 2;
-        match OocPlan::solve(kind, m, n, p, elem, mid) {
-            Ok(plan) if plan.nsuper <= nsuper => {
-                budget = mid;
-                hi = mid;
-            }
-            _ => lo = mid,
-        }
+        if sweeps(mid).is_ok_and(|s| s <= nsuper) { hi = mid } else { lo = mid }
     }
-    let plan = OocPlan::solve(kind, m, n, p, elem, budget).expect("searched budget must plan");
-    assert_eq!(plan.nsuper, nsuper, "budget search landed on {plan:?}");
-    budget
-}
-
-fn budget_for_nsuper(kind: OocKind, m: usize, n: usize, p: &CaParams, nsuper: usize) -> usize {
-    budget_for_nsuper_elem(kind, m, n, p, 8, nsuper)
+    assert_eq!(sweeps(hi).ok(), Some(nsuper), "budget search landed elsewhere");
+    hi
 }
 
 fn store_from<T: Scalar>(path: &std::path::Path, a: &Matrix<T>, w: usize) -> TileStore<T> {
@@ -66,61 +49,17 @@ fn store_from<T: Scalar>(path: &std::path::Path, a: &Matrix<T>, w: usize) -> Til
 
 #[test]
 fn ooc_lu_is_bitwise_identical_to_calu_seq() {
-    for &(m, n, b, tr, nsuper) in
-        &[(96, 96, 16, 4, 3), (150, 90, 16, 2, 2), (120, 160, 8, 4, 4), (64, 64, 16, 2, 2)]
-    {
-        let p = CaParams::new(b, tr, 2);
-        let a = random_uniform(m, n, &mut seeded_rng((m + 7 * n) as u64));
-        let reference = calu_seq_factor(a.clone(), &p);
-
-        let path = tmp(&format!("lubit_{m}x{n}"));
-        let store = store_from(&path, &a, b);
-        let budget = budget_for_nsuper(OocKind::Lu, m, n, &p, nsuper);
-        let f = ooc_calu(&store, &p, budget).unwrap();
-        assert_eq!(f.plan.nsuper, nsuper);
-
-        let got = store.export_matrix().unwrap();
-        for j in 0..n {
-            for i in 0..m {
-                assert_eq!(
-                    got[(i, j)].to_bits(),
-                    reference.lu[(i, j)].to_bits(),
-                    "L\\U mismatch at ({i},{j}) for {m}x{n} b={b} tr={tr}"
-                );
-            }
-        }
-        assert_eq!(f.pivots.ipiv, reference.pivots.ipiv, "pivot sequences differ");
-        assert_eq!(f.breakdown, reference.breakdown);
-        let _ = std::fs::remove_file(&path);
-    }
+    equivalence_table::lu(Part::Ooc);
 }
 
 #[test]
 fn ooc_qr_is_bitwise_identical_to_caqr_seq() {
-    for &(m, n, b, tr, nsuper) in &[(96, 96, 16, 4, 3), (150, 90, 16, 2, 2), (80, 120, 8, 2, 4)] {
-        let p = CaParams::new(b, tr, 1);
-        let a = random_uniform(m, n, &mut seeded_rng((3 * m + n) as u64));
-        let reference = caqr_seq(a.clone(), &p);
+    equivalence_table::qr(Part::Ooc);
+}
 
-        let path = tmp(&format!("qrbit_{m}x{n}"));
-        let store = store_from(&path, &a, b);
-        let budget = budget_for_nsuper(OocKind::Qr, m, n, &p, nsuper);
-        let f = ooc_caqr(&store, &p, budget).unwrap();
-        assert_eq!(f.plan.nsuper, nsuper);
-
-        let got = store.export_matrix().unwrap();
-        for j in 0..n {
-            for i in 0..m {
-                assert_eq!(
-                    got[(i, j)].to_bits(),
-                    reference.a[(i, j)].to_bits(),
-                    "R\\V mismatch at ({i},{j}) for {m}x{n} b={b} tr={tr}"
-                );
-            }
-        }
-        assert_eq!(f.panels.len(), reference.panels.len());
-        let _ = std::fs::remove_file(&path);
-    }
+#[test]
+fn f32_out_of_core_matches_f32_in_core_bitwise() {
+    equivalence_table::lu_and_qr(Part::OocF32);
 }
 
 #[test]
@@ -202,28 +141,6 @@ fn streamed_probes_agree_with_dense_products() {
     let y = probe::qr_probe_apply(&store, &f.panels, &x).unwrap();
     let res = probe::probe_residual(&y, &y0, fro, &x);
     assert!(res < residual_threshold(m, n, C), "QR probe residual {res}");
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn f32_out_of_core_matches_f32_in_core_bitwise() {
-    let (m, n, b, tr) = (96, 64, 16, 2);
-    let p = CaParams::new(b, tr, 1);
-    let a64 = random_uniform(m, n, &mut seeded_rng(31));
-    let a = Matrix::<f32>::from_f64(&a64);
-    let reference = calu_seq_factor(a.clone(), &p);
-
-    let path = tmp("f32lu");
-    let store = store_from(&path, &a, b);
-    let budget = budget_for_nsuper_elem(OocKind::Lu, m, n, &p, 4, 2);
-    let f = ooc_calu(&store, &p, budget).unwrap();
-    assert_eq!(f.plan.nsuper, 2, "{:?}", f.plan);
-    let got = store.export_matrix().unwrap();
-    for j in 0..n {
-        for i in 0..m {
-            assert_eq!(got[(i, j)].to_bits(), reference.lu[(i, j)].to_bits(), "({i},{j})");
-        }
-    }
     let _ = std::fs::remove_file(&path);
 }
 

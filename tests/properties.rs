@@ -1,7 +1,11 @@
 //! Property-based tests (proptest) over the core invariants:
 //! factorization residuals for arbitrary shapes/parameters, pivot
-//! permutation validity, parallel–sequential bitwise agreement, tournament
-//! properties, and simulator scheduling bounds.
+//! permutation validity, tournament properties, and simulator scheduling
+//! bounds; and parallel–sequential bitwise agreement over a seeded sweep of
+//! shapes, the `Sweep` part of the equivalence matrix
+//! (tests/equivalence_table).
+
+mod equivalence_table;
 
 use ca_factor::matrix::{is_permutation, random_uniform, seeded_rng};
 use ca_factor::prelude::*;
@@ -15,6 +19,14 @@ fn tree_strategy() -> impl Strategy<Value = TreeShape> {
         (2usize..6).prop_map(TreeShape::Kary),
         (2usize..5).prop_map(|w| TreeShape::Hybrid { flat_width: w }),
     ]
+}
+
+/// `calu`/`caqr` on 1, 2 and 4 workers give the bits of the sequential
+/// references over 24 seeded shapes (m < 100, n < 60, b < 20, Tr < 5) and
+/// reduction trees.
+#[test]
+fn parallel_equals_sequential_bitwise() {
+    equivalence_table::lu_and_qr(equivalence_table::Part::Sweep);
 }
 
 proptest! {
@@ -68,23 +80,6 @@ proptest! {
         let scale = 1e-11 * (m as f64);
         prop_assert!(f.residual(&a) < scale);
         prop_assert!(f.orthogonality() < scale);
-    }
-
-    #[test]
-    fn parallel_equals_sequential_bitwise(
-        m in 2usize..100,
-        n in 1usize..60,
-        b in 1usize..20,
-        tr in 1usize..5,
-        threads in 1usize..5,
-        seed in 0u64..1000,
-    ) {
-        let a = random_uniform(m, n, &mut seeded_rng(seed));
-        let p = CaParams::new(b, tr, threads);
-        let fp = calu(a.clone(), &p);
-        let fs = ca_factor::core::calu_seq_factor(a, &p);
-        prop_assert_eq!(fp.pivots.ipiv, fs.pivots.ipiv);
-        prop_assert_eq!(fp.lu.as_slice(), fs.lu.as_slice());
     }
 
     #[test]

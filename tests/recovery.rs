@@ -1,19 +1,17 @@
 //! Recovery-tier integration tests (DESIGN.md §12).
 //!
-//! The central property: a task that fails, panics, or is delayed mid-graph
-//! and is replayed from its write-set snapshot leaves **no trace** — the
-//! recovered factorization is bitwise identical to a fault-free run of the
-//! same executor. This holds at every worker count (here) and under the
-//! race detector (the `FactorOptions` equivalence matrix in
-//! `tests/cross_crate.rs`), because recovery wraps task bodies below the
-//! scheduler layer.
-//!
-//! Silent corruption is the one fault replay cannot see; the random-vector
-//! integrity probe must catch it after the fact.
+//! The central property — a task that fails, panics, or is delayed mid-graph
+//! and is replayed from its write-set snapshot leaves **no trace** — is the
+//! `Faults` part of the equivalence matrix (tests/equivalence_table), at
+//! every worker count, one-shot and served. Beside it: rate-based chaos, an
+//! exhausted replay budget, chaos without retry, and silent corruption, the
+//! one fault replay cannot see, which the random-vector integrity probe must
+//! catch after the fact.
+
+mod equivalence_table;
 
 use ca_factor::core::{
-    calu_serve_graph, try_calu, try_calu_with, try_caqr, try_caqr_with, FactorError,
-    FactorOptions, LuFactors, Retry,
+    calu_serve_graph, try_calu, try_calu_with, FactorError, FactorOptions, LuFactors, Retry,
 };
 use ca_factor::matrix::{random_uniform, seeded_rng, Matrix};
 use ca_factor::prelude::CaParams;
@@ -21,8 +19,8 @@ use ca_factor::sched::{
     ChaosPlan, ChaosProfile, JobOptions, JobOutcome, MultiFrontier, RecoveryCounters, RetryPolicy,
     TaskKind,
 };
+use equivalence_table::Part;
 use std::sync::Arc;
-use std::time::Duration;
 
 fn params(threads: usize) -> CaParams {
     CaParams::new(16, 4, threads)
@@ -50,63 +48,17 @@ fn calu_recovering(
     try_calu_with(a.clone(), p, &recovering(policy, chaos, counters)).map(|(f, _)| f)
 }
 
-/// One deterministic injection per kind: fail the first Update, panic the
-/// second Panel task, delay the first LBlock. Every one must be absorbed
-/// by snapshot/replay with a bitwise-clean result.
-fn targeted_plan(seed: u64) -> ChaosPlan {
-    ChaosPlan::quiet(seed)
-        .fail_nth(1, |l| l.kind == TaskKind::Update)
-        .panic_nth(2, |l| l.kind == TaskKind::Panel)
-        .delay_nth(1, Duration::from_micros(50), |l| l.kind == TaskKind::LBlock)
-}
-
+/// The first `Update` fails, the second `Panel` panics, the first `LBlock`
+/// is delayed; replay absorbs each with the sequential bits, at 1 and 3
+/// workers, one-shot and served.
 #[test]
 fn calu_replay_is_bitwise_identical_across_thread_counts() {
-    let a = random_uniform(96, 96, &mut seeded_rng(0xFA01));
-    for threads in [1, 3] {
-        let p = params(threads);
-        let reference = try_calu(a.clone(), &p).expect("fault-free run");
-        let counters = Arc::new(RecoveryCounters::new());
-        let f = calu_recovering(&a, &p, RetryPolicy::default(), targeted_plan(1), &counters)
-            .expect("recovered run");
-        assert_eq!(
-            f.lu.as_slice(),
-            reference.lu.as_slice(),
-            "threads={threads}: replayed factors must be bitwise identical to fault-free"
-        );
-        assert_eq!(f.pivots.ipiv, reference.pivots.ipiv);
-        let s = counters.snapshot();
-        assert!(s.injected_failures >= 1, "fail rule must have fired: {s:?}");
-        assert!(s.injected_panics >= 1, "panic rule must have fired: {s:?}");
-        assert!(s.recovered_tasks >= 2, "both faulted tasks must recover: {s:?}");
-        // Update tasks carry matrix write-sets and restore on failure;
-        // Panel tasks write the tournament workspace (empty matrix
-        // write-set), so their replay relies on injection-before-body
-        // and counts no restore.
-        assert!(s.restores >= 1, "write-set restores must be counted: {s:?}");
-        assert_eq!(s.exhausted_tasks, 0);
-    }
+    equivalence_table::lu(Part::Faults);
 }
 
 #[test]
 fn caqr_replay_is_bitwise_identical_across_thread_counts() {
-    let a = random_uniform(96, 64, &mut seeded_rng(0xFA02));
-    for threads in [1, 3] {
-        let p = params(threads);
-        let reference = try_caqr(a.clone(), &p).expect("fault-free run");
-        let counters = Arc::new(RecoveryCounters::new());
-        let plan = targeted_plan(2);
-        let opts = recovering(RetryPolicy::default(), plan, &counters);
-        let (f, _) = try_caqr_with(a.clone(), &p, &opts).expect("recovered run");
-        assert_eq!(
-            f.a.as_slice(),
-            reference.a.as_slice(),
-            "threads={threads}: replayed QR must be bitwise identical to fault-free"
-        );
-        let s = counters.snapshot();
-        assert!(s.recovered_tasks >= 1, "faulted tasks must recover: {s:?}");
-        assert_eq!(s.exhausted_tasks, 0);
-    }
+    equivalence_table::qr(Part::Faults);
 }
 
 #[test]

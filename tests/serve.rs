@@ -1,12 +1,14 @@
-//! Integration tests for `ca-serve`: concurrent-job isolation, cancellation
-//! independence, backpressure under oversubscription, and the solve API —
-//! all through the public `ca_factor::serve` facade.
+//! Integration tests for `ca-serve`: cancellation independence,
+//! backpressure under oversubscription, the tiny-job route, and the solve
+//! API — all through the public `ca_factor::serve` facade.
 //!
-//! The central property (DESIGN.md §11): because each job's DAG executes
-//! under the same deterministic reduction order as the one-shot entry
-//! points, N jobs interleaved on a shared worker pool produce factors
-//! **bitwise identical** to running each alone through
-//! `calu_seq_factor` / `caqr_seq`.
+//! The central property (DESIGN.md §11) — N jobs interleaved on a shared
+//! worker pool produce factors **bitwise identical** to running each alone
+//! through `calu_seq_factor` / `caqr_seq`, on every route — is the served
+//! parts of the equivalence matrix (tests/equivalence_table), all in flight
+//! together.
+
+mod equivalence_table;
 
 use ca_factor::matrix::{norm_max, random_uniform, seeded_rng};
 use ca_factor::prelude::{calu_seq_factor, caqr_seq, CaParams, Matrix};
@@ -14,6 +16,7 @@ use ca_factor::serve::{
     AdmissionPolicy, BatchConfig, CancelReason, ServeError, Service, ServiceConfig,
     SubmitOptions,
 };
+use equivalence_table::Part;
 use std::time::Duration;
 
 const WAIT: Duration = Duration::from_secs(60);
@@ -26,59 +29,19 @@ fn service(workers: usize) -> Service {
     Service::new(ServiceConfig::new(workers).with_params(params()))
 }
 
-/// The isolation property test: a seeded mix of LU and QR jobs of varying
-/// shapes, all in flight at once on a shared pool, each bitwise equal to
-/// its sequential reference.
+/// LU and QR jobs of every shape in the table, tiny and `unbatched`, solves
+/// and one-task graphs, all in flight at once on shared pools, each bitwise
+/// equal to its sequential reference.
 #[test]
 fn interleaved_lu_qr_jobs_are_bitwise_identical_to_sequential_runs() {
-    let svc = service(4);
-    let p = params();
+    equivalence_table::lu_and_qr(Part::Service);
+}
 
-    let mut rng = seeded_rng(0x5E21);
-    let mut lu_in = Vec::new();
-    let mut qr_in = Vec::new();
-    for i in 0..12 {
-        let n = 48 + 8 * (i % 5); // 48..80, deliberately not batch-aligned
-        if i % 2 == 0 {
-            lu_in.push(random_uniform(n + 16, n, &mut rng));
-        } else {
-            qr_in.push(random_uniform(n + 32, n, &mut rng));
-        }
-    }
-
-    // Submit everything before waiting on anything, so the frontier holds
-    // all jobs concurrently. `unbatched` forces the full DAG path.
-    let lu_handles: Vec<_> = lu_in
-        .iter()
-        .map(|a| {
-            svc.submit_lu(a.clone(), SubmitOptions::default().unbatched())
-                .expect("admits")
-        })
-        .collect();
-    let qr_handles: Vec<_> = qr_in
-        .iter()
-        .map(|a| {
-            svc.submit_qr(a.clone(), SubmitOptions::default().unbatched())
-                .expect("admits")
-        })
-        .collect();
-
-    for (a, h) in lu_in.iter().zip(lu_handles) {
-        let got = h.wait().expect("lu job completes");
-        let want = calu_seq_factor(a.clone(), &p);
-        assert_eq!(got.lu.as_slice(), want.lu.as_slice(), "LU factors must be bitwise equal");
-        assert_eq!(got.pivots.ipiv, want.pivots.ipiv, "pivot sequences must agree");
-    }
-    for (a, h) in qr_in.iter().zip(qr_handles) {
-        let got = h.wait().expect("qr job completes");
-        let want = caqr_seq(a.clone(), &p);
-        assert_eq!(got.a.as_slice(), want.a.as_slice(), "QR factors must be bitwise equal");
-    }
-
-    let s = svc.stats();
-    assert_eq!(s.completed, 12);
-    assert_eq!(s.failed + s.cancelled + s.rejected + s.shed, 0);
-    svc.shutdown();
+/// `submit_lu_ooc` under budgets that force two or more superpanels gives
+/// the bits of `calu_seq_factor`, with its I/O accounted.
+#[test]
+fn out_of_core_lu_job_matches_in_core_bitwise() {
+    equivalence_table::lu(Part::ServiceOoc);
 }
 
 /// Cancelling one in-flight job must neither cancel nor stall its
@@ -208,9 +171,9 @@ fn expired_deadline_cancels_and_is_counted() {
     svc.shutdown();
 }
 
-/// Tiny jobs on the one-task route, interleaved with a large DAG job, still
-/// match their sequential references — and the same inputs sent down the
-/// DAG route — bitwise: the route is chosen from the size, never the result.
+/// Tiny jobs take the one-task route next to a large DAG job and the same
+/// inputs sent down the DAG route: the route is chosen from the size and the
+/// options (tests/equivalence_table holds both routes to the sequential bits).
 #[test]
 fn fused_batches_are_bitwise_correct_next_to_direct_jobs() {
     let svc = Service::new(
@@ -218,29 +181,20 @@ fn fused_batches_are_bitwise_correct_next_to_direct_jobs() {
             .with_params(params())
             .with_batching(BatchConfig::up_to(32)),
     );
-    let p = params();
     let mut rng = seeded_rng(0x5E26);
     let big = random_uniform(160, 160, &mut rng);
     let tinies: Vec<Matrix> = (0..8).map(|_| random_uniform(24, 24, &mut rng)).collect();
 
-    let h_big = svc.submit_lu(big.clone(), SubmitOptions::default()).expect("admits");
+    let h_big = svc.submit_lu(big, SubmitOptions::default()).expect("admits");
     let submit_tinies = |opts: SubmitOptions| -> Vec<_> {
         tinies.iter().map(|a| svc.submit_lu(a.clone(), opts.clone()).expect("admits")).collect()
     };
     let h_tiny = submit_tinies(SubmitOptions::default());
     let h_dag = submit_tinies(SubmitOptions::default().unbatched());
-
-    let got_big = h_big.wait().expect("direct job completes");
-    let want_big = calu_seq_factor(big, &p);
-    assert_eq!(got_big.lu.as_slice(), want_big.lu.as_slice());
-    for ((a, h), d) in tinies.iter().zip(h_tiny).zip(h_dag) {
-        let got = h.wait().expect("one-task job completes");
-        let via_dag = d.wait().expect("dag job completes");
-        let want = calu_seq_factor(a.clone(), &p);
-        assert_eq!(got.lu.as_slice(), want.lu.as_slice());
-        assert_eq!(got.pivots.ipiv, want.pivots.ipiv);
-        assert_eq!(got.lu.as_slice(), via_dag.lu.as_slice());
-        assert_eq!(got.pivots.ipiv, via_dag.pivots.ipiv);
+    h_big.wait().expect("direct job completes");
+    for (h, d) in h_tiny.into_iter().zip(h_dag) {
+        h.wait().expect("one-task job completes");
+        d.wait().expect("dag job completes");
     }
     let s = svc.stats();
     assert_eq!(s.batched_jobs, 8);
@@ -339,52 +293,6 @@ fn solve_and_lstsq_refuse_a_bad_shape_before_admission() {
     // The only slot is still free.
     svc.submit_solve(m(8, 8), m(8, 1), SubmitOptions::default()).expect("admits").wait().expect("solves");
     svc.shutdown();
-}
-
-/// The out-of-core submission path: a tile-store-resident matrix factored
-/// under a budget that forces streaming (multiple superpanels) produces
-/// factors bitwise identical to `calu_seq_factor`, through the service.
-#[test]
-fn out_of_core_lu_job_matches_in_core_bitwise() {
-    use ca_factor::ooc::{OocKind, OocPlan, TileStore};
-    use std::sync::Arc;
-
-    let svc = service(2);
-    let p = params();
-    let n = 96;
-    let a = random_uniform(n, n, &mut seeded_rng(0x00C));
-
-    let dir = std::env::temp_dir().join(format!("ca_serve_ooc_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    let path = dir.join("lu_ooc.castore");
-    let store = TileStore::<f64>::create(&path, n, n, p.b).expect("create store");
-    store.import_matrix(&a).expect("import");
-
-    // Sized so the 96-column matrix needs three resident superpanels.
-    let budget = 1_090_864;
-    let plan = OocPlan::solve(OocKind::Lu, n, n, &p, 8, budget).expect("plan");
-    assert!(plan.nsuper > 1, "budget must force streaming, got nsuper={}", plan.nsuper);
-
-    let h = svc
-        .submit_lu_ooc(Arc::new(store), budget, SubmitOptions::default())
-        .expect("admits");
-    let f = h.wait().expect("ooc job completes");
-    assert!(f.io.bytes_read > 0 && f.io.bytes_written > 0, "I/O is accounted");
-
-    let reference = calu_seq_factor(a, &p);
-    let got = TileStore::<f64>::open(&path).expect("reopen").export_matrix().expect("export");
-    for j in 0..n {
-        for i in 0..n {
-            assert_eq!(
-                got[(i, j)].to_bits(),
-                reference.lu[(i, j)].to_bits(),
-                "L\\U mismatch at ({i},{j})"
-            );
-        }
-    }
-    assert_eq!(f.pivots.ipiv, reference.pivots.ipiv, "pivot sequences differ");
-    svc.shutdown();
-    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// The task labels of a profile, sorted.
