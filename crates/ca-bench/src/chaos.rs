@@ -5,10 +5,10 @@
 //!
 //! For every rate the drill checks the two acceptance gates:
 //!
-//! 1. **survival** — every submitted job completes (task replay plus
-//!    job-level resubmission absorb all injected faults), and every
-//!    completed result is bitwise identical to the fault-free sequential
-//!    reference;
+//! 1. **survival** — every submitted job completes (task replay plus the
+//!    in-job probe and whole-plan replay absorb all injected faults), and
+//!    every completed result is bitwise identical to the fault-free
+//!    sequential reference;
 //! 2. **overhead** — wall-clock cost of the recovery tier versus the plain
 //!    service (no retry wrappers, no probe, no chaos) stays bounded; the
 //!    headline number is the overhead at a 1% fault rate.
@@ -19,8 +19,8 @@
 use ca_core::CaParams;
 use ca_matrix::{random_uniform, seeded_rng, Matrix};
 use ca_serve::{
-    AdmissionPolicy, ChaosConfig, ChaosProfile, JobHandle, RetryConfig, Service,
-    ServiceConfig, SubmitOptions,
+    AdmissionPolicy, ChaosConfig, ChaosProfile, JobHandle, Retry, Service, ServiceConfig,
+    SubmitOptions,
 };
 use serde_json::json;
 use std::time::Instant;
@@ -43,7 +43,7 @@ struct Req {
 /// sequential-reference factors for the bitwise check. Uniform sizes keep
 /// every job an equal share of total work, so the overhead measurement is
 /// not dominated by whether an injected corruption happens to land on an
-/// outsized job (a corruption-triggered rerun costs ~1/n, not ~1/3).
+/// outsized job (a corruption-triggered replay costs ~1/n, not ~1/3).
 fn trace(n: usize, dim: usize, b: usize) -> Vec<Req> {
     let mut rng = seeded_rng(0xC405);
     (0..n)
@@ -119,9 +119,9 @@ pub fn chaos_sweep(cli: &crate::Cli) -> std::io::Result<bool> {
     let capacity = njobs.max(4);
 
     // Retry budgets sized so budget exhaustion is out of the picture at the
-    // swept rates: 3 task replays absorb almost everything, 10 fresh-seeded
-    // job resubmissions mop up the rest.
-    let retry = RetryConfig::default().with_job_retries(10);
+    // swept rates: 3 task replays absorb almost everything, a whole-plan
+    // replay from the input mops up the rest.
+    let retry = Retry { replays: 10, ..Retry::default() };
     const RATES: [f64; 4] = [0.0, 0.01, 0.02, 0.05];
     let chaos_cfg = |fail_rate: f64| {
         let profile = ChaosProfile::quiet()
@@ -166,7 +166,7 @@ pub fn chaos_sweep(cli: &crate::Cli) -> std::io::Result<bool> {
         let t = &s.task_recovery;
         println!(
             "  fail {fail_rate:>5.2}: {wall_s:.3}s  overhead {:+6.1}%  completed {}/{njobs}  \
-             deviations {}  task retries {} (exhausted {})  job retries {}  probe hits {}  \
+             deviations {}  task retries {} (exhausted {})  plan replays {}  probe hits {}  \
              injected f/p/c {}/{}/{}",
             overhead * 100.0,
             s.completed,
@@ -205,7 +205,6 @@ pub fn chaos_sweep(cli: &crate::Cli) -> std::io::Result<bool> {
             "injected_failures": t.injected_failures as f64,
             "injected_panics": t.injected_panics as f64,
             "injected_corruptions": t.injected_corruptions as f64,
-            "mttr_p50_ms": s.mttr.p50_s * 1e3,
             "survived": if survived { 1.0 } else { 0.0 },
         }));
     }
@@ -228,7 +227,8 @@ pub fn chaos_sweep(cli: &crate::Cli) -> std::io::Result<bool> {
         "quick": if cli.quick { 1.0 } else { 0.0 },
         "plain_service_s": plain_s,
         "note": "overhead_vs_plain at fail_rate 0 isolates the cost of the recovery \
-                 machinery itself (write-set snapshots, panic guards, integrity probes); \
+                 machinery itself (write-set snapshots, panic guards, input copies and \
+                 integrity probes); \
                  higher rates add the replayed work. survival gate: every job completes \
                  and every result is bitwise identical to the fault-free reference.",
         "overhead_at_1pct": overhead_at_1pct,

@@ -9,6 +9,7 @@
 use crate::dag_calu::CaluPlan;
 use ca_sched::{run_plan, FactorOptions};
 use crate::error::{require_finite, FactorError, DEFAULT_GROWTH_LIMIT};
+use crate::jobs::try_plan_with;
 use crate::params::CaParams;
 use crate::tslu::factor_panel;
 use ca_kernels::{
@@ -270,18 +271,20 @@ pub fn try_calu<T: Kernel>(a: Matrix<T>, p: &CaParams) -> Result<LuFactors<T>, F
 /// [`try_calu`] under explicit [`FactorOptions`] — fault injection,
 /// snapshot/replay recovery, checked execution, in any combination — also
 /// returning the executor's [`ca_sched::RunReport`] (wall-clock timeline
-/// usable with [`ca_sched::ascii_gantt`], and the run's
-/// [`ca_sched::RunReport::profile`]). The numerical contract is that of
-/// [`try_calu`] whatever the options.
+/// usable with [`ca_sched::ascii_gantt`], the run's
+/// [`ca_sched::RunReport::profile`] and [`ca_sched::RunReport::recovery`]).
+/// The numerical contract is that of [`try_calu`] whatever the options;
+/// under `retry` the run climbs the whole recovery ladder of a served job
+/// ([`crate::jobs`]): the factors are probed against the input, and
+/// corrupted factors or a task out of replays are answered by factoring the
+/// input again, which gives the same bits.
 pub fn try_calu_with<T: Kernel>(
     a: Matrix<T>,
     p: &CaParams,
     opts: &FactorOptions,
 ) -> Result<(LuFactors<T>, ca_sched::RunReport), FactorError> {
     let params = monitored(&a, p)?;
-    let plan = CaluPlan::build(a.nrows(), a.ncols(), &params);
-    let (f, report) = run_plan(plan, a, params.threads, opts)?;
-    check_factors(f, &params).map(|f| (f, report))
+    try_plan_with(CaluPlan::build(a.nrows(), a.ncols(), &params), a, &params, opts)
 }
 
 /// [`try_calu`] returning the scheduler's full [`ca_sched::Profile`] of the

@@ -10,6 +10,7 @@
 use crate::dag_caqr::CaqrPlan;
 use ca_sched::{run_plan, FactorOptions};
 use crate::error::{require_finite, FactorError};
+use crate::jobs::try_plan_with;
 use crate::params::{num_panels, partition_rows, CaParams};
 use crate::tsqr::{eliminate, leaf_apply, leaf_qr, node_apply, panel_apply, plan_panel, PanelQ};
 use ca_kernels::{trsm_left_upper_notrans, Kernel, Trans};
@@ -198,7 +199,7 @@ pub fn try_caqr_with<T: Kernel>(
     opts: &FactorOptions,
 ) -> Result<(QrFactors<T>, ca_sched::RunReport), FactorError> {
     require_finite(&a)?;
-    Ok(run_plan(CaqrPlan::build(a.nrows(), a.ncols(), p), a, p.threads, opts)?)
+    try_plan_with(CaqrPlan::build(a.nrows(), a.ncols(), p), a, p, opts)
 }
 
 /// [`try_caqr`] returning the scheduler's full [`ca_sched::Profile`] of the

@@ -1,43 +1,51 @@
-//! Served jobs: the DAGs of [`crate::calu`] / [`crate::caqr`] on somebody
-//! else's workers.
+//! Served jobs — the DAGs of [`crate::calu`] / [`crate::caqr`] on somebody
+//! else's workers — and the recovery ladder both routes climb.
 //!
 //! A one-shot entry point and a served job make their jobs the same way —
 //! [`ca_sched::plan_jobs`] over the plan, the matrix and one
 //! [`FactorOptions`] value, inside the same numerical contract — and differ
-//! in who runs them. [`ca_sched::run_plan`] blocks until the graph drains,
-//! then gathers; a service job outlives its submission call, so the builders
-//! here append one *sink task* that gathers instead, and refuses where the
-//! one-shot path returns `Err`. If a task fails or the job is cancelled, no
-//! sink runs and the output slot stays empty.
+//! in who runs them. A service job outlives its submission call, so the
+//! builders here append one *sink task* that settles the run instead of the
+//! caller: it gathers the factors, refuses where the one-shot path returns
+//! `Err`, and under [`FactorOptions::retry`] probes them against the input
+//! and replays the whole plan when they are corrupted or a task used up its
+//! budget. `try_*_with` under `retry` runs that same graph, sink included,
+//! on the caller's workers. If a task fails or the job is cancelled, no sink
+//! runs and the output slot stays empty.
 
 use crate::calu::{calu_seq_factor, check_factors, monitored, LuFactors};
 use crate::caqr::{caqr_seq, QrFactors};
 use crate::error::{require_finite, FactorError};
 use crate::params::CaParams;
+use crate::probe::probe_flops;
 use crate::{CaluPlan, CaqrPlan};
 use ca_kernels::{flops, Kernel};
 use ca_matrix::Matrix;
 use ca_sched::{
-    plan_jobs, DynJob, FactorOptions, Plan, TaskFailure, TaskGraph, TaskId, TaskKind, TaskLabel,
-    TaskMeta,
+    execute, plan_jobs, record_recovery, run_plan, DynJob, FactorOptions, Plan, PlanRun,
+    RecoveryEvent, RunReport, TaskFailure, TaskGraph, TaskId, TaskKind, TaskLabel, TaskMeta,
 };
 use std::sync::{Arc, OnceLock};
 
+/// The seed of the ladder's probe vector.
+const PROBE_SEED: u64 = 0x5eed;
+
 /// A `'static` job graph plus the slot its last task deposits the result
-/// into: filled iff the job completes (every task succeeded).
+/// into.
 pub struct ServeGraph<R> {
     /// The job graph, ready for [`ca_sched::MultiFrontier::submit`].
     pub graph: TaskGraph<DynJob>,
-    /// Written by the last task on successful completion.
-    pub output: Arc<OnceLock<R>>,
+    /// What the last task returned: the job failed iff it is an `Err`, and
+    /// the slot stays empty if the job ended before that task ran.
+    pub output: Arc<OnceLock<Result<R, FactorError>>>,
 }
 
 /// What a serve-graph builder yields: an `Err` refuses the request, nothing is scheduled.
 pub type Built<R> = Result<ServeGraph<R>, FactorError>;
 
 /// Appends `body` to `graph` as task `Other[0,0,j]` of cost `flops`, ordered
-/// after every current leaf (and thus after every task): its `Ok` value
-/// fills the output slot, an `Err` fails the job with the error's text.
+/// after every current leaf (and thus after every task): its result fills
+/// the output slot, and an `Err` also fails the job with the error's text.
 fn last_task<R: Send + Sync + 'static>(
     mut graph: TaskGraph<DynJob>,
     j: usize,
@@ -51,8 +59,10 @@ fn last_task<R: Send + Sync + 'static>(
     let last = graph.add_task(
         TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, j), flops),
         Box::new(move || {
-            let _ = out.set(body().map_err(|e| TaskFailure::new(e.to_string()))?);
-            Ok(())
+            let result = body();
+            let failure = result.as_ref().err().map(|e| TaskFailure::new(e.to_string()));
+            let _ = out.set(result);
+            failure.map_or(Ok(()), Err)
         }),
     );
     graph.add_deps(leaves, last);
@@ -78,24 +88,133 @@ fn sole_owner<V>(value: Option<V>) -> Result<V, FactorError> {
     value.ok_or(FactorError::TaskFailed { label: "sink".into(), message })
 }
 
-/// `plan`'s jobs over `a` under `opts` ([`plan_jobs`] — what
-/// [`ca_sched::run_plan`] executes) plus the one sink that gathers. Every
-/// job gave up its hold on the matrix when it ran, so the sink is the last
-/// owner; a race-detector finding fails the job naming the task, and `check`
-/// has the last word on the factors.
-fn plan_serve_graph<T: Kernel, S: Send + Sync + 'static, F: Send + Sync + 'static>(
-    plan: Plan<T, S, F>,
-    a: Matrix<T>,
-    opts: &FactorOptions,
-    check: impl FnOnce(F) -> Result<F, FactorError> + Send + 'static,
-) -> Built<F> {
-    let (graph, run) = plan_jobs(plan, a, opts)?;
-    Ok(last_task(graph, 0, 0.0, move || {
+/// What the recovery ladder needs of a factorization's result.
+pub(crate) trait Factored<T: Kernel>: Sized + Send + Sync + 'static {
+    /// The sequential reference, whose bits every route gives.
+    fn reference(a: Matrix<T>, p: &CaParams) -> Self;
+    /// The contract of the fallible entry points, after the run (only LU's
+    /// asks more of its factors than that the run ended).
+    fn check(self, _: &CaParams) -> Result<Self, FactorError> {
+        Ok(self)
+    }
+    /// The integrity probe against the input.
+    fn probe(&self, a0: &Matrix<T>) -> Result<(), FactorError>;
+}
+
+impl<T: Kernel> Factored<T> for LuFactors<T> {
+    fn reference(a: Matrix<T>, p: &CaParams) -> Self {
+        calu_seq_factor(a, p)
+    }
+
+    fn check(self, p: &CaParams) -> Result<Self, FactorError> {
+        check_factors(self, p)
+    }
+
+    fn probe(&self, a0: &Matrix<T>) -> Result<(), FactorError> {
+        self.verify_integrity(a0, PROBE_SEED)
+    }
+}
+
+impl<T: Kernel> Factored<T> for QrFactors<T> {
+    fn reference(a: Matrix<T>, p: &CaParams) -> Self {
+        caqr_seq(a, p)
+    }
+
+    fn probe(&self, a0: &Matrix<T>) -> Result<(), FactorError> {
+        self.verify_integrity(a0, PROBE_SEED)
+    }
+}
+
+/// One probe of the ladder, noted on the task running it.
+fn probe<T: Kernel, F: Factored<T>>(f: &F, a0: &Matrix<T>) -> Result<(), FactorError> {
+    record_recovery(RecoveryEvent::Probe);
+    f.probe(a0).inspect_err(|_| record_recovery(RecoveryEvent::ProbeFailure))
+}
+
+/// The second half of the recovery ladder, run by the sink once every task
+/// of `run` ran or skipped its body: gather the factors, check the race
+/// detector and hold the factors to the `try_*` contract; under `retry`,
+/// probe them against `a0`, the input as it was before the run. Factors
+/// that break the contract or fail the probe — either may be corruption —
+/// or a task that used up its replay budget send a copy of `a0` through the
+/// sequential reference, whose bits the plan's are, as the reduction tree
+/// fixes the arithmetic. The reference's own contract check has the last
+/// word (a singular input fails there), then the probe runs again, up to
+/// `replays` times; then the last fault is the error.
+fn settle<T: Kernel, S, F: Factored<T>>(
+    run: Arc<PlanRun<T, S, F>>,
+    p: &CaParams,
+    retry: Option<(Matrix<T>, usize)>,
+) -> Result<F, FactorError> {
+    let exhausted = run.exhausted().map(|(label, failure)| FactorError::TaskFailed {
+        label: label.to_string(),
+        message: failure.message.clone(),
+    });
+    let mut fault = if let Some(fault) = exhausted {
+        drop(run);
+        fault
+    } else {
         if let Some(violation) = run.violation() {
             return Err(violation.into());
         }
-        check(sole_owner(run.collect())?)
-    }))
+        let f = sole_owner(run.collect())?;
+        let Some((a0, _)) = &retry else { return f.check(p) };
+        match f.check(p).and_then(|f| probe(&f, a0).map(|()| f)) {
+            Ok(f) => return Ok(f),
+            Err(fault) => fault,
+        }
+    };
+    let Some((a0, replays)) = retry else { return Err(fault) };
+    for _ in 0..replays {
+        record_recovery(RecoveryEvent::Replay);
+        let f = F::reference(a0.clone(), p).check(p)?;
+        match probe(&f, &a0) {
+            Ok(()) => return Ok(f),
+            Err(corrupted) => fault = corrupted,
+        }
+    }
+    Err(fault)
+}
+
+/// `plan`'s jobs over `a` under `opts` ([`plan_jobs`] — what
+/// [`ca_sched::run_plan`] executes) plus the one sink that settles them
+/// ([`settle`]). Every job gave up its hold on the matrix when it ran, so the
+/// sink is the last owner. Under `retry` the input is copied once, before
+/// the run, for the probe and the replays, and the probe's flops are the
+/// sink's cost.
+fn plan_serve_graph<T: Kernel, S: Send + Sync + 'static, F: Factored<T>>(
+    plan: Plan<T, S, F>,
+    a: Matrix<T>,
+    p: CaParams,
+    opts: &FactorOptions,
+) -> Built<F> {
+    let flops = if opts.retry.is_some() { probe_flops(a.nrows(), a.ncols()) } else { 0.0 };
+    let retry = opts.retry.map(|r| (a.clone(), r.replays));
+    let (graph, run) = plan_jobs(plan, a, opts)?;
+    Ok(last_task(graph, 0, flops, move || settle(run, &p, retry)))
+}
+
+/// `plan` over `a` under `opts` on `p.threads` workers of the caller's own:
+/// [`run_plan`] and the `try_*` contract; under `retry`, the served graph —
+/// the plan's jobs and the sink that settles them — run by [`execute`], so a
+/// one-shot run climbs the same ladder as a served one.
+pub(crate) fn try_plan_with<T: Kernel, S: Send + Sync + 'static, F: Factored<T>>(
+    plan: Plan<T, S, F>,
+    a: Matrix<T>,
+    p: &CaParams,
+    opts: &FactorOptions,
+) -> Result<(F, RunReport), FactorError> {
+    if opts.retry.is_none() {
+        let (f, report) = run_plan(plan, a, p.threads, opts)?;
+        return Ok((f.check(p)?, report));
+    }
+    let ServeGraph { graph, output } = plan_serve_graph(plan, a, *p, opts)?;
+    let mut report = execute(graph, p.threads);
+    match Arc::into_inner(output).and_then(OnceLock::into_inner) {
+        Some(settled) => settled.map(|f| (f, report)),
+        // No sink ran: a task failed, and cancelled it.
+        None => Err(sole_owner(report.failure.take())?.into()),
+    }
 }
 
 /// CALU as a served job under the [`crate::try_calu`] contract: non-finite
@@ -115,14 +234,13 @@ pub fn calu_serve_graph(
 ) -> Built<LuFactors> {
     let p = monitored(&a, p)?;
     let (m, n) = (a.nrows(), a.ncols());
-    let check = move |f| check_factors(f, &p);
     if one_task {
         // The LAPACK count of the long × short shape (symmetric in `m`,
         // `n`): the unit the plan's task costs add up in.
         let count = flops::getrf(m.max(n), m.min(n));
-        return Ok(one_task_serve_graph(count, move || check(calu_seq_factor(a, &p))));
+        return Ok(one_task_serve_graph(count, move || check_factors(calu_seq_factor(a, &p), &p)));
     }
-    plan_serve_graph(CaluPlan::build(m, n, &p), a, opts, check)
+    plan_serve_graph(CaluPlan::build(m, n, &p), a, p, opts)
 }
 
 /// CAQR as a served job under the [`crate::try_caqr`] contract (the
@@ -140,17 +258,17 @@ pub fn caqr_serve_graph(
         let count = flops::geqrf(m.max(n), m.min(n));
         return Ok(one_task_serve_graph(count, move || Ok(caqr_seq(a, &p))));
     }
-    plan_serve_graph(CaqrPlan::build(m, n, &p), a, opts, Ok)
+    plan_serve_graph(CaqrPlan::build(m, n, &p), a, p, opts)
 }
 
 /// Factor-and-solve serve graph: `factors`' served DAG of `a`
 /// ([`calu_serve_graph`] for square `A·X = rhs`, [`caqr_serve_graph`] for
 /// least squares with `m ≥ n`), then `solve` ([`LuFactors::try_solve`],
-/// [`QrFactors::try_solve_ls`]) as an epilogue task — never retried: it
-/// reads only completed factors and owns its right-hand side. A singular
-/// `A` fails the job at the sink like any served LU, a rank-deficient one in
-/// the epilogue. Shapes are the caller's to check; a mismatch fails the job
-/// in the epilogue.
+/// [`QrFactors::try_solve_ls`]) as an epilogue task. The epilogue reads only
+/// the settled factors — probed and, if need be, replayed under `retry` —
+/// and owns its right-hand side. A singular `A` fails the job at the sink
+/// like any served LU, a rank-deficient one in the epilogue. Shapes are the
+/// caller's to check; a mismatch fails the job in the epilogue.
 pub fn solve_serve_graph<F: Send + Sync + 'static>(
     a: Matrix,
     rhs: Matrix,
@@ -162,17 +280,107 @@ pub fn solve_serve_graph<F: Send + Sync + 'static>(
     require_finite(&rhs)?;
     let flops = 2.0 * (a.nrows() as f64) * (a.ncols() as f64) * (rhs.ncols() as f64);
     let ServeGraph { graph, output } = factors(a, p, opts, false)?;
-    // The sink dropped its handle on the slot when it filled it.
-    Ok(last_task(graph, 1, flops, move || {
-        solve(&sole_owner(Arc::into_inner(output).and_then(OnceLock::into_inner))?, &rhs)
-    }))
+    let (sink, factored) = (graph.len() - 1, Arc::clone(&output));
+    // The sink dropped its handle on the slot when it filled it, and the
+    // epilogue runs only after a sink that succeeded.
+    let ServeGraph { graph, output: solved } = last_task(graph, 1, flops, move || {
+        solve(&sole_owner(Arc::into_inner(output).and_then(OnceLock::into_inner))??, &rhs)
+    });
+    // A sink that fails ends the job before the epilogue, so it hands its
+    // typed error (`Corrupted`, say) to the job's slot itself.
+    let mut relay = Some((factored, Arc::clone(&solved)));
+    let graph = graph.map(|id, job| match relay.take_if(|_| id == sink) {
+        None => job,
+        Some((factored, solved)) => Box::new(move || {
+            let outcome = job();
+            let _ = factored.get().and_then(|r| r.as_ref().err()).map(|e| solved.set(Err(e.clone())));
+            outcome
+        }),
+    });
+    Ok(ServeGraph { graph, output: solved })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use ca_matrix::{norm_max, seeded_rng};
-    use ca_sched::{JobOptions, JobOutcome, MultiFrontier};
+    use ca_sched::{CancelReason, JobOptions, JobOutcome, MultiFrontier, PlanBuilder, Retry};
+    use std::time::Duration;
+
+    /// A plan that gathers the matrix alone settles as it is.
+    impl Factored<f64> for Matrix {
+        fn reference(a: Matrix, _: &CaParams) -> Self {
+            a
+        }
+
+        fn probe(&self, _: &Matrix) -> Result<(), FactorError> {
+            Ok(())
+        }
+    }
+
+    /// How long [`Replayed`]'s replay takes.
+    const SLOW_REPLAY: Duration = Duration::from_millis(100);
+
+    /// A result that breaks the contract unless the replay made it.
+    #[derive(Debug)]
+    struct Replayed(bool);
+
+    impl Factored<f64> for Replayed {
+        fn reference(_: Matrix, _: &CaParams) -> Self {
+            std::thread::sleep(SLOW_REPLAY);
+            Replayed(true)
+        }
+
+        fn check(self, _: &CaParams) -> Result<Self, FactorError> {
+            if self.0 {
+                Ok(self)
+            } else {
+                Err(FactorError::ZeroPivot { col: 0 })
+            }
+        }
+
+        fn probe(&self, _: &Matrix) -> Result<(), FactorError> {
+            Ok(())
+        }
+    }
+
+    /// A one-task plan gathering a [`Replayed`], served under `retry`.
+    fn replayed_graph() -> ServeGraph<Replayed> {
+        let mut pb = PlanBuilder::<f64, ()>::new(4, 4, 4);
+        let t = pb.task(TaskMeta::new(TaskLabel::new(TaskKind::Panel, 0, 0, 0), 1.0), |_, _| {});
+        pb.writes(t, 0..1, 0..1);
+        let plan = pb.finish((), |_, ()| Replayed(false));
+        let retry = FactorOptions { retry: Some(Retry::default()), ..Default::default() };
+        plan_serve_graph(plan, Matrix::zeros(4, 4), CaParams::new(4, 1, 1), &retry).expect("sound")
+    }
+
+    #[test]
+    fn under_retry_factors_that_break_the_contract_are_replayed() {
+        // Corruption can show as a breakdown of the DAG's factors rather
+        // than as a probe failure: the replay decides, and its own check
+        // has the last word.
+        let f = MultiFrontier::new(1);
+        let sg = replayed_graph();
+        let (_, watch) = f.submit(sg.graph, JobOptions::default());
+        let report = watch.wait();
+        assert!(report.outcome.is_completed());
+        assert_eq!((report.recovery.replays, report.recovery.probes), (1, 1));
+        assert!(matches!(sg.output.get(), Some(Ok(Replayed(true)))));
+        f.shutdown();
+    }
+
+    #[test]
+    fn a_deadline_passing_during_the_replay_ends_the_job() {
+        // The replay runs inside the sink, in flight: it runs to the end,
+        // but the job ends past its deadline and is not completed.
+        let f = MultiFrontier::new(1);
+        let sg = replayed_graph();
+        let (_, watch) = f.submit(sg.graph, JobOptions::default().with_deadline(SLOW_REPLAY / 2));
+        let report = watch.wait();
+        assert!(matches!(report.outcome, JobOutcome::Cancelled(CancelReason::Deadline)));
+        assert_eq!(report.recovery.replays, 1, "the replay started before the deadline");
+        f.shutdown();
+    }
 
     #[test]
     fn solve_graph_solves_and_reports_breakdown() {
@@ -186,11 +394,12 @@ mod tests {
         let sg = solve_serve_graph(a, b, &p, &plain, calu_serve_graph, LuFactors::try_solve).expect("finite input");
         let (_, watch) = f.submit(sg.graph, JobOptions::default());
         assert!(watch.wait().outcome.is_completed());
-        let x = sg.output.get().expect("solution set");
+        let x = sg.output.get().expect("solution set").as_ref().expect("solved");
         assert!(norm_max(x.sub_matrix(&x_true).view()) < 1e-8);
 
         // Singular system: the sink fails the job with ZeroPivot, like any
-        // served LU; the solve epilogue is cancelled.
+        // served LU; the solve epilogue is cancelled, and the job's slot
+        // holds the sink's typed error.
         let mut s = ca_matrix::random_uniform(n, n, &mut seeded_rng(24));
         for i in 0..n {
             let v = s[(i, 0)];
@@ -207,7 +416,7 @@ mod tests {
             }
             other => panic!("expected failure, got {other:?}"),
         }
-        assert!(sg.output.get().is_none());
+        assert!(matches!(sg.output.get(), Some(Err(FactorError::ZeroPivot { .. }))));
         f.shutdown();
     }
 
@@ -223,7 +432,7 @@ mod tests {
         let sg = solve_serve_graph(a, b, &p, &plain, caqr_serve_graph, QrFactors::try_solve_ls).expect("finite input");
         let (_, watch) = f.submit(sg.graph, JobOptions::default());
         assert!(watch.wait().outcome.is_completed());
-        let x = sg.output.get().expect("solution set");
+        let x = sg.output.get().expect("solution set").as_ref().expect("solved");
         assert!(norm_max(x.sub_matrix(&reference).view()) < 1e-10);
         f.shutdown();
     }
@@ -280,7 +489,6 @@ mod tests {
         // The served mirror of ca-sched's
         // `checked::out_of_footprint_write_is_reported_with_label`: the task
         // declares rows 0..4 and writes rows 4..8, the sink refuses to gather.
-        use ca_sched::PlanBuilder;
         let mut pb = PlanBuilder::<f64, ()>::new(4, 8, 4);
         let label = TaskLabel::new(TaskKind::Panel, 0, 0, 0);
         let w = pb.task(TaskMeta::new(label, 1.0), |a, _| {
@@ -290,7 +498,8 @@ mod tests {
         pb.writes(w, 0..1, 0..1);
         let plan = pb.finish((), |a, ()| a);
         let checked = FactorOptions { checked: true, ..Default::default() };
-        let sg = plan_serve_graph(plan, Matrix::zeros(8, 4), &checked, Ok).expect("statically sound");
+        let p = CaParams::new(4, 1, 1);
+        let sg = plan_serve_graph(plan, Matrix::zeros(8, 4), p, &checked).expect("statically sound");
 
         let f = MultiFrontier::new(1);
         let (_, watch) = f.submit(sg.graph, JobOptions::default());
@@ -302,7 +511,7 @@ mod tests {
             }
             other => panic!("expected a failed job, got {other:?}"),
         }
-        assert!(sg.output.get().is_none());
+        assert!(matches!(sg.output.get(), Some(Err(FactorError::Soundness { .. }))));
         f.shutdown();
     }
 }

@@ -33,20 +33,24 @@
 //!   instability), and surface singularity or worker-task failure as a
 //!   [`FactorError`] instead of poisoned factors or a panic.
 //! * [`try_calu_with`] / [`try_caqr_with`] — the same fallible runs under
-//!   explicit [`FactorOptions`]: seeded fault injection (`chaos`), task-level
-//!   snapshot/replay recovery (`retry`), checked execution (`checked`: the
+//!   explicit [`FactorOptions`]: seeded fault injection (`chaos`), the
+//!   recovery ladder (`retry`: task-level snapshot/replay, then an integrity
+//!   probe and whole-plan replays, as a served job runs it), checked
+//!   execution (`checked`: the
 //!   static verifier followed by a run in which every element access is
 //!   audited against the declared footprints by a shadow lease registry), in
 //!   any combination, returning the executor's [`ca_sched::RunReport`] —
 //!   and with it the run's profile — next to the factors. Every DAG
 //!   factorization entry point is a one-line caller of these two, which in
-//!   turn share one build → [`ca_sched::plan_jobs`] → [`ca_sched::execute`] →
-//!   collect path ([`ca_sched::run_plan`], which the baselines take too).
+//!   turn share one build → [`ca_sched::plan_jobs`] → [`ca_sched::execute`]
+//!   path: [`ca_sched::run_plan`], which the baselines take too, or under
+//!   `retry` the plan's jobs plus the sink of [`jobs`].
 //!   [`try_calu_profiled`] / [`try_caqr_profiled`] are the shorthands
 //!   returning the [`ca_sched::Profile`] directly.
 //! * [`jobs`] — the same plans under the same contract, options and
-//!   [`ca_sched::plan_jobs`], plus one sink task, as served jobs for the
-//!   serving tier's [`ca_sched::MultiFrontier`].
+//!   [`ca_sched::plan_jobs`], plus one sink task that settles the run — the
+//!   second half of the recovery ladder — as served jobs for the serving
+//!   tier's [`ca_sched::MultiFrontier`].
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]

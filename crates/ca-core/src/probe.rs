@@ -23,8 +23,11 @@
 
 use crate::calu::LuFactors;
 use crate::caqr::QrFactors;
-use crate::error::FactorError;
-use ca_matrix::{norm_inf, norm_max, random_uniform, residual_threshold, seeded_rng, Matrix};
+use crate::error::{require_finite, FactorError};
+use ca_kernels::Kernel;
+use ca_matrix::{
+    norm_inf, random_uniform, residual_threshold_in, seeded_rng, Matrix, Scalar,
+};
 
 /// Constant `c` in the probe acceptance threshold `c · max(m,n) · eps`.
 /// Larger than the accuracy suite's constant because the probe statistic
@@ -33,15 +36,15 @@ use ca_matrix::{norm_inf, norm_max, random_uniform, residual_threshold, seeded_r
 pub const PROBE_TOL: f64 = 1e4;
 
 /// Scaled probe residual `‖lhs − rhs‖_∞ / (‖A‖_∞ · ‖x‖_∞)`.
-fn scaled_residual(lhs: &Matrix, rhs: &Matrix, a0: &Matrix, x: &Matrix) -> f64 {
+fn scaled_residual<T: Scalar>(lhs: &Matrix<T>, rhs: &Matrix<T>, a0: &Matrix<T>, x: &Matrix<T>) -> f64 {
     let d = lhs.sub_matrix(rhs);
-    // norm_max folds with f64::max, which drops NaN operands — a NaN-poisoned
-    // factor must register as corrupt, not vanish from the norm.
-    if crate::error::require_finite(&d).is_err() {
+    // max_abs skips NaN operands — a NaN-poisoned factor must register as
+    // corrupt, not vanish from the norm.
+    if require_finite(&d).is_err() {
         return f64::INFINITY;
     }
-    let diff = norm_max(d.view());
-    let scale = norm_inf(a0.view()) * norm_max(x.view());
+    let diff = d.view().max_abs().to_f64();
+    let scale = norm_inf(a0.view()) * x.view().max_abs().to_f64();
     if scale == 0.0 {
         diff
     } else {
@@ -49,10 +52,10 @@ fn scaled_residual(lhs: &Matrix, rhs: &Matrix, a0: &Matrix, x: &Matrix) -> f64 {
     }
 }
 
-fn verdict(residual: f64, m: usize, n: usize) -> Result<(), FactorError> {
+fn verdict<T: Scalar>(residual: f64, m: usize, n: usize) -> Result<(), FactorError> {
     let counters = ca_sched::sched_counters();
     counters.probes_run.inc();
-    let threshold = residual_threshold(m, n, PROBE_TOL);
+    let threshold = residual_threshold_in::<T>(m, n, PROBE_TOL);
     if residual.is_finite() && residual < threshold {
         Ok(())
     } else {
@@ -61,31 +64,36 @@ fn verdict(residual: f64, m: usize, n: usize) -> Result<(), FactorError> {
     }
 }
 
-impl LuFactors {
+/// The probe vector of `seed`, in the working precision.
+fn probe_vector<T: Scalar>(n: usize, seed: u64) -> Matrix<T> {
+    Matrix::from_f64(&random_uniform(n, 1, &mut seeded_rng(seed)))
+}
+
+impl<T: Kernel> LuFactors<T> {
     /// Probes `P·A₀ = L·U` with one random vector drawn from `seed`
     /// (O(n²)); returns [`FactorError::Corrupted`] when the scaled residual
-    /// exceeds the `c · max(m,n) · eps` threshold.
-    pub fn verify_integrity(&self, a0: &Matrix, seed: u64) -> Result<(), FactorError> {
+    /// exceeds the `c · max(m,n) · eps` threshold of the working precision.
+    pub fn verify_integrity(&self, a0: &Matrix<T>, seed: u64) -> Result<(), FactorError> {
         let m = a0.nrows();
         let n = a0.ncols();
-        let x = random_uniform(n, 1, &mut seeded_rng(seed));
+        let x = probe_vector(n, seed);
         let y = a0.matmul(&x);
         let perm = self.permutation();
         let py = Matrix::from_fn(m, 1, |i, _| y[(perm[i], 0)]);
         let w = self.l().matmul(&self.u().matmul(&x));
-        verdict(scaled_residual(&py, &w, a0, &x), m, n)
+        verdict::<T>(scaled_residual(&py, &w, a0, &x), m, n)
     }
 }
 
-impl QrFactors {
+impl<T: Kernel> QrFactors<T> {
     /// Probes `A₀ = Q·R` with one random vector drawn from `seed` (O(n²));
     /// returns [`FactorError::Corrupted`] when the scaled residual exceeds
-    /// the `c · max(m,n) · eps` threshold.
-    pub fn verify_integrity(&self, a0: &Matrix, seed: u64) -> Result<(), FactorError> {
+    /// the `c · max(m,n) · eps` threshold of the working precision.
+    pub fn verify_integrity(&self, a0: &Matrix<T>, seed: u64) -> Result<(), FactorError> {
         let m = a0.nrows();
         let n = a0.ncols();
         let k = m.min(n);
-        let x = random_uniform(n, 1, &mut seeded_rng(seed));
+        let x = probe_vector(n, seed);
         let rx = self.r().matmul(&x);
         let mut z = Matrix::zeros(m, 1);
         for i in 0..k {
@@ -93,8 +101,14 @@ impl QrFactors {
         }
         self.apply_q(&mut z);
         let y = a0.matmul(&x);
-        verdict(scaled_residual(&y, &z, a0, &x), m, n)
+        verdict::<T>(scaled_residual(&y, &z, a0, &x), m, n)
     }
+}
+
+/// Flops of one probe of an `m × n` factorization: the products with `A₀`,
+/// with the triangular factor and with `L` or `Q`, each about `2·m·n`.
+pub(crate) fn probe_flops(m: usize, n: usize) -> f64 {
+    6.0 * m as f64 * n as f64
 }
 
 #[cfg(test)]
@@ -129,6 +143,17 @@ mod tests {
         let v = qr.a[(10, 30)];
         qr.a[(10, 30)] = v + v.abs().max(1.0) * 1e-3;
         assert!(qr.verify_integrity(&a, 3).is_err(), "QR probe must catch corruption");
+    }
+
+    #[test]
+    fn f32_factors_probe_in_their_own_precision() {
+        let a = Matrix::<f32>::from_f64(&random_uniform(64, 48, &mut seeded_rng(7)));
+        let p = CaParams::new(16, 4, 1);
+        let mut lu = calu(a.clone(), &p);
+        lu.verify_integrity(&a, 5).expect("honest f32 LU");
+        caqr(a.clone(), &p).verify_integrity(&a, 5).expect("honest f32 QR");
+        lu.lu[(30, 30)] *= 1e3;
+        assert!(matches!(lu.verify_integrity(&a, 5), Err(FactorError::Corrupted { .. })));
     }
 
     #[test]

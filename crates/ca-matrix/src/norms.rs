@@ -1,6 +1,7 @@
 //! Matrix norms and the residual measures used to validate factorizations.
 
 use crate::matrix::Matrix;
+use crate::scalar::Scalar;
 use crate::view::MatView;
 
 /// Frobenius norm `sqrt(sum a_ij^2)`.
@@ -24,12 +25,12 @@ pub fn norm_one(a: MatView<'_>) -> f64 {
     m
 }
 
-/// Infinity-norm: maximum absolute row sum.
-pub fn norm_inf(a: MatView<'_>) -> f64 {
+/// Infinity-norm: maximum absolute row sum, accumulated in `f64`.
+pub fn norm_inf<T: Scalar>(a: MatView<'_, T>) -> f64 {
     let mut sums = vec![0.0f64; a.nrows()];
     for j in 0..a.ncols() {
         for (i, &x) in a.col(j).iter().enumerate() {
-            sums[i] += x.abs();
+            sums[i] += x.to_f64().abs();
         }
     }
     sums.into_iter().fold(0.0, f64::max)
@@ -93,9 +94,14 @@ pub fn growth_factor(a: &Matrix, u: &Matrix) -> f64 {
 }
 
 /// A residual threshold of `tol * eps * max(m, n)` — the usual LAPACK-style
-/// acceptance test scale for an `m × n` problem.
+/// acceptance test scale for an `m × n` problem — at `f64`'s `eps`.
 pub fn residual_threshold(m: usize, n: usize, tol: f64) -> f64 {
-    tol * f64::EPSILON * (m.max(n) as f64)
+    residual_threshold_in::<f64>(m, n, tol)
+}
+
+/// [`residual_threshold`] at the `eps` of `T`, the working precision.
+pub fn residual_threshold_in<T: Scalar>(m: usize, n: usize, tol: f64) -> f64 {
+    tol * T::EPSILON.to_f64() * (m.max(n) as f64)
 }
 
 #[cfg(test)]

@@ -82,6 +82,13 @@ impl RunReport {
     pub fn profile(&self) -> Profile {
         Profile::from_log(&self.log, self.stats.wall_seconds)
     }
+
+    /// What recovery did over the run: a fold over its job log (all zero
+    /// unless the plan ran under [`crate::FactorOptions::retry`] or
+    /// [`crate::FactorOptions::chaos`]).
+    pub fn recovery(&self) -> crate::RecoveryStats {
+        self.log.recovery()
+    }
 }
 
 /// Executes the graph on `nthreads` workers, consuming it, and returns after

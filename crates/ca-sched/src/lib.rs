@@ -45,23 +45,23 @@
 //!
 //! Every executor stores a finished task exactly once, whether or not
 //! anybody will look: a compact measured record (task, label, lane, start,
-//! end) pushed to the log of the task's *job* when the policy completes it
-//! (under the state lock a worker already holds), next to the instant each
-//! task became ready. The
+//! end, and the note of what recovery did inside the body) pushed to the log
+//! of the task's *job* when the policy completes it (under the state lock a
+//! worker already holds), next to the instant each task became ready. The
 //! log leaves with the finalized job — in the [`RunReport`], or in the
 //! job's [`JobWatch`] until the last clone is dropped — and
-//! [`ExecStats::timeline`], [`RunReport::profile`] and
-//! [`MultiFrontier::job_profile`] are views built from it when they are
-//! read; the four Chrome-trace emitters share one event builder. Two things
+//! [`ExecStats::timeline`], [`RunReport::profile`],
+//! [`MultiFrontier::job_profile`] and a job's [`RecoveryStats`]
+//! ([`RunReport::recovery`], [`JobReport::recovery`]) are views built from
+//! it; the four Chrome-trace emitters share one event builder. Two things
 //! are kept beside a job's log, each for a stated reason:
 //! [`MultiFrontier::set_tracing`] retains the records of finalized jobs for
 //! the frontier-wide [`MultiFrontier::timeline`] (off by default: a service
 //! runs for days), and a [`FlightRecorder`] keeps the last moments across
-//! jobs in a bounded ring for fault diagnosis. Counters follow the same rule: the process-wide
-//! [`sched_counters`] and a run's [`RecoveryCounters`] are the only store of
-//! what they count, and a `ca_telemetry::Registry` adopts the handles
-//! ([`register_sched_metrics`], [`RecoveryCounters::register`]) instead of
-//! keeping a copy.
+//! jobs in a bounded ring for fault diagnosis. Counters follow the same
+//! rule: the process-wide [`sched_counters`] are the only store of what they
+//! count, and a `ca_telemetry::Registry` adopts the handles
+//! ([`register_sched_metrics`]) instead of keeping a copy.
 //!
 //! ## Failure semantics
 //!
@@ -78,10 +78,16 @@
 //! [`FactorOptions::retry`] adds the *recover* half to every task of a plan:
 //! the task's declared write-set (its write rects in the plan's
 //! [`AccessMap`]) is snapshotted, and on failure or panic restored and the
-//! body replayed under a [`RetryPolicy`] — successors are cancelled only once
-//! retries are exhausted. The retry protocol consults the same
-//! [`ChaosPlan`], which there can also scribble over the write-set and
-//! inject silent data corruption.
+//! body replayed under a [`RetryPolicy`]. The retry protocol consults the
+//! same [`ChaosPlan`], which there can also scribble over the write-set and
+//! inject silent data corruption. A task out of budget fails its job — or,
+//! while the job has whole-plan replays left ([`Retry::replays`]), marks the
+//! run [`PlanRun::exhausted`] so the rest of the plan falls through to the
+//! job's sink, where the factorization probes its factors and replays the
+//! whole plan from its input; [`PlanRun::collect`] then gathers nothing.
+//! Each step is noted on the task it happened in
+//! ([`record_recovery`]), so a job's [`RecoveryStats`] is a fold over its
+//! log.
 //!
 //! ## Profiling
 //!
@@ -152,8 +158,8 @@ pub use profile::{
     SchedMetrics, TaskRecord,
 };
 pub use retry::{
-    ChaosAction, ChaosPlan, ChaosProfile, PanicHookGuard, RecoveryCounters, RecoveryStats,
-    RetryPolicy,
+    record_recovery, ChaosAction, ChaosPlan, ChaosProfile, PanicHookGuard, RecoveryEvent,
+    RecoveryStats, RetryPolicy,
 };
 pub use sim::simulate;
 pub use task::{KernelClass, TaskId, TaskKind, TaskLabel, TaskMeta};

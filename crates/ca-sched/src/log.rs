@@ -8,9 +8,11 @@
 //! records, ready stamps, metadata, edges, cancelled set — leaves with it,
 //! and [`Timeline`] and [`Profile`] are views built from that log when
 //! somebody reads them ([`Timeline::from_log`], [`Profile::from_log`]):
-//! recording is not an option, looking is.
+//! recording is not an option, looking is. Recovery facts ride on the
+//! records too, so a job's [`RecoveryStats`] is a fold over its log.
 
 use crate::profile::{Profile, QueueSample, TaskRecord};
+use crate::retry::{RecoveryStats, TaskNote};
 use crate::task::{TaskId, TaskLabel, TaskMeta};
 use crate::trace::{Span, Timeline};
 
@@ -29,6 +31,8 @@ pub(crate) struct TaskRec {
     /// task and starts it in one step, so this is also its dispatch instant.
     pub(crate) start: f64,
     pub(crate) end: f64,
+    /// What the recovery layer did inside the body (zero outside it).
+    pub(crate) note: TaskNote,
 }
 
 /// Everything one job leaves behind, self-contained: what ran where and
@@ -48,6 +52,15 @@ pub(crate) struct JobLog {
     pub(crate) metas: Vec<TaskMeta>,
     pub(crate) succs: Vec<Vec<TaskId>>,
     pub(crate) cancelled: Vec<TaskId>,
+}
+
+impl JobLog {
+    /// What recovery did over the job: the sum of its records' notes.
+    pub(crate) fn recovery(&self) -> RecoveryStats {
+        let mut stats = RecoveryStats::default();
+        self.recs.iter().for_each(|r| stats.add(&r.note));
+        stats
+    }
 }
 
 impl Timeline {

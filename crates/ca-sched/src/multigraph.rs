@@ -18,9 +18,11 @@
 //! A job can be cancelled as a whole (user cancel, deadline, load shedding,
 //! shutdown): undispatched tasks are dropped, in-flight tasks run to
 //! completion, and the job finalizes with a [`JobOutcome::Cancelled`].
-//! Deadlines are enforced at dispatch points, so a deadline never preempts a
-//! running kernel — and an idle worker has nothing to enforce: it would
-//! have dispatched any ready task, and work in flight ends on its own.
+//! Deadlines are enforced at dispatch points — a worker picking a task or
+//! finishing one — so a deadline never preempts a running kernel, and a job
+//! whose last task ends past its deadline ends cancelled, not completed. An
+//! idle worker has nothing to enforce: it would have dispatched any ready
+//! task, and work in flight ends on its own.
 
 use crate::exec::{DynJob, Job};
 use crate::fault::{panic_message, ExecError};
@@ -28,6 +30,7 @@ use crate::frontier::{Entry, Frontier, Pick};
 use crate::graph::TaskGraph;
 use crate::log::{JobLog, TaskRec};
 use crate::profile::Profile;
+use crate::retry::{take_note, RecoveryStats};
 use crate::telemetry::{self, FlightEventKind, FlightRecorder};
 use crate::trace::Timeline;
 use parking_lot::{Condvar, Mutex};
@@ -147,6 +150,8 @@ pub struct JobReport {
     pub tasks_cancelled: usize,
     /// Flops of the executed tasks (per their [`crate::TaskMeta`] estimates).
     pub flops: f64,
+    /// What recovery did inside the job: a fold over its log.
+    pub recovery: RecoveryStats,
 }
 
 impl JobReport {
@@ -356,6 +361,7 @@ impl<'s> Core<'s> {
                 tasks_run: 0,
                 tasks_cancelled: 0,
                 flops: 0.0,
+                recovery: RecoveryStats::default(),
             },
             panic: None,
             watch: watch.clone(),
@@ -430,7 +436,8 @@ impl<'s> Core<'s> {
     /// before waiters wake), then the watch. Never called with the state
     /// lock held.
     fn deliver(&self, done: Done) {
-        for (finished, watch) in done {
+        for (mut finished, watch) in done {
+            finished.report.recovery = finished.log.recovery();
             self.note_job_end(&finished.report);
             if self.tracing.load(Ordering::Relaxed) {
                 self.retained.lock().extend_from_slice(&finished.log.recs);
@@ -568,7 +575,7 @@ impl<'s> Core<'s> {
                 self.cv.wait(&mut st);
                 continue;
             };
-            let label = meta.label;
+            let (label, deadline) = (meta.label, job.deadline);
             if job.report.first_dispatch.is_none() {
                 job.report.first_dispatch = Some(self.now());
             }
@@ -597,6 +604,7 @@ impl<'s> Core<'s> {
             let start = self.now();
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body));
             let end = self.now();
+            let note = take_note();
             *self.lanes[lane].lock() += end - start;
             let failure = match outcome {
                 Ok(Ok(())) => None,
@@ -615,7 +623,12 @@ impl<'s> Core<'s> {
             }
 
             st = self.state.lock();
-            let rec = TaskRec { task, label, lane, start, end };
+            // Finishing a task is a dispatch point too: a deadline that
+            // passed while it ran ends its job before anything is released.
+            if deadline.is_some_and(|d| end >= d) {
+                self.cancel_locked(&mut st, jid, CancelReason::Deadline, end, &mut done);
+            }
+            let rec = TaskRec { task, label, lane, start, end, note };
             self.complete(&mut st, jid, rec, failure, &mut done);
         }
     }
@@ -976,6 +989,22 @@ mod tests {
         assert_eq!(report.tasks_run, 1);
         assert_eq!(report.tasks_cancelled, 1);
         assert_eq!(b_ran.load(Ordering::SeqCst), 0, "B ran past the deadline");
+        f.shutdown();
+    }
+
+    #[test]
+    fn a_job_whose_last_task_ends_past_its_deadline_is_not_completed() {
+        // The job's only task outlives its 5 ms deadline: it runs to the
+        // end, but finishing it is a dispatch point, so the job ends
+        // cancelled — whatever the task computed comes too late.
+        let f = MultiFrontier::new(1);
+        let mut g: TaskGraph<DynJob> = TaskGraph::new();
+        g.add_task(meta(0, 1.0), dyn_job(|| std::thread::sleep(Duration::from_millis(50))));
+        let (_, w) =
+            f.submit(g, JobOptions::default().with_deadline(Duration::from_millis(5)));
+        let report = w.wait();
+        assert!(matches!(report.outcome, JobOutcome::Cancelled(CancelReason::Deadline)));
+        assert_eq!((report.tasks_run, report.tasks_cancelled), (1, 0));
         f.shutdown();
     }
 

@@ -16,13 +16,14 @@ use crate::checked::{build_shadow_registry, first_violation, CheckedError};
 use crate::exec::{execute, job, DynJob, RunReport};
 use crate::footprint::AccessMap;
 use crate::graph::TaskGraph;
-use crate::retry::{guarded_job, run_recovering, ChaosPlan, RecoveryCounters, RetryPolicy};
-use crate::task::{TaskId, TaskMeta};
+use crate::fault::TaskFailure;
+use crate::retry::{guarded_job, run_recovering, ChaosPlan, RetryPolicy};
+use crate::task::{TaskId, TaskLabel, TaskMeta};
 use crate::verify::{verify_graph, SoundnessError};
 use ca_matrix::shadow::ElemRect;
 use ca_matrix::{Matrix, Scalar, ShadowRegistry, SharedMatrix};
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One task: touches the shared matrix inside the footprint declared beside
 /// it, and the plan's run-time slots `S`.
@@ -123,18 +124,33 @@ impl<T: Scalar, S> PlanBuilder<T, S> {
     }
 }
 
-/// Task-level recovery: every task body runs under the retry protocol, so a
-/// failure or panic restores the task's declared write-set from a
-/// pre-attempt snapshot and replays it under `policy`; successors are
-/// cancelled only once retries are exhausted. Fault-free replays are
-/// bitwise-identical, so a recovered run produces exactly the factors of an
-/// undisturbed one.
-#[derive(Clone)]
+/// The recovery ladder: every task body runs under the retry protocol, so
+/// a failure or panic restores the task's declared write-set from a
+/// pre-attempt snapshot and replays it under `policy`; and the job's last
+/// step probes the factors against its input and, if they are corrupted or
+/// a task used up its budget, factors the input again with the sequential
+/// reference, up to `replays` times. Both replays give the bits of an
+/// undisturbed run: a task's writes are restored exactly, and the reduction
+/// tree fixes the arithmetic, so every schedule gives the sequential bits.
+///
+/// The whole-plan half is the factorization's: `ca-core`'s served jobs and
+/// `try_*_with` run it in the sink task they append. [`run_plan`] has no
+/// reference to replay with and runs with none left: a task out of budget
+/// fails the run. Any other [`plan_jobs`] caller with replays left must
+/// replay itself: [`PlanRun::exhausted`] names the task out of budget, and
+/// [`PlanRun::collect`] gives nothing.
+#[derive(Clone, Copy, Debug)]
 pub struct Retry {
     /// How often and how patiently a failed task is replayed.
     pub policy: RetryPolicy,
-    /// Where recovery activity (attempts, restores, injections) accumulates.
-    pub counters: Arc<RecoveryCounters>,
+    /// How often the whole plan is factored again from its input.
+    pub replays: usize,
+}
+
+impl Default for Retry {
+    fn default() -> Self {
+        Self { policy: RetryPolicy::default(), replays: 2 }
+    }
 }
 
 /// How a plan's tasks run, whoever owns the workers. `Default` is a plain
@@ -149,7 +165,7 @@ pub struct FactorOptions {
     /// (the replay restores it), and a corruption draw silently perturbs one
     /// element a successful task wrote.
     pub chaos: Option<Arc<ChaosPlan>>,
-    /// Snapshot/replay recovery of failed tasks.
+    /// Snapshot/replay recovery of failed tasks, and of the whole plan.
     pub retry: Option<Retry>,
     /// Checked execution: the task graph is first proven sound by the
     /// static verifier ([`verify_graph`]), then executed with every
@@ -168,6 +184,10 @@ pub struct PlanRun<T: Scalar, S, F> {
     plan: Plan<T, S, F>,
     matrix: SharedMatrix<T>,
     registry: Option<Arc<ShadowRegistry>>,
+    /// The first task that used up its replay budget while whole-plan
+    /// replays remained: every body after it is skipped, and so is the
+    /// gather.
+    exhausted: OnceLock<(TaskLabel, TaskFailure)>,
 }
 
 /// What [`plan_jobs`] yields: one owning job per task, and their gatherer.
@@ -176,6 +196,13 @@ pub type PlanJobs<T, S, F> = (TaskGraph<DynJob>, Arc<PlanRun<T, S, F>>);
 impl<T: Scalar, S, F> PlanRun<T, S, F> {
     fn run_task(&self, id: TaskId) {
         (self.plan.bodies[id])(&self.matrix, &self.plan.slots)
+    }
+
+    /// The task that used up its replay budget, and its last failure, if
+    /// one did while whole-plan replays remained ([`Retry::replays`]): the
+    /// run's slots are then incomplete, so gather nothing.
+    pub fn exhausted(&self) -> Option<&(TaskLabel, TaskFailure)> {
+        self.exhausted.get()
     }
 
     /// The first violation the race detector recorded so far (always `None`
@@ -187,9 +214,11 @@ impl<T: Scalar, S, F> PlanRun<T, S, F> {
     /// Gathers the factors. A job holds the matrix until it has run or been
     /// dropped, so this is `None` while any job of the graph is alive; ask
     /// after the graph drained, or from a task ordered after every other.
+    /// `None` too once a task used up its budget ([`Self::exhausted`]): the
+    /// slots it and its successors fill are empty.
     pub fn collect(self: Arc<Self>) -> Option<F> {
-        let Self { plan, matrix, .. } = Arc::into_inner(self)?;
-        Some((plan.gather)(matrix.into_inner(), plan.slots))
+        let Self { plan, matrix, exhausted, .. } = Arc::into_inner(self)?;
+        exhausted.get().is_none().then(|| (plan.gather)(matrix.into_inner(), plan.slots))
     }
 }
 
@@ -198,8 +227,11 @@ impl<T: Scalar, S, F> PlanRun<T, S, F> {
 /// `checked` proves the graph sound first (an `Err` here) and attaches the
 /// race detector; then each task body runs inside its shadow scope, after
 /// `chaos` was consulted, under `retry`'s snapshot/replay of the write-set
-/// the plan declared for it. Run every job (or drop it), then ask the
-/// [`PlanRun`].
+/// the plan declared for it. A task out of replays fails its job, unless
+/// whole-plan replays remain: then it notes itself as
+/// [`PlanRun::exhausted`] and succeeds, and every task after it skips its
+/// body, so the job reaches whoever settles it. Run every job (or drop it),
+/// then ask the [`PlanRun`].
 pub fn plan_jobs<T: Scalar, S: Send + Sync + 'static, F: 'static>(
     plan: Plan<T, S, F>,
     a: Matrix<T>,
@@ -215,20 +247,29 @@ pub fn plan_jobs<T: Scalar, S: Send + Sync + 'static, F: 'static>(
         Some(registry) => SharedMatrix::with_shadow(a, registry.clone()),
         None => SharedMatrix::new(a),
     };
-    let run = Arc::new(PlanRun { plan, matrix, registry });
+    let run = Arc::new(PlanRun { plan, matrix, registry, exhausted: OnceLock::new() });
 
     let jobs = run.plan.graph.map_ref(|id, _| {
         let (run, chaos, scope) = (Arc::clone(&run), opts.chaos.clone(), run.registry.clone());
         let label = run.plan.graph.meta(id).label;
         // Under `retry` the protocol consults the chaos plan itself, once per
         // attempt; either way snapshots and restores happen inside the scope.
-        let (chaos, task): (_, DynJob) = match opts.retry.clone() {
+        let (chaos, task): (_, DynJob) = match opts.retry {
             None => (chaos, job(move || run.run_task(id))),
-            Some(Retry { policy, counters }) => {
+            Some(Retry { policy, replays }) => {
                 let recovering = move || {
+                    if run.exhausted.get().is_some() {
+                        return Ok(());
+                    }
                     let (writes, chaos) = (run.plan.access.writes(id), chaos.as_deref());
                     let body = || run.run_task(id);
-                    run_recovering(&label, writes, &run.matrix, &policy, chaos, &counters, &body)
+                    match run_recovering(&label, writes, &run.matrix, &policy, chaos, &body) {
+                        Err(failure) if replays > 0 => {
+                            let _ = run.exhausted.set((label, failure));
+                            Ok(())
+                        }
+                        outcome => outcome,
+                    }
                 };
                 (None, Box::new(recovering))
             }
@@ -239,7 +280,8 @@ pub fn plan_jobs<T: Scalar, S: Send + Sync + 'static, F: 'static>(
 }
 
 /// Factors `a` through `plan` on `threads` workers of the caller's own
-/// ([`execute`]). A worker failure maps to [`CheckedError::Exec`] without
+/// ([`execute`]). A worker failure — a task out of replays included: there
+/// are no whole-plan replays here — maps to [`CheckedError::Exec`] without
 /// ever touching the plan's not-yet-filled result slots.
 pub fn run_plan<T: Scalar, S: Send + Sync + 'static, F: 'static>(
     plan: Plan<T, S, F>,
@@ -247,7 +289,9 @@ pub fn run_plan<T: Scalar, S: Send + Sync + 'static, F: 'static>(
     threads: usize,
     opts: &FactorOptions,
 ) -> Result<(F, RunReport), CheckedError> {
-    let (jobs, run) = plan_jobs(plan, a, opts).map_err(CheckedError::Soundness)?;
+    let retry = opts.retry.map(|r| Retry { replays: 0, ..r });
+    let opts = FactorOptions { retry, ..opts.clone() };
+    let (jobs, run) = plan_jobs(plan, a, &opts).map_err(CheckedError::Soundness)?;
     let mut report = execute(jobs, threads);
     if let Some(e) = report.failure.take() {
         return Err(CheckedError::Exec(e));
@@ -257,4 +301,39 @@ pub fn run_plan<T: Scalar, S: Send + Sync + 'static, F: 'static>(
     }
     let factors = run.collect().expect("execute ran or dropped every job, so the run is the last owner");
     Ok((factors, report))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::task::TaskKind;
+
+    #[test]
+    fn a_run_whose_task_used_up_its_budget_gathers_nothing() {
+        // Task 0 fills the slot the gather reads and fails once, with no
+        // task replay to spare: under the default whole-plan replays it
+        // notes itself and succeeds, and the gather must not read the slot.
+        let mut pb = PlanBuilder::<f64, OnceLock<f64>>::new(1, 2, 1);
+        let fill = TaskLabel::new(TaskKind::Panel, 0, 0, 0);
+        let t = pb.task(TaskMeta::new(fill, 1.0), |_, slot| {
+            let _ = slot.set(1.0);
+        });
+        pb.writes(t, 0..1, 0..1);
+        let t = pb.task(TaskMeta::new(TaskLabel::new(TaskKind::Update, 0, 1, 0), 1.0), |_, slot| {
+            assert!(slot.get().is_some(), "a skipped body is never reached");
+        });
+        pb.reads(t, 0..1, 0..1);
+        pb.writes(t, 1..2, 0..1);
+        let plan = pb.finish(OnceLock::new(), |_, slot| slot.into_inner().expect("slot filled"));
+        let opts = FactorOptions {
+            chaos: Some(Arc::new(ChaosPlan::quiet(0).fail_nth(1, move |l| *l == fill))),
+            retry: Some(Retry { policy: RetryPolicy::default().with_max_retries(0), ..Retry::default() }),
+            checked: false,
+        };
+        let (jobs, run) = plan_jobs(plan, Matrix::zeros(2, 1), &opts).expect("nothing to verify");
+        let report = execute(jobs, 1);
+        assert!(report.failure.is_none(), "the exhausted task hands the run on");
+        assert_eq!(run.exhausted().map(|(label, _)| *label), Some(fill));
+        assert_eq!(run.collect(), None);
+    }
 }

@@ -1,5 +1,5 @@
-//! Task-level recovery: write-set snapshots, bounded replay, and a seeded
-//! chaos harness.
+//! Task-level recovery: write-set snapshots, bounded replay, a seeded chaos
+//! harness, and the per-task note every recovery fact is written to.
 //!
 //! The executors are *fail-fast*: a failed or panicked task cancels its
 //! transitive successors. This module adds the *recover* half. A task that
@@ -11,8 +11,10 @@
 //! 2. runs the body under a panic guard,
 //! 3. on failure or panic restores the snapshot and replays the body up to
 //!    [`RetryPolicy::max_retries`] times with bounded exponential backoff,
-//! 4. returns `Err` — cancelling successors — only once retries are
-//!    exhausted.
+//! 4. gives up once the budget is spent: with whole-plan replays left
+//!    ([`crate::Retry::replays`]) it hands the job to its sink, which factors
+//!    the restored input again; without, it returns `Err`, cancelling its
+//!    successors.
 //!
 //! Restoring the write-set is sufficient for idempotent replay because a
 //! task's observable effects on the shared matrix are exactly its declared
@@ -20,6 +22,12 @@
 //! registry), and side-storage slots (`OnceLock`s in the panel contexts)
 //! are only filled at the very end of a successful body. Fault-free replays
 //! are therefore bitwise-identical to a run that never faulted.
+//!
+//! Every recovery fact — an attempt, a restore, an injection, a probe, a
+//! whole-plan replay — is noted on the task it happened in
+//! ([`record_recovery`]): the worker loop moves the note onto the task's
+//! record, so a job's [`RecoveryStats`] is a fold over its log, not a
+//! counter beside it.
 //!
 //! [`ChaosPlan`] is the one fault-injection harness, applied to a plan's
 //! tasks by [`crate::plan_jobs`] with or without the retry protocol:
@@ -36,38 +44,35 @@ use crate::fault::{panic_message, TaskFailure, TaskResult};
 use crate::task::{TaskId, TaskKind, TaskLabel};
 use crate::telemetry::{record_event, FlightEventKind};
 use ca_matrix::{ElemRect, MatView, Scalar, ShadowRegistry, SharedMatrix};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use ca_telemetry::{Counter, Registry};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-/// How many times a failed task is replayed, and how long to wait between
-/// attempts. The defaults (3 replays, 200 µs base, doubling, 10 ms cap) keep
-/// worst-case per-task recovery latency far below kernel runtimes, so the
-/// recovery overhead at paper-scale fault rates stays in single-digit
-/// percent.
+/// Growth of the replay backoff per replay.
+const BACKOFF_GROWTH: f64 = 2.0;
+
+/// Upper bound on any single replay backoff.
+const MAX_BACKOFF: Duration = Duration::from_millis(10);
+
+/// How many times a failed task is replayed, and how long the first replay
+/// waits (each later one waits twice as long, at most 10 ms). The defaults
+/// (3 replays, 10 µs base) keep worst-case per-task recovery latency far
+/// below kernel runtimes, so the recovery overhead at paper-scale fault
+/// rates stays in single-digit percent.
 #[derive(Clone, Copy, Debug)]
 pub struct RetryPolicy {
-    /// Replays after the first attempt (`0` disables recovery).
+    /// Replays after the first attempt (`0` disables task replay).
     pub max_retries: usize,
     /// Delay before the first replay.
     pub backoff: Duration,
-    /// Multiplier applied to the delay after each replay.
-    pub multiplier: f64,
-    /// Upper bound on any single delay.
-    pub max_backoff: Duration,
 }
 
 impl Default for RetryPolicy {
     fn default() -> Self {
-        Self {
-            max_retries: 3,
-            backoff: Duration::from_micros(200),
-            multiplier: 2.0,
-            max_backoff: Duration::from_millis(10),
-        }
+        Self { max_retries: 3, backoff: Duration::from_micros(10) }
     }
 }
 
@@ -86,9 +91,8 @@ impl RetryPolicy {
 
     /// Delay before replay number `retry` (0-based), exponential and capped.
     pub fn delay_for(&self, retry: usize) -> Duration {
-        let mult = self.multiplier.max(1.0).powi(retry.min(32) as i32);
-        let d = self.backoff.as_secs_f64() * mult;
-        Duration::from_secs_f64(d.min(self.max_backoff.as_secs_f64()))
+        let d = self.backoff.as_secs_f64() * BACKOFF_GROWTH.powi(retry.min(32) as i32);
+        Duration::from_secs_f64(d.min(MAX_BACKOFF.as_secs_f64()))
     }
 }
 
@@ -218,11 +222,6 @@ impl ChaosPlan {
         self
     }
 
-    /// The seed the rate draws derive from.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     fn rule(
         mut self,
         nth: usize,
@@ -275,13 +274,6 @@ impl ChaosPlan {
         predicate: impl Fn(&TaskLabel) -> bool + Send + Sync + 'static,
     ) -> Self {
         self.rule(nth, ChaosAction::Corrupt, predicate)
-    }
-
-    /// Whether the plan can never inject anything.
-    pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
-            && self.profile.total() == 0.0
-            && self.class_profiles.iter().all(|(_, p)| p.total() == 0.0)
     }
 
     fn profile_for(&self, kind: TaskKind) -> &ChaosProfile {
@@ -357,66 +349,91 @@ fn unit_draw(h: u64) -> f64 {
     (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Counters shared by every recovery wrapper of a run (or of a whole
-/// service) — the single store of each task-level recovery fact. All
-/// updates are lock-free; read them per run with
-/// [`RecoveryCounters::snapshot`], or expose them live by letting a
-/// registry adopt the handles ([`RecoveryCounters::register`]).
-#[derive(Debug, Default)]
-pub struct RecoveryCounters {
-    attempts: Arc<Counter>,
-    retries: Arc<Counter>,
-    recovered: Arc<Counter>,
-    exhausted: Arc<Counter>,
-    restores: Arc<Counter>,
-    injected_failures: Arc<Counter>,
-    injected_panics: Arc<Counter>,
-    injected_delays: Arc<Counter>,
-    injected_corruptions: Arc<Counter>,
+/// One thing the recovery layer did inside a task body.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RecoveryEvent {
+    /// The first attempt of a body under the retry protocol.
+    Attempt,
+    /// A replay of a body after a failed attempt.
+    Retry,
+    /// A write-set restore after a failed attempt.
+    Restore,
+    /// The last attempt failed: the task's replay budget is spent.
+    Exhausted,
+    /// A [`ChaosPlan`] injected a failure.
+    InjectedFailure,
+    /// A [`ChaosPlan`] injected a panic.
+    InjectedPanic,
+    /// A [`ChaosPlan`] injected a delay.
+    InjectedDelay,
+    /// A [`ChaosPlan`] silently corrupted an element the task wrote.
+    InjectedCorruption,
+    /// An integrity probe ran over the job's factors.
+    Probe,
+    /// An integrity probe found the factors corrupted.
+    ProbeFailure,
+    /// The whole plan was factored again from its restored input.
+    Replay,
 }
 
-impl RecoveryCounters {
-    /// Fresh zeroed counters.
-    pub fn new() -> Self {
-        Self::default()
-    }
+impl RecoveryEvent {
+    /// How many kinds of event a [`TaskNote`] counts.
+    const KINDS: usize = 11;
 
-    /// Registers every counter in `registry` as `<prefix>_<name>_total`
-    /// (names as in [`RecoveryStats`]); snapshots then read the live values.
-    pub fn register(&self, registry: &Registry, prefix: &str) {
-        for (name, handle) in [
-            ("attempts", &self.attempts),
-            ("retries", &self.retries),
-            ("recovered_tasks", &self.recovered),
-            ("exhausted_tasks", &self.exhausted),
-            ("restores", &self.restores),
-            ("injected_failures", &self.injected_failures),
-            ("injected_panics", &self.injected_panics),
-            ("injected_delays", &self.injected_delays),
-            ("injected_corruptions", &self.injected_corruptions),
-        ] {
-            let family = format!("{prefix}_{name}_total");
-            registry.adopt_counter(&family, "Task-level recovery counter", &[], handle.clone());
-        }
-    }
-
-    /// Point-in-time copy of every counter.
-    pub fn snapshot(&self) -> RecoveryStats {
-        RecoveryStats {
-            attempts: self.attempts.get(),
-            retries: self.retries.get(),
-            recovered_tasks: self.recovered.get(),
-            exhausted_tasks: self.exhausted.get(),
-            restores: self.restores.get(),
-            injected_failures: self.injected_failures.get(),
-            injected_panics: self.injected_panics.get(),
-            injected_delays: self.injected_delays.get(),
-            injected_corruptions: self.injected_corruptions.get(),
+    /// The flight-recorder mark the event leaves, if any.
+    fn flight_kind(self) -> Option<FlightEventKind> {
+        match self {
+            Self::Retry => Some(FlightEventKind::Retry),
+            Self::Restore => Some(FlightEventKind::Restore),
+            Self::InjectedFailure
+            | Self::InjectedPanic
+            | Self::InjectedDelay
+            | Self::InjectedCorruption => Some(FlightEventKind::Inject),
+            Self::ProbeFailure => Some(FlightEventKind::ProbeCorrupt),
+            Self::Attempt | Self::Exhausted | Self::Probe | Self::Replay => None,
         }
     }
 }
 
-/// Plain-value snapshot of [`RecoveryCounters`].
+/// What the recovery layer did inside one task body, per
+/// [`RecoveryEvent`] (saturating): the worker loop moves it onto the task's
+/// record when the body returns.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct TaskNote([u16; RecoveryEvent::KINDS]);
+
+thread_local! {
+    /// The note of the task body running on this thread.
+    static NOTE: Cell<TaskNote> = const { Cell::new(TaskNote([0; RecoveryEvent::KINDS])) };
+}
+
+/// Notes `event` on the task running on this thread, and marks the flight
+/// recorder's lane, under the task's job, when the event leaves a mark.
+/// Call it from a task body: the worker loop collects the note when the
+/// body returns.
+pub fn record_recovery(event: RecoveryEvent) {
+    note(event, None);
+}
+
+/// [`record_recovery`] with the task's label on the flight mark.
+fn note(event: RecoveryEvent, label: Option<TaskLabel>) {
+    NOTE.with(|n| {
+        let mut note = n.get();
+        note.0[event as usize] = note.0[event as usize].saturating_add(1);
+        n.set(note);
+    });
+    if let Some(kind) = event.flight_kind() {
+        record_event(kind, label);
+    }
+}
+
+/// Takes the note of the body that just returned on this thread.
+pub(crate) fn take_note() -> TaskNote {
+    NOTE.take()
+}
+
+/// What recovery did over a job: the sum of its tasks' notes. Every
+/// executor computes it from the job's log ([`crate::RunReport::recovery`],
+/// [`crate::JobReport::recovery`]); nothing else stores it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 #[derive(serde::Serialize, serde::Deserialize)]
 pub struct RecoveryStats {
@@ -426,7 +443,7 @@ pub struct RecoveryStats {
     pub retries: u64,
     /// Tasks that failed at least once and then succeeded.
     pub recovered_tasks: u64,
-    /// Tasks that failed every attempt (successors were cancelled).
+    /// Tasks that failed every attempt.
     pub exhausted_tasks: u64,
     /// Write-set snapshot restorations performed.
     pub restores: u64,
@@ -438,6 +455,74 @@ pub struct RecoveryStats {
     pub injected_delays: u64,
     /// Silent corruptions injected by a [`ChaosPlan`].
     pub injected_corruptions: u64,
+    /// Integrity probes run over the factors.
+    pub probes: u64,
+    /// Probes that found the factors corrupted.
+    pub probe_failures: u64,
+    /// Whole-plan replays from the restored input.
+    pub replays: u64,
+}
+
+impl RecoveryStats {
+    /// The names of [`RecoveryStats::counts`], in order.
+    pub const NAMES: [&'static str; 12] = [
+        "attempts",
+        "retries",
+        "recovered_tasks",
+        "exhausted_tasks",
+        "restores",
+        "injected_failures",
+        "injected_panics",
+        "injected_delays",
+        "injected_corruptions",
+        "probes",
+        "probe_failures",
+        "replays",
+    ];
+
+    /// Every count, in the order of [`RecoveryStats::NAMES`].
+    pub fn counts(&self) -> [u64; 12] {
+        let Self {
+            attempts, retries, recovered_tasks, exhausted_tasks, restores, injected_failures,
+            injected_panics, injected_delays, injected_corruptions, probes, probe_failures, replays,
+        } = *self;
+        [
+            attempts, retries, recovered_tasks, exhausted_tasks, restores, injected_failures,
+            injected_panics, injected_delays, injected_corruptions, probes, probe_failures, replays,
+        ]
+    }
+
+    /// The stats whose [`RecoveryStats::counts`] are `c`.
+    pub fn from_counts(c: [u64; 12]) -> Self {
+        let [
+            attempts, retries, recovered_tasks, exhausted_tasks, restores, injected_failures,
+            injected_panics, injected_delays, injected_corruptions, probes, probe_failures, replays,
+        ] = c;
+        Self {
+            attempts, retries, recovered_tasks, exhausted_tasks, restores, injected_failures,
+            injected_panics, injected_delays, injected_corruptions, probes, probe_failures, replays,
+        }
+    }
+
+    /// Adds one task's note.
+    pub(crate) fn add(&mut self, note: &TaskNote) {
+        let [
+            attempt, retry, restore, exhausted, failure, panic, delay, corruption, probe, probe_failure,
+            replay,
+        ] = note.0.map(u64::from);
+        self.attempts += attempt + retry;
+        self.retries += retry;
+        self.recovered_tasks += u64::from(retry > 0 && exhausted == 0);
+        self.exhausted_tasks += exhausted;
+        self.restores += restore;
+        self.injected_failures += failure;
+        self.injected_panics += panic;
+        self.injected_delays += delay;
+        self.injected_corruptions += corruption;
+        self.probes += probe;
+        self.probe_failures += probe_failure;
+        self.replays += replay;
+    }
 }
 
 fn rows(r: &ElemRect) -> usize {
@@ -519,7 +604,6 @@ pub(crate) fn run_recovering<T: Scalar>(
     shared: &SharedMatrix<T>,
     policy: &RetryPolicy,
     chaos: Option<&ChaosPlan>,
-    counters: &RecoveryCounters,
     body: &(dyn Fn() + Send),
 ) -> TaskResult {
     // Keep the panic-hook filter installed for every attempt; the guard is
@@ -533,12 +617,12 @@ pub(crate) fn run_recovering<T: Scalar>(
     let mut last = TaskFailure::new("task never attempted");
     for attempt in 0..=policy.max_retries {
         if attempt > 0 {
-            counters.retries.inc();
-            record_event(FlightEventKind::Retry, Some(*label));
+            note(RecoveryEvent::Retry, Some(*label));
             std::thread::sleep(policy.delay_for(attempt - 1));
+        } else {
+            note(RecoveryEvent::Attempt, None);
         }
-        counters.attempts.inc();
-        let target = Target { writes, shared, counters };
+        let target = Target { writes, shared };
         let outcome = guarded(|| {
             inject(chaos, label, Some(&target), || {
                 body();
@@ -546,32 +630,24 @@ pub(crate) fn run_recovering<T: Scalar>(
             })
         });
         match outcome {
-            Ok(()) => {
-                if attempt > 0 {
-                    counters.recovered.inc();
-                }
-                return Ok(());
-            }
+            Ok(()) => return Ok(()),
             Err(failure) => {
                 last = failure;
                 if let Some(saved) = &snapshot {
                     restore(writes, shared, saved);
-                    counters.restores.inc();
-                    record_event(FlightEventKind::Restore, Some(*label));
+                    note(RecoveryEvent::Restore, Some(*label));
                 }
             }
         }
     }
-    counters.exhausted.inc();
+    note(RecoveryEvent::Exhausted, None);
     Err(last)
 }
 
-/// What an injected fault may damage, and where it is counted: the task's
-/// write-set on its matrix plus the run's recovery counters.
+/// What an injected fault may damage: the task's write-set on its matrix.
 struct Target<'a, T: Scalar> {
     writes: &'a [ElemRect],
     shared: &'a SharedMatrix<T>,
-    counters: &'a RecoveryCounters,
 }
 
 /// Failure message of an injected fault.
@@ -593,40 +669,31 @@ fn inject<T: Scalar>(
     body: impl FnOnce() -> TaskResult,
 ) -> TaskResult {
     let Some(chaos) = chaos else { return body() };
-    let decision = chaos.decide(label);
-    if decision.is_some() {
-        record_event(FlightEventKind::Inject, Some(*label));
-    }
-    let count = |pick: fn(&RecoveryCounters) -> &Counter| {
-        if let Some(t) = target {
-            pick(t.counters).inc();
-        }
-    };
     let damage = || {
         if let Some(t) = target {
             scribble(t.writes, t.shared);
         }
     };
-    match decision {
+    match chaos.decide(label) {
         Some(ChaosAction::Fail) => {
-            count(|c| &c.injected_failures);
+            note(RecoveryEvent::InjectedFailure, Some(*label));
             damage();
             Err(TaskFailure::new(injection_message(false, label)))
         }
         Some(ChaosAction::Panic) => {
-            count(|c| &c.injected_panics);
+            note(RecoveryEvent::InjectedPanic, Some(*label));
             damage();
             panic!("{}", injection_message(true, label))
         }
         Some(ChaosAction::Delay(d)) => {
-            count(|c| &c.injected_delays);
+            note(RecoveryEvent::InjectedDelay, Some(*label));
             std::thread::sleep(d);
             body()
         }
         Some(ChaosAction::Corrupt) => {
             let r = body();
             if let Some(t) = target.filter(|t| r.is_ok() && !t.writes.is_empty()) {
-                count(|c| &c.injected_corruptions);
+                note(RecoveryEvent::InjectedCorruption, Some(*label));
                 corrupt_one(t.writes, t.shared, splitmix64(mix(chaos.seed, label, u64::MAX)));
             }
             r
@@ -713,10 +780,6 @@ impl PanicHookGuard {
         Self(())
     }
 
-    /// Number of live guards (exposed for tests).
-    pub fn active() -> usize {
-        FILTER.lock().expect("panic-filter state poisoned").refs
-    }
 }
 
 impl Default for PanicHookGuard {
@@ -852,6 +915,13 @@ mod tests {
         assert_eq!(changed, 1);
     }
 
+    /// The note a body run on this thread left, as a job would fold it.
+    fn folded() -> RecoveryStats {
+        let mut s = RecoveryStats::default();
+        s.add(&take_note());
+        s
+    }
+
     #[test]
     fn retry_recovers_from_injected_faults() {
         let shared = SharedMatrix::new(Matrix::zeros(4, 4));
@@ -860,15 +930,14 @@ mod tests {
         let chaos = ChaosPlan::quiet(0)
             .fail_nth(1, |_| true)
             .panic_nth(2, |_| true);
-        let counters = RecoveryCounters::new();
         let runs = AtomicUsize::new(0);
+        take_note();
         let result = run_recovering(
             &l,
             &ws,
             &shared,
             &RetryPolicy::default().with_backoff(Duration::ZERO),
             Some(&chaos),
-            &counters,
             &|| {
                 runs.fetch_add(1, Ordering::Relaxed);
                 // SAFETY: single-threaded test, declared write region.
@@ -880,7 +949,7 @@ mod tests {
         );
         assert!(result.is_ok());
         assert_eq!(runs.load(Ordering::Relaxed), 1, "body ran once (injections precede it)");
-        let stats = counters.snapshot();
+        let stats = folded();
         assert_eq!(stats.attempts, 3);
         assert_eq!(stats.retries, 2);
         assert_eq!(stats.recovered_tasks, 1);
@@ -897,11 +966,11 @@ mod tests {
         let ws = one_rect();
         let l = label(TaskKind::Update, 0);
         let chaos = ChaosPlan::with_profile(0, ChaosProfile::quiet().with_fail_rate(1.0));
-        let counters = RecoveryCounters::new();
         let policy = RetryPolicy::default().with_max_retries(2).with_backoff(Duration::ZERO);
-        let result = run_recovering(&l, &ws, &shared, &policy, Some(&chaos), &counters, &|| {});
+        take_note();
+        let result = run_recovering(&l, &ws, &shared, &policy, Some(&chaos), &|| {});
         assert!(result.is_err());
-        let stats = counters.snapshot();
+        let stats = folded();
         assert_eq!(stats.attempts, 3);
         assert_eq!(stats.exhausted_tasks, 1);
         assert_eq!(stats.recovered_tasks, 0);
@@ -910,15 +979,19 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_bounded() {
-        let p = RetryPolicy {
-            max_retries: 10,
-            backoff: Duration::from_millis(1),
-            multiplier: 10.0,
-            max_backoff: Duration::from_millis(5),
-        };
-        assert_eq!(p.delay_for(0), Duration::from_millis(1));
-        assert_eq!(p.delay_for(1), Duration::from_millis(5));
-        assert_eq!(p.delay_for(9), Duration::from_millis(5));
+    fn retry_backoff_doubles_up_to_its_cap() {
+        let p = RetryPolicy::default().with_max_retries(10).with_backoff(Duration::from_millis(3));
+        assert_eq!(p.delay_for(0), Duration::from_millis(3));
+        assert_eq!(p.delay_for(1), Duration::from_millis(6));
+        assert_eq!(p.delay_for(2), MAX_BACKOFF);
+        assert_eq!(p.delay_for(9), MAX_BACKOFF);
+    }
+
+    #[test]
+    fn recovery_stats_counts_round_trip_by_name() {
+        let s = RecoveryStats { restores: 2, probe_failures: 1, replays: 3, ..Default::default() };
+        assert_eq!(RecoveryStats::from_counts(s.counts()), s);
+        let named: Vec<_> = RecoveryStats::NAMES.iter().zip(s.counts()).filter(|(_, c)| *c > 0).collect();
+        assert_eq!(named, [(&"restores", 2), (&"probe_failures", 1), (&"replays", 3)]);
     }
 }

@@ -14,6 +14,7 @@ use crate::exec::RunReport;
 use crate::frontier::{Entry, Frontier, Pick};
 use crate::graph::TaskGraph;
 use crate::log::TaskRec;
+use crate::retry::TaskNote;
 use crate::task::{TaskId, TaskMeta};
 
 /// Simulates executing `graph` on `nworkers` cores; `cost` maps a task id
@@ -48,7 +49,7 @@ pub fn simulate<T>(
         for (lane, slot) in running.iter_mut().enumerate().filter(|(_, s)| s.is_none()) {
             let Some(Pick { task, meta, .. }) = frontier.pick() else { break };
             let end = t + cost(task, meta).max(0.0);
-            *slot = Some(TaskRec { task, label: meta.label, lane, start: t, end });
+            *slot = Some(TaskRec { task, label: meta.label, lane, start: t, end, note: TaskNote::default() });
         }
         // Advance to the earliest completion and complete every task that
         // ends at that instant, core by core, so their cores are all idle

@@ -236,11 +236,6 @@ impl FlightRecorder {
         }
     }
 
-    /// Per-lane retained-event depth.
-    pub fn depth(&self) -> usize {
-        self.depth
-    }
-
     /// Number of worker lanes (excluding the external lane).
     pub fn nworkers(&self) -> usize {
         self.lanes.len() - 1

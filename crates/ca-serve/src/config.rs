@@ -1,6 +1,6 @@
 //! Service configuration: worker pool size, admission control, the tiny-job route.
 
-use ca_core::CaParams;
+use ca_core::{CaParams, Retry};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -45,94 +45,11 @@ impl BatchConfig {
     }
 }
 
-/// Recovery behavior for service jobs: task-level retry (write-set
-/// snapshot/replay inside the running graph), job-level retry with
-/// exponential backoff (rebuild and resubmit from the retained request
-/// payload), and an optional O(n²) post-factorization integrity probe that
-/// catches silent corruption.
-///
-/// Job retries are **deadline-aware**: a job is never resubmitted when the
-/// backoff would run past its deadline, and resubmissions carry only the
-/// deadline budget that remains.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryConfig {
-    /// Per-task replay budget (see [`ca_sched::RetryPolicy::max_retries`]).
-    pub task_retries: usize,
-    /// Job-level resubmissions after a failed (or corrupted) run.
-    pub job_retries: usize,
-    /// Initial job-resubmission backoff.
-    pub backoff: Duration,
-    /// Backoff growth per resubmission (clamped to ≥ 1).
-    pub multiplier: f64,
-    /// Backoff ceiling.
-    pub max_backoff: Duration,
-    /// Run the random-vector integrity probe on completed LU/QR factors;
-    /// a probe hit fails (or retries) the job as corrupted.
-    pub probe: bool,
-    /// Seed for the probe's random vector.
-    pub probe_seed: u64,
-}
-
-impl Default for RetryConfig {
-    fn default() -> Self {
-        Self {
-            task_retries: 3,
-            job_retries: 2,
-            backoff: Duration::from_millis(1),
-            multiplier: 2.0,
-            max_backoff: Duration::from_millis(100),
-            probe: true,
-            probe_seed: 0x5eed,
-        }
-    }
-}
-
-impl RetryConfig {
-    /// Sets the job-level resubmission budget.
-    pub fn with_job_retries(mut self, n: usize) -> Self {
-        self.job_retries = n;
-        self
-    }
-
-    /// Sets the per-task replay budget.
-    pub fn with_task_retries(mut self, n: usize) -> Self {
-        self.task_retries = n;
-        self
-    }
-
-    /// Disables the post-factorization integrity probe.
-    pub fn without_probe(mut self) -> Self {
-        self.probe = false;
-        self
-    }
-
-    /// The task-level [`ca_sched::RetryPolicy`] this config implies. Task
-    /// replays reuse the job backoff parameters at a 100× shorter scale —
-    /// a task replay is local to one worker, not a whole resubmission.
-    pub fn task_policy(&self) -> ca_sched::RetryPolicy {
-        ca_sched::RetryPolicy::default()
-            .with_max_retries(self.task_retries)
-            .with_backoff(self.backoff / 100)
-    }
-
-    /// The job-level backoff schedule as a [`ca_sched::RetryPolicy`] (for
-    /// its bounded-exponential [`ca_sched::RetryPolicy::delay_for`]).
-    pub fn job_policy(&self) -> ca_sched::RetryPolicy {
-        ca_sched::RetryPolicy {
-            max_retries: self.job_retries,
-            backoff: self.backoff,
-            multiplier: self.multiplier,
-            max_backoff: self.max_backoff,
-        }
-    }
-}
-
 /// Chaos-drill configuration: every submitted graph is built under a seeded
 /// [`ca_sched::ChaosPlan`] injecting failures, panics, delays, and silent
-/// corruption at the profile's per-task rates. Each job (and each job-level
-/// resubmission) draws a distinct seed derived from [`ChaosConfig::seed`],
-/// so a drill is reproducible per submission order while retried jobs are
-/// not pinned into identical injections.
+/// corruption at the profile's per-task rates. Each job draws a distinct
+/// seed derived from [`ChaosConfig::seed`], so a drill is reproducible per
+/// submission order.
 #[derive(Clone, Copy, Debug)]
 pub struct ChaosConfig {
     /// Base seed for per-job plan derivation.
@@ -241,7 +158,8 @@ impl TelemetryConfig {
 pub struct ServiceConfig {
     /// Worker threads owned by the service for its whole lifetime.
     pub workers: usize,
-    /// Maximum admitted-but-unfinished jobs (the bounded queue).
+    /// Maximum admitted-but-unfinished jobs (the bounded queue; `0` admits
+    /// one at a time, like `1`).
     pub queue_capacity: usize,
     /// Behavior at capacity.
     pub admission: AdmissionPolicy,
@@ -254,10 +172,12 @@ pub struct ServiceConfig {
     pub params: CaParams,
     /// Deadline applied to submissions that don't set their own.
     pub default_deadline: Option<Duration>,
-    /// Task- and job-level recovery; `None` disables retry and probing.
-    /// A one-task job has no write sets to replay from, so the tiny-job
-    /// route is not taken while this is set.
-    pub retry: Option<RetryConfig>,
+    /// The recovery ladder of every job ([`ca_sched::Retry`]): task replay
+    /// from write-set snapshots, then an integrity probe of the factors and
+    /// up to [`Retry::replays`] whole-plan replays, all inside the job.
+    /// `None` replays and probes nothing. A one-task job has no write sets to
+    /// replay from, so the tiny-job route is not taken while this is set.
+    pub retry: Option<Retry>,
     /// Chaos drill; `None` (production) injects nothing.
     pub chaos: Option<ChaosConfig>,
     /// Periodic metrics exposition, flight recorder and failure dumps.
@@ -318,8 +238,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Enables task- and job-level recovery.
-    pub fn with_retry(mut self, retry: RetryConfig) -> Self {
+    /// Enables the recovery ladder.
+    pub fn with_retry(mut self, retry: Retry) -> Self {
         self.retry = Some(retry);
         self
     }

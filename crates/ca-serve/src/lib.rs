@@ -21,17 +21,18 @@
 //!   like any other job, but as a single task on the sequential kernels:
 //!   it skips the DAG's per-task scheduling cost, not the queue, so it
 //!   keeps its id, weight, deadline, tenant and `cancel()`;
-//! - every job outcome, latency sample, retry, probe and rejection is
+//! - every job outcome, latency sample, rejection and recovery count is
 //!   stored once, in the service's metric registry;
 //!   [`Service::stats`] (per-job latency, throughput, occupancy,
 //!   shed/reject/deadline counters) and [`Service::metrics_snapshot`] (the
 //!   Prometheus/JSON exposition) are views computed from it when read, and
 //!   [`Service::chrome_trace`] reuses the existing chrome-trace pipeline;
-//! - an optional recovery tier ([`RetryConfig`]): task-level replay from
-//!   write-set snapshots inside the running graph, job-level resubmission
-//!   with deadline-aware exponential backoff from the retained request
-//!   payload, and a random-vector integrity probe that turns silent factor
-//!   corruption into [`ServeError::Corrupted`] (or a retry). A seeded
+//! - an optional recovery ladder ([`Retry`], `ca-core`'s served jobs), run
+//!   inside each job: task-level replay from write-set snapshots, then a
+//!   random-vector integrity probe of the factors and whole-plan replays
+//!   from the job's input, which give the same bits; factors still corrupt
+//!   after the last replay are [`ServeError::Corrupted`]. The service adds
+//!   only admission, weights and deadlines around it. A seeded
 //!   [`ChaosConfig`] drill injects failures/panics/corruption for testing.
 //!
 //! ```
@@ -53,13 +54,12 @@ mod service;
 mod stats;
 
 pub use config::{
-    AdmissionPolicy, BatchConfig, ChaosConfig, RetryConfig, ServiceConfig, SubmitOptions,
-    TelemetryConfig,
+    AdmissionPolicy, BatchConfig, ChaosConfig, ServiceConfig, SubmitOptions, TelemetryConfig,
 };
 pub use service::{JobHandle, Service};
 pub use stats::{LatencySummary, ServeError, ServiceStats};
 
 // Frontier types that surface through the service API.
-pub use ca_sched::{CancelReason, ChaosProfile, JobId, RecoveryStats};
+pub use ca_sched::{CancelReason, ChaosProfile, JobId, RecoveryStats, Retry, RetryPolicy};
 // Telemetry types that surface through [`Service::metrics_snapshot`].
 pub use ca_telemetry::{RegistrySnapshot, SeriesValue};

@@ -1,22 +1,20 @@
 //! The serve tier's one store of job-level facts: registry series, the
 //! exposition built from them, and bounded flight-recorder failure dumps.
 //!
-//! Every [`crate::Service`] owns a [`ServeMetrics`]. Each attempt outcome,
-//! latency sample, resubmission, probe and rejection is written exactly
-//! once, lock-free, to one of its registry series — per-`(tenant, class)`
+//! Every [`crate::Service`] owns a [`ServeMetrics`]. Each job outcome,
+//! latency sample, recovery count and rejection is written exactly once,
+//! lock-free, to one of its registry series — per-`(tenant, class)`
 //! [`TenantSeries`] for what a job does, unlabelled counters for what the
-//! service does — and everything else is a view computed when read: [`crate::ServiceStats`] sums the series
-//! ([`ServeMetrics::fill`]); the exposition refreshes its gauges and adds
-//! the derived families ([`ServeMetrics::snapshot`]). A job's *terminal*
-//! outcome is such a view ([`TenantSeries::completed`], [`TenantSeries::failed`]):
-//! attempts minus detections and resubmissions, so an attempt nobody waits
-//! on still counts and nothing is ever decremented. Facts stored elsewhere
-//! (scheduler totals, task-level recovery counters, out-of-core I/O) are
-//! *adopted* into the registry, which reads them live.
+//! service does — by the completion hook or the submitting call, so a job
+//! nobody waits on still counts. Everything else is a view computed when
+//! read: [`crate::ServiceStats`] sums the series ([`ServeMetrics::fill`]);
+//! the exposition refreshes its gauges and adds the derived rollup
+//! ([`ServeMetrics::snapshot`]). Facts stored elsewhere (scheduler totals,
+//! out-of-core I/O) are *adopted* into the registry, which reads them live.
 
 use crate::config::TelemetryConfig;
 use crate::stats::ServiceStats;
-use ca_sched::{FlightRecorder, RecoveryCounters};
+use ca_sched::{FlightRecorder, RecoveryStats};
 use ca_telemetry::{
     write_atomic, Counter, FamilySnapshot, Gauge, Histogram, MetricKind, Registry,
     RegistrySnapshot, SeriesSnapshot, SeriesValue, LATENCY_BOUNDS,
@@ -32,37 +30,22 @@ pub(crate) struct TenantSeries {
     /// Position in the series table: what a frontier job's tag carries so
     /// the completion hook finds these handles again.
     pub index: u32,
-    labels: Vec<(String, String)>,
     pub submitted: Arc<Counter>,
-    /// How attempts (frontier jobs) ended, counted by the completion hook.
-    pub attempts_completed: Arc<Counter>,
-    pub attempts_failed: Arc<Counter>,
+    /// How jobs ended, counted by the completion hook.
+    pub completed: Arc<Counter>,
+    pub failed: Arc<Counter>,
     pub cancelled: Arc<Counter>,
     pub shed: Arc<Counter>,
     pub deadline_missed: Arc<Counter>,
-    /// Completed attempts whose factors a probe voided.
+    /// Probes that found a job's factors corrupted.
     pub corruption_detected: Arc<Counter>,
-    /// Attempts (failed or voided) that were resubmitted.
+    /// Whole-plan replays.
     pub retries: Arc<Counter>,
     pub queue_s: Arc<Histogram>,
     pub exec_s: Arc<Histogram>,
     pub total_s: Arc<Histogram>,
     /// Useful flops completed under this label pair (gauge: f64 cell).
     pub flops: Arc<Gauge>,
-}
-
-impl TenantSeries {
-    /// Jobs whose terminal outcome is success: completed attempts not voided.
-    pub(crate) fn completed(&self) -> u64 {
-        self.attempts_completed.get().saturating_sub(self.corruption_detected.get())
-    }
-
-    /// Jobs whose terminal outcome is a failure: failed or voided attempts
-    /// not resubmitted (until its handle does, an attempt reads as terminal).
-    pub(crate) fn failed(&self) -> u64 {
-        let ended_badly = self.attempts_failed.get() + self.corruption_detected.get();
-        ended_badly.saturating_sub(self.retries.get())
-    }
 }
 
 /// The `(tenant, class)` series, addressable by label pair (submission) and
@@ -81,10 +64,10 @@ pub(crate) struct ServeMetrics {
     // Service-wide facts, each written at its one site.
     pub(crate) rejected: Arc<Counter>,
     pub(crate) jobs_recovered: Arc<Counter>,
-    pub(crate) probes_run: Arc<Counter>,
     pub(crate) batched_jobs: Arc<Counter>,
-    /// First failure observation → eventual success, for recovered jobs.
-    pub(crate) mttr_s: Arc<Histogram>,
+    /// Every job's [`RecoveryStats`], summed, one counter per
+    /// [`RecoveryStats::NAMES`] entry.
+    recovery: [Arc<Counter>; 12],
     // Gauges refreshed by `snapshot`.
     active_jobs: Arc<Gauge>,
     occupancy: Arc<Gauge>,
@@ -99,33 +82,23 @@ pub(crate) struct ServeMetrics {
     dumps_suppressed: Arc<Counter>,
 }
 
-/// Inserts into `snap`, at its sorted position, a counter family computed
-/// at snapshot time from `(labels, value)` pairs (no counter is behind it).
-fn add_view(
-    snap: &mut RegistrySnapshot,
-    name: &str,
-    help: &str,
-    series: impl Iterator<Item = (Vec<(String, String)>, u64)>,
-) {
-    let mut series: Vec<SeriesSnapshot> = series
-        .map(|(labels, n)| SeriesSnapshot { labels, value: SeriesValue::Counter(n) })
-        .collect();
-    series.sort_by(|a, b| a.labels.cmp(&b.labels));
+/// Inserts into `snap`, at its sorted position, an unlabelled counter family
+/// of value `n` computed at snapshot time (no counter is behind it).
+fn add_view(snap: &mut RegistrySnapshot, name: &str, help: &str, n: u64) {
+    let series = vec![SeriesSnapshot { labels: Vec::new(), value: SeriesValue::Counter(n) }];
     let (name, help) = (name.to_string(), help.to_string());
     let at = snap.families.partition_point(|f| f.name < name);
     snap.families.insert(at, FamilySnapshot { name, help, kind: MetricKind::Counter, series });
 }
 
 impl ServeMetrics {
-    /// `cfg` decides only where (and whether) flight dumps are written;
-    /// `recovery` is the service's task-level recovery counter set.
-    pub(crate) fn new(cfg: Option<&TelemetryConfig>, recovery: &RecoveryCounters) -> Self {
+    /// `cfg` decides only where (and whether) flight dumps are written.
+    pub(crate) fn new(cfg: Option<&TelemetryConfig>) -> Self {
         let r = Registry::new();
-        // Adopted, not copied: `submit_lu_ooc` traffic, scheduler totals and
-        // task replays show up in every exposition/`top`.
+        // Adopted, not copied: `submit_lu_ooc` traffic and scheduler totals
+        // show up in every exposition/`top`.
         ca_ooc::register_ooc_metrics(&r);
         ca_sched::register_sched_metrics(&r);
-        recovery.register(&r, "ca_serve_task");
         let dump_dir = cfg.and_then(|cfg| {
             cfg.dump_dir.clone().or_else(|| {
                 cfg.metrics_file.as_ref().map(|f| {
@@ -140,15 +113,10 @@ impl ServeMetrics {
         Self {
             series: RwLock::default(),
             rejected: counter("ca_serve_rejected_total", "Submissions refused at admission"),
-            jobs_recovered: counter("ca_serve_jobs_recovered_total", "Jobs recovered by a retry"),
-            probes_run: counter("ca_serve_probes_run_total", "Integrity probes executed"),
+            jobs_recovered: counter("ca_serve_jobs_recovered_total", "Jobs completed by a replay"),
             batched_jobs: counter("ca_serve_batched_jobs_total", "Jobs run as one sequential task"),
-            mttr_s: r.histogram(
-                "ca_serve_mttr_seconds",
-                "Time from first failure observation to eventual success",
-                &[],
-                LATENCY_BOUNDS,
-            ),
+            recovery: RecoveryStats::NAMES
+                .map(|name| counter(&format!("ca_serve_task_{name}_total"), "Recovery inside jobs")),
             active_jobs: gauge("ca_serve_active_jobs", "Jobs admitted and not yet finished"),
             occupancy: gauge("ca_serve_pool_occupancy", "Worker-pool utilization in [0,1]"),
             workers: gauge("ca_serve_workers", "Worker threads owned by the service"),
@@ -180,15 +148,14 @@ impl ServeMetrics {
         let latency = |name: &str, help: &str| r.histogram(name, help, &labels, LATENCY_BOUNDS);
         let s = Arc::new(TenantSeries {
             index: u32::try_from(table.all.len()).expect("fewer than 2^32 label pairs"),
-            labels: labels.iter().map(|&(k, v)| (k.to_string(), v.to_string())).collect(),
             submitted: counter("ca_serve_jobs_submitted_total", "Jobs admitted"),
-            attempts_completed: counter("ca_serve_attempts_completed_total", "Attempts completed"),
-            attempts_failed: counter("ca_serve_attempts_failed_total", "Attempts failed by a task"),
+            completed: counter("ca_serve_jobs_completed_total", "Jobs completed"),
+            failed: counter("ca_serve_jobs_failed_total", "Jobs failed"),
             cancelled: counter("ca_serve_jobs_cancelled_total", "Jobs cancelled"),
             shed: counter("ca_serve_jobs_shed_total", "Jobs evicted by shed-oldest admission"),
             deadline_missed: counter("ca_serve_deadline_missed_total", "Jobs past their deadline"),
             corruption_detected: counter("ca_serve_corruption_detected_total", "Probe hits"),
-            retries: counter("ca_serve_retries_total", "Job-level resubmissions"),
+            retries: counter("ca_serve_retries_total", "Whole-plan replays"),
             queue_s: latency("ca_serve_queue_seconds", "Admission to first task dispatch"),
             exec_s: latency("ca_serve_exec_seconds", "First task dispatch to finalization"),
             total_s: latency("ca_serve_total_seconds", "Admission to finalization"),
@@ -197,6 +164,13 @@ impl ServeMetrics {
         table.by_label.insert(key, Arc::clone(&s));
         table.all.push(Arc::clone(&s));
         s
+    }
+
+    /// Adds one finished job's recovery counts.
+    pub(crate) fn add_recovery(&self, stats: &RecoveryStats) {
+        for (counter, n) in self.recovery.iter().zip(stats.counts()) {
+            counter.add(n);
+        }
     }
 
     /// The series a frontier job's tag names.
@@ -211,8 +185,8 @@ impl ServeMetrics {
         let (mut queue, mut exec, mut total) = (empty(), empty(), empty());
         for t in &self.series.read().expect("series table").all {
             s.submitted += t.submitted.get();
-            s.completed += t.completed();
-            s.failed += t.failed();
+            s.completed += t.completed.get();
+            s.failed += t.failed.get();
             s.cancelled += t.cancelled.get();
             s.shed += t.shed.get();
             s.deadline_missed += t.deadline_missed.get();
@@ -228,13 +202,13 @@ impl ServeMetrics {
         s.rejected = self.rejected.get();
         s.batched_jobs = self.batched_jobs.get();
         s.jobs_recovered = self.jobs_recovered.get();
-        s.probes_run = self.probes_run.get();
-        s.mttr = self.mttr_s.summary();
+        s.task_recovery = RecoveryStats::from_counts(self.recovery.each_ref().map(|c| c.get()));
+        s.probes_run = s.task_recovery.probes;
     }
 
     /// The exposition view of the service whose statistics are `s`: refreshes
-    /// the gauges, snapshots the registry, and adds the derived families
-    /// (per-series terminal outcomes, the label-summed job-retries rollup).
+    /// the gauges, snapshots the registry, and adds the label-summed
+    /// replays rollup.
     pub(crate) fn snapshot(&self, s: &ServiceStats) -> RegistrySnapshot {
         let table = self.series.read().expect("series table");
         let flops: f64 = table.all.iter().map(|t| t.flops.get()).sum();
@@ -246,14 +220,7 @@ impl ServeMetrics {
             self.gflops.set(flops / s.busy_s / 1e9);
         }
         let mut snap = self.registry.snapshot();
-        let terminal = |value: fn(&TenantSeries) -> u64| {
-            table.all.iter().map(move |t| (t.labels.clone(), value(t)))
-        };
-        let (completed, failed) = (TenantSeries::completed, TenantSeries::failed);
-        add_view(&mut snap, "ca_serve_jobs_completed_total", "Jobs completed", terminal(completed));
-        add_view(&mut snap, "ca_serve_jobs_failed_total", "Jobs failed", terminal(failed));
-        let rollup = std::iter::once((Vec::new(), s.job_retries));
-        add_view(&mut snap, "ca_serve_job_retries_total", "Job-level resubmissions", rollup);
+        add_view(&mut snap, "ca_serve_job_retries_total", "Whole-plan replays", s.job_retries);
         snap
     }
 
@@ -305,7 +272,7 @@ mod tests {
     }
 
     fn metrics(cfg: Option<&TelemetryConfig>) -> ServeMetrics {
-        ServeMetrics::new(cfg, &RecoveryCounters::new())
+        ServeMetrics::new(cfg)
     }
 
     /// Stats with just the fields the gauges read.
@@ -352,28 +319,21 @@ mod tests {
     }
 
     #[test]
-    fn terminal_outcomes_are_views_of_attempts_detections_and_retries() {
-        // 4 attempts of tenant a's jobs: one completed clean, one completed
-        // but voided by the probe and resubmitted, one failed and
-        // resubmitted, one failed with nobody resubmitting it.
+    fn finished_jobs_recovery_sums_into_the_task_families() {
         let m = metrics(None);
-        let a = m.series("a", "lu");
-        a.attempts_completed.add(2);
-        a.corruption_detected.inc();
-        a.attempts_failed.add(2);
-        a.retries.add(2);
-        m.series("b", "lu").attempts_completed.inc();
-        assert_eq!((a.completed(), a.failed()), (1, 1));
+        let replayed =
+            RecoveryStats { attempts: 5, retries: 1, probes: 2, probe_failures: 1, replays: 1, ..Default::default() };
+        m.add_recovery(&replayed);
+        m.add_recovery(&RecoveryStats { attempts: 3, probes: 1, ..Default::default() });
         let mut s = live_stats();
         m.fill(&mut s);
-        assert_eq!((s.completed, s.failed, s.corruption_detected, s.job_retries), (2, 1, 1, 2));
+        let want = RecoveryStats { attempts: 8, probes: 3, ..replayed };
+        assert_eq!((s.task_recovery, s.probes_run), (want, 3));
         let prom = m.snapshot(&s).render_prometheus();
         for line in [
-            "ca_serve_jobs_completed_total{tenant=\"a\",class=\"lu\"} 1",
-            "ca_serve_jobs_completed_total{tenant=\"b\",class=\"lu\"} 1",
-            "ca_serve_jobs_failed_total{tenant=\"a\",class=\"lu\"} 1",
-            "ca_serve_attempts_completed_total{tenant=\"a\",class=\"lu\"} 2",
-            "# TYPE ca_serve_jobs_failed_total counter",
+            "ca_serve_task_attempts_total 8",
+            "ca_serve_task_probe_failures_total 1",
+            "ca_serve_task_replays_total 1",
         ] {
             assert!(prom.contains(line), "missing {line:?} in {prom}");
         }

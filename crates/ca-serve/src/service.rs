@@ -1,74 +1,39 @@
 //! The factorization service: one persistent worker pool, many tenants.
 
 use crate::config::{AdmissionPolicy, ServiceConfig, SubmitOptions};
-use crate::metrics::{ServeMetrics, TenantSeries};
+use crate::metrics::ServeMetrics;
 use crate::stats::{ServeError, ServiceStats};
 use ca_core::{
     calu_serve_graph, caqr_serve_graph, one_task_serve_graph, solve_serve_graph, Built, CaParams,
-    FactorError, FactorOptions, LuFactors, QrFactors, Retry,
+    FactorError, FactorOptions, LuFactors, QrFactors,
 };
 use ca_matrix::Matrix;
 use ca_sched::{
     CancelReason, ChaosPlan, JobId, JobOptions, JobOutcome, JobReport, JobWatch, MultiFrontier,
-    FlightEventKind, PanicHookGuard, Profile, RecoveryCounters,
+    PanicHookGuard, Profile,
 };
 use ca_telemetry::Ring;
+use parking_lot::{Condvar, Mutex};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, OnceLock};
+use std::time::Duration;
 
 /// Cap on retained recovery-mark events (chrome-trace annotations).
 const MAX_MARKS: usize = 4096;
 
-/// Rebuilds a job's graph from its retained request payload, under the
-/// options of the new attempt.
-type Rebuild<T> = Box<dyn Fn(&FactorOptions) -> Built<T> + Send>;
-
-/// Integrity probe over a completed result.
-type Probe<T> = Box<dyn Fn(&T) -> Result<(), FactorError> + Send>;
-
-/// Job-level recovery state carried by a handle when the service runs with
-/// a [`crate::RetryConfig`]: the retained request payload (inside
-/// `rebuild`), the backoff schedule, and the absolute deadline the retry
-/// loop must never run past.
-struct RetryState<T> {
-    /// Fair-share weight resubmissions keep.
-    weight: f64,
-    /// Absolute deadline: admission time + the job's deadline, if any.
-    deadline_at: Option<Instant>,
-    /// Job-level backoff schedule (`max_retries` is the resubmission budget).
-    backoff: ca_sched::RetryPolicy,
-    /// Resubmissions performed so far.
-    used: usize,
-    /// Rebuilds a fresh graph from the retained owning payload; `None`
-    /// when `job_retries` is 0 (probe-only recovery).
-    rebuild: Option<Rebuild<T>>,
-    /// Integrity probe over the completed result, if configured.
-    probe: Option<Probe<T>>,
-    /// When the first failed/corrupted attempt was observed (MTTR anchor).
-    first_failure: Option<Instant>,
-}
-
 /// Handle to a submitted job: poll, wait (with or without timeout), cancel.
 ///
-/// Dropping a handle detaches it — the job keeps running and its outcome is
-/// still counted, but nothing probes or resubmits it (use
-/// [`JobHandle::cancel`] first to abort it).
+/// Dropping a handle detaches it — the job keeps running, recovers and is
+/// counted all the same (use [`JobHandle::cancel`] first to abort it).
 pub struct JobHandle<T> {
     core: Arc<ServiceCore>,
-    /// The current attempt's frontier job (a resubmission replaces both).
     id: JobId,
     watch: JobWatch,
-    output: Arc<OnceLock<T>>,
-    /// The `(tenant, class)` series this job is attributed to.
-    series: Arc<TenantSeries>,
-    /// Boxed: the retry state is cold and would otherwise dominate the
-    /// handle's (and its `Result`'s) size.
-    retry: Option<Box<RetryState<T>>>,
+    output: Arc<OnceLock<Result<T, FactorError>>>,
 }
 
 impl<T> JobHandle<T> {
-    /// The frontier job id of the current attempt.
+    /// The frontier job id.
     pub fn id(&self) -> JobId {
         self.id
     }
@@ -85,150 +50,54 @@ impl<T> JobHandle<T> {
         self.core.frontier.cancel(self.id)
     }
 
-    /// Where the time went for this job: blocks until its current attempt
-    /// finishes, then returns the scheduler's [`Profile`] of it (job → panel
-    /// step → task → kernel class, times counted from submission) — the
-    /// same answer a one-shot `try_calu_profiled` gives, plus the sink task.
-    /// Every job has one, however it ended and without having been asked in
-    /// advance. What the profile needs is held by this handle, so ask before
+    /// Where the time went for this job: blocks until it finishes, then
+    /// returns the scheduler's [`Profile`] of it (job → panel step → task →
+    /// kernel class, times counted from submission) — the same answer a
+    /// one-shot `try_calu_profiled` gives, plus the sink task, which is
+    /// where the integrity probe and any whole-plan replay ran. Every job has
+    /// one, however it ended and without having been asked in advance. What
+    /// the profile needs is held by this handle, so ask before
     /// [`JobHandle::wait`] consumes it.
     pub fn profile(&self) -> Option<Profile> {
         self.watch.wait();
         self.core.frontier.job_profile(&self.watch)
     }
 
-    /// Blocks until the job finishes — retrying it under the service's
-    /// [`crate::RetryConfig`], if any — and returns its result.
-    pub fn wait(mut self) -> Result<T, ServeError> {
-        loop {
-            let report = self.watch.wait();
-            match self.settle(report) {
-                Ok(result) => return result,
-                Err(retried) => self = retried,
-            }
-        }
+    /// Blocks until the job finishes and returns its result.
+    pub fn wait(self) -> Result<T, ServeError> {
+        let report = self.watch.wait();
+        self.settle(report)
     }
 
     /// Waits up to `timeout`; returns the handle back if the job is still
-    /// running (retry backoffs and resubmitted attempts count against the
-    /// timeout too).
-    pub fn wait_for(mut self, timeout: Duration) -> Result<Result<T, ServeError>, Self> {
-        let until = Instant::now() + timeout;
-        loop {
-            let remaining = until.saturating_duration_since(Instant::now());
-            match self.watch.wait_timeout(remaining) {
-                None => return Err(self),
-                Some(report) => match self.settle(report) {
-                    Ok(result) => return Ok(result),
-                    Err(retried) => self = retried,
-                },
-            }
+    /// running.
+    pub fn wait_for(self, timeout: Duration) -> Result<Result<T, ServeError>, Self> {
+        match self.watch.wait_timeout(timeout) {
+            Some(report) => Ok(self.settle(report)),
+            None => Err(self),
         }
     }
 
-    /// Maps a terminal report to a result, or resubmits the job (returning
-    /// the updated handle in `Err`) when the outcome is retryable under the
-    /// handle's [`RetryState`]: a task failure, or a completed run whose
-    /// factors fail the integrity probe. Deadline and shed cancellations
-    /// are never retried. The completion hook already counted how the
-    /// attempt ended; this adds only what the handle alone learns — probe
-    /// detections and resubmissions — from which the terminal view follows.
-    fn settle(mut self, report: JobReport) -> Result<Result<T, ServeError>, Self> {
-        match report.outcome {
-            JobOutcome::Completed => {
-                let output = std::mem::replace(&mut self.output, Arc::new(OnceLock::new()));
-                let Some(value) = Arc::try_unwrap(output).ok().and_then(OnceLock::into_inner)
-                else {
-                    return Ok(Err(ServeError::Lost));
-                };
-                if let Some(probe) = self.retry.as_ref().and_then(|r| r.probe.as_ref()) {
-                    self.core.metrics.probes_run.inc();
-                    if let Err(FactorError::Corrupted { residual, threshold }) = probe(&value)
-                    {
-                        // This attempt completed, but its result is
-                        // unusable: the detection voids the completion.
-                        self.series.corruption_detected.inc();
-                        self.core.mark_recovery(format!(
-                            "probe: corrupted factors (residual {residual:.2e})"
-                        ));
-                        // The probe ran here, on the client's thread: mark
-                        // the recorder's external lane, under this job.
-                        if let Some(rec) = self.core.frontier.flight_recorder() {
-                            rec.record(rec.nworkers(), FlightEventKind::ProbeCorrupt, self.id, None);
-                        }
-                        self.core.dump_flight("probe-corrupt");
-                        drop(value);
-                        return match self.try_resubmit() {
-                            Ok(()) => Err(self),
-                            Err(e) => Ok(Err(
-                                e.unwrap_or(ServeError::Corrupted { residual, threshold })
-                            )),
-                        };
-                    }
-                }
-                if let Some(t0) = self.retry.as_ref().and_then(|r| r.first_failure) {
-                    self.core.metrics.jobs_recovered.inc();
-                    self.core.metrics.mttr_s.observe(t0.elapsed().as_secs_f64());
-                    self.core.mark_recovery("job recovered".into());
-                }
-                Ok(Ok(value))
+    /// Maps a terminal report to the job's result. The job settled itself —
+    /// probed and, if need be, replayed its factors — in its last task, and
+    /// the completion hook already counted how it ended.
+    fn settle(self, report: JobReport) -> Result<T, ServeError> {
+        let output = Arc::try_unwrap(self.output).ok().and_then(OnceLock::into_inner);
+        match (report.outcome, output) {
+            (JobOutcome::Completed, Some(Ok(value))) => Ok(value),
+            (JobOutcome::Completed, _) => Err(ServeError::Lost),
+            (JobOutcome::Failed(_), Some(Err(FactorError::Corrupted { residual, threshold }))) => {
+                Err(ServeError::Corrupted { residual, threshold })
             }
-            JobOutcome::Failed(e) => match self.try_resubmit() {
-                Ok(()) => Err(self),
-                Err(err) => Ok(Err(err.unwrap_or(ServeError::Failed {
-                    label: e.label.to_string(),
-                    message: e.message,
-                }))),
-            },
-            JobOutcome::Cancelled(reason) => Ok(Err(match reason {
+            (JobOutcome::Failed(e), _) => {
+                Err(ServeError::Failed { label: e.label.to_string(), message: e.message })
+            }
+            (JobOutcome::Cancelled(reason), _) => Err(match reason {
                 CancelReason::Deadline => ServeError::DeadlineExceeded,
                 CancelReason::Shed => ServeError::Shed,
                 other => ServeError::Cancelled(other),
-            })),
+            }),
         }
-    }
-
-    /// Attempts one job-level resubmission: sleep the backoff (unless that
-    /// would cross the job's deadline), re-admit, rebuild the graph from
-    /// the retained payload under a fresh chaos seed, and submit it with
-    /// the *remaining* deadline budget; on success the handle waits on the
-    /// new attempt. `Err(None)` means no retry is available (the caller
-    /// returns the original error); `Err(Some(e))` means the retry itself
-    /// failed.
-    fn try_resubmit(&mut self) -> Result<(), Option<ServeError>> {
-        let Some(st) = self.retry.as_mut() else { return Err(None) };
-        let Some(rebuild) = st.rebuild.as_ref().filter(|_| st.used < st.backoff.max_retries)
-        else {
-            return Err(None);
-        };
-        st.first_failure.get_or_insert_with(Instant::now);
-        let delay = st.backoff.delay_for(st.used);
-        if let Some(at) = st.deadline_at {
-            // Deadline-aware: never retry past the job's deadline.
-            if Instant::now() + delay >= at {
-                return Err(Some(ServeError::DeadlineExceeded));
-            }
-        }
-        st.used += 1;
-        std::thread::sleep(delay);
-        self.core.admit().map_err(Some)?;
-        let sg = match rebuild(&self.core.options_for_attempt()) {
-            Ok(sg) => sg,
-            Err(e) => {
-                self.core.release_one();
-                return Err(Some(ServeError::Invalid(e)));
-            }
-        };
-        let mut jopts = JobOptions::default().with_weight(st.weight);
-        if let Some(at) = st.deadline_at {
-            jopts = jopts.with_deadline(at.saturating_duration_since(Instant::now()));
-        }
-        self.series.retries.inc();
-        self.core.mark_recovery(format!("job retry {}", st.used));
-        let tag = u64::from(self.series.index);
-        (self.id, self.watch) = self.core.frontier.submit(sg.graph, jopts.with_tag(tag));
-        self.output = sg.output;
-        Ok(())
     }
 }
 
@@ -244,9 +113,6 @@ pub(crate) struct ServiceCore {
     /// exposition are views of it.
     metrics: ServeMetrics,
     shutdown: AtomicBool,
-    /// Task-level recovery counters, shared by every job's retried tasks
-    /// and adopted by the registry.
-    recovery: Arc<RecoveryCounters>,
     /// Monotone counter deriving a distinct chaos seed per built graph.
     chaos_jobs: AtomicU64,
     /// Recent recovery events `(seconds since the frontier started,
@@ -259,20 +125,25 @@ pub(crate) struct ServiceCore {
 
 impl ServiceCore {
     /// Completion hook: runs on a worker (or shedding/submitting) thread
-    /// for every finalized frontier job (= one attempt of a job), with no
-    /// frontier lock held. Each fact is written once, to the series the
-    /// job's tag names ([`TenantSeries::index`], echoed verbatim in the
+    /// for every finalized job, with no frontier lock held. Each fact —
+    /// the outcome, the latencies, the recovery the job's log folds to — is
+    /// written once, to the series the job's tag names
+    /// ([`crate::metrics::TenantSeries::index`], echoed verbatim in the
     /// report, so attribution needs no side table that submitter and hook
-    /// would race on), and the attempt's admission slot is released.
+    /// would race on), and the job's admission slot is released.
     fn on_job_done(&self, r: &JobReport) {
         let series = self.metrics.series_at(r.tag as u32);
-        let trigger = match &r.outcome {
+        let recovery = &r.recovery;
+        let mut trigger = match &r.outcome {
             JobOutcome::Completed => {
-                series.attempts_completed.inc();
+                series.completed.inc();
+                if recovery.replays > 0 {
+                    self.metrics.jobs_recovered.inc();
+                }
                 None
             }
             JobOutcome::Failed(_) => {
-                series.attempts_failed.inc();
+                series.failed.inc();
                 Some("job-fail")
             }
             JobOutcome::Cancelled(reason) => {
@@ -296,30 +167,34 @@ impl ServiceCore {
         if r.flops > 0.0 {
             series.flops.add(r.flops);
         }
+        series.corruption_detected.add(recovery.probe_failures);
+        series.retries.add(recovery.replays);
+        self.metrics.add_recovery(recovery);
+        if recovery.probe_failures + recovery.replays > 0 {
+            let (hits, replays) = (recovery.probe_failures, recovery.replays);
+            self.marks.push((r.finished, format!("job {}: {hits} probe hit(s), {replays} replay(s)", r.job)));
+        }
+        if recovery.probe_failures > 0 {
+            trigger = Some("probe-corrupt");
+        }
         if let Some(trigger) = trigger {
-            self.dump_flight(trigger);
+            if let Some(rec) = self.frontier.flight_recorder() {
+                self.metrics.dump_flight(&rec, trigger);
+            }
         }
         self.release_one();
-    }
-
-    /// Dumps the flight recorder, if one is attached (a dump does file I/O
-    /// but is capped by [`crate::TelemetryConfig::max_dumps`]).
-    fn dump_flight(&self, trigger: &str) {
-        if let Some(rec) = self.frontier.flight_recorder() {
-            self.metrics.dump_flight(&rec, trigger);
-        }
     }
 
     /// Claims one admission slot, applying the configured policy at
     /// capacity. On success the slot is released by the completion hook
     /// when the job finalizes.
     fn admit(&self) -> Result<(), ServeError> {
-        let mut active = self.admission.lock().expect("admission lock");
+        let mut active = self.admission.lock();
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 return Err(ServeError::ShuttingDown);
             }
-            if *active < self.cfg.queue_capacity {
+            if *active < self.cfg.queue_capacity.max(1) {
                 *active += 1;
                 return Ok(());
             }
@@ -328,9 +203,7 @@ impl ServiceCore {
                     self.metrics.rejected.inc();
                     return Err(ServeError::Rejected);
                 }
-                AdmissionPolicy::Block => {
-                    active = self.admission_cv.wait(active).expect("admission lock");
-                }
+                AdmissionPolicy::Block => self.admission_cv.wait(&mut active),
                 AdmissionPolicy::ShedOldest => {
                     // Shed without the admission lock: the shed job
                     // finalizes synchronously, re-entering the hook (which
@@ -340,41 +213,28 @@ impl ServiceCore {
                         self.metrics.rejected.inc();
                         return Err(ServeError::Rejected);
                     }
-                    active = self.admission.lock().expect("admission lock");
+                    active = self.admission.lock();
                 }
             }
         }
     }
 
-    /// How the tasks of one graph build run: the configured task-retry
-    /// policy counting into the service-wide counters, and a chaos plan. Every
-    /// call under chaos derives a fresh plan seed, so a resubmitted job is
-    /// not pinned into the exact injection pattern that killed its previous
-    /// attempt.
-    fn options_for_attempt(&self) -> FactorOptions {
+    /// How the tasks of one graph build run: the configured recovery ladder,
+    /// and a chaos plan under a fresh seed per job.
+    fn options(&self) -> FactorOptions {
         let chaos = self.cfg.chaos.map(|c| {
             let k = self.chaos_jobs.fetch_add(1, Ordering::Relaxed);
             let seed = c.seed ^ k.wrapping_mul(0x9E37_79B9_7F4A_7C15);
             Arc::new(ChaosPlan::with_profile(seed, c.profile))
         });
-        let retry = self.cfg.retry.map(|r| Retry {
-            policy: r.task_policy(),
-            counters: Arc::clone(&self.recovery),
-        });
-        FactorOptions { chaos, retry, checked: false }
-    }
-
-    /// Records a recovery event for the chrome trace (bounded: the ring
-    /// keeps the most recent [`MAX_MARKS`]).
-    fn mark_recovery(&self, msg: String) {
-        self.marks.push((self.frontier.elapsed_seconds(), msg));
+        FactorOptions { chaos, retry: self.cfg.retry, checked: false }
     }
 
     /// Returns one admission slot: its job finalized, or its submission
     /// failed after `admit`.
     fn release_one(&self) {
         {
-            let mut active = self.admission.lock().expect("admission lock");
+            let mut active = self.admission.lock();
             *active = active.saturating_sub(1);
         }
         self.admission_cv.notify_all();
@@ -390,8 +250,7 @@ impl ServiceCore {
         let mut s = ServiceStats {
             workers,
             queue_capacity: self.cfg.queue_capacity,
-            task_recovery: self.recovery.snapshot(),
-            active_jobs: *self.admission.lock().expect("admission lock"),
+            active_jobs: *self.admission.lock(),
             elapsed_s: elapsed,
             busy_s: busy,
             occupancy: if elapsed > 0.0 { busy / (elapsed * workers as f64) } else { 0.0 },
@@ -419,12 +278,11 @@ impl ServiceCore {
             if stopping {
                 return;
             }
-            let gate = self.metrics_gate.lock().expect("metrics gate");
-            let (gate, _) = self
-                .metrics_cv
-                .wait_timeout_while(gate, interval, |stop| !*stop)
-                .expect("metrics gate");
-            stopping = *gate;
+            let mut stop = self.metrics_gate.lock();
+            if !*stop {
+                self.metrics_cv.wait_for(&mut stop, interval);
+            }
+            stopping = *stop;
         }
     }
 }
@@ -450,13 +308,13 @@ pub struct Service {
 impl Service {
     /// Starts the service: spawns the worker pool (and the
     /// metrics-exposition thread when telemetry writes to a file).
+    ///
+    /// # Panics
+    /// If `cfg.workers == 0`, or the exposition thread cannot be spawned.
     pub fn new(cfg: ServiceConfig) -> Self {
-        assert!(cfg.workers > 0, "need at least one worker");
-        assert!(cfg.queue_capacity > 0, "queue capacity must be positive");
         let workers = cfg.workers;
         let hook_guard =
             (cfg.retry.is_some() || cfg.chaos.is_some()).then(PanicHookGuard::new);
-        let recovery = Arc::new(RecoveryCounters::new());
         let core = Arc::new_cyclic(|weak: &std::sync::Weak<ServiceCore>| {
             let weak = weak.clone();
             let hook: Box<dyn Fn(&JobReport) + Send + Sync> = Box::new(move |report| {
@@ -466,12 +324,11 @@ impl Service {
             });
             ServiceCore {
                 frontier: MultiFrontier::with_hook(workers, hook),
-                metrics: ServeMetrics::new(cfg.telemetry.as_ref(), &recovery),
+                metrics: ServeMetrics::new(cfg.telemetry.as_ref()),
                 cfg,
                 admission: Mutex::new(0),
                 admission_cv: Condvar::new(),
                 shutdown: AtomicBool::new(false),
-                recovery,
                 chaos_jobs: AtomicU64::new(0),
                 marks: Ring::new(MAX_MARKS),
                 metrics_gate: Mutex::new(false),
@@ -485,6 +342,8 @@ impl Service {
             t.metrics_file.clone().map(|path| {
                 let interval = t.interval;
                 let core = Arc::clone(&core);
+                // A thread the OS refuses at startup is a service that
+                // cannot keep its promise to write the file: fail loudly.
                 std::thread::Builder::new()
                     .name("ca-serve-metrics".into())
                     .spawn(move || core.exposition_loop(&path, interval))
@@ -500,8 +359,8 @@ impl Service {
 
     /// Whether a factorization of shape `m × n` under `opts` takes the
     /// tiny-job route: one task running the sequential kernels instead of
-    /// the DAG. Such a task has no write-set wrappers to replay from, so
-    /// recovery (and chaos) keeps every job on the DAG route.
+    /// the DAG. Such a task has no write-set wrappers to replay from and no
+    /// ladder, so recovery (and chaos) keeps every job on the DAG route.
     fn batchable(&self, m: usize, n: usize, opts: &SubmitOptions) -> bool {
         let cfg = &self.core.cfg;
         opts.batchable
@@ -511,25 +370,16 @@ impl Service {
     }
 
     /// The one way from a request to a frontier job: claim an admission
-    /// slot, build the graph under this attempt's [`FactorOptions`] (a build
-    /// error releases the slot), and submit it under the job's weight,
-    /// deadline and `(tenant, class)` series; the completion hook releases
-    /// the slot. With a [`crate::RetryConfig`] the handle also carries a
-    /// [`RetryState`]: `probe`, and — when resubmissions are allowed — a
-    /// clone of `build`, which is what retains the request payload (`build`
-    /// itself is consumed, so a payload nobody else holds moves into the
-    /// graph uncopied).
-    fn submit_job<T, B>(
+    /// slot, build the graph under the service's [`FactorOptions`] (a build
+    /// error or unwind releases the slot), and submit it under the job's
+    /// weight, deadline and `(tenant, class)` series; the completion hook
+    /// releases the slot.
+    fn submit_job<T: Send + Sync + 'static>(
         &self,
         opts: SubmitOptions,
         class: &'static str,
-        build: B,
-        probe: Option<Probe<T>>,
-    ) -> Result<JobHandle<T>, ServeError>
-    where
-        T: Send + Sync + 'static,
-        B: FnOnce(&FactorOptions) -> Built<T> + Clone + Send + 'static,
-    {
+        build: impl FnOnce(&FactorOptions) -> Built<T>,
+    ) -> Result<JobHandle<T>, ServeError> {
         // `weight` is a public field: a value `JobOptions::with_weight`
         // would panic on is refused while no slot is held.
         if !(opts.weight > 0.0 && opts.weight.is_finite()) {
@@ -546,25 +396,9 @@ impl Service {
             }
         }
         let slot = Slot(core);
-        let deadline = opts.deadline.or(core.cfg.default_deadline);
-        let retry = core.cfg.retry.map(|r| {
-            let rebuild = (r.job_retries > 0).then(|| {
-                let build = build.clone();
-                Box::new(move |fopts: &FactorOptions| build.clone()(fopts)) as Rebuild<T>
-            });
-            Box::new(RetryState {
-                weight: opts.weight,
-                deadline_at: deadline.map(|d| Instant::now() + d),
-                backoff: r.job_policy(),
-                used: 0,
-                rebuild,
-                probe,
-                first_failure: None,
-            })
-        });
-        let sg = build(&core.options_for_attempt()).map_err(ServeError::Invalid)?;
+        let sg = build(&core.options()).map_err(ServeError::Invalid)?;
         let mut jopts = JobOptions::default().with_weight(opts.weight);
-        if let Some(d) = deadline {
+        if let Some(d) = opts.deadline.or(core.cfg.default_deadline) {
             jopts = jopts.with_deadline(d);
         }
         let series = core.metrics.series(opts.tenant.as_deref().unwrap_or(""), class);
@@ -572,30 +406,21 @@ impl Service {
         let tag = u64::from(series.index);
         let (id, watch) = core.frontier.submit(sg.graph, jopts.with_tag(tag));
         std::mem::forget(slot);
-        Ok(JobHandle { core: Arc::clone(core), id, watch, output: sg.output, series, retry })
+        Ok(JobHandle { core: Arc::clone(core), id, watch, output: sg.output })
     }
 
     /// Submits a factorization of `a` built by `graph`: as one sequential
-    /// task when it is [`Self::batchable`], else as the full DAG; `verify` is
-    /// the integrity probe run on the factors when the retry tier asks for
-    /// one.
+    /// task when it is [`Self::batchable`], else as the full DAG.
     fn submit_factor<F: Send + Sync + 'static>(
         &self,
         a: Matrix,
         opts: SubmitOptions,
         class: &'static str,
         graph: fn(Matrix, &CaParams, &FactorOptions, bool) -> Built<F>,
-        verify: fn(&F, &Matrix, u64) -> Result<(), FactorError>,
     ) -> Result<JobHandle<F>, ServeError> {
         let p = self.params_for(&opts);
         let tiny = self.batchable(a.nrows(), a.ncols(), &opts);
-        let a = Arc::new(a);
-        let probe = self.core.cfg.retry.filter(|r| r.probe).map(|r| {
-            let a0 = Arc::clone(&a);
-            Box::new(move |f: &F| verify(f, &a0, r.probe_seed)) as Probe<F>
-        });
-        let build = move |fopts: &FactorOptions| graph(Arc::unwrap_or_clone(a), &p, fopts, tiny);
-        let handle = self.submit_job(opts, class, build, probe)?;
+        let handle = self.submit_job(opts, class, |fopts| graph(a, &p, fopts, tiny))?;
         if tiny {
             self.core.metrics.batched_jobs.inc();
         }
@@ -618,7 +443,7 @@ impl Service {
         a: Matrix,
         opts: SubmitOptions,
     ) -> Result<JobHandle<LuFactors>, ServeError> {
-        self.submit_factor(a, opts, "lu", calu_serve_graph, LuFactors::verify_integrity)
+        self.submit_factor(a, opts, "lu", calu_serve_graph)
     }
 
     /// Submits a QR (CAQR) factorization of `a`; small matrices as in
@@ -628,7 +453,7 @@ impl Service {
         a: Matrix,
         opts: SubmitOptions,
     ) -> Result<JobHandle<QrFactors>, ServeError> {
-        self.submit_factor(a, opts, "qr", caqr_serve_graph, QrFactors::verify_integrity)
+        self.submit_factor(a, opts, "qr", caqr_serve_graph)
     }
 
     /// Submits an out-of-core LU (left-looking CALU) factorization of the
@@ -642,9 +467,9 @@ impl Service {
     /// fair-share weighting, and deadlines apply as usual under telemetry
     /// class `"lu_ooc"`. On success the store holds the packed `L\U`
     /// factors in place and the handle yields the pivots, plan, and I/O
-    /// accounting; on failure ([`FactorError`] rendered into the task
-    /// failure) the output slot stays empty and the store's contents are
-    /// unspecified — which is why the job is never resubmitted.
+    /// accounting; on failure the handle yields the [`FactorError`] text and
+    /// the store's contents are unspecified. It runs no recovery ladder:
+    /// there is no input left to replay from.
     pub fn submit_lu_ooc(
         &self,
         store: Arc<ca_ooc::TileStore<f64>>,
@@ -653,22 +478,18 @@ impl Service {
     ) -> Result<JobHandle<ca_ooc::OocLu>, ServeError> {
         let p = self.params_for(&opts);
         let (m, n) = (store.nrows(), store.ncols());
-        let build = move |_: &FactorOptions| {
+        self.submit_job(opts, "lu_ooc", |_| {
             Ok(one_task_serve_graph(ca_kernels::flops::getrf(m.max(n), m.min(n)), move || {
                 ca_ooc::ooc_calu(&store, &p, budget_bytes)
             }))
-        };
-        let mut handle = self.submit_job(opts, "lu_ooc", build, None)?;
-        // In place on the store: a second run would factor the wreck of the first.
-        handle.retry = None;
-        Ok(handle)
+        })
     }
 
     /// Submits a factorization of `a` (`factors`) followed by `solve` against
-    /// `rhs` inside the same graph. No probe: the factors are consumed by the
-    /// graph's epilogue; task retry and job retry still apply. A shape the
-    /// solve cannot take is refused here and in the two callers — before a
-    /// slot is claimed, like a bad weight.
+    /// `rhs` inside the same graph: the solve reads the factors the job's
+    /// sink settled, probed and replayed like any other. A shape the solve
+    /// cannot take is refused here and in the two callers — before a slot is
+    /// claimed, like a bad weight.
     fn submit_with_rhs<F: Send + Sync + 'static>(
         &self,
         a: Matrix,
@@ -682,12 +503,7 @@ impl Service {
             return Err(ServeError::InvalidShape("rhs and A differ in row count"));
         }
         let p = self.params_for(&opts);
-        let (a, rhs) = (Arc::new(a), Arc::new(rhs));
-        let build = move |fopts: &FactorOptions| {
-            let (a, rhs) = (Arc::unwrap_or_clone(a), Arc::unwrap_or_clone(rhs));
-            solve_serve_graph(a, rhs, &p, fopts, factors, solve)
-        };
-        self.submit_job(opts, class, build, None)
+        self.submit_job(opts, class, |fopts| solve_serve_graph(a, rhs, &p, fopts, factors, solve))
     }
 
     /// Submits a factor-and-solve job for square `A·X = rhs` (CALU followed
@@ -724,7 +540,7 @@ impl Service {
 
     /// Jobs admitted and not yet finished.
     pub fn active_jobs(&self) -> usize {
-        *self.core.admission.lock().expect("admission lock")
+        *self.core.admission.lock()
     }
 
     /// Enables or disables keeping finished jobs' execution spans for the
@@ -736,8 +552,8 @@ impl Service {
 
     /// Chrome-trace JSON of the worker timeline of the jobs that finished
     /// while tracing was enabled (`chrome://tracing` / Perfetto format, same
-    /// pipeline as the one-shot `--profile` path). Recovery events — job
-    /// retries, probe hits, recoveries — appear as global instant markers.
+    /// pipeline as the one-shot `--profile` path). A job's probe hits and
+    /// whole-plan replays appear as a global instant marker when it ends.
     pub fn chrome_trace(&self) -> String {
         let marks = self.core.marks.snapshot();
         ca_sched::chrome_trace_json_with_marks(&self.core.frontier.timeline(), &marks)
@@ -765,9 +581,9 @@ impl Service {
         self.core.shutdown.store(true, Ordering::SeqCst);
         self.core.admission_cv.notify_all();
         self.core.frontier.shutdown();
-        *self.core.metrics_gate.lock().expect("metrics gate") = true;
+        *self.core.metrics_gate.lock() = true;
         self.core.metrics_cv.notify_all();
-        if let Some(h) = self.exposer.lock().expect("exposer lock").take() {
+        if let Some(h) = self.exposer.lock().take() {
             let _ = h.join();
         }
     }
@@ -784,7 +600,7 @@ mod tests {
     use super::*;
     use crate::config::{AdmissionPolicy, BatchConfig, ServiceConfig, SubmitOptions};
     use ca_matrix::seeded_rng;
-    use ca_sched::CancelReason;
+    use ca_sched::{CancelReason, Retry, RetryPolicy, TaskKind};
 
     fn cfg(workers: usize) -> ServiceConfig {
         ServiceConfig::new(workers).with_params(CaParams::new(16, 4, 1))
@@ -923,7 +739,7 @@ mod tests {
         }
         // Nor does a graph build that unwinds keep its slot.
         let boom = |_: &FactorOptions| -> Built<()> { panic!("build unwound") };
-        let submit = || svc.submit_job(SubmitOptions::default(), "lu", boom, None).map(drop);
+        let submit = || svc.submit_job(SubmitOptions::default(), "lu", boom).map(drop);
         assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(submit)).is_err());
         assert_eq!(svc.active_jobs(), 0, "an unwinding build leaked a slot");
         svc.shutdown();
@@ -965,11 +781,11 @@ mod tests {
         let build = move |_: &FactorOptions| {
             Ok(one_task_serve_graph(0.0, move || {
                 let _ = started_tx.send(());
-                let _ = release_rx.lock().expect("release gate").recv();
+                let _ = release_rx.lock().recv();
                 Ok(())
             }))
         };
-        drop(svc.submit_job(SubmitOptions::default(), "blocker", build, None).expect("admit"));
+        drop(svc.submit_job(SubmitOptions::default(), "blocker", build).expect("admit"));
         started_rx.recv().expect("blocker started");
         release_tx
     }
@@ -1040,7 +856,7 @@ mod tests {
         // Exhaustive pattern: a new field — a second `JoinHandle`, say —
         // stops this test compiling.
         let Service { core, exposer, _hook_guard: _ } = &svc;
-        assert!(exposer.lock().expect("exposer lock").is_none(), "no metrics file configured");
+        assert!(exposer.lock().is_none(), "no metrics file configured");
         assert_eq!(core.frontier.nworkers(), 2);
         // Of the threads named `ca-serve-*`, the numbered ones are pool
         // workers; the only other the service may own is the metrics
@@ -1111,11 +927,32 @@ mod tests {
         svc.shutdown();
     }
 
+    /// `o` with the first `Update` of the plan silently corrupted.
+    fn corrupt_first_update(o: &FactorOptions) -> FactorOptions {
+        let chaos = ChaosPlan::quiet(0).corrupt_nth(1, |l| l.kind == TaskKind::Update);
+        FactorOptions { chaos: Some(Arc::new(chaos)), ..o.clone() }
+    }
+
+    fn corrupted_lu(a: Matrix, p: &CaParams, o: &FactorOptions, one_task: bool) -> Built<LuFactors> {
+        calu_serve_graph(a, p, &corrupt_first_update(o), one_task)
+    }
+
+    fn corrupted_qr(a: Matrix, p: &CaParams, o: &FactorOptions, one_task: bool) -> Built<QrFactors> {
+        caqr_serve_graph(a, p, &corrupt_first_update(o), one_task)
+    }
+
+    /// Waits until every admitted job finalized.
+    fn drain(svc: &Service) {
+        while svc.active_jobs() > 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
     fn retry_path_matches_sequential_reference_without_faults() {
         // Recovery plumbing engaged (wrapped bodies, probes) but no chaos:
         // results must be bitwise-identical to the sequential reference.
-        let svc = Service::new(cfg(2).with_retry(crate::config::RetryConfig::default()));
+        let svc = Service::new(cfg(2).with_retry(Retry::default()));
         let a = ca_matrix::random_uniform(64, 64, &mut seeded_rng(90));
         let p = CaParams::new(16, 4, 1);
         let lu_ref = ca_core::calu_seq_factor(a.clone(), &p);
@@ -1126,7 +963,7 @@ mod tests {
         let s = svc.stats();
         assert_eq!(s.completed, 1);
         assert_eq!(s.probes_run, 1);
-        assert_eq!(s.corruption_detected, 0);
+        assert_eq!((s.corruption_detected, s.job_retries), (0, 0));
         svc.shutdown();
     }
 
@@ -1138,7 +975,7 @@ mod tests {
         let profile = ca_sched::ChaosProfile { fail_rate: 0.05, panic_rate: 0.02, ..ca_sched::ChaosProfile::quiet() };
         let svc = Service::new(
             cfg(2)
-                .with_retry(crate::config::RetryConfig::default())
+                .with_retry(Retry::default())
                 .with_chaos(crate::config::ChaosConfig::seeded(7).with_profile(profile)),
         );
         let p = CaParams::new(16, 4, 1);
@@ -1165,91 +1002,68 @@ mod tests {
     }
 
     #[test]
-    fn job_level_retry_recovers_from_exhausted_task_budget() {
-        // Task retries disabled: any injected fault fails the whole job, so
-        // recovery must come from job-level resubmission. Resubmitted jobs
-        // draw fresh chaos seeds, so with a modest fault rate the retried
-        // run eventually completes.
-        // ~60 wrapped tasks per graph → a 1% per-task rate fails roughly
-        // half the attempts; 20 fresh-seeded resubmissions make exhausting
-        // the budget (~0.5^21) vanishingly unlikely.
-        let profile = ca_sched::ChaosProfile { fail_rate: 0.01, ..ca_sched::ChaosProfile::quiet() };
-        let retry = crate::config::RetryConfig::default()
-            .with_task_retries(0)
-            .with_job_retries(20)
-            .without_probe();
+    fn chaos_task_out_of_budget_is_answered_by_one_whole_plan_replay() {
+        // No task replay: the first injected fault spends a task's budget,
+        // the rest of the plan falls through to the sink, and one replay of
+        // the whole plan from the input gives the reference bits.
+        let profile = ca_sched::ChaosProfile { fail_rate: 0.05, ..ca_sched::ChaosProfile::quiet() };
+        let no_task_replay = Retry { policy: RetryPolicy::default().with_max_retries(0), replays: 1 };
         let svc = Service::new(
             cfg(2)
-                .with_retry(retry)
+                .with_retry(no_task_replay)
                 .with_chaos(crate::config::ChaosConfig::seeded(11).with_profile(profile)),
         );
         let p = CaParams::new(16, 4, 1);
-        let handles: Vec<_> = (0..4)
-            .map(|i| {
-                let a = ca_matrix::random_uniform(64, 64, &mut seeded_rng(120 + i));
-                svc.submit_lu(a, SubmitOptions::default()).expect("admit")
-            })
-            .collect();
-        for (i, h) in handles.into_iter().enumerate() {
-            let a = ca_matrix::random_uniform(64, 64, &mut seeded_rng(120 + i as u64));
-            let lu_ref = ca_core::calu_seq_factor(a, &p);
-            let lu = h.wait().expect("job-level retry recovers");
-            assert_eq!(lu.lu.as_slice(), lu_ref.lu.as_slice());
+        let mats: Vec<Matrix> =
+            (0..4).map(|i| ca_matrix::random_uniform(64, 64, &mut seeded_rng(120 + i))).collect();
+        let handles: Vec<_> =
+            mats.iter().map(|a| svc.submit_lu(a.clone(), SubmitOptions::default()).expect("admit")).collect();
+        for (a, h) in mats.into_iter().zip(handles) {
+            let lu = h.wait().expect("a whole-plan replay recovers");
+            assert_eq!(lu.lu.as_slice(), ca_core::calu_seq_factor(a, &p).lu.as_slice());
         }
         let s = svc.stats();
-        assert_eq!(s.completed, 4);
-        if s.job_retries > 0 {
-            assert!(s.jobs_recovered > 0, "retried jobs should be counted recovered");
-            assert!(s.mttr.count == s.jobs_recovered);
-        }
+        assert_eq!((s.completed, s.failed), (4, 0));
+        assert!(s.job_retries > 0, "5% over ~60 tasks must exhaust some job: {:?}", s.task_recovery);
+        assert_eq!(s.jobs_recovered, s.job_retries, "one replay per recovered job");
+        assert!(s.task_recovery.exhausted_tasks >= s.job_retries, "{:?}", s.task_recovery);
+        assert_eq!(s.corruption_detected, 0);
         svc.shutdown();
     }
 
     #[test]
-    fn corruption_injection_is_caught_by_probe_and_retried() {
-        // Only silent corruption injected: corrupted runs "succeed"
-        // numerically wrong, the probe must catch each one, and the
-        // job-level retry must eventually produce a clean
-        // (reference-identical) result. At a 2% per-task rate roughly 70%
-        // of attempts carry an injection; 30 retries make exhaustion
-        // vanishingly unlikely.
+    fn chaos_corruption_is_caught_by_the_probe_and_replayed() {
+        // Every task corrupts an element it wrote: the DAG's factors fail
+        // the probe, and one replay from the input gives the reference bits
+        // (the sequential reference runs no chaos).
         let profile =
-            ca_sched::ChaosProfile { corrupt_rate: 0.02, ..ca_sched::ChaosProfile::quiet() };
-        let retry = crate::config::RetryConfig::default().with_job_retries(30);
+            ca_sched::ChaosProfile { corrupt_rate: 1.0, ..ca_sched::ChaosProfile::quiet() };
         let svc = Service::new(
             cfg(2)
-                .with_retry(retry)
+                .with_retry(Retry::default())
                 .with_chaos(crate::config::ChaosConfig::seeded(3).with_profile(profile)),
         );
         let p = CaParams::new(16, 4, 1);
         let a = ca_matrix::random_uniform(64, 64, &mut seeded_rng(130));
         let lu_ref = ca_core::calu_seq_factor(a.clone(), &p);
         let h = svc.submit_lu(a, SubmitOptions::default()).expect("admit");
-        let lu = h.wait().expect("probe-triggered retry recovers");
+        let lu = h.wait().expect("the replay recovers");
         assert_eq!(lu.lu.as_slice(), lu_ref.lu.as_slice());
         let s = svc.stats();
-        assert_eq!(s.completed, 1);
-        // The probe ran on every completed attempt, and every resubmission
-        // was triggered by a detection.
-        assert_eq!(s.probes_run, 1 + s.job_retries);
-        assert_eq!(s.corruption_detected, s.job_retries);
-        if s.job_retries > 0 {
-            assert_eq!(s.jobs_recovered, 1);
-        }
+        assert_eq!((s.completed, s.probes_run, s.corruption_detected), (1, 2, 1));
+        assert_eq!((s.job_retries, s.jobs_recovered), (1, 1));
         svc.shutdown();
     }
 
     #[test]
-    fn exhausted_corruption_budget_surfaces_corrupted_error() {
-        // Certain corruption on every task: every attempt completes with
-        // poisoned factors, the probe flags each, and once the job-retry
-        // budget is spent the handle resolves with `Corrupted`.
+    fn chaos_corruption_without_replays_surfaces_corrupted_error() {
+        // Certain corruption and no replay: the probe flags the factors and
+        // the job fails with the typed error, never returning them.
         let profile =
             ca_sched::ChaosProfile { corrupt_rate: 1.0, ..ca_sched::ChaosProfile::quiet() };
-        let retry = crate::config::RetryConfig::default().with_job_retries(2);
         let svc = Service::new(
             cfg(2)
-                .with_retry(retry)
+                .with_retry(Retry { replays: 0, ..Retry::default() })
                 .with_chaos(crate::config::ChaosConfig::seeded(13).with_profile(profile)),
         );
         let a = ca_matrix::random_uniform(64, 64, &mut seeded_rng(131));
@@ -1261,45 +1075,87 @@ mod tests {
             other => panic!("expected corrupted, got {other:?}"),
         }
         let s = svc.stats();
-        assert_eq!(s.job_retries, 2);
-        assert_eq!(s.probes_run, 3);
-        assert_eq!(s.corruption_detected, 3);
-        // A probe-voided attempt is a detection, never a completion; the
-        // job's terminal outcome is a failure.
-        assert_eq!(s.completed, 0);
-        assert_eq!(s.failed, 1);
+        assert_eq!((s.probes_run, s.corruption_detected, s.job_retries), (1, 1, 0));
+        assert_eq!((s.completed, s.failed), (0, 1));
         assert!(s.task_recovery.injected_corruptions > 0);
         svc.shutdown();
     }
 
     #[test]
-    fn deadline_aware_backoff_refuses_to_retry_past_deadline() {
-        // Job fails every run (certain injection, no task retries) and the
-        // backoff exceeds the deadline: the handle must resolve with
-        // DeadlineExceeded instead of sleeping past it.
-        let profile = ca_sched::ChaosProfile { fail_rate: 1.0, ..ca_sched::ChaosProfile::quiet() };
-        let retry = crate::config::RetryConfig {
-            task_retries: 0,
-            job_retries: 50,
-            backoff: Duration::from_millis(250),
-            multiplier: 2.0,
-            max_backoff: Duration::from_secs(1),
-            probe: false,
-            probe_seed: 0,
-        };
-        let svc = Service::new(
-            cfg(1)
-                .with_retry(retry)
-                .with_chaos(crate::config::ChaosConfig::seeded(5).with_profile(profile)),
-        );
-        let a = ca_matrix::random_uniform(48, 48, &mut seeded_rng(140));
-        let h = svc
-            .submit_lu(a, SubmitOptions::default().with_deadline(Duration::from_millis(300)))
-            .expect("admit");
-        match h.wait() {
-            Err(ServeError::DeadlineExceeded) => {}
-            other => panic!("expected deadline-bounded retry, got {other:?}"),
+    fn chaos_dropped_handle_is_still_probed_and_replayed() {
+        // Nobody waits on this job: the ladder runs inside it all the same,
+        // and the service counts the probe hit and the replay.
+        let svc = Service::new(cfg(2).with_retry(Retry::default()));
+        let (a, p) = (ca_matrix::random_uniform(96, 96, &mut seeded_rng(132)), CaParams::new(16, 4, 1));
+        drop(svc.submit_job(SubmitOptions::default(), "lu", |o| corrupted_lu(a, &p, o, false)).expect("admit"));
+        drain(&svc);
+        let s = svc.stats();
+        assert_eq!((s.completed, s.failed), (1, 0));
+        assert_eq!((s.corruption_detected, s.job_retries, s.jobs_recovered), (1, 1, 1));
+        assert_eq!(s.task_recovery.injected_corruptions, 1);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn chaos_solve_and_lstsq_under_targeted_corruption_return_the_reference_solution() {
+        // The solve epilogue reads the factors the sink settled: probed,
+        // found corrupted, replayed.
+        let svc = Service::new(cfg(2).with_retry(Retry::default()));
+        let p = CaParams::new(16, 4, 1);
+        let opts = || SubmitOptions::default().with_params(p);
+        let a = ca_matrix::random_uniform(96, 96, &mut seeded_rng(133));
+        let b = ca_matrix::random_uniform(96, 2, &mut seeded_rng(134));
+        let want = ca_core::calu_seq_factor(a.clone(), &p).try_solve(&b).expect("regular");
+        let h = svc.submit_with_rhs(a, b, opts(), "solve", corrupted_lu, LuFactors::try_solve);
+        assert_eq!(h.expect("admit").wait().expect("solves").as_slice(), want.as_slice());
+
+        let t = ca_matrix::random_uniform(120, 40, &mut seeded_rng(135));
+        let c = ca_matrix::random_uniform(120, 1, &mut seeded_rng(136));
+        let want = ca_core::caqr_seq(t.clone(), &p).try_solve_ls(&c).expect("full rank");
+        let h = svc.submit_with_rhs(t, c, opts(), "lstsq", corrupted_qr, QrFactors::try_solve_ls);
+        assert_eq!(h.expect("admit").wait().expect("solves").as_slice(), want.as_slice());
+        let s = svc.stats();
+        assert_eq!((s.corruption_detected, s.job_retries, s.completed), (2, 2, 2));
+        svc.shutdown();
+    }
+
+    #[test]
+    fn chaos_solve_without_replays_surfaces_corrupted_error() {
+        // The sink's typed error, not the epilogue's absence, reaches the
+        // handle of a factor-and-solve job.
+        let svc = Service::new(cfg(2).with_retry(Retry { replays: 0, ..Retry::default() }));
+        let opts = SubmitOptions::default().with_params(CaParams::new(16, 4, 1));
+        let a = ca_matrix::random_uniform(96, 96, &mut seeded_rng(138));
+        let b = ca_matrix::random_uniform(96, 1, &mut seeded_rng(139));
+        let h = svc.submit_with_rhs(a, b, opts, "solve", corrupted_lu, LuFactors::try_solve);
+        match h.expect("admit").wait() {
+            Err(ServeError::Corrupted { residual, threshold }) => assert!(residual > threshold),
+            other => panic!("expected corrupted, got {other:?}"),
         }
+        svc.shutdown();
+    }
+
+    #[test]
+    fn chaos_job_past_its_deadline_never_starts_a_replay() {
+        // One worker; the first Update is corrupted and the first LBlock
+        // outlives the job's deadline. Finishing it is a dispatch point: the
+        // job ends there, so the sink — the probe and the replay it would
+        // run — is never dispatched.
+        let svc = Service::new(cfg(1).with_retry(Retry::default()));
+        let (a, p) = (ca_matrix::random_uniform(96, 96, &mut seeded_rng(137)), CaParams::new(16, 4, 1));
+        let late = |o: &FactorOptions| {
+            let chaos = ChaosPlan::quiet(0)
+                .corrupt_nth(1, |l| l.kind == TaskKind::Update)
+                .delay_nth(1, Duration::from_millis(80), |l| l.kind == TaskKind::LBlock);
+            calu_serve_graph(a, &p, &FactorOptions { chaos: Some(Arc::new(chaos)), ..o.clone() }, false)
+        };
+        let opts = SubmitOptions::default().with_deadline(Duration::from_millis(20));
+        match svc.submit_job(opts, "lu", late).expect("admit").wait() {
+            Err(ServeError::DeadlineExceeded) => {}
+            other => panic!("expected a deadline miss, got {:?}", other.map(|f| f.breakdown)),
+        }
+        let s = svc.stats();
+        assert_eq!((s.deadline_missed, s.probes_run, s.job_retries), (1, 0, 0));
         svc.shutdown();
     }
 }

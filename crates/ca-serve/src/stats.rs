@@ -11,8 +11,8 @@ pub enum ServeError {
     Rejected,
     /// The service is shutting down.
     ShuttingDown,
-    /// The job's deadline expired — while queued or mid-execution, or
-    /// because a retry backoff would have run past it.
+    /// The job's deadline expired — while queued or mid-execution (a
+    /// replay included: it runs inside the job).
     DeadlineExceeded,
     /// The job was evicted by the shed-oldest admission policy to make
     /// room for a newer submission.
@@ -20,8 +20,8 @@ pub enum ServeError {
     /// The job was cancelled before completing (user cancel or shutdown;
     /// deadline and shed have their own variants).
     Cancelled(CancelReason),
-    /// The job completed but the integrity probe found its factors
-    /// silently corrupted (and the retry budget, if any, was exhausted).
+    /// The integrity probe found the job's factors silently corrupted, and
+    /// no whole-plan replay left gave clean ones.
     Corrupted {
         /// The scaled probe residual.
         residual: f64,
@@ -92,12 +92,10 @@ pub struct ServiceStats {
     pub queue_capacity: usize,
     /// Jobs admitted.
     pub submitted: u64,
-    /// Jobs whose terminal outcome is success (an attempt that was
-    /// resubmitted, or whose factors a probe voided, does not count).
+    /// Jobs that completed.
     pub completed: u64,
-    /// Jobs whose terminal outcome is a failure: a task failure or
-    /// numerical breakdown with no resubmission left, or factors still
-    /// corrupted when the retry budget ran out.
+    /// Jobs that failed: a task failure or numerical breakdown, or factors
+    /// still corrupted when the replays ran out.
     pub failed: u64,
     /// Jobs cancelled for any reason (user, deadline, shed, shutdown).
     pub cancelled: u64,
@@ -109,21 +107,18 @@ pub struct ServiceStats {
     pub deadline_missed: u64,
     /// Jobs that took the tiny-job route (one sequential task, no DAG).
     pub batched_jobs: u64,
-    /// Job-level resubmissions performed by the retry layer.
+    /// Whole-plan replays inside jobs (a probe hit, or a task out of
+    /// replays, factors the input again).
     pub job_retries: u64,
-    /// Jobs that ultimately completed after at least one resubmission (or
-    /// a probe-triggered rerun).
+    /// Jobs that completed after at least one whole-plan replay.
     pub jobs_recovered: u64,
-    /// Probe hits: completed runs whose factors failed the integrity check.
+    /// Probe hits: runs whose factors failed the integrity check.
     pub corruption_detected: u64,
     /// Integrity probes executed.
     pub probes_run: u64,
-    /// Task-level recovery counters aggregated across every job (attempts,
-    /// replays, restores, chaos injections).
+    /// Every finished job's recovery counts, summed (attempts, task
+    /// replays, restores, chaos injections, probes, whole-plan replays).
     pub task_recovery: ca_sched::RecoveryStats,
-    /// Mean time to recovery: first failure observation → eventual
-    /// success, for jobs that recovered.
-    pub mttr: LatencySummary,
     /// Jobs admitted and not yet finished at snapshot time.
     pub active_jobs: usize,
     /// Seconds since the service started.

@@ -105,8 +105,8 @@ struct Opts {
     batch: usize,
     /// `serve`: per-job deadline in milliseconds (`0` = none).
     deadline_ms: u64,
-    /// `serve --retry N`: enable the recovery tier with N job-level
-    /// resubmissions (plus default task-level replay and integrity probe).
+    /// `serve --retry N`: run every job's recovery ladder with N whole-plan
+    /// replays (after the default task-level replay and integrity probe).
     retry: Option<usize>,
     /// `serve --chaos[=SEED]`: run the workload as a seeded chaos drill.
     chaos: Option<u64>,
@@ -201,9 +201,9 @@ fn usage() -> ! {
                 --batch DIM                       run jobs ≤ DIM as one\n\
                                                   sequential task (0=off)\n\
                 --deadline MS                     per-job deadline (0=none)\n\
-                --retry N                         recovery tier: N job-level\n\
-                                                  resubmissions + task replay\n\
-                                                  + integrity probe\n\
+                --retry N                         recovery ladder: task replay\n\
+                                                  + integrity probe + N\n\
+                                                  whole-plan replays\n\
                 --chaos[=SEED]                    seeded fault-injection drill\n\
                                                   (1% fail, 0.5% panic,\n\
                                                   0.1% silent corruption)\n\
@@ -724,8 +724,8 @@ fn class_line(n: usize, profiles: &[ca_factor::sched::Profile]) -> Option<String
 /// shed/reject/deadline-miss counters alongside it.
 fn cmd_serve(o: &Opts) {
     use ca_factor::serve::{
-        BatchConfig, ChaosConfig, RetryConfig, ServeError, Service, ServiceConfig,
-        SubmitOptions, TelemetryConfig,
+        BatchConfig, ChaosConfig, Retry, ServeError, Service, ServiceConfig, SubmitOptions,
+        TelemetryConfig,
     };
     require_at_least("--capacity", o.capacity, 1);
     require_at_least("--threads", o.threads, 1);
@@ -754,13 +754,13 @@ fn cmd_serve(o: &Opts) {
         cfg = cfg.with_default_deadline(std::time::Duration::from_millis(o.deadline_ms));
     }
     if let Some(n) = o.retry {
-        cfg = cfg.with_retry(RetryConfig::default().with_job_retries(n));
+        cfg = cfg.with_retry(Retry { replays: n, ..Retry::default() });
     }
     if let Some(seed) = o.chaos {
         cfg = cfg.with_chaos(ChaosConfig::seeded(seed));
         if o.retry.is_none() {
             // A drill without recovery would just fail jobs; default it on.
-            cfg = cfg.with_retry(RetryConfig::default());
+            cfg = cfg.with_retry(Retry::default());
         }
     }
     let svc = Service::new(cfg);
@@ -813,9 +813,9 @@ fn cmd_serve(o: &Opts) {
             }
         }
     };
-    // Every job has a profile (of its current attempt) without having been
-    // asked in advance; the handle holds it until `wait` consumes it. A job
-    // shed or cancelled before it ran has nothing to report.
+    // Every job has a profile without having been asked in advance; the
+    // handle holds it until `wait` consumes it. A job shed or cancelled
+    // before it ran has nothing to report.
     let mut classes = SIZES.map(|_| Vec::new());
     let mut look = |class: usize, profile: Option<ca_factor::sched::Profile>| {
         classes[class].extend(profile.filter(|p| !p.records.is_empty()));
@@ -851,13 +851,8 @@ fn cmd_serve(o: &Opts) {
     }
     if o.retry.is_some() || o.chaos.is_some() {
         println!(
-            "  recovery: job_retries={} jobs_recovered={} corruption_detected={} probes_run={} \
-             mttr p50 {:.2}ms",
-            s.job_retries,
-            s.jobs_recovered,
-            s.corruption_detected,
-            s.probes_run,
-            s.mttr.p50_s * 1e3,
+            "  recovery: job_retries={} jobs_recovered={} corruption_detected={} probes_run={}",
+            s.job_retries, s.jobs_recovered, s.corruption_detected, s.probes_run,
         );
         let t = &s.task_recovery;
         println!(

@@ -61,42 +61,71 @@ enum Opts {
     /// `retry` over targeted faults: the first `Update` fails, the second
     /// `Panel` panics, the first `LBlock` is delayed.
     Faults,
+    /// `retry` over a silent corruption of the first `Update`'s output.
+    Corrupt,
+    /// `retry` over a task (the plan's first) failing past its budget.
+    Exhaust,
 }
 
 impl Opts {
-    const ALL: [Opts; 5] = [Opts::Plain, Opts::Checked, Opts::Retry, Opts::Delay, Opts::Faults];
+    const ALL: [Opts; 7] =
+        [Opts::Plain, Opts::Checked, Opts::Retry, Opts::Delay, Opts::Faults, Opts::Corrupt, Opts::Exhaust];
 
-    /// Fresh options (a chaos plan is single-use) counting into `counters`.
-    fn build(self, counters: &Arc<RecoveryCounters>) -> FactorOptions {
+    /// Fresh options (a chaos plan is single-use); `victim` is the label
+    /// `Exhaust` fails.
+    fn build(self, victim: TaskLabel) -> FactorOptions {
         let us50 = Duration::from_micros(50);
+        let update = |l: &TaskLabel| l.kind == TaskKind::Update;
         let chaos = match self {
-            Opts::Delay => Some(ChaosPlan::quiet(1).delay_nth(1, us50, |l| l.kind == TaskKind::Update)),
+            Opts::Delay => Some(ChaosPlan::quiet(1).delay_nth(1, us50, update)),
             Opts::Faults => Some(
                 ChaosPlan::quiet(2)
-                    .fail_nth(1, |l| l.kind == TaskKind::Update)
+                    .fail_nth(1, update)
                     .panic_nth(2, |l| l.kind == TaskKind::Panel)
                     .delay_nth(1, us50, |l| l.kind == TaskKind::LBlock),
             ),
+            Opts::Corrupt => Some(ChaosPlan::quiet(3).corrupt_nth(1, update)),
+            Opts::Exhaust => {
+                let attempts = RetryPolicy::default().max_retries + 1;
+                Some((1..=attempts).fold(ChaosPlan::quiet(4), |c, n| c.fail_nth(n, move |l| *l == victim)))
+            }
             _ => None,
         };
-        let retry = matches!(self, Opts::Retry | Opts::Faults)
-            .then(|| Retry { policy: RetryPolicy::default(), counters: Arc::clone(counters) });
+        let retry = (self == Opts::Retry || self.faulty()).then(Retry::default);
         FactorOptions { chaos: chaos.map(Arc::new), retry, checked: self == Opts::Checked }
     }
 
-    /// What a run under these options must have counted: every injected fault replayed from a
-    /// restored write-set, none given up on; nothing without faults. An `Update` to fail exists iff
-    /// a panel has `trailing` columns.
+    /// `retry` over injected faults.
+    fn faulty(self) -> bool {
+        matches!(self, Opts::Faults | Opts::Corrupt | Opts::Exhaust)
+    }
+
+    /// What a run under these options must have counted, by its log: every injected fault replayed
+    /// from a restored write-set, one probe under `retry`, and a corruption or a task out of budget
+    /// answered by one probe failure or exhaustion and one whole-plan replay. An `Update` to fail
+    /// or corrupt exists iff a panel has `trailing` columns.
     fn check(self, s: &RecoveryStats, trailing: bool, what: &str) {
         let injected = s.injected_failures + s.injected_panics;
-        if self == Opts::Faults {
-            let fired = (s.injected_failures >= 1, s.injected_panics >= 1);
-            assert_eq!(fired, (trailing, true), "{what}: {s:?}");
-            assert_eq!(s.recovered_tasks, injected, "{what}: {s:?}");
-            assert!(s.restores >= s.injected_failures && s.exhausted_tasks == 0, "{what}: {s:?}");
-        } else {
+        let ladder = (s.injected_corruptions, s.probes, s.probe_failures, s.exhausted_tasks, s.replays);
+        let want = match self {
+            Opts::Faults => {
+                let fired = (s.injected_failures >= 1, s.injected_panics >= 1);
+                assert_eq!(fired, (trailing, true), "{what}: {s:?}");
+                assert!(s.recovered_tasks == injected && s.restores >= s.injected_failures, "{what}: {s:?}");
+                (0, 1, 0, 0, 0)
+            }
+            Opts::Corrupt if trailing => (1, 2, 1, 0, 1),
+            Opts::Exhaust => {
+                assert_eq!(s.injected_failures, RetryPolicy::default().max_retries as u64 + 1, "{what}: {s:?}");
+                (0, 1, 0, 1, 1)
+            }
+            Opts::Retry | Opts::Corrupt => (0, 1, 0, 0, 0),
+            Opts::Plain | Opts::Checked | Opts::Delay => (0, 0, 0, 0, 0),
+        };
+        if !matches!(self, Opts::Faults | Opts::Exhaust) {
             assert_eq!((injected, s.recovered_tasks), (0, 0), "{what}: {s:?}");
         }
+        assert_eq!(ladder, want, "{what}: {s:?}");
     }
 }
 
@@ -127,10 +156,9 @@ pub enum Part {
     Dag,
     /// The seeded sweep of shapes and trees (tests/properties.rs).
     Sweep,
-    /// `Profiled`, and `With` and `Served` under every option but `Faults`
-    /// (tests/cross_crate.rs).
+    /// `Profiled`, and `With` and `Served` under every option but the faults (tests/cross_crate.rs).
     Options,
-    /// `With` and `Served` under `Faults` (tests/recovery.rs).
+    /// `With` and `Served` under `Faults`, `Corrupt` and `Exhaust` (tests/recovery.rs).
     Faults,
     /// The service's tiny and `unbatched` routes, its solves, and the served
     /// one-task route (tests/serve.rs).
@@ -148,7 +176,7 @@ fn part_of(name: &str, route: Route, t: &str) -> Part {
     match route {
         _ if name == "sweep" => Part::Sweep,
         Route::Dag(_) => Part::Dag,
-        Route::With(_, Opts::Faults) | Route::Served(_, Opts::Faults) => Part::Faults,
+        Route::With(_, o) | Route::Served(_, o) if o.faulty() => Part::Faults,
         Route::With(..) | Route::Served(..) | Route::Profiled(_) => Part::Options,
         Route::Service { .. } | Route::Solve | Route::OneTask => Part::Service,
         Route::ServiceOoc => Part::ServiceOoc,
@@ -252,7 +280,7 @@ pub fn qr_bits<T: Scalar>(f: &QrFactors<T>) -> Bits {
     vec![("R\\V", bits(&f.a)), ("panels", words([f.panels.len()]))]
 }
 
-/// A route's bits and the recovery counters it counted into, once it is done.
+/// A route's bits and the recovery its log folds to, once it is done.
 type Pending = Box<dyn FnOnce() -> (Bits, Option<RecoveryStats>)>;
 
 /// Whose workers the served rows run on: `MultiFrontier`s by worker count, and a service.
@@ -286,6 +314,7 @@ fn budget_for(kind: OocKind, m: usize, n: usize, p: &CaParams, elem: usize, k: u
 fn start<C: Class, T: Kernel>(route: Route, a: &Matrix<T>, rhs: &Matrix<T>, p: &CaParams, pools: &Pools, what: &str)
     -> Option<Pending> {
     let (m, n, trailing) = (a.nrows(), a.ncols(), a.ncols() > p.b);
+    let victim = (C::GRAPH)(m, n, p).meta(0).label;
     let at = |workers| CaParams { threads: workers, ..*p };
     let a64 = || (T::NAME == "f64").then(|| a.to_f64());
     let (e, bits64) = (C::entries::<T>(), C::entries::<f64>().bits);
@@ -295,10 +324,9 @@ fn start<C: Class, T: Kernel>(route: Route, a: &Matrix<T>, rhs: &Matrix<T>, p: &
     match route {
         Route::Dag(w) => ready((e.bits)(&(e.dag)(a.clone(), &at(w)))),
         Route::With(w, o) => {
-            let counters = Arc::new(RecoveryCounters::new());
-            let (f, report) = ok((e.with)(a.clone(), &at(w), &o.build(&counters)), &what);
+            let (f, report) = ok((e.with)(a.clone(), &at(w), &o.build(victim)), &what);
             assert_eq!(report.profile().records.len(), report.stats.tasks, "{what}: one record per task");
-            let (b, s) = ((e.bits)(&f), counters.snapshot());
+            let (b, s) = ((e.bits)(&f), report.recovery());
             o.check(&s, trailing, &what);
             Some(Box::new(move || (b, Some(s))))
         }
@@ -309,17 +337,17 @@ fn start<C: Class, T: Kernel>(route: Route, a: &Matrix<T>, rhs: &Matrix<T>, p: &
         }
         Route::Served(..) | Route::OneTask => {
             let (w, o, one_task) = if let Route::Served(w, o) = route { (w, o, false) } else { (1, Opts::Plain, true) };
-            let counters = Arc::new(RecoveryCounters::new());
-            let sg = ok((C::SERVE)(a64()?, &at(w), &o.build(&counters), one_task), &what);
+            let sg = ok((C::SERVE)(a64()?, &at(w), &o.build(victim), one_task), &what);
             let tasks = if one_task { 0 } else { (C::GRAPH)(m, n, p).len() };
             let (_, watch) = pools.0[&w].submit(sg.graph, JobOptions::default());
             Some(Box::new(move || {
                 let job = watch.wait();
                 assert!(job.outcome.is_completed(), "{what}: {:?}", job.outcome);
                 assert_eq!(job.tasks_run, tasks + 1, "{what}: the plan's tasks and one sink");
-                let s = counters.snapshot();
+                let s = job.recovery;
                 o.check(&s, trailing, &what);
-                (bits64(sg.output.get().expect("a completed job filled its output")), Some(s))
+                let f = sg.output.get().expect("a completed job filled its output").as_ref();
+                (bits64(f.expect("a completed job settled")), Some(s))
             }))
         }
         Route::Service { tiny } => {
@@ -438,13 +466,17 @@ fn check(start: impl FnOnce(&Pools) -> Vec<Row>) {
         counted.extend(counters.map(|s| ((what, route), s)));
     }
     // A served job under the same options counts what the one-shot run
-    // counted; which Panel task the N-th-match rule hits (and so whether it
-    // has a write-set to restore) depends on the interleaving above 1 worker.
+    // counted. Above 1 worker the interleaving decides which Panel task the
+    // N-th-match rule hits (and so whether it has a write-set to restore),
+    // and how many tasks began before an `Exhaust` victim ran out of budget.
     for ((what, route), &served) in &counted {
         let Route::Served(w, o) = *route else { continue };
         let one_shot = counted[&(what.clone(), Route::With(w, o))];
-        let restores = |s: RecoveryStats| RecoveryStats { restores: if w > 1 { 0 } else { s.restores }, ..s };
-        assert_eq!(restores(served), restores(one_shot), "{what} {route:?} vs one-shot");
+        let settled = |s: RecoveryStats| match w {
+            1 => s,
+            _ => RecoveryStats { restores: 0, attempts: if o == Opts::Exhaust { 0 } else { s.attempts }, ..s },
+        };
+        assert_eq!(settled(served), settled(one_shot), "{what} {route:?} vs one-shot");
     }
     pools.0.values().for_each(MultiFrontier::shutdown);
     pools.1.shutdown();

@@ -1,12 +1,12 @@
 //! Recovery-tier integration tests (DESIGN.md §12).
 //!
 //! The central property — a task that fails, panics, or is delayed mid-graph
-//! and is replayed from its write-set snapshot leaves **no trace** — is the
-//! `Faults` part of the equivalence matrix (tests/equivalence_table), at
-//! every worker count, one-shot and served. Beside it: rate-based chaos, an
-//! exhausted replay budget, chaos without retry, and silent corruption, the
-//! one fault replay cannot see, which the random-vector integrity probe must
-//! catch after the fact.
+//! and is replayed from its write-set snapshot leaves **no trace**, and
+//! neither does silent corruption or a task out of replays, which the
+//! integrity probe and a whole-plan replay answer — is the `Faults` part of
+//! the equivalence matrix (tests/equivalence_table), at every worker count,
+//! one-shot and served. Beside it: rate-based chaos, an exhausted budget
+//! with no replay left, and chaos without retry.
 
 mod equivalence_table;
 
@@ -16,7 +16,7 @@ use ca_factor::core::{
 use ca_factor::matrix::{random_uniform, seeded_rng, Matrix};
 use ca_factor::prelude::CaParams;
 use ca_factor::sched::{
-    ChaosPlan, ChaosProfile, JobOptions, JobOutcome, MultiFrontier, RecoveryCounters, RetryPolicy,
+    ChaosPlan, ChaosProfile, JobOptions, JobOutcome, MultiFrontier, RecoveryStats, RetryPolicy,
     TaskKind,
 };
 use equivalence_table::Part;
@@ -26,31 +26,21 @@ fn params(threads: usize) -> CaParams {
     CaParams::new(16, 4, threads)
 }
 
-fn recovering(
-    policy: RetryPolicy,
-    chaos: ChaosPlan,
-    counters: &Arc<RecoveryCounters>,
-) -> FactorOptions {
-    FactorOptions {
-        chaos: Some(Arc::new(chaos)),
-        retry: Some(Retry { policy, counters: Arc::clone(counters) }),
-        ..Default::default()
-    }
-}
-
+/// `try_calu_with` under `retry` and `chaos`: the factors and the run's log fold.
 fn calu_recovering(
     a: &Matrix,
     p: &CaParams,
-    policy: RetryPolicy,
+    retry: Retry,
     chaos: ChaosPlan,
-    counters: &Arc<RecoveryCounters>,
-) -> Result<LuFactors, FactorError> {
-    try_calu_with(a.clone(), p, &recovering(policy, chaos, counters)).map(|(f, _)| f)
+) -> Result<(LuFactors, RecoveryStats), FactorError> {
+    let opts = FactorOptions { chaos: Some(Arc::new(chaos)), retry: Some(retry), ..Default::default() };
+    try_calu_with(a.clone(), p, &opts).map(|(f, report)| (f, report.recovery()))
 }
 
 /// The first `Update` fails, the second `Panel` panics, the first `LBlock`
-/// is delayed; replay absorbs each with the sequential bits, at 1 and 3
-/// workers, one-shot and served.
+/// is delayed; the first `Update` is silently corrupted; one task fails past
+/// its budget: each replay gives the sequential bits, at 1 and 3 workers,
+/// one-shot and served, in f64 and f32.
 #[test]
 fn calu_replay_is_bitwise_identical_across_thread_counts() {
     equivalence_table::lu(Part::Faults);
@@ -69,12 +59,9 @@ fn profile_rate_chaos_recovers() {
     let profile = ChaosProfile::quiet().with_fail_rate(0.05).with_panic_rate(0.02);
     let p = params(3);
     let reference = try_calu(a.clone(), &p).expect("fault-free run");
-    let counters = Arc::new(RecoveryCounters::new());
     let plan = ChaosPlan::with_profile(0xD2, profile);
-    let f = calu_recovering(&a, &p, RetryPolicy::default(), plan, &counters)
-        .expect("recovered run");
+    let (f, s) = calu_recovering(&a, &p, Retry::default(), plan).expect("recovered run");
     assert_eq!(f.lu.as_slice(), reference.lu.as_slice());
-    let s = counters.snapshot();
     assert!(
         s.injected_failures + s.injected_panics > 0,
         "5%/2% rates over a 6-panel graph must inject something: {s:?}"
@@ -83,47 +70,40 @@ fn profile_rate_chaos_recovers() {
 
 #[test]
 fn exhausted_retry_budget_fails_cleanly() {
-    // Every Update attempt fails (rate 1.0 for the class): the first Update
-    // to run burns its whole replay budget and must surface TaskFailed —
-    // no hang, no poisoned factors.
+    // Every Update attempt fails (rate 1.0 for the class) and no whole-plan
+    // replay is left: the first Update to run burns its whole budget and
+    // must surface TaskFailed — no hang, no poisoned factors.
     let a = random_uniform(64, 64, &mut seeded_rng(0xFA06));
     let p = params(2);
-    let counters = Arc::new(RecoveryCounters::new());
     let plan = ChaosPlan::quiet(0)
         .with_class_profile(TaskKind::Update, ChaosProfile::quiet().with_fail_rate(1.0));
-    match calu_recovering(&a, &p, RetryPolicy::default().with_max_retries(2), plan, &counters) {
-        Err(FactorError::TaskFailed { .. }) => {}
-        other => panic!("expected task failure after exhaustion, got {other:?}"),
+    let retry = Retry { policy: RetryPolicy::default().with_max_retries(2), replays: 0 };
+    match calu_recovering(&a, &p, retry, plan) {
+        Err(FactorError::TaskFailed { message, .. }) => {
+            assert!(message.contains("chaos: injected failure"), "{message}")
+        }
+        other => panic!("expected task failure after exhaustion, got {:?}", other.map(|(_, s)| s)),
     }
-    let s = counters.snapshot();
-    assert!(s.exhausted_tasks >= 1, "{s:?}");
-    assert!(s.injected_failures >= 3, "all three attempts were injected: {s:?}");
 }
 
 #[test]
 fn integrity_probe_catches_injected_corruption() {
-    // Silent corruption of one Update output: replay never fires (the task
-    // "succeeds"), factorization completes, and only the probe can tell.
+    // Silent corruption of one Update output: task replay never fires (the
+    // task "succeeds"), and only the probe can tell. With no whole-plan
+    // replay left the run fails with the typed error instead of returning
+    // the factors (the `Faults` rows replay it).
     let a = random_uniform(96, 96, &mut seeded_rng(0xFA07));
     let p = params(2);
-    let counters = Arc::new(RecoveryCounters::new());
     // Target an Update: those carry matrix write-sets, and later tasks
     // transform the corrupted block in place (they never recompute it from
     // pristine data), so the corruption propagates into the final factors.
-    let plan = ChaosPlan::quiet(0).corrupt_nth(1, |l| l.kind == TaskKind::Update);
-    let f = calu_recovering(&a, &p, RetryPolicy::default(), plan, &counters)
-        .expect("corrupted run still completes");
-    assert_eq!(counters.snapshot().injected_corruptions, 1);
-    match f.verify_integrity(&a, 42) {
+    let corrupt = ChaosPlan::quiet(0).corrupt_nth(1, |l| l.kind == TaskKind::Update);
+    match calu_recovering(&a, &p, Retry { replays: 0, ..Retry::default() }, corrupt) {
         Err(FactorError::Corrupted { residual, threshold }) => {
             assert!(residual > threshold || !residual.is_finite());
         }
-        other => panic!("probe must flag corrupted factors, got {other:?}"),
+        other => panic!("probe must flag corrupted factors, got {:?}", other.map(|(_, s)| s)),
     }
-
-    // The same matrix factored honestly passes the probe.
-    let clean = try_calu(a.clone(), &p).expect("honest run");
-    clean.verify_integrity(&a, 42).expect("honest factors pass");
 }
 
 #[test]
@@ -152,7 +132,7 @@ fn chaos_without_retry_means_the_same_one_shot_and_served() {
     assert_eq!(f.lu.as_slice(), reference.lu.as_slice(), "one-shot: nothing to corrupt");
     let (outcome, output) = served(&without_retry(corrupt()));
     assert!(outcome.is_completed(), "{outcome:?}");
-    let f = output.get().expect("output set");
+    let f = output.get().expect("output set").as_ref().expect("settled");
     assert_eq!(f.lu.as_slice(), reference.lu.as_slice(), "served: nothing to corrupt");
 
     // One task, by label, so both routes hit the same one whatever the

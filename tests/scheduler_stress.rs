@@ -691,14 +691,14 @@ fn multifrontier_chaos_exhaustion_is_isolated_from_recovering_peers() {
     // one replay): its first task exhausts the budget and the job fails
     // alone. Two peers run under targeted fail/panic injection with the
     // default replay budget: both must recover and produce their exact
-    // checksums — per-job recovery state (plans, counters, budgets) must
-    // never bleed across jobs sharing the worker pool, and neither may the
-    // flight marks: every retry/restore/inject mark names its task's job
+    // checksums — per-job recovery state (plans, budgets, logged counts)
+    // must never bleed across jobs sharing the worker pool, and neither may
+    // the flight marks: every retry/restore/inject mark names its task's job
     // (ids 0, 1 and 2, so a recorder that always says 0 is caught).
     use ca_factor::matrix::{ElemRect, Matrix};
     use ca_factor::sched::{
         plan_jobs, ChaosPlan, ChaosProfile, FactorOptions, JobOptions, JobOutcome, MultiFrontier,
-        PlanBuilder, RecoveryCounters, Retry, RetryPolicy,
+        PlanBuilder, Retry, RetryPolicy,
     };
     use std::sync::Arc;
     use std::time::Duration;
@@ -716,7 +716,6 @@ fn multifrontier_chaos_exhaustion_is_isolated_from_recovering_peers() {
     // infers the chain from the write-after-write conflicts).
     let mut watches = Vec::new();
     let mut accs = Vec::new();
-    let mut counters_by_job = Vec::new();
     for jidx in 0..JOBS {
         let acc = Arc::new(AtomicU64::new(0));
         accs.push(acc.clone());
@@ -736,8 +735,6 @@ fn multifrontier_chaos_exhaustion_is_isolated_from_recovering_peers() {
         } else {
             RetryPolicy::default()
         };
-        let counters = Arc::new(RecoveryCounters::new());
-        counters_by_job.push(counters.clone());
         let mut pb = PlanBuilder::<f64, ()>::new(1, JOBS, 1);
         for t in 0..CHAIN {
             let acc = acc.clone();
@@ -751,7 +748,7 @@ fn multifrontier_chaos_exhaustion_is_isolated_from_recovering_peers() {
         }
         let opts = FactorOptions {
             chaos: Some(plan),
-            retry: Some(Retry { policy, counters }),
+            retry: Some(Retry { policy, replays: 0 }),
             checked: false,
         };
         let (g, _) = plan_jobs(pb.finish((), |a, ()| a), Matrix::zeros(JOBS, 1), &opts)
@@ -764,7 +761,7 @@ fn multifrontier_chaos_exhaustion_is_isolated_from_recovering_peers() {
         let report = watch
             .wait_timeout(Duration::from_secs(30))
             .unwrap_or_else(|| panic!("job {jidx} stalled"));
-        let s = counters_by_job[jidx].snapshot();
+        let s = report.recovery;
         if jidx == DOOMED {
             match &report.outcome {
                 JobOutcome::Failed(err) => {

@@ -6,8 +6,8 @@
 
 use ca_factor::matrix::{random_uniform, seeded_rng};
 use ca_factor::serve::{
-    BatchConfig, ChaosConfig, ChaosProfile, RetryConfig, SeriesValue, Service, ServiceConfig,
-    SubmitOptions, TelemetryConfig,
+    BatchConfig, ChaosConfig, ChaosProfile, RecoveryStats, Retry, RetryPolicy, SeriesValue,
+    Service, ServiceConfig, SubmitOptions, TelemetryConfig,
 };
 use ca_factor::telemetry::RegistrySnapshot;
 use ca_factor::CaParams;
@@ -52,7 +52,6 @@ const EXPECTED_FAMILIES: &[&str] = &[
     "ca_serve_pool_occupancy",
     "ca_serve_workers",
     "ca_serve_gflops",
-    "ca_serve_mttr_seconds",
     "ca_serve_rejected_total",
     "ca_serve_job_retries_total",
     "ca_serve_flight_dumps_written_total",
@@ -143,10 +142,10 @@ fn assert_documented_families(cfg: ServiceConfig) {
 
 /// `ServiceStats` and the exposition are two views of the same series, so
 /// after any workload they must agree — including the cases where mirrored
-/// stores used to drift: attempts voided by a probe, resubmissions, tiny
-/// jobs on the one-task route (each in its own tenant's series), and handles
-/// dropped without a `wait` (an outcome is recorded by the completion hook,
-/// not by whoever happens to be waiting).
+/// stores used to drift: probe hits and whole-plan replays, tiny jobs on the
+/// one-task route (each in its own tenant's series), and handles dropped
+/// without a `wait` (an outcome and its recovery counts are recorded by the
+/// completion hook, not by whoever happens to be waiting).
 #[test]
 fn service_stats_and_exposition_agree() {
     let tiny = CaParams::new(16, 2, 1);
@@ -155,9 +154,9 @@ fn service_stats_and_exposition_agree() {
     type Row = (&'static str, ServiceConfig, usize, usize, usize, bool);
     let rows: [Row; 4] = [
         (
-            "every attempt corrupted, probe voids each, retry budget exhausted",
+            "every task corrupted, the probe catches it and one replay recovers",
             ServiceConfig::new(2)
-                .with_retry(RetryConfig::default().with_job_retries(2))
+                .with_retry(Retry::default())
                 .with_chaos(ChaosConfig::seeded(13).with_profile(quiet.with_corrupt_rate(1.0))),
             1,
             64,
@@ -165,9 +164,9 @@ fn service_stats_and_exposition_agree() {
             true,
         ),
         (
-            "seeded chaos drill, task + job retries, three tenants",
+            "seeded chaos drill, task + whole-plan replays, three tenants",
             ServiceConfig::new(2)
-                .with_retry(RetryConfig::default().with_task_retries(1).with_job_retries(3))
+                .with_retry(Retry { policy: RetryPolicy::default().with_max_retries(1), replays: 3 })
                 .with_chaos(ChaosConfig::seeded(7).with_profile(quiet.with_fail_rate(0.15))),
             9,
             64,
@@ -184,7 +183,7 @@ fn service_stats_and_exposition_agree() {
         ),
         (
             "retry configured, handles dropped fire-and-forget",
-            ServiceConfig::new(2).with_retry(RetryConfig::default().with_job_retries(2)),
+            ServiceConfig::new(2).with_retry(Retry::default()),
             4,
             64,
             2,
@@ -234,27 +233,19 @@ fn service_stats_and_exposition_agree() {
             stats.exec_latency.count,
             "{what}: exec samples"
         );
-        let t = &stats.task_recovery;
-        for (family, want) in [
-            ("attempts", t.attempts),
-            ("retries", t.retries),
-            ("recovered_tasks", t.recovered_tasks),
-            ("exhausted_tasks", t.exhausted_tasks),
-            ("restores", t.restores),
-            ("injected_failures", t.injected_failures),
-            ("injected_panics", t.injected_panics),
-            ("injected_delays", t.injected_delays),
-            ("injected_corruptions", t.injected_corruptions),
-        ] {
+        for (family, want) in RecoveryStats::NAMES.iter().zip(stats.task_recovery.counts()) {
             assert_eq!(sum(&format!("ca_serve_task_{family}_total")), want, "{what}: task {family}");
         }
+        let t = &stats.task_recovery;
+        assert_eq!(sum("ca_serve_corruption_detected_total"), t.probe_failures, "{what}: probe hits");
+        assert_eq!((stats.job_retries, stats.probes_run), (t.replays, t.probes), "{what}");
         // Every submitted job reached exactly one terminal outcome, and the
         // handles saw the same number of failures the series counted.
         assert_eq!(stats.submitted, jobs as u64, "{what}");
         assert_eq!(stats.completed + stats.failed + stats.cancelled, stats.submitted, "{what}");
         assert_eq!(stats.failed as usize, failures, "{what}: failures seen by the handles");
-        // One latency sample per attempt.
-        assert_eq!(stats.exec_latency.count, stats.submitted + stats.job_retries, "{what}");
+        // One latency sample per job: a replay runs inside it.
+        assert_eq!(stats.exec_latency.count, stats.submitted, "{what}");
         // Every job is attributed to its own tenant, whichever route it took.
         for t in 0..tenants {
             let tenant = format!("t{t}");
@@ -354,13 +345,13 @@ fn flight_recorder_attaches_and_failure_dump_is_bounded_chrome_trace() {
 
 #[test]
 fn probe_corruption_dump_holds_a_mark_naming_the_job() {
-    // Every task corrupts an element it wrote and nothing is retried: each
-    // job completes, fails its integrity probe on the client's thread, and
+    // Every task corrupts an element it wrote and nothing is replayed: each
+    // job's sink fails its integrity probe on a worker lane, and the hook
     // dumps the flight recorder. The dump must hold that job's own
     // `probe_corrupt` mark — two jobs, so the ids 0 and 1 are both named.
     let dir = temp_dir("probe-dumps");
     let cfg = ServiceConfig::new(2)
-        .with_retry(RetryConfig::default().with_job_retries(0))
+        .with_retry(Retry { replays: 0, ..Retry::default() })
         .with_chaos(ChaosConfig::seeded(9).with_profile(ChaosProfile::quiet().with_corrupt_rate(1.0)))
         .with_telemetry(TelemetryConfig::default().with_flight_recorder(256).with_dump_dir(&dir));
     let svc = Service::new(cfg);
