@@ -12,10 +12,8 @@ use crate::error::{require_finite, FactorError, DEFAULT_GROWTH_LIMIT};
 use crate::jobs::try_plan_with;
 use crate::params::CaParams;
 use crate::tslu::factor_panel;
-use ca_kernels::{
-    gemm, par_gemm, trsm_left_lower_unit, trsm_left_upper_notrans, Kernel, Trans,
-};
-use ca_matrix::{lu_residual, MatViewMut, Matrix, PivotSeq, Scalar};
+use ca_kernels::{gemm, split_cols, trsm_left_lower_unit, trsm_left_upper_notrans, Kernel, Trans};
+use ca_matrix::{lu_residual, MatView, MatViewMut, Matrix, PivotSeq, Scalar};
 
 /// Numerical diagnostics collected while factoring, one entry per panel.
 #[derive(Clone, Debug, Default)]
@@ -129,10 +127,9 @@ pub struct LuPanelLog {
 /// window: `a` holds every row of columns `d0..d0 + a.ncols()` of the matrix
 /// being factored, so the panel at window column `lc` has its diagonal at
 /// global row `d0 + lc`. Per panel: tournament pivoting + packed panel
-/// factorization (TSLU), interchanges applied to the window columns right of
-/// the panel, `U` block row by triangular solve, trailing update by `gemm`
-/// on `workers` threads (`par_gemm` above one; the factors are bitwise the
-/// same at every count).
+/// factorization (TSLU) on the calling thread, then [`lu_panel_update`] of
+/// the window columns right of the panel — one column split over `workers`
+/// lanes (the factors are bitwise the same at every count).
 ///
 /// Interchanges for the columns *left* of each panel are the caller's
 /// business: they commute with everything the loop does, so an in-core
@@ -151,8 +148,6 @@ pub fn calu_panels<T: Kernel>(
     while lc < ws && d0 + lc < m {
         let k0 = d0 + lc;
         let w = p.b.min(ws - lc);
-        let k = w.min(m - k0);
-        let trailing_cols = ws - lc - w;
 
         let outcome = factor_panel(a.sub(0, lc, m, w), k0, p.b, p.tr, p.tree, p.growth_limit);
         if log.breakdown.is_none() {
@@ -163,32 +158,31 @@ pub fn calu_panels<T: Kernel>(
             log.stats.fallback_panels.push(k0);
         }
 
-        if trailing_cols > 0 {
-            outcome.pivots.apply(a.sub(0, lc + w, m, trailing_cols));
-        }
-
-        // U block row: U[k0..k0+k, right] := L_KK⁻¹ · A[k0..k0+k, right].
-        if trailing_cols > 0 && k > 0 {
-            let (panel_cols, mut trailing) = a.rb().split_at_col(lc + w);
-            let lkk = panel_cols.as_ref().sub(k0, lc, k, k);
-            trsm_left_lower_unit(lkk, trailing.sub(k0, 0, k, trailing_cols));
-
-            // Trailing update: A[k0+k.., right] -= L[k0+k.., panel] · U.
-            if k0 + k < m {
-                let l_below = panel_cols.as_ref().sub(k0 + k, lc, m - k0 - k, k);
-                let (u_row, a_below) = trailing.split_at_row(k0 + k);
-                let u_row = u_row.as_ref().sub(k0, 0, k, trailing_cols);
-                if workers > 1 {
-                    par_gemm(workers, Trans::No, Trans::No, -T::ONE, l_below, u_row, T::ONE, a_below);
-                } else {
-                    gemm(Trans::No, Trans::No, -T::ONE, l_below, u_row, T::ONE, a_below);
-                }
-            }
-        }
+        let (panel_cols, trailing) = a.rb().split_at_col(lc + w);
+        let l = panel_cols.as_ref().sub(k0, lc, m - k0, outcome.pivots.len());
+        lu_panel_update(workers, &outcome.pivots, l, trailing);
 
         log.panel_pivots.push(outcome.pivots);
         lc += w;
     }
+}
+
+/// One factored panel's update of the columns `c` (every row of the
+/// matrix): its interchanges `pv`, the `U` block row by unit-lower
+/// triangular solve, and the rank-`k` update below it, where `l` is the
+/// panel's `[L_kk; L_below]` (rows `pv.offset..m` of its `k = pv.len()`
+/// columns). One [`split_cols`] of `c` over `workers` lanes carries all
+/// three, so each lane touches only its own columns.
+pub fn lu_panel_update<T: Kernel>(workers: usize, pv: &PivotSeq, l: MatView<'_, T>, c: MatViewMut<'_, T>) {
+    let (k0, k) = (pv.offset, pv.len());
+    split_cols(workers, c, |_, mut c| {
+        pv.apply(c.rb());
+        let cw = c.ncols();
+        let (top, below) = c.split_at_row(k0 + k);
+        let mut u_row = top.into_sub(k0, 0, k, cw);
+        trsm_left_lower_unit(l.sub(0, 0, k, k), u_row.rb());
+        gemm(Trans::No, Trans::No, -T::ONE, l.sub(k, 0, l.nrows() - k, k), u_row.as_ref(), T::ONE, below);
+    });
 }
 
 /// Sequential CALU, the reference every other route reproduces bit for bit

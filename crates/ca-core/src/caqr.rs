@@ -12,7 +12,7 @@ use ca_sched::{run_plan, FactorOptions};
 use crate::error::{require_finite, FactorError};
 use crate::jobs::try_plan_with;
 use crate::params::{num_panels, partition_rows, CaParams};
-use crate::tsqr::{eliminate, leaf_apply, leaf_qr, node_apply, panel_apply, plan_panel, PanelQ};
+use crate::tsqr::{eliminate, leaf_qr, panel_apply, plan_panel, PanelQ};
 use ca_kernels::{trsm_left_upper_notrans, Kernel, Trans};
 use ca_matrix::{Matrix, Scalar, SharedMatrix};
 
@@ -46,19 +46,11 @@ impl<T: Kernel> QrFactors<T> {
     fn apply(&self, c: &mut Matrix<T>, trans: Trans) {
         assert_eq!(c.nrows(), self.a.nrows(), "row count mismatch with Q");
         let ncols = c.ncols();
-        let owned = std::mem::replace(c, Matrix::zeros(0, 0));
-        let dst = SharedMatrix::new(owned);
+        let dst = SharedMatrix::new(std::mem::replace(c, Matrix::zeros(0, 0)));
+        let one = |p: &PanelQ<T>| panel_apply(1, p, &p.leaf_blocks(&self.a), &dst, 0..ncols, trans);
         match trans {
-            Trans::Yes => {
-                for p in &self.panels {
-                    panel_apply(&self.a, p, &dst, 0..ncols, trans);
-                }
-            }
-            Trans::No => {
-                for p in self.panels.iter().rev() {
-                    panel_apply(&self.a, p, &dst, 0..ncols, trans);
-                }
-            }
+            Trans::Yes => self.panels.iter().for_each(one),
+            Trans::No => self.panels.iter().rev().for_each(one),
         }
         *c = dst.into_inner();
     }
@@ -115,13 +107,20 @@ impl<T: Kernel> QrFactors<T> {
 /// window: `a` holds every row of columns `d0..d0 + a.ncols()` of the matrix
 /// being factored, so the panel at window column `lc` has its diagonal at
 /// global row `d0 + lc`. Per panel: leaf QR of each row group, then the
-/// reduction tree's nodes, each applied to the window columns right of the
-/// panel as soon as it is formed. The panels' `Q` representations are
-/// appended to `panels`, with [`PanelQ::c0`] the panel's *global* column.
+/// reduction tree's nodes, on the calling thread (they touch only the
+/// panel's own columns); then the panel's `Qᵀ` — every leaf, then every
+/// node — applied to the window columns right of it by [`panel_apply`],
+/// one column split over `workers` lanes (the factors are bitwise the same
+/// at every count). The panels' `Q` representations are appended to
+/// `panels`, with [`PanelQ::c0`] the panel's *global* column.
+// The leaf reflectors are read from `a` while the lanes write the columns
+// right of the panel: disjoint blocks.
+#[allow(clippy::disallowed_methods)]
 pub fn caqr_panels<T: Kernel>(
     a: &SharedMatrix<T>,
     d0: usize,
     p: &CaParams,
+    workers: usize,
     panels: &mut Vec<PanelQ<T>>,
 ) {
     let m = a.nrows();
@@ -132,22 +131,15 @@ pub fn caqr_panels<T: Kernel>(
         let w = p.b.min(ws - lc);
         let part = partition_rows(m, k0, p.b, p.tr);
         let plan = plan_panel(&part, w, p.tree);
-        let trailing = (lc + w)..ws;
-
-        let mut leaves = Vec::with_capacity(plan.leaves.len());
-        for &grp in &plan.leaves {
-            let leaf = leaf_qr(a, lc, w, part.group(grp));
-            leaf_apply(a, lc, &leaf, a, trailing.clone(), Trans::Yes);
-            leaves.push(leaf);
-        }
-        let mut nodes = Vec::with_capacity(plan.nodes.len());
-        for (node, rest) in &plan.nodes {
-            let node = eliminate(a, lc, w, node, *rest);
-            node_apply(&node, a, trailing.clone(), Trans::Yes);
-            nodes.push(node);
-        }
-        let k = (m - k0).min(w);
-        panels.push(PanelQ { k0, c0: k0, w, k, leaves, nodes });
+        let leaves: Vec<_> = plan.leaves.iter().map(|&grp| leaf_qr(a, lc, w, part.group(grp))).collect();
+        let nodes = plan.nodes.iter().map(|(node, rest)| eliminate(a, lc, w, node, *rest)).collect();
+        let panel = PanelQ { k0, c0: k0, w, k: (m - k0).min(w), leaves, nodes };
+        // SAFETY: the reflectors lie in the panel's columns, which nothing
+        // writes while these views live: `panel_apply` writes only the
+        // columns right of the panel.
+        let vs: Vec<_> = panel.leaves.iter().map(|l| unsafe { a.block(l.rows.start, lc, l.rows.len(), l.kv) }).collect();
+        panel_apply(workers, &panel, &vs, a, (lc + w)..ws, Trans::Yes);
+        panels.push(panel);
         lc += w;
     }
 }
@@ -157,7 +149,7 @@ pub fn caqr_panels<T: Kernel>(
 pub fn caqr_seq<T: Kernel>(a: Matrix<T>, p: &CaParams) -> QrFactors<T> {
     let mut panels = Vec::with_capacity(num_panels(a.nrows(), a.ncols(), p.b));
     let sh = SharedMatrix::new(a);
-    caqr_panels(&sh, 0, p, &mut panels);
+    caqr_panels(&sh, 0, p, 1, &mut panels);
     QrFactors { a: sh.into_inner(), panels }
 }
 

@@ -279,7 +279,7 @@ impl CaluPlan {
 
             // --- S tasks (trailing updates, same column chunking). Groups whose
             //     update spans at least two GEMM cache slabs (`2·MC` rows) are
-            //     decomposed into the par_gemm sub-DAG: pack-A once per slab
+            //     decomposed into the GEMM sub-DAG: pack-A once per slab
             //     per group (shared across every column chunk — pack A once
             //     per `jc` sweep), pack-B once per panel per chunk (shared
             //     across groups), one packed-tile GEMM task per slab × panel.

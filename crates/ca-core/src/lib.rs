@@ -12,9 +12,12 @@
 //!   panel factorization by TSLU over a binary or flat reduction tree.
 //! * [`caqr`] / [`caqr_seq`] — CAQR; panel factorization by TSQR, with the
 //!   reduction tree driving the trailing-matrix update.
-//! * [`calu_panels`] / [`caqr_panels`] — the sequential panel loops the
-//!   `*_seq` entry points run over the whole matrix and `ca-ooc` runs over
-//!   each resident superpanel.
+//! * [`calu_panels`] / [`caqr_panels`] — the panel loops the `*_seq`
+//!   entry points run over the whole matrix on one thread and `ca-ooc` runs
+//!   over each resident superpanel: panels factored on the calling thread,
+//!   each panel's trailing update one column split over `workers` lanes
+//!   ([`ca_kernels::split_cols`]); [`lu_panel_update`] and
+//!   [`tsqr::panel_apply`] are those updates, which `ca-ooc` also replays.
 //! * [`tslu_factor`] / [`tsqr_factor`] — the panel factorizations as
 //!   standalone tall-and-skinny solvers (the paper's TSLU/TSQR benchmarks).
 //! * [`CaluPlan`] / [`CaqrPlan`] — `::build(m, n, &p)` makes the
@@ -70,7 +73,7 @@ pub mod tslu;
 pub mod tsqr;
 
 pub use calu::{
-    calu, calu_panels, calu_seq_factor, try_calu, try_calu_profiled, try_calu_with,
+    calu, calu_panels, calu_seq_factor, lu_panel_update, try_calu, try_calu_profiled, try_calu_with,
     try_tslu_factor, tslu_factor, LuFactors, LuPanelLog, LuStats,
 };
 pub use caqr::{

@@ -26,8 +26,8 @@
 use crate::params::RowPartition;
 use crate::tree::{reduction_schedule, ReduceNode};
 use crate::params::TreeShape;
-use ca_kernels::{geqr2, geqr3, larfb_left, larfb_left_multi, larft, Kernel, Trans, VRest};
-use ca_matrix::{Matrix, Scalar, SharedMatrix};
+use ca_kernels::{geqr2, geqr3, larfb_left, larfb_left_multi, larft, split_range, Kernel, Trans, VRest};
+use ca_matrix::{MatView, Matrix, Scalar, SharedMatrix};
 use core::ops::Range;
 
 /// Q-representation of one leaf QR: the reflectors live in the factored
@@ -74,6 +74,14 @@ pub struct PanelQ<T: Scalar = f64> {
     pub leaves: Vec<LeafQ<T>>,
     /// Tree nodes in execution order.
     pub nodes: Vec<NodeQ<T>>,
+}
+
+impl<T: Scalar> PanelQ<T> {
+    /// Each leaf's reflector block (`rows × kv` at the panel's column) in
+    /// the factored matrix `a`: the `vs` of [`panel_apply`].
+    pub fn leaf_blocks<'a>(&self, a: &'a Matrix<T>) -> Vec<MatView<'a, T>> {
+        self.leaves.iter().map(|l| a.block(l.rows.start, self.c0, l.rows.len(), l.kv)).collect()
+    }
 }
 
 /// Static plan of a panel's tree: row ranges for every node, computed from
@@ -320,46 +328,50 @@ pub fn node_apply<T: Kernel>(
 
 /// Applies `op(Q_panel)` for a full panel to columns `dcols` of `dst`:
 /// `Qᵀ` = leaves then nodes in order; `Q` = nodes in reverse then leaves.
+/// `vs[i]` is leaf `i`'s reflector block (`rows × kv`), wherever it lives —
+/// the factored matrix, a panel being factored, a block read from a store.
 ///
-/// This is the replay path (`Q` application after factorization): the
-/// reflectors are read safely from the owned factored matrix `src`; `dst`
-/// is a [`SharedMatrix`] only because the node updates need several disjoint
-/// mutable row blocks of it at once.
-// TSQR kernel helper: called from DAG executors whose declared
-// footprints `verify_graph` proves conflict-ordered.
+/// One [`split_range`] of `dcols` over `workers` lanes carries the whole
+/// panel: each lane applies every leaf, then every node, to its own
+/// columns, which is the per-element order of applying them one by one
+/// over all of `dcols`. `dst` is a [`SharedMatrix`] because a node update
+/// needs several disjoint mutable row blocks of it at once.
+// TSQR kernel helper: the caller guarantees no other view of `dst`'s
+// `dcols` is live, and the lanes write disjoint column chunks.
 #[allow(clippy::disallowed_methods)]
 pub fn panel_apply<T: Kernel>(
-    src: &Matrix<T>,
+    workers: usize,
     panel: &PanelQ<T>,
+    vs: &[MatView<'_, T>],
     dst: &SharedMatrix<T>,
     dcols: Range<usize>,
     trans: Trans,
 ) {
-    let one_leaf = |leaf: &LeafQ<T>| {
-        let r = leaf.rows.len();
-        let v = src.block(leaf.rows.start, panel.c0, r, leaf.kv);
-        // SAFETY: replay is sequential; no other view of dst is live.
-        let c = unsafe { dst.block_mut(leaf.rows.start, dcols.start, r, dcols.len()) };
-        larfb_left(trans, v, leaf.t.view(), c);
-    };
-    match trans {
-        Trans::Yes => {
-            for leaf in &panel.leaves {
-                one_leaf(leaf);
+    assert_eq!(vs.len(), panel.leaves.len(), "one reflector block per leaf");
+    split_range(workers, dcols, |cols| {
+        let leaves = || {
+            for (leaf, v) in panel.leaves.iter().zip(vs) {
+                // SAFETY: this lane is the only writer of these columns,
+                // and the reflectors lie outside every lane's columns.
+                let c = unsafe { dst.block_mut(leaf.rows.start, cols.start, leaf.rows.len(), cols.len()) };
+                larfb_left(trans, *v, leaf.t.view(), c);
             }
-            for node in &panel.nodes {
-                node_apply(node, dst, dcols.clone(), trans);
+        };
+        match trans {
+            Trans::Yes => {
+                leaves();
+                for node in &panel.nodes {
+                    node_apply(node, dst, cols.clone(), trans);
+                }
+            }
+            Trans::No => {
+                for node in panel.nodes.iter().rev() {
+                    node_apply(node, dst, cols.clone(), trans);
+                }
+                leaves();
             }
         }
-        Trans::No => {
-            for node in panel.nodes.iter().rev() {
-                node_apply(node, dst, dcols.clone(), trans);
-            }
-            for leaf in &panel.leaves {
-                one_leaf(leaf);
-            }
-        }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -441,7 +453,7 @@ mod tests {
             qt[(i, i)] = 1.0;
         }
         let dstq = SharedMatrix::new(qt);
-        panel_apply(&fac, &panel, &dstq, 0..w, Trans::No);
+        panel_apply(1, &panel, &panel.leaf_blocks(&fac), &dstq, 0..w, Trans::No);
         let q = dstq.into_inner();
 
         assert!(ca_matrix::orthogonality(&q) < 1e-12 * m as f64);
@@ -460,8 +472,8 @@ mod tests {
 
         let c0 = ca_matrix::random_uniform(m, 3, &mut seeded_rng(8));
         let dc = SharedMatrix::new(c0.clone());
-        panel_apply(&fac, &panel, &dc, 0..3, Trans::Yes);
-        panel_apply(&fac, &panel, &dc, 0..3, Trans::No);
+        panel_apply(1, &panel, &panel.leaf_blocks(&fac), &dc, 0..3, Trans::Yes);
+        panel_apply(1, &panel, &panel.leaf_blocks(&fac), &dc, 0..3, Trans::No);
         let c1 = dc.into_inner();
         let err = norm_max(c1.sub_matrix(&c0).view());
         assert!(err < 1e-12, "Q Qᵀ c != c (err {err})");
@@ -479,7 +491,7 @@ mod tests {
         let r = fac.upper();
 
         let dst = SharedMatrix::new(a0);
-        panel_apply(&fac, &panel, &dst, 0..w, Trans::Yes);
+        panel_apply(1, &panel, &panel.leaf_blocks(&fac), &dst, 0..w, Trans::Yes);
         let qta = dst.into_inner();
         for j in 0..w {
             for i in 0..w {

@@ -20,10 +20,11 @@
 //!
 //! The whole surface is generic over the sealed [`Scalar`] trait through
 //! [`Kernel`] (implemented for `f32` and `f64`), with `f64` defaults so all
-//! pre-existing call sites compile unchanged. The scheduler-parallel
-//! decomposition of the same loops lives in [`crate::par_gemm`] and shares
-//! [`macro_kernel`], which is what makes parallel results bitwise-identical
-//! to this serial path.
+//! pre-existing call sites compile unchanged. The scheduler's task
+//! decomposition of the same loops ([`crate::gemm_packed`] and the pack
+//! helpers beside it) shares [`macro_kernel`], which is what makes its
+//! results bitwise-identical to this serial path; [`crate::par_gemm`] is a
+//! column split over this driver.
 
 use crate::lu_recursive::base as lu_base;
 use crate::microkernel as mk;
@@ -202,8 +203,8 @@ pub(crate) fn mul_add<T: Scalar, const FMA: bool>(a: T, b: T, c: T) -> T {
 
 /// One microkernel and its register-tile geometry. The packed-panel layout
 /// (and therefore every pack-buffer size) is a function of `(mr, nr)`, so
-/// the spec travels together through the driver, [`crate::par_gemm`], and
-/// the scheduler sub-DAG builders.
+/// the spec travels together through the driver and the scheduler sub-DAG
+/// builders.
 pub struct KernelSpec<T: Scalar> {
     /// Tile height: rows of C per microkernel call (packed-A panel height).
     pub mr: usize,
@@ -293,7 +294,7 @@ static F32_AVX512: KernelSpec<f32> = KernelSpec {
 ///
 /// Extends the sealed [`Scalar`] trait, so it cannot be implemented outside
 /// this workspace; the methods are dispatch plumbing that kernel entry
-/// points ([`gemm`], [`crate::par_gemm`]) use internally.
+/// points ([`gemm`], [`crate::gemm_packed`]) use internally.
 pub trait Kernel: Scalar {
     /// The spec for a given backend (the scalar one always exists; SIMD
     /// specs exist whenever compiled for x86-64 — the caller checks CPU
@@ -455,8 +456,8 @@ pub(crate) fn spec_named<T: Kernel>(name: &str) -> &'static KernelSpec<T> {
 /// `(cbase, ldc)`.
 ///
 /// This is the single code path every GEMM entry funnels into — the serial
-/// driver below, [`crate::par_gemm`], and the scheduler sub-DAG tile tasks
-/// — which is what makes their results bitwise-identical: same packed
+/// driver below (and so [`crate::par_gemm`]'s chunks) and the scheduler
+/// sub-DAG tile tasks — which is what makes their results bitwise-identical: same packed
 /// layouts, same microkernel, same per-element operation order.
 ///
 /// # Safety

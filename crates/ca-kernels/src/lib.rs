@@ -26,11 +26,13 @@
 //! microkernel, runtime-dispatched per element type between AVX-512F,
 //! AVX2+FMA and a portable scalar fallback ([`gemm_backend`] reports which;
 //! `CA_KERNELS_BACKEND=<name>` pins any supported backend, `scalar`
-//! included). [`par_gemm`]
-//! runs the identical decomposition as worker tasks — bitwise-identical
-//! results at every worker count — and its pack/compute task bodies
-//! ([`pack_a_slab`], [`pack_b_panel`], [`gemm_packed`]) are exported for
-//! the scheduler DAG builders in `ca-core`.
+//! included). [`split_cols`] / [`split_range`] are the one fork-join
+//! primitive: a column range cut into at most `workers` chunks at
+//! multiples of [`SPLIT_ALIGN`] columns, so a split of a column-local
+//! kernel gives the same bits at every worker count; [`par_gemm`] is that
+//! split over [`gemm`]. The pack/compute task bodies of the scheduler's
+//! GEMM decomposition ([`pack_a_slab`], [`pack_b_panel`], [`gemm_packed`])
+//! are exported for the DAG builders in `ca-core`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -56,7 +58,10 @@ pub use gemm::{
 };
 pub use ger::{ger, iamax, scal};
 pub use pack::{pack_a, pack_b, PackTrans};
-pub use par_gemm::{gemm_packed, pack_a_slab, pack_b_panel, packed_a_len, packed_b_len, par_gemm};
+pub use par_gemm::{
+    gemm_packed, pack_a_slab, pack_b_panel, packed_a_len, packed_b_len, par_gemm, split_cols, split_range,
+    SPLIT_ALIGN,
+};
 pub use householder::{
     form_q_thin, larf_left, larfb_left, larfb_left_multi, larfb_left_pair, larfg, larft, VRest,
 };

@@ -75,10 +75,14 @@ fn recurse<T: Kernel>(spec: &KernelSpec<T>, mut a: MatViewMut<'_, T>, at: usize,
 }
 
 /// Applies the interchanges `pivots` (numbered from row `at` of the whole
-/// view), the first of which sits at row `k0` of `a`, to the rows of `a`.
+/// view), the first of which sits at row `k0` of `a`, to the rows of `a`,
+/// one column at a time (as `dlaswp` does).
 fn swap_rows<T: Scalar>(pivots: &[usize], at: usize, k0: usize, mut a: MatViewMut<'_, T>) {
-    for (k, &p) in pivots.iter().enumerate() {
-        a.swap_rows(k0 + k, p - at);
+    for j in 0..a.ncols() {
+        let col = a.col_mut(j);
+        for (k, &p) in pivots.iter().enumerate() {
+            col.swap(k0 + k, p - at);
+        }
     }
 }
 

@@ -1,103 +1,94 @@
-//! Scheduler-parallel GEMM: the BLIS cache loops as a task decomposition.
+//! One fork-join primitive, and the packed GEMM task bodies.
 //!
-//! [`par_gemm`] splits the same `jc`/`pc`/`ic` loop nest as the serial
-//! [`crate::gemm`] into units a worker pool can execute:
+//! [`split_cols`] / [`split_range`] cut a column range into at most
+//! `workers` chunks whose boundaries are multiples of [`SPLIT_ALIGN`]
+//! columns (relative to the range's first column) and run a closure on
+//! each, on `workers − 1` scoped threads plus the caller; with one chunk
+//! the closure runs inline and nothing is spawned. Every column-local
+//! operation the communication-avoiding drivers run outside a task graph —
+//! the trailing interchanges, `U` solves and updates of the panel loops,
+//! the left-looking replays out of core — forks through here, once per
+//! panel.
 //!
-//! * the trailing matrix is tiled into `MC`-row **slabs** × `NC`-column
-//!   **panels** — each (slab, panel) pair is one C tile owned by exactly one
-//!   task;
-//! * for each `KC`-deep `pc` chunk, a **pack phase** fills one packed-A
-//!   image per slab and one packed-B image per panel (each packed exactly
-//!   once per chunk, shared by every tile task that reads it), then a
-//!   **compute phase** runs [`crate::gemm::macro_kernel`] on every tile.
+//! The split moves no bit: [`SPLIT_ALIGN`] is a multiple of every
+//! backend's `NR`, so each column keeps its position inside its register
+//! tile, and the kernels the split carries (`gemm`, `trsm`, the compact-WY
+//! applications) compute each column of their output independently of the
+//! others. [`par_gemm`] is that split over [`crate::gemm`] and is therefore
+//! bitwise identical to it at every worker count; the conformance suite pins
+//! all three properties.
 //!
-//! The `pc` chunks run in order with a barrier between phases, so each C
-//! element sees `scale(beta)` followed by `pc`-ascending accumulation — the
-//! exact per-element operation sequence of the serial driver, on identically
-//! packed panels, through the same microkernel. Results are therefore
-//! **bitwise identical** to serial [`crate::gemm`] at every worker count;
-//! the differential conformance suite pins this down. Pack memory is
-//! bounded by one `KC` stripe of each operand
-//! (`m_pad·KC + KC·n_pad` elements), matching the serial path's locality.
-//!
-//! Tasks are claimed off an atomic counter (no per-task allocation, no
-//! ordering sensitivity), which is the in-crate analogue of how `ca-sched`
-//! consumes the same decomposition: the `packed_*`/[`gemm_packed`] helpers
-//! below are the building blocks `ca-core`'s DAG builders use to express
-//! pack→tile dependencies as explicit graph edges with rect footprints.
+//! The task-decomposition form of the same loops — pack-A once per slab,
+//! pack-B once per panel, one tile task per `(slab, panel)` — lives only in
+//! the CALU sub-DAG, whose task bodies are the `packed_*` /
+//! [`gemm_packed`] helpers below.
 
-use crate::gemm::{macro_kernel, op_shape, scale, Kernel, Trans, KC, MC, NC};
-use crate::pack::{pack_a, pack_b, PackTrans};
+use crate::gemm::{gemm, macro_kernel, op_shape, scale, Kernel, Trans, KC};
+use crate::pack::{pack_a, pack_b};
 use ca_matrix::{AlignedBuf, MatView, MatViewMut, Scalar};
-use core::cell::UnsafeCell;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use core::ops::Range;
 
-/// Pack-image slots written by at most one task each (claim via atomic
-/// counter), then read shared in the compute phase; the inter-phase scope
-/// barrier separates the writes from the reads.
-struct Slots<T: Scalar>(Vec<UnsafeCell<AlignedBuf<T>>>);
+/// Chunk boundaries of a column split are multiples of this many columns.
+pub const SPLIT_ALIGN: usize = 16;
 
-// SAFETY: slot access is phased — each slot is written by exactly one pack
-// task (tasks claim distinct indices off an atomic counter), and only read
-// after the pack scope joins. No slot is ever aliased mutably.
-unsafe impl<T: Scalar> Sync for Slots<T> {}
-
-impl<T: Scalar> Slots<T> {
-    fn new(n: usize) -> Self {
-        Self((0..n).map(|_| UnsafeCell::new(AlignedBuf::new())).collect())
-    }
-
-    /// Raw slot pointer. A method, so closures capture the `Sync` wrapper
-    /// rather than its non-`Sync` field.
-    fn slot(&self, i: usize) -> *mut AlignedBuf<T> {
-        self.0[i].get()
-    }
+/// The chunks a split of `cols` over `workers` lanes runs: at most
+/// `workers` (at least one) consecutive ranges covering `cols`, each
+/// starting a multiple of [`SPLIT_ALIGN`] columns after `cols.start`, as
+/// even as that allows. Empty for an empty range.
+fn column_chunks(cols: Range<usize>, workers: usize) -> Vec<Range<usize>> {
+    let blocks = cols.len().div_ceil(SPLIT_ALIGN);
+    let parts = workers.clamp(1, blocks.max(1));
+    let edge = |i: usize| cols.start + (i * blocks / parts * SPLIT_ALIGN).min(cols.len());
+    (0..parts).map(|i| edge(i)..edge(i + 1)).filter(|r| !r.is_empty()).collect()
 }
 
-/// A raw C-matrix base pointer that may cross thread boundaries; tile tasks
-/// derive disjoint block windows from it.
-#[derive(Clone, Copy)]
-struct SendPtr<T>(*mut T);
-
-// SAFETY: tile tasks write disjoint (slab, panel) blocks of C — distinct
-// tile indices off the atomic counter — so no element is aliased.
-unsafe impl<T> Send for SendPtr<T> {}
-unsafe impl<T> Sync for SendPtr<T> {}
-
-impl<T> SendPtr<T> {
-    /// The pointer. A method, so closures capture the `Sync` wrapper rather
-    /// than its raw field.
-    fn get(self) -> *mut T {
-        self.0
+/// Runs `f` on every item, the first on the calling thread and each other
+/// on a scoped thread of its own, and joins them before returning.
+fn fork<I: Send>(items: Vec<I>, f: impl Fn(I) + Sync) {
+    let mut items = items.into_iter();
+    let Some(first) = items.next() else { return };
+    if items.len() == 0 {
+        return f(first);
     }
-}
-
-/// One phase of [`par_gemm`]: tasks `0..total` claimed off a shared counter
-/// by `workers` lanes — `workers − 1` scoped threads plus the caller, so one
-/// worker spawns nothing — and joined before returning.
-fn run_lanes(workers: usize, total: usize, task: impl Fn(usize) + Sync) {
-    let next = AtomicUsize::new(0);
-    let lane = || loop {
-        let t = next.fetch_add(1, Ordering::Relaxed);
-        if t >= total {
-            break;
-        }
-        task(t);
-    };
+    let f = &f;
     std::thread::scope(|s| {
-        for _ in 1..workers.min(total) {
-            s.spawn(lane);
+        for item in items {
+            s.spawn(move || f(item));
         }
-        lane();
+        f(first);
     });
 }
 
-/// `C := alpha * op(A) * op(B) + beta * C`, decomposed over `workers`
-/// threads (`workers <= 1` still runs the task decomposition, on the
-/// calling thread).
-///
-/// Bitwise identical to the serial [`crate::gemm`] at every worker count —
-/// see the module docs for why.
+/// Cuts `cols` into at most `workers` chunks whose boundaries lie a
+/// multiple of [`SPLIT_ALIGN`] columns after `cols.start`, as even as that
+/// allows, and runs `f` on each chunk's range: on `workers − 1` scoped
+/// threads plus the caller, inline when there is one chunk, not at all
+/// when `cols` is empty. For callers that address their columns through
+/// a shared handle (a `SharedMatrix` block per chunk).
+pub fn split_range(workers: usize, cols: Range<usize>, f: impl Fn(Range<usize>) + Sync) {
+    fork(column_chunks(cols, workers), f);
+}
+
+/// [`split_range`] over the columns of `c`: runs `f(cols, chunk)` on each
+/// chunk, where `cols` is the chunk's column range within `c`.
+pub fn split_cols<T: Scalar>(
+    workers: usize,
+    mut c: MatViewMut<'_, T>,
+    f: impl Fn(Range<usize>, MatViewMut<'_, T>) + Sync,
+) {
+    let chunks = column_chunks(0..c.ncols(), workers);
+    let mut views = Vec::with_capacity(chunks.len());
+    for cols in chunks {
+        let (chunk, rest) = c.split_at_col(cols.len());
+        views.push((cols, chunk));
+        c = rest;
+    }
+    fork(views, |(cols, chunk)| f(cols, chunk));
+}
+
+/// `C := alpha * op(A) * op(B) + beta * C` on `workers` threads: a
+/// [`split_cols`] of `C` over [`crate::gemm`], so bitwise identical to it
+/// at every worker count (see the module docs).
 ///
 /// # Panics
 /// If the shapes of `op(A)`, `op(B)` and `C` are inconsistent.
@@ -110,90 +101,20 @@ pub fn par_gemm<T: Kernel>(
     a: MatView<'_, T>,
     b: MatView<'_, T>,
     beta: T,
-    mut c: MatViewMut<'_, T>,
+    c: MatViewMut<'_, T>,
 ) {
-    let spec = T::spec();
     let (m, ka) = op_shape(ta, a);
     let (kb, n) = op_shape(tb, b);
     assert_eq!(ka, kb, "par_gemm inner dimension mismatch: op(A) is {m}x{ka}, op(B) is {kb}x{n}");
     assert_eq!(c.nrows(), m, "par_gemm C row mismatch");
     assert_eq!(c.ncols(), n, "par_gemm C column mismatch");
-    let k = ka;
-
-    if m == 0 || n == 0 {
-        return;
-    }
-    if alpha == T::ZERO || k == 0 {
-        scale(beta, c.rb());
-        return;
-    }
-
-    let tap: PackTrans = ta.into();
-    let tbp: PackTrans = tb.into();
-    let (mr, nr) = (spec.mr, spec.nr);
-    let nslabs = m.div_ceil(MC);
-    let npanels = n.div_ceil(NC);
-    let a_slots = Slots::<T>::new(nslabs);
-    let b_slots = Slots::<T>::new(npanels);
-    let ldc = c.ld();
-    let cbase = SendPtr(c.as_mut_ptr());
-
-    let mut pc = 0;
-    let mut first = true;
-    while pc < k {
-        let kcb = KC.min(k - pc);
-
-        // Pack phase: one task per slab / panel image of this pc chunk.
-        run_lanes(workers, nslabs + npanels, |t| {
-            if t < nslabs {
-                let ic = t * MC;
-                let mb = MC.min(m - ic);
-                // SAFETY: this task is the sole claimant of slot t (distinct
-                // counter values) within this phase.
-                let buf = unsafe { &mut *a_slots.slot(t) };
-                let dst = buf.scratch(mb.next_multiple_of(mr) * kcb);
-                pack_a(tap, a, ic, mb, pc, kcb, dst, mr);
-            } else {
-                let pj = t - nslabs;
-                let jc = pj * NC;
-                let nb = NC.min(n - jc);
-                // SAFETY: sole claimant of slot pj, as above.
-                let buf = unsafe { &mut *b_slots.slot(pj) };
-                let dst = buf.scratch(kcb * nb.next_multiple_of(nr));
-                pack_b(tbp, b, pc, kcb, jc, nb, dst, nr);
-            }
-        });
-
-        // Compute phase: one task per (slab, panel) C tile.
-        run_lanes(workers, nslabs * npanels, |t| {
-            let si = t % nslabs;
-            let pj = t / nslabs;
-            let ic = si * MC;
-            let mb = MC.min(m - ic);
-            let jc = pj * NC;
-            let nb = NC.min(n - jc);
-            // SAFETY: the pack phase joined before this one started, so the
-            // slots are fully written and only read now.
-            let apack: &[T] = unsafe { &*a_slots.slot(si) };
-            let bpack: &[T] = unsafe { &*b_slots.slot(pj) };
-            // SAFETY: tile (si, pj) is claimed by this task alone; its
-            // (ic, jc)+(mb × nb) window of C is disjoint from every other
-            // tile and in bounds by construction.
-            unsafe {
-                let cp = cbase.get().add(ic + jc * ldc);
-                if first {
-                    // Fold the one-time beta scaling into the first chunk's
-                    // tile pass (same per-element order as the serial
-                    // driver: scale, then accumulate).
-                    scale(beta, MatViewMut::from_raw_parts(cp, mb, nb, ldc));
-                }
-                macro_kernel(spec, mb, nb, kcb, alpha, apack, bpack, cp, ldc);
-            }
-        });
-
-        first = false;
-        pc += kcb;
-    }
+    split_cols(workers, c, |cols, c| {
+        let b = match tb {
+            Trans::No => b.sub(0, cols.start, kb, cols.len()),
+            Trans::Yes => b.sub(cols.start, 0, cols.len(), kb),
+        };
+        gemm(ta, tb, alpha, a, b, beta, c);
+    });
 }
 
 /// Packed-A image size (elements) for an `mb`-row slab over the full `k`
@@ -302,7 +223,7 @@ pub fn gemm_packed<T: Kernel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gemm;
+    use crate::gemm::{MC, NC};
     use ca_matrix::Matrix;
 
     fn case(m: usize, n: usize, k: usize) -> (Matrix, Matrix, Matrix) {
@@ -340,21 +261,41 @@ mod tests {
     }
 
     #[test]
-    fn lanes_cover_every_task_once_and_one_worker_stays_on_the_caller() {
-        let caller = std::thread::current().id();
-        for workers in [0, 1] {
-            let seen = AtomicUsize::new(0);
-            run_lanes(workers, 7, |t| {
-                assert_eq!(std::thread::current().id(), caller, "workers={workers} spawned");
-                seen.fetch_add(1 << t, Ordering::Relaxed);
-            });
-            assert_eq!(seen.into_inner(), (1 << 7) - 1);
+    fn chunks_are_aligned_and_cover_every_column_once() {
+        assert_eq!(column_chunks(0..48, 3), vec![0..16, 16..32, 32..48]);
+        assert_eq!(column_chunks(5..88, 2), vec![5..53, 53..88]);
+        assert_eq!(column_chunks(0..13, 4), vec![0..13]);
+        assert_eq!(column_chunks(0..40, 0), vec![0..40]);
+        assert!(column_chunks(7..7, 4).is_empty());
+        for (n, workers) in [(1, 1), (83, 2), (83, 4), (100, 3), (1000, 7)] {
+            let chunks = column_chunks(3..3 + n, workers);
+            assert!(chunks.len() <= workers.max(1));
+            assert_eq!(chunks.first().map(|r| r.start), Some(3));
+            assert_eq!(chunks.last().map(|r| r.end), Some(3 + n));
+            for pair in chunks.windows(2) {
+                assert_eq!(pair[0].end, pair[1].start);
+                assert_eq!((pair[1].start - 3) % SPLIT_ALIGN, 0, "{n} over {workers}: {chunks:?}");
+            }
         }
-        let seen = AtomicUsize::new(0);
-        run_lanes(4, 9, |t| {
-            seen.fetch_add(1 << t, Ordering::Relaxed);
+    }
+
+    #[test]
+    fn one_chunk_stays_on_the_caller_and_every_column_is_visited_once() {
+        let caller = std::thread::current().id();
+        for (workers, n) in [(1, 100), (4, 16)] {
+            let mut c: Matrix = Matrix::zeros(3, n);
+            split_cols(workers, c.view_mut(), |_, _| {
+                assert_eq!(std::thread::current().id(), caller, "{workers} workers over {n} columns spawned");
+            });
+        }
+        let mut c: Matrix = Matrix::zeros(3, 83);
+        split_cols(4, c.view_mut(), |cols, mut chunk| {
+            assert_eq!(chunk.ncols(), cols.len());
+            for (j, col) in cols.enumerate() {
+                chunk.col_mut(j).iter_mut().for_each(|x| *x += col as f64 + 1.0);
+            }
         });
-        assert_eq!(seen.into_inner(), (1 << 9) - 1);
+        assert_eq!(c, Matrix::from_fn(3, 83, |_, j| j as f64 + 1.0));
     }
 
     #[test]

@@ -44,17 +44,25 @@ impl PivotSeq {
     /// Applies the interchanges, in order, to the rows of `a`.
     ///
     /// `a` must be a view whose row `0` corresponds to global row `0`
-    /// (i.e. a full-height block of the matrix being factored).
+    /// (i.e. a full-height block of the matrix being factored). Like
+    /// LAPACK's `dlaswp`, walks one column at a time, so a column block
+    /// touches only its own columns' pages.
     pub fn apply<T: Scalar>(&self, mut a: MatViewMut<'_, T>) {
-        for (k, &p) in self.ipiv.iter().enumerate() {
-            a.swap_rows(self.offset + k, p);
+        for j in 0..a.ncols() {
+            let col = a.col_mut(j);
+            for (k, &p) in self.ipiv.iter().enumerate() {
+                col.swap(self.offset + k, p);
+            }
         }
     }
 
     /// Applies the interchanges in reverse order (the inverse permutation).
     pub fn apply_inverse<T: Scalar>(&self, mut a: MatViewMut<'_, T>) {
-        for (k, &p) in self.ipiv.iter().enumerate().rev() {
-            a.swap_rows(self.offset + k, p);
+        for j in 0..a.ncols() {
+            let col = a.col_mut(j);
+            for (k, &p) in self.ipiv.iter().enumerate().rev() {
+                col.swap(self.offset + k, p);
+            }
         }
     }
 

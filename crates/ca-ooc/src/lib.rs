@@ -15,7 +15,10 @@
 //! * [`ooc_calu`] / [`ooc_caqr`] — left-looking drivers that replay prior
 //!   panels' updates onto the resident superpanel and then run the in-core
 //!   panel loops ([`ca_core::calu_panels`] / [`ca_core::caqr_panels`]) on
-//!   it, bitwise-matching the in-core sequential factorizations;
+//!   it, bitwise-matching the in-core sequential factorizations. Panel
+//!   factorizations and store transfers run on the calling thread; each
+//!   replayed panel and each trailing update is one column split over
+//!   `CaParams::threads` lanes ([`ca_kernels::split_cols`]);
 //! * [`probe`] — streamed `O(n²)` matvec probes that verify factors too
 //!   large for a full residual;
 //! * [`metrics`] — process-wide `ooc_bytes_{read,written}_total` /
@@ -43,5 +46,5 @@ pub use lu::{ooc_calu, OocLu};
 pub use metrics::{ooc_metrics, register_ooc_metrics, OocMetrics};
 pub use pivots::apply_pivots_rebased;
 pub use plan::{OocKind, OocPlan};
-pub use qr::{apply_panel_from_store, leaf_apply_from_store, ooc_caqr, OocQr};
+pub use qr::{apply_panel_from_store, ooc_caqr, OocQr};
 pub use store::{IoSnapshot, IoVolume, TileStore};

@@ -4,18 +4,20 @@
 //! exceeds RAM, holding one superpanel of [`OocPlan::w`] columns in memory
 //! at a time. For each resident superpanel it first *replays* every
 //! previously factored inner panel — that panel's interchanges, a `b × b`
-//! unit-lower triangular solve, and a rank-`b` [`ca_kernels::par_gemm`]
-//! update, streamed from disk one column chunk at a time — and then runs
-//! the panel loop [`ca_core::calu_seq_factor`] itself runs,
-//! [`ca_core::calu_panels`], on the resident columns in place.
+//! unit-lower triangular solve and a rank-`b` update, read from disk as one
+//! `[L_kk; L_below]` column chunk and applied by
+//! [`ca_core::lu_panel_update`], one column split of the resident columns
+//! over `p.threads` lanes — and then runs the panel loop
+//! [`ca_core::calu_seq_factor`] itself runs, [`ca_core::calu_panels`], on
+//! the resident columns in place, its trailing updates split the same way.
+//! Panel factorizations and store I/O stay on the calling thread.
 //!
 //! Because each inner panel's updates are replayed per panel in ascending
-//! order with the very kernels the in-core path uses (whose per-element
-//! accumulation order does not depend on how many trailing columns a call
-//! covers — `par_gemm` is documented bitwise-identical to the serial
-//! `gemm` at every worker count), the factors written back to the store
-//! are **bitwise identical** to `calu_seq_factor` output at the same
-//! `b`/`tr`, which tests/equivalence_table asserts.
+//! order with the very kernels the in-core path uses, whose per-element
+//! arithmetic does not depend on how many columns a call covers or where a
+//! column split cuts them, the factors written back to the store are
+//! **bitwise identical** to `calu_seq_factor` output at the same `b`/`tr`
+//! and every thread count, which tests/equivalence_table asserts.
 //!
 //! Interchanges for columns *left* of the resident superpanel (already on
 //! disk) are deferred — pure row swaps commute with nothing that touches
@@ -24,8 +26,8 @@
 use crate::plan::{OocKind, OocPlan};
 use crate::store::{IoSnapshot, TileStore};
 use crate::pivots::apply_pivots_rebased;
-use ca_core::{calu_panels, CaParams, FactorError, LuPanelLog, LuStats};
-use ca_kernels::{par_gemm, trsm_left_lower_unit, Kernel, Trans};
+use ca_core::{calu_panels, lu_panel_update, CaParams, FactorError, LuPanelLog, LuStats};
+use ca_kernels::Kernel;
 use ca_matrix::PivotSeq;
 
 /// The result of an out-of-core LU factorization. The packed `L\U` factors
@@ -52,7 +54,8 @@ pub struct OocLu {
 
 /// Factors the store's matrix in place as `P·A = L·U` under `budget_bytes`
 /// of resident memory. `p` carries the usual CALU parameters (`b`, `tr`,
-/// tree shape, `threads` for the parallel trailing update).
+/// tree shape, and `threads`: the lanes every replay and trailing update
+/// is split over).
 pub fn ooc_calu<T: Kernel>(
     store: &TileStore<T>,
     p: &CaParams,
@@ -73,22 +76,11 @@ pub fn ooc_calu<T: Kernel>(
         // Replay every previously factored panel onto the resident columns,
         // in panel order — interchanges, triangular solve, rank-k update —
         // exactly as calu_seq_factor would have applied them when it reached that
-        // panel, restricted to these columns.
+        // panel, restricted to these columns: one read of the panel's
+        // [L_kk; L_below], then one column split of the resident columns.
         for pv in &log.panel_pivots {
-            let k0 = pv.offset;
-            let k = pv.len();
-            pv.apply(resident.view_mut());
-            let chunk = store.read_cols(k0, k, k0)?; // [L_kk; L_below], (m-k0) × k
-            {
-                let u_row = resident.block_mut(k0, 0, k, ws);
-                trsm_left_lower_unit(chunk.block(0, 0, k, k), u_row);
-            }
-            if k0 + k < m {
-                let (top, below) = resident.view_mut().split_at_row(k0 + k);
-                let u_row = top.as_ref().sub(k0, 0, k, ws);
-                let l_below = chunk.block(k, 0, m - k0 - k, k);
-                par_gemm(p.threads, Trans::No, Trans::No, -T::ONE, l_below, u_row, T::ONE, below);
-            }
+            let chunk = store.read_cols(pv.offset, pv.len(), pv.offset)?;
+            lu_panel_update(p.threads, pv, chunk.view(), resident.view_mut());
         }
 
         // The in-core panel loop on the resident columns, in place. It

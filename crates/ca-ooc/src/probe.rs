@@ -143,7 +143,7 @@ pub fn qr_probe_apply<T: Kernel>(
     }
     let sh = SharedMatrix::new(v);
     for panel in panels.iter().rev() {
-        apply_panel_from_store(store, panel, &sh, 0..1, Trans::No)?;
+        apply_panel_from_store(store, panel, &sh, 0..1, Trans::No, 1)?;
     }
     let v = sh.into_inner();
     Ok((0..m).map(|i| v[(i, 0)].to_f64()).collect())

@@ -3,10 +3,13 @@
 //! [`ooc_caqr`] factors a [`TileStore`]-resident matrix with one resident
 //! superpanel, mirroring [`ca_core::caqr_seq`]'s program order. For each
 //! resident superpanel it first applies every previously factored panel's
-//! `Qᵀ` — leaf reflectors streamed from the store (they live below the
-//! diagonal of the factored panels on disk), tree-node reflectors from the
-//! RAM-held [`PanelQ`] scratch — then runs the panel loop `caqr_seq` itself
-//! runs, [`ca_core::caqr_panels`], on the resident columns in place.
+//! `Qᵀ` — leaf reflectors read from the store once per panel (they live
+//! below the diagonal of the factored panels on disk), tree-node reflectors
+//! from the RAM-held [`PanelQ`] scratch — as one column split of the
+//! resident columns over `p.threads` lanes, then runs the panel loop
+//! `caqr_seq` itself runs, [`ca_core::caqr_panels`], on the resident
+//! columns in place, its trailing updates split the same way. Panel
+//! factorizations and store I/O stay on the calling thread.
 //!
 //! The Q-tree scratch (`LeafQ::t`, `NodeQ::v`/`t`) stays in RAM for the
 //! whole factorization: a panel's partition has at most `tr` groups, so
@@ -16,9 +19,9 @@
 
 use crate::plan::{OocKind, OocPlan};
 use crate::store::{IoSnapshot, TileStore};
-use ca_core::tsqr::{node_apply, LeafQ, PanelQ};
+use ca_core::tsqr::{panel_apply, PanelQ};
 use ca_core::{caqr_panels, CaParams, FactorError};
-use ca_kernels::{larfb_left, Kernel, Trans};
+use ca_kernels::{Kernel, Trans};
 use ca_matrix::SharedMatrix;
 use core::ops::Range;
 
@@ -60,10 +63,10 @@ pub fn ooc_caqr<T: Kernel>(
         // update caqr_seq interleaved with its own trailing loop, replayed
         // verbatim on the resident columns.
         for panel in &panels {
-            apply_panel_from_store(store, panel, &sh, 0..ws, Trans::Yes)?;
+            apply_panel_from_store(store, panel, &sh, 0..ws, Trans::Yes, p.threads)?;
         }
 
-        caqr_panels(&sh, c0s, p, &mut panels);
+        caqr_panels(&sh, c0s, p, p.threads, &mut panels);
 
         store.write_cols(c0s, 0, &sh.into_inner())?;
     }
@@ -71,59 +74,27 @@ pub fn ooc_caqr<T: Kernel>(
     Ok(OocQr { panels, plan, io: store.io().since(&io0) })
 }
 
-/// Applies `op(Q_leaf)` to columns `dcols` of `dst` with the reflector
-/// trapezoid streamed from the store at global column `c0` (the
-/// out-of-core twin of [`ca_core::tsqr::leaf_apply`]).
-// Mirrors the tsqr kernel helpers: the caller sequences applications so
-// the destination block is exclusively ours.
-#[allow(clippy::disallowed_methods)]
-pub fn leaf_apply_from_store<T: Kernel>(
-    store: &TileStore<T>,
-    c0: usize,
-    leaf: &LeafQ<T>,
-    dst: &SharedMatrix<T>,
-    dcols: Range<usize>,
-    trans: Trans,
-) -> Result<(), FactorError> {
-    if dcols.is_empty() {
-        return Ok(());
-    }
-    let r = leaf.rows.len();
-    let v = store.read_block(leaf.rows.start, r, c0, leaf.kv)?;
-    // SAFETY: sequential replay — no other view of dst is live.
-    let c = unsafe { dst.block_mut(leaf.rows.start, dcols.start, r, dcols.len()) };
-    larfb_left(trans, v.view(), leaf.t.view(), c);
-    Ok(())
-}
-
 /// Applies `op(Q_panel)` for a store-resident factored panel to columns
-/// `dcols` of `dst` (`panel.c0` is the panel's global column in the
-/// store). `Qᵀ` = leaves then nodes; `Q` = nodes in reverse then leaves —
-/// the out-of-core twin of [`ca_core::tsqr::panel_apply`].
+/// `dcols` of `dst` (`panel.c0` is the panel's global column in the store):
+/// the leaf reflector blocks are read once, then [`ca_core::tsqr::panel_apply`]
+/// runs one column split of `dcols` over `workers` lanes.
 pub fn apply_panel_from_store<T: Kernel>(
     store: &TileStore<T>,
     panel: &PanelQ<T>,
     dst: &SharedMatrix<T>,
     dcols: Range<usize>,
     trans: Trans,
+    workers: usize,
 ) -> Result<(), FactorError> {
-    match trans {
-        Trans::Yes => {
-            for leaf in &panel.leaves {
-                leaf_apply_from_store(store, panel.c0, leaf, dst, dcols.clone(), trans)?;
-            }
-            for node in &panel.nodes {
-                node_apply(node, dst, dcols.clone(), trans);
-            }
-        }
-        Trans::No => {
-            for node in panel.nodes.iter().rev() {
-                node_apply(node, dst, dcols.clone(), trans);
-            }
-            for leaf in &panel.leaves {
-                leaf_apply_from_store(store, panel.c0, leaf, dst, dcols.clone(), trans)?;
-            }
-        }
+    if dcols.is_empty() {
+        return Ok(());
     }
+    let vs = panel
+        .leaves
+        .iter()
+        .map(|leaf| store.read_block(leaf.rows.start, leaf.rows.len(), panel.c0, leaf.kv))
+        .collect::<Result<Vec<_>, _>>()?;
+    let views: Vec<_> = vs.iter().map(|v| v.view()).collect();
+    panel_apply(workers, panel, &views, dst, dcols, trans);
     Ok(())
 }

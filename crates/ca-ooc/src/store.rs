@@ -22,7 +22,7 @@ use std::io::{Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-use std::sync::Mutex;
+use parking_lot::Mutex;
 use std::time::Instant;
 
 use crate::metrics::ooc_metrics;
@@ -84,7 +84,6 @@ impl IoVolume {
 /// width recorded in the header is layout metadata from the creator; the
 /// accessors take arbitrary column ranges (panels are contiguous byte
 /// runs either way).
-#[derive(Debug)]
 pub struct TileStore<T: Scalar> {
     file: Mutex<File>,
     path: PathBuf,
@@ -93,6 +92,19 @@ pub struct TileStore<T: Scalar> {
     w: usize,
     stats: IoVolume,
     _elem: PhantomData<T>,
+}
+
+// By hand: the file handle's lock has no `Debug`.
+impl<T: Scalar> std::fmt::Debug for TileStore<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("TileStore")
+            .field("path", &self.path)
+            .field("m", &self.m)
+            .field("n", &self.n)
+            .field("w", &self.w)
+            .field("stats", &self.stats)
+            .finish_non_exhaustive()
+    }
 }
 
 fn err(op: &str, e: std::io::Error) -> FactorError {
@@ -223,7 +235,7 @@ impl<T: Scalar> TileStore<T> {
         let mut out = Matrix::<T>::zeros(rows, nc);
         let mut raw = vec![0u8; rows * T::BYTES];
         {
-            let mut file = self.file.lock().expect("store mutex poisoned");
+            let mut file = self.file.lock();
             for c in 0..nc {
                 file.seek(SeekFrom::Start(self.offset(r0, c0 + c)))
                     .map_err(|e| err("read_cols", e))?;
@@ -243,7 +255,7 @@ impl<T: Scalar> TileStore<T> {
         assert!(c0 + nc <= self.n && r0 + rows <= self.m, "write range out of bounds");
         let mut raw = vec![0u8; rows * T::BYTES];
         {
-            let mut file = self.file.lock().expect("store mutex poisoned");
+            let mut file = self.file.lock();
             for c in 0..nc {
                 encode_column::<T>(&a.as_slice()[c * rows..(c + 1) * rows], &mut raw);
                 file.seek(SeekFrom::Start(self.offset(r0, c0 + c)))
@@ -282,7 +294,7 @@ impl<T: Scalar> TileStore<T> {
 
     /// Flushes file buffers to the OS.
     pub fn sync(&self) -> Result<(), FactorError> {
-        self.file.lock().expect("store mutex poisoned").sync_all().map_err(|e| err("sync", e))
+        self.file.lock().sync_all().map_err(|e| err("sync", e))
     }
 
     fn account_read(&self, bytes: u64, nanos: u64) {

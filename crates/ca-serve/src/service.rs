@@ -460,10 +460,10 @@ impl Service {
     /// matrix resident in `store`, running under `budget_bytes` of resident
     /// memory (see [`ca_ooc::ooc_calu`]).
     ///
-    /// The factorization is sequential by design — the disk, not the cores,
-    /// is the bottleneck, and only the trailing `par_gemm` update fans out
-    /// (within the job, governed by the effective [`CaParams::threads`]) —
-    /// so the job occupies exactly one pool task. Admission control,
+    /// The job occupies exactly one pool task: panel factorizations and
+    /// store I/O run on it in order, and only the column-local work — each
+    /// replayed panel and each trailing update — fans out, as one column
+    /// split over the effective [`CaParams::threads`] lanes of the job's own. Admission control,
     /// fair-share weighting, and deadlines apply as usual under telemetry
     /// class `"lu_ooc"`. On success the store holds the packed `L\U`
     /// factors in place and the handle yields the pivots, plan, and I/O

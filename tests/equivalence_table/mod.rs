@@ -134,8 +134,8 @@ impl Opts {
 /// `MultiFrontier` of so many workers (`Served`) and `(.., true)` (`OneTask`);
 /// `Service::submit_{lu,qr}` (tiny route or `unbatched`), `submit_solve` /
 /// `submit_lstsq` (held to the solution the reference factors give),
-/// `submit_lu_ooc`; `ooc_calu`/`ooc_caqr` in the fewest superpanels that are
-/// at least so many.
+/// `submit_lu_ooc`; `ooc_calu`/`ooc_caqr` on so many workers, in the fewest
+/// superpanels that are at least so many.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Route {
     Dag(usize),
@@ -146,7 +146,7 @@ enum Route {
     Service { tiny: bool },
     Solve,
     ServiceOoc,
-    Ooc(usize),
+    Ooc(usize, usize),
 }
 
 /// Which test checks a row.
@@ -180,8 +180,8 @@ fn part_of(name: &str, route: Route, t: &str) -> Part {
         Route::With(..) | Route::Served(..) | Route::Profiled(_) => Part::Options,
         Route::Service { .. } | Route::Solve | Route::OneTask => Part::Service,
         Route::ServiceOoc => Part::ServiceOoc,
-        Route::Ooc(_) if t == "f32" => Part::OocF32,
-        Route::Ooc(_) => Part::Ooc,
+        Route::Ooc(..) if t == "f32" => Part::OocF32,
+        Route::Ooc(..) => Part::Ooc,
     }
 }
 
@@ -358,9 +358,9 @@ fn start<C: Class, T: Kernel>(route: Route, a: &Matrix<T>, rhs: &Matrix<T>, p: &
             let h = (C::SUBMIT_SOLVE)(&pools.1, a64()?, rhs.to_f64(), opts).expect("admits");
             Some(Box::new(move || (vec![("x", bits(&ok(h.wait(), &what)))], None)))
         }
-        Route::Ooc(k) if num_panels(m, n, p.b) >= k => {
-            let p = at(2);
-            let budget = budget_for(C::OOC, m, n, &p, T::BYTES, k);
+        Route::Ooc(workers, sweeps) if num_panels(m, n, p.b) >= sweeps => {
+            let p = at(workers);
+            let budget = budget_for(C::OOC, m, n, &p, T::BYTES, sweeps);
             let (store, remove) = store(a, p.b, &what);
             let f = ok((e.ooc)(&store, &p, budget), &what);
             remove();
@@ -393,7 +393,9 @@ fn cases() -> Vec<(&'static str, usize, usize, CaParams, Vec<Route>)> {
     for w in [1, 3] {
         all.extend(Opts::ALL.iter().flat_map(|&o| [Route::With(w, o), Route::Served(w, o)]));
     }
-    all.extend([Route::Service { tiny: true }, Route::Service { tiny: false }, Route::Ooc(2), Route::Ooc(3)]);
+    // 3 lanes cut each 48-column superpanel of a 96-column, 2-sweep case into 16/16/16.
+    all.extend([Route::Service { tiny: true }, Route::Service { tiny: false }, Route::Ooc(1, 2), Route::Ooc(2, 2)]);
+    all.extend([Route::Ooc(2, 3), Route::Ooc(3, 2)]);
     let p = CaParams::new(16, 4, 1);
     let mut cases = vec![
         ("square", 96, 96, p, all.clone()),

@@ -269,11 +269,11 @@ proptest! {
 // ---------------------------------------------------------------------------
 // Differential conformance across precisions, backends, and parallelism
 // (DESIGN.md §15): every supported microkernel backend × {f32, f64} against
-// the f64 oracle with eps-scaled tolerances, and the scheduler-parallel
-// par_gemm against serial gemm bit for bit at every worker count.
+// the f64 oracle with eps-scaled tolerances, and par_gemm (a column split
+// over gemm) against serial gemm bit for bit at every worker count.
 // ---------------------------------------------------------------------------
 
-use ca_factor::kernels::{gemm_available_backends, par_gemm};
+use ca_factor::kernels::{gemm_available_backends, par_gemm, SPLIT_ALIGN};
 use ca_factor::matrix::Scalar;
 
 /// Random operands for one configuration, generated in f64 and rounded to
@@ -429,15 +429,14 @@ fn every_backend_matches_oracle_in_both_precisions() {
     }
 }
 
-/// par_gemm must equal serial gemm bit for bit at every worker count and on
-/// every repeat — the property the scheduler sub-DAG decomposition in
-/// ca-core relies on for its "decomposition is purely a granularity knob"
-/// contract. Runs for both precisions and both Trans combos that exercise
-/// distinct pack routines.
+/// par_gemm — a column split over gemm, here five aligned chunks and a
+/// ragged tail wide — must equal serial gemm bit for bit at every worker
+/// count and on every repeat, as every column split in ca-core and ca-ooc
+/// relies on. Both precisions, both Trans combos with distinct pack routines.
 #[test]
 fn par_gemm_bitwise_identical_to_serial_at_every_worker_count() {
     fn check_par<T: Scalar + ca_factor::kernels::Kernel>(ta: Trans, tb: Trans, seed: u64) {
-        let (m, n, k) = (ca_factor::kernels::MC + MR + 3, NR * 3 + 1, KC + 7);
+        let (m, n, k) = (ca_factor::kernels::MC + MR + 3, 5 * SPLIT_ALIGN + 3, KC + 7);
         let (a, b, c0) = operands::<T>(ta, tb, m, n, k, seed);
         let (al, be) = (T::from_f64(0.37), T::from_f64(-1.0));
 
