@@ -92,6 +92,8 @@ impl BlockedQrPlan {
                 panels[step].set((k0, w, t)).expect("panel ran twice");
             });
             pb.writes_rect(panel, ElemRect::new(k0..m, k0..k0 + w));
+            let t = pb.slot();
+            pb.writes_slot(panel, t);
 
             for cols in column_strips(k0 + w..n, nb, strips) {
                 let (c0, wc) = (cols.start, cols.len());
@@ -109,14 +111,11 @@ impl BlockedQrPlan {
                     let c = unsafe { a.block_mut(k0, c0, m - k0, wc) };
                     larfb_left(Trans::Yes, v, t.view(), c);
                 });
+                pb.reads_slot(id, t);
                 pb.reads_rect(id, ElemRect::new(k0..m, k0..k0 + w));
                 pb.writes_rect(id, ElemRect::new(k0..m, cols));
             }
         }
-
-        // A strip wider than a block reaches the next step's strips both
-        // directly and through that step's panel; keep the minimal DAG.
-        ca_sched::reduce_transitive_edges(&mut pb.graph);
 
         pb.finish((0..nsteps).map(|_| OnceLock::new()).collect(), |a, panels| {
             let panels = panels.into_iter().map(|p| p.into_inner().expect("panel missing"));

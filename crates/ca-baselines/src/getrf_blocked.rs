@@ -45,7 +45,7 @@ impl BlockedLuPlan {
         let kmax = m.min(n);
         let nsteps = kmax.div_ceil(nb);
         let mut pb = PlanBuilder::<f64, Panels>::new(nb, m, n);
-        let mut panel_ids = Vec::with_capacity(nsteps);
+        let mut infos = Vec::with_capacity(nsteps);
 
         for step in 0..nsteps {
             let k0 = step * nb;
@@ -66,7 +66,9 @@ impl BlockedLuPlan {
                 panels[step].set(info).expect("panel ran twice");
             });
             pb.writes_rect(panel, ElemRect::new(k0..m, k0..k0 + w));
-            panel_ids.push(panel);
+            let info = pb.slot();
+            pb.writes_slot(panel, info);
+            infos.push(info);
 
             for cols in column_strips(k0 + w..n, nb, strips) {
                 let (c0, wc) = (cols.start, cols.len());
@@ -86,8 +88,7 @@ impl BlockedLuPlan {
                     let lkk = unsafe { a.block(k0, k0, w, w) };
                     trsm_left_lower_unit(lkk, col.into_sub(0, 0, w, wc));
                 });
-                // The pivots reach the strip through side storage.
-                pb.graph.add_dep(panel, urow);
+                pb.reads_slot(urow, info);
                 pb.reads_rect(urow, ElemRect::new(k0..k0 + w, k0..k0 + w));
                 pb.writes_rect(urow, ElemRect::new(k0..m, cols.clone()));
 
@@ -130,13 +131,11 @@ impl BlockedLuPlan {
                     panel.get().expect("panel pivots not ready").pivots.apply(col);
                 }
             });
-            pb.graph.add_deps(panel_ids[jblk + 1..].iter().copied(), id);
+            for &info in &infos[jblk + 1..] {
+                pb.reads_slot(id, info);
+            }
             pb.writes_rect(id, ElemRect::new(k1..m, jblk * nb..k1));
         }
-
-        // The tracker cannot see orderings the explicit pivot edges already
-        // imply; drop the conflict edges a path covers.
-        ca_sched::reduce_transitive_edges(&mut pb.graph);
 
         pb.finish((0..nsteps).map(|_| OnceLock::new()).collect(), |a, panels| {
             let mut f = BlockedLu { pivots: PivotSeq::new(0), breakdown: None };

@@ -12,30 +12,11 @@
 use crate::tile_kernels::{gessm, getrf_tile, ssssm, tstrf, TstrfTransform};
 use ca_kernels::{flops, traffic};
 use ca_kernels::{trsm_left_upper_notrans, LuInfo};
-use ca_matrix::shadow::ElemRect;
 use ca_matrix::Matrix;
 use ca_sched::{
     run_plan, FactorOptions, KernelClass, Plan, PlanBuilder, TaskKind, TaskLabel, TaskMeta,
 };
-use std::sync::{Arc, OnceLock};
-
-/// Per-column rects of the strict lower triangle of the `wk × wk` diagonal
-/// tile at origin `k0`: the tile-local `L` that `gessm` reads. Shared
-/// between the declaration and the task bodies that lease exactly these
-/// rects.
-fn lower_rects(k0: usize, wk: usize) -> Arc<[ElemRect]> {
-    (0..wk)
-        .map(|c| ElemRect::new(k0 + c + 1..k0 + wk, k0 + c..k0 + c + 1))
-        .filter(|r| !r.is_empty())
-        .collect()
-}
-
-/// Per-column rects of the upper triangle (diagonal included) of the
-/// `wk × wk` diagonal tile at origin `k0`: the `U` factor the `tstrf`
-/// chain reads and rewrites.
-fn upper_rects(k0: usize, wk: usize) -> Arc<[ElemRect]> {
-    (0..wk).map(|c| ElemRect::new(k0..k0 + c + 1, k0 + c..k0 + c + 1)).collect()
-}
+use std::sync::OnceLock;
 
 /// Result of the tiled LU: the tiled factors plus the per-step transforms
 /// needed to apply the elimination to a right-hand side.
@@ -99,14 +80,18 @@ impl TiledLu {
 /// one slot per task that fills them.
 pub struct TiledLuSlots {
     b: usize,
-    diag: Vec<OnceLock<LuInfo>>,
+    /// Per step: the diagonal tile's pivots, and a copy of the factored
+    /// tile whose `L` the `gessm` tasks read while `tstrf` rewrites its `U`.
+    diag: Vec<OnceLock<(LuInfo, Matrix)>>,
     trans: Vec<Vec<OnceLock<TstrfTransform>>>,
 }
 
 /// Builder of the task DAG of tiled LU: what [`tiled_lu`] runs and what the
-/// simulator costs as `PLASMA_dgetrf`. Its footprints split the diagonal
-/// tile between `gessm` (strict lower `L`) and `tstrf` (upper `U`), which
-/// leaves the two unordered within a step.
+/// simulator costs as `PLASMA_dgetrf`. As in PLASMA, the factors a kernel
+/// hands on live beside the matrix: `getrf` leaves a copy of the diagonal
+/// tile with its pivots, so `gessm` reads that copy and `tstrf` owns the
+/// whole diagonal tile, and the two run unordered within a step; `ssssm`
+/// reads its `tstrf` transform.
 pub struct TiledLuPlan;
 
 impl TiledLuPlan {
@@ -118,13 +103,6 @@ impl TiledLuPlan {
         let mt = m.div_ceil(b);
         let nt = n.div_ceil(b);
         let kt = m.min(n).div_ceil(b);
-        // The diagonal tile (k, k) splits element-wise: `gessm` reads only the
-        // strictly-lower `L` factor, `tstrf` rewrites only the upper `U`
-        // triangle. Declaring those true sub-tile footprints (instead of a
-        // phantom grid column standing in for `L`) keeps gessm and tstrf
-        // unserialized — the real PLASMA concurrency — while staying inside
-        // the matrix geometry, so static verification and checked execution
-        // cover this builder.
         let mut pb = PlanBuilder::<f64, TiledLuSlots>::new(b, m, n);
         let steps = kt as i64;
 
@@ -132,9 +110,6 @@ impl TiledLuPlan {
             let k0 = k * b;
             let wk = b.min(n - k0).min(m - k0);
             let pr = (steps - k as i64) * 1000;
-            // What `gessm` leases of the diagonal tile, and what `tstrf` does.
-            let lower = lower_rects(k0, wk);
-            let upper = upper_rects(k0, wk);
 
             let meta = TaskMeta::new(TaskLabel::new(TaskKind::Panel, k, k, k), flops::getrf(wk, wk))
                 .with_bytes(traffic::getf2(wk, wk))
@@ -142,10 +117,14 @@ impl TiledLuPlan {
                 .with_class(KernelClass::LuBlas2);
             let getrf_id = pb.task(meta, move |a, s| {
                 // SAFETY: exclusive tile access per the DAG.
-                let info = getrf_tile(unsafe { a.block_mut(k0, k0, wk, wk) });
-                s.diag[k].set(info).expect("getrf ran twice");
+                let mut tile = unsafe { a.block_mut(k0, k0, wk, wk) };
+                let info = getrf_tile(tile.rb());
+                let copy = Matrix::from_vec(tile.as_ref().to_vec(), wk, wk);
+                s.diag[k].set((info, copy)).expect("getrf ran twice");
             });
             pb.writes(getrf_id, k..k + 1, k..k + 1);
+            let diag = pb.slot();
+            pb.writes_slot(getrf_id, diag);
 
             for j in k + 1..nt {
                 let (j0, wj) = (j * b, b.min(n - j * b));
@@ -156,24 +135,13 @@ impl TiledLuPlan {
                 .with_bytes(traffic::trsm_left(wk, wj) + traffic::laswp(wk, wj))
                 .with_priority(pr + 500)
                 .with_class(KernelClass::Trsm);
-                let lr = Arc::clone(&lower);
                 let id = pb.task(meta, move |a, s| {
-                    let info = s.diag[k].get().expect("diag not ready");
-                    // SAFETY: leases only the strictly-lower L columns — the
-                    // upper triangle belongs to tstrf tasks that may run
-                    // concurrently; tile (k, j) is this task's per the DAG.
-                    let lkk = unsafe { a.block_rects(k0, k0, wk, wk, &lr) };
+                    let (info, lkk) = s.diag[k].get().expect("diag not ready");
+                    // SAFETY: tile (k, j) is this task's per the DAG.
                     let tile = unsafe { a.block_mut(k0, j0, wk, wj) };
-                    gessm(&info.pivots, lkk, tile);
+                    gessm(&info.pivots, lkk.view(), tile);
                 });
-                if lower.is_empty() {
-                    // 1×1 diagonal tile: L is empty, but the pivots still
-                    // flow from getrf through side storage.
-                    pb.graph.add_dep(getrf_id, id);
-                }
-                for &r in lower.iter() {
-                    pb.reads_rect(id, r); // L_kk (strict lower)
-                }
+                pb.reads_slot(id, diag);
                 pb.writes(id, k..k + 1, j..j + 1);
             }
             for i in k + 1..mt {
@@ -185,19 +153,17 @@ impl TiledLuPlan {
                 .with_bytes(traffic::getf2(ri + wk, wk))
                 .with_priority(pr + 700)
                 .with_class(KernelClass::LuBlas2);
-                let ur = Arc::clone(&upper);
                 let id = pb.task(meta, move |a, s| {
-                    // SAFETY: leases only the upper triangle (with diagonal)
-                    // — the strict lower L is concurrently read by gessm
-                    // tasks; tile (i, k) is this task's per the DAG.
-                    let ukk = unsafe { a.block_mut_rects(k0, k0, wk, wk, &ur) };
+                    // SAFETY: tiles (k, k) and (i, k) are this task's per the
+                    // DAG; the `gessm` tasks read the diagonal tile's copy.
+                    let ukk = unsafe { a.block_mut(k0, k0, wk, wk) };
                     let aik = unsafe { a.block_mut(i0, k0, ri, wk) };
                     s.trans[k][i - k - 1].set(tstrf(ukk, aik)).expect("tstrf ran twice");
                 });
-                for &r in upper.iter() {
-                    pb.writes_rect(id, r); // U_kk (upper + diagonal)
-                }
+                pb.writes(id, k..k + 1, k..k + 1);
                 pb.writes(id, i..i + 1, k..k + 1);
+                let transform = pb.slot();
+                pb.writes_slot(id, transform);
 
                 for j in k + 1..nt {
                     let (j0, wj) = (j * b, b.min(n - j * b));
@@ -215,7 +181,7 @@ impl TiledLuPlan {
                         let aij = unsafe { a.block_mut(i0, j0, ri, wj) };
                         ssssm(tr, akj, aij);
                     });
-                    pb.reads(id, i..i + 1, k..k + 1); // the transform
+                    pb.reads_slot(id, transform);
                     pb.writes(id, k..k + 1, j..j + 1);
                     pb.writes(id, i..i + 1, j..j + 1);
                 }
@@ -230,7 +196,7 @@ impl TiledLuPlan {
         pb.finish(slots, |a, s| TiledLu {
             a,
             b: s.b,
-            diag: s.diag.into_iter().map(|d| d.into_inner().expect("diag missing")).collect(),
+            diag: s.diag.into_iter().map(|d| d.into_inner().expect("diag missing").0).collect(),
             trans: s
                 .trans
                 .into_iter()
@@ -303,7 +269,7 @@ mod tests {
     }
 
     #[test]
-    fn checked_execution_passes_with_subtile_leases() {
+    fn checked_execution_passes_with_the_diagonal_tile_copied_aside() {
         let n = 64;
         let a0 = ca_matrix::random_uniform(n, n, &mut seeded_rng(7));
         let x_true = ca_matrix::random_uniform(n, 2, &mut seeded_rng(1007));

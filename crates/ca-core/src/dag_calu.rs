@@ -30,7 +30,7 @@ use ca_kernels::{
     trsm_right_upper_notrans, Kernel, Trans,
 };
 use ca_matrix::{AlignedBuf, PivotSeq, Scalar, SharedMatrix};
-use ca_sched::{row_blocks, KernelClass, Plan, PlanBuilder, TaskGraph, TaskId, TaskKind, TaskLabel, TaskMeta};
+use ca_sched::{row_blocks, KernelClass, Plan, PlanBuilder, Slot, TaskGraph, TaskKind, TaskLabel, TaskMeta};
 use std::sync::OnceLock;
 
 /// Tile geometry of the decomposed trailing update: the serial GEMM cache
@@ -62,9 +62,8 @@ struct PanelSlots<T: Scalar> {
     growth: OnceLock<(f64, bool)>,
     /// Packed-A slab and packed-B panel images of the step's decomposed
     /// trailing updates. Each slot is written exactly once by its pack task
-    /// and then read (shared) by the tile tasks the graph orders after it.
-    /// The images are side storage the block tracker cannot see, which is
-    /// why `build` wires every pack → tile dependence as an explicit edge.
+    /// and then read (shared) by the tile tasks: both declare the slot, so
+    /// the tracker infers every pack → tile edge.
     apacks: Vec<OnceLock<AlignedBuf<T>>>,
     bpacks: Vec<OnceLock<AlignedBuf<T>>>,
 }
@@ -115,7 +114,8 @@ impl CaluPlan {
 
         let mut pb = PlanBuilder::<T, CaluSlots<T>>::new(b, m, n);
         let mut panels: Vec<PanelSlots<T>> = Vec::with_capacity(nsteps);
-        let mut root_ids: Vec<TaskId> = Vec::with_capacity(nsteps);
+        // Per step, the slot of the root's pivots, breakdown and growth.
+        let mut roots: Vec<Slot> = Vec::with_capacity(nsteps);
 
         for step in 0..nsteps {
             let k0 = step * b;
@@ -168,9 +168,13 @@ impl CaluPlan {
                 .collect();
 
             // --- P tasks: leaves. With a single group the leaf is the root.
-            let mut slot_task: Vec<TaskId> = Vec::with_capacity(g);
+            //     The last P task is the root: it fills `root`, every other
+            //     one its candidate slot.
+            let candidates: Vec<Slot> = (0..g + schedule.len()).map(|_| pb.slot()).collect();
+            let root = pb.slot();
+            let mut root_id = 0;
             let mut slot_res: Vec<usize> = (0..g).collect();
-            for grp in 0..g {
+            for (grp, &candidate) in candidates[..g].iter().enumerate() {
                 let rows = part.group(grp);
                 let (r0, nr) = (rows.start, rows.len());
                 let is_root = schedule.is_empty();
@@ -194,7 +198,8 @@ impl CaluPlan {
                     }
                 });
                 pb.reads(id, row_blocks(rows, b), step..step + 1);
-                slot_task.push(id);
+                pb.writes_slot(id, if is_root { root } else { candidate });
+                root_id = id;
             }
 
             // --- P tasks: reduction nodes. The last one is the root: it also
@@ -225,14 +230,14 @@ impl CaluPlan {
                     }
                 });
                 for &pt in &node.participants {
-                    pb.graph.add_dep(slot_task[pt], id);
+                    pb.reads_slot(id, candidates[slot_res[pt]]);
                 }
-                slot_task[node.participants[0]] = id;
+                pb.writes_slot(id, if is_root { root } else { candidates[g + ni] });
                 slot_res[node.participants[0]] = g + ni;
+                root_id = id;
             }
-            let root_id = slot_task[0];
             pb.writes(root_id, row_blocks(k0..m, b), step..step + 1);
-            root_ids.push(root_id);
+            roots.push(root);
 
             // --- L tasks.
             for (grp, &(lo, mb)) in below.iter().enumerate().filter(|(_, &(_, mb))| mb > 0) {
@@ -272,7 +277,7 @@ impl CaluPlan {
                     let lkk = unsafe { a.block(k0, k0, k, k) };
                     trsm_left_lower_unit(lkk, col.into_sub(0, 0, k, wj));
                 });
-                pb.graph.add_dep(root_id, id); // pivots
+                pb.reads_slot(id, root); // pivots
                 pb.reads(id, step..step + 1, step..step + 1); // L_KK
                 pb.writes(id, row_blocks(k0..m, b), jblk..jblk + jcnt);
             }
@@ -294,12 +299,12 @@ impl CaluPlan {
             // `abase[grp]..`. Reading the L slab orders each pack after the
             // group's LBlock solve via the tracker.
             let mut abase = vec![0usize; g];
-            let mut apack_ids: Vec<TaskId> = Vec::new();
+            let mut apacks: Vec<Slot> = Vec::new();
             for grp in (0..g).filter(|&grp| decompose[grp]) {
-                abase[grp] = apack_ids.len();
+                abase[grp] = apacks.len();
                 let (lo, mb) = below[grp];
                 for (slab, (slo, sh)) in pieces(lo, mb, slab_h).enumerate() {
-                    let slot = apack_ids.len();
+                    let slot = apacks.len();
                     let meta = TaskMeta::new(TaskLabel::new(TaskKind::Other, step, grp, slab), 0.0)
                         .with_bytes(traffic::pack(sh, k))
                         .with_priority(prio(nsteps, step, p.lookahead, TaskKind::Update, step + 1) + 5)
@@ -314,7 +319,9 @@ impl CaluPlan {
                         let _ = s.panels[step].apacks[slot].set(buf);
                     });
                     pb.reads(id, row_blocks(slo..slo + sh, b), step..step + 1);
-                    apack_ids.push(id);
+                    let image = pb.slot();
+                    pb.writes_slot(id, image);
+                    apacks.push(image);
                 }
             }
 
@@ -324,8 +331,8 @@ impl CaluPlan {
                 // Pack-B tasks of this chunk, panel `panel`'s image in slot
                 // `nbpacks + panel`; reading the U row orders each after the
                 // chunk's URow solve.
-                let mut bpack_ids: Vec<TaskId> = Vec::new();
-                if !apack_ids.is_empty() {
+                let mut bpacks: Vec<Slot> = Vec::new();
+                if !apacks.is_empty() {
                     for (panel, (pj0, pw)) in pieces(jc0, wj, pan_w).enumerate() {
                         let slot = nbpacks + panel;
                         let meta =
@@ -341,7 +348,9 @@ impl CaluPlan {
                             let _ = s.panels[step].bpacks[slot].set(buf);
                         });
                         pb.reads(id, step..step + 1, row_blocks(pj0..pj0 + pw, b));
-                        bpack_ids.push(id);
+                        let image = pb.slot();
+                        pb.writes_slot(id, image);
+                        bpacks.push(image);
                     }
                 }
                 for grp in 0..g {
@@ -385,15 +394,13 @@ impl CaluPlan {
                                 let c = unsafe { a.block_mut(slo, pj0, sh, pw) };
                                 gemm_packed(-T::ONE, apack, bpack, k, T::ONE, c);
                             });
-                            // The packed images are side storage the tracker
-                            // cannot see — wire the dataflow explicitly.
-                            pb.graph.add_dep(apack_ids[aslot], id);
-                            pb.graph.add_dep(bpack_ids[panel], id);
+                            pb.reads_slot(id, apacks[aslot]);
+                            pb.reads_slot(id, bpacks[panel]);
                             pb.writes(id, row_blocks(slo..slo + sh, b), row_blocks(pj0..pj0 + pw, b));
                         }
                     }
                 }
-                nbpacks += bpack_ids.len();
+                nbpacks += bpacks.len();
             }
 
             let slots = |n: usize| (0..n).map(|_| OnceLock::new()).collect();
@@ -402,7 +409,7 @@ impl CaluPlan {
                 pivots: OnceLock::new(),
                 breakdown: OnceLock::new(),
                 growth: OnceLock::new(),
-                apacks: slots(apack_ids.len()),
+                apacks: slots(apacks.len()),
                 bpacks: slots(nbpacks),
             });
         }
@@ -423,16 +430,11 @@ impl CaluPlan {
                     local_seq(pivots, k0).apply(col);
                 }
             });
-            pb.graph.add_deps(root_ids[jblk + 1..].iter().copied(), id);
+            for &root in &roots[jblk + 1..] {
+                pb.reads_slot(id, root);
+            }
             pb.writes(id, row_blocks((jblk + 1) * b..m, b), jblk..jblk + 1);
         }
-
-        // The tracker's per-footprint reasoning cannot see orderings already
-        // implied by the explicitly added edges (reduction tree, pivot broadcast),
-        // so it over-wires conflict edges a path already covers. Reduce to the minimal
-        // equivalent DAG: ready times and conflict orderings are unchanged, and
-        // the schedulers track fewer dependences.
-        ca_sched::reduce_transitive_edges(&mut pb.graph);
 
         pb.finish(CaluSlots { b, panels }, |lu, s| {
             let mut pivots = PivotSeq::new(0);

@@ -98,7 +98,7 @@ impl CaqrPlan {
                 .collect();
 
             // --- Leaf QR tasks + their trailing updates.
-            let mut leaf_qr_ids = Vec::with_capacity(leaves.len());
+            let mut leaf_slots = Vec::with_capacity(leaves.len());
             for (li, &grp) in leaves.iter().enumerate() {
                 let rows = part.group(grp);
                 let leaf_k = rows.len().min(w);
@@ -115,7 +115,9 @@ impl CaqrPlan {
                     s.0[step].leaves[li].set(leaf).expect("leaf ran twice");
                 });
                 pb.writes(id, row_blocks(rows, b), step..step + 1);
-                leaf_qr_ids.push(id);
+                let leaf = pb.slot();
+                pb.writes_slot(id, leaf);
+                leaf_slots.push(leaf);
             }
             for &(jblk, jc0, wj, pr) in &trailing {
                 for (li, &grp) in leaves.iter().enumerate() {
@@ -132,14 +134,14 @@ impl CaqrPlan {
                         let leaf = s.0[step].leaves[li].get().expect("leaf T not ready");
                         leaf_apply(a, k0, leaf, a, jc0..jc0 + wj, Trans::Yes);
                     });
-                    pb.graph.add_dep(leaf_qr_ids[li], id); // the LeafQ (T factor)
+                    pb.reads_slot(id, leaf_slots[li]); // the LeafQ (T factor)
                     pb.reads(id, row_blocks(rows.clone(), b), step..step + 1);
                     pb.writes(id, row_blocks(rows, b), jblk..jblk + 1);
                 }
             }
 
             // --- Node QR tasks + their trailing updates.
-            let mut node_qr_ids = Vec::with_capacity(nodes.len());
+            let mut node_slots = Vec::with_capacity(nodes.len());
             for (ni, (plan, rest)) in nodes.iter().enumerate() {
                 let s: usize = plan.row_ranges.iter().map(|r| r.len()).sum();
                 let meta = TaskMeta::new(
@@ -158,7 +160,9 @@ impl CaqrPlan {
                 for r in &plan.row_ranges {
                     pb.writes(id, row_blocks(r.clone(), b), step..step + 1);
                 }
-                node_qr_ids.push(id);
+                let node = pb.slot();
+                pb.writes_slot(id, node);
+                node_slots.push(node);
             }
             for (ni, (plan, rest)) in nodes.iter().enumerate() {
                 // `node_apply` is the structured form: identity top block,
@@ -183,7 +187,7 @@ impl CaqrPlan {
                         let nq = s.0[step].nodes[ni].get().expect("node V/T not ready");
                         node_apply(nq, a, jc0..jc0 + wj, Trans::Yes);
                     });
-                    pb.graph.add_dep(node_qr_ids[ni], id); // the NodeQ (V, T scratch)
+                    pb.reads_slot(id, node_slots[ni]); // the NodeQ (V, T scratch)
                     for r in &plan.row_ranges {
                         pb.writes(id, row_blocks(r.clone(), b), jblk..jblk + 1);
                     }
@@ -198,13 +202,6 @@ impl CaqrPlan {
                 nodes: (0..nodes.len()).map(|_| OnceLock::new()).collect(),
             });
         }
-
-        // The tracker's per-block reasoning cannot see orderings already implied
-        // by the explicitly added edges (reduction tree, pivot broadcast), so it
-        // over-wires conflict edges a path already covers. Reduce to the minimal
-        // equivalent DAG: ready times and conflict orderings are unchanged, and
-        // the schedulers track fewer dependences.
-        ca_sched::reduce_transitive_edges(&mut pb.graph);
 
         pb.finish(CaqrSlots(panels), |a, s| {
             let full = |ctx: PanelSlots<T>| PanelQ {

@@ -19,7 +19,7 @@
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
-use crate::shadow::{ElemRect, ShadowRegistry};
+use crate::shadow::ShadowRegistry;
 use crate::view::{MatView, MatViewMut};
 use core::cell::UnsafeCell;
 use std::sync::Arc;
@@ -125,80 +125,6 @@ impl<T: Scalar> SharedMatrix<T> {
         }
     }
 
-    /// Immutable view of the block at `(i, j)` with shape `r × c`, reading
-    /// only the elements inside `rects` (absolute matrix coordinates).
-    ///
-    /// The returned view still spans the whole block — kernels need the
-    /// block's leading dimension — but the access reported to the shadow
-    /// registry (and the disjointness obligation) covers only `rects`. Used
-    /// by tasks whose true footprint is a sub-block region, e.g. the strict
-    /// lower triangle of a factored diagonal tile.
-    ///
-    /// # Safety
-    /// For the lifetime of the returned view no concurrently running task may
-    /// mutate any element of `rects`, and the caller must not read elements
-    /// of the block outside `rects`. The scheduler's dependency edges must
-    /// enforce the former; the kernel contract the latter.
-    #[inline]
-    pub unsafe fn block_rects(
-        &self,
-        i: usize,
-        j: usize,
-        r: usize,
-        c: usize,
-        rects: &[ElemRect],
-    ) -> MatView<'_, T> {
-        assert!(i + r <= self.rows && j + c <= self.cols, "block out of bounds");
-        if let Some(reg) = &self.shadow {
-            for rect in rects {
-                reg.on_access(false, rect.row0..rect.row1, rect.col0..rect.col1);
-            }
-        }
-        // SAFETY: bounds hold per the assert; the caller's contract restricts
-        // actual element access to `rects`.
-        unsafe {
-            let m = &*self.cell.get();
-            let ptr = m.as_slice().as_ptr().add(i + j * self.rows);
-            MatView::from_raw_parts(ptr, r, c, self.rows)
-        }
-    }
-
-    /// Mutable view of the block at `(i, j)` with shape `r × c`, touching
-    /// only the elements inside `rects` (absolute matrix coordinates).
-    ///
-    /// Mutable counterpart of [`SharedMatrix::block_rects`]: the view spans
-    /// the block, the obligation (and shadow lease) covers only `rects`.
-    ///
-    /// # Safety
-    /// For the lifetime of the returned view no concurrently running task may
-    /// read or mutate any element of `rects`, and the caller must not touch
-    /// elements of the block outside `rects`.
-    #[inline]
-    #[allow(clippy::mut_from_ref)]
-    pub unsafe fn block_mut_rects(
-        &self,
-        i: usize,
-        j: usize,
-        r: usize,
-        c: usize,
-        rects: &[ElemRect],
-    ) -> MatViewMut<'_, T> {
-        assert!(i + r <= self.rows && j + c <= self.cols, "block out of bounds");
-        if let Some(reg) = &self.shadow {
-            for rect in rects {
-                reg.on_access(true, rect.row0..rect.row1, rect.col0..rect.col1);
-            }
-        }
-        // SAFETY: bounds hold per the assert; the caller's contract restricts
-        // actual element access to `rects`.
-        unsafe {
-            let m = &mut *self.cell.get();
-            let rows = self.rows;
-            let ptr = m.as_mut_slice().as_mut_ptr().add(i + j * rows);
-            MatViewMut::from_raw_parts(ptr, r, c, rows)
-        }
-    }
-
     /// Whole-matrix mutable view.
     ///
     /// # Safety
@@ -246,31 +172,6 @@ mod tests {
         assert_eq!(m[(0, 0)], 1.0);
         assert_eq!(m[(3, 3)], 2.0);
         assert_eq!(m[(0, 3)], 0.0);
-    }
-
-    #[test]
-    fn rect_scoped_accessors_lease_only_their_rects() {
-        use crate::shadow::{ShadowRegistry, TaskFootprint};
-        // Task 0's declared write is only the top-left element of a 2×2
-        // block; the rect-scoped accessor stays inside it even though the
-        // returned view spans the block.
-        let fp = TaskFootprint {
-            reads: vec![],
-            writes: vec![ElemRect::new(0..1, 0..1)],
-        };
-        let reg = Arc::new(ShadowRegistry::new(vec![fp], vec!["t0".into()]));
-        let s = SharedMatrix::with_shadow(Matrix::zeros(2, 2), Arc::clone(&reg));
-        {
-            let _scope = reg.enter_task(0);
-            // SAFETY: single-threaded test; only (0,0) is touched.
-            let mut b = unsafe {
-                s.block_mut_rects(0, 0, 2, 2, &[ElemRect::new(0..1, 0..1)])
-            };
-            *b.at_mut(0, 0) = 1.0;
-        }
-        assert!(reg.take_violations().is_empty());
-        assert_eq!(reg.accesses(), 1);
-        assert_eq!(s.into_inner()[(0, 0)], 1.0);
     }
 
     #[test]

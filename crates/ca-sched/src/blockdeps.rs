@@ -10,10 +10,13 @@
 //! [`BlockTracker::write`] take block coordinates as a convenience and
 //! resolve them to the rect they cover; [`BlockTracker::read_rect`] /
 //! [`BlockTracker::write_rect`] take the rect directly, so sub-tile aliasing
-//! (e.g. the L and U triangles of a factored diagonal tile) produces edges
-//! only where rects actually overlap. Internally every access becomes
-//! per-cell clipped rect entries; the `b × b` cell grid is purely a spatial
-//! index. [`BlockTracker::new`] is the unit-cell case for abstract grids.
+//! (two disjoint halves of one tile) produces edges only where rects
+//! actually overlap. Side storage is declared the same way:
+//! [`BlockTracker::slot`] allocates one element of the [`AccessMap`]'s side
+//! column, whose rect the tasks that fill and read the slot declare. Internally every access becomes per-cell clipped
+//! rect entries; the `b × b` cell grid is purely a spatial index, and each
+//! slot is a cell of its own. [`BlockTracker::new`] is the unit-cell case
+//! for abstract grids.
 //!
 //! The tracker infers a *minimal* edge set: a write does not add a WAW edge
 //! to the previous writer where intervening reads already cover the overlap,
@@ -22,13 +25,12 @@
 //! implied transitively. The static verifier's edge-necessity lint
 //! ([`crate::verify_graph_with`]) checks exactly this property.
 
-use crate::footprint::AccessMap;
+use crate::footprint::{AccessMap, Slot};
 use crate::graph::TaskGraph;
 use crate::task::TaskId;
 use ca_matrix::shadow::ElemRect;
 use ca_matrix::RegionSet;
 use core::ops::Range;
-use std::collections::HashSet;
 
 /// One live access in a cell: `task` read or wrote `rect` (clipped to the
 /// cell) and no later write has fully superseded it.
@@ -47,6 +49,8 @@ struct Entry {
 pub struct BlockTracker {
     entries: Vec<Vec<Entry>>,
     access: AccessMap,
+    /// The predecessors one declaration collects, kept to reuse its buffer.
+    deps: Vec<TaskId>,
 }
 
 impl BlockTracker {
@@ -59,15 +63,22 @@ impl BlockTracker {
     /// A tracker for an `m × n` matrix tiled into `b`-sized blocks.
     pub fn with_geometry(b: usize, m: usize, n: usize) -> Self {
         let access = AccessMap::with_geometry(b, m, n);
-        let (mb, nb) = access.grid();
-        Self { entries: vec![Vec::new(); mb * nb], access }
+        Self { entries: vec![Vec::new(); access.cell_count()], access, deps: Vec::new() }
+    }
+
+    /// A fresh slot of side storage; declare its rect on the tasks that
+    /// fill and read it.
+    pub(crate) fn slot(&mut self) -> Slot {
+        let s = self.access.new_slot();
+        self.entries.resize_with(self.access.cell_count(), Vec::new);
+        s
     }
 
     /// The element rect covered by blocks `rows × cols`, clamped to the
     /// matrix — the one place block coordinates get their element meaning.
     fn block_rect(&self, rows: Range<usize>, cols: Range<usize>) -> ElemRect {
         let (b, m, n) = self.access.geometry();
-        let (mb, nb) = self.access.grid();
+        let (mb, nb) = (m.div_ceil(b), n.div_ceil(b));
         // Hard check even in release builds: an out-of-grid declaration means
         // the builder's footprint arithmetic is wrong, and silently clamping
         // it would corrupt the dependency structure.
@@ -119,90 +130,88 @@ impl BlockTracker {
         self.touch_rect(g, task, true, rect);
     }
 
-    /// The single inference path: records `rect`, clips it to each
-    /// overlapped grid cell and updates that cell's live-entry list,
-    /// collecting dependency edges.
+    /// The single inference path: records `rect`, clips it to each index
+    /// cell it touches ([`AccessMap::cells`]) and updates that cell's
+    /// live-entry list, collecting dependency edges.
     fn touch_rect<T>(&mut self, g: &mut TaskGraph<T>, task: TaskId, write: bool, rect: ElemRect) {
-        let (b, m, n) = self.access.geometry();
         if rect.is_empty() {
             return;
         }
-        assert!(
-            rect.row1 <= m && rect.col1 <= n,
-            "rect {rect} outside {m}×{n} matrix"
-        );
+        let (_, m, n) = self.access.geometry();
+        assert!(self.access.in_bounds(&rect), "rect {rect} outside {m}×{n} matrix and its slots");
         if write {
             self.access.record_write(task, rect);
         } else {
             self.access.record_read(task, rect);
         }
-        let (mb, _) = self.access.grid();
-        let mut deps: HashSet<TaskId> = HashSet::new();
-        for bj in rect.col0 / b..rect.col1.div_ceil(b) {
-            for bi in rect.row0 / b..rect.row1.div_ceil(b) {
-                let cell = ElemRect::new(bi * b..(bi + 1) * b, bj * b..(bj + 1) * b);
-                let Some(c) = rect.intersection(&cell) else { continue };
-                let entries = &mut self.entries[bi + bj * mb];
-                if write {
-                    for e in entries.iter() {
-                        if e.task == task || !e.rect.overlaps(&c) {
-                            continue;
-                        }
-                        if e.write {
-                            // WAW — skippable when intervening reads fully
-                            // cover the overlap: each covering reader has a
-                            // RAW edge from `e.task` (reads only enter the
-                            // list after the writes they saw) and receives a
-                            // WAR edge from this write below.
-                            let o = e.rect.intersection(&c).expect("overlapping");
-                            let mut cover = RegionSet::from_rect(o);
-                            for r in entries.iter().filter(|r| !r.write) {
-                                cover.subtract_rect(&r.rect);
-                                if cover.is_empty() {
-                                    break;
-                                }
+        let mut deps = std::mem::take(&mut self.deps);
+        deps.clear();
+        for (cell, c) in self.access.cells(rect) {
+            let entries = &mut self.entries[cell];
+            if write {
+                for e in entries.iter() {
+                    if e.task == task || !e.rect.overlaps(&c) {
+                        continue;
+                    }
+                    if e.write {
+                        // WAW — skippable when intervening reads fully
+                        // cover the overlap: each covering reader has a
+                        // RAW edge from `e.task` (reads only enter the
+                        // list after the writes they saw) and receives a
+                        // WAR edge from this write below.
+                        let o = e.rect.intersection(&c).expect("overlapping");
+                        let mut cover = RegionSet::from_rect(o);
+                        for r in entries.iter().filter(|r| !r.write) {
+                            cover.subtract_rect(&r.rect);
+                            if cover.is_empty() {
+                                break;
                             }
-                            if !cover.is_empty() {
-                                deps.insert(e.task);
-                            }
-                        } else {
-                            deps.insert(e.task); // WAR
                         }
-                    }
-                    // The write supersedes everything it covers.
-                    let mut kept = Vec::with_capacity(entries.len() + 1);
-                    for e in entries.drain(..) {
-                        if !e.rect.overlaps(&c) {
-                            kept.push(e);
-                            continue;
+                        if !cover.is_empty() {
+                            deps.push(e.task);
                         }
-                        let mut rest = RegionSet::from_rect(e.rect);
-                        rest.subtract_rect(&c);
-                        kept.extend(rest.rects().iter().map(|&r| Entry {
-                            task: e.task,
-                            write: e.write,
-                            rect: r,
-                        }));
+                    } else {
+                        deps.push(e.task); // WAR
                     }
-                    kept.push(Entry { task, write: true, rect: c });
-                    *entries = kept;
-                } else {
-                    for e in entries.iter() {
-                        if e.write && e.task != task && e.rect.overlaps(&c) {
-                            deps.insert(e.task); // RAW
-                        }
+                }
+                // The write supersedes everything it covers.
+                let mut kept = Vec::with_capacity(entries.len() + 1);
+                for e in entries.drain(..) {
+                    if !e.rect.overlaps(&c) {
+                        kept.push(e);
+                        continue;
                     }
-                    // Dedup repeated reads of the same region by one task so
-                    // later writers scan each reader once.
-                    if !entries.iter().any(|e| {
-                        !e.write && e.task == task && e.rect.contains(&c)
-                    }) {
-                        entries.push(Entry { task, write: false, rect: c });
+                    let mut rest = RegionSet::from_rect(e.rect);
+                    rest.subtract_rect(&c);
+                    kept.extend(rest.rects().iter().map(|&r| Entry {
+                        task: e.task,
+                        write: e.write,
+                        rect: r,
+                    }));
+                }
+                kept.push(Entry { task, write: true, rect: c });
+                *entries = kept;
+            } else {
+                for e in entries.iter() {
+                    if e.write && e.task != task && e.rect.overlaps(&c) {
+                        deps.push(e.task); // RAW
                     }
+                }
+                // Dedup repeated reads of the same region by one task so
+                // later writers scan each reader once.
+                if !entries.iter().any(|e| {
+                    !e.write && e.task == task && e.rect.contains(&c)
+                }) {
+                    entries.push(Entry { task, write: false, rect: c });
                 }
             }
         }
-        add_sorted_deps(g, deps, task);
+        deps.sort_unstable();
+        deps.dedup();
+        for &d in &deps {
+            g.add_dep(d, task);
+        }
+        self.deps = deps;
     }
 
     /// Consumes the tracker, yielding the declared footprints — the form the
@@ -210,14 +219,6 @@ impl BlockTracker {
     /// executors.
     pub fn into_access_map(self) -> AccessMap {
         self.access
-    }
-}
-
-fn add_sorted_deps<T>(g: &mut TaskGraph<T>, deps: HashSet<TaskId>, task: TaskId) {
-    let mut v: Vec<TaskId> = deps.into_iter().collect();
-    v.sort_unstable();
-    for d in v {
-        g.add_dep(d, task);
     }
 }
 

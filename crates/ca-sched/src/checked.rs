@@ -5,8 +5,10 @@
 //!
 //! 1. [`crate::verify_graph`] statically proves the graph + declared
 //!    footprints sound before anything executes;
-//! 2. [`build_shadow_registry`] hands each task's declared rects
-//!    ([`AccessMap`]) to a [`ShadowRegistry`] as its [`TaskFootprint`];
+//! 2. [`build_shadow_registry`] hands each task's declared matrix rects
+//!    ([`AccessMap::matrix_reads`], [`AccessMap::matrix_writes`]) to a
+//!    [`ShadowRegistry`] as its [`TaskFootprint`]; slots bypass the
+//!    matrix, so they have no leases to audit;
 //! 3. each job runs inside a [`ShadowRegistry::enter_task`] scope, so every
 //!    `SharedMatrix` block accessor audits its element range against the
 //!    task's declaration and every concurrently live lease.
@@ -48,8 +50,8 @@ impl std::error::Error for CheckedError {}
 pub(crate) fn build_shadow_registry<T>(graph: &TaskGraph<T>, access: &AccessMap) -> Arc<ShadowRegistry> {
     let (footprints, labels) = (0..graph.len())
         .map(|t| {
-            let footprint =
-                TaskFootprint { reads: access.reads(t).to_vec(), writes: access.writes(t).to_vec() };
+            let (reads, writes) = (access.matrix_reads(t).to_vec(), access.matrix_writes(t).to_vec());
+            let footprint = TaskFootprint { reads, writes };
             (footprint, graph.meta(t).label.to_string())
         })
         .unzip();

@@ -140,7 +140,7 @@ pub use checked::CheckedError;
 /// `'static` closure it builds a [`DynJob`].
 pub use exec::job as dyn_job;
 pub use exec::{execute, job, run_graph, DynJob, ExecStats, Job, RunReport};
-pub use footprint::AccessMap;
+pub use footprint::{AccessMap, Slot};
 pub use verify::{
     reduce_transitive_edges, verify_graph, verify_graph_with, ConflictKind, EdgeFinding,
     LintReport, ShadowedWrite, SoundnessError, VerifyOptions, VerifyReport, CLOSURE_TASK_LIMIT,

@@ -14,7 +14,7 @@
 use crate::blockdeps::BlockTracker;
 use crate::checked::{build_shadow_registry, first_violation, CheckedError};
 use crate::exec::{execute, job, DynJob, RunReport};
-use crate::footprint::AccessMap;
+use crate::footprint::{AccessMap, Slot};
 use crate::graph::TaskGraph;
 use crate::fault::TaskFailure;
 use crate::retry::{guarded_job, run_recovering, ChaosPlan, RetryPolicy};
@@ -61,13 +61,13 @@ impl<T: Scalar, S, F> Plan<T, S, F> {
 }
 
 /// A [`Plan`] under construction: the graph, the [`BlockTracker`] that
-/// infers its conflict edges from the declared footprints, and the task
-/// bodies.
+/// infers every edge of it from the declared footprints, and the task
+/// bodies. A footprint is matrix blocks or element rects, plus the side
+/// storage slots ([`PlanBuilder::slot`]) the task fills and reads: no edge
+/// is added by hand, so [`verify_graph`] proves each one and the
+/// minimality lint justifies each one.
 pub struct PlanBuilder<T: Scalar, S> {
-    /// The graph so far — for the explicit edges side storage needs
-    /// ([`TaskGraph::add_dep`]) and [`crate::reduce_transitive_edges`]. Tasks
-    /// are added through [`PlanBuilder::task`] only.
-    pub graph: TaskGraph<()>,
+    graph: TaskGraph<()>,
     tracker: BlockTracker,
     bodies: Vec<Body<T, S>>,
 }
@@ -110,10 +110,31 @@ impl<T: Scalar, S> PlanBuilder<T, S> {
         self.tracker.write_rect(&mut self.graph, task, rect);
     }
 
-    /// The finished plan: `slots` start empty, `gather` turns the factored
-    /// matrix and the filled slots into the factors.
-    pub fn finish<F>(self, slots: S, gather: fn(Matrix<T>, S) -> F) -> Plan<T, S, F> {
-        assert_eq!(self.bodies.len(), self.graph.len(), "a task was added past PlanBuilder::task");
+    /// A fresh slot of side storage: what one task leaves in `S` for
+    /// others (pivots, `T` factors, candidates, pack images). The task
+    /// filling it declares [`PlanBuilder::writes_slot`], each task reading
+    /// it [`PlanBuilder::reads_slot`].
+    pub fn slot(&mut self) -> Slot {
+        self.tracker.slot()
+    }
+
+    /// Declares that `task` reads slot `s`.
+    pub fn reads_slot(&mut self, task: TaskId, s: Slot) {
+        self.tracker.read_rect(&mut self.graph, task, s.0);
+    }
+
+    /// Declares that `task` fills slot `s`.
+    pub fn writes_slot(&mut self, task: TaskId, s: Slot) {
+        self.tracker.write_rect(&mut self.graph, task, s.0);
+    }
+
+    /// The finished plan, its graph reduced to the minimal equivalent DAG
+    /// ([`crate::reduce_transitive_edges`]): the tracker reasons one
+    /// footprint at a time and over-wires edges a path already implies.
+    /// `slots` start empty, `gather` turns the factored matrix and the
+    /// filled slots into the factors.
+    pub fn finish<F>(mut self, slots: S, gather: fn(Matrix<T>, S) -> F) -> Plan<T, S, F> {
+        crate::reduce_transitive_edges(&mut self.graph);
         Plan {
             graph: self.graph,
             access: self.tracker.into_access_map(),
@@ -261,7 +282,7 @@ pub fn plan_jobs<T: Scalar, S: Send + Sync + 'static, F: 'static>(
                     if run.exhausted.get().is_some() {
                         return Ok(());
                     }
-                    let (writes, chaos) = (run.plan.access.writes(id), chaos.as_deref());
+                    let (writes, chaos) = (run.plan.access.matrix_writes(id), chaos.as_deref());
                     let body = || run.run_task(id);
                     match run_recovering(&label, writes, &run.matrix, &policy, chaos, &body) {
                         Err(failure) if replays > 0 => {

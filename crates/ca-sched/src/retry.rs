@@ -5,9 +5,9 @@
 //! transitive successors. This module adds the *recover* half. A task that
 //! [`crate::plan_jobs`] wraps under [`crate::FactorOptions::retry`]:
 //!
-//! 1. snapshots its declared write-set (the per-task block regions the DAG
-//!    builder recorded into the [`crate::AccessMap`]) before the first
-//!    attempt,
+//! 1. snapshots its declared write-set (the matrix rects the DAG builder
+//!    recorded into the [`crate::AccessMap`]; slots are not matrix elements)
+//!    before the first attempt,
 //! 2. runs the body under a panic guard,
 //! 3. on failure or panic restores the snapshot and replays the body up to
 //!    [`RetryPolicy::max_retries`] times with bounded exponential backoff,
@@ -534,9 +534,10 @@ fn cols(r: &ElemRect) -> usize {
 }
 
 /// Copies the current contents of every rect of a task's write-set — the
-/// element rects it declared it writes ([`crate::AccessMap::writes`]; none for
-/// a reduction-tree node passing data through side storage). The retry
-/// protocol snapshots and restores exactly these elements.
+/// matrix rects it declared it writes ([`crate::AccessMap::matrix_writes`];
+/// the slots it fills are not matrix elements, and none for a
+/// reduction-tree node, which fills slots only). The retry protocol
+/// snapshots and restores exactly these elements.
 fn capture<T: Scalar>(writes: &[ElemRect], shared: &SharedMatrix<T>) -> Vec<Vec<T>> {
     writes
         .iter()
@@ -876,16 +877,22 @@ mod tests {
     #[test]
     fn write_set_is_the_declared_write_footprint() {
         // Ragged 25×25 matrix on 10-blocks: the tracker clamps the block
-        // declaration, the write-set is exactly what it recorded.
+        // declaration, the write-set is exactly what it recorded on the
+        // matrix — the slot the task fills, declared first, is not part of it.
         let mut g: crate::TaskGraph<()> = crate::TaskGraph::new();
         let mut t = crate::BlockTracker::with_geometry(10, 25, 25);
         let id = g.add_task(crate::TaskMeta::new(label(TaskKind::Update, 0), 1.0), ());
+        let slot = t.slot().0;
+        t.write_rect(&mut g, id, slot);
         t.read(&mut g, id, 0..1, 0..1);
         t.write(&mut g, id, 1..3, 2..3);
         let access = t.into_access_map();
-        let elems: usize = access.writes(id).iter().map(|r| rows(r) * cols(r)).sum();
+        assert_eq!(access.writes(id).len(), 2, "the slot is declared");
+        assert_eq!(access.matrix_writes(id), &[ElemRect::new(10..25, 20..25)]);
+        assert!(access.matrix_writes(id).iter().all(|r| !r.overlaps(&slot)));
+        let elems: usize = access.matrix_writes(id).iter().map(|r| rows(r) * cols(r)).sum();
         assert_eq!(elems, 15 * 5, "rows 10..25 x cols 20..25");
-        assert!(access.writes(id + 1).is_empty());
+        assert!(access.matrix_writes(id + 1).is_empty());
     }
 
     #[test]

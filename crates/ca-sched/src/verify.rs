@@ -5,8 +5,9 @@
 //! execute on a `SharedMatrix`: every pair of tasks whose declared rects
 //! conflict (W–W, R–W, or W–R on at least one shared element) must be
 //! ordered by a happens-before path in the DAG. Conflicts are element-exact,
-//! so graphs that interleave disjoint sub-tile footprints (L strictly below
-//! the diagonal of a tile, U on and above it) verify as they are. It also
+//! so graphs that interleave disjoint sub-tile footprints verify as they
+//! are, and side storage ([`crate::Slot`]) is one more element a task
+//! declares, so every edge a slot carries is proven like any other. It also
 //! re-checks structural invariants (forward-only edges, consistent
 //! predecessor counts, every task releasable) without trusting the builder,
 //! and lints the §III scheduling rule that panel tasks of step `K+1` outrank
@@ -100,7 +101,8 @@ pub enum SoundnessError {
         /// Number of tasks in the graph.
         tasks: usize,
     },
-    /// A declared element rect lies outside the matrix extent.
+    /// A declared element rect lies outside the matrix extent and is not
+    /// one of the map's slots.
     RectOutOfMatrix {
         /// The declaring task.
         task: TaskId,
@@ -266,9 +268,6 @@ pub struct LintReport {
     pub unnecessary_edges: Vec<EdgeFinding>,
     /// Edges implied by an alternative happens-before path.
     pub redundant_edges: Vec<EdgeFinding>,
-    /// Edges skipped by the necessity lint because an endpoint declares no
-    /// footprint (side-channel tasks, e.g. reduction-tree nodes).
-    pub opaque_edges: usize,
     /// Elements read before any task wrote them (input loads).
     pub cold_read_area: usize,
     /// Writes overwritten before any declared read (advisory).
@@ -331,11 +330,9 @@ impl core::fmt::Display for VerifyReport {
         if let Some(lint) = &self.lint {
             writeln!(
                 f,
-                "lint: {} unnecessary edge(s), {} transitively redundant edge(s) \
-                 ({} opaque edge(s) skipped)",
+                "lint: {} unnecessary edge(s), {} transitively redundant edge(s)",
                 lint.unnecessary_edges.len(),
-                lint.redundant_edges.len(),
-                lint.opaque_edges
+                lint.redundant_edges.len()
             )?;
             for e in lint.unnecessary_edges.iter().take(DISPLAY_FINDING_CAP) {
                 writeln!(f, "lint: unnecessary {e}")?;
@@ -433,9 +430,9 @@ pub fn verify_graph_with<T>(
         return Err(SoundnessError::Unreleasable { task, label: graph.meta(task).label });
     }
 
-    // Footprint sanity: known tasks, rects inside the matrix extent.
-    let (mb, nb) = access.grid();
-    let (bsz, em, en) = access.geometry();
+    // Footprint sanity: known tasks, rects inside the matrix extent or
+    // allocated slots.
+    let (_, em, en) = access.geometry();
     for t in 0..access.tasks() {
         if t >= n {
             if !access.reads(t).is_empty() || !access.writes(t).is_empty() {
@@ -444,7 +441,7 @@ pub fn verify_graph_with<T>(
             continue;
         }
         for &rect in access.reads(t).iter().chain(access.writes(t)) {
-            if rect.row1 > em || rect.col1 > en {
+            if !access.in_bounds(&rect) {
                 return Err(SoundnessError::RectOutOfMatrix {
                     task: t,
                     label: graph.meta(t).label,
@@ -467,22 +464,17 @@ pub fn verify_graph_with<T>(
     };
 
     // Conflict enumeration: every conflicting pair must be ordered.
-    // Accesses are bucketed per index cell, each carrying its cell-clipped
-    // rect; two accesses of one cell conflict iff the clips overlap.
+    // Accesses are bucketed per index cell (the tracker's, a slot's own),
+    // each carrying its cell-clipped rect; two accesses of one cell
+    // conflict iff the clips overlap.
     let ntasks = access.tasks().min(n);
     let mut seen_pairs: HashSet<(TaskId, TaskId)> = HashSet::new();
-    let mut per_cell: Vec<Vec<(TaskId, bool, ElemRect)>> = vec![Vec::new(); mb * nb];
+    let mut per_cell: Vec<Vec<(TaskId, bool, ElemRect)>> = vec![Vec::new(); access.cell_count()];
     for t in 0..ntasks {
         for (rects, write) in [(access.reads(t), false), (access.writes(t), true)] {
-            for rect in rects {
-                for bj in rect.col0 / bsz..rect.col1.div_ceil(bsz) {
-                    for bi in rect.row0 / bsz..rect.row1.div_ceil(bsz) {
-                        let cell =
-                            ElemRect::new(bi * bsz..(bi + 1) * bsz, bj * bsz..(bj + 1) * bsz);
-                        if let Some(clip) = rect.intersection(&cell) {
-                            per_cell[bi + bj * mb].push((t, write, clip));
-                        }
-                    }
+            for &rect in rects {
+                for (cell, clip) in access.cells(rect) {
+                    per_cell[cell].push((t, write, clip));
                 }
             }
         }
@@ -545,9 +537,11 @@ fn conflict_kind(wa: bool, wb: bool) -> ConflictKind {
 /// edge whose ordering another path already implies, and returns how many
 /// were deleted.
 ///
-/// Builders whose trackers reason per footprint cannot see orderings implied
-/// by explicitly added edges (reduction trees, pivot broadcasts), so they
-/// over-wire; this pass restores the unique minimal equivalent DAG. Sound
+/// The tracker reasons one footprint at a time and cannot see orderings a
+/// path through other footprints (a reduction tree's slots, a pivot
+/// broadcast) already implies, so it over-wires;
+/// [`crate::PlanBuilder::finish`] runs this pass to restore the unique
+/// minimal equivalent DAG. Sound
 /// by construction: an edge `(a, b)` is deleted only when some other
 /// successor of `a` still reaches `b`, so the happens-before closure — and
 /// with it every conflict ordering and the executors' ready times — is
@@ -689,7 +683,6 @@ fn lint_pass<T>(
 
     let mut unnecessary_edges = Vec::new();
     let mut redundant_edges = Vec::new();
-    let mut opaque_edges = 0usize;
     for a in 0..n {
         for &b in graph.successors(a) {
             let finding = || EdgeFinding {
@@ -698,26 +691,17 @@ fn lint_pass<T>(
                 to: b,
                 to_label: graph.meta(b).label,
             };
-            // Necessity first: the stronger claim. Skipped (not flagged)
-            // when an endpoint has no footprint — its payload flows through
-            // side storage the footprints cannot see.
-            let opaque = (own_r[a].is_empty() && own_w[a].is_empty())
-                || (own_r[b].is_empty() && own_w[b].is_empty());
-            if opaque {
-                opaque_edges += 1;
-            } else {
-                let justified = up_w[a].intersects_set(&down_w[b])
-                    || up_w[a].intersects_set(&down_r[b])
-                    || up_r[a].intersects_set(&down_w[b]);
-                if !justified {
-                    unnecessary_edges.push(finding());
-                    continue;
-                }
+            // Necessity first: the stronger claim. Slots are footprints, so
+            // an edge carrying side storage is justified by its slot.
+            let justified = up_w[a].intersects_set(&down_w[b])
+                || up_w[a].intersects_set(&down_r[b])
+                || up_r[a].intersects_set(&down_w[b]);
+            if !justified {
+                unnecessary_edges.push(finding());
+                continue;
             }
             // Transitive redundancy: another successor already reaches b
             // (edges only go forward in id order, so only s < b can).
-            // Applies to opaque edges too — any alternative happens-before
-            // path preserves side-channel ordering.
             if graph.successors(a).iter().any(|&s| s != b && s < b && ordered(s, b)) {
                 redundant_edges.push(finding());
             }
@@ -780,7 +764,6 @@ fn lint_pass<T>(
     LintReport {
         unnecessary_edges,
         redundant_edges,
-        opaque_edges,
         cold_read_area,
         shadowed_writes,
         critical_path_flops,
@@ -1111,7 +1094,6 @@ mod tests {
         let report = verify_graph_with(&g, &access, &VerifyOptions { lint_edges: true }).unwrap();
         let lint = report.lint.expect("lint requested");
         assert_eq!(lint.minimality_findings(), 0, "tracker output is conflict-minimal");
-        assert_eq!(lint.opaque_edges, 0);
         assert_eq!(lint.cold_read_area, 0, "every read follows the panel write");
         // The readers' writes to block column 1 are overwritten by the
         // step-1 panel with no declared read in between: advisory finding.
@@ -1119,24 +1101,70 @@ mod tests {
         assert!(lint.shadowed_writes.iter().all(|s| s.area == 1));
     }
 
+    /// `w → r` through one slot, and a task `x` writing the only matrix
+    /// element: nothing but the slot relates any two of them.
+    fn slot_pair() -> (TaskGraph<()>, AccessMap, [TaskId; 3]) {
+        let mut g = TaskGraph::new();
+        let mut t = BlockTracker::new(1, 1);
+        let rect = t.slot().0;
+        let w = mk(&mut g, TaskKind::Panel, 0, 0, ());
+        t.write_rect(&mut g, w, rect);
+        let r = mk(&mut g, TaskKind::URow, 0, 0, ());
+        t.read_rect(&mut g, r, rect);
+        let x = mk(&mut g, TaskKind::Update, 0, 1, ());
+        t.write(&mut g, x, 0..1, 0..1);
+        (g, t.into_access_map(), [w, r, x])
+    }
+
     #[test]
-    fn lint_skips_opaque_edges() {
-        // a -> s -> b where s declares no footprint (side-channel task):
-        // the necessity lint must not flag its edges.
-        let mut g: TaskGraph<()> = TaskGraph::new();
-        let a = mk(&mut g, TaskKind::Panel, 0, 0, ());
-        let s = mk(&mut g, TaskKind::Other, 0, 0, ());
-        let b = mk(&mut g, TaskKind::Panel, 1, 0, ());
-        g.add_dep(a, s);
-        g.add_dep(s, b);
-        let mut access = AccessMap::new(1, 1);
-        access.record_write(a, ElemRect::new(0..1, 0..1));
-        access.record_write(b, ElemRect::new(0..1, 0..1));
+    #[allow(clippy::disallowed_methods)] // probing the verifier with a raw edge deletion
+    fn a_slot_reader_unordered_after_its_writer_is_an_unordered_conflict() {
+        let (mut g, access, [w, r, x]) = slot_pair();
+        assert_eq!(g.successors(w), &[r], "the slot alone infers w -> r");
+        assert_eq!(g.pred_count(x), 0);
+        verify_graph(&g, &access).expect("the slot edge orders the pair");
+        assert!(g.remove_dep(w, r));
+        match verify_graph(&g, &access) {
+            Err(SoundnessError::UnorderedConflict { first, second, kind, rect, .. }) => {
+                assert_eq!((first, second, kind), (w, r, ConflictKind::WriteRead));
+                assert_eq!(rect, access.writes(w)[0], "the contested element is the slot");
+            }
+            other => panic!("expected UnorderedConflict, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn lint_justifies_a_slot_edge_and_flags_an_edge_nothing_justifies() {
+        let (mut g, access, [w, r, x]) = slot_pair();
+        g.add_dep(r, x);
         let report = verify_graph_with(&g, &access, &VerifyOptions { lint_edges: true }).unwrap();
         let lint = report.lint.expect("lint requested");
-        assert_eq!(lint.opaque_edges, 2);
-        assert!(lint.unnecessary_edges.is_empty());
+        let flagged: Vec<_> = lint.unnecessary_edges.iter().map(|e| (e.from, e.to)).collect();
+        assert_eq!(flagged, [(r, x)], "w -> r is justified by its slot alone, r -> x by nothing");
         assert!(lint.redundant_edges.is_empty());
+        assert!(g.successors(w).contains(&r));
+    }
+
+    #[test]
+    fn slots_lie_beside_the_matrix_in_cells_of_their_own() {
+        // 10×7 on 4-cells: slot `s` is element (s, 7), and its index cell
+        // is its own, past the 3×2 matrix grid — not the ragged last block
+        // column's.
+        let mut t = BlockTracker::with_geometry(4, 10, 7);
+        let (r0, r1) = (t.slot().0, t.slot().0);
+        assert_eq!((r0, r1), (ElemRect::new(0..1, 7..8), ElemRect::new(1..2, 7..8)));
+        let mut g = TaskGraph::new();
+        let id = mk(&mut g, TaskKind::Other, 0, 0, ());
+        t.write_rect(&mut g, id, r0);
+        t.write(&mut g, id, 0..3, 1..2);
+        let access = t.into_access_map();
+        assert_eq!(access.cells(r1).collect::<Vec<_>>(), [(7, r1)]);
+        assert_eq!(access.cell_count(), 3 * 2 + 2);
+        assert!(access.in_bounds(&r1));
+        assert!(!access.in_bounds(&ElemRect::new(2..3, 7..8)), "no third slot");
+        assert!(!access.in_bounds(&ElemRect::new(0..2, 7..8)), "a slot is one element");
+        assert_eq!(access.writes(id), &[ElemRect::new(0..10, 4..7), r0], "matrix rects first");
+        assert_eq!(access.matrix_writes(id), &[ElemRect::new(0..10, 4..7)]);
     }
 
     #[test]

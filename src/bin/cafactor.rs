@@ -615,9 +615,11 @@ fn cmd_solve(o: &Opts) {
 /// checked execution in which every element access is audited against the
 /// builder's declared footprints. The tiled PLASMA-style and blocked
 /// baselines of the same shape, wide ones included, are verified alongside
-/// (tiled LU splits its diagonal tile between two kernels at sub-tile
-/// granularity; tiled QR is CAQR's plan over a tile chain, with CAQR's
-/// block footprints); `--lint-edges` runs the minimality passes. Exit code
+/// (tiled LU's `gessm` reads the diagonal tile's copy from a slot while
+/// `tstrf` rewrites the tile; tiled QR is CAQR's plan over a tile chain,
+/// with CAQR's block footprints); every edge of every graph is inferred
+/// from a footprint, side-storage slots included, and `--lint-edges` holds
+/// each one to the minimality passes. Exit code
 /// 7 for a static violation, 8 for a runtime race, 9 for an
 /// out-of-footprint access, 13 when every graph is sound but the lint
 /// flags removable edges.

@@ -2,15 +2,16 @@
 //! DESIGN.md §5): `calu`/`caqr` on 1, 2 and 4 workers give the bits of
 //! `calu_seq_factor`/`caqr_seq` on every shape and under every parameter that
 //! must not move a bit. The four baselines are held to their own one-worker
-//! bits.
+//! bits, tiled LU also under the recovery ladder.
 
 mod equivalence_table;
 
 use ca_factor::baselines::*;
 use ca_factor::core::FactorOptions;
 use ca_factor::matrix::{random_uniform, seeded_rng, Matrix};
-use ca_factor::sched::{run_plan, Plan};
+use ca_factor::sched::{run_plan, ChaosPlan, Plan, Retry, TaskKind, TaskLabel};
 use equivalence_table::{bits, ok, qr_bits, same, words, Bits, Part};
+use std::sync::Arc;
 
 #[test]
 fn calu_gives_the_bits_of_calu_seq_factor_on_every_shape_and_parameter() {
@@ -57,11 +58,31 @@ fn baselines_give_their_one_worker_bits_on_four_workers_and_checked() {
     }
     let tiled_bits = |f: TiledLu| {
         let ipiv = f.diag.iter().flat_map(|d| d.pivots.ipiv.iter().copied());
-        vec![("L\\U", bits(&f.a)), ("ipiv", words(ipiv))]
+        let trans = f.trans.iter().flatten().flat_map(|t| bits(&t.packed));
+        vec![("L\\U", bits(&f.a)), ("ipiv", words(ipiv)), ("tstrf", trans.collect())]
     };
     let a = random_uniform(64, 64, &mut seeded_rng(4));
     let checked_lu = tiled_bits(checked(TiledLuPlan::build(64, 64, 16), &a, 4));
     baseline("tiled LU 64x64 b=16", |w| tiled_bits(tiled_lu(a.clone(), 16, w)), checked_lu);
+    // Under the recovery ladder an injected failure or panic scribbles NaN
+    // over the victim's matrix write-set, restores it and replays: a getrf,
+    // a tstrf (its write-set the whole diagonal tile, whose copy in a slot
+    // the concurrent gessm tasks read) and a gessm disturbed so give the
+    // undisturbed bits, every access audited (slots are no matrix leases).
+    let want = tiled_bits(tiled_lu(a.clone(), 16, 1));
+    for w in [1, 2, 4] {
+        let chaos = ChaosPlan::quiet(6)
+            .fail_nth(2, |l: &TaskLabel| l.kind == TaskKind::Panel && l.i == l.j)
+            .panic_nth(1, |l: &TaskLabel| l.kind == TaskKind::Panel && l.i != l.j)
+            .fail_nth(3, |l: &TaskLabel| l.kind == TaskKind::URow);
+        let (chaos, retry) = (Some(Arc::new(chaos)), Some(Retry::default()));
+        let opts = FactorOptions { chaos, retry, checked: true };
+        let what = format!("tiled LU 64x64 b=16 under replay on {w} workers");
+        let (f, report) = ok(run_plan(TiledLuPlan::build(64, 64, 16), a.clone(), w, &opts), &what);
+        let s = report.recovery();
+        assert_eq!((s.injected_failures, s.injected_panics, s.recovered_tasks), (2, 1, 3), "{what}: {s:?}");
+        same(&what, &tiled_bits(f), &want);
+    }
     let a = random_uniform(80, 48, &mut seeded_rng(5));
     let checked_qr = qr_bits(&checked(tiled_qr_plan(80, 48, 16), &a, 4));
     baseline("tiled QR 80x48 b=16", |w| qr_bits(&tiled_qr(a.clone(), 16, w)), checked_qr);

@@ -133,8 +133,11 @@ fn executor_contract_holds_for_every_thread_count_and_option() {
                     });
                     pb.writes_rect(t, ElemRect::new(id..id + 1, 0..1));
                 }
+                // Each contract edge is one slot its ends hand over.
                 for &(a, b) in &edges {
-                    pb.graph.add_dep(a, b);
+                    let s = pb.slot();
+                    pb.writes_slot(a, s);
+                    pb.reads_slot(b, s);
                 }
                 let is_victim = move |l: &TaskLabel| l.kind == TaskKind::Update;
                 let chaos = match mode {
@@ -904,7 +907,9 @@ fn multifrontier_survives_interleaved_submit_cancel_shed_and_shutdown() {
             }
             for before in 0..dag.len() {
                 for &after in dag.successors(before) {
-                    pb.graph.add_dep(before, after);
+                    let s = pb.slot();
+                    pb.writes_slot(before, s);
+                    pb.reads_slot(after, s);
                 }
             }
             plan_jobs(pb.finish((), |a, ()| a), Matrix::zeros(1, 1), &delays).expect("unchecked").0

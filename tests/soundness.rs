@@ -136,8 +136,9 @@ fn calu_and_caqr_graphs_are_conflict_minimal() {
 
 #[test]
 fn checked_tiled_baselines_run_clean_under_subtile_leases() {
-    // End-to-end: static verification up front, then execution with per-rect
-    // leases audited by the shadow registry.
+    // End-to-end: static verification up front, then execution with every
+    // lease audited by the shadow registry (tiled LU's gessm reads the
+    // diagonal tile's copy from a slot, which takes no lease).
     let a = random_uniform(96, 96, &mut seeded_rng(21));
     let (f, _) = run_plan(TiledLuPlan::build(96, 96, 16), a.clone(), 4, &checked())
         .expect("checked tiled LU");
