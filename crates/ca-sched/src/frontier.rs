@@ -10,12 +10,18 @@
 //!
 //! * **Within a job** the paper's lookahead priorities decide: the highest
 //!   [`TaskMeta::priority`] first, then the lowest task id (insertion order).
-//! * **Across jobs** dispatch uses stride scheduling (weighted fair
-//!   queueing): a job's *pass* advances by `max(flops, 1) / weight` per
-//!   picked task, and a pick serves the job with a ready task and the
-//!   smallest pass, the older job on a tie. So a weight-2 job receives twice
-//!   the flops of a weight-1 job while both are runnable, and a new job
-//!   starts at the current minimum pass: it neither starves nor monopolizes.
+//! * **Across jobs** the earliest virtual finish goes first (weighted fair
+//!   queueing at job granularity). The frontier keeps a virtual clock `V`:
+//!   each pick advances it by the task's `max(flops, 1)` over the summed
+//!   weight of the jobs in the frontier, and it returns to 0 when the
+//!   frontier empties. A job admitted at `V` with `W` flops in all (each
+//!   task counted as `max(flops, 1)`) is tagged `F = V + W / weight`, the
+//!   instant it would finish under exact weighted sharing, and a pick
+//!   serves the job with a ready task and the smallest `F`, the older job on
+//!   a tie. So jobs admitted together run shortest first, a later job
+//!   overtakes an earlier one only if it would have finished first, and no
+//!   job waits forever: later arrivals get later tags as `V` grows. A
+//!   weight divides the job's virtual length.
 //!
 //! A failed task cancels its transitive successors within its job, and
 //! nothing else; a job dropped whole releases nothing more.
@@ -48,9 +54,10 @@ pub(crate) struct Entry<P, X> {
     /// Tasks neither completed nor dropped (in-flight ones included).
     remaining: usize,
     in_flight: usize,
-    /// Stride-scheduling pass value (advanced by flops/weight per pick).
-    pass: f64,
     weight: f64,
+    /// Virtual finish tag: the job's flops (each task at least 1) over its
+    /// weight, plus `V` once admitted.
+    finish: f64,
     /// The admission instant, when the roots became ready.
     t0: f64,
     recs: Vec<TaskRec>,
@@ -59,13 +66,14 @@ pub(crate) struct Entry<P, X> {
 }
 
 impl<P, X> Entry<P, X> {
-    /// The job `graph` with fair-share `weight`, admitted at `now`. Built
-    /// apart from [`Frontier::admit`] so an executor can do this O(tasks)
-    /// setup outside its lock.
+    /// The job `graph` with `weight`, admitted at `now`. Built apart from
+    /// [`Frontier::admit`] so an executor can do this O(tasks) setup, its
+    /// virtual length included, outside its lock.
     pub(crate) fn new(graph: TaskGraph<P>, weight: f64, now: f64, x: X) -> Self {
         let TaskGraph { metas, payloads, succs, npreds } = graph;
         let n = metas.len();
         let ready = (0..n).filter(|&t| npreds[t] == 0).map(|t| (metas[t].priority, Reverse(t)));
+        let flops: f64 = metas.iter().map(|m| m.flops.max(1.0)).sum();
         Self {
             ready: ready.collect(),
             metas,
@@ -76,8 +84,8 @@ impl<P, X> Entry<P, X> {
             dropped: false,
             remaining: n,
             in_flight: 0,
-            pass: 0.0,
             weight,
+            finish: flops / weight,
             t0: now,
             recs: Vec::with_capacity(n),
             ready_at: vec![now; n],
@@ -99,30 +107,35 @@ pub(crate) struct Pick<'f, P, X> {
 pub(crate) struct Frontier<P, X> {
     /// Active jobs in admission order (ids count up).
     jobs: BTreeMap<JobId, Entry<P, X>>,
+    /// The virtual clock `V`.
+    clock: f64,
+    /// Summed weight of the jobs in `jobs`.
+    weight: f64,
 }
 
 impl<P, X> Frontier<P, X> {
     pub(crate) fn new() -> Self {
-        Self { jobs: BTreeMap::new() }
+        Self { jobs: BTreeMap::new(), clock: 0.0, weight: 0.0 }
     }
 
-    /// Admits `entry` as job `id` at the current minimum pass; returns how
-    /// many of its tasks are ready.
+    /// Admits `entry` as job `id`, tagged with its virtual finish; returns
+    /// how many of its tasks are ready.
     pub(crate) fn admit(&mut self, id: JobId, mut entry: Entry<P, X>) -> usize {
-        entry.pass = self.jobs.values().map(|e| e.pass).reduce(f64::min).unwrap_or(0.0);
+        entry.finish += self.clock;
+        self.weight += entry.weight;
         let roots = entry.ready.len();
         self.jobs.insert(id, entry);
         roots
     }
 
-    /// Picks the next task (see the module docs), charges its flops to its
-    /// job's pass and hands over its payload.
+    /// Picks the next task (see the module docs), advances the virtual
+    /// clock by its flops and hands over its payload.
     pub(crate) fn pick(&mut self) -> Option<Pick<'_, P, X>> {
         let (&job, e) = self
             .jobs
             .iter_mut()
             .filter(|(_, e)| !e.ready.is_empty())
-            .min_by(|(_, a), (_, b)| a.pass.total_cmp(&b.pass))?;
+            .min_by(|(_, a), (_, b)| a.finish.total_cmp(&b.finish))?;
         let (_, Reverse(task)) = e.ready.pop()?;
         // A task enters the heap once, and only a pick takes a ready task's
         // payload: a drop clears the heap, and a failure closure holds no
@@ -130,7 +143,7 @@ impl<P, X> Frontier<P, X> {
         let payload = e.slots[task].take().expect("a ready task is picked once");
         let meta = &e.metas[task];
         e.in_flight += 1;
-        e.pass += meta.flops.max(1.0) / e.weight;
+        self.clock += meta.flops.max(1.0) / self.weight;
         Some(Pick { job, task, meta, payload, x: &mut e.x })
     }
 
@@ -179,6 +192,11 @@ impl<P, X> Frontier<P, X> {
         Some((&mut e.x, cancelled, e.remaining == 0))
     }
 
+    /// Tasks of `job` neither picked nor dropped; `None` if it is unknown.
+    pub(crate) fn undispatched(&self, job: JobId) -> Option<usize> {
+        self.jobs.get(&job).map(|e| e.remaining - e.in_flight)
+    }
+
     /// Drops every undispatched task of `job` (a whole-job cancel). `None`
     /// if the job is unknown or already dropped, else the executor's state
     /// for it and whether the job is done (nothing was in flight).
@@ -205,7 +223,12 @@ impl<P, X> Frontier<P, X> {
         scheduler: &'static str,
         nworkers: usize,
     ) -> Option<(JobLog, X)> {
-        let Entry { metas, succs, cancelled, t0, recs, ready_at, x, .. } = self.jobs.remove(&job)?;
+        let Entry { metas, succs, cancelled, weight, t0, recs, ready_at, x, .. } =
+            self.jobs.remove(&job)?;
+        self.weight -= weight;
+        if self.jobs.is_empty() {
+            (self.clock, self.weight) = (0.0, 0.0);
+        }
         let cancelled = (0..cancelled.len()).filter(|&t| cancelled[t]).collect();
         Some((JobLog { scheduler, nworkers, t0, recs, ready_at, metas, succs, cancelled }, x))
     }
@@ -228,6 +251,7 @@ impl<P, X> Frontier<P, X> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::retry::TaskNote;
     use crate::task::{TaskKind, TaskLabel};
 
     /// `n` independent tasks of 3 flops each.
@@ -244,42 +268,64 @@ mod tests {
         (0..n).map_while(|_| f.pick().map(|p| (p.job, p.task))).collect()
     }
 
-    /// The `(job, task)` sequence of `jobs` served in `rounds` rounds of
-    /// `pattern`, each job's tasks in id order starting at `first[job]`.
-    fn stride_order(pattern: &[JobId], rounds: usize, first: &mut [TaskId]) -> Vec<(JobId, TaskId)> {
-        let mut out = Vec::new();
-        for _ in 0..rounds {
-            for &j in pattern {
-                out.push((j, first[j as usize]));
-                first[j as usize] += 1;
-            }
+    /// Job `job`'s tasks `tasks` in id order.
+    fn run(job: JobId, tasks: std::ops::Range<TaskId>) -> Vec<(JobId, TaskId)> {
+        tasks.map(|t| (job, t)).collect()
+    }
+
+    #[test]
+    fn of_two_jobs_admitted_together_the_smaller_runs_first() {
+        // Tags 30 and 12 at V = 0: job 1 takes every pick until it is out
+        // of ready tasks, although it is the younger.
+        let mut f = Frontier::new();
+        f.admit(0, Entry::new(independent(10), 1.0, 0.0, ()));
+        f.admit(1, Entry::new(independent(4), 1.0, 0.0, ()));
+        assert_eq!(picks(&mut f, 14), [run(1, 0..4), run(0, 0..10)].concat());
+    }
+
+    #[test]
+    fn a_weight_divides_the_virtual_length_and_the_older_job_wins_a_tie() {
+        // 90 flops at weight 3 and 30 at weight 1 both tag 30: whichever was
+        // admitted first is served first, the heavier or the lighter.
+        for (first, second) in [((30, 3.0), (10, 1.0)), ((10, 1.0), (30, 3.0))] {
+            let mut f = Frontier::new();
+            f.admit(0, Entry::new(independent(first.0), first.1, 0.0, ()));
+            f.admit(1, Entry::new(independent(second.0), second.1, 0.0, ()));
+            assert_eq!(picks(&mut f, 40), [run(0, 0..first.0), run(1, 0..second.0)].concat());
         }
-        out
     }
 
     #[test]
-    fn weighted_fair_share_is_exact_stride_order() {
-        // Weight 1 against weight 3 on equal 3-flop tasks: strides 3 and 1,
-        // so every round is one pick of job 0 (the older, first on the
-        // tie) and three of job 1, which ends the round tied again.
-        let mut f = Frontier::new();
-        f.admit(0, Entry::new(independent(40), 1.0, 0.0, ()));
-        f.admit(1, Entry::new(independent(40), 3.0, 0.0, ()));
-        assert_eq!(picks(&mut f, 40), stride_order(&[0, 1, 1, 1], 10, &mut [0, 0]));
+    fn a_later_job_overtakes_only_if_it_would_finish_first() {
+        // Job 0 alone is tagged 30 and moves V by 3 a pick. A 6-flop job
+        // admitted after 4 picks is tagged 12 + 6 = 18 and overtakes; after
+        // 9 picks it is tagged 27 + 6 = 33, and job 0 finishes first.
+        for (picked, overtakes) in [(4, true), (9, false)] {
+            let mut f = Frontier::new();
+            f.admit(0, Entry::new(independent(10), 1.0, 0.0, ()));
+            assert_eq!(picks(&mut f, picked), run(0, 0..picked));
+            f.admit(1, Entry::new(independent(2), 1.0, 1.0, ()));
+            let (late, rest) = (run(1, 0..2), run(0, picked..10));
+            let want = if overtakes { [late, rest] } else { [rest, late] };
+            assert_eq!(picks(&mut f, 20), want.concat(), "admitted after {picked} picks");
+        }
     }
 
     #[test]
-    fn late_job_starts_at_the_minimum_pass() {
-        // After five rounds jobs 0 and 1 both stand at pass 15. Job 2 joins
-        // there: it neither waits for them to catch up with it from pass 0
-        // nor takes every pick until it does, but takes its weight's share
-        // of a round at once.
+    fn the_virtual_clock_returns_to_zero_when_the_frontier_empties() {
+        // Otherwise a long-lived service's clock grows without bound, and
+        // small tasks' increments vanish in its rounding.
         let mut f = Frontier::new();
-        f.admit(0, Entry::new(independent(40), 1.0, 0.0, ()));
-        f.admit(1, Entry::new(independent(40), 3.0, 0.0, ()));
-        let mut next = [0, 0, 0];
-        assert_eq!(picks(&mut f, 20), stride_order(&[0, 1, 1, 1], 5, &mut next));
-        f.admit(2, Entry::new(independent(40), 1.0, 1.0, ()));
-        assert_eq!(picks(&mut f, 20), stride_order(&[0, 1, 2, 1, 1], 4, &mut next));
+        f.admit(0, Entry::new(independent(3), 2.0, 0.0, ()));
+        for (_, task) in picks(&mut f, 3) {
+            let label = TaskLabel::new(TaskKind::Other, 0, 0, 0);
+            let rec = TaskRec { task, label, lane: 0, start: 0.0, end: 1.0, note: TaskNote::default() };
+            f.complete(0, rec, false);
+        }
+        assert_eq!(f.clock, 4.5);
+        f.finish(0, "test", 1).expect("admitted");
+        assert_eq!((f.clock, f.weight), (0.0, 0.0));
+        f.admit(1, Entry::new(independent(2), 1.0, 1.0, ()));
+        assert_eq!(f.jobs[&1].finish, 6.0);
     }
 }

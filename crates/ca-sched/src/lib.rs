@@ -7,7 +7,7 @@
 //! One [`TaskGraph`] representation, one dispatch policy — the highest-
 //! priority ready task of a job first (the priorities encode the paper's
 //! lookahead-of-1 rule: panel tasks and the update of block column `K+1`
-//! outrank other updates), stride-scheduled fair share across jobs — and
+//! outrank other updates), the earliest virtual finish across jobs — and
 //! one threaded worker loop that picks by it, runs the task under
 //! `catch_unwind`, releases its successors or cancels its failure closure
 //! and logs one record in the task's job, behind two front doors:
@@ -19,8 +19,8 @@
 //!   shorthand.
 //! * [`MultiFrontier`] — the same core behind an `Arc` with `n` spawned
 //!   threads, multiplexing many `'static` graphs ("jobs") for the serving
-//!   tier: fair-share dispatch across jobs, per-job cancellation and
-//!   deadlines, a [`JobWatch`] per job.
+//!   tier: earliest-virtual-finish dispatch across jobs, per-job
+//!   cancellation and deadlines, a [`JobWatch`] per job.
 //!
 //! A factorization reaches either door through [`plan_jobs`], the one place a
 //! [`Plan`] (graph, declared footprints, one closure per task beside the

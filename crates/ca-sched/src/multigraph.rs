@@ -48,7 +48,8 @@ const SCHEDULER: &str = "priority-queue";
 /// Per-job submission options.
 #[derive(Clone, Copy, Debug)]
 pub struct JobOptions {
-    /// Fair-share weight (> 0): relative flop share while runnable.
+    /// Weight (> 0): divides the job's virtual length, its summed flops,
+    /// so that it is tagged as finishing sooner and is served earlier.
     pub weight: f64,
     /// Deadline relative to submission; the job is cancelled with
     /// [`CancelReason::Deadline`] at the first dispatch point past it.
@@ -65,7 +66,7 @@ impl Default for JobOptions {
 }
 
 impl JobOptions {
-    /// Sets the fair-share weight.
+    /// Sets the weight.
     pub fn with_weight(mut self, w: f64) -> Self {
         assert!(w > 0.0 && w.is_finite(), "weight must be positive");
         self.weight = w;
@@ -466,7 +467,9 @@ impl<'s> Core<'s> {
 
     /// Marks a job cancelled: drops every undispatched task and its
     /// deadline, finalizes immediately if nothing is in flight. Returns
-    /// `false` if the job is unknown or already cancelled.
+    /// `false` if the job is unknown or already cancelled, or if a
+    /// [`CancelReason::User`] cancel would drop nothing: every task left is
+    /// in flight, so the job completes with what they compute.
     fn cancel_locked(
         &self,
         st: &mut State<'s>,
@@ -475,6 +478,9 @@ impl<'s> Core<'s> {
         now: f64,
         done: &mut Done,
     ) -> bool {
+        if reason == CancelReason::User && st.frontier.undispatched(id) == Some(0) {
+            return false;
+        }
         let Some((job, job_done)) = st.frontier.drop_undispatched(id) else { return false };
         if job.report.outcome.is_completed() {
             job.report.outcome = JobOutcome::Cancelled(reason);
@@ -637,8 +643,9 @@ impl<'s> Core<'s> {
 /// A persistent pool of workers multiplexing many task graphs: the core
 /// [`crate::execute`] runs for one job, here behind an `Arc` with the
 /// threads that run its lanes. Within a job tasks dispatch by priority (the
-/// paper's lookahead rule), across jobs by weighted fair share of flops; a
-/// failure cancels only its own job's transitive successors.
+/// paper's lookahead rule), across jobs by the earliest virtual finish
+/// under weighted sharing of flops; a failure cancels only its own job's
+/// transitive successors.
 pub struct MultiFrontier {
     core: Arc<Core<'static>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -710,7 +717,9 @@ impl MultiFrontier {
     /// Cancels a job: undispatched tasks are dropped, in-flight tasks run
     /// to completion, the job finalizes with
     /// [`JobOutcome::Cancelled`]`(`[`CancelReason::User`]`)`. Returns
-    /// `false` if the job already finished or was already cancelled.
+    /// `false` if the job already finished or was already cancelled, or if
+    /// it has no undispatched task left: a cancel that would drop nothing
+    /// comes too late, and the job completes.
     pub fn cancel(&self, id: JobId) -> bool {
         self.core.cancel(id, CancelReason::User)
     }
@@ -939,6 +948,67 @@ mod tests {
         assert_eq!(rb.tasks_run, 0);
         assert_eq!(rb.tasks_cancelled, 4);
         assert_eq!(b_ran.load(Ordering::SeqCst), 0, "cancelled job body ran");
+        f.shutdown();
+    }
+
+    #[test]
+    fn a_cancel_that_would_drop_nothing_lets_the_job_complete() {
+        // The job's only task has started: nothing is left to drop, so the
+        // cancel is refused and the job reports what the task computed.
+        let f = MultiFrontier::new(1);
+        let (started_tx, started) = mpsc::channel::<()>();
+        let (release, rx) = mpsc::channel::<()>();
+        let mut g: TaskGraph<DynJob> = TaskGraph::new();
+        g.add_task(meta(0, 1.0), dyn_job(move || {
+            started_tx.send(()).unwrap();
+            rx.recv().unwrap();
+        }));
+        let (id, w) = f.submit(g, JobOptions::default());
+        started.recv().unwrap();
+        assert!(!f.cancel(id), "a cancel that drops nothing is too late");
+        release.send(()).unwrap();
+        let report = w.wait();
+        assert!(report.outcome.is_completed(), "{:?}", report.outcome);
+        assert_eq!((report.tasks_run, report.tasks_cancelled), (1, 0));
+        f.shutdown();
+    }
+
+    #[test]
+    fn a_small_job_overtakes_a_big_one_it_would_finish_before() {
+        // One lane, held by the first of the big job's four 100-flop tasks
+        // (tag 400). A one-task job submitted meanwhile is tagged
+        // V + 1 = 101: it runs as soon as the lane frees, before the big
+        // job's second task.
+        let f = MultiFrontier::new(1);
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let log = |who: &'static str, i: usize| {
+            let order = Arc::clone(&order);
+            move || order.lock().unwrap().push((who, i))
+        };
+        let (started_tx, started) = mpsc::channel::<()>();
+        let (release, rx) = mpsc::channel::<()>();
+        let mut big: TaskGraph<DynJob> = TaskGraph::new();
+        let first = log("big", 0);
+        let mut prev = big.add_task(meta(0, 100.0), dyn_job(move || {
+            started_tx.send(()).unwrap();
+            rx.recv().unwrap();
+            first();
+        }));
+        for i in 1..4 {
+            let t = big.add_task(meta(0, 100.0), dyn_job(log("big", i)));
+            big.add_dep(prev, t);
+            prev = t;
+        }
+        let (_, wbig) = f.submit(big, JobOptions::default());
+        started.recv().unwrap();
+        let mut small: TaskGraph<DynJob> = TaskGraph::new();
+        small.add_task(meta(0, 1.0), dyn_job(log("small", 0)));
+        let (_, wsmall) = f.submit(small, JobOptions::default());
+        release.send(()).unwrap();
+        assert!(wsmall.wait().outcome.is_completed());
+        assert!(wbig.wait().outcome.is_completed());
+        let want = [("big", 0), ("small", 0), ("big", 1), ("big", 2), ("big", 3)];
+        assert_eq!(*order.lock().unwrap(), want);
         f.shutdown();
     }
 

@@ -260,7 +260,9 @@ impl ServiceConfig {
 /// Per-submission options.
 #[derive(Clone, Debug)]
 pub struct SubmitOptions {
-    /// Fair-share weight (> 0): relative flop share across concurrent jobs.
+    /// Weight (> 0): divides the job's virtual length, its summed flops,
+    /// so that among concurrent jobs it counts as finishing sooner and is
+    /// served earlier.
     pub weight: f64,
     /// Deadline for this job (queue + execution); overrides
     /// [`ServiceConfig::default_deadline`].
@@ -282,7 +284,7 @@ impl Default for SubmitOptions {
 }
 
 impl SubmitOptions {
-    /// Sets the fair-share weight.
+    /// Sets the weight (see [`SubmitOptions::weight`]).
     pub fn with_weight(mut self, w: f64) -> Self {
         assert!(w > 0.0 && w.is_finite(), "weight must be positive");
         self.weight = w;

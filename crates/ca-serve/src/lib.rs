@@ -11,8 +11,10 @@
 //! into a shared ready-queue (`ca_sched::MultiFrontier`):
 //!
 //! - each job keeps its own DAG edges and the paper's lookahead priority
-//!   order internally, while worker time is weighted-fair-shared across jobs
-//!   (stride scheduling on completed flops);
+//!   order internally, while across jobs the one with the earliest virtual
+//!   finish goes first (its admission clock plus its flops over its weight,
+//!   weighted fair queueing at job granularity): a short job overtakes a
+//!   long one it would finish before under exact weighted sharing;
 //! - admission is bounded ([`ServiceConfig::queue_capacity`]) with a choice
 //!   of [`AdmissionPolicy`]: reject, block, or shed the oldest queued job;
 //! - per-job deadlines cancel expired jobs at dispatch points, reusing the

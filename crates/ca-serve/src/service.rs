@@ -45,7 +45,9 @@ impl<T> JobHandle<T> {
 
     /// Requests cancellation: undispatched tasks are dropped, in-flight
     /// tasks finish, the job finalizes as cancelled. Returns `false` if the
-    /// job already finished.
+    /// job already finished or was cancelled, or if every task it has left
+    /// is already running: a cancel that would drop nothing comes too late,
+    /// and the job completes.
     pub fn cancel(&self) -> bool {
         self.core.frontier.cancel(self.id)
     }
@@ -292,7 +294,8 @@ impl ServiceCore {
 /// One worker pool lives for the service's lifetime; every submission
 /// becomes a job on the shared [`MultiFrontier`], which preserves each
 /// job's DAG dependencies and the paper's lookahead priorities *within* a
-/// job while weighted-fair-sharing worker time *across* jobs. Admission is
+/// job and serves the job with the earliest virtual finish *across* jobs
+/// (see [`SubmitOptions::weight`]). Admission is
 /// bounded ([`ServiceConfig::queue_capacity`]); a factorization too small
 /// to split runs as a one-task job ([`ServiceConfig::batch`]).
 pub struct Service {
@@ -437,7 +440,7 @@ impl Service {
     /// A matrix no larger than [`crate::BatchConfig::max_dim`] runs as one
     /// task on the sequential kernels (bitwise-identical factors — see
     /// DESIGN.md §11); everything else runs the full CALU DAG. Both are
-    /// ordinary jobs under fair-share scheduling and the same contract.
+    /// ordinary jobs under the same cross-job order and contract.
     pub fn submit_lu(
         &self,
         a: Matrix,
@@ -464,7 +467,7 @@ impl Service {
     /// store I/O run on it in order, and only the column-local work — each
     /// replayed panel and each trailing update — fans out, as one column
     /// split over the effective [`CaParams::threads`] lanes of the job's own. Admission control,
-    /// fair-share weighting, and deadlines apply as usual under telemetry
+    /// weights, and deadlines apply as usual under telemetry
     /// class `"lu_ooc"`. On success the store holds the packed `L\U`
     /// factors in place and the handle yields the pivots, plan, and I/O
     /// accounting; on failure the handle yields the [`FactorError`] text and
