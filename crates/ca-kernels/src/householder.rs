@@ -258,10 +258,13 @@ fn multi_on<T: Kernel>(
         return;
     }
     // V_rest[i] (or its transpose) times a k-row block, skipping stored zeros.
-    let rest_mul = |tv, alpha, v: MatView<'_, T>, b: MatView<'_, T>, c: MatViewMut<'_, T>| match rest {
-        VRest::Dense => gemm_on(spec, tv, Trans::No, alpha, v, b, T::ONE, c),
-        VRest::UpperTrapezoid => tri_gemm(spec, Side::Left, Triangle::Upper, tv, alpha, v, b, T::ONE, c),
-    };
+    let rest_mul =
+        |tv, alpha, v: MatView<'_, T>, b: MatView<'_, T>, c: MatViewMut<'_, T>| match rest {
+            VRest::Dense => gemm_on(spec, tv, Trans::No, alpha, v, b, T::ONE, c),
+            VRest::UpperTrapezoid => {
+                tri_gemm(spec, Side::Left, Triangle::Upper, tv, alpha, v, b, T::ONE, c)
+            }
+        };
 
     T::with_work_buf(|work| {
         let (w, scratch) = work.scratch(2 * k * (n + k)).split_at_mut(k * n);
@@ -274,7 +277,17 @@ fn multi_on<T: Kernel>(
 
         // W := Vᵀ C
         match v_top {
-            Some(v) => tri_gemm(spec, Side::Left, Triangle::UnitLower, Trans::Yes, T::ONE, v, c_top.as_ref(), T::ZERO, w.rb()),
+            Some(v) => tri_gemm(
+                spec,
+                Side::Left,
+                Triangle::UnitLower,
+                Trans::Yes,
+                T::ONE,
+                v,
+                c_top.as_ref(),
+                T::ZERO,
+                w.rb(),
+            ),
             None => w.copy_from(c_top.as_ref()),
         }
         for (vb, cb) in v_rest.iter().zip(c_rest.iter()) {
@@ -284,7 +297,17 @@ fn multi_on<T: Kernel>(
         tri_gemm(spec, Side::Left, Triangle::Upper, trans, T::ONE, t, w.as_ref(), T::ZERO, w2.rb());
         // C := C − V W₂
         match v_top {
-            Some(v) => tri_gemm(spec, Side::Left, Triangle::UnitLower, Trans::No, -T::ONE, v, w2.as_ref(), T::ONE, c_top.rb()),
+            Some(v) => tri_gemm(
+                spec,
+                Side::Left,
+                Triangle::UnitLower,
+                Trans::No,
+                -T::ONE,
+                v,
+                w2.as_ref(),
+                T::ONE,
+                c_top.rb(),
+            ),
             None => {
                 for j in 0..n {
                     for (c, &x) in c_top.col_mut(j).iter_mut().zip(w2.col(j)) {
@@ -302,7 +325,12 @@ fn multi_on<T: Kernel>(
 /// Applies `op(Q)` from the left to a contiguous `m × n` block `c`, where
 /// the reflectors are stored unit-lower-trapezoidally in `v` (`m × k`),
 /// as produced by [`crate::geqr2`]/[`crate::geqr3`] (`dlarfb`).
-pub fn larfb_left<T: Kernel>(trans: Trans, v: MatView<'_, T>, t: MatView<'_, T>, c: MatViewMut<'_, T>) {
+pub fn larfb_left<T: Kernel>(
+    trans: Trans,
+    v: MatView<'_, T>,
+    t: MatView<'_, T>,
+    c: MatViewMut<'_, T>,
+) {
     larfb_left_on(T::spec(), trans, v, t, c);
 }
 
@@ -375,11 +403,19 @@ mod tests {
             for &e in exps {
                 // 2^e by exact halving or doubling: `powi` overflows on the
                 // way to a subnormal result.
-                let s = T::from_f64((0..e.abs()).fold(1.0, |x: f64, _| if e < 0 { x / 2.0 } else { x * 2.0 }));
+                let s = T::from_f64(
+                    (0..e.abs()).fold(1.0, |x: f64, _| if e < 0 { x / 2.0 } else { x * 2.0 }),
+                );
                 let mut x = [T::from_f64(4.0) * s, T::ZERO];
                 let (beta, tau) = larfg(T::from_f64(3.0) * s, &mut x);
-                let near = |got: T, want: f64| (got.to_f64() - want).abs() <= 4.0 * T::EPSILON.to_f64() * want.abs();
-                assert!(near(beta / s, -5.0) && near(tau, 1.6) && near(x[0], 0.5), "{} 2^{e}: {beta} {tau} {x:?}", T::NAME);
+                let near = |got: T, want: f64| {
+                    (got.to_f64() - want).abs() <= 4.0 * T::EPSILON.to_f64() * want.abs()
+                };
+                assert!(
+                    near(beta / s, -5.0) && near(tau, 1.6) && near(x[0], 0.5),
+                    "{} 2^{e}: {beta} {tau} {x:?}",
+                    T::NAME
+                );
                 assert_eq!(x[1], T::ZERO);
             }
         }

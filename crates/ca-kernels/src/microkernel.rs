@@ -53,7 +53,14 @@ macro_rules! scalar_kernel {
         /// `a` must hold `mr * kc` elements, `b` must hold `nr * kc`
         /// elements, and `c` must point to an `mr × nr` column-major tile
         /// with leading dimension `ldc >= mr` valid for reads and writes.
-        pub unsafe fn $name(kc: usize, alpha: $t, a: *const $t, b: *const $t, c: *mut $t, ldc: usize) {
+        pub unsafe fn $name(
+            kc: usize,
+            alpha: $t,
+            a: *const $t,
+            b: *const $t,
+            c: *mut $t,
+            ldc: usize,
+        ) {
             const MR_: usize = $mr;
             const NR_: usize = $nr;
             let mut acc = [0.0 as $t; MR_ * NR_];
@@ -80,7 +87,13 @@ macro_rules! scalar_kernel {
 }
 
 scalar_kernel!(kernel_scalar_f64, f64, MR, NR, "Portable scalar f64 microkernel (8×4 tile).");
-scalar_kernel!(kernel_scalar_f32, f32, MR_F32, NR_F32, "Portable scalar f32 microkernel (8×8 tile).");
+scalar_kernel!(
+    kernel_scalar_f32,
+    f32,
+    MR_F32,
+    NR_F32,
+    "Portable scalar f32 microkernel (8×8 tile)."
+);
 
 /// AVX2 + FMA f64 microkernel (8×4 register tile).
 ///
@@ -90,7 +103,14 @@ scalar_kernel!(kernel_scalar_f32, f32, MR_F32, NR_F32, "Portable scalar f32 micr
 /// `a` must be 32-byte aligned (packed panels in an aligned buffer).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn kernel_avx2_f64(kc: usize, alpha: f64, a: *const f64, b: *const f64, c: *mut f64, ldc: usize) {
+pub unsafe fn kernel_avx2_f64(
+    kc: usize,
+    alpha: f64,
+    a: *const f64,
+    b: *const f64,
+    c: *mut f64,
+    ldc: usize,
+) {
     use core::arch::x86_64::*;
     // SAFETY: panel bounds per the caller's contract; loads/stores below
     // stay inside the packed panels and the MR×NR C tile.
@@ -146,7 +166,14 @@ pub unsafe fn kernel_avx2_f64(kc: usize, alpha: f64, a: *const f64, b: *const f6
 /// support AVX2 and FMA, and `a` must be 32-byte aligned.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2,fma")]
-pub unsafe fn kernel_avx2_f32(kc: usize, alpha: f32, a: *const f32, b: *const f32, c: *mut f32, ldc: usize) {
+pub unsafe fn kernel_avx2_f32(
+    kc: usize,
+    alpha: f32,
+    a: *const f32,
+    b: *const f32,
+    c: *mut f32,
+    ldc: usize,
+) {
     use core::arch::x86_64::*;
     // SAFETY: panel bounds per the caller's contract.
     unsafe {
@@ -176,7 +203,14 @@ pub unsafe fn kernel_avx2_f32(kc: usize, alpha: f32, a: *const f32, b: *const f3
 /// `ldc >= 16` valid for reads and writes, and the CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-pub unsafe fn kernel_avx512_f64(kc: usize, alpha: f64, a: *const f64, b: *const f64, c: *mut f64, ldc: usize) {
+pub unsafe fn kernel_avx512_f64(
+    kc: usize,
+    alpha: f64,
+    a: *const f64,
+    b: *const f64,
+    c: *mut f64,
+    ldc: usize,
+) {
     use core::arch::x86_64::*;
     // SAFETY: panel bounds per the caller's contract.
     unsafe {
@@ -211,7 +245,14 @@ pub unsafe fn kernel_avx512_f64(kc: usize, alpha: f64, a: *const f64, b: *const 
 /// `ldc >= 16` valid for reads and writes, and the CPU must support AVX-512F.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
-pub unsafe fn kernel_avx512_f32(kc: usize, alpha: f32, a: *const f32, b: *const f32, c: *mut f32, ldc: usize) {
+pub unsafe fn kernel_avx512_f32(
+    kc: usize,
+    alpha: f32,
+    a: *const f32,
+    b: *const f32,
+    c: *mut f32,
+    ldc: usize,
+) {
     use core::arch::x86_64::*;
     // SAFETY: panel bounds per the caller's contract.
     unsafe {

@@ -19,7 +19,9 @@
 //! (and `larfb` while it applies a half); the base case works in registers,
 //! on the stack and in place.
 
-use crate::gemm::{gemm_on, mul_add, nmul_add, on_backend, spec_named, Kernel, KernelSpec, Trans, LANES};
+use crate::gemm::{
+    gemm_on, mul_add, nmul_add, on_backend, spec_named, Kernel, KernelSpec, Trans, LANES,
+};
 use crate::householder::{larfb_left_on, reflector};
 use crate::trmm::{densify, tri_gemm, Side, Triangle};
 use ca_matrix::{MatView, MatViewMut, Scalar};
@@ -110,14 +112,44 @@ fn recurse<T: Kernel>(spec: &KernelSpec<T>, mut a: MatViewMut<'_, T>, mut t: Mat
             }
             // y := x·L2 + V1[n.., :]ᵀ·V2[n.., :]
             let l2 = densify(Triangle::UnitLower, l2, &mut tri[..n2 * n2]);
-            tri_gemm(spec, Side::Right, Triangle::UnitLower, Trans::No, T::ONE, l2, x.as_ref(), T::ZERO, y.rb());
+            tri_gemm(
+                spec,
+                Side::Right,
+                Triangle::UnitLower,
+                Trans::No,
+                T::ONE,
+                l2,
+                x.as_ref(),
+                T::ZERO,
+                y.rb(),
+            );
             gemm_on(spec, Trans::Yes, Trans::No, T::ONE, vb, v2b, T::ONE, y.rb());
             // x := −T1·y
             let t1 = densify(Triangle::Upper, t1, &mut tri[..n1 * n1]);
-            tri_gemm(spec, Side::Left, Triangle::Upper, Trans::No, -T::ONE, t1, y.as_ref(), T::ZERO, x.rb());
+            tri_gemm(
+                spec,
+                Side::Left,
+                Triangle::Upper,
+                Trans::No,
+                -T::ONE,
+                t1,
+                y.as_ref(),
+                T::ZERO,
+                x.rb(),
+            );
             // T3 := x·T2
             let t2 = densify(Triangle::Upper, t2, &mut tri[..n2 * n2]);
-            tri_gemm(spec, Side::Right, Triangle::Upper, Trans::No, T::ONE, t2, x.as_ref(), T::ZERO, t3);
+            tri_gemm(
+                spec,
+                Side::Right,
+                Triangle::Upper,
+                Trans::No,
+                T::ONE,
+                t2,
+                x.as_ref(),
+                T::ZERO,
+                t3,
+            );
         });
     }
 }
@@ -233,7 +265,12 @@ fn project<T: Scalar, const FMA: bool>(
 /// vectorises this one shape along the rows, and smaller ones across the
 /// sums. Rows past the last whole `W` go in lane by lane, after the passes.
 #[inline(always)]
-fn cross<T: Scalar, const FMA: bool>(a: &[&[T]], b: &[&[T]], rows: Range<usize>, acc: &mut Lanes<T>) {
+fn cross<T: Scalar, const FMA: bool>(
+    a: &[&[T]],
+    b: &[&[T]],
+    rows: Range<usize>,
+    acc: &mut Lanes<T>,
+) {
     let body = rows.start..rows.end - rows.len() % W;
     let rhs = [&b[0][body.clone()], &b[b.len() - 1][body.clone()]];
     for j0 in (0..a.len()).step_by(4) {
@@ -259,7 +296,10 @@ fn cross<T: Scalar, const FMA: bool>(a: &[&[T]], b: &[&[T]], rows: Range<usize>,
 #[inline(always)]
 fn dots<T: Scalar, const FMA: bool>(cols: [&[T]; 4], rhs: [&[T]; 2]) -> [[[T; W]; 2]; 4] {
     let len = rhs[0].len();
-    assert!(len.is_multiple_of(W) && cols.iter().chain(&rhs).all(|x| x.len() == len), "dot operands of whole W rows");
+    assert!(
+        len.is_multiple_of(W) && cols.iter().chain(&rhs).all(|x| x.len() == len),
+        "dot operands of whole W rows"
+    );
     let mut acc = [[[T::ZERO; W]; 2]; 4];
     for i0 in (0..len).step_by(W) {
         let mut b = [[T::ZERO; W]; 2];
@@ -311,7 +351,12 @@ fn update<T: Scalar, const FMA: bool>(v: &[&[T]], w: &[T; BASE_COLS], c: &mut [T
 /// [`update`] on rows `r0..r0 + R`: the column lives in registers while the
 /// reflectors stream past it. Returns the updated rows.
 #[inline(always)]
-fn rows<T: Scalar, const FMA: bool, const R: usize>(v: &[&[T]], w: &[T; BASE_COLS], c: &mut [T], r0: usize) -> [T; R] {
+fn rows<T: Scalar, const FMA: bool, const R: usize>(
+    v: &[&[T]],
+    w: &[T; BASE_COLS],
+    c: &mut [T],
+    r0: usize,
+) -> [T; R] {
     let col: &mut [T; R] = (&mut c[r0..r0 + R]).try_into().expect("R rows");
     let mut acc = *col;
     for (v, &wj) in v.iter().zip(w) {

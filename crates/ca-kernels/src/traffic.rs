@@ -26,9 +26,7 @@ const W: f64 = 8.0; // bytes per f64
 pub fn gemm(m: usize, n: usize, k: usize) -> f64 {
     let a_sweeps = n.div_ceil(crate::NC).max(1) as f64;
     let c_sweeps = k.div_ceil(crate::KC).max(1) as f64;
-    W * (2.0 * (m * k) as f64 * a_sweeps
-        + 2.0 * (k * n) as f64
-        + 2.0 * (m * n) as f64 * c_sweeps)
+    W * (2.0 * (m * k) as f64 * a_sweeps + 2.0 * (k * n) as f64 + 2.0 * (m * n) as f64 * c_sweeps)
 }
 
 /// Packing a `rows × cols` operand block into a contiguous microkernel

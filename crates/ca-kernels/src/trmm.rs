@@ -131,7 +131,11 @@ fn trmm_on<T: Kernel>(
 ///
 /// # Panics
 /// If `a` is not square or `out` does not hold exactly `k * k` elements.
-pub(crate) fn densify<'a, T: Scalar>(tri: Triangle, a: MatView<'_, T>, out: &'a mut [T]) -> MatView<'a, T> {
+pub(crate) fn densify<'a, T: Scalar>(
+    tri: Triangle,
+    a: MatView<'_, T>,
+    out: &'a mut [T],
+) -> MatView<'a, T> {
     let k = a.nrows();
     assert_eq!(a.ncols(), k, "triangle must be square");
     assert_eq!(out.len(), k * k, "dense triangle scratch must be k x k");
@@ -208,11 +212,29 @@ pub(crate) fn tri_gemm<T: Kernel>(
         match side {
             Side::Left => {
                 let c_blk = c.sub(s0, 0, s1 - s0, n);
-                gemm_on(spec, trans, Trans::No, alpha, a_blk, b.sub(i0, 0, i1 - i0, n), beta, c_blk);
+                gemm_on(
+                    spec,
+                    trans,
+                    Trans::No,
+                    alpha,
+                    a_blk,
+                    b.sub(i0, 0, i1 - i0, n),
+                    beta,
+                    c_blk,
+                );
             }
             Side::Right => {
                 let c_blk = c.sub(0, s0, m, s1 - s0);
-                gemm_on(spec, Trans::No, trans, alpha, b.sub(0, i0, m, i1 - i0), a_blk, beta, c_blk);
+                gemm_on(
+                    spec,
+                    Trans::No,
+                    trans,
+                    alpha,
+                    b.sub(0, i0, m, i1 - i0),
+                    a_blk,
+                    beta,
+                    c_blk,
+                );
             }
         }
         s0 = s1;
@@ -246,14 +268,16 @@ mod tests {
                     let n = 7;
                     let c0 = ca_matrix::random_uniform(k, n, &mut rng);
                     let b = ca_matrix::random_uniform(k, n, &mut rng);
-                    let want = Matrix::from_fn(k, n, |i, j| 0.5 * c0[(i, j)] - op.matmul(&b)[(i, j)]);
+                    let want =
+                        Matrix::from_fn(k, n, |i, j| 0.5 * c0[(i, j)] - op.matmul(&b)[(i, j)]);
                     let mut c = c0.clone();
                     trmm(Side::Left, tri, trans, -1.0, a.view(), b.view(), 0.5, c.view_mut());
                     let err = norm_max(c.sub_matrix(&want).view());
                     assert!(err < 1e-13 * k as f64, "left {tri:?} {trans:?} k={k}: {err}");
 
                     let (bt, c0t) = (b.transpose(), c0.transpose());
-                    let want = Matrix::from_fn(n, k, |i, j| 0.5 * c0t[(i, j)] - bt.matmul(&op)[(i, j)]);
+                    let want =
+                        Matrix::from_fn(n, k, |i, j| 0.5 * c0t[(i, j)] - bt.matmul(&op)[(i, j)]);
                     let mut c = c0t.clone();
                     trmm(Side::Right, tri, trans, -1.0, a.view(), bt.view(), 0.5, c.view_mut());
                     let err = norm_max(c.sub_matrix(&want).view());
@@ -295,12 +319,32 @@ mod tests {
 
         let x = ca_matrix::random_uniform(c, n, &mut rng);
         let mut got = Matrix::zeros(r, n);
-        tri_gemm(spec, Side::Left, Triangle::Upper, Trans::No, 1.0, v.view(), x.view(), 0.0, got.view_mut());
+        tri_gemm(
+            spec,
+            Side::Left,
+            Triangle::Upper,
+            Trans::No,
+            1.0,
+            v.view(),
+            x.view(),
+            0.0,
+            got.view_mut(),
+        );
         assert!(norm_max(got.sub_matrix(&v.matmul(&x)).view()) < 1e-12);
 
         let y = ca_matrix::random_uniform(r, n, &mut rng);
         let mut got = Matrix::zeros(c, n);
-        tri_gemm(spec, Side::Left, Triangle::Upper, Trans::Yes, 1.0, v.view(), y.view(), 0.0, got.view_mut());
+        tri_gemm(
+            spec,
+            Side::Left,
+            Triangle::Upper,
+            Trans::Yes,
+            1.0,
+            v.view(),
+            y.view(),
+            0.0,
+            got.view_mut(),
+        );
         assert!(norm_max(got.sub_matrix(&v.transpose().matmul(&y)).view()) < 1e-12);
     }
 
@@ -313,6 +357,15 @@ mod tests {
         let a = Matrix::identity(4);
         let b: Matrix = Matrix::zeros(4, 0);
         let mut c: Matrix = Matrix::zeros(4, 0);
-        trmm(Side::Left, Triangle::UnitLower, Trans::Yes, 1.0, a.view(), b.view(), 0.0, c.view_mut());
+        trmm(
+            Side::Left,
+            Triangle::UnitLower,
+            Trans::Yes,
+            1.0,
+            a.view(),
+            b.view(),
+            0.0,
+            c.view_mut(),
+        );
     }
 }

@@ -6,7 +6,15 @@ use ca_kernels::{gemm, geqr2, geqr3, getf2, larft, rgetf2, Trans};
 use ca_matrix::{norm_max, seeded_rng, Matrix};
 use proptest::prelude::*;
 
-fn reference_gemm(ta: Trans, tb: Trans, alpha: f64, a: &Matrix, b: &Matrix, beta: f64, c: &Matrix) -> Matrix {
+fn reference_gemm(
+    ta: Trans,
+    tb: Trans,
+    alpha: f64,
+    a: &Matrix,
+    b: &Matrix,
+    beta: f64,
+    c: &Matrix,
+) -> Matrix {
     let oa = match ta {
         Trans::No => a.clone(),
         Trans::Yes => a.transpose(),
