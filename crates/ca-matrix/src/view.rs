@@ -156,21 +156,22 @@ pub fn max_abs<T: Scalar>(x: &[T]) -> T {
 
 /// [`max_abs`] before its final reduction: eight independent running maxima
 /// (element `i` feeds lane `i % 8`), so the scan vectorises instead of
-/// waiting on one compare chain.
+/// waiting on one compare chain. The chunks are arrays and the update a
+/// select, which is what lets the compiler use one vector maximum per chunk.
 #[inline(always)]
 pub fn max_abs_lanes<T: Scalar>(x: &[T]) -> [T; 8] {
     let mut lanes = [T::ZERO; 8];
-    let mut chunks = x.chunks_exact(8);
-    let mut take = |chunk: &[T]| {
+    let (chunks, rest) = x.as_chunks::<8>();
+    for chunk in chunks {
         for (lane, &v) in lanes.iter_mut().zip(chunk) {
             let a = v.abs();
-            if a > *lane {
-                *lane = a;
-            }
+            *lane = if a > *lane { a } else { *lane };
         }
-    };
-    chunks.by_ref().for_each(&mut take);
-    take(chunks.remainder());
+    }
+    for (lane, &v) in lanes.iter_mut().zip(rest) {
+        let a = v.abs();
+        *lane = if a > *lane { a } else { *lane };
+    }
     lanes
 }
 

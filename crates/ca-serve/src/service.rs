@@ -490,9 +490,10 @@ impl Service {
 
     /// Submits a factorization of `a` (`factors`) followed by `solve` against
     /// `rhs` inside the same graph: the solve reads the factors the job's
-    /// sink settled, probed and replayed like any other. A shape the solve
-    /// cannot take is refused here and in the two callers — before a slot is
-    /// claimed, like a bad weight.
+    /// sink settled, probed and replayed like any other — or, on the tiny-job
+    /// route ([`Self::batchable`]), runs in the factorization's one task. A
+    /// shape the solve cannot take is refused here and in the two callers —
+    /// before a slot is claimed, like a bad weight.
     fn submit_with_rhs<F: Send + Sync + 'static>(
         &self,
         a: Matrix,
@@ -506,12 +507,20 @@ impl Service {
             return Err(ServeError::InvalidShape("rhs and A differ in row count"));
         }
         let p = self.params_for(&opts);
-        self.submit_job(opts, class, |fopts| solve_serve_graph(a, rhs, &p, fopts, factors, solve))
+        let tiny = self.batchable(a.nrows(), a.ncols(), &opts);
+        let handle = self.submit_job(opts, class, |fopts| {
+            solve_serve_graph(a, rhs, &p, fopts, tiny, factors, solve)
+        })?;
+        if tiny {
+            self.core.metrics.batched_jobs.inc();
+        }
+        Ok(handle)
     }
 
     /// Submits a factor-and-solve job for square `A·X = rhs` (CALU followed
-    /// by the pivoted triangular solves). A singular `A` fails the job; a
-    /// non-square `A` or an `rhs` of another row count is refused with
+    /// by the pivoted triangular solves; a small `A` as one task, as in
+    /// [`Service::submit_lu`]). A singular `A` fails the job; a non-square
+    /// `A` or an `rhs` of another row count is refused with
     /// [`ServeError::InvalidShape`].
     pub fn submit_solve(
         &self,
@@ -526,8 +535,8 @@ impl Service {
     }
 
     /// Submits a factor-and-least-squares job for tall `A` (CAQR followed
-    /// by `R⁻¹·Qᵀ·rhs`). A rank-deficient `A` fails the job; `m < n` or an
-    /// `rhs` of another row count is refused with
+    /// by `R⁻¹·Qᵀ·rhs`; a small `A` as one task). A rank-deficient `A` fails
+    /// the job; `m < n` or an `rhs` of another row count is refused with
     /// [`ServeError::InvalidShape`].
     pub fn submit_lstsq(
         &self,
@@ -772,6 +781,30 @@ mod tests {
         let s = svc.stats();
         assert_eq!(s.batched_jobs, 6);
         assert_eq!(s.completed, 12);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_tiny_solve_is_one_task_with_the_bits_of_the_dag_route() {
+        let svc = Service::new(cfg(1).with_batching(BatchConfig::up_to(32)));
+        let a = ca_matrix::random_uniform(32, 32, &mut seeded_rng(64));
+        let rhs = ca_matrix::random_uniform(32, 3, &mut seeded_rng(65));
+        let solve = |opts: SubmitOptions| {
+            let h = svc.submit_solve(a.clone(), rhs.clone(), opts).expect("admit");
+            let tasks = h.profile().expect("a finished job has a profile").records.len();
+            (tasks, h.wait().expect("solves"))
+        };
+        let (tiny_tasks, tiny) = solve(SubmitOptions::default());
+        let (dag_tasks, dag) = solve(SubmitOptions::default().unbatched());
+        assert_eq!(tiny_tasks, 1, "the tiny-job route is one task");
+        assert!(dag_tasks > 2, "the DAG route: plan, sink and epilogue");
+        let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&tiny), bits(&dag));
+        // Least squares takes the same route.
+        let ls = svc.submit_lstsq(a.clone(), rhs.clone(), SubmitOptions::default()).expect("admit");
+        assert_eq!(ls.profile().expect("profile").records.len(), 1);
+        ls.wait().expect("least squares");
+        assert_eq!(svc.stats().batched_jobs, 2);
         svc.shutdown();
     }
 
