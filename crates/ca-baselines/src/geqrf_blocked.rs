@@ -6,10 +6,8 @@
 use crate::column_strips;
 use ca_kernels::{flops, traffic};
 use ca_kernels::{geqr2, larfb_left, larft, Trans};
-use ca_matrix::shadow::ElemRect;
-use ca_matrix::Matrix;
-use ca_sched::{KernelClass, Plan, PlanBuilder, TaskKind, TaskLabel, TaskMeta};
-use std::sync::OnceLock;
+use ca_matrix::{ElemRect, Matrix};
+use ca_sched::{KernelClass, Plan, PlanBuilder, Slot, TaskKind, TaskLabel, TaskMeta};
 
 /// Result of blocked QR: per-panel compact-WY `T` factors (reflectors stay
 /// packed in the matrix), enough to apply `Q`/`Qᵀ`.
@@ -50,23 +48,19 @@ impl BlockedQr {
     }
 }
 
-/// What a panel task leaves for the strips of its step: `(k0, width, T)`.
-type Panels = Vec<OnceLock<(usize, usize, Matrix)>>;
-
 /// Builder of the task DAG of blocked `dgeqrf`.
 pub struct BlockedQrPlan;
 
 impl BlockedQrPlan {
     /// Plan for an `m × n` matrix with panel width `nb`, the trailing update
     /// of each step cut into at most `strips` block-aligned column strips.
-    // Task bodies: every access falls inside the footprint declared right
-    // after the body, which `verify_graph` proves conflict-ordered.
-    #[allow(clippy::disallowed_methods)]
-    pub fn build(m: usize, n: usize, nb: usize, strips: usize) -> Plan<f64, Panels, (Matrix, BlockedQr)> {
+    pub fn build(m: usize, n: usize, nb: usize, strips: usize) -> Plan<f64, (Matrix, BlockedQr)> {
         assert!(nb > 0, "panel width must be positive");
         let kmax = m.min(n);
         let nsteps = kmax.div_ceil(nb);
-        let mut pb = PlanBuilder::<f64, Panels>::new(nb, m, n);
+        let mut pb = PlanBuilder::<f64>::new(nb, m, n);
+        // Per step, the slot of its panel's `(k0, width, T)`.
+        let mut ts: Vec<Slot<(usize, usize, Matrix)>> = Vec::with_capacity(nsteps);
 
         for step in 0..nsteps {
             let k0 = step * nb;
@@ -80,20 +74,20 @@ impl BlockedQrPlan {
             .with_bytes(traffic::geqr2(m - k0, w))
             .with_priority(pr + 900)
             .with_class(KernelClass::QrBlas2);
-            let panel = pb.task(meta, move |a, panels| {
-                // SAFETY: the DAG orders this after every update of these
-                // columns and before every reader of the panel.
-                let mut panel = unsafe { a.block_mut(k0, k0, m - k0, w) };
+            let t_slot = pb.slot();
+            let mut t = pb.task(meta);
+            let panel = t.writes_rect(ElemRect::new(k0..m, k0..k0 + w));
+            t.writes_slot(t_slot);
+            t.run(move |cx| {
+                let mut panel = cx.view_mut(panel);
                 let mut tau = Vec::new();
                 geqr2(panel.rb(), &mut tau);
                 let kv = tau.len();
                 let mut t = Matrix::zeros(kv, kv);
                 larft(panel.as_ref().sub(0, 0, m - k0, kv), &tau, t.view_mut());
-                panels[step].set((k0, w, t)).expect("panel ran twice");
+                cx.put(t_slot, (k0, w, t));
             });
-            pb.writes_rect(panel, ElemRect::new(k0..m, k0..k0 + w));
-            let t = pb.slot();
-            pb.writes_slot(panel, t);
+            ts.push(t_slot);
 
             for cols in column_strips(k0 + w..n, nb, strips) {
                 let (c0, wc) = (cols.start, cols.len());
@@ -104,22 +98,21 @@ impl BlockedQrPlan {
                 .with_bytes(traffic::larfb(m - k0, wc, w))
                 .with_priority(pr + 100)
                 .with_class(KernelClass::Larfb);
-                let id = pb.task(meta, move |a, panels| {
-                    let (_, _, t) = panels[step].get().expect("panel T not ready");
-                    // SAFETY: reads the finished panel, writes only this strip.
-                    let v = unsafe { a.block(k0, k0, m - k0, t.nrows()) };
-                    let c = unsafe { a.block_mut(k0, c0, m - k0, wc) };
-                    larfb_left(Trans::Yes, v, t.view(), c);
+                let mut t = pb.task(meta);
+                t.reads_slot(t_slot);
+                let v = t.reads_rect(ElemRect::new(k0..m, k0..k0 + w));
+                let strip = t.writes_rect(ElemRect::new(k0..m, cols));
+                t.run(move |cx| {
+                    let (_, _, t) = cx.get(t_slot);
+                    let v = cx.view(v.block(k0, k0, m - k0, t.nrows()));
+                    larfb_left(Trans::Yes, v, t.view(), cx.view_mut(strip));
                 });
-                pb.reads_slot(id, t);
-                pb.reads_rect(id, ElemRect::new(k0..m, k0..k0 + w));
-                pb.writes_rect(id, ElemRect::new(k0..m, cols));
             }
         }
 
-        pb.finish((0..nsteps).map(|_| OnceLock::new()).collect(), |a, panels| {
-            let panels = panels.into_iter().map(|p| p.into_inner().expect("panel missing"));
-            (a, BlockedQr { panels: panels.collect() })
+        pb.finish(move |a, slots| {
+            let panels = ts.into_iter().map(|t| slots.take(t)).collect::<Option<_>>()?;
+            Some((a, BlockedQr { panels }))
         })
     }
 }

@@ -13,10 +13,8 @@
 use crate::column_strips;
 use ca_kernels::{flops, traffic};
 use ca_kernels::{gemm, getf2, trsm_left_lower_unit, LuInfo, Trans};
-use ca_matrix::shadow::ElemRect;
-use ca_matrix::{Matrix, PivotSeq};
-use ca_sched::{KernelClass, Plan, PlanBuilder, TaskKind, TaskLabel, TaskMeta};
-use std::sync::OnceLock;
+use ca_matrix::{ElemRect, Matrix, PivotSeq};
+use ca_sched::{KernelClass, Plan, PlanBuilder, Slot, TaskKind, TaskLabel, TaskMeta};
 
 /// Result of the blocked factorization: pivots plus LAPACK `info`-style
 /// breakdown column.
@@ -27,25 +25,20 @@ pub struct BlockedLu {
     pub breakdown: Option<usize>,
 }
 
-/// What a panel task leaves for the strips of its step: its `dgetf2`
-/// outcome (panel-local pivots).
-type Panels = Vec<OnceLock<LuInfo>>;
-
 /// Builder of the task DAG of blocked `dgetrf`.
 pub struct BlockedLuPlan;
 
 impl BlockedLuPlan {
     /// Plan for an `m × n` matrix with panel width `nb`, the trailing update
     /// of each step cut into at most `strips` block-aligned column strips.
-    // Task bodies: every access falls inside the footprint declared right
-    // after the body, which `verify_graph` proves conflict-ordered.
-    #[allow(clippy::disallowed_methods)]
-    pub fn build(m: usize, n: usize, nb: usize, strips: usize) -> Plan<f64, Panels, (Matrix, BlockedLu)> {
+    pub fn build(m: usize, n: usize, nb: usize, strips: usize) -> Plan<f64, (Matrix, BlockedLu)> {
         assert!(nb > 0, "panel width must be positive");
         let kmax = m.min(n);
         let nsteps = kmax.div_ceil(nb);
-        let mut pb = PlanBuilder::<f64, Panels>::new(nb, m, n);
-        let mut infos = Vec::with_capacity(nsteps);
+        let mut pb = PlanBuilder::<f64>::new(nb, m, n);
+        // Per step, the slot of its panel's `dgetf2` outcome (panel-local
+        // pivots).
+        let mut infos: Vec<Slot<LuInfo>> = Vec::with_capacity(nsteps);
 
         for step in 0..nsteps {
             let k0 = step * nb;
@@ -59,15 +52,11 @@ impl BlockedLuPlan {
             .with_bytes(traffic::getf2(m - k0, w))
             .with_priority(pr + 900)
             .with_class(KernelClass::LuBlas2);
-            let panel = pb.task(meta, move |a, panels| {
-                // SAFETY: the DAG orders this after every update of these
-                // columns and before every reader of the panel.
-                let info = getf2(unsafe { a.block_mut(k0, k0, m - k0, w) });
-                panels[step].set(info).expect("panel ran twice");
-            });
-            pb.writes_rect(panel, ElemRect::new(k0..m, k0..k0 + w));
             let info = pb.slot();
-            pb.writes_slot(panel, info);
+            let mut t = pb.task(meta);
+            let panel = t.writes_rect(ElemRect::new(k0..m, k0..k0 + w));
+            t.writes_slot(info);
+            t.run(move |cx| cx.put(info, getf2(cx.view_mut(panel))));
             infos.push(info);
 
             for cols in column_strips(k0 + w..n, nb, strips) {
@@ -79,18 +68,15 @@ impl BlockedLuPlan {
                 .with_bytes(traffic::trsm_left(w, wc) + traffic::laswp(w, wc))
                 .with_priority(pr + 500)
                 .with_class(KernelClass::Trsm);
-                let urow = pb.task(meta, move |a, panels| {
-                    // SAFETY: rows k0.. of this strip belong to this task
-                    // alone between the previous step's update and this
-                    // step's; L_kk is final.
-                    let mut col = unsafe { a.block_mut(k0, c0, m - k0, wc) };
-                    panels[step].get().expect("panel pivots not ready").pivots.apply(col.rb());
-                    let lkk = unsafe { a.block(k0, k0, w, w) };
-                    trsm_left_lower_unit(lkk, col.into_sub(0, 0, w, wc));
+                let mut t = pb.task(meta);
+                t.reads_slot(info);
+                let lkk = t.reads_rect(ElemRect::new(k0..k0 + w, k0..k0 + w));
+                let strip = t.writes_rect(ElemRect::new(k0..m, cols.clone()));
+                t.run(move |cx| {
+                    let mut col = cx.view_mut(strip);
+                    cx.get(info).pivots.apply(col.rb());
+                    trsm_left_lower_unit(cx.view(lkk), col.into_sub(0, 0, w, wc));
                 });
-                pb.reads_slot(urow, info);
-                pb.reads_rect(urow, ElemRect::new(k0..k0 + w, k0..k0 + w));
-                pb.writes_rect(urow, ElemRect::new(k0..m, cols.clone()));
 
                 if k0 + w < m {
                     let meta = TaskMeta::new(
@@ -100,18 +86,13 @@ impl BlockedLuPlan {
                     .with_bytes(traffic::gemm(m - k0 - w, wc, w))
                     .with_priority(pr + 100)
                     .with_class(KernelClass::Gemm);
-                    let id = pb.task(meta, move |a, _| {
-                        // SAFETY: reads L (final until the deferred left
-                        // swap) and this strip's finished U row; writes
-                        // only this strip.
-                        let l = unsafe { a.block(k0 + w, k0, m - k0 - w, w) };
-                        let u = unsafe { a.block(k0, c0, w, wc) };
-                        let c = unsafe { a.block_mut(k0 + w, c0, m - k0 - w, wc) };
-                        gemm(Trans::No, Trans::No, -1.0, l, u, 1.0, c);
+                    let mut t = pb.task(meta);
+                    let l = t.reads_rect(ElemRect::new(k0 + w..m, k0..k0 + w));
+                    let u = t.reads_rect(ElemRect::new(k0..k0 + w, cols.clone()));
+                    let c = t.writes_rect(ElemRect::new(k0 + w..m, cols));
+                    t.run(move |cx| {
+                        gemm(Trans::No, Trans::No, -1.0, cx.view(l), cx.view(u), 1.0, cx.view_mut(c))
                     });
-                    pb.reads_rect(id, ElemRect::new(k0 + w..m, k0..k0 + w));
-                    pb.reads_rect(id, ElemRect::new(k0..k0 + w, cols.clone()));
-                    pb.writes_rect(id, ElemRect::new(k0 + w..m, cols));
                 }
             }
         }
@@ -123,29 +104,29 @@ impl BlockedLuPlan {
             let meta = TaskMeta::new(TaskLabel::new(TaskKind::Swap, nsteps, 0, jblk), 0.0)
                 .with_bytes(traffic::laswp(kmax - k1, nb))
                 .with_class(KernelClass::Memory);
-            let id = pb.task(meta, move |a, panels| {
-                for (step, panel) in panels.iter().enumerate().skip(jblk + 1) {
-                    // SAFETY: every reader of this block column's L is done
-                    // and every later panel's pivots are set, per the DAG.
-                    let col = unsafe { a.block_mut(step * nb, jblk * nb, m - step * nb, nb) };
-                    panel.get().expect("panel pivots not ready").pivots.apply(col);
+            let later = infos[jblk + 1..].to_vec();
+            let mut t = pb.task(meta);
+            for &info in &later {
+                t.reads_slot(info);
+            }
+            let block = t.writes_rect(ElemRect::new(k1..m, jblk * nb..k1));
+            t.run(move |cx| {
+                let mut col = cx.view_mut(block);
+                for (k0, &info) in (k1..).step_by(nb).zip(&later) {
+                    cx.get(info).pivots.apply(col.sub(k0 - k1, 0, m - k0, nb));
                 }
             });
-            for &info in &infos[jblk + 1..] {
-                pb.reads_slot(id, info);
-            }
-            pb.writes_rect(id, ElemRect::new(k1..m, jblk * nb..k1));
         }
 
-        pb.finish((0..nsteps).map(|_| OnceLock::new()).collect(), |a, panels| {
+        pb.finish(move |a, slots| {
             let mut f = BlockedLu { pivots: PivotSeq::new(0), breakdown: None };
-            for info in panels {
-                let info = info.into_inner().expect("panel missing");
+            for info in infos {
+                let info = slots.take(info)?;
                 let k0 = f.pivots.len();
                 f.pivots.ipiv.extend(info.pivots.ipiv.iter().map(|&r| r + k0));
                 f.breakdown = f.breakdown.or(info.first_zero_pivot.map(|c| k0 + c));
             }
-            (a, f)
+            Some((a, f))
         })
     }
 }

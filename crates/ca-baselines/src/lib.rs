@@ -22,7 +22,7 @@
 //!   the graph the multicore simulator costs and the static verifier proves.
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 mod geqrf_blocked;
 mod getrf_blocked;
@@ -35,8 +35,8 @@ use ca_sched::Plan;
 use std::ops::Range;
 
 /// Runs a blocked plan over `a` in place on `threads` workers.
-fn run_in_place<S: Send + Sync + 'static, F: 'static>(
-    plan: Plan<f64, S, (Matrix, F)>,
+fn run_in_place<F: 'static>(
+    plan: Plan<f64, (Matrix, F)>,
     a: &mut Matrix,
     threads: usize,
 ) -> F {

@@ -14,9 +14,8 @@ use ca_kernels::{flops, traffic};
 use ca_kernels::{trsm_left_upper_notrans, LuInfo};
 use ca_matrix::Matrix;
 use ca_sched::{
-    run_plan, FactorOptions, KernelClass, Plan, PlanBuilder, TaskKind, TaskLabel, TaskMeta,
+    run_plan, FactorOptions, KernelClass, Plan, PlanBuilder, Slot, TaskKind, TaskLabel, TaskMeta,
 };
-use std::sync::OnceLock;
 
 /// Result of the tiled LU: the tiled factors plus the per-step transforms
 /// needed to apply the elimination to a right-hand side.
@@ -76,16 +75,6 @@ impl TiledLu {
     }
 }
 
-/// What the tasks of a tiled-LU plan leave behind: the [`TiledLu`] fields,
-/// one slot per task that fills them.
-pub struct TiledLuSlots {
-    b: usize,
-    /// Per step: the diagonal tile's pivots, and a copy of the factored
-    /// tile whose `L` the `gessm` tasks read while `tstrf` rewrites its `U`.
-    diag: Vec<OnceLock<(LuInfo, Matrix)>>,
-    trans: Vec<Vec<OnceLock<TstrfTransform>>>,
-}
-
 /// Builder of the task DAG of tiled LU: what [`tiled_lu`] runs and what the
 /// simulator costs as `PLASMA_dgetrf`. As in PLASMA, the factors a kernel
 /// hands on live beside the matrix: `getrf` leaves a copy of the diagonal
@@ -96,15 +85,17 @@ pub struct TiledLuPlan;
 
 impl TiledLuPlan {
     /// Plan for an `m × n` matrix cut into `b × b` tiles.
-    // Task bodies: every access falls inside the footprint declared right
-    // after the body, which `verify_graph` proves conflict-ordered.
-    #[allow(clippy::disallowed_methods)]
-    pub fn build(m: usize, n: usize, b: usize) -> Plan<f64, TiledLuSlots, TiledLu> {
+    pub fn build(m: usize, n: usize, b: usize) -> Plan<f64, TiledLu> {
         let mt = m.div_ceil(b);
         let nt = n.div_ceil(b);
         let kt = m.min(n).div_ceil(b);
-        let mut pb = PlanBuilder::<f64, TiledLuSlots>::new(b, m, n);
+        let mut pb = PlanBuilder::<f64>::new(b, m, n);
         let steps = kt as i64;
+        // Per step: the diagonal tile's pivots and a copy of the factored
+        // tile, whose `L` the `gessm` tasks read while `tstrf` rewrites its
+        // `U`; and each subdiagonal tile's `tstrf` transform.
+        let mut diags: Vec<Slot<(LuInfo, Matrix)>> = Vec::with_capacity(kt);
+        let mut transforms: Vec<Vec<Slot<TstrfTransform>>> = Vec::with_capacity(kt);
 
         for k in 0..kt {
             let k0 = k * b;
@@ -115,16 +106,16 @@ impl TiledLuPlan {
                 .with_bytes(traffic::getf2(wk, wk))
                 .with_priority(pr + 900)
                 .with_class(KernelClass::LuBlas2);
-            let getrf_id = pb.task(meta, move |a, s| {
-                // SAFETY: exclusive tile access per the DAG.
-                let mut tile = unsafe { a.block_mut(k0, k0, wk, wk) };
-                let info = getrf_tile(tile.rb());
-                let copy = Matrix::from_vec(tile.as_ref().to_vec(), wk, wk);
-                s.diag[k].set((info, copy)).expect("getrf ran twice");
-            });
-            pb.writes(getrf_id, k..k + 1, k..k + 1);
             let diag = pb.slot();
-            pb.writes_slot(getrf_id, diag);
+            let mut t = pb.task(meta);
+            let tile = t.writes(k..k + 1, k..k + 1).block(k0, k0, wk, wk);
+            t.writes_slot(diag);
+            t.run(move |cx| {
+                let mut tile = cx.view_mut(tile);
+                let info = getrf_tile(tile.rb());
+                cx.put(diag, (info, Matrix::from_vec(tile.as_ref().to_vec(), wk, wk)));
+            });
+            diags.push(diag);
 
             for j in k + 1..nt {
                 let (j0, wj) = (j * b, b.min(n - j * b));
@@ -135,15 +126,15 @@ impl TiledLuPlan {
                 .with_bytes(traffic::trsm_left(wk, wj) + traffic::laswp(wk, wj))
                 .with_priority(pr + 500)
                 .with_class(KernelClass::Trsm);
-                let id = pb.task(meta, move |a, s| {
-                    let (info, lkk) = s.diag[k].get().expect("diag not ready");
-                    // SAFETY: tile (k, j) is this task's per the DAG.
-                    let tile = unsafe { a.block_mut(k0, j0, wk, wj) };
-                    gessm(&info.pivots, lkk.view(), tile);
+                let mut t = pb.task(meta);
+                t.reads_slot(diag);
+                let tile = t.writes(k..k + 1, j..j + 1).block(k0, j0, wk, wj);
+                t.run(move |cx| {
+                    let (info, lkk) = cx.get(diag);
+                    gessm(&info.pivots, lkk.view(), cx.view_mut(tile));
                 });
-                pb.reads_slot(id, diag);
-                pb.writes(id, k..k + 1, j..j + 1);
             }
+            let mut step_transforms = Vec::with_capacity(mt - k - 1);
             for i in k + 1..mt {
                 let (i0, ri) = (i * b, b.min(m - i * b));
                 let meta = TaskMeta::new(
@@ -153,17 +144,14 @@ impl TiledLuPlan {
                 .with_bytes(traffic::getf2(ri + wk, wk))
                 .with_priority(pr + 700)
                 .with_class(KernelClass::LuBlas2);
-                let id = pb.task(meta, move |a, s| {
-                    // SAFETY: tiles (k, k) and (i, k) are this task's per the
-                    // DAG; the `gessm` tasks read the diagonal tile's copy.
-                    let ukk = unsafe { a.block_mut(k0, k0, wk, wk) };
-                    let aik = unsafe { a.block_mut(i0, k0, ri, wk) };
-                    s.trans[k][i - k - 1].set(tstrf(ukk, aik)).expect("tstrf ran twice");
-                });
-                pb.writes(id, k..k + 1, k..k + 1);
-                pb.writes(id, i..i + 1, k..k + 1);
                 let transform = pb.slot();
-                pb.writes_slot(id, transform);
+                let mut t = pb.task(meta);
+                // Tiles (k, k) and (i, k); the `gessm` tasks read the
+                // diagonal tile's copy.
+                let ukk = t.writes(k..k + 1, k..k + 1).block(k0, k0, wk, wk);
+                let aik = t.writes(i..i + 1, k..k + 1).block(i0, k0, ri, wk);
+                t.writes_slot(transform);
+                t.run(move |cx| cx.put(transform, tstrf(cx.view_mut(ukk), cx.view_mut(aik))));
 
                 for j in k + 1..nt {
                     let (j0, wj) = (j * b, b.min(n - j * b));
@@ -174,34 +162,22 @@ impl TiledLuPlan {
                     .with_bytes(traffic::gemm(ri, wj, wk) + traffic::trsm_left(wk, wj))
                     .with_priority(pr + 100)
                     .with_class(KernelClass::Gemm);
-                    let id = pb.task(meta, move |a, s| {
-                        let tr = s.trans[k][i - k - 1].get().expect("tstrf not ready");
-                        // SAFETY: the tile pair is this task's per the DAG.
-                        let akj = unsafe { a.block_mut(k0, j0, wk, wj) };
-                        let aij = unsafe { a.block_mut(i0, j0, ri, wj) };
-                        ssssm(tr, akj, aij);
-                    });
-                    pb.reads_slot(id, transform);
-                    pb.writes(id, k..k + 1, j..j + 1);
-                    pb.writes(id, i..i + 1, j..j + 1);
+                    let mut t = pb.task(meta);
+                    t.reads_slot(transform);
+                    let akj = t.writes(k..k + 1, j..j + 1).block(k0, j0, wk, wj);
+                    let aij = t.writes(i..i + 1, j..j + 1).block(i0, j0, ri, wj);
+                    t.run(move |cx| ssssm(cx.get(transform), cx.view_mut(akj), cx.view_mut(aij)));
                 }
+                step_transforms.push(transform);
             }
+            transforms.push(step_transforms);
         }
 
-        let slots = TiledLuSlots {
-            b,
-            diag: (0..kt).map(|_| OnceLock::new()).collect(),
-            trans: (0..kt).map(|k| (k + 1..mt).map(|_| OnceLock::new()).collect()).collect(),
-        };
-        pb.finish(slots, |a, s| TiledLu {
-            a,
-            b: s.b,
-            diag: s.diag.into_iter().map(|d| d.into_inner().expect("diag missing").0).collect(),
-            trans: s
-                .trans
-                .into_iter()
-                .map(|v| v.into_iter().map(|t| t.into_inner().expect("trans missing")).collect())
-                .collect(),
+        pb.finish(move |a, slots| {
+            let diag = diags.into_iter().map(|d| slots.take(d).map(|(info, _)| info)).collect::<Option<_>>()?;
+            let mut step = |ts: Vec<Slot<TstrfTransform>>| ts.into_iter().map(|t| slots.take(t)).collect();
+            let trans = transforms.into_iter().map(&mut step).collect::<Option<_>>()?;
+            Some(TiledLu { a, b, diag, trans })
         })
     }
 }

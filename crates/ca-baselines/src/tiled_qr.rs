@@ -14,14 +14,14 @@
 //! the diagonal tile into `V` and `R`).
 
 use ca_core::tsqr::ts_chain;
-use ca_core::{CaParams, CaqrPlan, CaqrSlots, QrFactors};
+use ca_core::{CaParams, CaqrPlan, QrFactors};
 use ca_kernels::Kernel;
 use ca_matrix::Matrix;
 use ca_sched::{run_plan, FactorOptions, Plan};
 
 /// The task DAG of tiled QR of an `m × n` matrix cut into `b × b` tiles:
 /// what [`tiled_qr`] runs and what the simulator costs as `PLASMA_dgeqrf`.
-pub fn tiled_qr_plan<T: Kernel>(m: usize, n: usize, b: usize) -> Plan<T, CaqrSlots<T>, QrFactors<T>> {
+pub fn tiled_qr_plan<T: Kernel>(m: usize, n: usize, b: usize) -> Plan<T, QrFactors<T>> {
     // `Tr` = the tile rows of the first panel: one tile per group at every step.
     let p = CaParams::new(b, m.div_ceil(b).max(1), 1);
     CaqrPlan::build_with(m, n, &p, ts_chain)

@@ -12,9 +12,9 @@ use ca_sched::{run_plan, FactorOptions};
 use crate::error::{require_finite, FactorError};
 use crate::jobs::try_plan_with;
 use crate::params::{num_panels, partition_rows, CaParams};
-use crate::tsqr::{eliminate, leaf_qr, panel_apply, plan_panel, PanelQ};
-use ca_kernels::{trsm_left_upper_notrans, Kernel, Trans};
-use ca_matrix::{Matrix, Scalar, SharedMatrix};
+use crate::tsqr::{eliminate, leaf_qr, panel_apply, plan_panel, NodePlan, PanelQ};
+use ca_kernels::{trsm_left_upper_notrans, Kernel, Trans, VRest};
+use ca_matrix::{MatViewMut, Matrix, Scalar};
 
 /// The result of a CAQR/TSQR factorization.
 #[derive(Debug)]
@@ -45,14 +45,11 @@ impl<T: Kernel> QrFactors<T> {
 
     fn apply(&self, c: &mut Matrix<T>, trans: Trans) {
         assert_eq!(c.nrows(), self.a.nrows(), "row count mismatch with Q");
-        let ncols = c.ncols();
-        let dst = SharedMatrix::new(std::mem::replace(c, Matrix::zeros(0, 0)));
-        let one = |p: &PanelQ<T>| panel_apply(1, p, &p.leaf_blocks(&self.a), &dst, 0..ncols, trans);
+        let one = |p: &PanelQ<T>| panel_apply(1, p, &p.leaf_blocks(&self.a), c.view_mut(), trans);
         match trans {
             Trans::Yes => self.panels.iter().for_each(one),
             Trans::No => self.panels.iter().rev().for_each(one),
         }
-        *c = dst.into_inner();
     }
 
     /// The thin orthogonal factor `Q` (`m × min(m,n)`).
@@ -113,32 +110,38 @@ impl<T: Kernel> QrFactors<T> {
 /// one column split over `workers` lanes (the factors are bitwise the same
 /// at every count). The panels' `Q` representations are appended to
 /// `panels`, with [`PanelQ::c0`] the panel's *global* column.
-// The leaf reflectors are read from `a` while the lanes write the columns
-// right of the panel: disjoint blocks.
-#[allow(clippy::disallowed_methods)]
 pub fn caqr_panels<T: Kernel>(
-    a: &SharedMatrix<T>,
+    mut a: MatViewMut<'_, T>,
     d0: usize,
     p: &CaParams,
     workers: usize,
     panels: &mut Vec<PanelQ<T>>,
 ) {
-    let m = a.nrows();
-    let ws = a.ncols();
+    let (m, ws) = (a.nrows(), a.ncols());
     let mut lc = 0usize;
     while lc < ws && d0 + lc < m {
         let k0 = d0 + lc;
         let w = p.b.min(ws - lc);
         let part = partition_rows(m, k0, p.b, p.tr);
         let plan = plan_panel(&part, w, p.tree);
-        let leaves: Vec<_> = plan.leaves.iter().map(|&grp| leaf_qr(a, lc, w, part.group(grp))).collect();
-        let nodes = plan.nodes.iter().map(|(node, rest)| eliminate(a, lc, w, node, *rest)).collect();
+        let (left, right) = a.rb().split_at_col(lc + w);
+        let mut pan = left.into_sub(0, lc, m, w);
+        let leaf = |grp: &usize| {
+            let rows = part.group(*grp);
+            leaf_qr(pan.sub(rows.start, 0, rows.len(), w), rows)
+        };
+        let leaves: Vec<_> = plan.leaves.iter().map(leaf).collect();
+        let node = |(node, rest): &(NodePlan, VRest)| {
+            let mut parts = pan.rb().split_rows(&node.row_ranges);
+            let (top, below) = parts.split_at_mut(1);
+            let below: Vec<_> = below.iter().map(|p| p.as_ref()).collect();
+            eliminate(top[0].rb(), &below, node, *rest)
+        };
+        let nodes = plan.nodes.iter().map(node).collect();
         let panel = PanelQ { k0, c0: k0, w, k: (m - k0).min(w), leaves, nodes };
-        // SAFETY: the reflectors lie in the panel's columns, which nothing
-        // writes while these views live: `panel_apply` writes only the
-        // columns right of the panel.
-        let vs: Vec<_> = panel.leaves.iter().map(|l| unsafe { a.block(l.rows.start, lc, l.rows.len(), l.kv) }).collect();
-        panel_apply(workers, &panel, &vs, a, (lc + w)..ws, Trans::Yes);
+        let pan = pan.as_ref();
+        let vs: Vec<_> = panel.leaves.iter().map(|l| pan.sub(l.rows.start, 0, l.rows.len(), l.kv)).collect();
+        panel_apply(workers, &panel, &vs, right, Trans::Yes);
         panels.push(panel);
         lc += w;
     }
@@ -146,11 +149,10 @@ pub fn caqr_panels<T: Kernel>(
 
 /// Sequential CAQR (Algorithm 2 in program order), consuming `a` — generic
 /// over the working precision: [`caqr_panels`] over the whole matrix.
-pub fn caqr_seq<T: Kernel>(a: Matrix<T>, p: &CaParams) -> QrFactors<T> {
+pub fn caqr_seq<T: Kernel>(mut a: Matrix<T>, p: &CaParams) -> QrFactors<T> {
     let mut panels = Vec::with_capacity(num_panels(a.nrows(), a.ncols(), p.b));
-    let sh = SharedMatrix::new(a);
-    caqr_panels(&sh, 0, p, 1, &mut panels);
-    QrFactors { a: sh.into_inner(), panels }
+    caqr_panels(a.view_mut(), 0, p, 1, &mut panels);
+    QrFactors { a, panels }
 }
 
 /// Multithreaded CAQR (Algorithm 2): task-graph execution with the

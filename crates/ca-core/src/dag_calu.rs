@@ -29,9 +29,10 @@ use ca_kernels::{
     gemm, gemm_packed, pack_a_slab, pack_b_panel, trsm_left_lower_unit,
     trsm_right_upper_notrans, Kernel, Trans,
 };
-use ca_matrix::{AlignedBuf, PivotSeq, Scalar, SharedMatrix};
-use ca_sched::{row_blocks, KernelClass, Plan, PlanBuilder, Slot, TaskGraph, TaskKind, TaskLabel, TaskMeta};
-use std::sync::OnceLock;
+use ca_matrix::{AlignedBuf, MatViewMut, PivotSeq};
+use ca_sched::{
+    row_blocks, KernelClass, Plan, PlanBuilder, Slot, TaskCx, TaskGraph, TaskKind, TaskLabel, TaskMeta,
+};
 
 /// Tile geometry of the decomposed trailing update: the serial GEMM cache
 /// blocks ([`ca_kernels::MC`] rows × [`ca_kernels::NC`] columns) rounded up
@@ -50,30 +51,10 @@ fn pieces(lo: usize, len: usize, size: usize) -> impl Iterator<Item = (usize, us
     (0..len.div_ceil(size)).map(move |i| (lo + i * size, size.min(len - i * size)))
 }
 
-/// What the panel tasks of one step leave behind at run time.
-struct PanelSlots<T: Scalar> {
-    /// Candidate dataflow slots: leaves at `0..g`, node `i` at `g + i`.
-    results: Vec<OnceLock<Selected<T>>>,
-    /// Winning interchanges (offset `k0`), written by the root task.
-    pivots: OnceLock<PivotSeq>,
-    /// Panel breakdown column (panel-local), written by the root task.
-    breakdown: OnceLock<Option<usize>>,
-    /// `(growth estimate, GEPP fallback happened)`, written by the root.
-    growth: OnceLock<(f64, bool)>,
-    /// Packed-A slab and packed-B panel images of the step's decomposed
-    /// trailing updates. Each slot is written exactly once by its pack task
-    /// and then read (shared) by the tile tasks: both declare the slot, so
-    /// the tracker infers every pack → tile edge.
-    apacks: Vec<OnceLock<AlignedBuf<T>>>,
-    bpacks: Vec<OnceLock<AlignedBuf<T>>>,
-}
-
-/// The run-time slots of a CALU plan. Only they are typed; graph, footprints
-/// and geometry are the same for every `T`.
-pub struct CaluSlots<T: Scalar> {
-    b: usize,
-    panels: Vec<PanelSlots<T>>,
-}
+/// What the root task of a panel's tournament leaves: the winning
+/// interchanges (offset `k0`), the panel's breakdown column (panel-local),
+/// and `(growth estimate, GEPP fallback happened)`.
+type Root = (PivotSeq, Option<usize>, (f64, bool));
 
 /// Priority scheme (see module docs of `ca-sched`): panel work of step `K`
 /// outranks everything later; the lookahead rule boosts the updates of block
@@ -102,20 +83,16 @@ pub struct CaluPlan;
 impl CaluPlan {
     /// Plan for an `m × n` matrix with parameters `p` (an empty matrix gets
     /// an empty graph).
-    // Task bodies: every access falls inside the footprint declared right
-    // after the body, which `verify_graph` proves conflict-ordered.
-    #[allow(clippy::disallowed_methods)]
-    pub fn build<T: Kernel>(m: usize, n: usize, p: &CaParams) -> Plan<T, CaluSlots<T>, LuFactors<T>> {
+    pub fn build<T: Kernel>(m: usize, n: usize, p: &CaParams) -> Plan<T, LuFactors<T>> {
         ca_sched::sched_counters().factor_graphs_built.inc();
         let b = p.b;
         let nsteps = num_panels(m, n, b);
         let nb = n.div_ceil(b);
         let (slab_h, pan_w) = par_tile(b);
 
-        let mut pb = PlanBuilder::<T, CaluSlots<T>>::new(b, m, n);
-        let mut panels: Vec<PanelSlots<T>> = Vec::with_capacity(nsteps);
+        let mut pb = PlanBuilder::<T>::new(b, m, n);
         // Per step, the slot of the root's pivots, breakdown and growth.
-        let mut roots: Vec<Slot> = Vec::with_capacity(nsteps);
+        let mut roots: Vec<Slot<Root>> = Vec::with_capacity(nsteps);
 
         for step in 0..nsteps {
             let k0 = step * b;
@@ -124,28 +101,19 @@ impl CaluPlan {
             let part = partition_rows(m, k0, b, p.tr);
             let g = part.ngroups();
             let schedule = reduction_schedule(g, p.tree);
-            // Root-task epilogue (the last node's, or the only leaf's): record
-            // pivots, interchange the panel, write the packed `L_KK\U_KK` block.
+            let root = pb.slot();
+            // Root-task epilogue (the last node's, or the only leaf's), on
+            // the panel's active rows: record pivots, interchange the panel,
+            // write the packed `L_KK\U_KK` block.
             let growth_limit = p.growth_limit;
-            let finish_root = move |a: &SharedMatrix<T>, s: &CaluSlots<T>, sel: Selected<T>| {
+            let finish_root = move |cx: &TaskCx<'_, T>, mut panel: MatViewMut<'_, T>, sel: Selected<T>| {
                 // Growth policy before any write-back: the panel's active region
                 // still holds its pre-interchange values here.
-                let (sel, growth, fallback) = {
-                    // SAFETY: same ordering argument as the writes below — the root
-                    // is ordered after every other reader/writer of the panel.
-                    let active = unsafe { a.block(k0, k0, m - k0, w) };
-                    apply_growth_policy(active, k0, sel, growth_limit)
-                };
+                let (sel, growth, fallback) = apply_growth_policy(panel.as_ref(), k0, sel, growth_limit);
                 let pivots = pivot_seq_from_targets(k0, &sel.idx);
-                // SAFETY: the root is ordered after every reader/writer of the
-                // panel's active blocks and before every subsequent consumer.
-                let mut panel = unsafe { a.block_mut(k0, k0, m - k0, w) };
                 local_seq(&pivots, k0).apply(panel.rb());
                 panel.sub(0, 0, k, w).copy_from(sel.packed.view());
-                let ctx = &s.panels[step];
-                ctx.breakdown.set(sel.breakdown).expect("root ran twice");
-                ctx.growth.set((growth, fallback)).expect("root ran twice");
-                ctx.pivots.set(pivots).expect("root ran twice");
+                cx.put(root, (pivots, sel.breakdown, (growth, fallback)));
             };
             let panel_prio = prio(nsteps, step, p.lookahead, TaskKind::Panel, step);
             // `(first row, rows)` of each group's part below the packed
@@ -168,16 +136,15 @@ impl CaluPlan {
                 .collect();
 
             // --- P tasks: leaves. With a single group the leaf is the root.
-            //     The last P task is the root: it fills `root`, every other
-            //     one its candidate slot.
-            let candidates: Vec<Slot> = (0..g + schedule.len()).map(|_| pb.slot()).collect();
-            let root = pb.slot();
-            let mut root_id = 0;
+            //     The last P task is the root: it fills `root` and writes
+            //     the panel's active rows, every other one its candidate slot
+            //     (leaves at `0..g`, node `i` at `g + i`).
+            let outputs = (g + schedule.len()).saturating_sub(1);
+            let candidates: Vec<Slot<Selected<T>>> = (0..outputs).map(|_| pb.slot()).collect();
             let mut slot_res: Vec<usize> = (0..g).collect();
-            for (grp, &candidate) in candidates[..g].iter().enumerate() {
+            for grp in 0..g {
                 let rows = part.group(grp);
                 let (r0, nr) = (rows.start, rows.len());
-                let is_root = schedule.is_empty();
                 let meta = TaskMeta::new(
                     TaskLabel::new(TaskKind::Panel, step, grp, step),
                     flops::getrf(nr, w),
@@ -185,21 +152,26 @@ impl CaluPlan {
                 .with_bytes(traffic::rgetf2(nr, w))
                 .with_priority(panel_prio)
                 .with_class(KernelClass::LuRecursive);
-                let id = pb.task(meta, move |a, s| {
-                    // SAFETY: the DAG orders this read after the last writer of
-                    // these panel blocks and before any subsequent writer.
-                    let block = unsafe { a.block(r0, k0, nr, w) };
-                    let idx: Vec<usize> = (r0..r0 + nr).collect();
-                    let sel = select(block, &idx, true);
-                    if is_root {
-                        finish_root(a, s, sel);
-                    } else {
-                        s.panels[step].results[grp].set(sel).expect("leaf slot already set");
+                let mut t = pb.task(meta);
+                let block = t.reads(row_blocks(rows, b), step..step + 1).block(r0, k0, nr, w);
+                let idx: Vec<usize> = (r0..r0 + nr).collect();
+                match candidates.get(grp) {
+                    Some(&candidate) => {
+                        t.writes_slot(candidate);
+                        t.run(move |cx| cx.put(candidate, select(cx.view(block), &idx, true)));
                     }
-                });
-                pb.reads(id, row_blocks(rows, b), step..step + 1);
-                pb.writes_slot(id, if is_root { root } else { candidate });
-                root_id = id;
+                    // No tree: the only group is the root and holds the
+                    // panel's active rows.
+                    None => {
+                        t.writes_slot(root);
+                        let panel = t.writes(row_blocks(k0..m, b), step..step + 1).block(k0, k0, m - k0, w);
+                        t.run(move |cx| {
+                            let panel = cx.view_mut(panel);
+                            let sel = select(panel.as_ref().sub(r0 - k0, 0, nr, w), &idx, true);
+                            finish_root(cx, panel, sel);
+                        });
+                    }
+                }
             }
 
             // --- P tasks: reduction nodes. The last one is the root: it also
@@ -207,8 +179,9 @@ impl CaluPlan {
             for (ni, node) in schedule.iter().enumerate() {
                 let stacked_rows: usize = node.participants.len() * k.min(b);
                 let is_root = ni + 1 == schedule.len();
-                // The result slots this node consumes.
-                let inputs: Vec<usize> = node.participants.iter().map(|&pt| slot_res[pt]).collect();
+                // The candidate slots this node consumes.
+                let inputs: Vec<Slot<Selected<T>>> =
+                    node.participants.iter().map(|&pt| candidates[slot_res[pt]]).collect();
                 let meta = TaskMeta::new(
                     TaskLabel::new(TaskKind::Panel, step, g + ni, step),
                     flops::getrf(stacked_rows.max(1), w),
@@ -216,27 +189,25 @@ impl CaluPlan {
                 .with_bytes(traffic::rgetf2(stacked_rows.max(1), w))
                 .with_priority(panel_prio)
                 .with_class(KernelClass::LuRecursive);
-                let id = pb.task(meta, move |a, s| {
-                    let ctx = &s.panels[step];
-                    let candidates: Vec<&Selected<T>> = inputs
-                        .iter()
-                        .map(|&r| ctx.results[r].get().expect("candidate not ready"))
-                        .collect();
-                    let sel = merge(&candidates);
-                    if is_root {
-                        finish_root(a, s, sel);
-                    } else {
-                        ctx.results[g + ni].set(sel).expect("node slot already set");
-                    }
-                });
-                for &pt in &node.participants {
-                    pb.reads_slot(id, candidates[slot_res[pt]]);
+                let mut t = pb.task(meta);
+                for &input in &inputs {
+                    t.reads_slot(input);
                 }
-                pb.writes_slot(id, if is_root { root } else { candidates[g + ni] });
+                let merged = move |cx: &TaskCx<'_, T>| {
+                    let candidates: Vec<&Selected<T>> = inputs.iter().map(|&s| cx.get(s)).collect();
+                    merge(&candidates)
+                };
+                if is_root {
+                    t.writes_slot(root);
+                    let panel = t.writes(row_blocks(k0..m, b), step..step + 1).block(k0, k0, m - k0, w);
+                    t.run(move |cx| finish_root(cx, cx.view_mut(panel), merged(cx)));
+                } else {
+                    let out = candidates[g + ni];
+                    t.writes_slot(out);
+                    t.run(move |cx| cx.put(out, merged(cx)));
+                }
                 slot_res[node.participants[0]] = g + ni;
-                root_id = id;
             }
-            pb.writes(root_id, row_blocks(k0..m, b), step..step + 1);
             roots.push(root);
 
             // --- L tasks.
@@ -248,14 +219,10 @@ impl CaluPlan {
                 .with_bytes(traffic::trsm_right(mb, k))
                 .with_priority(prio(nsteps, step, p.lookahead, TaskKind::LBlock, step))
                 .with_class(KernelClass::Trsm);
-                let id = pb.task(meta, move |a, _| {
-                    // SAFETY: disjoint from all concurrent tasks per the DAG.
-                    let ukk = unsafe { a.block(k0, k0, k, k) };
-                    let lb = unsafe { a.block_mut(lo, k0, mb, k) };
-                    trsm_right_upper_notrans(ukk, lb);
-                });
-                pb.reads(id, step..step + 1, step..step + 1); // U_KK
-                pb.writes(id, row_blocks(lo..lo + mb, b), step..step + 1);
+                let mut t = pb.task(meta);
+                let ukk = t.reads(step..step + 1, step..step + 1).block(k0, k0, k, k);
+                let lb = t.writes(row_blocks(lo..lo + mb, b), step..step + 1).block(lo, k0, mb, k);
+                t.run(move |cx| trsm_right_upper_notrans(cx.view(ukk), cx.view_mut(lb)));
             }
 
             // --- U tasks (interchange + triangular solve per trailing column
@@ -268,18 +235,15 @@ impl CaluPlan {
                 .with_bytes(traffic::trsm_left(k, wj) + traffic::laswp(k, wj))
                 .with_priority(prio(nsteps, step, p.lookahead, TaskKind::URow, jblk))
                 .with_class(KernelClass::Trsm);
-                let id = pb.task(meta, move |a, s| {
-                    let pivots = s.panels[step].pivots.get().expect("pivots not ready");
-                    // SAFETY: this task is the only one touching these block
-                    // columns' rows k0.. at this point in the schedule.
-                    let mut col = unsafe { a.block_mut(k0, jc0, m - k0, wj) };
-                    local_seq(pivots, k0).apply(col.rb());
-                    let lkk = unsafe { a.block(k0, k0, k, k) };
-                    trsm_left_lower_unit(lkk, col.into_sub(0, 0, k, wj));
+                let mut t = pb.task(meta);
+                t.reads_slot(root); // pivots
+                let lkk = t.reads(step..step + 1, step..step + 1).block(k0, k0, k, k);
+                let col = t.writes(row_blocks(k0..m, b), jblk..jblk + jcnt).block(k0, jc0, m - k0, wj);
+                t.run(move |cx| {
+                    let mut col = cx.view_mut(col);
+                    local_seq(&cx.get(root).0, k0).apply(col.rb());
+                    trsm_left_lower_unit(cx.view(lkk), col.into_sub(0, 0, k, wj));
                 });
-                pb.reads_slot(id, root); // pivots
-                pb.reads(id, step..step + 1, step..step + 1); // L_KK
-                pb.writes(id, row_blocks(k0..m, b), jblk..jblk + jcnt);
             }
 
             // --- S tasks (trailing updates, same column chunking). Groups whose
@@ -295,61 +259,54 @@ impl CaluPlan {
                 .map(|&(_, mb)| step + 1 < nb && mb >= 2 * ca_kernels::MC)
                 .collect();
 
-            // Pack-A tasks; group `grp`'s slab images live in slots
-            // `abase[grp]..`. Reading the L slab orders each pack after the
-            // group's LBlock solve via the tracker.
+            // Pack-A tasks; group `grp`'s slab images are `apacks[abase[grp]..]`.
+            // Reading the L slab orders each pack after the group's LBlock
+            // solve via the tracker.
             let mut abase = vec![0usize; g];
-            let mut apacks: Vec<Slot> = Vec::new();
+            let mut apacks: Vec<Slot<AlignedBuf<T>>> = Vec::new();
             for grp in (0..g).filter(|&grp| decompose[grp]) {
                 abase[grp] = apacks.len();
                 let (lo, mb) = below[grp];
                 for (slab, (slo, sh)) in pieces(lo, mb, slab_h).enumerate() {
-                    let slot = apacks.len();
                     let meta = TaskMeta::new(TaskLabel::new(TaskKind::Other, step, grp, slab), 0.0)
                         .with_bytes(traffic::pack(sh, k))
                         .with_priority(prio(nsteps, step, p.lookahead, TaskKind::Update, step + 1) + 5)
                         .with_class(KernelClass::Memory);
-                    let id = pb.task(meta, move |a, s| {
-                        // SAFETY: reads the group's final L slab — the DAG orders
-                        // this after the LBlock solve and before any later writer.
-                        let l = unsafe { a.block(slo, k0, sh, k) };
-                        let mut buf = AlignedBuf::new();
-                        pack_a_slab(Trans::No, l, 0, sh, &mut buf);
-                        // Ignore a lost set: a replayed task repacks identical bytes.
-                        let _ = s.panels[step].apacks[slot].set(buf);
-                    });
-                    pb.reads(id, row_blocks(slo..slo + sh, b), step..step + 1);
                     let image = pb.slot();
-                    pb.writes_slot(id, image);
+                    let mut t = pb.task(meta);
+                    let l = t.reads(row_blocks(slo..slo + sh, b), step..step + 1).block(slo, k0, sh, k);
+                    t.writes_slot(image);
+                    t.run(move |cx| {
+                        let mut buf = AlignedBuf::new();
+                        pack_a_slab(Trans::No, cx.view(l), 0, sh, &mut buf);
+                        cx.put(image, buf);
+                    });
                     apacks.push(image);
                 }
             }
 
-            let mut nbpacks = 0usize;
             for &(jblk, jcnt, jc0, wj) in &chunks {
                 let update_prio = prio(nsteps, step, p.lookahead, TaskKind::Update, jblk);
-                // Pack-B tasks of this chunk, panel `panel`'s image in slot
-                // `nbpacks + panel`; reading the U row orders each after the
+                // Pack-B tasks of this chunk, panel `panel`'s image in
+                // `bpacks[panel]`; reading the U row orders each after the
                 // chunk's URow solve.
-                let mut bpacks: Vec<Slot> = Vec::new();
+                let mut bpacks: Vec<Slot<AlignedBuf<T>>> = Vec::new();
                 if !apacks.is_empty() {
                     for (panel, (pj0, pw)) in pieces(jc0, wj, pan_w).enumerate() {
-                        let slot = nbpacks + panel;
                         let meta =
                             TaskMeta::new(TaskLabel::new(TaskKind::Other, step, g + panel, jblk), 0.0)
                                 .with_bytes(traffic::pack(k, pw))
                                 .with_priority(update_prio + 5)
                                 .with_class(KernelClass::Memory);
-                        let id = pb.task(meta, move |a, s| {
-                            // SAFETY: reads the final U row panel (after URow's solve).
-                            let u = unsafe { a.block(k0, pj0, k, pw) };
-                            let mut buf = AlignedBuf::new();
-                            pack_b_panel(Trans::No, u, 0, pw, &mut buf);
-                            let _ = s.panels[step].bpacks[slot].set(buf);
-                        });
-                        pb.reads(id, step..step + 1, row_blocks(pj0..pj0 + pw, b));
                         let image = pb.slot();
-                        pb.writes_slot(id, image);
+                        let mut t = pb.task(meta);
+                        let u = t.reads(step..step + 1, row_blocks(pj0..pj0 + pw, b)).block(k0, pj0, k, pw);
+                        t.writes_slot(image);
+                        t.run(move |cx| {
+                            let mut buf = AlignedBuf::new();
+                            pack_b_panel(Trans::No, cx.view(u), 0, pw, &mut buf);
+                            cx.put(image, buf);
+                        });
                         bpacks.push(image);
                     }
                 }
@@ -364,54 +321,36 @@ impl CaluPlan {
                             .with_bytes(traffic::gemm(mb, wj, k))
                             .with_priority(update_prio)
                             .with_class(KernelClass::Gemm);
-                        let id = pb.task(meta, move |a, _| {
-                            // SAFETY: reads L (final) and U (final); writes blocks only
-                            // this task may touch per the DAG.
-                            let l = unsafe { a.block(lo, k0, mb, k) };
-                            let u = unsafe { a.block(k0, jc0, k, wj) };
-                            let c = unsafe { a.block_mut(lo, jc0, mb, wj) };
-                            gemm(Trans::No, Trans::No, -T::ONE, l, u, T::ONE, c);
+                        let mut t = pb.task(meta);
+                        let l = t.reads(row_blocks(lo..lo + mb, b), step..step + 1).block(lo, k0, mb, k);
+                        let u = t.reads(step..step + 1, jblk..jblk + jcnt).block(k0, jc0, k, wj);
+                        let c = t.writes(row_blocks(lo..lo + mb, b), jblk..jblk + jcnt).block(lo, jc0, mb, wj);
+                        t.run(move |cx| {
+                            gemm(Trans::No, Trans::No, -T::ONE, cx.view(l), cx.view(u), T::ONE, cx.view_mut(c))
                         });
-                        pb.reads(id, row_blocks(lo..lo + mb, b), step..step + 1);
-                        pb.reads(id, step..step + 1, jblk..jblk + jcnt);
-                        pb.writes(id, row_blocks(lo..lo + mb, b), jblk..jblk + jcnt);
                         continue;
                     }
                     for (slab, (slo, sh)) in pieces(lo, mb, slab_h).enumerate() {
-                        for (panel, (pj0, pw)) in pieces(jc0, wj, pan_w).enumerate() {
-                            let (aslot, bslot) = (abase[grp] + slab, nbpacks + panel);
+                        for (&bpack, (pj0, pw)) in bpacks.iter().zip(pieces(jc0, wj, pan_w)) {
+                            let apack = apacks[abase[grp] + slab];
                             let meta = TaskMeta::new(label, flops::gemm(sh, pw, k))
                                 .with_bytes(traffic::gemm_packed(sh, pw, k))
                                 .with_priority(update_prio)
                                 .with_class(KernelClass::Gemm);
-                            let id = pb.task(meta, move |a, s| {
-                                let ctx = &s.panels[step];
-                                let apack = ctx.apacks[aslot].get().expect("A image not packed");
-                                let bpack = ctx.bpacks[bslot].get().expect("B image not packed");
-                                // SAFETY: writes only this tile's C window, which the DAG
-                                // orders against every conflicting task; `beta = 1` makes
-                                // the packed path replay the monolithic gemm bitwise.
-                                let c = unsafe { a.block_mut(slo, pj0, sh, pw) };
-                                gemm_packed(-T::ONE, apack, bpack, k, T::ONE, c);
+                            let mut t = pb.task(meta);
+                            t.reads_slot(apack);
+                            t.reads_slot(bpack);
+                            let tile = t.writes(row_blocks(slo..slo + sh, b), row_blocks(pj0..pj0 + pw, b));
+                            let c = tile.block(slo, pj0, sh, pw);
+                            // `beta = 1` makes the packed path replay the
+                            // monolithic gemm bitwise.
+                            t.run(move |cx| {
+                                gemm_packed(-T::ONE, cx.get(apack), cx.get(bpack), k, T::ONE, cx.view_mut(c))
                             });
-                            pb.reads_slot(id, apacks[aslot]);
-                            pb.reads_slot(id, bpacks[panel]);
-                            pb.writes(id, row_blocks(slo..slo + sh, b), row_blocks(pj0..pj0 + pw, b));
                         }
                     }
                 }
-                nbpacks += bpacks.len();
             }
-
-            let slots = |n: usize| (0..n).map(|_| OnceLock::new()).collect();
-            panels.push(PanelSlots {
-                results: (0..g + schedule.len()).map(|_| OnceLock::new()).collect(),
-                pivots: OnceLock::new(),
-                breakdown: OnceLock::new(),
-                growth: OnceLock::new(),
-                apacks: slots(apacks.len()),
-                bpacks: slots(nbpacks),
-            });
         }
 
         // --- Deferred left-side interchanges (Algorithm 1 line 41).
@@ -421,38 +360,35 @@ impl CaluPlan {
             let meta = TaskMeta::new(TaskLabel::new(TaskKind::Swap, nsteps, 0, jblk), 0.0)
                 .with_bytes(traffic::laswp(swap_rows, wj))
                 .with_class(KernelClass::Memory);
-            let id = pb.task(meta, move |a, s| {
-                for (step, ctx) in s.panels.iter().enumerate().skip(jblk + 1) {
-                    let k0 = step * b;
-                    let pivots = ctx.pivots.get().expect("pivots not ready");
-                    // SAFETY: exclusive writer of this finished column block.
-                    let col = unsafe { a.block_mut(k0, jc0, m - k0, wj) };
-                    local_seq(pivots, k0).apply(col);
+            let later = roots[jblk + 1..].to_vec();
+            let mut t = pb.task(meta);
+            for &root in &later {
+                t.reads_slot(root);
+            }
+            let r0 = (jblk + 1) * b;
+            let col = t.writes(row_blocks(r0..m, b), jblk..jblk + 1).block(r0, jc0, m - r0, wj);
+            t.run(move |cx| {
+                let mut col = cx.view_mut(col);
+                for (k0, &root) in (r0..).step_by(b).zip(&later) {
+                    local_seq(&cx.get(root).0, k0).apply(col.sub(k0 - r0, 0, m - k0, wj));
                 }
             });
-            for &root in &roots[jblk + 1..] {
-                pb.reads_slot(id, root);
-            }
-            pb.writes(id, row_blocks((jblk + 1) * b..m, b), jblk..jblk + 1);
         }
 
-        pb.finish(CaluSlots { b, panels }, |lu, s| {
+        pb.finish(move |lu, slots| {
             let mut pivots = PivotSeq::new(0);
             let mut breakdown = None;
             let mut stats = LuStats::default();
-            for (step, ctx) in s.panels.iter().enumerate() {
-                let k0 = step * s.b;
-                pivots.extend(ctx.pivots.get().expect("panel pivots missing"));
-                if breakdown.is_none() {
-                    breakdown = ctx.breakdown.get().copied().flatten().map(|c| k0 + c);
-                }
-                let (g, fb) = ctx.growth.get().copied().expect("panel growth missing");
-                stats.panel_growth.push(g);
-                if fb {
+            for (k0, root) in (0..).step_by(b).zip(roots) {
+                let (p, bd, (growth, fallback)) = slots.take(root)?;
+                pivots.extend(&p);
+                breakdown = breakdown.or(bd.map(|c| k0 + c));
+                stats.panel_growth.push(growth);
+                if fallback {
                     stats.fallback_panels.push(k0);
                 }
             }
-            LuFactors { lu, pivots, breakdown, stats }
+            Some(LuFactors { lu, pivots, breakdown, stats })
         })
     }
 }

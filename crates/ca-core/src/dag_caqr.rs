@@ -15,26 +15,14 @@
 
 use crate::caqr::QrFactors;
 use crate::params::{num_panels, partition_rows, CaParams, RowPartition};
-use crate::tsqr::{eliminate, leaf_apply, leaf_qr, node_apply, plan_panel, LeafQ, NodeQ, PanelPlan, PanelQ};
+use crate::tsqr::{eliminate, leaf_qr, node_apply_rows, plan_panel, LeafQ, NodeQ, PanelPlan, PanelQ};
 use ca_kernels::{flops, traffic};
-use ca_kernels::{Kernel, Trans, VRest};
+use ca_kernels::{larfb_left, Kernel, Trans, VRest};
 use ca_matrix::Scalar;
-use ca_sched::{row_blocks, KernelClass, Plan, PlanBuilder, TaskGraph, TaskKind, TaskLabel, TaskMeta};
-use std::sync::OnceLock;
-
-/// What the tasks of one panel leave behind at run time: a [`PanelQ`] whose
-/// leaves and nodes are still slots.
-struct PanelSlots<T: Scalar> {
-    k0: usize,
-    w: usize,
-    k: usize,
-    leaves: Vec<OnceLock<LeafQ<T>>>,
-    nodes: Vec<OnceLock<NodeQ<T>>>,
-}
-
-/// The run-time slots of a CAQR plan, one entry per panel. Only they are
-/// typed; graph, footprints and geometry are the same for every `T`.
-pub struct CaqrSlots<T: Scalar>(Vec<PanelSlots<T>>);
+use ca_sched::{
+    row_blocks, KernelClass, Plan, PlanBuilder, Slot, TaskDecl, TaskGraph, TaskKind, TaskLabel, TaskMeta, Write,
+};
+use core::ops::Range;
 
 fn prio(nsteps: usize, step: usize, lookahead: bool, kind: TaskKind, jblk: usize) -> i64 {
     let critical = ((nsteps - step) as i64) * 1000;
@@ -58,7 +46,7 @@ impl CaqrPlan {
     /// Plan for an `m × n` matrix with parameters `p` (an empty matrix gets
     /// an empty graph): every panel eliminated by `p.tree`'s TSQR
     /// ([`plan_panel`]).
-    pub fn build<T: Kernel>(m: usize, n: usize, p: &CaParams) -> Plan<T, CaqrSlots<T>, QrFactors<T>> {
+    pub fn build<T: Kernel>(m: usize, n: usize, p: &CaParams) -> Plan<T, QrFactors<T>> {
         Self::build_with(m, n, p, |part, w| plan_panel(part, w, p.tree))
     }
 
@@ -72,14 +60,16 @@ impl CaqrPlan {
         n: usize,
         p: &CaParams,
         elims: impl Fn(&RowPartition, usize) -> PanelPlan,
-    ) -> Plan<T, CaqrSlots<T>, QrFactors<T>> {
+    ) -> Plan<T, QrFactors<T>> {
         ca_sched::sched_counters().factor_graphs_built.inc();
         let b = p.b;
         let nsteps = num_panels(m, n, b);
         let nb = n.div_ceil(b);
 
-        let mut pb = PlanBuilder::<T, CaqrSlots<T>>::new(b, m, n);
-        let mut panels: Vec<PanelSlots<T>> = Vec::with_capacity(nsteps);
+        let mut pb = PlanBuilder::<T>::new(b, m, n);
+        // Per panel: `(k0, w, k)` and the slots of its leaves and nodes.
+        type Panel<T> = ((usize, usize, usize), Vec<Slot<LeafQ<T>>>, Vec<Slot<NodeQ<T>>>);
+        let mut panels: Vec<Panel<T>> = Vec::with_capacity(nsteps);
 
         for step in 0..nsteps {
             let k0 = step * b;
@@ -99,7 +89,7 @@ impl CaqrPlan {
 
             // --- Leaf QR tasks + their trailing updates.
             let mut leaf_slots = Vec::with_capacity(leaves.len());
-            for (li, &grp) in leaves.iter().enumerate() {
+            for &grp in &leaves {
                 let rows = part.group(grp);
                 let leaf_k = rows.len().min(w);
                 let meta = TaskMeta::new(
@@ -109,18 +99,16 @@ impl CaqrPlan {
                 .with_bytes(traffic::geqr3(rows.len(), leaf_k))
                 .with_priority(panel_prio)
                 .with_class(KernelClass::QrRecursive);
-                let leaf_rows = rows.clone();
-                let id = pb.task(meta, move |a, s| {
-                    let leaf = leaf_qr(a, k0, w, leaf_rows.clone());
-                    s.0[step].leaves[li].set(leaf).expect("leaf ran twice");
-                });
-                pb.writes(id, row_blocks(rows, b), step..step + 1);
                 let leaf = pb.slot();
-                pb.writes_slot(id, leaf);
+                let mut t = pb.task(meta);
+                let blk = t.writes(row_blocks(rows.clone(), b), step..step + 1);
+                let blk = blk.block(rows.start, k0, rows.len(), w);
+                t.writes_slot(leaf);
+                t.run(move |cx| cx.put(leaf, leaf_qr(cx.view_mut(blk), rows.clone())));
                 leaf_slots.push(leaf);
             }
             for &(jblk, jc0, wj, pr) in &trailing {
-                for (li, &grp) in leaves.iter().enumerate() {
+                for (&grp, &leaf) in leaves.iter().zip(&leaf_slots) {
                     let rows = part.group(grp);
                     let leaf_k = rows.len().min(w);
                     let meta = TaskMeta::new(
@@ -130,13 +118,16 @@ impl CaqrPlan {
                     .with_bytes(traffic::larfb(rows.len(), wj, leaf_k))
                     .with_priority(pr)
                     .with_class(KernelClass::Larfb);
-                    let id = pb.task(meta, move |a, s| {
-                        let leaf = s.0[step].leaves[li].get().expect("leaf T not ready");
-                        leaf_apply(a, k0, leaf, a, jc0..jc0 + wj, Trans::Yes);
+                    let mut t = pb.task(meta);
+                    t.reads_slot(leaf); // the LeafQ (T factor)
+                    let v = t.reads(row_blocks(rows.clone(), b), step..step + 1);
+                    let c = t.writes(row_blocks(rows.clone(), b), jblk..jblk + 1);
+                    let (r0, r) = (rows.start, rows.len());
+                    t.run(move |cx| {
+                        let leaf = cx.get(leaf);
+                        let v = cx.view(v.block(r0, k0, r, leaf.kv));
+                        larfb_left(Trans::Yes, v, leaf.t.view(), cx.view_mut(c.block(r0, jc0, r, wj)));
                     });
-                    pb.reads_slot(id, leaf_slots[li]); // the LeafQ (T factor)
-                    pb.reads(id, row_blocks(rows.clone(), b), step..step + 1);
-                    pb.writes(id, row_blocks(rows, b), jblk..jblk + 1);
                 }
             }
 
@@ -151,22 +142,21 @@ impl CaqrPlan {
                 .with_bytes(traffic::geqr3(s.max(plan.kk), plan.kk))
                 .with_priority(panel_prio)
                 .with_class(KernelClass::QrRecursive);
-                let (node_plan, rest) = (plan.clone(), *rest);
-                let id = pb.task(meta, move |a, s| {
-                    let nq = eliminate(a, k0, w, &node_plan, rest);
-                    s.0[step].nodes[ni].set(nq).expect("node ran twice");
-                });
-                // Reads + writes the participants' top block rows of the panel.
-                for r in &plan.row_ranges {
-                    pb.writes(id, row_blocks(r.clone(), b), step..step + 1);
-                }
                 let node = pb.slot();
-                pb.writes_slot(id, node);
+                let mut t = pb.task(meta);
+                // Reads + writes the participants' top block rows of the panel.
+                let parts = participants(&mut t, &plan.row_ranges, b, step, k0, w);
+                t.writes_slot(node);
+                let (node_plan, rest) = (plan.clone(), *rest);
+                t.run(move |cx| {
+                    let below: Vec<_> = parts[1..].iter().map(|&h| cx.view(h)).collect();
+                    cx.put(node, eliminate(cx.view_mut(parts[0]), &below, &node_plan, rest));
+                });
                 node_slots.push(node);
             }
-            for (ni, (plan, rest)) in nodes.iter().enumerate() {
-                // `node_apply` is the structured form: identity top block,
-                // dense (TS) or upper-trapezoidal (TT) blocks below it.
+            for (ni, ((plan, rest), &node)) in nodes.iter().zip(&node_slots).enumerate() {
+                // `node_apply_rows` is the structured form: identity top
+                // block, dense (TS) or upper-trapezoidal (TT) blocks below it.
                 let s: usize = plan.row_ranges.iter().map(|r| r.len()).sum();
                 let v_len: usize = plan.row_ranges[1..]
                     .iter()
@@ -176,45 +166,51 @@ impl CaqrPlan {
                     })
                     .sum();
                 for &(jblk, jc0, wj, pr) in &trailing {
-                    let meta = TaskMeta::new(
-                        TaskLabel::new(TaskKind::Update, step, g + ni, jblk),
-                        flops::larfb_node(v_len, wj, plan.kk),
-                    )
-                    .with_bytes(traffic::larfb_node(v_len, s, wj, plan.kk))
-                    .with_priority(pr)
-                    .with_class(KernelClass::Larfb);
-                    let id = pb.task(meta, move |a, s| {
-                        let nq = s.0[step].nodes[ni].get().expect("node V/T not ready");
-                        node_apply(nq, a, jc0..jc0 + wj, Trans::Yes);
+                    let label = TaskLabel::new(TaskKind::Update, step, g + ni, jblk);
+                    let meta = TaskMeta::new(label, flops::larfb_node(v_len, wj, plan.kk))
+                        .with_bytes(traffic::larfb_node(v_len, s, wj, plan.kk))
+                        .with_priority(pr)
+                        .with_class(KernelClass::Larfb);
+                    let mut t = pb.task(meta);
+                    t.reads_slot(node); // the NodeQ (V, T scratch)
+                    let parts = participants(&mut t, &plan.row_ranges, b, jblk, jc0, wj);
+                    t.run(move |cx| {
+                        let mut c: Vec<_> = parts.iter().map(|&h| cx.view_mut(h)).collect();
+                        node_apply_rows(cx.get(node), &mut c, Trans::Yes);
                     });
-                    pb.reads_slot(id, node_slots[ni]); // the NodeQ (V, T scratch)
-                    for r in &plan.row_ranges {
-                        pb.writes(id, row_blocks(r.clone(), b), jblk..jblk + 1);
-                    }
                 }
             }
 
-            panels.push(PanelSlots {
-                k0,
-                w,
-                k: w.min(m - k0),
-                leaves: (0..leaves.len()).map(|_| OnceLock::new()).collect(),
-                nodes: (0..nodes.len()).map(|_| OnceLock::new()).collect(),
-            });
+            panels.push(((k0, w, w.min(m - k0)), leaf_slots, node_slots));
         }
 
-        pb.finish(CaqrSlots(panels), |a, s| {
-            let full = |ctx: PanelSlots<T>| PanelQ {
-                k0: ctx.k0,
-                c0: ctx.k0,
-                w: ctx.w,
-                k: ctx.k,
-                leaves: ctx.leaves.into_iter().map(|l| l.into_inner().expect("leaf missing")).collect(),
-                nodes: ctx.nodes.into_iter().map(|n| n.into_inner().expect("node missing")).collect(),
+        pb.finish(move |a, slots| {
+            let mut panel = |((k0, w, k), leaves, nodes): Panel<T>| {
+                let leaves = leaves.into_iter().map(|l| slots.take(l)).collect::<Option<_>>()?;
+                let nodes = nodes.into_iter().map(|n| slots.take(n)).collect::<Option<_>>()?;
+                Some(PanelQ { k0, c0: k0, w, k, leaves, nodes })
             };
-            QrFactors { a, panels: s.0.into_iter().map(full).collect() }
+            let panels = panels.into_iter().map(&mut panel).collect::<Option<_>>()?;
+            Some(QrFactors { a, panels })
         })
     }
+}
+
+/// Declares that `t` writes, in block column `jblk`, the blocks of each of
+/// a node's participant `ranges`; each handle names its range's rows of
+/// columns `c0..c0 + w`.
+fn participants<T: Scalar>(
+    t: &mut TaskDecl<'_, T>,
+    ranges: &[Range<usize>],
+    b: usize,
+    jblk: usize,
+    c0: usize,
+    w: usize,
+) -> Vec<Write> {
+    let mut part = |r: &Range<usize>| {
+        t.writes(row_blocks(r.clone(), b), jblk..jblk + 1).block(r.start, c0, r.len(), w)
+    };
+    ranges.iter().map(&mut part).collect()
 }
 
 /// Builds just the task graph (for the multicore simulator and DAG figures).

@@ -132,8 +132,9 @@ fn probe<T: Kernel, F: Factored<T>>(f: &F, a0: &Matrix<T>) -> Result<(), FactorE
 }
 
 /// The second half of the recovery ladder, run by the sink once every task
-/// of `run` ran or skipped its body: gather the factors, check the race
-/// detector and hold the factors to the `try_*` contract; under `retry`,
+/// of `run` ran or skipped its body: refuse a run a body broke its lease in
+/// (even one a whole-plan replay could mend), gather the factors and hold
+/// them to the `try_*` contract; under `retry`,
 /// probe them against `a0`, the input as it was before the run. Factors
 /// that break the contract or fail the probe — either may be corruption —
 /// or a task that used up its replay budget send a copy of `a0` through the
@@ -141,11 +142,14 @@ fn probe<T: Kernel, F: Factored<T>>(f: &F, a0: &Matrix<T>) -> Result<(), FactorE
 /// fixes the arithmetic. The reference's own contract check has the last
 /// word (a singular input fails there), then the probe runs again, up to
 /// `replays` times; then the last fault is the error.
-fn settle<T: Kernel, S, F: Factored<T>>(
-    run: Arc<PlanRun<T, S, F>>,
+fn settle<T: Kernel, F: Factored<T>>(
+    run: Arc<PlanRun<T, F>>,
     p: &CaParams,
     retry: Option<(Matrix<T>, usize)>,
 ) -> Result<F, FactorError> {
+    if let Some(violation) = run.violation() {
+        return Err(violation.into());
+    }
     let exhausted = run.exhausted().map(|(label, failure)| FactorError::TaskFailed {
         label: label.to_string(),
         message: failure.message.clone(),
@@ -154,9 +158,6 @@ fn settle<T: Kernel, S, F: Factored<T>>(
         drop(run);
         fault
     } else {
-        if let Some(violation) = run.violation() {
-            return Err(violation.into());
-        }
         let f = sole_owner(run.collect())?;
         let Some((a0, _)) = &retry else { return f.check(p) };
         match f.check(p).and_then(|f| probe(&f, a0).map(|()| f)) {
@@ -182,8 +183,8 @@ fn settle<T: Kernel, S, F: Factored<T>>(
 /// sink is the last owner. Under `retry` the input is copied once, before
 /// the run, for the probe and the replays, and the probe's flops are the
 /// sink's cost.
-fn plan_serve_graph<T: Kernel, S: Send + Sync + 'static, F: Factored<T>>(
-    plan: Plan<T, S, F>,
+fn plan_serve_graph<T: Kernel, F: Factored<T>>(
+    plan: Plan<T, F>,
     a: Matrix<T>,
     p: CaParams,
     opts: &FactorOptions,
@@ -198,8 +199,8 @@ fn plan_serve_graph<T: Kernel, S: Send + Sync + 'static, F: Factored<T>>(
 /// [`run_plan`] and the `try_*` contract; under `retry`, the served graph —
 /// the plan's jobs and the sink that settles them — run by [`execute`], so a
 /// one-shot run climbs the same ladder as a served one.
-pub(crate) fn try_plan_with<T: Kernel, S: Send + Sync + 'static, F: Factored<T>>(
-    plan: Plan<T, S, F>,
+pub(crate) fn try_plan_with<T: Kernel, F: Factored<T>>(
+    plan: Plan<T, F>,
     a: Matrix<T>,
     p: &CaParams,
     opts: &FactorOptions,
@@ -322,7 +323,7 @@ pub fn solve_serve_graph<F: Send + Sync + 'static>(
 mod tests {
     use super::*;
     use ca_matrix::{norm_max, seeded_rng};
-    use ca_sched::{CancelReason, JobOptions, JobOutcome, MultiFrontier, PlanBuilder, Retry};
+    use ca_sched::{CancelReason, JobOptions, JobOutcome, MultiFrontier, PlanBuilder, Retry, RetryPolicy};
     use std::time::Duration;
 
     /// A plan that gathers the matrix alone settles as it is.
@@ -364,10 +365,11 @@ mod tests {
 
     /// A one-task plan gathering a [`Replayed`], served under `retry`.
     fn replayed_graph() -> ServeGraph<Replayed> {
-        let mut pb = PlanBuilder::<f64, ()>::new(4, 4, 4);
-        let t = pb.task(TaskMeta::new(TaskLabel::new(TaskKind::Panel, 0, 0, 0), 1.0), |_, _| {});
-        pb.writes(t, 0..1, 0..1);
-        let plan = pb.finish((), |_, ()| Replayed(false));
+        let mut pb = PlanBuilder::<f64>::new(4, 4, 4);
+        let mut t = pb.task(TaskMeta::new(TaskLabel::new(TaskKind::Panel, 0, 0, 0), 1.0));
+        t.writes(0..1, 0..1);
+        t.run(|_| {});
+        let plan = pb.finish(|_, _| Some(Replayed(false)));
         let retry = FactorOptions { retry: Some(Retry::default()), ..Default::default() };
         plan_serve_graph(plan, Matrix::zeros(4, 4), CaParams::new(4, 1, 1), &retry).expect("sound")
     }
@@ -524,34 +526,40 @@ mod tests {
     }
 
     #[test]
-    #[allow(clippy::disallowed_methods)] // the raw out-of-footprint write is the point
     fn served_checked_plan_with_an_under_declared_footprint_fails_naming_the_task() {
         // The served mirror of ca-sched's
-        // `checked::out_of_footprint_write_is_reported_with_label`: the task
-        // declares rows 0..4 and writes rows 4..8, the sink refuses to gather.
-        let mut pb = PlanBuilder::<f64, ()>::new(4, 8, 4);
+        // `checked::out_of_footprint_write_is_reported_with_label_checked_or_not`:
+        // the task declares rows 0..4 and opens rows 4..8. Its lease refuses
+        // the open, so the task fails naming itself and the rows; under
+        // `retry` its replays fail alike, and the sink refuses the run
+        // rather than replay the whole plan.
         let label = TaskLabel::new(TaskKind::Panel, 0, 0, 0);
-        let w = pb.task(TaskMeta::new(label, 1.0), |a, _| {
-            // SAFETY: the only task of the graph.
-            unsafe { a.block_mut(4, 0, 4, 4).fill(9.0) }
-        });
-        pb.writes(w, 0..1, 0..1);
-        let plan = pb.finish((), |a, ()| a);
-        let checked = FactorOptions { checked: true, ..Default::default() };
-        let p = CaParams::new(4, 1, 1);
-        let sg = plan_serve_graph(plan, Matrix::zeros(8, 4), p, &checked).expect("statically sound");
+        let sink = TaskLabel::new(TaskKind::Other, 0, 0, 0);
+        let retry = Retry { policy: RetryPolicy::default().with_max_retries(1), replays: 1 };
+        for (retry, failed_at) in [(None, label), (Some(retry), sink)] {
+            let mut pb = PlanBuilder::<f64>::new(4, 8, 4);
+            let mut w = pb.task(TaskMeta::new(label, 1.0));
+            let top = w.writes(0..1, 0..1);
+            w.run(move |cx| cx.view_mut(top.block(4, 0, 4, 4)).fill(9.0));
+            let plan = pb.finish(|a, _| Some(a));
+            let checked = FactorOptions { checked: true, retry, ..Default::default() };
+            let p = CaParams::new(4, 1, 1);
+            let sg = plan_serve_graph(plan, Matrix::zeros(8, 4), p, &checked).expect("statically sound");
 
-        let f = MultiFrontier::new(1);
-        let (_, watch) = f.submit(sg.graph, JobOptions::default());
-        match watch.wait().outcome {
-            JobOutcome::Failed(e) => {
-                assert_eq!(e.label, TaskLabel::new(TaskKind::Other, 0, 0, 0), "refused at the sink");
-                assert!(e.message.contains(&label.to_string()), "message: {}", e.message);
-                assert!(e.message.contains("4..8"), "message: {}", e.message);
+            let f = MultiFrontier::new(1);
+            let (_, watch) = f.submit(sg.graph, JobOptions::default());
+            match watch.wait().outcome {
+                JobOutcome::Failed(e) => {
+                    assert_eq!(e.label, failed_at);
+                    assert!(e.message.contains(&label.to_string()), "message: {}", e.message);
+                    assert!(e.message.contains("4..8"), "message: {}", e.message);
+                }
+                other => panic!("expected a failed job, got {other:?}"),
             }
-            other => panic!("expected a failed job, got {other:?}"),
+            if retry.is_some() {
+                assert!(matches!(sg.output.get(), Some(Err(FactorError::Soundness { .. }))));
+            }
+            f.shutdown();
         }
-        assert!(matches!(sg.output.get(), Some(Err(FactorError::Soundness { .. }))));
-        f.shutdown();
     }
 }

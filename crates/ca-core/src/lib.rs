@@ -39,9 +39,8 @@
 //!   explicit [`FactorOptions`]: seeded fault injection (`chaos`), the
 //!   recovery ladder (`retry`: task-level snapshot/replay, then an integrity
 //!   probe and whole-plan replays, as a served job runs it), checked
-//!   execution (`checked`: the
-//!   static verifier followed by a run in which every element access is
-//!   audited against the declared footprints by a shadow lease registry), in
+//!   execution (`checked`: the static verifier before the run; every run's
+//!   task bodies open only the rects and slots their tasks declared), in
 //!   any combination, returning the executor's [`ca_sched::RunReport`] —
 //!   and with it the run's profile — next to the factors. Every DAG
 //!   factorization entry point is a one-line caller of these two, which in
@@ -56,7 +55,7 @@
 //!   tier's [`ca_sched::MultiFrontier`].
 
 #![warn(missing_docs)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 mod calu;
 mod caqr;
@@ -89,5 +88,5 @@ pub use jobs::{
 };
 pub use dag_calu::{calu_task_graph, CaluPlan};
 pub use solve::{lu_packed_solve_in_place, RefineInfo};
-pub use dag_caqr::{caqr_task_graph, CaqrPlan, CaqrSlots};
+pub use dag_caqr::{caqr_task_graph, CaqrPlan};
 pub use params::{num_panels, partition_rows, CaParams, RowPartition, TreeShape};

@@ -19,15 +19,17 @@
 //! or *triangle on square* (TS, [`VRest::Dense`]) when it stacks raw rows
 //! under the running `R`, as PLASMA's tile chain ([`ts_chain`]) does.
 //!
-//! All operations work through [`SharedMatrix`] block views so the exact
-//! same code runs sequentially, inside the task-parallel executor, and in
-//! the `Q`-replay of [`crate::QrFactors`].
+//! All operations work on matrix views — a task's leased blocks inside the
+//! executor, blocks of an owned matrix in the sequential loop and in the
+//! `Q`-replay of [`crate::QrFactors`] — so the exact same code runs in all
+//! three. A node's participants are scattered row blocks: one checked
+//! disjoint multi-row view ([`MatViewMut::split_rows`]).
 
 use crate::params::RowPartition;
 use crate::tree::{reduction_schedule, ReduceNode};
 use crate::params::TreeShape;
-use ca_kernels::{geqr2, geqr3, larfb_left, larfb_left_multi, larft, split_range, Kernel, Trans, VRest};
-use ca_matrix::{MatView, Matrix, Scalar, SharedMatrix};
+use ca_kernels::{geqr2, geqr3, larfb_left, larfb_left_multi, larft, split_cols, Kernel, Trans, VRest};
+use ca_matrix::{MatView, MatViewMut, Matrix, Scalar, SharedMatrix};
 use core::ops::Range;
 
 /// Q-representation of one leaf QR: the reflectors live in the factored
@@ -170,21 +172,11 @@ fn eliminations(
     PanelPlan { leaves, nodes }
 }
 
-/// Leaf QR of the group `rows × w` block at panel columns `c0..c0+w`,
-/// in place. Returns the leaf's `T` factor.
-// TSQR kernel helper: called from DAG executors whose declared
-// footprints `verify_graph` proves conflict-ordered.
-#[allow(clippy::disallowed_methods)]
-pub fn leaf_qr<T: Kernel>(
-    a: &SharedMatrix<T>,
-    c0: usize,
-    w: usize,
-    rows: Range<usize>,
-) -> LeafQ<T> {
-    let r = rows.len();
+/// Leaf QR of a group's panel block `blk` (the group's `rows` × the
+/// panel's columns), in place. Returns the leaf's `T` factor.
+pub fn leaf_qr<T: Kernel>(mut blk: MatViewMut<'_, T>, rows: Range<usize>) -> LeafQ<T> {
+    let (r, w) = (blk.nrows(), blk.ncols());
     let kv = r.min(w);
-    // SAFETY: caller (sequential loop or DAG) guarantees exclusive access.
-    let mut blk = unsafe { a.block_mut(rows.start, c0, r, w) };
     let mut t = Matrix::zeros(kv, kv);
     if r >= w {
         geqr3(blk, t.view_mut());
@@ -197,65 +189,41 @@ pub fn leaf_qr<T: Kernel>(
     LeafQ { rows, kv, t }
 }
 
-/// Applies `op(Q_leaf)` to columns `dcols` of `dst` (rows = the leaf's
-/// group). `src` holds the factored panel (the reflectors); during the
-/// factorization's own trailing update `src` and `dst` are the same matrix.
-// TSQR kernel helper: called from DAG executors whose declared
-// footprints `verify_graph` proves conflict-ordered.
-#[allow(clippy::disallowed_methods)]
-pub fn leaf_apply<T: Kernel>(
-    src: &SharedMatrix<T>,
-    c0: usize,
-    leaf: &LeafQ<T>,
-    dst: &SharedMatrix<T>,
-    dcols: Range<usize>,
-    trans: Trans,
-) {
-    if dcols.is_empty() {
-        return;
-    }
-    let r = leaf.rows.len();
-    // SAFETY: DAG/replay ordering guarantees the V block is read-stable and
-    // the destination block is exclusively ours.
-    let v = unsafe { src.block(leaf.rows.start, c0, r, leaf.kv) };
-    let c = unsafe { dst.block_mut(leaf.rows.start, dcols.start, r, dcols.len()) };
-    larfb_left(trans, v, leaf.t.view(), c);
-}
-
-/// Reduction-node QR of a TSQR tree node: [`eliminate`] with TT stacking.
+/// Reduction-node QR of a TSQR tree node: [`eliminate`] with TT stacking,
+/// over panel columns `c0..c0+w` of `a` at `plan.row_ranges`.
 pub fn node_qr<T: Kernel>(a: &SharedMatrix<T>, c0: usize, w: usize, plan: &NodePlan) -> NodeQ<T> {
-    eliminate(a, c0, w, plan, VRest::UpperTrapezoid)
+    a.exclusive(|a| {
+        let m = a.nrows();
+        let mut parts = a.into_sub(0, c0, m, w).split_rows(&plan.row_ranges);
+        let (top, below) = parts.split_at_mut(1);
+        let below: Vec<_> = below.iter().map(|p| p.as_ref()).collect();
+        eliminate(top[0].rb(), &below, plan, VRest::UpperTrapezoid)
+    })
 }
 
-/// One elimination: stacks the first participant's `R` over the others'
-/// rows (read from `a` at `plan.row_ranges`, panel columns `c0..c0+w`) —
-/// their `R` trapezoids for `rest = UpperTrapezoid` (TT), their raw rows in
-/// full for `rest = Dense` (TS) — refactors the stack, writes the merged
-/// `R` back into the first participant's rows, and returns the node's
-/// reflectors.
-// TSQR kernel helper: called from DAG executors whose declared
-// footprints `verify_graph` proves conflict-ordered.
-#[allow(clippy::disallowed_methods)]
+/// One elimination: stacks the first participant's `R` (`top`, the
+/// `plan.row_ranges[0]` rows of the panel columns) over the others' rows
+/// (`below`, at `plan.row_ranges[1..]`) — their `R` trapezoids for `rest =
+/// UpperTrapezoid` (TT), their raw rows in full for `rest = Dense` (TS) —
+/// refactors the stack, writes the merged `R` back into `top`, and returns
+/// the node's reflectors.
 pub fn eliminate<T: Kernel>(
-    a: &SharedMatrix<T>,
-    c0: usize,
-    w: usize,
+    mut top: MatViewMut<'_, T>,
+    below: &[MatView<'_, T>],
     plan: &NodePlan,
     rest: VRest,
 ) -> NodeQ<T> {
     let s: usize = plan.row_ranges.iter().map(|r| r.len()).sum();
-    let kk = plan.kk;
+    let (kk, w) = (plan.kk, top.ncols());
     // `node_apply` relies on the structure this gives the reflectors: an
     // upper-triangular top block keeps V's top block the identity.
     assert_eq!(plan.row_ranges[0].len(), kk, "first participant must supply exactly kk rows");
     let mut stack = Matrix::zeros(s, w);
     let mut rows = stack.view_mut();
     let mut off = 0usize;
-    for (i, range) in plan.row_ranges.iter().enumerate() {
-        let len = range.len();
+    for (i, blk) in core::iter::once(top.as_ref()).chain(below.iter().copied()).enumerate() {
+        let len = blk.nrows();
         let dense = i > 0 && rest == VRest::Dense;
-        // SAFETY: ordered read of the participants' blocks.
-        let blk = unsafe { a.block(range.start, c0, len, w) };
         for j in 0..w {
             // An `R` is its upper trapezoid; below lives V junk. For
             // participant 0 on upper tree levels the R occupies only `len`
@@ -278,34 +246,32 @@ pub fn eliminate<T: Kernel>(
     // Write the merged R (upper trapezoid of the top kk rows) back into the
     // first participant's rows — without clobbering the leaf V entries that
     // live below the diagonal there.
-    {
-        let r0 = plan.row_ranges[0].start;
-        // SAFETY: exclusive write ordered by the DAG.
-        let mut top = unsafe { a.block_mut(r0, c0, kk, w) };
-        let merged = stack.view();
-        for j in 0..w {
-            let imax = (j + 1).min(kk);
-            top.col_mut(j)[..imax].copy_from_slice(&merged.col(j)[..imax]);
-        }
+    let merged = stack.view();
+    for j in 0..w {
+        let imax = (j + 1).min(kk);
+        top.col_mut(j)[..imax].copy_from_slice(&merged.col(j)[..imax]);
     }
 
     NodeQ { row_ranges: plan.row_ranges.clone(), v: stack, t, kk, rest }
 }
 
 /// Applies `op(Q_node)` to columns `dcols` of `dst`, touching only the
-/// node's stacked rows (the paper's task S at inner tree nodes).
-// TSQR kernel helper: called from DAG executors whose declared
-// footprints `verify_graph` proves conflict-ordered.
-#[allow(clippy::disallowed_methods)]
-pub fn node_apply<T: Kernel>(
-    node: &NodeQ<T>,
-    dst: &SharedMatrix<T>,
-    dcols: Range<usize>,
-    trans: Trans,
-) {
+/// node's stacked rows (the paper's task S at inner tree nodes):
+/// [`node_apply_rows`] over them.
+pub fn node_apply<T: Kernel>(node: &NodeQ<T>, dst: &SharedMatrix<T>, dcols: Range<usize>, trans: Trans) {
     if dcols.is_empty() {
         return;
     }
+    dst.exclusive(|d| {
+        let m = d.nrows();
+        let mut parts = d.into_sub(0, dcols.start, m, dcols.len()).split_rows(&node.row_ranges);
+        node_apply_rows(node, &mut parts, trans);
+    });
+}
+
+/// Applies `op(Q_node)` to the node's stacked rows of some columns: `parts`
+/// holds them at [`NodeQ::row_ranges`], in that order.
+pub fn node_apply_rows<T: Kernel>(node: &NodeQ<T>, parts: &mut [MatViewMut<'_, T>], trans: Trans) {
     let kk = node.kk;
     let mut v_rest = Vec::with_capacity(node.row_ranges.len() - 1);
     let mut off = kk;
@@ -313,62 +279,48 @@ pub fn node_apply<T: Kernel>(
         v_rest.push(node.v.block(off, 0, range.len(), kk));
         off += range.len();
     }
-    // SAFETY: the DAG orders this as the exclusive writer of these blocks.
-    let c_top = unsafe {
-        dst.block_mut(node.row_ranges[0].start, dcols.start, kk, dcols.len())
-    };
-    let mut c_rest: Vec<_> = node.row_ranges[1..]
-        .iter()
-        .map(|r| unsafe { dst.block_mut(r.start, dcols.start, r.len(), dcols.len()) })
-        .collect();
     // `eliminate` stacks under an upper triangle: V's top block is the
     // identity, and the rest keeps the shape of what was stacked.
-    larfb_left_multi(trans, None, &v_rest, node.rest, node.t.view(), c_top, &mut c_rest);
+    let (top, c_rest) = parts.split_at_mut(1);
+    larfb_left_multi(trans, None, &v_rest, node.rest, node.t.view(), top[0].rb(), c_rest);
 }
 
-/// Applies `op(Q_panel)` for a full panel to columns `dcols` of `dst`:
-/// `Qᵀ` = leaves then nodes in order; `Q` = nodes in reverse then leaves.
-/// `vs[i]` is leaf `i`'s reflector block (`rows × kv`), wherever it lives —
-/// the factored matrix, a panel being factored, a block read from a store.
+/// Applies `op(Q_panel)` for a full panel to `dst`, whose row `i` is the
+/// matrix's row `i`: `Qᵀ` = leaves then nodes in order; `Q` = nodes in
+/// reverse then leaves. `vs[i]` is leaf `i`'s reflector block (`rows ×
+/// kv`), wherever it lives — the factored matrix, a panel being factored, a
+/// block read from a store.
 ///
-/// One [`split_range`] of `dcols` over `workers` lanes carries the whole
+/// One [`split_cols`] of `dst` over `workers` lanes carries the whole
 /// panel: each lane applies every leaf, then every node, to its own
 /// columns, which is the per-element order of applying them one by one
-/// over all of `dcols`. `dst` is a [`SharedMatrix`] because a node update
-/// needs several disjoint mutable row blocks of it at once.
-// TSQR kernel helper: the caller guarantees no other view of `dst`'s
-// `dcols` is live, and the lanes write disjoint column chunks.
-#[allow(clippy::disallowed_methods)]
+/// over all of `dst`.
 pub fn panel_apply<T: Kernel>(
     workers: usize,
     panel: &PanelQ<T>,
     vs: &[MatView<'_, T>],
-    dst: &SharedMatrix<T>,
-    dcols: Range<usize>,
+    dst: MatViewMut<'_, T>,
     trans: Trans,
 ) {
     assert_eq!(vs.len(), panel.leaves.len(), "one reflector block per leaf");
-    split_range(workers, dcols, |cols| {
-        let leaves = || {
+    split_cols(workers, dst, |_, mut c| {
+        let n = c.ncols();
+        let leaves = |c: &mut MatViewMut<'_, T>| {
             for (leaf, v) in panel.leaves.iter().zip(vs) {
-                // SAFETY: this lane is the only writer of these columns,
-                // and the reflectors lie outside every lane's columns.
-                let c = unsafe { dst.block_mut(leaf.rows.start, cols.start, leaf.rows.len(), cols.len()) };
-                larfb_left(trans, *v, leaf.t.view(), c);
+                larfb_left(trans, *v, leaf.t.view(), c.sub(leaf.rows.start, 0, leaf.rows.len(), n));
             }
+        };
+        let node = |c: &mut MatViewMut<'_, T>, node: &NodeQ<T>| {
+            node_apply_rows(node, &mut c.rb().split_rows(&node.row_ranges), trans);
         };
         match trans {
             Trans::Yes => {
-                leaves();
-                for node in &panel.nodes {
-                    node_apply(node, dst, cols.clone(), trans);
-                }
+                leaves(&mut c);
+                panel.nodes.iter().for_each(|n| node(&mut c, n));
             }
             Trans::No => {
-                for node in panel.nodes.iter().rev() {
-                    node_apply(node, dst, cols.clone(), trans);
-                }
-                leaves();
+                panel.nodes.iter().rev().for_each(|n| node(&mut c, n));
+                leaves(&mut c);
             }
         }
     });
@@ -381,19 +333,22 @@ mod tests {
     use ca_matrix::{norm_max, seeded_rng};
 
     /// Factor one whole panel sequentially using the module's pieces.
-    fn factor_panel_seq(
-        a: &SharedMatrix,
-        k0: usize,
-        c0: usize,
-        w: usize,
-        tr: usize,
-        tree: TreeShape,
-    ) -> PanelQ {
+    fn factor_panel_seq(a: &mut Matrix, k0: usize, c0: usize, w: usize, tr: usize, tree: TreeShape) -> PanelQ {
         let m = a.nrows();
         let part = partition_rows(m, k0, w.max(1), tr);
         let plan = plan_panel(&part, w, tree);
-        let leaves = plan.leaves.iter().map(|&g| leaf_qr(a, c0, w, part.group(g))).collect();
-        let nodes = plan.nodes.iter().map(|(node, rest)| eliminate(a, c0, w, node, *rest)).collect();
+        let leaf = |g: &usize| {
+            let rows = part.group(*g);
+            leaf_qr(a.block_mut(rows.start, c0, rows.len(), w), rows)
+        };
+        let leaves = plan.leaves.iter().map(leaf).collect();
+        let node = |(node, rest): &(NodePlan, VRest)| {
+            let mut parts = a.block_mut(0, c0, m, w).split_rows(&node.row_ranges);
+            let (top, below) = parts.split_at_mut(1);
+            let below: Vec<_> = below.iter().map(|p| p.as_ref()).collect();
+            eliminate(top[0].rb(), &below, node, *rest)
+        };
+        let nodes = plan.nodes.iter().map(node).collect();
         let k = (m - k0).min(w);
         PanelQ { k0, c0, w, k, leaves, nodes }
     }
@@ -406,9 +361,8 @@ mod tests {
         geqr2(aref.view_mut(), &mut tau);
         let r_ref = aref.upper();
 
-        let sh = SharedMatrix::new(a0.clone());
-        let panel = factor_panel_seq(&sh, 0, 0, w, tr, tree);
-        let fac = sh.into_inner();
+        let mut fac = a0.clone();
+        let panel = factor_panel_seq(&mut fac, 0, 0, w, tr, tree);
         let r = fac.upper();
         // R unique up to row signs.
         for i in 0..w {
@@ -442,19 +396,16 @@ mod tests {
         let m = 80;
         let w = 10;
         let a0 = ca_matrix::random_uniform(m, w, &mut seeded_rng(6));
-        let sh = SharedMatrix::new(a0.clone());
-        let panel = factor_panel_seq(&sh, 0, 0, w, 4, TreeShape::Binary);
-        let fac = sh.into_inner();
+        let mut fac = a0.clone();
+        let panel = factor_panel_seq(&mut fac, 0, 0, w, 4, TreeShape::Binary);
         let r = fac.upper();
 
         // Q thin = Q * [I; 0].
-        let mut qt = Matrix::zeros(m, w);
+        let mut q = Matrix::zeros(m, w);
         for i in 0..w {
-            qt[(i, i)] = 1.0;
+            q[(i, i)] = 1.0;
         }
-        let dstq = SharedMatrix::new(qt);
-        panel_apply(1, &panel, &panel.leaf_blocks(&fac), &dstq, 0..w, Trans::No);
-        let q = dstq.into_inner();
+        panel_apply(1, &panel, &panel.leaf_blocks(&fac), q.view_mut(), Trans::No);
 
         assert!(ca_matrix::orthogonality(&q) < 1e-12 * m as f64);
         let res = ca_matrix::qr_residual(&a0, &q, &r);
@@ -466,15 +417,13 @@ mod tests {
         let m = 60;
         let w = 6;
         let a0 = ca_matrix::random_uniform(m, w, &mut seeded_rng(7));
-        let sh = SharedMatrix::new(a0);
-        let panel = factor_panel_seq(&sh, 0, 0, w, 4, TreeShape::Binary);
-        let fac = sh.into_inner();
+        let mut fac = a0;
+        let panel = factor_panel_seq(&mut fac, 0, 0, w, 4, TreeShape::Binary);
 
         let c0 = ca_matrix::random_uniform(m, 3, &mut seeded_rng(8));
-        let dc = SharedMatrix::new(c0.clone());
-        panel_apply(1, &panel, &panel.leaf_blocks(&fac), &dc, 0..3, Trans::Yes);
-        panel_apply(1, &panel, &panel.leaf_blocks(&fac), &dc, 0..3, Trans::No);
-        let c1 = dc.into_inner();
+        let mut c1 = c0.clone();
+        panel_apply(1, &panel, &panel.leaf_blocks(&fac), c1.view_mut(), Trans::Yes);
+        panel_apply(1, &panel, &panel.leaf_blocks(&fac), c1.view_mut(), Trans::No);
         let err = norm_max(c1.sub_matrix(&c0).view());
         assert!(err < 1e-12, "Q Qᵀ c != c (err {err})");
     }
@@ -485,14 +434,12 @@ mod tests {
         let m = 50;
         let w = 5;
         let a0 = ca_matrix::random_uniform(m, w, &mut seeded_rng(9));
-        let sh = SharedMatrix::new(a0.clone());
-        let panel = factor_panel_seq(&sh, 0, 0, w, 2, TreeShape::Binary);
-        let fac = sh.into_inner();
+        let mut fac = a0.clone();
+        let panel = factor_panel_seq(&mut fac, 0, 0, w, 2, TreeShape::Binary);
         let r = fac.upper();
 
-        let dst = SharedMatrix::new(a0);
-        panel_apply(1, &panel, &panel.leaf_blocks(&fac), &dst, 0..w, Trans::Yes);
-        let qta = dst.into_inner();
+        let mut qta = a0;
+        panel_apply(1, &panel, &panel.leaf_blocks(&fac), qta.view_mut(), Trans::Yes);
         for j in 0..w {
             for i in 0..w {
                 let expect = if i <= j { r[(i, j)] } else { 0.0 };
@@ -557,9 +504,10 @@ mod tests {
             stack[(i, i)] += 3.0;
         }
         let plan = NodePlan { level: 1, participants: vec![0, 1], row_ranges: vec![0..b, b..b + r], kk: b };
-        let sh = SharedMatrix::new(stack.clone());
-        let node = eliminate(&sh, 0, b, &plan, VRest::Dense);
-        (stack, sh.into_inner(), node)
+        let mut fac = stack.clone();
+        let (top, bottom) = fac.view_mut().split_at_row(b);
+        let node = eliminate(top, &[bottom.as_ref()], &plan, VRest::Dense);
+        (stack, fac, node)
     }
 
     #[test]

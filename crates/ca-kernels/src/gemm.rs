@@ -215,8 +215,9 @@ pub(crate) fn mul_add<T: Scalar, const FMA: bool>(a: T, b: T, c: T) -> T {
     }
 }
 
-/// Gives the calling thread's packing buffers, of both element types, to
-/// the pool: the last thing a thread that lives for one call does.
+/// Gives the calling thread's packing buffers and workspaces, of both
+/// element types, to the pool: the last thing a thread that lives for one
+/// call does.
 pub(crate) fn release_pack_bufs() {
     f64::release_pack_bufs();
     f32::release_pack_bufs();
@@ -343,8 +344,8 @@ pub trait Kernel: Scalar {
     #[doc(hidden)]
     fn with_pack_bufs<R>(f: impl FnOnce(&mut AlignedBuf<Self>, &mut AlignedBuf<Self>) -> R) -> R;
 
-    /// Gives this thread's packing buffers to the pool a thread without
-    /// any takes its pair from.
+    /// Gives this thread's packing buffers and workspace to the pool a
+    /// thread without any takes its set from.
     #[doc(hidden)]
     fn release_pack_bufs();
 
@@ -371,20 +372,38 @@ pub trait Kernel: Scalar {
 
 macro_rules! impl_kernel {
     ($t:ty, $scalar:ident, $avx2:ident, $avx512:ident, $bufs:ident) => {
-        /// Packing scratch (A block, B panel) for this element type: one
-        /// pair per thread, reused across calls so task-sized gemms don't
-        /// pay an allocation each. A thread that lives for one column split
-        /// ([`crate::split_cols`]) gives its pair to the pool before it
-        /// ends ([`release_pack_bufs`]), and the next takes it from there,
-        /// so such threads allocate nothing once the pool holds a pair.
+        /// Kernel scratch for this element type: the packing pair (A block,
+        /// B panel) and the workspace, one set per thread, reused across
+        /// calls so task-sized kernels don't pay an allocation each. The two
+        /// sit in cells of their own, since a workspace holder may call
+        /// `gemm`. A thread that lives for one column split
+        /// ([`crate::split_cols`]) gives its set to the pool before it ends
+        /// ([`release_pack_bufs`]), and the next takes it from there, so
+        /// such threads allocate nothing once the pool holds a set.
         mod $bufs {
             use super::*;
             thread_local! {
-                pub(super) static MINE: RefCell<Option<(AlignedBuf<$t>, AlignedBuf<$t>)>> =
+                pub(super) static PACK: RefCell<Option<(AlignedBuf<$t>, AlignedBuf<$t>)>> =
                     const { RefCell::new(None) };
+                pub(super) static WORK: RefCell<Option<AlignedBuf<$t>>> = const { RefCell::new(None) };
             }
-            pub(super) static POOL: Mutex<Vec<(AlignedBuf<$t>, AlignedBuf<$t>)>> =
-                Mutex::new(Vec::new());
+            static POOL: Mutex<Vec<[AlignedBuf<$t>; 3]>> = Mutex::new(Vec::new());
+
+            /// A set for a thread holding none: the pool's last, or a fresh
+            /// one. The caller fills one cell, this the other.
+            pub(super) fn adopt() -> [AlignedBuf<$t>; 3] {
+                let pooled = POOL.lock().unwrap_or_else(PoisonError::into_inner).pop();
+                pooled.unwrap_or_else(|| [AlignedBuf::new(), AlignedBuf::new(), AlignedBuf::new()])
+            }
+
+            /// Gives this thread's set to the pool.
+            pub(super) fn release() {
+                let pack = PACK.with(|pack| pack.borrow_mut().take());
+                let work = WORK.with(|work| work.borrow_mut().take());
+                if let (Some((a, b)), Some(w)) = (pack, work) {
+                    POOL.lock().unwrap_or_else(PoisonError::into_inner).push([a, b, w]);
+                }
+            }
         }
 
         impl Kernel for $t {
@@ -401,29 +420,31 @@ macro_rules! impl_kernel {
             fn with_pack_bufs<R>(
                 f: impl FnOnce(&mut AlignedBuf<$t>, &mut AlignedBuf<$t>) -> R,
             ) -> R {
-                $bufs::MINE.with(|mine| {
-                    let mut mine = mine.borrow_mut();
-                    let (a_buf, b_buf) = mine.get_or_insert_with(|| {
-                        let pooled = $bufs::POOL.lock().unwrap_or_else(PoisonError::into_inner).pop();
-                        pooled.unwrap_or_else(|| (AlignedBuf::new(), AlignedBuf::new()))
+                $bufs::PACK.with(|pack| {
+                    let mut pack = pack.borrow_mut();
+                    let (a_buf, b_buf) = pack.get_or_insert_with(|| {
+                        let [a, b, w] = $bufs::adopt();
+                        $bufs::WORK.with(|work| *work.borrow_mut() = Some(w));
+                        (a, b)
                     });
                     f(a_buf, b_buf)
                 })
             }
 
             fn release_pack_bufs() {
-                if let Some(pair) = $bufs::MINE.with(|mine| mine.borrow_mut().take()) {
-                    $bufs::POOL.lock().unwrap_or_else(PoisonError::into_inner).push(pair);
-                }
+                $bufs::release();
             }
 
             fn with_work_buf<R>(f: impl FnOnce(&mut AlignedBuf<$t>) -> R) -> R {
-                thread_local! {
-                    /// Per-thread kernel workspace, reused across calls so
-                    /// a task-sized `larfb` doesn't pay an allocation each.
-                    static WORK: RefCell<AlignedBuf<$t>> = const { RefCell::new(AlignedBuf::new()) };
-                }
-                WORK.with(|work| f(&mut work.borrow_mut()))
+                $bufs::WORK.with(|work| {
+                    let mut work = work.borrow_mut();
+                    let work = work.get_or_insert_with(|| {
+                        let [a, b, w] = $bufs::adopt();
+                        $bufs::PACK.with(|pack| *pack.borrow_mut() = Some((a, b)));
+                        w
+                    });
+                    f(work)
+                })
             }
         }
     };

@@ -37,7 +37,7 @@ use crate::ger::fold_first_max;
 use crate::lu_unblocked::LuInfo;
 use crate::trmm::{Diag, Side, Uplo};
 use crate::trsm::trsm_on;
-use ca_matrix::{max_abs_lanes, MatView, MatViewMut, PivotSeq, Scalar};
+use ca_matrix::{laswp, max_abs_lanes, MatView, MatViewMut, PivotSeq, Scalar};
 
 /// Column count at which the recursion stops in the left-looking base case.
 const BASE_COLS: usize = 16;
@@ -96,7 +96,10 @@ fn recurse<T: Kernel>(
     // Factor the left half A[:, 0..n1] and apply its pivots to the right.
     let done = info.pivots.len();
     recurse(spec, a.sub(0, 0, m, n1), at, info);
-    swap_rows(&info.pivots.ipiv[done..], at, 0, a.sub(0, n1, m, n - n1));
+    laswp(
+        a.sub(0, n1, m, n - n1),
+        info.pivots.ipiv[done..].iter().enumerate().map(|(k, &p)| (k, p - at)),
+    );
 
     // U12 := L11⁻¹ A12 ; A22 -= L21 * U12.
     {
@@ -112,37 +115,10 @@ fn recurse<T: Kernel>(
     // left-bottom block.
     let done = info.pivots.len();
     recurse(spec, a.sub(n1, n1, m - n1, n - n1), at + n1, info);
-    swap_rows(&info.pivots.ipiv[done..], at, n1, a.sub(0, 0, m, n1));
-}
-
-/// Applies the interchanges `pivots` (numbered from row `at` of the whole
-/// view), the first of which sits at row `k0` of `a`, to the rows of `a`,
-/// walking four columns at a time so that their swaps overlap (as `dlaswp`
-/// does per column).
-fn swap_rows<T: Scalar>(pivots: &[usize], at: usize, k0: usize, mut a: MatViewMut<'_, T>) {
-    let n = a.ncols();
-    let mut j = 0;
-    while j + 4 <= n {
-        let (c0, rest) = a.sub(0, j, a.nrows(), 4).split_at_col(1);
-        let (c1, rest) = rest.split_at_col(1);
-        let (c2, c3) = rest.split_at_col(1);
-        let mut cols = [c0, c1, c2, c3];
-        let [c0, c1, c2, c3] = cols.each_mut().map(|c| c.col_mut(0));
-        for (k, &p) in pivots.iter().enumerate() {
-            let (r, p) = (k0 + k, p - at);
-            c0.swap(r, p);
-            c1.swap(r, p);
-            c2.swap(r, p);
-            c3.swap(r, p);
-        }
-        j += 4;
-    }
-    for j in j..n {
-        let col = a.col_mut(j);
-        for (k, &p) in pivots.iter().enumerate() {
-            col.swap(k0 + k, p - at);
-        }
-    }
+    laswp(
+        a.sub(0, 0, m, n1),
+        info.pivots.ipiv[done..].iter().enumerate().map(|(k, &p)| (n1 + k, p - at)),
+    );
 }
 
 on_backend! {

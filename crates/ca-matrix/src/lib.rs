@@ -8,16 +8,14 @@
 //! * [`Matrix`] — owned, packed column-major storage (LAPACK layout);
 //! * [`MatView`] / [`MatViewMut`] — stride-aware borrowed blocks, the
 //!   argument type of every kernel in `ca-kernels`;
-//! * [`SharedMatrix`] — the shared-mutable handle task runtimes use to hand
-//!   disjoint blocks to concurrent tasks;
+//! * [`SharedMatrix`] — the shared-mutable handle a task runtime hands
+//!   disjoint blocks of to concurrent tasks, each through the lease its task
+//!   declared (`ca_sched::TaskCx`);
 //! * [`PivotSeq`] and permutation helpers — row-interchange bookkeeping for
 //!   partial and tournament pivoting;
-//! * [`ShadowRegistry`] — the lease registry behind checked execution mode,
-//!   auditing that every block access stays inside its task's declared
-//!   footprint and never overlaps a live conflicting lease;
-//! * [`RegionSet`] — rect region algebra (disjoint element rectangles with
-//!   union/intersect/subtract), the footprint currency of rect-granular
-//!   static verification in `ca-sched`;
+//! * [`ElemRect`] and [`RegionSet`] — element rectangles and their region
+//!   algebra (union/intersect/subtract), the footprint currency of
+//!   rect-granular static verification in `ca-sched`;
 //! * [`AlignedBuf`] — cache-line-aligned scratch, the packing-buffer
 //!   substrate under the BLIS-style packed GEMM in `ca-kernels`;
 //! * norms, residual measures, and reproducible test-matrix generators.
@@ -33,7 +31,6 @@ mod norms;
 mod perm;
 pub mod region;
 mod scalar;
-pub mod shadow;
 mod shared;
 mod view;
 
@@ -47,9 +44,8 @@ pub use norms::{
     growth_factor, lu_residual, norm_fro, norm_inf, norm_max, norm_one, orthogonality,
     qr_residual, residual_threshold, residual_threshold_in,
 };
-pub use perm::{invert_permutation, is_permutation, permute_rows, PivotSeq};
-pub use region::RegionSet;
+pub use perm::{invert_permutation, is_permutation, laswp, permute_rows, PivotSeq};
+pub use region::{ElemRect, RegionSet};
 pub use scalar::Scalar;
-pub use shadow::{ElemRect, ShadowRegistry, ShadowViolation, TaskFootprint, TaskScope};
 pub use shared::SharedMatrix;
 pub use view::{max_abs, max_abs_lanes, MatView, MatViewMut};

@@ -41,29 +41,17 @@ impl PivotSeq {
         self.ipiv.push(row);
     }
 
-    /// Applies the interchanges, in order, to the rows of `a`.
+    /// Applies the interchanges, in order, to the rows of `a` ([`laswp`]).
     ///
     /// `a` must be a view whose row `0` corresponds to global row `0`
-    /// (i.e. a full-height block of the matrix being factored). Like
-    /// LAPACK's `dlaswp`, walks one column at a time, so a column block
-    /// touches only its own columns' pages.
-    pub fn apply<T: Scalar>(&self, mut a: MatViewMut<'_, T>) {
-        for j in 0..a.ncols() {
-            let col = a.col_mut(j);
-            for (k, &p) in self.ipiv.iter().enumerate() {
-                col.swap(self.offset + k, p);
-            }
-        }
+    /// (i.e. a full-height block of the matrix being factored).
+    pub fn apply<T: Scalar>(&self, a: MatViewMut<'_, T>) {
+        laswp(a, self.ipiv.iter().enumerate().map(|(k, &p)| (self.offset + k, p)));
     }
 
     /// Applies the interchanges in reverse order (the inverse permutation).
-    pub fn apply_inverse<T: Scalar>(&self, mut a: MatViewMut<'_, T>) {
-        for j in 0..a.ncols() {
-            let col = a.col_mut(j);
-            for (k, &p) in self.ipiv.iter().enumerate().rev() {
-                col.swap(self.offset + k, p);
-            }
-        }
+    pub fn apply_inverse<T: Scalar>(&self, a: MatViewMut<'_, T>) {
+        laswp(a, self.ipiv.iter().enumerate().rev().map(|(k, &p)| (self.offset + k, p)));
     }
 
     /// Composes into an explicit permutation `perm` of `0..m`:
@@ -81,6 +69,35 @@ impl PivotSeq {
     pub fn extend(&mut self, other: &PivotSeq) {
         debug_assert_eq!(other.offset, self.offset + self.ipiv.len(), "pivot sequences must be contiguous");
         self.ipiv.extend_from_slice(&other.ipiv);
+    }
+}
+
+/// Swaps row `r` with row `p` of `a` for each `(r, p)` of `swaps`, in order,
+/// over every column — LAPACK's `dlaswp`. Like it, walks the columns rather
+/// than the rows, so a column block touches only its own columns' pages;
+/// four columns at a time, so that their swaps overlap.
+pub fn laswp<T: Scalar>(mut a: MatViewMut<'_, T>, swaps: impl Iterator<Item = (usize, usize)> + Clone) {
+    let n = a.ncols();
+    let mut j = 0;
+    while j + 4 <= n {
+        let (c0, rest) = a.sub(0, j, a.nrows(), 4).split_at_col(1);
+        let (c1, rest) = rest.split_at_col(1);
+        let (c2, c3) = rest.split_at_col(1);
+        let mut cols = [c0, c1, c2, c3];
+        let [c0, c1, c2, c3] = cols.each_mut().map(|c| c.col_mut(0));
+        for (r, p) in swaps.clone() {
+            c0.swap(r, p);
+            c1.swap(r, p);
+            c2.swap(r, p);
+            c3.swap(r, p);
+        }
+        j += 4;
+    }
+    for j in j..n {
+        let col = a.col_mut(j);
+        for (r, p) in swaps.clone() {
+            col.swap(r, p);
+        }
     }
 }
 

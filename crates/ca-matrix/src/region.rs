@@ -15,8 +15,68 @@
 //! proptest suite checks every operation against a dense bitmap oracle.
 
 use core::fmt;
+use core::ops::Range;
 
-use crate::shadow::ElemRect;
+/// Half-open element rectangle `rows × cols` of a matrix.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct ElemRect {
+    /// First row (inclusive).
+    pub row0: usize,
+    /// Past-the-end row.
+    pub row1: usize,
+    /// First column (inclusive).
+    pub col0: usize,
+    /// Past-the-end column.
+    pub col1: usize,
+}
+
+impl ElemRect {
+    /// Rectangle covering `rows × cols`.
+    pub fn new(rows: Range<usize>, cols: Range<usize>) -> Self {
+        Self { row0: rows.start, row1: rows.end, col0: cols.start, col1: cols.end }
+    }
+
+    /// `true` if the rectangle contains no elements.
+    pub fn is_empty(&self) -> bool {
+        self.row0 >= self.row1 || self.col0 >= self.col1
+    }
+
+    /// `true` if the rectangles share at least one element.
+    pub fn overlaps(&self, o: &ElemRect) -> bool {
+        !self.is_empty()
+            && !o.is_empty()
+            && self.row0 < o.row1
+            && o.row0 < self.row1
+            && self.col0 < o.col1
+            && o.col0 < self.col1
+    }
+
+    /// The overlapping rectangle, or `None` if the rectangles are disjoint.
+    pub fn intersection(&self, o: &ElemRect) -> Option<ElemRect> {
+        let r = ElemRect {
+            row0: self.row0.max(o.row0),
+            row1: self.row1.min(o.row1),
+            col0: self.col0.max(o.col0),
+            col1: self.col1.min(o.col1),
+        };
+        (!r.is_empty()).then_some(r)
+    }
+
+    /// `true` if `o` lies entirely inside `self` (empty `o` always does).
+    pub fn contains(&self, o: &ElemRect) -> bool {
+        o.is_empty()
+            || (self.row0 <= o.row0
+                && o.row1 <= self.row1
+                && self.col0 <= o.col0
+                && o.col1 <= self.col1)
+    }
+}
+
+impl fmt::Display for ElemRect {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "rows {}..{} × cols {}..{}", self.row0, self.row1, self.col0, self.col1)
+    }
+}
 
 /// A set of matrix elements represented as disjoint rectangles.
 ///
@@ -260,11 +320,23 @@ impl FromIterator<ElemRect> for RegionSet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use core::ops::Range;
     use proptest::prelude::*;
 
     fn rect(rows: Range<usize>, cols: Range<usize>) -> ElemRect {
         ElemRect::new(rows, cols)
+    }
+
+    #[test]
+    fn rect_overlap_and_containment() {
+        let a = rect(0..4, 0..4);
+        let b = rect(2..6, 2..6);
+        let c = rect(4..8, 0..4);
+        assert!(a.overlaps(&b));
+        assert!(!a.overlaps(&c));
+        assert!(a.contains(&rect(1..3, 1..3)));
+        assert!(!a.contains(&b));
+        assert!(a.contains(&rect(2..2, 0..4)), "empty rect is contained anywhere");
+        assert!(!rect(0..0, 0..4).overlaps(&a), "empty rect overlaps nothing");
     }
 
     /// Dense bitmap over a `DIM × DIM` universe — the oracle the algebra is

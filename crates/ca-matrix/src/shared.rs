@@ -2,44 +2,43 @@
 //!
 //! A dynamic task scheduler hands blocks of one matrix to tasks running on
 //! different threads. The borrow checker cannot express "these tasks touch
-//! disjoint blocks because the dependency graph says so", so the runtime uses
-//! [`SharedMatrix`]: an unsafe cell over the matrix buffer whose block
-//! accessors are `unsafe fn`s with the disjointness obligation spelled out.
+//! disjoint blocks because the dependency graph says so", so the runtime
+//! keeps the matrix in a [`SharedMatrix`]: an unsafe cell over the buffer
+//! whose block accessors are `unsafe fn`s with the disjointness obligation
+//! spelled out.
 //!
 //! This mirrors what every task-based dense linear algebra runtime
 //! (PLASMA/QUARK, StarPU, OpenMP tasks with `depend`) does: correctness of
 //! concurrent block access is a property of the task graph, not of the type
-//! system. All uses in this workspace are confined to `ca-sched` executors
-//! running graphs built by `ca-core`/`ca-baselines` DAG builders. That
-//! contract is machine-checked: `ca-sched`'s static verifier proves every
-//! conflicting block pair is ordered by a happens-before path, and checked
-//! execution mode (a [`crate::shadow::ShadowRegistry`] attached via
-//! [`SharedMatrix::with_shadow`]) audits the actual element ranges at run
-//! time.
+//! system. In this workspace one caller discharges the obligation: a task
+//! body opens the matrix only through `ca_sched::TaskCx`, which hands out a
+//! view only inside a rect the task declared — the same declarations the
+//! graph's edges are inferred from and `ca_sched::verify_graph` proves
+//! ordered. Outside a task graph, [`SharedMatrix::exclusive`] lends the
+//! whole matrix to one caller at a time, checked at run time.
 
 use crate::matrix::Matrix;
 use crate::scalar::Scalar;
-use crate::shadow::ShadowRegistry;
 use crate::view::{MatView, MatViewMut};
 use core::cell::UnsafeCell;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A matrix owned by a task-parallel computation.
 ///
 /// Construct with [`SharedMatrix::new`], run the task graph, then reclaim the
-/// result with [`SharedMatrix::into_inner`]. Checked execution mode attaches
-/// a [`ShadowRegistry`] with [`SharedMatrix::with_shadow`], which makes every
-/// block accessor record its element range for race/footprint checking.
+/// result with [`SharedMatrix::into_inner`].
 pub struct SharedMatrix<T: Scalar = f64> {
     cell: UnsafeCell<Matrix<T>>,
     rows: usize,
     cols: usize,
-    shadow: Option<Arc<ShadowRegistry>>,
+    /// Set while [`SharedMatrix::exclusive`] lends the matrix out.
+    lent: AtomicBool,
 }
 
 // SAFETY: concurrent access is only possible through the `unsafe` block
 // accessors, whose contracts require callers (the task runtime) to guarantee
-// non-overlapping access; under that contract data races cannot occur.
+// non-overlapping access, and through `exclusive`, which lends the matrix to
+// one caller at a time; under those contracts data races cannot occur.
 unsafe impl<T: Scalar> Send for SharedMatrix<T> {}
 unsafe impl<T: Scalar> Sync for SharedMatrix<T> {}
 
@@ -48,20 +47,7 @@ impl<T: Scalar> SharedMatrix<T> {
     pub fn new(m: Matrix<T>) -> Self {
         let rows = m.nrows();
         let cols = m.ncols();
-        Self { cell: UnsafeCell::new(m), rows, cols, shadow: None }
-    }
-
-    /// Wraps a matrix for *checked* shared task access: every block accessor
-    /// reports its element range to `registry` (see [`crate::shadow`]).
-    pub fn with_shadow(m: Matrix<T>, registry: Arc<ShadowRegistry>) -> Self {
-        let mut s = Self::new(m);
-        s.shadow = Some(registry);
-        s
-    }
-
-    /// The attached shadow registry, if running in checked mode.
-    pub fn shadow(&self) -> Option<&Arc<ShadowRegistry>> {
-        self.shadow.as_ref()
+        Self { cell: UnsafeCell::new(m), rows, cols, lent: AtomicBool::new(false) }
     }
 
     /// Number of rows.
@@ -81,6 +67,26 @@ impl<T: Scalar> SharedMatrix<T> {
         self.cell.into_inner()
     }
 
+    /// Runs `f` on a mutable view of the whole matrix.
+    ///
+    /// # Panics
+    /// If the matrix is already lent out (a nested or concurrent call).
+    // The loan flag is the exclusivity `whole_mut` asks for.
+    #[allow(clippy::disallowed_methods)]
+    pub fn exclusive<R>(&self, f: impl FnOnce(MatViewMut<'_, T>) -> R) -> R {
+        assert!(!self.lent.swap(true, Ordering::Acquire), "SharedMatrix lent out twice");
+        struct Return<'a>(&'a AtomicBool);
+        impl Drop for Return<'_> {
+            fn drop(&mut self) {
+                self.0.store(false, Ordering::Release);
+            }
+        }
+        let _return = Return(&self.lent);
+        // SAFETY: the flag admits one borrower at a time, and the block
+        // accessors' callers must not run concurrently with a writer.
+        f(unsafe { self.whole_mut() })
+    }
+
     /// Immutable view of the block at `(i, j)` with shape `r × c`.
     ///
     /// # Safety
@@ -90,9 +96,6 @@ impl<T: Scalar> SharedMatrix<T> {
     #[inline]
     pub unsafe fn block(&self, i: usize, j: usize, r: usize, c: usize) -> MatView<'_, T> {
         assert!(i + r <= self.rows && j + c <= self.cols, "block out of bounds");
-        if let Some(reg) = &self.shadow {
-            reg.on_access(false, i..i + r, j..j + c);
-        }
         // SAFETY: bounds hold per the assert; disjointness from concurrent
         // writers is the caller's obligation (see function contract).
         unsafe {
@@ -112,9 +115,6 @@ impl<T: Scalar> SharedMatrix<T> {
     #[allow(clippy::mut_from_ref)]
     pub unsafe fn block_mut(&self, i: usize, j: usize, r: usize, c: usize) -> MatViewMut<'_, T> {
         assert!(i + r <= self.rows && j + c <= self.cols, "block out of bounds");
-        if let Some(reg) = &self.shadow {
-            reg.on_access(true, i..i + r, j..j + c);
-        }
         // SAFETY: bounds hold per the assert; exclusivity is the caller's
         // obligation (see function contract).
         unsafe {
@@ -192,5 +192,17 @@ mod tests {
             assert_eq!(m[(t * 16, 0)], t as f64 + 1.0);
             assert_eq!(m[(t * 16 + 15, 7)], t as f64 + 1.0);
         }
+    }
+
+    #[test]
+    fn exclusive_lends_the_matrix_once_at_a_time() {
+        let s = SharedMatrix::new(Matrix::zeros(2, 2));
+        s.exclusive(|mut a| a.set(1, 1, 3.0));
+        s.exclusive(|a| assert_eq!(a.at(1, 1), 3.0));
+        let nested = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            s.exclusive(|_| s.exclusive(|_| ()));
+        }));
+        assert!(nested.is_err(), "a nested loan is refused");
+        s.exclusive(|a| assert_eq!(a.at(1, 1), 3.0));
     }
 }

@@ -345,6 +345,28 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
         }
     }
 
+    /// The row blocks `ranges` (pairwise disjoint, in any order), each over
+    /// every column, in the order given: a multi-row view of scattered rows,
+    /// such as the participants a TSQR tree node stacks — like a
+    /// row-permuted matrix, it reaches only the rows it names.
+    ///
+    /// # Panics
+    /// If a range leaves the view or two ranges overlap.
+    #[track_caller]
+    pub fn split_rows(self, ranges: &[core::ops::Range<usize>]) -> Vec<MatViewMut<'a, T>> {
+        for (i, r) in ranges.iter().enumerate() {
+            assert!(r.start <= r.end && r.end <= self.rows, "rows {r:?} out of bounds ({})", self.rows);
+            let clash =
+                ranges[..i].iter().find(|o| !r.is_empty() && !o.is_empty() && r.start < o.end && o.start < r.end);
+            assert!(clash.is_none(), "rows {r:?} overlap rows {clash:?}");
+        }
+        // SAFETY: each block lies inside the view and no two share a row.
+        let block = |r: &core::ops::Range<usize>| unsafe {
+            MatViewMut::from_raw_parts(self.ptr.add(r.start), r.len(), self.cols, self.ld)
+        };
+        ranges.iter().map(block).collect()
+    }
+
     /// Splits into four quadrants at `(i, j)`:
     /// `(top-left, top-right, bottom-left, bottom-right)`.
     #[inline]
@@ -422,6 +444,19 @@ mod tests {
         assert_eq!(v.at(2, 0), 2.0);
         assert_eq!(v.at(0, 1), 3.0);
         assert_eq!(v.at(2, 1), 5.0);
+    }
+
+    #[test]
+    fn split_rows_gives_disjoint_blocks_in_the_order_named() {
+        let mut data = buf(6, 2);
+        let mut v = MatViewMut::from_slice(&mut data, 6, 2);
+        let blocks = v.rb().split_rows(&[4..6, 0..1, 2..2]);
+        assert_eq!(blocks.iter().map(|b| b.nrows()).collect::<Vec<_>>(), [2, 1, 0]);
+        assert_eq!((blocks[0].at(0, 1), blocks[1].at(0, 0)), (10.0, 0.0));
+        let overlap = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            v.rb().split_rows(&[0..3, 2..4]);
+        }));
+        assert!(overlap.is_err(), "overlapping row blocks are refused");
     }
 
     #[test]

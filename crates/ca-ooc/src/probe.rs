@@ -21,7 +21,7 @@ use crate::qr::apply_panel_from_store;
 use crate::store::TileStore;
 use ca_core::tsqr::PanelQ;
 use ca_kernels::{Kernel, Trans};
-use ca_matrix::{Matrix, PivotSeq, Scalar, SharedMatrix};
+use ca_matrix::{Matrix, PivotSeq, Scalar};
 use ca_core::FactorError;
 
 /// One streamed pass over an unfactored store: returns `A·x` and `‖A‖_F`,
@@ -141,11 +141,9 @@ pub fn qr_probe_apply<T: Kernel>(
     for (i, &ui) in u.iter().enumerate() {
         v[(i, 0)] = T::from_f64(ui);
     }
-    let sh = SharedMatrix::new(v);
     for panel in panels.iter().rev() {
-        apply_panel_from_store(store, panel, &sh, 0..1, Trans::No, 1)?;
+        apply_panel_from_store(store, panel, v.view_mut(), Trans::No, 1)?;
     }
-    let v = sh.into_inner();
     Ok((0..m).map(|i| v[(i, 0)].to_f64()).collect())
 }
 

@@ -22,8 +22,7 @@ use crate::store::{IoSnapshot, TileStore};
 use ca_core::tsqr::{panel_apply, PanelQ};
 use ca_core::{caqr_panels, CaParams, FactorError};
 use ca_kernels::{Kernel, Trans};
-use ca_matrix::SharedMatrix;
-use core::ops::Range;
+use ca_matrix::MatViewMut;
 
 /// The result of an out-of-core QR factorization. `R` and the leaf
 /// Householder vectors live in the [`TileStore`] (same packed layout as
@@ -57,36 +56,35 @@ pub fn ooc_caqr<T: Kernel>(
     for j in 0..plan.nsuper {
         let c0s = plan.super_start(j);
         let ws = plan.super_width(j);
-        let sh = SharedMatrix::new(store.read_cols(c0s, ws, 0)?);
+        let mut a = store.read_cols(c0s, ws, 0)?;
 
         // Qᵀ of every previously factored panel, in panel order — the
         // update caqr_seq interleaved with its own trailing loop, replayed
         // verbatim on the resident columns.
         for panel in &panels {
-            apply_panel_from_store(store, panel, &sh, 0..ws, Trans::Yes, p.threads)?;
+            apply_panel_from_store(store, panel, a.view_mut(), Trans::Yes, p.threads)?;
         }
 
-        caqr_panels(&sh, c0s, p, p.threads, &mut panels);
+        caqr_panels(a.view_mut(), c0s, p, p.threads, &mut panels);
 
-        store.write_cols(c0s, 0, &sh.into_inner())?;
+        store.write_cols(c0s, 0, &a)?;
     }
 
     Ok(OocQr { panels, plan, io: store.io().since(&io0) })
 }
 
-/// Applies `op(Q_panel)` for a store-resident factored panel to columns
-/// `dcols` of `dst` (`panel.c0` is the panel's global column in the store):
-/// the leaf reflector blocks are read once, then [`ca_core::tsqr::panel_apply`]
-/// runs one column split of `dcols` over `workers` lanes.
+/// Applies `op(Q_panel)` for a store-resident factored panel to `dst`
+/// (`panel.c0` is the panel's global column in the store): the leaf
+/// reflector blocks are read once, then [`ca_core::tsqr::panel_apply`] runs
+/// one column split of `dst` over `workers` lanes.
 pub fn apply_panel_from_store<T: Kernel>(
     store: &TileStore<T>,
     panel: &PanelQ<T>,
-    dst: &SharedMatrix<T>,
-    dcols: Range<usize>,
+    dst: MatViewMut<'_, T>,
     trans: Trans,
     workers: usize,
 ) -> Result<(), FactorError> {
-    if dcols.is_empty() {
+    if dst.is_empty() {
         return Ok(());
     }
     let vs = panel
@@ -95,6 +93,6 @@ pub fn apply_panel_from_store<T: Kernel>(
         .map(|leaf| store.read_block(leaf.rows.start, leaf.rows.len(), panel.c0, leaf.kv))
         .collect::<Result<Vec<_>, _>>()?;
     let views: Vec<_> = vs.iter().map(|v| v.view()).collect();
-    panel_apply(workers, panel, &views, dst, dcols, trans);
+    panel_apply(workers, panel, &views, dst, trans);
     Ok(())
 }

@@ -25,11 +25,10 @@
 //! implied transitively. The static verifier's edge-necessity lint
 //! ([`crate::verify_graph_with`]) checks exactly this property.
 
-use crate::footprint::{AccessMap, Slot};
+use crate::footprint::AccessMap;
 use crate::graph::TaskGraph;
 use crate::task::TaskId;
-use ca_matrix::shadow::ElemRect;
-use ca_matrix::RegionSet;
+use ca_matrix::{ElemRect, RegionSet};
 use core::ops::Range;
 
 /// One live access in a cell: `task` read or wrote `rect` (clipped to the
@@ -66,12 +65,24 @@ impl BlockTracker {
         Self { entries: vec![Vec::new(); access.cell_count()], access, deps: Vec::new() }
     }
 
-    /// A fresh slot of side storage; declare its rect on the tasks that
-    /// fill and read it.
-    pub(crate) fn slot(&mut self) -> Slot {
+    /// A fresh slot of side storage, by index; declare its rect
+    /// ([`AccessMap::slot_rect`]) on the tasks that fill and read it.
+    pub(crate) fn slot(&mut self) -> usize {
         let s = self.access.new_slot();
         self.entries.resize_with(self.access.cell_count(), Vec::new);
         s
+    }
+
+    /// A fresh slot's rect.
+    #[cfg(test)]
+    pub(crate) fn slot_rect(&mut self) -> ElemRect {
+        let s = self.slot();
+        self.access.slot_rect(s)
+    }
+
+    /// The map the declarations so far went into.
+    pub(crate) fn access(&self) -> &AccessMap {
+        &self.access
     }
 
     /// The element rect covered by blocks `rows × cols`, clamped to the
@@ -93,29 +104,31 @@ impl BlockTracker {
     }
 
     /// Declares that `task` reads blocks `(i, j)` for `i` in `rows`, `j` in
-    /// `cols`, adding read-after-write edges.
+    /// `cols`, adding read-after-write edges; the element rect they cover.
     pub fn read<T>(
         &mut self,
         g: &mut TaskGraph<T>,
         task: TaskId,
         rows: Range<usize>,
         cols: Range<usize>,
-    ) {
+    ) -> ElemRect {
         let rect = self.block_rect(rows, cols);
         self.touch_rect(g, task, false, rect);
+        rect
     }
 
     /// Declares that `task` writes blocks `(i, j)` for `i` in `rows`, `j` in
-    /// `cols`, adding WAW and WAR edges.
+    /// `cols`, adding WAW and WAR edges; the element rect they cover.
     pub fn write<T>(
         &mut self,
         g: &mut TaskGraph<T>,
         task: TaskId,
         rows: Range<usize>,
         cols: Range<usize>,
-    ) {
+    ) -> ElemRect {
         let rect = self.block_rect(rows, cols);
         self.touch_rect(g, task, true, rect);
+        rect
     }
 
     /// Declares that `task` reads the element rectangle `rect`, adding

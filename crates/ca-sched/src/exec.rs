@@ -7,8 +7,8 @@
 //! scoped threads (so a single-worker run spawns nothing and jobs may
 //! borrow from the caller), and reports what the finalized job left, as
 //! [`crate::simulate`] does. The jobs run as given: fault injection and the
-//! race detector's task scopes are put around a plan's task bodies by
-//! [`crate::plan_jobs`], the one place they enter a run. A failed or
+//! leases are put around a plan's task bodies by [`crate::plan_jobs`], the
+//! one place they enter a run. A failed or
 //! panicking task cancels its transitive successors, and the first failure
 //! is reported in [`RunReport::failure`]; [`run_graph`] is the panicking
 //! convenience.

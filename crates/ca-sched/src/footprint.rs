@@ -4,8 +4,8 @@
 //! [`crate::BlockTracker`] to infer dependency edges. An [`AccessMap`]
 //! retains those declarations, so the static verifier
 //! ([`crate::verify_graph`]) can prove that every conflicting pair of tasks
-//! is ordered, checked execution can audit runtime accesses against them,
-//! and the retry protocol knows which elements to snapshot.
+//! is ordered, a task body's slot leases are checked against them, and the
+//! retry protocol knows which elements to snapshot.
 //!
 //! A footprint is a list of element rectangles ([`ElemRect`]) over an
 //! `m × n` element space. Block coordinates are a builder convenience
@@ -16,22 +16,15 @@
 //!
 //! What tasks hand each other outside the matrix — pivots, `T` factors,
 //! tournament candidates, pack images — is declared the same way: each
-//! [`Slot`] of side storage is one element of a side column the map keeps
+//! [`crate::Slot`] of side storage is one element of a side column the map keeps
 //! beside the matrix (slot `s` is element `(s, n)`), and each slot is an
 //! index cell of its own, never shared with the matrix or another slot.
-//! Slot rects infer, verify and lint like any other rect; only the
-//! consumers that touch matrix elements (the retry protocol's write-set,
-//! the race detector's leases) skip them ([`AccessMap::matrix_reads`],
-//! [`AccessMap::matrix_writes`]).
+//! Slot rects infer, verify and lint like any other rect; only the retry
+//! protocol's write-set, which touches matrix elements, skips them
+//! ([`AccessMap::matrix_writes`]).
 
 use crate::task::TaskId;
-use ca_matrix::shadow::ElemRect;
-
-/// One slot of side storage a plan's tasks fill and read
-/// ([`crate::PlanBuilder::slot`]): declared as one element of its
-/// [`AccessMap`]'s side column, slot `s` as element `(s, n)`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Slot(pub(crate) ElemRect);
+use ca_matrix::ElemRect;
 
 /// Per-task declared read/write element rects over an `m × n` space and
 /// its side column of slots.
@@ -40,7 +33,7 @@ pub struct Slot(pub(crate) ElemRect);
 /// retrieve it with [`crate::BlockTracker::into_access_map`] and hand it
 /// (together with the graph) to [`crate::verify_graph`] or
 /// [`crate::Timeline::check_write_exclusion`]; a [`crate::Plan`] keeps its
-/// own, which [`crate::FactorOptions::checked`] audits against and whose
+/// own, which its task bodies' slot leases are checked against and whose
 /// matrix write rects [`crate::FactorOptions::retry`] snapshots.
 #[derive(Clone, Debug)]
 pub struct AccessMap {
@@ -101,14 +94,19 @@ impl AccessMap {
     }
 
     /// Slot `s`, the element `(s, n)` of the side column.
-    fn slot_rect(&self, s: usize) -> ElemRect {
+    pub(crate) fn slot_rect(&self, s: usize) -> ElemRect {
         ElemRect::new(s..s + 1, self.n..self.n + 1)
     }
 
-    /// A fresh slot.
-    pub(crate) fn new_slot(&mut self) -> Slot {
+    /// Number of slots allocated.
+    pub(crate) fn slots(&self) -> usize {
+        self.slots
+    }
+
+    /// A fresh slot's index.
+    pub(crate) fn new_slot(&mut self) -> usize {
         self.slots += 1;
-        Slot(self.slot_rect(self.slots - 1))
+        self.slots - 1
     }
 
     /// Whether `rect` may be declared: inside the matrix, or one allocated
@@ -166,11 +164,6 @@ impl AccessMap {
     /// The matrix part of `rects`: its prefix before the first slot rect.
     fn matrix_part<'a>(&self, rects: &'a [ElemRect]) -> &'a [ElemRect] {
         &rects[..rects.partition_point(|r| r.col0 < self.n)]
-    }
-
-    /// Declared read rects of `task` on the matrix, slots left out.
-    pub(crate) fn matrix_reads(&self, task: TaskId) -> &[ElemRect] {
-        self.matrix_part(self.reads(task))
     }
 
     /// Declared write rects of `task` on the matrix, slots left out: the

@@ -23,13 +23,13 @@
 //!   cancellation and deadlines, a [`JobWatch`] per job.
 //!
 //! A factorization reaches either door through [`plan_jobs`], the one place a
-//! [`Plan`] (graph, declared footprints, one closure per task beside the
-//! footprint it touches, run-time slots, a gather function — built through a
-//! [`PlanBuilder`]) becomes jobs, wrapped as its [`FactorOptions`] ask:
-//! [`run_plan`] hands them to [`execute`] and gathers; a served job is the
-//! same jobs plus one sink, submitted to a [`MultiFrontier`]. Fault
-//! injection, the race detector and recovery enter a run there and nowhere
-//! else: neither door takes options.
+//! [`Plan`] (graph, declared footprints, one closure per task opening only
+//! the handles its declarations returned, run-time slots, a gather function
+//! — built through a [`PlanBuilder`]) becomes jobs, wrapped as its
+//! [`FactorOptions`] ask: [`run_plan`] hands them to [`execute`] and
+//! gathers; a served job is the same jobs plus one sink, submitted to a
+//! [`MultiFrontier`]. Fault injection, the static verifier and recovery
+//! enter a run there and nowhere else: neither door takes options.
 //!
 //! [`simulate`]`(graph, nworkers, cost)` replays the same graph through the
 //! same policy on a deterministic discrete-event clock with `P` virtual
@@ -107,11 +107,13 @@
 //! declarations are retained in an [`AccessMap`]
 //! ([`BlockTracker::into_access_map`]); [`verify_graph`] statically proves
 //! every pair of tasks whose rects conflict is ordered by a happens-before
-//! path, and a plan run [`FactorOptions::checked`] audits the actual element
-//! accesses through a [`ca_matrix::ShadowRegistry`], reporting a
-//! [`CheckedError::Soundness`]. The simulator runs no task bodies; its
-//! checked mode is [`verify_graph`] before [`simulate`] and
-//! [`Timeline::check_write_exclusion`] after.
+//! path (a plan run [`FactorOptions::checked`] runs it first). Each
+//! declaration returns a handle ([`Read`], [`Write`], [`Slot`]), and a task
+//! body opens the matrix and the slots only through its own handles
+//! ([`TaskCx`]), checked on every open in every run: a body touches only
+//! what its task declared, so the proven edges cover every access. The
+//! simulator runs no task bodies; its checked mode is [`verify_graph`]
+//! before [`simulate`] and [`Timeline::check_write_exclusion`] after.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -123,6 +125,7 @@ mod fault;
 mod footprint;
 mod frontier;
 mod graph;
+mod lease;
 mod log;
 mod multigraph;
 mod plan;
@@ -140,7 +143,8 @@ pub use checked::CheckedError;
 /// `'static` closure it builds a [`DynJob`].
 pub use exec::job as dyn_job;
 pub use exec::{execute, job, run_graph, DynJob, ExecStats, Job, RunReport};
-pub use footprint::{AccessMap, Slot};
+pub use footprint::AccessMap;
+pub use lease::{Read, Slot, Slots, TaskCx, Write};
 pub use verify::{
     reduce_transitive_edges, verify_graph, verify_graph_with, ConflictKind, EdgeFinding,
     LintReport, ShadowedWrite, SoundnessError, VerifyOptions, VerifyReport, CLOSURE_TASK_LIMIT,
@@ -151,7 +155,7 @@ pub use multigraph::{
     CancelReason, JobId, JobOptions, JobOutcome, JobReport, JobWatch, MultiFrontier,
 };
 pub use plan::{
-    plan_jobs, run_plan, FactorOptions, Plan, PlanBuilder, PlanJobs, PlanRun, Retry,
+    plan_jobs, run_plan, FactorOptions, Plan, PlanBuilder, PlanJobs, PlanRun, Retry, TaskDecl,
 };
 pub use profile::{
     ClassMetrics, KindMetrics, LatencyStats, LookaheadMetrics, PanelWait, Profile, QueueSample,

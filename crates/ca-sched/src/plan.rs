@@ -2,47 +2,52 @@
 //! the one way to write what travels it.
 //!
 //! A [`Plan`] is a task graph in which every task was added once — its
-//! [`TaskMeta`], the element rects it declares and the closure that touches
-//! them, built from the same variables ([`PlanBuilder::task`]) — plus the
-//! run-time slots the closures fill and a function gathering the factors
-//! from them. [`plan_jobs`] is the one way from a plan to runnable jobs,
-//! verified and wrapped as its [`FactorOptions`] ask; whoever owns the
-//! workers runs them: [`run_plan`] on the caller's stack
-//! ([`crate::execute`]), a serving tier on a [`crate::MultiFrontier`]. CALU,
-//! CAQR and the four baselines are values of this one type.
+//! [`TaskMeta`], the element rects and slots it declares, and the closure
+//! that touches them through the handles those declarations returned
+//! ([`PlanBuilder::task`], [`crate::TaskCx`]) — plus the run-time slots the
+//! closures fill and a function gathering the factors from them.
+//! [`plan_jobs`] is the one way from a plan to runnable jobs, verified and
+//! wrapped as its [`FactorOptions`] ask; whoever owns the workers runs them:
+//! [`run_plan`] on the caller's stack ([`crate::execute`]), a serving tier on
+//! a [`crate::MultiFrontier`]. CALU, CAQR and the four baselines are values
+//! of this one type.
 
 use crate::blockdeps::BlockTracker;
-use crate::checked::{build_shadow_registry, first_violation, CheckedError};
+use crate::checked::CheckedError;
 use crate::exec::{execute, job, DynJob, RunReport};
-use crate::footprint::{AccessMap, Slot};
-use crate::graph::TaskGraph;
 use crate::fault::TaskFailure;
+use crate::footprint::AccessMap;
+use crate::graph::TaskGraph;
+use crate::lease::{Read, Slot, Slots, TaskCx, Write};
 use crate::retry::{guarded_job, run_recovering, ChaosPlan, RetryPolicy};
 use crate::task::{TaskId, TaskLabel, TaskMeta};
 use crate::verify::{verify_graph, SoundnessError};
-use ca_matrix::shadow::ElemRect;
-use ca_matrix::{Matrix, Scalar, ShadowRegistry, SharedMatrix};
+use ca_matrix::{ElemRect, Matrix, Scalar, SharedMatrix};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
-/// One task: touches the shared matrix inside the footprint declared beside
-/// it, and the plan's run-time slots `S`.
-type Body<T, S> = Box<dyn Fn(&SharedMatrix<T>, &S) + Send + Sync>;
+/// One task: touches the plan's matrix and slots through the leases of its
+/// [`TaskCx`].
+type Body<T> = Box<dyn Fn(&TaskCx<'_, T>) + Send + Sync>;
 
-/// A built factorization DAG over element type `T`. The graph and the
-/// declared footprints depend on neither `T` nor the slots; `S` is what the
-/// tasks leave for each other and for the result (pivots, `T` factors, pack
-/// images — typically `OnceLock`s), `F` the factors gathered from it.
-pub struct Plan<T: Scalar, S, F> {
+/// Turns the factored matrix and the filled slots into the factors: `None`
+/// if a slot it takes was never filled.
+type Gather<T, F> = Box<dyn FnOnce(Matrix<T>, &mut Slots) -> Option<F> + Send + Sync>;
+
+/// A built factorization DAG over element type `T`, gathering `F`. The
+/// graph and the declared footprints depend on neither; the slots hold what
+/// the tasks leave for each other and for the result (pivots, `T` factors,
+/// pack images).
+pub struct Plan<T: Scalar, F> {
     graph: TaskGraph<()>,
     access: AccessMap,
     /// `bodies[id]` runs task `id`.
-    bodies: Vec<Body<T, S>>,
-    slots: S,
-    gather: fn(Matrix<T>, S) -> F,
+    bodies: Vec<Body<T>>,
+    slots: Slots,
+    gather: Gather<T, F>,
 }
 
-impl<T: Scalar, S, F> Plan<T, S, F> {
+impl<T: Scalar, F> Plan<T, F> {
     /// The task graph — what runs, and what the simulator costs.
     pub fn graph(&self) -> &TaskGraph<()> {
         &self.graph
@@ -66,82 +71,100 @@ impl<T: Scalar, S, F> Plan<T, S, F> {
 /// storage slots ([`PlanBuilder::slot`]) the task fills and reads: no edge
 /// is added by hand, so [`verify_graph`] proves each one and the
 /// minimality lint justifies each one.
-pub struct PlanBuilder<T: Scalar, S> {
+pub struct PlanBuilder<T: Scalar> {
     graph: TaskGraph<()>,
     tracker: BlockTracker,
-    bodies: Vec<Body<T, S>>,
+    bodies: Vec<Body<T>>,
 }
 
-impl<T: Scalar, S> PlanBuilder<T, S> {
+impl<T: Scalar> PlanBuilder<T> {
     /// A builder for an `m × n` matrix whose block coordinates
-    /// ([`PlanBuilder::reads`], [`PlanBuilder::writes`]) are `b`-sized.
+    /// ([`TaskDecl::reads`], [`TaskDecl::writes`]) are `b`-sized.
     pub fn new(b: usize, m: usize, n: usize) -> Self {
         Self { graph: TaskGraph::new(), tracker: BlockTracker::with_geometry(b, m, n), bodies: Vec::new() }
     }
 
-    /// Adds a task running `body`. Declare its footprint right after, from
-    /// the variables `body` captured.
-    pub fn task(
-        &mut self,
-        meta: TaskMeta,
-        body: impl Fn(&SharedMatrix<T>, &S) + Send + Sync + 'static,
-    ) -> TaskId {
-        self.bodies.push(Box::new(body));
-        self.graph.add_task(meta, ())
+    /// Adds a task: declare its footprint on the [`TaskDecl`], which hands
+    /// out the handles its body opens, then attach the body
+    /// ([`TaskDecl::run`]).
+    pub fn task(&mut self, meta: TaskMeta) -> TaskDecl<'_, T> {
+        let id = self.graph.add_task(meta, ());
+        self.bodies.push(Box::new(|_| {}));
+        TaskDecl { pb: self, id }
     }
 
-    /// Declares that `task` reads blocks `rows × cols`.
-    pub fn reads(&mut self, task: TaskId, rows: Range<usize>, cols: Range<usize>) {
-        self.tracker.read(&mut self.graph, task, rows, cols);
-    }
-
-    /// Declares that `task` writes blocks `rows × cols`.
-    pub fn writes(&mut self, task: TaskId, rows: Range<usize>, cols: Range<usize>) {
-        self.tracker.write(&mut self.graph, task, rows, cols);
-    }
-
-    /// Declares that `task` reads the element rectangle `rect`.
-    pub fn reads_rect(&mut self, task: TaskId, rect: ElemRect) {
-        self.tracker.read_rect(&mut self.graph, task, rect);
-    }
-
-    /// Declares that `task` writes the element rectangle `rect`.
-    pub fn writes_rect(&mut self, task: TaskId, rect: ElemRect) {
-        self.tracker.write_rect(&mut self.graph, task, rect);
-    }
-
-    /// A fresh slot of side storage: what one task leaves in `S` for
+    /// A fresh slot of side storage holding a `V`: what one task leaves for
     /// others (pivots, `T` factors, candidates, pack images). The task
-    /// filling it declares [`PlanBuilder::writes_slot`], each task reading
-    /// it [`PlanBuilder::reads_slot`].
-    pub fn slot(&mut self) -> Slot {
-        self.tracker.slot()
-    }
-
-    /// Declares that `task` reads slot `s`.
-    pub fn reads_slot(&mut self, task: TaskId, s: Slot) {
-        self.tracker.read_rect(&mut self.graph, task, s.0);
-    }
-
-    /// Declares that `task` fills slot `s`.
-    pub fn writes_slot(&mut self, task: TaskId, s: Slot) {
-        self.tracker.write_rect(&mut self.graph, task, s.0);
+    /// filling it declares [`TaskDecl::writes_slot`], each task reading it
+    /// [`TaskDecl::reads_slot`].
+    pub fn slot<V: Send + Sync + 'static>(&mut self) -> Slot<V> {
+        Slot::new(self.tracker.slot())
     }
 
     /// The finished plan, its graph reduced to the minimal equivalent DAG
     /// ([`crate::reduce_transitive_edges`]): the tracker reasons one
     /// footprint at a time and over-wires edges a path already implies.
-    /// `slots` start empty, `gather` turns the factored matrix and the
-    /// filled slots into the factors.
-    pub fn finish<F>(mut self, slots: S, gather: fn(Matrix<T>, S) -> F) -> Plan<T, S, F> {
+    /// `gather` turns the factored matrix and the filled slots into the
+    /// factors.
+    pub fn finish<F>(
+        mut self,
+        gather: impl FnOnce(Matrix<T>, &mut Slots) -> Option<F> + Send + Sync + 'static,
+    ) -> Plan<T, F> {
         crate::reduce_transitive_edges(&mut self.graph);
-        Plan {
-            graph: self.graph,
-            access: self.tracker.into_access_map(),
-            bodies: self.bodies,
-            slots,
-            gather,
-        }
+        let access = self.tracker.into_access_map();
+        let slots = Slots::new(access.slots());
+        Plan { graph: self.graph, access, bodies: self.bodies, slots, gather: Box::new(gather) }
+    }
+}
+
+/// One task's declarations ([`PlanBuilder::task`]): each returns the handle
+/// the body opens, and [`TaskDecl::run`] attaches the body last.
+#[must_use = "a task runs the body attached with `run`"]
+pub struct TaskDecl<'b, T: Scalar> {
+    pb: &'b mut PlanBuilder<T>,
+    id: TaskId,
+}
+
+impl<T: Scalar> TaskDecl<'_, T> {
+    /// Declares that the task reads blocks `rows × cols`.
+    pub fn reads(&mut self, rows: Range<usize>, cols: Range<usize>) -> Read {
+        Read::new(self.id, self.pb.tracker.read(&mut self.pb.graph, self.id, rows, cols))
+    }
+
+    /// Declares that the task writes blocks `rows × cols`.
+    pub fn writes(&mut self, rows: Range<usize>, cols: Range<usize>) -> Write {
+        Write::new(self.id, self.pb.tracker.write(&mut self.pb.graph, self.id, rows, cols))
+    }
+
+    /// Declares that the task reads the element rectangle `rect`.
+    pub fn reads_rect(&mut self, rect: ElemRect) -> Read {
+        self.pb.tracker.read_rect(&mut self.pb.graph, self.id, rect);
+        Read::new(self.id, rect)
+    }
+
+    /// Declares that the task writes the element rectangle `rect`.
+    pub fn writes_rect(&mut self, rect: ElemRect) -> Write {
+        self.pb.tracker.write_rect(&mut self.pb.graph, self.id, rect);
+        Write::new(self.id, rect)
+    }
+
+    /// Declares that the task reads slot `s` ([`TaskCx::get`]).
+    pub fn reads_slot<V>(&mut self, s: Slot<V>) {
+        let rect = self.pb.tracker.access().slot_rect(s.index());
+        self.pb.tracker.read_rect(&mut self.pb.graph, self.id, rect);
+    }
+
+    /// Declares that the task fills slot `s` ([`TaskCx::put`]).
+    pub fn writes_slot<V>(&mut self, s: Slot<V>) {
+        let rect = self.pb.tracker.access().slot_rect(s.index());
+        self.pb.tracker.write_rect(&mut self.pb.graph, self.id, rect);
+    }
+
+    /// Attaches the task's body, which opens only the handles declared
+    /// above; the task's id.
+    pub fn run(self, body: impl Fn(&TaskCx<'_, T>) + Send + Sync + 'static) -> TaskId {
+        self.pb.bodies[self.id] = Box::new(body);
+        self.id
     }
 }
 
@@ -189,22 +212,21 @@ pub struct FactorOptions {
     /// Snapshot/replay recovery of failed tasks, and of the whole plan.
     pub retry: Option<Retry>,
     /// Checked execution: the task graph is first proven sound by the
-    /// static verifier ([`verify_graph`]), then executed with every
-    /// [`SharedMatrix`] block access — the retry protocol's snapshots and
-    /// restores included — audited against the builder's declared
-    /// footprints through a [`ca_matrix::ShadowRegistry`]. Any unordered
-    /// conflict, runtime lease overlap, or out-of-footprint access is
-    /// reported as a [`SoundnessError`] naming the offending task labels.
+    /// static verifier ([`verify_graph`]) — every pair of tasks whose
+    /// declared footprints conflict is ordered — and an unordered conflict
+    /// is reported as a [`SoundnessError`] naming the two tasks. That a
+    /// body touches only what it declared is checked in every run
+    /// ([`TaskCx`]).
     pub checked: bool,
 }
 
 /// What the jobs of one plan share — the task bodies and slots, the matrix
-/// they factor in place, the race detector's registry when checked — and
-/// the gathering end of [`plan_jobs`] for whoever runs them.
-pub struct PlanRun<T: Scalar, S, F> {
-    plan: Plan<T, S, F>,
+/// they factor in place, the first lease a body broke — and the gathering
+/// end of [`plan_jobs`] for whoever runs them.
+pub struct PlanRun<T: Scalar, F> {
+    plan: Plan<T, F>,
     matrix: SharedMatrix<T>,
-    registry: Option<Arc<ShadowRegistry>>,
+    violation: OnceLock<SoundnessError>,
     /// The first task that used up its replay budget while whole-plan
     /// replays remained: every body after it is skipped, and so is the
     /// gather.
@@ -212,11 +234,13 @@ pub struct PlanRun<T: Scalar, S, F> {
 }
 
 /// What [`plan_jobs`] yields: one owning job per task, and their gatherer.
-pub type PlanJobs<T, S, F> = (TaskGraph<DynJob>, Arc<PlanRun<T, S, F>>);
+pub type PlanJobs<T, F> = (TaskGraph<DynJob>, Arc<PlanRun<T, F>>);
 
-impl<T: Scalar, S, F> PlanRun<T, S, F> {
+impl<T: Scalar, F> PlanRun<T, F> {
     fn run_task(&self, id: TaskId) {
-        (self.plan.bodies[id])(&self.matrix, &self.plan.slots)
+        let Plan { graph, access, slots, .. } = &self.plan;
+        let cx = TaskCx::new(id, graph.meta(id).label, &self.matrix, access, slots, &self.violation);
+        (self.plan.bodies[id])(&cx)
     }
 
     /// The task that used up its replay budget, and its last failure, if
@@ -226,10 +250,10 @@ impl<T: Scalar, S, F> PlanRun<T, S, F> {
         self.exhausted.get()
     }
 
-    /// The first violation the race detector recorded so far (always `None`
-    /// unless the jobs were made `checked`).
+    /// The first lease a task body broke so far ([`TaskCx`]): the body
+    /// ended there and its task failed.
     pub fn violation(&self) -> Option<SoundnessError> {
-        self.registry.as_deref().and_then(first_violation)
+        self.violation.get().cloned()
     }
 
     /// Gathers the factors. A job holds the matrix until it has run or been
@@ -238,43 +262,36 @@ impl<T: Scalar, S, F> PlanRun<T, S, F> {
     /// `None` too once a task used up its budget ([`Self::exhausted`]): the
     /// slots it and its successors fill are empty.
     pub fn collect(self: Arc<Self>) -> Option<F> {
-        let Self { plan, matrix, exhausted, .. } = Arc::into_inner(self)?;
-        exhausted.get().is_none().then(|| (plan.gather)(matrix.into_inner(), plan.slots))
+        let Self { plan: Plan { gather, mut slots, .. }, matrix, exhausted, .. } = Arc::into_inner(self)?;
+        exhausted.get().is_none().then(|| gather(matrix.into_inner(), &mut slots))?
     }
 }
 
 /// The one way from a plan to runnable jobs: `plan`'s graph with an owning
 /// job per task (same ids, same edges), over `a`, wrapped as `opts` ask.
-/// `checked` proves the graph sound first (an `Err` here) and attaches the
-/// race detector; then each task body runs inside its shadow scope, after
-/// `chaos` was consulted, under `retry`'s snapshot/replay of the write-set
-/// the plan declared for it. A task out of replays fails its job, unless
-/// whole-plan replays remain: then it notes itself as
-/// [`PlanRun::exhausted`] and succeeds, and every task after it skips its
-/// body, so the job reaches whoever settles it. Run every job (or drop it),
-/// then ask the [`PlanRun`].
-pub fn plan_jobs<T: Scalar, S: Send + Sync + 'static, F: 'static>(
-    plan: Plan<T, S, F>,
+/// `checked` proves the graph sound first (an `Err` here); then each task
+/// body runs with its leases, after `chaos` was consulted, under `retry`'s
+/// snapshot/replay of the write-set the plan declared for it. A task out of
+/// replays fails its job, unless whole-plan replays remain: then it notes
+/// itself as [`PlanRun::exhausted`] and succeeds, and every task after it
+/// skips its body, so the job reaches whoever settles it. Run every job (or
+/// drop it), then ask the [`PlanRun`].
+pub fn plan_jobs<T: Scalar, F: 'static>(
+    plan: Plan<T, F>,
     a: Matrix<T>,
     opts: &FactorOptions,
-) -> Result<PlanJobs<T, S, F>, SoundnessError> {
-    let registry = if opts.checked {
+) -> Result<PlanJobs<T, F>, SoundnessError> {
+    if opts.checked {
         verify_graph(&plan.graph, &plan.access)?;
-        Some(build_shadow_registry(&plan.graph, &plan.access))
-    } else {
-        None
-    };
-    let matrix = match &registry {
-        Some(registry) => SharedMatrix::with_shadow(a, registry.clone()),
-        None => SharedMatrix::new(a),
-    };
-    let run = Arc::new(PlanRun { plan, matrix, registry, exhausted: OnceLock::new() });
+    }
+    let matrix = SharedMatrix::new(a);
+    let run = Arc::new(PlanRun { plan, matrix, violation: OnceLock::new(), exhausted: OnceLock::new() });
 
     let jobs = run.plan.graph.map_ref(|id, _| {
-        let (run, chaos, scope) = (Arc::clone(&run), opts.chaos.clone(), run.registry.clone());
+        let (run, chaos) = (Arc::clone(&run), opts.chaos.clone());
         let label = run.plan.graph.meta(id).label;
         // Under `retry` the protocol consults the chaos plan itself, once per
-        // attempt; either way snapshots and restores happen inside the scope.
+        // attempt.
         let (chaos, task): (_, DynJob) = match opts.retry {
             None => (chaos, job(move || run.run_task(id))),
             Some(Retry { policy, replays }) => {
@@ -295,17 +312,18 @@ pub fn plan_jobs<T: Scalar, S: Send + Sync + 'static, F: 'static>(
                 (None, Box::new(recovering))
             }
         };
-        guarded_job(id, label, scope, chaos, task)
+        guarded_job(label, chaos, task)
     });
     Ok((jobs, run))
 }
 
 /// Factors `a` through `plan` on `threads` workers of the caller's own
-/// ([`execute`]). A worker failure — a task out of replays included: there
-/// are no whole-plan replays here — maps to [`CheckedError::Exec`] without
-/// ever touching the plan's not-yet-filled result slots.
-pub fn run_plan<T: Scalar, S: Send + Sync + 'static, F: 'static>(
-    plan: Plan<T, S, F>,
+/// ([`execute`]). A broken lease maps to [`CheckedError::Soundness`], any
+/// other worker failure — a task out of replays included: there are no
+/// whole-plan replays here — to [`CheckedError::Exec`], without ever
+/// touching the plan's not-yet-filled result slots.
+pub fn run_plan<T: Scalar, F: 'static>(
+    plan: Plan<T, F>,
     a: Matrix<T>,
     threads: usize,
     opts: &FactorOptions,
@@ -314,13 +332,14 @@ pub fn run_plan<T: Scalar, S: Send + Sync + 'static, F: 'static>(
     let opts = FactorOptions { retry, ..opts.clone() };
     let (jobs, run) = plan_jobs(plan, a, &opts).map_err(CheckedError::Soundness)?;
     let mut report = execute(jobs, threads);
-    if let Some(e) = report.failure.take() {
-        return Err(CheckedError::Exec(e));
-    }
     if let Some(v) = run.violation() {
         return Err(CheckedError::Soundness(v));
     }
-    let factors = run.collect().expect("execute ran or dropped every job, so the run is the last owner");
+    if let Some(e) = report.failure.take() {
+        return Err(CheckedError::Exec(e));
+    }
+    let factors =
+        run.collect().expect("every job ran, so the run is the last owner and every slot is filled");
     Ok((factors, report))
 }
 
@@ -334,18 +353,19 @@ mod tests {
         // Task 0 fills the slot the gather reads and fails once, with no
         // task replay to spare: under the default whole-plan replays it
         // notes itself and succeeds, and the gather must not read the slot.
-        let mut pb = PlanBuilder::<f64, OnceLock<f64>>::new(1, 2, 1);
+        let mut pb = PlanBuilder::<f64>::new(1, 2, 1);
+        let slot = pb.slot::<f64>();
         let fill = TaskLabel::new(TaskKind::Panel, 0, 0, 0);
-        let t = pb.task(TaskMeta::new(fill, 1.0), |_, slot| {
-            let _ = slot.set(1.0);
-        });
-        pb.writes(t, 0..1, 0..1);
-        let t = pb.task(TaskMeta::new(TaskLabel::new(TaskKind::Update, 0, 1, 0), 1.0), |_, slot| {
-            assert!(slot.get().is_some(), "a skipped body is never reached");
-        });
-        pb.reads(t, 0..1, 0..1);
-        pb.writes(t, 1..2, 0..1);
-        let plan = pb.finish(OnceLock::new(), |_, slot| slot.into_inner().expect("slot filled"));
+        let mut t = pb.task(TaskMeta::new(fill, 1.0));
+        t.writes(0..1, 0..1);
+        t.writes_slot(slot);
+        t.run(move |cx| cx.put(slot, 1.0));
+        let mut t = pb.task(TaskMeta::new(TaskLabel::new(TaskKind::Update, 0, 1, 0), 1.0));
+        t.reads(0..1, 0..1);
+        t.writes(1..2, 0..1);
+        t.reads_slot(slot);
+        t.run(move |cx| assert_eq!(*cx.get(slot), 1.0, "a skipped body is never reached"));
+        let plan = pb.finish(move |_, slots| slots.take(slot));
         let opts = FactorOptions {
             chaos: Some(Arc::new(ChaosPlan::quiet(0).fail_nth(1, move |l| *l == fill))),
             retry: Some(Retry { policy: RetryPolicy::default().with_max_retries(0), ..Retry::default() }),
@@ -356,5 +376,86 @@ mod tests {
         assert!(report.failure.is_none(), "the exhausted task hands the run on");
         assert_eq!(run.exhausted().map(|(label, _)| *label), Some(fill));
         assert_eq!(run.collect(), None);
+    }
+
+    /// A one-task plan over an `8 × 4` matrix in `4 × 4` blocks whose task
+    /// declares writing rows `0..4` and runs `body` with that handle and
+    /// the handle of a second task that declares rows `4..8`.
+    fn lease_plan(body: impl Fn(&TaskCx<'_, f64>, Write, Write) + Send + Sync + 'static) -> Plan<f64, Matrix> {
+        let mut pb = PlanBuilder::<f64>::new(4, 8, 4);
+        let mut other = pb.task(TaskMeta::new(TaskLabel::new(TaskKind::Panel, 0, 1, 0), 1.0));
+        let theirs = other.writes(1..2, 0..1);
+        other.run(|_| {});
+        let mut t = pb.task(TaskMeta::new(TaskLabel::new(TaskKind::Panel, 0, 0, 0), 1.0));
+        let mine = t.writes(0..1, 0..1);
+        t.run(move |cx| body(cx, mine, theirs));
+        pb.finish(|a, _| Some(a))
+    }
+
+    /// The error an unchecked run of `plan` fails with.
+    fn lease_error(plan: Plan<f64, Matrix>) -> SoundnessError {
+        match run_plan(plan, Matrix::zeros(8, 4), 1, &FactorOptions::default()) {
+            Err(CheckedError::Soundness(e)) => e,
+            Err(e) => panic!("expected a soundness error, got {e}"),
+            Ok(_) => panic!("the run succeeded"),
+        }
+    }
+
+    #[test]
+    fn lease_refuses_another_tasks_handle_in_an_unchecked_run_naming_the_label() {
+        let e = lease_error(lease_plan(|cx, _, theirs| cx.view_mut(theirs).fill(9.0)));
+        let want = SoundnessError::UndeclaredAccess {
+            task: "P[0,0,0]".into(),
+            write: true,
+            rows: (4, 8),
+            cols: (0, 4),
+        };
+        assert_eq!(e, want);
+    }
+
+    #[test]
+    fn lease_refuses_rows_past_the_handle_in_an_unchecked_run_naming_the_label() {
+        let e = lease_error(lease_plan(|cx, mine, _| {
+            cx.view(mine.block(1, 0, 4, 4));
+        }));
+        let want = SoundnessError::UndeclaredAccess {
+            task: "P[0,0,0]".into(),
+            write: false,
+            rows: (1, 5),
+            cols: (0, 4),
+        };
+        assert_eq!(e, want);
+    }
+
+    #[test]
+    fn lease_refuses_a_mutable_view_over_another_view_of_the_body() {
+        let e = lease_error(lease_plan(|cx, mine, _| {
+            let _read = cx.view(mine.block(0, 0, 2, 4));
+            cx.view_mut(mine.block(1, 0, 3, 4));
+        }));
+        let want =
+            SoundnessError::Race { first: "P[0,0,0]".into(), second: "P[0,0,0]".into(), rows: (1, 2), cols: (0, 4) };
+        assert_eq!(e, want);
+        // Disjoint views of one write are fine.
+        let plan = lease_plan(|cx, mine, _| {
+            let top = cx.view(mine.block(0, 0, 2, 4));
+            cx.view_mut(mine.block(2, 0, 2, 4)).copy_from(top);
+        });
+        assert!(run_plan(plan, Matrix::zeros(8, 4), 1, &FactorOptions::default()).is_ok());
+    }
+
+    #[test]
+    fn lease_refuses_a_slot_the_task_did_not_declare() {
+        let mut pb = PlanBuilder::<f64>::new(1, 1, 1);
+        let slot = pb.slot::<u8>();
+        let mut t = pb.task(TaskMeta::new(TaskLabel::new(TaskKind::Panel, 0, 0, 0), 1.0));
+        t.writes_slot(slot);
+        t.run(move |cx| cx.put(slot, 7));
+        let reader = TaskLabel::new(TaskKind::Update, 0, 0, 0);
+        let mut t = pb.task(TaskMeta::new(reader, 1.0));
+        t.writes(0..1, 0..1);
+        t.run(move |cx| assert_eq!(*cx.get(slot), 7));
+        let e = lease_error(pb.finish(|a, _| Some(a)));
+        assert!(matches!(&e, SoundnessError::UndeclaredAccess { task, write: false, .. } if task == "S[0,0,0]"), "{e}");
     }
 }

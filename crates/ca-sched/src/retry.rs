@@ -41,9 +41,9 @@
 
 use crate::exec::DynJob;
 use crate::fault::{panic_message, TaskFailure, TaskResult};
-use crate::task::{TaskId, TaskKind, TaskLabel};
+use crate::task::{TaskKind, TaskLabel};
 use crate::telemetry::{record_event, FlightEventKind};
-use ca_matrix::{ElemRect, MatView, Scalar, ShadowRegistry, SharedMatrix};
+use ca_matrix::{ElemRect, MatView, Scalar, SharedMatrix};
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -538,6 +538,7 @@ fn cols(r: &ElemRect) -> usize {
 /// the slots it fills are not matrix elements, and none for a
 /// reduction-tree node, which fills slots only). The retry protocol
 /// snapshots and restores exactly these elements.
+#[allow(clippy::disallowed_methods)]
 fn capture<T: Scalar>(writes: &[ElemRect], shared: &SharedMatrix<T>) -> Vec<Vec<T>> {
     writes
         .iter()
@@ -545,8 +546,7 @@ fn capture<T: Scalar>(writes: &[ElemRect], shared: &SharedMatrix<T>) -> Vec<Vec<
             // SAFETY: the executor guarantees no concurrent writer
             // overlaps this task's declared footprint while the task
             // (and this wrapper around it) runs — the same contract the
-            // body itself relies on. Reads within the declared write-set
-            // also satisfy the shadow registry's containment check.
+            // body's own leases rely on.
             unsafe { shared.block(r.row0, r.col0, rows(r), cols(r)).to_vec() }
         })
         .collect()
@@ -703,25 +703,12 @@ fn inject<T: Scalar>(
     }
 }
 
-/// Task `id`'s job as [`crate::plan_jobs`] hands it out: inside `scope`'s
-/// shadow task scope (so every `SharedMatrix` access of the job is audited
-/// against the task's declared footprint), and with `chaos` consulted as it
-/// starts — an injection without replay: a failure or panic reaches the
-/// executor like a real one. With neither, `job` itself.
-pub(crate) fn guarded_job(
-    id: TaskId,
-    label: TaskLabel,
-    scope: Option<Arc<ShadowRegistry>>,
-    chaos: Option<Arc<ChaosPlan>>,
-    job: DynJob,
-) -> DynJob {
-    if scope.is_none() && chaos.is_none() {
-        return job;
-    }
-    Box::new(move || {
-        let _scope = scope.as_ref().map(|registry| registry.enter_task(id));
-        inject(chaos.as_deref(), &label, None::<&Target<'_, f64>>, job)
-    })
+/// A task's job as [`crate::plan_jobs`] hands it out: with `chaos`
+/// consulted as it starts — an injection without replay: a failure or panic
+/// reaches the executor like a real one. Without, `job` itself.
+pub(crate) fn guarded_job(label: TaskLabel, chaos: Option<Arc<ChaosPlan>>, job: DynJob) -> DynJob {
+    let Some(chaos) = chaos else { return job };
+    Box::new(move || inject(Some(&chaos), &label, None::<&Target<'_, f64>>, job))
 }
 
 thread_local! {
@@ -814,6 +801,8 @@ fn guarded(f: impl FnOnce() -> TaskResult) -> TaskResult {
 }
 
 #[cfg(test)]
+// Tests read a SharedMatrix directly to check what the protocol left there.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::task::TaskKind;
@@ -882,7 +871,7 @@ mod tests {
         let mut g: crate::TaskGraph<()> = crate::TaskGraph::new();
         let mut t = crate::BlockTracker::with_geometry(10, 25, 25);
         let id = g.add_task(crate::TaskMeta::new(label(TaskKind::Update, 0), 1.0), ());
-        let slot = t.slot().0;
+        let slot = t.slot_rect();
         t.write_rect(&mut g, id, slot);
         t.read(&mut g, id, 0..1, 0..1);
         t.write(&mut g, id, 1..3, 2..3);

@@ -21,7 +21,7 @@
 use crate::footprint::AccessMap;
 use crate::graph::TaskGraph;
 use crate::task::{TaskId, TaskKind, TaskLabel};
-use ca_matrix::shadow::ElemRect;
+use ca_matrix::ElemRect;
 use ca_matrix::RegionSet;
 use std::collections::{HashMap, HashSet};
 
@@ -131,21 +131,20 @@ pub enum SoundnessError {
         /// The overlapping element rectangle.
         rect: ElemRect,
     },
-    /// Checked execution observed two concurrently live leases overlapping
-    /// (at least one a write). Labels are rendered strings because the
-    /// violation comes from the matrix-level shadow registry.
+    /// Two views a task body held overlapped, at least one of them mutable
+    /// ([`crate::TaskCx`]): both labels name that task.
     Race {
-        /// Label of the task holding the earlier lease.
+        /// Label of the task holding the earlier view.
         first: String,
-        /// Label of the task that took the overlapping lease.
+        /// Label of the task that opened the overlapping view.
         second: String,
         /// Overlapping element rows `(start, end)`.
         rows: (usize, usize),
         /// Overlapping element columns `(start, end)`.
         cols: (usize, usize),
     },
-    /// Checked execution observed a task touching elements outside its
-    /// declared footprint.
+    /// A task body opened elements (or a slot, as its side-column element)
+    /// outside its declared footprint ([`crate::TaskCx`]), in any run.
     UndeclaredAccess {
         /// Label of the offending task.
         task: String,
@@ -1106,7 +1105,7 @@ mod tests {
     fn slot_pair() -> (TaskGraph<()>, AccessMap, [TaskId; 3]) {
         let mut g = TaskGraph::new();
         let mut t = BlockTracker::new(1, 1);
-        let rect = t.slot().0;
+        let rect = t.slot_rect();
         let w = mk(&mut g, TaskKind::Panel, 0, 0, ());
         t.write_rect(&mut g, w, rect);
         let r = mk(&mut g, TaskKind::URow, 0, 0, ());
@@ -1151,7 +1150,7 @@ mod tests {
         // is its own, past the 3×2 matrix grid — not the ragged last block
         // column's.
         let mut t = BlockTracker::with_geometry(4, 10, 7);
-        let (r0, r1) = (t.slot().0, t.slot().0);
+        let (r0, r1) = (t.slot_rect(), t.slot_rect());
         assert_eq!((r0, r1), (ElemRect::new(0..1, 7..8), ElemRect::new(1..2, 7..8)));
         let mut g = TaskGraph::new();
         let id = mk(&mut g, TaskKind::Other, 0, 0, ());

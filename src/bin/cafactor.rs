@@ -51,7 +51,7 @@ fn serve_exit_code(e: &ca_factor::serve::ServeError) -> i32 {
 }
 
 /// Exit code per soundness-violation class: static DAG violations → 7,
-/// runtime lease races → 8, out-of-footprint accesses → 9.
+/// overlapping views of one task body → 8, out-of-footprint accesses → 9.
 fn soundness_exit_code(v: &ca_factor::sched::SoundnessError) -> i32 {
     use ca_factor::sched::SoundnessError;
     match v {
@@ -633,7 +633,7 @@ fn cmd_verify(sub: &str, o: &Opts) {
     /// is CALU/CAQR's claim, not the baselines' (tiled LU has no lookahead
     /// on purpose, the blocked ones are fork-join), so a baseline's report
     /// goes out without those warnings.
-    fn findings<S, F>(name: &str, plan: Plan<f64, S, F>, baseline: bool, vopts: &VerifyOptions) -> usize {
+    fn findings<F>(name: &str, plan: Plan<f64, F>, baseline: bool, vopts: &VerifyOptions) -> usize {
         let mut report = verify_graph_with(plan.graph(), plan.access(), vopts)
             .unwrap_or_else(|v| {
                 eprintln!("cafactor: static soundness violation ({name}): {v}");

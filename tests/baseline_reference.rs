@@ -5,11 +5,11 @@
 
 use ca_factor::baselines::tile_kernels::{gessm, getrf_tile, ssssm, tstrf};
 use ca_factor::baselines::{tiled_qr_plan, BlockedLuPlan, BlockedQrPlan, TiledLuPlan};
-use ca_factor::core::tsqr::{eliminate, leaf_apply, leaf_qr, node_apply, NodePlan};
+use ca_factor::core::tsqr::{eliminate, leaf_qr, node_apply_rows, NodePlan};
 use ca_factor::kernels::{
     gemm, geqr2, getf2, larfb_left, larft, trsm_left_lower_unit, Trans, VRest,
 };
-use ca_factor::matrix::{random_uniform, seeded_rng, SharedMatrix};
+use ca_factor::matrix::{random_uniform, seeded_rng};
 use ca_factor::sched::{run_plan, FactorOptions};
 use ca_factor::Matrix;
 
@@ -48,26 +48,31 @@ fn tiled_lu_reference(a: &mut Matrix, b: usize) -> Vec<Vec<usize>> {
 /// Tiled QR as a loop nest over CAQR's kernels: per step, the diagonal
 /// tile's leaf QR applied along its tile row, then one triangle-on-square
 /// elimination per tile below it, each applied along its tile pair.
-fn tiled_qr_reference(a: Matrix, b: usize) -> Matrix {
+fn tiled_qr_reference(mut a: Matrix, b: usize) -> Matrix {
     let (m, n) = (a.nrows(), a.ncols());
-    let a = SharedMatrix::new(a);
     let tiles = |from: usize, to: usize| (from..to).step_by(b).map(move |t0| t0..(t0 + b).min(to));
     for k0 in (0..m.min(n)).step_by(b) {
         let w = b.min(n - k0);
-        let leaf = leaf_qr(&a, k0, w, k0..(k0 + b).min(m));
+        let diag = k0..(k0 + b).min(m);
+        let leaf = leaf_qr(a.block_mut(k0, k0, diag.len(), w), diag.clone());
         for cols in tiles(k0 + w, n) {
-            leaf_apply(&a, k0, &leaf, &a, cols, Trans::Yes);
+            let (left, right) = a.view_mut().split_at_col(cols.start);
+            let v = left.as_ref().sub(k0, k0, diag.len(), leaf.kv);
+            larfb_left(Trans::Yes, v, leaf.t.view(), right.into_sub(k0, 0, diag.len(), cols.len()));
         }
         for (i, rows) in tiles(k0 + b, m).enumerate() {
             let (participants, row_ranges) = (vec![0, i + 1], vec![k0..k0 + w, rows]);
             let plan = NodePlan { level: i + 1, participants, row_ranges, kk: w };
-            let node = eliminate(&a, k0, w, &plan, VRest::Dense);
+            let mut parts = a.block_mut(0, k0, m, w).split_rows(&plan.row_ranges);
+            let (top, below) = parts.split_at_mut(1);
+            let node = eliminate(top[0].rb(), &[below[0].as_ref()], &plan, VRest::Dense);
             for cols in tiles(k0 + w, n) {
-                node_apply(&node, &a, cols, Trans::Yes);
+                let mut parts = a.block_mut(0, cols.start, m, cols.len()).split_rows(&node.row_ranges);
+                node_apply_rows(&node, &mut parts, Trans::Yes);
             }
         }
     }
-    a.into_inner()
+    a
 }
 
 /// LAPACK `dgetrf`, one `dtrsm` and one `dgemm` per step over the whole

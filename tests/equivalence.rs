@@ -23,15 +23,16 @@ fn caqr_gives_the_bits_of_caqr_seq_on_every_shape_and_parameter() {
     equivalence_table::qr(Part::Dag);
 }
 
-/// Holds a baseline on 4 workers (`run`) and under `checked` to its one-worker bits.
-fn baseline(what: &str, run: impl Fn(usize) -> Bits, checked: Bits) {
+/// Holds a baseline on 4 workers (`run`) and under `checked` to its
+/// one-worker bits, the unchecked runs first.
+fn baseline(what: &str, run: impl Fn(usize) -> Bits, checked: impl FnOnce() -> Bits) {
     let want = run(1);
     same(&format!("{what} on 4 workers"), &run(4), &want);
-    same(&format!("checked {what}"), &checked, &want);
+    same(&format!("checked {what}"), &checked(), &want);
 }
 
 /// `plan` over `a` under `checked`, on `w` workers.
-fn checked<S: Send + Sync + 'static, F: 'static>(plan: Plan<f64, S, F>, a: &Matrix, w: usize) -> F {
+fn checked<F: 'static>(plan: Plan<f64, F>, a: &Matrix, w: usize) -> F {
     let opts = FactorOptions { checked: true, ..Default::default() };
     ok(run_plan(plan, a.clone(), w, &opts), "checked run").0
 }
@@ -48,13 +49,13 @@ fn baselines_give_their_one_worker_bits_on_four_workers_and_checked() {
             let f = getrf_blocked(&mut x, nb, w);
             lu((x, f))
         };
-        baseline(&format!("blocked LU {what}"), getrf, lu(checked(BlockedLuPlan::build(m, n, nb, w), &a, w)));
+        baseline(&format!("blocked LU {what}"), getrf, || lu(checked(BlockedLuPlan::build(m, n, nb, w), &a, w)));
         let geqrf = |w| {
             let mut x = a.clone();
             geqrf_blocked(&mut x, nb, w);
             qr(&x)
         };
-        baseline(&format!("blocked QR {what}"), geqrf, qr(&checked(BlockedQrPlan::build(m, n, nb, w), &a, w).0));
+        baseline(&format!("blocked QR {what}"), geqrf, || qr(&checked(BlockedQrPlan::build(m, n, nb, w), &a, w).0));
     }
     let tiled_bits = |f: TiledLu| {
         let ipiv = f.diag.iter().flat_map(|d| d.pivots.ipiv.iter().copied());
@@ -62,13 +63,13 @@ fn baselines_give_their_one_worker_bits_on_four_workers_and_checked() {
         vec![("L\\U", bits(&f.a)), ("ipiv", words(ipiv)), ("tstrf", trans.collect())]
     };
     let a = random_uniform(64, 64, &mut seeded_rng(4));
-    let checked_lu = tiled_bits(checked(TiledLuPlan::build(64, 64, 16), &a, 4));
+    let checked_lu = || tiled_bits(checked(TiledLuPlan::build(64, 64, 16), &a, 4));
     baseline("tiled LU 64x64 b=16", |w| tiled_bits(tiled_lu(a.clone(), 16, w)), checked_lu);
     // Under the recovery ladder an injected failure or panic scribbles NaN
     // over the victim's matrix write-set, restores it and replays: a getrf,
     // a tstrf (its write-set the whole diagonal tile, whose copy in a slot
     // the concurrent gessm tasks read) and a gessm disturbed so give the
-    // undisturbed bits, every access audited (slots are no matrix leases).
+    // undisturbed bits.
     let want = tiled_bits(tiled_lu(a.clone(), 16, 1));
     for w in [1, 2, 4] {
         let chaos = ChaosPlan::quiet(6)
@@ -84,6 +85,6 @@ fn baselines_give_their_one_worker_bits_on_four_workers_and_checked() {
         same(&what, &tiled_bits(f), &want);
     }
     let a = random_uniform(80, 48, &mut seeded_rng(5));
-    let checked_qr = qr_bits(&checked(tiled_qr_plan(80, 48, 16), &a, 4));
+    let checked_qr = || qr_bits(&checked(tiled_qr_plan(80, 48, 16), &a, 4));
     baseline("tiled QR 80x48 b=16", |w| qr_bits(&tiled_qr(a.clone(), 16, w)), checked_qr);
 }

@@ -60,10 +60,9 @@ impl Probe {
 }
 
 #[test]
-#[allow(clippy::disallowed_methods)] // Checked mode drives raw block writes on purpose
 fn executor_contract_holds_for_every_thread_count_and_option() {
     use ca_factor::matrix::{ElemRect, Matrix};
-    use ca_factor::sched::{plan_jobs, FactorOptions, PlanBuilder, SoundnessError};
+    use ca_factor::sched::{plan_jobs, FactorOptions, PlanBuilder, Slot, SoundnessError};
     use std::sync::Arc;
 
     // root -> {victim, good} -> join -> tail, plus an independent chain. A
@@ -121,23 +120,28 @@ fn executor_contract_holds_for_every_thread_count_and_option() {
                 (execute(jobs, threads), None)
             } else {
                 // Each task writes the element it declares; checked, the
-                // victim also writes the one beside it, which it does not.
-                let mut pb = PlanBuilder::<f64, ()>::new(1, n, 2);
+                // victim also opens the one beside it, which it does not
+                // declare, and its lease refuses it.
+                let mut pb = PlanBuilder::<f64>::new(1, n, 2);
+                // Each contract edge is one slot its ends hand over.
+                let slots: Vec<Slot<()>> = edges.iter().map(|_| pb.slot()).collect();
                 for id in 0..n {
                     let probe = Arc::clone(&probe);
                     let width = if mode == Mode::Checked && id == victim { 2 } else { 1 };
-                    let t = pb.task(*shape.meta(id), move |a, _| {
+                    let mut t = pb.task(*shape.meta(id));
+                    let row = t.writes_rect(ElemRect::new(id..id + 1, 0..1));
+                    for (&(a, b), &s) in edges.iter().zip(&slots) {
+                        if a == id {
+                            t.writes_slot(s);
+                        }
+                        if b == id {
+                            t.reads_slot(s);
+                        }
+                    }
+                    t.run(move |cx| {
                         probe.hit(id);
-                        // SAFETY: each task writes only its own row.
-                        unsafe { a.block_mut(id, 0, 1, width).fill(1.0) };
+                        cx.view_mut(row.block(id, 0, 1, width)).fill(1.0);
                     });
-                    pb.writes_rect(t, ElemRect::new(id..id + 1, 0..1));
-                }
-                // Each contract edge is one slot its ends hand over.
-                for &(a, b) in &edges {
-                    let s = pb.slot();
-                    pb.writes_slot(a, s);
-                    pb.reads_slot(b, s);
                 }
                 let is_victim = move |l: &TaskLabel| l.kind == TaskKind::Update;
                 let chaos = match mode {
@@ -150,13 +154,13 @@ fn executor_contract_holds_for_every_thread_count_and_option() {
                     retry: None,
                     checked: mode == Mode::Checked,
                 };
-                let (jobs, run) = plan_jobs(pb.finish((), |a, ()| a), Matrix::zeros(n, 2), &opts)
+                let (jobs, run) = plan_jobs(pb.finish(|a, _| Some(a)), Matrix::zeros(n, 2), &opts)
                     .expect("the contract graph is sound");
                 (execute(jobs, threads), run.violation())
             };
             let (runs, stamps) = (&probe.runs, &probe.stamps);
 
-            let fails = !matches!(mode, Mode::Plain | Mode::Checked);
+            let fails = mode != Mode::Plain;
             let injected = matches!(mode, Mode::ChaosFail | Mode::ChaosPanic);
             let cancelled = if fails { vec![join, tail] } else { Vec::new() };
 
@@ -183,12 +187,14 @@ fn executor_contract_holds_for_every_thread_count_and_option() {
                     assert_eq!(e.task, victim, "{case}");
                     assert_eq!(e.label, TaskLabel::new(TaskKind::Update, 1, 0, 0), "{case}");
                     assert!(e.lane < threads, "{case}");
-                    let panicked = matches!(mode, Mode::RealPanic | Mode::ChaosPanic);
+                    let panicked = matches!(mode, Mode::RealPanic | Mode::ChaosPanic | Mode::Checked);
                     assert_eq!(e.panicked, panicked, "{case}");
+                    let stray = format!("task S[1,0,0] wrote elements rows {victim}..{} × cols 0..2", victim + 1);
                     let text = match mode {
                         Mode::RealFail => "real failure",
                         Mode::RealPanic => "real panic",
                         Mode::ChaosPanic => "chaos: injected panic at S[1,0,0]",
+                        Mode::Checked => &stray,
                         _ => "chaos: injected failure at S[1,0,0]",
                     };
                     assert!(e.message.contains(text), "{case}: {}", e.message);
@@ -201,8 +207,8 @@ fn executor_contract_holds_for_every_thread_count_and_option() {
             assert_eq!(profile.nworkers, threads, "{case}");
             assert_eq!(profile.cancelled, cancelled, "{case}");
             assert_eq!(profile.records.len(), n - cancelled.len(), "{case}");
-            // Only the checked run audits, and the victim's stray write is
-            // caught only inside its task scope: the bodies ran there.
+            // The victim's lease refuses its stray write (checked or not:
+            // the lease is checked in every run), naming it.
             match violation {
                 None => assert_ne!(mode, Mode::Checked, "{case}: the stray write went unseen"),
                 Some(SoundnessError::UndeclaredAccess { task, write, rows, cols }) => {
@@ -738,23 +744,21 @@ fn multifrontier_chaos_exhaustion_is_isolated_from_recovering_peers() {
         } else {
             RetryPolicy::default()
         };
-        let mut pb = PlanBuilder::<f64, ()>::new(1, JOBS, 1);
+        let mut pb = PlanBuilder::<f64>::new(1, JOBS, 1);
         for t in 0..CHAIN {
             let acc = acc.clone();
-            let id = pb.task(
-                TaskMeta::new(TaskLabel::new(TaskKind::Update, t, jidx, 0), 1.0),
-                move |_, _| {
-                    acc.fetch_add(term(t), Ordering::SeqCst);
-                },
-            );
-            pb.writes_rect(id, ElemRect::new(jidx..jidx + 1, 0..1));
+            let mut task = pb.task(TaskMeta::new(TaskLabel::new(TaskKind::Update, t, jidx, 0), 1.0));
+            task.writes_rect(ElemRect::new(jidx..jidx + 1, 0..1));
+            task.run(move |_| {
+                acc.fetch_add(term(t), Ordering::SeqCst);
+            });
         }
         let opts = FactorOptions {
             chaos: Some(plan),
             retry: Some(Retry { policy, replays: 0 }),
             checked: false,
         };
-        let (g, _) = plan_jobs(pb.finish((), |a, ()| a), Matrix::zeros(JOBS, 1), &opts)
+        let (g, _) = plan_jobs(pb.finish(|a, _| Some(a)), Matrix::zeros(JOBS, 1), &opts)
             .expect("nothing to verify");
         watches.push(frontier.submit(g, JobOptions::default()));
     }
@@ -897,22 +901,28 @@ fn multifrontier_survives_interleaved_submit_cancel_shed_and_shutdown() {
         let build = |j: usize| -> TaskGraph<DynJob> {
             let kinds = [TaskKind::Panel, TaskKind::Update, TaskKind::LBlock];
             let dag = random_dag(seed * 1000 + j as u64, 3, 3, 0.5, 100);
-            let mut pb = PlanBuilder::<f64, ()>::new(1, 1, 1);
+            let mut pb = PlanBuilder::<f64>::new(1, 1, 1);
+            // Each edge is one slot its ends hand over.
+            let edges: Vec<(usize, usize)> =
+                (0..dag.len()).flat_map(|a| dag.successors(a).iter().map(move |&b| (a, b))).collect();
+            let slots: Vec<ca_factor::sched::Slot<()>> = edges.iter().map(|_| pb.slot()).collect();
             for id in 0..dag.len() {
                 let ran = Arc::clone(&ran[j]);
                 let label = TaskLabel::new(kinds[id % 3], id, j, 0);
-                pb.task(TaskMeta { label, ..*dag.meta(id) }, move |_, _| {
+                let mut t = pb.task(TaskMeta { label, ..*dag.meta(id) });
+                for (&(before, after), &s) in edges.iter().zip(&slots) {
+                    if before == id {
+                        t.writes_slot(s);
+                    }
+                    if after == id {
+                        t.reads_slot(s);
+                    }
+                }
+                t.run(move |_| {
                     ran.fetch_add(1, Ordering::SeqCst);
                 });
             }
-            for before in 0..dag.len() {
-                for &after in dag.successors(before) {
-                    let s = pb.slot();
-                    pb.writes_slot(before, s);
-                    pb.reads_slot(after, s);
-                }
-            }
-            plan_jobs(pb.finish((), |a, ()| a), Matrix::zeros(1, 1), &delays).expect("unchecked").0
+            plan_jobs(pb.finish(|a, _| Some(a)), Matrix::zeros(1, 1), &delays).expect("unchecked").0
         };
 
         // Each client reports its jobs as (index, task count, watch) and the

@@ -256,7 +256,7 @@ fn pinned_rows() -> [PinnedRow; 20] {
 }
 
 /// Lint-clean static proof of a plan's graph; returns its fingerprint.
-fn minimal<T: Scalar, S, F>(plan: &Plan<T, S, F>) -> Fingerprint {
+fn minimal<T: Scalar, F>(plan: &Plan<T, F>) -> Fingerprint {
     let report = verify_graph_with(plan.graph(), plan.access(), &VerifyOptions { lint_edges: true })
         .unwrap_or_else(|e| panic!("unsound: {e}"));
     let lint = report.lint.expect("lint requested");
@@ -265,8 +265,8 @@ fn minimal<T: Scalar, S, F>(plan: &Plan<T, S, F>) -> Fingerprint {
 }
 
 /// Runs a plan on 4 workers under `opts`; returns what it executed.
-fn run<T: Scalar, S: Send + Sync + 'static, F: 'static>(
-    plan: Plan<T, S, F>,
+fn run<T: Scalar, F: 'static>(
+    plan: Plan<T, F>,
     a: Matrix<T>,
     opts: &FactorOptions,
 ) -> Fingerprint {
@@ -305,7 +305,7 @@ fn builder_graphs_are_pinned_minimal_and_run_clean_checked() {
     // Every pinned row must also be conflict-minimal under the lint and run
     // clean under the race detector.
     use Builder::*;
-    fn check<S: Send + Sync + 'static, F: 'static>(plan: Plan<f64, S, F>, a: Matrix) -> Fingerprint {
+    fn check<F: 'static>(plan: Plan<f64, F>, a: Matrix) -> Fingerprint {
         let built = minimal(&plan);
         assert_eq!(run(plan, a, &checked()), built);
         built
