@@ -7,13 +7,13 @@
 //! global interchange sequence.
 
 use crate::dag_calu::CaluPlan;
-use ca_sched::{run_plan, FactorOptions};
 use crate::error::{require_finite, FactorError, DEFAULT_GROWTH_LIMIT};
 use crate::jobs::try_plan_with;
 use crate::params::CaParams;
 use crate::tslu::factor_panel;
 use ca_kernels::{gemm, split_cols, trsm_left_lower_unit, trsm_left_upper_notrans, Kernel, Trans};
 use ca_matrix::{lu_residual, MatView, MatViewMut, Matrix, PivotSeq, Scalar};
+use ca_sched::{run_plan, FactorOptions};
 
 /// Numerical diagnostics collected while factoring, one entry per panel.
 #[derive(Clone, Debug, Default)]
@@ -173,7 +173,12 @@ pub fn calu_panels<T: Kernel>(
 /// panel's `[L_kk; L_below]` (rows `pv.offset..m` of its `k = pv.len()`
 /// columns). One [`split_cols`] of `c` over `workers` lanes carries all
 /// three, so each lane touches only its own columns.
-pub fn lu_panel_update<T: Kernel>(workers: usize, pv: &PivotSeq, l: MatView<'_, T>, c: MatViewMut<'_, T>) {
+pub fn lu_panel_update<T: Kernel>(
+    workers: usize,
+    pv: &PivotSeq,
+    l: MatView<'_, T>,
+    c: MatViewMut<'_, T>,
+) {
     let (k0, k) = (pv.offset, pv.len());
     split_cols(workers, c, |_, mut c| {
         pv.apply(c.rb());
@@ -181,7 +186,15 @@ pub fn lu_panel_update<T: Kernel>(workers: usize, pv: &PivotSeq, l: MatView<'_, 
         let (top, below) = c.split_at_row(k0 + k);
         let mut u_row = top.into_sub(k0, 0, k, cw);
         trsm_left_lower_unit(l.sub(0, 0, k, k), u_row.rb());
-        gemm(Trans::No, Trans::No, -T::ONE, l.sub(k, 0, l.nrows() - k, k), u_row.as_ref(), T::ONE, below);
+        gemm(
+            Trans::No,
+            Trans::No,
+            -T::ONE,
+            l.sub(k, 0, l.nrows() - k, k),
+            u_row.as_ref(),
+            T::ONE,
+            below,
+        );
     });
 }
 
@@ -470,10 +483,15 @@ mod tests {
                 for (path, f) in [("sequential", &seq), ("dag", &dag)] {
                     // One panel: its input is `a0`, its packed top block the
                     // first `b` rows of the factors.
-                    let top = scan((0..b).flat_map(|j| (0..b).map(move |i| (i, j))).map(|ij| f.lu[ij]));
+                    let top =
+                        scan((0..b).flat_map(|j| (0..b).map(move |i| (i, j))).map(|ij| f.lu[ij]));
                     let want = top / scan(a0.as_slice().iter().copied());
                     assert_eq!(f.stats.panel_growth.len(), 1);
-                    assert_eq!(f.stats.panel_growth[0].to_bits(), want.to_bits(), "{what} tr={tr} {path}");
+                    assert_eq!(
+                        f.stats.panel_growth[0].to_bits(),
+                        want.to_bits(),
+                        "{what} tr={tr} {path}"
+                    );
                 }
             }
         }

@@ -8,13 +8,13 @@
 //! thin-`Q` reconstruction.
 
 use crate::dag_caqr::CaqrPlan;
-use ca_sched::{run_plan, FactorOptions};
 use crate::error::{require_finite, FactorError};
 use crate::jobs::try_plan_with;
 use crate::params::{num_panels, partition_rows, CaParams};
 use crate::tsqr::{eliminate, leaf_qr, panel_apply, plan_panel, NodePlan, PanelQ};
 use ca_kernels::{trsm_left_upper_notrans, Kernel, Trans, VRest};
 use ca_matrix::{MatViewMut, Matrix, Scalar};
+use ca_sched::{run_plan, FactorOptions};
 
 /// The result of a CAQR/TSQR factorization.
 #[derive(Debug)]
@@ -140,7 +140,8 @@ pub fn caqr_panels<T: Kernel>(
         let nodes = plan.nodes.iter().map(node).collect();
         let panel = PanelQ { k0, c0: k0, w, k: (m - k0).min(w), leaves, nodes };
         let pan = pan.as_ref();
-        let vs: Vec<_> = panel.leaves.iter().map(|l| pan.sub(l.rows.start, 0, l.rows.len(), l.kv)).collect();
+        let vs: Vec<_> =
+            panel.leaves.iter().map(|l| pan.sub(l.rows.start, 0, l.rows.len(), l.kv)).collect();
         panel_apply(workers, &panel, &vs, right, Trans::Yes);
         panels.push(panel);
         lc += w;

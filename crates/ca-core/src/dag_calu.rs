@@ -26,12 +26,13 @@ use crate::tree::reduction_schedule;
 use crate::tslu::{apply_growth_policy, pivot_seq_from_targets};
 use ca_kernels::{flops, traffic};
 use ca_kernels::{
-    gemm, gemm_packed, pack_a_slab, pack_b_panel, trsm_left_lower_unit,
-    trsm_right_upper_notrans, Kernel, Trans,
+    gemm, gemm_packed, pack_a_slab, pack_b_panel, trsm_left_lower_unit, trsm_right_upper_notrans,
+    Kernel, Trans,
 };
 use ca_matrix::{AlignedBuf, MatViewMut, PivotSeq};
 use ca_sched::{
-    row_blocks, KernelClass, Plan, PlanBuilder, Slot, TaskCx, TaskGraph, TaskKind, TaskLabel, TaskMeta,
+    row_blocks, KernelClass, Plan, PlanBuilder, Slot, TaskCx, TaskGraph, TaskKind, TaskLabel,
+    TaskMeta,
 };
 
 /// Tile geometry of the decomposed trailing update: the serial GEMM cache
@@ -106,15 +107,17 @@ impl CaluPlan {
             // the panel's active rows: record pivots, interchange the panel,
             // write the packed `L_KK\U_KK` block.
             let growth_limit = p.growth_limit;
-            let finish_root = move |cx: &TaskCx<'_, T>, mut panel: MatViewMut<'_, T>, sel: Selected<T>| {
-                // Growth policy before any write-back: the panel's active region
-                // still holds its pre-interchange values here.
-                let (sel, growth, fallback) = apply_growth_policy(panel.as_ref(), k0, sel, growth_limit);
-                let pivots = pivot_seq_from_targets(k0, &sel.idx);
-                local_seq(&pivots, k0).apply(panel.rb());
-                panel.sub(0, 0, k, w).copy_from(sel.packed.view());
-                cx.put(root, (pivots, sel.breakdown, (growth, fallback)));
-            };
+            let finish_root =
+                move |cx: &TaskCx<'_, T>, mut panel: MatViewMut<'_, T>, sel: Selected<T>| {
+                    // Growth policy before any write-back: the panel's active region
+                    // still holds its pre-interchange values here.
+                    let (sel, growth, fallback) =
+                        apply_growth_policy(panel.as_ref(), k0, sel, growth_limit);
+                    let pivots = pivot_seq_from_targets(k0, &sel.idx);
+                    local_seq(&pivots, k0).apply(panel.rb());
+                    panel.sub(0, 0, k, w).copy_from(sel.packed.view());
+                    cx.put(root, (pivots, sel.breakdown, (growth, fallback)));
+                };
             let panel_prio = prio(nsteps, step, p.lookahead, TaskKind::Panel, step);
             // `(first row, rows)` of each group's part below the packed
             // `L_KK\U_KK` block: its `L` block, and the rows it updates.
@@ -164,7 +167,8 @@ impl CaluPlan {
                     // panel's active rows.
                     None => {
                         t.writes_slot(root);
-                        let panel = t.writes(row_blocks(k0..m, b), step..step + 1).block(k0, k0, m - k0, w);
+                        let panel =
+                            t.writes(row_blocks(k0..m, b), step..step + 1).block(k0, k0, m - k0, w);
                         t.run(move |cx| {
                             let panel = cx.view_mut(panel);
                             let sel = select(panel.as_ref().sub(r0 - k0, 0, nr, w), &idx, true);
@@ -199,7 +203,8 @@ impl CaluPlan {
                 };
                 if is_root {
                     t.writes_slot(root);
-                    let panel = t.writes(row_blocks(k0..m, b), step..step + 1).block(k0, k0, m - k0, w);
+                    let panel =
+                        t.writes(row_blocks(k0..m, b), step..step + 1).block(k0, k0, m - k0, w);
                     t.run(move |cx| finish_root(cx, cx.view_mut(panel), merged(cx)));
                 } else {
                     let out = candidates[g + ni];
@@ -238,7 +243,8 @@ impl CaluPlan {
                 let mut t = pb.task(meta);
                 t.reads_slot(root); // pivots
                 let lkk = t.reads(step..step + 1, step..step + 1).block(k0, k0, k, k);
-                let col = t.writes(row_blocks(k0..m, b), jblk..jblk + jcnt).block(k0, jc0, m - k0, wj);
+                let col =
+                    t.writes(row_blocks(k0..m, b), jblk..jblk + jcnt).block(k0, jc0, m - k0, wj);
                 t.run(move |cx| {
                     let mut col = cx.view_mut(col);
                     local_seq(&cx.get(root).0, k0).apply(col.rb());
@@ -254,10 +260,8 @@ impl CaluPlan {
             //     across groups), one packed-tile GEMM task per slab × panel.
             //     Results are bitwise identical to the monolithic `dgemm`;
             //     only the task granularity changes.
-            let decompose: Vec<bool> = below
-                .iter()
-                .map(|&(_, mb)| step + 1 < nb && mb >= 2 * ca_kernels::MC)
-                .collect();
+            let decompose: Vec<bool> =
+                below.iter().map(|&(_, mb)| step + 1 < nb && mb >= 2 * ca_kernels::MC).collect();
 
             // Pack-A tasks; group `grp`'s slab images are `apacks[abase[grp]..]`.
             // Reading the L slab orders each pack after the group's LBlock
@@ -270,11 +274,14 @@ impl CaluPlan {
                 for (slab, (slo, sh)) in pieces(lo, mb, slab_h).enumerate() {
                     let meta = TaskMeta::new(TaskLabel::new(TaskKind::Other, step, grp, slab), 0.0)
                         .with_bytes(traffic::pack(sh, k))
-                        .with_priority(prio(nsteps, step, p.lookahead, TaskKind::Update, step + 1) + 5)
+                        .with_priority(
+                            prio(nsteps, step, p.lookahead, TaskKind::Update, step + 1) + 5,
+                        )
                         .with_class(KernelClass::Memory);
                     let image = pb.slot();
                     let mut t = pb.task(meta);
-                    let l = t.reads(row_blocks(slo..slo + sh, b), step..step + 1).block(slo, k0, sh, k);
+                    let l =
+                        t.reads(row_blocks(slo..slo + sh, b), step..step + 1).block(slo, k0, sh, k);
                     t.writes_slot(image);
                     t.run(move |cx| {
                         let mut buf = AlignedBuf::new();
@@ -293,14 +300,18 @@ impl CaluPlan {
                 let mut bpacks: Vec<Slot<AlignedBuf<T>>> = Vec::new();
                 if !apacks.is_empty() {
                     for (panel, (pj0, pw)) in pieces(jc0, wj, pan_w).enumerate() {
-                        let meta =
-                            TaskMeta::new(TaskLabel::new(TaskKind::Other, step, g + panel, jblk), 0.0)
-                                .with_bytes(traffic::pack(k, pw))
-                                .with_priority(update_prio + 5)
-                                .with_class(KernelClass::Memory);
+                        let meta = TaskMeta::new(
+                            TaskLabel::new(TaskKind::Other, step, g + panel, jblk),
+                            0.0,
+                        )
+                        .with_bytes(traffic::pack(k, pw))
+                        .with_priority(update_prio + 5)
+                        .with_class(KernelClass::Memory);
                         let image = pb.slot();
                         let mut t = pb.task(meta);
-                        let u = t.reads(step..step + 1, row_blocks(pj0..pj0 + pw, b)).block(k0, pj0, k, pw);
+                        let u = t
+                            .reads(step..step + 1, row_blocks(pj0..pj0 + pw, b))
+                            .block(k0, pj0, k, pw);
                         t.writes_slot(image);
                         t.run(move |cx| {
                             let mut buf = AlignedBuf::new();
@@ -322,11 +333,23 @@ impl CaluPlan {
                             .with_priority(update_prio)
                             .with_class(KernelClass::Gemm);
                         let mut t = pb.task(meta);
-                        let l = t.reads(row_blocks(lo..lo + mb, b), step..step + 1).block(lo, k0, mb, k);
+                        let l = t
+                            .reads(row_blocks(lo..lo + mb, b), step..step + 1)
+                            .block(lo, k0, mb, k);
                         let u = t.reads(step..step + 1, jblk..jblk + jcnt).block(k0, jc0, k, wj);
-                        let c = t.writes(row_blocks(lo..lo + mb, b), jblk..jblk + jcnt).block(lo, jc0, mb, wj);
+                        let c = t
+                            .writes(row_blocks(lo..lo + mb, b), jblk..jblk + jcnt)
+                            .block(lo, jc0, mb, wj);
                         t.run(move |cx| {
-                            gemm(Trans::No, Trans::No, -T::ONE, cx.view(l), cx.view(u), T::ONE, cx.view_mut(c))
+                            gemm(
+                                Trans::No,
+                                Trans::No,
+                                -T::ONE,
+                                cx.view(l),
+                                cx.view(u),
+                                T::ONE,
+                                cx.view_mut(c),
+                            )
                         });
                         continue;
                     }
@@ -340,12 +363,20 @@ impl CaluPlan {
                             let mut t = pb.task(meta);
                             t.reads_slot(apack);
                             t.reads_slot(bpack);
-                            let tile = t.writes(row_blocks(slo..slo + sh, b), row_blocks(pj0..pj0 + pw, b));
+                            let tile = t
+                                .writes(row_blocks(slo..slo + sh, b), row_blocks(pj0..pj0 + pw, b));
                             let c = tile.block(slo, pj0, sh, pw);
                             // `beta = 1` makes the packed path replay the
                             // monolithic gemm bitwise.
                             t.run(move |cx| {
-                                gemm_packed(-T::ONE, cx.get(apack), cx.get(bpack), k, T::ONE, cx.view_mut(c))
+                                gemm_packed(
+                                    -T::ONE,
+                                    cx.get(apack),
+                                    cx.get(bpack),
+                                    k,
+                                    T::ONE,
+                                    cx.view_mut(c),
+                                )
                             });
                         }
                     }
@@ -438,7 +469,12 @@ mod tests {
         let g1 = calu_task_graph(240, 240, &p1);
         let g4 = calu_task_graph(240, 240, &p4);
         g4.validate();
-        assert!(g4.len() < g1.len(), "coarse blocking must shrink the graph: {} vs {}", g4.len(), g1.len());
+        assert!(
+            g4.len() < g1.len(),
+            "coarse blocking must shrink the graph: {} vs {}",
+            g4.len(),
+            g1.len()
+        );
     }
 
     #[test]

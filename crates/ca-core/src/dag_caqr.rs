@@ -15,12 +15,15 @@
 
 use crate::caqr::QrFactors;
 use crate::params::{num_panels, partition_rows, CaParams, RowPartition};
-use crate::tsqr::{eliminate, leaf_qr, node_apply_rows, plan_panel, LeafQ, NodeQ, PanelPlan, PanelQ};
+use crate::tsqr::{
+    eliminate, leaf_qr, node_apply_rows, plan_panel, LeafQ, NodeQ, PanelPlan, PanelQ,
+};
 use ca_kernels::{flops, traffic};
 use ca_kernels::{larfb_left, Kernel, Trans, VRest};
 use ca_matrix::Scalar;
 use ca_sched::{
-    row_blocks, KernelClass, Plan, PlanBuilder, Slot, TaskDecl, TaskGraph, TaskKind, TaskLabel, TaskMeta, Write,
+    row_blocks, KernelClass, Plan, PlanBuilder, Slot, TaskDecl, TaskGraph, TaskKind, TaskLabel,
+    TaskMeta, Write,
 };
 use core::ops::Range;
 
@@ -126,7 +129,12 @@ impl CaqrPlan {
                     t.run(move |cx| {
                         let leaf = cx.get(leaf);
                         let v = cx.view(v.block(r0, k0, r, leaf.kv));
-                        larfb_left(Trans::Yes, v, leaf.t.view(), cx.view_mut(c.block(r0, jc0, r, wj)));
+                        larfb_left(
+                            Trans::Yes,
+                            v,
+                            leaf.t.view(),
+                            cx.view_mut(c.block(r0, jc0, r, wj)),
+                        );
                     });
                 }
             }

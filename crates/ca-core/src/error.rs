@@ -96,7 +96,10 @@ impl fmt::Display for FactorError {
                 write!(f, "exact zero pivot at column {col} (singular matrix)")
             }
             Self::GrowthExplosion { col, growth } => {
-                write!(f, "element growth {growth:.2e} exceeds the limit in the panel at column {col}")
+                write!(
+                    f,
+                    "element growth {growth:.2e} exceeds the limit in the panel at column {col}"
+                )
             }
             Self::TaskFailed { label, message } => {
                 write!(f, "task {label} failed: {message}")

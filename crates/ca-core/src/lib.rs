@@ -62,31 +62,30 @@ mod caqr;
 mod dag_calu;
 mod dag_caqr;
 mod error;
-mod probe;
 pub mod jobs;
-pub mod solve;
 pub mod params;
+mod probe;
+pub mod solve;
 pub mod tournament;
 pub mod tree;
 pub mod tslu;
 pub mod tsqr;
 
+pub use ca_sched::{FactorOptions, Retry};
 pub use calu::{
-    calu, calu_panels, calu_seq_factor, lu_panel_update, try_calu, try_calu_profiled, try_calu_with,
-    try_tslu_factor, tslu_factor, LuFactors, LuPanelLog, LuStats,
+    calu, calu_panels, calu_seq_factor, lu_panel_update, try_calu, try_calu_profiled,
+    try_calu_with, try_tslu_factor, tslu_factor, LuFactors, LuPanelLog, LuStats,
 };
 pub use caqr::{
     caqr, caqr_panels, caqr_seq, try_caqr, try_caqr_profiled, try_caqr_with, try_tsqr_factor,
     tsqr_factor, QrFactors,
 };
-pub use ca_sched::{FactorOptions, Retry};
-pub use error::{FactorError, DEFAULT_GROWTH_LIMIT};
-pub use probe::PROBE_TOL;
-pub use jobs::{
-    calu_serve_graph, caqr_serve_graph, one_task_serve_graph, solve_serve_graph, Built,
-    ServeGraph,
-};
 pub use dag_calu::{calu_task_graph, CaluPlan};
-pub use solve::{lu_packed_solve_in_place, RefineInfo};
 pub use dag_caqr::{caqr_task_graph, CaqrPlan};
+pub use error::{FactorError, DEFAULT_GROWTH_LIMIT};
+pub use jobs::{
+    calu_serve_graph, caqr_serve_graph, one_task_serve_graph, solve_serve_graph, Built, ServeGraph,
+};
 pub use params::{num_panels, partition_rows, CaParams, RowPartition, TreeShape};
+pub use probe::PROBE_TOL;
+pub use solve::{lu_packed_solve_in_place, RefineInfo};

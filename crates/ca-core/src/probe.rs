@@ -25,9 +25,7 @@ use crate::calu::LuFactors;
 use crate::caqr::QrFactors;
 use crate::error::{require_finite, FactorError};
 use ca_kernels::Kernel;
-use ca_matrix::{
-    norm_inf, random_uniform, residual_threshold_in, seeded_rng, Matrix, Scalar,
-};
+use ca_matrix::{norm_inf, random_uniform, residual_threshold_in, seeded_rng, Matrix, Scalar};
 
 /// Constant `c` in the probe acceptance threshold `c · max(m,n) · eps`.
 /// Larger than the accuracy suite's constant because the probe statistic
@@ -36,7 +34,12 @@ use ca_matrix::{
 pub const PROBE_TOL: f64 = 1e4;
 
 /// Scaled probe residual `‖lhs − rhs‖_∞ / (‖A‖_∞ · ‖x‖_∞)`.
-fn scaled_residual<T: Scalar>(lhs: &Matrix<T>, rhs: &Matrix<T>, a0: &Matrix<T>, x: &Matrix<T>) -> f64 {
+fn scaled_residual<T: Scalar>(
+    lhs: &Matrix<T>,
+    rhs: &Matrix<T>,
+    a0: &Matrix<T>,
+    x: &Matrix<T>,
+) -> f64 {
     let d = lhs.sub_matrix(rhs);
     // max_abs skips NaN operands — a NaN-poisoned factor must register as
     // corrupt, not vanish from the norm.

@@ -61,7 +61,12 @@ impl LuFactors {
     /// true residual against the *original* matrix `a0` and solves a
     /// correction, until the componentwise backward error stops improving
     /// or `max_iter` is reached.
-    pub fn solve_refined(&self, a0: &Matrix, rhs: &Matrix, max_iter: usize) -> (Matrix, RefineInfo) {
+    pub fn solve_refined(
+        &self,
+        a0: &Matrix,
+        rhs: &Matrix,
+        max_iter: usize,
+    ) -> (Matrix, RefineInfo) {
         let n = self.lu.nrows();
         assert_eq!(a0.nrows(), n, "a0 shape mismatch");
         assert_eq!(a0.ncols(), n, "a0 shape mismatch");
@@ -271,8 +276,10 @@ mod tests {
         let inv = f.solve(&Matrix::identity(n));
         let true_rcond = 1.0 / (norm_one(a.view()) * norm_one(inv.view()));
         let est = f.rcond_estimate(norm_one(a.view()));
-        assert!(est <= true_rcond * 3.0 + 1e-12 && est >= true_rcond / 10.0,
-            "est {est} vs true {true_rcond}");
+        assert!(
+            est <= true_rcond * 3.0 + 1e-12 && est >= true_rcond / 10.0,
+            "est {est} vs true {true_rcond}"
+        );
     }
 
     #[test]
@@ -315,10 +322,7 @@ mod tests {
         }
         let f = crate::caqr::caqr_seq(a.clone(), &CaParams::new(4, 2, 1));
         let b = ca_matrix::random_uniform(m, 1, &mut seeded_rng(15));
-        assert!(matches!(
-            f.try_solve_ls(&b),
-            Err(FactorError::ZeroPivot { col: 3 })
-        ));
+        assert!(matches!(f.try_solve_ls(&b), Err(FactorError::ZeroPivot { col: 3 })));
 
         let good = ca_matrix::random_uniform(m, n, &mut seeded_rng(16));
         let f = crate::caqr::caqr_seq(good, &CaParams::new(4, 2, 1));

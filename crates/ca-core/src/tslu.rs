@@ -71,8 +71,11 @@ pub fn run_tournament<T: Kernel>(
         slots.push(Some(select(block, &idx, true)));
     }
     for node in reduction_schedule(g, tree) {
-        let parts: Vec<&Selected<T>> =
-            node.participants.iter().map(|&p| slots[p].as_ref().expect("candidate present")).collect();
+        let parts: Vec<&Selected<T>> = node
+            .participants
+            .iter()
+            .map(|&p| slots[p].as_ref().expect("candidate present"))
+            .collect();
         let merged = merge(&parts);
         for &p in &node.participants[1..] {
             slots[p] = None;
@@ -104,7 +107,11 @@ pub(crate) fn apply_growth_policy<T: Kernel>(
     // leaves partition it, and every tree node passes the maximum on.
     let growth_of = |s: &Selected<T>| {
         let g = s.packed.view().max_abs().to_f64();
-        if s.input_max > 0.0 { g / s.input_max } else { 0.0 }
+        if s.input_max > 0.0 {
+            g / s.input_max
+        } else {
+            0.0
+        }
     };
     let growth = growth_of(&winner);
     // A NaN estimate (non-finite input fed through the infallible API) must
@@ -246,7 +253,10 @@ mod tests {
             for i in 0..m {
                 let x = a[(i, j)];
                 let y = r[(i, j)];
-                assert!((x - y).abs() <= 1e-14 * y.abs().max(1.0), "mismatch at ({i},{j}): {x} vs {y}");
+                assert!(
+                    (x - y).abs() <= 1e-14 * y.abs().max(1.0),
+                    "mismatch at ({i},{j}): {x} vs {y}"
+                );
             }
         }
     }

@@ -48,9 +48,7 @@ fn parse_err(s: impl Into<String>) -> MmError {
 /// writer emits, so `f32` files roundtrip bitwise.
 pub fn read_matrix_market<T: Scalar>(reader: impl Read) -> Result<Matrix<T>, MmError> {
     let mut lines = BufReader::new(reader).lines();
-    let header = lines
-        .next()
-        .ok_or_else(|| parse_err("empty stream"))??;
+    let header = lines.next().ok_or_else(|| parse_err("empty stream"))??;
     let h: Vec<String> = header.split_whitespace().map(|t| t.to_ascii_lowercase()).collect();
     if h.len() < 4 || h[0] != "%%matrixmarket" || h[1] != "matrix" {
         return Err(parse_err(format!("bad header: {header}")));
@@ -146,8 +144,7 @@ pub fn read_matrix_market<T: Scalar>(reader: impl Read) -> Result<Matrix<T>, MmE
                     t[0].parse().map_err(|_| parse_err(format!("bad row index {}", t[0])))?;
                 let j: usize =
                     t[1].parse().map_err(|_| parse_err(format!("bad col index {}", t[1])))?;
-                let v: f64 =
-                    t[2].parse().map_err(|_| parse_err(format!("bad value {}", t[2])))?;
+                let v: f64 = t[2].parse().map_err(|_| parse_err(format!("bad value {}", t[2])))?;
                 if i == 0 || j == 0 || i > m || j > n {
                     return Err(parse_err(format!("index ({i},{j}) out of bounds {m}x{n}")));
                 }
@@ -281,8 +278,10 @@ mod tests {
     #[test]
     fn rejects_garbage() {
         assert!(read_matrix_market::<f64>("hello\n".as_bytes()).is_err());
-        assert!(read_matrix_market::<f64>("%%MatrixMarket matrix array real general\n2 2\n1.0\n".as_bytes())
-            .is_err()); // too few entries
+        assert!(read_matrix_market::<f64>(
+            "%%MatrixMarket matrix array real general\n2 2\n1.0\n".as_bytes()
+        )
+        .is_err()); // too few entries
         assert!(read_matrix_market::<f64>(
             "%%MatrixMarket matrix coordinate real general\n2 2 1\n5 1 1.0\n".as_bytes()
         )

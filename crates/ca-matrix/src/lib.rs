@@ -41,8 +41,8 @@ pub use generate::{
 };
 pub use matrix::Matrix;
 pub use norms::{
-    growth_factor, lu_residual, norm_fro, norm_inf, norm_max, norm_one, orthogonality,
-    qr_residual, residual_threshold, residual_threshold_in,
+    growth_factor, lu_residual, norm_fro, norm_inf, norm_max, norm_one, orthogonality, qr_residual,
+    residual_threshold, residual_threshold_in,
 };
 pub use perm::{invert_permutation, is_permutation, laswp, permute_rows, PivotSeq};
 pub use region::{ElemRect, RegionSet};

@@ -215,7 +215,12 @@ impl<T: Scalar> Index<(usize, usize)> for Matrix<T> {
     #[inline]
     #[track_caller]
     fn index(&self, (i, j): (usize, usize)) -> &T {
-        assert!(i < self.rows && j < self.cols, "index ({i},{j}) out of bounds ({}x{})", self.rows, self.cols);
+        assert!(
+            i < self.rows && j < self.cols,
+            "index ({i},{j}) out of bounds ({}x{})",
+            self.rows,
+            self.cols
+        );
         &self.data[i + j * self.rows]
     }
 }
@@ -224,7 +229,12 @@ impl<T: Scalar> IndexMut<(usize, usize)> for Matrix<T> {
     #[inline]
     #[track_caller]
     fn index_mut(&mut self, (i, j): (usize, usize)) -> &mut T {
-        assert!(i < self.rows && j < self.cols, "index ({i},{j}) out of bounds ({}x{})", self.rows, self.cols);
+        assert!(
+            i < self.rows && j < self.cols,
+            "index ({i},{j}) out of bounds ({}x{})",
+            self.rows,
+            self.cols
+        );
         &mut self.data[i + j * self.rows]
     }
 }

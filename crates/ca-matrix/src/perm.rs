@@ -37,7 +37,10 @@ impl PivotSeq {
 
     /// Records that step `k = len()` swaps row `offset + len()` with `row`.
     pub fn push(&mut self, row: usize) {
-        debug_assert!(row >= self.offset + self.ipiv.len(), "pivot row must not precede its position");
+        debug_assert!(
+            row >= self.offset + self.ipiv.len(),
+            "pivot row must not precede its position"
+        );
         self.ipiv.push(row);
     }
 
@@ -67,7 +70,11 @@ impl PivotSeq {
 
     /// Appends another sequence whose offset continues this one.
     pub fn extend(&mut self, other: &PivotSeq) {
-        debug_assert_eq!(other.offset, self.offset + self.ipiv.len(), "pivot sequences must be contiguous");
+        debug_assert_eq!(
+            other.offset,
+            self.offset + self.ipiv.len(),
+            "pivot sequences must be contiguous"
+        );
         self.ipiv.extend_from_slice(&other.ipiv);
     }
 }
@@ -76,7 +83,10 @@ impl PivotSeq {
 /// over every column — LAPACK's `dlaswp`. Like it, walks the columns rather
 /// than the rows, so a column block touches only its own columns' pages;
 /// four columns at a time, so that their swaps overlap.
-pub fn laswp<T: Scalar>(mut a: MatViewMut<'_, T>, swaps: impl Iterator<Item = (usize, usize)> + Clone) {
+pub fn laswp<T: Scalar>(
+    mut a: MatViewMut<'_, T>,
+    swaps: impl Iterator<Item = (usize, usize)> + Clone,
+) {
     let n = a.ncols();
     let mut j = 0;
     while j + 4 <= n {

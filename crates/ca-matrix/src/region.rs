@@ -204,8 +204,7 @@ impl RegionSet {
     /// The elements in both `self` and `rect`.
     pub fn intersect_rect(&self, rect: &ElemRect) -> RegionSet {
         // Pairwise intersections of disjoint rects stay disjoint.
-        let rects =
-            self.rects.iter().filter_map(|r| r.intersection(rect)).collect();
+        let rects = self.rects.iter().filter_map(|r| r.intersection(rect)).collect();
         RegionSet { rects }
     }
 
@@ -289,8 +288,7 @@ impl PartialEq for RegionSet {
     /// Semantic equality: both sets cover exactly the same elements,
     /// regardless of how each decomposes them into rectangles.
     fn eq(&self, other: &Self) -> bool {
-        self.rects.iter().all(|r| other.covers(r))
-            && other.rects.iter().all(|r| self.covers(r))
+        self.rects.iter().all(|r| other.covers(r)) && other.rects.iter().all(|r| self.covers(r))
     }
 }
 
@@ -451,12 +449,7 @@ mod tests {
         let d = (DIM + 1) as u64;
         let (r0, r1) = (prng.below(d) as usize, prng.below(d) as usize);
         let (c0, c1) = (prng.below(d) as usize, prng.below(d) as usize);
-        ElemRect {
-            row0: r0.min(r1),
-            row1: r0.max(r1),
-            col0: c0.min(c1),
-            col1: c0.max(c1),
-        }
+        ElemRect { row0: r0.min(r1), row1: r0.max(r1), col0: c0.min(c1), col1: c0.max(c1) }
     }
 
     /// Up to 7 random (possibly empty, possibly overlapping) rects in the

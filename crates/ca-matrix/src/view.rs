@@ -99,7 +99,12 @@ impl<'a, T: Scalar> MatView<'a, T> {
     #[inline]
     #[track_caller]
     pub fn at(&self, i: usize, j: usize) -> T {
-        assert!(i < self.rows && j < self.cols, "index ({i},{j}) out of bounds ({}x{})", self.rows, self.cols);
+        assert!(
+            i < self.rows && j < self.cols,
+            "index ({i},{j}) out of bounds ({}x{})",
+            self.rows,
+            self.cols
+        );
         unsafe { *self.ptr.add(i + j * self.ld) }
     }
 
@@ -126,8 +131,12 @@ impl<'a, T: Scalar> MatView<'a, T> {
     #[inline]
     #[track_caller]
     pub fn sub(&self, i: usize, j: usize, r: usize, c: usize) -> MatView<'a, T> {
-        assert!(i + r <= self.rows && j + c <= self.cols,
-            "subview ({i},{j})+({r}x{c}) out of bounds ({}x{})", self.rows, self.cols);
+        assert!(
+            i + r <= self.rows && j + c <= self.cols,
+            "subview ({i},{j})+({r}x{c}) out of bounds ({}x{})",
+            self.rows,
+            self.cols
+        );
         unsafe { MatView::from_raw_parts(self.ptr.add(i + j * self.ld), r, c, self.ld) }
     }
 
@@ -243,7 +252,12 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
     #[inline]
     #[track_caller]
     pub fn at(&self, i: usize, j: usize) -> T {
-        assert!(i < self.rows && j < self.cols, "index ({i},{j}) out of bounds ({}x{})", self.rows, self.cols);
+        assert!(
+            i < self.rows && j < self.cols,
+            "index ({i},{j}) out of bounds ({}x{})",
+            self.rows,
+            self.cols
+        );
         unsafe { *self.ptr.add(i + j * self.ld) }
     }
 
@@ -251,7 +265,12 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
     #[inline]
     #[track_caller]
     pub fn set(&mut self, i: usize, j: usize, v: T) {
-        assert!(i < self.rows && j < self.cols, "index ({i},{j}) out of bounds ({}x{})", self.rows, self.cols);
+        assert!(
+            i < self.rows && j < self.cols,
+            "index ({i},{j}) out of bounds ({}x{})",
+            self.rows,
+            self.cols
+        );
         unsafe { *self.ptr.add(i + j * self.ld) = v }
     }
 
@@ -259,7 +278,12 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
     #[inline]
     #[track_caller]
     pub fn at_mut(&mut self, i: usize, j: usize) -> &mut T {
-        assert!(i < self.rows && j < self.cols, "index ({i},{j}) out of bounds ({}x{})", self.rows, self.cols);
+        assert!(
+            i < self.rows && j < self.cols,
+            "index ({i},{j}) out of bounds ({}x{})",
+            self.rows,
+            self.cols
+        );
         unsafe { &mut *self.ptr.add(i + j * self.ld) }
     }
 
@@ -305,8 +329,12 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
     #[inline]
     #[track_caller]
     pub fn sub(&mut self, i: usize, j: usize, r: usize, c: usize) -> MatViewMut<'_, T> {
-        assert!(i + r <= self.rows && j + c <= self.cols,
-            "subview ({i},{j})+({r}x{c}) out of bounds ({}x{})", self.rows, self.cols);
+        assert!(
+            i + r <= self.rows && j + c <= self.cols,
+            "subview ({i},{j})+({r}x{c}) out of bounds ({}x{})",
+            self.rows,
+            self.cols
+        );
         unsafe { MatViewMut::from_raw_parts(self.ptr.add(i + j * self.ld), r, c, self.ld) }
     }
 
@@ -314,8 +342,12 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
     #[inline]
     #[track_caller]
     pub fn into_sub(self, i: usize, j: usize, r: usize, c: usize) -> MatViewMut<'a, T> {
-        assert!(i + r <= self.rows && j + c <= self.cols,
-            "subview ({i},{j})+({r}x{c}) out of bounds ({}x{})", self.rows, self.cols);
+        assert!(
+            i + r <= self.rows && j + c <= self.cols,
+            "subview ({i},{j})+({r}x{c}) out of bounds ({}x{})",
+            self.rows,
+            self.cols
+        );
         unsafe { MatViewMut::from_raw_parts(self.ptr.add(i + j * self.ld), r, c, self.ld) }
     }
 
@@ -340,7 +372,12 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
         unsafe {
             (
                 MatViewMut::from_raw_parts(self.ptr, self.rows, j, self.ld),
-                MatViewMut::from_raw_parts(self.ptr.add(j * self.ld), self.rows, self.cols - j, self.ld),
+                MatViewMut::from_raw_parts(
+                    self.ptr.add(j * self.ld),
+                    self.rows,
+                    self.cols - j,
+                    self.ld,
+                ),
             )
         }
     }
@@ -355,9 +392,14 @@ impl<'a, T: Scalar> MatViewMut<'a, T> {
     #[track_caller]
     pub fn split_rows(self, ranges: &[core::ops::Range<usize>]) -> Vec<MatViewMut<'a, T>> {
         for (i, r) in ranges.iter().enumerate() {
-            assert!(r.start <= r.end && r.end <= self.rows, "rows {r:?} out of bounds ({})", self.rows);
-            let clash =
-                ranges[..i].iter().find(|o| !r.is_empty() && !o.is_empty() && r.start < o.end && o.start < r.end);
+            assert!(
+                r.start <= r.end && r.end <= self.rows,
+                "rows {r:?} out of bounds ({})",
+                self.rows
+            );
+            let clash = ranges[..i]
+                .iter()
+                .find(|o| !r.is_empty() && !o.is_empty() && r.start < o.end && o.start < r.end);
             assert!(clash.is_none(), "rows {r:?} overlap rows {clash:?}");
         }
         // SAFETY: each block lies inside the view and no two share a row.
