@@ -91,6 +91,8 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
+    } else if let Some(v) = payload.downcast_ref::<crate::lease::LeaseViolation>() {
+        v.0.clone()
     } else {
         "task panicked".to_string()
     }

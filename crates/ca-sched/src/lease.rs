@@ -244,6 +244,11 @@ impl<'r, T: Scalar> TaskCx<'r, T> {
     fn fail(&self, e: SoundnessError) -> ! {
         let message = e.to_string();
         let _ = self.violation.set(e);
-        std::panic::resume_unwind(Box::new(message))
+        std::panic::resume_unwind(Box::new(LeaseViolation(message)))
     }
 }
+
+/// What a body that broke its lease unwinds with: the failure is the
+/// body's own, so a replay would fail alike, and the retry protocol returns
+/// it at once.
+pub(crate) struct LeaseViolation(pub(crate) String);

@@ -41,6 +41,7 @@
 
 use crate::exec::DynJob;
 use crate::fault::{panic_message, TaskFailure, TaskResult};
+use crate::lease::LeaseViolation;
 use crate::task::{TaskKind, TaskLabel};
 use crate::telemetry::{record_event, FlightEventKind};
 use ca_matrix::{ElemRect, MatView, Scalar, SharedMatrix};
@@ -595,7 +596,9 @@ fn corrupt_one<T: Scalar>(writes: &[ElemRect], shared: &SharedMatrix<T>, h: u64)
 }
 
 /// Runs `body` under the retry protocol. Returns `Ok` if any attempt
-/// succeeds; `Err` (with the last failure) once retries are exhausted. The
+/// succeeds; `Err` (with the last failure) once retries are exhausted, or
+/// at once, with neither restore nor replay, when the body broke its lease
+/// (a [`LeaseViolation`]: the same body would break it again). The
 /// body must be re-callable and derive all its inputs from state that the
 /// write-set restore returns to the pre-attempt image — true for every
 /// plan-builder kernel closure in this workspace.
@@ -632,7 +635,9 @@ pub(crate) fn run_recovering<T: Scalar>(
         });
         match outcome {
             Ok(()) => return Ok(()),
-            Err(failure) => {
+            // Replaying a body that broke its lease would only break it again.
+            Err(Caught::Violation(failure)) => return Err(failure),
+            Err(Caught::Failure(failure)) => {
                 last = failure;
                 if let Some(saved) = &snapshot {
                     restore(writes, shared, saved);
@@ -793,11 +798,29 @@ impl Drop for PanicHookGuard {
 /// Runs `f` converting a panic into a `TaskFailure`. The caller (or an
 /// enclosing scope) is expected to hold a [`PanicHookGuard`] so the unwind
 /// stays silent; without one the panic is still caught, just noisy.
-fn guarded(f: impl FnOnce() -> TaskResult) -> TaskResult {
+fn guarded(f: impl FnOnce() -> TaskResult) -> Result<(), Caught> {
     let was = IN_GUARDED.with(|g| g.replace(true));
     let r = catch_unwind(AssertUnwindSafe(f));
     IN_GUARDED.with(|g| g.set(was));
-    r.unwrap_or_else(|payload| Err(TaskFailure::new(panic_message(payload.as_ref()))))
+    match r {
+        Ok(r) => r.map_err(Caught::Failure),
+        Err(payload) => {
+            let failure = TaskFailure::new(panic_message(payload.as_ref()));
+            Err(if payload.is::<LeaseViolation>() {
+                Caught::Violation(failure)
+            } else {
+                Caught::Failure(failure)
+            })
+        }
+    }
+}
+
+/// How a [`guarded`] attempt failed.
+enum Caught {
+    /// The body broke its lease: deterministic, not replayed.
+    Violation(TaskFailure),
+    /// Anything else, which a replay may get past.
+    Failure(TaskFailure),
 }
 
 #[cfg(test)]
