@@ -21,7 +21,7 @@ use ca_matrix::{MatView, MatViewMut, Scalar};
 
 /// Diagonal-block order: a multiple of every backend's tile height, and
 /// deep enough that each block's `gemm` amortizes packing its `B` rows.
-const TRMM_NB: usize = 32;
+pub(crate) const TRMM_NB: usize = 32;
 
 /// Which side of `B` the triangle multiplies from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
