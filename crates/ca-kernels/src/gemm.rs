@@ -19,19 +19,10 @@
 //!   `is_x86_feature_detected!`, overridable with `CA_KERNELS_BACKEND`;
 //! * `m % mr` / `n % nr` remainders run the same full-size microkernel on
 //!   zero-padded panels and land in C through a stack tile;
-//! * on the FMA backends at f64, small operands ([`small_gemm_fits`]: one
-//!   `KC` block, `m·k ≤ 4096`, and `m·n ≤ 128·k` for `op(A) = A`, at most
-//!   16 rows or `k ≥ m` for `op(A) = Aᵀ`) skip packing: the `small` entry
-//!   of the [`KernelSpec`] runs the microkernel's arithmetic — per
-//!   `mr × nr` tile, `acc` from zero with the backend's multiply-add in `p`
-//!   order, then `c + alpha·acc` as a separate multiply and add,
-//!   `c + (0 + alpha·acc)` in an edge tile — on the operands in place (a
-//!   transposed `A` copied one `mr`-column panel at a time to the stack in
-//!   the packed layout), so it gives the packed path's bits. The switch is
-//!   the shape's and the backend's alone: `rgetf2`'s and `trsm`'s
-//!   recursions and `geqr3`'s and `larfb`'s products, 16–64 wide, take it
-//!   on every route. The bounds are where it measured faster than the
-//!   packed path; f32 and the scalar backend keep the packed path.
+//! * small operands skip packing where the backend's bounds table
+//!   ([`Bounds`], DESIGN.md §10 "Small shapes") admits them: [`small_body`]
+//!   runs the microkernel's arithmetic on the operands in place, so it
+//!   gives the packed path's bits.
 //!
 //! The whole surface is generic over the sealed [`Scalar`] trait through
 //! [`Kernel`] (implemented for `f32` and `f64`), with `f64` defaults so all
@@ -44,14 +35,11 @@
 use crate::lu_recursive::base as lu_base;
 use crate::microkernel as mk;
 use crate::pack::{pack_a, pack_b, PackTrans};
-use crate::qr_recursive::{
-    base as qr_base, short as qr_short, short_buffer_rows, SHORT_ROWS_AVX2, SHORT_ROWS_AVX512,
-    SHORT_ROWS_SCALAR,
-};
+use crate::qr_recursive::{base as qr_base, short as qr_short, short_buffer_rows};
+use crate::small::{Block, Bounds};
 use crate::trsm::base as trsm_base;
 use ca_matrix::{AlignedBuf, MatView, MatViewMut, Scalar};
 use core::cell::RefCell;
-use core::mem::MaybeUninit;
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// f64 portable-tile height: C rows per microkernel call on the
@@ -229,7 +217,7 @@ pub(crate) fn release_pack_bufs() {
     f32::release_pack_bufs();
 }
 
-/// [`KernelSpec::small`]: `C += alpha·op(A)·op(B)` on unpacked operands.
+/// [`Bounds::gemm`]: `C += alpha·op(A)·op(B)` on unpacked operands.
 pub(crate) type SmallGemm<T> =
     unsafe fn(Trans, Trans, T, MatView<'_, T>, MatView<'_, T>, MatViewMut<'_, T>);
 
@@ -252,105 +240,68 @@ pub struct KernelSpec<T: Scalar> {
     /// points to an `mr × nr` column-major tile with `ldc >= mr` valid for
     /// reads and writes, and the CPU must support the kernel's features.
     pub kernel: unsafe fn(usize, T, *const T, *const T, *mut T, usize),
-    /// The unpacked path of [`gemm`] for small operands
-    /// ([`small_gemm_fits`]) on this backend's `mr × nr` tiles (same CPU
-    /// requirement as `kernel`). Only the FMA backends at f64 have one: at
-    /// f32 the unpacked tiles ran 2–20× slower than the packed path on
-    /// every shape timed, and on the scalar backend up to 7 % slower.
-    pub(crate) small: Option<SmallGemm<T>>,
     /// Base case of [`crate::trsm`] compiled for this backend (same CPU
     /// requirement as `kernel`).
     pub(crate) trsm_base: unsafe fn(crate::trsm::Variant, MatView<'_, T>, MatViewMut<'_, T>),
     /// Base case of [`crate::rgetf2`] compiled for this backend (same CPU
     /// requirement as `kernel`).
-    pub(crate) lu_base: unsafe fn(MatViewMut<'_, T>, usize, &mut crate::lu_unblocked::LuInfo),
+    pub(crate) lu_base: unsafe fn(MatViewMut<'_, T>, usize, &mut crate::lu_unblocked::LuInfo, bool),
     /// Base case of [`crate::geqr3`] compiled for this backend (same CPU
     /// requirement as `kernel`).
     pub(crate) qr_base: unsafe fn(MatViewMut<'_, T>, MatViewMut<'_, T>),
     /// The base case of [`crate::geqr3`] for views of at most
-    /// `qr_short_rows` rows, compiled for this backend (same CPU
+    /// [`Bounds::qr_short_rows`] rows, compiled for this backend (same CPU
     /// requirement as `kernel`).
     pub(crate) qr_short: unsafe fn(MatViewMut<'_, T>, MatViewMut<'_, T>),
-    /// Rows up to which [`crate::geqr3`] takes `qr_short`.
-    pub(crate) qr_short_rows: usize,
+    /// Every switch between paths with the same bits on this backend, and
+    /// its unpacked `gemm` (same CPU requirement as `kernel`).
+    pub(crate) bounds: Bounds<T>,
 }
 
-static F64_SCALAR: KernelSpec<f64> = KernelSpec {
-    mr: mk::MR,
-    nr: mk::NR,
-    name: "scalar-8x4-f64",
-    kernel: mk::kernel_scalar_f64,
-    small: None,
-    trsm_base: trsm_base::scalar::<f64>,
-    lu_base: lu_base::scalar::<f64>,
-    qr_base: qr_base::scalar::<f64>,
-    qr_short: qr_short::scalar::<f64, { short_buffer_rows(SHORT_ROWS_SCALAR) }>,
-    qr_short_rows: SHORT_ROWS_SCALAR,
-};
-static F32_SCALAR: KernelSpec<f32> = KernelSpec {
-    mr: mk::MR_F32,
-    nr: mk::NR_F32,
-    name: "scalar-8x8-f32",
-    kernel: mk::kernel_scalar_f32,
-    small: None,
-    trsm_base: trsm_base::scalar::<f32>,
-    lu_base: lu_base::scalar::<f32>,
-    qr_base: qr_base::scalar::<f32>,
-    qr_short: qr_short::scalar::<f32, { short_buffer_rows(SHORT_ROWS_SCALAR) }>,
-    qr_short_rows: SHORT_ROWS_SCALAR,
-};
+/// A backend's spec: its microkernel, and its base cases and unpacked
+/// `gemm` instantiated through [`on_backend`].
+macro_rules! spec {
+    ($t:ty, $backend:ident, $bounds:ident, $kernel:ident, $mr:ident, $nr:ident, $name:literal $(, $unpacked:ident)?) => {
+        KernelSpec {
+            mr: mk::$mr,
+            nr: mk::$nr,
+            name: $name,
+            kernel: mk::$kernel,
+            trsm_base: trsm_base::$backend::<$t>,
+            lu_base: lu_base::$backend::<$t>,
+            qr_base: qr_base::$backend::<$t>,
+            qr_short: qr_short::$backend::<
+                $t,
+                { short_buffer_rows(Bounds::<$t>::$bounds.qr_short_rows) },
+            >,
+            bounds: Bounds {
+                gemm: spec!(@small $t, $backend, $mr, $nr $(, $unpacked)?),
+                ..Bounds::$bounds
+            },
+        }
+    };
+    (@small $t:ty, $backend:ident, $mr:ident, $nr:ident) => { None };
+    (@small $t:ty, $backend:ident, $mr:ident, $nr:ident, unpacked) => {
+        Some(small::$backend::<$t, { mk::$mr }, { mk::$nr }>)
+    };
+}
+
+static F64_SCALAR: KernelSpec<f64> =
+    spec!(f64, scalar, SCALAR, kernel_scalar_f64, MR, NR, "scalar-8x4-f64");
+static F32_SCALAR: KernelSpec<f32> =
+    spec!(f32, scalar, SCALAR, kernel_scalar_f32, MR_F32, NR_F32, "scalar-8x8-f32");
 #[cfg(target_arch = "x86_64")]
-static F64_AVX2: KernelSpec<f64> = KernelSpec {
-    mr: mk::MR,
-    nr: mk::NR,
-    name: "avx2-fma-8x4-f64",
-    kernel: mk::kernel_avx2_f64,
-    small: Some(small::avx2::<f64, { mk::MR }, { mk::NR }>),
-    trsm_base: trsm_base::avx2::<f64>,
-    lu_base: lu_base::avx2::<f64>,
-    qr_base: qr_base::avx2::<f64>,
-    qr_short: qr_short::avx2::<f64, { short_buffer_rows(SHORT_ROWS_AVX2) }>,
-    qr_short_rows: SHORT_ROWS_AVX2,
-};
+static F64_AVX2: KernelSpec<f64> =
+    spec!(f64, avx2, AVX2, kernel_avx2_f64, MR, NR, "avx2-fma-8x4-f64", unpacked);
 #[cfg(target_arch = "x86_64")]
-static F32_AVX2: KernelSpec<f32> = KernelSpec {
-    mr: mk::MR_F32,
-    nr: mk::NR_F32,
-    name: "avx2-fma-8x8-f32",
-    kernel: mk::kernel_avx2_f32,
-    small: None,
-    trsm_base: trsm_base::avx2::<f32>,
-    lu_base: lu_base::avx2::<f32>,
-    qr_base: qr_base::avx2::<f32>,
-    qr_short: qr_short::avx2::<f32, { short_buffer_rows(SHORT_ROWS_AVX2) }>,
-    qr_short_rows: SHORT_ROWS_AVX2,
-};
+static F32_AVX2: KernelSpec<f32> =
+    spec!(f32, avx2, AVX2, kernel_avx2_f32, MR_F32, NR_F32, "avx2-fma-8x8-f32");
 #[cfg(target_arch = "x86_64")]
-static F64_AVX512: KernelSpec<f64> = KernelSpec {
-    mr: mk::MR_512,
-    nr: mk::NR_512_F64,
-    name: "avx512f-16x4-f64",
-    kernel: mk::kernel_avx512_f64,
-    small: Some(small::avx512::<f64, { mk::MR_512 }, { mk::NR_512_F64 }>),
-    trsm_base: trsm_base::avx512::<f64>,
-    lu_base: lu_base::avx512::<f64>,
-    qr_base: qr_base::avx512::<f64>,
-    qr_short: qr_short::avx512::<f64, { short_buffer_rows(SHORT_ROWS_AVX512) }>,
-    qr_short_rows: SHORT_ROWS_AVX512,
-};
+static F64_AVX512: KernelSpec<f64> =
+    spec!(f64, avx512, AVX512, kernel_avx512_f64, MR_512, NR_512_F64, "avx512f-16x4-f64", unpacked);
 #[cfg(target_arch = "x86_64")]
-static F32_AVX512: KernelSpec<f32> = KernelSpec {
-    mr: mk::MR_512,
-    nr: mk::NR_512_F32,
-    name: "avx512f-16x8-f32",
-    kernel: mk::kernel_avx512_f32,
-    small: None,
-    trsm_base: trsm_base::avx512::<f32>,
-    lu_base: lu_base::avx512::<f32>,
-    qr_base: qr_base::avx512::<f32>,
-    qr_short: qr_short::avx512::<f32, { short_buffer_rows(SHORT_ROWS_AVX512) }>,
-    qr_short_rows: SHORT_ROWS_AVX512,
-};
+static F32_AVX512: KernelSpec<f32> =
+    spec!(f32, avx512, AVX512, kernel_avx512_f32, MR_512, NR_512_F32, "avx512f-16x8-f32");
 
 /// An element type with a full microkernel dispatch table (`f32`, `f64`).
 ///
@@ -648,7 +599,7 @@ pub(crate) fn gemm_on<T: Kernel>(
         return;
     }
 
-    if let Some(small) = spec.small.filter(|_| small_gemm_fits(ta, m, n, k)) {
+    if let Some(small) = spec.bounds.gemm.filter(|_| spec.bounds.gemm_fits(ta, m, n, k)) {
         // SAFETY: `spec` came from `Kernel::spec` or `spec_named`, which
         // both checked that this CPU runs its backend.
         return unsafe { small(ta, tb, alpha, a, b, c) };
@@ -701,47 +652,11 @@ pub(crate) fn gemm_on<T: Kernel>(
     });
 }
 
-/// Largest `op(A)` (`m·k` elements) the unpacked path takes: 32 KiB at
-/// f64, so `A` stays in L1 while the tiles sweep `B`.
-const SMALL_A: usize = 4096;
-
-/// Largest `C` per unit of depth (`m·n / k`) the unpacked path takes. Past
-/// it the packs cost less than the unpacked tiles' extra loads: timed
-/// against the packed path in one process on the shapes LU and QR call
-/// (EXPERIMENTS.md, PR 38), at `k` = 16 the unpacked path wins up to
-/// `m·n` ≈ 3 000 and loses from ≈ 3 800; at `k` = 32 and 64 it wins to
-/// about twice and three times that.
-const SMALL_C_PER_K: usize = 128;
-
-/// Rows of `op(A) = Aᵀ` up to which the unpacked path takes any depth;
-/// past them it needs `k ≥ m`. Timed against the packed path in one
-/// process (EXPERIMENTS.md, "QR's small kernels"): copying `A` transposed costs what
-/// packing it does, and the unpacked path saves packing `B`, which paid
-/// at every width and depth for 16 rows; at 32–64 rows depths below `m`
-/// lost (by up to 27 % on AVX-512, 64 rows 16 deep), and depths from `m`
-/// on won by 6–29 % on every shape but one (32 × 16 × 32, 6 % slower).
-const SMALL_T_ROWS: usize = 16;
-
-/// Whether `gemm` with an `m × k` `op(A)` into an `m × n` `C` takes the
-/// unpacked path (on a backend that has one): one `KC` block deep, `A`
-/// small enough to stay in L1, and `C` small for the depth (`op(A) = A`)
-/// or `A` short or deep enough for its transposed copy to pay
-/// (`op(A) = Aᵀ`, [`SMALL_T_ROWS`]). A function of the shape only, so
-/// every caller of a shape runs the same code.
-pub(crate) fn small_gemm_fits(ta: Trans, m: usize, n: usize, k: usize) -> bool {
-    k <= KC
-        && m * k <= SMALL_A
-        && match ta {
-            Trans::No => m * n <= SMALL_C_PER_K * k,
-            Trans::Yes => m <= SMALL_T_ROWS || m <= k,
-        }
-}
-
 on_backend! {
-    /// `C += alpha·op(A)·op(B)` without packing `B`, for [`small_gemm_fits`]
-    /// shapes.
+    /// `C += alpha·op(A)·op(B)` without packing `B`, for
+    /// [`Bounds::gemm_fits`] shapes.
     #[allow(dead_code)] // no scalar `KernelSpec` takes its `scalar` entry
-    mod small<const MR, const NR> = small_entry(
+    mod small<const MR, const NR> = small_body(
         ta: Trans,
         tb: Trans,
         alpha: T,
@@ -751,129 +666,55 @@ on_backend! {
     )
 }
 
-/// [`small_body`], or [`small_t_body`] for `op(A) = Aᵀ`.
-#[inline(always)]
-fn small_entry<T: Scalar, const FMA: bool, const MR: usize, const NR: usize>(
-    ta: Trans,
-    tb: Trans,
-    alpha: T,
-    a: MatView<'_, T>,
-    b: MatView<'_, T>,
-    c: MatViewMut<'_, T>,
-) {
-    match ta {
-        Trans::No => small_body::<T, FMA, MR, NR>(tb, alpha, a, b, c),
-        Trans::Yes => small_t_body::<T, FMA, MR, NR>(tb, alpha, a, b, c),
-    }
-}
-
-/// Largest `MR × KC` panel of `op(A)` [`small_t_body`] holds on the stack.
-const SMALL_PANEL: usize = 16 * KC;
-
-/// [`small_body`] for `op(A) = Aᵀ`: each `MR`-row panel of `op(A)` — `MR`
-/// columns of the stored `A` — is copied into a stack buffer as the packed
-/// path lays it out (`p`-major, zeros past the edge of `C`), and the tiles
-/// of that panel run on it. Per element the same operations as the packed
-/// path: `acc` from zero in `p` order, then `c + alpha·acc`, or
-/// `c + (0 + alpha·acc)` in an edge tile.
-#[inline(always)]
-fn small_t_body<T: Scalar, const FMA: bool, const MR: usize, const NR: usize>(
-    tb: Trans,
-    alpha: T,
-    a: MatView<'_, T>,
-    b: MatView<'_, T>,
-    mut c: MatViewMut<'_, T>,
-) {
-    let (m, n, k) = (c.nrows(), c.ncols(), a.nrows());
-    assert!(MR * k <= SMALL_PANEL, "small gemm panel fits the stack buffer");
-    let (sp, sj) = if tb == Trans::No { (1, b.ld()) } else { (b.ld(), 1) };
-    let bp = b.as_ptr();
-    // Only the `MR × k` panel is written and read: no need to zero the rest.
-    let mut panel = [MaybeUninit::<T>::uninit(); SMALL_PANEL];
-    for ir in (0..m).step_by(MR) {
-        let mrb = MR.min(m - ir);
-        for i in 0..MR {
-            if i < mrb {
-                for (p, &x) in a.col(ir + i).iter().enumerate() {
-                    panel[p * MR + i] = MaybeUninit::new(x);
-                }
-            } else {
-                (0..k).for_each(|p| panel[p * MR + i] = MaybeUninit::new(T::ZERO));
-            }
-        }
-        let ap = panel.as_ptr().cast::<T>();
-        for jr in (0..n).step_by(NR) {
-            let nrb = NR.min(n - jr);
-            let edge = mrb < MR || nrb < NR;
-            // SAFETY: the tile reads the `MR × k` panel and
-            // `op(B)[0..k, jr..jr + nrb]`, inside the view.
-            let acc = unsafe {
-                if nrb < NR {
-                    tile::<T, FMA, MR, NR>(
-                        k,
-                        |p, i| *ap.add(p * MR + i),
-                        |p, j| if j < nrb { *bp.add(p * sp + (jr + j) * sj) } else { T::ZERO },
-                    )
-                } else {
-                    tile::<T, FMA, MR, NR>(
-                        k,
-                        |p, i| *ap.add(p * MR + i),
-                        |p, j| *bp.add(p * sp + (jr + j) * sj),
-                    )
-                }
-            };
-            for (j, acc) in acc.iter().enumerate().take(nrb) {
-                for (ci, &acc) in c.col_mut(jr + j)[ir..ir + mrb].iter_mut().zip(acc) {
-                    let t = alpha * acc;
-                    *ci += if edge { T::ZERO + t } else { t };
-                }
-            }
-        }
-    }
-}
-
 /// The packed path's arithmetic on unpacked operands: `C` in `MR × NR`
 /// tiles (the backend's microkernel geometry), each accumulated from zero
 /// over `p` in order with the microkernel's multiply-add, then stored as
 /// `c + alpha·acc` — and, in a tile cut by the edge of `C`, as
 /// `c + (0 + alpha·acc)`, the packed path's trip through a zeroed stack
-/// tile. So every element sees the packed path's operations.
+/// tile. So every element sees the packed path's operations. `op(A) = A`
+/// is read in place; `op(A) = Aᵀ` one `MR`-row panel at a time from a stack
+/// block that holds it as the packed path lays it out (`p`-major, zeros
+/// past the edge of `C`).
 #[inline(always)]
 fn small_body<T: Scalar, const FMA: bool, const MR: usize, const NR: usize>(
+    ta: Trans,
     tb: Trans,
     alpha: T,
     a: MatView<'_, T>,
     b: MatView<'_, T>,
     mut c: MatViewMut<'_, T>,
 ) {
-    let (m, n, k) = (c.nrows(), c.ncols(), a.ncols());
+    const { assert!(MR <= mk::MR_512, "a stack panel is at most 16 × KC") };
+    let (m, n, k) = (c.nrows(), c.ncols(), op_shape(ta, a).1);
     // `op(B)[p, j]` is `bp[p·sp + j·sj]`.
     let (sp, sj) = if tb == Trans::No { (1, b.ld()) } else { (b.ld(), 1) };
-    let (ap, lda, bp) = (a.as_ptr(), a.ld(), b.as_ptr());
-    for jr in (0..n).step_by(NR) {
-        let nrb = NR.min(n - jr);
-        for ir in (0..m).step_by(MR) {
-            let mrb = MR.min(m - ir);
+    let bp = b.as_ptr();
+    let mut panel = Block::<T, MR, KC>::new();
+    for ir in (0..m).step_by(MR) {
+        let mrb = MR.min(m - ir);
+        // `op(A)[ir + i, p]` is `ap[i + p·lda]`.
+        let (ap, lda) = if ta == Trans::No {
+            (a.sub(ir, 0, mrb, k).as_ptr(), a.ld())
+        } else {
+            panel.load_t(a.sub(0, ir, k, mrb));
+            (panel.cols().as_ptr().cast::<T>(), MR)
+        };
+        for jr in (0..n).step_by(NR) {
+            let nrb = NR.min(n - jr);
             let edge = mrb < MR || nrb < NR;
-            // SAFETY: the tile reads rows `ir..ir + mrb` of the `k` columns
-            // of `A` and `op(B)[0..k, jr..jr + nrb]`, all inside the views.
+            // SAFETY: the tile reads rows `0..mrb` of the `k` columns at
+            // `ap` and `op(B)[0..k, jr..jr + nrb]`, all inside the operands.
             let acc = unsafe {
                 if edge {
                     tile::<T, FMA, MR, NR>(
                         k,
-                        |p, i| {
-                            if i < mrb {
-                                *ap.add(ir + i + p * lda)
-                            } else {
-                                T::ZERO
-                            }
-                        },
+                        |p, i| if i < mrb { *ap.add(i + p * lda) } else { T::ZERO },
                         |p, j| if j < nrb { *bp.add(p * sp + (jr + j) * sj) } else { T::ZERO },
                     )
                 } else {
                     tile::<T, FMA, MR, NR>(
                         k,
-                        |p, i| *ap.add(ir + i + p * lda),
+                        |p, i| *ap.add(i + p * lda),
                         |p, j| *bp.add(p * sp + (jr + j) * sj),
                     )
                 }

@@ -58,9 +58,25 @@ pub(crate) fn fold_first_max<T: Scalar>(best: &mut (T, usize), at: usize, chunk:
 fn raise_first_max<T: Scalar>(best: &mut (T, usize), at: usize, chunk: &[T]) {
     let m = max_abs(chunk);
     // `None` only for an all-NaN chunk, whose `m` is the 0 floor.
-    if let Some(i) = chunk.iter().position(|v| v.abs() == m) {
+    if let Some(i) = position_of(chunk, m) {
         *best = (m, at + i);
     }
+}
+
+/// [`iamax`] of a slice (`0` for an empty or all-NaN one) in one search,
+/// inlined into the caller: [`max_abs`], then [`position_of`] it.
+#[inline(always)]
+pub(crate) fn first_max<T: Scalar>(x: &[T]) -> usize {
+    position_of(x, max_abs(x)).unwrap_or(0)
+}
+
+/// The first position of `x` whose `|x|` is `m`, eight elements at a time.
+#[inline(always)]
+fn position_of<T: Scalar>(x: &[T], m: T) -> Option<usize> {
+    let hit = |v: &T| v.abs() == m;
+    let (chunks, _) = x.as_chunks::<8>();
+    let c = chunks.iter().position(|c| c.iter().any(hit)).unwrap_or(chunks.len());
+    x[8 * c..].iter().position(hit).map(|i| 8 * c + i)
 }
 
 #[cfg(test)]

@@ -6,14 +6,14 @@
 //!
 //! | LAPACK/BLAS name | here |
 //! |---|---|
-//! | `dgemm`  | [`gemm`] (packed; small f64 operands unpacked on the FMA backends, transposed `A` included, same bits) |
-//! | `dtrsm`  | [`trsm`] (every side / uplo / trans / diag: slabs, recursion onto `gemm`, a register-blocked base case per backend in blocks sized to the right-hand sides); [`trsm_right_upper_notrans`] and four more named instances |
+//! | `dgemm`  | [`gemm`] (packed; small operands unpacked, same bits) |
+//! | `dtrsm`  | [`trsm`] (every side / uplo / trans / diag: slabs, recursion onto `gemm`, a register-blocked base case per backend); [`trsm_right_upper_notrans`] and four more named instances |
 //! | `dtrmm`  | [`trmm`] (out of place, on the packed GEMM path) |
 //! | `dger` / `idamax` | [`ger`], [`iamax`] |
 //! | `dgetf2` | [`getf2`] (BLAS2 GEPP) |
-//! | `rgetf2` | [`rgetf2`] (recursive GEPP, Toledo; left-looking vectorised base case, `getf2`'s pivots; a short-column path up to 128 rows, same bits) |
+//! | `rgetf2` | [`rgetf2`] (recursive GEPP, Toledo; left-looking vectorised base case, `getf2`'s pivots) |
 //! | `dgeqr2` | [`geqr2`] (BLAS2 Householder QR) |
-//! | `dgeqr3` | [`geqr3`] (recursive QR, Elmroth–Gustavson; splits at multiples of 16 columns into a left-looking vectorised base case that builds `T` as it goes; a short-view path up to 128 rows on AVX-512, same bits) |
+//! | `dgeqr3` | [`geqr3`] (recursive QR, Elmroth–Gustavson; splits at multiples of 16 columns into a left-looking vectorised base case that builds `T` as it goes) |
 //! | `dlarfg`/`dlarf`/`dlarft`/`dlarfb` | [`larfg`] (scale-safe, `dnrm2`/`dlarfg` rescaling), [`larf_left`], [`larft`], [`larfb_left`], [`larfb_left_pair`], [`larfb_left_multi`] (incl. the structured tree-node form) |
 //!
 //! All kernels operate on [`ca_matrix::MatView`]/[`ca_matrix::MatViewMut`]
@@ -32,7 +32,9 @@
 //! kernel gives the same bits at every worker count; [`par_gemm`] is that
 //! split over [`gemm`]. The pack/compute task bodies of the scheduler's
 //! GEMM decomposition ([`pack_a_slab`], [`pack_b_panel`], [`gemm_packed`])
-//! are exported for the DAG builders in `ca-core`.
+//! are exported for the DAG builders in `ca-core`. The small-shape paths of
+//! `gemm`, `trsm`, `rgetf2` and `geqr3` share one toolkit and one bounds
+//! table per backend (`small.rs`, DESIGN.md §10 "Small shapes").
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
@@ -48,6 +50,7 @@ mod pack;
 mod par_gemm;
 mod qr_recursive;
 mod qr_unblocked;
+mod small;
 pub mod traffic;
 mod trmm;
 mod trsm;

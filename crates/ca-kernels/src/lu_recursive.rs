@@ -16,36 +16,25 @@
 //!
 //! The row of `U` right of each pivot is built as one vector chain over the
 //! rows above it ([`u_row`]) and kept on the stack until the base case
-//! ends. A view of at most [`SHORT_ROWS`] rows — a served 256² job's 64-row
-//! leaf or 128-row tournament node — takes [`eliminate_short`]: register
-//! blocks of 64, 32, 16 or 8 rows laid from the bottom, the top one
-//! reaching above the pivot, so no row runs alone, and a separate pivot
-//! pass. Taller views keep [`eliminate`], which folds the pivot search into
-//! its top-down sweep: from 192 rows on that is as fast or faster (timed in
-//! one process, EXPERIMENTS.md PR 38: the short path is 9 % faster at 64
-//! rows, even at 192, 3–8 % slower at 256–512 and 17 % slower on a
-//! 12500-row leaf). These paths change how the operations are scheduled,
-//! not which: every element sees the same operations in the same order as
-//! before, bit for bit (the pinned hashes of `tests/kernel_conformance.rs`),
-//! and the switch is a function of the row count alone.
+//! ends. The rows below the pivot run in register blocks ([`eliminate`]),
+//! bottom-up with a separate pivot pass on a short view, top-down with the
+//! search folded in on a tall one: the crate's small-shape toolkit and its
+//! bounds table (`small.rs`, DESIGN.md §10 "Small shapes"). Every element
+//! sees the same operations in the same order on either path.
 //!
 //! `rgetf2` holds no thread-local scratch; the `gemm` it and its `trsm`
 //! calls run borrows the pack buffers only for the duration of each call.
 
-use crate::gemm::{gemm_on, nmul_add, on_backend, spec_named, Kernel, KernelSpec, Trans, LANES};
-use crate::ger::fold_first_max;
+use crate::gemm::{gemm_on, on_backend, spec_named, Kernel, KernelSpec, Trans};
+use crate::ger::{first_max, fold_first_max};
 use crate::lu_unblocked::LuInfo;
+use crate::small::{chunk, chunk_mut, update, walk, Line, Rows, HEIGHTS};
 use crate::trmm::{Diag, Side, Uplo};
 use crate::trsm::trsm_on;
-use ca_matrix::{laswp, max_abs_lanes, MatView, MatViewMut, PivotSeq, Scalar};
+use ca_matrix::{laswp, MatView, MatViewMut, PivotSeq, Scalar};
 
 /// Column count at which the recursion stops in the left-looking base case.
 const BASE_COLS: usize = 16;
-
-/// Row count up to which the base case takes the short-column path
-/// ([`eliminate_short`]), the measured crossover; taller views keep
-/// [`eliminate`]. Both give the same bits.
-const SHORT_ROWS: usize = 128;
 
 /// Recursive Gaussian elimination with partial pivoting of an `m × n` view
 /// (`m ≥ n` expected but not required), in place. Pivot indices are
@@ -87,7 +76,7 @@ fn recurse<T: Kernel>(
     if n <= BASE_COLS || m <= 1 {
         // SAFETY: `spec` came from `Kernel::spec`, which checked that this
         // CPU runs its backend.
-        return unsafe { (spec.lu_base)(a, at, info) };
+        return unsafe { (spec.lu_base)(a, at, info, m <= spec.bounds.lu_short_rows) };
     }
     // Never split past the row count: for wide views the factorization only
     // involves the first min(m, n) columns, the rest are updated in place.
@@ -123,11 +112,16 @@ fn recurse<T: Kernel>(
 
 on_backend! {
     /// GEPP of at most [`BASE_COLS`] columns, left-looking.
-    mod base = base_body(a: MatViewMut<'_, T>, at: usize, info: &mut LuInfo)
+    mod base = base_body(a: MatViewMut<'_, T>, at: usize, info: &mut LuInfo, short: bool)
 }
 
 #[inline(always)]
-fn base_body<T: Scalar, const FMA: bool>(mut a: MatViewMut<'_, T>, at: usize, info: &mut LuInfo) {
+fn base_body<T: Scalar, const FMA: bool>(
+    mut a: MatViewMut<'_, T>,
+    at: usize,
+    info: &mut LuInfo,
+    short: bool,
+) {
     let (m, n) = (a.nrows(), a.ncols());
     let kmax = m.min(n);
     if kmax == 0 {
@@ -136,7 +130,8 @@ fn base_body<T: Scalar, const FMA: bool>(mut a: MatViewMut<'_, T>, at: usize, in
     // Row `i` of `U` (lanes `i..n`) from its step on: rows above the pivot
     // never move again and no step reads them from `a`, so they are written
     // back once, at the end, over whatever a step left there.
-    let mut urows = [[T::ZERO; BASE_COLS]; BASE_COLS];
+    let mut urows = Line([[T::ZERO; BASE_COLS]; BASE_COLS]);
+    let urows = &mut urows.0;
     // The steps with a nonzero pivot, the only ones that update anything.
     let (mut live, mut nlive) = ([0; BASE_COLS], 0);
     let mut next = first_max(a.col(0));
@@ -153,17 +148,13 @@ fn base_body<T: Scalar, const FMA: bool>(mut a: MatViewMut<'_, T>, at: usize, in
             Some(T::ONE / piv)
         };
         let live_k = &live[..nlive];
-        urows[k] = u_row::<T, FMA>(a.as_ref(), k, live_k, &urows);
+        urows[k] = u_row::<T, FMA>(a.as_ref(), k, live_k, urows);
         urows[k][k] = piv;
         let mut u = [T::ZERO; BASE_COLS];
         if k + 1 < n {
             (0..=k).for_each(|p| u[p] = urows[p][k + 1]);
         }
-        next = if m <= SHORT_ROWS {
-            eliminate_short::<T, FMA>(a.rb(), k, live_k, s, &u)
-        } else {
-            eliminate::<T, FMA>(a.rb(), k, live_k, s, &u)
-        };
+        next = eliminate::<T, FMA>(a.rb(), k, live_k, s, &u, short);
         if s.is_some() {
             live[nlive] = k;
             nlive += 1;
@@ -194,69 +185,17 @@ fn u_row<T: Scalar, const FMA: bool>(
     for (j, r) in r.iter_mut().enumerate().take(a.ncols().min(BASE_COLS)).skip(k + 1) {
         *r = a.at(k, j);
     }
-    for &p in live {
-        let l = a.at(k, p);
-        for (r, &up) in r.iter_mut().zip(&urows[p]) {
-            *r = nmul_add::<T, FMA>(l, up, *r);
-        }
-    }
+    update::<T, FMA, BASE_COLS>(&mut r, live.iter().map(|&p| (&urows[p], a.at(k, p))));
     r
-}
-
-/// [`eliminate`] for a view of at most [`SHORT_ROWS`] rows: the rows below
-/// the pivot are covered from the bottom by register blocks of 64, 32, 16 or
-/// 8 rows, the top one reaching up past row `k` where it must, so no row
-/// runs one at a time unless the view has fewer than 8. A block stores all
-/// its rows; those above row `k + 1` hold `U`, which [`base_body`] writes
-/// back at the end. The pivot is found afterwards, in one pass.
-#[inline(always)]
-fn eliminate_short<T: Scalar, const FMA: bool>(
-    a: MatViewMut<'_, T>,
-    k: usize,
-    live: &[usize],
-    s: Option<T>,
-    u: &[T; BASE_COLS],
-) -> usize {
-    let (m, j) = (a.nrows(), k + 1);
-    let (done, rest) = a.split_at_col(k);
-    let (mut col_k, mut right) = rest.split_at_col(1);
-    let (done, lk) = (done.as_ref(), col_k.col_mut(0));
-    let mut cj = (right.ncols() > 0).then(|| right.col_mut(0));
-    let mut end = m;
-    while end > j {
-        let need = end - j;
-        let r = [8, 16, 32, LANES].into_iter().find(|&r| r >= need).unwrap_or(LANES);
-        let r = if r <= end { r } else { [32, 16, 8].into_iter().find(|&r| r <= end).unwrap_or(1) };
-        let (cj, r0) = (cj.as_deref_mut(), end - r);
-        match r {
-            LANES => rows::<T, FMA, LANES>(done, lk, cj, r0, k, u, live, s, None),
-            32 => rows::<T, FMA, 32>(done, lk, cj, r0, k, u, live, s, None),
-            16 => rows::<T, FMA, 16>(done, lk, cj, r0, k, u, live, s, None),
-            8 => rows::<T, FMA, 8>(done, lk, cj, r0, k, u, live, s, None),
-            _ => rows::<T, FMA, 1>(done, lk, cj, r0, k, u, live, s, None),
-        }
-        end -= r.min(need);
-    }
-    cj.map_or(j, |cj| j + first_max(&cj[j..]))
-}
-
-/// [`iamax`](crate::iamax) of a slice (`0` for an empty one), inlined into
-/// the backend body: a vectorised maximum of `|x|` over eight lanes, then
-/// the first position holding it. A NaN never equals the maximum, which
-/// floors at zero, so an all-NaN slice gives 0 as in `iamax`.
-#[inline(always)]
-fn first_max<T: Scalar>(x: &[T]) -> usize {
-    let m = max_abs_lanes(x).into_iter().fold(T::ZERO, |m, lane| if lane > m { lane } else { m });
-    let hit = |v: &T| v.abs() == m;
-    let (chunks, _) = x.as_chunks::<8>();
-    let c = chunks.iter().position(|c| c.iter().any(hit)).unwrap_or(chunks.len());
-    x[8 * c..].iter().position(hit).map_or(0, |i| 8 * c + i)
 }
 
 /// Step `k` after its row interchange: scales column `k` below the pivot,
 /// applies steps `0..=k` to column `k + 1` (whose rows `0..=k` are `u`) and
 /// returns that column's pivot row (`k + 1` when there is no such column or
-/// no choice).
+/// no choice). A short view walks the rows bottom-up, the top block reaching
+/// above row `k + 1` where it must — those rows hold `U`, which
+/// [`base_body`] writes back at the end — and finds the pivot afterwards in
+/// one pass; a tall one walks top-down and folds the pivot search in.
 #[inline(always)]
 fn eliminate<T: Scalar, const FMA: bool>(
     a: MatViewMut<'_, T>,
@@ -264,71 +203,62 @@ fn eliminate<T: Scalar, const FMA: bool>(
     live: &[usize],
     s: Option<T>,
     u: &[T; BASE_COLS],
+    short: bool,
 ) -> usize {
     let (m, j) = (a.nrows(), k + 1);
     let (done, rest) = a.split_at_col(k);
     let (mut col_k, mut right) = rest.split_at_col(1);
-    let (done, lk) = (done.as_ref(), col_k.col_mut(0));
-    let mut cj = (right.ncols() > 0).then(|| right.col_mut(0));
-    let mut best = (-T::ONE, j);
-    let mut r0 = j;
-    while r0 + LANES <= m {
-        rows::<T, FMA, LANES>(done, lk, cj.as_deref_mut(), r0, k, u, live, s, Some(&mut best));
-        r0 += LANES;
+    let cj = (right.ncols() > 0).then(|| right.col_mut(0));
+    let (done, lk, mut best) = (done.as_ref(), col_k.col_mut(0), (-T::ONE, j));
+    let fold = (!short).then_some(&mut best);
+    let mut step = Step::<T, FMA> { done, lk, cj, k, u, live, s, best: fold };
+    walk(j..m, HEIGHTS, short, &mut step);
+    match step.cj {
+        Some(cj) if short => j + first_max(&cj[j..]),
+        _ => best.1,
     }
-    while r0 + 8 <= m {
-        rows::<T, FMA, 8>(done, lk, cj.as_deref_mut(), r0, k, u, live, s, Some(&mut best));
-        r0 += 8;
-    }
-    while r0 < m {
-        rows::<T, FMA, 1>(done, lk, cj.as_deref_mut(), r0, k, u, live, s, Some(&mut best));
-        r0 += 1;
-    }
-    best.1
 }
 
-/// One step on rows `r0..r0 + R`: the new column lives in registers while
-/// the finished ones stream past it; with `best`, its pivot candidates are
-/// folded in on the way.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)] // one step's whole state, inlined away
-fn rows<T: Scalar, const FMA: bool, const R: usize>(
-    done: MatView<'_, T>,
-    lk: &mut [T],
-    cj: Option<&mut [T]>,
-    r0: usize,
+/// One step's state: the new column `cj` lives in registers a block at a
+/// time while the finished ones stream past it; with `best`, its pivot
+/// candidates are folded in on the way.
+struct Step<'a, T: Scalar, const FMA: bool> {
+    done: MatView<'a, T>,
+    lk: &'a mut [T],
+    cj: Option<&'a mut [T]>,
     k: usize,
-    u: &[T; BASE_COLS],
-    live: &[usize],
+    u: &'a [T; BASE_COLS],
+    live: &'a [usize],
     s: Option<T>,
-    best: Option<&mut (T, usize)>,
-) {
-    let lk: &mut [T; R] = (&mut lk[r0..r0 + R]).try_into().expect("R rows");
-    if let Some(s) = s {
-        lk.iter_mut().for_each(|v| *v *= s);
-    }
-    let Some(cj) = cj else { return };
-    let mut acc: [T; R] = cj[r0..r0 + R].try_into().expect("R rows");
-    let mut apply = |l: &[T; R], u: T| {
-        for (acc, &l) in acc.iter_mut().zip(l) {
-            *acc = nmul_add::<T, FMA>(l, u, *acc);
+    best: Option<&'a mut (T, usize)>,
+}
+
+impl<T: Scalar, const FMA: bool> Rows for Step<'_, T, FMA> {
+    #[inline(always)]
+    fn rows<const R: usize>(&mut self, r0: usize) {
+        let lk = chunk_mut::<T, R>(self.lk, r0);
+        if let Some(s) = self.s {
+            lk.iter_mut().for_each(|v| *v *= s);
         }
-    };
-    for &p in live {
-        apply(done.col(p)[r0..r0 + R].try_into().expect("R rows"), u[p]);
-    }
-    if s.is_some() {
-        apply(lk, u[k]);
-    }
-    cj[r0..r0 + R].copy_from_slice(&acc);
-    if let Some(best) = best {
-        fold_first_max(best, r0, &cj[r0..r0 + R]);
+        let Some(cj) = self.cj.as_deref_mut() else { return };
+        let mut acc = *chunk::<T, R>(cj, r0);
+        let (done, u) = (self.done, self.u);
+        update::<T, FMA, R>(&mut acc, self.live.iter().map(|&p| (chunk(done.col(p), r0), u[p])));
+        if self.s.is_some() {
+            update::<T, FMA, R>(&mut acc, [(&*lk, u[self.k])]);
+        }
+        let cj = chunk_mut(cj, r0);
+        *cj = acc;
+        if let Some(best) = self.best.as_deref_mut() {
+            fold_first_max(best, r0, cj);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::LANES;
     use crate::lu_unblocked::getf2;
     use ca_matrix::{lu_residual, Matrix};
 

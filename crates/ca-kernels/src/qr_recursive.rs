@@ -15,11 +15,10 @@
 //! norm of reflector `k + 1`. No dot product is a serial reduction, and
 //! `larfb` and the `T₃` assembly only ever see a multiple of 16 reflectors.
 //! The folds over the head rows and `T` run as masked sweeps over all 16
-//! lanes ([`Head`]). A short view — at most the backend's `qr_short_rows`,
-//! 128 rows on AVX-512 — runs on a zero-padded copy of the panel on the
-//! stack ([`short_body`]), its lane sums in registers from the dot
-//! products to their horizontal sums. Both give the bits of the plain
-//! folds and passes (DESIGN.md §10, "Small shapes").
+//! lanes ([`Head`]). A short view runs on a zero-padded stack copy of the
+//! panel ([`short_body`]); the switch, the stack block and the register
+//! blocks are the crate's small-shape toolkit (`small.rs`, DESIGN.md §10
+//! "Small shapes"). Both give the bits of the plain folds and passes.
 //!
 //! `geqr3` holds the thread's kernel workspace only while it assembles `T₃`
 //! (and `larfb` while it applies a half); the base case works in registers,
@@ -30,6 +29,7 @@ use crate::gemm::{
     gemm_on, mul_add, nmul_add, on_backend, spec_named, Kernel, KernelSpec, Trans, LANES,
 };
 use crate::householder::{larfb_left_on, reflector};
+use crate::small::{self, chunk, chunk_mut, walk, Block, Rows};
 use crate::trmm::{densify, tri_gemm, Side, Triangle, TRMM_NB};
 use ca_matrix::{MatView, MatViewMut, Scalar};
 use core::cmp::Ordering;
@@ -45,16 +45,6 @@ const ROW_BLOCK: usize = 256;
 /// Lane partial sums per dot product of the base case: one AVX-512 vector at
 /// f64.
 const W: usize = 8;
-
-/// Rows up to which the base case runs on a copy of the panel
-/// ([`short_body`]), per backend: where that path measured faster than
-/// [`base_body`] with the switch forced both ways in one process, at both
-/// precisions (EXPERIMENTS.md, "QR's small kernels").
-pub(crate) const SHORT_ROWS_AVX512: usize = 128;
-/// [`SHORT_ROWS_AVX512`] of the AVX2 backend.
-pub(crate) const SHORT_ROWS_AVX2: usize = 64;
-/// [`SHORT_ROWS_AVX512`] of the scalar backend.
-pub(crate) const SHORT_ROWS_SCALAR: usize = 32;
 
 /// Recursive QR of an `m × n` view (`m ≥ n` required), in place.
 ///
@@ -87,7 +77,7 @@ fn recurse<T: Kernel>(spec: &KernelSpec<T>, mut a: MatViewMut<'_, T>, mut t: Mat
         return;
     }
     if n <= BASE_COLS {
-        let base = if m <= spec.qr_short_rows { spec.qr_short } else { spec.qr_base };
+        let base = if m <= spec.bounds.qr_short_rows { spec.qr_short } else { spec.qr_base };
         // SAFETY: `spec` came from `Kernel::spec` or `spec_named`, which
         // both checked that this CPU runs its backend.
         return unsafe { base(a, t.sub(0, 0, n, n)) };
@@ -181,7 +171,7 @@ fn columns<T: Scalar>(a: MatView<'_, T>) -> Cols<'_, T> {
 
 #[inline(always)]
 fn base_body<T: Scalar, const FMA: bool>(mut a: MatViewMut<'_, T>, t: MatViewMut<'_, T>) {
-    let n = a.ncols();
+    let (m, n) = (a.nrows(), a.ncols());
     let mut tri = Head::<T>::new();
     let mut ss = sum_squares::<T, FMA>(&a.col(0)[1..]);
     for k in 0..n {
@@ -195,7 +185,7 @@ fn base_body<T: Scalar, const FMA: bool>(mut a: MatViewMut<'_, T>, t: MatViewMut
             let (done, rest) = a.rb().split_at_col(k);
             let (mut vk, next) = rest.split_at_col(1);
             let c = (n > k + 1).then(|| next.as_ref().col(0));
-            project::<T, FMA>(&columns(done.as_ref()), k, vk.col_mut(0), c, r.scale)
+            project::<T, FMA>(&columns(done.as_ref()), k, vk.col_mut(0), c, r.scale, m)
         };
         tri.reflector(k, n, a.col(k));
         tri.t_column(k, &y, r.tau);
@@ -206,11 +196,11 @@ fn base_body<T: Scalar, const FMA: bool>(mut a: MatViewMut<'_, T>, t: MatViewMut
         let (v, mut next) = a.rb().split_at_col(k + 1);
         let v = columns(v.as_ref());
         let c = next.col_mut(0);
-        // Rows 0..=k here, the rest in `update`.
+        // Rows 0..=k here, the rest in `pass2`.
         let mut h = head(c);
         head_update::<T, FMA>(|j| head(v[j]), &w, k, &mut h);
-        blend((&mut c[..BASE_COLS]).try_into().expect("a whole head"), &h, &BELOW[k + 1]);
-        ss = update::<T, FMA>(&v[..k + 1], &w, c);
+        blend(chunk_mut(c, 0), &h, &BELOW[k + 1]);
+        ss = pass2::<T, FMA, _>(&v[..k + 1], &w, c, m);
     }
     tri.store(n, t);
 }
@@ -218,13 +208,15 @@ fn base_body<T: Scalar, const FMA: bool>(mut a: MatViewMut<'_, T>, t: MatViewMut
 /// The first [`BASE_COLS`] entries of a column of at least that many rows.
 #[inline(always)]
 fn head<T: Scalar>(col: &[T]) -> [T; BASE_COLS] {
-    col[..BASE_COLS].try_into().expect("a whole head")
+    *chunk(col, 0)
 }
 
 /// What both base cases keep of the panel's head: `T` as it is built and
 /// `V`'s rows `0..n`. Its folds over `k` or fewer terms run every row (or
 /// column) at once, as masked sweeps that give each element the
-/// operations of the plain fold in the same order.
+/// operations of the plain fold in the same order. Aligned to a cache line
+/// like [`Block`].
+#[repr(C, align(64))]
 struct Head<T> {
     /// `tf[j][i]` is T[i, j].
     tf: [[T; BASE_COLS]; BASE_COLS],
@@ -373,30 +365,26 @@ fn blend<T: Scalar>(x: &mut [T; BASE_COLS], new: &[T; BASE_COLS], mask: &[bool; 
 }
 
 /// Rows of [`short_body`]'s buffer for views of up to `rows` rows: then a
-/// whole `W` of zeros.
+/// whole `W` of zeros, and up to a whole cache line at f32, so that every
+/// column starts on one.
 pub(crate) const fn short_buffer_rows(rows: usize) -> usize {
-    rows + W
+    (rows + W).next_multiple_of(16)
 }
 
 /// [`base_body`] for a view of at most `ROWS − W` rows, on a copy of the
-/// panel in a stack buffer whose columns run on in zeros: the same
+/// panel in a stack block whose columns run on in zeros: the same
 /// operations on every element in the same order, without `base_body`'s
-/// fixed costs per step. Each column's lane sums stay in registers from its
-/// dot products through the remainder rows — a whole `W` of them, the
-/// padding's zeros adding nothing — to their horizontal sum, and the
-/// update runs over the head rows and then in register blocks to the last
-/// row.
+/// fixed costs per step. The dot products run on to a whole `W` of rows,
+/// the padding's zeros adding nothing, and the update covers all head rows.
 #[inline(always)]
 fn short_body<T: Scalar, const FMA: bool, const ROWS: usize>(
-    mut a: MatViewMut<'_, T>,
+    a: MatViewMut<'_, T>,
     t: MatViewMut<'_, T>,
 ) {
     let (m, n) = (a.nrows(), a.ncols());
-    assert!(m + W <= ROWS && BASE_COLS <= ROWS && n <= BASE_COLS && n <= m, "a short panel");
-    let mut p = [[T::ZERO; ROWS]; BASE_COLS];
-    for (j, col) in p.iter_mut().enumerate().take(n) {
-        col[..m].copy_from_slice(a.col(j));
-    }
+    assert!(m + W <= ROWS && BASE_COLS <= ROWS && n <= m, "a short panel");
+    let mut blk = Block::<T, ROWS, BASE_COLS>::zeroed(a.as_ref());
+    let p = chunk_mut::<_, BASE_COLS>(blk.cols_mut(), 0);
     let mut tri = Head::<T>::new();
     let mut ss = sum_squares::<T, FMA>(&p[0][1..m]);
     for k in 0..n {
@@ -405,132 +393,32 @@ fn short_body<T: Scalar, const FMA: bool, const ROWS: usize>(
         let v = &mut v[0];
         let r = reflector(v[k], &mut v[k + 1..m], ss);
         v[k] = r.beta;
-        v[k + 1..m].iter_mut().for_each(|x| *x *= r.scale);
-        tri.reflector(k, n, v);
+        let end = k + 1 + (m - k - 1).next_multiple_of(W);
+        let mut cols: Cols<'_, T> = [&[]; BASE_COLS];
+        cols.iter_mut().zip(&*done).for_each(|(col, d)| *col = &d[..end]);
         let c = (k + 1 < n).then(|| &rest[0]);
-        let (y, d) = short_dots::<T, FMA, ROWS>(done, v, c, k, m);
+        let (y, d) = project::<T, FMA>(&cols, k, &mut v[..end], c.map(|c| &c[..end]), r.scale, m);
+        tri.reflector(k, n, v);
         tri.t_column(k, &y, r.tau);
         let Some(c) = c else { break };
         let w = tri.w(k, head(c), &d);
         let (v, c) = p.split_at_mut(k + 1);
-        ss = short_update::<T, FMA, ROWS>(v, &w, &mut c[0], m);
+        let mut h = head(&c[0]);
+        head_update::<T, FMA>(|j| head(&v[j]), &w, k, &mut h);
+        // Past the last row nothing is stored.
+        blend(chunk_mut(&mut c[0], 0), &h, &BELOW[m.min(BASE_COLS)]);
+        ss = pass2::<T, FMA, _>(v, &w, &mut c[0], m);
     }
-    for (j, col) in p.iter().enumerate().take(n) {
-        a.col_mut(j).copy_from_slice(&col[..m]);
-    }
+    blk.store(a);
     tri.store(n, t);
 }
 
-/// [`project`]'s sums in [`short_body`]: `y[j]` for `j < k` and the part of
-/// `s[j]` below the head rows for `j ≤ k` (zero without `c`), from the
-/// reflectors `done` and `v` (reflector `k`) over rows `k + 1..m`.
-#[inline(always)]
-fn short_dots<T: Scalar, const FMA: bool, const ROWS: usize>(
-    done: &[[T; ROWS]],
-    v: &[T; ROWS],
-    c: Option<&[T; ROWS]>,
-    k: usize,
-    m: usize,
-) -> ([T; BASE_COLS], [T; BASE_COLS]) {
-    let rem = (m - k - 1) % W;
-    let body = k + 1..m - rem;
-    let col = |j: usize| if j == k { v } else { &done[j] };
-    let rhs = [v, c.unwrap_or(v)];
-    let (mut y, mut d) = ([T::ZERO; BASE_COLS], [T::ZERO; BASE_COLS]);
-    for j0 in (0..=k).step_by(4) {
-        // A short last group repeats its first column, as in `cross`.
-        let pick = |q: usize| col(if j0 + q <= k { j0 + q } else { j0 });
-        let cols = [pick(0), pick(1), pick(2), pick(3)];
-        let sums = dots::<T, FMA>(
-            [
-                &cols[0][body.clone()],
-                &cols[1][body.clone()],
-                &cols[2][body.clone()],
-                &cols[3][body.clone()],
-            ],
-            [&rhs[0][body.clone()], &rhs[1][body.clone()]],
-        );
-        for (q, sums) in sums.iter().enumerate().take(k + 1 - j0) {
-            let j = j0 + q;
-            let at = &cols[q][body.end..body.end + W];
-            let mut h = [T::ZERO; 2];
-            for ((h, sums), b) in h.iter_mut().zip(sums).zip(rhs) {
-                // `project` adds the block's sums to zeroed lanes, then one
-                // remainder row per lane; past the last row both factors are
-                // zero and the lane keeps its value.
-                let bt = &b[body.end..body.end + W];
-                let mut acc = [T::ZERO; W];
-                for l in 0..W {
-                    acc[l] = T::ZERO + sums[l];
-                    if rem > 0 {
-                        acc[l] = mul_add::<T, FMA>(at[l], bt[l], acc[l]);
-                    }
-                }
-                *h = hsum(acc);
-            }
-            if j < k {
-                y[j] = done[j][k] + h[0];
-            }
-            if c.is_some() {
-                d[j] = h[1];
-            }
-        }
-    }
-    (y, d)
-}
-
-/// [`update`] in [`short_body`]: `c := c − V·w` over `V = v` (`k + 1`
-/// reflectors) and rows `0..m`; returns the sum of squares of the new
-/// `c[k+2..m]` with `update`'s lanes.
-#[inline(always)]
-fn short_update<T: Scalar, const FMA: bool, const ROWS: usize>(
-    v: &[[T; ROWS]],
-    w: &[T; BASE_COLS],
-    c: &mut [T; ROWS],
-    m: usize,
-) -> T {
-    let k = v.len() - 1;
-    let mut h = head(c);
-    head_update::<T, FMA>(|j| head(&v[j]), w, k, &mut h);
-    // Past the last row nothing is stored.
-    blend((&mut c[..BASE_COLS]).try_into().expect("a whole head"), &h, &BELOW[m.min(BASE_COLS)]);
-    let mut r0 = BASE_COLS;
-    while r0 < m {
-        let blk: &mut [T; W] = (&mut c[r0..r0 + W]).try_into().expect("W rows");
-        let mut acc = *blk;
-        for (vj, &wj) in v.iter().zip(w) {
-            let a: &[T; W] = vj[r0..r0 + W].try_into().expect("W rows");
-            for (acc, &a) in acc.iter_mut().zip(a) {
-                *acc = nmul_add::<T, FMA>(a, wj, *acc);
-            }
-        }
-        for (l, (x, &y)) in blk.iter_mut().zip(&acc).enumerate() {
-            *x = if r0 + l < m { y } else { *x };
-        }
-        r0 += W;
-    }
-    // The squares of rows k + 2.. in `update`'s lanes: whole `LANES`
-    // chunks, whole `W`s, then one row at a time into lane 0.
-    let mut r0 = k + 2;
-    let mut ss = [T::ZERO; LANES];
-    while r0 + LANES <= m {
-        fold_squares::<T, FMA>(&mut ss, &c[r0..r0 + LANES]);
-        r0 += LANES;
-    }
-    while r0 + W <= m {
-        fold_squares::<T, FMA>(&mut ss, &c[r0..r0 + W]);
-        r0 += W;
-    }
-    for &x in &c[r0.min(m)..m] {
-        fold_squares::<T, FMA>(&mut ss, &[x]);
-    }
-    hsum(ss)
-}
-
-/// Pass 1 of step `k`: scales `v[k+1..]` by `scale`, which makes `v`
+/// Pass 1 of step `k`: scales `v[k+1..m]` by `scale`, which makes `v`
 /// reflector `k`, and returns `y = V[:, 0..k]ᵀ·v` (up to index `k`) and
 /// the part of `Vᵀ·c` below the head rows `0..=k` (up to index `k`), over
-/// `V = [done[0..k], v]` (unit lower trapezoidal).
+/// `V = [done[0..k], v]` (unit lower trapezoidal). The short view's
+/// operands run on past `m` in zeros to a whole `W` of rows: past the last
+/// row both factors are zero and each lane keeps its value.
 #[inline(always)]
 fn project<T: Scalar, const FMA: bool>(
     done: &Cols<'_, T>,
@@ -538,12 +426,13 @@ fn project<T: Scalar, const FMA: bool>(
     v: &mut [T],
     c: Option<&[T]>,
     scale: T,
+    m: usize,
 ) -> ([T; BASE_COLS], [T; BASE_COLS]) {
-    let m = v.len();
+    let end = v.len();
     let mut lanes: Lanes<T> = [[[T::ZERO; W]; BASE_COLS]; 2];
-    for r0 in (k + 1..m).step_by(ROW_BLOCK) {
-        let r1 = (r0 + ROW_BLOCK).min(m);
-        v[r0..r1].iter_mut().for_each(|x| *x *= scale);
+    for r0 in (k + 1..end).step_by(ROW_BLOCK) {
+        let r1 = (r0 + ROW_BLOCK).min(end);
+        v[r0..r1.min(m)].iter_mut().for_each(|x| *x *= scale);
         // Column k is v itself: its sum with c is s[k].
         let mut cols = *done;
         cols[k] = v;
@@ -614,7 +503,7 @@ fn dots<T: Scalar, const FMA: bool>(cols: [&[T]; 4], rhs: [&[T]; 2]) -> [[[T; W]
             b.copy_from_slice(&rhs[i0..i0 + W]);
         }
         for q in 0..4 {
-            let a: [T; W] = cols[q][i0..i0 + W].try_into().expect("W rows");
+            let a: [T; W] = *chunk(cols[q], i0);
             for r in 0..2 {
                 for l in 0..W {
                     acc[q][r][l] = mul_add::<T, FMA>(a[l], b[r][l], acc[q][r][l]);
@@ -626,50 +515,77 @@ fn dots<T: Scalar, const FMA: bool>(cols: [&[T]; 4], rhs: [&[T]; 2]) -> [[[T; W]
 }
 
 /// Pass 2 of step `k = v.len() − 1` below the head rows: `c := c − V·w`
-/// over rows `k + 1..` (rows `0..=k` are [`head_update`]'s); returns the
-/// sum of squares of the new `c[k+2..]`, the next reflector's tail.
+/// over the rows past them, and the sum of squares of the new `c[k+2..]`,
+/// the next reflector's tail, in whole `LANES`, then whole `W`s, then one
+/// row at a time into lane 0. The row-block path's head rows are `0..=k`;
+/// it updates rows `k + 1..` and folds the squares into the same blocks.
+/// The short view's head rows are all of `0..BASE_COLS`; it updates the
+/// rows past them in `W`-row blocks that run on into the padding (past
+/// `m` nothing is stored), and folds the squares in a pass of their own.
 #[inline(always)]
-fn update<T: Scalar, const FMA: bool>(v: &[&[T]], w: &[T; BASE_COLS], c: &mut [T]) -> T {
-    let (m, k) = (c.len(), v.len() - 1);
-    // Row k + 1 is the next diagonal: updated, but not part of the tail.
-    if k + 1 < m {
-        rows::<T, FMA, 1>(v, w, c, k + 1);
+fn pass2<T: Scalar, const FMA: bool, C: AsRef<[T]>>(
+    v: &[C],
+    w: &[T; BASE_COLS],
+    c: &mut [T],
+    m: usize,
+) -> T {
+    let (k, short) = (v.len() - 1, c.len() > m);
+    let mut pass = Pass2::<T, C, FMA> { v, w, c, m, ss: [T::ZERO; LANES], fold: false };
+    if !short {
+        if k + 1 < m {
+            pass.rows::<1>(k + 1);
+        }
+        pass.fold = true;
+        walk(k + 2..m, &[LANES, W, 1], false, &mut pass);
+        return hsum(pass.ss);
     }
-    let (mut r0, mut ss) = (k + 2, [T::ZERO; LANES]);
+    (BASE_COLS..m).step_by(W).for_each(|r0| pass.rows::<W>(r0));
+    let (c, mut ss, mut r0) = (&*pass.c, [T::ZERO; LANES], k + 2);
     while r0 + LANES <= m {
-        fold_squares::<T, FMA>(&mut ss, &rows::<T, FMA, LANES>(v, w, c, r0));
+        fold_squares::<T, FMA>(&mut ss, &c[r0..r0 + LANES]);
         r0 += LANES;
     }
-    while r0 + 8 <= m {
-        fold_squares::<T, FMA>(&mut ss, &rows::<T, FMA, 8>(v, w, c, r0));
-        r0 += 8;
+    while r0 + W <= m {
+        fold_squares::<T, FMA>(&mut ss, &c[r0..r0 + W]);
+        r0 += W;
     }
-    while r0 < m {
-        fold_squares::<T, FMA>(&mut ss, &rows::<T, FMA, 1>(v, w, c, r0));
-        r0 += 1;
+    for &x in &c[r0.min(m)..m] {
+        fold_squares::<T, FMA>(&mut ss, &[x]);
     }
     hsum(ss)
 }
 
-/// [`update`] on rows `r0..r0 + R`: the column lives in registers while the
-/// reflectors stream past it. Returns the updated rows.
-#[inline(always)]
-fn rows<T: Scalar, const FMA: bool, const R: usize>(
-    v: &[&[T]],
-    w: &[T; BASE_COLS],
-    c: &mut [T],
-    r0: usize,
-) -> [T; R] {
-    let col: &mut [T; R] = (&mut c[r0..r0 + R]).try_into().expect("R rows");
-    let mut acc = *col;
-    for (v, &wj) in v.iter().zip(w) {
-        let a: &[T; R] = v[r0..r0 + R].try_into().expect("R rows");
-        for (acc, &a) in acc.iter_mut().zip(a) {
-            *acc = nmul_add::<T, FMA>(a, wj, *acc);
+/// [`pass2`]'s blocks: the column lives in registers while the reflectors
+/// stream past it.
+struct Pass2<'a, T, C, const FMA: bool> {
+    v: &'a [C],
+    w: &'a [T; BASE_COLS],
+    c: &'a mut [T],
+    m: usize,
+    ss: [T; LANES],
+    fold: bool,
+}
+
+impl<T: Scalar, C: AsRef<[T]>, const FMA: bool> Rows for Pass2<'_, T, C, FMA> {
+    #[inline(always)]
+    fn rows<const R: usize>(&mut self, r0: usize) {
+        let col = chunk_mut::<T, R>(self.c, r0);
+        if !self.v.is_empty() {
+            let mut acc = *col;
+            let v = self.v.iter().map(|v| chunk(v.as_ref(), r0));
+            small::update::<T, FMA, R>(&mut acc, v.zip(self.w.iter().copied()));
+            if r0 + R <= self.m {
+                *col = acc;
+            } else {
+                for (l, (x, &y)) in col.iter_mut().zip(&acc).enumerate() {
+                    *x = if r0 + l < self.m { y } else { *x };
+                }
+            }
+        }
+        if self.fold {
+            fold_squares::<T, FMA>(&mut self.ss, col);
         }
     }
-    *col = acc;
-    acc
 }
 
 /// `ss[l] += x[l]²` for the first `x.len()` lanes.
@@ -680,7 +596,7 @@ fn fold_squares<T: Scalar, const FMA: bool>(ss: &mut [T; LANES], x: &[T]) {
     }
 }
 
-/// `Σ x²` in [`LANES`] lane partial sums, as [`update`] forms it.
+/// `Σ x²` in [`LANES`] lane partial sums, as [`pass2`] forms it.
 #[inline(always)]
 fn sum_squares<T: Scalar, const FMA: bool>(x: &[T]) -> T {
     let mut ss = [T::ZERO; LANES];

@@ -10,16 +10,10 @@
 //! [`gemm_on`]; at order ≤ [`TRSM_BASE`] a register-blocked substitution
 //! compiled for the dispatched backend ([`on_backend`]) runs.
 //!
-//! The base case takes the free dimension in register blocks sized to it —
-//! 64, then 32, 16, 8 and 1 rows or columns — so a solve with 16 right-hand
-//! sides does a quarter of a 64-lane sweep's work. Rows of `B` (right side)
-//! are solved in place; the columns of a left-side block are copied,
-//! transposed, into a stack block by slice passes and solved by the same
-//! sweep. Which block an element lands in decides nothing about its
-//! operations, so the small blocks give the bits of the 64-row ones (the
-//! hashes pinned in `tests/kernel_conformance.rs`). The off-diagonal
-//! `gemm`s of a small triangle take `gemm`'s unpacked path, also bit for
-//! bit.
+//! The base case solves the free dimension in register blocks sized to it,
+//! a left-side block through a transposed stack copy (the crate's
+//! small-shape toolkit, `small.rs`, DESIGN.md §10 "Small shapes"); which
+//! block an element lands in decides nothing about its operations.
 //!
 //! Only the triangle's dimension is split, at points that depend on its order
 //! alone, and every element of the free dimension sees the same operations in
@@ -29,7 +23,8 @@
 //! NaN wherever the entry sits — and a zero diagonal yields `inf`/`NaN` as in
 //! BLAS, never a panic. No thread-local scratch is held.
 
-use crate::gemm::{gemm_on, nmul_add, on_backend, spec_named, Kernel, KernelSpec, Trans, LANES};
+use crate::gemm::{gemm_on, on_backend, spec_named, Kernel, KernelSpec, Trans};
+use crate::small::{chunk, update, walk, Block, Rows, HEIGHTS};
 use crate::trmm::{Diag, Side, Uplo};
 use ca_matrix::{MatView, MatViewMut, Scalar};
 
@@ -145,7 +140,7 @@ on_backend! {
 }
 
 #[inline(always)]
-fn base_body<T: Scalar, const FMA: bool>(v: Variant, a: MatView<'_, T>, mut b: MatViewMut<'_, T>) {
+fn base_body<T: Scalar, const FMA: bool>(v: Variant, a: MatView<'_, T>, b: MatViewMut<'_, T>) {
     let (w, fwd) = (a.nrows(), forward(v));
     // `m[j][k]`: what solved column `k` contributes to column `j` of the
     // right-side form `X·M = B`.
@@ -160,75 +155,47 @@ fn base_body<T: Scalar, const FMA: bool>(v: Variant, a: MatView<'_, T>, mut b: M
             row[k] = at(j, k);
         }
     }
-    // The free dimension in register blocks of 64, then 32, 16, 8 and 1:
-    // rows of `B` on the right, in place; columns on the left, through a
-    // transposed copy that puts them in the lanes.
     let right = v.0 == Side::Right;
     let free = if right { b.nrows() } else { b.ncols() };
-    let mut f0 = 0;
-    while f0 < free {
-        let r = [LANES, 32, 16, 8].into_iter().find(|&r| f0 + r <= free).unwrap_or(1);
-        let x = if right { b.sub(f0, 0, r, w) } else { b.sub(0, f0, w, r) };
-        match r {
-            LANES => chunk::<T, FMA, LANES>(right, fwd, &m, &inv, x),
-            32 => chunk::<T, FMA, 32>(right, fwd, &m, &inv, x),
-            16 => chunk::<T, FMA, 16>(right, fwd, &m, &inv, x),
-            8 => chunk::<T, FMA, 8>(right, fwd, &m, &inv, x),
-            _ => chunk::<T, FMA, 1>(right, fwd, &m, &inv, x),
-        }
-        f0 += r;
-    }
+    walk(0..free, HEIGHTS, false, &mut Solve::<T, FMA> { right, fwd, w, m: &m, inv: &inv, b });
 }
 
-/// `R` rows (right side) or columns (left side) of the free dimension.
-#[inline(always)]
-fn chunk<T: Scalar, const FMA: bool, const R: usize>(
+/// The free dimension in register blocks: rows of `B` on the right, in
+/// place; columns on the left, through a transposed stack copy that puts
+/// them in the lanes.
+struct Solve<'a, T: Scalar, const FMA: bool> {
     right: bool,
     fwd: bool,
-    m: &Table<T>,
-    inv: &[T; TRSM_BASE],
-    mut x: MatViewMut<'_, T>,
-) {
-    if right {
-        return sweep::<T, FMA, R>(fwd, m, inv, x);
-    }
-    let w = x.nrows();
-    let mut buf = [[T::ZERO; R]; TRSM_BASE];
-    for c in 0..R {
-        for (row, &v) in buf.iter_mut().zip(x.col(c)) {
-            row[c] = v;
-        }
-    }
-    let flat = buf.as_flattened_mut();
-    sweep::<T, FMA, R>(fwd, m, inv, MatViewMut::from_slice(&mut flat[..R * w], R, w));
-    for c in 0..R {
-        for (v, row) in x.col_mut(c).iter_mut().zip(&buf) {
-            *v = row[c];
-        }
-    }
+    w: usize,
+    m: &'a Table<T>,
+    inv: &'a [T; TRSM_BASE],
+    b: MatViewMut<'a, T>,
 }
 
-/// Solves `X·M = B` in place for `R` rows: each column is loaded once,
-/// takes the solved columns' contributions in registers, is scaled, stored.
-#[inline(always)]
-fn sweep<T: Scalar, const FMA: bool, const R: usize>(
-    fwd: bool,
-    m: &Table<T>,
-    inv: &[T; TRSM_BASE],
-    mut x: MatViewMut<'_, T>,
-) {
-    let w = x.ncols();
-    let col = |s: usize| if fwd { s } else { w - 1 - s };
-    for j in (0..w).map(col) {
-        let mut acc: [T; R] = x.col(j).try_into().expect("sweep takes R rows");
-        for k in (0..w).map(col).take_while(|&k| k != j) {
-            let xk: &[T; R] = x.col(k).try_into().expect("sweep takes R rows");
-            for (acc, &xk) in acc.iter_mut().zip(xk) {
-                *acc = nmul_add::<T, FMA>(xk, m[j][k], *acc);
-            }
+impl<T: Scalar, const FMA: bool> Rows for Solve<'_, T, FMA> {
+    /// Solves `X·M = B` for `R` rows: each column is loaded once, takes the
+    /// solved columns' contributions in registers, is scaled, stored.
+    #[inline(always)]
+    fn rows<const R: usize>(&mut self, f0: usize) {
+        let (w, m, inv) = (self.w, self.m, self.inv);
+        let mut blk = Block::<T, R, TRSM_BASE>::new();
+        let mut x = if self.right {
+            self.b.sub(f0, 0, R, w)
+        } else {
+            blk.load_t(self.b.as_ref().sub(0, f0, w, R));
+            MatViewMut::from_slice(blk.cols_mut().as_flattened_mut(), R, w)
+        };
+        let col = |s: usize| if self.fwd { s } else { w - 1 - s };
+        for j in (0..w).map(col) {
+            let mut acc = *chunk::<T, R>(x.col(j), 0);
+            let solved = (0..w).map(col).take_while(|&k| k != j);
+            update::<T, FMA, R>(&mut acc, solved.map(|k| (chunk(x.col(k), 0), m[j][k])));
+            acc.iter_mut().for_each(|v| *v *= inv[j]);
+            x.col_mut(j).copy_from_slice(&acc);
         }
-        acc.iter_mut().for_each(|v| *v *= inv[j]);
-        x.col_mut(j).copy_from_slice(&acc);
+        if !self.right {
+            blk.store_t(self.b.sub(0, f0, w, R));
+        }
     }
 }
 
@@ -260,6 +227,7 @@ pub fn trsm_left_lower_trans_unit<T: Kernel>(l: MatView<'_, T>, b: MatViewMut<'_
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gemm::LANES;
     use ca_matrix::{norm_max, Matrix};
 
     /// A well-conditioned stored triangle of order `n`: off-diagonal entries
