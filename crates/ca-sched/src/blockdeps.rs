@@ -212,9 +212,7 @@ impl BlockTracker {
                 }
                 // Dedup repeated reads of the same region by one task so
                 // later writers scan each reader once.
-                if !entries.iter().any(|e| {
-                    !e.write && e.task == task && e.rect.contains(&c)
-                }) {
+                if !entries.iter().any(|e| !e.write && e.task == task && e.rect.contains(&c)) {
                     entries.push(Entry { task, write: false, rect: c });
                 }
             }

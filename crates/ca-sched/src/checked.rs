@@ -81,7 +81,10 @@ mod tests {
             let plan = pb.finish(|a, _| Some(a));
             match run_plan(plan, Matrix::zeros(8, 4), 1, &opts) {
                 Err(CheckedError::Soundness(SoundnessError::UndeclaredAccess {
-                    task, write, rows, ..
+                    task,
+                    write,
+                    rows,
+                    ..
                 })) => {
                     assert_eq!(task, TaskLabel::new(TaskKind::Panel, 0, 0, 0).to_string());
                     assert!(write);

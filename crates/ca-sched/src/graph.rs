@@ -59,7 +59,10 @@ impl<T> TaskGraph<T> {
     /// points forward in insertion order reversed (`before > after`), which
     /// would allow cycles.
     pub fn add_dep(&mut self, before: TaskId, after: TaskId) {
-        assert!(before < self.metas.len() && after < self.metas.len(), "dependency on unknown task");
+        assert!(
+            before < self.metas.len() && after < self.metas.len(),
+            "dependency on unknown task"
+        );
         assert!(before != after, "self-dependency");
         assert!(before < after, "edges must respect insertion order (got {before} -> {after})");
         if self.succs[before].contains(&after) {
@@ -80,10 +83,7 @@ impl<T> TaskGraph<T> {
     /// existed. Used by soundness tests to seed ordering violations for
     /// [`crate::verify_graph`] to catch.
     pub fn remove_dep(&mut self, before: TaskId, after: TaskId) -> bool {
-        let Some(pos) = self
-            .succs
-            .get(before)
-            .and_then(|s| s.iter().position(|&x| x == after))
+        let Some(pos) = self.succs.get(before).and_then(|s| s.iter().position(|&x| x == after))
         else {
             return false;
         };
@@ -157,12 +157,7 @@ impl<T> TaskGraph<T> {
     /// payloads, `map` them into closures for [`crate::run_graph`], or pass
     /// the original graph to [`crate::simulate`] (which ignores payloads).
     pub fn map<U>(self, mut f: impl FnMut(TaskId, T) -> U) -> TaskGraph<U> {
-        let payloads = self
-            .payloads
-            .into_iter()
-            .enumerate()
-            .map(|(id, p)| f(id, p))
-            .collect();
+        let payloads = self.payloads.into_iter().enumerate().map(|(id, p)| f(id, p)).collect();
         TaskGraph { metas: self.metas, payloads, succs: self.succs, npreds: self.npreds }
     }
 
@@ -189,11 +184,8 @@ impl<T> TaskGraph<T> {
                 'S' => "palegreen",
                 _ => "gray",
             };
-            let _ = writeln!(
-                s,
-                "  t{id} [label=\"{}\", style=filled, fillcolor={color}];",
-                m.label
-            );
+            let _ =
+                writeln!(s, "  t{id} [label=\"{}\", style=filled, fillcolor={color}];", m.label);
         }
         for (id, succs) in self.succs.iter().enumerate() {
             for &sc in succs {

@@ -211,7 +211,8 @@ impl<'r, T: Scalar> TaskCx<'r, T> {
 
     fn check_slot(&self, s: usize, write: bool) {
         let rect = self.access.slot_rect(s);
-        let declared = if write { self.access.writes(self.task) } else { self.access.reads(self.task) };
+        let declared =
+            if write { self.access.writes(self.task) } else { self.access.reads(self.task) };
         if !declared.contains(&rect) {
             self.fail(self.undeclared(write, rect));
         }
@@ -224,7 +225,8 @@ impl<'r, T: Scalar> TaskCx<'r, T> {
             self.fail(self.undeclared(write, rect));
         }
         let mut opened = self.opened.borrow_mut();
-        let clash = opened.iter().find(|(o, w)| (write || *w) && o.overlaps(&rect)).map(|(o, _)| *o);
+        let clash =
+            opened.iter().find(|(o, w)| (write || *w) && o.overlaps(&rect)).map(|(o, _)| *o);
         if let Some(both) = clash.and_then(|o| o.intersection(&rect)) {
             let label = self.label.to_string();
             let (rows, cols) = ((both.row0, both.row1), (both.col0, both.col1));

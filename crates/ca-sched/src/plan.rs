@@ -81,7 +81,11 @@ impl<T: Scalar> PlanBuilder<T> {
     /// A builder for an `m × n` matrix whose block coordinates
     /// ([`TaskDecl::reads`], [`TaskDecl::writes`]) are `b`-sized.
     pub fn new(b: usize, m: usize, n: usize) -> Self {
-        Self { graph: TaskGraph::new(), tracker: BlockTracker::with_geometry(b, m, n), bodies: Vec::new() }
+        Self {
+            graph: TaskGraph::new(),
+            tracker: BlockTracker::with_geometry(b, m, n),
+            bodies: Vec::new(),
+        }
     }
 
     /// Adds a task: declare its footprint on the [`TaskDecl`], which hands
@@ -239,7 +243,8 @@ pub type PlanJobs<T, F> = (TaskGraph<DynJob>, Arc<PlanRun<T, F>>);
 impl<T: Scalar, F> PlanRun<T, F> {
     fn run_task(&self, id: TaskId) {
         let Plan { graph, access, slots, .. } = &self.plan;
-        let cx = TaskCx::new(id, graph.meta(id).label, &self.matrix, access, slots, &self.violation);
+        let cx =
+            TaskCx::new(id, graph.meta(id).label, &self.matrix, access, slots, &self.violation);
         (self.plan.bodies[id])(&cx)
     }
 
@@ -262,7 +267,8 @@ impl<T: Scalar, F> PlanRun<T, F> {
     /// `None` too once a task used up its budget ([`Self::exhausted`]): the
     /// slots it and its successors fill are empty.
     pub fn collect(self: Arc<Self>) -> Option<F> {
-        let Self { plan: Plan { gather, mut slots, .. }, matrix, exhausted, .. } = Arc::into_inner(self)?;
+        let Self { plan: Plan { gather, mut slots, .. }, matrix, exhausted, .. } =
+            Arc::into_inner(self)?;
         exhausted.get().is_none().then(|| gather(matrix.into_inner(), &mut slots))?
     }
 }
@@ -285,7 +291,8 @@ pub fn plan_jobs<T: Scalar, F: 'static>(
         verify_graph(&plan.graph, &plan.access)?;
     }
     let matrix = SharedMatrix::new(a);
-    let run = Arc::new(PlanRun { plan, matrix, violation: OnceLock::new(), exhausted: OnceLock::new() });
+    let run =
+        Arc::new(PlanRun { plan, matrix, violation: OnceLock::new(), exhausted: OnceLock::new() });
 
     let jobs = run.plan.graph.map_ref(|id, _| {
         let (run, chaos) = (Arc::clone(&run), opts.chaos.clone());
@@ -338,8 +345,9 @@ pub fn run_plan<T: Scalar, F: 'static>(
     if let Some(e) = report.failure.take() {
         return Err(CheckedError::Exec(e));
     }
-    let factors =
-        run.collect().expect("every job ran, so the run is the last owner and every slot is filled");
+    let factors = run
+        .collect()
+        .expect("every job ran, so the run is the last owner and every slot is filled");
     Ok((factors, report))
 }
 
@@ -368,7 +376,10 @@ mod tests {
         let plan = pb.finish(move |_, slots| slots.take(slot));
         let opts = FactorOptions {
             chaos: Some(Arc::new(ChaosPlan::quiet(0).fail_nth(1, move |l| *l == fill))),
-            retry: Some(Retry { policy: RetryPolicy::default().with_max_retries(0), ..Retry::default() }),
+            retry: Some(Retry {
+                policy: RetryPolicy::default().with_max_retries(0),
+                ..Retry::default()
+            }),
             checked: false,
         };
         let (jobs, run) = plan_jobs(plan, Matrix::zeros(2, 1), &opts).expect("nothing to verify");
@@ -381,7 +392,9 @@ mod tests {
     /// A one-task plan over an `8 × 4` matrix in `4 × 4` blocks whose task
     /// declares writing rows `0..4` and runs `body` with that handle and
     /// the handle of a second task that declares rows `4..8`.
-    fn lease_plan(body: impl Fn(&TaskCx<'_, f64>, Write, Write) + Send + Sync + 'static) -> Plan<f64, Matrix> {
+    fn lease_plan(
+        body: impl Fn(&TaskCx<'_, f64>, Write, Write) + Send + Sync + 'static,
+    ) -> Plan<f64, Matrix> {
         let mut pb = PlanBuilder::<f64>::new(4, 8, 4);
         let mut other = pb.task(TaskMeta::new(TaskLabel::new(TaskKind::Panel, 0, 1, 0), 1.0));
         let theirs = other.writes(1..2, 0..1);
@@ -433,8 +446,12 @@ mod tests {
             let _read = cx.view(mine.block(0, 0, 2, 4));
             cx.view_mut(mine.block(1, 0, 3, 4));
         }));
-        let want =
-            SoundnessError::Race { first: "P[0,0,0]".into(), second: "P[0,0,0]".into(), rows: (1, 2), cols: (0, 4) };
+        let want = SoundnessError::Race {
+            first: "P[0,0,0]".into(),
+            second: "P[0,0,0]".into(),
+            rows: (1, 2),
+            cols: (0, 4),
+        };
         assert_eq!(e, want);
         // Disjoint views of one write are fine.
         let plan = lease_plan(|cx, mine, _| {
@@ -456,6 +473,9 @@ mod tests {
         t.writes(0..1, 0..1);
         t.run(move |cx| assert_eq!(*cx.get(slot), 7));
         let e = lease_error(pb.finish(|a, _| Some(a)));
-        assert!(matches!(&e, SoundnessError::UndeclaredAccess { task, write: false, .. } if task == "S[0,0,0]"), "{e}");
+        assert!(
+            matches!(&e, SoundnessError::UndeclaredAccess { task, write: false, .. } if task == "S[0,0,0]"),
+            "{e}"
+        );
     }
 }

@@ -108,7 +108,8 @@ pub struct Profile {
 impl Profile {
     /// Rebuilds the lane-per-worker [`Timeline`] view of the profile.
     pub fn timeline(&self) -> Timeline {
-        let span = |r: &TaskRecord| Span { task: r.task, label: r.label, start: r.start, end: r.end };
+        let span =
+            |r: &TaskRecord| Span { task: r.task, label: r.label, start: r.start, end: r.end };
         let spans = self.records.iter().map(|r| (r.worker, span(r)));
         Timeline::from_spans(spans, self.nworkers, self.makespan)
     }
@@ -281,11 +282,8 @@ impl Profile {
             .collect();
         let total: f64 = per_step.iter().map(|s| s.wait).sum();
         let max = per_step.iter().map(|s| s.wait).fold(0.0f64, f64::max);
-        let worst_step = per_step
-            .iter()
-            .max_by(|a, b| a.wait.total_cmp(&b.wait))
-            .map(|s| s.step)
-            .unwrap_or(0);
+        let worst_step =
+            per_step.iter().max_by(|a, b| a.wait.total_cmp(&b.wait)).map(|s| s.step).unwrap_or(0);
         LookaheadMetrics {
             panel_steps: per_step.len(),
             total_wait: total,
@@ -518,7 +516,11 @@ impl SchedMetrics {
             self.scheduler,
             self.nworkers,
             self.tasks,
-            if self.cancelled > 0 { format!(" ({} cancelled)", self.cancelled) } else { String::new() },
+            if self.cancelled > 0 {
+                format!(" ({} cancelled)", self.cancelled)
+            } else {
+                String::new()
+            },
             fmt_time(self.makespan),
             self.utilization * 100.0,
         );
@@ -591,7 +593,15 @@ impl core::fmt::Display for SchedMetrics {
 mod tests {
     use super::*;
 
-    fn rec(task: TaskId, kind: TaskKind, step: usize, w: usize, ready: f64, start: f64, end: f64) -> TaskRecord {
+    fn rec(
+        task: TaskId,
+        kind: TaskKind,
+        step: usize,
+        w: usize,
+        ready: f64,
+        start: f64,
+        end: f64,
+    ) -> TaskRecord {
         TaskRecord {
             task,
             label: TaskLabel::new(kind, step, 0, 0),

@@ -278,10 +278,7 @@ impl ChaosPlan {
     }
 
     fn profile_for(&self, kind: TaskKind) -> &ChaosProfile {
-        self.class_profiles
-            .iter()
-            .find(|(k, _)| *k == kind)
-            .map_or(&self.profile, |(_, p)| p)
+        self.class_profiles.iter().find(|(k, _)| *k == kind).map_or(&self.profile, |(_, p)| p)
     }
 
     /// Consults the plan as a task attempt starts; returns the action to
@@ -435,8 +432,7 @@ pub(crate) fn take_note() -> TaskNote {
 /// What recovery did over a job: the sum of its tasks' notes. Every
 /// executor computes it from the job's log ([`crate::RunReport::recovery`],
 /// [`crate::JobReport::recovery`]); nothing else stores it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
 pub struct RecoveryStats {
     /// Task body attempts (first tries + replays).
     pub attempts: u64,
@@ -484,33 +480,59 @@ impl RecoveryStats {
     /// Every count, in the order of [`RecoveryStats::NAMES`].
     pub fn counts(&self) -> [u64; 12] {
         let Self {
-            attempts, retries, recovered_tasks, exhausted_tasks, restores, injected_failures,
-            injected_panics, injected_delays, injected_corruptions, probes, probe_failures, replays,
+            attempts,
+            retries,
+            recovered_tasks,
+            exhausted_tasks,
+            restores,
+            injected_failures,
+            injected_panics,
+            injected_delays,
+            injected_corruptions,
+            probes,
+            probe_failures,
+            replays,
         } = *self;
         [
-            attempts, retries, recovered_tasks, exhausted_tasks, restores, injected_failures,
-            injected_panics, injected_delays, injected_corruptions, probes, probe_failures, replays,
+            attempts,
+            retries,
+            recovered_tasks,
+            exhausted_tasks,
+            restores,
+            injected_failures,
+            injected_panics,
+            injected_delays,
+            injected_corruptions,
+            probes,
+            probe_failures,
+            replays,
         ]
     }
 
     /// The stats whose [`RecoveryStats::counts`] are `c`.
     pub fn from_counts(c: [u64; 12]) -> Self {
-        let [
-            attempts, retries, recovered_tasks, exhausted_tasks, restores, injected_failures,
-            injected_panics, injected_delays, injected_corruptions, probes, probe_failures, replays,
-        ] = c;
+        let [attempts, retries, recovered_tasks, exhausted_tasks, restores, injected_failures, injected_panics, injected_delays, injected_corruptions, probes, probe_failures, replays] =
+            c;
         Self {
-            attempts, retries, recovered_tasks, exhausted_tasks, restores, injected_failures,
-            injected_panics, injected_delays, injected_corruptions, probes, probe_failures, replays,
+            attempts,
+            retries,
+            recovered_tasks,
+            exhausted_tasks,
+            restores,
+            injected_failures,
+            injected_panics,
+            injected_delays,
+            injected_corruptions,
+            probes,
+            probe_failures,
+            replays,
         }
     }
 
     /// Adds one task's note.
     pub(crate) fn add(&mut self, note: &TaskNote) {
-        let [
-            attempt, retry, restore, exhausted, failure, panic, delay, corruption, probe, probe_failure,
-            replay,
-        ] = note.0.map(u64::from);
+        let [attempt, retry, restore, exhausted, failure, panic, delay, corruption, probe, probe_failure, replay] =
+            note.0.map(u64::from);
         self.attempts += attempt + retry;
         self.retries += retry;
         self.recovered_tasks += u64::from(retry > 0 && exhausted == 0);
@@ -772,7 +794,6 @@ impl PanicHookGuard {
         }
         Self(())
     }
-
 }
 
 impl Default for PanicHookGuard {
@@ -854,10 +875,7 @@ mod tests {
 
     #[test]
     fn chaos_rates_roughly_match_over_many_draws() {
-        let plan = ChaosPlan::with_profile(
-            7,
-            ChaosProfile::quiet().with_fail_rate(0.2),
-        );
+        let plan = ChaosPlan::with_profile(7, ChaosProfile::quiet().with_fail_rate(0.2));
         let mut fails = 0;
         for step in 0..5000 {
             if plan.decide(&label(TaskKind::Update, step)).is_some() {
@@ -946,9 +964,7 @@ mod tests {
         let shared = SharedMatrix::new(Matrix::zeros(4, 4));
         let ws = one_rect();
         let l = label(TaskKind::Update, 0);
-        let chaos = ChaosPlan::quiet(0)
-            .fail_nth(1, |_| true)
-            .panic_nth(2, |_| true);
+        let chaos = ChaosPlan::quiet(0).fail_nth(1, |_| true).panic_nth(2, |_| true);
         let runs = AtomicUsize::new(0);
         take_note();
         let result = run_recovering(
@@ -1010,7 +1026,8 @@ mod tests {
     fn recovery_stats_counts_round_trip_by_name() {
         let s = RecoveryStats { restores: 2, probe_failures: 1, replays: 3, ..Default::default() };
         assert_eq!(RecoveryStats::from_counts(s.counts()), s);
-        let named: Vec<_> = RecoveryStats::NAMES.iter().zip(s.counts()).filter(|(_, c)| *c > 0).collect();
+        let named: Vec<_> =
+            RecoveryStats::NAMES.iter().zip(s.counts()).filter(|(_, c)| *c > 0).collect();
         assert_eq!(named, [(&"restores", 2), (&"probe_failures", 1), (&"replays", 3)]);
     }
 }

@@ -10,8 +10,7 @@ pub type TaskId = usize;
 /// The kind of work a task performs, following the paper's naming:
 /// `P` = panel/tournament step, `L` = block column of L, `U` = block row of
 /// U (incl. pivoting to the right), `S` = trailing-matrix update.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum TaskKind {
     /// Panel factorization step (TSLU/TSQR leaf or reduction-tree node).
     Panel,
@@ -42,8 +41,7 @@ impl TaskKind {
 }
 
 /// Human-readable identity of a task: kind plus (step, i, j) coordinates.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub struct TaskLabel {
     /// What the task does.
     pub kind: TaskKind,
@@ -71,8 +69,7 @@ impl core::fmt::Display for TaskLabel {
 /// The kernel a task's flops run through — the simulator's cost model maps
 /// each class to a measured throughput (BLAS2 panels are far slower per flop
 /// than BLAS3 updates, which is the effect the paper's evaluation hinges on).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, serde::Serialize, serde::Deserialize)]
 pub enum KernelClass {
     /// Matrix-matrix multiply (`dgemm`).
     Gemm,

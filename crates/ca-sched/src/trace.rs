@@ -5,7 +5,7 @@
 //! show executions (one lane per core, colored by task kind — here letters).
 
 use crate::footprint::AccessMap;
-use crate::task::{TaskId, TaskLabel, TaskKind};
+use crate::task::{TaskId, TaskKind, TaskLabel};
 use ca_matrix::ElemRect;
 use serde_json::Value;
 
@@ -216,12 +216,8 @@ pub fn ascii_gantt(tl: &Timeline, width: usize) -> String {
         }
         let _ = writeln!(out, "core {w:>2} |{}|", row.into_iter().collect::<String>());
     }
-    let _ = writeln!(
-        out,
-        "makespan {:.4}s  utilization {:.1}%",
-        tl.makespan,
-        tl.utilization() * 100.0
-    );
+    let _ =
+        writeln!(out, "makespan {:.4}s  utilization {:.1}%", tl.makespan, tl.utilization() * 100.0);
     out
 }
 
@@ -363,9 +359,7 @@ mod tests {
         // Metadata: one process_name plus thread_name/sort per lane.
         let metas: Vec<_> = arr.iter().filter(|e| e["ph"] == "M").collect();
         assert!(metas.iter().any(|e| e["name"] == "process_name"));
-        assert!(metas
-            .iter()
-            .any(|e| e["name"] == "thread_name" && e["args"]["name"] == "core 1"));
+        assert!(metas.iter().any(|e| e["name"] == "thread_name" && e["args"]["name"] == "core 1"));
     }
 
     #[test]
@@ -377,8 +371,18 @@ mod tests {
 
         // Tasks 0 and 1 overlap in time on different lanes: race.
         let mut tl = Timeline::new(2);
-        tl.lanes[0].push(Span { task: 0, label: TaskLabel::new(TaskKind::Panel, 0, 0, 0), start: 0.0, end: 1.0 });
-        tl.lanes[1].push(Span { task: 1, label: TaskLabel::new(TaskKind::Panel, 0, 1, 0), start: 0.5, end: 1.5 });
+        tl.lanes[0].push(Span {
+            task: 0,
+            label: TaskLabel::new(TaskKind::Panel, 0, 0, 0),
+            start: 0.0,
+            end: 1.0,
+        });
+        tl.lanes[1].push(Span {
+            task: 1,
+            label: TaskLabel::new(TaskKind::Panel, 0, 1, 0),
+            start: 0.5,
+            end: 1.5,
+        });
         tl.makespan = 1.5;
         match tl.check_write_exclusion(&access) {
             Err(TimelineError::ConcurrentWrites { first, second, rect }) => {
@@ -396,8 +400,18 @@ mod tests {
 
         // Concurrent but disjoint write rects: fine.
         let mut tl2 = Timeline::new(2);
-        tl2.lanes[0].push(Span { task: 0, label: TaskLabel::new(TaskKind::Panel, 0, 0, 0), start: 0.0, end: 1.0 });
-        tl2.lanes[1].push(Span { task: 2, label: TaskLabel::new(TaskKind::Update, 0, 0, 0), start: 0.0, end: 1.0 });
+        tl2.lanes[0].push(Span {
+            task: 0,
+            label: TaskLabel::new(TaskKind::Panel, 0, 0, 0),
+            start: 0.0,
+            end: 1.0,
+        });
+        tl2.lanes[1].push(Span {
+            task: 2,
+            label: TaskLabel::new(TaskKind::Update, 0, 0, 0),
+            start: 0.0,
+            end: 1.0,
+        });
         tl2.makespan = 1.0;
         assert_eq!(tl2.check_write_exclusion(&access), Ok(()));
     }

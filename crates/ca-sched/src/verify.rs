@@ -163,10 +163,9 @@ impl core::fmt::Display for SoundnessError {
             Self::BackEdge { from, to } => {
                 write!(f, "edge {from} -> {to} violates topological order (possible cycle)")
             }
-            Self::InconsistentPreds { task, declared, counted } => write!(
-                f,
-                "task {task} declares {declared} predecessors but edges imply {counted}"
-            ),
+            Self::InconsistentPreds { task, declared, counted } => {
+                write!(f, "task {task} declares {declared} predecessors but edges imply {counted}")
+            }
             Self::Unreleasable { task, label } => {
                 write!(f, "task {task} ({label}) can never become ready")
             }
@@ -506,9 +505,7 @@ pub fn verify_graph_with<T>(
         }
     }
 
-    let lint = opts
-        .lint_edges
-        .then(|| lint_pass(graph, access, ordered));
+    let lint = opts.lint_edges.then(|| lint_pass(graph, access, ordered));
 
     Ok(VerifyReport {
         tasks: n,
@@ -817,7 +814,7 @@ fn lookahead_lint<T>(graph: &TaskGraph<T>) -> Vec<String> {
 mod tests {
     use super::*;
     use crate::blockdeps::BlockTracker;
-    use crate::task::{TaskMeta, TaskKind};
+    use crate::task::{TaskKind, TaskMeta};
 
     fn mk<T>(g: &mut TaskGraph<T>, kind: TaskKind, step: usize, i: usize, payload: T) -> TaskId {
         g.add_task(TaskMeta::new(TaskLabel::new(kind, step, i, 0), 1.0), payload)
@@ -856,7 +853,9 @@ mod tests {
         assert!(g.remove_dep(0, 1));
         let err = verify_graph(&g, &access).expect_err("missing edge must be caught");
         match err {
-            SoundnessError::UnorderedConflict { first, second, first_label, second_label, .. } => {
+            SoundnessError::UnorderedConflict {
+                first, second, first_label, second_label, ..
+            } => {
                 assert_eq!((first, second), (0, 1));
                 assert_eq!(first_label.kind, TaskKind::Panel);
                 assert_eq!(second_label.kind, TaskKind::Update);
@@ -950,10 +949,8 @@ mod tests {
     fn lookahead_lint_flags_priority_inversion() {
         let mut g: TaskGraph<()> = TaskGraph::new();
         // Step-0 trailing update (j=2) outranks the step-1 panel: warn.
-        let upd = TaskMeta::new(TaskLabel::new(TaskKind::Update, 0, 0, 2), 1.0)
-            .with_priority(1100);
-        let pan = TaskMeta::new(TaskLabel::new(TaskKind::Panel, 1, 0, 0), 1.0)
-            .with_priority(900);
+        let upd = TaskMeta::new(TaskLabel::new(TaskKind::Update, 0, 0, 2), 1.0).with_priority(1100);
+        let pan = TaskMeta::new(TaskLabel::new(TaskKind::Panel, 1, 0, 0), 1.0).with_priority(900);
         let u = g.add_task(upd, ());
         let p = g.add_task(pan, ());
         g.add_dep(u, p);
@@ -967,10 +964,8 @@ mod tests {
         let mut g: TaskGraph<()> = TaskGraph::new();
         // The update of block column K+1 is *supposed* to outrank the panel
         // of step K+1 (it produces its input): no warning.
-        let upd = TaskMeta::new(TaskLabel::new(TaskKind::Update, 0, 0, 1), 1.0)
-            .with_priority(1100);
-        let pan = TaskMeta::new(TaskLabel::new(TaskKind::Panel, 1, 0, 0), 1.0)
-            .with_priority(900);
+        let upd = TaskMeta::new(TaskLabel::new(TaskKind::Update, 0, 0, 1), 1.0).with_priority(1100);
+        let pan = TaskMeta::new(TaskLabel::new(TaskKind::Panel, 1, 0, 0), 1.0).with_priority(900);
         let u = g.add_task(upd, ());
         let p = g.add_task(pan, ());
         g.add_dep(u, p);
@@ -998,8 +993,7 @@ mod tests {
         let mut access = AccessMap::with_geometry(4, 4, 4);
         access.record_write(a, ElemRect::new(0..2, 0..4));
         access.record_write(b, ElemRect::new(2..4, 0..4));
-        let report =
-            verify_graph(&g, &access).expect("element-disjoint halves need no ordering");
+        let report = verify_graph(&g, &access).expect("element-disjoint halves need no ordering");
         assert_eq!(report.conflict_pairs, 0);
         assert_eq!(report.blocks_touched, 1);
     }
@@ -1222,7 +1216,8 @@ mod tests {
                 .collect();
             if !edges.is_empty() {
                 let (a, b) = edges[lcg.below(edges.len())];
-                #[allow(clippy::disallowed_methods)] // property test mutates edges to probe the verifier
+                #[allow(clippy::disallowed_methods)]
+                // property test mutates edges to probe the verifier
                 g.remove_dep(a, b);
             }
         }

@@ -174,7 +174,10 @@ impl ServiceCore {
         self.metrics.add_recovery(recovery);
         if recovery.probe_failures + recovery.replays > 0 {
             let (hits, replays) = (recovery.probe_failures, recovery.replays);
-            self.marks.push((r.finished, format!("job {}: {hits} probe hit(s), {replays} replay(s)", r.job)));
+            self.marks.push((
+                r.finished,
+                format!("job {}: {hits} probe hit(s), {replays} replay(s)", r.job),
+            ));
         }
         if recovery.probe_failures > 0 {
             trigger = Some("probe-corrupt");
@@ -316,8 +319,7 @@ impl Service {
     /// If `cfg.workers == 0`, or the exposition thread cannot be spawned.
     pub fn new(cfg: ServiceConfig) -> Self {
         let workers = cfg.workers;
-        let hook_guard =
-            (cfg.retry.is_some() || cfg.chaos.is_some()).then(PanicHookGuard::new);
+        let hook_guard = (cfg.retry.is_some() || cfg.chaos.is_some()).then(PanicHookGuard::new);
         let core = Arc::new_cyclic(|weak: &std::sync::Weak<ServiceCore>| {
             let weak = weak.clone();
             let hook: Box<dyn Fn(&JobReport) + Send + Sync> = Box::new(move |report| {
@@ -664,9 +666,7 @@ mod tests {
 
     #[test]
     fn reject_policy_surfaces_at_capacity() {
-        let svc = Service::new(
-            cfg(1).with_capacity(1).with_admission(AdmissionPolicy::Reject),
-        );
+        let svc = Service::new(cfg(1).with_capacity(1).with_admission(AdmissionPolicy::Reject));
         // Occupy the only slot with a solve of a biggish matrix.
         let a = ca_matrix::random_uniform(128, 128, &mut seeded_rng(46));
         let h = svc.submit_lu(a, SubmitOptions::default()).expect("first admits");
@@ -690,9 +690,7 @@ mod tests {
         // `weight` is a public field: zero, negative, NaN and infinite
         // values must come back as a typed error from every entry point,
         // leaving the counters and the one queue slot untouched.
-        let svc = Service::new(
-            cfg(1).with_capacity(1).with_admission(AdmissionPolicy::Reject),
-        );
+        let svc = Service::new(cfg(1).with_capacity(1).with_admission(AdmissionPolicy::Reject));
         let a = || ca_matrix::random_uniform(16, 16, &mut seeded_rng(60));
         let b = || ca_matrix::random_uniform(16, 2, &mut seeded_rng(61));
         for weight in [0.0, -1.0, f64::NAN, f64::INFINITY] {
@@ -737,9 +735,7 @@ mod tests {
     fn empty_matrix_and_unwinding_build_free_the_slot() {
         // Nothing to factor is not an error: every route returns empty
         // factors, and the one slot comes back each time.
-        let svc = Service::new(
-            cfg(1).with_capacity(1).with_admission(AdmissionPolicy::Reject),
-        );
+        let svc = Service::new(cfg(1).with_capacity(1).with_admission(AdmissionPolicy::Reject));
         for (m, n) in [(0usize, 0usize), (0, 5), (5, 0)] {
             for opts in [SubmitOptions::default(), SubmitOptions::default().unbatched()] {
                 let lu = svc.submit_lu(Matrix::zeros(m, n), opts.clone()).expect("admit");
@@ -761,9 +757,8 @@ mod tests {
     fn batched_tiny_jobs_match_unbatched_results() {
         let svc = Service::new(cfg(1).with_batching(BatchConfig::up_to(32)));
         let p = CaParams::new(16, 4, 1);
-        let mats: Vec<Matrix> = (0..6)
-            .map(|i| ca_matrix::random_uniform(24, 24, &mut seeded_rng(50 + i)))
-            .collect();
+        let mats: Vec<Matrix> =
+            (0..6).map(|i| ca_matrix::random_uniform(24, 24, &mut seeded_rng(50 + i))).collect();
         let submit = |opts: &SubmitOptions| -> Vec<_> {
             mats.iter().map(|m| svc.submit_lu(m.clone(), opts.clone()).expect("admit")).collect()
         };
@@ -969,11 +964,21 @@ mod tests {
         FactorOptions { chaos: Some(Arc::new(chaos)), ..o.clone() }
     }
 
-    fn corrupted_lu(a: Matrix, p: &CaParams, o: &FactorOptions, one_task: bool) -> Built<LuFactors> {
+    fn corrupted_lu(
+        a: Matrix,
+        p: &CaParams,
+        o: &FactorOptions,
+        one_task: bool,
+    ) -> Built<LuFactors> {
         calu_serve_graph(a, p, &corrupt_first_update(o), one_task)
     }
 
-    fn corrupted_qr(a: Matrix, p: &CaParams, o: &FactorOptions, one_task: bool) -> Built<QrFactors> {
+    fn corrupted_qr(
+        a: Matrix,
+        p: &CaParams,
+        o: &FactorOptions,
+        one_task: bool,
+    ) -> Built<QrFactors> {
         caqr_serve_graph(a, p, &corrupt_first_update(o), one_task)
     }
 
@@ -1008,7 +1013,11 @@ mod tests {
         // Aggressive per-task fault rates + task retry: every job must still
         // complete, and completed results must equal the fault-free
         // reference (replay determinism end to end through the service).
-        let profile = ca_sched::ChaosProfile { fail_rate: 0.05, panic_rate: 0.02, ..ca_sched::ChaosProfile::quiet() };
+        let profile = ca_sched::ChaosProfile {
+            fail_rate: 0.05,
+            panic_rate: 0.02,
+            ..ca_sched::ChaosProfile::quiet()
+        };
         let svc = Service::new(
             cfg(2)
                 .with_retry(Retry::default())
@@ -1043,7 +1052,8 @@ mod tests {
         // the rest of the plan falls through to the sink, and one replay of
         // the whole plan from the input gives the reference bits.
         let profile = ca_sched::ChaosProfile { fail_rate: 0.05, ..ca_sched::ChaosProfile::quiet() };
-        let no_task_replay = Retry { policy: RetryPolicy::default().with_max_retries(0), replays: 1 };
+        let no_task_replay =
+            Retry { policy: RetryPolicy::default().with_max_retries(0), replays: 1 };
         let svc = Service::new(
             cfg(2)
                 .with_retry(no_task_replay)
@@ -1052,15 +1062,21 @@ mod tests {
         let p = CaParams::new(16, 4, 1);
         let mats: Vec<Matrix> =
             (0..4).map(|i| ca_matrix::random_uniform(64, 64, &mut seeded_rng(120 + i))).collect();
-        let handles: Vec<_> =
-            mats.iter().map(|a| svc.submit_lu(a.clone(), SubmitOptions::default()).expect("admit")).collect();
+        let handles: Vec<_> = mats
+            .iter()
+            .map(|a| svc.submit_lu(a.clone(), SubmitOptions::default()).expect("admit"))
+            .collect();
         for (a, h) in mats.into_iter().zip(handles) {
             let lu = h.wait().expect("a whole-plan replay recovers");
             assert_eq!(lu.lu.as_slice(), ca_core::calu_seq_factor(a, &p).lu.as_slice());
         }
         let s = svc.stats();
         assert_eq!((s.completed, s.failed), (4, 0));
-        assert!(s.job_retries > 0, "5% over ~60 tasks must exhaust some job: {:?}", s.task_recovery);
+        assert!(
+            s.job_retries > 0,
+            "5% over ~60 tasks must exhaust some job: {:?}",
+            s.task_recovery
+        );
         assert_eq!(s.jobs_recovered, s.job_retries, "one replay per recovered job");
         assert!(s.task_recovery.exhausted_tasks >= s.job_retries, "{:?}", s.task_recovery);
         assert_eq!(s.corruption_detected, 0);
@@ -1122,8 +1138,12 @@ mod tests {
         // Nobody waits on this job: the ladder runs inside it all the same,
         // and the service counts the probe hit and the replay.
         let svc = Service::new(cfg(2).with_retry(Retry::default()));
-        let (a, p) = (ca_matrix::random_uniform(96, 96, &mut seeded_rng(132)), CaParams::new(16, 4, 1));
-        drop(svc.submit_job(SubmitOptions::default(), "lu", |o| corrupted_lu(a, &p, o, false)).expect("admit"));
+        let (a, p) =
+            (ca_matrix::random_uniform(96, 96, &mut seeded_rng(132)), CaParams::new(16, 4, 1));
+        drop(
+            svc.submit_job(SubmitOptions::default(), "lu", |o| corrupted_lu(a, &p, o, false))
+                .expect("admit"),
+        );
         drain(&svc);
         let s = svc.stats();
         assert_eq!((s.completed, s.failed), (1, 0));
@@ -1178,12 +1198,18 @@ mod tests {
         // job ends there, so the sink — the probe and the replay it would
         // run — is never dispatched.
         let svc = Service::new(cfg(1).with_retry(Retry::default()));
-        let (a, p) = (ca_matrix::random_uniform(96, 96, &mut seeded_rng(137)), CaParams::new(16, 4, 1));
+        let (a, p) =
+            (ca_matrix::random_uniform(96, 96, &mut seeded_rng(137)), CaParams::new(16, 4, 1));
         let late = |o: &FactorOptions| {
             let chaos = ChaosPlan::quiet(0)
                 .corrupt_nth(1, |l| l.kind == TaskKind::Update)
                 .delay_nth(1, Duration::from_millis(80), |l| l.kind == TaskKind::LBlock);
-            calu_serve_graph(a, &p, &FactorOptions { chaos: Some(Arc::new(chaos)), ..o.clone() }, false)
+            calu_serve_graph(
+                a,
+                &p,
+                &FactorOptions { chaos: Some(Arc::new(chaos)), ..o.clone() },
+                false,
+            )
         };
         let opts = SubmitOptions::default().with_deadline(Duration::from_millis(20));
         match svc.submit_job(opts, "lu", late).expect("admit").wait() {

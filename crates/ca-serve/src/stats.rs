@@ -83,8 +83,7 @@ pub use ca_telemetry::HistogramSummary as LatencySummary;
 /// Point-in-time snapshot of the service ([`crate::Service::stats`]): a
 /// read-time view computed from the service's registry series (label-summed
 /// per-`(tenant, class)` counters and histograms), never stored itself.
-#[derive(Clone, Debug, Default)]
-#[derive(serde::Serialize, serde::Deserialize)]
+#[derive(Clone, Debug, Default, serde::Serialize, serde::Deserialize)]
 pub struct ServiceStats {
     /// Worker threads.
     pub workers: usize,
@@ -166,9 +165,7 @@ mod tests {
         assert!(ServeError::Rejected.to_string().contains("capacity"));
         assert!(ServeError::DeadlineExceeded.to_string().contains("deadline"));
         assert!(ServeError::Shed.to_string().contains("shed"));
-        assert!(ServeError::Cancelled(CancelReason::Shutdown)
-            .to_string()
-            .contains("cancelled"));
+        assert!(ServeError::Cancelled(CancelReason::Shutdown).to_string().contains("cancelled"));
         let e = ServeError::Corrupted { residual: 1.0, threshold: 1e-10 };
         assert!(e.to_string().contains("corrupted"));
         let e = ServeError::Failed { label: "P[0]".into(), message: "boom".into() };
