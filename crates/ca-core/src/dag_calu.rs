@@ -85,7 +85,6 @@ impl CaluPlan {
     /// Plan for an `m × n` matrix with parameters `p` (an empty matrix gets
     /// an empty graph).
     pub fn build<T: Kernel>(m: usize, n: usize, p: &CaParams) -> Plan<T, LuFactors<T>> {
-        ca_sched::sched_counters().factor_graphs_built.inc();
         let b = p.b;
         let nsteps = num_panels(m, n, b);
         let nb = n.div_ceil(b);

@@ -64,7 +64,6 @@ impl CaqrPlan {
         p: &CaParams,
         elims: impl Fn(&RowPartition, usize) -> PanelPlan,
     ) -> Plan<T, QrFactors<T>> {
-        ca_sched::sched_counters().factor_graphs_built.inc();
         let b = p.b;
         let nsteps = num_panels(m, n, b);
         let nb = n.div_ceil(b);

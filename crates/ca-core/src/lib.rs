@@ -42,11 +42,12 @@
 //!   execution (`checked`: the static verifier before the run; every run's
 //!   task bodies open only the rects and slots their tasks declared), in
 //!   any combination, returning the executor's [`ca_sched::RunReport`] —
-//!   and with it the run's profile — next to the factors. Every DAG
-//!   factorization entry point is a one-line caller of these two, which in
-//!   turn share one build → [`ca_sched::plan_jobs`] → [`ca_sched::execute`]
-//!   path: [`ca_sched::run_plan`], which the baselines take too, or under
-//!   `retry` the plan's jobs plus the sink of [`jobs`].
+//!   and with it the run's profile — next to the factors. Every fallible
+//!   DAG entry point is a one-line caller of these two, which run a served
+//!   job's graph — the plan's jobs ([`ca_sched::plan_jobs`]) plus the sink
+//!   of [`jobs`] — on [`ca_sched::execute`], whatever the options; the
+//!   infallible [`calu`] / [`caqr`] run the plan alone through
+//!   [`ca_sched::run_plan`], as the baselines do.
 //!   [`try_calu_profiled`] / [`try_caqr_profiled`] are the shorthands
 //!   returning the [`ca_sched::Profile`] directly.
 //! * [`jobs`] — the same plans under the same contract, options and

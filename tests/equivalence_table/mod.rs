@@ -332,7 +332,7 @@ fn start<C: Class, T: Kernel>(route: Route, a: &Matrix<T>, rhs: &Matrix<T>, p: &
         }
         Route::Profiled(w) => {
             let (f, profile) = ok((e.profiled)(a.clone(), &at(w)), &what);
-            assert_eq!(profile.records.len(), (C::GRAPH)(m, n, p).len(), "{what}: one record per task");
+            assert_eq!(profile.records.len(), (C::GRAPH)(m, n, p).len() + 1, "{what}: the plan's tasks and one sink");
             ready((e.bits)(&f))
         }
         Route::Served(..) | Route::OneTask => {

@@ -303,22 +303,17 @@ fn task_labels(profile: &ca_factor::sched::Profile) -> Vec<(char, usize, usize, 
     l
 }
 
-/// What a served DAG-route LU of `a` must have run: the one-shot DAG plus
-/// the sink task.
+/// What a served DAG-route LU of `a` must have run: what a one-shot run of
+/// it runs, the plan's tasks and the sink.
 fn served_lu_labels(a: &Matrix, p: &CaParams) -> Vec<(char, usize, usize, usize)> {
-    use ca_factor::sched::{TaskKind, TaskLabel};
     let (_, oneshot) = ca_factor::core::try_calu_profiled(a.clone(), p).expect("one-shot run");
-    let mut expected = task_labels(&oneshot);
-    let sink = TaskLabel::new(TaskKind::Other, 0, 0, 0);
-    expected.push((sink.kind.code(), sink.step, sink.i, sink.j));
-    expected.sort_unstable();
-    expected
+    task_labels(&oneshot)
 }
 
 #[test]
 fn a_traced_served_job_answers_with_the_profile_of_a_one_shot_run() {
     // One answer to "where did the time go for this job": the served CALU
-    // DAG is the one-shot DAG plus a sink, so its per-job profile must carry
+    // DAG is the one-shot DAG, sink included, so its per-job profile must carry
     // exactly those task labels, with time attributed to panels and updates
     // — traced or not. Tracing only decides whether the service-wide trace
     // keeps the job's spans once the job is gone.
