@@ -173,8 +173,8 @@ pub fn chaos_sweep(cli: &crate::Cli) -> std::io::Result<bool> {
             r1.deviations,
             t.retries,
             t.exhausted_tasks,
-            s.job_retries,
-            s.corruption_detected,
+            t.replays,
+            t.probe_failures,
             t.injected_failures,
             t.injected_panics,
             t.injected_corruptions,
@@ -198,10 +198,10 @@ pub fn chaos_sweep(cli: &crate::Cli) -> std::io::Result<bool> {
             "tasks_recovered": t.recovered_tasks as f64,
             "tasks_exhausted": t.exhausted_tasks as f64,
             "snapshot_restores": t.restores as f64,
-            "job_retries": s.job_retries as f64,
+            "job_retries": t.replays as f64,
             "jobs_recovered": s.jobs_recovered as f64,
-            "corruption_detected": s.corruption_detected as f64,
-            "probes_run": s.probes_run as f64,
+            "corruption_detected": t.probe_failures as f64,
+            "probes_run": t.probes as f64,
             "injected_failures": t.injected_failures as f64,
             "injected_panics": t.injected_panics as f64,
             "injected_corruptions": t.injected_corruptions as f64,

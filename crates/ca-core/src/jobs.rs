@@ -9,9 +9,10 @@
 //! caller: it gathers the factors, refuses where the one-shot path returns
 //! `Err`, and under [`FactorOptions::retry`] probes them against the input
 //! and replays the whole plan when they are corrupted or a task used up its
-//! budget. `try_*_with` runs that same graph, sink included, on the
-//! caller's workers. If a task fails or the job is cancelled, no sink runs
-//! and the output slot stays empty, or holds the lease a task broke.
+//! budget; a factor-and-solve request then solves with them in the same
+//! task. `try_*_with` runs that same graph, sink included, on the caller's
+//! workers. If a task fails or the job is cancelled, no sink runs and the
+//! output slot stays empty, or holds the lease a task broke.
 
 use crate::calu::{calu_seq_factor, check_factors, monitored, LuFactors};
 use crate::caqr::{caqr_seq, QrFactors};
@@ -46,12 +47,11 @@ pub type Built<R> = Result<ServeGraph<R>, FactorError>;
 /// Where a job's last task leaves its result.
 type Output<R> = Arc<OnceLock<Result<R, FactorError>>>;
 
-/// Appends `body` to `graph` as task `Other[0,0,j]` of cost `flops`, ordered
+/// Appends `body` to `graph` as task `Other[0,0,0]` of cost `flops`, ordered
 /// after every current leaf (and thus after every task): its result fills
 /// `output`, and an `Err` also fails the job with the error's text.
 fn last_task<R: Send + Sync + 'static>(
     mut graph: TaskGraph<DynJob>,
-    j: usize,
     flops: f64,
     output: Output<R>,
     body: impl FnOnce() -> Result<R, FactorError> + Send + 'static,
@@ -60,7 +60,7 @@ fn last_task<R: Send + Sync + 'static>(
         (0..graph.len()).filter(|&t| graph.successors(t).is_empty()).collect();
     let out = Arc::clone(&output);
     let last = graph.add_task(
-        TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, j), flops),
+        TaskMeta::new(TaskLabel::new(TaskKind::Other, 0, 0, 0), flops),
         Box::new(move || {
             let result = body();
             let failure = result.as_ref().err().map(|e| TaskFailure::new(e.to_string()));
@@ -73,15 +73,14 @@ fn last_task<R: Send + Sync + 'static>(
 }
 
 /// A serve graph whose only task is `body` (declared cost `flops`): the
-/// route for work that gains nothing from a DAG — a factorization too small
-/// to split, or one whose bottleneck is the disk (`ca-ooc`) — so that it is
+/// route for a factorization too small to gain from a DAG, so that it is
 /// still an ordinary frontier job: it has an id, a weight and a deadline,
 /// and can be cancelled and profiled.
 pub fn one_task_serve_graph<R: Send + Sync + 'static>(
     flops: f64,
     body: impl FnOnce() -> Result<R, FactorError> + Send + 'static,
 ) -> ServeGraph<R> {
-    last_task(TaskGraph::new(), 0, flops, Arc::default(), body)
+    last_task(TaskGraph::new(), flops, Arc::default(), body)
 }
 
 /// What a task ordered after every holder of `value` takes over from them;
@@ -183,12 +182,12 @@ fn settle<T: Kernel, F: Factored<T>>(
 /// The sink's hold on the run it settles. A failed task cancels the sink,
 /// dropping it unrun; if that task broke its lease, the violation goes to
 /// the job's slot, the error [`settle`] gives when the job reaches it.
-struct Unsettled<T: Scalar, F> {
+struct Unsettled<T: Scalar, F, R> {
     run: Option<Arc<PlanRun<T, F>>>,
-    output: Output<F>,
+    output: Output<R>,
 }
 
-impl<T: Scalar, F> Drop for Unsettled<T, F> {
+impl<T: Scalar, F, R> Drop for Unsettled<T, F, R> {
     fn drop(&mut self) {
         if let Some(violation) = self.run.take().and_then(|run| run.violation()) {
             let _ = self.output.set(Err(violation.into()));
@@ -198,22 +197,26 @@ impl<T: Scalar, F> Drop for Unsettled<T, F> {
 
 /// `plan`'s jobs over `a` under `opts` ([`plan_jobs`] — what
 /// [`ca_sched::run_plan`] executes) plus the one sink that settles them
-/// ([`settle`]). Every job gave up its hold on the matrix when it ran, so the
-/// sink is the last owner. Under `retry` the input is copied once, before
-/// the run, for the probe and the replays, and the probe's flops are the
-/// sink's cost.
-fn plan_serve_graph<T: Kernel, F: Factored<T>>(
+/// ([`settle`]) and hands the factors to `then`, which costs `flops`. Every
+/// job gave up its hold on the matrix when it ran, so the sink is the last
+/// owner. Under `retry` the input is copied once, before the run, for the
+/// probe and the replays, and the probe's flops are part of the sink's cost.
+fn plan_serve_graph<T: Kernel, F: Factored<T>, R: Send + Sync + 'static>(
     plan: Plan<T, F>,
     a: Matrix<T>,
     p: CaParams,
     opts: &FactorOptions,
-) -> Built<F> {
-    let flops = if opts.retry.is_some() { probe_flops(a.nrows(), a.ncols()) } else { 0.0 };
+    flops: f64,
+    then: impl FnOnce(F) -> Result<R, FactorError> + Send + 'static,
+) -> Built<R> {
+    let probe = if opts.retry.is_some() { probe_flops(a.nrows(), a.ncols()) } else { 0.0 };
     let retry = opts.retry.map(|r| (a.clone(), r.replays));
     let (graph, run) = plan_jobs(plan, a, opts)?;
     let output = Arc::default();
     let mut sink = Unsettled { run: Some(run), output: Arc::clone(&output) };
-    Ok(last_task(graph, 0, flops, output, move || settle(sole_owner(sink.run.take())?, &p, retry)))
+    Ok(last_task(graph, probe + flops, output, move || {
+        settle(sole_owner(sink.run.take())?, &p, retry).and_then(then)
+    }))
 }
 
 /// `plan` over `a` under `opts` on `p.threads` workers of the caller's own:
@@ -226,13 +229,60 @@ pub(crate) fn try_plan_with<T: Kernel, F: Factored<T>>(
     p: &CaParams,
     opts: &FactorOptions,
 ) -> Result<(F, RunReport), FactorError> {
-    let ServeGraph { graph, output } = plan_serve_graph(plan, a, *p, opts)?;
+    let ServeGraph { graph, output } = plan_serve_graph(plan, a, *p, opts, 0.0, Ok)?;
     let mut report = execute(graph, p.threads);
     match Arc::into_inner(output).and_then(OnceLock::into_inner) {
         Some(settled) => settled.map(|f| (f, report)),
         // No sink ran: a task failed, and cancelled it.
         None => Err(sole_owner(report.failure.take())?.into()),
     }
+}
+
+/// The flops of solving with the factors of `a` for the columns of `rhs`.
+fn solve_flops(a: &Matrix, rhs: &Matrix) -> f64 {
+    2.0 * (a.nrows() as f64) * (a.ncols() as f64) * (rhs.ncols() as f64)
+}
+
+/// [`calu_serve_graph`]'s job, whose last task hands the factors to `then`
+/// — `Ok`, or a solve — and declares its `flops` too.
+fn calu_job<R: Send + Sync + 'static>(
+    a: Matrix,
+    p: &CaParams,
+    opts: &FactorOptions,
+    one_task: bool,
+    flops: f64,
+    then: impl FnOnce(LuFactors) -> Result<R, FactorError> + Send + 'static,
+) -> Built<R> {
+    let p = monitored(&a, p)?;
+    let (m, n) = (a.nrows(), a.ncols());
+    if one_task {
+        // The LAPACK count of the long × short shape (symmetric in `m`,
+        // `n`): the unit the plan's task costs add up in.
+        let count = flops::getrf(m.max(n), m.min(n)) + flops;
+        return Ok(one_task_serve_graph(count, move || {
+            then(check_factors(calu_seq_factor(a, &p), &p)?)
+        }));
+    }
+    plan_serve_graph(CaluPlan::build(m, n, &p), a, p, opts, flops, then)
+}
+
+/// [`caqr_serve_graph`]'s job, its factors handed to `then` as in
+/// [`calu_job`].
+fn caqr_job<R: Send + Sync + 'static>(
+    a: Matrix,
+    p: &CaParams,
+    opts: &FactorOptions,
+    one_task: bool,
+    flops: f64,
+    then: impl FnOnce(QrFactors) -> Result<R, FactorError> + Send + 'static,
+) -> Built<R> {
+    require_finite(&a)?;
+    let (m, n, p) = (a.nrows(), a.ncols(), *p);
+    if one_task {
+        let count = flops::geqrf(m.max(n), m.min(n)) + flops;
+        return Ok(one_task_serve_graph(count, move || then(caqr_seq(a, &p))));
+    }
+    plan_serve_graph(CaqrPlan::build(m, n, &p), a, p, opts, flops, then)
 }
 
 /// CALU as a served job under the [`crate::try_calu`] contract: non-finite
@@ -250,15 +300,7 @@ pub fn calu_serve_graph(
     opts: &FactorOptions,
     one_task: bool,
 ) -> Built<LuFactors> {
-    let p = monitored(&a, p)?;
-    let (m, n) = (a.nrows(), a.ncols());
-    if one_task {
-        // The LAPACK count of the long × short shape (symmetric in `m`,
-        // `n`): the unit the plan's task costs add up in.
-        let count = flops::getrf(m.max(n), m.min(n));
-        return Ok(one_task_serve_graph(count, move || check_factors(calu_seq_factor(a, &p), &p)));
-    }
-    plan_serve_graph(CaluPlan::build(m, n, &p), a, p, opts)
+    calu_job(a, p, opts, one_task, 0.0, Ok)
 }
 
 /// CAQR as a served job under the [`crate::try_caqr`] contract (the
@@ -270,72 +312,39 @@ pub fn caqr_serve_graph(
     opts: &FactorOptions,
     one_task: bool,
 ) -> Built<QrFactors> {
-    require_finite(&a)?;
-    let (m, n, p) = (a.nrows(), a.ncols(), *p);
-    if one_task {
-        let count = flops::geqrf(m.max(n), m.min(n));
-        return Ok(one_task_serve_graph(count, move || Ok(caqr_seq(a, &p))));
-    }
-    plan_serve_graph(CaqrPlan::build(m, n, &p), a, p, opts)
+    caqr_job(a, p, opts, one_task, 0.0, Ok)
 }
 
-/// Factor-and-solve serve graph: `factors`' served graph of `a`
-/// ([`calu_serve_graph`] for square `A·X = rhs`, [`caqr_serve_graph`] for
-/// least squares with `m ≥ n`), then `solve` ([`LuFactors::try_solve`],
-/// [`QrFactors::try_solve_ls`]). On the DAG route the solve is an epilogue
-/// task that reads only the settled factors — probed and, if need be,
-/// replayed under `retry` — and owns its right-hand side. With `one_task`
-/// the factorization's one task ([`calu_serve_graph`]'s tiny-job route)
-/// solves as well, so the job is still one task. A singular `A` fails the
-/// job at the sink (or the one task) like any served LU, a rank-deficient
-/// one in the solve. Shapes are the caller's to check; a mismatch fails the
-/// job in the solve.
-pub fn solve_serve_graph<F: Send + Sync + 'static>(
+/// Square `A·X = rhs` as one served job: [`calu_serve_graph`]'s job whose
+/// last task — the sink, or the one task — solves with the factors it
+/// settled ([`LuFactors::try_solve`]) and declares the solve's flops too. A
+/// singular `A` fails the job there like any served LU. Shapes are the
+/// caller's to check; a mismatch fails the job in the solve.
+pub fn calu_solve_serve_graph(
     a: Matrix,
     rhs: Matrix,
     p: &CaParams,
     opts: &FactorOptions,
     one_task: bool,
-    factors: fn(Matrix, &CaParams, &FactorOptions, bool) -> Built<F>,
-    solve: fn(&F, &Matrix) -> Result<Matrix, FactorError>,
 ) -> Built<Matrix> {
     require_finite(&rhs)?;
-    let flops = 2.0 * (a.nrows() as f64) * (a.ncols() as f64) * (rhs.ncols() as f64);
-    let ServeGraph { graph, output } = factors(a, p, opts, one_task)?;
-    if one_task {
-        // The factorization's one task, run inside a task that declares the
-        // solve's flops as well.
-        let count = graph.meta(0).flops;
-        let mut factor = None;
-        graph.map(|_, job| factor = Some(job));
-        let factor = factor.expect("the tiny-job route is one task");
-        return Ok(one_task_serve_graph(count + flops, move || {
-            // The factorization's own failure is the error of its slot,
-            // which the job's result takes over.
-            let _ = factor();
-            solve(&sole_owner(Arc::into_inner(output).and_then(OnceLock::into_inner))??, &rhs)
-        }));
-    }
-    let (sink, factored) = (graph.len() - 1, Arc::clone(&output));
-    // The sink dropped its handle on the slot when it filled it, and the
-    // epilogue runs only after a sink that succeeded.
-    let ServeGraph { graph, output: solved } =
-        last_task(graph, 1, flops, Arc::default(), move || {
-            solve(&sole_owner(Arc::into_inner(output).and_then(OnceLock::into_inner))??, &rhs)
-        });
-    // A sink that fails ends the job before the epilogue, so it hands its
-    // typed error (`Corrupted`, say) to the job's slot itself.
-    let mut relay = Some((factored, Arc::clone(&solved)));
-    let graph = graph.map(|id, job| match relay.take_if(|_| id == sink) {
-        None => job,
-        Some((factored, solved)) => Box::new(move || {
-            let outcome = job();
-            let _ =
-                factored.get().and_then(|r| r.as_ref().err()).map(|e| solved.set(Err(e.clone())));
-            outcome
-        }),
-    });
-    Ok(ServeGraph { graph, output: solved })
+    let flops = solve_flops(&a, &rhs);
+    calu_job(a, p, opts, one_task, flops, move |f: LuFactors| f.try_solve(&rhs))
+}
+
+/// Least squares `min ‖A·X − rhs‖` (`m ≥ n`) as one served job, as
+/// [`calu_solve_serve_graph`] over [`caqr_serve_graph`]'s job and
+/// [`QrFactors::try_solve_ls`]; a rank-deficient `A` fails the job.
+pub fn caqr_lstsq_serve_graph(
+    a: Matrix,
+    rhs: Matrix,
+    p: &CaParams,
+    opts: &FactorOptions,
+    one_task: bool,
+) -> Built<Matrix> {
+    require_finite(&rhs)?;
+    let flops = solve_flops(&a, &rhs);
+    caqr_job(a, p, opts, one_task, flops, move |f: QrFactors| f.try_solve_ls(&rhs))
 }
 
 #[cfg(test)]
@@ -392,7 +401,8 @@ mod tests {
         t.run(|_| {});
         let plan = pb.finish(|_, _| Some(Replayed(false)));
         let retry = FactorOptions { retry: Some(Retry::default()), ..Default::default() };
-        plan_serve_graph(plan, Matrix::zeros(4, 4), CaParams::new(4, 1, 1), &retry).expect("sound")
+        let p = CaParams::new(4, 1, 1);
+        plan_serve_graph(plan, Matrix::zeros(4, 4), p, &retry, 0.0, Ok).expect("sound")
     }
 
     #[test]
@@ -432,16 +442,15 @@ mod tests {
         let (p, plain) = (CaParams::new(8, 4, 2), FactorOptions::default());
 
         let f = MultiFrontier::new(2);
-        let sg = solve_serve_graph(a, b, &p, &plain, false, calu_serve_graph, LuFactors::try_solve)
-            .expect("finite input");
+        let sg = calu_solve_serve_graph(a, b, &p, &plain, false).expect("finite input");
         let (_, watch) = f.submit(sg.graph, JobOptions::default());
         assert!(watch.wait().outcome.is_completed());
         let x = sg.output.get().expect("solution set").as_ref().expect("solved");
         assert!(norm_max(x.sub_matrix(&x_true).view()) < 1e-8);
 
         // Singular system: the sink fails the job with ZeroPivot, like any
-        // served LU; the solve epilogue is cancelled, and the job's slot
-        // holds the sink's typed error.
+        // served LU, before it would solve, and leaves that typed error in
+        // the job's slot.
         let mut s = ca_matrix::random_uniform(n, n, &mut seeded_rng(24));
         for i in 0..n {
             let v = s[(i, 0)];
@@ -450,9 +459,7 @@ mod tests {
             }
         }
         let rhs = ca_matrix::random_uniform(n, 1, &mut seeded_rng(25));
-        let sg =
-            solve_serve_graph(s, rhs, &p, &plain, false, calu_serve_graph, LuFactors::try_solve)
-                .expect("finite input");
+        let sg = calu_solve_serve_graph(s, rhs, &p, &plain, false).expect("finite input");
         let (_, watch) = f.submit(sg.graph, JobOptions::default());
         match watch.wait().outcome {
             JobOutcome::Failed(e) => {
@@ -473,9 +480,7 @@ mod tests {
         let reference = caqr_seq(a.clone(), &p).solve_ls(&b);
 
         let f = MultiFrontier::new(2);
-        let sg =
-            solve_serve_graph(a, b, &p, &plain, false, caqr_serve_graph, QrFactors::try_solve_ls)
-                .expect("finite input");
+        let sg = caqr_lstsq_serve_graph(a, b, &p, &plain, false).expect("finite input");
         let (_, watch) = f.submit(sg.graph, JobOptions::default());
         assert!(watch.wait().outcome.is_completed());
         let x = sg.output.get().expect("solution set").as_ref().expect("solved");
@@ -521,25 +526,16 @@ mod tests {
         // One panel, so the DAG's plan adds up to the LAPACK count too.
         let p = CaParams::new(n, 2, 1);
         let graph = |one_task| {
-            solve_serve_graph(
-                a.clone(),
-                b.clone(),
-                &p,
-                &plain,
-                one_task,
-                calu_serve_graph,
-                LuFactors::try_solve,
-            )
-            .expect("finite input")
-            .graph
+            calu_solve_serve_graph(a.clone(), b.clone(), &p, &plain, one_task)
+                .expect("finite input")
+                .graph
         };
         let (tiny, dag) = (graph(true), graph(false));
         assert_eq!(tiny.len(), 1);
         let solve = 2.0 * (n * n * nrhs) as f64;
         assert_eq!(tiny.total_flops(), flops::getrf(n, n) + solve);
         assert_eq!(tiny.total_flops(), dag.total_flops());
-        let sg = solve_serve_graph(a, b, &p, &plain, true, calu_serve_graph, LuFactors::try_solve)
-            .expect("finite");
+        let sg = calu_solve_serve_graph(a, b, &p, &plain, true).expect("finite");
         assert!(execute(sg.graph, 1).failure.is_none());
         assert!(sg.output.get().expect("solution set").is_ok());
     }
@@ -582,8 +578,8 @@ mod tests {
             let plan = pb.finish(|a, _| Some(a));
             let checked = FactorOptions { checked: true, retry, ..Default::default() };
             let p = CaParams::new(4, 1, 1);
-            let sg =
-                plan_serve_graph(plan, Matrix::zeros(8, 4), p, &checked).expect("statically sound");
+            let sg = plan_serve_graph(plan, Matrix::zeros(8, 4), p, &checked, 0.0, Ok)
+                .expect("statically sound");
 
             let f = MultiFrontier::new(1);
             let (_, watch) = f.submit(sg.graph, JobOptions::default());

@@ -85,7 +85,8 @@ pub use dag_calu::{calu_task_graph, CaluPlan};
 pub use dag_caqr::{caqr_task_graph, CaqrPlan};
 pub use error::{FactorError, DEFAULT_GROWTH_LIMIT};
 pub use jobs::{
-    calu_serve_graph, caqr_serve_graph, one_task_serve_graph, solve_serve_graph, Built, ServeGraph,
+    calu_serve_graph, calu_solve_serve_graph, caqr_lstsq_serve_graph, caqr_serve_graph,
+    one_task_serve_graph, Built, ServeGraph,
 };
 pub use params::{num_panels, partition_rows, CaParams, RowPartition, TreeShape};
 pub use probe::PROBE_TOL;

@@ -20,13 +20,11 @@
 //!   replayed panel and each trailing update is one column split over
 //!   `CaParams::threads` lanes ([`ca_kernels::split_cols`]);
 //! * [`probe`] — streamed `O(n²)` matvec probes that verify factors too
-//!   large for a full residual;
-//! * [`metrics`] — process-wide `ooc_bytes_{read,written}_total` /
-//!   `ooc_panel_load_seconds` instruments, adoptable into any
-//!   [`ca_telemetry::Registry`].
+//!   large for a full residual.
 //!
-//! The measured I/O volume of a factorization ([`OocLu::io`] /
-//! [`OocQr::io`]) is gated by `tests/ooc.rs` against 1.5× the lower bound
+//! Each store's [`IoVolume`] is the one record of its I/O: the measured
+//! volume of a factorization ([`OocLu::io`] / [`OocQr::io`]) is gated by
+//! `tests/ooc.rs` against 1.5× the lower bound
 //! ([`ca_kernels::traffic::ooc_lu_lower_bound`]) and reported by the
 //! benchmark as `ca-ooc.{lu,qr}_io_ratio`.
 
@@ -39,11 +37,9 @@ mod plan;
 mod qr;
 mod store;
 
-pub mod metrics;
 pub mod probe;
 
 pub use lu::{ooc_calu, OocLu};
-pub use metrics::{ooc_metrics, register_ooc_metrics, OocMetrics};
 pub use pivots::apply_pivots_rebased;
 pub use plan::{OocKind, OocPlan};
 pub use qr::{apply_panel_from_store, ooc_caqr, OocQr};

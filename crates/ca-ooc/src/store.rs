@@ -10,10 +10,9 @@
 //! precisions — the property the out-of-core drivers' bitwise-identity
 //! contract rests on.
 //!
-//! Every read and write updates both the store's own [`IoVolume`] (so a
-//! driver can report the I/O of one factorization in isolation) and the
-//! process-wide [`crate::metrics::ooc_metrics`] instruments that
-//! `ca-serve`/`cafactor top` expose.
+//! Every read and write is counted in the store's own [`IoVolume`], the one
+//! record of its I/O, so a driver reports the I/O of one factorization in
+//! isolation.
 
 use ca_core::FactorError;
 use ca_matrix::{Matrix, Scalar};
@@ -24,8 +23,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use parking_lot::Mutex;
 use std::time::Instant;
-
-use crate::metrics::ooc_metrics;
 
 /// Magic bytes opening every tile-store file (version 1).
 const MAGIC: &[u8; 8] = b"CAOOCTS1";
@@ -265,7 +262,6 @@ impl<T: Scalar> TileStore<T> {
         }
         let bytes = (rows * nc * T::BYTES) as u64;
         self.stats.bytes_written.fetch_add(bytes, Relaxed);
-        ooc_metrics().bytes_written.add(bytes);
         Ok(())
     }
 
@@ -301,9 +297,6 @@ impl<T: Scalar> TileStore<T> {
         self.stats.bytes_read.fetch_add(bytes, Relaxed);
         self.stats.panel_loads.fetch_add(1, Relaxed);
         self.stats.load_nanos.fetch_add(nanos, Relaxed);
-        let m = ooc_metrics();
-        m.bytes_read.add(bytes);
-        m.panel_load_seconds.observe(nanos as f64 / 1e9);
     }
 }
 

@@ -45,11 +45,12 @@ use crate::lease::LeaseViolation;
 use crate::task::{TaskKind, TaskLabel};
 use crate::telemetry::{record_event, FlightEventKind};
 use ca_matrix::{ElemRect, MatView, Scalar, SharedMatrix};
+use parking_lot::Mutex;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Growth of the replay backoff per replay.
@@ -286,7 +287,7 @@ impl ChaosPlan {
     /// match per rule whose predicate accepts it).
     pub fn decide(&self, label: &TaskLabel) -> Option<ChaosAction> {
         let occurrence = {
-            let mut occ = self.occurrences.lock().unwrap_or_else(|e| e.into_inner());
+            let mut occ = self.occurrences.lock();
             let c = occ.entry(*label).or_insert(0);
             *c += 1;
             *c
@@ -781,7 +782,7 @@ pub struct PanicHookGuard(());
 impl PanicHookGuard {
     /// Installs the filter (first guard) or joins the existing scope.
     pub fn new() -> Self {
-        let mut st = FILTER.lock().expect("panic-filter state poisoned");
+        let mut st = FILTER.lock();
         st.refs += 1;
         if st.refs == 1 {
             let prev: Arc<PrevHook> = Arc::from(std::panic::take_hook());
@@ -804,7 +805,7 @@ impl Default for PanicHookGuard {
 
 impl Drop for PanicHookGuard {
     fn drop(&mut self) {
-        let mut st = FILTER.lock().expect("panic-filter state poisoned");
+        let mut st = FILTER.lock();
         st.refs -= 1;
         if st.refs == 0 {
             if let Some(prev) = st.prev.take() {

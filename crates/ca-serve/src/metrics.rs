@@ -9,8 +9,8 @@
 //! nobody waits on still counts. Everything else is a view computed when
 //! read: [`crate::ServiceStats`] sums the series ([`ServeMetrics::fill`]);
 //! the exposition refreshes its gauges and adds the derived rollup
-//! ([`ServeMetrics::snapshot`]). Facts stored elsewhere (scheduler totals,
-//! out-of-core I/O) are *adopted* into the registry, which reads them live.
+//! ([`ServeMetrics::snapshot`]). The scheduler's process totals, stored
+//! elsewhere, are *adopted* into the registry, which reads them live.
 
 use crate::config::TelemetryConfig;
 use crate::stats::ServiceStats;
@@ -96,9 +96,8 @@ impl ServeMetrics {
     /// `cfg` decides only where (and whether) flight dumps are written.
     pub(crate) fn new(cfg: Option<&TelemetryConfig>) -> Self {
         let r = Registry::new();
-        // Adopted, not copied: `submit_lu_ooc` traffic and scheduler totals
-        // show up in every exposition/`top`.
-        ca_ooc::register_ooc_metrics(&r);
+        // Adopted, not copied: scheduler totals show up in every
+        // exposition/`top`.
         ca_sched::register_sched_metrics(&r);
         let dump_dir = cfg.and_then(|cfg| {
             cfg.dump_dir.clone().or_else(|| {
@@ -192,8 +191,6 @@ impl ServeMetrics {
             s.cancelled += t.cancelled.get();
             s.shed += t.shed.get();
             s.deadline_missed += t.deadline_missed.get();
-            s.corruption_detected += t.corruption_detected.get();
-            s.job_retries += t.retries.get();
             queue.merge(&t.queue_s.snapshot());
             exec.merge(&t.exec_s.snapshot());
             total.merge(&t.total_s.snapshot());
@@ -205,12 +202,10 @@ impl ServeMetrics {
         s.batched_jobs = self.batched_jobs.get();
         s.jobs_recovered = self.jobs_recovered.get();
         s.task_recovery = RecoveryStats::from_counts(self.recovery.each_ref().map(|c| c.get()));
-        s.probes_run = s.task_recovery.probes;
     }
 
     /// The exposition view of the service whose statistics are `s`: refreshes
-    /// the gauges, snapshots the registry, and adds the label-summed
-    /// replays rollup.
+    /// the gauges, snapshots the registry, and adds the replays rollup.
     pub(crate) fn snapshot(&self, s: &ServiceStats) -> RegistrySnapshot {
         let table = self.series.read();
         let flops: f64 = table.all.iter().map(|t| t.flops.get()).sum();
@@ -222,7 +217,8 @@ impl ServeMetrics {
             self.gflops.set(flops / s.busy_s / 1e9);
         }
         let mut snap = self.registry.snapshot();
-        add_view(&mut snap, "ca_serve_job_retries_total", "Whole-plan replays", s.job_retries);
+        let replays = s.task_recovery.replays;
+        add_view(&mut snap, "ca_serve_job_retries_total", "Whole-plan replays", replays);
         snap
     }
 
@@ -304,16 +300,20 @@ mod tests {
     }
 
     #[test]
-    fn stats_fields_and_the_retries_rollup_are_label_sums() {
+    fn stats_fields_are_label_sums_and_the_retries_rollup_sums_the_replays() {
         let m = metrics(None);
-        m.series("a", "lu").retries.add(2);
-        m.series("b", "qr").retries.add(3);
+        for (tenant, class, replays) in [("a", "lu", 2), ("b", "qr", 3)] {
+            // What the completion hook writes for a job that replayed.
+            m.series(tenant, class).retries.add(replays);
+            m.add_recovery(&RecoveryStats { replays, ..Default::default() });
+        }
         m.series("a", "lu").exec_s.observe(0.01);
         m.series("b", "qr").exec_s.observe(0.02);
         m.series("b", "qr").flops.add(4e9);
         let mut s = live_stats();
         m.fill(&mut s);
-        assert_eq!((s.job_retries, s.exec_latency.count, s.queue_latency.count), (5, 2, 0));
+        let counts = (s.task_recovery.replays, s.exec_latency.count, s.queue_latency.count);
+        assert_eq!(counts, (5, 2, 0));
         let snap = m.snapshot(&s);
         let names: Vec<&str> = snap.families.iter().map(|f| f.name.as_str()).collect();
         assert!(names.windows(2).all(|w| w[0] < w[1]), "families stay sorted: {names:?}");
@@ -339,7 +339,8 @@ mod tests {
         let mut s = live_stats();
         m.fill(&mut s);
         let want = RecoveryStats { attempts: 8, probes: 3, ..replayed };
-        assert_eq!((s.task_recovery, s.probes_run), (want, 3));
+        assert_eq!(s.task_recovery, want);
+        assert_eq!(s.task_recovery.probes, 3, "the probes of both jobs");
         let prom = m.snapshot(&s).render_prometheus();
         for line in [
             "ca_serve_task_attempts_total 8",

@@ -4,8 +4,8 @@ use crate::config::{AdmissionPolicy, ServiceConfig, SubmitOptions};
 use crate::metrics::ServeMetrics;
 use crate::stats::{ServeError, ServiceStats};
 use ca_core::{
-    calu_serve_graph, caqr_serve_graph, one_task_serve_graph, solve_serve_graph, Built, CaParams,
-    FactorError, FactorOptions, LuFactors, QrFactors,
+    calu_serve_graph, calu_solve_serve_graph, caqr_lstsq_serve_graph, caqr_serve_graph, Built,
+    CaParams, FactorError, FactorOptions, LuFactors, QrFactors,
 };
 use ca_matrix::Matrix;
 use ca_sched::{
@@ -414,18 +414,18 @@ impl Service {
         Ok(JobHandle { core: Arc::clone(core), id, watch, output: sg.output })
     }
 
-    /// Submits a factorization of `a` built by `graph`: as one sequential
-    /// task when it is [`Self::batchable`], else as the full DAG.
-    fn submit_factor<F: Send + Sync + 'static>(
+    /// Submits the job `build` makes of a factorization of `a`: as one
+    /// sequential task when it is [`Self::batchable`], else as the full DAG.
+    fn submit_factor<T: Send + Sync + 'static>(
         &self,
         a: Matrix,
         opts: SubmitOptions,
         class: &'static str,
-        graph: fn(Matrix, &CaParams, &FactorOptions, bool) -> Built<F>,
-    ) -> Result<JobHandle<F>, ServeError> {
+        build: impl FnOnce(Matrix, &CaParams, &FactorOptions, bool) -> Built<T>,
+    ) -> Result<JobHandle<T>, ServeError> {
         let p = self.params_for(&opts);
         let tiny = self.batchable(a.nrows(), a.ncols(), &opts);
-        let handle = self.submit_job(opts, class, |fopts| graph(a, &p, fopts, tiny))?;
+        let handle = self.submit_job(opts, class, |fopts| build(a, &p, fopts, tiny))?;
         if tiny {
             self.core.metrics.batched_jobs.inc();
         }
@@ -461,62 +461,24 @@ impl Service {
         self.submit_factor(a, opts, "qr", caqr_serve_graph)
     }
 
-    /// Submits an out-of-core LU (left-looking CALU) factorization of the
-    /// matrix resident in `store`, running under `budget_bytes` of resident
-    /// memory (see [`ca_ooc::ooc_calu`]).
-    ///
-    /// The job occupies exactly one pool task: panel factorizations and
-    /// store I/O run on it in order, and only the column-local work — each
-    /// replayed panel and each trailing update — fans out, as one column
-    /// split over the effective [`CaParams::threads`] lanes of the job's own. Admission control,
-    /// weights, and deadlines apply as usual under telemetry
-    /// class `"lu_ooc"`. On success the store holds the packed `L\U`
-    /// factors in place and the handle yields the pivots, plan, and I/O
-    /// accounting; on failure the handle yields the [`FactorError`] text and
-    /// the store's contents are unspecified. It runs no recovery ladder:
-    /// there is no input left to replay from.
-    pub fn submit_lu_ooc(
-        &self,
-        store: Arc<ca_ooc::TileStore<f64>>,
-        budget_bytes: usize,
-        opts: SubmitOptions,
-    ) -> Result<JobHandle<ca_ooc::OocLu>, ServeError> {
-        let p = self.params_for(&opts);
-        let (m, n) = (store.nrows(), store.ncols());
-        self.submit_job(opts, "lu_ooc", |_| {
-            Ok(one_task_serve_graph(ca_kernels::flops::getrf(m.max(n), m.min(n)), move || {
-                ca_ooc::ooc_calu(&store, &p, budget_bytes)
-            }))
-        })
-    }
-
-    /// Submits a factorization of `a` (`factors`) followed by `solve` against
-    /// `rhs` inside the same graph: the solve reads the factors the job's
-    /// sink settled, probed and replayed like any other — or, on the tiny-job
-    /// route ([`Self::batchable`]), runs in the factorization's one task. A
-    /// shape the solve cannot take is refused here and in the two callers —
-    /// before a slot is claimed, like a bad weight.
-    fn submit_with_rhs<F: Send + Sync + 'static>(
+    /// Submits the factor-and-solve job `build` makes of `a` and `rhs`: the
+    /// job's last task solves with the factors it settled — the sink of the
+    /// DAG route, probed and replayed like any other, or the one task of the
+    /// tiny-job route ([`Self::batchable`]). A shape the solve cannot take
+    /// is refused here and in the two callers — before a slot is claimed,
+    /// like a bad weight.
+    fn submit_with_rhs(
         &self,
         a: Matrix,
         rhs: Matrix,
         opts: SubmitOptions,
         class: &'static str,
-        factors: fn(Matrix, &CaParams, &FactorOptions, bool) -> Built<F>,
-        solve: fn(&F, &Matrix) -> Result<Matrix, FactorError>,
+        build: fn(Matrix, Matrix, &CaParams, &FactorOptions, bool) -> Built<Matrix>,
     ) -> Result<JobHandle<Matrix>, ServeError> {
         if rhs.nrows() != a.nrows() {
             return Err(ServeError::InvalidShape("rhs and A differ in row count"));
         }
-        let p = self.params_for(&opts);
-        let tiny = self.batchable(a.nrows(), a.ncols(), &opts);
-        let handle = self.submit_job(opts, class, |fopts| {
-            solve_serve_graph(a, rhs, &p, fopts, tiny, factors, solve)
-        })?;
-        if tiny {
-            self.core.metrics.batched_jobs.inc();
-        }
-        Ok(handle)
+        self.submit_factor(a, opts, class, |a, p, fopts, tiny| build(a, rhs, p, fopts, tiny))
     }
 
     /// Submits a factor-and-solve job for square `A·X = rhs` (CALU followed
@@ -533,7 +495,7 @@ impl Service {
         if a.nrows() != a.ncols() {
             return Err(ServeError::InvalidShape("solve needs a square A"));
         }
-        self.submit_with_rhs(a, rhs, opts, "solve", calu_serve_graph, LuFactors::try_solve)
+        self.submit_with_rhs(a, rhs, opts, "solve", calu_solve_serve_graph)
     }
 
     /// Submits a factor-and-least-squares job for tall `A` (CAQR followed
@@ -549,7 +511,7 @@ impl Service {
         if a.nrows() < a.ncols() {
             return Err(ServeError::InvalidShape("least squares needs m >= n"));
         }
-        self.submit_with_rhs(a, rhs, opts, "lstsq", caqr_serve_graph, QrFactors::try_solve_ls)
+        self.submit_with_rhs(a, rhs, opts, "lstsq", caqr_lstsq_serve_graph)
     }
 
     /// Jobs admitted and not yet finished.
@@ -613,6 +575,7 @@ impl Drop for Service {
 mod tests {
     use super::*;
     use crate::config::{AdmissionPolicy, BatchConfig, ServiceConfig, SubmitOptions};
+    use ca_core::{one_task_serve_graph, CaluPlan, CaqrPlan};
     use ca_matrix::seeded_rng;
     use ca_sched::{CancelReason, Retry, RetryPolicy, TaskKind};
 
@@ -792,7 +755,7 @@ mod tests {
         let (tiny_tasks, tiny) = solve(SubmitOptions::default());
         let (dag_tasks, dag) = solve(SubmitOptions::default().unbatched());
         assert_eq!(tiny_tasks, 1, "the tiny-job route is one task");
-        assert!(dag_tasks > 2, "the DAG route: plan, sink and epilogue");
+        assert!(dag_tasks > 2, "the DAG route: the plan's tasks and the sink that solves");
         let bits = |m: &Matrix| m.as_slice().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&tiny), bits(&dag));
         // Least squares takes the same route.
@@ -800,6 +763,24 @@ mod tests {
         assert_eq!(ls.profile().expect("profile").records.len(), 1);
         ls.wait().expect("least squares");
         assert_eq!(svc.stats().batched_jobs, 2);
+        svc.shutdown();
+    }
+
+    #[test]
+    fn a_served_solve_is_the_plan_and_one_sink() {
+        // The sink settles the factors and solves with them: no task after it.
+        let svc = Service::new(cfg(2));
+        let p = CaParams::new(16, 4, 1);
+        let m = |r, c, seed| ca_matrix::random_uniform(r, c, &mut seeded_rng(seed));
+        let unbatched = || SubmitOptions::default().unbatched();
+        let h = svc.submit_solve(m(48, 48, 66), m(48, 2, 67), unbatched()).expect("admit");
+        let plan = CaluPlan::build::<f64>(48, 48, &p).graph().len();
+        assert_eq!(h.profile().expect("profile").records.len(), plan + 1);
+        h.wait().expect("solves");
+        let h = svc.submit_lstsq(m(64, 48, 68), m(64, 2, 69), unbatched()).expect("admit");
+        let plan = CaqrPlan::build::<f64>(64, 48, &p).graph().len();
+        assert_eq!(h.profile().expect("profile").records.len(), plan + 1);
+        h.wait().expect("least squares");
         svc.shutdown();
     }
 
@@ -973,13 +954,24 @@ mod tests {
         calu_serve_graph(a, p, &corrupt_first_update(o), one_task)
     }
 
-    fn corrupted_qr(
+    fn corrupted_solve(
         a: Matrix,
+        rhs: Matrix,
         p: &CaParams,
         o: &FactorOptions,
         one_task: bool,
-    ) -> Built<QrFactors> {
-        caqr_serve_graph(a, p, &corrupt_first_update(o), one_task)
+    ) -> Built<Matrix> {
+        calu_solve_serve_graph(a, rhs, p, &corrupt_first_update(o), one_task)
+    }
+
+    fn corrupted_lstsq(
+        a: Matrix,
+        rhs: Matrix,
+        p: &CaParams,
+        o: &FactorOptions,
+        one_task: bool,
+    ) -> Built<Matrix> {
+        caqr_lstsq_serve_graph(a, rhs, p, &corrupt_first_update(o), one_task)
     }
 
     /// Waits until every admitted job finalized.
@@ -1003,8 +995,8 @@ mod tests {
         assert_eq!(lu.pivots.ipiv, lu_ref.pivots.ipiv);
         let s = svc.stats();
         assert_eq!(s.completed, 1);
-        assert_eq!(s.probes_run, 1);
-        assert_eq!((s.corruption_detected, s.job_retries), (0, 0));
+        assert_eq!(s.task_recovery.probes, 1);
+        assert_eq!((s.task_recovery.probe_failures, s.task_recovery.replays), (0, 0));
         svc.shutdown();
     }
 
@@ -1072,14 +1064,11 @@ mod tests {
         }
         let s = svc.stats();
         assert_eq!((s.completed, s.failed), (4, 0));
-        assert!(
-            s.job_retries > 0,
-            "5% over ~60 tasks must exhaust some job: {:?}",
-            s.task_recovery
-        );
-        assert_eq!(s.jobs_recovered, s.job_retries, "one replay per recovered job");
-        assert!(s.task_recovery.exhausted_tasks >= s.job_retries, "{:?}", s.task_recovery);
-        assert_eq!(s.corruption_detected, 0);
+        let t = &s.task_recovery;
+        assert!(t.replays > 0, "5% over ~60 tasks must exhaust some job: {t:?}");
+        assert_eq!(s.jobs_recovered, t.replays, "one replay per recovered job");
+        assert!(t.exhausted_tasks >= t.replays, "{t:?}");
+        assert_eq!(t.probe_failures, 0);
         svc.shutdown();
     }
 
@@ -1102,8 +1091,11 @@ mod tests {
         let lu = h.wait().expect("the replay recovers");
         assert_eq!(lu.lu.as_slice(), lu_ref.lu.as_slice());
         let s = svc.stats();
-        assert_eq!((s.completed, s.probes_run, s.corruption_detected), (1, 2, 1));
-        assert_eq!((s.job_retries, s.jobs_recovered), (1, 1));
+        assert_eq!(
+            (s.completed, s.task_recovery.probes, s.task_recovery.probe_failures),
+            (1, 2, 1)
+        );
+        assert_eq!((s.task_recovery.replays, s.jobs_recovered), (1, 1));
         svc.shutdown();
     }
 
@@ -1127,7 +1119,8 @@ mod tests {
             other => panic!("expected corrupted, got {other:?}"),
         }
         let s = svc.stats();
-        assert_eq!((s.probes_run, s.corruption_detected, s.job_retries), (1, 1, 0));
+        let t = &s.task_recovery;
+        assert_eq!((t.probes, t.probe_failures, t.replays), (1, 1, 0));
         assert_eq!((s.completed, s.failed), (0, 1));
         assert!(s.task_recovery.injected_corruptions > 0);
         svc.shutdown();
@@ -1147,43 +1140,45 @@ mod tests {
         drain(&svc);
         let s = svc.stats();
         assert_eq!((s.completed, s.failed), (1, 0));
-        assert_eq!((s.corruption_detected, s.job_retries, s.jobs_recovered), (1, 1, 1));
+        let t = &s.task_recovery;
+        assert_eq!((t.probe_failures, t.replays, s.jobs_recovered), (1, 1, 1));
         assert_eq!(s.task_recovery.injected_corruptions, 1);
         svc.shutdown();
     }
 
     #[test]
     fn chaos_solve_and_lstsq_under_targeted_corruption_return_the_reference_solution() {
-        // The solve epilogue reads the factors the sink settled: probed,
-        // found corrupted, replayed.
+        // The sink solves with the factors it settled: probed, found
+        // corrupted, replayed.
         let svc = Service::new(cfg(2).with_retry(Retry::default()));
         let p = CaParams::new(16, 4, 1);
         let opts = || SubmitOptions::default().with_params(p);
         let a = ca_matrix::random_uniform(96, 96, &mut seeded_rng(133));
         let b = ca_matrix::random_uniform(96, 2, &mut seeded_rng(134));
         let want = ca_core::calu_seq_factor(a.clone(), &p).try_solve(&b).expect("regular");
-        let h = svc.submit_with_rhs(a, b, opts(), "solve", corrupted_lu, LuFactors::try_solve);
+        let h = svc.submit_with_rhs(a, b, opts(), "solve", corrupted_solve);
         assert_eq!(h.expect("admit").wait().expect("solves").as_slice(), want.as_slice());
 
         let t = ca_matrix::random_uniform(120, 40, &mut seeded_rng(135));
         let c = ca_matrix::random_uniform(120, 1, &mut seeded_rng(136));
         let want = ca_core::caqr_seq(t.clone(), &p).try_solve_ls(&c).expect("full rank");
-        let h = svc.submit_with_rhs(t, c, opts(), "lstsq", corrupted_qr, QrFactors::try_solve_ls);
+        let h = svc.submit_with_rhs(t, c, opts(), "lstsq", corrupted_lstsq);
         assert_eq!(h.expect("admit").wait().expect("solves").as_slice(), want.as_slice());
         let s = svc.stats();
-        assert_eq!((s.corruption_detected, s.job_retries, s.completed), (2, 2, 2));
+        let t = &s.task_recovery;
+        assert_eq!((t.probe_failures, t.replays, s.completed), (2, 2, 2));
         svc.shutdown();
     }
 
     #[test]
     fn chaos_solve_without_replays_surfaces_corrupted_error() {
-        // The sink's typed error, not the epilogue's absence, reaches the
+        // The sink's typed error, not a bare task failure, reaches the
         // handle of a factor-and-solve job.
         let svc = Service::new(cfg(2).with_retry(Retry { replays: 0, ..Retry::default() }));
         let opts = SubmitOptions::default().with_params(CaParams::new(16, 4, 1));
         let a = ca_matrix::random_uniform(96, 96, &mut seeded_rng(138));
         let b = ca_matrix::random_uniform(96, 1, &mut seeded_rng(139));
-        let h = svc.submit_with_rhs(a, b, opts, "solve", corrupted_lu, LuFactors::try_solve);
+        let h = svc.submit_with_rhs(a, b, opts, "solve", corrupted_solve);
         match h.expect("admit").wait() {
             Err(ServeError::Corrupted { residual, threshold }) => assert!(residual > threshold),
             other => panic!("expected corrupted, got {other:?}"),
@@ -1217,7 +1212,7 @@ mod tests {
             other => panic!("expected a deadline miss, got {:?}", other.map(|f| f.breakdown)),
         }
         let s = svc.stats();
-        assert_eq!((s.deadline_missed, s.probes_run, s.job_retries), (1, 0, 0));
+        assert_eq!((s.deadline_missed, s.task_recovery.probes, s.task_recovery.replays), (1, 0, 0));
         svc.shutdown();
     }
 }

@@ -106,17 +106,12 @@ pub struct ServiceStats {
     pub deadline_missed: u64,
     /// Jobs that took the tiny-job route (one sequential task, no DAG).
     pub batched_jobs: u64,
-    /// Whole-plan replays inside jobs (a probe hit, or a task out of
-    /// replays, factors the input again).
-    pub job_retries: u64,
     /// Jobs that completed after at least one whole-plan replay.
     pub jobs_recovered: u64,
-    /// Probe hits: runs whose factors failed the integrity check.
-    pub corruption_detected: u64,
-    /// Integrity probes executed.
-    pub probes_run: u64,
     /// Every finished job's recovery counts, summed (attempts, task
-    /// replays, restores, chaos injections, probes, whole-plan replays).
+    /// replays, restores, chaos injections, probes and their hits, and
+    /// whole-plan replays — a probe hit, or a task out of replays, factors
+    /// the input again).
     pub task_recovery: ca_sched::RecoveryStats,
     /// Jobs admitted and not yet finished at snapshot time.
     pub active_jobs: usize,

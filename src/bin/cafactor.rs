@@ -852,11 +852,11 @@ fn cmd_serve(o: &Opts) {
         println!("  tiny route: {} job(s) ran as one task", s.batched_jobs);
     }
     if o.retry.is_some() || o.chaos.is_some() {
+        let t = &s.task_recovery;
         println!(
             "  recovery: job_retries={} jobs_recovered={} corruption_detected={} probes_run={}",
-            s.job_retries, s.jobs_recovered, s.corruption_detected, s.probes_run,
+            t.replays, s.jobs_recovered, t.probe_failures, t.probes,
         );
-        let t = &s.task_recovery;
         println!(
             "  tasks: attempts={} retries={} recovered={} exhausted={} restores={}  \
              injected fail/panic/delay/corrupt {}/{}/{}/{}",

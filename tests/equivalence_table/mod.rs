@@ -132,10 +132,11 @@ impl Opts {
 /// A way from a matrix to its factors: `calu`/`caqr` (`Dag`), `try_*_with` and
 /// `try_*_profiled` on so many workers; `*_serve_graph(.., false)` on a
 /// `MultiFrontier` of so many workers (`Served`) and `(.., true)` (`OneTask`);
-/// `Service::submit_{lu,qr}` (tiny route or `unbatched`), `submit_solve` /
-/// `submit_lstsq` (held to the solution the reference factors give),
-/// `submit_lu_ooc`; `ooc_calu`/`ooc_caqr` on so many workers, in the fewest
-/// superpanels that are at least so many.
+/// `Service::submit_{lu,qr}` and `submit_solve` / `submit_lstsq` (held to
+/// the solution the reference factors give), each on the tiny route or
+/// `unbatched`;
+/// `ooc_calu`/`ooc_caqr` on so many workers, in the fewest superpanels that
+/// are at least so many.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 enum Route {
     Dag(usize),
@@ -144,8 +145,7 @@ enum Route {
     Served(usize, Opts),
     OneTask,
     Service { tiny: bool },
-    Solve,
-    ServiceOoc,
+    Solve { tiny: bool },
     Ooc(usize, usize),
 }
 
@@ -163,8 +163,6 @@ pub enum Part {
     /// The service's tiny and `unbatched` routes, its solves, and the served
     /// one-task route (tests/serve.rs).
     Service,
-    /// `submit_lu_ooc` (tests/serve.rs).
-    ServiceOoc,
     /// `ooc_calu`/`ooc_caqr` in f64 (tests/ooc.rs).
     Ooc,
     /// `ooc_calu`/`ooc_caqr` in f32 (tests/ooc.rs).
@@ -178,8 +176,7 @@ fn part_of(name: &str, route: Route, t: &str) -> Part {
         Route::Dag(_) => Part::Dag,
         Route::With(_, o) | Route::Served(_, o) if o.faulty() => Part::Faults,
         Route::With(..) | Route::Served(..) | Route::Profiled(_) => Part::Options,
-        Route::Service { .. } | Route::Solve | Route::OneTask => Part::Service,
-        Route::ServiceOoc => Part::ServiceOoc,
+        Route::Service { .. } | Route::Solve { .. } | Route::OneTask => Part::Service,
         Route::Ooc(..) if t == "f32" => Part::OocF32,
         Route::Ooc(..) => Part::Ooc,
     }
@@ -354,7 +351,8 @@ fn start<C: Class, T: Kernel>(route: Route, a: &Matrix<T>, rhs: &Matrix<T>, p: &
             let h = (C::SUBMIT)(&pools.1, a64()?, if tiny { opts } else { opts.unbatched() }).expect("admits");
             Some(Box::new(move || (bits64(&ok(h.wait(), &what)), None)))
         }
-        Route::Solve => {
+        Route::Solve { tiny } => {
+            let opts = if tiny { opts } else { opts.unbatched() };
             let h = (C::SUBMIT_SOLVE)(&pools.1, a64()?, rhs.to_f64(), opts).expect("admits");
             Some(Box::new(move || (vec![("x", bits(&ok(h.wait(), &what)))], None)))
         }
@@ -366,20 +364,6 @@ fn start<C: Class, T: Kernel>(route: Route, a: &Matrix<T>, rhs: &Matrix<T>, p: &
             remove();
             ready((e.bits)(&f))
         }
-        // Only LU has a served out-of-core route.
-        Route::ServiceOoc if C::NAME == "LU" && num_panels(m, n, p.b) >= 2 => {
-            let (store, remove) = store(&a64()?, p.b, &what);
-            let store = Arc::new(store);
-            let budget = budget_for(C::OOC, m, n, p, 8, 2);
-            let h = pools.1.submit_lu_ooc(Arc::clone(&store), budget, opts).expect("admits");
-            Some(Box::new(move || {
-                let f = ok(h.wait(), &what);
-                assert!(f.io.bytes_read > 0 && f.io.bytes_written > 0, "{what}: I/O is accounted");
-                let lu = (store.export_matrix().expect("export"), remove()).0;
-                let lu = LuFactors { lu, pivots: f.pivots, breakdown: f.breakdown, stats: f.stats };
-                ((Lu::entries().bits)(&lu), None)
-            }))
-        }
         _ => None,
     }
 }
@@ -389,7 +373,7 @@ fn start<C: Class, T: Kernel>(route: Route, a: &Matrix<T>, rhs: &Matrix<T>, p: &
 /// the DAG routes.
 fn cases() -> Vec<(&'static str, usize, usize, CaParams, Vec<Route>)> {
     let dag = vec![Route::Dag(1), Route::Dag(2), Route::Dag(4)];
-    let mut all = [dag.clone(), vec![Route::Profiled(2), Route::OneTask, Route::Solve, Route::ServiceOoc]].concat();
+    let mut all = [dag.clone(), vec![Route::Profiled(2), Route::OneTask, Route::Solve { tiny: true }, Route::Solve { tiny: false }]].concat();
     for w in [1, 3] {
         all.extend(Opts::ALL.iter().flat_map(|&o| [Route::With(w, o), Route::Served(w, o)]));
     }
@@ -431,7 +415,7 @@ fn rows<C: Class, T: Kernel>(what: &str, a: &Matrix<T>, rhs: &Matrix<T>, p: &CaP
     let reference = (e.seq)(a.clone(), p);
     let (factors, solution) = ((e.bits)(&reference), (e.solve)(&reference, rhs).map(|x| vec![("x", bits(&x))]));
     let row = |&route| {
-        let want = if route == Route::Solve { solution.clone()? } else { factors.clone() };
+        let want = if let Route::Solve { .. } = route { solution.clone()? } else { factors.clone() };
         Some((what.clone(), route, want, start::<C, T>(route, a, rhs, p, pools, &what)?))
     };
     routes.iter().filter_map(row).collect()

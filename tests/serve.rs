@@ -37,13 +37,6 @@ fn interleaved_lu_qr_jobs_are_bitwise_identical_to_sequential_runs() {
     equivalence_table::lu_and_qr(Part::Service);
 }
 
-/// `submit_lu_ooc` under budgets that force two or more superpanels gives
-/// the bits of `calu_seq_factor`, with its I/O accounted.
-#[test]
-fn out_of_core_lu_job_matches_in_core_bitwise() {
-    equivalence_table::lu(Part::ServiceOoc);
-}
-
 /// Cancelling one in-flight job must neither cancel nor stall its
 /// neighbours, and the survivors must still be bitwise correct.
 #[test]

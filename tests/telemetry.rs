@@ -217,12 +217,13 @@ fn service_stats_and_exposition_agree() {
         svc.shutdown();
 
         let sum = |name: &str| counter_sum(&snap, name);
+        let t = &stats.task_recovery;
         assert_eq!(sum("ca_serve_jobs_submitted_total"), stats.submitted, "{what}: submitted");
         assert_eq!(sum("ca_serve_jobs_completed_total"), stats.completed, "{what}: completed");
         assert_eq!(sum("ca_serve_jobs_failed_total"), stats.failed, "{what}: failed");
         assert_eq!(sum("ca_serve_jobs_cancelled_total"), stats.cancelled, "{what}: cancelled");
-        assert_eq!(sum("ca_serve_retries_total"), stats.job_retries, "{what}: retries");
-        assert_eq!(sum("ca_serve_job_retries_total"), stats.job_retries, "{what}: retries rollup");
+        assert_eq!(sum("ca_serve_retries_total"), t.replays, "{what}: retries");
+        assert_eq!(sum("ca_serve_job_retries_total"), t.replays, "{what}: retries rollup");
         assert_eq!(
             histogram_count(&snap, "ca_serve_queue_seconds"),
             stats.queue_latency.count,
@@ -236,9 +237,10 @@ fn service_stats_and_exposition_agree() {
         for (family, want) in RecoveryStats::NAMES.iter().zip(stats.task_recovery.counts()) {
             assert_eq!(sum(&format!("ca_serve_task_{family}_total")), want, "{what}: task {family}");
         }
-        let t = &stats.task_recovery;
         assert_eq!(sum("ca_serve_corruption_detected_total"), t.probe_failures, "{what}: probe hits");
-        assert_eq!((stats.job_retries, stats.probes_run), (t.replays, t.probes), "{what}");
+        let per_series = (sum("ca_serve_retries_total"), sum("ca_serve_corruption_detected_total"));
+        let task = (sum("ca_serve_task_replays_total"), sum("ca_serve_task_probe_failures_total"));
+        assert_eq!(per_series, task, "{what}");
         // Every submitted job reached exactly one terminal outcome, and the
         // handles saw the same number of failures the series counted.
         assert_eq!(stats.submitted, jobs as u64, "{what}");
